@@ -6,8 +6,10 @@ import (
 )
 
 // FuzzParseText hardens the text-format parser: arbitrary input must never
-// panic, and accepted input must re-encode to a form the parser accepts
-// again with identical structure.
+// panic, the parser and writer must agree with the reference codec on it
+// (accept or reject, error string, graph, bytes written — see
+// text_diff_test.go), and accepted input must re-encode to a form the
+// parser accepts again with identical structure.
 func FuzzParseText(f *testing.F) {
 	f.Add("loop a\nnode x iadd\nend\n")
 	f.Add("loop a\nnode x load\nnode y fmul\nedge x y dist 2 lat 9\nend\n")
@@ -24,7 +26,15 @@ func FuzzParseText(f *testing.F) {
 	f.Add("loop m\nnode x iadd\nnode y iadd\nedge x y lat -1\nend\n")
 	// Labels that collide with synthetic "n<ID>" names.
 	f.Add("loop c\nnode n1 load\nnode n0 store\nedge n1 n0\nend\n")
+	for _, tc := range hostileInputs {
+		if len(tc.text) < 1024 {
+			f.Add(tc.text)
+		}
+	}
 	f.Fuzz(func(t *testing.T, input string) {
+		if err := diffCodecs(input); err != nil {
+			t.Fatalf("codec disagrees with the reference: %v", err)
+		}
 		gs, err := ParseText(strings.NewReader(input))
 		if err != nil {
 			return

@@ -2,6 +2,7 @@ package ddg
 
 import (
 	"fmt"
+	"strconv"
 	"strings"
 	"sync"
 )
@@ -105,7 +106,7 @@ func (g *Graph) NodeName(v int) string {
 	if l := g.Nodes[v].Label; l != "" {
 		return l
 	}
-	return fmt.Sprintf("n%d", v)
+	return "n" + strconv.Itoa(v)
 }
 
 // DataSuccs appends to dst the IDs of nodes that consume v's value through
@@ -163,8 +164,29 @@ func (g *Graph) String() string {
 // produced by Builder.Build is always valid; Validate exists for graphs
 // decoded from text.
 func (g *Graph) Validate() error {
+	return g.validate(make(map[string]int, len(g.Nodes)), &validateScratch{})
+}
+
+// validateScratch is the working memory of the zero-distance cycle check;
+// the text parser keeps one across the loops of a stream.
+type validateScratch struct {
+	color []int8
+	stack []dfsFrame
+}
+
+// dfsFrame is one level of the cycle check's explicit DFS stack: a node and
+// the index of its next unexplored out-edge.
+type dfsFrame struct {
+	v    int
+	next int
+}
+
+// validate is Validate with the caller's memory. labels is either empty or
+// already maps every label of g to the first node carrying it (the text
+// parser passes the labelIndex it built); a label on two nodes is reported
+// in both cases.
+func (g *Graph) validate(labels map[string]int, scratch *validateScratch) error {
 	var problems []string
-	labels := make(map[string]int, len(g.Nodes))
 	for i := range g.Nodes {
 		n := &g.Nodes[i]
 		if n.ID != i {
@@ -174,10 +196,12 @@ func (g *Graph) Validate() error {
 			problems = append(problems, fmt.Sprintf("node %d has invalid op %v", i, n.Op))
 		}
 		if n.Label != "" {
-			if prev, dup := labels[n.Label]; dup {
+			if prev, seen := labels[n.Label]; !seen {
+				labels[n.Label] = i
+			} else if prev != i {
 				problems = append(problems, fmt.Sprintf("label %q used by nodes %d and %d", n.Label, prev, i))
+				labels[n.Label] = i
 			}
-			labels[n.Label] = i
 		}
 	}
 	for i := range g.Edges {
@@ -202,7 +226,7 @@ func (g *Graph) Validate() error {
 			problems = append(problems, fmt.Sprintf("edge %d: store node %d produces no register value", i, e.Src))
 		}
 	}
-	if err := g.checkZeroDistanceAcyclic(); err != nil {
+	if err := g.checkZeroDistanceAcyclic(scratch); err != nil {
 		problems = append(problems, err.Error())
 	}
 	if len(problems) == 0 {
@@ -213,24 +237,26 @@ func (g *Graph) Validate() error {
 
 // checkZeroDistanceAcyclic verifies that the subgraph of distance-0 edges is
 // acyclic (a cycle with total distance 0 is not executable).
-func (g *Graph) checkZeroDistanceAcyclic() error {
+func (g *Graph) checkZeroDistanceAcyclic(scratch *validateScratch) error {
 	const (
 		white = 0
 		gray  = 1
 		black = 2
 	)
-	color := make([]int8, len(g.Nodes))
-	// Iterative DFS to avoid recursion depth limits on long chains.
-	type frame struct {
-		v    int
-		next int
+	n := len(g.Nodes)
+	if cap(scratch.color) < n {
+		scratch.color = make([]int8, n)
+		scratch.stack = make([]dfsFrame, 0, n) // a DFS path visits a node once
 	}
-	var stack []frame
+	color := scratch.color[:n]
+	clear(color)
+	// Iterative DFS to avoid recursion depth limits on long chains.
+	stack := scratch.stack
 	for start := range g.Nodes {
 		if color[start] != white {
 			continue
 		}
-		stack = append(stack[:0], frame{v: start})
+		stack = append(stack[:0], dfsFrame{v: start})
 		color[start] = gray
 		for len(stack) > 0 {
 			f := &stack[len(stack)-1]
@@ -246,7 +272,7 @@ func (g *Graph) checkZeroDistanceAcyclic() error {
 					return fmt.Errorf("zero-distance cycle through node %d", e.Dst)
 				case white:
 					color[e.Dst] = gray
-					stack = append(stack, frame{v: e.Dst})
+					stack = append(stack, dfsFrame{v: e.Dst})
 					advanced = true
 				}
 				if advanced {

@@ -102,11 +102,28 @@ func (k OpKind) String() string {
 }
 
 // ParseOpKind converts a mnemonic produced by String back into an OpKind.
+// "copy" parses (Validate is what keeps OpCopy out of source graphs);
+// "invalid" does not.
 func ParseOpKind(s string) (OpKind, error) {
-	for k := OpKind(1); k < numOpKinds; k++ {
-		if opNames[k] == s {
-			return k, nil
-		}
+	switch s {
+	case "iadd":
+		return OpIAdd, nil
+	case "imul":
+		return OpIMul, nil
+	case "idiv":
+		return OpIDiv, nil
+	case "fadd":
+		return OpFAdd, nil
+	case "fmul":
+		return OpFMul, nil
+	case "fdiv":
+		return OpFDiv, nil
+	case "load":
+		return OpLoad, nil
+	case "store":
+		return OpStore, nil
+	case "copy":
+		return OpCopy, nil
 	}
 	return OpInvalid, fmt.Errorf("ddg: unknown op kind %q", s)
 }

@@ -14,7 +14,6 @@ package wire
 
 import (
 	"fmt"
-	"strings"
 	"time"
 
 	"clusched/internal/ddg"
@@ -177,7 +176,7 @@ func (wj Job) Decode() (driver.Job, error) {
 	if err := wj.Options.validateStrategy(); err != nil {
 		return driver.Job{}, err
 	}
-	g, err := ddg.ParseOne(strings.NewReader(wj.Loop))
+	g, err := ddg.ParseOneString(wj.Loop)
 	if err != nil {
 		return driver.Job{}, err
 	}
@@ -302,7 +301,7 @@ func (wr *Result) Decode() (*pipeline.Result, error) {
 		// as a decode failure (persistent caches treat it as a miss).
 		return nil, err
 	}
-	g, err := ddg.ParseOne(strings.NewReader(wr.Loop))
+	g, err := ddg.ParseOneString(wr.Loop)
 	if err != nil {
 		return nil, fmt.Errorf("wire: result loop: %w", err)
 	}

@@ -1,0 +1,129 @@
+package wire
+
+import (
+	"testing"
+
+	"clusched/internal/driver"
+	"clusched/internal/machine"
+	"clusched/internal/pipeline"
+	"clusched/internal/workload"
+)
+
+// suiteJobs is the pinned SPECfp95 suite as jobs on the paper's reference
+// machine — the traffic the serving benchmarks put on the wire.
+func suiteJobs() []driver.Job {
+	m := machine.MustParse("4c2b2l64r")
+	loops := workload.SPECfp95()
+	jobs := make([]driver.Job, len(loops))
+	for i, l := range loops {
+		jobs[i] = driver.Job{Graph: l.Graph, Machine: m, Opts: pipeline.Options{Replicate: true}}
+	}
+	return jobs
+}
+
+// suiteOutcomes compiles suiteJobs.
+func suiteOutcomes(tb testing.TB) []driver.Outcome {
+	tb.Helper()
+	outs, err := driver.New(driver.Config{}).CompileAll(suiteJobs())
+	if err != nil {
+		tb.Fatal(err)
+	}
+	return outs
+}
+
+// TestJobCodecAllocs pins the job codec to the ddg text codec's allocation
+// budget (24 to parse and 3 to write the same 29-node suite loop, see
+// ddg.TestTextCodecAllocs) plus at most four of its own: it hands strings
+// to the text codec and copies nothing.
+func TestJobCodecAllocs(t *testing.T) {
+	var job driver.Job
+	for _, j := range suiteJobs() {
+		if j.Graph.NumNodes() == 29 {
+			job = j
+			break
+		}
+	}
+	if job.Graph == nil {
+		t.Fatal("suite has no 29-node loop")
+	}
+	wj, err := EncodeJob(job)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if n := testing.AllocsPerRun(200, func() {
+		if _, err := EncodeJob(job); err != nil {
+			t.Fatal(err)
+		}
+	}); n > 3+4 {
+		t.Errorf("EncodeJob: %v allocs/op, want <= 7", n)
+	}
+	if n := testing.AllocsPerRun(200, func() {
+		if _, err := wj.Decode(); err != nil {
+			t.Fatal(err)
+		}
+	}); n > 24+4 {
+		t.Errorf("Job.Decode: %v allocs/op, want <= 28", n)
+	}
+}
+
+// The four benchmarks below price the codec per loop over the pinned
+// suite; one op is one job or outcome. JSON is not included — these are the
+// typed conversions on either side of it.
+
+func BenchmarkEncodeJob(b *testing.B) {
+	jobs := suiteJobs()
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		if _, err := EncodeJob(jobs[i%len(jobs)]); err != nil {
+			b.Fatal(err)
+		}
+	}
+}
+
+func BenchmarkDecodeJob(b *testing.B) {
+	jobs := suiteJobs()
+	wjs := make([]Job, len(jobs))
+	for i, j := range jobs {
+		var err error
+		if wjs[i], err = EncodeJob(j); err != nil {
+			b.Fatal(err)
+		}
+	}
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		if _, err := wjs[i%len(wjs)].Decode(); err != nil {
+			b.Fatal(err)
+		}
+	}
+}
+
+func BenchmarkEncodeOutcome(b *testing.B) {
+	outs := suiteOutcomes(b)
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		if _, err := EncodeOutcome(outs[i%len(outs)]); err != nil {
+			b.Fatal(err)
+		}
+	}
+}
+
+func BenchmarkDecodeOutcome(b *testing.B) {
+	outs := suiteOutcomes(b)
+	wos := make([]Outcome, len(outs))
+	for i, o := range outs {
+		var err error
+		if wos[i], err = EncodeOutcome(o); err != nil {
+			b.Fatal(err)
+		}
+	}
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		if _, err := wos[i%len(wos)].Decode(); err != nil {
+			b.Fatal(err)
+		}
+	}
+}
