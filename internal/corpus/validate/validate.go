@@ -72,7 +72,22 @@ func Schedule(res *pipeline.Result, strategy string, opts pipeline.Options, inde
 	if iters <= 0 {
 		iters = DefaultIters
 	}
-	d := &Divergence{
+	rep, err := vliwsim.Measure(res.Schedule, iters)
+	var errText string
+	switch {
+	case err != nil:
+		rep = &vliwsim.Report{} // failed before steady state
+		errText = err.Error()
+	case rep.TraceDiff != "":
+	case rep.LastDone != rep.ModelLastDone:
+		errText = fmt.Sprintf("completion cycle %d, model predicts %d", rep.LastDone, rep.ModelLastDone)
+	case rep.CyclesPerIter != float64(res.II):
+	default:
+		// Confirmed: the common case by orders of magnitude, and the only
+		// one that builds no record.
+		return nil
+	}
+	return &Divergence{
 		Loop:      res.Loop.Name,
 		Index:     index,
 		LoopSeed:  loopSeed,
@@ -80,23 +95,8 @@ func Schedule(res *pipeline.Result, strategy string, opts pipeline.Options, inde
 		Machine:   res.Machine.Name,
 		Opts:      opts,
 		ClaimedII: res.II,
+		SimCPI:    rep.CyclesPerIter,
+		TraceDiff: rep.TraceDiff,
+		Err:       errText,
 	}
-	rep, err := vliwsim.Measure(res.Schedule, iters)
-	if err != nil {
-		d.Err = err.Error()
-		return d
-	}
-	d.SimCPI = rep.CyclesPerIter
-	if rep.TraceDiff != "" {
-		d.TraceDiff = rep.TraceDiff
-		return d
-	}
-	if rep.LastDone != rep.ModelLastDone {
-		d.Err = fmt.Sprintf("completion cycle %d, model predicts %d", rep.LastDone, rep.ModelLastDone)
-		return d
-	}
-	if rep.CyclesPerIter != float64(res.II) {
-		return d
-	}
-	return nil
 }

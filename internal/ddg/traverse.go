@@ -10,13 +10,13 @@ package ddg
 // subgraph, so the order always exists.
 func (g *Graph) TopoOrder() []int {
 	n := len(g.Nodes)
-	return g.topoOrderInto(make([]int, 0, n), make([]int, n))
+	return g.TopoOrderInto(make([]int, 0, n), make([]int, n))
 }
 
-// topoOrderInto is TopoOrder into caller-owned buffers: order (cleared,
+// TopoOrderInto is TopoOrder into caller-owned buffers: order (cleared,
 // appended to and returned; it doubles as the BFS queue, which preserves
 // the FIFO visit order) and indeg (overwritten, len ≥ NumNodes).
-func (g *Graph) topoOrderInto(order, indeg []int) []int {
+func (g *Graph) TopoOrderInto(order, indeg []int) []int {
 	n := len(g.Nodes)
 	indeg = indeg[:n]
 	for i := range indeg {
@@ -69,7 +69,7 @@ func (g *Graph) ComputeTimingScratch(ii int, sc *TimingScratch) *Timing {
 		sc.t.ASAP = make([]int, n)
 		sc.t.ALAP = make([]int, n)
 	}
-	sc.order = g.topoOrderInto(sc.order, sc.indeg)
+	sc.order = g.TopoOrderInto(sc.order, sc.indeg)
 	t := &sc.t
 	t.ASAP = t.ASAP[:n]
 	t.ALAP = t.ALAP[:n]

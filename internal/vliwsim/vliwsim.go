@@ -14,9 +14,11 @@
 package vliwsim
 
 import (
+	"cmp"
 	"fmt"
-	"sort"
+	"slices"
 
+	"clusched/internal/arena"
 	"clusched/internal/ddg"
 	"clusched/internal/sched"
 )
@@ -61,13 +63,19 @@ func (t *Trace) Diff(o *Trace) string {
 	return ""
 }
 
+// canonicalize orders the records by (Iter, Node, Value). Value is part of
+// the key so the order is total: the records of a replicated store share
+// Iter and Node, and when a broken schedule makes them disagree the Diff
+// text must not depend on which replica the sort happened to put first.
 func (t *Trace) canonicalize() {
-	sort.Slice(t.Stores, func(i, j int) bool {
-		a, b := t.Stores[i], t.Stores[j]
-		if a.Iter != b.Iter {
-			return a.Iter < b.Iter
+	slices.SortFunc(t.Stores, func(a, b StoreRecord) int {
+		if c := cmp.Compare(a.Iter, b.Iter); c != 0 {
+			return c
 		}
-		return a.Node < b.Node
+		if c := cmp.Compare(a.Node, b.Node); c != 0 {
+			return c
+		}
+		return cmp.Compare(a.Value, b.Value)
 	})
 }
 
@@ -129,67 +137,34 @@ func mix(h, x uint64) uint64 { return (h ^ x) * fnvPrime }
 // opSeed gives every operation kind its own value function.
 func opSeed(op ddg.OpKind) uint64 { return mix(fnvOffset, uint64(op)*2654435761) }
 
-// initialValue is the value of node v produced "before" the loop started
-// (negative iteration indices reached through loop-carried dependences).
-// It is keyed by the original node ID so replicas and the reference agree.
-func initialValue(v, iter int) uint64 {
-	return mix(mix(fnvOffset, uint64(v+1)*0x9e3779b97f4a7c15), uint64(int64(iter))+0x1234)
-}
+// The value functions are split into a per-node part (computed once per
+// call into the unit tables) and a per-iteration part (applied per event).
 
-// nodeValue computes the synthetic result of node v given its operand
-// values in edge order. Loads additionally fold in the node identity and
-// iteration (two loads of different arrays differ; the same load in
-// different iterations differs).
-func nodeValue(g *ddg.Graph, v, iter int, operands []uint64) uint64 {
-	op := g.Nodes[v].Op
-	h := opSeed(op)
-	for _, x := range operands {
-		h = mix(h, x)
-	}
-	if op == ddg.OpLoad {
-		h = mix(h, uint64(v+1)*0xdeadbeef)
-		h = mix(h, uint64(iter)+1)
-	}
-	return h
-}
+// initSeed is the iteration-independent part of node v's pre-loop values.
+func initSeed(v int) uint64 { return mix(fnvOffset, uint64(v+1)*0x9e3779b97f4a7c15) }
+
+// initialAt is the value a node with the given initSeed produced "before"
+// the loop started, at negative iteration iter (reached through
+// loop-carried dependences).
+func initialAt(seed uint64, iter int) uint64 { return mix(seed, uint64(int64(iter))+0x1234) }
+
+// loadSalt is the node identity a load folds into its value.
+func loadSalt(v int) uint64 { return uint64(v+1) * 0xdeadbeef }
+
+// loadValue finishes a load: h mixes its address operands; two loads of
+// different arrays differ, and the same load in different iterations
+// differs.
+func loadValue(h, salt uint64, iter int) uint64 { return mix(mix(h, salt), uint64(iter)+1) }
 
 // Reference evaluates the source loop directly for the given iteration
 // count and returns its trace.
 func Reference(g *ddg.Graph, iters int) *Trace {
-	order := g.TopoOrder()
-	// values[iter][node]; only a window of maxDist+1 iterations is needed,
-	// but loops are small — keep it simple and store all.
-	values := make([][]uint64, iters)
-	tr := &Trace{}
-	var operands []uint64
-	for k := 0; k < iters; k++ {
-		values[k] = make([]uint64, g.NumNodes())
-		for _, v := range order {
-			operands = operands[:0]
-			for _, eid := range g.In(v) {
-				e := &g.Edges[eid]
-				if e.Kind != ddg.EdgeData {
-					continue
-				}
-				src := k - e.Dist
-				if src < 0 {
-					operands = append(operands, initialValue(e.Src, src))
-				} else {
-					operands = append(operands, values[src][e.Src])
-				}
-			}
-			if g.Nodes[v].Op.IsStore() {
-				h := opSeed(ddg.OpStore)
-				for _, x := range operands {
-					h = mix(h, x)
-				}
-				tr.Stores = append(tr.Stores, StoreRecord{Node: v, Iter: k, Value: h})
-				continue
-			}
-			values[k][v] = nodeValue(g, v, k, operands)
-		}
-	}
-	tr.canonicalize()
+	sc := getScratch()
+	defer putScratch(sc)
+	iters = max(iters, 0)
+	sc.loadGraph(g)
+	tr := &Trace{Stores: ownedStores(sc.perIter * iters)}
+	sc.evaluate(g, iters, tr.Stores)
 	return tr
 }
 
@@ -203,104 +178,46 @@ func Execute(s *sched.Schedule, iters int) (*Trace, int, error) {
 	if err := validate(s); err != nil {
 		return nil, 0, err
 	}
-	ig := s.IG
-	g := ig.G
-	n := ig.NumInstances()
-
-	type instIter struct {
-		inst int32
-		iter int
-	}
-	// Issue events ordered by cycle; ties broken by instance index. An
-	// instance of iteration k issues at Time[inst] + k·II.
-	events := make([]instIter, 0, n*iters)
-	for i := int32(0); i < int32(n); i++ {
-		for k := 0; k < iters; k++ {
-			events = append(events, instIter{inst: i, iter: k})
-		}
-	}
-	issueCycle := func(e instIter) int { return s.Time[e.inst] + e.iter*s.II }
-	sort.Slice(events, func(i, j int) bool {
-		ci, cj := issueCycle(events[i]), issueCycle(events[j])
-		if ci != cj {
-			return ci < cj
-		}
-		return events[i].inst < events[j].inst
-	})
-
-	values := make([]uint64, n*iters)
-	computed := make([]bool, n*iters)
-	slot := func(inst int32, iter int) int { return int(inst)*iters + iter }
-
-	tr := &Trace{}
-	lastDone := 0
-	var operands []uint64
-	for _, ev := range events {
-		inst := ig.Inst[ev.inst]
-		issue := issueCycle(ev)
-		operands = operands[:0]
-		readFailed := ""
-		for _, eid := range ig.In(ev.inst) {
-			e := &ig.Edges[eid]
-			if !e.Data {
-				continue
-			}
-			srcIter := ev.iter - int(e.Dist)
-			if srcIter < 0 {
-				operands = append(operands, initialValue(ig.Inst[e.Src].Orig, srcIter))
-				continue
-			}
-			// The producer must have completed: issue(src) + lat <= issue.
-			srcIssue := s.Time[e.Src] + srcIter*s.II
-			if srcIssue+int(e.Lat) > issue {
-				readFailed = fmt.Sprintf("operand of %s (iter %d) not ready: %s issues at %d+%d, consumer at %d",
-					ig.Name(ev.inst), ev.iter, ig.Name(e.Src), srcIssue, e.Lat, issue)
-				break
-			}
-			if !computed[slot(e.Src, srcIter)] {
-				readFailed = fmt.Sprintf("internal: producer %s iter %d not simulated before %s",
-					ig.Name(e.Src), srcIter, ig.Name(ev.inst))
-				break
-			}
-			operands = append(operands, values[slot(e.Src, srcIter)])
-		}
-		if readFailed != "" {
-			return nil, 0, fmt.Errorf("vliwsim: %s", readFailed)
-		}
-
-		switch {
-		case inst.IsCopy:
-			// A copy transports its single operand unchanged.
-			if len(operands) != 1 {
-				return nil, 0, fmt.Errorf("vliwsim: copy of %s has %d operands", g.NodeName(inst.Orig), len(operands))
-			}
-			values[slot(ev.inst, ev.iter)] = operands[0]
-		case g.Nodes[inst.Orig].Op.IsStore():
-			h := opSeed(ddg.OpStore)
-			for _, x := range operands {
-				h = mix(h, x)
-			}
-			tr.Stores = append(tr.Stores, StoreRecord{Node: inst.Orig, Iter: ev.iter, Value: h})
-		default:
-			values[slot(ev.inst, ev.iter)] = nodeValue(g, inst.Orig, ev.iter, operands)
-		}
-		computed[slot(ev.inst, ev.iter)] = true
-		if done := issue + ig.Latency(ev.inst); done > lastDone {
-			lastDone = done
-		}
+	sc := getScratch()
+	defer putScratch(sc)
+	iters = max(iters, 0)
+	sc.loadSchedule(s)
+	tr := &Trace{Stores: ownedStores(sc.perIter * iters)}
+	lastDone, _, err := sc.run(s, iters, 0, tr.Stores)
+	if err != nil {
+		return nil, 0, err
 	}
 	tr.canonicalize()
 	return tr, lastDone, nil
 }
 
+// ownedStores allocates the records of a Trace handed to a caller; an
+// empty trace keeps the nil slice it always had.
+func ownedStores(n int) []StoreRecord {
+	if n == 0 {
+		return nil
+	}
+	return make([]StoreRecord, n)
+}
+
 // InitialValue exposes the synthetic pre-loop value of node v at negative
 // iteration iter, for other execution engines (codegen's pipeline
-// simulator) that must agree with Reference.
-func InitialValue(v, iter int) uint64 { return initialValue(v, iter) }
+// simulator) that must agree with Reference. It is keyed by the original
+// node ID so replicas and the reference agree.
+func InitialValue(v, iter int) uint64 { return initialAt(initSeed(v), iter) }
 
-// NodeValue exposes the synthetic operation semantics.
+// NodeValue exposes the synthetic operation semantics: the result of node v
+// given its operand values in edge order.
 func NodeValue(g *ddg.Graph, v, iter int, operands []uint64) uint64 {
-	return nodeValue(g, v, iter, operands)
+	op := g.Nodes[v].Op
+	h := opSeed(op)
+	for _, x := range operands {
+		h = mix(h, x)
+	}
+	if op == ddg.OpLoad {
+		h = loadValue(h, loadSalt(v), iter)
+	}
+	return h
 }
 
 // StoreValue mixes store operands into the value recorded in traces.
@@ -335,31 +252,43 @@ type Report struct {
 const steadySpan = 4
 
 // Measure executes the schedule, compares its trace against the reference,
-// and measures steady-state cycles/iteration empirically (by running a
-// longer execution and differencing completion cycles), so harnesses need
-// not recompute it from the model they are trying to validate. Structural
-// defects and dependence violations surface as errors; semantic and
-// throughput divergences are reported in the Report for the caller to
-// judge.
+// and measures steady-state cycles/iteration empirically: one execution of
+// iters+steadySpan iterations yields the trace and completion cycle of the
+// first iters and the completion cycle of all of them, and the difference
+// of the two completion cycles over the span is the measured rate — so
+// harnesses need not recompute it from the model they are trying to
+// validate. Structural defects and dependence violations surface as errors
+// (of the longer execution: an operand that is late in iteration k is late
+// in every iteration from the edge's distance on, so whenever iters exceeds
+// every edge distance the first violation lies within the first iters
+// iterations); semantic and throughput divergences are reported in the
+// Report for the caller to judge.
 func Measure(s *sched.Schedule, iters int) (*Report, error) {
-	if iters < 1 {
-		iters = 1
+	if err := validate(s); err != nil {
+		return nil, err
 	}
-	got, lastDone, err := Execute(s, iters)
+	sc := getScratch()
+	defer putScratch(sc)
+	iters = max(iters, 1)
+	// Neither trace outlives the call, so both live in the scratch.
+	sc.loadSchedule(s)
+	sc.got = arena.Grown(sc.got, sc.perIter*iters)
+	lastDone, lastLonger, err := sc.run(s, iters, steadySpan, sc.got)
 	if err != nil {
 		return nil, err
 	}
-	_, lastLonger, err := Execute(s, iters+steadySpan)
-	if err != nil {
-		return nil, err
-	}
-	ref := Reference(s.IG.G, iters)
+	got := Trace{Stores: sc.got}
+	got.canonicalize()
+	g := s.IG.G
+	sc.loadGraph(g)
+	sc.want = arena.Grown(sc.want, sc.perIter*iters)
+	sc.evaluate(g, iters, sc.want)
 	return &Report{
 		Iters:         iters,
 		LastDone:      lastDone,
 		ModelLastDone: (iters-1)*s.II + s.Length,
 		CyclesPerIter: float64(lastLonger-lastDone) / steadySpan,
-		TraceDiff:     got.Diff(ref),
+		TraceDiff:     got.Diff(&Trace{Stores: sc.want}),
 	}, nil
 }
 
