@@ -52,16 +52,21 @@ type macroSet struct {
 	memFlat, memOff []int
 }
 
-// macroPair is a candidate merge during coarsening.
+// macroPair is an edge of the macro graph, a candidate merge during
+// coarsening: macros a < b joined by total edge weight w.
 type macroPair struct {
 	a, b, w int
 }
 
-// coarsen groups nodes into at most... as few macro-nodes as matching
-// allows, targeting m.Clusters macro-nodes, by repeated maximum-weight
-// matching over the macro graph. Merges that would overflow a single
-// cluster's capacity at the given ii are rejected, so a macro always fits in
-// one cluster.
+// coarsen groups nodes into as few macro-nodes as matching allows, down to
+// m.Clusters of them, by repeated maximum-weight matching over the macro
+// graph. Merges that would overflow a single cluster's capacity at the
+// given ii are rejected, so a macro always fits in one cluster.
+//
+// The macro graph is a pair list built from the edges once and contracted
+// after every level: endpoints are relabelled through rep (the macro each
+// one was folded into), pairs that became internal are dropped and parallel
+// ones combined, so each level works on a shorter list.
 func coarsen(g *ddg.Graph, m machine.Config, ii int, w []int, sc *Scratch) *macroSet {
 	// Coarsening cap: a macro must fit in at least one cluster, so use the
 	// largest per-class capacity across clusters at this ii.
@@ -82,35 +87,28 @@ func coarsen(g *ddg.Graph, m machine.Config, ii int, w []int, sc *Scratch) *macr
 	sc.mcounts = counts
 	size := grown(sc.msize, n)
 	sc.msize = size
+	// rep[x] is the macro that x was folded into at the current level, x
+	// itself for a live macro; entries of macros that died at earlier levels
+	// are stale and never read, since nothing refers to a dead macro.
+	rep := grown(sc.rep, n)
+	sc.rep = rep
 	for v := range g.Nodes {
 		macroOf[v] = v
+		rep[v] = v
 		counts[v][g.Nodes[v].Op.Class()]++
 		size[v] = 1
 	}
 	alive := n
 
-	if sc.agg == nil {
-		sc.agg = make(map[[2]int]int)
+	// Memory edges join macros too, at weight zero.
+	pairs := sc.pairs[:0]
+	for i := range g.Edges {
+		if e := &g.Edges[i]; e.Src != e.Dst {
+			pairs = append(pairs, macroPair{a: min(e.Src, e.Dst), b: max(e.Src, e.Dst), w: w[i]})
+		}
 	}
 	for alive > m.Clusters {
-		// Accumulate inter-macro edge weights.
-		clear(sc.agg)
-		for i := range g.Edges {
-			e := &g.Edges[i]
-			ma, mb := macroOf[e.Src], macroOf[e.Dst]
-			if ma == mb {
-				continue
-			}
-			if ma > mb {
-				ma, mb = mb, ma
-			}
-			sc.agg[[2]int{ma, mb}] += w[i]
-		}
-		pairs := sc.pairs[:0]
-		for k, ww := range sc.agg {
-			pairs = append(pairs, macroPair{a: k[0], b: k[1], w: ww})
-		}
-		sc.pairs = pairs
+		pairs = combinePairs(pairs)
 		// Deterministic order: weight desc, then IDs.
 		slices.SortFunc(pairs, func(x, y macroPair) int {
 			if x.w != y.w {
@@ -134,21 +132,33 @@ func coarsen(g *ddg.Graph, m machine.Config, ii int, w []int, sc *Scratch) *macr
 			if !fitsTogether(&counts[p.a], &counts[p.b], cap) {
 				continue
 			}
-			mergeMacros(macroOf, counts, size, p.a, p.b)
+			foldMacro(rep, counts, size, p.a, p.b)
 			matched[p.a], matched[p.b] = true, true
 			merges++
 		}
 		if merges == 0 {
 			// Matching stuck (disconnected graph or capacity limits): merge
 			// smallest compatible pairs regardless of connectivity, else stop.
-			if !forceMerge(macroOf, counts, size, cap, sc) {
+			if !forceMerge(rep, counts, size, cap, sc) {
 				break
 			}
-			alive--
-			continue
+			merges = 1
 		}
 		alive -= merges
+		// Contract: a macro is folded at most once per level, so one step
+		// through rep reaches the survivor.
+		for v := range macroOf {
+			macroOf[v] = rep[macroOf[v]]
+		}
+		kept := pairs[:0]
+		for _, p := range pairs {
+			if a, b := rep[p.a], rep[p.b]; a != b {
+				kept = append(kept, macroPair{a: min(a, b), b: max(a, b), w: p.w})
+			}
+		}
+		pairs = kept
 	}
+	sc.pairs = pairs[:0]
 
 	// Compact: renumber live macros in increasing representative order. The
 	// counts/size/macroOf arrays are rewritten in place (the write index
@@ -204,15 +214,31 @@ func fitsTogether(a, b *[ddg.NumClasses]int, cap [ddg.NumClasses]int) bool {
 	return true
 }
 
-// mergeMacros folds macro b into macro a; b becomes dead (size 0). Every
-// node is repointed by scanning macroOf — node counts are small, so the
-// scan is cheaper than maintaining per-macro member lists.
-func mergeMacros(macroOf []int, counts [][ddg.NumClasses]int, size []int, a, b int) {
-	for v := range macroOf {
-		if macroOf[v] == b {
-			macroOf[v] = a
+// combinePairs sorts the pair list by endpoints and adds up parallel pairs
+// in place, leaving one pair per connected macro pair.
+func combinePairs(pairs []macroPair) []macroPair {
+	slices.SortFunc(pairs, func(x, y macroPair) int {
+		if x.a != y.a {
+			return x.a - y.a
+		}
+		return x.b - y.b
+	})
+	out := pairs[:0]
+	for _, p := range pairs {
+		if k := len(out) - 1; k >= 0 && out[k].a == p.a && out[k].b == p.b {
+			out[k].w += p.w
+		} else {
+			out = append(out, p)
 		}
 	}
+	return out
+}
+
+// foldMacro folds macro b into macro a; b becomes dead (size 0) and rep
+// records where it went. Nodes and pairs are repointed by coarsen's
+// contraction step, once per level.
+func foldMacro(rep []int, counts [][ddg.NumClasses]int, size []int, a, b int) {
+	rep[b] = a
 	for cl := range counts[a] {
 		counts[a][cl] += counts[b][cl]
 	}
@@ -222,8 +248,9 @@ func mergeMacros(macroOf []int, counts [][ddg.NumClasses]int, size []int, a, b i
 }
 
 // forceMerge merges the two smallest capacity-compatible macros; returns
-// false when no pair fits (coarsening must stop).
-func forceMerge(macroOf []int, counts [][ddg.NumClasses]int, size []int, cap [ddg.NumClasses]int, sc *Scratch) bool {
+// false when no pair fits (coarsening must stop). The survivor is the
+// earlier of the two in size order, not the smaller id.
+func forceMerge(rep []int, counts [][ddg.NumClasses]int, size []int, cap [ddg.NumClasses]int, sc *Scratch) bool {
 	live := sc.live[:0]
 	for i := range size {
 		if size[i] > 0 {
@@ -238,7 +265,7 @@ func forceMerge(macroOf []int, counts [][ddg.NumClasses]int, size []int, cap [dd
 	for i := 0; i < len(live); i++ {
 		for j := i + 1; j < len(live); j++ {
 			if fitsTogether(&counts[live[i]], &counts[live[j]], cap) {
-				mergeMacros(macroOf, counts, size, live[i], live[j])
+				foldMacro(rep, counts, size, live[i], live[j])
 				return true
 			}
 		}
@@ -278,7 +305,23 @@ func assignMacros(g *ddg.Graph, m machine.Config, ii int, ms *macroSet, w []int,
 	loads := zeroed(sc.loads, m.Clusters)
 	sc.loads = loads
 
+	conn := grown(sc.conn, m.Clusters)
+	sc.conn = conn
 	for _, mi := range order {
+		// conn[c]: connectivity to the macros already placed in c.
+		clear(conn)
+		for _, v := range ms.members(mi) {
+			for _, eid := range g.Out(v) {
+				if other := ms.macroOf[g.Edges[eid].Dst]; other != mi && clusterOf[other] >= 0 {
+					conn[clusterOf[other]] += w[eid]
+				}
+			}
+			for _, eid := range g.In(v) {
+				if other := ms.macroOf[g.Edges[eid].Src]; other != mi && clusterOf[other] >= 0 {
+					conn[clusterOf[other]] += w[eid]
+				}
+			}
+		}
 		bestC := 0
 		bestKey := [3]int{1 << 30, 1 << 30, 1 << 30}
 		for c := 0; c < m.Clusters; c++ {
@@ -297,25 +340,9 @@ func assignMacros(g *ddg.Graph, m machine.Config, ii int, ms *macroSet, w []int,
 					}
 				}
 			}
-			// Connectivity to macros already in c.
-			conn := 0
-			for _, v := range ms.members(mi) {
-				for _, eid := range g.Out(v) {
-					e := &g.Edges[eid]
-					if other := ms.macroOf[e.Dst]; other != mi && clusterOf[other] == c {
-						conn += w[eid]
-					}
-				}
-				for _, eid := range g.In(v) {
-					e := &g.Edges[eid]
-					if other := ms.macroOf[e.Src]; other != mi && clusterOf[other] == c {
-						conn += w[eid]
-					}
-				}
-			}
 			// Fit first (never overflow a cluster when an alternative
 			// exists), then connectivity, then balance; deterministic.
-			key := [3]int{overflow, -conn, load*m.Clusters + c}
+			key := [3]int{overflow, -conn[c], load*m.Clusters + c}
 			if key[0] < bestKey[0] ||
 				(key[0] == bestKey[0] && (key[1] < bestKey[1] ||
 					(key[1] == bestKey[1] && key[2] < bestKey[2]))) {

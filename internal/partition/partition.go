@@ -114,16 +114,22 @@ func InitialUniform(g *ddg.Graph, m machine.Config, ii int) *Assignment {
 		return Unified(g)
 	}
 	sc := NewScratch()
+	w := uniformWeights(g)
+	ms := coarsen(g, m, ii, w, sc)
+	a := assignMacros(g, m, ii, ms, w, sc)
+	sc.converged = refine(g, m, ii, a, w, sc)
+	return a
+}
+
+// uniformWeights weighs every data edge 1 and every memory edge 0.
+func uniformWeights(g *ddg.Graph) []int {
 	w := make([]int, g.NumEdges())
 	for i := range g.Edges {
 		if g.Edges[i].Kind == ddg.EdgeData {
 			w[i] = 1
 		}
 	}
-	ms := coarsen(g, m, ii, w, sc)
-	a := assignMacros(g, m, ii, ms, w, sc)
-	sc.converged = refine(g, m, ii, a, w, sc)
-	return a
+	return w
 }
 
 // Refine improves an existing assignment for a (typically increased) ii,
@@ -143,38 +149,6 @@ func RefineScratch(g *ddg.Graph, m machine.Config, ii int, a *Assignment, sc *Sc
 	w := edgeWeights(g, m, ii, sc)
 	sc.converged = refine(g, m, ii, na, w, sc)
 	return na
-}
-
-// PseudoLength estimates the schedule length of one iteration under the
-// assignment: an ASAP pass in which data edges that cross clusters pay the
-// bus latency, ignoring resource conflicts. This is the cheap stand-in for
-// the pseudo-schedules of the base algorithm.
-func PseudoLength(g *ddg.Graph, m machine.Config, a *Assignment, ii int) int {
-	asap := make([]int, g.NumNodes())
-	order := g.TopoOrder()
-	for _, v := range order {
-		for _, eid := range g.Out(v) {
-			e := &g.Edges[eid]
-			if e.Dist != 0 {
-				continue
-			}
-			lat := e.Lat
-			if e.Kind == ddg.EdgeData && a.Cluster[e.Src] != a.Cluster[e.Dst] {
-				lat += m.BusLatency
-			}
-			if t := asap[v] + lat; t > asap[e.Dst] {
-				asap[e.Dst] = t
-			}
-		}
-	}
-	length := 0
-	for v := range g.Nodes {
-		if l := asap[v] + g.Nodes[v].Op.Latency(); l > length {
-			length = l
-		}
-	}
-	_ = ii
-	return length
 }
 
 // InducedII returns the II that the assignment forces, before scheduling:

@@ -197,24 +197,6 @@ func TestRefineStateIncrementalConsistency(t *testing.T) {
 	}
 }
 
-func TestPseudoLengthAccountsForBus(t *testing.T) {
-	// a -> b in different clusters: length grows by the bus latency.
-	b := ddg.NewBuilder("p")
-	x := b.Node("x", ddg.OpIAdd)
-	y := b.Node("y", ddg.OpIAdd)
-	b.Edge(x, y, 0)
-	g := b.MustBuild()
-	m := machine.MustParse("2c1b2l64r")
-	same := &Assignment{Cluster: []int{0, 0}, K: 2}
-	diff := &Assignment{Cluster: []int{0, 1}, K: 2}
-	if l := PseudoLength(g, m, same, 1); l != 2 {
-		t.Errorf("same-cluster length = %d, want 2", l)
-	}
-	if l := PseudoLength(g, m, diff, 1); l != 4 {
-		t.Errorf("cross-cluster length = %d, want 4 (1 + bus 2 + 1)", l)
-	}
-}
-
 func TestInitialIsDeterministic(t *testing.T) {
 	rng := rand.New(rand.NewSource(3))
 	g := randomGraph(rng, 24)
@@ -296,5 +278,21 @@ func TestInducedIIHeterogeneous(t *testing.T) {
 	a := Initial(g, m, 8)
 	if got := InducedII(g, m, a); got < 3 {
 		t.Errorf("InducedII = %d, impossible below 3 (12 fp ops, 3 fp units total... at least ceil(best)", got)
+	}
+}
+
+func TestRefineReleasesTheJob(t *testing.T) {
+	// The refinement state lives in a Scratch that sync.Pools keep alive:
+	// once a call returns it must not pin that call's graph.
+	sc := NewScratch()
+	g := twoChains(6)
+	m := machine.MustParse("2c1b2l64r")
+	a := InitialScratch(g, m, 8, sc)
+	if sc.st.g != nil || sc.st.a != nil || sc.st.w != nil {
+		t.Error("InitialScratch left the graph, assignment or weights in the Scratch")
+	}
+	RefineScratch(g, m, 9, a, sc)
+	if sc.st.g != nil || sc.st.a != nil || sc.st.w != nil {
+		t.Error("RefineScratch left the graph, assignment or weights in the Scratch")
 	}
 }

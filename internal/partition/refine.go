@@ -11,36 +11,50 @@ import (
 // passes run until a pass makes no move. It reports whether the result is a
 // fixpoint: the final pass moved nothing (false means the pass budget ran
 // out mid-improvement).
+//
+// Candidate moves are scored read-only (prepare, eval); the state is
+// written only by the move that commits an accepted candidate.
 func refine(g *ddg.Graph, m machine.Config, ii int, a *Assignment, w []int, sc *Scratch) bool {
 	const maxPasses = 8
 	st := newRefineState(g, m, a, w, ii, sc)
-	moved := false
+	// The state lives in a pooled Scratch: do not pin the job's graph,
+	// assignment and weights in an idle arena (the buffers stay, in sc).
+	defer func() { *st = refineState{} }()
+	cur := st.score()
+	lastMoved := -1 // node of the most recent accepted move
 	for pass := 0; pass < maxPasses; pass++ {
-		moved = false
+		moved := false
 		for v := range g.Nodes {
-			cur := a.Cluster[v]
-			before := st.score()
-			bestC, bestScore := cur, before
+			if v == lastMoved {
+				// Back at v with no move since its own, in the previous
+				// pass (a move in this pass would have left lastMoved
+				// behind v): v sits on its best cluster and every later
+				// node was already scored against exactly this state and
+				// stayed, so the rest of this pass would move nothing.
+				return true
+			}
+			home := a.Cluster[v]
+			st.prepare(v)
+			bestC, best := home, cur
 			for c := 0; c < a.K; c++ {
-				if c == cur {
+				if c == home {
 					continue
 				}
-				st.move(v, c)
-				if s := st.score(); s.less(bestScore) {
-					bestScore, bestC = s, c
+				if s := st.eval(c); s.less(best) {
+					best, bestC = s, c
 				}
-				st.move(v, cur)
 			}
-			if bestC != cur {
+			if bestC != home {
 				st.move(v, bestC)
-				moved = true
+				cur = best
+				moved, lastMoved = true, v
 			}
 		}
 		if !moved {
-			break
+			return true
 		}
 	}
-	return !moved
+	return false
 }
 
 // score orders candidate partitions: first by how far any cluster's
@@ -70,9 +84,10 @@ func (s score) less(o score) bool {
 
 // refineState maintains the score incrementally under node moves: the
 // per-cluster class counts, resource IIs and total capacity overflow, the
-// communication set and the weighted cut are all updated in O(degree) per
-// move, so evaluating a candidate move is two moves plus an O(K) score
-// read — no full rescan. All buffers live in the Scratch arena.
+// communication set and the weighted cut are all updated in O(degree·K) per
+// committed move. Candidates are not moved: prepare(v) reads what leaving
+// its cluster would change, once per node, and eval(c) finishes the score
+// for one destination in O(1). All buffers live in the Scratch arena.
 type refineState struct {
 	g *ddg.Graph
 	m machine.Config
@@ -91,6 +106,29 @@ type refineState struct {
 	comm    []int8
 	numComs int
 	wcut    int
+
+	cand candidate
+	// predMult[p] counts the data edges p→v while prepare(v) groups v's
+	// predecessors; all zero between calls.
+	predMult []int32
+}
+
+// candidate is what prepare(v) learns about taking v out of its cluster:
+// everything eval needs that does not depend on the destination, plus the
+// two per-destination vectors.
+type candidate struct {
+	home, class int
+	// over and resHome are the capacity overflow and home's resource II
+	// once v has left home.
+	over, resHome int
+	// resRest is the largest resource II among the clusters other than
+	// home; a destination's own can only grow, so it need not be left out.
+	resRest int
+	// dcoms[c] is the change in the communication count if v moves to c.
+	dcoms []int
+	// wt[c] is the weight of v's data edges to and from other nodes in
+	// cluster c: moving from home to c changes the cut by wt[home]-wt[c].
+	wt []int
 }
 
 func newRefineState(g *ddg.Graph, m machine.Config, a *Assignment, w []int, targetII int, sc *Scratch) *refineState {
@@ -105,9 +143,12 @@ func newRefineState(g *ddg.Graph, m machine.Config, a *Assignment, w []int, targ
 		resII:    grown(sc.resII, a.K),
 		consIn:   zeroed(sc.consIn, n*a.K),
 		comm:     grown(sc.comm, n),
+		predMult: zeroed(sc.predMult, n),
+		cand:     candidate{dcoms: grown(sc.dcoms, a.K), wt: grown(sc.wt, a.K)},
 	}
 	sc.counts, sc.fu, sc.classII, sc.resII, sc.consIn, sc.comm =
 		st.counts, st.fu, st.classII, st.resII, st.consIn, st.comm
+	sc.predMult, sc.dcoms, sc.wt = st.predMult, st.cand.dcoms, st.cand.wt
 	for c := 0; c < a.K; c++ {
 		for cl := 0; cl < ddg.NumClasses; cl++ {
 			st.fu[c*ddg.NumClasses+cl] = m.FUAt(c, ddg.Class(cl))
@@ -200,7 +241,150 @@ func (st *refineState) commBit(v int) int8 {
 	return 0
 }
 
-// move relocates v to cluster c, updating all incremental state.
+// prepare gathers, without writing any shared state, what moving v out of
+// its cluster would change; eval then scores each destination.
+func (st *refineState) prepare(v int) {
+	g, k := st.g, st.a.K
+	cluster := st.a.Cluster
+	cd := &st.cand
+	home := cluster[v]
+	class := int(g.Nodes[v].Op.Class())
+	cd.home, cd.class = home, class
+
+	// Resources: home loses one op of v's class.
+	idx := home*ddg.NumClasses + class
+	n0 := st.counts[home][class]
+	cd.over = st.over
+	if n0 > st.fu[idx]*st.targetII {
+		cd.over--
+	}
+	cd.resHome = max(1, classCeil(n0-1, st.fu[idx]))
+	for cl := 0; cl < ddg.NumClasses; cl++ {
+		if cl != class {
+			cd.resHome = max(cd.resHome, st.classII[home*ddg.NumClasses+cl])
+		}
+	}
+	cd.resRest = 1
+	for c, r := range st.resII {
+		if c != home {
+			cd.resRest = max(cd.resRest, r)
+		}
+	}
+
+	dcoms, wt := cd.dcoms, cd.wt
+	clear(dcoms)
+	clear(wt)
+
+	// v's own value: its consumers stay where they are, except v itself
+	// (self-loops travel with it).
+	self := int32(0)
+	for _, eid := range g.Out(v) {
+		e := &g.Edges[eid]
+		if e.Kind != ddg.EdgeData {
+			continue
+		}
+		if e.Dst == v {
+			self++
+			continue
+		}
+		wt[cluster[e.Dst]] += st.w[eid]
+	}
+	if !g.Nodes[v].Op.IsStore() {
+		row := st.consIn[v*k : (v+1)*k]
+		// Clusters holding a consumer of v other than v.
+		held := 0
+		for c, n := range row {
+			if c == home {
+				n -= self
+			}
+			if n > 0 {
+				held++
+			}
+		}
+		for c, n := range row {
+			// In c, v communicates iff a cluster other than c holds one.
+			if c != home {
+				dcoms[c] += b2i(held > 1 || (held == 1 && n == 0)) - int(st.comm[v])
+			}
+		}
+	}
+
+	// Each distinct data predecessor p sees its mult edges to v leave home
+	// and arrive in c.
+	for _, eid := range g.In(v) {
+		e := &g.Edges[eid]
+		if e.Kind != ddg.EdgeData || e.Src == v {
+			continue
+		}
+		wt[cluster[e.Src]] += st.w[eid]
+		st.predMult[e.Src]++
+	}
+	for _, eid := range g.In(v) {
+		e := &g.Edges[eid]
+		if e.Kind != ddg.EdgeData || e.Src == v {
+			continue
+		}
+		p := e.Src
+		mult := st.predMult[p]
+		if mult == 0 {
+			continue // a parallel edge of a predecessor already counted
+		}
+		st.predMult[p] = 0
+		if g.Nodes[p].Op.IsStore() {
+			continue
+		}
+		pc := cluster[p]
+		row := st.consIn[p*k : (p+1)*k]
+		// Foreign clusters still holding a consumer of p once v has left.
+		held := 0
+		for c, n := range row {
+			if c != pc && n > 0 {
+				held++
+			}
+		}
+		if home != pc && row[home] == mult {
+			held--
+		}
+		for c, n := range row {
+			// v's arrival makes c hold one, which counts unless c is p's own.
+			if c != home {
+				dcoms[c] += b2i(held > 0 || (c != pc && n == 0)) - int(st.comm[p])
+			}
+		}
+	}
+}
+
+func b2i(b bool) int {
+	if b {
+		return 1
+	}
+	return 0
+}
+
+// eval returns the score the state would have after moving the prepared
+// node to cluster c (c != home): exactly what move(v, c) followed by score()
+// yields, with nothing written.
+func (st *refineState) eval(c int) score {
+	cd := &st.cand
+	idx := c*ddg.NumClasses + cd.class
+	n1 := st.counts[c][cd.class] + 1
+	over := cd.over
+	if n1 > st.fu[idx]*st.targetII {
+		over++
+	}
+	// Adding an op can only raise its own class's ceiling in c.
+	res := max(cd.resHome, cd.resRest, classCeil(n1, st.fu[idx]))
+	coms := st.numComs + cd.dcoms[c]
+	return score{
+		resOverflow: over,
+		inducedII:   max(res, st.m.MinBusII(coms)),
+		coms:        coms,
+		wcut:        st.wcut + cd.wt[cd.home] - cd.wt[c],
+	}
+}
+
+// move relocates v to cluster c, updating all incremental state. refine
+// calls it only to commit an accepted candidate.
 func (st *refineState) move(v, c int) {
 	old := st.a.Cluster[v]
 	if old == c {

@@ -24,6 +24,10 @@ type Scratch struct {
 	resII   []int
 	consIn  []int32
 	comm    []int8
+	// refine's read-only candidate evaluation
+	predMult []int32
+	dcoms    []int
+	wt       []int
 
 	// coarsen
 	ms      macroSet
@@ -31,7 +35,7 @@ type Scratch struct {
 	mcounts [][ddg.NumClasses]int
 	msize   []int
 	pairs   []macroPair
-	agg     map[[2]int]int
+	rep     []int
 	matched []bool
 	live    []int
 	memFlat []int
@@ -43,6 +47,7 @@ type Scratch struct {
 	loads     [][ddg.NumClasses]int
 	order     []int
 	clusterOf []int
+	conn      []int
 
 	// converged records whether the last Initial/Refine call on this
 	// scratch reached a refinement fixpoint (see Converged).
