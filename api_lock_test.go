@@ -50,10 +50,8 @@ var publicAPI = []string{
 	"Collect",
 	"Compile",
 	"CompileAll",
-	"CompileBaseline",
 	"CompileJob",
 	"CompileOutcome",
-	"CompileReplicated",
 	"CompileWith",
 	"Compiler",
 	"CompilerConfig",

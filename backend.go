@@ -248,8 +248,8 @@ func WithTimeout(d time.Duration) Option {
 	return clientOption("WithTimeout", func(s *settings) { s.client.timeout = d; s.client.hasTimeout = true })
 }
 
-// WithPollInterval sets the initial interval of WaitBatch's fallback poll
-// loop (the backoff grows and jitters from there; see Client.WaitBatch).
+// WithPollInterval sets the initial interval of WaitBatch's poll loop
+// (the backoff grows and jitters from there; see Client.WaitBatch).
 func WithPollInterval(d time.Duration) Option {
 	return clientOption("WithPollInterval", func(s *settings) { s.client.pollInterval = d })
 }

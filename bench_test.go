@@ -192,7 +192,7 @@ func BenchmarkCompileSingleLoop(b *testing.B) {
 	m := machine.MustParse("4c2b2l64r")
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		if _, err := clusched.CompileReplicated(l.Graph, m); err != nil {
+		if _, err := clusched.Compile(l.Graph, m, clusched.Options{Replicate: true}); err != nil {
 			b.Fatal(err)
 		}
 	}
@@ -244,7 +244,7 @@ func BenchmarkCompileHardLoop(b *testing.B) {
 		}
 		b.ResetTimer()
 		for i := 0; i < b.N; i++ {
-			if _, err := pipeline.CompileSpec(hard, m, opts, 4); err != nil {
+			if _, err := pipeline.Search(context.Background(), hard, m, opts, pipeline.SearchConfig{Lanes: 4}); err != nil {
 				b.Fatal(err)
 			}
 		}

@@ -26,10 +26,10 @@ import (
 //
 // Stream consumes the service's NDJSON push endpoint
 // (GET /batch/{id}/stream): each outcome arrives the moment the server
-// finishes it, with no polling. The poll loop (WaitBatch) remains as a
-// fallback for older servers and for callers that want the final status in
-// one call; it backs off with jitter instead of hammering a fixed
-// interval.
+// finishes it, with no polling. The poll loop (WaitBatch) remains for
+// callers that want the final status in one call, and as the resume path
+// when a stream is cut mid-batch; it backs off with jitter instead of
+// hammering a fixed interval.
 //
 // The zero Client is not usable; call NewRemote (or NewClient).
 type Client struct {
@@ -38,8 +38,8 @@ type Client struct {
 	// timeout bounds each unary exchange (see DefaultClientTimeout); the
 	// streaming path is exempt.
 	timeout time.Duration
-	// PollInterval is the initial interval of WaitBatch's fallback poll
-	// loop (default 50ms, growing to pollMaxInterval with jitter).
+	// PollInterval is the initial interval of WaitBatch's poll loop
+	// (default 50ms, growing to pollMaxInterval with jitter).
 	PollInterval time.Duration
 	// RequestTraces asks the server to record an execution trace for every
 	// batch this client submits; fetch it with Trace once the ticket
@@ -54,7 +54,7 @@ type Client struct {
 // a caller forever. WithTimeout(0) disables the bound.
 const DefaultClientTimeout = 5 * time.Minute
 
-// Fallback poll pacing: the first probe comes quickly (most batches are
+// Poll pacing: the first probe comes quickly (most batches are
 // small), then the interval grows geometrically to a lazy cap, each wait
 // jittered ±25% so a fleet of clients polling one server does not beat on
 // it in lockstep.
@@ -192,9 +192,9 @@ func (c *Client) Do(ctx context.Context, job CompileJob) (CompileOutcome, error)
 // submits the batch, opens GET /batch/{id}/stream and yields each outcome
 // the moment the server finishes it — true server push, no polling. Every
 // job yields exactly once; submit or transport failures surface as the
-// outcome error of every job the stream had not yet delivered. Against an
-// older server without the stream endpoint, Stream falls back to the
-// jittered poll loop and yields the batch at the end.
+// outcome error of every job the stream had not yet delivered. A stream
+// the transport cuts mid-batch resumes over the poll loop (the server keeps
+// compiling the ticket); a stream the server refuses is an error.
 func (c *Client) Stream(ctx context.Context, jobs []CompileJob) iter.Seq2[int, CompileOutcome] {
 	return func(yield func(int, CompileOutcome) bool) {
 		if len(jobs) == 0 {
@@ -222,9 +222,6 @@ func (c *Client) Stream(ctx context.Context, jobs []CompileJob) iter.Seq2[int, C
 		c.streamTicket(ctx, id, jobs, delivered, yield, fail)
 	}
 }
-
-// errNoStreamEndpoint marks a server without GET /batch/{id}/stream.
-var errNoStreamEndpoint = errors.New("clusched: service has no stream endpoint")
 
 // errStreamCut marks a transport failure after the stream was successfully
 // opened: the server knows the ticket and keeps compiling it, so the poll
@@ -256,10 +253,6 @@ func (c *Client) streamTicket(ctx context.Context, id string, jobs []CompileJob,
 		// the remaining work — tell the server so it stops compiling it.
 		c.abandonTicket(id)
 		return
-	case errors.Is(err, errNoStreamEndpoint):
-		// Older server: fall back to the poll loop and deliver the batch
-		// when it finishes.
-		c.pollRemainder(ctx, id, jobs, delivered, yield, fail)
 	case errors.Is(err, errStreamCut) && ctx.Err() == nil:
 		// The transport cut the stream but the batch is still alive on the
 		// server (and the work the server already did is not lost). Resume
@@ -277,10 +270,9 @@ func (c *Client) streamTicket(ctx context.Context, id string, jobs []CompileJob,
 }
 
 // pollRemainder waits out a live ticket over the poll endpoint and yields
-// every outcome the stream (if any) has not delivered yet. It is both the
-// fallback for servers without the stream endpoint and the resume path
+// every outcome the stream has not delivered yet. It is the resume path
 // when an NDJSON stream is cut mid-batch: the delivered ledger makes the
-// hand-off exactly-once either way.
+// hand-off exactly-once.
 func (c *Client) pollRemainder(ctx context.Context, id string, jobs []CompileJob, delivered []bool,
 	yield func(int, CompileOutcome) bool, fail func(error) bool) {
 	st, werr := c.WaitBatch(ctx, id)
@@ -314,10 +306,9 @@ func (c *Client) pollRemainder(ctx context.Context, id string, jobs []CompileJob
 var errYieldStopped = errors.New("clusched: stream consumer stopped")
 
 // readStream opens the NDJSON endpoint and yields outcome frames until the
-// done frame. It returns errNoStreamEndpoint for servers predating the
-// endpoint, nil after a complete stream (undelivered jobs have been
-// stamped with the batch's terminal error), or the transport/protocol
-// error that cut the stream short.
+// done frame. It returns nil after a complete stream (undelivered jobs
+// have been stamped with the batch's terminal error), or the refusal,
+// transport or protocol error that cut the stream short.
 func (c *Client) readStream(ctx context.Context, id string, jobs []CompileJob, delivered []bool,
 	yield func(int, CompileOutcome) bool) error {
 	// No unary timeout here: the stream lives exactly as long as its
@@ -331,18 +322,14 @@ func (c *Client) readStream(ctx context.Context, id string, jobs []CompileJob, d
 		return err
 	}
 	defer resp.Body.Close()
-	if resp.StatusCode == http.StatusNotFound || resp.StatusCode == http.StatusMethodNotAllowed {
-		// A modern server answers 404 with a JSON error body for a ticket
-		// it no longer knows (restart, retention pruning) — that is a real
-		// failure, not a missing endpoint. Only a mux-level 404/405 (no
-		// wire error payload) means the server predates streaming.
+	if resp.StatusCode != http.StatusOK {
+		// A refusal — typically 404 for a ticket the server no longer knows
+		// (restart, retention pruning) — is a failure of the undelivered
+		// jobs, with the server's reason when it sent one.
 		var er wire.ErrorResponse
 		if err := json.NewDecoder(io.LimitReader(resp.Body, 1<<16)).Decode(&er); err == nil && er.Error != "" {
 			return fmt.Errorf("clusched: service: %s", er.Error)
 		}
-		return errNoStreamEndpoint
-	}
-	if resp.StatusCode != http.StatusOK {
 		return fmt.Errorf("clusched: stream answered %s", resp.Status)
 	}
 
@@ -516,7 +503,8 @@ func (c *Client) Status(ctx context.Context, id string) (BatchStatus, error) {
 const waitBatchGrace = 2 * time.Second
 
 // WaitBatch polls a ticket until it finishes (or ctx is done) and returns
-// the final status with decoded outcomes. It is the fallback to Stream.
+// the final status with decoded outcomes; Stream resumes a cut stream
+// through it.
 // Pacing prefers the server's own Retry-After hint — the server knows its
 // backlog better than any client-side schedule — and only without one backs
 // off geometrically from PollInterval (default 50ms) to a 2s cap; every

@@ -41,7 +41,7 @@ func TestClientCompile(t *testing.T) {
 	opts := Options{Replicate: true}
 
 	// Local reference.
-	want, err := CompileReplicated(loops[0].Graph, m)
+	want, err := Compile(loops[0].Graph, m, Options{Replicate: true})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -242,39 +242,53 @@ func TestStreamIdleTimeoutOnWedgedServer(t *testing.T) {
 	}
 }
 
-// TestStreamUnknownTicket404IsNotEndpointFallback: a modern server's JSON
-// 404 for a ticket it no longer knows is a real error, not a cue to fall
-// back to polling the same nonexistent ticket.
+// TestStreamUnknownTicket404IsNotEndpointFallback: a 404 on the stream
+// endpoint — the server's JSON answer for a ticket it no longer knows, or a
+// bare mux-level 404 — is an error stamped on the undelivered jobs, never a
+// cue to poll the same ticket.
 func TestStreamUnknownTicket404IsNotEndpointFallback(t *testing.T) {
-	var polled atomic.Bool
-	mux := http.NewServeMux()
-	mux.HandleFunc("POST /batch", func(w http.ResponseWriter, r *http.Request) {
-		w.WriteHeader(http.StatusAccepted)
-		w.Write([]byte(`{"id":"gone"}` + "\n"))
-	})
-	mux.HandleFunc("GET /batch/gone/stream", func(w http.ResponseWriter, r *http.Request) {
-		w.Header().Set("Content-Type", "application/json")
-		w.WriteHeader(http.StatusNotFound)
-		w.Write([]byte(`{"error":"unknown ticket \"gone\""}` + "\n"))
-	})
-	mux.HandleFunc("GET /jobs/{id}", func(w http.ResponseWriter, r *http.Request) {
-		polled.Store(true)
-		w.WriteHeader(http.StatusNotFound)
-		w.Write([]byte(`{"error":"unknown ticket"}` + "\n"))
-	})
-	ts := httptest.NewServer(mux)
-	defer ts.Close()
+	for _, c := range []struct {
+		name, body, want string
+	}{
+		{"json body", `{"error":"unknown ticket \"gone\""}` + "\n", "unknown ticket"},
+		{"bare mux", "404 page not found\n", "stream answered 404"},
+	} {
+		t.Run(c.name, func(t *testing.T) {
+			var polled atomic.Bool
+			mux := http.NewServeMux()
+			mux.HandleFunc("POST /batch", func(w http.ResponseWriter, r *http.Request) {
+				w.WriteHeader(http.StatusAccepted)
+				w.Write([]byte(`{"id":"gone"}` + "\n"))
+			})
+			mux.HandleFunc("GET /batch/gone/stream", func(w http.ResponseWriter, r *http.Request) {
+				w.WriteHeader(http.StatusNotFound)
+				w.Write([]byte(c.body))
+			})
+			mux.HandleFunc("GET /jobs/{id}", func(w http.ResponseWriter, r *http.Request) {
+				polled.Store(true)
+				w.WriteHeader(http.StatusNotFound)
+				w.Write([]byte(`{"error":"unknown ticket"}` + "\n"))
+			})
+			ts := httptest.NewServer(mux)
+			defer ts.Close()
 
-	c := NewRemote(ts.URL, WithTimeout(time.Second))
-	loops := BenchmarkLoops("tomcatv")[:1]
-	jobs := []CompileJob{{Graph: loops[0].Graph, Machine: MustParseMachine("4c2b2l64r")}}
-	for _, out := range c.Stream(context.Background(), jobs) {
-		if out.Err == nil || !strings.Contains(out.Err.Error(), "unknown ticket") {
-			t.Fatalf("want the unknown-ticket error, got %v", out.Err)
-		}
-	}
-	if polled.Load() {
-		t.Fatal("client fell back to polling a ticket the server said it does not know")
+			cl := NewRemote(ts.URL, WithTimeout(time.Second))
+			loops := BenchmarkLoops("tomcatv")[:1]
+			jobs := []CompileJob{{Graph: loops[0].Graph, Machine: MustParseMachine("4c2b2l64r")}}
+			yielded := 0
+			for _, out := range cl.Stream(context.Background(), jobs) {
+				yielded++
+				if out.Err == nil || !strings.Contains(out.Err.Error(), c.want) {
+					t.Fatalf("want an error containing %q, got %v", c.want, out.Err)
+				}
+			}
+			if yielded != len(jobs) {
+				t.Fatalf("yielded %d outcomes for %d jobs", yielded, len(jobs))
+			}
+			if polled.Load() {
+				t.Fatal("client polled a ticket whose stream the server refused")
+			}
+		})
 	}
 }
 

@@ -46,10 +46,10 @@ import (
 	"io"
 
 	"clusched/internal/codegen"
-	"clusched/internal/core"
 	"clusched/internal/ddg"
 	"clusched/internal/driver"
 	"clusched/internal/machine"
+	"clusched/internal/pipeline"
 	"clusched/internal/sched"
 	"clusched/internal/telemetry"
 	"clusched/internal/workload"
@@ -112,21 +112,21 @@ func PaperMachines() []Machine { return machine.PaperConfigs() }
 
 // Options selects the pipeline variant; the zero value is the baseline
 // scheduler without replication.
-type Options = core.Options
+type Options = pipeline.Options
 
 // Result is a compiled loop: achieved II, schedule, replication statistics
 // and cause attribution for II increases.
-type Result = core.Result
+type Result = pipeline.Result
 
 // Cause classifies II increases (bus, recurrences, registers).
-type Cause = core.Cause
+type Cause = pipeline.Cause
 
 // Cause values for Result.IIIncreases.
 const (
-	CauseBus        = core.CauseBus
-	CauseRecurrence = core.CauseRecurrence
-	CauseRegisters  = core.CauseRegisters
-	NumCauses       = core.NumCauses
+	CauseBus        = pipeline.CauseBus
+	CauseRecurrence = pipeline.CauseRecurrence
+	CauseRegisters  = pipeline.CauseRegisters
+	NumCauses       = pipeline.NumCauses
 )
 
 // Schedule is a verified modulo schedule.
@@ -136,7 +136,7 @@ type Schedule = sched.Schedule
 // selects; the zero value selects the paper's algorithm without
 // replication.
 func Compile(g *Graph, m Machine, opts Options) (*Result, error) {
-	return core.Compile(g, m, opts)
+	return pipeline.Compile(g, m, opts)
 }
 
 // CompileWith compiles under a named scheduling strategy — the one-call
@@ -147,34 +147,16 @@ func Compile(g *Graph, m Machine, opts Options) (*Result, error) {
 //	uas      greedy unified assign-and-schedule (no partition pass)
 //	moddist  round-robin modulo distribution (naive baseline)
 func CompileWith(strategy string, g *Graph, m Machine, opts Options) (*Result, error) {
-	return core.CompileWith(strategy, g, m, opts)
+	opts.Strategy = strategy
+	return pipeline.Compile(g, m, opts)
 }
 
 // Strategies lists the registered scheduling strategies, sorted by name.
-func Strategies() []string { return core.Strategies() }
+func Strategies() []string { return pipeline.StrategyNames() }
 
 // StrategyDescription returns a strategy's one-line description ("" for
 // unknown names).
-func StrategyDescription(name string) string { return core.StrategyDescription(name) }
-
-// CompileBaseline compiles with the state-of-the-art base scheduler
-// (partitioning only, no replication).
-//
-// Deprecated: pick the algorithm through the strategy registry instead —
-// CompileWith("paper", g, m, Options{}) is the same compilation with the
-// choice spelled out. Kept as a thin wrapper for source compatibility.
-func CompileBaseline(g *Graph, m Machine) (*Result, error) {
-	return core.CompileBaseline(g, m)
-}
-
-// CompileReplicated compiles with the paper's replication pass enabled.
-//
-// Deprecated: use CompileWith("paper", g, m, Options{Replicate: true}) so
-// the algorithm choice is explicit. Kept as a thin wrapper for source
-// compatibility.
-func CompileReplicated(g *Graph, m Machine) (*Result, error) {
-	return core.CompileReplicated(g, m)
-}
+func StrategyDescription(name string) string { return pipeline.StrategyDescription(name) }
 
 // Compiler is the in-process Backend: a concurrent batch-compilation
 // engine with a bounded worker pool, a streaming batch API with

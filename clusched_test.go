@@ -39,11 +39,11 @@ func TestPublicAPICompile(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		base, err := clusched.CompileBaseline(g, m)
+		base, err := clusched.Compile(g, m, clusched.Options{})
 		if err != nil {
 			t.Fatalf("%s baseline: %v", cfg, err)
 		}
-		repl, err := clusched.CompileReplicated(g, m)
+		repl, err := clusched.Compile(g, m, clusched.Options{Replicate: true})
 		if err != nil {
 			t.Fatalf("%s replication: %v", cfg, err)
 		}
@@ -62,7 +62,7 @@ func TestPublicAPIParseLoops(t *testing.T) {
 	if err != nil || len(gs) != 1 {
 		t.Fatalf("ParseLoops: %v (%d loops)", err, len(gs))
 	}
-	if _, err := clusched.CompileReplicated(gs[0], clusched.MustParseMachine("2c1b2l64r")); err != nil {
+	if _, err := clusched.Compile(gs[0], clusched.MustParseMachine("2c1b2l64r"), clusched.Options{Replicate: true}); err != nil {
 		t.Fatal(err)
 	}
 }

@@ -34,7 +34,8 @@
 //
 // Batch consumers should prefer the stream endpoint (clusched.NewRemote's
 // Stream uses it): each verified result is pushed the moment it compiles,
-// and polling GET /jobs/{id} becomes a fallback, not the steady state.
+// and polling GET /jobs/{id} is left for status checks and cut-stream
+// resumption, not the steady state.
 //
 // SIGINT/SIGTERM triggers a graceful drain bounded by -drain-timeout.
 //

@@ -35,9 +35,9 @@ import (
 
 	"clusched"
 	"clusched/internal/codegen"
-	"clusched/internal/core"
 	"clusched/internal/ddg"
 	"clusched/internal/machine"
+	"clusched/internal/pipeline"
 	"clusched/internal/vliwsim"
 )
 
@@ -80,7 +80,7 @@ func main() {
 		fatal(fmt.Errorf("no loops in input"))
 	}
 
-	opts := core.Options{Strategy: *strategy, Replicate: !*noRepl, LengthReplicate: *length, VerifySchedules: true}
+	opts := pipeline.Options{Strategy: *strategy, Replicate: !*noRepl, LengthReplicate: *length, VerifySchedules: true}
 	if opts.StrategyName() != "paper" {
 		// The rival chains have no replication pass; their Validate would
 		// (rightly) reject the flags.

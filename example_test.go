@@ -7,10 +7,10 @@ import (
 	"clusched"
 )
 
-// ExampleCompileReplicated compiles a small stencil loop for a 4-cluster
+// ExampleCompile compiles a small stencil loop for a 4-cluster
 // machine and shows the headline effect of instruction replication: the
 // excess communications disappear and the II drops back to the MII.
-func ExampleCompileReplicated() {
+func ExampleCompile() {
 	b := clusched.NewLoop("stencil")
 	i0 := b.Node("i0", clusched.OpIAdd)
 	b.Edge(i0, i0, 1)
@@ -38,8 +38,8 @@ func ExampleCompileReplicated() {
 	}
 	m := clusched.MustParseMachine("4c1b2l64r")
 
-	base, _ := clusched.CompileBaseline(g, m)
-	repl, _ := clusched.CompileReplicated(g, m)
+	base, _ := clusched.Compile(g, m, clusched.Options{})
+	repl, _ := clusched.Compile(g, m, clusched.Options{Replicate: true})
 	fmt.Printf("baseline:    II=%d comms=%d\n", base.II, base.Comms)
 	fmt.Printf("replication: II=%d comms=%d\n", repl.II, repl.Comms)
 	// Output:
@@ -65,7 +65,7 @@ end
 	if err != nil {
 		panic(err)
 	}
-	r, err := clusched.CompileReplicated(loops[0], clusched.UnifiedMachine(64))
+	r, err := clusched.Compile(loops[0], clusched.UnifiedMachine(64), clusched.Options{Replicate: true})
 	if err != nil {
 		panic(err)
 	}

@@ -88,11 +88,11 @@ func main() {
 	fmt.Printf("%-12s %4s  %4s/%4s  %8s  %s\n", "config", "MII", "base", "repl", "speedup", "comms base->repl")
 	const iters = 256
 	for _, m := range clusched.PaperMachines() {
-		base, err := clusched.CompileBaseline(g, m)
+		base, err := clusched.Compile(g, m, clusched.Options{})
 		if err != nil {
 			log.Fatal(err)
 		}
-		repl, err := clusched.CompileReplicated(g, m)
+		repl, err := clusched.Compile(g, m, clusched.Options{Replicate: true})
 		if err != nil {
 			log.Fatal(err)
 		}
@@ -103,7 +103,7 @@ func main() {
 	}
 
 	// The unified machine bounds what any clustered configuration can do.
-	u, err := clusched.CompileBaseline(g, clusched.UnifiedMachine(64))
+	u, err := clusched.Compile(g, clusched.UnifiedMachine(64), clusched.Options{})
 	if err != nil {
 		log.Fatal(err)
 	}

@@ -47,11 +47,11 @@ func main() {
 		log.Fatal(err)
 	}
 
-	base, err := clusched.CompileBaseline(g, m)
+	base, err := clusched.Compile(g, m, clusched.Options{})
 	if err != nil {
 		log.Fatal(err)
 	}
-	repl, err := clusched.CompileReplicated(g, m)
+	repl, err := clusched.Compile(g, m, clusched.Options{Replicate: true})
 	if err != nil {
 		log.Fatal(err)
 	}

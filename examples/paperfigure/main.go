@@ -23,11 +23,11 @@ func main() {
 		var redSum float64
 		var instr, cbase, crepl float64
 		for _, l := range loops {
-			base, err := clusched.CompileBaseline(l.Graph, m)
+			base, err := clusched.Compile(l.Graph, m, clusched.Options{})
 			if err != nil {
 				log.Fatal(err)
 			}
-			repl, err := clusched.CompileReplicated(l.Graph, m)
+			repl, err := clusched.Compile(l.Graph, m, clusched.Options{Replicate: true})
 			if err != nil {
 				log.Fatal(err)
 			}

@@ -39,7 +39,7 @@ func main() {
 	}
 
 	mach := clusched.MustParseMachine("2c1b2l64r")
-	res, err := clusched.CompileReplicated(g, mach)
+	res, err := clusched.Compile(g, mach, clusched.Options{Replicate: true})
 	if err != nil {
 		log.Fatal(err)
 	}

@@ -3,9 +3,9 @@ package codegen
 import (
 	"testing"
 
-	"clusched/internal/core"
 	"clusched/internal/ddg"
 	"clusched/internal/machine"
+	"clusched/internal/pipeline"
 )
 
 func TestFitsRegisterFileFlags(t *testing.T) {
@@ -21,7 +21,7 @@ func TestFitsRegisterFileFlags(t *testing.T) {
 	}
 	g := b.MustBuild()
 	m := machine.MustNew(1, 0, 0, 4)
-	r, err := core.Compile(g, m, core.Options{IgnoreRegisterPressure: true})
+	r, err := pipeline.Compile(g, m, pipeline.Options{IgnoreRegisterPressure: true})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -56,7 +56,7 @@ func TestEpilogEmptyForSingleStage(t *testing.T) {
 	b.Edge(x, s, 0)
 	g := b.MustBuild()
 	m := machine.Unified(64)
-	r, err := core.CompileBaseline(g, m)
+	r, err := pipeline.Compile(g, m, pipeline.Options{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -79,7 +79,7 @@ func TestOrigOfResolvesNames(t *testing.T) {
 	b.Edge(anon, st, 0)
 	g := b.MustBuild()
 	m := machine.MustParse("2c1b2l64r")
-	r, err := core.CompileBaseline(g, m)
+	r, err := pipeline.Compile(g, m, pipeline.Options{})
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -5,9 +5,9 @@ import (
 	"strings"
 	"testing"
 
-	"clusched/internal/core"
 	"clusched/internal/ddg"
 	"clusched/internal/machine"
+	"clusched/internal/pipeline"
 	"clusched/internal/vliwsim"
 )
 
@@ -34,7 +34,7 @@ func saxpy(t *testing.T) *ddg.Graph {
 func expandFor(t *testing.T, g *ddg.Graph, cfg string, replicate bool) *Program {
 	t.Helper()
 	m := machine.MustParse(cfg)
-	r, err := core.Compile(g, m, core.Options{Replicate: replicate})
+	r, err := pipeline.Compile(g, m, pipeline.Options{Replicate: replicate})
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -7,6 +7,7 @@ import (
 
 	"clusched/internal/ddg"
 	"clusched/internal/machine"
+	"clusched/internal/pipeline"
 )
 
 func TestMaxIIBoundReported(t *testing.T) {
@@ -16,7 +17,7 @@ func TestMaxIIBoundReported(t *testing.T) {
 	g := b.MustBuild()
 	m := machine.Unified(64)
 	// MaxII below the MII: the search must fail with a clear error.
-	_, err := Compile(g, m, Options{MaxII: 2})
+	_, err := pipeline.Compile(g, m, pipeline.Options{MaxII: 2})
 	if err == nil {
 		t.Fatal("MaxII=2 compile of an II-18 loop succeeded")
 	}
@@ -31,7 +32,7 @@ func TestIIIncreasesSumMatchesGap(t *testing.T) {
 	m := machine.MustParse("4c1b2l64r")
 	for trial := 0; trial < 40; trial++ {
 		g := randomLoop(rng, 8+rng.Intn(20))
-		r, err := CompileBaseline(g, m)
+		r, err := pipeline.Compile(g, m, pipeline.Options{})
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -51,7 +52,7 @@ func TestUnifiedNeverReplicates(t *testing.T) {
 	m := machine.Unified(64)
 	for trial := 0; trial < 20; trial++ {
 		g := randomLoop(rng, 6+rng.Intn(16))
-		r, err := CompileReplicated(g, m)
+		r, err := pipeline.Compile(g, m, pipeline.Options{Replicate: true})
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -80,10 +81,10 @@ func TestIgnoreRegisterPressureWidensFeasibility(t *testing.T) {
 	b.Edge(sink, st, 0)
 	g := b.MustBuild()
 	m := machine.MustNew(1, 0, 0, 2)
-	if _, err := CompileBaseline(g, m); err == nil {
+	if _, err := pipeline.Compile(g, m, pipeline.Options{}); err == nil {
 		t.Skip("loop unexpectedly fits 2 registers")
 	}
-	if _, err := Compile(g, m, Options{IgnoreRegisterPressure: true}); err != nil {
+	if _, err := pipeline.Compile(g, m, pipeline.Options{IgnoreRegisterPressure: true}); err != nil {
 		t.Fatalf("IgnoreRegisterPressure compile failed: %v", err)
 	}
 }
@@ -92,11 +93,11 @@ func TestResultSpeedupSymmetry(t *testing.T) {
 	rng := rand.New(rand.NewSource(31))
 	g := randomLoop(rng, 16)
 	m := machine.MustParse("4c1b2l64r")
-	base, err := CompileBaseline(g, m)
+	base, err := pipeline.Compile(g, m, pipeline.Options{})
 	if err != nil {
 		t.Fatal(err)
 	}
-	repl, err := CompileReplicated(g, m)
+	repl, err := pipeline.Compile(g, m, pipeline.Options{Replicate: true})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -109,17 +110,17 @@ func TestResultSpeedupSymmetry(t *testing.T) {
 
 func TestCauseStringsStable(t *testing.T) {
 	// Fig. 1's legend depends on these names.
-	want := map[Cause]string{
-		CauseBus:        "Bus",
-		CauseRecurrence: "Recurrences",
-		CauseRegisters:  "Registers",
+	want := map[pipeline.Cause]string{
+		pipeline.CauseBus:        "Bus",
+		pipeline.CauseRecurrence: "Recurrences",
+		pipeline.CauseRegisters:  "Registers",
 	}
 	for c, w := range want {
 		if c.String() != w {
 			t.Errorf("%d.String() = %q, want %q", int(c), c.String(), w)
 		}
 	}
-	if Cause(99).String() == "" {
+	if pipeline.Cause(99).String() == "" {
 		t.Error("unknown cause renders empty")
 	}
 }
@@ -130,11 +131,11 @@ func TestLengthReplicationNeverWorsensLength(t *testing.T) {
 	worse := 0
 	for trial := 0; trial < 25; trial++ {
 		g := randomLoop(rng, 10+rng.Intn(16))
-		plain, err := Compile(g, m, Options{Replicate: true})
+		plain, err := pipeline.Compile(g, m, pipeline.Options{Replicate: true})
 		if err != nil {
 			t.Fatal(err)
 		}
-		ext, err := Compile(g, m, Options{Replicate: true, LengthReplicate: true})
+		ext, err := pipeline.Compile(g, m, pipeline.Options{Replicate: true, LengthReplicate: true})
 		if err != nil {
 			t.Fatal(err)
 		}

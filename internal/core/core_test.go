@@ -1,3 +1,8 @@
+// Package core holds the behavioural property tests of the compile
+// pipeline: determinism, cause attribution, replication never worsening
+// the II, heterogeneous machines. The alias package they were written
+// against is gone (every caller uses internal/pipeline directly); the
+// tests stay at this import path because their names are pinned there.
 package core
 
 import (
@@ -6,6 +11,7 @@ import (
 
 	"clusched/internal/ddg"
 	"clusched/internal/machine"
+	"clusched/internal/pipeline"
 )
 
 func randomLoop(rng *rand.Rand, n int) *ddg.Graph {
@@ -38,7 +44,7 @@ func TestCompileUnifiedHitsMII(t *testing.T) {
 	b.Edge(l, a, 0)
 	b.Edge(a, s, 0)
 	g := b.MustBuild()
-	r, err := CompileBaseline(g, machine.Unified(64))
+	r, err := pipeline.Compile(g, machine.Unified(64), pipeline.Options{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -61,11 +67,11 @@ func TestReplicationNeverWorsensII(t *testing.T) {
 	for trial := 0; trial < 60; trial++ {
 		g := randomLoop(rng, 6+rng.Intn(28))
 		m := configs[trial%len(configs)]
-		base, err := Compile(g, m, Options{VerifySchedules: true})
+		base, err := pipeline.Compile(g, m, pipeline.Options{VerifySchedules: true})
 		if err != nil {
 			t.Fatalf("trial %d baseline: %v", trial, err)
 		}
-		repl, err := Compile(g, m, Options{Replicate: true, VerifySchedules: true})
+		repl, err := pipeline.Compile(g, m, pipeline.Options{Replicate: true, VerifySchedules: true})
 		if err != nil {
 			t.Fatalf("trial %d replication: %v", trial, err)
 		}
@@ -96,14 +102,14 @@ func TestCauseAttributionBusBound(t *testing.T) {
 	}
 	g := b.MustBuild()
 	m := machine.MustParse("4c1b2l64r")
-	r, err := CompileBaseline(g, m)
+	r, err := pipeline.Compile(g, m, pipeline.Options{})
 	if err != nil {
 		t.Fatal(err)
 	}
 	if r.II == r.MII {
 		t.Skip("loop scheduled at MII; no causes to attribute")
 	}
-	bus := r.IIIncreases[CauseBus]
+	bus := r.IIIncreases[pipeline.CauseBus]
 	total := 0
 	for _, n := range r.IIIncreases {
 		total += n
@@ -119,11 +125,11 @@ func TestZeroBusLatencyNeverLongerSchedule(t *testing.T) {
 	m := machine.MustParse("4c1b2l64r")
 	for trial := 0; trial < 30; trial++ {
 		g := randomLoop(rng, 8+rng.Intn(20))
-		norm, err := Compile(g, m, Options{Replicate: true})
+		norm, err := pipeline.Compile(g, m, pipeline.Options{Replicate: true})
 		if err != nil {
 			t.Fatal(err)
 		}
-		zero, err := Compile(g, m, Options{Replicate: true, ZeroBusLatency: true})
+		zero, err := pipeline.Compile(g, m, pipeline.Options{Replicate: true, ZeroBusLatency: true})
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -131,7 +137,7 @@ func TestZeroBusLatencyNeverLongerSchedule(t *testing.T) {
 		// through register pressure: delivering values with zero latency
 		// starts their lifetimes earlier, which can legitimately push a
 		// cluster past its register file where the real machine squeaked by.
-		if zero.II > norm.II && zero.IIIncreases[CauseRegisters] <= norm.IIIncreases[CauseRegisters] {
+		if zero.II > norm.II && zero.IIIncreases[pipeline.CauseRegisters] <= norm.IIIncreases[pipeline.CauseRegisters] {
 			t.Errorf("trial %d: zero-bus-latency II %d > %d without register cause (%v vs %v)",
 				trial, zero.II, norm.II, zero.IIIncreases, norm.IIIncreases)
 		}
@@ -142,11 +148,11 @@ func TestSpeedupModel(t *testing.T) {
 	rng := rand.New(rand.NewSource(3))
 	g := randomLoop(rng, 20)
 	m := machine.MustParse("4c1b2l64r")
-	base, err := CompileBaseline(g, m)
+	base, err := pipeline.Compile(g, m, pipeline.Options{})
 	if err != nil {
 		t.Fatal(err)
 	}
-	repl, err := CompileReplicated(g, m)
+	repl, err := pipeline.Compile(g, m, pipeline.Options{Replicate: true})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -160,11 +166,11 @@ func TestCompileDeterministic(t *testing.T) {
 	rng := rand.New(rand.NewSource(9))
 	g := randomLoop(rng, 24)
 	m := machine.MustParse("4c2b2l64r")
-	r1, err := CompileReplicated(g, m)
+	r1, err := pipeline.Compile(g, m, pipeline.Options{Replicate: true})
 	if err != nil {
 		t.Fatal(err)
 	}
-	r2, err := CompileReplicated(g, m)
+	r2, err := pipeline.Compile(g, m, pipeline.Options{Replicate: true})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -179,7 +185,7 @@ func TestMacroAblationCompiles(t *testing.T) {
 	m := machine.MustParse("4c1b2l64r")
 	for trial := 0; trial < 20; trial++ {
 		g := randomLoop(rng, 10+rng.Intn(16))
-		r, err := Compile(g, m, Options{Replicate: true, UseMacroReplication: true, VerifySchedules: true})
+		r, err := pipeline.Compile(g, m, pipeline.Options{Replicate: true, UseMacroReplication: true, VerifySchedules: true})
 		if err != nil {
 			t.Fatalf("trial %d: %v", trial, err)
 		}
@@ -194,11 +200,11 @@ func TestLengthReplicationOptionCompiles(t *testing.T) {
 	m := machine.MustParse("4c1b2l64r")
 	for trial := 0; trial < 20; trial++ {
 		g := randomLoop(rng, 10+rng.Intn(16))
-		r, err := Compile(g, m, Options{Replicate: true, LengthReplicate: true, VerifySchedules: true})
+		r, err := pipeline.Compile(g, m, pipeline.Options{Replicate: true, LengthReplicate: true, VerifySchedules: true})
 		if err != nil {
 			t.Fatalf("trial %d: %v", trial, err)
 		}
-		base, err := Compile(g, m, Options{Replicate: true, VerifySchedules: true})
+		base, err := pipeline.Compile(g, m, pipeline.Options{Replicate: true, VerifySchedules: true})
 		if err != nil {
 			t.Fatal(err)
 		}

@@ -6,6 +6,7 @@ import (
 
 	"clusched/internal/ddg"
 	"clusched/internal/machine"
+	"clusched/internal/pipeline"
 	"clusched/internal/vliwsim"
 )
 
@@ -45,7 +46,7 @@ func TestHeterogeneousCompilePlacesByCapability(t *testing.T) {
 	}
 	g := b.MustBuild()
 	m := heteroMachine(t)
-	r, err := Compile(g, m, Options{Replicate: true, VerifySchedules: true})
+	r, err := pipeline.Compile(g, m, pipeline.Options{Replicate: true, VerifySchedules: true})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -65,11 +66,11 @@ func TestHeterogeneousRandomLoops(t *testing.T) {
 	m := heteroMachine(t)
 	for trial := 0; trial < 25; trial++ {
 		g := randomLoop(rng, 6+rng.Intn(18))
-		base, err := Compile(g, m, Options{VerifySchedules: true})
+		base, err := pipeline.Compile(g, m, pipeline.Options{VerifySchedules: true})
 		if err != nil {
 			t.Fatalf("trial %d: %v", trial, err)
 		}
-		repl, err := Compile(g, m, Options{Replicate: true, VerifySchedules: true})
+		repl, err := pipeline.Compile(g, m, pipeline.Options{Replicate: true, VerifySchedules: true})
 		if err != nil {
 			t.Fatalf("trial %d: %v", trial, err)
 		}
@@ -93,7 +94,7 @@ func TestHeterogeneousZeroCapabilityClusterNeverUsed(t *testing.T) {
 	rng := rand.New(rand.NewSource(67))
 	for trial := 0; trial < 15; trial++ {
 		g := randomLoop(rng, 6+rng.Intn(16))
-		r, err := Compile(g, m, Options{Replicate: true, VerifySchedules: true})
+		r, err := pipeline.Compile(g, m, pipeline.Options{Replicate: true, VerifySchedules: true})
 		if err != nil {
 			t.Fatalf("trial %d: %v", trial, err)
 		}

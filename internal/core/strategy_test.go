@@ -4,48 +4,25 @@ import (
 	"testing"
 
 	"clusched/internal/machine"
+	"clusched/internal/pipeline"
 	"clusched/internal/workload"
 )
 
 // TestCompileWithStrategies drives every registered strategy through the
-// stable API and checks the deprecated helpers still match their
-// registry-backed equivalents.
+// one compile door and checks an unregistered name is refused.
 func TestCompileWithStrategies(t *testing.T) {
 	g := workload.LoopsFor("tomcatv")[0].Graph
 	m := machine.MustParse("4c2b2l64r")
-	for _, name := range Strategies() {
-		res, err := CompileWith(name, g, m, Options{})
+	for _, name := range pipeline.StrategyNames() {
+		res, err := pipeline.Compile(g, m, pipeline.Options{Strategy: name})
 		if err != nil {
-			t.Fatalf("CompileWith(%q): %v", name, err)
+			t.Fatalf("strategy %q: %v", name, err)
 		}
 		if res.Schedule == nil || res.II < res.MII {
-			t.Fatalf("CompileWith(%q): implausible result %+v", name, res)
+			t.Fatalf("strategy %q: implausible result %+v", name, res)
 		}
 	}
-	if _, err := CompileWith("bogus", g, m, Options{}); err == nil {
-		t.Fatal("CompileWith accepted an unregistered strategy")
-	}
-
-	base, err := CompileBaseline(g, m)
-	if err != nil {
-		t.Fatal(err)
-	}
-	viaRegistry, err := CompileWith("paper", g, m, Options{})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if base.II != viaRegistry.II || base.Comms != viaRegistry.Comms {
-		t.Fatal("CompileBaseline diverged from its registry equivalent")
-	}
-	repl, err := CompileReplicated(g, m)
-	if err != nil {
-		t.Fatal(err)
-	}
-	viaRegistry, err = CompileWith("paper", g, m, Options{Replicate: true})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if repl.II != viaRegistry.II || repl.Comms != viaRegistry.Comms {
-		t.Fatal("CompileReplicated diverged from its registry equivalent")
+	if _, err := pipeline.Compile(g, m, pipeline.Options{Strategy: "bogus"}); err == nil {
+		t.Fatal("Compile accepted an unregistered strategy")
 	}
 }

@@ -4,11 +4,11 @@ import (
 	"strings"
 	"testing"
 
-	"clusched/internal/core"
 	"clusched/internal/corpus"
 	"clusched/internal/corpus/validate"
 	"clusched/internal/ddg"
 	"clusched/internal/machine"
+	"clusched/internal/pipeline"
 )
 
 func TestLoopsAreValidAndDeterministic(t *testing.T) {
@@ -119,11 +119,11 @@ func TestParseHelpers(t *testing.T) {
 func TestValidateCatchesIILie(t *testing.T) {
 	sp := corpus.DefaultSpec()
 	m := machine.MustParse("4c2b2l64r")
-	opts := core.Options{Replicate: true, VerifySchedules: true}
+	opts := pipeline.Options{Replicate: true, VerifySchedules: true}
 	mutated := 0
 	for i := 0; i < 50 && mutated < 5; i++ {
 		g := sp.Loop(i)
-		res, err := core.Compile(g, m, opts)
+		res, err := pipeline.Compile(g, m, opts)
 		if err != nil {
 			continue
 		}

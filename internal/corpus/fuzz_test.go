@@ -3,10 +3,10 @@ package corpus_test
 import (
 	"testing"
 
-	"clusched/internal/core"
 	"clusched/internal/corpus"
 	"clusched/internal/corpus/validate"
 	"clusched/internal/machine"
+	"clusched/internal/pipeline"
 )
 
 // FuzzCorpusValidate is the differential fuzzer distilled from the corpus
@@ -42,8 +42,8 @@ func FuzzCorpusValidate(f *testing.F) {
 		if err := g.Validate(); err != nil {
 			t.Fatalf("generated loop invalid: %v", err)
 		}
-		opts := core.Options{Replicate: true, VerifySchedules: true}
-		res, err := core.Compile(g, m, opts)
+		opts := pipeline.Options{Replicate: true, VerifySchedules: true}
+		res, err := pipeline.Compile(g, m, opts)
 		if err != nil {
 			// An honest compile failure is not a soundness bug.
 			t.Skip()

@@ -9,9 +9,9 @@ import (
 	"testing"
 	"time"
 
+	"clusched/internal/corpus"
 	"clusched/internal/machine"
 	"clusched/internal/pipeline"
-	"clusched/internal/workload"
 )
 
 // TestCompileAllContextCancelMidFlight cancels a batch partway through and
@@ -289,7 +289,7 @@ func TestSpeculativeCancellation(t *testing.T) {
 	probe := New(Config{CacheSize: -1})
 	for seed := int64(1); seed <= 30 && j.Graph == nil; seed++ {
 		rng := rand.New(rand.NewSource(seed))
-		g := workload.Generate(workload.ShapeWide, "sweep", rng, 400, workload.DefaultParams())
+		g := corpus.Generate(corpus.ShapeWide, "sweep", rng, 400, corpus.DefaultParams())
 		cand := Job{Graph: g, Machine: machine.MustParse("4c1b2l64r"), Opts: pipeline.Options{Replicate: true}}
 		pctx, pcancel := context.WithTimeout(context.Background(), 50*time.Millisecond)
 		if _, err := probe.Compile(pctx, cand); errors.Is(err, context.DeadlineExceeded) {

@@ -726,10 +726,9 @@ func (c *Compiler) compileTimed(ctx context.Context, j Job, tr *telemetry.Trace,
 // compile runs one real compilation on a recycled scratch arena. With
 // speculation configured it counts itself against the lane budget (so k
 // speculative compilations cannot each add k-1 lanes on top of a full
-// pool) and hands the pipeline pool-backed arena and budget hooks; the
-// speculative search joins every lane before returning, so the borrowed
-// arenas are always back in the pool here. With speculation off this path
-// is identical to before — no atomics, no extra allocations.
+// pool) and lends the search pool arenas through lanePool; the search joins
+// every lane before returning, so the borrowed arenas are always back in
+// the pool here. With speculation off no budget atomics are touched.
 func (c *Compiler) compile(ctx context.Context, j Job, tr *telemetry.Trace, track string) (*pipeline.Result, error) {
 	if c.sem != nil {
 		// The engine-wide in-flight cap. Waiting here is an ordinary
@@ -744,57 +743,48 @@ func (c *Compiler) compile(ctx context.Context, j Job, tr *telemetry.Trace, trac
 	}
 	c.inFlight.Add(1)
 	defer c.inFlight.Add(-1)
-	arena := c.arenas.Get().(*pipeline.Arena)
-	var res *pipeline.Result
-	var err error
 	if c.spec > 1 {
 		c.specLoad.Add(1)
-		res, err = pipeline.CompileContextSpec(ctx, j.Graph, j.Machine, j.Opts, arena, pipeline.SpecConfig{
-			Lanes:       c.spec,
-			GetArena:    c.laneArenaGet,
-			PutArena:    c.laneArenaPut,
-			AcquireLane: c.acquireLane,
-			ReleaseLane: c.releaseLane,
-			Trace:       tr,
-			Track:       track,
-			Stats:       &c.laneStats,
-		})
-		c.specLoad.Add(-1)
-	} else if tr != nil {
-		res, err = pipeline.CompileContextTrace(ctx, j.Graph, j.Machine, j.Opts, arena, tr, track)
-	} else {
-		res, err = pipeline.CompileContextArena(ctx, j.Graph, j.Machine, j.Opts, arena)
+		defer c.specLoad.Add(-1)
 	}
+	arena := c.arenas.Get().(*pipeline.Arena)
+	res, err := pipeline.Search(ctx, j.Graph, j.Machine, j.Opts, pipeline.SearchConfig{
+		Arena: arena,
+		Trace: tr,
+		Track: track,
+		Lanes: c.spec,
+		Pool:  lanePool{c},
+		Stats: &c.laneStats,
+	})
 	c.arenas.Put(arena)
 	return res, err
 }
 
-// acquireLane admits one extra speculative lane if the global budget has
-// room; releaseLane returns the slot.
-func (c *Compiler) acquireLane() bool {
+// lanePool is the engine as a pipeline.Pool: an extra speculative lane
+// takes one slot of the global budget and one pooled arena, and gives both
+// back. laneArenas tracks the balance so tests can assert nothing leaks.
+type lanePool struct{ c *Compiler }
+
+// Acquire implements pipeline.Pool.
+func (p lanePool) Acquire() (*pipeline.Arena, bool) {
+	c := p.c
 	for {
 		cur := c.specLoad.Load()
 		if cur >= c.specCap {
-			return false
+			return nil, false
 		}
 		if c.specLoad.CompareAndSwap(cur, cur+1) {
-			return true
+			c.laneArenas.Add(1)
+			return c.arenas.Get().(*pipeline.Arena), true
 		}
 	}
 }
 
-func (c *Compiler) releaseLane() { c.specLoad.Add(-1) }
-
-// laneArenaGet and laneArenaPut lend pool arenas to speculative lanes,
-// tracking the balance so tests can assert nothing leaks.
-func (c *Compiler) laneArenaGet() *pipeline.Arena {
-	c.laneArenas.Add(1)
-	return c.arenas.Get().(*pipeline.Arena)
-}
-
-func (c *Compiler) laneArenaPut(a *pipeline.Arena) {
-	c.arenas.Put(a)
-	c.laneArenas.Add(-1)
+// Release implements pipeline.Pool.
+func (p lanePool) Release(a *pipeline.Arena) {
+	p.c.arenas.Put(a)
+	p.c.laneArenas.Add(-1)
+	p.c.specLoad.Add(-1)
 }
 
 // CompileAll compiles every job on the worker pool. The returned slice is

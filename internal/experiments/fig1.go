@@ -3,9 +3,9 @@ package experiments
 import (
 	"strings"
 
-	"clusched/internal/core"
 	"clusched/internal/machine"
 	"clusched/internal/metrics"
+	"clusched/internal/pipeline"
 	"clusched/internal/workload"
 )
 
@@ -27,11 +27,11 @@ func Fig1() []Fig1Row {
 	var rows []Fig1Row
 	for _, m := range machine.Fig1Configs() {
 		sr := RunSuite(m, Baseline)
-		var counts [core.NumCauses]int
+		var counts [pipeline.NumCauses]int
 		above := 0
 		for _, lrs := range sr.ByBench {
 			for _, lr := range lrs {
-				for c := core.Cause(0); c < core.NumCauses; c++ {
+				for c := pipeline.Cause(0); c < pipeline.NumCauses; c++ {
 					counts[c] += lr.Result.IIIncreases[c]
 				}
 				if lr.Result.II > lr.Result.MII {
@@ -39,12 +39,12 @@ func Fig1() []Fig1Row {
 				}
 			}
 		}
-		total := counts[core.CauseBus] + counts[core.CauseRecurrence] + counts[core.CauseRegisters]
+		total := counts[pipeline.CauseBus] + counts[pipeline.CauseRecurrence] + counts[pipeline.CauseRegisters]
 		row := Fig1Row{Config: m.Name, Increases: total, LoopsAboveMII: above}
 		if total > 0 {
-			row.BusPct = 100 * float64(counts[core.CauseBus]) / float64(total)
-			row.RecPct = 100 * float64(counts[core.CauseRecurrence]) / float64(total)
-			row.RegPct = 100 * float64(counts[core.CauseRegisters]) / float64(total)
+			row.BusPct = 100 * float64(counts[pipeline.CauseBus]) / float64(total)
+			row.RecPct = 100 * float64(counts[pipeline.CauseRecurrence]) / float64(total)
+			row.RegPct = 100 * float64(counts[pipeline.CauseRegisters]) / float64(total)
 		}
 		rows = append(rows, row)
 	}

@@ -12,10 +12,10 @@ import (
 	"fmt"
 	"iter"
 
-	"clusched/internal/core"
 	"clusched/internal/driver"
 	"clusched/internal/machine"
 	"clusched/internal/metrics"
+	"clusched/internal/pipeline"
 	"clusched/internal/workload"
 )
 
@@ -54,26 +54,26 @@ func (m Mode) String() string {
 }
 
 // options maps a mode to pipeline options.
-func (m Mode) options() core.Options {
+func (m Mode) options() pipeline.Options {
 	switch m {
 	case Baseline:
-		return core.Options{}
+		return pipeline.Options{}
 	case Replication:
-		return core.Options{Replicate: true}
+		return pipeline.Options{Replicate: true}
 	case ReplicationZeroLat:
-		return core.Options{Replicate: true, ZeroBusLatency: true}
+		return pipeline.Options{Replicate: true, ZeroBusLatency: true}
 	case ReplicationLength:
-		return core.Options{Replicate: true, LengthReplicate: true}
+		return pipeline.Options{Replicate: true, LengthReplicate: true}
 	case ReplicationMacro:
-		return core.Options{Replicate: true, UseMacroReplication: true}
+		return pipeline.Options{Replicate: true, UseMacroReplication: true}
 	}
-	return core.Options{}
+	return pipeline.Options{}
 }
 
 // LoopResult pairs one workload loop with its compilation result.
 type LoopResult struct {
 	Loop   *workload.Loop
-	Result *core.Result
+	Result *pipeline.Result
 }
 
 // Cycles returns the loop's modeled total execution cycles over the whole
@@ -98,7 +98,7 @@ type SuiteResult struct {
 // accounting is a local-engine extra surfaced through EngineStats when
 // available.
 type Engine interface {
-	Compile(ctx context.Context, j driver.Job) (*core.Result, error)
+	Compile(ctx context.Context, j driver.Job) (*pipeline.Result, error)
 	Stream(ctx context.Context, jobs []driver.Job) iter.Seq2[int, driver.Outcome]
 }
 

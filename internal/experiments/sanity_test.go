@@ -3,8 +3,8 @@ package experiments
 import (
 	"testing"
 
-	"clusched/internal/core"
 	"clusched/internal/machine"
+	"clusched/internal/pipeline"
 )
 
 func TestSuiteResultsDeterministic(t *testing.T) {
@@ -19,7 +19,7 @@ func TestSuiteResultsDeterministic(t *testing.T) {
 			if i >= 4 {
 				break
 			}
-			fresh, err := core.Compile(lr.Loop.Graph, m, Replication.options())
+			fresh, err := pipeline.Compile(lr.Loop.Graph, m, Replication.options())
 			if err != nil {
 				t.Fatal(err)
 			}

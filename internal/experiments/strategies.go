@@ -4,7 +4,6 @@ import (
 	"fmt"
 	"strings"
 
-	"clusched/internal/core"
 	"clusched/internal/driver"
 	"clusched/internal/machine"
 	"clusched/internal/metrics"
@@ -43,8 +42,8 @@ type StrategyBenchRow struct {
 // StrategyOptions returns the natural pipeline options for one strategy in
 // a comparison: the paper chain runs with its replication pass (its
 // headline configuration); every rival runs its own bare chain.
-func StrategyOptions(name string) core.Options {
-	o := core.Options{Strategy: name}
+func StrategyOptions(name string) pipeline.Options {
+	o := pipeline.Options{Strategy: name}
 	if name == pipeline.DefaultStrategy {
 		o.Replicate = true
 	}
@@ -54,7 +53,7 @@ func StrategyOptions(name string) core.Options {
 // strategySuite compiles the whole suite under one strategy on the shared
 // engine and returns per-bench results plus the failed-loop count per
 // bench.
-func strategySuite(m machine.Config, opts core.Options) (byBench map[string][]*LoopResult, failed map[string]int) {
+func strategySuite(m machine.Config, opts pipeline.Options) (byBench map[string][]*LoopResult, failed map[string]int) {
 	loops := workload.SPECfp95()
 	jobs := make([]driver.Job, len(loops))
 	for i, l := range loops {

@@ -4,11 +4,11 @@ import (
 	"context"
 	"strings"
 
-	"clusched/internal/core"
 	"clusched/internal/ddg"
 	"clusched/internal/driver"
 	"clusched/internal/machine"
 	"clusched/internal/metrics"
+	"clusched/internal/pipeline"
 	"clusched/internal/unroll"
 	"clusched/internal/workload"
 )
@@ -64,7 +64,7 @@ func UnrollAblation(cfg string, factor, perBench int) (UnrollRow, error) {
 			unrolled = append(unrolled, ug)
 			jobs = append(jobs,
 				driver.Job{Graph: l.Graph, Machine: m},
-				driver.Job{Graph: l.Graph, Machine: m, Opts: core.Options{Replicate: true}},
+				driver.Job{Graph: l.Graph, Machine: m, Opts: pipeline.Options{Replicate: true}},
 				driver.Job{Graph: ug, Machine: m})
 		}
 	}
@@ -86,7 +86,7 @@ func UnrollAblation(cfg string, factor, perBench int) (UnrollRow, error) {
 			// Typically a register-file overflow: retry without the
 			// register check and count the violation.
 			var err error
-			ur, err = engine.Compile(context.Background(), driver.Job{Graph: unrolled[i], Machine: m, Opts: core.Options{IgnoreRegisterPressure: true}})
+			ur, err = engine.Compile(context.Background(), driver.Job{Graph: unrolled[i], Machine: m, Opts: pipeline.Options{IgnoreRegisterPressure: true}})
 			if err != nil {
 				return row, err
 			}

@@ -10,9 +10,9 @@ import (
 	"testing"
 
 	"clusched/internal/codegen"
-	"clusched/internal/core"
 	"clusched/internal/ddg"
 	"clusched/internal/machine"
+	"clusched/internal/pipeline"
 	"clusched/internal/sched"
 	"clusched/internal/vliwsim"
 	"clusched/internal/workload"
@@ -43,10 +43,10 @@ func randomLoop(rng *rand.Rand, n int) *ddg.Graph {
 
 // fullStack compiles, verifies, executes and expands one loop under one
 // configuration and option set.
-func fullStack(t *testing.T, g *ddg.Graph, m machine.Config, opts core.Options) {
+func fullStack(t *testing.T, g *ddg.Graph, m machine.Config, opts pipeline.Options) {
 	t.Helper()
 	opts.VerifySchedules = true
-	r, err := core.Compile(g, m, opts)
+	r, err := pipeline.Compile(g, m, opts)
 	if err != nil {
 		t.Fatalf("%s on %s: %v", g.Name, m, err)
 	}
@@ -79,7 +79,7 @@ func TestFullStackRandomLoops(t *testing.T) {
 		machine.MustParse("4c2b4l64r"),
 		machine.MustParse("4c4b4l64r"),
 	}
-	optsList := []core.Options{
+	optsList := []pipeline.Options{
 		{},
 		{Replicate: true},
 		{Replicate: true, LengthReplicate: true},
@@ -106,8 +106,8 @@ func TestFullStackWorkloadSample(t *testing.T) {
 	for _, bench := range workload.Benchmarks() {
 		loops := workload.LoopsFor(bench)
 		for i := 0; i < 2 && i < len(loops); i++ {
-			fullStack(t, loops[i].Graph, m4, core.Options{Replicate: true})
-			fullStack(t, loops[i].Graph, m2, core.Options{})
+			fullStack(t, loops[i].Graph, m4, pipeline.Options{Replicate: true})
+			fullStack(t, loops[i].Graph, m2, pipeline.Options{})
 		}
 	}
 }
@@ -120,11 +120,11 @@ func TestReplicationInvariantsAcrossStack(t *testing.T) {
 	m := machine.MustParse("4c1b2l64r")
 	for trial := 0; trial < 30; trial++ {
 		g := randomLoop(rng, 8+rng.Intn(20))
-		base, err := core.CompileBaseline(g, m)
+		base, err := pipeline.Compile(g, m, pipeline.Options{})
 		if err != nil {
 			t.Fatal(err)
 		}
-		repl, err := core.CompileReplicated(g, m)
+		repl, err := pipeline.Compile(g, m, pipeline.Options{Replicate: true})
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -152,11 +152,11 @@ func TestZeroBusLatencyUpperBoundHolds(t *testing.T) {
 	m := machine.MustParse("4c2b4l64r")
 	for trial := 0; trial < 20; trial++ {
 		g := randomLoop(rng, 8+rng.Intn(16))
-		norm, err := core.Compile(g, m, core.Options{Replicate: true})
+		norm, err := pipeline.Compile(g, m, pipeline.Options{Replicate: true})
 		if err != nil {
 			t.Fatal(err)
 		}
-		zero, err := core.Compile(g, m, core.Options{Replicate: true, ZeroBusLatency: true})
+		zero, err := pipeline.Compile(g, m, pipeline.Options{Replicate: true, ZeroBusLatency: true})
 		if err != nil {
 			t.Fatal(err)
 		}

@@ -33,7 +33,7 @@ func (PartitionPass) Name() string { return "partition" }
 
 // Run implements Pass.
 func (PartitionPass) Run(ctx *Context) error {
-	sc := ctx.partScratch()
+	sc := ctx.arena.Part
 	if ctx.Assign == nil {
 		ctx.Assign = partition.InitialScratch(ctx.Graph, ctx.Machine, ctx.II, sc)
 	} else {
@@ -71,7 +71,7 @@ func (ReplicationPass) Run(ctx *Context) error {
 	if ctx.Opts.UseMacroReplication {
 		stats, ok = replic.RunMacro(ctx.Placement, m, ctx.II)
 	} else {
-		stats, ok = replic.RunScratch(ctx.Placement, m, ctx.II, ctx.replScratch())
+		stats, ok = replic.RunScratch(ctx.Placement, m, ctx.II, ctx.arena.Repl)
 	}
 	ctx.ReplStats = stats
 	if !ok {
@@ -107,7 +107,7 @@ func (SchedulePass) Name() string { return "schedule" }
 // Run implements Pass.
 func (SchedulePass) Run(ctx *Context) error {
 	s, err := sched.ScheduleLoopScratch(ctx.Placement, ctx.Machine, ctx.II, ctx.Opts.ZeroBusLatency,
-		sched.Options{SkipRegisterCheck: ctx.Opts.IgnoreRegisterPressure}, ctx.schedScratch())
+		sched.Options{SkipRegisterCheck: ctx.Opts.IgnoreRegisterPressure}, ctx.arena.Sched)
 	if err != nil {
 		ctx.Fail(ClassifyFailure(err))
 		return nil

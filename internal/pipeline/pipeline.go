@@ -7,14 +7,15 @@
 // (bus, recurrences, or registers — the buckets of Fig. 1) and the driver
 // retries at II+1, refining the previous partition.
 //
-// internal/core re-exports these types as the stable compilation API;
-// internal/driver builds the concurrent batch-compilation engine on top.
+// The II search itself — one loop, optionally racing speculative lanes —
+// is search.go; this file holds the types it drives and the two
+// convenience doors in front of Search. internal/driver builds the
+// concurrent batch-compilation engine on top.
 package pipeline
 
 import (
 	"context"
 	"fmt"
-	"strconv"
 
 	"clusched/internal/ddg"
 	"clusched/internal/machine"
@@ -22,7 +23,6 @@ import (
 	"clusched/internal/partition"
 	"clusched/internal/replic"
 	"clusched/internal/sched"
-	"clusched/internal/telemetry"
 )
 
 // Cause classifies why the II had to be increased past the MII.
@@ -130,13 +130,28 @@ type Arena struct {
 }
 
 // NewArena returns an empty arena; buffers grow on first use.
-func NewArena() *Arena {
-	return &Arena{
-		Sched: sched.NewScratch(),
-		Part:  partition.NewScratch(),
-		Repl:  replic.NewScratch(),
-		MII:   mii.NewScratch(),
+func NewArena() *Arena { return new(Arena).filled() }
+
+// filled returns the arena with every nil member allocated (a nil arena is
+// a fresh one). The search normalises each arena once, on entry, so the
+// passes read the members directly.
+func (a *Arena) filled() *Arena {
+	if a == nil {
+		a = new(Arena)
 	}
+	if a.Sched == nil {
+		a.Sched = sched.NewScratch()
+	}
+	if a.Part == nil {
+		a.Part = partition.NewScratch()
+	}
+	if a.Repl == nil {
+		a.Repl = replic.NewScratch()
+	}
+	if a.MII == nil {
+		a.MII = mii.NewScratch()
+	}
+	return a
 }
 
 // Context is the compilation state shared by the passes of one II attempt.
@@ -175,7 +190,8 @@ type Context struct {
 	PartitionConverged bool
 
 	// arena holds the scratch allocators shared by all attempts of this
-	// compilation (and, under the driver, by all jobs of a worker).
+	// compilation (and, under the driver, by all jobs of a worker); the
+	// search fills every member before the first pass runs.
 	arena *Arena
 	// wStableII caches skipahead.go's weight-stability threshold for the
 	// whole II search (0 = not yet computed).
@@ -192,42 +208,6 @@ func (c *Context) Fail(cause Cause) { c.failed, c.failCause = true, cause }
 
 // Failed reports whether the current attempt has been abandoned, and why.
 func (c *Context) Failed() (Cause, bool) { return c.failCause, c.failed }
-
-// schedScratch returns the compilation's scheduler arena, creating it on
-// first use (contexts driven outside Run start empty).
-func (c *Context) schedScratch() *sched.Scratch {
-	if c.arena == nil {
-		c.arena = NewArena()
-	}
-	if c.arena.Sched == nil {
-		c.arena.Sched = sched.NewScratch()
-	}
-	return c.arena.Sched
-}
-
-// partScratch returns the compilation's partitioner arena, creating it on
-// first use.
-func (c *Context) partScratch() *partition.Scratch {
-	if c.arena == nil {
-		c.arena = NewArena()
-	}
-	if c.arena.Part == nil {
-		c.arena.Part = partition.NewScratch()
-	}
-	return c.arena.Part
-}
-
-// replScratch returns the compilation's replication arena, creating it on
-// first use.
-func (c *Context) replScratch() *replic.Scratch {
-	if c.arena == nil {
-		c.arena = NewArena()
-	}
-	if c.arena.Repl == nil {
-		c.arena.Repl = replic.NewScratch()
-	}
-	return c.arena.Repl
-}
 
 // reset clears the per-attempt state for a new II attempt.
 func (c *Context) reset(ii int) {
@@ -253,72 +233,16 @@ type Pass interface {
 }
 
 // Compile compiles one loop under the strategy opts.Strategy selects (the
-// paper's Fig. 2 driver by default), searching upward from II = MII.
+// paper's Fig. 2 driver by default), searching upward from II = MII. It is
+// Search with a background context and the zero SearchConfig.
 func Compile(g *ddg.Graph, m machine.Config, opts Options) (*Result, error) {
-	return compileStrategy(context.Background(), g, m, opts, nil, false, nil, "")
+	return Search(context.Background(), g, m, opts, SearchConfig{})
 }
 
-// CompileContext is Compile with cancellation: the II search checks the
-// context before every attempt and aborts with ctx.Err(). A compilation
-// abandoned this way returns no partial Result.
-func CompileContext(ctx context.Context, g *ddg.Graph, m machine.Config, opts Options) (*Result, error) {
-	return compileStrategy(ctx, g, m, opts, nil, false, nil, "")
-}
-
-// CompileContextArena is CompileContext over a caller-owned scratch arena
-// (see Arena); the driver's workers use it to recycle allocations across
-// jobs.
+// CompileContextArena is Compile with cancellation over a caller-owned
+// scratch arena (see Arena): Search with only SearchConfig.Arena set.
 func CompileContextArena(ctx context.Context, g *ddg.Graph, m machine.Config, opts Options, arena *Arena) (*Result, error) {
-	return compileStrategy(ctx, g, m, opts, arena, false, nil, "")
-}
-
-// CompileContextTrace is CompileContextArena with execution tracing: the
-// II search records one span per executed pass and per II attempt (plus
-// skip-ahead markers) into tr on the named track. A nil tr selects the
-// exact untraced code path — the nil check happens once, outside the
-// attempt loop, so tracing-off adds zero allocations (held by the
-// alloc-pin test in telemetry_pipeline_test.go).
-func CompileContextTrace(ctx context.Context, g *ddg.Graph, m machine.Config, opts Options, arena *Arena, tr *telemetry.Trace, track string) (*Result, error) {
-	return compileStrategy(ctx, g, m, opts, arena, false, tr, track)
-}
-
-// CompileLinear is Compile over the reference linear II search (no
-// skip-ahead, regardless of the strategy's capability). It exists for
-// differential tests proving search parity; it is never the fast path.
-func CompileLinear(g *ddg.Graph, m machine.Config, opts Options) (*Result, error) {
-	return compileStrategy(context.Background(), g, m, opts, nil, true, nil, "")
-}
-
-// resolveStrategy resolves and validates the strategy of opts, applies its
-// machine rewrite, and reports whether the II skip-ahead may run (only for
-// strategies that declare the capability, and never when the caller forces
-// the linear reference search).
-func resolveStrategy(opts Options, m machine.Config, forceLinear bool) (Strategy, machine.Config, bool, error) {
-	s, err := strategyFor(opts)
-	if err != nil {
-		return nil, m, false, err
-	}
-	if err := s.Validate(opts, m); err != nil {
-		return nil, m, false, err
-	}
-	if mr, ok := s.(machineRewriter); ok {
-		m = mr.EffectiveMachine(m)
-	}
-	skip := false
-	if sa, ok := s.(skipAheadCapable); ok && !forceLinear {
-		skip = sa.SkipAhead()
-	}
-	return s, m, skip, nil
-}
-
-// compileStrategy resolves the strategy and drives its pass chain through
-// the II search.
-func compileStrategy(cctx context.Context, g *ddg.Graph, m machine.Config, opts Options, arena *Arena, forceLinear bool, tr *telemetry.Trace, track string) (*Result, error) {
-	s, m, skip, err := resolveStrategy(opts, m, forceLinear)
-	if err != nil {
-		return nil, err
-	}
-	return runSearch(cctx, g, m, opts, s.Chain(), arena, skip, tr, track)
+	return Search(ctx, g, m, opts, SearchConfig{Arena: arena})
 }
 
 // MaxII returns the automatic II search bound for a loop on a machine: any
@@ -326,153 +250,4 @@ func compileStrategy(cctx context.Context, g *ddg.Graph, m machine.Config, opts 
 // chain and the whole resource footprint.
 func MaxII(g *ddg.Graph, m machine.Config, lower int) int {
 	return lower + m.MinBusII(g.NumNodes()) + 16*g.NumNodes() + 256
-}
-
-// Run drives an explicit pass chain through the II search. Each attempt
-// resets the per-attempt context state and executes the passes in order;
-// the first pass to Fail ends the attempt and its cause is tallied. The
-// chain must leave ctx.Schedule and ctx.Placement set on success.
-func Run(g *ddg.Graph, m machine.Config, opts Options, passes []Pass) (*Result, error) {
-	return RunContext(context.Background(), g, m, opts, passes)
-}
-
-// RunContext is Run with cancellation. The II search is the pipeline's
-// only loop of unbounded cost, so the context is checked once per attempt:
-// cancellation latency is one pass-chain execution, and an abandoned
-// compilation returns ctx.Err() unwrapped (errors.Is-compatible).
-func RunContext(cctx context.Context, g *ddg.Graph, m machine.Config, opts Options, passes []Pass) (*Result, error) {
-	return RunContextArena(cctx, g, m, opts, passes, NewArena())
-}
-
-// RunContextArena is RunContext over a caller-owned scratch arena: the II
-// attempts recycle its buffers, and a caller compiling many loops in
-// sequence (the driver's workers) shares one arena across all of them.
-//
-// The search skips ahead past provably doomed intervals (see skipahead.go);
-// the result is bit-identical to the plain II+1 search, which
-// RunContextLinear keeps available as the differential-testing reference.
-func RunContextArena(cctx context.Context, g *ddg.Graph, m machine.Config, opts Options, passes []Pass, arena *Arena) (*Result, error) {
-	return runSearch(cctx, g, m, opts, passes, arena, true, nil, "")
-}
-
-// RunContextLinear is the reference linear II search: one attempt per
-// interval, no skip-ahead. It exists so tests can prove the skip-ahead
-// search returns bit-identical Results; production callers use RunContext.
-func RunContextLinear(cctx context.Context, g *ddg.Graph, m machine.Config, opts Options, passes []Pass) (*Result, error) {
-	return runSearch(cctx, g, m, opts, passes, nil, false, nil, "")
-}
-
-// runAttempt executes one II attempt's pass chain over ctx; the first
-// pass to Fail ends the attempt. This is the untraced hot path — its body
-// must stay free of telemetry so the tracing-off alloc pins hold.
-func runAttempt(ctx *Context, passes []Pass) error {
-	for _, p := range passes {
-		if err := p.Run(ctx); err != nil {
-			return err
-		}
-		if ctx.failed {
-			break
-		}
-	}
-	return nil
-}
-
-// runAttemptTraced is runAttempt plus one span per executed pass and one
-// enclosing span per attempt (annotated with the outcome and, on failure,
-// the cause). Only reached when a trace is attached.
-func runAttemptTraced(ctx *Context, passes []Pass, tr *telemetry.Trace, tid int) error {
-	attemptStart := tr.Now()
-	for _, p := range passes {
-		passStart := tr.Now()
-		err := p.Run(ctx)
-		tr.Span(tid, "pass", p.Name(), passStart)
-		if err != nil {
-			return err
-		}
-		if ctx.failed {
-			break
-		}
-	}
-	name := "II=" + strconv.Itoa(ctx.II)
-	if cause, failed := ctx.Failed(); failed {
-		tr.Span(tid, "attempt", name, attemptStart,
-			telemetry.Arg{Key: "outcome", Val: "fail"},
-			telemetry.Arg{Key: "cause", Val: cause.String()})
-	} else {
-		tr.Span(tid, "attempt", name, attemptStart,
-			telemetry.Arg{Key: "outcome", Val: "accept"})
-	}
-	return nil
-}
-
-func runSearch(cctx context.Context, g *ddg.Graph, m machine.Config, opts Options, passes []Pass, arena *Arena, skip bool, tr *telemetry.Trace, track string) (*Result, error) {
-	if arena == nil {
-		arena = NewArena()
-	}
-	if arena.MII == nil {
-		arena.MII = mii.NewScratch()
-	}
-	res := &Result{Loop: g, Machine: m}
-	res.MII = mii.MIIScratch(g, m, arena.MII)
-
-	maxII := opts.MaxII
-	if maxII == 0 {
-		maxII = MaxII(g, m, res.MII)
-	}
-	var tid int
-	if tr != nil {
-		if track == "" {
-			track = "compile"
-		}
-		tid = tr.Track(track)
-	}
-	ctx := &Context{Graph: g, Machine: m, Opts: opts, MII: res.MII, arena: arena}
-	for ii := res.MII; ii <= maxII; ii++ {
-		if err := cctx.Err(); err != nil {
-			return nil, err
-		}
-		ctx.reset(ii)
-		if tr == nil {
-			if err := runAttempt(ctx, passes); err != nil {
-				return nil, err
-			}
-		} else if err := runAttemptTraced(ctx, passes, tr, tid); err != nil {
-			return nil, err
-		}
-		if cause, failed := ctx.Failed(); failed {
-			res.IIIncreases[cause]++
-			if skip {
-				// Every interval in [ii+1, next) is proven to fail exactly
-				// as this one did; tally those failures and jump. The
-				// tallied range is capped at maxII, matching the linear
-				// search's final attempt before it gives up.
-				if next := ctx.skipTarget(); next > ii+1 {
-					skipped := min(next, maxII+1) - (ii + 1)
-					res.IIIncreases[cause] += skipped
-					if tr != nil {
-						tr.Instant(tid, "search", "skip-ahead",
-							telemetry.Arg{Key: "from", Val: ii + 1},
-							telemetry.Arg{Key: "to", Val: ii + 1 + skipped})
-					}
-					ii += skipped
-				}
-			}
-			continue // II++
-		}
-		if ctx.Schedule == nil || ctx.Placement == nil {
-			return nil, fmt.Errorf("pipeline: pass chain accepted II=%d without producing a schedule", ii)
-		}
-		res.II = ii
-		res.Length = ctx.Schedule.Length
-		res.SC = ctx.Schedule.SC
-		res.CommsBeforeReplication = ctx.CommsBeforeReplication
-		res.Comms = ctx.Placement.Comms()
-		res.Replicated = ctx.ReplStats.Replicated
-		res.Removed = ctx.ReplStats.Removed
-		res.ReplicationSteps = ctx.ReplStats.Steps
-		res.Schedule = ctx.Schedule
-		res.Placement = ctx.Placement
-		return res, nil
-	}
-	return nil, fmt.Errorf("pipeline: loop %s does not schedule on %s with II up to %d", g.Name, m, maxII)
 }

@@ -40,7 +40,7 @@ func TestCustomChainObservesEveryAttempt(t *testing.T) {
 	m := machine.MustParse("4c1b2l64r")
 	var iis []int
 	chain := append([]Pass{tracePass{&iis}}, Chain()...)
-	res, err := Run(g, m, Options{VerifySchedules: true}, chain)
+	res, err := search(t.Context(), g, m, Options{VerifySchedules: true}, chain, nil, true, SearchConfig{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -76,7 +76,7 @@ func TestChainEquivalentToCompile(t *testing.T) {
 			if err != nil {
 				t.Fatalf("%s %+v: %v", cfg, opts, err)
 			}
-			b, err := Run(g, m, opts, Chain())
+			b, err := search(t.Context(), g, m, opts, Chain(), nil, true, SearchConfig{})
 			if err != nil {
 				t.Fatalf("%s %+v: %v", cfg, opts, err)
 			}

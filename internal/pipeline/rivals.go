@@ -51,7 +51,7 @@ func (UASAssignPass) Name() string { return "uas-assign" }
 
 // Run implements Pass.
 func (UASAssignPass) Run(ctx *Context) error {
-	a, ok := sched.UASAssignScratch(ctx.Graph, ctx.Machine, ctx.II, ctx.schedScratch())
+	a, ok := sched.UASAssignScratch(ctx.Graph, ctx.Machine, ctx.II, ctx.arena.Sched)
 	if !ok {
 		ctx.Fail(CauseBus)
 		return nil

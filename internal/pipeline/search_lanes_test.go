@@ -8,10 +8,31 @@ import (
 	"testing"
 	"time"
 
+	"clusched/internal/corpus"
 	"clusched/internal/ddg"
 	"clusched/internal/machine"
-	"clusched/internal/workload"
 )
+
+// testPool is a Pool that counts its traffic: admit gates Acquire, and
+// onAcquire (when set) runs inside it.
+type testPool struct {
+	admit              bool
+	onAcquire          func()
+	acquires, releases atomic.Int64
+}
+
+func (p *testPool) Acquire() (*Arena, bool) {
+	if p.onAcquire != nil {
+		p.onAcquire()
+	}
+	if !p.admit {
+		return nil, false
+	}
+	p.acquires.Add(1)
+	return NewArena(), true
+}
+
+func (p *testPool) Release(*Arena) { p.releases.Add(1) }
 
 // hardLoop returns a generated loop whose compilation on m takes several II
 // attempts — enough ladder for speculation to have lanes to race.
@@ -19,8 +40,8 @@ func hardLoop(t *testing.T, m machine.Config) *ddg.Graph {
 	t.Helper()
 	rng := rand.New(rand.NewSource(11))
 	for trial := 0; trial < 100; trial++ {
-		g := workload.Generate(workload.ShapeWide, "hard", rng, 24+rng.Intn(24), workload.DefaultParams())
-		res, err := CompileLinear(g, m, Options{})
+		g := corpus.Generate(corpus.ShapeWide, "hard", rng, 24+rng.Intn(24), corpus.DefaultParams())
+		res, err := referenceSearch(g, m, Options{})
 		if err != nil {
 			continue
 		}
@@ -40,28 +61,15 @@ func TestSpeculationRacesLanes(t *testing.T) {
 	m := machine.MustParse("4c1b2l64r")
 	g := hardLoop(t, m)
 
-	var gets, puts, acquires atomic.Int64
-	spec := SpecConfig{
-		Lanes:    4,
-		GetArena: func() *Arena { gets.Add(1); return NewArena() },
-		PutArena: func(*Arena) { puts.Add(1) },
-		AcquireLane: func() bool {
-			acquires.Add(1)
-			return true
-		},
-		ReleaseLane: func() {},
-	}
-	res, err := CompileContextSpec(context.Background(), g, m, Options{}, nil, spec)
+	pool := &testPool{admit: true}
+	res, err := Search(context.Background(), g, m, Options{}, SearchConfig{Lanes: 4, Pool: pool})
 	if err != nil {
 		t.Fatalf("speculative compile: %v", err)
 	}
-	lin, linErr := CompileLinear(g, m, Options{})
+	lin, linErr := referenceSearch(g, m, Options{})
 	requireSameResult(t, g.Name, res, lin, err, linErr)
-	if acquires.Load() == 0 {
-		t.Fatal("speculation never acquired an extra lane on a multi-attempt loop")
-	}
-	if g, p := gets.Load(), puts.Load(); g == 0 || g != p {
-		t.Fatalf("lane arenas not balanced: %d gets, %d puts", g, p)
+	if a, r := pool.acquires.Load(), pool.releases.Load(); a == 0 || a != r {
+		t.Fatalf("lane arenas not balanced on a multi-attempt loop: %d acquired, %d released", a, r)
 	}
 }
 
@@ -73,22 +81,12 @@ func TestSpeculationDegradesWhenBudgetDenied(t *testing.T) {
 	m := machine.MustParse("4c1b2l64r")
 	g := hardLoop(t, m)
 
-	var gets, releases atomic.Int64
-	spec := SpecConfig{
-		Lanes:       4,
-		GetArena:    func() *Arena { gets.Add(1); return NewArena() },
-		PutArena:    func(*Arena) {},
-		AcquireLane: func() bool { return false },
-		ReleaseLane: func() { releases.Add(1) },
-	}
-	res, err := CompileContextSpec(context.Background(), g, m, Options{}, nil, spec)
-	lin, linErr := CompileLinear(g, m, Options{})
+	pool := &testPool{admit: false}
+	res, err := Search(context.Background(), g, m, Options{}, SearchConfig{Lanes: 4, Pool: pool})
+	lin, linErr := referenceSearch(g, m, Options{})
 	requireSameResult(t, g.Name, res, lin, err, linErr)
-	if gets.Load() != 0 {
-		t.Fatalf("denied lanes still borrowed %d arenas", gets.Load())
-	}
-	if releases.Load() != 0 {
-		t.Fatalf("released %d lanes that were never acquired", releases.Load())
+	if r := pool.releases.Load(); r != 0 {
+		t.Fatalf("released %d lanes that were never acquired", r)
 	}
 }
 
@@ -102,20 +100,11 @@ func TestSpeculationCancellation(t *testing.T) {
 
 	cctx, cancel := context.WithCancel(context.Background())
 	defer cancel()
-	var gets, puts atomic.Int64
-	spec := SpecConfig{
-		Lanes:    4,
-		GetArena: func() *Arena { gets.Add(1); return NewArena() },
-		PutArena: func(*Arena) { puts.Add(1) },
-		AcquireLane: func() bool {
-			cancel() // lands mid-round: lanes are being launched right now
-			return true
-		},
-		ReleaseLane: func() {},
-	}
+	// The cancel lands mid-round: lanes are being launched right now.
+	pool := &testPool{admit: true, onAcquire: cancel}
 	done := make(chan error, 1)
 	go func() {
-		_, err := CompileContextSpec(cctx, g, m, Options{}, nil, spec)
+		_, err := Search(cctx, g, m, Options{}, SearchConfig{Lanes: 4, Pool: pool})
 		done <- err
 	}()
 	select {
@@ -126,7 +115,7 @@ func TestSpeculationCancellation(t *testing.T) {
 	case <-time.After(10 * time.Second):
 		t.Fatal("cancelled speculative compile did not return promptly")
 	}
-	if gt, p := gets.Load(), puts.Load(); gt == 0 || gt != p {
-		t.Fatalf("lane arenas not returned after cancellation: %d gets, %d puts", gt, p)
+	if a, r := pool.acquires.Load(), pool.releases.Load(); a == 0 || a != r {
+		t.Fatalf("lane arenas not returned after cancellation: %d acquired, %d released", a, r)
 	}
 }

@@ -5,14 +5,18 @@ import (
 	"math/rand"
 	"testing"
 
+	"clusched/internal/corpus"
+	"clusched/internal/ddg"
 	"clusched/internal/machine"
+	"clusched/internal/telemetry"
 	"clusched/internal/workload"
 )
 
-// The II skip-ahead (skipahead.go) must be invisible in every observable
-// output: these tests run the production search and the reference linear
-// search side by side and require bit-identical Results — the acceptance
-// bar for the optimization.
+// The search's accelerations — skip-ahead (skipahead.go), speculative lanes
+// and tracing (search.go) — must be invisible in every observable output:
+// these tests run Search under each execution mode beside the naive
+// referenceSearch and require bit-identical Results — the acceptance bar
+// for all three.
 
 // requireSameResult fails unless both searches produced identical Result
 // fields (or identical failure).
@@ -43,9 +47,9 @@ func requireSameResult(t *testing.T, label string, skip, lin *Result, skipErr, l
 		t.Fatalf("%s: comms mismatch: skip %d/%d, linear %d/%d",
 			label, skip.CommsBeforeReplication, skip.Comms, lin.CommsBeforeReplication, lin.Comms)
 	}
-	if skip.Replicated != lin.Replicated || skip.Removed != lin.Removed {
-		t.Fatalf("%s: replication mismatch: skip %v/%d, linear %v/%d",
-			label, skip.Replicated, skip.Removed, lin.Replicated, lin.Removed)
+	if skip.Replicated != lin.Replicated || skip.Removed != lin.Removed || skip.ReplicationSteps != lin.ReplicationSteps {
+		t.Fatalf("%s: replication mismatch: skip %v/%d/%d, linear %v/%d/%d",
+			label, skip.Replicated, skip.Removed, skip.ReplicationSteps, lin.Replicated, lin.Removed, lin.ReplicationSteps)
 	}
 	if a, b := fmt.Sprint(skip.Schedule.Time), fmt.Sprint(lin.Schedule.Time); a != b {
 		t.Fatalf("%s: issue-cycle mismatch:\n  got:  %s\n  want: %s", label, a, b)
@@ -53,6 +57,21 @@ func requireSameResult(t *testing.T, label string, skip, lin *Result, skipErr, l
 	if a, b := fmt.Sprint(skip.Placement.Home, skip.Placement.Replicas),
 		fmt.Sprint(lin.Placement.Home, lin.Placement.Replicas); a != b {
 		t.Fatalf("%s: placement mismatch:\n  got:  %s\n  want: %s", label, a, b)
+	}
+}
+
+// requireParity compiles one job through Search once per execution mode —
+// each lane count, untraced and traced — and requires every Result
+// bit-identical to referenceSearch's.
+func requireParity(t *testing.T, label string, g *ddg.Graph, m machine.Config, opts Options, laneCounts ...int) {
+	t.Helper()
+	want, wantErr := referenceSearch(g, m, opts)
+	for _, lanes := range laneCounts {
+		for _, tr := range []*telemetry.Trace{nil, telemetry.NewTrace()} {
+			got, err := Search(t.Context(), g, m, opts, SearchConfig{Lanes: lanes, Trace: tr})
+			mode := fmt.Sprintf("%s (k=%d, traced=%t)", label, lanes, tr != nil)
+			requireSameResult(t, mode, got, want, err, wantErr)
+		}
 	}
 }
 
@@ -69,13 +88,11 @@ func TestSkipAheadMatchesLinearOnSuite(t *testing.T) {
 	for _, m := range configs {
 		for _, opts := range []Options{{}, {Replicate: true}} {
 			for _, l := range loops {
-				skip, skipErr := Compile(l.Graph, m, opts)
-				lin, linErr := CompileLinear(l.Graph, m, opts)
 				label := l.Graph.Name + " on " + m.Name
 				if opts.Replicate {
 					label += " (replicate)"
 				}
-				requireSameResult(t, label, skip, lin, skipErr, linErr)
+				requireParity(t, label, l.Graph, m, opts, 1)
 			}
 		}
 	}
@@ -90,18 +107,16 @@ func TestSkipAheadMatchesLinearOnRandomLoops(t *testing.T) {
 	if testing.Short() {
 		trials = 60
 	}
-	shapes := []workload.Shape{workload.ShapeBroadcast, workload.ShapeParallel, workload.ShapeReduction, workload.ShapeWide}
+	shapes := []corpus.Shape{corpus.ShapeBroadcast, corpus.ShapeParallel, corpus.ShapeReduction, corpus.ShapeWide}
 	for trial := 0; trial < trials; trial++ {
 		shape := shapes[rng.Intn(len(shapes))]
 		// Sizes below the generators' structural minimum produce invalid
 		// graphs (the suite profiles never go that small).
 		size := 10 + rng.Intn(40)
-		g := workload.Generate(shape, "rnd", rng, size, workload.DefaultParams())
+		g := corpus.Generate(shape, "rnd", rng, size, corpus.DefaultParams())
 		m := configs[rng.Intn(len(configs))]
 		opts := Options{Replicate: rng.Intn(2) == 0}
-		skip, skipErr := Compile(g, m, opts)
-		lin, linErr := CompileLinear(g, m, opts)
-		requireSameResult(t, g.Name+" on "+m.Name, skip, lin, skipErr, linErr)
+		requireParity(t, g.Name+" on "+m.Name, g, m, opts, 1)
 	}
 }
 
@@ -126,13 +141,13 @@ func TestSkipAheadSkipsAttempts(t *testing.T) {
 	rng := rand.New(rand.NewSource(7))
 	fired := false
 	for trial := 0; trial < 50 && !fired; trial++ {
-		g := workload.Generate(workload.ShapeWide, "wide", rng, 24+rng.Intn(24), workload.DefaultParams())
+		g := corpus.Generate(corpus.ShapeWide, "wide", rng, 24+rng.Intn(24), corpus.DefaultParams())
 		chain := func(n *int) []Pass {
 			return []Pass{countingPass{PartitionPass{}, n}, ReplicationPass{}, LengthReplicationPass{}, SchedulePass{}, VerifyPass{}}
 		}
 		var nSkip, nLin int
-		skip, skipErr := Run(g, m, Options{}, chain(&nSkip))
-		lin, linErr := RunContextLinear(t.Context(), g, m, Options{}, chain(&nLin))
+		skip, skipErr := search(t.Context(), g, m, Options{}, chain(&nSkip), nil, true, SearchConfig{})
+		lin, linErr := referenceChain(g, m, Options{}, chain(&nLin))
 		requireSameResult(t, g.Name, skip, lin, skipErr, linErr)
 		if nSkip < nLin {
 			fired = true
@@ -165,13 +180,11 @@ func TestSpeculativeMatchesLinearOnSuite(t *testing.T) {
 	for _, m := range configs {
 		for _, opts := range []Options{{}, {Replicate: true}} {
 			for _, l := range loops {
-				spec, specErr := CompileSpec(l.Graph, m, opts, specLanes)
-				lin, linErr := CompileLinear(l.Graph, m, opts)
 				label := l.Graph.Name + " on " + m.Name + " (spec)"
 				if opts.Replicate {
 					label += " (replicate)"
 				}
-				requireSameResult(t, label, spec, lin, specErr, linErr)
+				requireParity(t, label, l.Graph, m, opts, 2, specLanes)
 			}
 		}
 	}
@@ -193,9 +206,7 @@ func TestSpeculativeMatchesLinearOnStrategies(t *testing.T) {
 		for _, m := range configs {
 			for i := 0; i < len(loops); i += stride {
 				g := loops[i].Graph
-				spec, specErr := CompileSpec(g, m, opts, specLanes)
-				lin, linErr := CompileLinear(g, m, opts)
-				requireSameResult(t, g.Name+" on "+m.Name+" ("+strat+")", spec, lin, specErr, linErr)
+				requireParity(t, g.Name+" on "+m.Name+" ("+strat+")", g, m, opts, 1, 2, specLanes)
 			}
 		}
 	}
@@ -212,20 +223,17 @@ func TestSpeculativeMatchesLinearOnRandomLoops(t *testing.T) {
 	if testing.Short() {
 		trials = 60
 	}
-	shapes := []workload.Shape{workload.ShapeBroadcast, workload.ShapeParallel, workload.ShapeReduction, workload.ShapeWide}
+	shapes := []corpus.Shape{corpus.ShapeBroadcast, corpus.ShapeParallel, corpus.ShapeReduction, corpus.ShapeWide}
 	for trial := 0; trial < trials; trial++ {
 		shape := shapes[rng.Intn(len(shapes))]
 		size := 10 + rng.Intn(40)
-		g := workload.Generate(shape, "rnd", rng, size, workload.DefaultParams())
+		g := corpus.Generate(shape, "rnd", rng, size, corpus.DefaultParams())
 		m := configs[rng.Intn(len(configs))]
 		opts := Options{Strategy: strategies[rng.Intn(len(strategies))]}
 		if opts.Strategy == "paper" || opts.Strategy == "unified" {
 			opts.Replicate = rng.Intn(2) == 0
 		}
-		lanes := 1 + rng.Intn(6)
-		spec, specErr := CompileSpec(g, m, opts, lanes)
-		lin, linErr := CompileLinear(g, m, opts)
-		label := fmt.Sprintf("%s on %s (%s, k=%d)", g.Name, m.Name, opts.StrategyName(), lanes)
-		requireSameResult(t, label, spec, lin, specErr, linErr)
+		label := fmt.Sprintf("%s on %s (%s)", g.Name, m.Name, opts.StrategyName())
+		requireParity(t, label, g, m, opts, 1+rng.Intn(6))
 	}
 }

@@ -144,13 +144,21 @@ func (e *UnknownStrategyError) Error() string {
 	return fmt.Sprintf("pipeline: unknown strategy %q (registered: %v)", e.Name, StrategyNames())
 }
 
-// strategyFor resolves opts.Strategy, defaulting the empty name.
-func strategyFor(opts Options) (Strategy, error) {
+// resolveStrategy resolves opts.Strategy (defaulting the empty name),
+// validates the options against it, and returns it with the machine it
+// compiles for.
+func resolveStrategy(opts Options, m machine.Config) (Strategy, machine.Config, error) {
 	s, ok := LookupStrategy(opts.Strategy)
 	if !ok {
-		return nil, &UnknownStrategyError{Name: opts.Strategy}
+		return nil, m, &UnknownStrategyError{Name: opts.Strategy}
 	}
-	return s, nil
+	if err := s.Validate(opts, m); err != nil {
+		return nil, m, err
+	}
+	if mr, ok := s.(machineRewriter); ok {
+		m = mr.EffectiveMachine(m)
+	}
+	return s, m, nil
 }
 
 // StrategyName canonicalizes the Options.Strategy field: the empty string
@@ -199,7 +207,7 @@ func (paperStrategy) Describe() string {
 // unifiedStrategy compiles for the monolithic machine with the same total
 // resources: the clustering disappears, so the result is the unified-
 // machine upper bound the paper's Fig. 8 compares against. It is the
-// promotion of the old ad-hoc CompileBaseline-on-a-unified-machine pattern
+// promotion of the old ad-hoc baseline-compile-on-a-unified-machine pattern
 // into a first-class strategy.
 type unifiedStrategy struct{}
 

@@ -5,9 +5,9 @@ import (
 	"strings"
 	"testing"
 
+	"clusched/internal/corpus"
 	"clusched/internal/machine"
 	"clusched/internal/sched"
-	"clusched/internal/workload"
 )
 
 // TestStrategyRegistry pins the registered strategy set and the default
@@ -41,7 +41,7 @@ func TestStrategyRegistry(t *testing.T) {
 // TestUnknownStrategyTyped verifies the typed error an unregistered name
 // produces, at the pipeline level.
 func TestUnknownStrategyTyped(t *testing.T) {
-	g := workload.Generate(workload.ShapeParallel, "u", rand.New(rand.NewSource(1)), 12, workload.DefaultParams())
+	g := corpus.Generate(corpus.ShapeParallel, "u", rand.New(rand.NewSource(1)), 12, corpus.DefaultParams())
 	_, err := Compile(g, machine.MustParse("4c2b2l64r"), Options{Strategy: "nope"})
 	var ue *UnknownStrategyError
 	if err == nil {
@@ -65,7 +65,7 @@ func errorsAs(err error, target *(*UnknownStrategyError)) bool {
 // replication pass must reject the replication flags instead of silently
 // ignoring them (which would fork the cache identity of identical work).
 func TestStrategyValidateRejectsPaperOnlyOptions(t *testing.T) {
-	g := workload.Generate(workload.ShapeParallel, "v", rand.New(rand.NewSource(2)), 12, workload.DefaultParams())
+	g := corpus.Generate(corpus.ShapeParallel, "v", rand.New(rand.NewSource(2)), 12, corpus.DefaultParams())
 	m := machine.MustParse("4c2b2l64r")
 	for _, name := range []string{"uas", "moddist"} {
 		if _, err := Compile(g, m, Options{Strategy: name, Replicate: true}); err == nil {
@@ -74,6 +74,14 @@ func TestStrategyValidateRejectsPaperOnlyOptions(t *testing.T) {
 	}
 	if _, err := Compile(g, m, Options{Strategy: "unified"}); err != nil {
 		t.Errorf("unified rejected plain options: %v", err)
+	}
+	// A negative search bound is rejected for what it is under every
+	// strategy — not searched, then reported as "does not schedule".
+	for _, name := range StrategyNames() {
+		_, err := Compile(g, m, Options{Strategy: name, MaxII: -5})
+		if err == nil || err.Error() != "pipeline: MaxII must be ≥ 0" {
+			t.Errorf("strategy %q with MaxII=-5: got %v", name, err)
+		}
 	}
 }
 
@@ -103,9 +111,9 @@ func TestStrategiesCrossProperties(t *testing.T) {
 	if testing.Short() {
 		trials = 15
 	}
-	shapes := []workload.Shape{workload.ShapeBroadcast, workload.ShapeParallel, workload.ShapeReduction, workload.ShapeWide}
+	shapes := []corpus.Shape{corpus.ShapeBroadcast, corpus.ShapeParallel, corpus.ShapeReduction, corpus.ShapeWide}
 	for trial := 0; trial < trials; trial++ {
-		g := workload.Generate(shapes[rng.Intn(len(shapes))], "x", rng, 10+rng.Intn(30), workload.DefaultParams())
+		g := corpus.Generate(shapes[rng.Intn(len(shapes))], "x", rng, 10+rng.Intn(30), corpus.DefaultParams())
 		m := configs[rng.Intn(len(configs))]
 		results := map[string]*Result{}
 		for _, name := range StrategyNames() {
@@ -138,7 +146,7 @@ func TestStrategiesCrossProperties(t *testing.T) {
 // the effective (monolithic) machine, and matches a direct unified-machine
 // compile.
 func TestUnifiedStrategyRewritesMachine(t *testing.T) {
-	g := workload.Generate(workload.ShapeReduction, "r", rand.New(rand.NewSource(3)), 16, workload.DefaultParams())
+	g := corpus.Generate(corpus.ShapeReduction, "r", rand.New(rand.NewSource(3)), 16, corpus.DefaultParams())
 	m := machine.MustParse("4c2b2l64r")
 	res, err := Compile(g, m, Options{Strategy: "unified"})
 	if err != nil {
@@ -173,7 +181,7 @@ func TestUASDiffersFromPaper(t *testing.T) {
 	m := machine.MustParse("4c1b2l64r")
 	differs := false
 	for trial := 0; trial < 30 && !differs; trial++ {
-		g := workload.Generate(workload.ShapeWide, "w", rng, 16+rng.Intn(24), workload.DefaultParams())
+		g := corpus.Generate(corpus.ShapeWide, "w", rng, 16+rng.Intn(24), corpus.DefaultParams())
 		pr, err1 := Compile(g, m, strategyOptions("paper"))
 		ur, err2 := Compile(g, m, strategyOptions("uas"))
 		if err1 != nil || err2 != nil {

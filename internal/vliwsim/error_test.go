@@ -4,8 +4,8 @@ import (
 	"errors"
 	"testing"
 
-	"clusched/internal/core"
 	"clusched/internal/machine"
+	"clusched/internal/pipeline"
 	"clusched/internal/sched"
 	"clusched/internal/vliwsim"
 )
@@ -13,7 +13,7 @@ import (
 // compiled returns a small verified schedule to corrupt.
 func compiled(t *testing.T) *sched.Schedule {
 	t.Helper()
-	r, err := core.CompileReplicated(saxpy(t), machine.MustParse("2c1b2l64r"))
+	r, err := pipeline.Compile(saxpy(t), machine.MustParse("2c1b2l64r"), pipeline.Options{Replicate: true})
 	if err != nil {
 		t.Fatal(err)
 	}

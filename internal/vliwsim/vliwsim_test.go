@@ -4,10 +4,10 @@ import (
 	"math/rand"
 	"testing"
 
-	"clusched/internal/core"
 	"clusched/internal/ddg"
 	"clusched/internal/machine"
 	"clusched/internal/partition"
+	"clusched/internal/pipeline"
 	"clusched/internal/replic"
 	"clusched/internal/sched"
 	"clusched/internal/vliwsim"
@@ -54,7 +54,7 @@ func TestReferenceDeterministic(t *testing.T) {
 func TestExecuteMatchesReferenceUnified(t *testing.T) {
 	g := saxpy(t)
 	m := machine.Unified(64)
-	r, err := core.CompileBaseline(g, m)
+	r, err := pipeline.Compile(g, m, pipeline.Options{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -66,8 +66,8 @@ func TestExecuteMatchesReferenceUnified(t *testing.T) {
 func TestExecuteMatchesReferenceClustered(t *testing.T) {
 	g := saxpy(t)
 	m := machine.MustParse("4c1b2l64r")
-	for _, opts := range []core.Options{{}, {Replicate: true}} {
-		r, err := core.Compile(g, m, opts)
+	for _, opts := range []pipeline.Options{{}, {Replicate: true}} {
+		r, err := pipeline.Compile(g, m, opts)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -97,7 +97,7 @@ func TestReplicationPreservesSemanticsOnFig3Style(t *testing.T) {
 	}
 	g := b.MustBuild()
 	m := machine.MustParse("4c1b2l64r")
-	r, err := core.CompileReplicated(g, m)
+	r, err := pipeline.Compile(g, m, pipeline.Options{Replicate: true})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -112,7 +112,7 @@ func TestReplicationPreservesSemanticsOnFig3Style(t *testing.T) {
 func TestExecuteDetectsCorruptedSchedule(t *testing.T) {
 	g := saxpy(t)
 	m := machine.MustParse("2c1b2l64r")
-	r, err := core.CompileReplicated(g, m)
+	r, err := pipeline.Compile(g, m, pipeline.Options{Replicate: true})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -167,7 +167,7 @@ func TestRandomLoopsSimulateCorrectly(t *testing.T) {
 		b.Edge(ids[rng.Intn(n)], st, 0)
 		g := b.MustBuild()
 
-		r, err := core.Compile(g, m, core.Options{Replicate: trial%2 == 0})
+		r, err := pipeline.Compile(g, m, pipeline.Options{Replicate: trial%2 == 0})
 		if err != nil {
 			t.Fatalf("trial %d: %v", trial, err)
 		}
@@ -193,8 +193,8 @@ func TestWorkloadLoopsSimulateCorrectly(t *testing.T) {
 		for i := 0; i < len(loops) && i < 6; i++ {
 			g := loops[i].Graph
 			for _, m := range configs {
-				for _, opts := range []core.Options{{}, {Replicate: true}} {
-					r, err := core.Compile(g, m, opts)
+				for _, opts := range []pipeline.Options{{}, {Replicate: true}} {
+					r, err := pipeline.Compile(g, m, opts)
 					if err != nil {
 						t.Fatalf("%s on %s: %v", g.Name, m, err)
 					}

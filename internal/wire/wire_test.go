@@ -196,7 +196,8 @@ func TestJobStrategyRoundTrip(t *testing.T) {
 
 // TestJobDecodeTypedErrors: unknown strategies and too-new schemas must
 // fail with their typed errors; the legacy schema (no schema field) still
-// decodes as the default strategy.
+// decodes as the default strategy, and a negative max_ii reaches the
+// pipeline's own check.
 func TestJobDecodeTypedErrors(t *testing.T) {
 	loops := workload.LoopsFor("wave5")
 	j := driver.Job{Graph: loops[0].Graph, Machine: machine.MustParse("4c2b2l64r")}
@@ -229,6 +230,18 @@ func TestJobDecodeTypedErrors(t *testing.T) {
 	}
 	if j2.Opts.StrategyName() != pipeline.DefaultStrategy {
 		t.Fatalf("legacy job resolved to strategy %q", j2.Opts.StrategyName())
+	}
+
+	// options.max_ii is not vetted by the codec: a negative bound travels
+	// and is refused at the pipeline's one door, by name.
+	negative := wj
+	negative.Options.MaxII = -5
+	j3, err := negative.Decode()
+	if err != nil {
+		t.Fatalf("negative max_ii rejected by the codec: %v", err)
+	}
+	if _, err := pipeline.Compile(j3.Graph, j3.Machine, j3.Opts); err == nil || err.Error() != "pipeline: MaxII must be ≥ 0" {
+		t.Fatalf("negative max_ii compiled to %v", err)
 	}
 }
 

@@ -13,6 +13,7 @@ import (
 	"math/rand"
 	"sync"
 
+	"clusched/internal/corpus"
 	"clusched/internal/ddg"
 )
 
@@ -49,7 +50,7 @@ type Profile struct {
 	// VisitsLo and VisitsHi bound the visit counts.
 	VisitsLo, VisitsHi int64
 	// Gen tunes the structural generator (broadcast density, locality).
-	Gen Params
+	Gen corpus.Params
 }
 
 // Profiles returns the ten SPECfp95 program profiles, in the presentation
@@ -68,34 +69,34 @@ func Profiles() []Profile {
 	return []Profile{
 		{Name: "tomcatv", Loops: 12, MinOps: 24, MaxOps: 56,
 			ShapeWeights: [4]float64{0.9, 0, 0.1, 0}, ItersLo: 60, ItersHi: 260, VisitsLo: 300, VisitsHi: 800,
-			Gen: Params{AddrLo: 4, AddrHi: 5, Sprinkle: 0.38}},
+			Gen: corpus.Params{AddrLo: 4, AddrHi: 5, Sprinkle: 0.38}},
 		{Name: "swim", Loops: 24, MinOps: 20, MaxOps: 48,
 			ShapeWeights: [4]float64{0.8, 0.1, 0.1, 0}, ItersLo: 60, ItersHi: 520, VisitsLo: 200, VisitsHi: 1200,
-			Gen: Params{AddrLo: 3, AddrHi: 4, Sprinkle: 0.32}},
+			Gen: corpus.Params{AddrLo: 3, AddrHi: 4, Sprinkle: 0.32}},
 		{Name: "su2cor", Loops: 66, MinOps: 18, MaxOps: 52,
 			ShapeWeights: [4]float64{0.9, 0, 0.1, 0}, ItersLo: 20, ItersHi: 130, VisitsLo: 200, VisitsHi: 2000,
-			Gen: Params{AddrLo: 4, AddrHi: 5, Sprinkle: 0.38}},
+			Gen: corpus.Params{AddrLo: 4, AddrHi: 5, Sprinkle: 0.38}},
 		{Name: "hydro2d", Loops: 92, MinOps: 12, MaxOps: 40,
 			ShapeWeights: [4]float64{0.5, 0.25, 0.25, 0}, ItersLo: 20, ItersHi: 120, VisitsLo: 100, VisitsHi: 1500,
-			Gen: Params{AddrLo: 2, AddrHi: 3, Sprinkle: 0.16, Locality: true}},
+			Gen: corpus.Params{AddrLo: 2, AddrHi: 3, Sprinkle: 0.16, Locality: true}},
 		{Name: "mgrid", Loops: 22, MinOps: 16, MaxOps: 44,
 			ShapeWeights: [4]float64{0.05, 0.9, 0.05, 0}, ItersLo: 16, ItersHi: 64, VisitsLo: 500, VisitsHi: 4000,
-			Gen: Params{AddrLo: 2, AddrHi: 2, Sprinkle: 0.15, Locality: true}},
+			Gen: corpus.Params{AddrLo: 2, AddrHi: 2, Sprinkle: 0.15, Locality: true}},
 		{Name: "applu", Loops: 84, MinOps: 16, MaxOps: 44,
 			ShapeWeights: [4]float64{0.75, 0.1, 0.15, 0}, ItersLo: 4, ItersHi: 5, VisitsLo: 5000, VisitsHi: 40000,
-			Gen: Params{AddrLo: 2, AddrHi: 3, Sprinkle: 0.18, Locality: true}},
+			Gen: corpus.Params{AddrLo: 2, AddrHi: 3, Sprinkle: 0.18, Locality: true}},
 		{Name: "turb3d", Loops: 56, MinOps: 12, MaxOps: 36,
 			ShapeWeights: [4]float64{0.45, 0.35, 0.2, 0}, ItersLo: 16, ItersHi: 90, VisitsLo: 200, VisitsHi: 2500,
-			Gen: Params{AddrLo: 2, AddrHi: 3, Sprinkle: 0.16, Locality: true}},
+			Gen: corpus.Params{AddrLo: 2, AddrHi: 3, Sprinkle: 0.16, Locality: true}},
 		{Name: "apsi", Loops: 104, MinOps: 10, MaxOps: 36,
 			ShapeWeights: [4]float64{0.45, 0.3, 0.25, 0}, ItersLo: 10, ItersHi: 80, VisitsLo: 100, VisitsHi: 1200,
-			Gen: Params{AddrLo: 2, AddrHi: 3, Sprinkle: 0.16, Locality: true}},
+			Gen: corpus.Params{AddrLo: 2, AddrHi: 3, Sprinkle: 0.16, Locality: true}},
 		{Name: "fpppp", Loops: 34, MinOps: 48, MaxOps: 120,
 			ShapeWeights: [4]float64{0.1, 0.1, 0, 0.8}, ItersLo: 8, ItersHi: 40, VisitsLo: 300, VisitsHi: 2000,
-			Gen: Params{AddrLo: 2, AddrHi: 3, Sprinkle: 0.2, Locality: true}},
+			Gen: corpus.Params{AddrLo: 2, AddrHi: 3, Sprinkle: 0.2, Locality: true}},
 		{Name: "wave5", Loops: 184, MinOps: 10, MaxOps: 40,
 			ShapeWeights: [4]float64{0.55, 0.2, 0.25, 0}, ItersLo: 12, ItersHi: 100, VisitsLo: 100, VisitsHi: 1800,
-			Gen: Params{AddrLo: 2, AddrHi: 3, Sprinkle: 0.18, Locality: true}},
+			Gen: corpus.Params{AddrLo: 2, AddrHi: 3, Sprinkle: 0.18, Locality: true}},
 	}
 }
 
@@ -119,7 +120,7 @@ func seedFor(bench string, i int) int64 {
 	return int64(h.Sum64() & 0x7fffffffffffffff)
 }
 
-func pickShape(rng *rand.Rand, w [4]float64) Shape {
+func pickShape(rng *rand.Rand, w [4]float64) corpus.Shape {
 	total := 0.0
 	for _, x := range w {
 		total += x
@@ -127,11 +128,11 @@ func pickShape(rng *rand.Rand, w [4]float64) Shape {
 	r := rng.Float64() * total
 	for s, x := range w {
 		if r < x {
-			return Shape(s)
+			return corpus.Shape(s)
 		}
 		r -= x
 	}
-	return ShapeBroadcast
+	return corpus.ShapeBroadcast
 }
 
 // GenerateBench synthesizes all loops of one benchmark profile.
@@ -141,7 +142,7 @@ func GenerateBench(p Profile) []*Loop {
 		rng := rand.New(rand.NewSource(seedFor(p.Name, i)))
 		size := p.MinOps + rng.Intn(p.MaxOps-p.MinOps+1)
 		shape := pickShape(rng, p.ShapeWeights)
-		g := Generate(shape, fmt.Sprintf("%s_loop%03d", p.Name, i), rng, size, p.Gen)
+		g := corpus.Generate(shape, fmt.Sprintf("%s_loop%03d", p.Name, i), rng, size, p.Gen)
 		iters := p.ItersLo + rng.Float64()*(p.ItersHi-p.ItersLo)
 		visits := p.VisitsLo + rng.Int63n(p.VisitsHi-p.VisitsLo+1)
 		loops = append(loops, &Loop{Graph: g, Bench: p.Name, Visits: visits, AvgIters: iters})

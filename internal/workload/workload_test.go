@@ -5,6 +5,7 @@ import (
 	"testing"
 	"testing/quick"
 
+	"clusched/internal/corpus"
 	"clusched/internal/ddg"
 	"clusched/internal/machine"
 	"clusched/internal/mii"
@@ -85,7 +86,7 @@ func TestBenchmarksOrderMatchesProfiles(t *testing.T) {
 }
 
 func TestShapeString(t *testing.T) {
-	for s := ShapeBroadcast; s <= ShapeWide; s++ {
+	for s := corpus.ShapeBroadcast; s <= corpus.ShapeWide; s++ {
 		if s.String() == "" {
 			t.Errorf("shape %d has empty name", int(s))
 		}
@@ -118,16 +119,16 @@ func TestAppluTripCountsAreSmall(t *testing.T) {
 
 func TestGenerateShapesStructure(t *testing.T) {
 	rng := rand.New(rand.NewSource(1))
-	pr := DefaultParams()
+	pr := corpus.DefaultParams()
 
-	par := Generate(ShapeParallel, "p", rng, 32, pr)
+	par := corpus.Generate(corpus.ShapeParallel, "p", rng, 32, pr)
 	// Parallel loops: no data edge connects different strands, so every
 	// weakly-connected component is small.
 	if par.NumNodes() < 16 {
 		t.Errorf("parallel loop too small: %v", par)
 	}
 
-	red := Generate(ShapeReduction, "r", rng, 20, pr)
+	red := corpus.Generate(corpus.ShapeReduction, "r", rng, 20, pr)
 	recs := 0
 	for _, comp := range red.SCCs() {
 		if red.IsRecurrence(comp) {
@@ -138,13 +139,13 @@ func TestGenerateShapesStructure(t *testing.T) {
 		t.Errorf("reduction loop has %d recurrences", recs)
 	}
 
-	wide := Generate(ShapeWide, "w", rng, 60, pr)
+	wide := corpus.Generate(corpus.ShapeWide, "w", rng, 60, pr)
 	c := wide.CountClass()
 	if c[ddg.ClassFP] < c[ddg.ClassInt] {
 		t.Errorf("wide loop not FP-heavy: %v", c)
 	}
 
-	bc := Generate(ShapeBroadcast, "b", rng, 40, pr)
+	bc := corpus.Generate(corpus.ShapeBroadcast, "b", rng, 40, pr)
 	// Broadcast loops: some integer node has at least 3 data consumers.
 	maxFan := 0
 	for v := range bc.Nodes {
@@ -163,8 +164,8 @@ func TestQuickGeneratedLoopsAlwaysValid(t *testing.T) {
 	f := func(seed int64, sz uint8, shapeRaw uint8) bool {
 		rng := rand.New(rand.NewSource(seed))
 		size := 12 + int(sz%80)
-		shape := Shape(int(shapeRaw) % 4)
-		g := Generate(shape, "q", rng, size, DefaultParams())
+		shape := corpus.Shape(int(shapeRaw) % 4)
+		g := corpus.Generate(shape, "q", rng, size, corpus.DefaultParams())
 		return g.Validate() == nil
 	}
 	if err := quick.Check(f, &quick.Config{MaxCount: 200}); err != nil {
