@@ -3,19 +3,15 @@ package clusched_test
 // One benchmark per table/figure of the paper's evaluation. Each benchmark
 // recomputes its experiment from scratch (the suite cache is reset per
 // iteration) and reports the headline numbers the paper quotes as custom
-// metrics, so `go test -bench=.` regenerates the whole evaluation.
+// metrics, so `go test -bench=.` regenerates the whole evaluation. These
+// report the paper's numbers, not this repository's speed: compile
+// throughput and latency are measured by `go run ./bench` alone.
 
 import (
-	"context"
-	"runtime"
 	"testing"
 
-	"clusched"
 	"clusched/internal/ddg"
 	"clusched/internal/experiments"
-	"clusched/internal/machine"
-	"clusched/internal/pipeline"
-	"clusched/internal/workload"
 )
 
 // BenchmarkTable1Machine exercises the static machine model (Table 1).
@@ -149,106 +145,6 @@ func BenchmarkAblationMacro(b *testing.B) {
 			}
 		}
 	}
-}
-
-// BenchmarkCompileAll measures batch-compilation throughput over the full
-// 678-loop suite with the concurrent engine (loops/sec is the headline
-// metric; caching is disabled so every iteration does real work). Compare
-// against BenchmarkCompileAllSerial: on an N-core runner the engine should
-// approach N× the serial rate — the scaling baseline for future PRs.
-func BenchmarkCompileAll(b *testing.B) {
-	benchmarkCompileAll(b, 0) // GOMAXPROCS workers
-}
-
-// BenchmarkCompileAllSerial is the single-worker reference for the
-// parallel speedup of BenchmarkCompileAll.
-func BenchmarkCompileAllSerial(b *testing.B) {
-	benchmarkCompileAll(b, 1)
-}
-
-func benchmarkCompileAll(b *testing.B, workers int) {
-	loops := workload.SPECfp95()
-	m := machine.MustParse("4c2b2l64r")
-	jobs := make([]clusched.CompileJob, len(loops))
-	for i, l := range loops {
-		jobs[i] = clusched.CompileJob{Graph: l.Graph, Machine: m, Opts: clusched.Options{Replicate: true}}
-	}
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		comp := clusched.NewCompiler(clusched.CompilerConfig{Workers: workers, CacheSize: -1})
-		if _, err := comp.CompileAll(jobs); err != nil {
-			b.Fatal(err)
-		}
-	}
-	b.StopTimer()
-	b.ReportMetric(float64(len(loops))*float64(b.N)/b.Elapsed().Seconds(), "loops/sec")
-}
-
-// BenchmarkCompileSingleLoop measures raw pipeline throughput on one
-// representative stencil loop (not a paper figure; a sanity baseline for
-// the suite-level benchmarks above).
-func BenchmarkCompileSingleLoop(b *testing.B) {
-	l := workload.LoopsFor("su2cor")[0]
-	m := machine.MustParse("4c2b2l64r")
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		if _, err := clusched.Compile(l.Graph, m, clusched.Options{Replicate: true}); err != nil {
-			b.Fatal(err)
-		}
-	}
-}
-
-// BenchmarkCompileHardLoop isolates single-compilation latency on the
-// worst SPECfp95 loop — the one whose II search climbs the most on the
-// bus-starved 4c1b2l64r configuration, i.e. the loop where failed
-// attempts dominate the compile time. The linear/spec4 sub-benchmarks
-// compare the plain ladder search against the speculative multi-II search
-// with four lanes; the speculative one is skipped (not failed) on a
-// single-CPU runner, where racing lanes cannot overlap and the comparison
-// would be noise.
-func BenchmarkCompileHardLoop(b *testing.B) {
-	m := machine.MustParse("4c1b2l64r")
-	opts := pipeline.Options{Replicate: true}
-	var hard *ddg.Graph
-	worst := -1
-	for _, l := range workload.SPECfp95() {
-		res, err := pipeline.Compile(l.Graph, m, opts)
-		if err != nil {
-			continue
-		}
-		bumps := 0
-		for _, n := range res.IIIncreases {
-			bumps += n
-		}
-		if bumps > worst {
-			worst, hard = bumps, l.Graph
-		}
-	}
-	if hard == nil {
-		b.Fatal("no SPECfp95 loop compiles on 4c1b2l64r")
-	}
-	b.Logf("hard loop %s: %d II increases before acceptance", hard.Name, worst)
-
-	b.Run("linear", func(b *testing.B) {
-		arena := pipeline.NewArena()
-		b.ResetTimer()
-		for i := 0; i < b.N; i++ {
-			if _, err := pipeline.CompileContextArena(context.Background(), hard, m, opts, arena); err != nil {
-				b.Fatal(err)
-			}
-		}
-	})
-	b.Run("spec4", func(b *testing.B) {
-		if runtime.GOMAXPROCS(0) <= 1 {
-			b.Skip("GOMAXPROCS=1: speculative lanes cannot run concurrently, latency cannot differ from linear")
-		}
-		b.ResetTimer()
-		for i := 0; i < b.N; i++ {
-			if _, err := pipeline.Search(context.Background(), hard, m, opts, pipeline.SearchConfig{Lanes: 4}); err != nil {
-				b.Fatal(err)
-			}
-		}
-	})
 }
 
 // BenchmarkAblationUnroll regenerates the §6 related-work comparison

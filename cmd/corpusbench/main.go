@@ -9,20 +9,25 @@
 //
 // The exit status is the contract: 0 only when every accepted schedule is
 // confirmed; any divergence prints a replayable record (corpus seed +
-// index + strategy + options) and exits 1. CI runs a bounded corpus on a
-// fixed seed; the committed BENCH_6.json records a 10k-loop run.
+// index + strategy + options) and exits 1; a bad flag value exits 2. CI
+// runs a bounded corpus on a fixed seed on four Table 1 machines.
+// corpusbench counts, it does not time: throughput of the same
+// compile-then-simulate path is the `corpus-sim` workload of
+// `go run ./bench`.
 //
 // Usage:
 //
-//	corpusbench -n 10000 -seed 1 -json BENCH_6.json
+//	corpusbench -n 10000 -seed 1 -json corpus.json
 //	corpusbench -n 1000 -strategies paper,unified -clone-every 8
 //	corpusbench -n 500 -size 8:24 -scc cyclic=1 -lat fdiv=1,fadd=1 -pressure 0.9
 package main
 
 import (
 	"encoding/json"
+	"errors"
 	"flag"
 	"fmt"
+	"io"
 	"os"
 	"strings"
 
@@ -32,40 +37,63 @@ import (
 )
 
 func main() {
-	n := flag.Int("n", 10000, "corpus size (loops per strategy)")
-	seed := flag.Int64("seed", 1, "corpus master seed")
-	config := flag.String("config", "4c2b2l64r", "machine configuration")
-	strategies := flag.String("strategies", "", "comma-separated strategy list (default: the full registry)")
-	sizeFlag := flag.String("size", "", "ops per loop as lo:hi")
-	sccFlag := flag.String("scc", "", "shape mix, e.g. chain=1,tree=1,cyclic=2")
-	latFlag := flag.String("lat", "", "op latency mix, e.g. fadd=3,fmul=2,iadd=4")
-	memFlag := flag.Float64("mem", -1, "memory ordering edges per memory op")
-	pressureFlag := flag.Float64("pressure", -1, "register pressure in [0,1]")
-	iters := flag.Int("iters", 0, "simulated iterations per validation (0 = default)")
-	workers := flag.Int("j", 0, "driver workers (0 = GOMAXPROCS)")
-	speculate := flag.Int("speculate", 2, "speculative II lanes per compilation (<=1 disables)")
-	cloneEvery := flag.Int("clone-every", 16, "follow every k-th loop with an isomorphic clone to exercise the semantic cache (0 disables)")
-	jsonPath := flag.String("json", "", "also write the corpus section as JSON to this file")
-	progress := flag.Bool("progress", false, "print progress to stderr")
-	flag.Parse()
+	os.Exit(run(os.Args[1:], os.Stdout, os.Stderr))
+}
 
+// run is the whole tool behind a testable seam: the table goes to stdout,
+// diagnostics to stderr, and the return value is the exit code.
+func run(args []string, stdout, stderr io.Writer) int {
+	fs := flag.NewFlagSet("corpusbench", flag.ContinueOnError)
+	fs.SetOutput(stderr)
+	n := fs.Int("n", 10000, "corpus size (loops per strategy)")
+	seed := fs.Int64("seed", 1, "corpus master seed")
+	config := fs.String("config", "4c2b2l64r", "machine configuration")
+	strategies := fs.String("strategies", "", "comma-separated strategy list (default: the full registry)")
+	sizeFlag := fs.String("size", "", "ops per loop as lo:hi")
+	sccFlag := fs.String("scc", "", "shape mix, e.g. chain=1,tree=1,cyclic=2")
+	latFlag := fs.String("lat", "", "op latency mix, e.g. fadd=3,fmul=2,iadd=4")
+	memFlag := fs.Float64("mem", -1, "memory ordering edges per memory op")
+	pressureFlag := fs.Float64("pressure", -1, "register pressure in [0,1]")
+	iters := fs.Int("iters", 0, "simulated iterations per validation (0 = default)")
+	workers := fs.Int("j", 0, "driver workers (0 = GOMAXPROCS)")
+	speculate := fs.Int("speculate", 2, "speculative II lanes per compilation (<=1 disables)")
+	cloneEvery := fs.Int("clone-every", 16, "follow every k-th loop with an isomorphic clone to exercise the semantic cache (0 disables)")
+	jsonPath := fs.String("json", "", "also write the corpus section as JSON to this file")
+	progress := fs.Bool("progress", false, "print progress to stderr")
+	if err := fs.Parse(args); err != nil {
+		if errors.Is(err, flag.ErrHelp) {
+			return 0
+		}
+		return 2
+	}
+	fatal := func(err error) int {
+		fmt.Fprintf(stderr, "corpusbench: %v\n", err)
+		return 2
+	}
+
+	if *n <= 0 {
+		return fatal(fmt.Errorf("-n must be positive, got %d", *n))
+	}
+	m, err := machine.Parse(*config)
+	if err != nil {
+		return fatal(fmt.Errorf("-config: %w", err))
+	}
 	spec := corpus.DefaultSpec()
 	spec.N = *n
 	spec.Seed = *seed
-	var err error
 	if *sizeFlag != "" {
 		if spec.Size, err = corpus.ParseSizeRange(*sizeFlag); err != nil {
-			fatal(err)
+			return fatal(err)
 		}
 	}
 	if *sccFlag != "" {
 		if spec.Shapes, err = corpus.ParseShapeMix(*sccFlag); err != nil {
-			fatal(err)
+			return fatal(err)
 		}
 	}
 	if *latFlag != "" {
 		if spec.Ops, err = corpus.ParseOpMix(*latFlag); err != nil {
-			fatal(err)
+			return fatal(err)
 		}
 	}
 	if *memFlag >= 0 {
@@ -77,7 +105,7 @@ func main() {
 
 	cfg := experiments.CorpusConfig{
 		Spec:        spec,
-		Machine:     machine.MustParse(*config),
+		Machine:     m,
 		Iters:       *iters,
 		Workers:     *workers,
 		Speculation: *speculate,
@@ -93,9 +121,9 @@ func main() {
 	if *progress {
 		cfg.Progress = func(done, total int) {
 			if done%1000 == 0 || done == total {
-				fmt.Fprintf(os.Stderr, "\rvalidated %d/%d", done, total)
+				fmt.Fprintf(stderr, "\rvalidated %d/%d", done, total)
 				if done == total {
-					fmt.Fprintln(os.Stderr)
+					fmt.Fprintln(stderr)
 				}
 			}
 		}
@@ -103,19 +131,19 @@ func main() {
 
 	sec, err := experiments.MeasureCorpus(cfg)
 	if err != nil {
-		fatal(err)
+		return fatal(err)
 	}
-	fmt.Print(experiments.CorpusReport(sec))
+	fmt.Fprint(stdout, experiments.CorpusReport(sec))
 
 	if *jsonPath != "" {
 		blob, err := json.MarshalIndent(struct {
 			Corpus *experiments.CorpusSection `json:"corpus"`
 		}{sec}, "", "  ")
 		if err != nil {
-			fatal(err)
+			return fatal(err)
 		}
 		if err := os.WriteFile(*jsonPath, append(blob, '\n'), 0o644); err != nil {
-			fatal(err)
+			return fatal(err)
 		}
 	}
 
@@ -124,12 +152,8 @@ func main() {
 		divergent += r.Divergent
 	}
 	if divergent > 0 {
-		fmt.Fprintf(os.Stderr, "corpusbench: %d divergent schedules — each record above replays via its (seed, index, strategy, opts)\n", divergent)
-		os.Exit(1)
+		fmt.Fprintf(stderr, "corpusbench: %d divergent schedules — each record above replays via its (seed, index, strategy, opts)\n", divergent)
+		return 1
 	}
-}
-
-func fatal(err error) {
-	fmt.Fprintf(os.Stderr, "corpusbench: %v\n", err)
-	os.Exit(2)
+	return 0
 }

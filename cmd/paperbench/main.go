@@ -14,25 +14,21 @@
 //	paperbench -j 4 -progress   # 4 concurrent compilations, progress on stderr
 //	paperbench -speculate 4     # race candidate IIs inside each compilation
 //	paperbench -trace trace.json -fig 7   # record a Chrome trace of the run
-//	paperbench -json bench.json # machine-readable per-figure numbers + engine stats
+//	paperbench -json figs.json  # machine-readable per-figure numbers + engine stats
 //	paperbench -strategies paper,unified,uas,moddist   # head-to-head strategy comparison
 //	paperbench -remote http://localhost:8357 -fig 7    # evaluation as service traffic
 //	paperbench -cluster http://h1:8357,http://h2:8357  # evaluation sharded across a fleet
-//	paperbench -json bench.json -cluster-nodes 3       # fleet-scaling section in the JSON
-//	paperbench -fig table1 -corpus 10000 -json BENCH_6.json  # corpus-validation shootout
 //
-// -corpus N races every registered strategy over an N-loop generated
-// corpus (internal/corpus defaults, master seed -corpus-seed) and
-// validates each accepted schedule on the cycle-accurate simulator; the
-// claimed-vs-simulated table lands in the report and, with -json, in a
-// "corpus" section. cmd/corpusbench exposes the full distribution knobs.
+// paperbench is the paper tool: it reports what the compiler produces,
+// never how fast. Timing this repository is `go run ./bench` (see
+// bench/README.md); validating schedules on the simulator is
+// cmd/corpusbench.
 //
 // -remote swaps the in-process engine for the remote Backend (the same
 // clusched.Backend seam every tool programs against): every suite
 // compilation is submitted to the clusched-serve instance and streamed
 // back, so the paper evaluation doubles as a realistic service workload.
-// The timing section still measures the local engine; the remote cache
-// lives server-side (see GET /stats).
+// The remote cache lives server-side (see GET /stats).
 //
 // -strategies compiles the whole suite under each named scheduling
 // strategy (see the root package's Strategies) on the headline
@@ -44,17 +40,18 @@
 // -trace records the whole run — every worker's job spans, cache lookups,
 // passes, II attempts and speculative lanes — into a Chrome trace-event
 // JSON file, viewable in chrome://tracing or https://ui.perfetto.dev. It
-// applies to local runs only; with -remote, traces are recorded
-// server-side (submit with trace and fetch GET /jobs/{id}/trace).
+// applies to local runs only; with -remote or -cluster, traces are
+// recorded server-side (submit with trace and fetch GET /jobs/{id}/trace).
 //
 // -json writes the typed per-figure rows (the same data the text report
-// renders), a timing section (the full suite compiled from scratch and
-// timed, serial and parallel, with allocation counts — the perf-trajectory
-// datapoint documented in EXPERIMENTS.md) and the engine's CacheStats as
-// one JSON document, the format of the BENCH_*.json files. It composes
+// renders) and the engine's CacheStats as one JSON document. It composes
 // with -fig: only the selected experiment's section is populated. The
 // suite results are memoized in the engine, so emitting JSON alongside the
-// text report does not recompile anything beyond the timed run.
+// text report does not recompile anything. Every section but "engine" is a
+// pure function of the code (internal/experiments pins the figure sections
+// against testdata/figures.golden.json); the engine counts move by a few
+// jobs from run to run, because which of two isomorphic loops compiling
+// concurrently fills the semantic tier first is a race.
 //
 // Every pipeline-level experiment drives the shared batch-compilation
 // engine (internal/driver): -j bounds its worker pool and -progress
@@ -66,100 +63,27 @@ package main
 import (
 	"context"
 	"encoding/json"
+	"errors"
 	"flag"
 	"fmt"
+	"io"
 	"os"
 	"strings"
 	"time"
 
 	"clusched"
-	"clusched/internal/corpus"
 	"clusched/internal/driver"
 	"clusched/internal/experiments"
 	"clusched/internal/machine"
 )
 
 // jsonReport is the -json document: one optional section per experiment
-// (absent sections were not run) plus the engine cache accounting.
+// (absent sections were not run), the head-to-head strategy comparison
+// (populated by -strategies) and the engine cache accounting.
 type jsonReport struct {
-	Fig1      []experiments.Fig1Row      `json:"fig1,omitempty"`
-	Fig7      []experiments.Fig7Config   `json:"fig7,omitempty"`
-	Fig8      []experiments.Fig8Row      `json:"fig8,omitempty"`
-	Fig9      []experiments.Fig9Row      `json:"fig9,omitempty"`
-	Fig10     []experiments.Fig10Row     `json:"fig10,omitempty"`
-	Fig12     []experiments.Fig12Row     `json:"fig12,omitempty"`
-	CommStats []experiments.CommStatsRow `json:"comm_stats,omitempty"`
-	Macro     []experiments.MacroRow     `json:"macro,omitempty"`
-	RegSweep  []experiments.RegSweepRow  `json:"reg_sweep,omitempty"`
-	// Strategies is the head-to-head scheduling-strategy comparison
-	// (populated by -strategies).
+	experiments.FigureSections
 	Strategies []experiments.StrategyBenchRow `json:"strategies,omitempty"`
-	// Timing is the compile-throughput datapoint of the perf trajectory
-	// (see EXPERIMENTS.md): the suite compiled from scratch, timed.
-	Timing experiments.ThroughputRow `json:"timing"`
-	// Semantic is the canonical-cache datapoint: the duplicated-shape
-	// corpus (every loop plus -dup isomorphic clones) served against a
-	// warm cache, with hit rate, remap throughput and canonicalization
-	// costs (see EXPERIMENTS.md).
-	Semantic experiments.SemanticRow `json:"semantic"`
-	// Cluster is the fleet-scaling section (populated by -cluster-nodes):
-	// the suite compiled through the cluster backend against 1..N
-	// in-process serve instances, with the shared-CPU caveat flagged on
-	// every row.
-	Cluster []experiments.ClusterRow `json:"cluster,omitempty"`
-	// Corpus is the corpus-validation shootout (populated by -corpus N):
-	// every strategy over an N-loop generated corpus, each accepted
-	// schedule executed on the cycle-accurate simulator and checked
-	// against the reference — the claimed-vs-simulated table of
-	// BENCH_6.json (see EXPERIMENTS.md).
-	Corpus *experiments.CorpusSection `json:"corpus,omitempty"`
-	Engine driver.CacheStats          `json:"engine"`
-}
-
-// collectJSON gathers the typed rows for the selected experiment ("" =
-// every figure the full report covers). The underlying suite runs are
-// served from the engine cache, so this re-reads, it does not recompute.
-// specLanes rides into the timed run so the trajectory can record
-// speculative datapoints.
-func collectJSON(fig string, specLanes, dup, clusterNodes int) jsonReport {
-	var r jsonReport
-	all := fig == ""
-	if all || fig == "1" {
-		r.Fig1 = experiments.Fig1()
-	}
-	if all || fig == "7" {
-		r.Fig7 = experiments.Fig7()
-	}
-	if all || fig == "8" {
-		r.Fig8 = experiments.Fig8()
-	}
-	if all || fig == "9" {
-		r.Fig9 = experiments.Fig9()
-	}
-	if all || fig == "10" {
-		r.Fig10 = experiments.Fig10()
-	}
-	if all || fig == "12" {
-		r.Fig12 = experiments.Fig12()
-	}
-	if all || fig == "stats" {
-		r.CommStats = experiments.CommStats()
-	}
-	if all || fig == "macro" {
-		r.Macro = experiments.MacroAblation()
-	}
-	if fig == "regs" { // not part of the full report; only when selected
-		r.RegSweep = experiments.RegSweep()
-	}
-	// The timed runs use their own engines, so they neither benefit from
-	// nor pollute the shared engine's memoized suites.
-	r.Timing = experiments.MeasureThroughput(specLanes)
-	r.Semantic = experiments.MeasureSemantic(dup)
-	if clusterNodes > 0 {
-		r.Cluster = experiments.MeasureClusterScaling(clusterNodes)
-	}
-	r.Engine = experiments.EngineStats()
-	return r
+	Engine     driver.CacheStats              `json:"engine"`
 }
 
 // preprocessArgs lets -json appear bare (no file name), meaning "write the
@@ -180,42 +104,55 @@ func preprocessArgs(args []string) []string {
 }
 
 func main() {
-	fig := flag.String("fig", "", "experiment to run: 1, 7, 8, 9, 10, 12, table1, stats, macro, unroll, regs, design (default: all)")
-	out := flag.String("o", "", "write the report to a file instead of stdout")
-	jsonOut := flag.String("json", "", "also write machine-readable per-figure numbers and engine CacheStats to this file (\"-\" or bare flag: stdout, suppressing the text report)")
-	jobs := flag.Int("j", 0, "concurrent compilations (default: GOMAXPROCS)")
-	progress := flag.Bool("progress", false, "report per-suite compilation progress on stderr")
-	speculate := flag.Int("speculate", 0, "race up to k candidate IIs per compilation (speculative multi-II search; 0/1 = off)")
-	dup := flag.Int("dup", 1, "isomorphic clones per loop in the -json semantic-cache measurement")
-	strategies := flag.String("strategies", "", "comma-separated scheduling strategies to compare head-to-head (e.g. paper,unified,uas,moddist)")
-	corpusN := flag.Int("corpus", 0, "validate every strategy over an N-loop generated corpus on the cycle-accurate simulator (0 = off; see corpusbench for the full flag set)")
-	corpusSeed := flag.Int64("corpus-seed", 1, "master seed of the -corpus run")
-	strategiesConfig := flag.String("strategies-config", "4c2b2l64r", "machine configuration for the -strategies comparison")
-	remote := flag.String("remote", "", "run every suite compilation on a clusched-serve instance at this base URL instead of in-process")
-	clusterHosts := flag.String("cluster", "", "comma-separated clusched-serve base URLs: run the evaluation through the sharded cluster backend (mutually exclusive with -remote)")
-	clusterNodes := flag.Int("cluster-nodes", 0, "also measure fleet scaling through 1..N in-process serve instances into the -json cluster section (0 = off)")
-	traceOut := flag.String("trace", "", "record the run as Chrome trace-event JSON to this file (local runs only)")
-	flag.CommandLine.Parse(preprocessArgs(os.Args[1:]))
+	os.Exit(run(os.Args[1:], os.Stdout, os.Stderr))
+}
 
+// run is the whole tool behind a testable seam: it parses args, writes the
+// report (or the JSON document) and every diagnostic to the given writers,
+// and returns the process exit code.
+func run(args []string, stdout, stderr io.Writer) int {
+	fs := flag.NewFlagSet("paperbench", flag.ContinueOnError)
+	fs.SetOutput(stderr)
+	fig := fs.String("fig", "", "experiment to run: 1, 7, 8, 9, 10, 12, table1, stats, macro, unroll, regs, design (default: all)")
+	out := fs.String("o", "", "write the report to a file instead of stdout")
+	jsonOut := fs.String("json", "", "also write machine-readable per-figure numbers and engine CacheStats to this file (\"-\" or bare flag: stdout, suppressing the text report)")
+	jobs := fs.Int("j", 0, "concurrent compilations (default: GOMAXPROCS)")
+	progress := fs.Bool("progress", false, "report per-suite compilation progress on stderr")
+	speculate := fs.Int("speculate", 0, "race up to k candidate IIs per compilation (speculative multi-II search; 0/1 = off)")
+	strategies := fs.String("strategies", "", "comma-separated scheduling strategies to compare head-to-head (e.g. paper,unified,uas,moddist)")
+	strategiesConfig := fs.String("strategies-config", "4c2b2l64r", "machine configuration for the -strategies comparison")
+	remote := fs.String("remote", "", "run every suite compilation on a clusched-serve instance at this base URL instead of in-process")
+	clusterHosts := fs.String("cluster", "", "comma-separated clusched-serve base URLs: run the evaluation through the sharded cluster backend (mutually exclusive with -remote)")
+	traceOut := fs.String("trace", "", "record the run as Chrome trace-event JSON to this file (local runs only)")
+	if err := fs.Parse(preprocessArgs(args)); err != nil {
+		if errors.Is(err, flag.ErrHelp) {
+			return 0
+		}
+		return 2
+	}
+
+	// -trace and the -progress cache line describe the in-process engine;
+	// with -remote or -cluster compilation (and its cache) is server-side.
+	local := *remote == "" && *clusterHosts == ""
 	var trace *clusched.Trace
-	if *traceOut != "" && *remote == "" {
+	if *traceOut != "" && local {
 		trace = clusched.NewTrace()
 	}
 
 	switch {
 	case *clusterHosts != "":
 		if *remote != "" {
-			fmt.Fprintln(os.Stderr, "paperbench: -cluster and -remote are mutually exclusive")
-			os.Exit(2)
+			fmt.Fprintln(stderr, "paperbench: -cluster and -remote are mutually exclusive")
+			return 2
 		}
 		if *traceOut != "" {
-			fmt.Fprintln(os.Stderr, "paperbench: -trace is ignored with -cluster (the servers record traces; see GET /jobs/{id}/trace)")
+			fmt.Fprintln(stderr, "paperbench: -trace is ignored with -cluster (the servers record traces; see GET /jobs/{id}/trace)")
 		}
 		if *jobs != 0 {
-			fmt.Fprintln(os.Stderr, "paperbench: -j is ignored with -cluster (the servers' workers apply)")
+			fmt.Fprintln(stderr, "paperbench: -j is ignored with -cluster (the servers' workers apply)")
 		}
 		if *progress {
-			fmt.Fprintln(os.Stderr, "paperbench: -progress is ignored with -cluster (compilation runs server-side)")
+			fmt.Fprintln(stderr, "paperbench: -progress is ignored with -cluster (compilation runs server-side)")
 		}
 		// Same Backend seam as -remote, but the batches fan out across the
 		// fleet with cache-affine routing.
@@ -224,33 +161,33 @@ func main() {
 		experiments.UseBackend(cl)
 	case *remote != "":
 		if *traceOut != "" {
-			fmt.Fprintln(os.Stderr, "paperbench: -trace is ignored with -remote (submit with trace and fetch GET /jobs/{id}/trace instead)")
+			fmt.Fprintln(stderr, "paperbench: -trace is ignored with -remote (submit with trace and fetch GET /jobs/{id}/trace instead)")
 		}
 		// The experiments engine is a Backend seam: pointing it at the
 		// remote client reruns the whole evaluation as service traffic.
 		if *jobs != 0 {
-			fmt.Fprintln(os.Stderr, "paperbench: -j is ignored with -remote (the server's workers apply)")
+			fmt.Fprintln(stderr, "paperbench: -j is ignored with -remote (the server's workers apply)")
 		}
 		if *progress {
-			fmt.Fprintln(os.Stderr, "paperbench: -progress is ignored with -remote (compilation runs server-side)")
+			fmt.Fprintln(stderr, "paperbench: -progress is ignored with -remote (compilation runs server-side)")
 		}
 		client := clusched.NewRemote(*remote, clusched.WithTimeout(0))
 		if err := client.Health(context.Background()); err != nil {
-			fmt.Fprintf(os.Stderr, "paperbench: service at %s unreachable: %v\n", *remote, err)
-			os.Exit(1)
+			fmt.Fprintf(stderr, "paperbench: service at %s unreachable: %v\n", *remote, err)
+			return 1
 		}
 		experiments.UseBackend(client)
 		if *speculate > 1 {
-			fmt.Fprintln(os.Stderr, "paperbench: -speculate applies only to the local timed run with -remote (the server's own setting governs its compilations)")
+			fmt.Fprintln(stderr, "paperbench: -speculate is ignored with -remote (the server's own setting governs its compilations)")
 		}
 	case *jobs != 0 || *progress || *speculate > 1 || trace != nil:
 		cfg := driver.Config{Workers: *jobs, Speculation: *speculate, Trace: trace}
 		if *progress {
 			cfg.Progress = func(done, total int) {
 				if done%100 == 0 || done == total {
-					fmt.Fprintf(os.Stderr, "\rcompiling %d/%d loops", done, total)
+					fmt.Fprintf(stderr, "\rcompiling %d/%d loops", done, total)
 					if done == total {
-						fmt.Fprintln(os.Stderr)
+						fmt.Fprintln(stderr)
 					}
 				}
 			}
@@ -287,8 +224,8 @@ func main() {
 	case "design":
 		report = experiments.DesignAblationReport()
 	default:
-		fmt.Fprintf(os.Stderr, "paperbench: unknown experiment %q\n", *fig)
-		os.Exit(2)
+		fmt.Fprintf(stderr, "paperbench: unknown experiment %q\n", *fig)
+		return 2
 	}
 
 	// Head-to-head strategy comparison: append the table to the report and
@@ -305,13 +242,13 @@ func main() {
 		}
 		m, err := machine.Parse(*strategiesConfig)
 		if err != nil {
-			fmt.Fprintf(os.Stderr, "paperbench: -strategies-config: %v\n", err)
-			os.Exit(2)
+			fmt.Fprintf(stderr, "paperbench: -strategies-config: %v\n", err)
+			return 2
 		}
 		strategyRows, err = experiments.StrategyComparison(names, m)
 		if err != nil {
-			fmt.Fprintf(os.Stderr, "paperbench: -strategies: %v\n", err)
-			os.Exit(2)
+			fmt.Fprintf(stderr, "paperbench: -strategies: %v\n", err)
+			return 2
 		}
 		table := experiments.StrategyComparisonReport(strategyRows, names, m)
 		if report != "" {
@@ -320,68 +257,34 @@ func main() {
 		report += table
 	}
 
-	// Corpus-validation shootout: compile a generated corpus under every
-	// strategy at full batch concurrency and confirm each accepted schedule
-	// on the simulator. Runs on its own engines (like the timed sections),
-	// so the shared engine's memoized suites are untouched.
-	var corpusSec *experiments.CorpusSection
-	if *corpusN > 0 {
-		spec := corpus.DefaultSpec()
-		spec.N = *corpusN
-		spec.Seed = *corpusSeed
-		cfg := experiments.CorpusConfig{
-			Spec:        spec,
-			Workers:     *jobs,
-			Speculation: *speculate,
-			CloneEvery:  16,
-		}
-		if *progress {
-			cfg.Progress = func(done, total int) {
-				if done%1000 == 0 || done == total {
-					fmt.Fprintf(os.Stderr, "\rvalidating %d/%d corpus jobs", done, total)
-					if done == total {
-						fmt.Fprintln(os.Stderr)
-					}
-				}
-			}
-		}
-		var err error
-		corpusSec, err = experiments.MeasureCorpus(cfg)
-		if err != nil {
-			fmt.Fprintf(os.Stderr, "paperbench: -corpus: %v\n", err)
-			os.Exit(2)
-		}
-		if report != "" {
-			report += "\n"
-		}
-		report += experiments.CorpusReport(corpusSec)
-	}
-
-	if *progress && *remote == "" {
-		// The remote backend reports zero CacheStats (its cache lives
-		// server-side; see GET /stats), so this line is local-only.
+	if *progress && local {
 		st := experiments.EngineStats()
-		fmt.Fprintf(os.Stderr, "engine cache: %d hits, %d misses, %d entries\n",
+		fmt.Fprintf(stderr, "engine cache: %d hits, %d misses, %d entries\n",
 			st.Hits, st.Misses, st.Entries)
 	}
 	jsonToStdout := *jsonOut == "-"
 	if *jsonOut != "" {
-		doc := collectJSON(*fig, *speculate, *dup, *clusterNodes)
-		doc.Strategies = strategyRows
-		doc.Corpus = corpusSec
-		blob, err := json.MarshalIndent(doc, "", "  ")
+		// The suite runs behind the report above are memoized in the
+		// engine, so collecting the typed rows re-reads, it does not
+		// recompute.
+		blob, err := json.MarshalIndent(jsonReport{
+			FigureSections: experiments.CollectFigures(*fig),
+			Strategies:     strategyRows,
+			Engine:         experiments.EngineStats(),
+		}, "", "  ")
 		if err != nil {
-			fmt.Fprintf(os.Stderr, "paperbench: %v\n", err)
-			os.Exit(1)
+			fmt.Fprintf(stderr, "paperbench: %v\n", err)
+			return 1
 		}
+		blob = append(blob, '\n')
 		if jsonToStdout {
-			os.Stdout.Write(append(blob, '\n'))
+			stdout.Write(blob)
 		} else {
-			if err := os.WriteFile(*jsonOut, append(blob, '\n'), 0o644); err != nil {
-				fmt.Fprintf(os.Stderr, "paperbench: %v\n", err)
-				os.Exit(1)
+			if err := os.WriteFile(*jsonOut, blob, 0o644); err != nil {
+				fmt.Fprintf(stderr, "paperbench: %v\n", err)
+				return 1
 			}
-			fmt.Fprintf(os.Stderr, "wrote %s\n", *jsonOut)
+			fmt.Fprintf(stderr, "wrote %s\n", *jsonOut)
 		}
 	}
 	if trace != nil {
@@ -394,22 +297,23 @@ func main() {
 			}
 		}
 		if err != nil {
-			fmt.Fprintf(os.Stderr, "paperbench: -trace: %v\n", err)
-			os.Exit(1)
+			fmt.Fprintf(stderr, "paperbench: -trace: %v\n", err)
+			return 1
 		}
 		sum := trace.Summary()
-		fmt.Fprintf(os.Stderr, "wrote %s (%d spans on %d tracks over %v)\n",
+		fmt.Fprintf(stderr, "wrote %s (%d spans on %d tracks over %v)\n",
 			*traceOut, sum.Spans, sum.Tracks, sum.Wall.Round(time.Millisecond))
 	}
 	if *out == "" {
 		if !jsonToStdout {
-			fmt.Print(report)
+			fmt.Fprint(stdout, report)
 		}
-		return
+		return 0
 	}
 	if err := os.WriteFile(*out, []byte(report), 0o644); err != nil {
-		fmt.Fprintf(os.Stderr, "paperbench: %v\n", err)
-		os.Exit(1)
+		fmt.Fprintf(stderr, "paperbench: %v\n", err)
+		return 1
 	}
-	fmt.Printf("wrote %s\n", *out)
+	fmt.Fprintf(stdout, "wrote %s\n", *out)
+	return 0
 }

@@ -227,13 +227,10 @@ type Compiler struct {
 	// job's and serves it remapped through the isomorphism (re-verified by
 	// pipeline.RemapResult). Kept in lockstep with the LRU via the eviction
 	// hook.
-	semIdx       map[semKey][]*pipeline.Result
-	hits         uint64
-	misses       uint64
-	storeHits    uint64
-	semHits      uint64
-	semStoreHits uint64
-	perStrategy  map[string]*StrategyStats
+	semIdx map[semKey][]*pipeline.Result
+	// perStrategy holds the only cache counters there are, bucketed by
+	// strategy name; CacheStats sums them for the totals.
+	perStrategy map[string]*StrategyStats
 }
 
 // flight is one in-progress compilation that identical concurrent jobs
@@ -571,7 +568,6 @@ func (c *Compiler) serve(ctx context.Context, j Job, tr *telemetry.Trace, track 
 		lookup := tr.Now()
 		c.mu.Lock()
 		if e, ok := c.cache.get(key); ok {
-			c.hits++
 			c.strat(j).Hits++
 			c.mu.Unlock()
 			if c.metrics != nil {
@@ -583,7 +579,6 @@ func (c *Compiler) serve(ctx context.Context, j Job, tr *telemetry.Trace, track 
 			return Outcome{Job: j, Result: e.res, Err: e.err, CacheHit: true}
 		}
 		if f, ok := c.pending[key]; ok {
-			c.hits++
 			c.strat(j).Hits++
 			c.mu.Unlock()
 			if c.metrics != nil {
@@ -616,7 +611,6 @@ func (c *Compiler) serve(ctx context.Context, j Job, tr *telemetry.Trace, track 
 				semTried = true
 				if res := remapCandidates(j, cands); res != nil {
 					c.mu.Lock()
-					c.semHits++
 					c.strat(j).SemanticHits++
 					c.cacheAdd(key, cacheValue{res: res}, sk)
 					c.mu.Unlock()
@@ -655,11 +649,9 @@ func (c *Compiler) serve(ctx context.Context, j Job, tr *telemetry.Trace, track 
 					c.mu.Lock()
 					outcome, span := "store_hit", "store-hit"
 					if semantic {
-						c.semStoreHits++
 						c.strat(j).SemanticStoreHits++
 						outcome, span = "semantic_store_hit", "semantic-store-hit"
 					} else {
-						c.storeHits++
 						c.strat(j).StoreHits++
 					}
 					c.cacheAdd(key, f.val, sk)
@@ -683,7 +675,6 @@ func (c *Compiler) serve(ctx context.Context, j Job, tr *telemetry.Trace, track 
 		if aborted {
 			delete(c.pending, key) // don't cache the cancellation
 		} else {
-			c.misses++
 			c.strat(j).Misses++
 			c.cacheAdd(key, f.val, sk)
 			delete(c.pending, key)
@@ -937,10 +928,7 @@ func AggregateError(outcomes []Outcome) error {
 func (c *Compiler) CacheStats() CacheStats {
 	c.mu.Lock()
 	defer c.mu.Unlock()
-	s := CacheStats{
-		Hits: c.hits, Misses: c.misses, StoreHits: c.storeHits,
-		SemanticHits: c.semHits, SemanticStoreHits: c.semStoreHits,
-	}
+	var s CacheStats
 	if c.cache != nil {
 		s.Entries = c.cache.len()
 	}
@@ -948,6 +936,11 @@ func (c *Compiler) CacheStats() CacheStats {
 		s.Strategies = make(map[string]StrategyStats, len(c.perStrategy))
 		for name, st := range c.perStrategy {
 			s.Strategies[name] = *st
+			s.Hits += st.Hits
+			s.Misses += st.Misses
+			s.StoreHits += st.StoreHits
+			s.SemanticHits += st.SemanticHits
+			s.SemanticStoreHits += st.SemanticStoreHits
 		}
 	}
 	return s
@@ -979,8 +972,6 @@ func (c *Compiler) ResetCache() {
 		c.semIdx = make(map[semKey][]*pipeline.Result)
 		c.perStrategy = make(map[string]*StrategyStats)
 	}
-	c.hits, c.misses, c.storeHits = 0, 0, 0
-	c.semHits, c.semStoreHits = 0, 0
 }
 
 // JobError records one failed job of a batch.

@@ -6,7 +6,6 @@ import (
 	"runtime"
 	"strings"
 	"sync"
-	"time"
 
 	"clusched/internal/corpus"
 	"clusched/internal/corpus/validate"
@@ -70,18 +69,13 @@ type CorpusRow struct {
 	// runs only); those schedules were remapped, not scheduled, and still
 	// had to pass simulation.
 	SemanticHits uint64 `json:"semantic_hits,omitempty"`
-	// WallMs is the wall time of the strategy's full compile+validate
-	// sweep; LoopsPerSec the sim-confirmed throughput (Validated over
-	// wall).
-	WallMs      float64 `json:"wall_ms"`
-	LoopsPerSec float64 `json:"loops_per_sec"`
 }
 
 // maxRecordedDivergences bounds the per-section divergence dump; the
 // counts in the rows are always complete.
 const maxRecordedDivergences = 50
 
-// CorpusSection is the corpus shootout's BENCH section: the run
+// CorpusSection is the corpus shootout's result: the run
 // parameters, the per-strategy table, and every divergence (each one
 // replayable from Spec + Index + Strategy + Opts).
 type CorpusSection struct {
@@ -174,7 +168,10 @@ func MeasureCorpus(cfg CorpusConfig) (*CorpusSection, error) {
 						mu.Lock()
 						row.CompileFailed++
 					} else {
-						d = validateOutcome(spec, tk.outcome, name, opts, tk.index, iters)
+						// Clones share their original's corpus index; their
+						// graphs (and remapped schedules) are validated as
+						// presented.
+						d = validate.Schedule(tk.outcome.Result, name, opts, tk.index, spec.LoopSeed(tk.index), iters)
 						mu.Lock()
 						row.Compiled++
 						if d != nil {
@@ -196,7 +193,6 @@ func MeasureCorpus(cfg CorpusConfig) (*CorpusSection, error) {
 			}()
 		}
 
-		start := time.Now()
 		ctx := context.Background()
 		// pendingClones carries each chunk's clones into the next chunk's
 		// batch, so originals are cached (and their schedules semantically
@@ -235,13 +231,8 @@ func MeasureCorpus(cfg CorpusConfig) (*CorpusSection, error) {
 		close(tasks)
 		wg.Wait()
 
-		wall := time.Since(start)
-		row.WallMs = float64(wall.Nanoseconds()) / 1e6
 		if row.Compiled > 0 {
 			row.ValidatedFrac = float64(row.Validated) / float64(row.Compiled)
-		}
-		if wall > 0 {
-			row.LoopsPerSec = float64(row.Validated) / wall.Seconds()
 		}
 		row.SemanticHits = eng.CacheStats().SemanticHits
 		sec.Rows = append(sec.Rows, row)
@@ -249,22 +240,14 @@ func MeasureCorpus(cfg CorpusConfig) (*CorpusSection, error) {
 	return sec, nil
 }
 
-// validateOutcome checks one accepted schedule on the simulator. Clones
-// share their original's corpus index; their graphs (and any semantically
-// remapped schedules) are validated as presented.
-func validateOutcome(spec corpus.Spec, out driver.Outcome, strategy string, opts pipeline.Options, index int, iters int) *validate.Divergence {
-	return validate.Schedule(out.Result, strategy, opts, index, spec.LoopSeed(index), iters)
-}
-
 // CorpusReport renders the shootout as a table plus any divergences.
 func CorpusReport(sec *CorpusSection) string {
 	var sb strings.Builder
 	fmt.Fprintf(&sb, "Corpus validation on %s: %d loops (seed %d, sizes %d-%d), %d sim iterations\n",
 		sec.Machine, sec.Spec.N, sec.Spec.Seed, sec.Spec.Size.Lo, sec.Spec.Size.Hi, sec.Iters)
-	t := metrics.NewTable("strategy", "loops", "compiled", "failed", "validated", "divergent", "sem hits", "wall ms", "confirmed loops/s")
+	t := metrics.NewTable("strategy", "loops", "compiled", "failed", "validated", "divergent", "sem hits")
 	for _, r := range sec.Rows {
-		t.AddRow(r.Strategy, r.Loops, r.Compiled, r.CompileFailed, r.Validated, r.Divergent, r.SemanticHits,
-			fmt.Sprintf("%.0f", r.WallMs), fmt.Sprintf("%.0f", r.LoopsPerSec))
+		t.AddRow(r.Strategy, r.Loops, r.Compiled, r.CompileFailed, r.Validated, r.Divergent, r.SemanticHits)
 	}
 	sb.WriteString(t.String())
 	if len(sec.Divergences) > 0 {

@@ -32,8 +32,8 @@ func Fig10() []Fig10Row {
 		var added [ddg.NumClasses]float64
 		var useful float64
 		// Deterministic bench order: float summation order must not depend
-		// on map iteration, or the committed BENCH_*.json figures jitter in
-		// the last ulp from run to run.
+		// on map iteration, or the figures jitter in the last ulp from run
+		// to run and testdata/figures.golden.json cannot hold.
 		for _, bench := range workload.Benchmarks() {
 			for _, lr := range repl.ByBench[bench] {
 				dyn := lr.Loop.AvgIters * float64(lr.Loop.Visits)

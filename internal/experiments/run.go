@@ -4,7 +4,8 @@
 // Fig. 7/8, the II reductions of Fig. 9, the added-instruction counts of
 // Fig. 10, the schedule-length upper bound of Fig. 12, and the §4/§5.2
 // statistics. Each experiment returns a typed result and renders a report
-// table; cmd/paperbench and the root benchmarks drive them.
+// table; cmd/paperbench and the root benchmarks drive them. Nothing here
+// times the compiler: that is `go run ./bench`.
 package experiments
 
 import (

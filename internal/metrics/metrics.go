@@ -6,7 +6,6 @@ package metrics
 import (
 	"fmt"
 	"math"
-	"sort"
 	"strings"
 )
 
@@ -75,23 +74,6 @@ func GeometricMean(xs []float64) float64 {
 		sum += math.Log(x)
 	}
 	return math.Exp(sum / float64(len(xs)))
-}
-
-// Percentile returns the p-th percentile (0 < p ≤ 100) of the values by
-// the nearest-rank method: the smallest element such that at least p% of
-// the sample is ≤ it. The input is not modified; an empty sample or an
-// out-of-range p yields zero. Nearest-rank always returns an observed
-// value, so a latency percentile names a real measurement, never an
-// interpolated one.
-func Percentile(xs []float64, p float64) float64 {
-	if len(xs) == 0 || p <= 0 || p > 100 {
-		return 0
-	}
-	sorted := make([]float64, len(xs))
-	copy(sorted, xs)
-	sort.Float64s(sorted)
-	rank := int(math.Ceil(p / 100 * float64(len(sorted))))
-	return sorted[rank-1]
 }
 
 // Speedup returns new/old expressed as a ratio of performance (old cycles

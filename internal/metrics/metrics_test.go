@@ -51,35 +51,6 @@ func TestMeansOrdering(t *testing.T) {
 	}
 }
 
-func TestPercentile(t *testing.T) {
-	xs := []float64{5, 1, 4, 2, 3} // unsorted on purpose: the helper must not rely on input order
-	cases := []struct {
-		p    float64
-		want float64
-	}{
-		{50, 3}, // ceil(0.50*5) = 3rd smallest
-		{95, 5}, // ceil(0.95*5) = 5th smallest
-		{99, 5}, // nearest-rank saturates at the max
-		{100, 5},
-		{20, 1}, // ceil(0.20*5) = 1st smallest
-		{1, 1},  // low percentiles clamp to the minimum
-	}
-	for _, c := range cases {
-		if got := Percentile(xs, c.p); got != c.want {
-			t.Errorf("Percentile(%v) = %v, want %v", c.p, got, c.want)
-		}
-	}
-	if xs[0] != 5 {
-		t.Error("Percentile mutated its input")
-	}
-	if Percentile(nil, 50) != 0 || Percentile(xs, 0) != 0 || Percentile(xs, 101) != 0 {
-		t.Error("degenerate inputs should yield 0")
-	}
-	if got := Percentile([]float64{7}, 99); got != 7 {
-		t.Errorf("single-sample percentile = %v, want 7", got)
-	}
-}
-
 func TestSpeedup(t *testing.T) {
 	if got := Speedup(200, 100); got != 2 {
 		t.Errorf("Speedup = %v", got)
