@@ -3,10 +3,17 @@
 Usage: stream_check.py BASE_URL LOOPS.DDG cold|warm
 
 Submits every loop of the ddg file as one batch (paper strategy,
-replication on) and consumes the NDJSON stream, asserting:
+replication on) and consumes the NDJSON stream twice — plain, as a
+foreign reader does, and with ?loop=0, as this repository's clients do
+(a ticket's stream replays from the start for every reader) — asserting
+each time:
 
+  - every frame is exactly one newline-terminated line holding one JSON
+    value (clients frame by line);
   - the hello frame announces stream schema 3 and the right batch size;
   - exactly one outcome frame arrives per job and none of them errors;
+  - plain, every result carries its loop text (result.loop); with
+    ?loop=0 none does — an absent loop means "the job's";
   - the done frame closes the stream with state "done";
   - in warm mode every outcome is a cache hit (after a server restart
     that proves the persistent store, not just the in-memory LRU);
@@ -57,22 +64,44 @@ def main():
     with urllib.request.urlopen(req) as resp:
         ticket = json.load(resp)["id"]
 
+    for query, want_loops in (("", len(jobs)), ("?loop=0", 0)):
+        seen, hits, echoed, done_state = consume(base, ticket, query, len(jobs))
+        assert done_state == "done", done_state
+        assert len(seen) == len(jobs), (len(seen), len(jobs))
+        assert echoed == want_loops, f"stream{query}: {echoed} results carry their loop, want {want_loops}"
+        if mode == "warm":
+            assert hits == len(jobs), f"warm stream: only {hits}/{len(jobs)} cache hits"
+        else:
+            assert hits == 0, f"cold stream: {hits} unexpected cache hits"
+        print(f"stream{query} {mode}: {len(jobs)} outcomes, state {done_state}, {hits} cache hits, {echoed} loops echoed")
+
+
+def frame_of(line):
+    """One stream line -> one frame: newline-terminated, one JSON value."""
+    assert line.endswith(b"\n"), f"frame without its newline: {line[-40:]!r}"
+    assert line.count(b"\n") == 1, "frame spans lines"
+    return json.loads(line)  # raises on anything after the value
+
+
+def consume(base, ticket, query, total):
     seen = set()
-    hits = 0
+    hits = echoed = 0
     done_state = None
-    with urllib.request.urlopen(base + f"/batch/{ticket}/stream") as stream:
-        first = json.loads(stream.readline())
+    with urllib.request.urlopen(base + f"/batch/{ticket}/stream{query}") as stream:
+        first = frame_of(stream.readline())
         assert first["type"] == "hello", first
         assert first["schema"] == 3, first
-        assert first["total"] == len(jobs), first
+        assert first["total"] == total, first
         for line in stream:
-            frame = json.loads(line)
+            frame = frame_of(line)
             if frame["type"] == "outcome":
                 idx = frame.get("index", 0)
                 assert idx not in seen, f"job {idx} streamed twice"
                 seen.add(idx)
                 out = frame["outcome"]
                 assert "result" in out and not out.get("error"), out
+                if out["result"].get("loop"):
+                    echoed += 1
                 if out.get("cache_hit"):
                     hits += 1
             elif frame["type"] == "done":
@@ -80,14 +109,7 @@ def main():
                 break
             else:
                 raise AssertionError(f"unexpected frame {frame}")
-
-    assert done_state == "done", done_state
-    assert len(seen) == len(jobs), (len(seen), len(jobs))
-    if mode == "warm":
-        assert hits == len(jobs), f"warm stream: only {hits}/{len(jobs)} cache hits"
-    else:
-        assert hits == 0, f"cold stream: {hits} unexpected cache hits"
-    print(f"stream {mode}: {len(jobs)} outcomes, state {done_state}, {hits} cache hits")
+    return seen, hits, echoed, done_state
 
 
 if __name__ == "__main__":

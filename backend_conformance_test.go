@@ -215,6 +215,12 @@ func TestBackendConformanceIdenticalResults(t *testing.T) {
 					t.Fatalf("job %d (%s on %s) diverges:\n  backend: %s\n  reference: %s",
 						i, jobs[i].Graph.Name, jobs[i].Machine.Name, got, want[i])
 				}
+				// The result is for the caller's own graph, wherever it
+				// was compiled: remote backends ask the server not to echo
+				// the loop and adopt the one they submitted.
+				if o.Result.Loop != jobs[i].Graph || o.Job.Graph != jobs[i].Graph {
+					t.Fatalf("job %d (%s): the result's Loop is not the submitted graph", i, jobs[i].Graph.Name)
+				}
 			}
 			// Unary and streaming halves agree too.
 			res, err := b.Compile(context.Background(), jobs[0])
@@ -223,6 +229,9 @@ func TestBackendConformanceIdenticalResults(t *testing.T) {
 			}
 			if got := resultFingerprint(res); got != want[0] {
 				t.Fatalf("unary Compile diverges from the batch result:\n  %s\n  %s", got, want[0])
+			}
+			if res.Loop != jobs[0].Graph {
+				t.Fatal("unary Compile: the result's Loop is not the submitted graph")
 			}
 		})
 	}

@@ -1,6 +1,7 @@
 package clusched
 
 import (
+	"bufio"
 	"bytes"
 	"context"
 	"encoding/json"
@@ -97,10 +98,23 @@ func (e *QueueFullError) Error() string {
 	return fmt.Sprintf("clusched: service queue full, retry after %v", e.RetryAfter)
 }
 
-// do sends one JSON request and decodes the JSON answer into out,
-// translating error answers. Unary exchanges are bounded by the client
-// timeout; the streaming path bypasses do.
-func (c *Client) do(ctx context.Context, method, path string, body, out any) error {
+// refused translates an error answer (400 and up) of a unary exchange.
+func refused(resp *http.Response) error {
+	var er wire.ErrorResponse
+	if err := json.NewDecoder(resp.Body).Decode(&er); err == nil && er.Error != "" {
+		if resp.StatusCode == http.StatusTooManyRequests {
+			return &QueueFullError{RetryAfter: time.Duration(er.RetryAfterMS) * time.Millisecond}
+		}
+		return fmt.Errorf("clusched: service: %s", er.Error)
+	}
+	return fmt.Errorf("clusched: service answered %s", resp.Status)
+}
+
+// do sends one request — body, when non-nil, is its encoded JSON — and
+// hands the answer's body to decode (nil to ignore it), translating error
+// answers. Unary exchanges are bounded by the client timeout; the
+// streaming path bypasses do.
+func (c *Client) do(ctx context.Context, method, path string, body []byte, decode func(io.Reader) error) error {
 	if c.timeout > 0 {
 		var cancel context.CancelFunc
 		ctx, cancel = context.WithTimeout(ctx, c.timeout)
@@ -108,11 +122,7 @@ func (c *Client) do(ctx context.Context, method, path string, body, out any) err
 	}
 	var rd io.Reader
 	if body != nil {
-		blob, err := json.Marshal(body)
-		if err != nil {
-			return err
-		}
-		rd = bytes.NewReader(blob)
+		rd = bytes.NewReader(body)
 	}
 	req, err := http.NewRequestWithContext(ctx, method, c.base+path, rd)
 	if err != nil {
@@ -127,19 +137,17 @@ func (c *Client) do(ctx context.Context, method, path string, body, out any) err
 	}
 	defer resp.Body.Close()
 	if resp.StatusCode >= 400 {
-		var er wire.ErrorResponse
-		if err := json.NewDecoder(resp.Body).Decode(&er); err == nil && er.Error != "" {
-			if resp.StatusCode == http.StatusTooManyRequests {
-				return &QueueFullError{RetryAfter: time.Duration(er.RetryAfterMS) * time.Millisecond}
-			}
-			return fmt.Errorf("clusched: service: %s", er.Error)
-		}
-		return fmt.Errorf("clusched: service answered %s", resp.Status)
+		return refused(resp)
 	}
-	if out == nil {
+	if decode == nil {
 		return nil
 	}
-	return json.NewDecoder(resp.Body).Decode(out)
+	return decode(resp.Body)
+}
+
+// into decodes a JSON answer into out with encoding/json.
+func into(out any) func(io.Reader) error {
+	return func(r io.Reader) error { return json.NewDecoder(r).Decode(out) }
 }
 
 // Health reports whether the service is up and accepting work.
@@ -150,7 +158,7 @@ func (c *Client) Health(ctx context.Context) error {
 // Stats fetches the service metrics.
 func (c *Client) Stats(ctx context.Context) (RemoteStats, error) {
 	var st RemoteStats
-	err := c.do(ctx, http.MethodGet, "/stats", nil, &st)
+	err := c.do(ctx, http.MethodGet, "/stats", nil, into(&st))
 	return st, err
 }
 
@@ -166,26 +174,14 @@ func (c *Client) Compile(ctx context.Context, job CompileJob) (*Result, error) {
 }
 
 // Do compiles one job remotely and returns the full outcome, including
-// whether the service answered from its cache.
+// whether the service answered from its cache. It is the unary exchange the
+// fleet's nodes run too (wire.PostCompile).
 func (c *Client) Do(ctx context.Context, job CompileJob) (CompileOutcome, error) {
-	wj, err := wire.EncodeJob(job)
+	body, err := wire.AppendJob(nil, job)
 	if err != nil {
 		return CompileOutcome{}, err
 	}
-	var st wire.JobStatus
-	if err := c.do(ctx, http.MethodPost, "/compile?wait=1", wj, &st); err != nil {
-		return CompileOutcome{}, err
-	}
-	if len(st.Outcomes) != 1 {
-		return CompileOutcome{}, fmt.Errorf("clusched: service answered %d outcomes for one job (state %s, %s)",
-			len(st.Outcomes), st.State, st.Error)
-	}
-	out, err := st.Outcomes[0].Decode()
-	if err != nil {
-		return CompileOutcome{}, err
-	}
-	out.Job = job
-	return out, nil
+	return wire.PostCompile(ctx, c.hc, c.base, c.timeout, body, job, refused)
 }
 
 // Stream implements Backend over the service's NDJSON push endpoint: it
@@ -275,7 +271,7 @@ func (c *Client) streamTicket(ctx context.Context, id string, jobs []CompileJob,
 // hand-off exactly-once.
 func (c *Client) pollRemainder(ctx context.Context, id string, jobs []CompileJob, delivered []bool,
 	yield func(int, CompileOutcome) bool, fail func(error) bool) {
-	st, werr := c.WaitBatch(ctx, id)
+	st, werr := c.waitBatch(ctx, id, jobs)
 	if werr != nil {
 		fail(werr)
 		return
@@ -294,7 +290,6 @@ func (c *Client) pollRemainder(ctx context.Context, id string, jobs []CompileJob
 			continue
 		}
 		delivered[i] = true
-		out.Job = jobs[i]
 		if !yield(i, out) {
 			return
 		}
@@ -305,6 +300,27 @@ func (c *Client) pollRemainder(ctx context.Context, id string, jobs []CompileJob
 // not a failure, just "stop reading".
 var errYieldStopped = errors.New("clusched: stream consumer stopped")
 
+// nextLine reads one newline-terminated line of r. The slice is valid until
+// the next call: r's own buffer, or *long when the line outgrows that. A
+// last line without its newline is half a frame, whatever it parses as:
+// io.ErrUnexpectedEOF.
+func nextLine(r *bufio.Reader, long *[]byte) ([]byte, error) {
+	line, err := r.ReadSlice('\n')
+	if err == bufio.ErrBufferFull {
+		*long = (*long)[:0]
+		for err == bufio.ErrBufferFull {
+			*long = append(*long, line...)
+			line, err = r.ReadSlice('\n')
+		}
+		*long = append(*long, line...)
+		line = *long
+	}
+	if err == io.EOF && len(line) > 0 {
+		err = io.ErrUnexpectedEOF
+	}
+	return line, err
+}
+
 // readStream opens the NDJSON endpoint and yields outcome frames until the
 // done frame. It returns nil after a complete stream (undelivered jobs
 // have been stamped with the batch's terminal error), or the refusal,
@@ -313,7 +329,7 @@ func (c *Client) readStream(ctx context.Context, id string, jobs []CompileJob, d
 	yield func(int, CompileOutcome) bool) error {
 	// No unary timeout here: the stream lives exactly as long as its
 	// batch. ctx still cancels it at any moment.
-	req, err := http.NewRequestWithContext(ctx, http.MethodGet, c.base+"/batch/"+id+"/stream", nil)
+	req, err := http.NewRequestWithContext(ctx, http.MethodGet, c.base+"/batch/"+id+"/stream?"+wire.NoLoop, nil)
 	if err != nil {
 		return err
 	}
@@ -350,12 +366,25 @@ func (c *Client) readStream(ctx context.Context, id string, jobs []CompileJob, d
 		defer idle.Stop()
 	}
 
-	dec := json.NewDecoder(resp.Body)
-	var batchErr error
+	// One frame per line, every line decoded into the same Frame: its
+	// memory is recycled from outcome to outcome, and DecodeFor copies what
+	// the outcome keeps.
+	lines := bufio.NewReaderSize(resp.Body, 64<<10)
+	var (
+		f        wire.Frame
+		long     []byte // nextLine's memory for a line longer than the reader's
+		batchErr error
+	)
 	sawDone := false
 	for !sawDone {
-		var f wire.Frame
-		if err := dec.Decode(&f); err != nil {
+		line, err := nextLine(lines, &long)
+		if err == nil {
+			if len(bytes.TrimSpace(line)) == 0 {
+				continue
+			}
+			err = wire.DecodeFrame(line, &f)
+		}
+		if err != nil {
 			if timedOut.Load() {
 				return fmt.Errorf("clusched: stream for ticket %s idle for %v, giving up", id, c.timeout)
 			}
@@ -388,11 +417,10 @@ func (c *Client) readStream(ctx context.Context, id string, jobs []CompileJob, d
 			if delivered[f.Index] {
 				return fmt.Errorf("clusched: stream delivered job %d twice", f.Index)
 			}
-			out, derr := f.Outcome.Decode()
+			out, derr := f.Outcome.DecodeFor(jobs[f.Index])
 			if derr != nil {
-				out = CompileOutcome{Err: derr}
+				out = CompileOutcome{Job: jobs[f.Index], Err: derr}
 			}
-			out.Job = jobs[f.Index]
 			delivered[f.Index] = true
 			if !yield(f.Index, out) {
 				return errYieldStopped
@@ -425,17 +453,12 @@ func (c *Client) readStream(ctx context.Context, id string, jobs []CompileJob, d
 // returns the ticket ID. timeout bounds the batch's remote lifetime
 // (0 = the server's policy).
 func (c *Client) SubmitBatch(ctx context.Context, jobs []CompileJob, timeout time.Duration) (string, error) {
-	wjs := make([]wire.Job, len(jobs))
-	for i, j := range jobs {
-		wj, err := wire.EncodeJob(j)
-		if err != nil {
-			return "", fmt.Errorf("job %d: %w", i, err)
-		}
-		wjs[i] = wj
+	body, err := wire.AppendSubmitRequest(nil, jobs, timeout.Milliseconds(), c.RequestTraces)
+	if err != nil {
+		return "", err
 	}
 	var sub wire.SubmitResponse
-	req := wire.SubmitRequest{Jobs: wjs, TimeoutMS: timeout.Milliseconds(), Trace: c.RequestTraces}
-	err := c.do(ctx, http.MethodPost, "/batch", req, &sub)
+	err = c.do(ctx, http.MethodPost, "/batch", body, into(&sub))
 	return sub.ID, err
 }
 
@@ -490,11 +513,23 @@ type BatchStatus struct {
 
 // Status polls a ticket once.
 func (c *Client) Status(ctx context.Context, id string) (BatchStatus, error) {
+	return c.status(ctx, id, nil)
+}
+
+// status polls a ticket once. A caller that still holds the ticket's jobs
+// passes them: the server is then asked not to echo the loops back, and
+// each outcome is decoded for its job.
+func (c *Client) status(ctx context.Context, id string, jobs []CompileJob) (BatchStatus, error) {
+	path := "/jobs/" + id
+	if jobs != nil {
+		path += "?" + wire.NoLoop
+	}
 	var ws wire.JobStatus
-	if err := c.do(ctx, http.MethodGet, "/jobs/"+id, nil, &ws); err != nil {
+	err := c.do(ctx, http.MethodGet, path, nil, func(r io.Reader) error { return wire.ReadJobStatus(r, &ws) })
+	if err != nil {
 		return BatchStatus{}, err
 	}
-	return decodeStatus(ws)
+	return decodeStatus(ws, jobs)
 }
 
 // waitBatchGrace pads the ticket deadline before WaitBatch gives up: the
@@ -515,13 +550,19 @@ const waitBatchGrace = 2 * time.Second
 // one final probe past the deadline and then gives up with an error naming
 // the ticket's state.
 func (c *Client) WaitBatch(ctx context.Context, id string) (BatchStatus, error) {
+	return c.waitBatch(ctx, id, nil)
+}
+
+// waitBatch is WaitBatch for a caller that may still hold the ticket's jobs
+// (see status).
+func (c *Client) waitBatch(ctx context.Context, id string, jobs []CompileJob) (BatchStatus, error) {
 	interval := c.PollInterval
 	if interval <= 0 {
 		interval = pollBaseInterval
 	}
 	var capC <-chan time.Time // fires past the ticket deadline + grace
 	for {
-		st, err := c.Status(ctx, id)
+		st, err := c.status(ctx, id, jobs)
 		if err != nil {
 			return BatchStatus{}, err
 		}
@@ -549,7 +590,7 @@ func (c *Client) WaitBatch(ctx context.Context, id string) (BatchStatus, error) 
 			// The ticket outlived its own deadline; one last probe (the
 			// server normally cancels it right at the deadline), then stop
 			// polling a ticket that can no longer finish normally.
-			st, err := c.Status(ctx, id)
+			st, err := c.status(ctx, id, jobs)
 			if err == nil && (st.State == wire.StateDone || st.State == wire.StateCanceled) {
 				return st, nil
 			}
@@ -577,7 +618,9 @@ func (c *Client) Cancel(ctx context.Context, id string) error {
 	return c.do(ctx, http.MethodDelete, "/jobs/"+id, nil, nil)
 }
 
-func decodeStatus(ws wire.JobStatus) (BatchStatus, error) {
+// decodeStatus converts a poll answer; jobs, when the caller holds them,
+// are the jobs its outcomes are decoded for.
+func decodeStatus(ws wire.JobStatus, jobs []CompileJob) (BatchStatus, error) {
 	st := BatchStatus{ID: ws.ID, State: ws.State}
 	if ws.DeadlineMS > 0 {
 		st.Deadline = time.UnixMilli(ws.DeadlineMS)
@@ -593,7 +636,11 @@ func decodeStatus(ws wire.JobStatus) (BatchStatus, error) {
 	}
 	st.Outcomes = make([]CompileOutcome, len(ws.Outcomes))
 	for i, wo := range ws.Outcomes {
-		out, err := wo.Decode()
+		var job CompileJob
+		if i < len(jobs) {
+			job = jobs[i]
+		}
+		out, err := wo.DecodeFor(job)
 		if err != nil {
 			return BatchStatus{}, fmt.Errorf("outcome %d: %w", i, err)
 		}

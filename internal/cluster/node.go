@@ -1,7 +1,6 @@
 package cluster
 
 import (
-	"bytes"
 	"context"
 	"encoding/json"
 	"errors"
@@ -101,28 +100,28 @@ func (n *HTTPNode) client() *http.Client {
 	return http.DefaultClient
 }
 
-// roundTrip is one bounded JSON exchange; non-2xx answers come back as
-// *StatusError carrying the service's error message.
-func (n *HTTPNode) roundTrip(ctx context.Context, method, path string, body, out any) error {
+// statusError turns a non-2xx answer into a *StatusError carrying the
+// service's error message.
+func statusError(resp *http.Response) error {
+	se := &StatusError{Code: resp.StatusCode}
+	var er wire.ErrorResponse
+	if derr := json.NewDecoder(io.LimitReader(resp.Body, 1<<16)).Decode(&er); derr == nil {
+		se.Msg = er.Error
+	}
+	return se
+}
+
+// get is one bounded GET exchange decoding a JSON answer into out (nil to
+// ignore the body); non-2xx answers come back as *StatusError.
+func (n *HTTPNode) get(ctx context.Context, path string, out any) error {
 	if n.Timeout > 0 {
 		var cancel context.CancelFunc
 		ctx, cancel = context.WithTimeout(ctx, n.Timeout)
 		defer cancel()
 	}
-	var rd io.Reader
-	if body != nil {
-		blob, err := json.Marshal(body)
-		if err != nil {
-			return err
-		}
-		rd = bytes.NewReader(blob)
-	}
-	req, err := http.NewRequestWithContext(ctx, method, n.Base+path, rd)
+	req, err := http.NewRequestWithContext(ctx, http.MethodGet, n.Base+path, nil)
 	if err != nil {
 		return err
-	}
-	if body != nil {
-		req.Header.Set("Content-Type", "application/json")
 	}
 	resp, err := n.client().Do(req)
 	if err != nil {
@@ -130,12 +129,7 @@ func (n *HTTPNode) roundTrip(ctx context.Context, method, path string, body, out
 	}
 	defer resp.Body.Close()
 	if resp.StatusCode >= 400 {
-		se := &StatusError{Code: resp.StatusCode}
-		var er wire.ErrorResponse
-		if derr := json.NewDecoder(io.LimitReader(resp.Body, 1<<16)).Decode(&er); derr == nil {
-			se.Msg = er.Error
-		}
-		return se
+		return statusError(resp)
 	}
 	if out == nil {
 		return nil
@@ -143,39 +137,27 @@ func (n *HTTPNode) roundTrip(ctx context.Context, method, path string, body, out
 	return json.NewDecoder(resp.Body).Decode(out)
 }
 
-// Do implements Node: POST /compile?wait=1, blocking until the server
-// finishes the job. The wire decode re-verifies the schedule, so the
-// outcome is as trustworthy as a local compilation.
+// Do implements Node over the unary exchange every remote backend shares
+// (wire.PostCompile), blocking until the server finishes the job. The wire
+// decode re-verifies the schedule, so the outcome is as trustworthy as a
+// local compilation.
 func (n *HTTPNode) Do(ctx context.Context, j driver.Job) (driver.Outcome, error) {
-	wj, err := wire.EncodeJob(j)
+	body, err := wire.AppendJob(nil, j)
 	if err != nil {
 		// An unencodable job is the request's fault, never the node's.
 		return driver.Outcome{}, &StatusError{Code: http.StatusBadRequest, Msg: err.Error()}
 	}
-	var st wire.JobStatus
-	if err := n.roundTrip(ctx, http.MethodPost, "/compile?wait=1", wj, &st); err != nil {
-		return driver.Outcome{}, err
-	}
-	if len(st.Outcomes) != 1 {
-		return driver.Outcome{}, fmt.Errorf("cluster: node answered %d outcomes for one job (state %s, %s)",
-			len(st.Outcomes), st.State, st.Error)
-	}
-	out, err := st.Outcomes[0].Decode()
-	if err != nil {
-		return driver.Outcome{}, err
-	}
-	out.Job = j
-	return out, nil
+	return wire.PostCompile(ctx, n.client(), n.Base, n.Timeout, body, j, statusError)
 }
 
 // Health implements HealthChecker (GET /healthz).
 func (n *HTTPNode) Health(ctx context.Context) error {
-	return n.roundTrip(ctx, http.MethodGet, "/healthz", nil, nil)
+	return n.get(ctx, "/healthz", nil)
 }
 
 // Stats implements StatsSource (GET /stats).
 func (n *HTTPNode) Stats(ctx context.Context) (wire.ServiceStats, error) {
 	var st wire.ServiceStats
-	err := n.roundTrip(ctx, http.MethodGet, "/stats", nil, &st)
+	err := n.get(ctx, "/stats", &st)
 	return st, err
 }

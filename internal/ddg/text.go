@@ -4,6 +4,7 @@ import (
 	"bufio"
 	"fmt"
 	"io"
+	"slices"
 	"strconv"
 	"strings"
 	"unicode"
@@ -101,15 +102,17 @@ func wireNames(g *Graph) (names []string, nameBytes int, err error) {
 // do not round-trip.
 const memEdgeDefaultLat = 1
 
-// encodeText returns the text encoding of g in a buffer sized from the
-// node and edge counts.
-func encodeText(g *Graph) ([]byte, error) {
+// AppendText appends the text encoding of g (the bytes WriteText writes) to
+// dst and returns the extended buffer, growing it at most once when the
+// size estimate from the node and edge counts holds. A graph the format
+// cannot carry is rejected before anything is appended.
+func AppendText(dst []byte, g *Graph) ([]byte, error) {
 	names, nameBytes, err := wireNames(g)
 	if err != nil {
-		return nil, err
+		return dst, err
 	}
 	if !encodableName(g.Name) {
-		return nil, fmt.Errorf("ddg: loop name %q cannot be encoded in the text format", g.Name)
+		return dst, fmt.Errorf("ddg: loop name %q cannot be encoded in the text format", g.Name)
 	}
 	name := func(v int) string {
 		if names != nil {
@@ -125,7 +128,7 @@ func encodeText(g *Graph) ([]byte, error) {
 	if n > 0 {
 		size += len(g.Edges) * (16 + 2*(nameBytes/n+1))
 	}
-	buf := make([]byte, 0, size)
+	buf := slices.Grow(dst, size)
 
 	buf = append(buf, "loop "...)
 	buf = append(buf, g.Name...)
@@ -167,7 +170,7 @@ func encodeText(g *Graph) ([]byte, error) {
 // Graphs with labels the format cannot carry (whitespace, leading '#') are
 // rejected before anything is written.
 func WriteText(w io.Writer, g *Graph) error {
-	buf, err := encodeText(g)
+	buf, err := AppendText(nil, g)
 	if err != nil {
 		return err
 	}
@@ -177,7 +180,7 @@ func WriteText(w io.Writer, g *Graph) error {
 
 // MarshalText returns the text encoding of the graph as a string.
 func MarshalText(g *Graph) (string, error) {
-	buf, err := encodeText(g)
+	buf, err := AppendText(nil, g)
 	if err != nil {
 		return "", err
 	}

@@ -1,6 +1,7 @@
 package pipeline
 
 import (
+	"errors"
 	"fmt"
 
 	"clusched/internal/ddg"
@@ -10,7 +11,7 @@ import (
 // RemapResult transplants a cached compilation onto an isomorphic graph:
 // it composes the two canonical permutations into a node isomorphism,
 // carries the cached placement and issue times across it, and re-proves
-// the transplanted schedule with sched.Adopt — the same dependence,
+// the transplanted schedule with sched.Prove — the same dependence,
 // resource and register checks the wire decode path runs, so a remapped
 // result is never trusted, only proven (a failed proof returns an error
 // and the caller falls back to a fresh compilation). The target graph must
@@ -56,40 +57,47 @@ func RemapResult(cached *Result, g *ddg.Graph, opts Options) (*Result, error) {
 		p.Replicas[sigma[v]] = cp.Replicas[v]
 	}
 
-	ig, err := sched.BuildIGraph(p, cached.Machine, opts.ZeroBusLatency)
-	if err != nil {
-		return nil, fmt.Errorf("pipeline: remap: %w", err)
-	}
 	cig := cached.Schedule.IG
-	if ig.NumInstances() != cig.NumInstances() {
-		return nil, fmt.Errorf("pipeline: remap: instance count mismatch")
-	}
-	// Pull each target instance's issue time from its cached counterpart:
-	// same original node (through sigma) in the same cluster, or the
-	// node's copy instance.
 	invSigma := make([]int32, n)
 	for v := 0; v < n; v++ {
 		invSigma[sigma[v]] = int32(v)
 	}
-	times := make([]int, ig.NumInstances())
-	for i, inst := range ig.Inst {
-		v := int(invSigma[inst.Orig])
-		var ci int32
-		if inst.IsCopy {
-			ci = cig.CopyIdx[v]
-		} else {
-			ci = cig.InstanceAt(v, inst.Cluster)
+	// Pull each target instance's issue time from its cached counterpart:
+	// same original node (through sigma) in the same cluster, or the
+	// node's copy instance.
+	var layoutErr error
+	layout := func(ig *sched.IGraph, times []int) ([]int, error) {
+		if ig.NumInstances() != cig.NumInstances() {
+			layoutErr = fmt.Errorf("pipeline: remap: instance count mismatch")
+			return nil, layoutErr
 		}
-		if ci < 0 {
-			return nil, fmt.Errorf("pipeline: remap: instance %d has no cached counterpart", i)
+		for i, inst := range ig.Inst {
+			v := int(invSigma[inst.Orig])
+			var ci int32
+			if inst.IsCopy {
+				ci = cig.CopyIdx[v]
+			} else {
+				ci = cig.InstanceAt(v, inst.Cluster)
+			}
+			if ci < 0 {
+				layoutErr = fmt.Errorf("pipeline: remap: instance %d has no cached counterpart", i)
+				return nil, layoutErr
+			}
+			times[i] = cached.Schedule.Time[ci]
 		}
-		times[i] = cached.Schedule.Time[ci]
+		return times, nil
 	}
-
-	s, err := sched.Adopt(ig, cached.Schedule.II, times,
-		sched.Options{SkipRegisterCheck: opts.IgnoreRegisterPressure})
-	if err != nil {
+	s, err := sched.Prove(p, cached.Machine, opts.ZeroBusLatency, cached.Schedule.II,
+		sched.Options{SkipRegisterCheck: opts.IgnoreRegisterPressure}, layout)
+	var unproven *sched.Error
+	switch {
+	case err == nil:
+	case layoutErr != nil:
+		return nil, layoutErr
+	case errors.As(err, &unproven):
 		return nil, fmt.Errorf("pipeline: remapped schedule does not verify: %w", err)
+	default:
+		return nil, fmt.Errorf("pipeline: remap: %w", err)
 	}
 	if s.Length != cached.Length || s.SC != cached.SC {
 		return nil, fmt.Errorf("pipeline: remap: length/SC changed (%d/%d vs %d/%d)",

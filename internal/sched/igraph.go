@@ -78,9 +78,11 @@ type IGraph struct {
 // dependence latency; this is the Fig. 12 upper-bound mode (§5.1).
 //
 // The returned graph owns its memory. Pipeline-internal callers use
-// Scratch.buildIGraph instead, which recycles one arena across attempts.
+// Scratch.buildIGraph instead, which recycles one arena across attempts;
+// callers that go on to check foreign issue times use Prove.
 func BuildIGraph(p *Placement, m machine.Config, zeroBusLat bool) (*IGraph, error) {
-	var sc Scratch
+	sc := scratchPool.Get().(*Scratch)
+	defer scratchPool.Put(sc)
 	ig, err := sc.buildIGraph(p, m, zeroBusLat)
 	if err != nil {
 		return nil, err
@@ -221,23 +223,30 @@ func (sc *Scratch) buildCSR(ig *IGraph) {
 }
 
 // detach copies the graph out of its scratch arena so it can outlive it; a
-// graph that already owns its memory is returned unchanged. The placement
-// is shared, not copied: it is attempt-local state the pipeline hands over
-// together with the schedule.
+// graph that already owns its memory is returned unchanged. Every slice is
+// copied at its exact length, the six int32 tables out of one backing
+// array. The placement is shared, not copied: it is attempt-local state the
+// pipeline hands over together with the schedule.
 func (ig *IGraph) detach() *IGraph {
 	if !ig.scratch {
 		return ig
 	}
 	out := *ig
 	out.scratch = false
-	out.Inst = append([]Instance(nil), ig.Inst...)
-	out.Edges = append([]IEdge(nil), ig.Edges...)
-	out.CopyIdx = append([]int32(nil), ig.CopyIdx...)
-	out.instIdx = append([]int32(nil), ig.instIdx...)
-	out.outOff = append([]int32(nil), ig.outOff...)
-	out.inOff = append([]int32(nil), ig.inOff...)
-	out.outIdx = append([]int32(nil), ig.outIdx...)
-	out.inIdx = append([]int32(nil), ig.inIdx...)
+	out.Inst = make([]Instance, len(ig.Inst))
+	copy(out.Inst, ig.Inst)
+	out.Edges = make([]IEdge, len(ig.Edges))
+	copy(out.Edges, ig.Edges)
+	tabs := [...]*[]int32{&out.CopyIdx, &out.instIdx, &out.outOff, &out.inOff, &out.outIdx, &out.inIdx}
+	total := 0
+	for _, t := range tabs {
+		total += len(*t)
+	}
+	back := make([]int32, total)
+	for _, t := range tabs {
+		n := copy(back, *t)
+		*t, back = back[:n:n], back[n:]
+	}
 	return &out
 }
 

@@ -276,22 +276,35 @@ func runWithOrder(ig *IGraph, ii int, order []int32, tm *igTiming, opts Options,
 // edge latencies). The times are validated against ig's constraints; length,
 // stage count and register pressure are recomputed.
 func Adopt(ig *IGraph, ii int, times []int, opts Options) (*Schedule, error) {
+	sc := scratchPool.Get().(*Scratch)
+	defer scratchPool.Put(sc)
+	return adopt(ig, ii, times, opts, sc)
+}
+
+// adopt is Adopt with its working memory in sc. ig may be a graph still in
+// sc's arena and times a buffer of sc: every check runs on them in place,
+// and only a schedule that passed all of them is copied out.
+func adopt(ig *IGraph, ii int, times []int, opts Options, sc *Scratch) (*Schedule, error) {
 	if len(times) != ig.NumInstances() {
 		return nil, &Error{Kind: FailWindow, Inst: -1, II: ii, Detail: "time vector size mismatch"}
 	}
-	s := &Schedule{IG: ig.detach(), II: ii, Time: append([]int(nil), times...)}
+	s := Schedule{IG: ig, II: ii, Time: times}
+	if ii <= 0 {
+		// The stage count and the pressure table below divide by and size
+		// with the II; let verify word the refusal.
+		return nil, &Error{Kind: FailWindow, Inst: -1, II: ii, Detail: verify(&s, sc).Error()}
+	}
 	for i := range ig.Inst {
-		if l := s.Time[i] + ig.Latency(int32(i)); l > s.Length {
+		if l := times[i] + ig.Latency(int32(i)); l > s.Length {
 			s.Length = l
 		}
 	}
 	if s.Length == 0 {
 		s.Length = 1
 	}
-	s.MaxLive = computeMaxLive(s.IG, ii, s.Time, NewScratch())
-	s.MaxLive = append([]int(nil), s.MaxLive...)
 	s.SC = (s.Length + ii - 1) / ii
-	if err := Verify(s); err != nil {
+	s.MaxLive = computeMaxLive(ig, ii, times, sc)
+	if err := verify(&s, sc); err != nil {
 		return nil, &Error{Kind: FailWindow, Inst: -1, II: ii, Detail: err.Error()}
 	}
 	if !opts.SkipRegisterCheck {
@@ -302,7 +315,37 @@ func Adopt(ig *IGraph, ii int, times []int, opts Options) (*Schedule, error) {
 			}
 		}
 	}
-	return s, nil
+	s.IG = ig.detach()
+	s.Time = append([]int(nil), times...)
+	s.MaxLive = append([]int(nil), s.MaxLive...)
+	return &s, nil
+}
+
+// Prove is the one door for a schedule this process did not search for — a
+// wire or disk-cache payload, a cached result transplanted onto an
+// isomorphic loop: BuildIGraph followed by Adopt, on a pooled arena. It
+// expands the placement, asks times for the issue-time vector — times sees
+// the instance graph, valid only during the call, and may fill and return
+// buf (one slot per instance) or return a vector it already holds — and
+// runs every check Adopt runs. Only a schedule that passed is copied out of
+// the arena, once, at exact size.
+//
+// The error is the placement's when the instance graph cannot be built,
+// whatever times returned, or a *Error when the times do not hold.
+func Prove(p *Placement, m machine.Config, zeroBusLat bool, ii int, opts Options,
+	times func(ig *IGraph, buf []int) ([]int, error)) (*Schedule, error) {
+	sc := scratchPool.Get().(*Scratch)
+	defer scratchPool.Put(sc)
+	ig, err := sc.buildIGraph(p, m, zeroBusLat)
+	if err != nil {
+		return nil, err
+	}
+	sc.time = grown(sc.time, ig.NumInstances())
+	t, err := times(ig, sc.time)
+	if err != nil {
+		return nil, err
+	}
+	return adopt(ig, ii, t, opts, sc)
 }
 
 // ScheduleLoop is a convenience wrapper: build the instance graph for a

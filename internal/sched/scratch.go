@@ -1,6 +1,8 @@
 package sched
 
 import (
+	"sync"
+
 	"clusched/internal/arena"
 	"clusched/internal/ddg"
 )
@@ -76,6 +78,10 @@ type Scratch struct {
 	pressure []int32
 	maxLive  []int
 
+	// verify's recounted reservation tables
+	verifyFU  []int
+	verifyBus []int
+
 	// UASAssignScratch (the uas strategy's greedy sweep)
 	uasTiming  ddg.TimingScratch
 	uasOrder   []int32
@@ -89,6 +95,12 @@ type Scratch struct {
 
 // NewScratch returns an empty arena; buffers grow on first use.
 func NewScratch() *Scratch { return &Scratch{} }
+
+// scratchPool lends arenas to the entry points that take none (Prove,
+// Adopt, Verify, BuildIGraph): they run once per foreign or accepted
+// schedule rather than once per II attempt, so they borrow instead of
+// making their callers carry one.
+var scratchPool = sync.Pool{New: func() any { return new(Scratch) }}
 
 // grown and zeroed are the package-local shorthands for the shared arena
 // primitives.

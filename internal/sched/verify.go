@@ -10,6 +10,13 @@ import (
 // resource limit; it is the ground truth used by the test suite and is
 // cheap enough to run inside pipelines when paranoia is warranted.
 func Verify(s *Schedule) error {
+	sc := scratchPool.Get().(*Scratch)
+	defer scratchPool.Put(sc)
+	return verify(s, sc)
+}
+
+// verify is Verify with its recount tables in sc.
+func verify(s *Schedule, sc *Scratch) error {
 	ig := s.IG
 	ii := s.II
 	if ii <= 0 {
@@ -31,12 +38,13 @@ func Verify(s *Schedule) error {
 				ig.Name(e.Src), ig.Name(e.Dst), s.Time[e.Dst], ii, e.Dist, s.Time[e.Src], e.Lat)
 		}
 	}
-	// Resources: recount into a fresh table.
-	fu := make([][]int, ig.P.K)
-	for c := range fu {
-		fu[c] = make([]int, ddg.NumClasses*ii)
-	}
-	bus := make([]int, ii)
+	// Resources: recount into a zeroed table, one row of NumClasses·II
+	// slots per cluster.
+	k, row := ig.P.K, ddg.NumClasses*ii
+	fu := zeroed(sc.verifyFU, k*row)
+	sc.verifyFU = fu
+	bus := zeroed(sc.verifyBus, ii)
+	sc.verifyBus = bus
 	busSlots := ig.M.BusLatency
 	if busSlots <= 0 {
 		busSlots = 1
@@ -46,19 +54,19 @@ func Verify(s *Schedule) error {
 		t := s.Time[i]
 		if in.IsCopy {
 			for d := 0; d < busSlots; d++ {
-				bus[(t+d)%ii]++
+				bus[(t%ii+d)%ii]++ // reduced first: a foreign t may sit at the top of the int range
 			}
 			continue
 		}
 		cl := ig.G.Nodes[in.Orig].Op.Class()
-		fu[in.Cluster][int(cl)*ii+t%ii]++
+		fu[in.Cluster*row+int(cl)*ii+t%ii]++
 	}
-	for c := range fu {
+	for c := 0; c < k; c++ {
 		for cl := 0; cl < ddg.NumClasses; cl++ {
 			for slot := 0; slot < ii; slot++ {
-				if fu[c][cl*ii+slot] > ig.M.FUAt(c, ddg.Class(cl)) {
+				if used := fu[c*row+cl*ii+slot]; used > ig.M.FUAt(c, ddg.Class(cl)) {
 					return fmt.Errorf("sched: verify: cluster %d class %v slot %d uses %d of %d FUs",
-						c, ddg.Class(cl), slot, fu[c][cl*ii+slot], ig.M.FUAt(c, ddg.Class(cl)))
+						c, ddg.Class(cl), slot, used, ig.M.FUAt(c, ddg.Class(cl)))
 				}
 			}
 		}

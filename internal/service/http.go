@@ -1,10 +1,12 @@
 package service
 
 import (
+	"bytes"
 	"encoding/json"
 	"errors"
 	"fmt"
 	"net/http"
+	"net/url"
 	"runtime/debug"
 	"strconv"
 	"sync"
@@ -30,7 +32,11 @@ import (
 //	GET    /metrics            Prometheus text exposition of the same registry
 //	GET    /healthz            build info + uptime when serving, 503 while draining
 //
-// Bodies are JSON. Queue-full rejections answer 429 with a Retry-After
+// Bodies are JSON. The three endpoints that answer with outcomes (the
+// stream, /jobs/{id} and /compile?wait=1) take loop=0: a reader that still
+// holds the jobs it submitted asks the server not to echo each loop's text
+// back inside its result (an absent result.loop means "the job's").
+// Queue-full rejections answer 429 with a Retry-After
 // header and a wire.ErrorResponse carrying the same hint. Jobs naming an
 // unregistered strategy are rejected at decode time (400).
 //
@@ -56,8 +62,8 @@ func (s *Server) Handler() http.Handler {
 var reqSeq atomic.Uint64
 
 // statusRecorder captures the response status for the access log. It
-// forwards Flush so the NDJSON stream endpoint keeps its per-frame
-// flushing through the wrapper.
+// forwards Flush so the NDJSON stream endpoint keeps pushing frames
+// through the wrapper.
 type statusRecorder struct {
 	http.ResponseWriter
 	status int
@@ -157,12 +163,31 @@ func decodeJobs(wjs []wire.Job) ([]driver.Job, error) {
 	return jobs, nil
 }
 
+// readBody reads a request body whole, bounded by maxRequestBody, into a
+// buffer sized once from the announced length.
+func readBody(w http.ResponseWriter, r *http.Request) ([]byte, error) {
+	var buf bytes.Buffer
+	if n := r.ContentLength; n > 0 && n <= maxRequestBody {
+		buf.Grow(int(n) + bytes.MinRead) // room for the read that finds EOF
+	}
+	_, err := buf.ReadFrom(http.MaxBytesReader(w, r.Body, maxRequestBody))
+	return buf.Bytes(), err
+}
+
+// wantsLoop reports whether results should carry their loop text: always,
+// unless the reader asked with loop=0.
+func wantsLoop(q url.Values) bool { return q.Get("loop") != "0" }
+
 // handleCompile accepts one wire.Job. With ?wait=1 it blocks until the
 // compilation finishes and answers with the full wire.JobStatus; without
 // it, it answers 202 with the ticket.
 func (s *Server) handleCompile(w http.ResponseWriter, r *http.Request) {
 	var wj wire.Job
-	if err := json.NewDecoder(http.MaxBytesReader(w, r.Body, maxRequestBody)).Decode(&wj); err != nil {
+	body, err := readBody(w, r)
+	if err == nil {
+		err = wire.DecodeJob(body, &wj)
+	}
+	if err != nil {
 		writeError(w, http.StatusBadRequest, "bad job: %v", err)
 		return
 	}
@@ -171,11 +196,12 @@ func (s *Server) handleCompile(w http.ResponseWriter, r *http.Request) {
 		writeError(w, http.StatusBadRequest, "%v", err)
 		return
 	}
-	id, ok := s.submitHTTP(w, jobs, SubmitOptions{Trace: r.URL.Query().Get("trace") != ""})
+	query := r.URL.Query()
+	id, ok := s.submitHTTP(w, jobs, SubmitOptions{Trace: query.Get("trace") != ""})
 	if !ok {
 		return
 	}
-	if r.URL.Query().Get("wait") == "" {
+	if query.Get("wait") == "" {
 		writeJSON(w, http.StatusAccepted, wire.SubmitResponse{ID: id})
 		return
 	}
@@ -185,12 +211,16 @@ func (s *Server) handleCompile(w http.ResponseWriter, r *http.Request) {
 		writeError(w, http.StatusRequestTimeout, "%v", err)
 		return
 	}
-	writeJSON(w, http.StatusOK, statusWire(st))
+	writeStatus(w, st, 0, wantsLoop(query))
 }
 
 func (s *Server) handleBatch(w http.ResponseWriter, r *http.Request) {
 	var req wire.SubmitRequest
-	if err := json.NewDecoder(http.MaxBytesReader(w, r.Body, maxRequestBody)).Decode(&req); err != nil {
+	body, err := readBody(w, r)
+	if err == nil {
+		err = wire.DecodeSubmitRequest(body, &req)
+	}
+	if err != nil {
 		writeError(w, http.StatusBadRequest, "bad batch: %v", err)
 		return
 	}
@@ -209,14 +239,16 @@ func (s *Server) handleBatch(w http.ResponseWriter, r *http.Request) {
 	writeJSON(w, http.StatusAccepted, wire.SubmitResponse{ID: id})
 }
 
-// statusWire converts a ticket snapshot to its wire form, encoding
-// outcomes only for finished tickets.
-func statusWire(st Status) wire.JobStatus {
+// writeStatus answers 200 with a ticket snapshot in its wire form; the
+// outcomes of a finished ticket are encoded straight from the engine's.
+// retryAfter, when positive, is the poll-again hint of an unfinished one.
+func writeStatus(w http.ResponseWriter, st Status, retryAfter time.Duration, loop bool) {
 	ws := wire.JobStatus{
-		ID:        st.ID,
-		State:     st.State.String(),
-		NumJobs:   st.NumJobs,
-		CreatedMS: st.Created.UnixMilli(),
+		ID:           st.ID,
+		State:        st.State.String(),
+		NumJobs:      st.NumJobs,
+		CreatedMS:    st.Created.UnixMilli(),
+		RetryAfterMS: retryAfter.Milliseconds(),
 	}
 	if !st.Started.IsZero() {
 		ws.StartedMS = st.Started.UnixMilli()
@@ -230,25 +262,22 @@ func statusWire(st Status) wire.JobStatus {
 	if st.Err != nil {
 		ws.Error = st.Err.Error()
 	}
-	if st.State == StateDone || st.State == StateCanceled {
-		ws.Outcomes = make([]wire.Outcome, len(st.Outcomes))
-		for i, o := range st.Outcomes {
-			wo, err := wire.EncodeOutcome(o)
-			if err != nil {
-				wo = wire.Outcome{Error: fmt.Sprintf("encoding outcome: %v", err)}
-			}
-			ws.Outcomes[i] = wo
-		}
-	}
-	return ws
+	w.Header().Set("Content-Type", "application/json")
+	w.WriteHeader(http.StatusOK)
+	// Outcomes are set only once the ticket has finished.
+	w.Write(append(wire.AppendJobStatus(nil, &ws, st.Outcomes, loop), '\n'))
 }
 
 // handleBatchStream pushes a ticket's outcomes as NDJSON the moment each
 // job finishes: a hello frame (stream schema, batch size), one outcome
 // frame per finished job — replaying completions the watcher missed, so
 // connecting late or reconnecting loses nothing — and a done frame with
-// the terminal state. Every frame is flushed immediately; this is the
-// server-push path behind Client.Stream, which replaces the poll loop.
+// the terminal state. Every frame is one line and one Write; the
+// connection is flushed after the hello and then whenever the handler has
+// written every completion there is and is about to wait for the next, so
+// a result never sits in a buffer while the engine works on another. This
+// is the server-push path behind Client.Stream, which replaces the poll
+// loop.
 func (s *Server) handleBatchStream(w http.ResponseWriter, r *http.Request) {
 	id := r.PathValue("id")
 	// Hold the ticket record itself for the whole response: retention
@@ -259,31 +288,26 @@ func (s *Server) handleBatchStream(w http.ResponseWriter, r *http.Request) {
 		writeError(w, http.StatusNotFound, "unknown ticket %q", id)
 		return
 	}
+	loop := wantsLoop(r.URL.Query())
 
 	w.Header().Set("Content-Type", "application/x-ndjson")
 	w.Header().Set("Cache-Control", "no-store")
 	w.WriteHeader(http.StatusOK)
-	flusher, _ := w.(http.Flusher)
-	enc := json.NewEncoder(w)
-	write := func(f wire.Frame) bool {
-		if err := enc.Encode(f); err != nil {
-			return false
-		}
-		if flusher != nil {
-			flusher.Flush()
-		}
-		return true
+	flush := func() {}
+	if flusher, ok := w.(http.Flusher); ok {
+		flush = flusher.Flush
 	}
+	// hello and done, two per stream, stay on encoding/json.
+	enc := json.NewEncoder(w)
 
-	if !write(wire.HelloFrame(id, len(t.jobs))) {
+	if enc.Encode(wire.HelloFrame(id, len(t.jobs))) != nil {
 		return
 	}
-	for ev := range t.watch(r.Context()) {
-		wo, err := wire.EncodeOutcome(ev.Outcome)
-		if err != nil {
-			wo = wire.Outcome{Error: fmt.Sprintf("encoding outcome: %v", err)}
-		}
-		if !write(wire.OutcomeFrame(ev.Index, wo)) {
+	flush()
+	var line []byte
+	for ev := range t.watch(r.Context(), flush) {
+		line = wire.AppendOutcomeFrame(line[:0], ev.Index, ev.Outcome, loop)
+		if _, err := w.Write(line); err != nil {
 			return
 		}
 	}
@@ -309,7 +333,8 @@ func (s *Server) handleBatchStream(w http.ResponseWriter, r *http.Request) {
 			WallMS: float64(sum.Wall.Microseconds()) / 1e3,
 		}
 	}
-	write(done)
+	enc.Encode(done)
+	flush()
 }
 
 func (s *Server) handleJobGet(w http.ResponseWriter, r *http.Request) {
@@ -318,17 +343,16 @@ func (s *Server) handleJobGet(w http.ResponseWriter, r *http.Request) {
 		writeError(w, http.StatusNotFound, "unknown ticket %q", r.PathValue("id"))
 		return
 	}
-	ws := statusWire(st)
+	var hint time.Duration
 	if st.State == StateQueued || st.State == StateRunning {
 		// Tell pollers when to come back: the server knows its backlog
 		// better than any client-side ladder. The same hint rides the
 		// Retry-After header (whole seconds, rounded up) for proxies and
 		// generic HTTP tooling.
-		hint := s.pollHint(st)
-		ws.RetryAfterMS = hint.Milliseconds()
+		hint = s.pollHint(st)
 		w.Header().Set("Retry-After", strconv.Itoa(int((hint+time.Second-1)/time.Second)))
 	}
-	writeJSON(w, http.StatusOK, ws)
+	writeStatus(w, st, hint, wantsLoop(r.URL.Query()))
 }
 
 // pollHint estimates when an unfinished ticket is worth polling again:

@@ -170,9 +170,10 @@ type ticket struct {
 	err      error
 	done     chan struct{} // closed when the ticket reaches Done/Canceled
 	// events is the append-only completion log behind Watch: one entry per
-	// finished job, in completion order. update is closed and replaced on
-	// every append, so watchers can block for "something new" without
-	// polling.
+	// finished job, in completion order. update, made when a watcher has
+	// caught up and needs something to block on, is closed and dropped by
+	// the next append, so watchers wait for "something new" without polling
+	// and an unwatched ticket pays nothing.
 	events []Event
 	update chan struct{}
 }
@@ -181,9 +182,29 @@ type ticket struct {
 func (t *ticket) publish(i int, out driver.Outcome) {
 	t.mu.Lock()
 	t.events = append(t.events, Event{Index: i, Outcome: out})
-	close(t.update)
-	t.update = make(chan struct{})
+	if t.update != nil {
+		close(t.update)
+		t.update = nil
+	}
 	t.mu.Unlock()
+}
+
+// backlog returns the events logged from pos on (in buf's memory) and
+// whether the ticket has reached a terminal state. Only a watcher that has
+// caught up — nothing pending, not terminal — is also given the channel the
+// next append closes.
+func (t *ticket) backlog(pos int, buf []Event) (pending []Event, terminal bool, update <-chan struct{}) {
+	t.mu.Lock()
+	defer t.mu.Unlock()
+	pending = append(buf[:0], t.events[pos:]...)
+	terminal = t.state == StateDone || t.state == StateCanceled
+	if len(pending) == 0 && !terminal {
+		if t.update == nil {
+			t.update = make(chan struct{})
+		}
+		update = t.update
+	}
+	return pending, terminal, update
 }
 
 func (t *ticket) snapshot() Status {
@@ -252,6 +273,7 @@ type Server struct {
 	mu        sync.Mutex
 	tickets   map[string]*ticket
 	doneOrder []string // finished ticket IDs in retirement order, for pruning
+	doneJobs  int      // jobs held by the tickets in doneOrder
 	seq       uint64
 	draining  bool
 
@@ -375,7 +397,6 @@ func (s *Server) Submit(jobs []driver.Job, opts SubmitOptions) (string, error) {
 		jobs:    jobs,
 		created: time.Now(),
 		done:    make(chan struct{}),
-		update:  make(chan struct{}),
 	}
 	if opts.Trace || s.cfg.TraceJobs {
 		t.trace = telemetry.NewTrace()
@@ -512,9 +533,18 @@ func cancelCause(ctx context.Context, err error) error {
 	return err
 }
 
-// ticketRetention bounds how many finished tickets stay pollable; older
-// finished tickets are forgotten first (live tickets are never pruned).
-const ticketRetention = 1024
+// ticketRetention and jobRetention bound what stays pollable after it
+// finished: at most that many tickets holding at most that many jobs
+// between them, the oldest forgotten first (live tickets are never pruned).
+// A ticket keeps its jobs and outcomes alive, so the second bound is the one
+// that caps memory: a thousand program-sized batches are several hundred
+// megabytes, a thousand unary requests next to nothing. The most recently
+// finished ticket is kept whatever its size, so a stream cut at the end of
+// one large batch can still resume over the poll path.
+const (
+	ticketRetention = 1024
+	jobRetention    = 4096
+)
 
 // retire finalizes a ticket and updates the lifecycle counters. With
 // requireQueued it only retires tickets that never started running.
@@ -539,8 +569,11 @@ func (s *Server) retire(t *ticket, state State, outcomes []driver.Outcome, err e
 	s.mu.Lock()
 	defer s.mu.Unlock()
 	s.doneOrder = append(s.doneOrder, t.id)
-	for len(s.doneOrder) > ticketRetention {
-		delete(s.tickets, s.doneOrder[0])
+	s.doneJobs += len(t.jobs)
+	for len(s.doneOrder) > 1 && (len(s.doneOrder) > ticketRetention || s.doneJobs > jobRetention) {
+		oldest := s.doneOrder[0]
+		s.doneJobs -= len(s.tickets[oldest].jobs)
+		delete(s.tickets, oldest)
 		s.doneOrder = s.doneOrder[1:]
 	}
 }
@@ -593,19 +626,20 @@ func (s *Server) Watch(ctx context.Context, id string) (iter.Seq[Event], bool) {
 	if !ok {
 		return nil, false
 	}
-	return t.watch(ctx), true
+	return t.watch(ctx, nil), true
 }
 
 // watch is the iterator behind Server.Watch, bound to the ticket itself.
-func (t *ticket) watch(ctx context.Context) iter.Seq[Event] {
+// caughtUp, when non-nil, is called each time every logged event has been
+// yielded and the iterator is about to wait for the next (the stream
+// endpoint flushes there).
+func (t *ticket) watch(ctx context.Context, caughtUp func()) iter.Seq[Event] {
 	return func(yield func(Event) bool) {
-		pos := 0
-		for {
-			t.mu.Lock()
-			pending := append([]Event(nil), t.events[pos:]...)
-			terminal := t.state == StateDone || t.state == StateCanceled
-			update := t.update
-			t.mu.Unlock()
+		var pending []Event
+		for pos := 0; ; {
+			var terminal bool
+			var update <-chan struct{}
+			pending, terminal, update = t.backlog(pos, pending)
 			for _, e := range pending {
 				pos++
 				if !yield(e) {
@@ -614,6 +648,12 @@ func (t *ticket) watch(ctx context.Context) iter.Seq[Event] {
 			}
 			if terminal {
 				return
+			}
+			if update == nil {
+				continue // more may have been logged while those were yielded
+			}
+			if caughtUp != nil {
+				caughtUp()
 			}
 			select {
 			case <-update:

@@ -2,10 +2,13 @@ package service
 
 import (
 	"bufio"
+	"bytes"
 	"context"
 	"encoding/json"
+	"io"
 	"net/http"
 	"net/http/httptest"
+	"slices"
 	"strings"
 	"testing"
 	"time"
@@ -283,4 +286,181 @@ func TestWatchContextEndsEarly(t *testing.T) {
 	}
 	gate.release(jobs[0].Graph.Name)
 	waitDone(t, s, id)
+}
+
+// streamFrames fetches a finished ticket's stream and returns its lines.
+func streamFrames(t *testing.T, url string) [][]byte {
+	t.Helper()
+	resp, err := http.Get(url)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer resp.Body.Close()
+	if resp.StatusCode != http.StatusOK {
+		t.Fatalf("%s answered %s", url, resp.Status)
+	}
+	body, err := io.ReadAll(resp.Body)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if len(body) == 0 || body[len(body)-1] != '\n' {
+		t.Fatalf("%s: the stream does not end in a newline", url)
+	}
+	return bytes.Split(body[:len(body)-1], []byte("\n"))
+}
+
+// TestLoopEchoIsTheReadersChoice: a foreign reader gets every result with
+// its loop text, as always; a reader that holds the jobs asks with loop=0
+// and gets none — on the stream, the poll answer and the blocking compile.
+// Either way every stream frame is exactly one line.
+func TestLoopEchoIsTheReadersChoice(t *testing.T) {
+	s := New(Config{})
+	defer s.Shutdown(context.Background())
+	ts := httptest.NewServer(s.Handler())
+	defer ts.Close()
+	jobs := testJobs(t, "hydro2d", 5)
+	id, err := s.Submit(jobs, SubmitOptions{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	waitDone(t, s, id)
+
+	loops := func(outs []wire.Outcome) (with int) {
+		for _, o := range outs {
+			if o.Result == nil {
+				t.Fatalf("outcome without a result: %+v", o)
+			}
+			if o.Result.Loop != "" {
+				with++
+			}
+		}
+		return with
+	}
+	for query, want := range map[string]int{"": len(jobs), "?loop=0": 0, "?loop=1": len(jobs)} {
+		var outs []wire.Outcome
+		for i, line := range streamFrames(t, ts.URL+"/batch/"+id+"/stream"+query) {
+			var f wire.Frame
+			if err := json.Unmarshal(line, &f); err != nil {
+				t.Fatalf("stream%s line %d is not one frame: %v\n%s", query, i, err, line)
+			}
+			if f.Type == wire.FrameOutcome {
+				outs = append(outs, *f.Outcome)
+			}
+		}
+		if len(outs) != len(jobs) || loops(outs) != want {
+			t.Errorf("stream%s: %d outcomes, %d with their loop; want %d and %d", query, len(outs), loops(outs), len(jobs), want)
+		}
+		var st wire.JobStatus
+		if code := getJSON(t, ts.URL+"/jobs/"+id+query, &st); code != http.StatusOK {
+			t.Fatalf("GET /jobs%s answered %d", query, code)
+		}
+		if len(st.Outcomes) != len(jobs) || loops(st.Outcomes) != want {
+			t.Errorf("GET /jobs%s: %d outcomes, %d with their loop; want %d and %d", query, len(st.Outcomes), loops(st.Outcomes), len(jobs), want)
+		}
+	}
+	wj, err := wire.EncodeJob(jobs[0])
+	if err != nil {
+		t.Fatal(err)
+	}
+	for query, want := range map[string]int{"?wait=1": 1, "?wait=1&loop=0": 0} {
+		var st wire.JobStatus
+		if code := postJSON(t, ts.URL+"/compile"+query, wj, &st); code != http.StatusOK {
+			t.Fatalf("POST /compile%s answered %d", query, code)
+		}
+		if len(st.Outcomes) != 1 || loops(st.Outcomes) != want {
+			t.Errorf("POST /compile%s: %d outcomes, %d with their loop; want 1 and %d", query, len(st.Outcomes), loops(st.Outcomes), want)
+		}
+	}
+}
+
+// writeCounter is a ResponseWriter that records how the stream handler
+// uses the connection.
+type writeCounter struct {
+	header  http.Header
+	writes  [][]byte
+	flushes int
+	// flushedAt[i] is how many writes had been made at flush i.
+	flushedAt []int
+}
+
+func (w *writeCounter) Header() http.Header { return w.header }
+func (w *writeCounter) WriteHeader(int)     {}
+func (w *writeCounter) Write(p []byte) (int, error) {
+	w.writes = append(w.writes, append([]byte(nil), p...))
+	return len(p), nil
+}
+func (w *writeCounter) Flush() {
+	w.flushes++
+	w.flushedAt = append(w.flushedAt, len(w.writes))
+}
+
+// TestStreamWritesAFramePerWriteAndFlushesPerBacklog: each frame leaves in
+// one Write (tests that cut the stream count Writes as frames), while the
+// connection is flushed once per drained backlog — after the hello, before
+// every wait, after the done — not once per frame.
+func TestStreamWritesAFramePerWriteAndFlushesPerBacklog(t *testing.T) {
+	jobs := testJobs(t, "hydro2d", 5)
+	last := jobs[len(jobs)-1].Graph.Name
+	gate := newLoopGateStore(last)
+	s := New(Config{Workers: 1, Store: gate})
+	defer s.Shutdown(context.Background())
+	id, err := s.Submit(jobs, SubmitOptions{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	// Let the first four finish, so the handler finds them as one backlog;
+	// the fifth is held until the handler has drained it and is waiting.
+	for {
+		tk, _ := s.lookup(id)
+		tk.mu.Lock()
+		n := len(tk.events)
+		tk.mu.Unlock()
+		if n == len(jobs)-1 {
+			break
+		}
+		time.Sleep(time.Millisecond)
+	}
+	w := &writeCounter{header: http.Header{}}
+	released := false
+	req := httptest.NewRequest(http.MethodGet, "/batch/"+id+"/stream?loop=0", nil)
+	req.SetPathValue("id", id)
+	done := make(chan struct{})
+	go func() {
+		defer close(done)
+		s.handleBatchStream(w, req)
+	}()
+	// The handler flushes before it waits: poll for that flush, then let
+	// the last job go. (w is only read here after the handler blocked or
+	// returned; the channel and the gate order the accesses.)
+	for !released {
+		tk, _ := s.lookup(id)
+		tk.mu.Lock()
+		waiting := tk.update != nil
+		tk.mu.Unlock()
+		if waiting {
+			gate.release(last)
+			released = true
+		}
+		time.Sleep(time.Millisecond)
+	}
+	<-done
+
+	if want := len(jobs) + 2; len(w.writes) != want {
+		t.Fatalf("%d Writes for %d frames", len(w.writes), want)
+	}
+	for i, p := range w.writes {
+		if bytes.Count(p, []byte("\n")) != 1 || p[len(p)-1] != '\n' {
+			t.Fatalf("Write %d is not exactly one line: %q", i, p)
+		}
+		var f wire.Frame
+		if err := json.Unmarshal(p, &f); err != nil {
+			t.Fatalf("Write %d is not a frame: %v", i, err)
+		}
+	}
+	// hello | four outcomes (one backlog) | the fifth | done — where the
+	// fifth and the done share a flush when the ticket had already retired
+	// by the time the handler looked again.
+	if f := w.flushedAt; !slices.Equal(f, []int{1, 5, 6, 7}) && !slices.Equal(f, []int{1, 5, 7}) {
+		t.Fatalf("flushed after %v writes, want [1 5 6 7] or [1 5 7]", f)
+	}
 }

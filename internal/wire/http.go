@@ -1,8 +1,81 @@
 package wire
 
 // HTTP request/response bodies of the compilation service. They live in
-// the codec package so the server (internal/service) and the client (the
-// root package) share one vocabulary without importing each other.
+// the codec package so the server (internal/service) and the clients (the
+// root package, internal/cluster) share one vocabulary without importing
+// each other.
+
+import (
+	"bytes"
+	"context"
+	"fmt"
+	"io"
+	"net/http"
+	"sync"
+	"time"
+
+	"clusched/internal/driver"
+)
+
+// NoLoop is the query parameter a reader that holds the jobs it submitted
+// puts on the endpoints that answer with outcomes (GET /batch/{id}/stream,
+// GET /jobs/{id}, POST /compile?wait=1): the server then leaves each
+// result's loop text out instead of echoing it back, and DecodeFor adopts
+// the job's own graph. A server that predates the parameter ignores it and
+// echoes; that decodes too.
+const NoLoop = "loop=0"
+
+// bodyPool lends the buffer an answer is read into before it is decoded;
+// nothing decoded keeps a reference into it.
+var bodyPool = sync.Pool{New: func() any { return new(bytes.Buffer) }}
+
+// ReadJobStatus reads an answer body whole and decodes it into *st.
+func ReadJobStatus(r io.Reader, st *JobStatus) error {
+	buf := bodyPool.Get().(*bytes.Buffer)
+	defer bodyPool.Put(buf)
+	buf.Reset()
+	if _, err := buf.ReadFrom(r); err != nil {
+		return err
+	}
+	return DecodeJobStatus(buf.Bytes(), st)
+}
+
+// PostCompile is the unary exchange, shared by every remote backend: body —
+// AppendJob of j — goes to POST base/compile?wait=1 with NoLoop, and the
+// JobStatus that comes back must hold exactly one outcome, which is decoded
+// and proven for j. timeout, when positive, bounds the exchange. An answer
+// of 400 or above is handed to refused and its error returned as it is: each
+// backend types refusals its own way.
+func PostCompile(ctx context.Context, hc *http.Client, base string, timeout time.Duration, body []byte, j driver.Job,
+	refused func(*http.Response) error) (driver.Outcome, error) {
+	if timeout > 0 {
+		var cancel context.CancelFunc
+		ctx, cancel = context.WithTimeout(ctx, timeout)
+		defer cancel()
+	}
+	req, err := http.NewRequestWithContext(ctx, http.MethodPost, base+"/compile?wait=1&"+NoLoop, bytes.NewReader(body))
+	if err != nil {
+		return driver.Outcome{}, err
+	}
+	req.Header.Set("Content-Type", "application/json")
+	resp, err := hc.Do(req)
+	if err != nil {
+		return driver.Outcome{}, err
+	}
+	defer resp.Body.Close()
+	if resp.StatusCode >= 400 {
+		return driver.Outcome{}, refused(resp)
+	}
+	var st JobStatus
+	if err := ReadJobStatus(resp.Body, &st); err != nil {
+		return driver.Outcome{}, err
+	}
+	if len(st.Outcomes) != 1 {
+		return driver.Outcome{}, fmt.Errorf("wire: server answered %d outcomes for one job (state %s, %s)",
+			len(st.Outcomes), st.State, st.Error)
+	}
+	return st.Outcomes[0].DecodeFor(j)
+}
 
 // SubmitRequest asks the service to compile a batch. POST /batch accepts
 // any batch size; POST /compile is the single-job convenience form and

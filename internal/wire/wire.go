@@ -4,8 +4,14 @@
 // a JSON form with a compact schedule encoding (the issue-time vector at a
 // fixed II — everything else about a schedule is recomputed and
 // re-verified on decode, so a decoded Result is not merely parsed but
-// proven to round-trip: DecodeResult rebuilds the instance graph from the
-// placement and adopts the times through the scheduler's own validator).
+// proven: Result.Decode refuses a headline the search could not have
+// produced, then rebuilds the instance graph from the placement and adopts
+// the times through the scheduler's own validator, sched.Prove).
+//
+// The struct types below, with their tags, are the schema; encoding/json
+// over them is the reference codec, the fallback, and the DiskCache form.
+// The messages that cross the wire once per job have a hand-written fast
+// path held to that reference: append.go encodes, scan.go decodes.
 //
 // The package sits above internal/driver (it encodes driver Jobs and
 // Outcomes) and below internal/service (queue server, persistent cache)
@@ -13,6 +19,7 @@
 package wire
 
 import (
+	"errors"
 	"fmt"
 	"time"
 
@@ -225,8 +232,10 @@ type Schedule struct {
 
 // Result is a compiled loop on the wire.
 type Result struct {
-	// Loop is the loop body in the ddg text format; Name its identifier.
-	Loop    string  `json:"loop"`
+	// Loop is the loop body in the ddg text format. A reader that holds
+	// the job may ask the server to leave it out (loop=0): an absent loop
+	// means the job's.
+	Loop    string  `json:"loop,omitempty"`
 	Machine Machine `json:"machine"`
 	// Options records the pipeline variant that produced the result; the
 	// decoder needs it to rebuild the schedule under the same rules.
@@ -289,21 +298,80 @@ func EncodeResult(r *pipeline.Result, opts pipeline.Options) (*Result, error) {
 	return wr, nil
 }
 
-// Decode reconstructs the full compilation result. The schedule is not
-// trusted: the decoder rebuilds the instance graph from the placement and
-// adopts the issue times through sched.Adopt, which re-verifies every
-// dependence and resource constraint and recomputes length, stage count
-// and register pressure. A Result that decodes without error is therefore
-// a valid schedule, not just valid JSON.
+// IIClaimError reports a result whose schedule claims an initiation
+// interval no search could have produced: below 1, or above the ceiling
+// the search itself stops at. It is refused before anything is sized by
+// the claimed number.
+type IIClaimError struct {
+	// Loop names the loop; II is the claimed interval, Max the ceiling.
+	Loop    string
+	II, Max int
+}
+
+// Error implements error.
+func (e *IIClaimError) Error() string {
+	if e.II < 1 {
+		return fmt.Sprintf("wire: schedule for %s claims II=%d", e.Loop, e.II)
+	}
+	return fmt.Sprintf("wire: schedule for %s claims II=%d, above the search ceiling %d", e.Loop, e.II, e.Max)
+}
+
+// maxProvableII caps the II a result may claim whatever its loop, machine
+// and options say: those are claimed numbers too (an edge latency, a bus
+// latency, max_ii), and the proof's tables have a row per II slot. No honest
+// schedule comes near it — at a million cycles per iteration the search
+// would not have finished.
+const maxProvableII = 1 << 20
+
+// iiCeiling bounds the II a result for g on m under opts can carry: MaxII
+// when the job set one, else the search's own automatic bound taken from an
+// MII no recomputation is needed for — ResMII is at most the node count
+// and RecMII at most the latency on all edges together.
+func iiCeiling(g *ddg.Graph, m machine.Config, opts pipeline.Options) int {
+	if opts.MaxII > 0 {
+		return min(opts.MaxII, maxProvableII)
+	}
+	lower := g.NumNodes()
+	for i := range g.Edges {
+		if lower += max(g.Edges[i].Lat, 0); lower < 0 || lower > maxProvableII {
+			return maxProvableII
+		}
+	}
+	if bound := pipeline.MaxII(g, m, lower); 0 < bound && bound < maxProvableII {
+		return bound
+	}
+	return maxProvableII
+}
+
+// Decode reconstructs the full compilation result from a wire form that
+// carries its loop. The schedule is not trusted: the decoder refuses a
+// headline that contradicts itself or the search's own bounds, rebuilds
+// the instance graph from the placement and adopts the issue times through
+// sched.Prove, which re-verifies every dependence and resource constraint
+// and recomputes length, stage count and register pressure. A Result that
+// decodes without error is therefore a valid schedule, not just valid JSON.
 func (wr *Result) Decode() (*pipeline.Result, error) {
+	return wr.decode(nil)
+}
+
+// decode is Decode for a result of job graph g (nil when the reader holds
+// no job): a wire form without its loop is a result for g itself, which is
+// then adopted as is — the graph the caller submitted, as a local backend
+// would return it. A loop that is present is parsed and validated.
+func (wr *Result) decode(g *ddg.Graph) (*pipeline.Result, error) {
 	if err := wr.Options.validateStrategy(); err != nil {
 		// A cache entry from a build with strategies this one lacks: reads
 		// as a decode failure (persistent caches treat it as a miss).
 		return nil, err
 	}
-	g, err := ddg.ParseOneString(wr.Loop)
-	if err != nil {
-		return nil, fmt.Errorf("wire: result loop: %w", err)
+	switch {
+	case wr.Loop != "":
+		var err error
+		if g, err = ddg.ParseOneString(wr.Loop); err != nil {
+			return nil, fmt.Errorf("wire: result loop: %w", err)
+		}
+	case g == nil:
+		return nil, fmt.Errorf("wire: result carries no loop and the reader holds no job to take it from")
 	}
 	m, err := wr.Machine.Decode()
 	if err != nil {
@@ -349,22 +417,28 @@ func (wr *Result) Decode() (*pipeline.Result, error) {
 		}
 		p.Replicas[v] = sched.ClusterSet(wr.Placement.Replicas[v])
 	}
-	if wr.Schedule.II < 1 {
-		// Adopt divides by the II before its own guard can run; reject
-		// here so a lying server or corrupt cache entry errors instead of
-		// panicking.
-		return nil, fmt.Errorf("wire: schedule for %s claims II=%d", g.Name, wr.Schedule.II)
-	}
 	opts := wr.Options.Decode()
-	ig, err := sched.BuildIGraph(p, m, opts.ZeroBusLatency)
-	if err != nil {
-		return nil, fmt.Errorf("wire: rebuilding instance graph for %s: %w", g.Name, err)
+	// The proof sizes its tables by the II: bound the claim first, so a
+	// lying server or a corrupt cache entry gets an error, not the
+	// process's memory.
+	if ii, max := wr.Schedule.II, iiCeiling(g, m, opts); ii < 1 || ii > max {
+		return nil, &IIClaimError{Loop: g.Name, II: ii, Max: max}
 	}
-	s, err := sched.Adopt(ig, wr.Schedule.II, wr.Schedule.Time, sched.Options{
-		SkipRegisterCheck: opts.IgnoreRegisterPressure,
-	})
+	if wr.II != wr.Schedule.II {
+		return nil, fmt.Errorf("wire: result for %s claims II=%d around a schedule at II=%d", g.Name, wr.II, wr.Schedule.II)
+	}
+	if wr.MII < 1 || wr.MII > wr.II {
+		return nil, fmt.Errorf("wire: result for %s claims MII=%d outside [1, II=%d]", g.Name, wr.MII, wr.II)
+	}
+	s, err := sched.Prove(p, m, opts.ZeroBusLatency, wr.Schedule.II,
+		sched.Options{SkipRegisterCheck: opts.IgnoreRegisterPressure},
+		func(*sched.IGraph, []int) ([]int, error) { return wr.Schedule.Time, nil })
 	if err != nil {
-		return nil, fmt.Errorf("wire: schedule for %s does not verify: %w", g.Name, err)
+		var unproven *sched.Error
+		if errors.As(err, &unproven) {
+			return nil, fmt.Errorf("wire: schedule for %s does not verify: %w", g.Name, err)
+		}
+		return nil, fmt.Errorf("wire: rebuilding instance graph for %s: %w", g.Name, err)
 	}
 	if s.Length != wr.Length || s.SC != wr.SC {
 		return nil, fmt.Errorf("wire: schedule for %s recomputes to length %d/%d stages against claimed %d/%d",
@@ -413,18 +487,27 @@ type RemoteError struct{ Msg string }
 func (e *RemoteError) Error() string { return e.Msg }
 
 // Decode reconstructs a driver outcome (with a zero Job — callers align
-// outcomes with the jobs they submitted).
+// outcomes with the jobs they submitted) from a wire form whose result
+// carries its loop.
 func (wo Outcome) Decode() (driver.Outcome, error) {
+	return wo.DecodeFor(driver.Job{})
+}
+
+// DecodeFor reconstructs the outcome of job j, which it returns as the
+// outcome's Job: a result that left its loop out (the reader asked for
+// loop=0) is a result for j.Graph, adopted as is; one that carries its
+// loop is parsed as Decode does.
+func (wo Outcome) DecodeFor(j driver.Job) (driver.Outcome, error) {
 	elapsed := time.Duration(wo.ElapsedMS * float64(time.Millisecond))
 	if wo.Error != "" {
-		return driver.Outcome{Err: &RemoteError{Msg: wo.Error}, CacheHit: wo.CacheHit, Elapsed: elapsed}, nil
+		return driver.Outcome{Job: j, Err: &RemoteError{Msg: wo.Error}, CacheHit: wo.CacheHit, Elapsed: elapsed}, nil
 	}
 	if wo.Result == nil {
 		return driver.Outcome{}, fmt.Errorf("wire: outcome carries neither result nor error")
 	}
-	res, err := wo.Result.Decode()
+	res, err := wo.Result.decode(j.Graph)
 	if err != nil {
 		return driver.Outcome{}, err
 	}
-	return driver.Outcome{Result: res, CacheHit: wo.CacheHit, Elapsed: elapsed}, nil
+	return driver.Outcome{Job: j, Result: res, CacheHit: wo.CacheHit, Elapsed: elapsed}, nil
 }

@@ -1,6 +1,7 @@
 package wire
 
 import (
+	"encoding/json"
 	"testing"
 
 	"clusched/internal/driver"
@@ -123,6 +124,72 @@ func BenchmarkDecodeOutcome(b *testing.B) {
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
 		if _, err := wos[i%len(wos)].Decode(); err != nil {
+			b.Fatal(err)
+		}
+	}
+}
+
+// The frame benchmarks price one streamed outcome end to end on either side
+// of the connection, the JSON step included: suite loop → NDJSON line, and
+// line → proven driver.Outcome. The Reference pair is the struct form
+// through encoding/json with the loop echoed — what the stream carried
+// before the fast path, and still the fallback; the plain pair is what
+// this repository's server and client run now (loop=0, the append encoder,
+// the walk into one recycled Frame).
+
+func BenchmarkEncodeFrame(b *testing.B) {
+	outs := suiteOutcomes(b)
+	var line []byte
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		line = AppendOutcomeFrame(line[:0], i, outs[i%len(outs)], false)
+	}
+}
+
+func BenchmarkEncodeFrameReference(b *testing.B) {
+	outs := suiteOutcomes(b)
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		referenceFrame(i, outs[i%len(outs)], true)
+	}
+}
+
+func BenchmarkDecodeFrame(b *testing.B) {
+	outs := suiteOutcomes(b)
+	lines := make([][]byte, len(outs))
+	for i, o := range outs {
+		lines[i] = AppendOutcomeFrame(nil, i, o, false)
+	}
+	var f Frame
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		k := i % len(outs)
+		if err := DecodeFrame(lines[k], &f); err != nil {
+			b.Fatal(err)
+		}
+		if _, err := f.Outcome.DecodeFor(outs[k].Job); err != nil {
+			b.Fatal(err)
+		}
+	}
+}
+
+func BenchmarkDecodeFrameReference(b *testing.B) {
+	outs := suiteOutcomes(b)
+	lines := make([][]byte, len(outs))
+	for i, o := range outs {
+		lines[i] = referenceFrame(i, o, true)
+	}
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		var f Frame
+		if err := json.Unmarshal(lines[i%len(outs)], &f); err != nil {
+			b.Fatal(err)
+		}
+		if _, err := f.Outcome.Decode(); err != nil {
 			b.Fatal(err)
 		}
 	}

@@ -2,6 +2,7 @@ package wire
 
 import (
 	"encoding/json"
+	"errors"
 	"reflect"
 	"strings"
 	"testing"
@@ -16,7 +17,7 @@ import (
 
 // compileSample compiles a slice of real workload loops for one machine
 // and option set.
-func compileSample(t *testing.T, bench string, n int, m machine.Config, opts pipeline.Options) []driver.Outcome {
+func compileSample(t testing.TB, bench string, n int, m machine.Config, opts pipeline.Options) []driver.Outcome {
 	t.Helper()
 	loops := workload.LoopsFor(bench)
 	if len(loops) < n {
@@ -398,6 +399,159 @@ func TestDecodeRejectsTamperedSchedule(t *testing.T) {
 		bad.Schedule = &Schedule{II: ii, Time: append([]int(nil), wr.Schedule.Time...)}
 		if _, err := bad.Decode(); err == nil {
 			t.Fatalf("II=%d decoded cleanly", ii)
+		}
+	}
+}
+
+// lyingOutcome is a real outcome frame of the sample with its schedule's II
+// and the result's headline swapped for claimed values.
+func lyingOutcome(t *testing.T, claim func(wr *Result)) (line []byte, job driver.Job) {
+	t.Helper()
+	out := compileSample(t, "mgrid", 1, machine.MustParse("4c1b2l64r"), pipeline.Options{Replicate: true})[0]
+	wo, err := EncodeOutcome(out)
+	if err != nil {
+		t.Fatal(err)
+	}
+	claim(wo.Result)
+	line, err = json.Marshal(OutcomeFrame(0, wo))
+	if err != nil {
+		t.Fatal(err)
+	}
+	return line, out.Job
+}
+
+// TestDecodeRefusesUnboundedII: the proof sizes its tables by the II, so an
+// II no search could have reached must be refused before anything is
+// proven — on HEAD~ a 100-byte lie ended the process with "fatal error:
+// runtime: out of memory". 1<<62 also overflows the K·II product. Both
+// decode paths, the struct form and the walk, refuse alike, and so does a
+// max_ii that vouches for the lie.
+func TestDecodeRefusesUnboundedII(t *testing.T) {
+	for _, ii := range []int{1 << 40, 1 << 62} {
+		for _, vouch := range []bool{false, true} {
+			line, job := lyingOutcome(t, func(wr *Result) {
+				wr.II, wr.Schedule.II = ii, ii
+				if vouch {
+					wr.Options.MaxII = ii
+				}
+			})
+			var viaJSON, viaWalk Frame
+			if err := json.Unmarshal(line, &viaJSON); err != nil {
+				t.Fatal(err)
+			}
+			// 1<<40 stays on the walk; 1<<62 has more digits than the walk
+			// takes and reaches the same refusal through the fallback.
+			if s := (scanner{b: line}); s.frame(new(Frame)) != (ii == 1<<40) {
+				t.Fatalf("II=%d: unexpected path through the fast decoder", ii)
+			}
+			if err := DecodeFrame(line, &viaWalk); err != nil {
+				t.Fatal(err)
+			}
+			for path, f := range map[string]Frame{"Outcome.Decode": viaJSON, "fast decoder": viaWalk} {
+				_, err := f.Outcome.Decode()
+				var claim *IIClaimError
+				if !errors.As(err, &claim) || claim.II != ii || claim.Max >= ii {
+					t.Errorf("%s, II=%d (max_ii vouching: %v): want *IIClaimError, got %T: %v", path, ii, vouch, err, err)
+				}
+				// The same refusal when the loop is the reader's own.
+				f.Outcome.Result.Loop = ""
+				if _, err := f.Outcome.DecodeFor(job); !errors.As(err, &claim) {
+					t.Errorf("%s, II=%d, loop left out: want *IIClaimError, got %T: %v", path, ii, err, err)
+				}
+			}
+		}
+	}
+	// The ceiling is the search's: one past what MaxII allows is refused,
+	// the honest result is not.
+	line, _ := lyingOutcome(t, func(wr *Result) { wr.Options.MaxII = wr.II - 1 })
+	var f Frame
+	if err := DecodeFrame(line, &f); err != nil {
+		t.Fatal(err)
+	}
+	var claim *IIClaimError
+	if _, err := f.Outcome.Decode(); !errors.As(err, &claim) {
+		t.Errorf("II above the job's own max_ii: want *IIClaimError, got %v", err)
+	}
+	line, _ = lyingOutcome(t, func(*Result) {})
+	if err := DecodeFrame(line, &f); err != nil {
+		t.Fatal(err)
+	}
+	if _, err := f.Outcome.Decode(); err != nil {
+		t.Errorf("the honest outcome no longer decodes: %v", err)
+	}
+}
+
+// TestDecodeRefusesLyingHeadline: "a decoded Result is proven" covers the
+// headline too. On HEAD~ "ii":17,"mii":-3 around a verified II-10 schedule
+// decoded without error.
+func TestDecodeRefusesLyingHeadline(t *testing.T) {
+	cases := map[string]func(wr *Result){
+		"ii above the schedule's": func(wr *Result) { wr.II = wr.Schedule.II + 7 },
+		"ii below the schedule's": func(wr *Result) { wr.II = wr.Schedule.II - 1 },
+		"negative mii":            func(wr *Result) { wr.MII = -3 },
+		"zero mii":                func(wr *Result) { wr.MII = 0 },
+		"mii above ii":            func(wr *Result) { wr.MII = wr.II + 1 },
+	}
+	for name, claim := range cases {
+		line, job := lyingOutcome(t, claim)
+		var viaJSON, viaWalk Frame
+		if err := json.Unmarshal(line, &viaJSON); err != nil {
+			t.Fatal(err)
+		}
+		if s := (scanner{b: line}); !s.frame(&viaWalk) || !s.end() {
+			t.Fatal("the walk declined a regular frame")
+		}
+		for path, f := range map[string]Frame{"Outcome.Decode": viaJSON, "fast decoder": viaWalk} {
+			if out, err := f.Outcome.DecodeFor(job); err == nil {
+				t.Errorf("%s, %s: decoded to II=%d sched.II=%d MII=%d", path, name, out.Result.II, out.Result.Schedule.II, out.Result.MII)
+			}
+		}
+	}
+}
+
+// TestDecodeForAdoptsTheJobsGraph: a result that left its loop out decodes
+// onto the very graph the reader submitted; one that carries it is parsed;
+// without either there is nothing to prove against.
+func TestDecodeForAdoptsTheJobsGraph(t *testing.T) {
+	out := compileSample(t, "tomcatv", 1, machine.MustParse("4c2b2l64r"), pipeline.Options{Replicate: true})[0]
+	var f Frame
+	if err := DecodeFrame(AppendOutcomeFrame(nil, 0, out, false), &f); err != nil {
+		t.Fatal(err)
+	}
+	dec, err := f.Outcome.DecodeFor(out.Job)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if dec.Result.Loop != out.Job.Graph || dec.Job.Graph != out.Job.Graph {
+		t.Error("a loop-less result was not decoded onto the job's own graph")
+	}
+	if !reflect.DeepEqual(dec.Result.Schedule.Time, out.Result.Schedule.Time) {
+		t.Error("issue times changed across the wire")
+	}
+	if _, err := f.Outcome.Decode(); err == nil || !strings.Contains(err.Error(), "carries no loop") {
+		t.Errorf("a loop-less result decoded without a job: %v", err)
+	}
+	// A server that ignores loop=0 echoes the loop: still decodes, onto a
+	// parsed copy.
+	if err := DecodeFrame(AppendOutcomeFrame(nil, 0, out, true), &f); err != nil {
+		t.Fatal(err)
+	}
+	echoed, err := f.Outcome.DecodeFor(out.Job)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if echoed.Result.Loop == out.Job.Graph || echoed.Result.Loop.Fingerprint() != out.Job.Graph.Fingerprint() {
+		t.Error("an echoed loop was not parsed as sent")
+	}
+	// And one that answers for a different loop is caught by the proof, not
+	// trusted: the placement no longer fits.
+	other := compileSample(t, "swim", 3, machine.MustParse("4c2b2l64r"), pipeline.Options{Replicate: true})[2]
+	if other.Job.Graph.NumNodes() != out.Job.Graph.NumNodes() {
+		if err := DecodeFrame(AppendOutcomeFrame(nil, 0, out, false), &f); err != nil {
+			t.Fatal(err)
+		}
+		if _, err := f.Outcome.DecodeFor(other.Job); err == nil {
+			t.Error("a result for another loop decoded onto this job")
 		}
 	}
 }

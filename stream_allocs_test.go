@@ -1,0 +1,56 @@
+package clusched
+
+import (
+	"context"
+	"net/http/httptest"
+	"testing"
+
+	"clusched/internal/service"
+)
+
+// TestStreamAllocs pins what moving a job costs: allocations per job of a
+// program-sized Stream batch through NewRemote to an in-process server on
+// loopback — client and server side, the compilation itself (cache off, so
+// every job is one) and net/http's share included, the way the
+// remote-stream workload of bench/ counts them. At the parent of the
+// commit that added this test the same measurement read 146.7; the compile
+// alone is about 20 of what is left.
+func TestStreamAllocs(t *testing.T) {
+	if raceDetector {
+		t.Skip("allocation counts do not repeat under -race")
+	}
+	s := service.New(service.Config{Workers: 1, CacheSize: -1})
+	ts := httptest.NewServer(s.Handler())
+	t.Cleanup(func() {
+		ts.Close()
+		s.Shutdown(context.Background())
+	})
+	backend := NewRemote(ts.URL, WithHTTPClient(ts.Client()))
+	m := MustParseMachine("4c2b2l64r")
+	var jobs []CompileJob
+	for _, l := range BenchmarkLoops("hydro2d") {
+		jobs = append(jobs, CompileJob{Graph: l.Graph, Machine: m, Opts: NewOptions(WithReplication(true))})
+	}
+	if len(jobs) < 50 {
+		t.Fatalf("hydro2d has only %d loops; the pin wants a program-sized batch", len(jobs))
+	}
+	ctx := context.Background()
+	stream := func() {
+		n := 0
+		for _, out := range backend.Stream(ctx, jobs) {
+			if out.Err != nil {
+				t.Fatal(out.Err)
+			}
+			n++
+		}
+		if n != len(jobs) {
+			t.Fatalf("stream delivered %d of %d jobs", n, len(jobs))
+		}
+	}
+	stream() // connections, arenas and pools warm
+	perJob := testing.AllocsPerRun(10, stream) / float64(len(jobs))
+	t.Logf("%.1f allocations per streamed job (%d-job batches)", perJob, len(jobs))
+	if perJob > 62 {
+		t.Errorf("a streamed job costs %.1f allocations end to end, want <= 62", perJob)
+	}
+}
