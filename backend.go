@@ -255,19 +255,21 @@ func WithPollInterval(d time.Duration) Option {
 }
 
 // WithHedge controls a fleet backend's straggler hedging — the duplicate
-// dispatch fired when a node sits on a job past the hedge delay (first
-// answer wins, the loser is cancelled; results are content-addressed and
+// dispatch fired when a node stays silent on a run past the hedge delay:
+// what it has not answered yet goes to a peer as well (first answer per job
+// wins, the loser is cancelled; results are content-addressed and
 // deterministic, so the duplicate can never change the answer). d > 0
-// fixes the delay; 0 (the default) adapts it to a high percentile of
-// observed dispatch latency; d < 0 disables hedging.
+// fixes the delay; 0 (the default) adapts it to a high percentile of the
+// observed gaps between answers; d < 0 disables hedging.
 func WithHedge(d time.Duration) Option {
 	return clusterOption("WithHedge", func(s *settings) { s.cluster.hedge = d; s.cluster.hasHedge = true })
 }
 
-// WithNodeInFlight bounds a fleet backend's concurrent dispatches per node
-// (the window work stealing balances against; ≤0 = the cluster default).
-// Size the servers' -runners and -max-inflight at or above it, or the
-// window just queues server-side.
+// WithNodeInFlight bounds a fleet backend's concurrent exchanges per node —
+// runs in flight, each a sub-batch the node's worker pool serves as one
+// ticket — and is the backlog work stealing leaves alone (≤0 = the cluster
+// default). A node runs one ticket at a time unless started with -runners;
+// further runs of the window queue there.
 func WithNodeInFlight(n int) Option {
 	return clusterOption("WithNodeInFlight", func(s *settings) { s.cluster.nodeInFlight = n })
 }

@@ -89,11 +89,11 @@ func backendCases() []backendCase {
 	}
 }
 
-// conformanceNodeInFlight is the cluster case's per-node dispatch window.
+// conformanceNodeInFlight is the cluster case's per-node exchange window.
 // It is deliberately small: the servers run with Runners = window + 2, so
-// a job stalled in a gated Store (plus its possible hedge duplicate) can
-// never starve a node of runners, and the cancel test's "some jobs must
-// still fail" invariant holds (3 nodes × 2 in flight < the job count).
+// a run stalled at a job in a gated Store (plus its possible hedge
+// duplicate) can never starve a node of runners, and the cancel test's
+// "some jobs must still fail" invariant holds.
 const conformanceNodeInFlight = 2
 
 // newConformanceFleet starts n in-process service instances sharing the
@@ -108,9 +108,9 @@ func newConformanceFleet(t *testing.T, cfg CompilerConfig, n int) ([]*httptest.S
 			Workers:   cfg.Workers,
 			CacheSize: cfg.CacheSize,
 			Store:     cfg.Store,
-			// Every unary dispatch is its own one-job ticket; keep runner
-			// headroom above the dispatch window so gated jobs and hedge
-			// duplicates cannot wedge a node.
+			// Only the tests' Store gates need this: a run held open at a
+			// gated job occupies a runner, and the runs behind it (its
+			// hedge duplicate, a failed-over suffix) must not queue there.
 			Runners: conformanceNodeInFlight + 2,
 		})
 		ts := httptest.NewServer(s.Handler())
@@ -222,16 +222,22 @@ func TestBackendConformanceIdenticalResults(t *testing.T) {
 					t.Fatalf("job %d (%s): the result's Loop is not the submitted graph", i, jobs[i].Graph.Name)
 				}
 			}
-			// Unary and streaming halves agree too.
-			res, err := b.Compile(context.Background(), jobs[0])
-			if err != nil {
-				t.Fatal(err)
-			}
-			if got := resultFingerprint(res); got != want[0] {
-				t.Fatalf("unary Compile diverges from the batch result:\n  %s\n  %s", got, want[0])
-			}
-			if res.Loop != jobs[0].Graph {
-				t.Fatal("unary Compile: the result's Loop is not the submitted graph")
+			// Unary and streaming halves agree, job for job: per-job
+			// Compile of the same list, on a backend of its own so that
+			// nothing is answered from what Stream left cached, gives what
+			// Stream gave.
+			unary := bc.make(t, CompilerConfig{})
+			for i, j := range jobs {
+				res, err := unary.Compile(context.Background(), j)
+				if err != nil {
+					t.Fatalf("unary Compile of job %d (%s): %v", i, j.Graph.Name, err)
+				}
+				if got, streamed := resultFingerprint(res), resultFingerprint(outs[i].Result); got != streamed {
+					t.Fatalf("unary Compile of job %d (%s) diverges from the batch result:\n  %s\n  %s", i, j.Graph.Name, got, streamed)
+				}
+				if res.Loop != j.Graph {
+					t.Fatalf("unary Compile of job %d: the result's Loop is not the submitted graph", i)
+				}
 			}
 		})
 	}

@@ -1,7 +1,6 @@
 package clusched
 
 import (
-	"bufio"
 	"bytes"
 	"context"
 	"encoding/json"
@@ -12,7 +11,6 @@ import (
 	"math/rand/v2"
 	"net/http"
 	"strings"
-	"sync/atomic"
 	"time"
 
 	"clusched/internal/wire"
@@ -186,11 +184,13 @@ func (c *Client) Do(ctx context.Context, job CompileJob) (CompileOutcome, error)
 
 // Stream implements Backend over the service's NDJSON push endpoint: it
 // submits the batch, opens GET /batch/{id}/stream and yields each outcome
-// the moment the server finishes it — true server push, no polling. Every
-// job yields exactly once; submit or transport failures surface as the
-// outcome error of every job the stream had not yet delivered. A stream
-// the transport cuts mid-batch resumes over the poll loop (the server keeps
-// compiling the ticket); a stream the server refuses is an error.
+// the moment the server finishes it — true server push, no polling
+// (wire.StreamBatch, the exchange the fleet's nodes run too). Every job
+// yields exactly once; submit or transport failures surface as the outcome
+// error of every job the stream had not yet delivered. A stream the
+// transport cuts mid-batch resumes over the poll loop (the server keeps
+// compiling the ticket); a stream the server refuses is an error. Breaking
+// out of the iteration, or cancelling ctx, cancels the ticket on the server.
 func (c *Client) Stream(ctx context.Context, jobs []CompileJob) iter.Seq2[int, CompileOutcome] {
 	return func(yield func(int, CompileOutcome) bool) {
 		if len(jobs) == 0 {
@@ -210,58 +210,32 @@ func (c *Client) Stream(ctx context.Context, jobs []CompileJob) iter.Seq2[int, C
 			}
 			return true
 		}
-		id, err := c.SubmitBatch(ctx, jobs, 0)
+		body, err := wire.AppendSubmitRequest(nil, jobs, 0, c.RequestTraces)
 		if err != nil {
 			fail(err)
 			return
 		}
-		c.streamTicket(ctx, id, jobs, delivered, yield, fail)
-	}
-}
-
-// errStreamCut marks a transport failure after the stream was successfully
-// opened: the server knows the ticket and keeps compiling it, so the poll
-// path can resume the batch instead of failing the undelivered suffix.
-// Deliberate server answers (404 for an unknown ticket, protocol-violation
-// frames, the idle watchdog) are NOT cuts — resuming those would poll a
-// ticket the server disowned or a stream the client cannot trust.
-var errStreamCut = errors.New("clusched: stream cut mid-batch")
-
-// abandonTicket best-effort cancels a ticket whose consumer walked away,
-// so the server stops compiling work nobody will read. It runs on a
-// detached context: the caller's is typically already cancelled.
-func (c *Client) abandonTicket(id string) {
-	ctx, cancel := context.WithTimeout(context.Background(), 10*time.Second)
-	defer cancel()
-	c.Cancel(ctx, id) // the ticket may already be done; ignore the answer
-}
-
-// streamTicket consumes the NDJSON stream of one submitted ticket.
-func (c *Client) streamTicket(ctx context.Context, id string, jobs []CompileJob, delivered []bool,
-	yield func(int, CompileOutcome) bool, fail func(error) bool) {
-	err := c.readStream(ctx, id, jobs, delivered, yield)
-	switch {
-	case err == nil:
-		return
-	case errors.Is(err, errYieldStopped):
-		// The consumer broke out of the iteration; yield must not be
-		// called again, and the Backend contract says early stop abandons
-		// the remaining work — tell the server so it stops compiling it.
-		c.abandonTicket(id)
-		return
-	case errors.Is(err, errStreamCut) && ctx.Err() == nil:
-		// The transport cut the stream but the batch is still alive on the
-		// server (and the work the server already did is not lost). Resume
-		// over the poll path: the delivered ledger guarantees the suffix
-		// the stream never carried is yielded exactly once.
-		c.pollRemainder(ctx, id, jobs, delivered, yield, fail)
-	default:
-		if ctx.Err() != nil {
-			// The caller cancelled mid-stream; the server is still
-			// compiling the rest of the batch for nobody.
-			c.abandonTicket(id)
+		id, err := wire.StreamBatch(ctx, c.hc, c.base, c.timeout, body, jobs, delivered,
+			func(i int, out CompileOutcome, derr error) bool {
+				if derr != nil {
+					// An outcome that fails its proof is that job's error.
+					out.Err = derr
+				}
+				return yield(i, out)
+			}, refused)
+		switch {
+		case err == nil, errors.Is(err, wire.ErrConsumerStopped):
+			// Complete, or the consumer broke out of the iteration: yield
+			// must not be called again.
+		case errors.Is(err, wire.ErrStreamCut) && ctx.Err() == nil:
+			// The transport cut the stream but the batch is still alive on the
+			// server (and the work the server already did is not lost). Resume
+			// over the poll path: the delivered ledger guarantees the suffix
+			// the stream never carried is yielded exactly once.
+			c.pollRemainder(ctx, id, jobs, delivered, yield, fail)
+		default:
+			fail(err)
 		}
-		fail(err)
 	}
 }
 
@@ -296,159 +270,6 @@ func (c *Client) pollRemainder(ctx context.Context, id string, jobs []CompileJob
 	}
 }
 
-// errYieldStopped signals that the consumer broke out of the iteration —
-// not a failure, just "stop reading".
-var errYieldStopped = errors.New("clusched: stream consumer stopped")
-
-// nextLine reads one newline-terminated line of r. The slice is valid until
-// the next call: r's own buffer, or *long when the line outgrows that. A
-// last line without its newline is half a frame, whatever it parses as:
-// io.ErrUnexpectedEOF.
-func nextLine(r *bufio.Reader, long *[]byte) ([]byte, error) {
-	line, err := r.ReadSlice('\n')
-	if err == bufio.ErrBufferFull {
-		*long = (*long)[:0]
-		for err == bufio.ErrBufferFull {
-			*long = append(*long, line...)
-			line, err = r.ReadSlice('\n')
-		}
-		*long = append(*long, line...)
-		line = *long
-	}
-	if err == io.EOF && len(line) > 0 {
-		err = io.ErrUnexpectedEOF
-	}
-	return line, err
-}
-
-// readStream opens the NDJSON endpoint and yields outcome frames until the
-// done frame. It returns nil after a complete stream (undelivered jobs
-// have been stamped with the batch's terminal error), or the refusal,
-// transport or protocol error that cut the stream short.
-func (c *Client) readStream(ctx context.Context, id string, jobs []CompileJob, delivered []bool,
-	yield func(int, CompileOutcome) bool) error {
-	// No unary timeout here: the stream lives exactly as long as its
-	// batch. ctx still cancels it at any moment.
-	req, err := http.NewRequestWithContext(ctx, http.MethodGet, c.base+"/batch/"+id+"/stream?"+wire.NoLoop, nil)
-	if err != nil {
-		return err
-	}
-	resp, err := c.hc.Do(req)
-	if err != nil {
-		return err
-	}
-	defer resp.Body.Close()
-	if resp.StatusCode != http.StatusOK {
-		// A refusal — typically 404 for a ticket the server no longer knows
-		// (restart, retention pruning) — is a failure of the undelivered
-		// jobs, with the server's reason when it sent one.
-		var er wire.ErrorResponse
-		if err := json.NewDecoder(io.LimitReader(resp.Body, 1<<16)).Decode(&er); err == nil && er.Error != "" {
-			return fmt.Errorf("clusched: service: %s", er.Error)
-		}
-		return fmt.Errorf("clusched: stream answered %s", resp.Status)
-	}
-
-	// The stream is exempt from the unary timeout as a whole — it lives as
-	// long as its batch — but each inter-frame gap is bounded: a server
-	// that wedges (or a connection that dies without an RST) would
-	// otherwise hang the caller forever. The watchdog closes the body,
-	// which unblocks the decoder with an error we translate below.
-	var (
-		timedOut atomic.Bool
-		idle     *time.Timer
-	)
-	if c.timeout > 0 {
-		idle = time.AfterFunc(c.timeout, func() {
-			timedOut.Store(true)
-			resp.Body.Close()
-		})
-		defer idle.Stop()
-	}
-
-	// One frame per line, every line decoded into the same Frame: its
-	// memory is recycled from outcome to outcome, and DecodeFor copies what
-	// the outcome keeps.
-	lines := bufio.NewReaderSize(resp.Body, 64<<10)
-	var (
-		f        wire.Frame
-		long     []byte // nextLine's memory for a line longer than the reader's
-		batchErr error
-	)
-	sawDone := false
-	for !sawDone {
-		line, err := nextLine(lines, &long)
-		if err == nil {
-			if len(bytes.TrimSpace(line)) == 0 {
-				continue
-			}
-			err = wire.DecodeFrame(line, &f)
-		}
-		if err != nil {
-			if timedOut.Load() {
-				return fmt.Errorf("clusched: stream for ticket %s idle for %v, giving up", id, c.timeout)
-			}
-			// The server had accepted the stream (200, frames flowing), so
-			// this is the transport dying mid-batch, not the server refusing
-			// the ticket: mark it resumable over the poll path.
-			if errors.Is(err, io.EOF) {
-				return fmt.Errorf("%w: ticket %s ended before its done frame", errStreamCut, id)
-			}
-			return fmt.Errorf("%w: ticket %s: %v", errStreamCut, id, err)
-		}
-		if idle != nil {
-			idle.Reset(c.timeout)
-		}
-		// Unknown frame types and too-new hellos fail typed
-		// (*wire.UnknownFrameError, *wire.SchemaError): a newer protocol is
-		// an explicit error, never silently misread.
-		if err := f.Validate(); err != nil {
-			return err
-		}
-		switch f.Type {
-		case wire.FrameHello:
-			if f.Total != len(jobs) {
-				return fmt.Errorf("clusched: stream for ticket %s announces %d jobs, submitted %d", id, f.Total, len(jobs))
-			}
-		case wire.FrameOutcome:
-			if f.Index >= len(jobs) {
-				return fmt.Errorf("clusched: stream outcome for job %d of a %d-job batch", f.Index, len(jobs))
-			}
-			if delivered[f.Index] {
-				return fmt.Errorf("clusched: stream delivered job %d twice", f.Index)
-			}
-			out, derr := f.Outcome.DecodeFor(jobs[f.Index])
-			if derr != nil {
-				out = CompileOutcome{Job: jobs[f.Index], Err: derr}
-			}
-			delivered[f.Index] = true
-			if !yield(f.Index, out) {
-				return errYieldStopped
-			}
-		case wire.FrameDone:
-			if f.Error != "" {
-				batchErr = &wire.RemoteError{Msg: f.Error}
-			}
-			sawDone = true
-		}
-	}
-	// Jobs the server never delivered (a batch cancelled while queued, or
-	// retired early) inherit the batch's terminal error.
-	missing := batchErr
-	if missing == nil {
-		missing = errors.New("clusched: stream finished without delivering this job")
-	}
-	for i := range jobs {
-		if !delivered[i] {
-			delivered[i] = true
-			if !yield(i, CompileOutcome{Job: jobs[i], Err: missing}) {
-				return errYieldStopped
-			}
-		}
-	}
-	return nil
-}
-
 // SubmitBatch submits jobs for asynchronous remote compilation and
 // returns the ticket ID. timeout bounds the batch's remote lifetime
 // (0 = the server's policy).
@@ -457,9 +278,7 @@ func (c *Client) SubmitBatch(ctx context.Context, jobs []CompileJob, timeout tim
 	if err != nil {
 		return "", err
 	}
-	var sub wire.SubmitResponse
-	err = c.do(ctx, http.MethodPost, "/batch", body, into(&sub))
-	return sub.ID, err
+	return wire.SubmitBatch(ctx, c.hc, c.base, c.timeout, body, refused)
 }
 
 // Trace fetches a finished ticket's execution trace as Chrome trace-event

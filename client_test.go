@@ -356,3 +356,49 @@ func TestWaitBatchHonorsRetryAfterHint(t *testing.T) {
 		t.Fatalf("hinted poll took %v; the Retry-After hint did not override PollInterval", elapsed)
 	}
 }
+
+// TestStreamMissingJobsInheritTheBatchError: a done frame that arrives with
+// jobs undelivered — a ticket cancelled while it was queued — gives each of
+// them, once, the batch's terminal error; nothing is polled, nothing retried.
+func TestStreamMissingJobsInheritTheBatchError(t *testing.T) {
+	var polled atomic.Bool
+	mux := http.NewServeMux()
+	mux.HandleFunc("POST /batch", func(w http.ResponseWriter, r *http.Request) {
+		w.WriteHeader(http.StatusAccepted)
+		w.Write([]byte(`{"id":"t1"}` + "\n"))
+	})
+	mux.HandleFunc("GET /batch/t1/stream", func(w http.ResponseWriter, r *http.Request) {
+		w.Write([]byte(`{"type":"hello","schema":3,"id":"t1","total":2}` + "\n"))
+		w.Write([]byte(`{"type":"done","state":"canceled","error":"service: canceled by request"}` + "\n"))
+	})
+	mux.HandleFunc("GET /jobs/{id}", func(w http.ResponseWriter, r *http.Request) { polled.Store(true) })
+	ts := httptest.NewServer(mux)
+	defer ts.Close()
+
+	c := NewRemote(ts.URL, WithTimeout(time.Second))
+	m := MustParseMachine("4c2b2l64r")
+	var jobs []CompileJob
+	for _, l := range BenchmarkLoops("tomcatv")[:2] {
+		jobs = append(jobs, CompileJob{Graph: l.Graph, Machine: m})
+	}
+	seen := make([]bool, len(jobs))
+	for i, out := range c.Stream(context.Background(), jobs) {
+		if seen[i] {
+			t.Fatalf("job %d yielded twice", i)
+		}
+		seen[i] = true
+		var re *wire.RemoteError
+		if !errors.As(out.Err, &re) || re.Msg != "service: canceled by request" {
+			t.Fatalf("job %d: want the batch's terminal error, got %v", i, out.Err)
+		}
+		if out.Job.Graph != jobs[i].Graph {
+			t.Fatalf("job %d: the outcome is not tagged with its job", i)
+		}
+	}
+	if !seen[0] || !seen[1] {
+		t.Fatalf("yielded %v, want both jobs", seen)
+	}
+	if polled.Load() {
+		t.Fatal("the client polled a ticket whose stream had ended")
+	}
+}

@@ -7,11 +7,13 @@ package clusched
 // outcome exactly once.
 
 import (
+	"bytes"
 	"context"
 	"net/http"
 	"net/http/httptest"
 	"strings"
 	"sync"
+	"sync/atomic"
 	"testing"
 	"time"
 
@@ -134,4 +136,222 @@ func TestStreamReconnectDeliversSuffixExactlyOnce(t *testing.T) {
 	if delivered != len(jobs) {
 		t.Fatalf("delivered %d of %d outcomes across the cut", delivered, len(jobs))
 	}
+}
+
+// lyingStream wraps the NDJSON stream's ResponseWriter and inflates the
+// headline II of the first outcome frame it carries: an answer that decodes
+// but contradicts its own schedule, so it fails its proof on arrival.
+type lyingStream struct {
+	http.ResponseWriter
+	lied bool
+}
+
+func (l *lyingStream) Write(p []byte) (int, error) {
+	if !l.lied && bytes.Contains(p, []byte(`"type":"outcome"`)) {
+		l.lied = true
+		if _, err := l.ResponseWriter.Write(bytes.Replace(p, []byte(`"ii":`), []byte(`"ii":1`), 1)); err != nil {
+			return 0, err
+		}
+		return len(p), nil
+	}
+	return l.ResponseWriter.Write(p)
+}
+
+func (l *lyingStream) Flush() {
+	if f, ok := l.ResponseWriter.(http.Flusher); ok {
+		f.Flush()
+	}
+}
+
+// TestClusterUnprovableOutcomeIsCompiledElsewhere: a node whose every run
+// carries one outcome that fails its proof never gets that outcome past the
+// cluster — the job is undelivered, the node is ejected, and the job comes
+// back, proven and bit-identical to a local compilation, from another member.
+// On Client.Stream the same frame stays that one job's error.
+func TestClusterUnprovableOutcomeIsCompiledElsewhere(t *testing.T) {
+	jobs := conformanceJobs(t)
+	want := referenceOutcomes(t, jobs)
+	urls := make([]string, 2)
+	for i := range urls {
+		s := service.New(service.Config{})
+		h := s.Handler()
+		if i == 0 {
+			honest := h
+			h = http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
+				if strings.HasSuffix(r.URL.Path, "/stream") {
+					w = &lyingStream{ResponseWriter: w}
+				}
+				honest.ServeHTTP(w, r)
+			})
+		}
+		ts := httptest.NewServer(h)
+		t.Cleanup(func() {
+			ts.Close()
+			s.Shutdown(context.Background())
+		})
+		urls[i] = ts.URL
+	}
+	cl := NewCluster(urls, WithNodeInFlight(1), WithHedge(-1), WithHealthInterval(-1))
+	t.Cleanup(cl.Close)
+
+	ctx, cancel := context.WithTimeout(context.Background(), 2*time.Minute)
+	defer cancel()
+	outs, err := Collect(ctx, cl, jobs)
+	if err != nil {
+		t.Fatalf("the fleet let an unprovable outcome become an error: %v", err)
+	}
+	for i, o := range outs {
+		if got := resultFingerprint(o.Result); got != want[i] {
+			t.Fatalf("job %d diverges:\n  got:  %s\n  want: %s", i, got, want[i])
+		}
+	}
+	liar := cl.FleetStats(ctx).Nodes[0]
+	if liar.Ejections == 0 || liar.Healthy {
+		t.Fatalf("the lying node was not ejected: %+v", liar)
+	}
+
+	failed := 0
+	for i, out := range NewRemote(urls[0]).Stream(ctx, jobs) {
+		if out.Err != nil {
+			failed++
+		} else if got := resultFingerprint(out.Result); got != want[i] {
+			t.Fatalf("remote job %d diverges", i)
+		}
+	}
+	if failed != 1 {
+		t.Fatalf("Client.Stream reported %d failed jobs, want the one unprovable outcome", failed)
+	}
+}
+
+// firstLoadGate is a Store that holds the first Load of one loop — whichever
+// node makes it — until released; every later Load passes. Routing depends on
+// the nodes' random ports, so the gate sits on every node and closes on the
+// one the ring happens to pick.
+type firstLoadGate struct {
+	loop          string
+	taken         atomic.Bool
+	reached, open chan struct{}
+	once          sync.Once
+}
+
+// release opens the gate; a test's cleanup calls it too, so that a failed
+// test does not leave a server that cannot drain.
+func (g *firstLoadGate) release() { g.once.Do(func() { close(g.open) }) }
+
+func newFirstLoadGate(loop string) *firstLoadGate {
+	return &firstLoadGate{loop: loop, reached: make(chan struct{}), open: make(chan struct{})}
+}
+
+func (g *firstLoadGate) Load(j CompileJob) (*Result, error, bool) {
+	if j.Graph.Name == g.loop && g.taken.CompareAndSwap(false, true) {
+		close(g.reached)
+		<-g.open
+	}
+	return nil, nil, false
+}
+
+func (g *firstLoadGate) Save(CompileJob, *Result, error) {}
+
+// gatedFleet starts two one-worker nodes behind one firstLoadGate and a
+// cluster over them with one exchange per node. streams counts the NDJSON
+// streams the nodes have been asked for.
+func gatedFleet(t *testing.T, gate *firstLoadGate, opts ...Option) (servers []*service.Server, cl *Cluster, streams *atomic.Int32) {
+	t.Helper()
+	servers = make([]*service.Server, 2)
+	urls := make([]string, 2)
+	streams = new(atomic.Int32)
+	for i := range servers {
+		s := service.New(service.Config{Workers: 1, Store: gate})
+		h := s.Handler()
+		ts := httptest.NewServer(http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
+			if strings.HasSuffix(r.URL.Path, "/stream") {
+				streams.Add(1)
+			}
+			h.ServeHTTP(w, r)
+		}))
+		t.Cleanup(func() {
+			ts.Close()
+			s.Shutdown(context.Background())
+		})
+		servers[i], urls[i] = s, ts.URL
+	}
+	cl = NewCluster(urls, append([]Option{WithNodeInFlight(1), WithHealthInterval(-1)}, opts...)...)
+	t.Cleanup(cl.Close)
+	t.Cleanup(gate.release)
+	return servers, cl, streams
+}
+
+// waitCanceled waits for one of the servers to report a cancelled ticket.
+func waitCanceled(t *testing.T, servers []*service.Server, what string) {
+	t.Helper()
+	deadline := time.Now().Add(10 * time.Second)
+	for {
+		for _, s := range servers {
+			if s.Stats().Canceled > 0 {
+				return
+			}
+		}
+		if time.Now().After(deadline) {
+			t.Fatalf("%s: no ticket was ever cancelled on a node", what)
+		}
+		time.Sleep(5 * time.Millisecond)
+	}
+}
+
+// TestClusterHedgeCancelsTheLosersTicket: a node that goes silent mid-run has
+// the undelivered suffix answered by its peer — every outcome still
+// bit-identical to a local compilation — and, once the ledger is full, the
+// silent node's ticket is cancelled on the node itself.
+func TestClusterHedgeCancelsTheLosersTicket(t *testing.T) {
+	jobs := conformanceJobs(t)
+	want := referenceOutcomes(t, jobs)
+	// The batch's first loop (two jobs, one per machine) heads its home's
+	// first run: that ticket goes silent before its first outcome.
+	gate := newFirstLoadGate(jobs[0].Graph.Name)
+	servers, cl, _ := gatedFleet(t, gate, WithHedge(20*time.Millisecond))
+
+	ctx, cancel := context.WithTimeout(context.Background(), 2*time.Minute)
+	defer cancel()
+	outs, err := Collect(ctx, cl, jobs)
+	if err != nil {
+		t.Fatal(err)
+	}
+	for i, o := range outs {
+		if got := resultFingerprint(o.Result); got != want[i] {
+			t.Fatalf("job %d diverges:\n  got:  %s\n  want: %s", i, got, want[i])
+		}
+	}
+	st := cl.FleetStats(ctx)
+	// The gated run for certain — and, when its home had a second run queued
+	// behind the stuck ticket, that one too, or any run a slow box kept
+	// silent for 20 ms.
+	if st.HedgesFired == 0 || st.HedgesWon == 0 {
+		t.Fatalf("%d hedges fired, %d won; want the silent run hedged and its duplicate answering first", st.HedgesFired, st.HedgesWon)
+	}
+	gate.release() // lets the cancelled ticket wind down
+	waitCanceled(t, servers, "hedge loser")
+}
+
+// TestClusterEarlyBreakCancelsRemoteTickets: walking away from a fleet
+// stream cancels the tickets still open on the nodes, as it does on a single
+// server (TestStreamEarlyBreakCancelsRemoteTicket).
+func TestClusterEarlyBreakCancelsRemoteTickets(t *testing.T) {
+	jobs := conformanceJobs(t)
+	gate := newFirstLoadGate(jobs[0].Graph.Name)
+	servers, cl, streams := gatedFleet(t, gate, WithHedge(-1))
+	for range cl.Stream(context.Background(), jobs) {
+		// The first outcome is the other node's. The batch's first loop heads
+		// its home's first run, so that ticket will be held at the gate
+		// whatever this consumer does; and bounded-load routing leaves each
+		// of two nodes at least a third of the batch, so both first runs are
+		// tickets. Break once both are being read: a cancellation that lands
+		// while a run is still being submitted has no ticket to name.
+		<-gate.reached
+		for streams.Load() < 2 {
+			time.Sleep(time.Millisecond)
+		}
+		break
+	}
+	gate.release()
+	waitCanceled(t, servers, "early break")
 }

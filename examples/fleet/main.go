@@ -7,14 +7,13 @@
 // service the clusched-serve binary runs, so the example is self-contained
 // (go run ./examples/fleet). A real deployment starts real processes:
 //
-//	clusched-serve -addr :8357 -runners 6 -max-inflight 8 &
-//	clusched-serve -addr :8358 -runners 6 -max-inflight 8 &
-//	clusched-serve -addr :8359 -runners 6 -max-inflight 8 &
+//	clusched-serve -addr :8357 -max-inflight 8 &
+//	clusched-serve -addr :8358 -max-inflight 8 &
+//	clusched-serve -addr :8359 -max-inflight 8 &
 //
 // and hands their URLs to clusched.NewCluster — everything below is
-// unchanged. Size each server's -runners at or above the cluster's
-// per-node window (WithNodeInFlight, default 4, plus headroom for hedged
-// duplicates): every unary dispatch is its own one-job ticket.
+// unchanged. Nothing is sized against the cluster: a node's share of a
+// batch arrives as one ticket and the node's worker pool serves it.
 package main
 
 import (
@@ -32,12 +31,11 @@ import (
 func main() {
 	ctx := context.Background()
 
-	// Three nodes. Runners sized above the cluster's per-node window (see
-	// the package comment); each keeps its own result cache, which is
-	// exactly why routing affinity matters.
+	// Three nodes, defaults throughout; each keeps its own result cache,
+	// which is exactly why routing affinity matters.
 	var urls []string
 	for range 3 {
-		s := service.New(service.Config{Runners: 6})
+		s := service.New(service.Config{})
 		ts := httptest.NewServer(s.Handler())
 		defer ts.Close()
 		urls = append(urls, ts.URL)

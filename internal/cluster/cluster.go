@@ -4,16 +4,22 @@
 // consistent hashing on the *canonical* fingerprint component of its
 // JobKey — the isomorphism-invariant digest, so renamed/reordered clones
 // of one loop always land on the same node and hit that node's semantic
-// cache tier instead of recompiling. Around that affinity core sit the
-// fleet mechanics: health-checked membership (periodic probes with jitter,
-// eject on dispatch failure, readmit on recovery), per-node in-flight
-// windows with work stealing when a node drains or falls behind, hedged
-// dispatch for stragglers (a second send after a latency-percentile delay;
-// first answer wins, the loser is cancelled — results are content-addressed
-// and deterministic, so a duplicated compilation is only wasted heat, never
-// a wrong answer), and transport-aware failover that distinguishes "the
-// node could not answer" (retry elsewhere) from "the job failed to compile"
-// (a legitimate, deterministic outcome that every node would reproduce).
+// cache tier instead of recompiling. What is then dispatched is the run: a
+// slice of one member's routed queue, sent as one ticket and streamed back
+// outcome by outcome, so a node's worker pool serves a sub-batch and a job
+// costs a frame, not an HTTP exchange; a single job is a run of one. Around
+// that core sit the fleet mechanics, all of which move runs: health-checked
+// membership (periodic probes with jitter, eject on dispatch failure,
+// readmit on recovery), per-node windows of concurrent exchanges with work
+// stealing when a node drains or falls behind, hedged dispatch for
+// stragglers (the undelivered suffix of a run gone silent is duplicated on
+// a peer after a latency-percentile delay; the first answer per job wins,
+// the loser is cancelled — results are content-addressed and deterministic,
+// so a duplicated compilation is only wasted heat, never a wrong answer),
+// and transport-aware failover that distinguishes "the node could not
+// answer" (the undelivered suffix goes elsewhere) from "the job failed to
+// compile" (a legitimate, deterministic outcome that every node would
+// reproduce).
 //
 // The public constructor is clusched.NewCluster; this package keeps the
 // mechanics testable against in-process fakes.
@@ -25,7 +31,7 @@ import (
 	"iter"
 	"log/slog"
 	"math/rand/v2"
-	"sort"
+	"slices"
 	"sync"
 	"sync/atomic"
 	"time"
@@ -47,12 +53,14 @@ type Member struct {
 type Config struct {
 	// Members is the fleet; at least one is required.
 	Members []Member
-	// NodeInFlight bounds concurrent dispatches per member (the per-node
-	// window work stealing balances against); ≤0 means DefaultNodeInFlight.
+	// NodeInFlight bounds concurrent exchanges per member — runs in flight,
+	// each one ticket on the node, whatever its length — and is the backlog
+	// a queue must exceed before an idle peer may steal from it; ≤0 means
+	// DefaultNodeInFlight.
 	NodeInFlight int
 	// Hedge controls straggler hedging: 0 (default) adapts the hedge delay
-	// to a high percentile of observed dispatch latency, >0 fixes the
-	// delay, <0 disables hedging.
+	// to a high percentile of the observed gaps between answers, >0 fixes
+	// the delay, <0 disables hedging.
 	Hedge time.Duration
 	// HealthInterval paces the membership probes (jittered ±20%); 0 means
 	// DefaultHealthInterval, <0 disables probing (members are then only
@@ -73,10 +81,10 @@ const (
 	DefaultHealthInterval = 2 * time.Second
 )
 
-// Hedging tuning: the adaptive delay is hedgeFactor × the p95 of recent
-// successful dispatch latencies, floored so microsecond-fast fleets do not
-// hedge every job, and it needs hedgeMinSamples observations before the
-// first hedge can fire.
+// Hedging tuning: the adaptive delay is hedgeFactor × the p95 of the recent
+// gaps between answers (a run's send to its first outcome, one outcome to the
+// next), floored so microsecond-fast fleets do not hedge every run, and it
+// needs hedgeMinSamples observations before the first hedge can fire.
 const (
 	hedgeFactor     = 4
 	hedgeFloor      = 10 * time.Millisecond
@@ -287,24 +295,30 @@ func routeKey(j driver.Job) uint64 {
 }
 
 // routeOne picks the home member for a single job: the ring successor,
-// skipping unhealthy or saturated members (bounded by the in-flight window).
+// skipping unhealthy members and members whose exchange window is full.
 func (c *Cluster) routeOne(j driver.Job) *member {
 	return c.ring.lookup(routeKey(j), func(m *member) bool {
 		return m.healthy() && m.inflight.Load() < int64(c.nodeInFlight)
 	})
 }
 
-// Compile dispatches one job to its home node — the unary half of the
-// Backend contract.
+// Compile dispatches one job to its home node — a run of one, the unary
+// half of the Backend contract.
 func (c *Cluster) Compile(ctx context.Context, j driver.Job) (*pipeline.Result, error) {
-	out := c.dispatch(ctx, c.routeOne(j), j)
+	var out driver.Outcome
+	l := newLedger([]driver.Job{j}, func(_ int, o driver.Outcome) bool {
+		out = o
+		return true
+	})
+	c.dispatch(ctx, l, c.routeOne(j), []int{0})
 	return out.Result, out.Err
 }
 
 // route assigns every job of a batch to a member queue: ring successor by
 // canonical fingerprint, bounded-load spill when a shard would exceed
-// routeLoadFactor × the even share, unhealthy members skipped entirely.
-func (c *Cluster) route(jobs []driver.Job) map[*member][]int {
+// routeLoadFactor × the even share, unhealthy members skipped entirely. It
+// also returns the member count the even share was taken over.
+func (c *Cluster) route(jobs []driver.Job) (map[*member][]int, int) {
 	assign := make(map[*member][]int, len(c.members))
 	healthy := 0
 	for _, m := range c.members {
@@ -322,71 +336,101 @@ func (c *Cluster) route(jobs []driver.Job) map[*member][]int {
 		})
 		assign[m] = append(assign[m], i)
 	}
-	return assign
+	return assign, healthy
 }
 
-// Stream implements the Backend batch contract over the fleet. Each member
-// runs a window of NodeInFlight dispatch workers over its routed queue;
-// a worker whose queue drains steals from the tail of the longest backlog
-// that exceeds the in-flight window (the job its home node would have
-// reached last — the cheapest affinity to sacrifice; shorter queues are
-// left to their home node, which already has them in flight). Every job yields exactly once, tagged with its index;
-// cancelling ctx mid-stream stamps the remaining jobs with the
-// cancellation; stopping the iteration early abandons the remaining work.
+// Stream implements the Backend batch contract over the fleet. The unit it
+// dispatches is the run: a slice of one member's routed queue, sent as one
+// exchange (one ticket, streamed back outcome by outcome). Each member has
+// NodeInFlight workers; a worker claims from the head of its member's queue
+// a run of at most the batch's even share, so what reaches a node is a
+// sub-batch its whole worker pool serves, and what bounded-load routing put
+// above the even share stays queued — the home's next run, unless an idle
+// peer steals it first (the tail of the longest backlog past the in-flight
+// floor: the jobs their home would reach last, the cheapest affinity to
+// sacrifice). Every job yields exactly once, tagged with its index, the
+// moment its outcome arrives; cancelling ctx mid-stream stamps the remaining
+// jobs with the cancellation; stopping the iteration early abandons the
+// remaining work. Either way every ticket still open on a node is cancelled
+// there before Stream returns.
 func (c *Cluster) Stream(ctx context.Context, jobs []driver.Job) iter.Seq2[int, driver.Outcome] {
 	return func(yield func(int, driver.Outcome) bool) {
 		if len(jobs) == 0 {
 			return
 		}
 		sctx, cancel := context.WithCancel(ctx)
-		defer cancel()
-
-		assign := c.route(jobs)
-		b := &batchState{queues: assign, order: c.members, stealFloor: c.nodeInFlight}
 
 		type indexed struct {
 			i   int
 			out driver.Outcome
 		}
 		// Unbuffered on purpose, exactly like the local engine: a worker
-		// hands its outcome to the consumer before taking more work, so
-		// the first yield happens while the rest of the batch is still
+		// hands its outcome to the consumer before reading the next, so the
+		// first yield happens while the rest of the batch is still
 		// compiling — the streaming guarantee the conformance suite pins.
 		results := make(chan indexed)
-		var wg sync.WaitGroup
+		stop := make(chan struct{}) // closed when the consumer is gone
+		l := newLedger(jobs, func(i int, out driver.Outcome) bool {
+			select {
+			case results <- indexed{i, out}:
+				return true
+			case <-stop:
+				return false
+			}
+		})
+
+		queues, healthy := c.route(jobs)
+		b := &batchState{
+			queues:     queues,
+			order:      c.members,
+			share:      (len(jobs) + healthy - 1) / healthy,
+			stealFloor: c.nodeInFlight,
+		}
+		// Every worker's first run is claimed here, home queues before any
+		// steal, so no idle member raids a queue its home has not reached
+		// yet. Queues never refill (failover happens inside dispatch), so a
+		// worker with nothing to claim now never will have and is not
+		// started.
+		type start struct {
+			m   *member
+			run []int
+		}
+		starts := make([]start, 0, len(c.members)*c.nodeInFlight)
 		for _, m := range c.members {
 			for w := 0; w < c.nodeInFlight; w++ {
-				wg.Add(1)
-				go func(m *member) {
-					defer wg.Done()
-					for {
-						i, ok := b.next(m)
-						if !ok {
-							return
-						}
-						out := c.dispatch(sctx, m, jobs[i])
-						results <- indexed{i, out}
-					}
-				}(m)
+				starts = append(starts, start{m, c.claim(b, m, false)})
 			}
+		}
+		var wg sync.WaitGroup
+		for _, s := range starts {
+			if s.run == nil {
+				if s.run = c.claim(b, s.m, true); s.run == nil {
+					continue
+				}
+			}
+			wg.Add(1)
+			go func(m *member, run []int) {
+				defer wg.Done()
+				for ; run != nil; run = c.claim(b, m, true) {
+					c.dispatch(sctx, l, m, run)
+				}
+			}(s.m, s.run)
 		}
 		go func() {
 			wg.Wait()
 			close(results)
 		}()
 
-		// The drain runs on every early exit from the range below — yield
-		// returning false, a consumer panic, or runtime.Goexit — so workers
-		// blocked on the unbuffered send always wind down (the deferred
-		// cancel aborts their in-flight dispatches first).
-		drained := false
+		// On every exit from the range below — the batch is complete, yield
+		// returned false, a consumer panic, runtime.Goexit — wait the
+		// workers out, so no exchange and no goroutine outlives the call and
+		// every open ticket has been cancelled on its node. Cancel before
+		// stop: a worker that finds the consumer gone must already see sctx
+		// cancelled, or it would take the refusal for a failure of its node.
 		defer func() {
 			cancel()
-			if !drained {
-				go func() {
-					for range results {
-					}
-				}()
+			close(stop)
+			for range results {
 			}
 		}()
 		for r := range results {
@@ -394,7 +438,46 @@ func (c *Cluster) Stream(ctx context.Context, jobs []driver.Job) iter.Seq2[int, 
 				return
 			}
 		}
-		drained = true
+	}
+}
+
+// ledger is the delivery record of one Stream or Compile call: which jobs
+// have been answered, whichever run, member or hedge carried the answer.
+// Claiming a job before emitting it is what makes delivery exactly-once
+// while a run's undelivered suffix fails over or is duplicated by a hedge.
+type ledger struct {
+	jobs     []driver.Job
+	answered []atomic.Bool
+	// emit hands one answered job to the caller; false means the caller
+	// has stopped listening.
+	emit func(i int, out driver.Outcome) bool
+}
+
+func newLedger(jobs []driver.Job, emit func(int, driver.Outcome) bool) *ledger {
+	return &ledger{jobs: jobs, answered: make([]atomic.Bool, len(jobs)), emit: emit}
+}
+
+// claim marks job i answered; only the first claim succeeds.
+func (l *ledger) claim(i int) bool { return l.answered[i].CompareAndSwap(false, true) }
+
+// pending returns the jobs of run nobody has answered yet — its undelivered
+// suffix, in a slice of its own; nil when there are none.
+func (l *ledger) pending(run []int) []int {
+	var rest []int
+	for _, i := range run {
+		if !l.answered[i].Load() {
+			rest = append(rest, i)
+		}
+	}
+	return rest
+}
+
+// fail answers every still-pending job of run with err.
+func (l *ledger) fail(run []int, err error) {
+	for _, i := range run {
+		if l.claim(i) && !l.emit(i, driver.Outcome{Job: l.jobs[i], Err: err}) {
+			return
+		}
 	}
 }
 
@@ -404,6 +487,12 @@ type batchState struct {
 	mu     sync.Mutex
 	queues map[*member][]int
 	order  []*member
+	// share is the batch's even share, ⌈jobs / healthy members⌉ — the number
+	// route's bound is built from — and the most a member claims from its
+	// own queue in one run. Whole queues would leave nothing to steal,
+	// halves keep the most backlog but double the exchanges; the even share
+	// leaves exactly what routing put above it (≤ 25% + 1).
+	share int
 	// stealFloor is the backlog a victim must exceed before an idle member
 	// may steal from it: a queue no longer than the in-flight window is
 	// already fully dispatchable by its home node, so stealing it would
@@ -412,17 +501,22 @@ type batchState struct {
 	stealFloor int
 }
 
-// next pops the member's own queue, or steals from the tail of the longest
-// other backlog past the steal floor. It returns false when no stealable
-// work remains anywhere — failover happens inside dispatch, so queues never
-// refill, and sub-floor remainders drain at their home node.
-func (b *batchState) next(m *member) (int, bool) {
+// next claims the member's next run: the head of its own queue, at most the
+// even share, or — when steal is set and that queue is empty — the tail of
+// the longest other backlog past the steal floor, half of what exceeds the
+// floor. It returns nil when there is nothing to claim; with steal set that
+// means no claimable work remains anywhere — sub-floor remainders drain at
+// their home node.
+func (b *batchState) next(m *member, steal bool) (run []int, stolen bool) {
 	b.mu.Lock()
 	defer b.mu.Unlock()
 	if q := b.queues[m]; len(q) > 0 {
-		i := q[0]
-		b.queues[m] = q[1:]
-		return i, true
+		n := min(len(q), b.share)
+		b.queues[m] = q[n:]
+		return q[:n:n], false
+	}
+	if !steal {
+		return nil, false
 	}
 	var victim *member
 	best := b.stealFloor
@@ -432,56 +526,70 @@ func (b *batchState) next(m *member) (int, bool) {
 		}
 	}
 	if victim == nil {
-		return 0, false
+		return nil, false
 	}
 	q := b.queues[victim]
-	i := q[len(q)-1]
-	b.queues[victim] = q[:len(q)-1]
-	m.steals.Add(1)
-	return i, true
+	cut := len(q) - (len(q)-b.stealFloor+1)/2
+	b.queues[victim] = q[:cut:cut]
+	m.steals.Add(uint64(len(q) - cut))
+	return q[cut:], true
 }
 
-// dispatch serves one job to a final outcome: try the home member (hedged),
-// and on a retryable transport failure eject it and fail over — each member
-// is tried at most once, and a compilation error inside a successful
-// exchange is final (it is deterministic; every node would reproduce it).
-func (c *Cluster) dispatch(ctx context.Context, home *member, j driver.Job) driver.Outcome {
-	if err := ctx.Err(); err != nil {
-		return driver.Outcome{Job: j, Err: err}
+// claim is next with the steal booked in the registry.
+func (c *Cluster) claim(b *batchState, m *member, steal bool) []int {
+	run, stolen := b.next(m, steal)
+	if stolen {
+		c.metrics.steals.With(m.name).Add(uint64(len(run)))
 	}
+	return run
+}
+
+// dispatch serves one run to a final outcome for each of its jobs: try the
+// home member (hedged), and on a retryable transport failure — the member
+// could not be reached, refused the run, cut its stream, or answered
+// something that fails its proof — fail over what the ledger still lacks,
+// as a run, to the next member. Each member is tried at most once per job,
+// and a compilation error inside a delivered outcome is final (it is
+// deterministic; every node would reproduce it). The cluster never resumes
+// a cut stream by polling: the suffix is simply compiled elsewhere.
+func (c *Cluster) dispatch(ctx context.Context, l *ledger, home *member, run []int) {
 	m := home
 	tried := make(map[*member]bool, 2)
-	if m == nil || !m.healthy() {
+	if !m.healthy() {
 		if alt := c.pick(tried, m); alt != nil {
 			m = alt
 		}
 	}
-	if m == nil { // no members at all cannot happen (New requires ≥1); belt and braces
-		return driver.Outcome{Job: j, Err: fmt.Errorf("cluster: no member to dispatch to")}
-	}
 	var firstErr error
 	for {
-		tried[m] = true
-		out, err := c.tryNode(ctx, m, j)
-		if err == nil {
-			return out
+		if err := ctx.Err(); err != nil {
+			l.fail(run, err)
+			return
 		}
-		if cerr := ctx.Err(); cerr != nil {
-			return driver.Outcome{Job: j, Err: cerr}
+		err := c.tryRun(ctx, l, m, run, tried)
+		if run = l.pending(run); run == nil {
+			return
 		}
-		if !retryable(err) {
-			return driver.Outcome{Job: j, Err: err}
+		switch {
+		case ctx.Err() != nil:
+			l.fail(run, ctx.Err())
+			return
+		case err == nil:
+			err = fmt.Errorf("cluster: node %s ended a run with %d jobs unanswered", m.name, len(run))
+		case !retryable(err):
+			l.fail(run, err)
+			return
 		}
-		c.eject(m, err)
-		c.metrics.failovers.With(m.name).Inc()
+		c.metrics.failovers.With(m.name).Add(uint64(len(run)))
 		if firstErr == nil {
 			firstErr = err
 		}
 		next := c.pick(tried, nil)
 		if next == nil {
-			return driver.Outcome{Job: j, Err: fmt.Errorf("cluster: job failed on every reachable member: %w", firstErr)}
+			l.fail(run, fmt.Errorf("cluster: job failed on every reachable member: %w", firstErr))
+			return
 		}
-		c.logger.Debug("cluster: failover", "from", m.name, "to", next.name)
+		c.logger.Debug("cluster: failover", "from", m.name, "to", next.name, "jobs", len(run))
 		m = next
 	}
 }
@@ -507,68 +615,90 @@ func (c *Cluster) pick(tried map[*member]bool, exclude *member) *member {
 	return best
 }
 
-// tryNode sends the job to one member, hedging a duplicate onto a peer if
-// the primary exceeds the hedge delay. The first answer wins and the loser
-// is cancelled; results are content-addressed and deterministic, so the
-// duplicate can only waste work, never change the answer. A hedge win is
-// counted against the slow primary.
-func (c *Cluster) tryNode(ctx context.Context, m *member, j driver.Job) (driver.Outcome, error) {
-	delay, hedging := c.hedgeDelay()
+// hedge is the state the two exchanges of a hedged run share.
+type hedge struct {
+	primary *member
+	// cancel ends both exchanges; each cancels its unfinished ticket on its
+	// node on the way out.
+	cancel context.CancelFunc
+	// left counts the jobs of the run the ledger still lacks.
+	left atomic.Int32
+	// last is when the primary last gave a sign of life (UnixNano).
+	last atomic.Int64
+	// fired: the duplicate is out. won: it has answered a job first.
+	fired, won atomic.Bool
+}
+
+// tryRun sends the run to one member as one exchange, hedged: if the member
+// stays silent for the hedge delay — from the send to the first outcome, or
+// from one outcome to the next — what the ledger still lacks is duplicated
+// as a run on a peer. Both exchanges feed the one ledger, the first answer
+// per job wins, and once the ledger has the whole run both are cancelled;
+// results are content-addressed and deterministic, so the duplicate can only
+// waste work, never change an answer. Whether the run may be hedged, onto
+// whom and after what delay is decided here, when it is sent. A hedge is
+// counted against the slow primary, and as won once its duplicate has
+// answered a job first. The error is the primary's transport verdict, or
+// the duplicate's when the primary has none.
+func (c *Cluster) tryRun(ctx context.Context, l *ledger, m *member, run []int, tried map[*member]bool) error {
+	tried[m] = true
 	var alt *member
+	delay, hedging := c.hedgeDelay()
 	if hedging {
 		alt = c.hedgePeer(m)
 	}
 	if alt == nil {
-		return c.send(ctx, m, j)
+		return c.send(ctx, l, m, run, nil)
 	}
 
 	hctx, cancel := context.WithCancel(ctx)
 	defer cancel()
+	h := &hedge{primary: m, cancel: cancel}
+	h.left.Store(int32(len(run)))
+	h.last.Store(time.Now().UnixNano())
 	type reply struct {
-		out   driver.Outcome
 		err   error
 		hedge bool
 	}
-	ch := make(chan reply, 2) // buffered: the loser must never leak
-	go func() {
-		out, err := c.send(hctx, m, j)
-		ch <- reply{out, err, false}
-	}()
+	ch := make(chan reply, 2) // one per exchange: the primary's, the duplicate's
+	go func() { ch <- reply{c.send(hctx, l, m, run, h), false} }()
 	timer := time.NewTimer(delay)
 	defer timer.Stop()
-	timerC := timer.C
-	inflight := 1
-	var firstErr error
-	for {
+	var perr, herr error
+	for inflight := 1; inflight > 0; {
 		select {
 		case r := <-ch:
 			inflight--
-			if r.err == nil {
-				if r.hedge {
-					m.hedgesWon.Add(1)
-					c.metrics.hedgesWon.With(m.name).Inc()
-				}
-				cancel()
-				return r.out, nil
+			if r.hedge {
+				herr = r.err
+			} else {
+				perr = r.err
+				timer.Stop()
 			}
-			if firstErr == nil {
-				firstErr = r.err
+		case <-timer.C:
+			if idle := time.Since(time.Unix(0, h.last.Load())); idle < delay {
+				timer.Reset(delay - idle)
+				continue
 			}
-			if inflight == 0 {
-				return driver.Outcome{}, firstErr
+			// fired before the suffix is read: whoever claims the run's last
+			// job from here on cancels both exchanges.
+			h.fired.Store(true)
+			suffix := l.pending(run)
+			if suffix == nil {
+				continue // answered in full; the primary is about to return
 			}
-		case <-timerC:
-			timerC = nil
+			tried[alt] = true
 			m.hedgesFired.Add(1)
 			c.metrics.hedgesFired.With(m.name).Inc()
-			c.logger.Debug("cluster: hedge fired", "primary", m.name, "hedge", alt.name, "delay", delay)
+			c.logger.Debug("cluster: hedge fired", "primary", m.name, "hedge", alt.name, "delay", delay, "jobs", len(suffix))
 			inflight++
-			go func() {
-				out, err := c.send(hctx, alt, j)
-				ch <- reply{out, err, true}
-			}()
+			go func() { ch <- reply{c.send(hctx, l, alt, suffix, h), true} }()
 		}
 	}
+	if perr == nil {
+		return herr
+	}
+	return perr
 }
 
 // hedgePeer picks where a hedge goes: the least-loaded healthy member other
@@ -586,37 +716,76 @@ func (c *Cluster) hedgePeer(primary *member) *member {
 	return best
 }
 
-// send is one accounted exchange with a member.
-func (c *Cluster) send(ctx context.Context, m *member, j driver.Job) (driver.Outcome, error) {
+// send is one accounted exchange with a member: the run goes out as one
+// ticket (a run of one as one unary request), and every outcome that comes
+// back is claimed in the ledger and emitted. h is non-nil for the two
+// exchanges of a hedged run. A retryable failure ejects the member; a clean
+// exchange readmits it.
+func (c *Cluster) send(ctx context.Context, l *ledger, m *member, run []int, h *hedge) error {
 	m.inflight.Add(1)
 	defer m.inflight.Add(-1)
-	t0 := time.Now()
-	out, err := m.node.Do(ctx, j)
-	if err == nil {
+	jobs := make([]driver.Job, len(run))
+	for k, i := range run {
+		jobs[k] = l.jobs[i]
+	}
+	duplicate := h != nil && m != h.primary
+	answered := c.metrics.jobs.With(m.name)
+	last := time.Now()
+	err := doRun(ctx, m.node, jobs, func(k int, out driver.Outcome) bool {
+		// The gaps the hedge delay is estimated from, and measured against:
+		// send to first outcome, outcome to outcome.
+		now := time.Now()
+		c.observeLatency(now.Sub(last))
+		last = now
+		if h != nil && !duplicate {
+			h.last.Store(now.UnixNano())
+		}
+		if !l.claim(run[k]) {
+			return true // the other exchange of a hedged run answered first
+		}
 		m.jobs.Add(1)
-		c.metrics.jobs.With(m.name).Inc()
-		c.observeLatency(time.Since(t0))
-		if !m.up.Load() {
-			// A successful exchange is as good as a probe: readmit.
-			m.up.Store(true)
+		answered.Inc()
+		ok := l.emit(run[k], out)
+		if h != nil {
+			if duplicate && h.won.CompareAndSwap(false, true) {
+				h.primary.hedgesWon.Add(1)
+				c.metrics.hedgesWon.With(h.primary.name).Inc()
+			}
+			if h.left.Add(-1) == 0 && h.fired.Load() {
+				h.cancel()
+			}
+		}
+		return ok
+	})
+	switch {
+	case err == nil:
+		if !m.up.Swap(true) {
+			// A clean exchange is as good as a probe: readmit.
 			c.logger.Info("cluster: member readmitted by successful dispatch", "node", m.name)
 		}
+	case ctx.Err() == nil && retryable(err):
+		c.eject(m, err)
 	}
-	return out, err
+	return err
 }
 
-// observeLatency feeds the hedge-delay estimator's sliding window.
+// observeLatency feeds the hedge-delay estimator's sliding window; only the
+// adaptive delay reads it.
 func (c *Cluster) observeLatency(d time.Duration) {
+	if c.hedge != 0 {
+		return
+	}
 	c.latMu.Lock()
 	c.lat[c.latN%latWindow] = d
 	c.latN++
 	c.latMu.Unlock()
 }
 
-// hedgeDelay resolves the current hedge delay: fixed when configured,
-// otherwise hedgeFactor × the p95 of the recent latency window (floored),
-// and no hedging at all until enough samples exist — hedging against an
-// unknown latency distribution would just double the traffic.
+// hedgeDelay resolves the hedge delay of the run about to be sent: fixed
+// when configured, otherwise hedgeFactor × the p95 of the recent window of
+// answer gaps (floored), and no hedging at all until enough samples exist —
+// hedging against an unknown latency distribution would just double the
+// traffic.
 func (c *Cluster) hedgeDelay() (time.Duration, bool) {
 	if c.hedge < 0 {
 		return 0, false
@@ -625,38 +794,30 @@ func (c *Cluster) hedgeDelay() (time.Duration, bool) {
 		return c.hedge, true
 	}
 	c.latMu.Lock()
-	n := c.latN
+	window := c.lat // a copy: sorted outside the lock
+	n := min(c.latN, latWindow)
+	c.latMu.Unlock()
 	if n < hedgeMinSamples {
-		c.latMu.Unlock()
 		return 0, false
 	}
-	if n > latWindow {
-		n = latWindow
-	}
-	window := make([]time.Duration, n)
-	copy(window, c.lat[:n])
-	c.latMu.Unlock()
-	sort.Slice(window, func(i, j int) bool { return window[i] < window[j] })
-	p95 := window[(len(window)*95)/100]
-	d := p95 * hedgeFactor
-	if d < hedgeFloor {
-		d = hedgeFloor
-	}
-	return d, true
+	slices.Sort(window[:n])
+	return max(window[n*95/100]*hedgeFactor, hedgeFloor), true
 }
 
 // NodeStats is one member's slice of the fleet rollup.
 type NodeStats struct {
 	Name    string `json:"name"`
 	Healthy bool   `json:"healthy"`
-	// InFlight is the cluster's own dispatch window usage right now.
+	// InFlight is the cluster's own window usage right now: exchanges open
+	// against the node, each carrying one run.
 	InFlight int64 `json:"in_flight"`
-	// Jobs counts exchanges this cluster completed against the node;
-	// Steals the jobs this node took over from another's queue.
+	// Jobs counts the jobs this node answered — one per delivered outcome,
+	// whichever run carried it; Steals the jobs it took over from another
+	// member's queue.
 	Jobs   uint64 `json:"jobs"`
 	Steals uint64 `json:"steals"`
-	// HedgesFired/HedgesWon count hedges fired against this node as the
-	// slow primary, and how many of those duplicates answered first.
+	// HedgesFired/HedgesWon count the runs hedged against this node as the
+	// slow primary, and how many of those duplicates answered a job first.
 	HedgesFired uint64 `json:"hedges_fired"`
 	HedgesWon   uint64 `json:"hedges_won"`
 	Ejections   uint64 `json:"ejections"`

@@ -14,11 +14,11 @@ import (
 	"clusched/internal/wire"
 )
 
-// Node is one compilation server as the cluster sees it: a unary dispatch
-// target. The interface is deliberately minimal — routing, failover,
-// hedging and stealing are the cluster's business, not the node's — and is
-// satisfied by HTTPNode (a clusched-serve instance) as well as by any
-// in-process fake a test cares to write.
+// Node is one compilation server as the cluster sees it: a dispatch target.
+// The interface is deliberately minimal — routing, failover, hedging and
+// stealing are the cluster's business, not the node's — and is satisfied by
+// HTTPNode (a clusched-serve instance) as well as by any in-process fake a
+// test cares to write.
 type Node interface {
 	// Do compiles one job. The error return is the *transport* verdict:
 	// non-nil means the node could not answer (connection refused, cut
@@ -27,6 +27,38 @@ type Node interface {
 	// the Outcome instead — retrying it on another node would only
 	// recompute the same failure.
 	Do(ctx context.Context, j driver.Job) (driver.Outcome, error)
+}
+
+// Streamer is implemented by nodes that take a run — several jobs — as one
+// exchange. The cluster only ever dispatches runs; a node without the method
+// is handed its run one Do at a time (doRun).
+type Streamer interface {
+	// Stream compiles jobs as one exchange and hands each outcome to
+	// deliver, with the job's index in jobs, the moment it arrives — at most
+	// once per job. The error is Do's transport verdict on every job that
+	// was not delivered; nil means all were. When deliver returns false
+	// nobody wants the rest of the run: the node abandons the exchange,
+	// cancelling whatever it opened remotely, and returns (what, nobody
+	// reads). It does the same when ctx is done.
+	Stream(ctx context.Context, jobs []driver.Job, deliver func(k int, out driver.Outcome) bool) error
+}
+
+// doRun hands a run to a node: as one exchange when the node streams,
+// otherwise job by job in order, stopping at the first transport error.
+func doRun(ctx context.Context, n Node, jobs []driver.Job, deliver func(k int, out driver.Outcome) bool) error {
+	if s, ok := n.(Streamer); ok {
+		return s.Stream(ctx, jobs, deliver)
+	}
+	for k, j := range jobs {
+		out, err := n.Do(ctx, j)
+		if err != nil {
+			return err
+		}
+		if !deliver(k, out) {
+			return nil
+		}
+	}
+	return nil
 }
 
 // HealthChecker is implemented by nodes that can be probed; the cluster's
@@ -72,19 +104,23 @@ func retryable(err error) bool {
 	return true
 }
 
-// HTTPNode speaks to one clusched-serve instance over its unary endpoints.
-// The cluster dispatches each routed job as its own POST /compile?wait=1
-// exchange — per-job requests, not per-batch tickets, so in-flight caps,
-// stealing and hedging operate at job granularity.
+// HTTPNode speaks to one clusched-serve instance. The cluster hands it runs:
+// a run goes out as one ticket — POST /batch, then the ticket's NDJSON stream
+// read to its done frame, the exchange Client.Stream speaks
+// (wire.StreamBatch) — and a run of one as one POST /compile?wait=1
+// (wire.PostCompile). In-flight windows, stealing, hedging and failover
+// therefore move whole runs, and a node's worker pool serves each as a
+// sub-batch.
 type HTTPNode struct {
 	// Base is the server root, e.g. "http://10.0.0.7:8357".
 	Base string
 	// HC is the HTTP client (shared across nodes is fine); nil uses a
 	// default client.
 	HC *http.Client
-	// Timeout bounds each exchange (a compile exchange spans the whole
-	// compilation, so this is a straggler bound, not a latency bound);
-	// 0 means no per-exchange bound beyond the caller's context.
+	// Timeout bounds each unary exchange (a compile exchange spans the
+	// whole compilation, so this is a straggler bound, not a latency bound)
+	// and, on a run's stream, each gap between two outcomes; 0 means no
+	// bound beyond the caller's context.
 	Timeout time.Duration
 }
 
@@ -148,6 +184,40 @@ func (n *HTTPNode) Do(ctx context.Context, j driver.Job) (driver.Outcome, error)
 		return driver.Outcome{}, &StatusError{Code: http.StatusBadRequest, Msg: err.Error()}
 	}
 	return wire.PostCompile(ctx, n.client(), n.Base, n.Timeout, body, j, statusError)
+}
+
+// Stream implements Streamer: the run as one ticket, each outcome decoded
+// and proven as its frame arrives. An outcome that fails its proof is not
+// delivered and becomes the exchange's error, so it is compiled elsewhere. A
+// stream that is cut is not resumed by polling — what it did not deliver is
+// the cluster's to fail over — and a ticket abandoned before its done frame
+// (deliver refused, ctx done) is cancelled on the server.
+func (n *HTTPNode) Stream(ctx context.Context, jobs []driver.Job, deliver func(k int, out driver.Outcome) bool) error {
+	if len(jobs) == 1 {
+		// One exchange, not two.
+		out, err := n.Do(ctx, jobs[0])
+		if err == nil {
+			deliver(0, out)
+		}
+		return err
+	}
+	body, err := wire.AppendSubmitRequest(nil, jobs, 0, false)
+	if err != nil {
+		return &StatusError{Code: http.StatusBadRequest, Msg: err.Error()}
+	}
+	var unproven error
+	_, err = wire.StreamBatch(ctx, n.client(), n.Base, n.Timeout, body, jobs, make([]bool, len(jobs)),
+		func(k int, out driver.Outcome, derr error) bool {
+			if derr != nil {
+				unproven = derr
+				return true
+			}
+			return deliver(k, out)
+		}, statusError)
+	if err == nil {
+		err = unproven
+	}
+	return err
 }
 
 // Health implements HealthChecker (GET /healthz).

@@ -30,9 +30,9 @@ func retained(s *Server) (tickets, jobs int) {
 }
 
 // TestRetentionIsBoundedInJobs: finished tickets are forgotten oldest first
-// once they hold more than jobRetention jobs between them — long before the
-// 1024-ticket bound when batches are program-sized — and a forgotten ticket
-// answers 404 on every endpoint that names one.
+// once they hold more than jobRetention jobs between them — the one bound
+// there is, whatever the size of a ticket — and a forgotten ticket answers
+// 404 on every endpoint that names one.
 func TestRetentionIsBoundedInJobs(t *testing.T) {
 	s := New(Config{})
 	defer s.Shutdown(context.Background())
@@ -80,8 +80,8 @@ func TestRetentionIsBoundedInJobs(t *testing.T) {
 
 // TestRetentionKeepsTheNewestTicketWhateverItsSize: one batch larger than
 // the whole job bound stays pollable — a stream cut at its end resumes over
-// the poll path — until the next ticket retires; and the ticket bound still
-// holds when batches are tiny.
+// the poll path — until the next ticket retires; and unary tickets, one job
+// each, are retained up to the same bound in jobs.
 func TestRetentionKeepsTheNewestTicketWhateverItsSize(t *testing.T) {
 	s := New(Config{})
 	defer s.Shutdown(context.Background())
@@ -119,15 +119,15 @@ func TestRetentionKeepsTheNewestTicketWhateverItsSize(t *testing.T) {
 	}
 
 	one := few[:1]
-	for i := 0; i < ticketRetention+50; i++ {
+	for i := 0; i < jobRetention+76; i++ {
 		id, err := s.Submit(one, SubmitOptions{})
 		if err != nil {
 			t.Fatal(err)
 		}
 		waitDone(t, s, id)
 	}
-	if nt, _ := retained(s); nt != ticketRetention {
-		t.Fatalf("%d unary tickets retained, want the ticket bound %d", nt, ticketRetention)
+	if nt, nj := retained(s); nt != jobRetention || nj != jobRetention {
+		t.Fatalf("%d unary tickets holding %d jobs retained, want %d of each", nt, nj, jobRetention)
 	}
 }
 

@@ -533,18 +533,15 @@ func cancelCause(ctx context.Context, err error) error {
 	return err
 }
 
-// ticketRetention and jobRetention bound what stays pollable after it
-// finished: at most that many tickets holding at most that many jobs
-// between them, the oldest forgotten first (live tickets are never pruned).
-// A ticket keeps its jobs and outcomes alive, so the second bound is the one
-// that caps memory: a thousand program-sized batches are several hundred
-// megabytes, a thousand unary requests next to nothing. The most recently
-// finished ticket is kept whatever its size, so a stream cut at the end of
-// one large batch can still resume over the poll path.
-const (
-	ticketRetention = 1024
-	jobRetention    = 4096
-)
+// jobRetention bounds what stays pollable after it finished: tickets holding
+// at most that many jobs between them, the oldest forgotten first (live
+// tickets are never pruned). A ticket keeps its jobs and outcomes alive, so
+// retention is memory and memory is jobs: one bound for a thousand unary
+// requests, a dozen program-sized batches and a fleet's sub-batches alike
+// (every ticket holds at least one job, so it bounds the tickets too). The
+// most recently finished ticket is kept whatever its size, so a stream cut
+// at the end of one large batch can still resume over the poll path.
+const jobRetention = 1024
 
 // retire finalizes a ticket and updates the lifecycle counters. With
 // requireQueued it only retires tickets that never started running.
@@ -570,7 +567,7 @@ func (s *Server) retire(t *ticket, state State, outcomes []driver.Outcome, err e
 	defer s.mu.Unlock()
 	s.doneOrder = append(s.doneOrder, t.id)
 	s.doneJobs += len(t.jobs)
-	for len(s.doneOrder) > 1 && (len(s.doneOrder) > ticketRetention || s.doneJobs > jobRetention) {
+	for len(s.doneOrder) > 1 && s.doneJobs > jobRetention {
 		oldest := s.doneOrder[0]
 		s.doneJobs -= len(s.tickets[oldest].jobs)
 		delete(s.tickets, oldest)

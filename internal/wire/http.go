@@ -1,17 +1,23 @@
 package wire
 
-// HTTP request/response bodies of the compilation service. They live in
-// the codec package so the server (internal/service) and the clients (the
-// root package, internal/cluster) share one vocabulary without importing
-// each other.
+// HTTP request/response bodies of the compilation service, and the two
+// exchanges every remote backend runs over them: PostCompile (one job, one
+// request) and StreamBatch (one batch, one ticket, one NDJSON stream). They
+// live in the codec package so the server (internal/service) and the clients
+// (the root package, internal/cluster) share one vocabulary, and one copy of
+// each exchange, without importing each other.
 
 import (
+	"bufio"
 	"bytes"
 	"context"
+	"encoding/json"
+	"errors"
 	"fmt"
 	"io"
 	"net/http"
 	"sync"
+	"sync/atomic"
 	"time"
 
 	"clusched/internal/driver"
@@ -40,6 +46,16 @@ func ReadJobStatus(r io.Reader, st *JobStatus) error {
 	return DecodeJobStatus(buf.Bytes(), st)
 }
 
+// post sends body as the JSON of a POST; the caller closes the answer.
+func post(ctx context.Context, hc *http.Client, url string, body []byte) (*http.Response, error) {
+	req, err := http.NewRequestWithContext(ctx, http.MethodPost, url, bytes.NewReader(body))
+	if err != nil {
+		return nil, err
+	}
+	req.Header.Set("Content-Type", "application/json")
+	return hc.Do(req)
+}
+
 // PostCompile is the unary exchange, shared by every remote backend: body —
 // AppendJob of j — goes to POST base/compile?wait=1 with NoLoop, and the
 // JobStatus that comes back must hold exactly one outcome, which is decoded
@@ -53,12 +69,7 @@ func PostCompile(ctx context.Context, hc *http.Client, base string, timeout time
 		ctx, cancel = context.WithTimeout(ctx, timeout)
 		defer cancel()
 	}
-	req, err := http.NewRequestWithContext(ctx, http.MethodPost, base+"/compile?wait=1&"+NoLoop, bytes.NewReader(body))
-	if err != nil {
-		return driver.Outcome{}, err
-	}
-	req.Header.Set("Content-Type", "application/json")
-	resp, err := hc.Do(req)
+	resp, err := post(ctx, hc, base+"/compile?wait=1&"+NoLoop, body)
 	if err != nil {
 		return driver.Outcome{}, err
 	}
@@ -75,6 +86,235 @@ func PostCompile(ctx context.Context, hc *http.Client, base string, timeout time
 			len(st.Outcomes), st.State, st.Error)
 	}
 	return st.Outcomes[0].DecodeFor(j)
+}
+
+// SubmitBatch posts body — AppendSubmitRequest of a batch — to POST
+// base/batch and returns the ticket. timeout and refused as in PostCompile.
+func SubmitBatch(ctx context.Context, hc *http.Client, base string, timeout time.Duration, body []byte,
+	refused func(*http.Response) error) (string, error) {
+	if timeout > 0 {
+		var cancel context.CancelFunc
+		ctx, cancel = context.WithTimeout(ctx, timeout)
+		defer cancel()
+	}
+	resp, err := post(ctx, hc, base+"/batch", body)
+	if err != nil {
+		return "", err
+	}
+	defer resp.Body.Close()
+	if resp.StatusCode >= 400 {
+		return "", refused(resp)
+	}
+	var sub SubmitResponse
+	err = json.NewDecoder(resp.Body).Decode(&sub)
+	return sub.ID, err
+}
+
+// The two ways StreamBatch ends short of its done frame that are not
+// failures of the server's answer.
+var (
+	// ErrStreamCut marks a transport failure after the stream was
+	// successfully opened: the server knows the ticket and keeps compiling
+	// it, so the reader may resume it over the poll path (Client.Stream) or
+	// take the undelivered jobs elsewhere (the cluster). Deliberate server
+	// answers (404 for an unknown ticket, protocol-violation frames, the idle
+	// watchdog) are NOT cuts — resuming those would poll a ticket the server
+	// disowned or a stream the reader cannot trust.
+	ErrStreamCut = errors.New("clusched: stream cut mid-batch")
+	// ErrConsumerStopped reports that yield returned false — not a failure,
+	// just "stop reading". The ticket has been cancelled.
+	ErrConsumerStopped = errors.New("clusched: stream consumer stopped")
+)
+
+// StreamBatch is the streaming exchange, shared by every remote backend the
+// way PostCompile is the unary one: body — AppendSubmitRequest of jobs — is
+// submitted (SubmitBatch), the ticket's GET base/batch/{id}/stream is opened
+// with NoLoop, and every outcome frame is decoded and proven for its job and
+// handed to yield the moment it arrives, up to the done frame. delivered, as
+// long as jobs, is the caller's ledger: an index is marked when its frame
+// arrives, whatever the frame decoded to, and no index is yielded twice. The
+// err yield receives is DecodeFor's verdict on that frame: an outcome that
+// arrived but could not be decoded or proven (out then holds only the job).
+//
+// A nil error means the done frame arrived and every job was delivered. A
+// done frame with jobs still missing (a batch cancelled while queued, or
+// retired early) returns the batch's terminal error, which is then the error
+// of every undelivered job. ErrStreamCut and ErrConsumerStopped are described
+// above; a refused submit returns refused's error, a refused stream the
+// server's reason. The returned ticket is empty only when the submit failed.
+//
+// timeout bounds the submit and, on the stream — which as a whole lives as
+// long as its batch — every gap between two frames. A ticket nobody will
+// read to the end (yield stopped, or ctx done) is cancelled on the server,
+// best effort, before StreamBatch returns.
+func StreamBatch(ctx context.Context, hc *http.Client, base string, timeout time.Duration, body []byte, jobs []driver.Job,
+	delivered []bool, yield func(int, driver.Outcome, error) bool, refused func(*http.Response) error) (string, error) {
+	id, err := SubmitBatch(ctx, hc, base, timeout, body, refused)
+	if err != nil {
+		return "", err
+	}
+	err = readStream(ctx, hc, base, timeout, id, jobs, delivered, yield)
+	if err != nil && (ctx.Err() != nil || errors.Is(err, ErrConsumerStopped)) {
+		abandon(ctx, hc, base, id)
+	}
+	return id, err
+}
+
+// abandon best-effort cancels a ticket whose reader walked away, so the
+// server stops compiling work nobody will read. It outlives ctx, which is
+// typically already cancelled.
+func abandon(ctx context.Context, hc *http.Client, base, id string) {
+	ctx, cancel := context.WithTimeout(context.WithoutCancel(ctx), 10*time.Second)
+	defer cancel()
+	req, err := http.NewRequestWithContext(ctx, http.MethodDelete, base+"/jobs/"+id, nil)
+	if err != nil {
+		return
+	}
+	if resp, err := hc.Do(req); err == nil {
+		resp.Body.Close() // the ticket may already be done; ignore the answer
+	}
+}
+
+// nextLine reads one newline-terminated line of r. The slice is valid until
+// the next call: r's own buffer, or *long when the line outgrows that. A
+// last line without its newline is half a frame, whatever it parses as:
+// io.ErrUnexpectedEOF.
+func nextLine(r *bufio.Reader, long *[]byte) ([]byte, error) {
+	line, err := r.ReadSlice('\n')
+	if err == bufio.ErrBufferFull {
+		*long = (*long)[:0]
+		for err == bufio.ErrBufferFull {
+			*long = append(*long, line...)
+			line, err = r.ReadSlice('\n')
+		}
+		*long = append(*long, line...)
+		line = *long
+	}
+	if err == io.EOF && len(line) > 0 {
+		err = io.ErrUnexpectedEOF
+	}
+	return line, err
+}
+
+// readStream opens the NDJSON endpoint of a submitted ticket and yields
+// outcome frames until the done frame; see StreamBatch for what it returns.
+func readStream(ctx context.Context, hc *http.Client, base string, timeout time.Duration, id string, jobs []driver.Job,
+	delivered []bool, yield func(int, driver.Outcome, error) bool) error {
+	// No unary timeout here: the stream lives exactly as long as its
+	// batch. ctx still cancels it at any moment.
+	req, err := http.NewRequestWithContext(ctx, http.MethodGet, base+"/batch/"+id+"/stream?"+NoLoop, nil)
+	if err != nil {
+		return err
+	}
+	resp, err := hc.Do(req)
+	if err != nil {
+		return err
+	}
+	defer resp.Body.Close()
+	if resp.StatusCode != http.StatusOK {
+		// A refusal — typically 404 for a ticket the server no longer knows
+		// (restart, retention pruning) — is a failure of the undelivered
+		// jobs, with the server's reason when it sent one.
+		var er ErrorResponse
+		if err := json.NewDecoder(io.LimitReader(resp.Body, 1<<16)).Decode(&er); err == nil && er.Error != "" {
+			return fmt.Errorf("clusched: service: %s", er.Error)
+		}
+		return fmt.Errorf("clusched: stream answered %s", resp.Status)
+	}
+
+	// The stream is exempt from the unary timeout as a whole — it lives as
+	// long as its batch — but each inter-frame gap is bounded: a server
+	// that wedges (or a connection that dies without an RST) would
+	// otherwise hang the caller forever. The watchdog closes the body,
+	// which unblocks the read with an error we translate below.
+	var (
+		timedOut atomic.Bool
+		idle     *time.Timer
+	)
+	if timeout > 0 {
+		idle = time.AfterFunc(timeout, func() {
+			timedOut.Store(true)
+			resp.Body.Close()
+		})
+		defer idle.Stop()
+	}
+
+	// One frame per line, every line decoded into the same Frame: its
+	// memory is recycled from outcome to outcome, and DecodeFor copies what
+	// the outcome keeps.
+	lines := bufio.NewReaderSize(resp.Body, 64<<10)
+	var (
+		f        Frame
+		long     []byte // nextLine's memory for a line longer than the reader's
+		batchErr error
+	)
+	for sawDone := false; !sawDone; {
+		line, err := nextLine(lines, &long)
+		if err == nil {
+			if len(bytes.TrimSpace(line)) == 0 {
+				continue
+			}
+			err = DecodeFrame(line, &f)
+		}
+		if err != nil {
+			if timedOut.Load() {
+				return fmt.Errorf("clusched: stream for ticket %s idle for %v, giving up", id, timeout)
+			}
+			// The server had accepted the stream (200, frames flowing), so
+			// this is the transport dying mid-batch, not the server refusing
+			// the ticket.
+			if errors.Is(err, io.EOF) {
+				return fmt.Errorf("%w: ticket %s ended before its done frame", ErrStreamCut, id)
+			}
+			return fmt.Errorf("%w: ticket %s: %v", ErrStreamCut, id, err)
+		}
+		if idle != nil {
+			idle.Reset(timeout)
+		}
+		// Unknown frame types and too-new hellos fail typed
+		// (*UnknownFrameError, *SchemaError): a newer protocol is an explicit
+		// error, never silently misread.
+		if err := f.Validate(); err != nil {
+			return err
+		}
+		switch f.Type {
+		case FrameHello:
+			if f.Total != len(jobs) {
+				return fmt.Errorf("clusched: stream for ticket %s announces %d jobs, submitted %d", id, f.Total, len(jobs))
+			}
+		case FrameOutcome:
+			if f.Index >= len(jobs) {
+				return fmt.Errorf("clusched: stream outcome for job %d of a %d-job batch", f.Index, len(jobs))
+			}
+			if delivered[f.Index] {
+				return fmt.Errorf("clusched: stream delivered job %d twice", f.Index)
+			}
+			out, derr := f.Outcome.DecodeFor(jobs[f.Index])
+			if derr != nil {
+				out = driver.Outcome{Job: jobs[f.Index]}
+			}
+			delivered[f.Index] = true
+			if !yield(f.Index, out, derr) {
+				return ErrConsumerStopped
+			}
+		case FrameDone:
+			if f.Error != "" {
+				batchErr = &RemoteError{Msg: f.Error}
+			}
+			sawDone = true
+		}
+	}
+	// Jobs the server never delivered (a batch cancelled while queued, or
+	// retired early) inherit the batch's terminal error.
+	for _, ok := range delivered {
+		if !ok {
+			if batchErr == nil {
+				batchErr = errors.New("clusched: stream finished without delivering this job")
+			}
+			return batchErr
+		}
+	}
+	return nil
 }
 
 // SubmitRequest asks the service to compile a batch. POST /batch accepts
