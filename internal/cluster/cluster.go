@@ -287,7 +287,7 @@ func (c *Cluster) eject(m *member, err error) {
 }
 
 // routeKey is the consistent-hash key of a job: the canonical fingerprint —
-// the same component JobKey v3 is keyed on — finalized through splitmix64.
+// the same component JobKey v4 is keyed on — finalized through splitmix64.
 // Isomorphic clones share a canonical fingerprint, so they share a node,
 // which is exactly what keeps the per-node semantic cache tiers hot.
 func routeKey(j driver.Job) uint64 {

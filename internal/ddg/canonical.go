@@ -4,8 +4,10 @@ import (
 	"bytes"
 	"encoding/binary"
 	"fmt"
+	"math/bits"
 	"math/rand"
 	"slices"
+	"sync"
 )
 
 // Canonical is a graph's identity under isomorphism: a fingerprint that is
@@ -75,20 +77,82 @@ func (g *Graph) ShapeHash() uint64 {
 	return h
 }
 
-// canonState carries one canonicalization: the graph, the best (smallest)
-// leaf encoding found so far, the search budget, and scratch buffers reused
-// across refinement rounds.
+// canonSearchDeficit is the largest number of tied nodes (nodes minus
+// cells after the first refinement) the exhaustive search is attempted on.
+// The search has at least (cell size) leaves per non-singleton cell; with
+// more tied nodes it cannot finish within budget, so canonicalize does not
+// pay for the attempt. Every individualization removes at least one tie, so
+// it also bounds the search depth.
+const canonSearchDeficit = 4
+
+// canonPart is an ordered partition of the nodes into cells. A cell is
+// named by its id and keeps that id for as long as it exists: a split
+// leaves the id with one fragment and hands the others the next unused
+// ids, so ids are always exactly [0, cells) and a discrete partition's
+// node → id map is a bijection onto [0, n) — the labeling encodeLeaf
+// serializes. Every cell's stretch of order is kept in ascending node
+// order.
+type canonPart struct {
+	cell  []int32 // node → id of its cell
+	order []int32 // nodes grouped by cell: cell c is order[start[c]:][:size[c]]
+	start []int32 // cell id → offset of its stretch of order
+	size  []int32 // cell id → member count
+	cells int     // ids in use
+	buf   []int32 // backing array of the four tables
+}
+
+// reset sizes the tables for n nodes out of one backing array; contents
+// are whatever the last call left there.
+func (p *canonPart) reset(n int) {
+	p.buf = room(p.buf, 4*n)
+	p.cell, p.order = p.buf[:n:n], p.buf[n:2*n:2*n]
+	p.start, p.size = p.buf[2*n:3*n:3*n], p.buf[3*n:4*n]
+}
+
+// canonNbr is one end of an incident edge as refinement sees it: the node
+// at the other end and a hash of the edge's (direction, kind, dist, lat).
+type canonNbr struct {
+	node int32
+	h    uint64
+}
+
+// canonState is the working memory of one canonicalization. It is pooled:
+// a call on a warm pool allocates nothing but the Perm it returns.
 type canonState struct {
-	g        *Graph
-	best     []byte
-	bestPerm []int32
-	leaves   int
-	aborted  bool
-	inv      []int32  // scratch: canonical position → node ID
-	sig      []uint64 // scratch: per-node signature hash
-	order    []int32  // scratch: nodes sorted by signature
-	hs       []uint64 // scratch: incident-edge hashes of one node
-	edgeH    []uint64 // per-edge hash of (kind, dist, lat), color-free
+	g *Graph
+	// adj[off[v]:off[v+1]] are v's incident edges, outgoing and incoming.
+	adj []canonNbr
+	off []int32
+	// parts[d] is the partition at search depth d; the linear descent works
+	// on parts[0] in place.
+	parts [canonSearchDeficit + 1]canonPart
+	// dirty flags the cells whose members' signatures may have changed
+	// since the cell was last examined; next lists them, unordered, and cur
+	// is the round being worked through. All clear between refinements.
+	dirty     []bool
+	cur, next []int32
+	keys      []uint64 // the examined cell's (signature, node) words
+	shift     uint     // bits of a keys word that hold the node
+	edges     []uint64 // encodeLeaf: one node's (canonical dst, edge id) words
+	// enc is the leaf being encoded, best the smallest seen so far (swapped,
+	// never copied) and bestPerm its labeling.
+	enc, best []byte
+	bestPerm  []int32
+	leaves    int
+	aborted   bool
+}
+
+var canonPool = sync.Pool{New: func() any { return new(canonState) }}
+
+// room returns buf at length n, its contents unspecified except that a
+// fresh array is zero. It grows to a power of two, so a pooled state — the
+// GC empties pools — is back at a workload's high-water mark after a few
+// graphs rather than regrowing for every new largest one.
+func room[T any](buf []T, n int) []T {
+	if cap(buf) < n {
+		buf = make([]T, max(64, 1<<bits.Len(uint(n-1))))
+	}
+	return buf[:n]
 }
 
 func canonicalize(g *Graph) Canonical {
@@ -96,80 +160,299 @@ func canonicalize(g *Graph) Canonical {
 	if n == 0 {
 		return Canonical{Sum: encSum(nil), Perm: []int32{}, Complete: true}
 	}
-	// Seed colors with the opcode: an isomorphism must preserve it, and it
-	// splits most DDGs close to discrete before refinement even starts.
-	colors := make([]int32, n)
-	for v := range g.Nodes {
-		colors[v] = int32(g.Nodes[v].Op)
-	}
-	st := &canonState{
-		g:     g,
-		inv:   make([]int32, n),
-		sig:   make([]uint64, n),
-		order: make([]int32, n),
-		edgeH: make([]uint64, len(g.Edges)),
-	}
-	for i := range g.Edges {
-		e := &g.Edges[i]
-		h := mix64(0x9e3779b97f4a7c15 ^ uint64(e.Kind))
-		h = mix64(h ^ uint64(e.Dist))
-		st.edgeH[i] = mix64(h ^ uint64(e.Lat))
-	}
-	st.refine(colors)
-	// The exhaustive search has at least (cell size) leaves per
-	// non-singleton cell; with many tied nodes it cannot finish within
-	// budget, so don't pay for the attempt.
-	if deficit := n - countColors(colors); deficit > 4 {
+	st := canonPool.Get().(*canonState)
+	st.init(g)
+	root := &st.parts[0]
+	st.refine(root)
+	if deficit := n - root.cells; deficit > canonSearchDeficit {
 		st.aborted = true
 	} else {
-		st.search(colors)
+		st.search(0)
 	}
+	perm := st.bestPerm
 	if st.aborted {
 		// Too symmetric to exhaust: discard the partial search (its "best
 		// so far" depends on exploration order, which follows node
 		// numbering) and take the deterministic single-descent labeling.
-		st.best, st.bestPerm = nil, nil
-		st.linearDescent(colors)
+		st.linearDescent(root)
+		st.encodeLeaf(root)
+		st.best, st.enc = st.enc, st.best
+		perm = root.cell
 	}
-	return Canonical{Sum: encSum(st.best), Perm: st.bestPerm, Complete: !st.aborted}
+	c := Canonical{Sum: encSum(st.best), Perm: slices.Clone(perm), Complete: !st.aborted}
+	st.g = nil // the pool must not keep the graph alive
+	canonPool.Put(st)
+	return c
+}
+
+// init points the state at g: the flattened adjacency, and parts[0] holding
+// the opcode partition — an isomorphism must preserve opcodes, and they
+// split most DDGs close to discrete before refinement even starts — with
+// every non-singleton cell due for examination.
+func (st *canonState) init(g *Graph) {
+	n := len(g.Nodes)
+	st.g = g
+	st.leaves, st.aborted = 0, false
+	st.best = st.best[:0]
+	st.shift = uint(bits.Len(uint(n - 1)))
+	st.dirty = room(st.dirty, n)
+	st.keys = room(st.keys, n)
+	st.bestPerm = room(st.bestPerm, n)
+
+	st.off = room(st.off, n+1)
+	st.adj = room(st.adj, 2*len(g.Edges))
+	at := int32(0)
+	for v := range g.Nodes {
+		st.off[v] = at
+		for _, eid := range g.out[v] {
+			e := &g.Edges[eid]
+			st.adj[at] = canonNbr{node: int32(e.Dst), h: edgeHash(e)}
+			at++
+		}
+		for _, eid := range g.in[v] {
+			e := &g.Edges[eid]
+			st.adj[at] = canonNbr{node: int32(e.Src), h: ^edgeHash(e)}
+			at++
+		}
+	}
+	st.off[n] = at
+
+	p := &st.parts[0]
+	p.reset(n)
+	p.cells = 1
+	p.start[0], p.size[0] = 0, int32(n)
+	for v := range g.Nodes {
+		p.cell[v], p.order[v] = 0, int32(v)
+		st.keys[v] = uint64(g.Nodes[v].Op)<<st.shift | uint64(v)
+	}
+	st.cut(p, 0)
+	for c := 0; c < p.cells; c++ {
+		st.mark(p, int32(c))
+	}
+}
+
+// edgeHash folds an edge's (kind, dist, lat) into one word. Distinct
+// triples of any plausible magnitude stay distinct before mix64; a
+// collision could only merge refinement classes (see mix64).
+func edgeHash(e *Edge) uint64 {
+	return mix64(uint64(e.Kind) ^ uint64(e.Dist)*0x9e3779b97f4a7c15 ^ uint64(e.Lat)*0xc2b2ae3d27d4eb4f)
+}
+
+// mark queues cell c for examination unless it is a singleton (nothing to
+// split) or queued already.
+func (st *canonState) mark(p *canonPart, c int32) {
+	if p.size[c] > 1 && !st.dirty[c] {
+		st.dirty[c] = true
+		st.next = append(st.next, c)
+	}
+}
+
+// markNeighbours queues the cells that may have stopped being uniform
+// because the nodes vs changed cell: the cells of their neighbours.
+func (st *canonState) markNeighbours(p *canonPart, vs []int32) {
+	for _, v := range vs {
+		for _, nb := range st.adj[st.off[v]:st.off[v+1]] {
+			st.mark(p, p.cell[nb.node])
+		}
+	}
+}
+
+// refine splits cells until the partition is equitable: any two nodes of a
+// cell have the same multiset of (direction, kind, dist, lat, neighbour's
+// cell) over their incident edges. Only cells that a neighbour's change of
+// cell could have disturbed are examined. Work proceeds in rounds; a round
+// examines the cells queued when it began in ascending id, and cells queued
+// meanwhile wait for the next. That order is the point: WHICH cells are
+// queued depends only on the partition, but the order nodes queued them in
+// follows node numbering, and since fresh ids are handed out as cells are
+// examined, a first-come queue would let numbering leak into the ids.
+// Ascending ids and, inside a cell, ascending signatures (cut) make every
+// id a function of the graph's structure alone, so isomorphic graphs
+// refine identically.
+func (st *canonState) refine(p *canonPart) {
+	for len(st.next) > 0 {
+		st.cur, st.next = st.next, st.cur[:0]
+		slices.Sort(st.cur)
+		for _, c := range st.cur {
+			st.dirty[c] = false
+			st.examine(p, c)
+		}
+	}
+}
+
+// examine computes the signature of every member of cell c — the sum, so
+// order-free, of one hash per incident edge over the edge's constants and
+// the id of the neighbour's cell; never a node index — and splits the cell
+// where signatures differ.
+func (st *canonState) examine(p *canonPart, c int32) {
+	members := p.order[p.start[c]:][:p.size[c]]
+	var differ uint64
+	for i, v := range members {
+		var sig uint64
+		for _, nb := range st.adj[st.off[v]:st.off[v+1]] {
+			sig += mix64(nb.h ^ uint64(p.cell[nb.node])*0xd6e8feb86659fd93)
+		}
+		st.keys[i] = sig<<st.shift | uint64(v)
+		differ |= (st.keys[i] ^ st.keys[0]) >> st.shift
+	}
+	if differ != 0 {
+		st.cut(p, c)
+	}
+}
+
+// cut splits cell c by the (signature, node) words its members left in
+// keys: sorted, each run of equal signatures is a fragment. The first
+// fragment keeps the id, the others take fresh ids in signature order, and
+// the neighbours of every node whose cell changed are queued.
+func (st *canonState) cut(p *canonPart, c int32) {
+	at, size := p.start[c], p.size[c]
+	keys := st.keys[:size]
+	slices.Sort(keys)
+	members := p.order[at:][:size]
+	id, from := c, int32(0)
+	for i, k := range keys {
+		if i > 0 && k>>st.shift != keys[i-1]>>st.shift {
+			p.size[id] = int32(i) - from
+			id, from = int32(p.cells), int32(i)
+			p.cells++
+			p.start[id] = at + from
+		}
+		v := int32(k & (1<<st.shift - 1))
+		members[i], p.cell[v] = v, id
+	}
+	p.size[id] = size - from
+	st.markNeighbours(p, members[p.size[c]:])
+}
+
+// individualize moves the i-th member of cell c into a fresh singleton
+// cell, the rest keeping the id.
+func (st *canonState) individualize(p *canonPart, c int32, i int) {
+	members := p.order[p.start[c]:][:p.size[c]]
+	v := members[i]
+	copy(members[1:], members[:i])
+	members[0] = v
+	id := int32(p.cells)
+	p.cells++
+	p.cell[v] = id
+	p.start[id], p.size[id] = p.start[c], 1
+	p.start[c]++
+	p.size[c]--
+	st.markNeighbours(p, members[:1])
+}
+
+// target returns the lowest non-singleton cell id at or above from; the
+// partition must not be discrete.
+func (p *canonPart) target(from int32) int32 {
+	for p.size[from] == 1 {
+		from++
+	}
+	return from
 }
 
 // linearDescent individualizes the first member (by node order) of the
-// smallest non-singleton cell and re-refines, repeating until discrete:
-// one root-to-leaf path of the search tree. Within an automorphism orbit
-// every choice of member leads to the same leaf encoding, so on
-// orbit-faithful refinements the result matches across isomorphic graphs
-// at a cost of O(depth) refinement passes.
-func (st *canonState) linearDescent(colors []int32) {
-	n := len(colors)
-	counts := make([]int32, n+1)
-	for {
-		for i := range counts {
-			counts[i] = 0
-		}
-		for _, c := range colors {
-			counts[c]++
-		}
-		target := int32(-1)
-		for c := 0; c < n; c++ {
-			if counts[c] > 1 {
-				target = int32(c)
-				break
-			}
-		}
-		if target < 0 {
-			st.best = st.encodeLeaf(colors)
-			st.bestPerm = append([]int32(nil), colors...)
+// lowest non-singleton cell and re-refines, repeating until discrete: one
+// root-to-leaf path of the search tree. Within an automorphism orbit every
+// choice of member leads to the same leaf encoding, so on orbit-faithful
+// refinements the result matches across isomorphic graphs, and each step
+// costs only the cells the individualization disturbs.
+func (st *canonState) linearDescent(p *canonPart) {
+	// Cells only split and fresh ids are higher, so the target never
+	// moves down.
+	c := int32(0)
+	for p.cells < len(p.cell) {
+		c = p.target(c)
+		st.individualize(p, c, 0)
+		st.refine(p)
+	}
+}
+
+// search individualizes each member of the lowest non-singleton cell of
+// parts[depth] in turn and recurses, keeping the lexicographically
+// smallest leaf encoding. Every branch applies the same rule (move the
+// chosen node to a fresh cell, re-refine), so the set of leaf encodings —
+// and hence the minimum — is an isomorphism invariant as long as the
+// search completes within budget.
+func (st *canonState) search(depth int) {
+	p := &st.parts[depth]
+	n := len(p.cell)
+	if p.cells == n { // discrete: the cell ids are a permutation — encode the leaf
+		st.leaves++
+		if st.leaves > canonLeafBudget {
+			st.aborted = true
 			return
 		}
-		for v := 0; v < n; v++ {
-			if colors[v] == target {
-				colors[v] = int32(n)
-				break
+		st.encodeLeaf(p)
+		if len(st.best) == 0 || bytes.Compare(st.enc, st.best) < 0 {
+			st.best, st.enc = st.enc, st.best
+			copy(st.bestPerm, p.cell)
+		}
+		return
+	}
+	c := p.target(0)
+	child := &st.parts[depth+1]
+	child.reset(n)
+	for i := 0; i < int(p.size[c]) && !st.aborted; i++ {
+		copy(child.buf, p.buf)
+		child.cells = p.cells
+		st.individualize(child, c, i)
+		st.refine(child)
+		st.search(depth + 1)
+	}
+}
+
+// encodeLeaf serializes the graph under a discrete partition (a node
+// permutation) into enc: node count, edge count, opcodes in canonical
+// order, then every edge as (src, dst, kind, dist, lat) in canonical
+// coordinates, sorted. The encoding determines the graph up to
+// isomorphism: equal encodings ⇒ isomorphic graphs.
+func (st *canonState) encodeLeaf(p *canonPart) {
+	g := st.g
+	n, m := len(g.Nodes), len(g.Edges)
+	const edgeRec = 5 * 8
+	buf := room(st.enc, 16+8*n+edgeRec*m)[:0]
+	buf = binary.BigEndian.AppendUint64(buf, uint64(n))
+	buf = binary.BigEndian.AppendUint64(buf, uint64(m))
+	for c := 0; c < n; c++ {
+		buf = binary.BigEndian.AppendUint64(buf, uint64(g.Nodes[p.order[p.start[c]]].Op))
+	}
+	// Walking sources in canonical order leaves only each node's own
+	// outgoing edges to sort: by canonical destination as packed words,
+	// then parallel edges — equal words but for the edge id — among
+	// themselves by (kind, dist, lat).
+	for c := 0; c < n; c++ {
+		keys := st.edges[:0]
+		for _, eid := range g.out[p.order[p.start[c]]] {
+			keys = append(keys, uint64(p.cell[g.Edges[eid].Dst])<<32|uint64(eid))
+		}
+		st.edges = keys
+		slices.Sort(keys)
+		for i := 1; i < len(keys); i++ {
+			for j := i; j > 0 && keys[j]>>32 == keys[j-1]>>32 &&
+				edgeBefore(&g.Edges[uint32(keys[j])], &g.Edges[uint32(keys[j-1])]); j-- {
+				keys[j], keys[j-1] = keys[j-1], keys[j]
 			}
 		}
-		st.refine(colors)
+		for _, k := range keys {
+			e := &g.Edges[uint32(k)]
+			buf = binary.BigEndian.AppendUint64(buf, uint64(c))
+			buf = binary.BigEndian.AppendUint64(buf, k>>32)
+			buf = binary.BigEndian.AppendUint64(buf, uint64(e.Kind))
+			buf = binary.BigEndian.AppendUint64(buf, uint64(e.Dist))
+			buf = binary.BigEndian.AppendUint64(buf, uint64(e.Lat))
+		}
 	}
+	st.enc = buf
+}
+
+// edgeBefore orders parallel edges by (kind, dist, lat).
+func edgeBefore(a, b *Edge) bool {
+	if a.Kind != b.Kind {
+		return a.Kind < b.Kind
+	}
+	if a.Dist != b.Dist {
+		return a.Dist < b.Dist
+	}
+	return a.Lat < b.Lat
 }
 
 // encSum hashes a leaf encoding word-at-a-time (encodings are all 8-byte
@@ -199,194 +482,6 @@ func mix64(x uint64) uint64 {
 	x *= 0x94d049bb133111eb
 	x ^= x >> 31
 	return x
-}
-
-// tupleHash folds one incident edge into a 64-bit word: its precomputed
-// (kind, dist, lat) hash, the direction, and the neighbor's current color.
-func (st *canonState) tupleHash(dir uint64, eid int32, nbrColor int32) uint64 {
-	return mix64(st.edgeH[eid] ^ (dir << 32) ^ mix64(uint64(uint32(nbrColor))))
-}
-
-// refine runs WL-style color refinement to a fixpoint: each round a node's
-// signature hashes its current color with the sorted multiset of
-// (direction, kind, dist, lat, neighbor color) over its incident edges;
-// nodes are then re-colored by the rank of their signature. Ranks are
-// assigned by sorted signature order, which depends only on the color
-// partition — never on node numbering — so isomorphic graphs refine
-// identically. Colors only split (the old color feeds the signature), so
-// the loop terminates in at most n rounds.
-func (st *canonState) refine(colors []int32) {
-	g := st.g
-	n := len(colors)
-	sig, order, hs := st.sig, st.order, st.hs
-	nColors := countColors(colors)
-	for {
-		for v := 0; v < n; v++ {
-			hs = hs[:0]
-			for _, eid := range g.out[v] {
-				hs = append(hs, st.tupleHash(0, eid, colors[g.Edges[eid].Dst]))
-			}
-			for _, eid := range g.in[v] {
-				hs = append(hs, st.tupleHash(1, eid, colors[g.Edges[eid].Src]))
-			}
-			slices.Sort(hs)
-			h := mix64(uint64(uint32(colors[v])) ^ 0x2545f4914f6cdd1d)
-			for _, x := range hs {
-				h = mix64(h ^ x)
-			}
-			sig[v] = h
-		}
-		for i := range order {
-			order[i] = int32(i)
-		}
-		slices.SortFunc(order, func(a, b int32) int {
-			if sig[a] < sig[b] {
-				return -1
-			}
-			if sig[a] > sig[b] {
-				return 1
-			}
-			return 0
-		})
-		rank := int32(-1)
-		var prev uint64
-		for i, v := range order {
-			if i == 0 || sig[v] != prev {
-				rank++
-				prev = sig[v]
-			}
-			colors[v] = rank
-		}
-		if int(rank)+1 == nColors {
-			st.hs = hs
-			return // fixpoint: no class split this round
-		}
-		nColors = int(rank) + 1
-	}
-}
-
-// countColors counts distinct values. Colors are small non-negative ints
-// (opcode seeds, then ranks < n, plus the fresh individualization color),
-// so a dense bitmap beats a map on the refinement hot path.
-func countColors(colors []int32) int {
-	maxC := int32(0)
-	for _, c := range colors {
-		if c > maxC {
-			maxC = c
-		}
-	}
-	seen := make([]bool, maxC+1)
-	n := 0
-	for _, c := range colors {
-		if !seen[c] {
-			seen[c] = true
-			n++
-		}
-	}
-	return n
-}
-
-// search individualizes each member of the smallest non-singleton color
-// class and recurses, keeping the lexicographically smallest leaf encoding.
-// Every branch applies the same rule (give the chosen node a fresh maximal
-// color, re-refine), so the set of leaf encodings — and hence the minimum —
-// is an isomorphism invariant as long as the search completes within
-// budget.
-func (st *canonState) search(colors []int32) {
-	if st.aborted && st.best != nil {
-		return
-	}
-	n := len(colors)
-	counts := make([]int32, n+1)
-	for _, c := range colors {
-		counts[c]++
-	}
-	target := int32(-1)
-	for c := 0; c < n; c++ {
-		if counts[c] > 1 {
-			target = int32(c)
-			break
-		}
-	}
-	if target < 0 { // discrete: colors are a permutation — encode the leaf
-		st.leaves++
-		if st.leaves > canonLeafBudget {
-			st.aborted = true
-		}
-		enc := st.encodeLeaf(colors)
-		if st.best == nil || bytes.Compare(enc, st.best) < 0 {
-			st.best = enc
-			st.bestPerm = append([]int32(nil), colors...)
-		}
-		return
-	}
-	child := make([]int32, n)
-	for v := 0; v < n; v++ {
-		if colors[v] != target {
-			continue
-		}
-		copy(child, colors)
-		child[v] = int32(n) // fresh color sorting after all others
-		st.refine(child)
-		st.search(child)
-		if st.aborted && st.best != nil {
-			return
-		}
-	}
-}
-
-// encodeLeaf serializes the graph under a discrete coloring (a node
-// permutation): node count, edge count, opcodes in canonical order, then
-// every edge as (src, dst, kind, dist, lat) in canonical coordinates,
-// sorted. The encoding determines the graph up to isomorphism: equal
-// encodings ⇒ isomorphic graphs.
-func (st *canonState) encodeLeaf(perm []int32) []byte {
-	g := st.g
-	n := len(perm)
-	inv := st.inv
-	for v, c := range perm {
-		inv[c] = int32(v)
-	}
-	// Sort edge IDs by their canonical-coordinate record — cheaper than
-	// sorting the serialized 40-byte records in place — then serialize in
-	// that order. The byte output is identical.
-	m := len(g.Edges)
-	eidx := make([]int32, m)
-	for i := range eidx {
-		eidx[i] = int32(i)
-	}
-	slices.SortFunc(eidx, func(a, b int32) int {
-		ea, eb := &g.Edges[a], &g.Edges[b]
-		if c := int(perm[ea.Src]) - int(perm[eb.Src]); c != 0 {
-			return c
-		}
-		if c := int(perm[ea.Dst]) - int(perm[eb.Dst]); c != 0 {
-			return c
-		}
-		if c := int(ea.Kind) - int(eb.Kind); c != 0 {
-			return c
-		}
-		if c := ea.Dist - eb.Dist; c != 0 {
-			return c
-		}
-		return ea.Lat - eb.Lat
-	})
-	const edgeRec = 5 * 8
-	buf := make([]byte, 0, 16+8*n+edgeRec*m)
-	buf = binary.BigEndian.AppendUint64(buf, uint64(n))
-	buf = binary.BigEndian.AppendUint64(buf, uint64(m))
-	for c := 0; c < n; c++ {
-		buf = binary.BigEndian.AppendUint64(buf, uint64(g.Nodes[inv[c]].Op))
-	}
-	for _, i := range eidx {
-		e := &g.Edges[i]
-		buf = binary.BigEndian.AppendUint64(buf, uint64(uint32(perm[e.Src])))
-		buf = binary.BigEndian.AppendUint64(buf, uint64(uint32(perm[e.Dst])))
-		buf = binary.BigEndian.AppendUint64(buf, uint64(e.Kind))
-		buf = binary.BigEndian.AppendUint64(buf, uint64(e.Dist))
-		buf = binary.BigEndian.AppendUint64(buf, uint64(e.Lat))
-	}
-	return buf
 }
 
 // Permute returns a clone of g that is isomorphic but concretely different:

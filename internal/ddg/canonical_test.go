@@ -54,36 +54,9 @@ func TestCanonicalPermIsIsomorphism(t *testing.T) {
 		if cg.Sum != ch.Sum {
 			return false
 		}
-		n := g.NumNodes()
-		invH := make([]int32, n)
-		for v, c := range ch.Perm {
-			invH[c] = int32(v)
-		}
-		sigma := make([]int32, n) // g node → h node
-		seen := make([]bool, n)
-		for v := 0; v < n; v++ {
-			sigma[v] = invH[cg.Perm[v]]
-			if seen[sigma[v]] {
-				return false // not a bijection
-			}
-			seen[sigma[v]] = true
-			if g.Nodes[v].Op != h.Nodes[sigma[v]].Op {
-				return false
-			}
-		}
-		// Edge multisets must map exactly.
-		count := make(map[[5]int]int, g.NumEdges())
-		for i := range h.Edges {
-			e := &h.Edges[i]
-			count[[5]int{e.Src, e.Dst, int(e.Kind), e.Dist, e.Lat}]++
-		}
-		for i := range g.Edges {
-			e := &g.Edges[i]
-			k := [5]int{int(sigma[e.Src]), int(sigma[e.Dst]), int(e.Kind), e.Dist, e.Lat}
-			if count[k] == 0 {
-				return false
-			}
-			count[k]--
+		if err := CheckIsomorphism(g, h, cg.Perm, ch.Perm); err != nil {
+			t.Log(err)
+			return false
 		}
 		return true
 	}
@@ -165,16 +138,7 @@ func TestCanonicalDistinguishesMutants(t *testing.T) {
 // must individualize its way to a discrete coloring — and still agree
 // across rotations.
 func TestCanonicalRegularRing(t *testing.T) {
-	ring := func(name string, n, rot int) *Graph {
-		b := NewBuilder(name)
-		for i := 0; i < n; i++ {
-			b.Node(fmt.Sprintf("r%d", i), OpFAdd)
-		}
-		for i := 0; i < n; i++ {
-			b.Edge((i+rot)%n, (i+rot+1)%n, 1)
-		}
-		return b.MustBuild()
-	}
+	ring := ringGraph
 	// Small rings complete exhaustively; large ones exceed the leaf budget
 	// and take the orbit descent. Both must agree across rotations.
 	small := ring("s", 5, 0).CanonicalForm()
@@ -230,21 +194,121 @@ func TestPermuteRejectsBadPermutations(t *testing.T) {
 	}
 }
 
-// BenchmarkCanonicalFingerprint measures one cold canonicalization of a
-// mid-sized DDG — the per-job cost the engine pays on a cache miss. It
-// bypasses the memo (the memoized path is a Once check) to report the real
-// computation.
-func BenchmarkCanonicalFingerprint(b *testing.B) {
-	for _, n := range []int{16, 64} {
-		g := randomValidGraph(rand.New(rand.NewSource(42)), n)
-		b.Run(fmt.Sprintf("n=%d", n), func(b *testing.B) {
-			b.ReportAllocs()
-			for i := 0; i < b.N; i++ {
-				c := canonicalize(g)
-				if len(c.Perm) != n {
-					b.Fatal("bad perm")
-				}
-			}
-		})
+// canonicalShapes are the three ways a labeling ends: discrete after
+// refinement alone, an exhaustive search over several levels, and the
+// linear descent.
+func canonicalShapes() map[string]*Graph {
+	return map[string]*Graph{
+		"random n=40": randomValidGraph(rand.New(rand.NewSource(7)), 40),
+		"5-ring":      ringGraph("ring", 5, 0),
+		"12-ring":     ringGraph("ring", 12, 0),
 	}
+}
+
+// ringGraph is a cycle of n fadds joined by distance-1 edges, numbered
+// from position rot: refinement has nothing to split it by.
+func ringGraph(name string, n, rot int) *Graph {
+	b := NewBuilder(name)
+	for i := 0; i < n; i++ {
+		b.Node(fmt.Sprintf("r%d", i), OpFAdd)
+	}
+	for i := 0; i < n; i++ {
+		b.Edge((i+rot)%n, (i+rot+1)%n, 1)
+	}
+	return b.MustBuild()
+}
+
+// TestCanonicalAllocs pins what a labeling costs the allocator once the
+// pool is warm: the Perm it returns. Partition tables for every search
+// depth, signatures, the worklist and both leaf buffers live in the pooled
+// state.
+func TestCanonicalAllocs(t *testing.T) {
+	if raceDetector {
+		t.Skip("allocation counts do not repeat under -race")
+	}
+	for name, g := range canonicalShapes() {
+		canonicalize(g)
+		if n := testing.AllocsPerRun(200, func() { canonicalize(g) }); n != 1 {
+			t.Errorf("%s: a warm canonicalize allocates %v objects, want 1 (the Perm)", name, n)
+		}
+	}
+}
+
+// TestCanonicalSumsGolden pins the labeling itself. driver's
+// TestJobKeyGolden pins one Sum, but of a three-node chain that any
+// labeling orders the same way; these move whenever a hash constant, the
+// order fresh cell ids are handed out in, or the descent's choice of node
+// does. Sum is persisted (JobKey embeds it, DiskCache files are named by
+// it) and routed on (cluster.routeKey): a change here is a jobKeyVersion
+// bump, not a new golden value.
+func TestCanonicalSumsGolden(t *testing.T) {
+	golden := map[string]string{
+		"random n=40": "8adcb3ae5669e5a5",
+		"5-ring":      "869293fb53fdbdbf",
+		"12-ring":     "5d9ad38dddaa1176",
+	}
+	for name, g := range canonicalShapes() {
+		if got := fmt.Sprintf("%016x", canonicalize(g).Sum); got != golden[name] {
+			t.Errorf("%s: Sum = %s, want %s (bump driver.jobKeyVersion if this is deliberate)", name, got, golden[name])
+		}
+	}
+}
+
+// CanonicalizeReference and Canonicalize hand the two labelings, both
+// unmemoized, to the external tests that need workload and corpus loops
+// (those packages import ddg).
+func CanonicalizeReference(g *Graph) Canonical { return canonicalizeReference(g) }
+func Canonicalize(g *Graph) Canonical          { return canonicalize(g) }
+
+// RandomValidGraph is randomValidGraph for the same tests.
+func RandomValidGraph(seed int64, n int) *Graph {
+	return randomValidGraph(rand.New(rand.NewSource(seed)), n)
+}
+
+// RaceDetector tells them whether to shorten their populations.
+const RaceDetector = raceDetector
+
+// CheckIsomorphism composes two canonical permutations into a node map
+// g → h and checks it is one: a bijection that preserves opcodes and
+// carries g's edge multiset exactly onto h's.
+func CheckIsomorphism(g, h *Graph, pg, ph []int32) error {
+	n := g.NumNodes()
+	if h.NumNodes() != n || h.NumEdges() != g.NumEdges() || len(pg) != n || len(ph) != n {
+		return fmt.Errorf("sizes differ")
+	}
+	inv := make([]int32, n)
+	seen := make([]bool, n)
+	for v, c := range ph {
+		if c < 0 || int(c) >= n || seen[c] {
+			return fmt.Errorf("Perm is not a bijection onto [0, %d)", n)
+		}
+		seen[c] = true
+		inv[c] = int32(v)
+	}
+	clear(seen)
+	sigma := make([]int, n)
+	for v, c := range pg {
+		if c < 0 || int(c) >= n || seen[c] {
+			return fmt.Errorf("Perm is not a bijection onto [0, %d)", n)
+		}
+		seen[c] = true
+		sigma[v] = int(inv[c])
+		if g.Nodes[v].Op != h.Nodes[sigma[v]].Op {
+			return fmt.Errorf("node %d → %d changes the opcode", v, sigma[v])
+		}
+	}
+	count := make(map[[5]int]int, h.NumEdges())
+	for i := range h.Edges {
+		e := &h.Edges[i]
+		count[[5]int{e.Src, e.Dst, int(e.Kind), e.Dist, e.Lat}]++
+	}
+	for i := range g.Edges {
+		e := &g.Edges[i]
+		k := [5]int{sigma[e.Src], sigma[e.Dst], int(e.Kind), e.Dist, e.Lat}
+		if count[k] == 0 {
+			return fmt.Errorf("edge %d has no image", i)
+		}
+		count[k]--
+	}
+	return nil
 }

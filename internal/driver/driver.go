@@ -80,7 +80,7 @@ const DefaultCacheSize = 1 << 15
 type Store interface {
 	// Load returns the stored outcome for the job (keyed on JobKey): the
 	// result or the compilation error, and whether the key was present.
-	// JobKey v3 is canonical under graph isomorphism, so the returned
+	// JobKey v4 is canonical under graph isomorphism, so the returned
 	// result's Loop may be a renamed/reordered sibling of j.Graph rather
 	// than j.Graph itself; the Compiler remaps and re-verifies such
 	// results before serving them.
@@ -196,7 +196,13 @@ type Compiler struct {
 	// worker (or single-shot Compile call) borrows one for the duration of
 	// a compilation, so steady-state batch compilation allocates almost
 	// nothing per II attempt. Speculative lanes borrow from the same pool.
-	arenas sync.Pool
+	// hotArena holds the arena returned last outside the pool: a sync.Pool
+	// is per-P and emptied by two GC cycles, so a lone caller that migrates
+	// or a stream that compiles one job in seven (the rest are cache hits)
+	// would regrow its arena — some 500 allocations — at moments no input
+	// decides. One arena per Compiler is never let go of.
+	arenas   sync.Pool
+	hotArena atomic.Pointer[pipeline.Arena]
 
 	// spec is the per-compilation speculation width (≤1 off). specLoad
 	// counts running speculative compilations plus acquired extra lanes
@@ -448,8 +454,12 @@ func remapCandidates(j Job, cands []*pipeline.Result) *pipeline.Result {
 // changes shape — stale store entries then miss instead of aliasing.
 // v3 replaced the exact graph fingerprint with the canonical (isomorphism-
 // invariant) fingerprint, so renamed/reordered presentations of one loop
-// share a store entry.
-const jobKeyVersion = "v3"
+// share a store entry. v4 keeps the format: the labeling behind the
+// canonical fingerprint changed (partition refinement picks a different
+// winning labeling than the hash-rank refinement did), so every graph's
+// fingerprint moved and v3 entries must miss rather than sit unreachable
+// under a current-looking key.
+const jobKeyVersion = "v4"
 
 // JobKey returns the job's content-addressed cache identity as a string:
 // the format version, the canonical graph fingerprint, the canonical
@@ -738,7 +748,7 @@ func (c *Compiler) compile(ctx context.Context, j Job, tr *telemetry.Trace, trac
 		c.specLoad.Add(1)
 		defer c.specLoad.Add(-1)
 	}
-	arena := c.arenas.Get().(*pipeline.Arena)
+	arena := c.getArena()
 	res, err := pipeline.Search(ctx, j.Graph, j.Machine, j.Opts, pipeline.SearchConfig{
 		Arena: arena,
 		Trace: tr,
@@ -747,8 +757,23 @@ func (c *Compiler) compile(ctx context.Context, j Job, tr *telemetry.Trace, trac
 		Pool:  lanePool{c},
 		Stats: &c.laneStats,
 	})
-	c.arenas.Put(arena)
+	c.putArena(arena)
 	return res, err
+}
+
+// getArena borrows a scratch arena: the hot one if it is in, else one from
+// the pool. putArena returns it, refilling the hot slot first.
+func (c *Compiler) getArena() *pipeline.Arena {
+	if a := c.hotArena.Swap(nil); a != nil {
+		return a
+	}
+	return c.arenas.Get().(*pipeline.Arena)
+}
+
+func (c *Compiler) putArena(a *pipeline.Arena) {
+	if !c.hotArena.CompareAndSwap(nil, a) {
+		c.arenas.Put(a)
+	}
 }
 
 // lanePool is the engine as a pipeline.Pool: an extra speculative lane
@@ -766,14 +791,14 @@ func (p lanePool) Acquire() (*pipeline.Arena, bool) {
 		}
 		if c.specLoad.CompareAndSwap(cur, cur+1) {
 			c.laneArenas.Add(1)
-			return c.arenas.Get().(*pipeline.Arena), true
+			return c.getArena(), true
 		}
 	}
 }
 
 // Release implements pipeline.Pool.
 func (p lanePool) Release(a *pipeline.Arena) {
-	p.c.arenas.Put(a)
+	p.c.putArena(a)
 	p.c.laneArenas.Add(-1)
 	p.c.specLoad.Add(-1)
 }

@@ -42,15 +42,15 @@ func TestJobKeyGolden(t *testing.T) {
 	}{
 		{
 			pipeline.Options{},
-			fmt.Sprintf("v3|c=%016x|m=4c2b2l64r|strat=paper|rep=0|lrep=0|lat0=0|macro=0|maxii=0|noreg=0|ver=0", g.CanonicalFingerprint()),
+			fmt.Sprintf("v4|c=%016x|m=4c2b2l64r|strat=paper|rep=0|lrep=0|lat0=0|macro=0|maxii=0|noreg=0|ver=0", g.CanonicalFingerprint()),
 		},
 		{
 			pipeline.Options{Replicate: true, LengthReplicate: true, MaxII: 17, VerifySchedules: true},
-			fmt.Sprintf("v3|c=%016x|m=4c2b2l64r|strat=paper|rep=1|lrep=1|lat0=0|macro=0|maxii=17|noreg=0|ver=1", g.CanonicalFingerprint()),
+			fmt.Sprintf("v4|c=%016x|m=4c2b2l64r|strat=paper|rep=1|lrep=1|lat0=0|macro=0|maxii=17|noreg=0|ver=1", g.CanonicalFingerprint()),
 		},
 		{
 			pipeline.Options{Strategy: "uas"},
-			fmt.Sprintf("v3|c=%016x|m=4c2b2l64r|strat=uas|rep=0|lrep=0|lat0=0|macro=0|maxii=0|noreg=0|ver=0", g.CanonicalFingerprint()),
+			fmt.Sprintf("v4|c=%016x|m=4c2b2l64r|strat=uas|rep=0|lrep=0|lat0=0|macro=0|maxii=0|noreg=0|ver=0", g.CanonicalFingerprint()),
 		},
 	}
 	for _, tc := range cases {
@@ -62,17 +62,23 @@ func TestJobKeyGolden(t *testing.T) {
 
 	// The canonical fingerprint itself is part of the persisted identity:
 	// pin it.
-	const goldenCanonical = "40d7edb04f609e68"
+	const goldenCanonical = "2cb3cf142b81b0d9"
 	if fp := fmt.Sprintf("%016x", g.CanonicalFingerprint()); fp != goldenCanonical {
 		t.Errorf("canonical fingerprint of the golden loop = %s, want %s (a drift here silently invalidates every DiskCache entry)", fp, goldenCanonical)
 	}
 
-	// A v2 key for the same job must MISS under v3, not alias: the v2
+	// A v2 key for the same job must MISS under v4, not alias: the v2
 	// encoding used the exact (name-sensitive) fingerprint under the g=
-	// field, and no v3 key may collide with it.
+	// field, and no v4 key may collide with it.
 	v2 := fmt.Sprintf("v2|g=%016x|m=4c2b2l64r|strat=paper|rep=0|lrep=0|lat0=0|macro=0|maxii=0|noreg=0|ver=0", g.Fingerprint())
 	if got := JobKey(Job{Graph: g, Machine: m, Opts: pipeline.Options{}}); got == v2 {
-		t.Errorf("v3 key aliases the old v2 key %s", v2)
+		t.Errorf("v4 key aliases the old v2 key %s", v2)
+	}
+	// So must the v3 key: same format, but c= held the retired labeling's
+	// fingerprint of the golden loop.
+	v3 := "v3|c=40d7edb04f609e68|m=4c2b2l64r|strat=paper|rep=0|lrep=0|lat0=0|macro=0|maxii=0|noreg=0|ver=0"
+	if got := JobKey(Job{Graph: g, Machine: m, Opts: pipeline.Options{}}); got == v3 {
+		t.Errorf("v4 key aliases the old v3 key %s", v3)
 	}
 }
 
@@ -156,7 +162,7 @@ func TestJobKeyDistinguishesStrategy(t *testing.T) {
 		t.Fatalf("default-strategy key %s differs from explicit paper key %s", def, keys["paper"])
 	}
 	for _, k := range keys {
-		if !strings.HasPrefix(k, "v3|") {
+		if !strings.HasPrefix(k, "v4|") {
 			t.Fatalf("key %s lacks the version prefix", k)
 		}
 	}

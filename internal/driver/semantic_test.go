@@ -82,7 +82,7 @@ func TestSemanticCacheHit(t *testing.T) {
 }
 
 // TestSemanticStoreHit: a fresh Compiler sharing the persistent store
-// serves a permuted clone from the store — the v3 JobKey is canonical, so
+// serves a permuted clone from the store — the v4 JobKey is canonical, so
 // the entry written for the original is found, remapped and re-verified.
 func TestSemanticStoreHit(t *testing.T) {
 	orig, clones := permutedJobs(t, "mgrid")

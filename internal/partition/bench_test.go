@@ -127,4 +127,20 @@ func TestInitialSteadyStateAllocs(t *testing.T) {
 	if n := testing.AllocsPerRun(50, func() { RefineScratch(g, m, ii+1, a, sc) }); n != 2 {
 		t.Errorf("RefineScratch on a warmed arena: %v allocations, want 2 (the Assignment and its Cluster)", n)
 	}
+
+	// The 29-node loop never gets stuck in matching, so it says nothing
+	// about forceMerge, which about one suite loop in one does reach: pin
+	// the first one whose coarsening leaves the size sorter used.
+	for _, l := range workload.SPECfp95() {
+		g, ii, sc := l.Graph, mii.MII(l.Graph, m), NewScratch()
+		InitialScratch(g, m, ii, sc)
+		if sc.bySize.ids == nil {
+			continue
+		}
+		if n := testing.AllocsPerRun(50, func() { InitialScratch(g, m, ii, sc) }); n != 2 {
+			t.Errorf("InitialScratch through forceMerge (%s) on a warmed arena: %v allocations, want 2", g.Name, n)
+		}
+		return
+	}
+	t.Error("no suite loop reaches forceMerge")
 }

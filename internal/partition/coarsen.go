@@ -247,6 +247,13 @@ func foldMacro(rep []int, counts [][ddg.NumClasses]int, size []int, a, b int) {
 	counts[b] = [ddg.NumClasses]int{}
 }
 
+// macrosBySize orders macro ids by ascending size for forceMerge.
+type macrosBySize struct{ ids, size []int }
+
+func (s *macrosBySize) Len() int           { return len(s.ids) }
+func (s *macrosBySize) Less(i, j int) bool { return s.size[s.ids[i]] < s.size[s.ids[j]] }
+func (s *macrosBySize) Swap(i, j int)      { s.ids[i], s.ids[j] = s.ids[j], s.ids[i] }
+
 // forceMerge merges the two smallest capacity-compatible macros; returns
 // false when no pair fits (coarsening must stop). The survivor is the
 // earlier of the two in size order, not the smaller id.
@@ -258,10 +265,13 @@ func forceMerge(rep []int, counts [][ddg.NumClasses]int, size []int, cap [ddg.Nu
 		}
 	}
 	sc.live = live
-	// sort.Slice (not slices.SortFunc) deliberately: size ties must keep
-	// the exact order the original implementation produced, so partitions
-	// stay bit-identical.
-	sort.Slice(live, func(i, j int) bool { return size[live[i]] < size[live[j]] })
+	// sort.Sort (not slices.SortFunc) deliberately: size ties must keep
+	// the exact order the original sort.Slice produced, so partitions stay
+	// bit-identical. Both run the same generated pdqsort over Less and
+	// Swap; the sorter lives in the Scratch because sort.Slice's closure,
+	// reflect swapper and boxed slice header were three allocations a call.
+	sc.bySize = macrosBySize{ids: live, size: size}
+	sort.Sort(&sc.bySize)
 	for i := 0; i < len(live); i++ {
 		for j := i + 1; j < len(live); j++ {
 			if fitsTogether(&counts[live[i]], &counts[live[j]], cap) {

@@ -38,6 +38,7 @@ type Scratch struct {
 	rep     []int
 	matched []bool
 	live    []int
+	bySize  macrosBySize
 	memFlat []int
 	memOff  []int
 	compact []int

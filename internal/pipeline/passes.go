@@ -2,25 +2,29 @@ package pipeline
 
 import (
 	"fmt"
+	"slices"
 
 	"clusched/internal/partition"
 	"clusched/internal/replic"
 	"clusched/internal/sched"
 )
 
-// Chain returns the standard Fig. 2 pass chain: partition → replicate →
+// paperChain is the standard Fig. 2 pass chain: partition → replicate →
 // length-replicate → schedule → verify. Passes whose options are disabled
 // reduce to no-ops, so the chain has the same shape for every pipeline
-// variant; callers composing custom chains can splice their own passes in.
-func Chain() []Pass {
-	return []Pass{
-		PartitionPass{},
-		ReplicationPass{},
-		LengthReplicationPass{},
-		SchedulePass{},
-		VerifyPass{},
-	}
+// variant. Like the rivals' chains it is built once and only ever read:
+// the passes are stateless, so every compilation drives the same slice.
+var paperChain = []Pass{
+	PartitionPass{},
+	ReplicationPass{},
+	LengthReplicationPass{},
+	SchedulePass{},
+	VerifyPass{},
 }
+
+// Chain returns a copy of the standard Fig. 2 pass chain; callers composing
+// custom chains can splice their own passes in.
+func Chain() []Pass { return slices.Clone(paperChain) }
 
 // PartitionPass assigns every node to a cluster: an initial multilevel
 // partition on the first attempt, a refinement of the previous assignment

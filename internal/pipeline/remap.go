@@ -3,10 +3,17 @@ package pipeline
 import (
 	"errors"
 	"fmt"
+	"sync"
 
+	"clusched/internal/arena"
 	"clusched/internal/ddg"
 	"clusched/internal/sched"
 )
+
+// remapPerms recycles the three node-permutation vectors of one RemapResult
+// (invDst, sigma, invSigma) as one slab: they are dead once the call
+// returns.
+var remapPerms = sync.Pool{New: func() any { return new([]int32) }}
 
 // RemapResult transplants a cached compilation onto an isomorphic graph:
 // it composes the two canonical permutations into a node isomorphism,
@@ -32,11 +39,13 @@ func RemapResult(cached *Result, g *ddg.Graph, opts Options) (*Result, error) {
 
 	// sigma maps cached node → target node through the shared canonical
 	// ordering: a node and its image occupy the same canonical position.
-	invDst := make([]int32, n)
+	slab := remapPerms.Get().(*[]int32)
+	defer remapPerms.Put(slab)
+	*slab = arena.Grown(*slab, 3*n)
+	invDst, sigma, invSigma := (*slab)[:n], (*slab)[n:2*n], (*slab)[2*n:]
 	for v, c := range cDst.Perm {
 		invDst[c] = int32(v)
 	}
-	sigma := make([]int32, n)
 	for v := 0; v < n; v++ {
 		sigma[v] = invDst[cSrc.Perm[v]]
 		if g.Nodes[sigma[v]].Op != src.Nodes[v].Op {
@@ -58,7 +67,6 @@ func RemapResult(cached *Result, g *ddg.Graph, opts Options) (*Result, error) {
 	}
 
 	cig := cached.Schedule.IG
-	invSigma := make([]int32, n)
 	for v := 0; v < n; v++ {
 		invSigma[sigma[v]] = int32(v)
 	}
@@ -89,15 +97,16 @@ func RemapResult(cached *Result, g *ddg.Graph, opts Options) (*Result, error) {
 	}
 	s, err := sched.Prove(p, cached.Machine, opts.ZeroBusLatency, cached.Schedule.II,
 		sched.Options{SkipRegisterCheck: opts.IgnoreRegisterPressure}, layout)
-	var unproven *sched.Error
-	switch {
-	case err == nil:
-	case layoutErr != nil:
-		return nil, layoutErr
-	case errors.As(err, &unproven):
-		return nil, fmt.Errorf("pipeline: remapped schedule does not verify: %w", err)
-	default:
-		return nil, fmt.Errorf("pipeline: remap: %w", err)
+	if err != nil {
+		var unproven *sched.Error // declared here: errors.As moves it to the heap
+		switch {
+		case layoutErr != nil:
+			return nil, layoutErr
+		case errors.As(err, &unproven):
+			return nil, fmt.Errorf("pipeline: remapped schedule does not verify: %w", err)
+		default:
+			return nil, fmt.Errorf("pipeline: remap: %w", err)
+		}
 	}
 	if s.Length != cached.Length || s.SC != cached.SC {
 		return nil, fmt.Errorf("pipeline: remap: length/SC changed (%d/%d vs %d/%d)",

@@ -162,3 +162,39 @@ func TestRemapRejectsNonIsomorphic(t *testing.T) {
 		t.Fatal("remap accepted a non-isomorphic graph")
 	}
 }
+
+// TestRemapAllocs pins what a semantic hit's transplant costs the allocator
+// once both canonical forms are memoized and the pools are warm: the proof
+// (sched's TestProveSteadyStateAllocs: 7), the Result, the Placement and
+// its two slices. The three permutation vectors come from a pooled slab.
+func TestRemapAllocs(t *testing.T) {
+	if raceDetector {
+		t.Skip("allocation counts do not repeat under -race")
+	}
+	m := remapMachine()
+	opts := Options{Replicate: true}
+	var g *ddg.Graph
+	for _, l := range workload.SPECfp95() {
+		if l.Graph.NumNodes() == 29 {
+			g = l.Graph
+			break
+		}
+	}
+	if g == nil {
+		t.Fatal("suite has no 29-node loop")
+	}
+	res, err := Compile(g, m, opts)
+	if err != nil {
+		t.Fatal(err)
+	}
+	clone := ddg.PermuteRandom(g, g.Name+"#p", 17)
+	remap := func() {
+		if _, err := RemapResult(res, clone, opts); err != nil {
+			t.Fatal(err)
+		}
+	}
+	remap()
+	if avg := testing.AllocsPerRun(100, remap); avg > 11 {
+		t.Errorf("a warm RemapResult allocates %.1f objects, want <= 11 (7 in sched.Prove, the Result, the Placement and its Home and Replicas)", avg)
+	}
+}

@@ -74,9 +74,9 @@ func (uasStrategy) Name() string { return "uas" }
 // Chain implements Strategy: assign-while-scheduling, then the real
 // scheduler over the derived placement (inserting the explicit copies),
 // then verification.
-func (uasStrategy) Chain() []Pass {
-	return []Pass{UASAssignPass{}, SchedulePass{}, VerifyPass{}}
-}
+func (uasStrategy) Chain() []Pass { return uasChain }
+
+var uasChain = []Pass{UASAssignPass{}, SchedulePass{}, VerifyPass{}}
 
 // Validate implements Strategy.
 func (uasStrategy) Validate(opts Options, m machine.Config) error {
@@ -131,9 +131,9 @@ type moddistStrategy struct{}
 func (moddistStrategy) Name() string { return "moddist" }
 
 // Chain implements Strategy.
-func (moddistStrategy) Chain() []Pass {
-	return []Pass{ModDistPass{}, SchedulePass{}, VerifyPass{}}
-}
+func (moddistStrategy) Chain() []Pass { return moddistChain }
+
+var moddistChain = []Pass{ModDistPass{}, SchedulePass{}, VerifyPass{}}
 
 // Validate implements Strategy.
 func (moddistStrategy) Validate(opts Options, m machine.Config) error {

@@ -36,7 +36,8 @@ const DefaultStrategy = "paper"
 type Strategy interface {
 	// Name is the registry key and the canonical Options.Strategy value.
 	Name() string
-	// Chain returns a fresh pass chain for one compilation.
+	// Chain returns the pass chain the search drives. The search only
+	// reads it, so a strategy may hand every compilation the same slice.
 	Chain() []Pass
 	// Validate rejects option or machine combinations the strategy cannot
 	// honor (for example, replication options on a chain with no
@@ -184,7 +185,7 @@ type paperStrategy struct{}
 func (paperStrategy) Name() string { return "paper" }
 
 // Chain implements Strategy: the standard five-pass chain.
-func (paperStrategy) Chain() []Pass { return Chain() }
+func (paperStrategy) Chain() []Pass { return paperChain }
 
 // Validate implements Strategy: the paper chain honors every option.
 func (paperStrategy) Validate(opts Options, m machine.Config) error { return nil }
@@ -217,7 +218,7 @@ func (unifiedStrategy) Name() string { return "unified" }
 // Chain implements Strategy. On a single-cluster machine the standard chain
 // degenerates exactly as needed: the partition is trivial, replication is a
 // structural no-op, and only the scheduler does work.
-func (unifiedStrategy) Chain() []Pass { return Chain() }
+func (unifiedStrategy) Chain() []Pass { return paperChain }
 
 // Validate implements Strategy: heterogeneous machines have no canonical
 // unified equivalent (their FU matrix is per-cluster by construction).

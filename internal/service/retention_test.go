@@ -1,12 +1,14 @@
 package service
 
 import (
+	"bytes"
 	"context"
 	"encoding/json"
 	"fmt"
 	"net/http"
 	"net/http/httptest"
 	"os"
+	"strings"
 	"testing"
 
 	"clusched/internal/driver"
@@ -186,5 +188,69 @@ func TestDiskCacheLyingEntryIsMiss(t *testing.T) {
 			t.Errorf("%s: the lying entry was not discarded", name)
 		}
 		cache.Close()
+	}
+}
+
+// TestDiskCacheIgnoresStaleKeyVersion: a directory written by a binary one
+// JobKey version back. The old entry sits under the hash of its own key,
+// where no current key ever looks: the job is a plain miss — not an error,
+// nothing counted — and the entry is left alone (the operator empties the
+// directory; the cache never scans it).
+func TestDiskCacheIgnoresStaleKeyVersion(t *testing.T) {
+	j := testJobs(t, "mgrid", 1)[0]
+	res, err := pipeline.Compile(j.Graph, j.Machine, j.Opts)
+	if err != nil {
+		t.Fatal(err)
+	}
+	dir := t.TempDir()
+	cache, err := OpenDiskCache(dir)
+	if err != nil {
+		t.Fatal(err)
+	}
+	cache.Save(j, res, nil)
+	cache.Close()
+
+	// Re-key the entry the way the previous version would have written it.
+	cache, err = OpenDiskCache(dir)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer cache.Close()
+	key := driver.JobKey(j)
+	stale, ok := strings.CutPrefix(key, "v4|")
+	if !ok {
+		t.Fatalf("JobKey %q is not v4: move this test along with the version", key)
+	}
+	stale = "v3|" + stale
+	blob, err := os.ReadFile(cache.path(key))
+	if err != nil {
+		t.Fatal(err)
+	}
+	var so storedOutcome
+	if err := json.Unmarshal(blob, &so); err != nil {
+		t.Fatal(err)
+	}
+	so.Key = stale
+	if blob, err = json.Marshal(&so); err != nil {
+		t.Fatal(err)
+	}
+	if err := os.WriteFile(cache.path(stale), blob, 0o644); err != nil {
+		t.Fatal(err)
+	}
+	if err := os.Remove(cache.path(key)); err != nil {
+		t.Fatal(err)
+	}
+
+	if res, cerr, ok := cache.Load(j); ok || res != nil || cerr != nil {
+		t.Fatalf("Load = (%v, %v, %v) on a directory holding only a v3 entry, want a clean miss", res, cerr, ok)
+	}
+	if dropped, errs := cache.Dropped(); dropped != 0 || errs != 0 {
+		t.Errorf("the stale entry was counted: dropped %d, errs %d", dropped, errs)
+	}
+	if after, err := os.ReadFile(cache.path(stale)); err != nil || !bytes.Equal(after, blob) {
+		t.Errorf("the stale entry was touched (read error: %v)", err)
+	}
+	if cache.Len() != 1 {
+		t.Errorf("%d entries on disk, want the stale one alone", cache.Len())
 	}
 }
