@@ -286,29 +286,12 @@ func (c *Client) SubmitBatch(ctx context.Context, jobs []CompileJob, timeout tim
 // The server records a trace only when the batch asked for one (see
 // RequestTraces) or the server runs with -trace-jobs; otherwise the answer
 // is an error.
-func (c *Client) Trace(ctx context.Context, id string) ([]byte, error) {
-	if c.timeout > 0 {
-		var cancel context.CancelFunc
-		ctx, cancel = context.WithTimeout(ctx, c.timeout)
-		defer cancel()
-	}
-	req, err := http.NewRequestWithContext(ctx, http.MethodGet, c.base+"/jobs/"+id+"/trace", nil)
-	if err != nil {
-		return nil, err
-	}
-	resp, err := c.hc.Do(req)
-	if err != nil {
-		return nil, err
-	}
-	defer resp.Body.Close()
-	if resp.StatusCode >= 400 {
-		var er wire.ErrorResponse
-		if err := json.NewDecoder(io.LimitReader(resp.Body, 1<<16)).Decode(&er); err == nil && er.Error != "" {
-			return nil, fmt.Errorf("clusched: service: %s", er.Error)
-		}
-		return nil, fmt.Errorf("clusched: service answered %s", resp.Status)
-	}
-	return io.ReadAll(resp.Body)
+func (c *Client) Trace(ctx context.Context, id string) (blob []byte, err error) {
+	err = c.do(ctx, http.MethodGet, "/jobs/"+id+"/trace", nil, func(r io.Reader) (rerr error) {
+		blob, rerr = io.ReadAll(r)
+		return rerr
+	})
+	return blob, err
 }
 
 // BatchStatus is a remote ticket snapshot; Outcomes is nil until the

@@ -104,13 +104,11 @@ type member struct {
 
 	up       atomic.Bool
 	inflight atomic.Int64
+	lastErr  atomic.Value // string
 
-	jobs        atomic.Uint64
-	steals      atomic.Uint64
-	hedgesFired atomic.Uint64
-	hedgesWon   atomic.Uint64
-	ejections   atomic.Uint64
-	lastErr     atomic.Value // string
+	// The member's event counts: its children of the registry's per-node
+	// families, resolved once in New. FleetStats reads the same cells.
+	jobs, steals, hedgesFired, hedgesWon, ejections, failovers *telemetry.Counter
 }
 
 func (m *member) healthy() bool { return m.up.Load() }
@@ -126,7 +124,6 @@ type Cluster struct {
 	logger       *slog.Logger
 
 	registry *telemetry.Registry
-	metrics  clusterMetrics
 
 	latMu  sync.Mutex
 	lat    [latWindow]time.Duration
@@ -135,22 +132,12 @@ type Cluster struct {
 	once   sync.Once
 }
 
-type clusterMetrics struct {
-	jobs        *telemetry.CounterVec
-	steals      *telemetry.CounterVec
-	hedgesFired *telemetry.CounterVec
-	hedgesWon   *telemetry.CounterVec
-	ejections   *telemetry.CounterVec
-	failovers   *telemetry.CounterVec
-}
-
 // New builds a Cluster over the members and starts its membership loop.
 // Callers must Close it when done.
 func New(cfg Config) (*Cluster, error) {
 	if len(cfg.Members) == 0 {
 		return nil, fmt.Errorf("cluster: no members")
 	}
-	names := make(map[string]bool, len(cfg.Members))
 	c := &Cluster{
 		nodeInFlight: cfg.NodeInFlight,
 		hedge:        cfg.Hedge,
@@ -167,6 +154,7 @@ func New(cfg Config) (*Cluster, error) {
 	if c.registry == nil {
 		c.registry = telemetry.NewRegistry()
 	}
+	names := make(map[string]bool, len(cfg.Members))
 	for _, mm := range cfg.Members {
 		if mm.Name == "" || mm.Node == nil {
 			return nil, fmt.Errorf("cluster: member needs a name and a node")
@@ -175,26 +163,29 @@ func New(cfg Config) (*Cluster, error) {
 			return nil, fmt.Errorf("cluster: duplicate member %q", mm.Name)
 		}
 		names[mm.Name] = true
-		m := &member{name: mm.Name, node: mm.Node}
+	}
+	reg := c.registry
+	jobs := reg.NewCounterVec("clusched_cluster_jobs_total",
+		"Jobs dispatched and answered, by node.", "node")
+	steals := reg.NewCounterVec("clusched_cluster_steals_total",
+		"Jobs stolen from another node's queue, by the thief node.", "node")
+	hedgesFired := reg.NewCounterVec("clusched_cluster_hedges_fired_total",
+		"Hedged duplicate dispatches fired against a slow primary, by primary node.", "node")
+	hedgesWon := reg.NewCounterVec("clusched_cluster_hedges_won_total",
+		"Hedges whose duplicate answered first, by primary node.", "node")
+	ejections := reg.NewCounterVec("clusched_cluster_ejections_total",
+		"Membership ejections after dispatch failures or failed probes, by node.", "node")
+	failovers := reg.NewCounterVec("clusched_cluster_failovers_total",
+		"Jobs rerouted to another member after a transport failure, by failed node.", "node")
+	for _, mm := range cfg.Members {
+		m := &member{name: mm.Name, node: mm.Node,
+			jobs: jobs.With(mm.Name), steals: steals.With(mm.Name),
+			hedgesFired: hedgesFired.With(mm.Name), hedgesWon: hedgesWon.With(mm.Name),
+			ejections: ejections.With(mm.Name), failovers: failovers.With(mm.Name)}
 		m.up.Store(true)
 		c.members = append(c.members, m)
 	}
 	c.ring = newRing(c.members)
-	reg := c.registry
-	c.metrics = clusterMetrics{
-		jobs: reg.NewCounterVec("clusched_cluster_jobs_total",
-			"Jobs dispatched and answered, by node.", "node"),
-		steals: reg.NewCounterVec("clusched_cluster_steals_total",
-			"Jobs stolen from another node's queue, by the thief node.", "node"),
-		hedgesFired: reg.NewCounterVec("clusched_cluster_hedges_fired_total",
-			"Hedged duplicate dispatches fired against a slow primary, by primary node.", "node"),
-		hedgesWon: reg.NewCounterVec("clusched_cluster_hedges_won_total",
-			"Hedges whose duplicate answered first, by primary node.", "node"),
-		ejections: reg.NewCounterVec("clusched_cluster_ejections_total",
-			"Membership ejections after dispatch failures or failed probes, by node.", "node"),
-		failovers: reg.NewCounterVec("clusched_cluster_failovers_total",
-			"Jobs rerouted to another member after a transport failure, by failed node.", "node"),
-	}
 	reg.NewGaugeFunc("clusched_cluster_members",
 		"Configured fleet size.",
 		func() float64 { return float64(len(c.members)) })
@@ -266,9 +257,8 @@ func (c *Cluster) probe(m *member, timeout time.Duration) {
 	was := m.up.Swap(err == nil)
 	switch {
 	case was && err != nil:
-		m.ejections.Add(1)
+		m.ejections.Inc()
 		m.lastErr.Store(err.Error())
-		c.metrics.ejections.With(m.name).Inc()
 		c.logger.Warn("cluster: member ejected by probe", "node", m.name, "error", err)
 	case !was && err == nil:
 		c.logger.Info("cluster: member readmitted", "node", m.name)
@@ -279,9 +269,8 @@ func (c *Cluster) probe(m *member, timeout time.Duration) {
 // it once it answers again).
 func (c *Cluster) eject(m *member, err error) {
 	if m.up.Swap(false) {
-		m.ejections.Add(1)
+		m.ejections.Inc()
 		m.lastErr.Store(err.Error())
-		c.metrics.ejections.With(m.name).Inc()
 		c.logger.Warn("cluster: member ejected by dispatch failure", "node", m.name, "error", err)
 	}
 }
@@ -398,20 +387,20 @@ func (c *Cluster) Stream(ctx context.Context, jobs []driver.Job) iter.Seq2[int, 
 		starts := make([]start, 0, len(c.members)*c.nodeInFlight)
 		for _, m := range c.members {
 			for w := 0; w < c.nodeInFlight; w++ {
-				starts = append(starts, start{m, c.claim(b, m, false)})
+				starts = append(starts, start{m, b.next(m, false)})
 			}
 		}
 		var wg sync.WaitGroup
 		for _, s := range starts {
 			if s.run == nil {
-				if s.run = c.claim(b, s.m, true); s.run == nil {
+				if s.run = b.next(s.m, true); s.run == nil {
 					continue
 				}
 			}
 			wg.Add(1)
 			go func(m *member, run []int) {
 				defer wg.Done()
-				for ; run != nil; run = c.claim(b, m, true) {
+				for ; run != nil; run = b.next(m, true) {
 					c.dispatch(sctx, l, m, run)
 				}
 			}(s.m, s.run)
@@ -504,19 +493,19 @@ type batchState struct {
 // next claims the member's next run: the head of its own queue, at most the
 // even share, or — when steal is set and that queue is empty — the tail of
 // the longest other backlog past the steal floor, half of what exceeds the
-// floor. It returns nil when there is nothing to claim; with steal set that
-// means no claimable work remains anywhere — sub-floor remainders drain at
-// their home node.
-func (b *batchState) next(m *member, steal bool) (run []int, stolen bool) {
+// floor, every stolen job counted to the thief. It returns nil when there is
+// nothing to claim; with steal set that means no claimable work remains
+// anywhere — sub-floor remainders drain at their home node.
+func (b *batchState) next(m *member, steal bool) []int {
 	b.mu.Lock()
 	defer b.mu.Unlock()
 	if q := b.queues[m]; len(q) > 0 {
 		n := min(len(q), b.share)
 		b.queues[m] = q[n:]
-		return q[:n:n], false
+		return q[:n:n]
 	}
 	if !steal {
-		return nil, false
+		return nil
 	}
 	var victim *member
 	best := b.stealFloor
@@ -526,22 +515,13 @@ func (b *batchState) next(m *member, steal bool) (run []int, stolen bool) {
 		}
 	}
 	if victim == nil {
-		return nil, false
+		return nil
 	}
 	q := b.queues[victim]
 	cut := len(q) - (len(q)-b.stealFloor+1)/2
 	b.queues[victim] = q[:cut:cut]
 	m.steals.Add(uint64(len(q) - cut))
-	return q[cut:], true
-}
-
-// claim is next with the steal booked in the registry.
-func (c *Cluster) claim(b *batchState, m *member, steal bool) []int {
-	run, stolen := b.next(m, steal)
-	if stolen {
-		c.metrics.steals.With(m.name).Add(uint64(len(run)))
-	}
-	return run
+	return q[cut:]
 }
 
 // dispatch serves one run to a final outcome for each of its jobs: try the
@@ -580,7 +560,7 @@ func (c *Cluster) dispatch(ctx context.Context, l *ledger, home *member, run []i
 			l.fail(run, err)
 			return
 		}
-		c.metrics.failovers.With(m.name).Add(uint64(len(run)))
+		m.failovers.Add(uint64(len(run)))
 		if firstErr == nil {
 			firstErr = err
 		}
@@ -688,8 +668,7 @@ func (c *Cluster) tryRun(ctx context.Context, l *ledger, m *member, run []int, t
 				continue // answered in full; the primary is about to return
 			}
 			tried[alt] = true
-			m.hedgesFired.Add(1)
-			c.metrics.hedgesFired.With(m.name).Inc()
+			m.hedgesFired.Inc()
 			c.logger.Debug("cluster: hedge fired", "primary", m.name, "hedge", alt.name, "delay", delay, "jobs", len(suffix))
 			inflight++
 			go func() { ch <- reply{c.send(hctx, l, alt, suffix, h), true} }()
@@ -729,7 +708,6 @@ func (c *Cluster) send(ctx context.Context, l *ledger, m *member, run []int, h *
 		jobs[k] = l.jobs[i]
 	}
 	duplicate := h != nil && m != h.primary
-	answered := c.metrics.jobs.With(m.name)
 	last := time.Now()
 	err := doRun(ctx, m.node, jobs, func(k int, out driver.Outcome) bool {
 		// The gaps the hedge delay is estimated from, and measured against:
@@ -743,13 +721,11 @@ func (c *Cluster) send(ctx context.Context, l *ledger, m *member, run []int, h *
 		if !l.claim(run[k]) {
 			return true // the other exchange of a hedged run answered first
 		}
-		m.jobs.Add(1)
-		answered.Inc()
+		m.jobs.Inc()
 		ok := l.emit(run[k], out)
 		if h != nil {
 			if duplicate && h.won.CompareAndSwap(false, true) {
-				h.primary.hedgesWon.Add(1)
-				c.metrics.hedgesWon.With(h.primary.name).Inc()
+				h.primary.hedgesWon.Inc()
 			}
 			if h.left.Add(-1) == 0 && h.fired.Load() {
 				h.cancel()
@@ -858,11 +834,11 @@ func (c *Cluster) FleetStats(ctx context.Context) FleetStats {
 			Name:        m.name,
 			Healthy:     m.healthy(),
 			InFlight:    m.inflight.Load(),
-			Jobs:        m.jobs.Load(),
-			Steals:      m.steals.Load(),
-			HedgesFired: m.hedgesFired.Load(),
-			HedgesWon:   m.hedgesWon.Load(),
-			Ejections:   m.ejections.Load(),
+			Jobs:        m.jobs.Value(),
+			Steals:      m.steals.Value(),
+			HedgesFired: m.hedgesFired.Value(),
+			HedgesWon:   m.hedgesWon.Value(),
+			Ejections:   m.ejections.Value(),
 		}
 		if e, ok := m.lastErr.Load().(string); ok {
 			ns.LastError = e

@@ -3,9 +3,11 @@ package cluster
 import (
 	"context"
 	"errors"
+	"fmt"
 	"net/http"
 	"runtime"
 	"slices"
+	"strings"
 	"sync"
 	"testing"
 	"time"
@@ -14,6 +16,7 @@ import (
 	"clusched/internal/driver"
 	"clusched/internal/machine"
 	"clusched/internal/pipeline"
+	"clusched/internal/telemetry"
 	"clusched/internal/workload"
 )
 
@@ -199,6 +202,10 @@ func TestDispatchFailover(t *testing.T) {
 	if !home.healthy() {
 		t.Fatal("home member not readmitted by a successful dispatch")
 	}
+	if home.ejections.Value() != 1 {
+		t.Fatalf("home ejected %d times, want 1", home.ejections.Value())
+	}
+	assertFleetAgreesWithRegistry(t, c)
 }
 
 // TestPermanentErrorIsFinal: a 4xx StatusError is a deterministic answer —
@@ -289,12 +296,13 @@ func TestHedgeDuplicatesSlowPrimary(t *testing.T) {
 	if out.Err != nil {
 		t.Fatalf("hedged dispatch failed: %v", out.Err)
 	}
-	if home.hedgesFired.Load() == 0 {
+	if home.hedgesFired.Value() == 0 {
 		t.Fatal("no hedge fired against the wedged primary")
 	}
-	if home.hedgesWon.Load() == 0 {
+	if home.hedgesWon.Value() == 0 {
 		t.Fatal("the duplicate's answer was not counted as a hedge win")
 	}
+	assertFleetAgreesWithRegistry(t, c)
 }
 
 // TestStealTakesTailOfLongestQueue pins the claiming policy in runs: a
@@ -305,7 +313,7 @@ func TestHedgeDuplicatesSlowPrimary(t *testing.T) {
 // backlogs at or under the floor are never touched — their home node already
 // has them in flight, so stealing them would only sacrifice cache affinity.
 func TestStealTakesTailOfLongestQueue(t *testing.T) {
-	a, bm, cm := &member{name: "a"}, &member{name: "b"}, &member{name: "c"}
+	a, bm, cm := &member{name: "a"}, &member{name: "b"}, &member{name: "c", steals: new(telemetry.Counter)}
 	b := &batchState{
 		queues:     map[*member][]int{a: {0, 1, 2, 3, 4, 5, 6}, bm: {7, 8, 9}, cm: nil},
 		order:      []*member{a, bm, cm},
@@ -314,13 +322,15 @@ func TestStealTakesTailOfLongestQueue(t *testing.T) {
 	}
 	claim := func(m *member, wantStolen bool, want ...int) {
 		t.Helper()
-		run, stolen := b.next(m, true)
+		before := cm.steals.Value()
+		run := b.next(m, true)
+		stolen := cm.steals.Value() > before
 		if !slices.Equal(run, want) || stolen != wantStolen {
 			t.Fatalf("member %s claimed %v (stolen=%v), want %v (stolen=%v)", m.name, run, stolen, want, wantStolen)
 		}
 	}
 	// Without leave to steal, a member with an empty queue claims nothing.
-	if run, _ := b.next(cm, false); run != nil {
+	if run := b.next(cm, false); run != nil {
 		t.Fatalf("stole %v without leave to steal", run)
 	}
 	// The owner's run is the head of its queue, capped at the even share.
@@ -328,23 +338,23 @@ func TestStealTakesTailOfLongestQueue(t *testing.T) {
 	// Both backlogs are 3 long; the first of the longest is a's, and the
 	// thief takes the tail half of what exceeds the floor, rounded up.
 	claim(cm, true, 6)
-	if cm.steals.Load() != 1 {
+	if cm.steals.Value() != 1 {
 		t.Fatal("steal not attributed to the thief")
 	}
 	// Now b's backlog is the longest: one job over the floor.
 	claim(cm, true, 9)
-	if cm.steals.Load() != 2 {
+	if cm.steals.Value() != 2 {
 		t.Fatal("stolen jobs not counted one by one")
 	}
 	// Every remaining queue is at the floor: no more stealing, the idle
 	// member goes home.
-	if run, _ := b.next(cm, true); run != nil {
+	if run := b.next(cm, true); run != nil {
 		t.Fatalf("stole %v from a sub-floor backlog", run)
 	}
 	claim(a, false, 4, 5)
 	claim(bm, false, 7, 8)
 	// Drained: next reports no work without blocking.
-	if run, _ := b.next(a, true); run != nil {
+	if run := b.next(a, true); run != nil {
 		t.Fatalf("next reported %v on a drained batch", run)
 	}
 
@@ -356,8 +366,8 @@ func TestStealTakesTailOfLongestQueue(t *testing.T) {
 		stealFloor: 1,
 	}
 	claim(cm, true, 5, 6, 7, 8, 9)
-	if cm.steals.Load() != 7 {
-		t.Fatalf("thief credited with %d stolen jobs, want 7", cm.steals.Load())
+	if cm.steals.Value() != 7 {
+		t.Fatalf("thief credited with %d stolen jobs, want 7", cm.steals.Value())
 	}
 	claim(cm, true, 3, 4)
 	claim(a, false, 0, 1, 2)
@@ -588,8 +598,30 @@ func loopNames(jobs []driver.Job) []string {
 	return names
 }
 
-// failovers reads the registry's count of jobs rerouted away from m.
-func failovers(c *Cluster, m *member) uint64 { return c.metrics.failovers.With(m.name).Value() }
+// assertFleetAgreesWithRegistry checks the two views of a member's event
+// counts against each other: FleetStats and the registry's exposition must
+// read the same number for every node and family.
+func assertFleetAgreesWithRegistry(t *testing.T, c *Cluster) {
+	t.Helper()
+	var sb strings.Builder
+	if err := c.Registry().WritePrometheus(&sb); err != nil {
+		t.Fatal(err)
+	}
+	for _, ns := range c.FleetStats(context.Background()).Nodes {
+		for family, want := range map[string]uint64{
+			"jobs": ns.Jobs, "steals": ns.Steals, "hedges_fired": ns.HedgesFired,
+			"hedges_won": ns.HedgesWon, "ejections": ns.Ejections,
+		} {
+			line := fmt.Sprintf("clusched_cluster_%s_total{node=%q} %d\n", family, ns.Name, want)
+			if !strings.Contains(sb.String(), line) {
+				t.Errorf("FleetStats reads %s", line)
+			}
+		}
+	}
+	if t.Failed() {
+		t.Logf("registry:\n%s", sb.String())
+	}
+}
 
 // TestRunCutFailsOverTheSuffixExactlyOnce: a stream cut after k outcomes
 // ejects the member and sends exactly the undelivered suffix, as one run, to
@@ -625,11 +657,11 @@ func TestRunCutFailsOverTheSuffixExactlyOnce(t *testing.T) {
 	if home.healthy() {
 		t.Fatal("a cut stream did not eject the member")
 	}
-	if got, want := failovers(c, home), uint64(n-k); got != want {
+	if got, want := home.failovers.Value(), uint64(n-k); got != want {
 		t.Fatalf("failovers counted against the failed node: %d, want %d (one per rerouted job)", got, want)
 	}
-	if home.jobs.Load() != k || peer.jobs.Load() != n-k {
-		t.Fatalf("jobs answered: home %d, peer %d; want %d and %d", home.jobs.Load(), peer.jobs.Load(), k, n-k)
+	if home.jobs.Value() != k || peer.jobs.Value() != n-k {
+		t.Fatalf("jobs answered: home %d, peer %d; want %d and %d", home.jobs.Value(), peer.jobs.Value(), k, n-k)
 	}
 }
 
@@ -672,7 +704,7 @@ func TestRunRefusedAtSubmit(t *testing.T) {
 			if home.healthy() {
 				t.Fatalf("a %d refusal did not eject the member", code)
 			}
-			if got := failovers(c, home); got != uint64(len(jobs)) {
+			if got := home.failovers.Value(); got != uint64(len(jobs)) {
 				t.Fatalf("failovers = %d, want %d", got, len(jobs))
 			}
 		})
@@ -712,16 +744,16 @@ func TestRunStallIsHedgedOnce(t *testing.T) {
 	if _, cancelled, finished := fakes[0].snapshot(); cancelled != 1 || finished != 1 {
 		t.Fatalf("the stalled primary: %d exchanges returned, %d with their ticket cancelled; want 1 and 1", finished, cancelled)
 	}
-	if f, w := home.hedgesFired.Load(), home.hedgesWon.Load(); f != 1 || w != 1 {
+	if f, w := home.hedgesFired.Value(), home.hedgesWon.Value(); f != 1 || w != 1 {
 		t.Fatalf("hedges against the slow primary: %d fired, %d won; want 1 and 1", f, w)
 	}
-	if f, w := peer.hedgesFired.Load(), peer.hedgesWon.Load(); f != 0 || w != 0 {
+	if f, w := peer.hedgesFired.Value(), peer.hedgesWon.Value(); f != 0 || w != 0 {
 		t.Fatalf("hedge attributed to the peer (%d fired, %d won)", f, w)
 	}
 	if !home.healthy() {
 		t.Fatal("losing a hedge ejected the primary")
 	}
-	if failovers(c, home) != 0 {
+	if home.failovers.Value() != 0 {
 		t.Fatal("a hedge was counted as a failover")
 	}
 }
@@ -756,7 +788,7 @@ func TestRunUnprovableOutcomeIsUndelivered(t *testing.T) {
 	if home.healthy() {
 		t.Fatal("an unprovable outcome did not eject the member")
 	}
-	if got := failovers(c, home); got != 1 {
+	if got := home.failovers.Value(); got != 1 {
 		t.Fatalf("failovers = %d, want 1", got)
 	}
 }
@@ -859,13 +891,11 @@ func TestStreamClaimsTheEvenShareAndStealsTheBacklog(t *testing.T) {
 	if got := sizes(fakes[1-hi]); !slices.Equal(got, []int{4, 1}) {
 		t.Fatalf("the peer's runs were %v jobs long, want [4 1]: its own queue, then one stolen job", got)
 	}
-	if peer.steals.Load() != 1 || home.steals.Load() != 0 {
-		t.Fatalf("steals: peer %d, home %d; want 1 and 0", peer.steals.Load(), home.steals.Load())
+	if peer.steals.Value() != 1 || home.steals.Value() != 0 {
+		t.Fatalf("steals: peer %d, home %d; want 1 and 0", peer.steals.Value(), home.steals.Value())
 	}
-	if got := c.metrics.steals.With(peer.name).Value(); got != 1 {
-		t.Fatalf("the registry counts %d stolen jobs for the thief, want 1", got)
-	}
-	if home.jobs.Load()+peer.jobs.Load() != uint64(len(jobs)) {
-		t.Fatalf("jobs answered: %d + %d, want %d in all", home.jobs.Load(), peer.jobs.Load(), len(jobs))
+	assertFleetAgreesWithRegistry(t, c)
+	if home.jobs.Value()+peer.jobs.Value() != uint64(len(jobs)) {
+		t.Fatalf("jobs answered: %d + %d, want %d in all", home.jobs.Value(), peer.jobs.Value(), len(jobs))
 	}
 }

@@ -42,7 +42,7 @@ type Job struct {
 	Opts    pipeline.Options
 	// Trace, when non-nil, receives the job's execution spans (overriding
 	// the engine-wide Config.Trace). Tracing is an observation detail: it
-	// is no part of the job's cache identity (keyFor, JobKey), so traced
+	// is no part of the job's cache identity (keysFor, JobKey), so traced
 	// and untraced submissions share results.
 	Trace *telemetry.Trace
 }
@@ -234,9 +234,10 @@ type Compiler struct {
 	// pipeline.RemapResult). Kept in lockstep with the LRU via the eviction
 	// hook.
 	semIdx map[semKey][]*pipeline.Result
-	// perStrategy holds the only cache counters there are, bucketed by
-	// strategy name; CacheStats sums them for the totals.
-	perStrategy map[string]*StrategyStats
+	// ledger holds the only job counters there are: one cell per answer,
+	// bucketed by strategy name, written by do alone. CacheStats and the
+	// registry's two counter families are read-outs of it.
+	ledger map[string]*[numAnswers]uint64
 }
 
 // flight is one in-progress compilation that identical concurrent jobs
@@ -246,24 +247,49 @@ type flight struct {
 	val  cacheValue
 }
 
-// engineMetrics is the engine's instrument set, registered when
-// Config.Registry is provided.
-type engineMetrics struct {
-	// compileSeconds observes the wall time of real (non-cached)
-	// compilations; iiAttempts their II ladder length (1 + tallied II
-	// increases, so skip-ahead-proven intervals count).
-	compileSeconds *telemetry.Histogram
-	iiAttempts     *telemetry.Histogram
-	// cacheLookups counts job lookups by outcome (hit, miss, store_hit,
-	// semantic_hit, semantic_store_hit); jobs counts served jobs by
-	// scheduling strategy.
-	cacheLookups *telemetry.CounterVec
-	jobs         *telemetry.CounterVec
+// answer names what answered a job: a cache tier, a compilation, or —
+// answerNone — nothing, because the job's context ended first.
+type answer uint8
+
+const (
+	answerNone answer = iota
+	answerLRU
+	answerFlight
+	answerSemantic
+	answerStore
+	answerSemanticStore
+	answerMiss
+	answerUncached // compiled with caching disabled: a job, but no lookup
+	numAnswers
+)
+
+// answers is the vocabulary every view of the ledger speaks: the result
+// label of clusched_cache_lookups_total ("" for what is not a lookup) and
+// the name of the job's "cache" span ("" where no tier found anything).
+var answers = [numAnswers]struct{ label, span string }{
+	answerLRU:           {"hit", "lru-hit"},
+	answerFlight:        {"hit", "flight-join"},
+	answerSemantic:      {"semantic_hit", "semantic-hit"},
+	answerStore:         {"store_hit", "store-hit"},
+	answerSemanticStore: {"semantic_store_hit", "semantic-store-hit"},
+	answerMiss:          {"miss", ""},
 }
 
-// registerMetrics creates the engine's instruments in reg; the
-// speculative-lane counters read the live laneStats atomics at exposition
-// time.
+// cached reports whether a cache tier answered — the answers with a span.
+func (a answer) cached() bool { return answers[a].span != "" }
+
+// engineMetrics is the engine's observed instruments, registered when
+// Config.Registry is provided: compileSeconds observes the wall time of
+// real (non-cached) compilations; iiAttempts their II ladder length (1 +
+// tallied II increases, so skip-ahead-proven intervals count).
+type engineMetrics struct {
+	compileSeconds *telemetry.Histogram
+	iiAttempts     *telemetry.Histogram
+}
+
+// registerMetrics creates the engine's instruments in reg. Everything but
+// the two histograms is read at exposition time from where it already
+// lives: the ledger, the laneStats atomics, the in-flight gauge.
 func (c *Compiler) registerMetrics(reg *telemetry.Registry) {
 	c.metrics = &engineMetrics{
 		compileSeconds: reg.NewHistogram("clusched_compile_seconds",
@@ -272,11 +298,17 @@ func (c *Compiler) registerMetrics(reg *telemetry.Registry) {
 		iiAttempts: reg.NewHistogram("clusched_ii_attempts",
 			"II attempts per compilation (1 + tallied II increases; skip-ahead-proven intervals count).",
 			[]float64{1, 2, 3, 4, 6, 8, 12, 16, 24, 32, 48, 64}),
-		cacheLookups: reg.NewCounterVec("clusched_cache_lookups_total",
-			"Result-cache lookups by outcome.", "result"),
-		jobs: reg.NewCounterVec("clusched_jobs_total",
-			"Jobs served by scheduling strategy.", "strategy"),
 	}
+	reg.NewCounterVecFunc("clusched_cache_lookups_total",
+		"Result-cache lookups by outcome.", "result",
+		func() map[string]uint64 {
+			return c.readLedger(func(_ string, a answer) string { return answers[a].label })
+		})
+	reg.NewCounterVecFunc("clusched_jobs_total",
+		"Jobs served by scheduling strategy.", "strategy",
+		func() map[string]uint64 {
+			return c.readLedger(func(strategy string, _ answer) string { return strategy })
+		})
 	reg.NewCounterFunc("clusched_spec_lanes_raced_total",
 		"Extra speculative II lanes launched.",
 		func() float64 { return float64(c.laneStats.Raced.Load()) })
@@ -294,13 +326,30 @@ func (c *Compiler) registerMetrics(reg *telemetry.Registry) {
 		func() float64 { return float64(c.maxInFlight) })
 }
 
+// readLedger sums the ledger's non-zero cells by the series each belongs
+// to ("" for none) — a labelled counter family as the registry reads it.
+func (c *Compiler) readLedger(series func(strategy string, a answer) string) map[string]uint64 {
+	out := make(map[string]uint64)
+	c.mu.Lock()
+	defer c.mu.Unlock()
+	for strategy, cells := range c.ledger {
+		for a, n := range cells {
+			if s := series(strategy, answer(a)); s != "" && n > 0 {
+				out[s] += n
+			}
+		}
+	}
+	return out
+}
+
 // New builds a Compiler from the config.
 func New(cfg Config) *Compiler {
 	w := cfg.Workers
 	if w <= 0 {
 		w = runtime.GOMAXPROCS(0)
 	}
-	c := &Compiler{workers: w, progress: cfg.Progress, trace: cfg.Trace}
+	c := &Compiler{workers: w, progress: cfg.Progress, trace: cfg.Trace,
+		ledger: make(map[string]*[numAnswers]uint64)}
 	c.arenas.New = func() any { return pipeline.NewArena() }
 	if cfg.MaxInFlight > 0 {
 		c.maxInFlight = cfg.MaxInFlight
@@ -321,22 +370,9 @@ func New(cfg Config) *Compiler {
 		c.cache = newLRU(size, c.unindex)
 		c.pending = make(map[cacheKey]*flight)
 		c.semIdx = make(map[semKey][]*pipeline.Result)
-		c.perStrategy = make(map[string]*StrategyStats)
 		c.store = cfg.Store
 	}
 	return c
-}
-
-// strat returns (creating on first use) the per-strategy counter bucket of
-// a job. Callers hold c.mu.
-func (c *Compiler) strat(j Job) *StrategyStats {
-	name := j.Opts.StrategyName()
-	s := c.perStrategy[name]
-	if s == nil {
-		s = &StrategyStats{}
-		c.perStrategy[name] = s
-	}
-	return s
 }
 
 // cacheKey identifies a compilation: graph fingerprint, canonical machine
@@ -374,14 +410,6 @@ func machineKey(m machine.Config) string {
 	return sb.String()
 }
 
-func keyFor(j Job) cacheKey {
-	opts := j.Opts
-	// Canonicalize the strategy so the default ("") and its explicit name
-	// share one cache/dedup identity, matching JobKey.
-	opts.Strategy = opts.StrategyName()
-	return cacheKey{graph: j.Graph.Fingerprint(), machine: machineKey(j.Machine), opts: opts}
-}
-
 // semKey identifies a bucket of the canonical cache tier: same loop shape
 // (a cheap isomorphism-invariant digest), same machine, same options.
 // ShapeHash rather than the canonical fingerprint keeps the unique-loop
@@ -394,10 +422,15 @@ type semKey struct {
 	opts    pipeline.Options
 }
 
-func semKeyFor(j Job) semKey {
+// keysFor returns a job's identity in both in-memory tiers. The strategy is
+// canonicalized so the default ("") and its explicit name share one
+// cache/dedup identity, matching JobKey.
+func keysFor(j Job) (cacheKey, semKey) {
 	opts := j.Opts
 	opts.Strategy = opts.StrategyName()
-	return semKey{shape: j.Graph.ShapeHash(), machine: machineKey(j.Machine), opts: opts}
+	m := machineKey(j.Machine)
+	return cacheKey{graph: j.Graph.Fingerprint(), machine: m, opts: opts},
+		semKey{shape: j.Graph.ShapeHash(), machine: m, opts: opts}
 }
 
 // cacheAdd inserts an outcome into the LRU and, for successful results,
@@ -431,23 +464,6 @@ func (c *Compiler) unindex(v cacheValue) {
 	} else {
 		c.semIdx[v.sk] = b
 	}
-}
-
-// remapCandidates tries to serve the job from same-shape cached results:
-// the first candidate that is canonically isomorphic to the job's graph
-// and whose schedule survives the remap-and-re-verify transplant wins.
-// Runs outside c.mu — candidates are immutable once cached.
-func remapCandidates(j Job, cands []*pipeline.Result) *pipeline.Result {
-	want := j.Graph.CanonicalFingerprint()
-	for _, cand := range cands {
-		if cand.Loop.CanonicalFingerprint() != want {
-			continue
-		}
-		if res, err := pipeline.RemapResult(cand, j.Graph, j.Opts); err == nil {
-			return res
-		}
-	}
-	return nil
 }
 
 // jobKeyVersion stamps the JobKey format. Bump it when the encoding below
@@ -505,29 +521,39 @@ func ctxErr(err error) bool {
 	return errors.Is(err, context.Canceled) || errors.Is(err, context.DeadlineExceeded)
 }
 
-// do serves one job: it resolves the job's trace (Job.Trace, falling back
-// to the engine-wide Config.Trace), wraps the serve in a "job" span on the
-// named track — annotated with the cache outcome and the wait since
-// enqueued — and counts per-strategy traffic. With tracing and metrics
-// off, it adds one nil check and falls straight through to serve.
+// do serves one job and is the engine's one accounting point: whatever
+// serve answers is booked here, once, after the answer exists — a cell of
+// the ledger, and on the job's trace (Job.Trace, falling back to the
+// engine-wide Config.Trace) a "cache" span named for the tier that answered
+// inside a "job" span on the named track, annotated with the wait since
+// enqueued. A job whose context ended first (answerNone) is booked as
+// nothing.
 func (c *Compiler) do(ctx context.Context, j Job, track string, enqueued time.Time) Outcome {
-	if m := c.metrics; m != nil {
-		m.jobs.With(j.Opts.StrategyName()).Inc()
-	}
 	tr := j.Trace
 	if tr == nil {
 		tr = c.trace
 	}
+	tid, start := tr.Track(track), tr.Now()
+	val, a, elapsed := c.serve(ctx, j, tr, track)
+	out := Outcome{Job: j, Result: val.res, Err: val.err, CacheHit: a.cached(), Elapsed: elapsed}
+	strategy := j.Opts.StrategyName()
+	if a != answerNone {
+		c.mu.Lock()
+		cells := c.ledger[strategy]
+		if cells == nil {
+			cells = new([numAnswers]uint64)
+			c.ledger[strategy] = cells
+		}
+		cells[a]++
+		c.mu.Unlock()
+	}
 	if tr == nil {
-		return c.serve(ctx, j, nil, "")
+		return out
 	}
-	tid := tr.Track(track)
-	start := tr.Now()
-	out := c.serve(ctx, j, tr, track)
-	wait := start - tr.At(enqueued)
-	if wait < 0 {
-		wait = 0
+	if a.cached() {
+		tr.Span(tid, "cache", answers[a].span, start)
 	}
+	wait := max(start-tr.At(enqueued), 0)
 	name := "job"
 	if j.Graph != nil {
 		name = j.Graph.Name
@@ -535,7 +561,7 @@ func (c *Compiler) do(ctx context.Context, j Job, track string, enqueued time.Ti
 	args := make([]telemetry.Arg, 0, 5)
 	args = append(args,
 		telemetry.Arg{Key: "machine", Val: j.Machine.Name},
-		telemetry.Arg{Key: "strategy", Val: j.Opts.StrategyName()},
+		telemetry.Arg{Key: "strategy", Val: strategy},
 		telemetry.Arg{Key: "cached", Val: out.CacheHit},
 		telemetry.Arg{Key: "queue_wait_ms", Val: float64(wait.Microseconds()) / 1e3})
 	if out.Err != nil {
@@ -545,173 +571,155 @@ func (c *Compiler) do(ctx context.Context, j Job, track string, enqueued time.Ti
 	return out
 }
 
-// serve serves one job, consulting and populating the cache. The lookup
-// is two-tier: the exact (graph-fingerprint) LRU entry first, then the
-// canonical tier — cached results for loops isomorphic to this one, found
-// through the shape-hash index, remapped through the isomorphism and
-// re-verified before being served (see pipeline.RemapResult; a remapped
-// result is never trusted, only proven). Failures are cached too: an
-// unschedulable loop costs a full II sweep, the most expensive outcome
-// there is (failures live only in the exact tier — the canonical index
-// holds successful schedules). Identical jobs running concurrently are
-// deduplicated: followers block on the leader's flight and share its
-// outcome (counted as hits) instead of recompiling. Cancelled
-// compilations are not cached, and a follower whose leader was cancelled
-// retries under its own context instead of inheriting the foreign error.
-func (c *Compiler) serve(ctx context.Context, j Job, tr *telemetry.Trace, track string) Outcome {
+// serve answers one job from the first tier that can, in order: the exact
+// (graph-fingerprint) LRU entry; an identical job's in-flight compilation,
+// joined rather than repeated; the canonical tier; and, as the leader of a
+// flight of its own, the persistent Store and then a real compilation. The
+// three map probes share one critical section, so a job never leads a
+// flight for something already cached or already in flight. serve books
+// nothing: it returns the value, which tier answered, and the wall time of
+// the compilation if there was one.
+func (c *Compiler) serve(ctx context.Context, j Job, tr *telemetry.Trace, track string) (cacheValue, answer, time.Duration) {
 	if err := ctx.Err(); err != nil {
-		return Outcome{Job: j, Err: err}
+		return cacheValue{err: err}, answerNone, 0
 	}
 	if c.cache == nil {
-		res, err, elapsed := c.compileTimed(ctx, j, tr, track)
-		return Outcome{Job: j, Result: res, Err: err, Elapsed: elapsed}
+		val, elapsed := c.compileTimed(ctx, j, tr, track)
+		if ctxErr(val.err) {
+			return val, answerNone, elapsed
+		}
+		return val, answerUncached, elapsed
 	}
-
-	var tid int
-	if tr != nil {
-		tid = tr.Track(track)
-	}
-	key := keyFor(j)
-	sk := semKeyFor(j) // O(edges), isomorphism-invariant; no canonical labeling yet
-	semTried := false
-	for {
-		lookup := tr.Now()
+	key, sk := keysFor(j) // ShapeHash is O(edges); no canonical labeling yet
+	for semTried := false; ; {
 		c.mu.Lock()
-		if e, ok := c.cache.get(key); ok {
-			c.strat(j).Hits++
+		if val, ok := c.cache.get(key); ok {
 			c.mu.Unlock()
-			if c.metrics != nil {
-				c.metrics.cacheLookups.With("hit").Inc()
-			}
-			if tr != nil {
-				tr.Span(tid, "cache", "lru-hit", lookup)
-			}
-			return Outcome{Job: j, Result: e.res, Err: e.err, CacheHit: true}
+			return val, answerLRU, 0
 		}
-		if f, ok := c.pending[key]; ok {
-			c.strat(j).Hits++
+		if f := c.pending[key]; f != nil {
 			c.mu.Unlock()
-			if c.metrics != nil {
-				c.metrics.cacheLookups.With("hit").Inc()
+			if val, a, retry := join(ctx, f); !retry {
+				return val, a, 0
 			}
-			select {
-			case <-f.done:
-			case <-ctx.Done():
-				return Outcome{Job: j, Err: ctx.Err()}
-			}
-			if ctxErr(f.val.err) {
-				// The leader was cancelled under its own context; this
-				// caller is still live, so compete to become the leader.
-				continue
-			}
-			if tr != nil {
-				tr.Span(tid, "cache", "flight-join", lookup)
-			}
-			return Outcome{Job: j, Result: f.val.res, Err: f.val.err, CacheHit: true}
+			continue
 		}
-		// Canonical tier: an exact miss with a non-empty same-shape bucket
-		// tries to serve a cached result for an isomorphic loop, remapped
-		// through the isomorphism and re-verified. Probed once per job —
-		// a failed probe retries the loop (the exact entry may have landed
-		// meanwhile) and then falls through to the leader path.
-		if !semTried {
-			if bucket := c.semIdx[sk]; len(bucket) > 0 {
-				cands := append([]*pipeline.Result(nil), bucket...)
-				c.mu.Unlock()
-				semTried = true
-				if res := remapCandidates(j, cands); res != nil {
-					c.mu.Lock()
-					c.strat(j).SemanticHits++
-					c.cacheAdd(key, cacheValue{res: res}, sk)
-					c.mu.Unlock()
-					if c.metrics != nil {
-						c.metrics.cacheLookups.With("semantic_hit").Inc()
-					}
-					if tr != nil {
-						tr.Span(tid, "cache", "semantic-hit", lookup)
-					}
-					return Outcome{Job: j, Result: res, CacheHit: true}
-				}
-				continue
+		// Probed once per job, outside the lock and outside any flight (a
+		// flight is two allocations, a semantic hit the common answer for a
+		// fresh clone): a failed probe retries the exact probes — the entry
+		// may have landed meanwhile — and then leads.
+		if bucket := c.semIdx[sk]; len(bucket) > 0 && !semTried {
+			cands := append([]*pipeline.Result(nil), bucket...)
+			c.mu.Unlock()
+			semTried = true
+			if val, a := c.semantic(j, key, sk, cands); a != answerNone {
+				return val, a, 0
 			}
+			continue
 		}
 		f := &flight{done: make(chan struct{})}
 		c.pending[key] = f
 		c.mu.Unlock()
-
-		// Leader path. Try the persistent store first, then compile.
-		if c.store != nil {
-			if res, cerr, ok := c.store.Load(j); ok {
-				// A stored result under the canonical JobKey may belong to
-				// an isomorphic sibling of this graph: remap and re-verify
-				// it before trusting it. A failed remap falls through to a
-				// fresh compilation.
-				semantic := false
-				if cerr == nil && res != nil && res.Loop.Fingerprint() != j.Graph.Fingerprint() {
-					if remapped, rerr := pipeline.RemapResult(res, j.Graph, j.Opts); rerr == nil {
-						res, semantic = remapped, true
-					} else {
-						ok = false
-					}
-				}
-				if ok {
-					f.val = cacheValue{res: res, err: cerr}
-					c.mu.Lock()
-					outcome, span := "store_hit", "store-hit"
-					if semantic {
-						c.strat(j).SemanticStoreHits++
-						outcome, span = "semantic_store_hit", "semantic-store-hit"
-					} else {
-						c.strat(j).StoreHits++
-					}
-					c.cacheAdd(key, f.val, sk)
-					delete(c.pending, key)
-					c.mu.Unlock()
-					close(f.done)
-					if c.metrics != nil {
-						c.metrics.cacheLookups.With(outcome).Inc()
-					}
-					if tr != nil {
-						tr.Span(tid, "cache", span, lookup)
-					}
-					return Outcome{Job: j, Result: res, Err: cerr, CacheHit: true}
-				}
-			}
-		}
-		res, err, elapsed := c.compileTimed(ctx, j, tr, track)
-		f.val = cacheValue{res: res, err: err}
-		aborted := err != nil && ctxErr(err)
-		c.mu.Lock()
-		if aborted {
-			delete(c.pending, key) // don't cache the cancellation
-		} else {
-			c.strat(j).Misses++
-			c.cacheAdd(key, f.val, sk)
-			delete(c.pending, key)
-		}
-		c.mu.Unlock()
-		close(f.done)
-		if !aborted {
-			if c.metrics != nil {
-				c.metrics.cacheLookups.With("miss").Inc()
-			}
-			if c.store != nil {
-				c.store.Save(j, res, err)
-			}
-		}
-		return Outcome{Job: j, Result: res, Err: err, Elapsed: elapsed}
+		return c.lead(ctx, j, key, sk, f, tr, track)
 	}
+}
+
+// join waits for an identical job's flight to land and shares its answer.
+// A follower whose own context ends first is answered by nothing; one whose
+// leader was cancelled — under the leader's context, not this caller's —
+// must retry and compete to lead.
+func join(ctx context.Context, f *flight) (val cacheValue, a answer, retry bool) {
+	select {
+	case <-f.done:
+	case <-ctx.Done():
+		return cacheValue{err: ctx.Err()}, answerNone, false
+	}
+	if ctxErr(f.val.err) {
+		return cacheValue{}, answerNone, true
+	}
+	return f.val, answerFlight, false
+}
+
+// semantic is the canonical tier: cands are the cached results of the job's
+// shape, machine and options, immutable once cached. The first that is
+// canonically isomorphic to the job's graph and whose schedule survives the
+// transplant (pipeline.RemapResult: never trusted, only proven) answers,
+// and is installed under the job's own exact key.
+func (c *Compiler) semantic(j Job, key cacheKey, sk semKey, cands []*pipeline.Result) (cacheValue, answer) {
+	want := j.Graph.CanonicalFingerprint()
+	for _, cand := range cands {
+		if cand.Loop.CanonicalFingerprint() != want {
+			continue
+		}
+		if res, err := pipeline.RemapResult(cand, j.Graph, j.Opts); err == nil {
+			val := cacheValue{res: res}
+			c.mu.Lock()
+			c.cacheAdd(key, val, sk)
+			c.mu.Unlock()
+			return val, answerSemantic
+		}
+	}
+	return cacheValue{}, answerNone
+}
+
+// lead answers the job as the leader of flight f: from the Store if it has
+// the job, else by the engine's one compile call. The answer lands in the
+// cache — failures too: an unschedulable loop costs a full II sweep, the
+// most expensive outcome there is — the flight is retired and its followers
+// woken, and a fresh compilation is offered to the Store. A cancelled
+// compilation is nobody's answer: it is neither cached nor saved.
+func (c *Compiler) lead(ctx context.Context, j Job, key cacheKey, sk semKey, f *flight, tr *telemetry.Trace, track string) (cacheValue, answer, time.Duration) {
+	val, a := c.fromStore(j)
+	var elapsed time.Duration
+	if a == answerNone {
+		if val, elapsed = c.compileTimed(ctx, j, tr, track); !ctxErr(val.err) {
+			a = answerMiss
+		}
+	}
+	f.val = val
+	c.mu.Lock()
+	if a != answerNone {
+		c.cacheAdd(key, val, sk)
+	}
+	delete(c.pending, key)
+	c.mu.Unlock()
+	close(f.done)
+	if a == answerMiss && c.store != nil {
+		c.store.Save(j, val.res, val.err)
+	}
+	return val, a, elapsed
+}
+
+// fromStore asks the persistent Store. A stored result under the canonical
+// JobKey may belong to an isomorphic sibling of this graph: it is remapped
+// and re-verified before it is trusted, and a failed remap is no answer.
+func (c *Compiler) fromStore(j Job) (cacheValue, answer) {
+	if c.store == nil {
+		return cacheValue{}, answerNone
+	}
+	res, cerr, ok := c.store.Load(j)
+	switch {
+	case !ok:
+		return cacheValue{}, answerNone
+	case cerr != nil || res == nil || res.Loop.Fingerprint() == j.Graph.Fingerprint():
+		return cacheValue{res: res, err: cerr}, answerStore
+	}
+	remapped, err := pipeline.RemapResult(res, j.Graph, j.Opts)
+	if err != nil {
+		return cacheValue{}, answerNone
+	}
+	return cacheValue{res: remapped}, answerSemanticStore
 }
 
 // compileTimed wraps compile with the wall clock and, when metrics are
 // registered, feeds the latency and II-attempt histograms (aborted
 // compilations are not observed — they describe the caller's patience,
 // not the job).
-func (c *Compiler) compileTimed(ctx context.Context, j Job, tr *telemetry.Trace, track string) (*pipeline.Result, error, time.Duration) {
+func (c *Compiler) compileTimed(ctx context.Context, j Job, tr *telemetry.Trace, track string) (cacheValue, time.Duration) {
 	t0 := time.Now()
 	res, err := c.compile(ctx, j, tr, track)
 	elapsed := time.Since(t0)
-	if c.metrics != nil && !(err != nil && ctxErr(err)) {
+	if c.metrics != nil && !ctxErr(err) {
 		c.metrics.compileSeconds.Observe(elapsed.Seconds())
 		if res != nil {
 			attempts := 1
@@ -721,7 +729,7 @@ func (c *Compiler) compileTimed(ctx context.Context, j Job, tr *telemetry.Trace,
 			c.metrics.iiAttempts.Observe(float64(attempts))
 		}
 	}
-	return res, err, elapsed
+	return cacheValue{res: res, err: err}, elapsed
 }
 
 // compile runs one real compilation on a recycled scratch arena. With
@@ -949,24 +957,33 @@ func AggregateError(outcomes []Outcome) error {
 	return nil
 }
 
-// CacheStats returns a snapshot of cache effectiveness.
+// CacheStats returns a snapshot of cache effectiveness, read out of the
+// ledger.
 func (c *Compiler) CacheStats() CacheStats {
 	c.mu.Lock()
 	defer c.mu.Unlock()
 	var s CacheStats
-	if c.cache != nil {
-		s.Entries = c.cache.len()
+	if c.cache == nil {
+		return s
 	}
-	if len(c.perStrategy) > 0 {
-		s.Strategies = make(map[string]StrategyStats, len(c.perStrategy))
-		for name, st := range c.perStrategy {
-			s.Strategies[name] = *st
-			s.Hits += st.Hits
-			s.Misses += st.Misses
-			s.StoreHits += st.StoreHits
-			s.SemanticHits += st.SemanticHits
-			s.SemanticStoreHits += st.SemanticStoreHits
+	s.Entries = c.cache.len()
+	if len(c.ledger) > 0 {
+		s.Strategies = make(map[string]StrategyStats, len(c.ledger))
+	}
+	for name, n := range c.ledger {
+		st := StrategyStats{
+			Hits:              n[answerLRU] + n[answerFlight],
+			Misses:            n[answerMiss],
+			StoreHits:         n[answerStore],
+			SemanticHits:      n[answerSemantic],
+			SemanticStoreHits: n[answerSemanticStore],
 		}
+		s.Strategies[name] = st
+		s.Hits += st.Hits
+		s.Misses += st.Misses
+		s.StoreHits += st.StoreHits
+		s.SemanticHits += st.SemanticHits
+		s.SemanticStoreHits += st.SemanticStoreHits
 	}
 	return s
 }
@@ -992,10 +1009,10 @@ func (c *Compiler) LaneStats() (raced, won, wasted uint64) {
 func (c *Compiler) ResetCache() {
 	c.mu.Lock()
 	defer c.mu.Unlock()
+	c.ledger = make(map[string]*[numAnswers]uint64)
 	if c.cache != nil {
 		c.cache = newLRU(c.cache.cap, c.unindex)
 		c.semIdx = make(map[semKey][]*pipeline.Result)
-		c.perStrategy = make(map[string]*StrategyStats)
 	}
 }
 

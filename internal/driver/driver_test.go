@@ -107,6 +107,7 @@ func TestCacheAccounting(t *testing.T) {
 	if st.Hits != uint64(len(jobs)) || st.Misses != uint64(len(jobs)) {
 		t.Fatalf("after second run: %+v, want %d hits / %d misses", st, len(jobs), len(jobs))
 	}
+	assertBooked(t, c, outs, outs2)
 
 	c.ResetCache()
 	st = c.CacheStats()
@@ -158,6 +159,7 @@ func TestErrorAggregation(t *testing.T) {
 	if st := c.CacheStats(); st.Hits == 0 {
 		t.Fatalf("failure was recompiled instead of served from cache: %+v", st)
 	}
+	assertBooked(t, c, outs, outs[:1]) // a failure is an answer; so was the unary repeat
 }
 
 func TestProgressCallback(t *testing.T) {
@@ -231,6 +233,7 @@ func TestInFlightDeduplication(t *testing.T) {
 	if st.Misses != 1 || st.Hits != 7 {
 		t.Fatalf("stats %+v, want exactly 1 miss / 7 hits", st)
 	}
+	assertBooked(t, c, outs)
 	for i := range outs {
 		if outs[i].Result != outs[0].Result {
 			t.Fatalf("job %d did not share the leader's result", i)

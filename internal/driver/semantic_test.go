@@ -189,11 +189,7 @@ func TestSemanticMetrics(t *testing.T) {
 	if _, err := c.Compile(context.Background(), Job{Graph: clone, Machine: m, Opts: opts}); err != nil {
 		t.Fatal(err)
 	}
-	var sb strings.Builder
-	if err := reg.WritePrometheus(&sb); err != nil {
-		t.Fatal(err)
-	}
-	text := sb.String()
+	text := exposition(t, reg)
 	for _, want := range []string{
 		`clusched_cache_lookups_total{result="miss"} 1`,
 		`clusched_cache_lookups_total{result="semantic_hit"} 1`,

@@ -20,6 +20,7 @@ func TestStreamYieldsEveryJobOnce(t *testing.T) {
 	}
 	seen := make([]bool, len(jobs))
 	n := 0
+	var outs []Outcome
 	for i, out := range c.Stream(context.Background(), jobs) {
 		if i < 0 || i >= len(jobs) {
 			t.Fatalf("index %d out of range", i)
@@ -29,6 +30,7 @@ func TestStreamYieldsEveryJobOnce(t *testing.T) {
 		}
 		seen[i] = true
 		n++
+		outs = append(outs, out)
 		if out.Err != nil {
 			t.Fatalf("job %d: %v", i, out.Err)
 		}
@@ -39,6 +41,7 @@ func TestStreamYieldsEveryJobOnce(t *testing.T) {
 	if n != len(jobs) {
 		t.Fatalf("yielded %d outcomes for %d jobs", n, len(jobs))
 	}
+	assertBooked(t, c, outs)
 }
 
 // TestStreamFirstOutcomeBeforeBatchDone: with one worker the stream hands
@@ -87,8 +90,10 @@ func TestStreamCancelledPrefix(t *testing.T) {
 	ctx, cancel := context.WithCancel(context.Background())
 	c := New(Config{Workers: 1})
 	var ok, cancelled, yields int
+	var outs []Outcome
 	for _, out := range c.Stream(ctx, jobs) {
 		yields++
+		outs = append(outs, out)
 		switch {
 		case out.Err == nil:
 			ok++
@@ -111,6 +116,8 @@ func TestStreamCancelledPrefix(t *testing.T) {
 	if ok < 2 || cancelled == 0 {
 		t.Fatalf("ok=%d cancelled=%d, want a clean completed prefix plus cancellations", ok, cancelled)
 	}
+	// The cancelled remainder is booked as nothing.
+	assertBooked(t, c, outs)
 }
 
 // TestStreamConsumerPanicDrainsWorkers: a panic in the consumer's loop

@@ -207,7 +207,10 @@ func (s *Server) handleCompile(w http.ResponseWriter, r *http.Request) {
 	}
 	st, err := s.Wait(r.Context(), id)
 	if err != nil {
-		// The client went away; the ticket keeps running for pollers.
+		// The client went away, and the ticket's ID with it — it travels
+		// only in the answer that will not be sent — so nobody can poll
+		// this ticket: stop it rather than compile for no one.
+		s.Cancel(id)
 		writeError(w, http.StatusRequestTimeout, "%v", err)
 		return
 	}

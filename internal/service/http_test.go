@@ -4,6 +4,7 @@ import (
 	"bytes"
 	"context"
 	"encoding/json"
+	"errors"
 	"fmt"
 	"net/http"
 	"net/http/httptest"
@@ -437,5 +438,90 @@ func TestHTTPCancel(t *testing.T) {
 	}
 	if st := pollDone(t, ts.URL, sub.ID); st.State != wire.StateCanceled {
 		t.Fatalf("cancelled ticket ended %s", st.State)
+	}
+}
+
+// until polls cond — a state of the server no event announces — to a
+// generous deadline.
+func until(t *testing.T, what string, cond func() bool) {
+	t.Helper()
+	for deadline := time.Now().Add(30 * time.Second); !cond(); time.Sleep(time.Millisecond) {
+		if time.Now().After(deadline) {
+			t.Fatalf("timed out waiting for %s", what)
+		}
+	}
+}
+
+// TestAbandonedWaitCancelsItsTicket: the ticket of a POST /compile?wait=1
+// is known to nobody but the waiting request — its ID travels in the answer
+// — so when that client goes away the ticket must stop, not compile for no
+// one. An identical job from another client, riding the abandoned job's
+// flight, is still answered: its follower retries and compiles for itself.
+func TestAbandonedWaitCancelsItsTicket(t *testing.T) {
+	job := testJobs(t, "tomcatv", 1)[0]
+	body := mustMarshal(t, encodeBatch(t, "tomcatv", 1)[0])
+	gate := newLoopGateStore(job.Graph.Name)
+	s := New(Config{Runners: 2, Store: gate})
+	defer s.Shutdown(context.Background())
+	ts := httptest.NewServer(s.Handler())
+	defer ts.Close()
+	post := func(ctx context.Context) (*http.Response, error) {
+		req, err := http.NewRequestWithContext(ctx, http.MethodPost, ts.URL+"/compile?wait=1", bytes.NewReader(body))
+		if err != nil {
+			return nil, err
+		}
+		return http.DefaultClient.Do(req)
+	}
+
+	// The first client hangs up while its job's leader is held at the gate.
+	ctx, hangUp := context.WithCancel(context.Background())
+	gone := make(chan error, 1)
+	go func() {
+		resp, err := post(ctx)
+		if err == nil {
+			resp.Body.Close()
+		}
+		gone <- err
+	}()
+	<-gate.first
+	hangUp()
+	if err := <-gone; !errors.Is(err, context.Canceled) {
+		t.Fatalf("abandoned request: %v, want its own cancellation", err)
+	}
+	// The handler counts its 408 on the way out, after it has dealt with
+	// the ticket.
+	until(t, "the abandoned request's handler to return", func() bool {
+		return s.metrics.httpRequests.With("408").Value() == 1
+	})
+
+	// The second client's identical job starts while the flight is held.
+	answer := make(chan wire.JobStatus, 1)
+	go func() {
+		var st wire.JobStatus
+		resp, err := post(context.Background())
+		if err != nil {
+			t.Error(err)
+		} else {
+			defer resp.Body.Close()
+			if err := json.NewDecoder(resp.Body).Decode(&st); err != nil {
+				t.Error(err)
+			}
+		}
+		answer <- st
+	}()
+	until(t, "both tickets to be running", func() bool { return s.Stats().InFlight == 2 })
+	gate.release(job.Graph.Name)
+
+	st := <-answer
+	if st.State != wire.StateDone || len(st.Outcomes) != 1 || st.Outcomes[0].Result == nil {
+		t.Fatalf("second client: %+v, want its job answered", st)
+	}
+	if st.Outcomes[0].CacheHit {
+		t.Error("second client was answered from the abandoned ticket's compilation: that ticket kept running")
+	}
+	until(t, "both tickets to retire", func() bool { return s.Stats().InFlight == 0 })
+	if stats := s.Stats(); stats.Canceled != 1 || stats.Completed != 1 || stats.InFlightCompiles != 0 {
+		t.Fatalf("canceled=%d completed=%d inflight_compiles=%d, want 1, 1 and 0",
+			stats.Canceled, stats.Completed, stats.InFlightCompiles)
 	}
 }

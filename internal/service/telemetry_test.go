@@ -9,10 +9,13 @@ import (
 	"log/slog"
 	"net/http"
 	"net/http/httptest"
+	"reflect"
 	"strings"
 	"testing"
 	"time"
 
+	"clusched/internal/driver"
+	"clusched/internal/pipeline"
 	"clusched/internal/wire"
 )
 
@@ -32,21 +35,104 @@ func promValue(t *testing.T, text, series string) float64 {
 	return 0
 }
 
+// heldStore is a Store behind a gate: Load waits at the gate (for the loops
+// it holds) and then asks the store.
+type heldStore struct {
+	driver.Store
+	gate *loopGateStore
+}
+
+func (h heldStore) Load(j driver.Job) (*pipeline.Result, error, bool) {
+	h.gate.Load(j)
+	return h.Store.Load(j)
+}
+
 // TestMetricsEndpointAgreesWithStats is the single-source-of-truth check:
-// GET /metrics and GET /stats read the same registry instruments, so their
-// numbers must match exactly after a served batch.
+// GET /metrics and GET /stats are read-outs of the same cells, so their
+// numbers must match exactly — here after a restarted server has answered
+// one job in each of the six ways there are (exact hit, flight join,
+// semantic hit, store hit, semantic store hit, miss), with every ticket's
+// trace naming the tier that answered.
 func TestMetricsEndpointAgreesWithStats(t *testing.T) {
-	s := New(Config{})
+	loops := testJobs(t, "tomcatv", 4) // no two isomorphic
+	clones := cloneJobs(t, loops)
+	dir := t.TempDir()
+	cache, err := OpenDiskCache(dir)
+	if err != nil {
+		t.Fatal(err)
+	}
+	s0 := New(Config{Store: cache})
+	id, err := s0.Submit(loops[2:4], SubmitOptions{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	waitDone(t, s0, id)
+	s0.Shutdown(context.Background())
+	if err := cache.Close(); err != nil {
+		t.Fatal(err)
+	}
+	if cache, err = OpenDiskCache(dir); err != nil {
+		t.Fatal(err)
+	}
+	defer cache.Close()
+
+	gate := newLoopGateStore(loops[1].Graph.Name)
+	s := New(Config{Runners: 2, Store: heldStore{cache, gate}})
 	defer s.Shutdown(context.Background())
 	ts := httptest.NewServer(s.Handler())
 	defer ts.Close()
-
-	wjs := encodeBatch(t, "tomcatv", 3)
-	var sub wire.SubmitResponse
-	if code := postJSON(t, ts.URL+"/batch", wire.SubmitRequest{Jobs: wjs}, &sub); code != http.StatusAccepted {
-		t.Fatalf("POST /batch: %d", code)
+	submit := func(jobs ...driver.Job) string {
+		t.Helper()
+		req := wire.SubmitRequest{Trace: true}
+		for _, j := range jobs {
+			wj, err := wire.EncodeJob(j)
+			if err != nil {
+				t.Fatal(err)
+			}
+			req.Jobs = append(req.Jobs, wj)
+		}
+		var sub wire.SubmitResponse
+		if code := postJSON(t, ts.URL+"/batch", req, &sub); code != http.StatusAccepted {
+			t.Fatalf("POST /batch: %d", code)
+		}
+		return sub.ID
 	}
-	pollDone(t, ts.URL, sub.ID)
+
+	// A flight: the leader is held at the gate while an identical job from
+	// another ticket arrives. (Whether that job has joined the flight when
+	// the gate opens is the scheduler's business; a moment later it is an
+	// exact hit instead. Both are the "hit" label; the driver's
+	// TestAnswerVocabulary pins the join itself.)
+	leader := submit(loops[1])
+	<-gate.first
+	follower := submit(loops[1])
+	until(t, "both tickets to be running", func() bool { return s.Stats().InFlight == 2 })
+	gate.release(loops[1].Graph.Name)
+	tickets := []string{leader, follower,
+		submit(loops[0], loops[2], clones[3]), // miss, store hit, semantic store hit
+	}
+	pollDone(t, ts.URL, tickets[2])
+	tickets = append(tickets, submit(loops[0], clones[0])) // exact hit, semantic hit
+	spans := map[string]int{}
+	for _, id := range tickets {
+		pollDone(t, ts.URL, id)
+		var doc struct {
+			TraceEvents []struct{ Cat, Name string } `json:"traceEvents"`
+		}
+		if code := getJSON(t, ts.URL+"/jobs/"+id+"/trace", &doc); code != http.StatusOK {
+			t.Fatalf("GET trace of %s: %d", id, code)
+		}
+		for _, ev := range doc.TraceEvents {
+			if ev.Cat == "cache" {
+				spans[ev.Name]++
+			}
+		}
+	}
+	spans["lru-hit"] += spans["flight-join"]
+	delete(spans, "flight-join")
+	if want := map[string]int{"lru-hit": 2, "semantic-hit": 1, "store-hit": 1, "semantic-store-hit": 1}; !reflect.DeepEqual(spans, want) {
+		t.Errorf("cache spans %v, want %v (a flight-join counted as an lru-hit)", spans, want)
+	}
 
 	var st wire.ServiceStats
 	if code := getJSON(t, ts.URL+"/stats", &st); code != http.StatusOK {
@@ -71,13 +157,37 @@ func TestMetricsEndpointAgreesWithStats(t *testing.T) {
 		`clusched_tickets_total{event="completed"}`:       float64(st.Completed),
 		"clusched_service_jobs_completed_total":           float64(st.JobsCompiled),
 		`clusched_jobs_submitted_total{strategy="paper"}`: float64(st.Strategies["paper"].JobsSubmitted),
-		`clusched_cache_lookups_total{result="miss"}`:     float64(st.Cache.Misses),
 		"clusched_queue_length":                           float64(st.Queued),
 		"clusched_inflight_batches":                       float64(st.InFlight),
 	} {
 		if got := promValue(t, text, series); got != want {
 			t.Errorf("%s = %g, /stats says %g", series, got, want)
 		}
+	}
+	// The engine's ledger, label by label: /metrics, /stats cache.*, the
+	// per-strategy slice of /stats and the script above all agree.
+	paper := st.Strategies["paper"]
+	var lookups uint64
+	for _, l := range []struct {
+		label          string
+		cache, bySlice uint64
+		want           uint64
+	}{
+		{"hit", st.Cache.Hits, paper.CacheHits, 2},
+		{"miss", st.Cache.Misses, paper.CacheMisses, 2},
+		{"store_hit", st.Cache.StoreHits, paper.StoreHits, 1},
+		{"semantic_hit", st.Cache.SemanticHits, paper.SemanticHits, 1},
+		{"semantic_store_hit", st.Cache.SemanticStoreHits, paper.SemanticStoreHits, 1},
+	} {
+		got := promValue(t, text, `clusched_cache_lookups_total{result="`+l.label+`"}`)
+		if got != float64(l.want) || l.cache != l.want || l.bySlice != l.want {
+			t.Errorf("%s: /metrics %g, /stats cache %d, /stats strategies.paper %d, want %d", l.label, got, l.cache, l.bySlice, l.want)
+		}
+		lookups += l.want
+	}
+	// One strategy, no cancellations: every job is a lookup.
+	if got := promValue(t, text, `clusched_jobs_total{strategy="paper"}`); got != float64(lookups) {
+		t.Errorf("jobs_total{paper} = %g, the five lookup counters sum to %d", got, lookups)
 	}
 	// The latency histogram observed every non-cached compilation.
 	if got := promValue(t, text, "clusched_compile_seconds_count"); got != float64(st.Cache.Misses) {

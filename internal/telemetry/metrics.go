@@ -40,7 +40,7 @@ type family struct {
 	gauge     *Gauge
 	valueFn   func() float64
 	histogram *Histogram
-	vec       *CounterVec
+	children  func() map[string]uint64 // a vec's current values by label value
 }
 
 // NewRegistry returns an empty registry.
@@ -78,8 +78,15 @@ func (r *Registry) NewCounterFunc(name, help string, fn func() float64) {
 // strategy, result); children are created on first use via With.
 func (r *Registry) NewCounterVec(name, help, label string) *CounterVec {
 	v := &CounterVec{children: make(map[string]*Counter)}
-	r.register(&family{name: name, help: help, typ: "counter", label: label, vec: v})
+	r.register(&family{name: name, help: help, typ: "counter", label: label, children: v.Snapshot})
 	return v
+}
+
+// NewCounterVecFunc registers a labeled counter family whose children are
+// read from fn at exposition time: NewCounterFunc for counts that live
+// elsewhere one per label value (the engine's job ledger).
+func (r *Registry) NewCounterVecFunc(name, help, label string, fn func() map[string]uint64) {
+	r.register(&family{name: name, help: help, typ: "counter", label: label, children: fn})
 }
 
 // NewGauge registers and returns an integer gauge.
@@ -267,8 +274,8 @@ func (r *Registry) WritePrometheus(w io.Writer) error {
 			fmt.Fprintf(&sb, "%s %d\n", f.name, f.gauge.Value())
 		case f.valueFn != nil:
 			fmt.Fprintf(&sb, "%s %s\n", f.name, formatFloat(f.valueFn()))
-		case f.vec != nil:
-			snap := f.vec.Snapshot()
+		case f.children != nil:
+			snap := f.children()
 			vals := make([]string, 0, len(snap))
 			for v := range snap {
 				vals = append(vals, v)

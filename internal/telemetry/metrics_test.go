@@ -20,6 +20,8 @@ func TestWritePrometheusGolden(t *testing.T) {
 	v := r.NewCounterVec("app_jobs_total", "Jobs by strategy.", "strategy")
 	v.With("paper").Add(5)
 	v.With("moddist").Inc()
+	r.NewCounterVecFunc("app_lookups_total", "Lookups by result.", "result",
+		func() map[string]uint64 { return map[string]uint64{"miss": 2, "hit": 9} })
 	h := r.NewHistogram("app_latency_seconds", "Latency.", []float64{0.5, 1, 2})
 	h.Observe(0.25)
 	h.Observe(0.75)
@@ -44,6 +46,10 @@ app_latency_seconds_bucket{le="2"} 2
 app_latency_seconds_bucket{le="+Inf"} 3
 app_latency_seconds_sum 6
 app_latency_seconds_count 3
+# HELP app_lookups_total Lookups by result.
+# TYPE app_lookups_total counter
+app_lookups_total{result="hit"} 9
+app_lookups_total{result="miss"} 2
 # HELP app_queue_length Tickets waiting.
 # TYPE app_queue_length gauge
 app_queue_length 3
