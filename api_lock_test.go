@@ -52,7 +52,6 @@ var publicAPI = []string{
 	"CompileAll",
 	"CompileJob",
 	"CompileOutcome",
-	"CompileWith",
 	"Compiler",
 	"CompilerConfig",
 	"DefaultClientTimeout",
@@ -63,7 +62,6 @@ var publicAPI = []string{
 	"Loop",
 	"Machine",
 	"MustParseMachine",
-	"NewClient",
 	"NewCluster",
 	"NewCompiler",
 	"NewLocal",
@@ -108,7 +106,6 @@ var publicAPI = []string{
 	"WithMacroReplication",
 	"WithMaxII",
 	"WithNodeInFlight",
-	"WithPollInterval",
 	"WithProgress",
 	"WithReplication",
 	"WithSpeculation",

@@ -61,10 +61,9 @@ type settings struct {
 
 // clientConfig collects the remote-backend knobs.
 type clientConfig struct {
-	httpClient   *http.Client
-	timeout      time.Duration
-	hasTimeout   bool
-	pollInterval time.Duration
+	httpClient *http.Client
+	timeout    time.Duration
+	hasTimeout bool
 }
 
 // clusterConfig collects the fleet-backend knobs (see NewCluster).
@@ -109,7 +108,7 @@ func (sc optionScope) String() string {
 // WithMacroReplication, WithMaxII, WithIgnoreRegisterPressure,
 // WithVerification), local-engine construction (WithWorkers, WithCacheSize,
 // WithProgress, WithSpeculation) and remote-client construction (WithHTTPClient,
-// WithTimeout, WithPollInterval). Passing an option to a constructor
+// WithTimeout). Passing an option to a constructor
 // outside its group panics with the option's name and where it belongs:
 // NewLocal(WithReplication(true)) would otherwise silently compile every
 // job without replication, which is far worse than a loud construction
@@ -248,12 +247,6 @@ func WithTimeout(d time.Duration) Option {
 	return clientOption("WithTimeout", func(s *settings) { s.client.timeout = d; s.client.hasTimeout = true })
 }
 
-// WithPollInterval sets the initial interval of WaitBatch's poll loop
-// (the backoff grows and jitters from there; see Client.WaitBatch).
-func WithPollInterval(d time.Duration) Option {
-	return clientOption("WithPollInterval", func(s *settings) { s.client.pollInterval = d })
-}
-
 // WithHedge controls a fleet backend's straggler hedging — the duplicate
 // dispatch fired when a node stays silent on a run past the hedge delay:
 // what it has not answered yet goes to a peer as well (first answer per job
@@ -297,13 +290,6 @@ func NewOptions(opts ...Option) Options {
 // on each CompileJob.
 func NewLocal(opts ...Option) *Compiler {
 	return NewCompiler(applySettings("NewLocal", scopeEngine, opts).engine)
-}
-
-// NewRemote builds the remote Backend: a client for the clusched-serve
-// instance at base (e.g. "http://localhost:8357"). Client-level options
-// (WithHTTPClient, WithTimeout, WithPollInterval) apply.
-func NewRemote(base string, opts ...Option) *Client {
-	return NewClient(base, opts...)
 }
 
 // Collect drains b.Stream(ctx, jobs) into an index-aligned outcome slice:

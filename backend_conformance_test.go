@@ -79,7 +79,7 @@ func backendCases() []backendCase {
 				ts.Close()
 				s.Shutdown(context.Background())
 			})
-			return NewRemote(ts.URL, WithPollInterval(5*time.Millisecond))
+			return fastPoll(NewRemote(ts.URL))
 		}},
 		{name: "cluster", make: func(t *testing.T, cfg CompilerConfig) Backend {
 			t.Helper()

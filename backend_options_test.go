@@ -50,7 +50,7 @@ func TestOptionGroupsEnforced(t *testing.T) {
 	if NewLocal(WithWorkers(2), WithCacheSize(8), WithSpeculation(4)) == nil {
 		t.Fatal("NewLocal failed")
 	}
-	if NewRemote("http://x", WithTimeout(time.Second), WithPollInterval(time.Millisecond)) == nil {
+	if NewRemote("http://x", WithTimeout(time.Second)) == nil {
 		t.Fatal("NewRemote failed")
 	}
 }

@@ -1,9 +1,7 @@
 package clusched
 
 import (
-	"bytes"
 	"context"
-	"encoding/json"
 	"errors"
 	"fmt"
 	"io"
@@ -17,29 +15,23 @@ import (
 )
 
 // Client speaks to a clusched-serve compilation service; it is the remote
-// implementation of Backend. Results come back through the wire codec,
-// which rebuilds and re-verifies every schedule — a Result obtained
-// remotely is as trustworthy as one compiled in-process, and carries the
-// full Schedule and Placement (so kernels can be printed and pipelines
-// expanded locally).
+// implementation of Backend: a wire.Endpoint — the exchanges the fleet's
+// nodes run too — plus the policy of a caller with one server. A queue-full
+// refusal is a *QueueFullError, a stream the transport cuts resumes over the
+// poll loop, and an outcome that fails its proof is that job's error. Results
+// come back through the wire codec, which rebuilds and re-verifies every
+// schedule — a Result obtained remotely is as trustworthy as one compiled
+// in-process, and carries the full Schedule and Placement (so kernels can be
+// printed and pipelines expanded locally).
 //
-// Stream consumes the service's NDJSON push endpoint
-// (GET /batch/{id}/stream): each outcome arrives the moment the server
-// finishes it, with no polling. The poll loop (WaitBatch) remains for
-// callers that want the final status in one call, and as the resume path
-// when a stream is cut mid-batch; it backs off with jitter instead of
-// hammering a fixed interval.
-//
-// The zero Client is not usable; call NewRemote (or NewClient).
+// The zero Client is not usable; call NewRemote.
 type Client struct {
-	base string
-	hc   *http.Client
-	// timeout bounds each unary exchange (see DefaultClientTimeout); the
-	// streaming path is exempt.
-	timeout time.Duration
-	// PollInterval is the initial interval of WaitBatch's poll loop
-	// (default 50ms, growing to pollMaxInterval with jitter).
-	PollInterval time.Duration
+	// ep.Timeout bounds each unary exchange (see DefaultClientTimeout) and
+	// each gap between two frames of a stream.
+	ep wire.Endpoint
+	// pollInterval is the first interval of WaitBatch's ladder:
+	// pollBaseInterval, which tests shorten.
+	pollInterval time.Duration
 	// RequestTraces asks the server to record an execution trace for every
 	// batch this client submits; fetch it with Trace once the ticket
 	// finishes. Servers that predate tracing ignore the request.
@@ -47,7 +39,7 @@ type Client struct {
 }
 
 // DefaultClientTimeout bounds each unary HTTP exchange (submit, status,
-// stats, blocking compile) when NewClient is not given WithTimeout. It is
+// stats, blocking compile) when NewRemote is not given WithTimeout. It is
 // deliberately generous — a blocking /compile?wait=1 spans a full
 // compilation — while still guaranteeing that a wedged server cannot hang
 // a caller forever. WithTimeout(0) disables the bound.
@@ -63,21 +55,15 @@ const (
 	pollGrowth       = 1.6
 )
 
-// NewClient returns a Client for the service at base (e.g.
-// "http://localhost:8357"). Remote-backend options apply (WithHTTPClient,
-// WithTimeout, WithPollInterval); NewRemote is the same constructor under
-// the v2 naming.
-func NewClient(base string, opts ...Option) *Client {
+// NewRemote builds the remote Backend: a client for the clusched-serve
+// instance at base (e.g. "http://localhost:8357"). Client-level options
+// (WithHTTPClient, WithTimeout) apply.
+func NewRemote(base string, opts ...Option) *Client {
 	s := applySettings("NewRemote", scopeClient, opts)
-	c := &Client{base: strings.TrimRight(base, "/"), hc: s.client.httpClient, timeout: DefaultClientTimeout}
-	if c.hc == nil {
-		c.hc = &http.Client{}
-	}
+	c := &Client{pollInterval: pollBaseInterval,
+		ep: wire.Endpoint{Base: strings.TrimRight(base, "/"), HC: s.client.httpClient, Timeout: DefaultClientTimeout}}
 	if s.client.hasTimeout {
-		c.timeout = s.client.timeout
-	}
-	if s.client.pollInterval > 0 {
-		c.PollInterval = s.client.pollInterval
+		c.ep.Timeout = s.client.timeout
 	}
 	return c
 }
@@ -96,69 +82,21 @@ func (e *QueueFullError) Error() string {
 	return fmt.Sprintf("clusched: service queue full, retry after %v", e.RetryAfter)
 }
 
-// refused translates an error answer (400 and up) of a unary exchange.
-func refused(resp *http.Response) error {
-	var er wire.ErrorResponse
-	if err := json.NewDecoder(resp.Body).Decode(&er); err == nil && er.Error != "" {
-		if resp.StatusCode == http.StatusTooManyRequests {
-			return &QueueFullError{RetryAfter: time.Duration(er.RetryAfterMS) * time.Millisecond}
-		}
-		return fmt.Errorf("clusched: service: %s", er.Error)
+// queueFull types the one refusal a single-server caller acts on: wait out
+// the hint and submit again.
+func queueFull(err error) error {
+	var se *wire.StatusError
+	if errors.As(err, &se) && se.Code == http.StatusTooManyRequests {
+		return &QueueFullError{RetryAfter: se.RetryAfter}
 	}
-	return fmt.Errorf("clusched: service answered %s", resp.Status)
-}
-
-// do sends one request — body, when non-nil, is its encoded JSON — and
-// hands the answer's body to decode (nil to ignore it), translating error
-// answers. Unary exchanges are bounded by the client timeout; the
-// streaming path bypasses do.
-func (c *Client) do(ctx context.Context, method, path string, body []byte, decode func(io.Reader) error) error {
-	if c.timeout > 0 {
-		var cancel context.CancelFunc
-		ctx, cancel = context.WithTimeout(ctx, c.timeout)
-		defer cancel()
-	}
-	var rd io.Reader
-	if body != nil {
-		rd = bytes.NewReader(body)
-	}
-	req, err := http.NewRequestWithContext(ctx, method, c.base+path, rd)
-	if err != nil {
-		return err
-	}
-	if body != nil {
-		req.Header.Set("Content-Type", "application/json")
-	}
-	resp, err := c.hc.Do(req)
-	if err != nil {
-		return err
-	}
-	defer resp.Body.Close()
-	if resp.StatusCode >= 400 {
-		return refused(resp)
-	}
-	if decode == nil {
-		return nil
-	}
-	return decode(resp.Body)
-}
-
-// into decodes a JSON answer into out with encoding/json.
-func into(out any) func(io.Reader) error {
-	return func(r io.Reader) error { return json.NewDecoder(r).Decode(out) }
+	return err
 }
 
 // Health reports whether the service is up and accepting work.
-func (c *Client) Health(ctx context.Context) error {
-	return c.do(ctx, http.MethodGet, "/healthz", nil, nil)
-}
+func (c *Client) Health(ctx context.Context) error { return c.ep.Health(ctx) }
 
 // Stats fetches the service metrics.
-func (c *Client) Stats(ctx context.Context) (RemoteStats, error) {
-	var st RemoteStats
-	err := c.do(ctx, http.MethodGet, "/stats", nil, into(&st))
-	return st, err
-}
+func (c *Client) Stats(ctx context.Context) (RemoteStats, error) { return c.ep.Stats(ctx) }
 
 // Compile compiles one job remotely (POST /compile?wait=1, blocking until
 // the service finishes): the unary half of Backend. Callers that care
@@ -172,20 +110,15 @@ func (c *Client) Compile(ctx context.Context, job CompileJob) (*Result, error) {
 }
 
 // Do compiles one job remotely and returns the full outcome, including
-// whether the service answered from its cache. It is the unary exchange the
-// fleet's nodes run too (wire.PostCompile).
+// whether the service answered from its cache.
 func (c *Client) Do(ctx context.Context, job CompileJob) (CompileOutcome, error) {
-	body, err := wire.AppendJob(nil, job)
-	if err != nil {
-		return CompileOutcome{}, err
-	}
-	return wire.PostCompile(ctx, c.hc, c.base, c.timeout, body, job, refused)
+	out, err := c.ep.Do(ctx, job)
+	return out, queueFull(err)
 }
 
 // Stream implements Backend over the service's NDJSON push endpoint: it
 // submits the batch, opens GET /batch/{id}/stream and yields each outcome
-// the moment the server finishes it — true server push, no polling
-// (wire.StreamBatch, the exchange the fleet's nodes run too). Every job
+// the moment the server finishes it — true server push, no polling. Every job
 // yields exactly once; submit or transport failures surface as the outcome
 // error of every job the stream had not yet delivered. A stream the
 // transport cuts mid-batch resumes over the poll loop (the server keeps
@@ -210,31 +143,26 @@ func (c *Client) Stream(ctx context.Context, jobs []CompileJob) iter.Seq2[int, C
 			}
 			return true
 		}
-		body, err := wire.AppendSubmitRequest(nil, jobs, 0, c.RequestTraces)
-		if err != nil {
-			fail(err)
-			return
-		}
-		id, err := wire.StreamBatch(ctx, c.hc, c.base, c.timeout, body, jobs, delivered,
+		id, err := c.ep.Stream(ctx, jobs, c.RequestTraces, delivered,
 			func(i int, out CompileOutcome, derr error) bool {
 				if derr != nil {
 					// An outcome that fails its proof is that job's error.
 					out.Err = derr
 				}
 				return yield(i, out)
-			}, refused)
+			})
 		switch {
 		case err == nil, errors.Is(err, wire.ErrConsumerStopped):
 			// Complete, or the consumer broke out of the iteration: yield
 			// must not be called again.
-		case errors.Is(err, wire.ErrStreamCut) && ctx.Err() == nil:
+		case errors.Is(err, wire.ErrStreamCut):
 			// The transport cut the stream but the batch is still alive on the
 			// server (and the work the server already did is not lost). Resume
 			// over the poll path: the delivered ledger guarantees the suffix
 			// the stream never carried is yielded exactly once.
 			c.pollRemainder(ctx, id, jobs, delivered, yield, fail)
 		default:
-			fail(err)
+			fail(queueFull(err))
 		}
 	}
 }
@@ -274,11 +202,8 @@ func (c *Client) pollRemainder(ctx context.Context, id string, jobs []CompileJob
 // returns the ticket ID. timeout bounds the batch's remote lifetime
 // (0 = the server's policy).
 func (c *Client) SubmitBatch(ctx context.Context, jobs []CompileJob, timeout time.Duration) (string, error) {
-	body, err := wire.AppendSubmitRequest(nil, jobs, timeout.Milliseconds(), c.RequestTraces)
-	if err != nil {
-		return "", err
-	}
-	return wire.SubmitBatch(ctx, c.hc, c.base, c.timeout, body, refused)
+	id, err := c.ep.Submit(ctx, jobs, timeout, c.RequestTraces)
+	return id, queueFull(err)
 }
 
 // Trace fetches a finished ticket's execution trace as Chrome trace-event
@@ -287,7 +212,7 @@ func (c *Client) SubmitBatch(ctx context.Context, jobs []CompileJob, timeout tim
 // RequestTraces) or the server runs with -trace-jobs; otherwise the answer
 // is an error.
 func (c *Client) Trace(ctx context.Context, id string) (blob []byte, err error) {
-	err = c.do(ctx, http.MethodGet, "/jobs/"+id+"/trace", nil, func(r io.Reader) (rerr error) {
+	err = c.ep.Call(ctx, http.MethodGet, "/jobs/"+id+"/trace", nil, func(r io.Reader) (rerr error) {
 		blob, rerr = io.ReadAll(r)
 		return rerr
 	})
@@ -327,7 +252,7 @@ func (c *Client) status(ctx context.Context, id string, jobs []CompileJob) (Batc
 		path += "?" + wire.NoLoop
 	}
 	var ws wire.JobStatus
-	err := c.do(ctx, http.MethodGet, path, nil, func(r io.Reader) error { return wire.ReadJobStatus(r, &ws) })
+	err := c.ep.Call(ctx, http.MethodGet, path, nil, func(r io.Reader) error { return wire.ReadJobStatus(r, &ws) })
 	if err != nil {
 		return BatchStatus{}, err
 	}
@@ -344,7 +269,7 @@ const waitBatchGrace = 2 * time.Second
 // through it.
 // Pacing prefers the server's own Retry-After hint — the server knows its
 // backlog better than any client-side schedule — and only without one backs
-// off geometrically from PollInterval (default 50ms) to a 2s cap; every
+// off geometrically from 50ms to a 2s cap; every
 // wait is jittered ±25% so synchronized clients spread out instead of
 // hammering the server in lockstep. Total polling is bounded by the
 // ticket's own deadline (plus a small grace): once the server has reported
@@ -358,10 +283,7 @@ func (c *Client) WaitBatch(ctx context.Context, id string) (BatchStatus, error) 
 // waitBatch is WaitBatch for a caller that may still hold the ticket's jobs
 // (see status).
 func (c *Client) waitBatch(ctx context.Context, id string, jobs []CompileJob) (BatchStatus, error) {
-	interval := c.PollInterval
-	if interval <= 0 {
-		interval = pollBaseInterval
-	}
+	interval := c.pollInterval
 	var capC <-chan time.Time // fires past the ticket deadline + grace
 	for {
 		st, err := c.status(ctx, id, jobs)
@@ -416,9 +338,7 @@ func (c *Client) waitBatch(ctx context.Context, id string, jobs []CompileJob) (B
 }
 
 // Cancel cancels a remote ticket.
-func (c *Client) Cancel(ctx context.Context, id string) error {
-	return c.do(ctx, http.MethodDelete, "/jobs/"+id, nil, nil)
-}
+func (c *Client) Cancel(ctx context.Context, id string) error { return c.ep.Cancel(ctx, id) }
 
 // decodeStatus converts a poll answer; jobs, when the caller holds them,
 // are the jobs its outcomes are decoded for.

@@ -24,9 +24,14 @@ func startService(t *testing.T, cfg service.Config) (*Client, *service.Server) {
 		ts.Close()
 		s.Shutdown(context.Background())
 	})
-	c := NewClient(ts.URL)
-	c.PollInterval = 5 * time.Millisecond
-	return c, s
+	return fastPoll(NewRemote(ts.URL)), s
+}
+
+// fastPoll shortens c's poll ladder: a test does not wait out production
+// pacing.
+func fastPoll(c *Client) *Client {
+	c.pollInterval = 5 * time.Millisecond
+	return c
 }
 
 func TestClientCompile(t *testing.T) {
@@ -124,7 +129,7 @@ func TestClientErrors(t *testing.T) {
 		t.Fatal("cancel of unknown ticket did not error")
 	}
 	// A dead endpoint surfaces as a transport error, not a hang.
-	dead := NewClient("http://127.0.0.1:1")
+	dead := NewRemote("http://127.0.0.1:1")
 	cctx, cancel := context.WithTimeout(ctx, 5*time.Second)
 	defer cancel()
 	if err := dead.Health(cctx); err == nil {
@@ -197,12 +202,17 @@ func TestStreamEarlyBreakCancelsRemoteTicket(t *testing.T) {
 
 // TestStreamIdleTimeoutOnWedgedServer: a server that opens the stream and
 // then goes silent must not hang Stream forever — the inter-frame
-// watchdog (bound to the client timeout) cuts the connection and stamps
-// the undelivered jobs.
+// watchdog (bound to the client timeout) cuts the connection, stamps
+// the undelivered jobs and cancels the ticket nobody will read any more.
 func TestStreamIdleTimeoutOnWedgedServer(t *testing.T) {
 	wedged := make(chan struct{})
 	defer close(wedged)
+	var deletes atomic.Int32
 	mux := http.NewServeMux()
+	mux.HandleFunc("DELETE /jobs/t1", func(w http.ResponseWriter, r *http.Request) {
+		deletes.Add(1)
+		w.WriteHeader(http.StatusNoContent)
+	})
 	mux.HandleFunc("POST /batch", func(w http.ResponseWriter, r *http.Request) {
 		w.WriteHeader(http.StatusAccepted)
 		w.Write([]byte(`{"id":"t1"}` + "\n"))
@@ -236,6 +246,9 @@ func TestStreamIdleTimeoutOnWedgedServer(t *testing.T) {
 	case err := <-done:
 		if err == nil || !strings.Contains(err.Error(), "idle") {
 			t.Fatalf("want an idle-timeout error, got %v", err)
+		}
+		if got := deletes.Load(); got != 1 {
+			t.Fatalf("the server saw %d DELETE /jobs/t1, want the abandoned ticket cancelled once", got)
 		}
 	case <-time.After(10 * time.Second):
 		t.Fatal("Stream hung on a wedged server")
@@ -308,7 +321,7 @@ func TestWaitBatchDeadlineCap(t *testing.T) {
 	ts := httptest.NewServer(mux)
 	defer ts.Close()
 
-	c := NewClient(ts.URL)
+	c := NewRemote(ts.URL)
 	ctx, cancel := context.WithTimeout(context.Background(), 30*time.Second)
 	defer cancel()
 	start := time.Now()
@@ -340,8 +353,8 @@ func TestWaitBatchHonorsRetryAfterHint(t *testing.T) {
 	ts := httptest.NewServer(mux)
 	defer ts.Close()
 
-	c := NewClient(ts.URL)
-	c.PollInterval = time.Hour // the hint must override this
+	c := NewRemote(ts.URL)
+	c.pollInterval = time.Hour // the hint must override this
 	ctx, cancel := context.WithTimeout(context.Background(), 30*time.Second)
 	defer cancel()
 	start := time.Now()
@@ -353,7 +366,7 @@ func TestWaitBatchHonorsRetryAfterHint(t *testing.T) {
 		t.Fatalf("want done, got %q", st.State)
 	}
 	if elapsed := time.Since(start); elapsed > 5*time.Second {
-		t.Fatalf("hinted poll took %v; the Retry-After hint did not override PollInterval", elapsed)
+		t.Fatalf("hinted poll took %v; the Retry-After hint did not override the poll interval", elapsed)
 	}
 }
 

@@ -139,18 +139,6 @@ func Compile(g *Graph, m Machine, opts Options) (*Result, error) {
 	return pipeline.Compile(g, m, opts)
 }
 
-// CompileWith compiles under a named scheduling strategy — the one-call
-// form of picking an algorithm. Registered strategies (see Strategies):
-//
-//	paper    multilevel partition + selective replication (the paper)
-//	unified  single-cluster upper bound on the monolithic equivalent
-//	uas      greedy unified assign-and-schedule (no partition pass)
-//	moddist  round-robin modulo distribution (naive baseline)
-func CompileWith(strategy string, g *Graph, m Machine, opts Options) (*Result, error) {
-	opts.Strategy = strategy
-	return pipeline.Compile(g, m, opts)
-}
-
 // Strategies lists the registered scheduling strategies, sorted by name.
 func Strategies() []string { return pipeline.StrategyNames() }
 

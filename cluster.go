@@ -2,7 +2,6 @@ package clusched
 
 import (
 	"fmt"
-	"net/http"
 	"strings"
 
 	"clusched/internal/cluster"
@@ -49,10 +48,6 @@ func NewCluster(nodes []string, opts ...Option) *Cluster {
 	if len(nodes) == 0 {
 		panic("clusched: NewCluster needs at least one node URL")
 	}
-	hc := s.client.httpClient
-	if hc == nil {
-		hc = &http.Client{}
-	}
 	timeout := DefaultClientTimeout
 	if s.client.hasTimeout {
 		timeout = s.client.timeout
@@ -60,7 +55,7 @@ func NewCluster(nodes []string, opts ...Option) *Cluster {
 	members := make([]cluster.Member, len(nodes))
 	for i, base := range nodes {
 		name := strings.TrimRight(base, "/")
-		members[i] = cluster.Member{Name: name, Node: cluster.NewHTTPNode(name, hc, timeout)}
+		members[i] = cluster.Member{Name: name, Node: cluster.NewHTTPNode(name, s.client.httpClient, timeout)}
 	}
 	cfg := cluster.Config{
 		Members:      members,

@@ -114,7 +114,7 @@ func TestStreamReconnectDeliversSuffixExactlyOnce(t *testing.T) {
 		ts.Close()
 		s.Shutdown(context.Background())
 	})
-	client := NewRemote(ts.URL, WithPollInterval(5*time.Millisecond))
+	client := fastPoll(NewRemote(ts.URL))
 
 	ctx, cancel := context.WithTimeout(context.Background(), 2*time.Minute)
 	defer cancel()
@@ -135,6 +135,100 @@ func TestStreamReconnectDeliversSuffixExactlyOnce(t *testing.T) {
 	}
 	if delivered != len(jobs) {
 		t.Fatalf("delivered %d of %d outcomes across the cut", delivered, len(jobs))
+	}
+}
+
+// holdAfter is a Store that lets its first pass Loads through and holds every
+// later one until released: a node that has answered a little of a run and
+// provably not the rest.
+type holdAfter struct {
+	pass  int32
+	loads atomic.Int32
+	open  chan struct{}
+	once  sync.Once
+}
+
+func (g *holdAfter) release() { g.once.Do(func() { close(g.open) }) }
+
+func (g *holdAfter) Load(CompileJob) (*Result, error, bool) {
+	if g.loads.Add(1) > g.pass {
+		<-g.open
+	}
+	return nil, nil, false
+}
+
+func (g *holdAfter) Save(CompileJob, *Result, error) {}
+
+// TestClusterCutRunIsCancelledOnItsNode: a node whose stream is cut after one
+// outcome keeps the ticket — the fleet does not resume it, it compiles the
+// rest elsewhere — so the fleet cancels it there: the node must not go on
+// compiling a run nobody will read.
+func TestClusterCutRunIsCancelledOnItsNode(t *testing.T) {
+	jobs := conformanceJobs(t)
+	want := referenceOutcomes(t, jobs)
+	// Node 0 has one worker and answers two jobs of its first run; its stream
+	// dies under the second outcome, and the third job is held at the gate.
+	gate := &holdAfter{pass: 2, open: make(chan struct{})}
+	var deletes atomic.Int32
+	cut := service.New(service.Config{Workers: 1, Store: gate})
+	sound := service.New(service.Config{})
+	urls := make([]string, 2)
+	for i, s := range []*service.Server{cut, sound} {
+		h := s.Handler()
+		if s == cut {
+			inner := h
+			h = http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
+				if strings.HasSuffix(r.URL.Path, "/stream") {
+					w = &cutStream{ResponseWriter: w, limit: 2} // hello + one outcome
+				}
+				inner.ServeHTTP(w, r)
+				if r.Method == http.MethodDelete {
+					deletes.Add(1)
+				}
+			})
+		}
+		ts := httptest.NewServer(h)
+		t.Cleanup(func() {
+			ts.Close()
+			s.Shutdown(context.Background())
+		})
+		urls[i] = ts.URL
+	}
+	t.Cleanup(gate.release)
+	cl := NewCluster(urls, WithNodeInFlight(1), WithHedge(-1), WithHealthInterval(-1))
+	t.Cleanup(cl.Close)
+
+	ctx, cancel := context.WithTimeout(context.Background(), 2*time.Minute)
+	defer cancel()
+	outs, err := Collect(ctx, cl, jobs)
+	if err != nil {
+		t.Fatal(err)
+	}
+	for i, o := range outs {
+		if got := resultFingerprint(o.Result); got != want[i] {
+			t.Fatalf("job %d diverges after the cut:\n  got:  %s\n  want: %s", i, got, want[i])
+		}
+	}
+	// The cancellation is off the failover's path: it may land after Collect.
+	deadline := time.Now().Add(10 * time.Second)
+	for deletes.Load() == 0 {
+		if time.Now().After(deadline) {
+			t.Fatalf("the cut run was never cancelled on its node: %+v", cut.Stats())
+		}
+		time.Sleep(5 * time.Millisecond)
+	}
+	gate.release() // lets the cancelled ticket wind down
+	waitCanceled(t, []*service.Server{cut}, "cut run")
+	for cut.Stats().InFlightCompiles != 0 {
+		if time.Now().After(deadline) {
+			t.Fatalf("the node is still compiling: %+v", cut.Stats())
+		}
+		time.Sleep(5 * time.Millisecond)
+	}
+	// Two answered, the held one perhaps finished before it saw the
+	// cancellation; the rest of a run of at least a third of the batch, never.
+	if st := cut.Stats(); st.JobsCompiled > 3 {
+		t.Fatalf("the node compiled %d jobs of a run it was cut from after one", st.JobsCompiled)
 	}
 }
 

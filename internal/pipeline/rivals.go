@@ -40,7 +40,7 @@ func rejectPaperChainOptions(strategy string, opts Options) error {
 }
 
 // UASAssignPass derives the cluster assignment by the greedy unified
-// assign-and-schedule sweep (sched.UASAssign): no partition pass ran
+// assign-and-schedule sweep (sched.UASAssignScratch): no partition pass ran
 // before it, and no replication pass follows it. A sweep that cannot place
 // some node — no cluster has both a free reservation slot in the node's
 // window and bus-budget headroom — fails the attempt with CauseBus.

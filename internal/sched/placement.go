@@ -147,17 +147,6 @@ func (p *Placement) Comms() int {
 	return n
 }
 
-// CommNodes returns the IDs of nodes whose values must be communicated.
-func (p *Placement) CommNodes() []int {
-	var out []int
-	for v := range p.G.Nodes {
-		if p.NeedsComm(v) {
-			out = append(out, v)
-		}
-	}
-	return out
-}
-
 // ClassCounts returns per-cluster, per-class instance counts, counting
 // replicas and excluding removed home instances. It allocates the result;
 // hot paths use ClassCountsInto.

@@ -8,7 +8,7 @@ import (
 	"clusched/internal/partition"
 )
 
-// UASAssign derives a cluster assignment by greedy unified assign-and-
+// UASAssignScratch derives a cluster assignment by greedy unified assign-and-
 // schedule, the prior-art family (Özer et al.) the paper's §6 compares
 // against: there is no partitioning phase — each node picks its cluster
 // during an SMS-style placement sweep, judged by functional-unit
@@ -23,13 +23,8 @@ import (
 //
 // ok is false when the sweep fails at this II: some node had no cluster
 // with both a free slot in its dependence window and headroom in the bus
-// budget. The caller retries at II+1.
-func UASAssign(g *ddg.Graph, m machine.Config, ii int) (*partition.Assignment, bool) {
-	return UASAssignScratch(g, m, ii, NewScratch())
-}
-
-// UASAssignScratch is UASAssign over a caller-owned scratch arena: the
-// timing, ordering, reservation-table and bookkeeping buffers are recycled
+// budget. The caller retries at II+1. The timing, ordering, reservation-table
+// and bookkeeping buffers live in sc, the caller's scratch arena, recycled
 // across II attempts.
 func UASAssignScratch(g *ddg.Graph, m machine.Config, ii int, sc *Scratch) (*partition.Assignment, bool) {
 	n := g.NumNodes()

@@ -62,13 +62,6 @@ func Unroll(g *ddg.Graph, factor int) (*ddg.Graph, error) {
 	return b.Build()
 }
 
-// EffectiveII converts the unrolled loop's II back into source-iteration
-// terms: one initiation of the unrolled body completes factor original
-// iterations.
-func EffectiveII(unrolledII float64, factor int) float64 {
-	return unrolledII / float64(factor)
-}
-
 // CodeSize returns the static code growth of unrolling: the unrolled body's
 // operation count relative to the original.
 func CodeSize(g *ddg.Graph, factor int) int { return g.NumNodes() * factor }

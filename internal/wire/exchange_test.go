@@ -1,6 +1,8 @@
 package wire
 
 import (
+	"bytes"
+	"cmp"
 	"context"
 	"errors"
 	"fmt"
@@ -19,12 +21,14 @@ import (
 // scriptedServer answers POST /batch with ticket "t1" (or status submit,
 // when set) and GET /batch/t1/stream with the given lines, written and
 // flushed one by one; after the last line it holds the connection open until
-// the reader goes away when hold is set, and closes it otherwise. It counts
-// the DELETE /jobs/t1 it receives.
+// the reader goes away when hold is set — writing bytes without a newline all
+// the while when endless is — and closes it otherwise. It counts the DELETE
+// /jobs/t1 it receives.
 type scriptedServer struct {
 	submit  int
 	lines   []string
 	hold    bool
+	endless bool
 	deletes atomic.Int32
 }
 
@@ -48,6 +52,11 @@ func (s *scriptedServer) start(t *testing.T) *httptest.Server {
 			fmt.Fprint(w, line)
 			w.(http.Flusher).Flush()
 		}
+		for chunk := bytes.Repeat([]byte("x"), 32<<10); s.endless; {
+			if _, err := w.Write(chunk); err != nil {
+				return
+			}
+		}
 		if s.hold {
 			<-r.Context().Done()
 		}
@@ -61,14 +70,11 @@ func (s *scriptedServer) start(t *testing.T) *httptest.Server {
 	return ts
 }
 
-// refusal is how this test types a refused submit.
-type refusal struct{ code int }
-
-func (r *refusal) Error() string { return fmt.Sprintf("refused with %d", r.code) }
-
 // TestStreamBatchEndings drives the streaming exchange against scripted
 // servers through every way it can end: what it returns, which jobs it marked
-// delivered, what it handed to yield, and whether it cancelled the ticket.
+// delivered, what it handed to yield, and whether it cancelled the ticket —
+// which it does whenever nobody will read the ticket to its done frame, except
+// on a cut, where the reader decides.
 func TestStreamBatchEndings(t *testing.T) {
 	outs := compileSample(t, "mgrid", 3, machine.MustParse("4c2b2l64r"), pipeline.Options{Replicate: true})
 	jobs := make([]driver.Job, len(outs))
@@ -79,14 +85,18 @@ func TestStreamBatchEndings(t *testing.T) {
 	}
 	lie, lieJob := lyingOutcome(t, func(wr *Result) { wr.II += 10 })
 	hello := `{"type":"hello","schema":3,"id":"t1","total":3}` + "\n"
+	// The line bound, within reach of a test; the endless server outruns it.
+	defer func(was int) { maxFrameBytes = was }(maxFrameBytes)
+	maxFrameBytes = 1 << 20
 	done := `{"type":"done","state":"done"}` + "\n"
 
 	cases := []struct {
-		name   string
-		srv    *scriptedServer
-		jobs   []driver.Job
-		stopAt int // yield refuses its stopAt-th call (0 = never)
-		cancel bool
+		name    string
+		srv     *scriptedServer
+		jobs    []driver.Job
+		stopAt  int // yield refuses its stopAt-th call (0 = never)
+		cancel  bool
+		timeout time.Duration // the endpoint's (0 = a minute)
 		// expectations
 		wantErr       func(error) bool
 		wantDelivered []bool
@@ -134,6 +144,7 @@ func TestStreamBatchEndings(t *testing.T) {
 			srv:           &scriptedServer{lines: []string{hello, frames[0], frames[0], done}},
 			wantErr:       func(err error) bool { return err != nil && strings.Contains(err.Error(), "delivered job 0 twice") },
 			wantDelivered: []bool{true, false, false},
+			wantDeletes:   1,
 		},
 		{
 			name: "hello for another batch size",
@@ -142,6 +153,42 @@ func TestStreamBatchEndings(t *testing.T) {
 				return err != nil && strings.Contains(err.Error(), "announces 7 jobs, submitted 3")
 			},
 			wantDelivered: []bool{false, false, false},
+			wantDeletes:   1,
+		},
+		{
+			name: "an outcome for a job the batch does not have",
+			srv:  &scriptedServer{lines: []string{hello, string(AppendOutcomeFrame(nil, 3, outs[0], false)), done}},
+			wantErr: func(err error) bool {
+				return err != nil && strings.Contains(err.Error(), "job 3 of a 3-job batch")
+			},
+			wantDelivered: []bool{false, false, false},
+			wantDeletes:   1,
+		},
+		{
+			name:          "a frame of an unknown type",
+			srv:           &scriptedServer{lines: []string{hello, frames[0], `{"type":"progress","index":1}` + "\n", done}},
+			wantErr:       func(err error) bool { var ue *UnknownFrameError; return errors.As(err, &ue) && ue.Type == "progress" },
+			wantDelivered: []bool{true, false, false},
+			wantDeletes:   1,
+		},
+		{
+			name:    "the server goes silent: the watchdog gives up and the ticket is cancelled",
+			srv:     &scriptedServer{lines: []string{hello, frames[0]}, hold: true},
+			timeout: 100 * time.Millisecond,
+			wantErr: func(err error) bool {
+				return err != nil && strings.Contains(err.Error(), "idle for 100ms") && !errors.Is(err, ErrStreamCut)
+			},
+			wantDelivered: []bool{true, false, false},
+			wantDeletes:   1,
+		},
+		{
+			name: "the server withholds the newline: refused at the line bound, not cut",
+			srv:  &scriptedServer{lines: []string{hello, frames[0]}, endless: true},
+			wantErr: func(err error) bool {
+				return errors.Is(err, ErrFrameTooLong) && !errors.Is(err, ErrStreamCut)
+			},
+			wantDelivered: []bool{true, false, false},
+			wantDeletes:   1,
 		},
 		{
 			name:          "an outcome that fails its proof is handed over as such",
@@ -168,9 +215,12 @@ func TestStreamBatchEndings(t *testing.T) {
 			wantDeletes:   1,
 		},
 		{
-			name:          "submit refused",
-			srv:           &scriptedServer{submit: http.StatusServiceUnavailable},
-			wantErr:       func(err error) bool { var r *refusal; return errors.As(err, &r) && r.code == 503 },
+			name: "submit refused",
+			srv:  &scriptedServer{submit: http.StatusServiceUnavailable},
+			wantErr: func(err error) bool {
+				var se *StatusError
+				return errors.As(err, &se) && se.Code == 503 && se.Msg == "not now"
+			},
 			wantDelivered: []bool{false, false, false},
 			wantNoTicket:  true,
 		},
@@ -182,15 +232,12 @@ func TestStreamBatchEndings(t *testing.T) {
 			if batch == nil {
 				batch = jobs
 			}
-			body, err := AppendSubmitRequest(nil, batch, 0, false)
-			if err != nil {
-				t.Fatal(err)
-			}
+			ep := Endpoint{Base: ts.URL, HC: ts.Client(), Timeout: cmp.Or(tc.timeout, time.Minute)}
 			ctx, cancel := context.WithTimeout(context.Background(), 30*time.Second)
 			defer cancel()
 			delivered := make([]bool, len(batch))
 			calls, unproven := 0, 0
-			id, err := StreamBatch(ctx, ts.Client(), ts.URL, time.Minute, body, batch, delivered,
+			id, err := ep.Stream(ctx, batch, false, delivered,
 				func(i int, out driver.Outcome, derr error) bool {
 					calls++
 					if out.Job.Graph != batch[i].Graph {
@@ -209,13 +256,12 @@ func TestStreamBatchEndings(t *testing.T) {
 						cancel() // the server holds the stream open; only ctx ends it
 					}
 					return calls != tc.stopAt
-				},
-				func(resp *http.Response) error { return &refusal{resp.StatusCode} })
+				})
 			if !tc.wantErr(err) {
-				t.Fatalf("StreamBatch returned %v", err)
+				t.Fatalf("Stream returned %v", err)
 			}
 			if (id == "") != tc.wantNoTicket {
-				t.Fatalf("StreamBatch returned ticket %q", id)
+				t.Fatalf("Stream returned ticket %q", id)
 			}
 			for i, want := range tc.wantDelivered {
 				if delivered[i] != want {

@@ -1,11 +1,11 @@
 package wire
 
-// HTTP request/response bodies of the compilation service, and the two
-// exchanges every remote backend runs over them: PostCompile (one job, one
-// request) and StreamBatch (one batch, one ticket, one NDJSON stream). They
-// live in the codec package so the server (internal/service) and the clients
-// (the root package, internal/cluster) share one vocabulary, and one copy of
-// each exchange, without importing each other.
+// HTTP request/response bodies of the compilation service, and Endpoint: the
+// one piece of code that speaks HTTP to a clusched-serve. It lives in the
+// codec package so the server (internal/service) and the remote backends
+// (Client in the root package, HTTPNode in internal/cluster) share one
+// vocabulary and one copy of each exchange without importing each other; a
+// backend adds only what a refusal, a cut or an unproven outcome means to it.
 
 import (
 	"bufio"
@@ -16,6 +16,7 @@ import (
 	"fmt"
 	"io"
 	"net/http"
+	"strconv"
 	"sync"
 	"sync/atomic"
 	"time"
@@ -46,39 +47,137 @@ func ReadJobStatus(r io.Reader, st *JobStatus) error {
 	return DecodeJobStatus(buf.Bytes(), st)
 }
 
-// post sends body as the JSON of a POST; the caller closes the answer.
-func post(ctx context.Context, hc *http.Client, url string, body []byte) (*http.Response, error) {
-	req, err := http.NewRequestWithContext(ctx, http.MethodPost, url, bytes.NewReader(body))
+// Endpoint is one clusched-serve instance as a remote backend reaches it.
+type Endpoint struct {
+	// Base is the server root, e.g. "http://10.0.0.7:8357", no trailing slash.
+	Base string
+	// HC is the HTTP client (shared across endpoints is fine; nil means
+	// http.DefaultClient). Its own Timeout stays zero: a stream outlives any.
+	HC *http.Client
+	// Timeout bounds each unary exchange (a compile exchange spans the whole
+	// compilation, so this is a straggler bound, not a latency bound) and, on
+	// a stream, each gap between two frames; 0 means no bound beyond the
+	// caller's context.
+	Timeout time.Duration
+}
+
+// StatusError is an answer of 400 or above, classified by code so a backend
+// can tell "this server is struggling" (429, 5xx) from "this request is
+// wrong" (the other 4xx — any server would refuse it identically).
+type StatusError struct {
+	Code int
+	// Msg is the service's reason, when the answer carried one.
+	Msg string
+	// RetryAfter is the hint of a queue-full rejection (429).
+	RetryAfter time.Duration
+}
+
+// Error implements error.
+func (e *StatusError) Error() string { return "clusched: service answered " + e.answer() }
+
+// answer renders the code and, when there is one, the reason.
+func (e *StatusError) answer() string {
+	if e.Msg != "" {
+		return fmt.Sprintf("%d: %s", e.Code, e.Msg)
+	}
+	return strconv.Itoa(e.Code)
+}
+
+// request sends one request — body, when non-nil, is its encoded JSON — and
+// returns the answer, whose body the caller closes. An answer of 400 or above
+// comes back as a *StatusError instead, its reason read from at most 64 KiB of
+// body. It applies no timeout: see Call.
+func (e Endpoint) request(ctx context.Context, method, path string, body []byte) (*http.Response, error) {
+	var rd io.Reader
+	if body != nil {
+		rd = bytes.NewReader(body)
+	}
+	req, err := http.NewRequestWithContext(ctx, method, e.Base+path, rd)
 	if err != nil {
 		return nil, err
 	}
-	req.Header.Set("Content-Type", "application/json")
-	return hc.Do(req)
-}
-
-// PostCompile is the unary exchange, shared by every remote backend: body —
-// AppendJob of j — goes to POST base/compile?wait=1 with NoLoop, and the
-// JobStatus that comes back must hold exactly one outcome, which is decoded
-// and proven for j. timeout, when positive, bounds the exchange. An answer
-// of 400 or above is handed to refused and its error returned as it is: each
-// backend types refusals its own way.
-func PostCompile(ctx context.Context, hc *http.Client, base string, timeout time.Duration, body []byte, j driver.Job,
-	refused func(*http.Response) error) (driver.Outcome, error) {
-	if timeout > 0 {
-		var cancel context.CancelFunc
-		ctx, cancel = context.WithTimeout(ctx, timeout)
-		defer cancel()
+	if body != nil {
+		req.Header.Set("Content-Type", "application/json")
 	}
-	resp, err := post(ctx, hc, base+"/compile?wait=1&"+NoLoop, body)
+	hc := e.HC
+	if hc == nil {
+		hc = http.DefaultClient
+	}
+	resp, err := hc.Do(req)
 	if err != nil {
-		return driver.Outcome{}, err
+		return nil, err
+	}
+	if resp.StatusCode < 400 {
+		return resp, nil
 	}
 	defer resp.Body.Close()
-	if resp.StatusCode >= 400 {
-		return driver.Outcome{}, refused(resp)
+	se := &StatusError{Code: resp.StatusCode}
+	var er ErrorResponse
+	if json.NewDecoder(io.LimitReader(resp.Body, 64<<10)).Decode(&er) == nil {
+		se.Msg, se.RetryAfter = er.Error, time.Duration(er.RetryAfterMS)*time.Millisecond
+	}
+	return nil, se
+}
+
+// Call is one unary exchange, bounded by Timeout: the answer's body goes to
+// decode (nil to ignore it).
+func (e Endpoint) Call(ctx context.Context, method, path string, body []byte, decode func(io.Reader) error) error {
+	if e.Timeout > 0 {
+		var cancel context.CancelFunc
+		ctx, cancel = context.WithTimeout(ctx, e.Timeout)
+		defer cancel()
+	}
+	resp, err := e.request(ctx, method, path, body)
+	if err != nil {
+		return err
+	}
+	defer resp.Body.Close()
+	if decode == nil {
+		return nil
+	}
+	return decode(resp.Body)
+}
+
+// Health reports whether the service is up and accepting work (GET /healthz).
+func (e Endpoint) Health(ctx context.Context) error {
+	return e.Call(ctx, http.MethodGet, "/healthz", nil, nil)
+}
+
+// Stats fetches the service statistics (GET /stats).
+func (e Endpoint) Stats(ctx context.Context) (ServiceStats, error) {
+	var st ServiceStats
+	err := e.Call(ctx, http.MethodGet, "/stats", nil, func(r io.Reader) error { return json.NewDecoder(r).Decode(&st) })
+	return st, err
+}
+
+// Cancel cancels a ticket (DELETE /jobs/{id}).
+func (e Endpoint) Cancel(ctx context.Context, id string) error {
+	return e.Call(ctx, http.MethodDelete, "/jobs/"+id, nil, nil)
+}
+
+// Disown best-effort cancels a ticket nobody will read to its done frame, so
+// the server stops compiling it. It outlives ctx, which is typically already
+// cancelled, by at most ten seconds.
+func (e Endpoint) Disown(ctx context.Context, id string) {
+	ctx, cancel := context.WithTimeout(context.WithoutCancel(ctx), 10*time.Second)
+	defer cancel()
+	_ = e.Cancel(ctx, id) // the ticket may already be done, or the server gone
+}
+
+// Do is the unary exchange: j goes to POST /compile?wait=1 with NoLoop,
+// blocking until the server finishes it, and the JobStatus that comes back
+// must hold exactly one outcome, which is decoded and proven for j — as
+// trustworthy as a local compilation. The error is the exchange's; a
+// compilation failure travels inside the outcome.
+func (e Endpoint) Do(ctx context.Context, j driver.Job) (driver.Outcome, error) {
+	body, err := AppendJob(nil, j)
+	if err != nil {
+		// The refusal any server would answer with: the request's fault.
+		return driver.Outcome{}, &StatusError{Code: http.StatusBadRequest, Msg: err.Error()}
 	}
 	var st JobStatus
-	if err := ReadJobStatus(resp.Body, &st); err != nil {
+	err = e.Call(ctx, http.MethodPost, "/compile?wait=1&"+NoLoop, body, func(r io.Reader) error { return ReadJobStatus(r, &st) })
+	if err != nil {
 		return driver.Outcome{}, err
 	}
 	if len(st.Outcomes) != 1 {
@@ -88,30 +187,21 @@ func PostCompile(ctx context.Context, hc *http.Client, base string, timeout time
 	return st.Outcomes[0].DecodeFor(j)
 }
 
-// SubmitBatch posts body — AppendSubmitRequest of a batch — to POST
-// base/batch and returns the ticket. timeout and refused as in PostCompile.
-func SubmitBatch(ctx context.Context, hc *http.Client, base string, timeout time.Duration, body []byte,
-	refused func(*http.Response) error) (string, error) {
-	if timeout > 0 {
-		var cancel context.CancelFunc
-		ctx, cancel = context.WithTimeout(ctx, timeout)
-		defer cancel()
-	}
-	resp, err := post(ctx, hc, base+"/batch", body)
+// Submit posts jobs to POST /batch and returns the ticket. timeout bounds the
+// batch's lifetime on the server (0 = the server's policy); trace asks it to
+// record an execution trace.
+func (e Endpoint) Submit(ctx context.Context, jobs []driver.Job, timeout time.Duration, trace bool) (string, error) {
+	body, err := AppendSubmitRequest(nil, jobs, timeout.Milliseconds(), trace)
 	if err != nil {
-		return "", err
-	}
-	defer resp.Body.Close()
-	if resp.StatusCode >= 400 {
-		return "", refused(resp)
+		return "", &StatusError{Code: http.StatusBadRequest, Msg: err.Error()} // as in Do
 	}
 	var sub SubmitResponse
-	err = json.NewDecoder(resp.Body).Decode(&sub)
+	err = e.Call(ctx, http.MethodPost, "/batch", body, func(r io.Reader) error { return json.NewDecoder(r).Decode(&sub) })
 	return sub.ID, err
 }
 
-// The two ways StreamBatch ends short of its done frame that are not
-// failures of the server's answer.
+// The ways Stream ends short of its done frame that are not failures of the
+// server's answer.
 var (
 	// ErrStreamCut marks a transport failure after the stream was
 	// successfully opened: the server knows the ticket and keeps compiling
@@ -121,69 +211,76 @@ var (
 	// watchdog) are NOT cuts — resuming those would poll a ticket the server
 	// disowned or a stream the reader cannot trust.
 	ErrStreamCut = errors.New("clusched: stream cut mid-batch")
-	// ErrConsumerStopped reports that yield returned false — not a failure,
-	// just "stop reading". The ticket has been cancelled.
+	// ErrConsumerStopped reports that yield returned false: "stop reading".
 	ErrConsumerStopped = errors.New("clusched: stream consumer stopped")
+	// ErrFrameTooLong reports a stream line over maxFrameBytes: a peer
+	// withholding the newline, not one to resume or poll.
+	ErrFrameTooLong = errors.New("clusched: stream frame too long")
 )
 
-// StreamBatch is the streaming exchange, shared by every remote backend the
-// way PostCompile is the unary one: body — AppendSubmitRequest of jobs — is
-// submitted (SubmitBatch), the ticket's GET base/batch/{id}/stream is opened
-// with NoLoop, and every outcome frame is decoded and proven for its job and
-// handed to yield the moment it arrives, up to the done frame. delivered, as
-// long as jobs, is the caller's ledger: an index is marked when its frame
-// arrives, whatever the frame decoded to, and no index is yielded twice. The
-// err yield receives is DecodeFor's verdict on that frame: an outcome that
-// arrived but could not be decoded or proven (out then holds only the job).
+// maxFrameBytes bounds one line of a stream. A variable only so that a test
+// can reach the bound without writing it out.
+var maxFrameBytes = 64 << 20
+
+// Stream is the streaming exchange: jobs are submitted (Submit), the ticket's
+// GET /batch/{id}/stream is opened with NoLoop, and every outcome frame is
+// decoded and proven for its job and handed to yield the moment it arrives,
+// up to the done frame. delivered, as long as jobs, is the caller's ledger:
+// an index is marked when its frame arrives, whatever the frame decoded to,
+// and no index is yielded twice. The err yield receives is DecodeFor's
+// verdict on that frame: an outcome that arrived but could not be decoded or
+// proven (out then holds only the job).
 //
 // A nil error means the done frame arrived and every job was delivered. A
 // done frame with jobs still missing (a batch cancelled while queued, or
 // retired early) returns the batch's terminal error, which is then the error
-// of every undelivered job. ErrStreamCut and ErrConsumerStopped are described
-// above; a refused submit returns refused's error, a refused stream the
-// server's reason. The returned ticket is empty only when the submit failed.
+// of every undelivered job. A refused submit is a *StatusError and leaves the
+// returned ticket empty. A refused stream is not one: the server accepted the
+// ticket and has since forgotten it (restart, retention), which says nothing
+// about the request, so the run is still worth taking elsewhere.
 //
-// timeout bounds the submit and, on the stream — which as a whole lives as
-// long as its batch — every gap between two frames. A ticket nobody will
-// read to the end (yield stopped, or ctx done) is cancelled on the server,
-// best effort, before StreamBatch returns.
-func StreamBatch(ctx context.Context, hc *http.Client, base string, timeout time.Duration, body []byte, jobs []driver.Job,
-	delivered []bool, yield func(int, driver.Outcome, error) bool, refused func(*http.Response) error) (string, error) {
-	id, err := SubmitBatch(ctx, hc, base, timeout, body, refused)
+// Timeout bounds the submit and, on the stream — which as a whole lives as
+// long as its batch — every gap between two frames. A ticket that will not be
+// read to its done frame is cancelled on the server before Stream returns
+// (Disown), whatever ended the read — except a cut, where the reader decides:
+// it may resume the ticket, or Disown it.
+func (e Endpoint) Stream(ctx context.Context, jobs []driver.Job, trace bool, delivered []bool,
+	yield func(int, driver.Outcome, error) bool) (string, error) {
+	id, err := e.Submit(ctx, jobs, 0, trace)
 	if err != nil {
 		return "", err
 	}
-	err = readStream(ctx, hc, base, timeout, id, jobs, delivered, yield)
-	if err != nil && (ctx.Err() != nil || errors.Is(err, ErrConsumerStopped)) {
-		abandon(ctx, hc, base, id)
-	}
-	return id, err
-}
-
-// abandon best-effort cancels a ticket whose reader walked away, so the
-// server stops compiling work nobody will read. It outlives ctx, which is
-// typically already cancelled.
-func abandon(ctx context.Context, hc *http.Client, base, id string) {
-	ctx, cancel := context.WithTimeout(context.WithoutCancel(ctx), 10*time.Second)
-	defer cancel()
-	req, err := http.NewRequestWithContext(ctx, http.MethodDelete, base+"/jobs/"+id, nil)
+	reason, err := e.readStream(ctx, id, jobs, delivered, yield)
 	if err != nil {
-		return
+		if !errors.Is(err, ErrStreamCut) {
+			e.Disown(ctx, id)
+		}
+		return id, err
 	}
-	if resp, err := hc.Do(req); err == nil {
-		resp.Body.Close() // the ticket may already be done; ignore the answer
+	// Jobs the server never delivered inherit the batch's terminal error.
+	for _, ok := range delivered {
+		if !ok {
+			if reason != "" {
+				return id, &RemoteError{Msg: reason}
+			}
+			return id, errors.New("clusched: stream finished without delivering this job")
+		}
 	}
+	return id, nil
 }
 
-// nextLine reads one newline-terminated line of r. The slice is valid until
-// the next call: r's own buffer, or *long when the line outgrows that. A
-// last line without its newline is half a frame, whatever it parses as:
-// io.ErrUnexpectedEOF.
+// nextLine reads one newline-terminated line of r, of at most maxFrameBytes
+// (ErrFrameTooLong beyond). The slice is valid until the next call: r's own
+// buffer, or *long when the line outgrows that. A last line without its
+// newline is half a frame, whatever it parses as: io.ErrUnexpectedEOF.
 func nextLine(r *bufio.Reader, long *[]byte) ([]byte, error) {
 	line, err := r.ReadSlice('\n')
 	if err == bufio.ErrBufferFull {
 		*long = (*long)[:0]
 		for err == bufio.ErrBufferFull {
+			if len(*long)+len(line) > maxFrameBytes {
+				return nil, ErrFrameTooLong
+			}
 			*long = append(*long, line...)
 			line, err = r.ReadSlice('\n')
 		}
@@ -197,42 +294,33 @@ func nextLine(r *bufio.Reader, long *[]byte) ([]byte, error) {
 }
 
 // readStream opens the NDJSON endpoint of a submitted ticket and yields
-// outcome frames until the done frame; see StreamBatch for what it returns.
-func readStream(ctx context.Context, hc *http.Client, base string, timeout time.Duration, id string, jobs []driver.Job,
-	delivered []bool, yield func(int, driver.Outcome, error) bool) error {
-	// No unary timeout here: the stream lives exactly as long as its
-	// batch. ctx still cancels it at any moment.
-	req, err := http.NewRequestWithContext(ctx, http.MethodGet, base+"/batch/"+id+"/stream?"+NoLoop, nil)
+// outcome frames until the done frame, whose error text it returns. A non-nil
+// error means the read ended short of the done frame; see Stream.
+func (e Endpoint) readStream(ctx context.Context, id string, jobs []driver.Job, delivered []bool,
+	yield func(int, driver.Outcome, error) bool) (string, error) {
+	// No unary timeout here: the stream lives exactly as long as its batch.
+	// ctx still cancels it at any moment.
+	resp, err := e.request(ctx, http.MethodGet, "/batch/"+id+"/stream?"+NoLoop, nil)
 	if err != nil {
-		return err
-	}
-	resp, err := hc.Do(req)
-	if err != nil {
-		return err
+		var se *StatusError
+		if errors.As(err, &se) {
+			// Deliberately untyped: see Stream.
+			err = fmt.Errorf("clusched: stream answered %s", se.answer())
+		}
+		return "", err
 	}
 	defer resp.Body.Close()
-	if resp.StatusCode != http.StatusOK {
-		// A refusal — typically 404 for a ticket the server no longer knows
-		// (restart, retention pruning) — is a failure of the undelivered
-		// jobs, with the server's reason when it sent one.
-		var er ErrorResponse
-		if err := json.NewDecoder(io.LimitReader(resp.Body, 1<<16)).Decode(&er); err == nil && er.Error != "" {
-			return fmt.Errorf("clusched: service: %s", er.Error)
-		}
-		return fmt.Errorf("clusched: stream answered %s", resp.Status)
-	}
 
-	// The stream is exempt from the unary timeout as a whole — it lives as
-	// long as its batch — but each inter-frame gap is bounded: a server
-	// that wedges (or a connection that dies without an RST) would
-	// otherwise hang the caller forever. The watchdog closes the body,
-	// which unblocks the read with an error we translate below.
+	// Each gap between two frames is bounded: a server that wedges (or a
+	// connection that dies without an RST) would otherwise hang the caller
+	// forever. The watchdog closes the body, which unblocks the read with an
+	// error translated below.
 	var (
 		timedOut atomic.Bool
 		idle     *time.Timer
 	)
-	if timeout > 0 {
-		idle = time.AfterFunc(timeout, func() {
+	if e.Timeout > 0 {
+		idle = time.AfterFunc(e.Timeout, func() {
 			timedOut.Store(true)
 			resp.Body.Close()
 		})
@@ -244,11 +332,10 @@ func readStream(ctx context.Context, hc *http.Client, base string, timeout time.
 	// the outcome keeps.
 	lines := bufio.NewReaderSize(resp.Body, 64<<10)
 	var (
-		f        Frame
-		long     []byte // nextLine's memory for a line longer than the reader's
-		batchErr error
+		f    Frame
+		long []byte // nextLine's memory for a line longer than the reader's
 	)
-	for sawDone := false; !sawDone; {
+	for {
 		line, err := nextLine(lines, &long)
 		if err == nil {
 			if len(bytes.TrimSpace(line)) == 0 {
@@ -256,38 +343,40 @@ func readStream(ctx context.Context, hc *http.Client, base string, timeout time.
 			}
 			err = DecodeFrame(line, &f)
 		}
-		if err != nil {
-			if timedOut.Load() {
-				return fmt.Errorf("clusched: stream for ticket %s idle for %v, giving up", id, timeout)
-			}
-			// The server had accepted the stream (200, frames flowing), so
-			// this is the transport dying mid-batch, not the server refusing
-			// the ticket.
-			if errors.Is(err, io.EOF) {
-				return fmt.Errorf("%w: ticket %s ended before its done frame", ErrStreamCut, id)
-			}
-			return fmt.Errorf("%w: ticket %s: %v", ErrStreamCut, id, err)
+		switch {
+		case err == nil:
+		case timedOut.Load():
+			return "", fmt.Errorf("clusched: stream for ticket %s idle for %v, giving up", id, e.Timeout)
+		case ctx.Err() != nil:
+			return "", ctx.Err()
+		case errors.Is(err, ErrFrameTooLong):
+			return "", fmt.Errorf("%w: ticket %s: a line over %d bytes", err, id, maxFrameBytes)
+		default:
+			// The server had accepted the stream (200, frames flowing), so this
+			// is the transport dying mid-batch — io.EOF: before the done frame —
+			// not the server refusing the ticket.
+			return "", fmt.Errorf("%w: ticket %s: %v", ErrStreamCut, id, err)
 		}
 		if idle != nil {
-			idle.Reset(timeout)
+			idle.Reset(e.Timeout)
 		}
 		// Unknown frame types and too-new hellos fail typed
 		// (*UnknownFrameError, *SchemaError): a newer protocol is an explicit
 		// error, never silently misread.
 		if err := f.Validate(); err != nil {
-			return err
+			return "", err
 		}
 		switch f.Type {
 		case FrameHello:
 			if f.Total != len(jobs) {
-				return fmt.Errorf("clusched: stream for ticket %s announces %d jobs, submitted %d", id, f.Total, len(jobs))
+				return "", fmt.Errorf("clusched: stream for ticket %s announces %d jobs, submitted %d", id, f.Total, len(jobs))
 			}
 		case FrameOutcome:
 			if f.Index >= len(jobs) {
-				return fmt.Errorf("clusched: stream outcome for job %d of a %d-job batch", f.Index, len(jobs))
+				return "", fmt.Errorf("clusched: stream outcome for job %d of a %d-job batch", f.Index, len(jobs))
 			}
 			if delivered[f.Index] {
-				return fmt.Errorf("clusched: stream delivered job %d twice", f.Index)
+				return "", fmt.Errorf("clusched: stream delivered job %d twice", f.Index)
 			}
 			out, derr := f.Outcome.DecodeFor(jobs[f.Index])
 			if derr != nil {
@@ -295,26 +384,12 @@ func readStream(ctx context.Context, hc *http.Client, base string, timeout time.
 			}
 			delivered[f.Index] = true
 			if !yield(f.Index, out, derr) {
-				return ErrConsumerStopped
+				return "", ErrConsumerStopped
 			}
 		case FrameDone:
-			if f.Error != "" {
-				batchErr = &RemoteError{Msg: f.Error}
-			}
-			sawDone = true
+			return f.Error, nil
 		}
 	}
-	// Jobs the server never delivered (a batch cancelled while queued, or
-	// retired early) inherit the batch's terminal error.
-	for _, ok := range delivered {
-		if !ok {
-			if batchErr == nil {
-				batchErr = errors.New("clusched: stream finished without delivering this job")
-			}
-			return batchErr
-		}
-	}
-	return nil
 }
 
 // SubmitRequest asks the service to compile a batch. POST /batch accepts

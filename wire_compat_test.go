@@ -15,7 +15,6 @@ import (
 	"net/http"
 	"net/http/httptest"
 	"testing"
-	"time"
 
 	"clusched/internal/service"
 	"clusched/internal/wire"
@@ -51,7 +50,7 @@ func TestClientsDecodeAnEchoingServer(t *testing.T) {
 	cluster := NewCluster([]string{b.URL}, WithNodeInFlight(2), WithHealthInterval(-1))
 	t.Cleanup(cluster.Close)
 	for name, backend := range map[string]Backend{
-		"remote":  NewRemote(a.URL, WithPollInterval(5*time.Millisecond)),
+		"remote":  fastPoll(NewRemote(a.URL)),
 		"cluster": cluster,
 	} {
 		outs, err := Collect(context.Background(), backend, jobs)
@@ -72,7 +71,7 @@ func TestClientsDecodeAnEchoingServer(t *testing.T) {
 		}
 	}
 	// The poll path, which a cut stream resumes over, parses echoes too.
-	c := NewRemote(a.URL, WithPollInterval(5*time.Millisecond))
+	c := fastPoll(NewRemote(a.URL))
 	id, err := c.SubmitBatch(context.Background(), jobs, 0)
 	if err != nil {
 		t.Fatal(err)
