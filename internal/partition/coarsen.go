@@ -1,6 +1,7 @@
 package partition
 
 import (
+	"cmp"
 	"slices"
 	"sort"
 
@@ -100,25 +101,9 @@ func coarsen(g *ddg.Graph, m machine.Config, ii int, w []int, sc *Scratch) *macr
 	}
 	alive := n
 
-	// Memory edges join macros too, at weight zero.
-	pairs := sc.pairs[:0]
-	for i := range g.Edges {
-		if e := &g.Edges[i]; e.Src != e.Dst {
-			pairs = append(pairs, macroPair{a: min(e.Src, e.Dst), b: max(e.Src, e.Dst), w: w[i]})
-		}
-	}
+	pairs, packable := edgePairs(g, w, sc)
 	for alive > m.Clusters {
-		pairs = combinePairs(pairs)
-		// Deterministic order: weight desc, then IDs.
-		slices.SortFunc(pairs, func(x, y macroPair) int {
-			if x.w != y.w {
-				return y.w - x.w
-			}
-			if x.a != y.a {
-				return x.a - y.a
-			}
-			return x.b - y.b
-		})
+		pairs = sortPairs(pairs, packable, sc)
 		matched := zeroed(sc.matched, n)
 		sc.matched = matched
 		merges := 0
@@ -214,24 +199,79 @@ func fitsTogether(a, b *[ddg.NumClasses]int, cap [ddg.NumClasses]int) bool {
 	return true
 }
 
-// combinePairs sorts the pair list by endpoints and adds up parallel pairs
-// in place, leaving one pair per connected macro pair.
-func combinePairs(pairs []macroPair) []macroPair {
-	slices.SortFunc(pairs, func(x, y macroPair) int {
-		if x.a != y.a {
-			return x.a - y.a
-		}
-		return x.b - y.b
-	})
-	out := pairs[:0]
-	for _, p := range pairs {
-		if k := len(out) - 1; k >= 0 && out[k].a == p.a && out[k].b == p.b {
-			out[k].w += p.w
-		} else {
-			out = append(out, p)
+// A pair packs into one uint64 when ids take keyIDBits and weights keyWBits.
+const (
+	keyIDBits = 20
+	keyWBits  = 64 - 2*keyIDBits
+)
+
+// edgePairs starts the macro graph: one pair per edge between two nodes,
+// memory edges too, at weight zero. packable says whether every level's
+// pairs fit sortPairs' keys — read off the input once, since contraction
+// only drops pairs or adds their weights up.
+func edgePairs(g *ddg.Graph, w []int, sc *Scratch) (pairs []macroPair, packable bool) {
+	pairs = sc.pairs[:0]
+	packable, sum := g.NumNodes() < 1<<keyIDBits, 0
+	for i := range g.Edges {
+		if e := &g.Edges[i]; e.Src != e.Dst {
+			pairs = append(pairs, macroPair{a: min(e.Src, e.Dst), b: max(e.Src, e.Dst), w: w[i]})
+			if w[i] < 0 || w[i] >= 1<<keyWBits {
+				packable = false
+			}
+			sum += w[i] // cannot overflow while packable
 		}
 	}
-	return out
+	return pairs, packable && sum < 1<<keyWBits
+}
+
+// sortPairs adds up parallel pairs in place, leaving one per connected
+// macro pair, and puts the list in matching order: weight descending, then
+// ids. Both steps sort by a total order on what they compare — (a, b, w) to
+// bring parallel pairs together, (w, a, b) over distinct (a, b) — so any
+// correct sort yields the same list, and packable pairs (ids below
+// 2^keyIDBits, weights non-negative and summing below 2^keyWBits) sort as
+// plain integers, a‖b‖w and then (wmax−w)‖a‖b. The weights come from the
+// machine's bus latency, which a job may set to anything: the comparator
+// path stays for the rest.
+func sortPairs(pairs []macroPair, packable bool, sc *Scratch) []macroPair {
+	if !packable {
+		slices.SortFunc(pairs, func(x, y macroPair) int { return cmp.Or(x.a-y.a, x.b-y.b) })
+		out := pairs[:0]
+		for _, p := range pairs {
+			if k := len(out) - 1; k >= 0 && out[k].a == p.a && out[k].b == p.b {
+				out[k].w += p.w
+			} else {
+				out = append(out, p)
+			}
+		}
+		slices.SortFunc(out, func(x, y macroPair) int { return cmp.Or(y.w-x.w, x.a-y.a, x.b-y.b) })
+		return out
+	}
+	const idMask, wMask = 1<<keyIDBits - 1, 1<<keyWBits - 1
+	keys := grown(sc.keys, len(pairs))
+	sc.keys = keys
+	for i, p := range pairs {
+		keys[i] = uint64(p.a)<<(keyIDBits+keyWBits) | uint64(p.b)<<keyWBits | uint64(p.w)
+	}
+	slices.Sort(keys)
+	out, wmax := keys[:0], uint64(0)
+	for _, k := range keys {
+		if j := len(out) - 1; j >= 0 && out[j]>>keyWBits == k>>keyWBits {
+			out[j] += k & wMask
+		} else {
+			out = append(out, k)
+		}
+		wmax = max(wmax, out[len(out)-1]&wMask)
+	}
+	for i, k := range out {
+		out[i] = (wmax-k&wMask)<<(2*keyIDBits) | k>>keyWBits
+	}
+	slices.Sort(out)
+	pairs = pairs[:len(out)]
+	for i, k := range out {
+		pairs[i] = macroPair{a: int(k >> keyIDBits & idMask), b: int(k & idMask), w: int(wmax - k>>(2*keyIDBits))}
+	}
+	return pairs
 }
 
 // foldMacro folds macro b into macro a; b becomes dead (size 0) and rep
@@ -294,7 +334,7 @@ func assignMacros(g *ddg.Graph, m machine.Config, ii int, ms *macroSet, w []int,
 			capacity[c][cl] = m.FUAt(c, ddg.Class(cl)) * ii
 		}
 	}
-	a := &Assignment{Cluster: make([]int, g.NumNodes()), K: m.Clusters}
+	a := sc.assignment(g.NumNodes(), m.Clusters) // every node is a member of one macro
 	order := grown(sc.order, ms.n)
 	sc.order = order
 	for i := range order {

@@ -1,10 +1,14 @@
 package partition
 
 import (
+	"slices"
 	"testing"
 
+	"clusched/internal/corpus"
 	"clusched/internal/ddg"
 	"clusched/internal/machine"
+	"clusched/internal/mii"
+	"clusched/internal/workload"
 )
 
 func TestEdgeWeightsCriticalEdgesHeavier(t *testing.T) {
@@ -108,5 +112,82 @@ func TestCoarsenDisconnectedComponents(t *testing.T) {
 	}
 	if ms.n > 7 {
 		t.Errorf("no coarsening happened: %d macros", ms.n)
+	}
+}
+
+// hostileBus is a machine whose bus latency puts the summed edge weights
+// past what a packed sort key holds: coarsen must take the comparator path.
+func hostileBus() machine.Config { return machine.MustNew(4, 1, 1<<22, 64) }
+
+// checkSortPairs holds sortPairs to sortPairsReference on the macro graph
+// of g under weights w, level after level: each level's list is sorted by
+// the reference, by the path edgePairs' guard selects and — when the pairs
+// pack — by the comparator path too, then contracted along a greedy
+// matching (as coarsen does, capacity aside) so later levels carry parallel
+// pairs to add up. It returns what the guard said.
+func checkSortPairs(t *testing.T, g *ddg.Graph, w []int, sc *Scratch) bool {
+	t.Helper()
+	pairs, packable := edgePairs(g, w, sc)
+	pairs = slices.Clone(pairs)
+	rep, matched := make([]int, g.NumNodes()), make([]bool, g.NumNodes())
+	for level := 0; len(pairs) > 0; level++ {
+		want := sortPairsReference(slices.Clone(pairs))
+		for _, packed := range []bool{packable, false} {
+			if got := sortPairs(slices.Clone(pairs), packed, sc); !slices.Equal(got, want) {
+				t.Fatalf("%s level %d (packed keys: %v): sortPairs differs from the reference\n got %v\nwant %v", g.Name, level, packed, got, want)
+			}
+		}
+		for v := range rep {
+			rep[v], matched[v] = v, false
+		}
+		for _, p := range want {
+			if !matched[p.a] && !matched[p.b] {
+				rep[p.b], matched[p.a], matched[p.b] = p.a, true, true
+			}
+		}
+		pairs = pairs[:0]
+		for _, p := range want {
+			if a, b := rep[p.a], rep[p.b]; a != b {
+				pairs = append(pairs, macroPair{a: min(a, b), b: max(a, b), w: p.w})
+			}
+		}
+	}
+	return packable
+}
+
+// TestSortPairsMatchesReference runs checkSortPairs over the suite and a
+// corpus sample: on the Table 1 machines every loop must pack, on the
+// hostile one none with a data edge may, and both paths must produce the
+// retired code's list.
+func TestSortPairsMatchesReference(t *testing.T) {
+	var graphs []*ddg.Graph
+	for _, l := range workload.SPECfp95() {
+		graphs = append(graphs, l.Graph)
+	}
+	spec := corpus.DefaultSpec()
+	for i := 0; i < 512; i++ {
+		graphs = append(graphs, spec.Loop(i))
+	}
+	sc := NewScratch()
+	hostile, fellBack := hostileBus(), 0
+	for _, g := range graphs {
+		for _, m := range []machine.Config{machine.MustParse("4c2b2l64r"), machine.MustParse("2c2b4l64r")} {
+			ii := mii.MII(g, m)
+			if !checkSortPairs(t, g, slices.Clone(edgeWeights(g, m, ii, sc)), sc) {
+				t.Fatalf("%s on %s: the guard refused to pack a suite-sized loop", g.Name, m.Name)
+			}
+		}
+		if !checkSortPairs(t, g, slices.Clone(edgeWeights(g, hostile, mii.MII(g, hostile), sc)), sc) {
+			fellBack++
+		}
+		checkSortPairs(t, g, uniformWeights(g), sc)
+	}
+	if fellBack < len(graphs)/2 {
+		t.Errorf("only %d of %d loops took the comparator path on %s", fellBack, len(graphs), hostile.Name)
+	}
+	// The whole partitioner on the hostile machine, against its oracles.
+	d := newDiffer(t)
+	for _, g := range graphs[:200] {
+		d.loop(g, hostile)
 	}
 }

@@ -241,8 +241,12 @@ func FuzzRefine(f *testing.F) {
 			f.Fatal(err)
 		}
 		f.Add(text, uint8(len(text)), uint8(len(l.Graph.Nodes)))
+		// And once on a machine whose weights pack into coarsen's sort
+		// keys, once on the one whose do not (machines[0] and [1] below).
+		f.Add(text, uint8(0), uint8(len(l.Graph.Nodes)))
+		f.Add(text, uint8(1), uint8(len(l.Graph.Nodes)))
 	}
-	machines := append(diffMachines(f), evalMachines(f)...)
+	machines := append([]machine.Config{machine.MustParse("4c2b2l64r"), hostileBus()}, append(diffMachines(f), evalMachines(f)...)...)
 	f.Fuzz(func(t *testing.T, text string, msel, iisel uint8) {
 		graphs, err := ddg.ParseString(text)
 		if err != nil {

@@ -88,15 +88,19 @@ func Unified(g *ddg.Graph) *Assignment {
 // using the multilevel strategy: coarsen by maximum-weight matching, assign
 // macro-nodes to clusters, then refine.
 func Initial(g *ddg.Graph, m machine.Config, ii int) *Assignment {
-	return InitialScratch(g, m, ii, NewScratch())
+	return InitialScratch(g, m, ii, NewScratch()).Clone()
 }
 
 // InitialScratch is Initial over a caller-owned scratch arena; the II
-// search reuses one arena across all its partitioning calls.
+// search reuses one arena across all its partitioning calls. The returned
+// assignment lives in the arena and is valid until the call after next on
+// it (Scratch.assignment); Initial is the door that returns an owned one.
 func InitialScratch(g *ddg.Graph, m machine.Config, ii int, sc *Scratch) *Assignment {
 	if !m.Clustered() {
 		sc.converged = true
-		return Unified(g)
+		a := sc.assignment(g.NumNodes(), 1) // Unified, in the arena
+		clear(a.Cluster)
+		return a
 	}
 	w := edgeWeights(g, m, ii, sc)
 	ms := coarsen(g, m, ii, w, sc)
@@ -118,7 +122,7 @@ func InitialUniform(g *ddg.Graph, m machine.Config, ii int) *Assignment {
 	ms := coarsen(g, m, ii, w, sc)
 	a := assignMacros(g, m, ii, ms, w, sc)
 	sc.converged = refine(g, m, ii, a, w, sc)
-	return a
+	return a.Clone()
 }
 
 // uniformWeights weighs every data edge 1 and every memory edge 0.
@@ -136,16 +140,18 @@ func uniformWeights(g *ddg.Graph) []int {
 // returning a new assignment; the input is not modified. This is the
 // "refine partition" step of the paper's Fig. 2 driver loop.
 func Refine(g *ddg.Graph, m machine.Config, ii int, a *Assignment) *Assignment {
-	return RefineScratch(g, m, ii, a, NewScratch())
+	return RefineScratch(g, m, ii, a, NewScratch()).Clone()
 }
 
-// RefineScratch is Refine over a caller-owned scratch arena.
+// RefineScratch is Refine over a caller-owned scratch arena; the result
+// lives in the arena under InitialScratch's lifetime rule, which is what
+// lets a be the previous call's result.
 func RefineScratch(g *ddg.Graph, m machine.Config, ii int, a *Assignment, sc *Scratch) *Assignment {
 	if !m.Clustered() {
-		sc.converged = true
-		return Unified(g)
+		return InitialScratch(g, m, ii, sc)
 	}
-	na := a.Clone()
+	na := sc.assignment(len(a.Cluster), a.K)
+	copy(na.Cluster, a.Cluster)
 	w := edgeWeights(g, m, ii, sc)
 	sc.converged = refine(g, m, ii, na, w, sc)
 	return na

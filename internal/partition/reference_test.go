@@ -8,6 +8,9 @@ package partition
 // refineReference still drives the production refineState (move and score
 // are unchanged and remain the commit path); coarsenReference takes the
 // edge-aggregation map it used to keep in the Scratch as a parameter.
+// sortPairsReference is the combine-then-order step of coarsen's level loop
+// as it stood before the packed sort keys: combinePairs and the comparator
+// sort that followed it.
 
 import (
 	"slices"
@@ -326,4 +329,40 @@ func initialReference(g *ddg.Graph, m machine.Config, ii int, sc *Scratch, agg m
 	ms := coarsenReference(g, m, ii, w, sc, agg)
 	a := assignMacrosReference(g, m, ii, ms, w, sc)
 	return a, refineReference(g, m, ii, a, w, sc)
+}
+
+// combinePairsReference sorts the pair list by endpoints and adds up
+// parallel pairs in place, leaving one pair per connected macro pair.
+func combinePairsReference(pairs []macroPair) []macroPair {
+	slices.SortFunc(pairs, func(x, y macroPair) int {
+		if x.a != y.a {
+			return x.a - y.a
+		}
+		return x.b - y.b
+	})
+	out := pairs[:0]
+	for _, p := range pairs {
+		if k := len(out) - 1; k >= 0 && out[k].a == p.a && out[k].b == p.b {
+			out[k].w += p.w
+		} else {
+			out = append(out, p)
+		}
+	}
+	return out
+}
+
+// sortPairsReference is the head of coarsen's level loop as it stood.
+func sortPairsReference(pairs []macroPair) []macroPair {
+	pairs = combinePairsReference(pairs)
+	// Deterministic order: weight desc, then IDs.
+	slices.SortFunc(pairs, func(x, y macroPair) int {
+		if x.w != y.w {
+			return y.w - x.w
+		}
+		if x.a != y.a {
+			return x.a - y.a
+		}
+		return x.b - y.b
+	})
+	return pairs
 }

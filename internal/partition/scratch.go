@@ -35,6 +35,7 @@ type Scratch struct {
 	mcounts [][ddg.NumClasses]int
 	msize   []int
 	pairs   []macroPair
+	keys    []uint64
 	rep     []int
 	matched []bool
 	live    []int
@@ -50,6 +51,11 @@ type Scratch struct {
 	clusterOf []int
 	conn      []int
 
+	// The two assignment slots the entry points hand out in turn (see
+	// assignment).
+	slots [2]Assignment
+	next  int
+
 	// converged records whether the last Initial/Refine call on this
 	// scratch reached a refinement fixpoint (see Converged).
 	converged bool
@@ -61,6 +67,18 @@ type Scratch struct {
 // skip-ahead rule requires a fixpoint to prove that re-refining the same
 // assignment at a larger II is a no-op.
 func (sc *Scratch) Converged() bool { return sc.converged }
+
+// assignment returns the next of the arena's two assignment slots, sized
+// for n nodes on k clusters with Cluster's contents unspecified. The slots
+// alternate, so an assignment handed out by InitialScratch or RefineScratch
+// is valid until the call after next on this arena: RefineScratch(a) never
+// writes the a it reads, and a caller that keeps one longer clones it.
+func (sc *Scratch) assignment(n, k int) *Assignment {
+	a := &sc.slots[sc.next]
+	sc.next ^= 1
+	a.Cluster, a.K = grown(a.Cluster, n), k
+	return a
+}
 
 // NewScratch returns an empty arena; buffers grow on first use.
 func NewScratch() *Scratch { return &Scratch{} }

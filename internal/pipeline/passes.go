@@ -44,7 +44,7 @@ func (PartitionPass) Run(ctx *Context) error {
 		ctx.Assign = partition.RefineScratch(ctx.Graph, ctx.Machine, ctx.II, ctx.Assign, sc)
 	}
 	ctx.PartitionConverged = sc.Converged()
-	ctx.Placement = sched.NewPlacement(ctx.Graph, ctx.Assign)
+	ctx.Placement = ctx.arena.Sched.Placement(ctx.Graph, ctx.Assign)
 	ctx.CommsBeforeReplication = ctx.Placement.Comms()
 	return nil
 }

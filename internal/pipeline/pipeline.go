@@ -117,9 +117,12 @@ func (r *Result) Speedup(other *Result, iterations float64) float64 {
 // pass chain drives. The II search carries one Arena across every attempt
 // of a compilation — the reservation table, instance graph, ordering and
 // liveness buffers are resized in place instead of reallocated per II —
-// and the driver's workers reuse one Arena across all their jobs, so
-// steady-state compilation allocates almost nothing. An Arena is not safe
-// for concurrent use.
+// and the driver's workers reuse one Arena across all their jobs. One rule
+// covers everything an attempt builds in it (assignment, placement,
+// instance graph, a failed schedule's error): valid until the arena's next
+// attempt, copied out exactly once, on acceptance (sched's accept) — so a
+// compilation on a warm arena allocates its Result and that schedule. An
+// Arena is not safe for concurrent use.
 type Arena struct {
 	// Sched is the modulo scheduler's arena; Part the partitioner's; Repl
 	// the replication pass's; MII the bound computation's.
@@ -127,6 +130,17 @@ type Arena struct {
 	Part  *partition.Scratch
 	Repl  *replic.Scratch
 	MII   *mii.Scratch
+
+	// front is the search's frontier Context, cleared when the search
+	// returns so an idle arena pins no graph, assignment or schedule.
+	front Context
+	// fixed is the assignment of a chain that computes one per search and
+	// never partitions (moddist); order and indeg are its traversal buffers.
+	fixed        partition.Assignment
+	order, indeg []int
+	// timing and counts serve the skip-ahead's checks (skipahead.go).
+	timing ddg.TimingScratch
+	counts [][ddg.NumClasses]int
 }
 
 // NewArena returns an empty arena; buffers grow on first use.
@@ -168,10 +182,12 @@ type Context struct {
 	// MII is the lower bound; II is the interval of the current attempt.
 	MII, II int
 
-	// Assign is the cluster assignment, carried across II attempts.
+	// Assign is the cluster assignment, carried across II attempts; each
+	// attempt's partitioning call leaves it valid through the next one.
 	Assign *partition.Assignment
 	// Placement wraps Assign with copy and replica bookkeeping for the
-	// current attempt.
+	// current attempt, in the arena; the placement that outlives an
+	// accepted attempt is Schedule.IG.P.
 	Placement *sched.Placement
 	// CommsBeforeReplication counts the communications the partition
 	// implied before any replication ran.

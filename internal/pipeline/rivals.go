@@ -14,6 +14,7 @@ package pipeline
 import (
 	"fmt"
 
+	"clusched/internal/arena"
 	"clusched/internal/machine"
 	"clusched/internal/partition"
 	"clusched/internal/sched"
@@ -57,7 +58,7 @@ func (UASAssignPass) Run(ctx *Context) error {
 		return nil
 	}
 	ctx.Assign = a
-	ctx.Placement = sched.NewPlacement(ctx.Graph, a)
+	ctx.Placement = ctx.arena.Sched.Placement(ctx.Graph, a)
 	ctx.CommsBeforeReplication = ctx.Placement.Comms()
 	if m := ctx.Machine; m.Clustered() && ctx.CommsBeforeReplication > m.BusComs(ctx.II) {
 		ctx.Fail(CauseBus)
@@ -109,14 +110,15 @@ func (ModDistPass) Name() string { return "moddist" }
 func (ModDistPass) Run(ctx *Context) error {
 	m := ctx.Machine
 	if ctx.Assign == nil {
-		k := m.Clusters
-		a := &partition.Assignment{Cluster: make([]int, ctx.Graph.NumNodes()), K: k}
-		for i, v := range ctx.Graph.TopoOrder() {
-			a.Cluster[v] = i % k
+		ar, n, k := ctx.arena, ctx.Graph.NumNodes(), m.Clusters
+		ar.order, ar.indeg = arena.Grown(ar.order, n), arena.Grown(ar.indeg, n)
+		ar.fixed = partition.Assignment{Cluster: arena.Zeroed(ar.fixed.Cluster, n), K: k}
+		for i, v := range ctx.Graph.TopoOrderInto(ar.order, ar.indeg) {
+			ar.fixed.Cluster[v] = i % k
 		}
-		ctx.Assign = a
+		ctx.Assign = &ar.fixed
 	}
-	ctx.Placement = sched.NewPlacement(ctx.Graph, ctx.Assign)
+	ctx.Placement = ctx.arena.Sched.Placement(ctx.Graph, ctx.Assign)
 	ctx.CommsBeforeReplication = ctx.Placement.Comms()
 	if m.Clustered() && ctx.CommsBeforeReplication > m.BusComs(ctx.II) {
 		ctx.Fail(CauseBus)

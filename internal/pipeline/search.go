@@ -30,9 +30,12 @@ package pipeline
 // carries the last confirmed failure's assignment into the next. Lanes ≤ 1
 // is the same round with no extra lanes: it allocates no lane state at all.
 //
-// Because the seed assignment is only ever shared read-only (refinement
-// clones before mutating, and placements copy the cluster slice), lanes
-// never observe each other. Results are bit-identical to the naive
+// The seed assignment is only ever shared read-only (the frontier partitions
+// once per round, refinement writes the arena's other assignment slot, and
+// placements copy the cluster slice), so lanes never observe each other. A
+// lane's arena goes back to the pool with its goroutine: the Context it
+// publishes keeps its assignment by heap copy and no placement (an accepted
+// schedule carries its own). Results are bit-identical to the naive
 // one-attempt-per-interval search — search_parity_test.go pins this against
 // referenceSearch across suites, configs, strategies, lane counts, traced
 // and untraced.
@@ -166,7 +169,9 @@ func search(cctx context.Context, g *ddg.Graph, m machine.Config, opts Options, 
 		tid = tr.Track(track)
 	}
 
-	front := &Context{Graph: g, Machine: m, Opts: opts, MII: res.MII, arena: arena}
+	front := &arena.front
+	*front = Context{Graph: g, Machine: m, Opts: opts, MII: res.MII, arena: arena}
+	defer func() { *front = Context{} }()
 	for ii := res.MII; ii <= maxII; {
 		if err := cctx.Err(); err != nil {
 			return nil, err
@@ -216,19 +221,21 @@ func search(cctx context.Context, g *ddg.Graph, m machine.Config, opts Options, 
 		if front.failed {
 			continue
 		}
-		if front.Schedule == nil || front.Placement == nil {
+		if front.Schedule == nil {
 			return nil, fmt.Errorf("pipeline: pass chain accepted II=%d without producing a schedule", front.II)
 		}
+		// The accepted schedule carries the placement it was made for out of
+		// the arena; front.Placement is the attempt's and dies with it.
 		res.II = front.II
 		res.Length = front.Schedule.Length
 		res.SC = front.Schedule.SC
 		res.CommsBeforeReplication = front.CommsBeforeReplication
-		res.Comms = front.Placement.Comms()
+		res.Schedule = front.Schedule
+		res.Placement = front.Schedule.IG.P
+		res.Comms = res.Placement.Comms()
 		res.Replicated = front.ReplStats.Replicated
 		res.Removed = front.ReplStats.Removed
 		res.ReplicationSteps = front.ReplStats.Steps
-		res.Schedule = front.Schedule
-		res.Placement = front.Placement
 		return res, nil
 	}
 	return nil, fmt.Errorf("pipeline: loop %s does not schedule on %s with II up to %d", g.Name, m, maxII)
@@ -311,6 +318,7 @@ type round struct {
 // separate function so the plain search pays for none of its state.
 func launch(cctx context.Context, front *Context, ii, width int, passes []Pass, rep attemptReplayer, cfg SearchConfig, track string) *round {
 	r := &round{tr: cfg.Trace, stats: cfg.Stats}
+	seed := front.Assign
 	for j := 1; j <= width; j++ {
 		var arena *Arena
 		if cfg.Pool != nil {
@@ -326,12 +334,19 @@ func launch(cctx context.Context, front *Context, ii, width int, passes []Pass, 
 			ln.tid = r.tr.Track(track + " spec+" + strconv.Itoa(j))
 		}
 		ln.ctx = &Context{Graph: front.Graph, Machine: front.Machine, Opts: front.Opts,
-			MII: front.MII, Assign: front.Assign, arena: arena.filled()}
+			MII: front.MII, Assign: seed, arena: arena.filled()}
 		r.lanes = append(r.lanes, ln)
 		r.wg.Add(1)
 		go func() {
 			defer r.wg.Done()
 			ln.err = ln.run(lctx, ii, passes, rep, r.tr)
+			// What the attempt left in the arena is released with it. A
+			// lane that never reassigned still holds the seed, which is the
+			// frontier's to keep alive.
+			if a := ln.ctx.Assign; ln.err == nil && a != seed {
+				ln.ctx.Assign = a.Clone()
+			}
+			ln.ctx.Placement = nil
 			close(ln.done)
 			if cfg.Pool != nil {
 				cfg.Pool.Release(arena)

@@ -50,6 +50,7 @@ package pipeline
 // same comms count C, and C > BusComs(ii') — the exact failure, cause
 // tally and state evolution of the linear search, minus the work.
 import (
+	"clusched/internal/arena"
 	"clusched/internal/ddg"
 	"clusched/internal/machine"
 )
@@ -78,14 +79,14 @@ func (c *Context) skipTarget() int {
 // from which edgeWeights(g, m, ii') is constant in ii'.
 func (c *Context) weightStableII() int {
 	if c.wStableII == 0 {
-		c.wStableII = weightStableII(c.Graph, c.Machine)
+		c.wStableII = weightStableII(c.Graph, c.Machine, &c.arena.timing)
 	}
 	return c.wStableII
 }
 
 // weightStableII computes condition 2's threshold: the II at and beyond
 // which the partitioner's slack-based edge weights no longer change.
-func weightStableII(g *ddg.Graph, m machine.Config) int {
+func weightStableII(g *ddg.Graph, m machine.Config, sc *ddg.TimingScratch) int {
 	// Timing at an interval beyond every latency: every loop-carried edge
 	// clamps, so ASAP/ALAP equal their large-II fixpoint.
 	big := 2
@@ -94,7 +95,7 @@ func weightStableII(g *ddg.Graph, m machine.Config) int {
 			big = l
 		}
 	}
-	tm := g.ComputeTiming(big)
+	tm := g.ComputeTimingScratch(big, sc)
 	stable := 1
 	for i := range g.Edges {
 		e := &g.Edges[i]
@@ -124,7 +125,11 @@ func weightStableII(g *ddg.Graph, m machine.Config) int {
 // II (count+1 ≤ fu·II everywhere, and no class occupies a cluster that
 // cannot execute it).
 func (c *Context) assignOverflowHeadroom() bool {
-	counts := c.Assign.ClassCounts(c.Graph)
+	counts := arena.Zeroed(c.arena.counts, c.Assign.K)
+	c.arena.counts = counts
+	for v, cc := range c.Assign.Cluster {
+		counts[cc][c.Graph.Nodes[v].Op.Class()]++
+	}
 	for cl := 0; cl < ddg.NumClasses; cl++ {
 		for cc := range counts {
 			fu := c.Machine.FUAt(cc, ddg.Class(cl))

@@ -85,11 +85,11 @@ func TestTraceRecordsAttemptsAndPasses(t *testing.T) {
 // TestTracingOffAddsZeroAllocs is the zero-overhead-when-off pin. Traced,
 // speculative and plain compilations share one search loop and one attempt
 // body, so the pin is absolute: a warm-arena Search with only Arena set
-// allocates no more than the counts measured before the loops were merged,
-// less the five slice headers the accepted schedule's exact-size detach no
-// longer allocates — on a first-try compilation and on one that fails six
-// attempts on the buses. A lane struct, a cancel context, a WaitGroup or a boxed trace
-// argument leaking onto the plain path fails here by name.
+// allocates the Result and the accepted schedule's six objects (sched's
+// accept) — on a first-try compilation and on one that fails six attempts
+// on the buses alike, since a failed attempt leaves nothing behind. A lane
+// struct, a cancel context, a WaitGroup or a boxed trace argument leaking
+// onto the plain path fails here by name.
 func TestTracingOffAddsZeroAllocs(t *testing.T) {
 	m := machine.MustParse("4c1b2l64r")
 	ctx := context.Background()
@@ -98,8 +98,8 @@ func TestTracingOffAddsZeroAllocs(t *testing.T) {
 		g    *ddg.Graph
 		want float64
 	}{
-		{"commBound", commBound(t), 27},
-		{"hardLoop", hardLoop(t, m), 40},
+		{"commBound", commBound(t), 7},
+		{"hardLoop", hardLoop(t, m), 7},
 	} {
 		arena := NewArena()
 		compile := func() {

@@ -67,8 +67,8 @@ type IGraph struct {
 	busSlots      int     // cycles a copy occupies a bus (real latency)
 
 	// scratch marks a graph whose slices live in a Scratch arena: it is
-	// valid only until the arena's next attempt and must be detached before
-	// being retained (see detach).
+	// valid only until the arena's next attempt; what is retained is a copy
+	// (see accept, detach).
 	scratch bool
 }
 
@@ -222,22 +222,30 @@ func (sc *Scratch) buildCSR(ig *IGraph) {
 	ig.inOff, ig.inIdx = sc.inOff, sc.inIdx
 }
 
-// detach copies the graph out of its scratch arena so it can outlive it; a
-// graph that already owns its memory is returned unchanged. Every slice is
-// copied at its exact length, the six int32 tables out of one backing
-// array. The placement is shared, not copied: it is attempt-local state the
-// pipeline hands over together with the schedule.
+// detach copies a graph that has no schedule out of its scratch arena so it
+// can outlive it (a scheduled one leaves through accept); a graph that
+// already owns its memory is returned unchanged. The placement is shared,
+// not copied.
 func (ig *IGraph) detach() *IGraph {
 	if !ig.scratch {
 		return ig
 	}
 	out := *ig
-	out.scratch = false
-	out.Inst = make([]Instance, len(ig.Inst))
-	copy(out.Inst, ig.Inst)
-	out.Edges = make([]IEdge, len(ig.Edges))
-	copy(out.Edges, ig.Edges)
-	tabs := [...]*[]int32{&out.CopyIdx, &out.instIdx, &out.outOff, &out.inOff, &out.outIdx, &out.inIdx}
+	out.ownTables()
+	return &out
+}
+
+// ownTables replaces the arena's slices with copies at their exact length,
+// the six int32 tables out of one backing array, and clears the mark.
+func (ig *IGraph) ownTables() {
+	ig.scratch = false
+	inst := make([]Instance, len(ig.Inst))
+	copy(inst, ig.Inst)
+	ig.Inst = inst
+	edges := make([]IEdge, len(ig.Edges))
+	copy(edges, ig.Edges)
+	ig.Edges = edges
+	tabs := [...]*[]int32{&ig.CopyIdx, &ig.instIdx, &ig.outOff, &ig.inOff, &ig.outIdx, &ig.inIdx}
 	total := 0
 	for _, t := range tabs {
 		total += len(*t)
@@ -247,7 +255,6 @@ func (ig *IGraph) detach() *IGraph {
 		n := copy(back, *t)
 		*t, back = back[:n:n], back[n:]
 	}
-	return &out
 }
 
 // InstanceAt returns the instance index of node v in cluster c, or -1.

@@ -79,21 +79,38 @@ type Placement struct {
 	// Replicas[v] is the set of clusters holding an instance of v. It
 	// initially equals {Home[v]}.
 	Replicas []ClusterSet
+
+	// scratch marks a placement that lives in a Scratch arena (see
+	// Scratch.Placement): an accepted schedule takes a copy, not the
+	// pointer.
+	scratch bool
 }
 
 // NewPlacement wraps a partitioner assignment into a placement with no
-// replicas.
+// replicas. The placement owns its memory; a schedule accepted for it
+// shares it.
 func NewPlacement(g *ddg.Graph, a *partition.Assignment) *Placement {
-	p := &Placement{
-		G:        g,
-		K:        a.K,
-		Home:     append([]int(nil), a.Cluster...),
-		Replicas: make([]ClusterSet, g.NumNodes()),
-	}
+	p := &Placement{G: g, K: a.K, Home: make([]int, g.NumNodes()), Replicas: make([]ClusterSet, g.NumNodes())}
+	p.fill(a)
+	return p
+}
+
+// Placement is NewPlacement into the arena: the placement is the attempt's,
+// valid until the next call, and a schedule accepted for it carries its own
+// copy (so Schedule.IG.P is what outlives the attempt, not this pointer).
+func (sc *Scratch) Placement(g *ddg.Graph, a *partition.Assignment) *Placement {
+	p, n := &sc.place, g.NumNodes()
+	*p = Placement{G: g, K: a.K, Home: grown(p.Home, n), Replicas: grown(p.Replicas, n), scratch: true}
+	p.fill(a)
+	return p
+}
+
+// fill sets every node's home and sole instance from the assignment.
+func (p *Placement) fill(a *partition.Assignment) {
+	copy(p.Home, a.Cluster)
 	for v, c := range p.Home {
 		p.Replicas[v] = ClusterSet(0).Add(c)
 	}
-	return p
 }
 
 // Clone returns a deep copy.

@@ -114,38 +114,58 @@ type Options struct {
 // node). On failure the error of the first attempt is returned, as it
 // carries the more meaningful cause.
 func Run(ig *IGraph, ii int, opts Options) (*Schedule, error) {
-	return RunScratch(ig, ii, opts, NewScratch())
+	s, err := RunScratch(ig, ii, opts, NewScratch())
+	return s, owned(err)
+}
+
+// owned returns err with a *Error copied out of the arena it may live in:
+// the doors that take no arena return values their caller may keep.
+func owned(err error) error {
+	if e, ok := err.(*Error); ok {
+		c := *e
+		return &c
+	}
+	return err
 }
 
 // RunScratch is Run with an explicit scratch arena: temporaries are resized
 // in place inside sc instead of reallocated, and only an accepted schedule
 // is copied out of the arena. Callers running many attempts (the II search)
-// share one Scratch across them.
+// share one Scratch across them. A *Error it returns lives in sc too, valid
+// until the arena's next attempt like everything else the attempt built.
 func RunScratch(ig *IGraph, ii int, opts Options, sc *Scratch) (*Schedule, error) {
+	// The first order's failure is the one reported; the fallback orders
+	// fail into the other slot.
+	first, fallback := &sc.errs[0], &sc.errs[1]
 	if ii <= 0 {
-		return nil, &Error{Kind: FailWindow, Inst: -1, II: ii}
+		*first = Error{Kind: FailWindow, Inst: -1, II: ii}
+		return nil, first
 	}
 	tm := computeIGTiming(ig, ii, sc)
 	if opts.ForceTopoOrder {
-		return runWithOrder(ig, ii, igTopoAll(ig, tm, sc), tm, opts, sc)
+		if s := runWithOrder(ig, ii, igTopoAll(ig, tm, sc), tm, opts, sc, first); s != nil {
+			return s, nil
+		}
+		return nil, first
 	}
-	s, err := runWithOrder(ig, ii, priorityOrder(ig, ii, tm, sc), tm, opts, sc)
-	if err == nil {
+	if s := runWithOrder(ig, ii, priorityOrder(ig, ii, tm, sc), tm, opts, sc, first); s != nil {
 		return s, nil
 	}
-	if e, ok := err.(*Error); ok && e.Kind == FailRegisters {
-		return nil, err // a register failure is definitive for this II
+	if first.Kind == FailRegisters {
+		return nil, first // a register failure is definitive for this II
 	}
-	if s2, err2 := runWithOrder(ig, ii, igTopo(ig, sc), tm, opts, sc); err2 == nil {
-		return s2, nil
+	if s := runWithOrder(ig, ii, igTopo(ig, sc), tm, opts, sc, fallback); s != nil {
+		return s, nil
 	}
-	if s2, err2 := runWithOrder(ig, ii, igTopoAll(ig, tm, sc), tm, opts, sc); err2 == nil {
-		return s2, nil
+	if s := runWithOrder(ig, ii, igTopoAll(ig, tm, sc), tm, opts, sc, fallback); s != nil {
+		return s, nil
 	}
-	return nil, err
+	return nil, first
 }
 
-func runWithOrder(ig *IGraph, ii int, order []int32, tm *igTiming, opts Options, sc *Scratch) (*Schedule, error) {
+// runWithOrder places the instances in the given order; on failure it
+// returns nil and says why in *fail.
+func runWithOrder(ig *IGraph, ii int, order []int32, tm *igTiming, opts Options, sc *Scratch, fail *Error) *Schedule {
 	const inf = int(^uint(0) >> 1)
 	rt := &sc.rt
 	rt.reset(ig.M, ig.P.K, ii)
@@ -186,8 +206,9 @@ func runWithOrder(ig *IGraph, ii int, order []int32, tm *igTiming, opts Options,
 		switch {
 		case hasPred && hasSucc:
 			if estart > lstart {
-				return nil, &Error{Kind: FailWindow, Inst: v, IsCopy: inst.IsCopy,
+				*fail = Error{Kind: FailWindow, Inst: v, IsCopy: inst.IsCopy,
 					II: ii, EStart: estart, LStart: lstart}
+				return nil
 			}
 			end := lstart
 			if e2 := estart + ii - 1; e2 < end {
@@ -218,7 +239,8 @@ func runWithOrder(ig *IGraph, ii int, order []int32, tm *igTiming, opts Options,
 			}
 		}
 		if !found {
-			return nil, &Error{Kind: FailResource, Inst: v, IsCopy: inst.IsCopy, II: ii}
+			*fail = Error{Kind: FailResource, Inst: v, IsCopy: inst.IsCopy, II: ii}
+			return nil
 		}
 		rt.place(inst, op, foundAt)
 		time[v] = foundAt
@@ -254,21 +276,53 @@ func runWithOrder(ig *IGraph, ii int, order []int32, tm *igTiming, opts Options,
 	if !opts.SkipRegisterCheck {
 		for c, live := range maxLive {
 			if live > ig.M.Regs {
-				return nil, &Error{Kind: FailRegisters, Inst: -1,
+				*fail = Error{Kind: FailRegisters, Inst: -1,
 					II: ii, Cluster: c, Live: live, Regs: ig.M.Regs}
+				return nil
 			}
 		}
 	}
-	// Accepted: copy the schedule out of the arena so it survives the next
-	// attempt (and the arena's reuse by later compilations).
-	return &Schedule{
-		IG:      ig.detach(),
+	return accept(ig, ii, length, time, maxLive)
+}
+
+// accept is the one place a Schedule is built for retention and the one
+// time anything leaves the arena. What is arena-resident is copied at exact
+// size — one struct, one []int (Time, MaxLive, the placement's Home), Inst,
+// Edges, one []int32 for the six index tables, Replicas — and a graph or a
+// placement that owns its memory is shared: each by its own mark, since a
+// graph detached earlier may still point at an arena placement.
+func accept(ig *IGraph, ii, length int, times, maxLive []int) *Schedule {
+	out := &struct {
+		s  Schedule
+		ig IGraph
+		p  Placement
+	}{ig: *ig}
+	if ig.scratch {
+		out.ig.ownTables()
+	}
+	p := ig.P
+	nt, nl, nh := len(times), len(maxLive), 0
+	if p.scratch {
+		nh = len(p.Home)
+	}
+	ints := make([]int, nt+nl+nh)
+	copy(ints, times)
+	copy(ints[nt:], maxLive)
+	if p.scratch {
+		out.p = Placement{G: p.G, K: p.K, Home: ints[nt+nl:], Replicas: make([]ClusterSet, len(p.Replicas))}
+		copy(out.p.Home, p.Home)
+		copy(out.p.Replicas, p.Replicas)
+		out.ig.P = &out.p
+	}
+	out.s = Schedule{
+		IG:      &out.ig,
 		II:      ii,
-		Time:    append([]int(nil), time...),
+		Time:    ints[:nt:nt],
 		Length:  length,
 		SC:      (length + ii - 1) / ii,
-		MaxLive: append([]int(nil), maxLive...),
-	}, nil
+		MaxLive: ints[nt : nt+nl : nt+nl],
+	}
+	return &out.s
 }
 
 // Adopt builds a Schedule for ig from externally produced issue times (for
@@ -283,7 +337,8 @@ func Adopt(ig *IGraph, ii int, times []int, opts Options) (*Schedule, error) {
 
 // adopt is Adopt with its working memory in sc. ig may be a graph still in
 // sc's arena and times a buffer of sc: every check runs on them in place,
-// and only a schedule that passed all of them is copied out.
+// and only a schedule that passed all of them is copied out. Its callers
+// are the pooled doors, so a refusal is a heap *Error the caller may keep.
 func adopt(ig *IGraph, ii int, times []int, opts Options, sc *Scratch) (*Schedule, error) {
 	if len(times) != ig.NumInstances() {
 		return nil, &Error{Kind: FailWindow, Inst: -1, II: ii, Detail: "time vector size mismatch"}
@@ -315,10 +370,7 @@ func adopt(ig *IGraph, ii int, times []int, opts Options, sc *Scratch) (*Schedul
 			}
 		}
 	}
-	s.IG = ig.detach()
-	s.Time = append([]int(nil), times...)
-	s.MaxLive = append([]int(nil), s.MaxLive...)
-	return &s, nil
+	return accept(ig, ii, s.Length, times, s.MaxLive), nil
 }
 
 // Prove is the one door for a schedule this process did not search for — a
@@ -355,7 +407,8 @@ func Prove(p *Placement, m machine.Config, zeroBusLat bool, ii int, opts Options
 // adopted instead, so the upper-bound mode never does worse than the real
 // machine.
 func ScheduleLoop(p *Placement, m machine.Config, ii int, zeroBusLat bool, opts Options) (*Schedule, error) {
-	return ScheduleLoopScratch(p, m, ii, zeroBusLat, opts, NewScratch())
+	s, err := ScheduleLoopScratch(p, m, ii, zeroBusLat, opts, NewScratch())
+	return s, owned(err)
 }
 
 // ScheduleLoopScratch is ScheduleLoop over a shared scratch arena: the

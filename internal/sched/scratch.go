@@ -5,6 +5,7 @@ import (
 
 	"clusched/internal/arena"
 	"clusched/internal/ddg"
+	"clusched/internal/partition"
 )
 
 // Scratch is the scheduler's reusable allocation arena. Every temporary the
@@ -16,9 +17,14 @@ import (
 // and the driver reuses it across all jobs of a worker. A Scratch is not
 // safe for concurrent use; its zero value is ready.
 //
-// Data that outlives the attempt (the accepted Schedule and its IGraph) is
-// detached — copied out of the arena — exactly once, on success.
+// Everything an attempt builds lives here — its placement (Placement), its
+// instance graph, the error of a failed schedule — and is valid until the
+// arena's next attempt. What outlives the attempt leaves exactly once, on
+// success, as one accepted schedule (accept).
 type Scratch struct {
+	// Placement (its Home and Replicas are the recycled buffers)
+	place Placement
+
 	// buildIGraph
 	ig      IGraph
 	inst    []Instance
@@ -69,10 +75,11 @@ type Scratch struct {
 	seedMark  marks
 	ready     []int32
 
-	// runWithOrder
+	// runWithOrder; errs are RunScratch's two failure slots
 	rt     mrt
 	time   []int
 	placed []bool
+	errs   [2]Error
 
 	// computeMaxLive
 	pressure []int32
@@ -87,6 +94,7 @@ type Scratch struct {
 	uasOrder   []int32
 	uasTime    []int
 	uasCluster []int
+	uasAssign  partition.Assignment
 	uasPlaced  []bool
 	uasComm    []bool
 	uasLoad    []int

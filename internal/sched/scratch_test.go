@@ -29,32 +29,29 @@ func warmAttempt(t testing.TB) (*Placement, machine.Config, *Scratch, int) {
 	return p, m, sc, ii
 }
 
-// TestFailedAttemptSteadyStateAllocs bounds the allocations of a failing
-// attempt (the II search's common case while probing too-small intervals):
-// the instance graph, reservation table, ordering and liveness buffers all
-// come from the warm arena, leaving only the error value itself.
+// TestFailedAttemptSteadyStateAllocs pins the allocations of a failing
+// attempt (the II search's common case while probing too-small intervals)
+// at none: the instance graph, reservation table, ordering and liveness
+// buffers and the *Error itself all come from the warm arena.
 func TestFailedAttemptSteadyStateAllocs(t *testing.T) {
-	p, m, sc, ii := warmAttempt(t)
+	p, m, sc, _ := warmAttempt(t)
 	failII := 1 // far below the feasible II: always fails
 	if _, err := ScheduleLoopScratch(p, m, failII, false, Options{}, sc); err == nil {
 		t.Skip("II=1 unexpectedly feasible for the warmup loop")
 	}
-	_ = ii
 	avg := testing.AllocsPerRun(50, func() {
 		if _, err := ScheduleLoopScratch(p, m, failII, false, Options{}, sc); err == nil {
 			t.Fatal("attempt unexpectedly succeeded")
 		}
 	})
-	// One *sched.Error per attempt, plus leeway for map-growth noise. The
-	// pre-arena scheduler allocated hundreds of objects per attempt.
-	if avg > 6 {
-		t.Errorf("failing attempt allocates %.1f objects in steady state, want <= 6", avg)
+	if avg != 0 {
+		t.Errorf("failing attempt allocates %.1f objects in steady state, want 0", avg)
 	}
 }
 
 // TestAcceptedAttemptSteadyStateAllocs bounds the allocations of a
 // successful attempt: only the accepted schedule is copied out of the
-// arena (detached instance graph + time/MaxLive vectors).
+// arena, once (accept).
 func TestAcceptedAttemptSteadyStateAllocs(t *testing.T) {
 	p, m, sc, ii := warmAttempt(t)
 	avg := testing.AllocsPerRun(50, func() {
@@ -62,13 +59,13 @@ func TestAcceptedAttemptSteadyStateAllocs(t *testing.T) {
 			t.Fatalf("attempt failed: %v", err)
 		}
 	})
-	// The detached graph (header, instances, edges, one array for the six
-	// index tables) + schedule and its two vectors = 7; generous leeway,
-	// five tighter since detach stopped allocating a slice per table. The
-	// pre-arena scheduler allocated several hundred objects per accepted
-	// attempt.
-	if avg > 35 {
-		t.Errorf("accepted attempt allocates %.1f objects in steady state, want <= 35", avg)
+	// The schedule with its graph header, one []int for Time and MaxLive,
+	// instances, edges and one array for the six index tables; the
+	// placement is NewPlacement's and shared (an arena one would add its
+	// Replicas: six). The pre-arena scheduler allocated several hundred
+	// objects per accepted attempt.
+	if avg > 5 {
+		t.Errorf("accepted attempt allocates %.1f objects in steady state, want <= 5", avg)
 	}
 }
 

@@ -1,7 +1,8 @@
 package sched
 
 import (
-	"sort"
+	"cmp"
+	"slices"
 
 	"clusched/internal/ddg"
 	"clusched/internal/machine"
@@ -25,12 +26,14 @@ import (
 // with both a free slot in its dependence window and headroom in the bus
 // budget. The caller retries at II+1. The timing, ordering, reservation-table
 // and bookkeeping buffers live in sc, the caller's scratch arena, recycled
-// across II attempts.
+// across II attempts — and so does the returned assignment, which is the
+// sweep's own cluster vector: valid until the next sweep on sc.
 func UASAssignScratch(g *ddg.Graph, m machine.Config, ii int, sc *Scratch) (*partition.Assignment, bool) {
 	n := g.NumNodes()
 	if !m.Clustered() {
 		sc.uasCluster = zeroed(sc.uasCluster, n)
-		return &partition.Assignment{Cluster: append([]int(nil), sc.uasCluster...), K: 1}, true
+		sc.uasAssign = partition.Assignment{Cluster: sc.uasCluster, K: 1}
+		return &sc.uasAssign, true
 	}
 	if ii <= 0 {
 		return nil, false
@@ -47,15 +50,14 @@ func UASAssignScratch(g *ddg.Graph, m machine.Config, ii int, sc *Scratch) (*par
 	for v := range order {
 		order[v] = int32(v)
 	}
-	sort.SliceStable(order, func(i, j int) bool {
-		a, b := order[i], order[j]
-		if tm.ALAP[a] != tm.ALAP[b] {
-			return tm.ALAP[a] < tm.ALAP[b]
+	slices.SortStableFunc(order, func(a, b int32) int {
+		if c := cmp.Compare(tm.ALAP[a], tm.ALAP[b]); c != 0 {
+			return c
 		}
-		if tm.ASAP[a] != tm.ASAP[b] {
-			return tm.ASAP[a] < tm.ASAP[b]
+		if c := cmp.Compare(tm.ASAP[a], tm.ASAP[b]); c != 0 {
+			return c
 		}
-		return a < b
+		return cmp.Compare(a, b)
 	})
 
 	rt := &sc.rt
@@ -218,5 +220,6 @@ func UASAssignScratch(g *ddg.Graph, m machine.Config, ii int, sc *Scratch) (*par
 			}
 		}
 	}
-	return &partition.Assignment{Cluster: append([]int(nil), cluster...), K: K}, true
+	sc.uasAssign = partition.Assignment{Cluster: cluster, K: K}
+	return &sc.uasAssign, true
 }

@@ -223,26 +223,6 @@ func (t *ticket) snapshot() Status {
 	}
 }
 
-// finish moves the ticket to a terminal state exactly once. With
-// requireQueued it succeeds only from StateQueued — the cancellation
-// watcher uses it so it can never clobber a running batch's outcomes.
-func (t *ticket) finish(state State, outcomes []driver.Outcome, err error, requireQueued bool) bool {
-	t.mu.Lock()
-	defer t.mu.Unlock()
-	if t.state == StateDone || t.state == StateCanceled {
-		return false
-	}
-	if requireQueued && t.state != StateQueued {
-		return false
-	}
-	t.state = state
-	t.outcomes = outcomes
-	t.err = err
-	t.finished = time.Now()
-	close(t.done)
-	return true
-}
-
 // claim atomically moves the ticket from Queued to Running; it fails when
 // the watcher retired the ticket first.
 func (t *ticket) claim() bool {
@@ -543,12 +523,26 @@ func cancelCause(ctx context.Context, err error) error {
 // at the end of one large batch can still resume over the poll path.
 const jobRetention = 1024
 
-// retire finalizes a ticket and updates the lifecycle counters. With
-// requireQueued it only retires tickets that never started running.
+// retire moves the ticket to a terminal state exactly once and updates the
+// lifecycle counters and the retention list. With requireQueued it only
+// retires tickets that never started running — the cancellation watcher
+// uses it so it can never clobber a running batch's outcomes. Closing done
+// comes last and t.mu is held throughout: whoever learns the ticket is over,
+// by done or by snapshot, finds it counted, logged and the tickets it
+// displaced already pruned.
 func (s *Server) retire(t *ticket, state State, outcomes []driver.Outcome, err error, requireQueued bool) {
-	if !t.finish(state, outcomes, err, requireQueued) {
+	t.mu.Lock()
+	defer t.mu.Unlock()
+	if t.state == StateDone || t.state == StateCanceled {
 		return
 	}
+	if requireQueued && t.state != StateQueued {
+		return
+	}
+	t.state = state
+	t.outcomes = outcomes
+	t.err = err
+	t.finished = time.Now()
 	switch state {
 	case StateDone:
 		s.metrics.tickets.With("completed").Inc()
@@ -564,7 +558,6 @@ func (s *Server) retire(t *ticket, state State, outcomes []driver.Outcome, err e
 		s.logger.Info("ticket canceled", "ticket", t.id, "cause", err)
 	}
 	s.mu.Lock()
-	defer s.mu.Unlock()
 	s.doneOrder = append(s.doneOrder, t.id)
 	s.doneJobs += len(t.jobs)
 	for len(s.doneOrder) > 1 && s.doneJobs > jobRetention {
@@ -573,6 +566,8 @@ func (s *Server) retire(t *ticket, state State, outcomes []driver.Outcome, err e
 		delete(s.tickets, oldest)
 		s.doneOrder = s.doneOrder[1:]
 	}
+	s.mu.Unlock()
+	close(t.done)
 }
 
 // Job returns a snapshot of the ticket, if it exists.
