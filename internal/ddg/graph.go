@@ -70,6 +70,10 @@ type Graph struct {
 	out [][]int32 // per node, outgoing edge IDs
 	in  [][]int32 // per node, incoming edge IDs
 
+	// labelIndex maps labels to node IDs. A Builder fills it as it goes; a
+	// graph made any other way builds it on the first NodeByLabel, under
+	// labelOnce.
+	labelOnce  sync.Once
 	labelIndex map[string]int
 
 	// Canonical identity, computed lazily by CanonicalForm. Guarded by
@@ -95,10 +99,27 @@ func (g *Graph) In(v int) []int32 { return g.in[v] }
 
 // NodeByLabel returns the ID of the node with the given label, or -1.
 func (g *Graph) NodeByLabel(label string) int {
+	g.labelOnce.Do(g.indexLabels)
 	if id, ok := g.labelIndex[label]; ok {
 		return id
 	}
 	return -1
+}
+
+// indexLabels builds labelIndex where no Builder has: as there, a label on
+// two nodes names the first.
+func (g *Graph) indexLabels() {
+	if g.labelIndex != nil {
+		return
+	}
+	g.labelIndex = make(map[string]int, len(g.Nodes))
+	for i := range g.Nodes {
+		if l := g.Nodes[i].Label; l != "" {
+			if _, dup := g.labelIndex[l]; !dup {
+				g.labelIndex[l] = i
+			}
+		}
+	}
 }
 
 // NodeName returns the label of node v, or a synthetic "n<ID>" name.
@@ -300,12 +321,6 @@ func (g *Graph) Clone() *Graph {
 	for i := range g.out {
 		ng.out[i] = append([]int32(nil), g.out[i]...)
 		ng.in[i] = append([]int32(nil), g.in[i]...)
-	}
-	if g.labelIndex != nil {
-		ng.labelIndex = make(map[string]int, len(g.labelIndex))
-		for k, v := range g.labelIndex {
-			ng.labelIndex[k] = v
-		}
 	}
 	return ng
 }

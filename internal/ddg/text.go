@@ -7,6 +7,7 @@ import (
 	"slices"
 	"strconv"
 	"strings"
+	"sync"
 	"unicode"
 	"unicode/utf8"
 )
@@ -42,59 +43,70 @@ func encodableName(s string) bool {
 }
 
 // wireNames checks that every label of g can be carried by the text format
-// and returns the names WriteText emits when they are not simply the
-// labels: names is nil when every node is labeled, else it holds explicit
-// labels as-is and synthetic "n<ID>" names for unlabeled nodes —
-// disambiguated (with trailing underscores) when a synthetic name collides
-// with an explicit label elsewhere in the graph, so the emitted names are
-// always unique and the text re-parses into the same structure. nameBytes
-// is the total length of the emitted node names.
-func wireNames(g *Graph) (names []string, nameBytes int, err error) {
-	unlabeled := 0
+// and returns the labels a synthetic name could collide with. WriteText
+// emits explicit labels as-is and synthetic "n<ID>" names for unlabeled
+// nodes — disambiguated (with trailing underscores) when a synthetic name
+// collides with an explicit label elsewhere in the graph, so the emitted
+// names are always unique and the text re-parses into the same structure.
+// Only a label starting with 'n' can collide, and only when some node has
+// none: used is nil otherwise. Synthetic names never collide with each
+// other.
+func wireNames(g *Graph) (used map[string]bool, err error) {
+	unlabeled := false
 	for i := range g.Nodes {
 		l := g.Nodes[i].Label
 		if l == "" {
-			unlabeled++
-			continue
+			unlabeled = true
+		} else if !encodableName(l) {
+			return nil, fmt.Errorf("ddg: node %d label %q cannot be encoded in the text format", i, l)
 		}
-		if !encodableName(l) {
-			return nil, 0, fmt.Errorf("ddg: node %d label %q cannot be encoded in the text format", i, l)
-		}
-		nameBytes += len(l)
 	}
-	if unlabeled == 0 {
-		return nil, nameBytes, nil
-	}
-	names = make([]string, len(g.Nodes))
-	// used holds the labels a synthetic name could collide with: those
-	// starting with 'n'. Synthetic names never collide with each other.
-	var used map[string]bool
-	var scratch [24]byte // room for "n", any int and a few underscores
-	for i := range g.Nodes {
-		l := g.Nodes[i].Label
-		if l == "" {
-			continue
-		}
-		names[i] = l
-		if l[0] == 'n' {
+	for i := 0; unlabeled && i < len(g.Nodes); i++ {
+		if l := g.Nodes[i].Label; l != "" && l[0] == 'n' {
 			if used == nil {
 				used = make(map[string]bool)
 			}
 			used[l] = true
 		}
 	}
+	return used, nil
+}
+
+// appendName appends the name WriteText gives node v; used is wireNames'.
+func appendName(dst []byte, g *Graph, v int, used map[string]bool) []byte {
+	if l := g.Nodes[v].Label; l != "" {
+		return append(dst, l...)
+	}
+	mark := len(dst)
+	dst = strconv.AppendInt(append(dst, 'n'), int64(v), 10)
+	for used[string(dst[mark:])] {
+		dst = append(dst, '_')
+	}
+	return dst
+}
+
+// TextSize estimates the length of g's text encoding from its node and
+// edge counts and the length of its names, underscores aside. An
+// underestimate only costs the append a reallocation.
+func TextSize(g *Graph) int {
+	n, nameBytes := len(g.Nodes), 0
 	for i := range g.Nodes {
-		if names[i] != "" {
+		if l := len(g.Nodes[i].Label); l > 0 {
+			nameBytes += l
 			continue
 		}
-		name := strconv.AppendInt(append(scratch[:0], 'n'), int64(i), 10)
-		for used[string(name)] {
-			name = append(name, '_')
+		nameBytes += 2 // "n" and a digit
+		for d := i; d >= 10; d /= 10 {
+			nameBytes++
 		}
-		names[i] = string(name)
-		nameBytes += len(name)
 	}
-	return names, nameBytes, nil
+	// "node <name> store\n" is 12 bytes around the name; a typical edge is
+	// "edge <src> <dst> dist 1\n", 14 bytes around two average names.
+	size := len("loop \nend\n") + len(g.Name) + 12*n + nameBytes
+	if n > 0 {
+		size += len(g.Edges) * (16 + 2*(nameBytes/n+1))
+	}
+	return size
 }
 
 // memEdgeDefaultLat is the latency Builder.MemEdge assigns and the codec
@@ -103,39 +115,25 @@ func wireNames(g *Graph) (names []string, nameBytes int, err error) {
 const memEdgeDefaultLat = 1
 
 // AppendText appends the text encoding of g (the bytes WriteText writes) to
-// dst and returns the extended buffer, growing it at most once when the
-// size estimate from the node and edge counts holds. A graph the format
-// cannot carry is rejected before anything is appended.
+// dst and returns the extended buffer, growing it at most once when
+// TextSize's estimate holds. A graph the format cannot carry is rejected
+// before anything is appended.
 func AppendText(dst []byte, g *Graph) ([]byte, error) {
-	names, nameBytes, err := wireNames(g)
+	used, err := wireNames(g)
 	if err != nil {
 		return dst, err
 	}
 	if !encodableName(g.Name) {
 		return dst, fmt.Errorf("ddg: loop name %q cannot be encoded in the text format", g.Name)
 	}
-	name := func(v int) string {
-		if names != nil {
-			return names[v]
-		}
-		return g.Nodes[v].Label
-	}
-	// "node <name> store\n" is 12 bytes around the name; a typical edge is
-	// "edge <src> <dst> dist 1\n", 14 bytes around two average names. An
-	// underestimate only costs the append a reallocation.
-	n := len(g.Nodes)
-	size := len("loop \nend\n") + len(g.Name) + 12*n + nameBytes
-	if n > 0 {
-		size += len(g.Edges) * (16 + 2*(nameBytes/n+1))
-	}
-	buf := slices.Grow(dst, size)
+	buf := slices.Grow(dst, TextSize(g))
 
 	buf = append(buf, "loop "...)
 	buf = append(buf, g.Name...)
 	buf = append(buf, '\n')
 	for i := range g.Nodes {
 		buf = append(buf, "node "...)
-		buf = append(buf, name(i)...)
+		buf = appendName(buf, g, i, used)
 		buf = append(buf, ' ')
 		buf = append(buf, g.Nodes[i].Op.String()...)
 		buf = append(buf, '\n')
@@ -143,9 +141,9 @@ func AppendText(dst []byte, g *Graph) ([]byte, error) {
 	for i := range g.Edges {
 		e := &g.Edges[i]
 		buf = append(buf, "edge "...)
-		buf = append(buf, name(e.Src)...)
+		buf = appendName(buf, g, e.Src, used)
 		buf = append(buf, ' ')
-		buf = append(buf, name(e.Dst)...)
+		buf = appendName(buf, g, e.Dst, used)
 		if e.Dist != 0 {
 			buf = append(buf, " dist "...)
 			buf = strconv.AppendInt(buf, int64(e.Dist), 10)
@@ -246,7 +244,7 @@ func appendFields(dst []string, line string) []string {
 }
 
 // countLoop counts the node and edge lines of the loop whose body starts
-// at src, so that the graph's slices and label index are sized once. The
+// at src, so that the graph's slices are sized once. The
 // counts are capacity hints and nothing depends on them being exact, so a
 // line is classified by its leading bytes rather than tokenized: a body
 // the main pass goes on to reject, or one indented with anything but
@@ -270,7 +268,10 @@ func countLoop(src string) (nodes, edges int) {
 	return nodes, edges
 }
 
-// textParser is the state of one ParseString call.
+// textParser is the state of one parse. Parsers are pooled: everything but
+// the graphs it hands out — degree, Validate's working memory, the label
+// index edges are resolved with, the list of loops read — is scratch that
+// the next parse overwrites.
 type textParser struct {
 	lineNo int
 	graphs []*Graph
@@ -281,22 +282,52 @@ type textParser struct {
 	g        *Graph
 	dupLabel string
 
-	// Scratch reused across the loops of a stream: per-node out- and
-	// in-degrees (interleaved) and Validate's working memory.
+	// labels maps the labels of g to their nodes; peak is the most node
+	// lines a loop has had, which is what labels' buckets and the buffers
+	// below stay sized for.
+	labels map[string]int
+	peak   int
+
+	// Per-node out- and in-degrees (interleaved) and Validate's working
+	// memory.
 	degree   []int32
 	validate validateScratch
+}
+
+// maxPooledNodes is the loop size past which a parser is dropped instead of
+// pooled: clearing a map costs its largest population ever, which every
+// later parse would pay, and the pool would hold the buffers. The largest
+// suite loop has 115 nodes.
+const maxPooledNodes = 1024
+
+var parserPool = sync.Pool{New: func() any { return &textParser{labels: make(map[string]int)} }}
+
+// release returns p to the pool holding no reference to what it parsed: the
+// labels and graph names are substrings of the caller's text.
+func (p *textParser) release() {
+	p.resetLabels()
+	if p.peak > maxPooledNodes {
+		return
+	}
+	clear(p.graphs)
+	p.lineNo, p.graphs, p.g, p.dupLabel = 0, p.graphs[:0], nil, ""
+	parserPool.Put(p)
+}
+
+func (p *textParser) resetLabels() {
+	p.peak = max(p.peak, len(p.degree)/2)
+	clear(p.labels)
 }
 
 func (p *textParser) fail(format string, args ...any) error {
 	return fmt.Errorf("ddg: line %d: %s", p.lineNo, fmt.Sprintf(format, args...))
 }
 
-// parse decodes every loop of src. readErr is the error that ended the
-// read src came from, if any; as with a scanner, everything read before it
-// is parsed first and the first bad line wins.
-func parse(src string, readErr error) ([]*Graph, error) {
+// parse decodes every loop of src into p.graphs. readErr is the error that
+// ended the read src came from, if any; as with a scanner, everything read
+// before it is parsed first and the first bad line wins.
+func (p *textParser) parse(src string, readErr error) error {
 	var (
-		p        textParser
 		fieldBuf [12]string // an edge line with every attribute has 8 fields
 		fields   = fieldBuf[:0]
 	)
@@ -304,7 +335,7 @@ func parse(src string, readErr error) ([]*Graph, error) {
 		var line string
 		line, src, _ = strings.Cut(src, "\n")
 		if len(line) > maxLineBytes {
-			return nil, fmt.Errorf("ddg: %w", bufio.ErrTooLong)
+			return fmt.Errorf("ddg: %w", bufio.ErrTooLong)
 		}
 		p.lineNo++
 		fields = appendFields(fields[:0], line)
@@ -312,16 +343,16 @@ func parse(src string, readErr error) ([]*Graph, error) {
 			continue
 		}
 		if err := p.directive(fields, src); err != nil {
-			return nil, err
+			return err
 		}
 	}
 	if readErr != nil {
-		return nil, fmt.Errorf("ddg: %w", readErr)
+		return fmt.Errorf("ddg: %w", readErr)
 	}
 	if p.g != nil {
-		return nil, fmt.Errorf("ddg: loop %s not terminated with end", p.g.Name)
+		return fmt.Errorf("ddg: loop %s not terminated with end", p.g.Name)
 	}
-	return p.graphs, nil
+	return nil
 }
 
 // directive executes one non-blank, non-comment line. rest is the input
@@ -342,13 +373,9 @@ func (p *textParser) directive(fields []string, rest string) error {
 			return p.fail("loop name %q cannot round-trip the text format", fields[1])
 		}
 		nodes, edges := countLoop(rest)
-		p.g = &Graph{
-			Name:       fields[1],
-			Nodes:      make([]Node, 0, nodes),
-			Edges:      make([]Edge, 0, edges),
-			labelIndex: make(map[string]int, nodes),
-		}
+		p.g = &Graph{Name: fields[1], Nodes: make([]Node, 0, nodes), Edges: make([]Edge, 0, edges)}
 		p.dupLabel = ""
+		p.resetLabels()
 		if cap(p.degree) < 2*nodes {
 			p.degree = make([]int32, 0, 2*nodes)
 		}
@@ -370,9 +397,9 @@ func (p *textParser) directive(fields []string, rest string) error {
 		// One map operation per node: insert, and see whether the index
 		// grew. A duplicate re-points its label at the later node, which no
 		// longer matters — the loop is rejected at its end directive.
-		id, labels := len(g.Nodes), len(g.labelIndex)
-		g.labelIndex[fields[1]] = id
-		if len(g.labelIndex) == labels && p.dupLabel == "" {
+		id, labels := len(g.Nodes), len(p.labels)
+		p.labels[fields[1]] = id
+		if len(p.labels) == labels && p.dupLabel == "" {
 			p.dupLabel = fields[1]
 		}
 		g.Nodes = append(g.Nodes, Node{ID: id, Op: op, Label: fields[1]})
@@ -384,11 +411,11 @@ func (p *textParser) directive(fields []string, rest string) error {
 		if len(fields) < 3 {
 			return p.fail("edge wants <src> <dst>")
 		}
-		src, ok := g.labelIndex[fields[1]]
+		src, ok := p.labels[fields[1]]
 		if !ok {
 			return p.fail("unknown node %q", fields[1])
 		}
-		dst, ok := g.labelIndex[fields[2]]
+		dst, ok := p.labels[fields[2]]
 		if !ok {
 			return p.fail("unknown node %q", fields[2])
 		}
@@ -440,7 +467,7 @@ func (p *textParser) directive(fields []string, rest string) error {
 			return fmt.Errorf("ddg: builder for %s: duplicate node label %q", g.Name, p.dupLabel)
 		}
 		g.buildAdjacency(p.degree)
-		if err := g.validate(g.labelIndex, &p.validate); err != nil {
+		if err := g.validate(p.labels, &p.validate); err != nil {
 			return err
 		}
 		p.graphs = append(p.graphs, g)
@@ -475,12 +502,26 @@ func (g *Graph) buildAdjacency(degree []int32) {
 // ParseString decodes every loop in s. The graphs' names and labels are
 // substrings of s, so they keep it alive.
 func ParseString(s string) ([]*Graph, error) {
-	return parse(s, nil)
+	return parseAll(s, nil)
+}
+
+func parseAll(s string, readErr error) ([]*Graph, error) {
+	p := parserPool.Get().(*textParser)
+	defer p.release()
+	if err := p.parse(s, readErr); err != nil {
+		return nil, err
+	}
+	return append([]*Graph(nil), p.graphs...), nil
 }
 
 // ParseOneString decodes exactly one loop from s.
 func ParseOneString(s string) (*Graph, error) {
-	return exactlyOne(parse(s, nil))
+	p := parserPool.Get().(*textParser)
+	defer p.release()
+	if err := p.parse(s, nil); err != nil {
+		return nil, err
+	}
+	return exactlyOne(p.graphs)
 }
 
 // ParseText decodes every loop in the stream. It reads the stream to its
@@ -488,18 +529,19 @@ func ParseOneString(s string) (*Graph, error) {
 func ParseText(r io.Reader) ([]*Graph, error) {
 	var sb strings.Builder
 	_, err := io.Copy(&sb, r)
-	return parse(sb.String(), err)
+	return parseAll(sb.String(), err)
 }
 
 // ParseOne decodes exactly one loop from the stream.
 func ParseOne(r io.Reader) (*Graph, error) {
-	return exactlyOne(ParseText(r))
-}
-
-func exactlyOne(gs []*Graph, err error) (*Graph, error) {
+	gs, err := ParseText(r)
 	if err != nil {
 		return nil, err
 	}
+	return exactlyOne(gs)
+}
+
+func exactlyOne(gs []*Graph) (*Graph, error) {
 	if len(gs) != 1 {
 		return nil, fmt.Errorf("ddg: want exactly one loop, got %d", len(gs))
 	}

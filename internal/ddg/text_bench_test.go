@@ -54,11 +54,13 @@ func TestTextCodecAllocs(t *testing.T) {
 			t.Fatal(err)
 		}
 	}
-	if n := testing.AllocsPerRun(200, parse); n > 24 {
-		t.Errorf("ParseOneString: %v allocs/op, want <= 24", n)
+	// The parser's scratch is pooled, and -race drops pooled objects at
+	// random (TestParseCensus is the exact count).
+	if n := testing.AllocsPerRun(200, parse); n > 6 && !ddg.RaceDetector {
+		t.Errorf("ParseOneString: %v allocs/op, want <= 6", n)
 	}
-	if b := bytesPerRun(200, parse); b > 12<<10 {
-		t.Errorf("ParseOneString: %.0f B/op, want <= %d", b, 12<<10)
+	if b := bytesPerRun(200, parse); b > 6<<10 && !ddg.RaceDetector {
+		t.Errorf("ParseOneString: %.0f B/op, want <= %d", b, 6<<10)
 	}
 	if sink.NumNodes() != g.NumNodes() {
 		t.Fatalf("parsed %d nodes, want %d", sink.NumNodes(), g.NumNodes())

@@ -78,12 +78,52 @@ func diffWriters(g *Graph) error {
 	if got != want {
 		return fmt.Errorf("%s: MarshalText wrote\n%s\nreference\n%s", g.Name, got, want)
 	}
+	if err := diffNames(g); err != nil {
+		return err
+	}
 	var buf bytes.Buffer
 	if err := WriteText(&buf, g); errString(err) != errString(wantErr) {
 		return fmt.Errorf("%s: WriteText error %q, reference %q", g.Name, errString(err), errString(wantErr))
 	}
 	if buf.String() != want {
 		return fmt.Errorf("%s: WriteText wrote\n%s\nreference\n%s", g.Name, buf.String(), want)
+	}
+	return nil
+}
+
+// diffNames holds the names AppendText synthesises inline, and TextSize, to
+// the vector and the estimate the retired wireNames gave.
+func diffNames(g *Graph) error {
+	want, wantBytes, wantErr := retiredWireNames(g)
+	used, gotErr := wireNames(g)
+	if errString(gotErr) != errString(wantErr) {
+		return fmt.Errorf("%s: wireNames error %q, retired %q", g.Name, errString(gotErr), errString(wantErr))
+	}
+	if wantErr != nil {
+		return nil
+	}
+	underscores := 0
+	for v := range g.Nodes {
+		name := g.Nodes[v].Label
+		if want != nil {
+			name = want[v]
+		}
+		got := string(appendName(nil, g, v, used))
+		if got != name {
+			return fmt.Errorf("%s: node %d is written as %q, retired %q", g.Name, v, got, name)
+		}
+		if g.Nodes[v].Label == "" {
+			underscores += len(got) - len(strings.TrimRight(got, "_"))
+		}
+	}
+	// The retired AppendText's estimate; TextSize leaves disambiguation out.
+	n := len(g.Nodes)
+	retired := len("loop \nend\n") + len(g.Name) + 12*n + wantBytes
+	if n > 0 {
+		retired += len(g.Edges) * (16 + 2*(wantBytes/n+1))
+	}
+	if got := TextSize(g); got > retired || (underscores == 0 && got != retired) {
+		return fmt.Errorf("%s: TextSize %d, retired estimate %d (%d underscores)", g.Name, got, retired, underscores)
 	}
 	return nil
 }

@@ -59,6 +59,65 @@ func referenceWireNames(g *Graph) ([]string, error) {
 	return names, nil
 }
 
+// retiredWireNames is wireNames as it stood while the writer materialised
+// its names (a []string plus one string per unlabeled node), verbatim but
+// for its name; AppendText now synthesises them inline under the same rule.
+// It checks that every label of g can be carried by the text format
+// and returns the names WriteText emits when they are not simply the
+// labels: names is nil when every node is labeled, else it holds explicit
+// labels as-is and synthetic "n<ID>" names for unlabeled nodes —
+// disambiguated (with trailing underscores) when a synthetic name collides
+// with an explicit label elsewhere in the graph, so the emitted names are
+// always unique and the text re-parses into the same structure. nameBytes
+// is the total length of the emitted node names.
+func retiredWireNames(g *Graph) (names []string, nameBytes int, err error) {
+	unlabeled := 0
+	for i := range g.Nodes {
+		l := g.Nodes[i].Label
+		if l == "" {
+			unlabeled++
+			continue
+		}
+		if !encodableName(l) {
+			return nil, 0, fmt.Errorf("ddg: node %d label %q cannot be encoded in the text format", i, l)
+		}
+		nameBytes += len(l)
+	}
+	if unlabeled == 0 {
+		return nil, nameBytes, nil
+	}
+	names = make([]string, len(g.Nodes))
+	// used holds the labels a synthetic name could collide with: those
+	// starting with 'n'. Synthetic names never collide with each other.
+	var used map[string]bool
+	var scratch [24]byte // room for "n", any int and a few underscores
+	for i := range g.Nodes {
+		l := g.Nodes[i].Label
+		if l == "" {
+			continue
+		}
+		names[i] = l
+		if l[0] == 'n' {
+			if used == nil {
+				used = make(map[string]bool)
+			}
+			used[l] = true
+		}
+	}
+	for i := range g.Nodes {
+		if names[i] != "" {
+			continue
+		}
+		name := strconv.AppendInt(append(scratch[:0], 'n'), int64(i), 10)
+		for used[string(name)] {
+			name = append(name, '_')
+		}
+		names[i] = string(name)
+		nameBytes += len(name)
+	}
+	return names, nameBytes, nil
+}
+
 // referenceWriteText encodes the graph in the text format. The encoding
 // round-trips: parsing it yields a structurally identical graph (same
 // operations, edges and fingerprint) whose re-encoding is byte-identical.

@@ -19,7 +19,10 @@ import (
 // the arena's next attempt and leaves exactly once, on acceptance — has two
 // halves, each pinned here: nothing but the accepted schedule and the
 // Result is allocated (the census), and nothing that left still points
-// into the arena (survival).
+// into the arena (survival). The two doors that search for nothing — a
+// decoded outcome, a remapped result — are held to both in internal/wire
+// (TestForeignScheduleCensus, TestForeignResultSurvivesTheArena), which can
+// import this package.
 
 // censusObjects is what one compilation on a warm arena allocates: the
 // Result and the six objects of sched's accept — whatever the strategy and

@@ -55,15 +55,12 @@ func RemapResult(cached *Result, g *ddg.Graph, opts Options) (*Result, error) {
 	}
 
 	cp := cached.Placement
-	p := &sched.Placement{
-		G:        g,
-		K:        cp.K,
-		Home:     make([]int, n),
-		Replicas: make([]sched.ClusterSet, n),
-	}
-	for v := 0; v < n; v++ {
-		p.Home[sigma[v]] = cp.Home[v]
-		p.Replicas[sigma[v]] = cp.Replicas[v]
+	place := func(home []int, replicas []sched.ClusterSet) error {
+		for v := 0; v < n; v++ {
+			home[sigma[v]] = cp.Home[v]
+			replicas[sigma[v]] = cp.Replicas[v]
+		}
+		return nil
 	}
 
 	cig := cached.Schedule.IG
@@ -95,8 +92,8 @@ func RemapResult(cached *Result, g *ddg.Graph, opts Options) (*Result, error) {
 		}
 		return times, nil
 	}
-	s, err := sched.Prove(p, cached.Machine, opts.ZeroBusLatency, cached.Schedule.II,
-		sched.Options{SkipRegisterCheck: opts.IgnoreRegisterPressure}, layout)
+	s, err := sched.Prove(g, cached.Machine, opts.ZeroBusLatency, cached.Schedule.II,
+		sched.Options{SkipRegisterCheck: opts.IgnoreRegisterPressure}, place, layout)
 	if err != nil {
 		var unproven *sched.Error // declared here: errors.As moves it to the heap
 		switch {
@@ -112,13 +109,13 @@ func RemapResult(cached *Result, g *ddg.Graph, opts Options) (*Result, error) {
 		return nil, fmt.Errorf("pipeline: remap: length/SC changed (%d/%d vs %d/%d)",
 			s.Length, s.SC, cached.Length, cached.SC)
 	}
-	if c := p.Comms(); c != cached.Comms {
+	if c := s.IG.P.Comms(); c != cached.Comms {
 		return nil, fmt.Errorf("pipeline: remap: comm count changed (%d vs %d)", c, cached.Comms)
 	}
 
 	out := *cached
 	out.Loop = g
 	out.Schedule = s
-	out.Placement = p
+	out.Placement = s.IG.P
 	return &out, nil
 }

@@ -164,9 +164,11 @@ func TestRemapRejectsNonIsomorphic(t *testing.T) {
 }
 
 // TestRemapAllocs pins what a semantic hit's transplant costs the allocator
-// once both canonical forms are memoized and the pools are warm: the proof
-// (sched's TestProveSteadyStateAllocs: 5), the Result, the Placement and
-// its two slices. The three permutation vectors come from a pooled slab.
+// once both canonical forms are memoized and the pools are warm: the Result
+// and the proof's one copy out of the arena (sched's
+// TestProveSteadyStateAllocs: 6, the placement inside) — what a compilation
+// costs. The three permutation vectors come from a pooled slab and the
+// permuted placement is written straight into the proof's arena.
 func TestRemapAllocs(t *testing.T) {
 	if raceDetector {
 		t.Skip("allocation counts do not repeat under -race")
@@ -194,7 +196,7 @@ func TestRemapAllocs(t *testing.T) {
 		}
 	}
 	remap()
-	if avg := testing.AllocsPerRun(100, remap); avg > 9 {
-		t.Errorf("a warm RemapResult allocates %.1f objects, want <= 9 (5 in sched.Prove, the Result, the Placement and its Home and Replicas)", avg)
+	if avg := testing.AllocsPerRun(100, remap); avg != censusObjects {
+		t.Errorf("a warm RemapResult allocates %.1f objects, want %d (the Result and 6 in sched.Prove)", avg, censusObjects)
 	}
 }

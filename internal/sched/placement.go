@@ -99,9 +99,16 @@ func NewPlacement(g *ddg.Graph, a *partition.Assignment) *Placement {
 // valid until the next call, and a schedule accepted for it carries its own
 // copy (so Schedule.IG.P is what outlives the attempt, not this pointer).
 func (sc *Scratch) Placement(g *ddg.Graph, a *partition.Assignment) *Placement {
-	p, n := &sc.place, g.NumNodes()
-	*p = Placement{G: g, K: a.K, Home: grown(p.Home, n), Replicas: grown(p.Replicas, n), scratch: true}
+	p := sc.placement(g, a.K)
 	p.fill(a)
+	return p
+}
+
+// placement sizes the arena's placement slot for g on k clusters; what its
+// vectors hold is the last attempt's.
+func (sc *Scratch) placement(g *ddg.Graph, k int) *Placement {
+	p, n := &sc.place, g.NumNodes()
+	*p = Placement{G: g, K: k, Home: grown(p.Home, n), Replicas: grown(p.Replicas, n), scratch: true}
 	return p
 }
 

@@ -26,6 +26,15 @@ func given(times []int) func(*IGraph, []int) ([]int, error) {
 	return func(*IGraph, []int) ([]int, error) { return times, nil }
 }
 
+// placed hands Prove a placement the caller already holds.
+func placed(p *Placement) func([]int, []ClusterSet) error {
+	return func(home []int, replicas []ClusterSet) error {
+		copy(home, p.Home)
+		copy(replicas, p.Replicas)
+		return nil
+	}
+}
+
 // sameSchedule compares everything a Schedule and its detached instance
 // graph hold.
 func sameSchedule(a, b *Schedule) error {
@@ -38,8 +47,15 @@ func sameSchedule(a, b *Schedule) error {
 	if x.scratch || y.scratch {
 		return fmt.Errorf("a returned graph still aliases its arena")
 	}
-	if x.G != y.G || x.P != y.P || x.commLat != y.commLat || x.busSlots != y.busSlots {
+	if x.G != y.G || x.commLat != y.commLat || x.busSlots != y.busSlots {
 		return fmt.Errorf("instance graphs differ in their scalars")
+	}
+	// A proven schedule carries its own copy of the placement it was handed.
+	if x.P.scratch || y.P.scratch {
+		return fmt.Errorf("a returned placement still aliases its arena")
+	}
+	if x.P.G != y.P.G || x.P.K != y.P.K || !reflect.DeepEqual(x.P.Home, y.P.Home) || !reflect.DeepEqual(x.P.Replicas, y.P.Replicas) {
+		return fmt.Errorf("placements differ:\n %+v\n %+v", x.P, y.P)
 	}
 	for _, f := range []struct {
 		name string
@@ -59,7 +75,7 @@ func sameSchedule(a, b *Schedule) error {
 // diffProve runs Prove and the reference on one input and compares
 // schedule or error text.
 func diffProve(p *Placement, m machine.Config, zero bool, ii int, times []int, opts Options) error {
-	got, gerr := Prove(p, m, zero, ii, opts, given(times))
+	got, gerr := Prove(p.G, m, zero, ii, opts, placed(p), given(times))
 	want, werr := referenceProve(p, m, zero, ii, times, opts)
 	switch {
 	case (gerr == nil) != (werr == nil):
@@ -129,7 +145,7 @@ func TestProveMatchesBuildAndAdopt(t *testing.T) {
 
 func mustProve(t *testing.T, p *Placement, m machine.Config, s *Schedule) *Schedule {
 	t.Helper()
-	got, err := Prove(p, m, false, s.II, Options{}, given(s.Time))
+	got, err := Prove(p.G, m, false, s.II, Options{}, placed(p), given(s.Time))
 	if err != nil {
 		t.Fatalf("%s on %s: an honest schedule does not prove: %v", p.G.Name, m.Name, err)
 	}
@@ -150,7 +166,7 @@ func TestProveMatchesReferenceOnCorruptedTimes(t *testing.T) {
 					t.Fatalf("%s on %s: %v", p.G.Name, m.Name, err)
 				}
 			}
-			if _, err := Prove(p, m, false, ii, Options{}, given(times)); err != nil {
+			if _, err := Prove(p.G, m, false, ii, Options{}, placed(p), given(times)); err != nil {
 				refused++
 			}
 			// The pooled arena saw a failure: the honest schedule must
@@ -196,7 +212,7 @@ func TestProveRefusesNonPositiveII(t *testing.T) {
 		t.Fatal(err)
 	}
 	for _, bad := range []int{0, -1, -1 << 62} {
-		_, err := Prove(p, m, false, bad, Options{}, given(s.Time))
+		_, err := Prove(p.G, m, false, bad, Options{}, placed(p), given(s.Time))
 		se, ok := err.(*Error)
 		if !ok || se.Kind != FailWindow || se.Detail != fmt.Sprintf("sched: verify: non-positive II %d", bad) {
 			t.Errorf("II=%d: want a window *Error quoting verify, got %T: %v", bad, err, err)
@@ -207,9 +223,10 @@ func TestProveRefusesNonPositiveII(t *testing.T) {
 	}
 }
 
-// TestProvePassesTheCallersErrorThrough: what the times callback refuses
-// comes back as it is, and the buffer it is offered has a slot per
-// instance of the graph it is shown.
+// TestProvePassesTheCallersErrorThrough: what either callback refuses comes
+// back as it is, the placement it is offered has a slot per node — and one
+// left unfilled is a node without instances, not the last proof's — and the
+// time buffer has a slot per instance of the graph it is shown.
 func TestProvePassesTheCallersErrorThrough(t *testing.T) {
 	p, m, _, ii := warmAttempt(t)
 	s, err := ScheduleLoop(p, m, ii, false, Options{})
@@ -217,10 +234,23 @@ func TestProvePassesTheCallersErrorThrough(t *testing.T) {
 		t.Fatal(err)
 	}
 	mine := fmt.Errorf("no layout")
-	if _, err := Prove(p, m, false, ii, Options{}, func(*IGraph, []int) ([]int, error) { return nil, mine }); err != mine {
+	if _, err := Prove(p.G, m, false, ii, Options{}, func(home []int, replicas []ClusterSet) error {
+		if len(home) != p.G.NumNodes() || len(replicas) != p.G.NumNodes() {
+			t.Errorf("callback offered %d/%d slots for %d nodes", len(home), len(replicas), p.G.NumNodes())
+		}
+		return mine
+	}, given(s.Time)); err != mine {
+		t.Fatalf("placement callback error came back as %v", err)
+	}
+	mustProve(t, p, m, s) // leaves p in the pooled arena's slot
+	_, err = Prove(p.G, m, false, ii, Options{}, func([]int, []ClusterSet) error { return nil }, given(s.Time))
+	if err == nil || err.Error() != "sched: node 0 has no instances" {
+		t.Fatalf("an unfilled placement: %v", err)
+	}
+	if _, err := Prove(p.G, m, false, ii, Options{}, placed(p), func(*IGraph, []int) ([]int, error) { return nil, mine }); err != mine {
 		t.Fatalf("callback error came back as %v", err)
 	}
-	got, err := Prove(p, m, false, ii, Options{}, func(ig *IGraph, buf []int) ([]int, error) {
+	got, err := Prove(p.G, m, false, ii, Options{}, placed(p), func(ig *IGraph, buf []int) ([]int, error) {
 		if len(buf) != ig.NumInstances() || !ig.scratch {
 			t.Errorf("callback offered %d slots for %d instances (scratch graph: %v)", len(buf), ig.NumInstances(), ig.scratch)
 		}
@@ -253,7 +283,7 @@ func TestProveConcurrently(t *testing.T) {
 			for round := 0; round < 3; round++ {
 				for i := g; i < len(work); i += 2 {
 					w := work[i]
-					got, err := Prove(w.p, w.m, false, w.s.II, Options{}, given(w.s.Time))
+					got, err := Prove(w.p.G, w.m, false, w.s.II, Options{}, placed(w.p), given(w.s.Time))
 					if err != nil {
 						t.Errorf("%s on %s: %v", w.p.G.Name, w.m.Name, err)
 						return
@@ -262,7 +292,7 @@ func TestProveConcurrently(t *testing.T) {
 						t.Errorf("%s on %s: %v", w.p.G.Name, w.m.Name, err)
 						return
 					}
-					if _, err := Prove(w.p, w.m, false, w.s.II+1, Options{}, given(w.s.Time[:1])); err == nil {
+					if _, err := Prove(w.p.G, w.m, false, w.s.II+1, Options{}, placed(w.p), given(w.s.Time[:1])); err == nil {
 						t.Errorf("a truncated vector proved")
 						return
 					}
@@ -274,9 +304,10 @@ func TestProveConcurrently(t *testing.T) {
 }
 
 // TestProveSteadyStateAllocs pins what a proof costs once the pool is warm:
-// the one copy out of the arena — the schedule with its graph header, one
-// []int for its two vectors, instances, edges, one backing array for the
-// six index tables — and, refused, the *Error alone.
+// the one copy out of the arena — the schedule with its graph and placement
+// headers, one []int for its two vectors and the homes, instances, edges,
+// one backing array for the six index tables, the replica sets — and,
+// refused, the *Error alone.
 func TestProveSteadyStateAllocs(t *testing.T) {
 	if raceDetector {
 		t.Skip("allocation counts do not repeat under -race")
@@ -286,18 +317,18 @@ func TestProveSteadyStateAllocs(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	times := given(s.Time)
+	place, times := placed(p), given(s.Time)
 	prove := func() {
-		if _, err := Prove(p, m, false, ii, Options{}, times); err != nil {
+		if _, err := Prove(p.G, m, false, ii, Options{}, place, times); err != nil {
 			t.Fatal(err)
 		}
 	}
 	prove()
-	if avg := testing.AllocsPerRun(100, prove); avg > 5 {
-		t.Errorf("a warm Prove allocates %.1f objects, want <= 5", avg)
+	if avg := testing.AllocsPerRun(100, prove); avg != 6 {
+		t.Errorf("a warm Prove allocates %.1f objects, want 6", avg)
 	}
 	refuse := func() {
-		if _, err := Prove(p, m, false, ii, Options{}, given(s.Time[:1])); err == nil {
+		if _, err := Prove(p.G, m, false, ii, Options{}, place, given(s.Time[:1])); err == nil {
 			t.Fatal("truncated vector proved")
 		}
 	}

@@ -3,6 +3,7 @@ package sched
 import (
 	"fmt"
 
+	"clusched/internal/ddg"
 	"clusched/internal/machine"
 )
 
@@ -375,19 +376,28 @@ func adopt(ig *IGraph, ii int, times []int, opts Options, sc *Scratch) (*Schedul
 
 // Prove is the one door for a schedule this process did not search for — a
 // wire or disk-cache payload, a cached result transplanted onto an
-// isomorphic loop: BuildIGraph followed by Adopt, on a pooled arena. It
-// expands the placement, asks times for the issue-time vector — times sees
-// the instance graph, valid only during the call, and may fill and return
-// buf (one slot per instance) or return a vector it already holds — and
-// runs every check Adopt runs. Only a schedule that passed is copied out of
-// the arena, once, at exact size.
+// isomorphic loop: BuildIGraph followed by Adopt, on a pooled arena, with
+// the foreign placement and times written straight into it. place fills the
+// arena's placement of g on m's clusters — a home and an instance set per
+// node, in range — and the placement is expanded; times is then asked for
+// the issue-time vector — it sees the instance graph, valid only during the
+// call, and may fill and return buf (one slot per instance) or return a
+// vector it already holds — and every check Adopt runs is run. Only a
+// schedule that passed is copied out of the arena, once, at exact size, its
+// placement (Schedule.IG.P) inside the same object.
 //
-// The error is the placement's when the instance graph cannot be built,
-// whatever times returned, or a *Error when the times do not hold.
-func Prove(p *Placement, m machine.Config, zeroBusLat bool, ii int, opts Options,
+// The error is place's or times' own, the placement's when the instance
+// graph cannot be built, or a *Error when the times do not hold.
+func Prove(g *ddg.Graph, m machine.Config, zeroBusLat bool, ii int, opts Options,
+	place func(home []int, replicas []ClusterSet) error,
 	times func(ig *IGraph, buf []int) ([]int, error)) (*Schedule, error) {
 	sc := scratchPool.Get().(*Scratch)
 	defer scratchPool.Put(sc)
+	p := sc.placement(g, m.Clusters)
+	clear(p.Replicas) // a node place leaves out has no instance, which Validate refuses
+	if err := place(p.Home, p.Replicas); err != nil {
+		return nil, err
+	}
 	ig, err := sc.buildIGraph(p, m, zeroBusLat)
 	if err != nil {
 		return nil, err

@@ -151,18 +151,6 @@ func (s *Server) submitHTTP(w http.ResponseWriter, jobs []driver.Job, opts Submi
 	return "", false
 }
 
-func decodeJobs(wjs []wire.Job) ([]driver.Job, error) {
-	jobs := make([]driver.Job, len(wjs))
-	for i, wj := range wjs {
-		j, err := wj.Decode()
-		if err != nil {
-			return nil, fmt.Errorf("job %d: %w", i, err)
-		}
-		jobs[i] = j
-	}
-	return jobs, nil
-}
-
 // readBody reads a request body whole, bounded by maxRequestBody, into a
 // buffer sized once from the announced length.
 func readBody(w http.ResponseWriter, r *http.Request) ([]byte, error) {
@@ -191,7 +179,7 @@ func (s *Server) handleCompile(w http.ResponseWriter, r *http.Request) {
 		writeError(w, http.StatusBadRequest, "bad job: %v", err)
 		return
 	}
-	jobs, err := decodeJobs([]wire.Job{wj})
+	jobs, err := wire.DecodeJobs([]wire.Job{wj})
 	if err != nil {
 		writeError(w, http.StatusBadRequest, "%v", err)
 		return
@@ -227,7 +215,7 @@ func (s *Server) handleBatch(w http.ResponseWriter, r *http.Request) {
 		writeError(w, http.StatusBadRequest, "bad batch: %v", err)
 		return
 	}
-	jobs, err := decodeJobs(req.Jobs)
+	jobs, err := wire.DecodeJobs(req.Jobs)
 	if err != nil {
 		writeError(w, http.StatusBadRequest, "%v", err)
 		return

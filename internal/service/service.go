@@ -377,6 +377,7 @@ func (s *Server) Submit(jobs []driver.Job, opts SubmitOptions) (string, error) {
 		jobs:    jobs,
 		created: time.Now(),
 		done:    make(chan struct{}),
+		events:  make([]Event, 0, len(jobs)),
 	}
 	if opts.Trace || s.cfg.TraceJobs {
 		t.trace = telemetry.NewTrace()

@@ -200,10 +200,13 @@ func appendLoop(dst []byte, g *ddg.Graph) ([]byte, error) {
 		return dst, err
 	}
 	*buf = text
-	// Escaping adds a byte per line; room for that and the job or result
-	// around the text spares a fresh buffer its growth steps.
-	return appendString(slices.Grow(dst, len(text)+len(text)/8+256), text), nil
+	return appendString(slices.Grow(dst, loopRoom(len(text))), text), nil
 }
+
+// loopRoom is the room a message needs for a loop text of n bytes: escaping
+// adds a byte per line, and room for that and the job or result around the
+// text spares a fresh buffer its growth steps.
+func loopRoom(n int) int { return n + n/8 + 256 }
 
 // AppendJob appends the JSON form of one job: the bytes json.Marshal gives
 // for EncodeJob(j). On error nothing has been appended.
@@ -224,8 +227,11 @@ func AppendJob(dst []byte, j driver.Job) ([]byte, error) {
 // json.Marshal gives for a SubmitRequest of their encoded forms. On error
 // (an unencodable job, named by its index) nothing has been appended.
 func AppendSubmitRequest(dst []byte, jobs []driver.Job, timeoutMS int64, trace bool) ([]byte, error) {
-	mark := len(dst)
-	dst = append(member(append(dst, '{'), "jobs"), '[')
+	mark, size := len(dst), 64
+	for _, j := range jobs {
+		size += loopRoom(ddg.TextSize(j.Graph))
+	}
+	dst = append(member(append(slices.Grow(dst, size), '{'), "jobs"), '[')
 	for i, j := range jobs {
 		if i > 0 {
 			dst = append(dst, ',')

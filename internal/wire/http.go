@@ -36,6 +36,9 @@ const NoLoop = "loop=0"
 // nothing decoded keeps a reference into it.
 var bodyPool = sync.Pool{New: func() any { return new(bytes.Buffer) }}
 
+// linesPool lends readStream its line reader.
+var linesPool = sync.Pool{New: func() any { return bufio.NewReaderSize(nil, 64<<10) }}
+
 // ReadJobStatus reads an answer body whole and decodes it into *st.
 func ReadJobStatus(r io.Reader, st *JobStatus) error {
 	buf := bodyPool.Get().(*bytes.Buffer)
@@ -330,7 +333,12 @@ func (e Endpoint) readStream(ctx context.Context, id string, jobs []driver.Job, 
 	// One frame per line, every line decoded into the same Frame: its
 	// memory is recycled from outcome to outcome, and DecodeFor copies what
 	// the outcome keeps.
-	lines := bufio.NewReaderSize(resp.Body, 64<<10)
+	lines := linesPool.Get().(*bufio.Reader)
+	lines.Reset(resp.Body)
+	defer func() {
+		lines.Reset(nil) // the pool must not hold the connection
+		linesPool.Put(lines)
+	}()
 	var (
 		f    Frame
 		long []byte // nextLine's memory for a line longer than the reader's

@@ -134,6 +134,15 @@ func EncodeMachine(m machine.Config) Machine {
 	}
 }
 
+// is reports whether wm is, field for field, the wire form of m, a machine
+// (not the zero Config): a reader that holds m may then use it for wm
+// instead of decoding an equal one. Heterogeneous machines never qualify:
+// their matrix is not comparable.
+func (wm Machine) is(m machine.Config) bool {
+	return m.Clusters > 0 && wm.Hetero == nil && m.Hetero == nil && wm.Config == m.Name && wm.Clusters == m.Clusters &&
+		wm.Buses == m.Buses && wm.BusLatency == m.BusLatency && wm.RegsPerCluster == m.Regs
+}
+
 // Decode reconstructs the machine config.
 func (wm Machine) Decode() (machine.Config, error) {
 	switch {
@@ -177,6 +186,12 @@ func EncodeJob(j driver.Job) (Job, error) {
 // typed errors (*pipeline.UnknownStrategyError, *SchemaError), so servers
 // can answer them distinctly from malformed requests.
 func (wj Job) Decode() (driver.Job, error) {
+	return wj.decode(machine.Config{})
+}
+
+// decode is Decode after a job of the same request whose machine decoded to
+// prev: a wire form that repeats is not decoded twice.
+func (wj Job) decode(prev machine.Config) (driver.Job, error) {
 	if wj.Schema > JobSchemaVersion {
 		return driver.Job{}, &SchemaError{Got: wj.Schema, Max: JobSchemaVersion}
 	}
@@ -187,11 +202,26 @@ func (wj Job) Decode() (driver.Job, error) {
 	if err != nil {
 		return driver.Job{}, err
 	}
-	m, err := wj.Machine.Decode()
-	if err != nil {
-		return driver.Job{}, err
+	if !wj.Machine.is(prev) {
+		if prev, err = wj.Machine.Decode(); err != nil {
+			return driver.Job{}, err
+		}
 	}
-	return driver.Job{Graph: g, Machine: m, Opts: wj.Options.Decode()}, nil
+	return driver.Job{Graph: g, Machine: prev, Opts: wj.Options.Decode()}, nil
+}
+
+// DecodeJobs decodes the jobs of one request; an error names its job.
+func DecodeJobs(wjs []Job) ([]driver.Job, error) {
+	jobs := make([]driver.Job, len(wjs))
+	var prev machine.Config
+	for i, wj := range wjs {
+		j, err := wj.decode(prev)
+		if err != nil {
+			return nil, fmt.Errorf("job %d: %w", i, err)
+		}
+		jobs[i], prev = j, j.Machine
+	}
+	return jobs, nil
 }
 
 // ReplicationStats is the per-class replication accounting of a result
@@ -351,14 +381,16 @@ func iiCeiling(g *ddg.Graph, m machine.Config, opts pipeline.Options) int {
 // and recomputes length, stage count and register pressure. A Result that
 // decodes without error is therefore a valid schedule, not just valid JSON.
 func (wr *Result) Decode() (*pipeline.Result, error) {
-	return wr.decode(nil)
+	return wr.decode(driver.Job{})
 }
 
-// decode is Decode for a result of job graph g (nil when the reader holds
-// no job): a wire form without its loop is a result for g itself, which is
-// then adopted as is — the graph the caller submitted, as a local backend
-// would return it. A loop that is present is parsed and validated.
-func (wr *Result) decode(g *ddg.Graph) (*pipeline.Result, error) {
+// decode is Decode for a result of job j (the zero Job when the reader
+// holds none): a wire form without its loop is a result for j.Graph itself,
+// which is then adopted as is — the graph the caller submitted, as a local
+// backend would return it — and so is j.Machine when the wire form names
+// it. A loop that is present is parsed and validated.
+func (wr *Result) decode(j driver.Job) (*pipeline.Result, error) {
+	g := j.Graph
 	if err := wr.Options.validateStrategy(); err != nil {
 		// A cache entry from a build with strategies this one lacks: reads
 		// as a decode failure (persistent caches treat it as a miss).
@@ -373,9 +405,12 @@ func (wr *Result) decode(g *ddg.Graph) (*pipeline.Result, error) {
 	case g == nil:
 		return nil, fmt.Errorf("wire: result carries no loop and the reader holds no job to take it from")
 	}
-	m, err := wr.Machine.Decode()
-	if err != nil {
-		return nil, fmt.Errorf("wire: result machine: %w", err)
+	m := j.Machine
+	if !wr.Machine.is(m) {
+		var err error
+		if m, err = wr.Machine.Decode(); err != nil {
+			return nil, fmt.Errorf("wire: result machine: %w", err)
+		}
 	}
 	res := &pipeline.Result{
 		Loop:                   g,
@@ -402,20 +437,13 @@ func (wr *Result) decode(g *ddg.Graph) (*pipeline.Result, error) {
 	if len(wr.Placement.Home) != g.NumNodes() || len(wr.Placement.Replicas) != g.NumNodes() {
 		return nil, fmt.Errorf("wire: placement size does not match loop %s (%d nodes)", g.Name, g.NumNodes())
 	}
-	p := &sched.Placement{
-		G:        g,
-		K:        m.Clusters,
-		Home:     append([]int(nil), wr.Placement.Home...),
-		Replicas: make([]sched.ClusterSet, g.NumNodes()),
-	}
-	for v, home := range p.Home {
-		if home < 0 || home >= p.K {
+	for v, home := range wr.Placement.Home {
+		if home < 0 || home >= m.Clusters {
 			return nil, fmt.Errorf("wire: node %d home cluster %d out of range", v, home)
 		}
-		if max := uint64(1)<<uint(p.K) - 1; uint64(wr.Placement.Replicas[v])&^max != 0 {
-			return nil, fmt.Errorf("wire: node %d replica set names clusters beyond %d", v, p.K)
+		if max := uint64(1)<<uint(m.Clusters) - 1; uint64(wr.Placement.Replicas[v])&^max != 0 {
+			return nil, fmt.Errorf("wire: node %d replica set names clusters beyond %d", v, m.Clusters)
 		}
-		p.Replicas[v] = sched.ClusterSet(wr.Placement.Replicas[v])
 	}
 	opts := wr.Options.Decode()
 	// The proof sizes its tables by the II: bound the claim first, so a
@@ -430,8 +458,15 @@ func (wr *Result) decode(g *ddg.Graph) (*pipeline.Result, error) {
 	if wr.MII < 1 || wr.MII > wr.II {
 		return nil, fmt.Errorf("wire: result for %s claims MII=%d outside [1, II=%d]", g.Name, wr.MII, wr.II)
 	}
-	s, err := sched.Prove(p, m, opts.ZeroBusLatency, wr.Schedule.II,
+	s, err := sched.Prove(g, m, opts.ZeroBusLatency, wr.Schedule.II,
 		sched.Options{SkipRegisterCheck: opts.IgnoreRegisterPressure},
+		func(home []int, replicas []sched.ClusterSet) error {
+			copy(home, wr.Placement.Home)
+			for v, set := range wr.Placement.Replicas {
+				replicas[v] = sched.ClusterSet(set)
+			}
+			return nil
+		},
 		func(*sched.IGraph, []int) ([]int, error) { return wr.Schedule.Time, nil })
 	if err != nil {
 		var unproven *sched.Error
@@ -444,8 +479,7 @@ func (wr *Result) decode(g *ddg.Graph) (*pipeline.Result, error) {
 		return nil, fmt.Errorf("wire: schedule for %s recomputes to length %d/%d stages against claimed %d/%d",
 			g.Name, s.Length, s.SC, wr.Length, wr.SC)
 	}
-	res.Schedule = s
-	res.Placement = p
+	res.Schedule, res.Placement = s, s.IG.P
 	return res, nil
 }
 
@@ -505,7 +539,7 @@ func (wo Outcome) DecodeFor(j driver.Job) (driver.Outcome, error) {
 	if wo.Result == nil {
 		return driver.Outcome{}, fmt.Errorf("wire: outcome carries neither result nor error")
 	}
-	res, err := wo.Result.decode(j.Graph)
+	res, err := wo.Result.decode(j)
 	if err != nil {
 		return driver.Outcome{}, err
 	}

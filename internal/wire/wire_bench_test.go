@@ -33,9 +33,10 @@ func suiteOutcomes(tb testing.TB) []driver.Outcome {
 }
 
 // TestJobCodecAllocs pins the job codec to the ddg text codec's allocation
-// budget (24 to parse and 3 to write the same 29-node suite loop, see
-// ddg.TestTextCodecAllocs) plus at most four of its own: it hands strings
-// to the text codec and copies nothing.
+// budget (6 to parse and 3 to write the same 29-node suite loop, see
+// ddg.TestTextCodecAllocs) plus its own: the wire.Job's text on the way
+// out, the machine's name on the way in. It hands strings to the text codec
+// and copies nothing.
 func TestJobCodecAllocs(t *testing.T) {
 	var job driver.Job
 	for _, j := range suiteJobs() {
@@ -55,15 +56,15 @@ func TestJobCodecAllocs(t *testing.T) {
 		if _, err := EncodeJob(job); err != nil {
 			t.Fatal(err)
 		}
-	}); n > 3+4 {
-		t.Errorf("EncodeJob: %v allocs/op, want <= 7", n)
+	}); n > 3+1 {
+		t.Errorf("EncodeJob: %v allocs/op, want <= 4", n)
 	}
 	if n := testing.AllocsPerRun(200, func() {
 		if _, err := wj.Decode(); err != nil {
 			t.Fatal(err)
 		}
-	}); n > 24+4 {
-		t.Errorf("Job.Decode: %v allocs/op, want <= 28", n)
+	}); n > 6+1 && !raceDetector { // the parser's scratch is pooled
+		t.Errorf("Job.Decode: %v allocs/op, want <= 7", n)
 	}
 }
 
