@@ -1,9 +1,14 @@
 // Package arena provides the small buffer-recycling primitives behind the
 // compiler's scratch allocators (sched.Scratch, partition.Scratch, …):
-// in-place slice resizing and O(1)-reset membership marks. They exist so a
-// steady-state II attempt allocates nothing — buffers grow to a workload's
-// high-water mark once and are then reused.
+// in-place slice resizing, O(1)-reset membership marks and a pool of
+// scratch values. They exist so a steady-state II attempt allocates nothing
+// — buffers grow to a workload's high-water mark once and are then reused.
 package arena
+
+import (
+	"sync"
+	"sync/atomic"
+)
 
 // Grown returns buf resized to length n, reusing the backing array when
 // capacity allows. Contents beyond the old capacity are zero; the rest are
@@ -50,3 +55,29 @@ func (mk *Marks) Has(i int32) bool { return mk.m[i] == mk.epoch }
 
 // Set adds id i to the set.
 func (mk *Marks) Set(i int32) { mk.m[i] = mk.epoch }
+
+// Pool is a sync.Pool of *T with one slot outside it that holds the value
+// put back last: two GC cycles empty a sync.Pool, and a lone user would
+// regrow its value, dozens of buffers, at moments no input decides.
+type Pool[T any] struct {
+	hot  atomic.Pointer[T]
+	pool sync.Pool
+}
+
+// Get borrows a value: the hot one if it is in, else a pooled or new one.
+func (p *Pool[T]) Get() *T {
+	if x := p.hot.Swap(nil); x != nil {
+		return x
+	}
+	if x, ok := p.pool.Get().(*T); ok {
+		return x
+	}
+	return new(T)
+}
+
+// Put returns x, to the hot slot if it is empty.
+func (p *Pool[T]) Put(x *T) {
+	if !p.hot.CompareAndSwap(nil, x) {
+		p.pool.Put(x)
+	}
+}

@@ -1,7 +1,10 @@
 package arena
 
 import (
+	"runtime"
 	"slices"
+	"sync"
+	"sync/atomic"
 	"testing"
 )
 
@@ -102,4 +105,49 @@ func TestMarksEpochWrapAround(t *testing.T) {
 			t.Errorf("Has(%d) = %v after regrowing past capacity", i, mk.Has(i))
 		}
 	}
+}
+
+// TestPoolKeepsOneValueThroughCollections: the value in the hot slot
+// survives any number of GC cycles and is lent first; a value put back
+// beside it goes to the sync.Pool.
+func TestPoolKeepsOneValueThroughCollections(t *testing.T) {
+	var p Pool[[]int]
+	a, b := p.Get(), p.Get()
+	if a == b {
+		t.Fatal("two borrowers share a value")
+	}
+	p.Put(a)
+	p.Put(b)
+	for range 3 {
+		runtime.GC()
+	}
+	if got := p.Get(); got != a {
+		t.Fatalf("after three collections Get = %p, want the hot %p", got, a)
+	}
+	if got := p.Get(); got == a {
+		t.Fatal("the hot value is lent twice")
+	}
+}
+
+// TestPoolLendsEachValueOnce: under concurrent use (run with -race) no
+// value is held by two borrowers at once.
+func TestPoolLendsEachValueOnce(t *testing.T) {
+	var p Pool[atomic.Int32]
+	var wg sync.WaitGroup
+	for range 8 {
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			for range 2000 {
+				x := p.Get()
+				if x.Add(1) != 1 {
+					t.Error("a value is lent to two borrowers at once")
+					return
+				}
+				x.Add(-1)
+				p.Put(x)
+			}
+		}()
+	}
+	wg.Wait()
 }

@@ -75,8 +75,7 @@ func Schedule(res *pipeline.Result, strategy string, opts pipeline.Options, inde
 	rep, err := vliwsim.Measure(res.Schedule, iters)
 	var errText string
 	switch {
-	case err != nil:
-		rep = &vliwsim.Report{} // failed before steady state
+	case err != nil: // failed before steady state: rep is zero
 		errText = err.Error()
 	case rep.TraceDiff != "":
 	case rep.LastDone != rep.ModelLastDone:

@@ -7,7 +7,8 @@ import (
 	"math/bits"
 	"math/rand"
 	"slices"
-	"sync"
+
+	"clusched/internal/arena"
 )
 
 // Canonical is a graph's identity under isomorphism: a fingerprint that is
@@ -142,7 +143,7 @@ type canonState struct {
 	aborted   bool
 }
 
-var canonPool = sync.Pool{New: func() any { return new(canonState) }}
+var canonPool arena.Pool[canonState]
 
 // room returns buf at length n, its contents unspecified except that a
 // fresh array is zero. It grows to a power of two, so a pooled state — the
@@ -160,7 +161,7 @@ func canonicalize(g *Graph) Canonical {
 	if n == 0 {
 		return Canonical{Sum: encSum(nil), Perm: []int32{}, Complete: true}
 	}
-	st := canonPool.Get().(*canonState)
+	st := canonPool.Get()
 	st.init(g)
 	root := &st.parts[0]
 	st.refine(root)

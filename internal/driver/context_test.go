@@ -213,6 +213,35 @@ func TestStoreCachesFailures(t *testing.T) {
 	}
 }
 
+// emptyStore says it holds every key and hands back neither a result nor
+// an error.
+type emptyStore struct{ saves int }
+
+func (*emptyStore) Load(Job) (*pipeline.Result, error, bool) { return nil, nil, true }
+
+func (s *emptyStore) Save(Job, *pipeline.Result, error) { s.saves++ }
+
+// TestStoreAnswerWithNothingIsAMiss: a Store answer with neither a result
+// nor an error answers nothing. The job compiles — an Outcome holds exactly
+// one of Result and Err — and a repeat finds that compilation, not the
+// empty answer.
+func TestStoreAnswerWithNothingIsAMiss(t *testing.T) {
+	j := sampleJobs(t, "tomcatv")[0]
+	store := &emptyStore{}
+	c := New(Config{Store: store})
+	for run := 0; run < 2; run++ {
+		if res, err := c.Compile(context.Background(), j); res == nil || err != nil {
+			t.Fatalf("run %d: result %v, error %v; want a compilation", run, res, err)
+		}
+	}
+	if st := c.CacheStats(); st.Misses != 1 || st.Hits != 1 || st.StoreHits != 0 {
+		t.Fatalf("stats %+v, want 1 miss and 1 hit", st)
+	}
+	if store.saves != 1 {
+		t.Fatalf("%d saves, want the compilation's", store.saves)
+	}
+}
+
 // TestJobKeyDistinguishesOptions: the persistent key must separate every
 // dimension of the job identity.
 func TestJobKeyDistinguishesOptions(t *testing.T) {

@@ -29,6 +29,7 @@ import (
 	"sync/atomic"
 	"time"
 
+	"clusched/internal/arena"
 	"clusched/internal/ddg"
 	"clusched/internal/machine"
 	"clusched/internal/pipeline"
@@ -78,8 +79,8 @@ const DefaultCacheSize = 1 << 15
 // for concurrent use and are encouraged to write behind (Save must not
 // block on I/O). Context cancellation errors are never offered to Save.
 type Store interface {
-	// Load returns the stored outcome for the job (keyed on JobKey): the
-	// result or the compilation error, and whether the key was present.
+	// Load returns the stored outcome for the job (keyed on JobKey), result
+	// or compilation error (neither is a miss), and whether it was present.
 	// JobKey v4 is canonical under graph isomorphism, so the returned
 	// result's Loop may be a renamed/reordered sibling of j.Graph rather
 	// than j.Graph itself; the Compiler remaps and re-verifies such
@@ -192,17 +193,10 @@ type Compiler struct {
 	metrics   *engineMetrics
 	laneStats pipeline.LaneStats
 
-	// arenas recycles pipeline scratch arenas across compilations: each
-	// worker (or single-shot Compile call) borrows one for the duration of
-	// a compilation, so steady-state batch compilation allocates almost
-	// nothing per II attempt. Speculative lanes borrow from the same pool.
-	// hotArena holds the arena returned last outside the pool: a sync.Pool
-	// is per-P and emptied by two GC cycles, so a lone caller that migrates
-	// or a stream that compiles one job in seven (the rest are cache hits)
-	// would regrow its arena — some 500 allocations — at moments no input
-	// decides. One arena per Compiler is never let go of.
-	arenas   sync.Pool
-	hotArena atomic.Pointer[pipeline.Arena]
+	// arenas lends compilations and speculative lanes their scratch, so a
+	// steady-state compilation allocates almost nothing per II attempt (a
+	// regrown arena is some 500 allocations).
+	arenas arena.Pool[pipeline.Arena]
 
 	// spec is the per-compilation speculation width (≤1 off). specLoad
 	// counts running speculative compilations plus acquired extra lanes
@@ -224,27 +218,15 @@ type Compiler struct {
 	sem         chan struct{}
 	inFlight    atomic.Int64
 
-	mu      sync.Mutex
-	cache   *lruCache            // nil when caching is disabled
-	pending map[cacheKey]*flight // in-flight compilations, for deduplication
-	// semIdx is the canonical tier of the in-memory cache: every cached
-	// successful result, bucketed by ShapeHash/machine/options. An exact
-	// miss probes its bucket for a result whose loop is isomorphic to the
-	// job's and serves it remapped through the isomorphism (re-verified by
-	// pipeline.RemapResult). Kept in lockstep with the LRU via the eviction
-	// hook.
-	semIdx map[semKey][]*pipeline.Result
+	mu sync.Mutex
+	// cache holds one entry per exact key: a compilation in flight, which
+	// identical jobs join, or a cached outcome, which for a successful
+	// result is also in the canonical tier. Nil when caching is disabled.
+	cache *resultCache
 	// ledger holds the only job counters there are: one cell per answer,
 	// bucketed by strategy name, written by do alone. CacheStats and the
 	// registry's two counter families are read-outs of it.
 	ledger map[string]*[numAnswers]uint64
-}
-
-// flight is one in-progress compilation that identical concurrent jobs
-// join instead of recomputing. val is written before done is closed.
-type flight struct {
-	done chan struct{}
-	val  cacheValue
 }
 
 // answer names what answered a job: a cache tier, a compilation, or —
@@ -350,7 +332,6 @@ func New(cfg Config) *Compiler {
 	}
 	c := &Compiler{workers: w, progress: cfg.Progress, trace: cfg.Trace,
 		ledger: make(map[string]*[numAnswers]uint64)}
-	c.arenas.New = func() any { return pipeline.NewArena() }
 	if cfg.MaxInFlight > 0 {
 		c.maxInFlight = cfg.MaxInFlight
 		c.sem = make(chan struct{}, cfg.MaxInFlight)
@@ -367,9 +348,7 @@ func New(cfg Config) *Compiler {
 		size = DefaultCacheSize
 	}
 	if size > 0 {
-		c.cache = newLRU(size, c.unindex)
-		c.pending = make(map[cacheKey]*flight)
-		c.semIdx = make(map[semKey][]*pipeline.Result)
+		c.cache = newCache(size)
 		c.store = cfg.Store
 	}
 	return c
@@ -431,39 +410,6 @@ func keysFor(j Job) (cacheKey, semKey) {
 	m := machineKey(j.Machine)
 	return cacheKey{graph: j.Graph.Fingerprint(), machine: m, opts: opts},
 		semKey{shape: j.Graph.ShapeHash(), machine: m, opts: opts}
-}
-
-// cacheAdd inserts an outcome into the LRU and, for successful results,
-// into the canonical index. Callers hold c.mu.
-func (c *Compiler) cacheAdd(key cacheKey, val cacheValue, sk semKey) {
-	if val.err == nil && val.res != nil {
-		val.sk = sk
-		val.indexed = true
-		c.semIdx[sk] = append(c.semIdx[sk], val.res)
-	}
-	c.cache.add(key, val)
-}
-
-// unindex is the LRU's eviction hook: it removes an evicted or overwritten
-// result from its canonical bucket so the index never serves results the
-// cache has let go of. Runs under c.mu (evictions happen inside cacheAdd).
-func (c *Compiler) unindex(v cacheValue) {
-	if !v.indexed {
-		return
-	}
-	b := c.semIdx[v.sk]
-	for i, r := range b {
-		if r == v.res {
-			b[i] = b[len(b)-1]
-			b = b[:len(b)-1]
-			break
-		}
-	}
-	if len(b) == 0 {
-		delete(c.semIdx, v.sk)
-	} else {
-		c.semIdx[v.sk] = b
-	}
 }
 
 // jobKeyVersion stamps the JobKey format. Bump it when the encoding below
@@ -575,8 +521,8 @@ func (c *Compiler) do(ctx context.Context, j Job, track string, enqueued time.Ti
 // (graph-fingerprint) LRU entry; an identical job's in-flight compilation,
 // joined rather than repeated; the canonical tier; and, as the leader of a
 // flight of its own, the persistent Store and then a real compilation. The
-// three map probes share one critical section, so a job never leads a
-// flight for something already cached or already in flight. serve books
+// exact and bucket probes share one critical section, so a job never leads
+// a flight for something already cached or already in flight. serve books
 // nothing: it returns the value, which tier answered, and the wall time of
 // the compilation if there was one.
 func (c *Compiler) serve(ctx context.Context, j Job, tr *telemetry.Trace, track string) (cacheValue, answer, time.Duration) {
@@ -593,34 +539,31 @@ func (c *Compiler) serve(ctx context.Context, j Job, tr *telemetry.Trace, track 
 	key, sk := keysFor(j) // ShapeHash is O(edges); no canonical labeling yet
 	for semTried := false; ; {
 		c.mu.Lock()
-		if val, ok := c.cache.get(key); ok {
+		if val, w, ok := c.cache.lookup(key); ok {
 			c.mu.Unlock()
-			return val, answerLRU, 0
-		}
-		if f := c.pending[key]; f != nil {
-			c.mu.Unlock()
-			if val, a, retry := join(ctx, f); !retry {
+			if w == nil {
+				return val, answerLRU, 0
+			}
+			if val, a, retry := join(ctx, w); !retry {
 				return val, a, 0
 			}
 			continue
 		}
 		// Probed once per job, outside the lock and outside any flight (a
-		// flight is two allocations, a semantic hit the common answer for a
-		// fresh clone): a failed probe retries the exact probes — the entry
+		// semantic hit is the common answer for a fresh clone, and needs
+		// no flight): a failed probe retries the exact probe — the entry
 		// may have landed meanwhile — and then leads.
-		if bucket := c.semIdx[sk]; len(bucket) > 0 && !semTried {
-			cands := append([]*pipeline.Result(nil), bucket...)
+		if cands := c.cache.candidates(sk, make([]*pipeline.Result, 0, 8)); len(cands) > 0 && !semTried {
 			c.mu.Unlock()
 			semTried = true
-			if val, a := c.semantic(j, key, sk, cands); a != answerNone {
+			if val, a := c.semantic(j, key, sk.shape, cands); a != answerNone {
 				return val, a, 0
 			}
 			continue
 		}
-		f := &flight{done: make(chan struct{})}
-		c.pending[key] = f
+		slot := c.cache.begin(key)
 		c.mu.Unlock()
-		return c.lead(ctx, j, key, sk, f, tr, track)
+		return c.lead(ctx, j, sk.shape, slot, tr, track)
 	}
 }
 
@@ -628,16 +571,16 @@ func (c *Compiler) serve(ctx context.Context, j Job, tr *telemetry.Trace, track 
 // A follower whose own context ends first is answered by nothing; one whose
 // leader was cancelled — under the leader's context, not this caller's —
 // must retry and compete to lead.
-func join(ctx context.Context, f *flight) (val cacheValue, a answer, retry bool) {
+func join(ctx context.Context, w *waiters) (val cacheValue, a answer, retry bool) {
 	select {
-	case <-f.done:
+	case <-w.done:
 	case <-ctx.Done():
 		return cacheValue{err: ctx.Err()}, answerNone, false
 	}
-	if ctxErr(f.val.err) {
+	if ctxErr(w.val.err) {
 		return cacheValue{}, answerNone, true
 	}
-	return f.val, answerFlight, false
+	return w.val, answerFlight, false
 }
 
 // semantic is the canonical tier: cands are the cached results of the job's
@@ -645,7 +588,7 @@ func join(ctx context.Context, f *flight) (val cacheValue, a answer, retry bool)
 // canonically isomorphic to the job's graph and whose schedule survives the
 // transplant (pipeline.RemapResult: never trusted, only proven) answers,
 // and is installed under the job's own exact key.
-func (c *Compiler) semantic(j Job, key cacheKey, sk semKey, cands []*pipeline.Result) (cacheValue, answer) {
+func (c *Compiler) semantic(j Job, key cacheKey, shape uint64, cands []*pipeline.Result) (cacheValue, answer) {
 	want := j.Graph.CanonicalFingerprint()
 	for _, cand := range cands {
 		if cand.Loop.CanonicalFingerprint() != want {
@@ -654,7 +597,7 @@ func (c *Compiler) semantic(j Job, key cacheKey, sk semKey, cands []*pipeline.Re
 		if res, err := pipeline.RemapResult(cand, j.Graph, j.Opts); err == nil {
 			val := cacheValue{res: res}
 			c.mu.Lock()
-			c.cacheAdd(key, val, sk)
+			c.cache.install(key, val, shape)
 			c.mu.Unlock()
 			return val, answerSemantic
 		}
@@ -662,13 +605,13 @@ func (c *Compiler) semantic(j Job, key cacheKey, sk semKey, cands []*pipeline.Re
 	return cacheValue{}, answerNone
 }
 
-// lead answers the job as the leader of flight f: from the Store if it has
-// the job, else by the engine's one compile call. The answer lands in the
-// cache — failures too: an unschedulable loop costs a full II sweep, the
-// most expensive outcome there is — the flight is retired and its followers
+// lead answers the job as the leader of the flight pending in slot: from
+// the Store if it has the job, else by the engine's one compile call. The
+// answer lands in the cache — failures too: an unschedulable loop costs a
+// full II sweep, the most expensive outcome there is — the followers are
 // woken, and a fresh compilation is offered to the Store. A cancelled
 // compilation is nobody's answer: it is neither cached nor saved.
-func (c *Compiler) lead(ctx context.Context, j Job, key cacheKey, sk semKey, f *flight, tr *telemetry.Trace, track string) (cacheValue, answer, time.Duration) {
+func (c *Compiler) lead(ctx context.Context, j Job, shape uint64, slot int32, tr *telemetry.Trace, track string) (cacheValue, answer, time.Duration) {
 	val, a := c.fromStore(j)
 	var elapsed time.Duration
 	if a == answerNone {
@@ -676,14 +619,18 @@ func (c *Compiler) lead(ctx context.Context, j Job, key cacheKey, sk semKey, f *
 			a = answerMiss
 		}
 	}
-	f.val = val
 	c.mu.Lock()
+	var w *waiters
 	if a != answerNone {
-		c.cacheAdd(key, val, sk)
+		w = c.cache.land(slot, val, shape)
+	} else {
+		w = c.cache.abandon(slot)
 	}
-	delete(c.pending, key)
 	c.mu.Unlock()
-	close(f.done)
+	if w != nil {
+		w.val = val
+		close(w.done)
+	}
 	if a == answerMiss && c.store != nil {
 		c.store.Save(j, val.res, val.err)
 	}
@@ -699,9 +646,9 @@ func (c *Compiler) fromStore(j Job) (cacheValue, answer) {
 	}
 	res, cerr, ok := c.store.Load(j)
 	switch {
-	case !ok:
+	case !ok || res == nil && cerr == nil:
 		return cacheValue{}, answerNone
-	case cerr != nil || res == nil || res.Loop.Fingerprint() == j.Graph.Fingerprint():
+	case cerr != nil || res.Loop.Fingerprint() == j.Graph.Fingerprint():
 		return cacheValue{res: res, err: cerr}, answerStore
 	}
 	remapped, err := pipeline.RemapResult(res, j.Graph, j.Opts)
@@ -756,32 +703,17 @@ func (c *Compiler) compile(ctx context.Context, j Job, tr *telemetry.Trace, trac
 		c.specLoad.Add(1)
 		defer c.specLoad.Add(-1)
 	}
-	arena := c.getArena()
+	a := c.arenas.Get()
 	res, err := pipeline.Search(ctx, j.Graph, j.Machine, j.Opts, pipeline.SearchConfig{
-		Arena: arena,
+		Arena: a,
 		Trace: tr,
 		Track: track,
 		Lanes: c.spec,
 		Pool:  lanePool{c},
 		Stats: &c.laneStats,
 	})
-	c.putArena(arena)
+	c.arenas.Put(a)
 	return res, err
-}
-
-// getArena borrows a scratch arena: the hot one if it is in, else one from
-// the pool. putArena returns it, refilling the hot slot first.
-func (c *Compiler) getArena() *pipeline.Arena {
-	if a := c.hotArena.Swap(nil); a != nil {
-		return a
-	}
-	return c.arenas.Get().(*pipeline.Arena)
-}
-
-func (c *Compiler) putArena(a *pipeline.Arena) {
-	if !c.hotArena.CompareAndSwap(nil, a) {
-		c.arenas.Put(a)
-	}
 }
 
 // lanePool is the engine as a pipeline.Pool: an extra speculative lane
@@ -799,14 +731,14 @@ func (p lanePool) Acquire() (*pipeline.Arena, bool) {
 		}
 		if c.specLoad.CompareAndSwap(cur, cur+1) {
 			c.laneArenas.Add(1)
-			return c.getArena(), true
+			return c.arenas.Get(), true
 		}
 	}
 }
 
 // Release implements pipeline.Pool.
 func (p lanePool) Release(a *pipeline.Arena) {
-	p.c.putArena(a)
+	p.c.arenas.Put(a)
 	p.c.laneArenas.Add(-1)
 	p.c.specLoad.Add(-1)
 }
@@ -966,7 +898,7 @@ func (c *Compiler) CacheStats() CacheStats {
 	if c.cache == nil {
 		return s
 	}
-	s.Entries = c.cache.len()
+	s.Entries = c.cache.n
 	if len(c.ledger) > 0 {
 		s.Strategies = make(map[string]StrategyStats, len(c.ledger))
 	}
@@ -1005,14 +937,13 @@ func (c *Compiler) LaneStats() (raced, won, wasted uint64) {
 }
 
 // ResetCache drops every cached result and zeroes the hit/miss counters,
-// so benchmarks measure real work.
+// so benchmarks measure real work. A flight in progress still lands.
 func (c *Compiler) ResetCache() {
 	c.mu.Lock()
 	defer c.mu.Unlock()
 	c.ledger = make(map[string]*[numAnswers]uint64)
 	if c.cache != nil {
-		c.cache = newLRU(c.cache.cap, c.unindex)
-		c.semIdx = make(map[semKey][]*pipeline.Result)
+		c.cache.reset()
 	}
 }
 

@@ -151,6 +151,146 @@ func TestFollowerBookedOnceAsAnswered(t *testing.T) {
 	})
 }
 
+// followFlight starts n followers of job on c, each under its own
+// background context, and returns once every one of them has found the
+// pending flight and is about to block on it.
+func followFlight(c *Compiler, job Job, n int) <-chan Outcome {
+	outs := make(chan Outcome, n)
+	for range n {
+		fctx := newJoinSpy(context.Background())
+		go func() { outs <- c.do(fctx, job, "follower", time.Now()) }()
+		<-fctx.waiting
+	}
+	return outs
+}
+
+// receive takes n outcomes off ch.
+func receive(ch <-chan Outcome, n int) []Outcome {
+	outs := make([]Outcome, n)
+	for i := range outs {
+		outs[i] = <-ch
+	}
+	return outs
+}
+
+// sharedAnswer checks that every follower got the leader's result.
+func sharedAnswer(t *testing.T, leader Outcome, followers []Outcome) {
+	t.Helper()
+	for i, fo := range followers {
+		if fo.Err != nil || !fo.CacheHit || fo.Result != leader.Result {
+			t.Errorf("follower %d: err=%v cached=%v shared=%v, want the leader's result", i, fo.Err, fo.CacheHit, fo.Result == leader.Result)
+		}
+	}
+}
+
+// TestResetCacheWhileFlightPending: a reset drops what has landed and keeps
+// what is in flight. The leader lands across it, its followers get its
+// value, and everything is booked after the reset.
+func TestResetCacheWhileFlightPending(t *testing.T) {
+	job := sampleJobs(t, "tomcatv")[0]
+	store := newGatedStore()
+	c := New(Config{Store: store})
+	leader := heldFlight(context.Background(), c, store, job)
+	followers := followFlight(c, job, 3)
+	c.ResetCache()
+	close(store.gate)
+
+	lo := <-leader
+	fos := receive(followers, 3)
+	if lo.Err != nil || lo.CacheHit {
+		t.Fatalf("leader: err=%v cached=%v, want its compilation", lo.Err, lo.CacheHit)
+	}
+	sharedAnswer(t, lo, fos)
+	want := CacheStats{Hits: 3, Misses: 1, Entries: 1, Strategies: map[string]StrategyStats{"paper": {Hits: 3, Misses: 1}}}
+	if st := c.CacheStats(); !reflect.DeepEqual(st, want) {
+		t.Fatalf("stats %+v, want %+v", st, want)
+	}
+	assertBooked(t, c, []Outcome{lo}, fos)
+	if out := c.do(context.Background(), job, "repeat", time.Now()); out.Result != lo.Result || !out.CacheHit {
+		t.Fatal("the flight that landed across the reset is not cached")
+	}
+}
+
+// TestRecycledSlotFollowerGetsItsValue: followers wait on their flight's
+// waiters, not on its slot. In a one-entry cache, store hits churn through
+// while the followers of a landed flight wake: the flight's entry is
+// evicted and its slot recycled for other keys, and every follower must
+// still get the leader's value.
+func TestRecycledSlotFollowerGetsItsValue(t *testing.T) {
+	loops := distinctLoops(t, 3)
+	job, others := loops[0], loops[1:]
+	store := newGatedStore()
+	if _, err := New(Config{Store: store.memStore}).CompileAll(others); err != nil {
+		t.Fatal(err)
+	}
+	c := New(Config{Store: store, CacheSize: 1})
+	leader := heldFlight(context.Background(), c, store, job)
+	followers := followFlight(c, job, 4)
+	const churns = 64
+	churned := make(chan []Outcome)
+	go func() {
+		outs := make([]Outcome, churns)
+		for i := range outs {
+			outs[i] = c.do(context.Background(), others[i%2], "churn", time.Now())
+		}
+		churned <- outs
+	}()
+	close(store.gate)
+
+	lo, fos, cos := <-leader, receive(followers, 4), <-churned
+	if lo.Err != nil || lo.CacheHit || lo.Result.Loop != job.Graph {
+		t.Fatalf("leader: err=%v cached=%v, want its compilation", lo.Err, lo.CacheHit)
+	}
+	sharedAnswer(t, lo, fos)
+	for i, co := range cos {
+		if co.Err != nil || co.Result.Loop != others[i%2].Graph {
+			t.Fatalf("churn %d: err=%v, or another loop's result", i, co.Err)
+		}
+	}
+	st := c.CacheStats()
+	if st.Misses != 1 || st.Hits != 4 || st.StoreHits != churns || st.Entries != 1 {
+		t.Fatalf("stats %+v, want 1 miss, 4 hits, %d store hits, 1 entry", st, churns)
+	}
+	assertBooked(t, c, []Outcome{lo}, fos, cos)
+}
+
+// TestCancelledLeaderFollowersRetry: when the leader's context ends, its
+// followers wake to nothing, retry, and one of them leads: one compilation
+// for all of them, booked once, and the others served its result.
+func TestCancelledLeaderFollowersRetry(t *testing.T) {
+	job := sampleJobs(t, "tomcatv")[0]
+	store := newGatedStore()
+	c := New(Config{Store: store})
+	lctx, cancelLeader := context.WithCancel(context.Background())
+	defer cancelLeader()
+	leader := heldFlight(lctx, c, store, job)
+	followers := followFlight(c, job, 3)
+	cancelLeader()
+	close(store.gate)
+
+	lo, fos := <-leader, receive(followers, 3)
+	if !errors.Is(lo.Err, context.Canceled) {
+		t.Fatalf("leader: err = %v, want its cancellation", lo.Err)
+	}
+	compiled := 0
+	for i, fo := range fos {
+		if fo.Err != nil || fo.Result == nil || fo.Result != fos[0].Result {
+			t.Fatalf("follower %d: err=%v, or not the one retried compilation", i, fo.Err)
+		}
+		if !fo.CacheHit {
+			compiled++
+		}
+	}
+	if compiled != 1 {
+		t.Fatalf("%d followers compiled, want the one that led the retry", compiled)
+	}
+	want := CacheStats{Hits: 2, Misses: 1, Entries: 1, Strategies: map[string]StrategyStats{"paper": {Hits: 2, Misses: 1}}}
+	if st := c.CacheStats(); !reflect.DeepEqual(st, want) {
+		t.Fatalf("stats %+v, want %+v", st, want)
+	}
+	assertBooked(t, c, []Outcome{lo}, fos)
+}
+
 // TestResetCacheResetsEveryView: CacheStats and the registry are read-outs
 // of one ledger, so ResetCache cannot zero one and not the other.
 func TestResetCacheResetsEveryView(t *testing.T) {

@@ -3,7 +3,6 @@ package pipeline
 import (
 	"errors"
 	"fmt"
-	"sync"
 
 	"clusched/internal/arena"
 	"clusched/internal/ddg"
@@ -13,7 +12,7 @@ import (
 // remapPerms recycles the three node-permutation vectors of one RemapResult
 // (invDst, sigma, invSigma) as one slab: they are dead once the call
 // returns.
-var remapPerms = sync.Pool{New: func() any { return new([]int32) }}
+var remapPerms arena.Pool[[]int32]
 
 // RemapResult transplants a cached compilation onto an isomorphic graph:
 // it composes the two canonical permutations into a node isomorphism,
@@ -39,7 +38,7 @@ func RemapResult(cached *Result, g *ddg.Graph, opts Options) (*Result, error) {
 
 	// sigma maps cached node → target node through the shared canonical
 	// ordering: a node and its image occupy the same canonical position.
-	slab := remapPerms.Get().(*[]int32)
+	slab := remapPerms.Get()
 	defer remapPerms.Put(slab)
 	*slab = arena.Grown(*slab, 3*n)
 	invDst, sigma, invSigma := (*slab)[:n], (*slab)[n:2*n], (*slab)[2*n:]

@@ -105,9 +105,9 @@ type Scratch struct {
 func NewScratch() *Scratch { return &Scratch{} }
 
 // scratchPool lends arenas to the entry points that take none (Prove,
-// Adopt, Verify, BuildIGraph): they run once per foreign or accepted
-// schedule rather than once per II attempt, so they borrow instead of
-// making their callers carry one.
+// Adopt, Verify, BuildIGraph: once per foreign or accepted schedule, not per
+// II attempt). Not an arena.Pool: around its hot scratch, a client's
+// concurrent decoders made twice as many.
 var scratchPool = sync.Pool{New: func() any { return new(Scratch) }}
 
 // grown and zeroed are the package-local shorthands for the shared arena

@@ -4,7 +4,6 @@ import (
 	"cmp"
 	"fmt"
 	"slices"
-	"sync"
 
 	"clusched/internal/arena"
 	"clusched/internal/ddg"
@@ -40,7 +39,7 @@ import (
 // O(n·iters + n log n) time and memory, independent of the cycle range.
 //
 // Scratch ownership. Every working buffer lives in a scratch taken from a
-// sync.Pool for the duration of one public call and returned before the
+// pool for the duration of one public call and returned before the
 // call returns; nothing a caller receives aliases it. Execute and Reference
 // allocate the Trace they hand out; Measure's two traces never leave the
 // call (only the Report and its TraceDiff string do), so they are scratch
@@ -97,10 +96,7 @@ type scratch struct {
 	topo, indeg []int
 }
 
-var scratchPool = sync.Pool{New: func() any { return new(scratch) }}
-
-func getScratch() *scratch   { return scratchPool.Get().(*scratch) }
-func putScratch(sc *scratch) { scratchPool.Put(sc) }
+var scratchPool arena.Pool[scratch]
 
 // setOp fills the operation-dependent fields of a unit executing op on
 // original node orig.

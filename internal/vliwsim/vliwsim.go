@@ -159,8 +159,8 @@ func loadValue(h, salt uint64, iter int) uint64 { return mix(mix(h, salt), uint6
 // Reference evaluates the source loop directly for the given iteration
 // count and returns its trace.
 func Reference(g *ddg.Graph, iters int) *Trace {
-	sc := getScratch()
-	defer putScratch(sc)
+	sc := scratchPool.Get()
+	defer scratchPool.Put(sc)
 	iters = max(iters, 0)
 	sc.loadGraph(g)
 	tr := &Trace{Stores: ownedStores(sc.perIter * iters)}
@@ -178,8 +178,8 @@ func Execute(s *sched.Schedule, iters int) (*Trace, int, error) {
 	if err := validate(s); err != nil {
 		return nil, 0, err
 	}
-	sc := getScratch()
-	defer putScratch(sc)
+	sc := scratchPool.Get()
+	defer scratchPool.Put(sc)
 	iters = max(iters, 0)
 	sc.loadSchedule(s)
 	tr := &Trace{Stores: ownedStores(sc.perIter * iters)}
@@ -262,20 +262,20 @@ const steadySpan = 4
 // in every iteration from the edge's distance on, so whenever iters exceeds
 // every edge distance the first violation lies within the first iters
 // iterations); semantic and throughput divergences are reported in the
-// Report for the caller to judge.
-func Measure(s *sched.Schedule, iters int) (*Report, error) {
+// Report (a value: confirming a schedule allocates nothing) to judge.
+func Measure(s *sched.Schedule, iters int) (Report, error) {
 	if err := validate(s); err != nil {
-		return nil, err
+		return Report{}, err
 	}
-	sc := getScratch()
-	defer putScratch(sc)
+	sc := scratchPool.Get()
+	defer scratchPool.Put(sc)
 	iters = max(iters, 1)
 	// Neither trace outlives the call, so both live in the scratch.
 	sc.loadSchedule(s)
 	sc.got = arena.Grown(sc.got, sc.perIter*iters)
 	lastDone, lastLonger, err := sc.run(s, iters, steadySpan, sc.got)
 	if err != nil {
-		return nil, err
+		return Report{}, err
 	}
 	got := Trace{Stores: sc.got}
 	got.canonicalize()
@@ -283,7 +283,7 @@ func Measure(s *sched.Schedule, iters int) (*Report, error) {
 	sc.loadGraph(g)
 	sc.want = arena.Grown(sc.want, sc.perIter*iters)
 	sc.evaluate(g, iters, sc.want)
-	return &Report{
+	return Report{
 		Iters:         iters,
 		LastDone:      lastDone,
 		ModelLastDone: (iters-1)*s.II + s.Length,
