@@ -7,6 +7,7 @@ import (
 	"runtime"
 	"sync"
 	"testing"
+	"weak"
 
 	"clusched/internal/corpus"
 	"clusched/internal/ddg"
@@ -97,6 +98,53 @@ func TestCompilationCensus(t *testing.T) {
 			t.Errorf("%s compiled only %d of 300 corpus loops", strategy, compiled-before)
 		}
 	}
+}
+
+// TestIdleArenaPinsNoGraph compiles a fresh corpus loop through a kept
+// arena, lets go of the loop and its Result, and requires the loop to be
+// collectable: once Search has returned, nothing in its arena — nor in the
+// lane arenas it borrowed and gave back — may keep the job's graph alive,
+// whether the search accepted, ran out of intervals or was cancelled, and
+// whatever the strategy.
+func TestIdleArenaPinsNoGraph(t *testing.T) {
+	m, spec := machine.MustParse("4c1b2l64r"), corpus.DefaultSpec()
+	arena, pool := NewArena(), &recyclingPool{}
+	for i, strategy := range StrategyNames() {
+		for _, lanes := range []int{1, 3} {
+			for _, end := range []string{"accepted", "exhausted", "cancelled"} {
+				cfg := SearchConfig{Arena: arena, Lanes: lanes, Pool: pool}
+				opts := Options{Strategy: strategy, Replicate: strategy == "paper"}
+				ref := func() weak.Pointer[ddg.Graph] {
+					// The first loop of the corpus whose search climbs: the
+					// exhausted search then fails after real attempts.
+					g, res := (*ddg.Graph)(nil), (*Result)(nil)
+					for j := i; res == nil || res.II == res.MII; j += 5 {
+						g = spec.Loop(j)
+						res, _ = Search(t.Context(), g, m, opts, cfg)
+					}
+					ctx, cancel := context.WithCancel(t.Context())
+					switch end {
+					case "exhausted":
+						opts.MaxII = res.II - 1
+					case "cancelled":
+						cancel()
+					}
+					if res, err := Search(ctx, g, m, opts, cfg); (err == nil) != (end == "accepted") {
+						t.Fatalf("%s search of %s (%s): result %v, error %v", end, g.Name, strategy, res != nil, err)
+					}
+					cancel()
+					return weak.Make(g)
+				}()
+				runtime.GC()
+				runtime.GC()
+				if ref.Value() != nil {
+					t.Errorf("%s (lanes=%d, %s search): the idle arena still pins the loop's graph", strategy, lanes, end)
+				}
+			}
+		}
+	}
+	runtime.KeepAlive(arena)
+	runtime.KeepAlive(pool)
 }
 
 // recyclingPool lends lane arenas and takes them back for the next search,

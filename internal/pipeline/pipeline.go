@@ -132,7 +132,7 @@ type Arena struct {
 	MII   *mii.Scratch
 
 	// front is the search's frontier Context, cleared when the search
-	// returns so an idle arena pins no graph, assignment or schedule.
+	// returns (park) so an idle arena pins no graph, assignment or schedule.
 	front Context
 	// fixed is the assignment of a chain that computes one per search and
 	// never partitions (moddist); order and indeg are its traversal buffers.
@@ -166,6 +166,14 @@ func (a *Arena) filled() *Arena {
 		a.MII = mii.NewScratch()
 	}
 	return a
+}
+
+var idleLoop ddg.Graph
+
+// park lets go of the last search's loop, keeping the buffers (see Placement).
+func (a *Arena) park() {
+	a.front = Context{}
+	a.Sched.Placement(&idleLoop, &partition.Assignment{})
 }
 
 // Context is the compilation state shared by the passes of one II attempt.
@@ -204,6 +212,8 @@ type Context struct {
 	// PartitionConverged records whether this attempt's partition
 	// refinement reached a fixpoint (skip-ahead condition 1).
 	PartitionConverged bool
+	// fixedBusFail: a bus-precheck failure under moddist's fixed assignment.
+	fixedBusFail bool
 
 	// arena holds the scratch allocators shared by all attempts of this
 	// compilation (and, under the driver, by all jobs of a worker); the
@@ -234,6 +244,7 @@ func (c *Context) reset(ii int) {
 	c.Schedule = nil
 	c.BusCheckFailed = false
 	c.PartitionConverged = false
+	c.fixedBusFail = false
 	c.failed = false
 }
 

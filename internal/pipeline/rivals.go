@@ -121,6 +121,7 @@ func (ModDistPass) Run(ctx *Context) error {
 	ctx.Placement = ctx.arena.Sched.Placement(ctx.Graph, ctx.Assign)
 	ctx.CommsBeforeReplication = ctx.Placement.Comms()
 	if m.Clustered() && ctx.CommsBeforeReplication > m.BusComs(ctx.II) {
+		ctx.fixedBusFail = true
 		ctx.Fail(CauseBus)
 	}
 	return nil
@@ -147,6 +148,10 @@ func (moddistStrategy) Validate(opts Options, m machine.Config) error {
 // with a nil assignment recomputes exactly the one the sequential search
 // carried.
 func (moddistStrategy) ReplayFailedAttempt(ctx *Context) {}
+
+// SkipAhead opts moddist into the II skip-ahead (skipahead.go): its
+// assignment, hence its communication count, is fixed for the search.
+func (moddistStrategy) SkipAhead() bool { return true }
 
 // Describe implements describer.
 func (moddistStrategy) Describe() string {

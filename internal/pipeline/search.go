@@ -171,7 +171,7 @@ func search(cctx context.Context, g *ddg.Graph, m machine.Config, opts Options, 
 
 	front := &arena.front
 	*front = Context{Graph: g, Machine: m, Opts: opts, MII: res.MII, arena: arena}
-	defer func() { *front = Context{} }()
+	defer arena.park()
 	for ii := res.MII; ii <= maxII; {
 		if err := cctx.Err(); err != nil {
 			return nil, err
@@ -347,6 +347,7 @@ func launch(cctx context.Context, front *Context, ii, width int, passes []Pass, 
 				ln.ctx.Assign = a.Clone()
 			}
 			ln.ctx.Placement = nil
+			ln.ctx.arena.park()
 			close(ln.done)
 			if cfg.Pool != nil {
 				cfg.Pool.Release(arena)

@@ -2,7 +2,10 @@ package pipeline
 
 import (
 	"fmt"
+	"maps"
 	"math/rand"
+	"slices"
+	"strings"
 	"testing"
 
 	"clusched/internal/corpus"
@@ -107,7 +110,8 @@ func TestSkipAheadMatchesLinearOnRandomLoops(t *testing.T) {
 	if testing.Short() {
 		trials = 60
 	}
-	shapes := []corpus.Shape{corpus.ShapeBroadcast, corpus.ShapeParallel, corpus.ShapeReduction, corpus.ShapeWide}
+	shapes := []corpus.Shape{corpus.ShapeBroadcast, corpus.ShapeParallel, corpus.ShapeReduction, corpus.ShapeWide,
+		corpus.ShapeChain, corpus.ShapeTree, corpus.ShapeCyclic}
 	for trial := 0; trial < trials; trial++ {
 		shape := shapes[rng.Intn(len(shapes))]
 		// Sizes below the generators' structural minimum produce invalid
@@ -155,6 +159,30 @@ func TestSkipAheadSkipsAttempts(t *testing.T) {
 	}
 	if !fired {
 		t.Fatal("skip-ahead never skipped an attempt on 50 bus-bound loops")
+	}
+}
+
+// TestModDistSkipAheadSkipsAttempts is TestSkipAheadSkipsAttempts for the
+// moddist chain, whose jump needs no refinement fixpoint: on the corpus's
+// bus-bound loops the production search must run fewer moddist passes than
+// the linear one — at least eight fewer on some loop — with the same result.
+func TestModDistSkipAheadSkipsAttempts(t *testing.T) {
+	m, spec := machine.MustParse("4c1b2l64r"), corpus.DefaultSpec()
+	chain := func(n *int) []Pass { return []Pass{countingPass{ModDistPass{}, n}, SchedulePass{}, VerifyPass{}} }
+	fired, most := 0, 0
+	for i := 0; i < 60; i++ {
+		g := spec.Loop(i)
+		var nSkip, nLin int
+		skip, skipErr := search(t.Context(), g, m, Options{Strategy: "moddist"}, chain(&nSkip), nil, true, SearchConfig{})
+		lin, linErr := referenceChain(g, m, Options{Strategy: "moddist"}, chain(&nLin))
+		requireSameResult(t, g.Name, skip, lin, skipErr, linErr)
+		if nSkip < nLin {
+			fired++
+			most = max(most, nLin-nSkip)
+		}
+	}
+	if fired == 0 || most < 8 {
+		t.Fatalf("moddist skip-ahead skipped attempts on %d of 60 loops, at most %d on one; want some, and ≥ 8 on one", fired, most)
 	}
 }
 
@@ -223,7 +251,8 @@ func TestSpeculativeMatchesLinearOnRandomLoops(t *testing.T) {
 	if testing.Short() {
 		trials = 60
 	}
-	shapes := []corpus.Shape{corpus.ShapeBroadcast, corpus.ShapeParallel, corpus.ShapeReduction, corpus.ShapeWide}
+	shapes := []corpus.Shape{corpus.ShapeBroadcast, corpus.ShapeParallel, corpus.ShapeReduction, corpus.ShapeWide,
+		corpus.ShapeChain, corpus.ShapeTree, corpus.ShapeCyclic}
 	for trial := 0; trial < trials; trial++ {
 		shape := shapes[rng.Intn(len(shapes))]
 		size := 10 + rng.Intn(40)
@@ -235,5 +264,51 @@ func TestSpeculativeMatchesLinearOnRandomLoops(t *testing.T) {
 		}
 		label := fmt.Sprintf("%s on %s (%s)", g.Name, m.Name, opts.StrategyName())
 		requireParity(t, label, g, m, opts, 1+rng.Intn(6))
+	}
+}
+
+// TestSearchMatchesReferenceOnCorpus runs loops of all seven corpus families
+// (corpus.DefaultSpec, the benchmark's corpus) under every strategy, at
+// Lanes 1 and 2, traced and untraced, against referenceSearch: the loops
+// whose placement survives many intervals (moddist's, uas's converged
+// sweeps) are where an attempt reuses the last one's instance graph. Among
+// them must be loops on which moddist's skip-ahead jumps eight or more
+// intervals.
+func TestSearchMatchesReferenceOnCorpus(t *testing.T) {
+	perFamily := 6
+	if testing.Short() {
+		perFamily = 2
+	}
+	spec := corpus.DefaultSpec()
+	seen := map[string]int{}
+	var loops []*ddg.Graph
+	for i := 0; len(seen) < corpus.NumShapes || slices.Min(slices.Collect(maps.Values(seen))) < perFamily; i++ {
+		g := spec.Loop(i)
+		family := g.Name[strings.LastIndexByte(g.Name, '_')+1:]
+		if seen[family] < perFamily {
+			seen[family]++
+			loops = append(loops, g)
+		}
+	}
+	longJumps := 0
+	for _, m := range []machine.Config{machine.MustParse("4c2b2l64r"), machine.MustParse("4c1b2l64r")} {
+		for _, g := range loops {
+			for _, strategy := range StrategyNames() {
+				opts := Options{Strategy: strategy, Replicate: strategy == "paper"}
+				requireParity(t, fmt.Sprintf("%s on %s (%s)", g.Name, m.Name, strategy), g, m, opts, 1, 2)
+				if strategy != "moddist" {
+					continue
+				}
+				// moddist's comms count is the search's: a first attempt that
+				// fails the bus precheck jumps from MII+1 to MinBusII(comms).
+				if res, err := referenceSearch(g, m, opts); err == nil && res.CommsBeforeReplication > m.BusComs(res.MII) &&
+					m.MinBusII(res.CommsBeforeReplication)-(res.MII+1) >= 8 {
+					longJumps++
+				}
+			}
+		}
+	}
+	if longJumps == 0 {
+		t.Error("no loop on which moddist skips eight or more intervals")
 	}
 }

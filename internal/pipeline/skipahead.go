@@ -49,6 +49,10 @@ package pipeline
 // Under 1–3, every ii' in (ii, MinBusII(C)) sees the same assignment, the
 // same comms count C, and C > BusComs(ii') — the exact failure, cause
 // tally and state evolution of the linear search, minus the work.
+//
+// moddist needs none of the three: it deals its assignment out once per
+// search, so its placement and C are the same at every ii', and
+// C > BusComs(ii') exactly below MinBusII(C) (its pass sets fixedBusFail).
 import (
 	"clusched/internal/arena"
 	"clusched/internal/ddg"
@@ -57,16 +61,12 @@ import (
 
 // skipTarget returns the smallest II after a failed attempt that the search
 // must actually try: II+1 normally, or the proven bus bound when the
-// attempt failed the bus-capacity precheck and conditions 1–3 hold.
+// attempt failed the bus-capacity precheck and conditions 1–3 hold — or
+// the assignment is fixed for the search (moddist).
 func (c *Context) skipTarget() int {
 	next := c.II + 1
-	if !c.BusCheckFailed || !c.PartitionConverged {
-		return next
-	}
-	if c.II < c.weightStableII() {
-		return next
-	}
-	if !c.assignOverflowHeadroom() {
+	if !c.fixedBusFail && (!c.BusCheckFailed || !c.PartitionConverged ||
+		c.II < c.weightStableII() || !c.assignOverflowHeadroom()) {
 		return next
 	}
 	if b := c.Machine.MinBusII(c.CommsBeforeReplication); b > next {

@@ -14,8 +14,9 @@ package pipeline
 // Capabilities are optional interfaces, not flags: a strategy that rewrites
 // the effective machine implements machineRewriter (unified), and one whose
 // failure shapes satisfy the skip-ahead soundness argument of skipahead.go
-// implements skipAheadCapable (only paper does — the proof there reasons
-// about the partition-refinement fixpoint, which no other chain has).
+// implements skipAheadCapable (paper, whose proof reasons about the
+// partition-refinement fixpoint, and moddist, whose assignment is fixed for
+// the search; uas re-sweeps its assignment at every interval).
 
 import (
 	"fmt"
@@ -54,11 +55,11 @@ type machineRewriter interface {
 }
 
 // skipAheadCapable is the optional capability gating the II skip-ahead
-// (skipahead.go). The soundness argument there is specific to the paper
-// chain — it reasons about partition-refinement fixpoints and slack-derived
-// edge weights — so only strategies whose failed attempts provably evolve
-// the same way may opt in. Strategies without the capability always search
-// linearly.
+// (skipahead.go). The soundness argument there is per chain — for paper it
+// reasons about partition-refinement fixpoints and slack-derived edge
+// weights, for moddist about an assignment fixed for the search — so only
+// strategies whose failed attempts provably evolve that way may opt in.
+// Strategies without the capability always search linearly.
 type skipAheadCapable interface {
 	SkipAhead() bool
 }

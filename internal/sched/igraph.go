@@ -2,6 +2,7 @@ package sched
 
 import (
 	"fmt"
+	"slices"
 
 	"clusched/internal/ddg"
 	"clusched/internal/machine"
@@ -90,9 +91,31 @@ func BuildIGraph(p *Placement, m machine.Config, zeroBusLat bool) (*IGraph, erro
 	return ig.detach(), nil
 }
 
+// igKey is what the arena's instance graph was expanded from, vectors copied.
+// Equal inputs rebuild nothing — neither the graph nor what igSCCs,
+// buildGroups and igTopo derived from it — for the II search retries
+// intervals on unchanged placements. The key holds its (immutable) loop.
+type igKey struct {
+	p       Placement      // G == nil: no key
+	m       machine.Config // Hetero is a copy
+	zeroBus bool
+}
+
+func (k *igKey) matches(p *Placement, m machine.Config, zeroBus bool) bool {
+	return k.p.G != nil && k.p.G == p.G && k.p.K == p.K && k.zeroBus == zeroBus &&
+		k.m.Name == m.Name && k.m.Clusters == m.Clusters && k.m.Buses == m.Buses && k.m.BusLatency == m.BusLatency &&
+		k.m.Regs == m.Regs && k.m.FU == m.FU && slices.Equal(k.m.Hetero, m.Hetero) &&
+		slices.Equal(k.p.Home, p.Home) && slices.Equal(k.p.Replicas, p.Replicas)
+}
+
 // buildIGraph is BuildIGraph into the arena: the returned graph aliases the
 // scratch buffers and is valid until the arena's next use.
 func (sc *Scratch) buildIGraph(p *Placement, m machine.Config, zeroBusLat bool) (*IGraph, error) {
+	if sc.key.matches(p, m, zeroBusLat) {
+		sc.ig.P, sc.ig.M = p, m
+		return &sc.ig, nil
+	}
+	sc.key.p.G, sc.sccOK, sc.groupsOK, sc.topoOK = nil, false, false, false
 	if err := p.Validate(); err != nil {
 		return nil, err
 	}
@@ -184,6 +207,10 @@ func (sc *Scratch) buildIGraph(p *Placement, m machine.Config, zeroBusLat bool) 
 	sc.copyIdx = ig.CopyIdx
 	sc.instIdx = ig.instIdx
 	sc.buildCSR(ig)
+	k, hetero := &sc.key, sc.key.m.Hetero[:0] // the key's own buffers
+	*k = igKey{p: Placement{G: g, K: p.K, Home: append(k.p.Home[:0], p.Home...), Replicas: append(k.p.Replicas[:0], p.Replicas...)},
+		m: m, zeroBus: zeroBusLat}
+	k.m.Hetero = append(hetero, m.Hetero...)
 	return ig, nil
 }
 

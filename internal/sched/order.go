@@ -67,6 +67,10 @@ func computeIGTiming(ig *IGraph, ii int, sc *Scratch) *igTiming {
 // are appended at the end so the function is total. The slice aliases the
 // Scratch arena; the order buffer doubles as the BFS queue.
 func igTopo(ig *IGraph, sc *Scratch) []int32 {
+	if sc.topoOK && ig == &sc.ig {
+		return sc.topoBuf
+	}
+	sc.topoOK = ig == &sc.ig
 	n := ig.NumInstances()
 	indeg := zeroed(sc.indeg, n)
 	sc.indeg = indeg
@@ -144,8 +148,13 @@ type sccFrame struct {
 // igSCCs returns the strongly connected components of the instance graph
 // over all edges, in reverse topological order of the condensation. The
 // components are stored flat in the arena: component i is
-// flat[off[i]:off[i+1]], with len(off) = count+1.
+// flat[off[i]:off[i+1]], with len(off) = count+1. The arena graph's are kept
+// until it is rebuilt (igKey): each consumer sorts them by a total order.
 func igSCCs(ig *IGraph, sc *Scratch) (flat []int32, off []int32) {
+	if sc.sccOK && ig == &sc.ig {
+		return sc.compFlat, sc.compOff
+	}
+	sc.sccOK = ig == &sc.ig
 	n := ig.NumInstances()
 	index := grown(sc.sccIndex, n)
 	sc.sccIndex = index
@@ -397,6 +406,10 @@ type recComp struct {
 // priority order, the flat prefix before a group is exactly the "prior"
 // node set its path-widening searches from.
 func buildGroups(ig *IGraph, sc *Scratch) (flat []int32, off []int32) {
+	if sc.groupsOK && ig == &sc.ig {
+		return sc.groupFlat, sc.groupOff
+	}
+	sc.groupsOK = ig == &sc.ig
 	n := ig.NumInstances()
 	compFlat, compOff := igSCCs(ig, sc)
 	recs := sc.recs[:0]

@@ -98,7 +98,11 @@ func NewPlacement(g *ddg.Graph, a *partition.Assignment) *Placement {
 // Placement is NewPlacement into the arena: the placement is the attempt's,
 // valid until the next call, and a schedule accepted for it carries its own
 // copy (so Schedule.IG.P is what outlives the attempt, not this pointer).
+// A placement of another loop drops the arena's instance graph (igKey).
 func (sc *Scratch) Placement(g *ddg.Graph, a *partition.Assignment) *Placement {
+	if g != sc.key.p.G {
+		sc.key.p.G, sc.ig = nil, IGraph{}
+	}
 	p := sc.placement(g, a.K)
 	p.fill(a)
 	return p

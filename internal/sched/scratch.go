@@ -36,6 +36,10 @@ type Scratch struct {
 	outIdx  []int32
 	inIdx   []int32
 
+	// what ig was built from; the bits mark igSCCs'/buildGroups'/igTopo's as ig's
+	key                     igKey
+	sccOK, groupsOK, topoOK bool
+
 	// computeIGTiming
 	timing igTiming
 	asap   []int
@@ -92,6 +96,7 @@ type Scratch struct {
 	// UASAssignScratch (the uas strategy's greedy sweep)
 	uasTiming  ddg.TimingScratch
 	uasOrder   []int32
+	uasKeys    []uint64
 	uasTime    []int
 	uasCluster []int
 	uasAssign  partition.Assignment

@@ -32,14 +32,24 @@ func warmAttempt(t testing.TB) (*Placement, machine.Config, *Scratch, int) {
 // TestFailedAttemptSteadyStateAllocs pins the allocations of a failing
 // attempt (the II search's common case while probing too-small intervals)
 // at none: the instance graph, reservation table, ordering and liveness
-// buffers and the *Error itself all come from the warm arena.
+// buffers and the *Error itself all come from the warm arena. The attempts
+// alternate between two placements, so each one rebuilds the instance graph
+// (an unchanged placement reuses it: TestReusedAttemptSteadyStateAllocs).
 func TestFailedAttemptSteadyStateAllocs(t *testing.T) {
 	p, m, sc, _ := warmAttempt(t)
+	q := p.Clone()
+	q.Replicas[0] = q.Replicas[0].Add((q.Home[0] + 1) % q.K)
 	failII := 1 // far below the feasible II: always fails
-	if _, err := ScheduleLoopScratch(p, m, failII, false, Options{}, sc); err == nil {
-		t.Skip("II=1 unexpectedly feasible for the warmup loop")
+	for _, pl := range []*Placement{p, q} {
+		if _, err := ScheduleLoopScratch(pl, m, failII, false, Options{}, sc); err == nil {
+			t.Skip("II=1 unexpectedly feasible for the warmup loop")
+		}
+	}
+	if _, err := sc.buildIGraph(p, m, false); err != nil || sc.groupsOK {
+		t.Fatalf("a build after another placement's attempt did not rebuild (err %v)", err)
 	}
 	avg := testing.AllocsPerRun(50, func() {
+		p, q = q, p
 		if _, err := ScheduleLoopScratch(p, m, failII, false, Options{}, sc); err == nil {
 			t.Fatal("attempt unexpectedly succeeded")
 		}

@@ -41,24 +41,7 @@ func UASAssignScratch(g *ddg.Graph, m machine.Config, ii int, sc *Scratch) (*par
 	const inf = int(^uint(0) >> 1)
 	K := m.Clusters
 	tm := g.ComputeTimingScratch(ii, &sc.uasTiming)
-
-	// Placement order: most time-constrained first (smallest ALAP, then
-	// smallest ASAP) — the greedy analogue of scheduling critical chains
-	// before slack-rich ones. Deterministic tie-break on the node id.
-	order := grown(sc.uasOrder, n)
-	sc.uasOrder = order
-	for v := range order {
-		order[v] = int32(v)
-	}
-	slices.SortStableFunc(order, func(a, b int32) int {
-		if c := cmp.Compare(tm.ALAP[a], tm.ALAP[b]); c != 0 {
-			return c
-		}
-		if c := cmp.Compare(tm.ASAP[a], tm.ASAP[b]); c != 0 {
-			return c
-		}
-		return cmp.Compare(a, b)
-	})
+	order := uasOrder(tm, sc)
 
 	rt := &sc.rt
 	rt.reset(m, K, ii)
@@ -222,4 +205,33 @@ func UASAssignScratch(g *ddg.Graph, m machine.Config, ii int, sc *Scratch) (*par
 	}
 	sc.uasAssign = partition.Assignment{Cluster: cluster, K: K}
 	return &sc.uasAssign, true
+}
+
+const uasIDBits, uasTimeBits = 20, 22 // a uasOrder key: ALAP‖ASAP‖id
+
+// uasOrder is the sweep's placement order: most time-constrained first
+// (smallest ALAP, then smallest ASAP, then id) — the greedy analogue of
+// scheduling critical chains first. Where every field fits (latencies are a
+// job's to set) the keys sort as integers; the comparator sorts the rest.
+func uasOrder(tm *ddg.Timing, sc *Scratch) []int32 {
+	n := len(tm.ASAP)
+	order, keys := grown(sc.uasOrder, n), grown(sc.uasKeys, n)
+	sc.uasOrder, sc.uasKeys = order, keys
+	packable := n <= 1<<uasIDBits
+	for v := range order {
+		order[v] = int32(v)
+		keys[v] = uint64(tm.ALAP[v])<<(uasTimeBits+uasIDBits) | uint64(tm.ASAP[v])<<uasIDBits | uint64(v)
+		packable = packable && uint(tm.ALAP[v]) < 1<<uasTimeBits && uint(tm.ASAP[v]) < 1<<uasTimeBits
+	}
+	if !packable {
+		slices.SortFunc(order, func(a, b int32) int {
+			return cmp.Or(cmp.Compare(tm.ALAP[a], tm.ALAP[b]), cmp.Compare(tm.ASAP[a], tm.ASAP[b]), cmp.Compare(a, b))
+		})
+		return order
+	}
+	slices.Sort(keys)
+	for i, k := range keys {
+		order[i] = int32(k & (1<<uasIDBits - 1))
+	}
+	return order
 }
