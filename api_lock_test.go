@@ -26,7 +26,6 @@ import (
 var publicAPI = []string{
 	"Backend",
 	"BatchError",
-	"BatchStatus",
 	"BenchmarkLoops",
 	"Benchmarks",
 	"Builder",
@@ -36,24 +35,17 @@ var publicAPI = []string{
 	"CauseRecurrence",
 	"CauseRegisters",
 	"Client",
-	"Client.Cancel",
 	"Client.Compile",
 	"Client.Do",
 	"Client.Health",
 	"Client.Stats",
-	"Client.Status",
 	"Client.Stream",
-	"Client.SubmitBatch",
-	"Client.Trace",
-	"Client.WaitBatch",
 	"Cluster",
 	"Collect",
 	"Compile",
-	"CompileAll",
 	"CompileJob",
 	"CompileOutcome",
 	"Compiler",
-	"CompilerConfig",
 	"DefaultClientTimeout",
 	"ExpandPipeline",
 	"FleetStats",
@@ -63,7 +55,6 @@ var publicAPI = []string{
 	"Machine",
 	"MustParseMachine",
 	"NewCluster",
-	"NewCompiler",
 	"NewLocal",
 	"NewLoop",
 	"NewOptions",
@@ -92,7 +83,6 @@ var publicAPI = []string{
 	"Result",
 	"SPECfp95",
 	"Schedule",
-	"Store",
 	"Strategies",
 	"StrategyDescription",
 	"Trace",

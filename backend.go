@@ -1,13 +1,14 @@
 package clusched
 
-// The v2 public surface: one canonical, context-first contract for "compile
+// The public surface: one canonical, context-first contract for "compile
 // these loops", with where-it-runs as a swappable backend. The in-process
-// engine (NewLocal) and the remote service client (NewRemote) implement the
-// same interface, so tools and experiments program against Backend and turn
-// local-vs-remote into configuration. Functional options cover both the
-// per-job pipeline options (WithStrategy, WithReplication, …) and the
-// backend construction knobs (WithWorkers, WithCacheSize, WithTimeout, …);
-// the v1 structs (Options, CompilerConfig) remain as the underlying types.
+// engine (NewLocal), the remote service client (NewRemote) and the fleet
+// (NewCluster) implement the same interface, so tools and experiments
+// program against Backend and turn local-vs-remote into configuration; the
+// three constructors are the only way to build one. Functional options cover
+// both the per-job pipeline options (WithStrategy, WithReplication, …) and
+// the backend construction knobs (WithWorkers, WithCacheSize, WithTimeout,
+// …); NewOptions builds the Options struct, which a literal spells too.
 
 import (
 	"context"
@@ -46,15 +47,14 @@ var (
 	_ Backend = (*Client)(nil)
 )
 
-// Progress observes batch completion on a local backend (see
-// CompilerConfig.Progress).
+// Progress observes batch completion on a local backend (see WithProgress).
 type Progress = driver.Progress
 
 // settings is the merged configuration the functional options mutate; each
 // constructor reads the part it understands.
 type settings struct {
 	opts    Options
-	engine  CompilerConfig
+	engine  driver.Config
 	client  clientConfig
 	cluster clusterConfig
 }
@@ -102,17 +102,18 @@ func (sc optionScope) String() string {
 	return "an unknown option"
 }
 
-// Option configures NewOptions, NewLocal or NewRemote. Options are grouped
-// by what they configure — compilation options (WithStrategy,
+// Option configures NewOptions, NewLocal, NewRemote or NewCluster. Options
+// are grouped by what they configure — compilation options (WithStrategy,
 // WithReplication, WithLengthReplication, WithZeroBusLatency,
 // WithMacroReplication, WithMaxII, WithIgnoreRegisterPressure,
 // WithVerification), local-engine construction (WithWorkers, WithCacheSize,
-// WithProgress, WithSpeculation) and remote-client construction (WithHTTPClient,
-// WithTimeout). Passing an option to a constructor
-// outside its group panics with the option's name and where it belongs:
-// NewLocal(WithReplication(true)) would otherwise silently compile every
-// job without replication, which is far worse than a loud construction
-// failure.
+// WithProgress, WithSpeculation, WithTrace), remote-client construction
+// (WithHTTPClient, WithTimeout — for NewRemote and NewCluster alike) and the
+// fleet (WithHedge, WithNodeInFlight, WithHealthInterval). Passing an option
+// to a constructor outside its group panics with the option's name and where
+// it belongs: NewLocal(WithReplication(true)) would otherwise silently
+// compile every job without replication, which is far worse than a loud
+// construction failure.
 type Option struct {
 	name  string
 	scope optionScope
@@ -239,10 +240,11 @@ func WithHTTPClient(hc *http.Client) Option {
 	return clientOption("WithHTTPClient", func(s *settings) { s.client.httpClient = hc })
 }
 
-// WithTimeout bounds each unary exchange of a remote backend (submit,
-// poll, stats — not the NDJSON stream, which lives as long as its batch).
-// 0 disables the bound; without this option NewRemote applies
-// DefaultClientTimeout.
+// WithTimeout bounds how long a remote backend waits on a server: each unary
+// exchange (a blocking compile, stats, health) as a whole, and on an NDJSON
+// stream — which itself lives as long as its batch — the wait for the hello
+// and every later gap between two frames. 0 disables the bound; without this
+// option NewRemote and NewCluster apply DefaultClientTimeout.
 func WithTimeout(d time.Duration) Option {
 	return clientOption("WithTimeout", func(s *settings) { s.client.timeout = d; s.client.hasTimeout = true })
 }
@@ -273,8 +275,8 @@ func WithHealthInterval(d time.Duration) Option {
 	return clusterOption("WithHealthInterval", func(s *settings) { s.cluster.healthInterval = d; s.cluster.hasHealth = true })
 }
 
-// NewOptions builds compilation Options functionally — the v2 spelling of
-// the Options literal:
+// NewOptions builds compilation Options functionally — the spelling of an
+// Options literal that constructors share:
 //
 //	opts := clusched.NewOptions(
 //		clusched.WithStrategy("paper"),
@@ -286,17 +288,17 @@ func NewOptions(opts ...Option) Options {
 
 // NewLocal builds the in-process Backend: the concurrent batch engine with
 // a bounded worker pool and a shared result cache. Engine-level options
-// (WithWorkers, WithCacheSize, WithProgress) apply; job-level options ride
-// on each CompileJob.
+// (WithWorkers, WithCacheSize, WithProgress, WithSpeculation, WithTrace)
+// apply; job-level options ride on each CompileJob.
 func NewLocal(opts ...Option) *Compiler {
-	return NewCompiler(applySettings("NewLocal", scopeEngine, opts).engine)
+	return driver.New(applySettings("NewLocal", scopeEngine, opts).engine)
 }
 
 // Collect drains b.Stream(ctx, jobs) into an index-aligned outcome slice:
 // outcomes[i] is the outcome of jobs[i] no matter how the backend scheduled
-// the work, so batch output is deterministic — the CompileAll semantics,
-// over any Backend. The error is nil when every job succeeded, otherwise a
-// *BatchError aggregating every failure; outcomes is complete either way.
+// the work, so batch output is deterministic over any Backend. The error is
+// nil when every job succeeded, otherwise a *BatchError aggregating every
+// failure; outcomes is complete either way.
 func Collect(ctx context.Context, b Backend, jobs []CompileJob) ([]CompileOutcome, error) {
 	outcomes := make([]CompileOutcome, len(jobs))
 	for i, out := range b.Stream(ctx, jobs) {

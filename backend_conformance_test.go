@@ -22,13 +22,14 @@ import (
 	"testing"
 	"time"
 
+	"clusched/internal/driver"
 	"clusched/internal/service"
 )
 
 // gateStore is a Store whose Load blocks for selected loops until
 // released: the deterministic way to hold one job of a batch open while
 // the rest complete. It gates the local engine and the remote server
-// through the same CompilerConfig.Store seam.
+// through the same driver.Config.Store seam.
 type gateStore struct {
 	hold map[string]chan struct{}
 }
@@ -56,22 +57,22 @@ func (g *gateStore) Save(CompileJob, *Result, error) {}
 // config; the store gate and worker bound ride the config into both.
 type backendCase struct {
 	name string
-	make func(t *testing.T, cfg CompilerConfig) Backend
+	make func(t *testing.T, cfg driver.Config) Backend
 }
 
 func backendCases() []backendCase {
 	return []backendCase{
-		{name: "local", make: func(t *testing.T, cfg CompilerConfig) Backend {
-			return NewCompiler(cfg)
+		{name: "local", make: func(t *testing.T, cfg driver.Config) Backend {
+			return driver.New(cfg)
 		}},
-		{name: "local-spec", make: func(t *testing.T, cfg CompilerConfig) Backend {
+		{name: "local-spec", make: func(t *testing.T, cfg driver.Config) Backend {
 			// Speculation is an execution detail: the whole conformance
 			// contract must hold unchanged with lanes racing inside every
 			// compilation.
 			cfg.Speculation = 4
-			return NewCompiler(cfg)
+			return driver.New(cfg)
 		}},
-		{name: "remote", make: func(t *testing.T, cfg CompilerConfig) Backend {
+		{name: "remote", make: func(t *testing.T, cfg driver.Config) Backend {
 			t.Helper()
 			s := service.New(service.Config{Workers: cfg.Workers, CacheSize: cfg.CacheSize, Store: cfg.Store})
 			ts := httptest.NewServer(s.Handler())
@@ -79,9 +80,9 @@ func backendCases() []backendCase {
 				ts.Close()
 				s.Shutdown(context.Background())
 			})
-			return fastPoll(NewRemote(ts.URL))
+			return NewRemote(ts.URL)
 		}},
-		{name: "cluster", make: func(t *testing.T, cfg CompilerConfig) Backend {
+		{name: "cluster", make: func(t *testing.T, cfg driver.Config) Backend {
 			t.Helper()
 			_, cl := newConformanceFleet(t, cfg, 3)
 			return cl
@@ -99,7 +100,7 @@ const conformanceNodeInFlight = 2
 // newConformanceFleet starts n in-process service instances sharing the
 // engine config (so store gates apply fleet-wide) and returns them with a
 // Cluster backend over all of them.
-func newConformanceFleet(t *testing.T, cfg CompilerConfig, n int) ([]*httptest.Server, *Cluster) {
+func newConformanceFleet(t *testing.T, cfg driver.Config, n int) ([]*httptest.Server, *Cluster) {
 	t.Helper()
 	tss := make([]*httptest.Server, n)
 	urls := make([]string, n)
@@ -202,7 +203,7 @@ func TestBackendConformanceIdenticalResults(t *testing.T) {
 	want := referenceOutcomes(t, jobs)
 	for _, bc := range backendCases() {
 		t.Run(bc.name, func(t *testing.T) {
-			b := bc.make(t, CompilerConfig{})
+			b := bc.make(t, driver.Config{})
 			outs, err := Collect(context.Background(), b, jobs)
 			if err != nil {
 				t.Fatalf("collect: %v", err)
@@ -226,7 +227,7 @@ func TestBackendConformanceIdenticalResults(t *testing.T) {
 			// Compile of the same list, on a backend of its own so that
 			// nothing is answered from what Stream left cached, gives what
 			// Stream gave.
-			unary := bc.make(t, CompilerConfig{})
+			unary := bc.make(t, driver.Config{})
 			for i, j := range jobs {
 				res, err := unary.Compile(context.Background(), j)
 				if err != nil {
@@ -273,7 +274,7 @@ func TestBackendConformanceStreamingIncremental(t *testing.T) {
 			jobs = append(jobs, gated)
 			last := gated.Graph.Name
 			gate := newGateStore(last)
-			b := bc.make(t, CompilerConfig{Workers: 1, Store: gate})
+			b := bc.make(t, driver.Config{Workers: 1, Store: gate})
 
 			ctx, cancel := context.WithTimeout(context.Background(), 2*time.Minute)
 			defer cancel()
@@ -306,7 +307,7 @@ func TestBackendConformanceEarlyStop(t *testing.T) {
 	for _, bc := range backendCases() {
 		t.Run(bc.name, func(t *testing.T) {
 			jobs := conformanceJobs(t)
-			b := bc.make(t, CompilerConfig{Workers: 1})
+			b := bc.make(t, driver.Config{Workers: 1})
 			n := 0
 			for _, out := range b.Stream(context.Background(), jobs) {
 				if out.Err != nil {
@@ -346,7 +347,7 @@ func TestBackendConformanceCancelCleanPrefix(t *testing.T) {
 			jobs = append(jobs, base[3:]...)
 			want := referenceOutcomes(t, jobs[:3])
 			gate := newGateStore(gated.Graph.Name)
-			b := bc.make(t, CompilerConfig{Workers: 1, Store: gate})
+			b := bc.make(t, driver.Config{Workers: 1, Store: gate})
 
 			ctx, cancel := context.WithCancel(context.Background())
 			defer cancel()

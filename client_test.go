@@ -3,10 +3,10 @@ package clusched
 import (
 	"context"
 	"errors"
-	"fmt"
 	"net/http"
 	"net/http/httptest"
 	"strings"
+	"sync"
 	"sync/atomic"
 	"testing"
 	"time"
@@ -24,14 +24,7 @@ func startService(t *testing.T, cfg service.Config) (*Client, *service.Server) {
 		ts.Close()
 		s.Shutdown(context.Background())
 	})
-	return fastPoll(NewRemote(ts.URL)), s
-}
-
-// fastPoll shortens c's poll ladder: a test does not wait out production
-// pacing.
-func fastPoll(c *Client) *Client {
-	c.pollInterval = 5 * time.Millisecond
-	return c
+	return NewRemote(ts.URL), s
 }
 
 func TestClientCompile(t *testing.T) {
@@ -84,88 +77,93 @@ func TestClientCompile(t *testing.T) {
 	}
 }
 
-func TestClientBatch(t *testing.T) {
-	c, _ := startService(t, service.Config{})
-	ctx := context.Background()
-
-	loops := BenchmarkLoops("hydro2d")[:10]
-	m := MustParseMachine("2c1b2l64r")
-	jobs := make([]CompileJob, len(loops))
-	for i, l := range loops {
-		jobs[i] = CompileJob{Graph: l.Graph, Machine: m, Opts: Options{Replicate: true}}
-	}
-	id, err := c.SubmitBatch(ctx, jobs, time.Minute)
-	if err != nil {
-		t.Fatal(err)
-	}
-	st, err := c.WaitBatch(ctx, id)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if st.State != "done" || st.Err != nil {
-		t.Fatalf("batch ended %s (%v)", st.State, st.Err)
-	}
-	if len(st.Outcomes) != len(jobs) {
-		t.Fatalf("%d outcomes for %d jobs", len(st.Outcomes), len(jobs))
-	}
-	for i, o := range st.Outcomes {
-		if o.Err != nil || o.Result == nil {
-			t.Fatalf("job %d: %v", i, o.Err)
-		}
-		if o.Result.Loop.Fingerprint() != jobs[i].Graph.Fingerprint() {
-			t.Fatalf("job %d: outcome misaligned", i)
-		}
-	}
-}
-
+// TestClientErrors: a request the server refuses is an error on both halves
+// — every job of a refused batch carries it, once — and a dead endpoint is
+// a transport error, not a hang.
 func TestClientErrors(t *testing.T) {
 	c, _ := startService(t, service.Config{})
 	ctx := context.Background()
 
-	if _, err := c.Status(ctx, "job-404"); err == nil {
-		t.Fatal("unknown ticket did not error")
+	m := MustParseMachine("4c2b2l64r")
+	var jobs []CompileJob
+	for _, l := range BenchmarkLoops("tomcatv")[:2] {
+		jobs = append(jobs, CompileJob{Graph: l.Graph, Machine: m, Opts: NewOptions(WithStrategy("no-such-strategy"))})
 	}
-	if err := c.Cancel(ctx, "job-404"); err == nil {
-		t.Fatal("cancel of unknown ticket did not error")
+	refused := func(err error) bool {
+		var se *wire.StatusError
+		return errors.As(err, &se) && se.Code == http.StatusBadRequest && strings.Contains(se.Msg, "no-such-strategy")
 	}
-	// A dead endpoint surfaces as a transport error, not a hang.
+	if _, err := c.Compile(ctx, jobs[0]); !refused(err) {
+		t.Fatalf("unary compile under an unknown strategy: %v", err)
+	}
+	seen := make([]bool, len(jobs))
+	for i, out := range c.Stream(ctx, jobs) {
+		if seen[i] || !refused(out.Err) {
+			t.Fatalf("job %d (again: %v): %v", i, seen[i], out.Err)
+		}
+		seen[i] = true
+	}
+	if !seen[0] || !seen[1] {
+		t.Fatalf("yielded %v, want both jobs", seen)
+	}
+
 	dead := NewRemote("http://127.0.0.1:1")
 	cctx, cancel := context.WithTimeout(ctx, 5*time.Second)
 	defer cancel()
 	if err := dead.Health(cctx); err == nil {
 		t.Fatal("dead endpoint reported healthy")
 	}
-}
-
-func TestClientQueueFullTyped(t *testing.T) {
-	// Gate the runner with an empty workers pool trick is internal; here
-	// just overfill a depth-1 queue with slow-ish batches and accept that
-	// at least the typed error path is exercised when it happens.
-	c, s := startService(t, service.Config{Runners: 1, QueueDepth: 1, Workers: 1})
-	ctx := context.Background()
-	loops := BenchmarkLoops("fpppp")
-	m := MustParseMachine("4c2b2l64r")
-	var jobs []CompileJob
-	for _, l := range loops {
-		jobs = append(jobs, CompileJob{Graph: l.Graph, Machine: m, Opts: Options{Replicate: true}})
-	}
-	var sawFull bool
-	for i := 0; i < 50 && !sawFull; i++ {
-		_, err := c.SubmitBatch(ctx, jobs, 0)
-		var full *QueueFullError
-		if errors.As(err, &full) {
-			if full.RetryAfter <= 0 {
-				t.Fatal("queue-full error without retry hint")
-			}
-			sawFull = true
-		} else if err != nil {
-			t.Fatal(err)
+	for _, out := range dead.Stream(cctx, jobs[:1]) {
+		if out.Err == nil {
+			t.Fatal("a dead endpoint streamed an outcome")
 		}
 	}
-	if !sawFull {
-		t.Skip("queue never filled on this machine; admission control is covered by service tests")
+}
+
+// TestClientQueueFullTyped: a batch the server's admission control turns
+// away reaches every job of the stream as a *QueueFullError carrying the
+// server's hint. One runner held at a gated job and a queue of one fill
+// deterministically, so the third batch is the one refused.
+func TestClientQueueFullTyped(t *testing.T) {
+	loops := BenchmarkLoops("fpppp")
+	m := MustParseMachine("4c2b2l64r")
+	batch := func(k int) []CompileJob {
+		return []CompileJob{{Graph: loops[2*k].Graph, Machine: m}, {Graph: loops[2*k+1].Graph, Machine: m}}
 	}
-	_ = s
+	gated := loops[0].Graph.Name
+	gate := newGateStore(gated)
+	c, s := startService(t, service.Config{Runners: 1, QueueDepth: 1, Workers: 1, Store: gate})
+	var wg sync.WaitGroup
+	t.Cleanup(wg.Wait)
+	t.Cleanup(func() { gate.release(gated) }) // runs first: lets the held batches finish
+	ctx := context.Background()
+	admit := func(jobs []CompileJob, until func(wire.ServiceStats) bool) {
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			for range c.Stream(ctx, jobs) {
+			}
+		}()
+		for deadline := time.Now().Add(10 * time.Second); !until(s.Stats()); time.Sleep(time.Millisecond) {
+			if time.Now().After(deadline) {
+				t.Fatalf("the batch was never admitted: %+v", s.Stats())
+			}
+		}
+	}
+	admit(batch(0), func(st wire.ServiceStats) bool { return st.InFlight == 1 }) // held at the gate
+	admit(batch(1), func(st wire.ServiceStats) bool { return st.Queued == 1 })   // fills the queue
+
+	refused := 0
+	for i, out := range c.Stream(ctx, batch(2)) {
+		var full *QueueFullError
+		if !errors.As(out.Err, &full) || full.RetryAfter <= 0 {
+			t.Fatalf("job %d: want a *QueueFullError with a retry hint, got %v", i, out.Err)
+		}
+		refused++
+	}
+	if refused != 2 {
+		t.Fatalf("%d jobs refused, want the batch's 2", refused)
+	}
 }
 
 // TestStreamEarlyBreakCancelsRemoteTicket: walking away from a remote
@@ -302,71 +300,6 @@ func TestStreamUnknownTicket404IsNotEndpointFallback(t *testing.T) {
 				t.Fatal("client polled a ticket whose stream the server refused")
 			}
 		})
-	}
-}
-
-// TestWaitBatchDeadlineCap: once the server reports a ticket deadline,
-// WaitBatch must not poll a doomed ticket forever — past deadline + grace
-// it makes one final probe and gives up with an error naming the state.
-func TestWaitBatchDeadlineCap(t *testing.T) {
-	var polls atomic.Int32
-	mux := http.NewServeMux()
-	mux.HandleFunc("GET /jobs/{id}", func(w http.ResponseWriter, r *http.Request) {
-		polls.Add(1)
-		// Running, with a deadline that already expired past the grace
-		// window: the cap timer fires before the first sleep finishes.
-		fmt.Fprintf(w, `{"id":"doomed","state":"running","num_jobs":1,"deadline_ms":%d}`+"\n",
-			time.Now().Add(-10*time.Second).UnixMilli())
-	})
-	ts := httptest.NewServer(mux)
-	defer ts.Close()
-
-	c := NewRemote(ts.URL)
-	ctx, cancel := context.WithTimeout(context.Background(), 30*time.Second)
-	defer cancel()
-	start := time.Now()
-	_, err := c.WaitBatch(ctx, "doomed")
-	if err == nil || !strings.Contains(err.Error(), "past its deadline") {
-		t.Fatalf("want the past-deadline error, got %v", err)
-	}
-	if got := polls.Load(); got > 3 {
-		t.Fatalf("WaitBatch kept polling a doomed ticket: %d probes", got)
-	}
-	if elapsed := time.Since(start); elapsed > 10*time.Second {
-		t.Fatalf("WaitBatch took %v to give up on an expired ticket", elapsed)
-	}
-}
-
-// TestWaitBatchHonorsRetryAfterHint: the server's retry_after_ms wins over
-// the client's own (here deliberately huge) poll interval, so a hinted
-// ticket resolves promptly even with a misconfigured client schedule.
-func TestWaitBatchHonorsRetryAfterHint(t *testing.T) {
-	var polls atomic.Int32
-	mux := http.NewServeMux()
-	mux.HandleFunc("GET /jobs/{id}", func(w http.ResponseWriter, r *http.Request) {
-		if polls.Add(1) == 1 {
-			fmt.Fprintln(w, `{"id":"tk","state":"running","num_jobs":0,"retry_after_ms":60}`)
-			return
-		}
-		fmt.Fprintln(w, `{"id":"tk","state":"done","num_jobs":0}`)
-	})
-	ts := httptest.NewServer(mux)
-	defer ts.Close()
-
-	c := NewRemote(ts.URL)
-	c.pollInterval = time.Hour // the hint must override this
-	ctx, cancel := context.WithTimeout(context.Background(), 30*time.Second)
-	defer cancel()
-	start := time.Now()
-	st, err := c.WaitBatch(ctx, "tk")
-	if err != nil {
-		t.Fatal(err)
-	}
-	if st.State != wire.StateDone {
-		t.Fatalf("want done, got %q", st.State)
-	}
-	if elapsed := time.Since(start); elapsed > 5*time.Second {
-		t.Fatalf("hinted poll took %v; the Retry-After hint did not override the poll interval", elapsed)
 	}
 }
 

@@ -42,7 +42,6 @@
 package clusched
 
 import (
-	"context"
 	"io"
 
 	"clusched/internal/codegen"
@@ -151,12 +150,8 @@ func StrategyDescription(name string) string { return pipeline.StrategyDescripti
 // deterministic collection, an LRU result cache keyed on (graph
 // fingerprint, machine, options) with hit/miss accounting, aggregate error
 // reporting, and optional progress callbacks. One Compiler is safe for
-// concurrent use and meant to be shared; NewLocal is the v2 constructor.
+// concurrent use and meant to be shared; build one with NewLocal.
 type Compiler = driver.Compiler
-
-// CompilerConfig parameterizes NewCompiler; the zero value gives
-// GOMAXPROCS workers and a default-sized cache.
-type CompilerConfig = driver.Config
 
 // CompileJob is one batch compilation request: a loop DDG, a machine and
 // pipeline options.
@@ -172,14 +167,6 @@ type BatchError = driver.BatchError
 // CacheStats reports the engine's result-cache effectiveness.
 type CacheStats = driver.CacheStats
 
-// Store is the persistent second-level result cache under a local
-// backend's in-memory LRU (see CompilerConfig.Store); clusched-serve's
-// disk cache implements it.
-type Store = driver.Store
-
-// NewCompiler builds a batch-compilation engine.
-func NewCompiler(cfg CompilerConfig) *Compiler { return driver.New(cfg) }
-
 // Trace records a compilation's execution timeline — queue waits, cache
 // lookups, passes, II attempts, speculative lanes — as spans on named
 // tracks. Attach one to a local backend with WithTrace (or to a single
@@ -191,34 +178,6 @@ type Trace = telemetry.Trace
 
 // NewTrace starts an empty trace; its epoch (time zero) is the call.
 func NewTrace() *Trace { return telemetry.NewTrace() }
-
-// CompileAll compiles every loop for every machine on a fresh local
-// backend with default settings and returns the results machine-major: the
-// result for loops[i] on machines[j] is at index j*len(loops)+i. The order
-// is deterministic regardless of scheduling. When some compilations fail,
-// their slots are nil and the returned error is a *BatchError aggregating
-// them; the other results are still valid. Callers wanting a persistent
-// cache, a custom worker count, progress callbacks or incremental results
-// should build a Backend (NewLocal, NewRemote) and use Stream or Collect.
-func CompileAll(loops []*Loop, machines []Machine, opts Options) ([]*Result, error) {
-	jobs := make([]CompileJob, 0, len(loops)*len(machines))
-	for _, m := range machines {
-		for _, l := range loops {
-			jobs = append(jobs, CompileJob{Graph: l.Graph, Machine: m, Opts: opts})
-		}
-	}
-	if len(jobs) == 0 {
-		return nil, nil
-	}
-	// The engine is throwaway, so bound its cache to the batch: large
-	// enough that duplicate loops hit, never larger than the work.
-	outcomes, err := Collect(context.Background(), NewLocal(WithCacheSize(len(jobs))), jobs)
-	results := make([]*Result, len(outcomes))
-	for i := range outcomes {
-		results[i] = outcomes[i].Result
-	}
-	return results, err
-}
 
 // Pipeline is an expanded software pipeline: prolog, MVE-unrolled kernel
 // and epilog with physical register assignments.

@@ -1,6 +1,7 @@
 package clusched_test
 
 import (
+	"context"
 	"strings"
 	"testing"
 
@@ -98,25 +99,31 @@ func TestPublicAPIOptionsVariants(t *testing.T) {
 	}
 }
 
-func TestPublicAPICompileAll(t *testing.T) {
+func TestPublicAPICollect(t *testing.T) {
 	loops := clusched.BenchmarkLoops("tomcatv")
 	machines := []clusched.Machine{
 		clusched.MustParseMachine("2c1b2l64r"),
 		clusched.MustParseMachine("4c2b2l64r"),
 	}
 	opts := clusched.Options{Replicate: true}
-	results, err := clusched.CompileAll(loops, machines, opts)
+	var jobs []clusched.CompileJob
+	for _, m := range machines {
+		for _, l := range loops {
+			jobs = append(jobs, clusched.CompileJob{Graph: l.Graph, Machine: m, Opts: opts})
+		}
+	}
+	outs, err := clusched.Collect(context.Background(), clusched.NewLocal(), jobs)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if len(results) != len(loops)*len(machines) {
-		t.Fatalf("%d results, want %d", len(results), len(loops)*len(machines))
+	if len(outs) != len(loops)*len(machines) {
+		t.Fatalf("%d outcomes, want %d", len(outs), len(loops)*len(machines))
 	}
-	// Machine-major ordering: results[j*len(loops)+i] is loops[i] on
-	// machines[j], and matches a direct serial compile.
+	// Machine-major ordering, as the jobs were listed: outs[j*len(loops)+i]
+	// is loops[i] on machines[j], and matches a direct serial compile.
 	for j, m := range machines {
 		for i, l := range loops {
-			r := results[j*len(loops)+i]
+			r := outs[j*len(loops)+i].Result
 			if r == nil {
 				t.Fatalf("nil result for %s on %s", l.Graph.Name, m)
 			}
@@ -138,13 +145,13 @@ func TestPublicAPICompileAll(t *testing.T) {
 func TestPublicAPICompilerCache(t *testing.T) {
 	g := buildSaxpy(t)
 	m := clusched.MustParseMachine("4c2b2l64r")
-	comp := clusched.NewCompiler(clusched.CompilerConfig{Workers: 2})
+	comp := clusched.NewLocal(clusched.WithWorkers(2))
 	jobs := []clusched.CompileJob{
 		{Graph: g, Machine: m},
 		{Graph: g, Machine: m, Opts: clusched.Options{Replicate: true}},
 	}
 	for run := 0; run < 2; run++ {
-		if _, err := comp.CompileAll(jobs); err != nil {
+		if _, err := clusched.Collect(context.Background(), comp, jobs); err != nil {
 			t.Fatal(err)
 		}
 	}

@@ -3,20 +3,23 @@ package clusched
 // Fleet-level failure tests on top of the backend conformance suite: the
 // cluster must survive losing a node mid-batch without losing or changing a
 // single outcome, and the single-server client must survive losing its
-// NDJSON stream mid-batch by resuming over the poll path — each undelivered
-// outcome exactly once.
+// NDJSON stream mid-batch by reading the ticket's own stream once more —
+// each undelivered outcome exactly once.
 
 import (
 	"bytes"
 	"context"
+	"errors"
 	"io"
 	"net/http"
 	"net/http/httptest"
+	"strings"
 	"sync"
 	"sync/atomic"
 	"testing"
 	"time"
 
+	"clusched/internal/driver"
 	"clusched/internal/service"
 	"clusched/internal/wire"
 )
@@ -28,7 +31,7 @@ import (
 func TestClusterNodeKilledMidBatch(t *testing.T) {
 	jobs := conformanceJobs(t)
 	want := referenceOutcomes(t, jobs)
-	tss, cl := newConformanceFleet(t, CompilerConfig{}, 3)
+	tss, cl := newConformanceFleet(t, driver.Config{}, 3)
 
 	ctx, cancel := context.WithTimeout(context.Background(), 2*time.Minute)
 	defer cancel()
@@ -104,49 +107,85 @@ func (c *cutStream) Flush() {
 	}
 }
 
-// TestStreamReconnectDeliversSuffixExactlyOnce kills the NDJSON stream
-// after the hello frame plus one outcome. The client must fall back to the
-// poll path, wait the batch out, and deliver the undelivered suffix exactly
-// once — bit-identical to the reference, the already-streamed prefix never
-// repeated.
+// TestStreamReconnectDeliversSuffixExactlyOnce cuts the NDJSON stream after
+// the hello frame plus one outcome. The client must read the ticket's own
+// stream once more — GET /batch/{id}/stream, never the poll endpoint — and
+// deliver the undelivered suffix exactly once, bit-identical to the
+// reference, the already-streamed prefix never repeated. When the resumed
+// stream is cut too, every undelivered job yields that error once, the
+// iteration ends, and the ticket is cancelled.
 func TestStreamReconnectDeliversSuffixExactlyOnce(t *testing.T) {
 	jobs := conformanceJobs(t)
 	want := referenceOutcomes(t, jobs)
+	for _, tc := range []struct {
+		name      string
+		cutResume bool
+	}{{"the resume completes", false}, {"the resume is cut too", true}} {
+		t.Run(tc.name, func(t *testing.T) {
+			s := service.New(service.Config{})
+			h := s.Handler()
+			var cuts, resumes, polls, deletes atomic.Int32
+			ts := httptest.NewServer(http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
+				switch {
+				case r.Method == http.MethodDelete:
+					deletes.Add(1)
+				case r.Method == http.MethodGet && strings.HasSuffix(r.URL.Path, "/stream"):
+					resumes.Add(1)
+				case r.Method == http.MethodGet && strings.HasPrefix(r.URL.Path, "/jobs/"):
+					polls.Add(1)
+				}
+				if r.Method == http.MethodPost || tc.cutResume {
+					w = &cutStream{ResponseWriter: w, limit: 2, cuts: &cuts} // hello + one outcome
+				}
+				h.ServeHTTP(w, r)
+			}))
+			t.Cleanup(func() {
+				ts.Close()
+				s.Shutdown(context.Background())
+			})
 
-	s := service.New(service.Config{})
-	h := s.Handler()
-	var cuts atomic.Int32
-	ts := httptest.NewServer(http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
-		h.ServeHTTP(&cutStream{ResponseWriter: w, limit: 2, cuts: &cuts}, r) // hello + one outcome
-	}))
-	t.Cleanup(func() {
-		ts.Close()
-		s.Shutdown(context.Background())
-	})
-	client := fastPoll(NewRemote(ts.URL))
-
-	ctx, cancel := context.WithTimeout(context.Background(), 2*time.Minute)
-	defer cancel()
-	seen := make([]bool, len(jobs))
-	delivered := 0
-	for i, out := range client.Stream(ctx, jobs) {
-		if seen[i] {
-			t.Fatalf("job %d delivered twice across the stream/poll hand-off", i)
-		}
-		seen[i] = true
-		if out.Err != nil {
-			t.Fatalf("job %d (%s): %v", i, jobs[i].Graph.Name, out.Err)
-		}
-		if got := resultFingerprint(out.Result); got != want[i] {
-			t.Fatalf("job %d diverges after the reconnect:\n  got:  %s\n  want: %s", i, got, want[i])
-		}
-		delivered++
-	}
-	if delivered != len(jobs) {
-		t.Fatalf("delivered %d of %d outcomes across the cut", delivered, len(jobs))
-	}
-	if cuts.Load() == 0 {
-		t.Fatal("the stream was never cut")
+			ctx, cancel := context.WithTimeout(context.Background(), 2*time.Minute)
+			defer cancel()
+			seen := make([]bool, len(jobs))
+			failed := 0
+			for i, out := range NewRemote(ts.URL).Stream(ctx, jobs) {
+				if seen[i] {
+					t.Fatalf("job %d delivered twice across the cut", i)
+				}
+				seen[i] = true
+				switch {
+				case out.Err == nil:
+					if got := resultFingerprint(out.Result); got != want[i] {
+						t.Fatalf("job %d diverges after the reconnect:\n  got:  %s\n  want: %s", i, got, want[i])
+					}
+				case tc.cutResume && errors.Is(out.Err, wire.ErrStreamCut):
+					failed++
+				default:
+					t.Fatalf("job %d (%s): %v", i, jobs[i].Graph.Name, out.Err)
+				}
+			}
+			for i, ok := range seen {
+				if !ok {
+					t.Fatalf("job %d never yielded", i)
+				}
+			}
+			wantCuts, wantDeletes := int32(1), int32(0)
+			if tc.cutResume {
+				wantCuts, wantDeletes = 2, 1
+				if failed == 0 {
+					t.Fatal("the second cut failed no job")
+				}
+			}
+			if cuts.Load() != wantCuts {
+				t.Fatalf("%d streams cut, want %d", cuts.Load(), wantCuts)
+			}
+			if resumes.Load() == 0 || polls.Load() != 0 {
+				t.Fatalf("the client resumed with %d GET /batch/{id}/stream and %d GET /jobs/{id}; want the stream, never the poll", resumes.Load(), polls.Load())
+			}
+			if deletes.Load() != wantDeletes {
+				t.Fatalf("the server saw %d DELETE /jobs/{id}, want %d", deletes.Load(), wantDeletes)
+			}
+		})
 	}
 }
 

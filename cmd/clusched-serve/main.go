@@ -33,9 +33,9 @@
 // compilation over the threshold.
 //
 // Batch consumers should prefer the stream endpoint (clusched.NewRemote's
-// Stream uses it): each verified result is pushed the moment it compiles,
-// and polling GET /jobs/{id} is left for status checks and cut-stream
-// resumption, not the steady state.
+// Stream uses it, and resumes a cut stream over it): each verified result is
+// pushed the moment it compiles. GET /jobs/{id} is left for status checks
+// from the shell.
 //
 // SIGINT/SIGTERM triggers a graceful drain bounded by -drain-timeout.
 //

@@ -531,7 +531,7 @@ func (b *batchState) next(m *member, steal bool) []int {
 // as a run, to the next member. Each member is tried at most once per job,
 // and a compilation error inside a delivered outcome is final (it is
 // deterministic; every node would reproduce it). The cluster never resumes
-// a cut stream by polling: the suffix is simply compiled elsewhere.
+// a cut stream: the suffix is simply compiled elsewhere.
 func (c *Cluster) dispatch(ctx context.Context, l *ledger, home *member, run []int) {
 	m := home
 	tried := make(map[*member]bool, 2)

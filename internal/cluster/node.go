@@ -113,8 +113,8 @@ func NewHTTPNode(base string, hc *http.Client, timeout time.Duration) *HTTPNode 
 // Stream implements Streamer: the run as one ticket (a run of one as one
 // unary exchange), each outcome decoded and proven as its frame arrives. An
 // outcome that fails its proof is not delivered and becomes the exchange's
-// error, so it is compiled elsewhere. A cut stream is not resumed by polling
-// — what it did not deliver is the cluster's to fail over — so its ticket is
+// error, so it is compiled elsewhere. A cut stream is not resumed — what it
+// did not deliver is the cluster's to fail over — so its ticket is
 // cancelled like any other abandoned before its done frame (deliver refused,
 // ctx done), but without making the failover wait for a node that may be gone.
 func (n *HTTPNode) Stream(ctx context.Context, jobs []driver.Job, deliver func(k int, out driver.Outcome) bool) error {
@@ -127,7 +127,7 @@ func (n *HTTPNode) Stream(ctx context.Context, jobs []driver.Job, deliver func(k
 		return err
 	}
 	var unproven error
-	id, err := n.Endpoint.Stream(ctx, jobs, false, make([]bool, len(jobs)),
+	id, err := n.Endpoint.Stream(ctx, jobs, make([]bool, len(jobs)),
 		func(k int, out driver.Outcome, derr error) bool {
 			if derr != nil {
 				unproven = derr

@@ -123,7 +123,7 @@ func TestSemanticHitCensus(t *testing.T) {
 	served := make([]int, len(orig))
 	for round := 0; round <= censusRounds; round++ {
 		c.ResetCache()
-		outs, err := c.CompileAll(orig)
+		outs, err := collect(context.Background(), c, orig)
 		if err != nil {
 			t.Fatal(err)
 		}

@@ -14,16 +14,16 @@ import (
 	"clusched/internal/pipeline"
 )
 
-// TestCompileAllContextCancelMidFlight cancels a batch partway through and
-// checks the contract: the call returns promptly, every outcome is either
+// TestCollectCancelMidFlight cancels a batch partway through and checks
+// the contract: the collect returns promptly, every outcome is either
 // a finished compilation or ctx.Err(), the finished ones are identical to
 // a serial reference run, and the aggregate error accounts for every
 // cancelled job.
-func TestCompileAllContextCancelMidFlight(t *testing.T) {
+func TestCollectCancelMidFlight(t *testing.T) {
 	jobs := sampleJobs(t, "tomcatv", "swim", "hydro2d")
 
 	// Serial reference outcomes for determinism comparison.
-	ref, err := New(Config{Workers: 1, CacheSize: -1}).CompileAll(jobs)
+	ref, err := collect(context.Background(), New(Config{Workers: 1, CacheSize: -1}), jobs)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -35,7 +35,7 @@ func TestCompileAllContextCancelMidFlight(t *testing.T) {
 		}
 	}})
 	start := time.Now()
-	outs, batchErr := c.CompileAllContext(ctx, jobs)
+	outs, batchErr := collect(ctx, c, jobs)
 	elapsed := time.Since(start)
 	cancel()
 
@@ -80,14 +80,14 @@ func TestCompileAllContextCancelMidFlight(t *testing.T) {
 	}
 }
 
-// TestCompileAllContextPreCancelled: an already-dead context yields a full
+// TestCollectPreCancelled: an already-dead context yields a full
 // slate of ctx.Err() outcomes and no compilation work.
-func TestCompileAllContextPreCancelled(t *testing.T) {
+func TestCollectPreCancelled(t *testing.T) {
 	jobs := sampleJobs(t, "mgrid")
 	ctx, cancel := context.WithCancel(context.Background())
 	cancel()
 	c := New(Config{Workers: 2})
-	outs, err := c.CompileAllContext(ctx, jobs)
+	outs, err := collect(ctx, c, jobs)
 	if err == nil {
 		t.Fatal("want a batch error for a cancelled batch")
 	}
@@ -161,7 +161,7 @@ func TestStoreSecondLevel(t *testing.T) {
 	store := newMemStore()
 
 	c1 := New(Config{Store: store})
-	if _, err := c1.CompileAll(jobs); err != nil {
+	if _, err := collect(context.Background(), c1, jobs); err != nil {
 		t.Fatal(err)
 	}
 	st1 := c1.CacheStats()
@@ -174,7 +174,7 @@ func TestStoreSecondLevel(t *testing.T) {
 
 	// "Restarted server": a fresh compiler, same store, cold LRU.
 	c2 := New(Config{Store: store})
-	outs, err := c2.CompileAll(jobs)
+	outs, err := collect(context.Background(), c2, jobs)
 	if err != nil {
 		t.Fatal(err)
 	}

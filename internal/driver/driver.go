@@ -10,9 +10,9 @@
 //
 // The Compiler is the in-process implementation of the public
 // clusched.Backend contract: Compile(ctx, Job) for one loop, Stream(ctx,
-// jobs) for a batch consumed incrementally, CompileAll for the ordered
-// collect. The remote Client implements the same contract over HTTP, so
-// everything above this package — the public clusched API, the
+// jobs) for a batch consumed incrementally (clusched.Collect is the ordered
+// collect over it). The remote Client implements the same contract over
+// HTTP, so everything above this package — the public clusched API, the
 // experiments, the cmd tools — submits Jobs and consumes Outcomes without
 // caring where the compilation runs.
 package driver
@@ -98,8 +98,8 @@ type Config struct {
 	// CacheSize bounds the LRU result cache in entries; 0 means
 	// DefaultCacheSize, negative disables caching entirely.
 	CacheSize int
-	// Progress, when non-nil, is called after every completed job of a
-	// CompileAll batch.
+	// Progress, when non-nil, is called after every job a Stream batch
+	// completes (cancelled jobs do not count).
 	Progress Progress
 	// Store, when non-nil, is the persistent second-level cache consulted
 	// on LRU misses and populated after fresh compilations. It is ignored
@@ -743,41 +743,17 @@ func (p lanePool) Release(a *pipeline.Arena) {
 	p.c.specLoad.Add(-1)
 }
 
-// CompileAll compiles every job on the worker pool. The returned slice is
-// index-aligned with jobs — outcomes[i] is the outcome of jobs[i] no matter
-// how the work was scheduled — so batch output is deterministic. The error
-// is nil when every job succeeded, otherwise a *BatchError aggregating
-// every failure; outcomes is complete either way.
-func (c *Compiler) CompileAll(jobs []Job) ([]Outcome, error) {
-	return c.CompileAllContext(context.Background(), jobs)
-}
-
-// CompileAllContext is CompileAll under a context: an ordered collect over
-// Stream. When the context is cancelled mid-batch the call returns
-// promptly: jobs already completed keep their outcomes (identical to what a
-// serial run would have produced, thanks to per-loop determinism and the
-// cache), every other job's outcome carries ctx.Err(), and the aggregate
-// *BatchError lists the cancelled jobs alongside any real failures. Jobs
-// are dispatched in index order, so the completed outcomes of a cancelled
-// batch form a prefix plus at most Workers in-flight stragglers. Progress
-// callbacks fire only for jobs that actually ran.
-func (c *Compiler) CompileAllContext(ctx context.Context, jobs []Job) ([]Outcome, error) {
-	outcomes := make([]Outcome, len(jobs))
-	for i, out := range c.Stream(ctx, jobs) {
-		outcomes[i] = out
-	}
-	return outcomes, AggregateError(outcomes)
-}
-
 // Stream compiles the batch on the worker pool and yields each outcome the
 // moment it is ready, tagged with the index of its job — the streaming half
 // of the backend contract. Every job yields exactly once: when the context
-// is cancelled mid-batch, already-finished jobs keep their outcomes and
-// every remaining job yields an outcome carrying ctx.Err(). Jobs are
-// dispatched in index order, so the successful outcomes of a cancelled
-// stream form a prefix plus at most Workers in-flight stragglers; yield
-// order within the batch follows completion, not submission. Stopping the
-// iteration early cancels the remaining work.
+// is cancelled mid-batch, already-finished jobs keep their outcomes
+// (identical to what a serial run would have produced, thanks to per-loop
+// determinism and the cache) and every remaining job yields an outcome
+// carrying ctx.Err(). Jobs are dispatched in index order, so the successful
+// outcomes of a cancelled stream form a prefix plus at most Workers
+// in-flight stragglers; yield order within the batch follows completion, not
+// submission. Progress callbacks fire only for jobs that actually ran.
+// Stopping the iteration early cancels the remaining work.
 func (c *Compiler) Stream(ctx context.Context, jobs []Job) iter.Seq2[int, Outcome] {
 	return func(yield func(int, Outcome) bool) {
 		if len(jobs) == 0 {
@@ -965,7 +941,7 @@ func (e *JobError) Error() string {
 // Unwrap exposes the underlying compilation error.
 func (e *JobError) Unwrap() error { return e.Err }
 
-// BatchError aggregates every failed job of a CompileAll batch.
+// BatchError aggregates every failed job of a batch (see AggregateError).
 type BatchError struct {
 	// Total is the batch size; Failed the failures in job order.
 	Total  int

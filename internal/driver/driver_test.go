@@ -39,12 +39,23 @@ func failingJob() Job {
 	return Job{Graph: b.MustBuild(), Machine: machine.MustParse("4c1b2l64r"), Opts: pipeline.Options{MaxII: 2}}
 }
 
-func TestCompileAllDeterministicUnderConcurrency(t *testing.T) {
+// collect drains c.Stream(ctx, jobs) into outcomes index-aligned with jobs,
+// and the batch's aggregate error: the ordered collect clusched.Collect
+// makes over any backend.
+func collect(ctx context.Context, c *Compiler, jobs []Job) ([]Outcome, error) {
+	outs := make([]Outcome, len(jobs))
+	for i, out := range c.Stream(ctx, jobs) {
+		outs[i] = out
+	}
+	return outs, AggregateError(outs)
+}
+
+func TestCollectDeterministicUnderConcurrency(t *testing.T) {
 	jobs := sampleJobs(t, "tomcatv", "mgrid")
 	// Many workers, no cache: every run does the full work concurrently.
 	run := func() []Outcome {
 		c := New(Config{Workers: 8, CacheSize: -1})
-		outs, err := c.CompileAll(jobs)
+		outs, err := collect(context.Background(), c, jobs)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -77,7 +88,7 @@ func TestCacheAccounting(t *testing.T) {
 	jobs := sampleJobs(t, "tomcatv")
 	c := New(Config{Workers: 4})
 
-	outs, err := c.CompileAll(jobs)
+	outs, err := collect(context.Background(), c, jobs)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -91,7 +102,7 @@ func TestCacheAccounting(t *testing.T) {
 		t.Fatalf("after first run: %+v, want 0 hits / %d misses / %d entries", st, len(jobs), len(jobs))
 	}
 
-	outs2, err := c.CompileAll(jobs)
+	outs2, err := collect(context.Background(), c, jobs)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -114,7 +125,7 @@ func TestCacheAccounting(t *testing.T) {
 	if st.Hits != 0 || st.Misses != 0 || st.Entries != 0 {
 		t.Fatalf("after reset: %+v, want all zero", st)
 	}
-	if _, err := c.CompileAll(jobs[:1]); err != nil {
+	if _, err := collect(context.Background(), c, jobs[:1]); err != nil {
 		t.Fatal(err)
 	}
 	if st = c.CacheStats(); st.Misses != 1 || st.Entries != 1 {
@@ -128,7 +139,7 @@ func TestErrorAggregation(t *testing.T) {
 	jobs := []Job{good[0], bad, good[1], bad}
 
 	c := New(Config{Workers: 4})
-	outs, err := c.CompileAll(jobs)
+	outs, err := collect(context.Background(), c, jobs)
 	if err == nil {
 		t.Fatal("expected a batch error")
 	}
@@ -171,7 +182,7 @@ func TestProgressCallback(t *testing.T) {
 		}
 		calls = append(calls, done)
 	}})
-	if _, err := c.CompileAll(jobs); err != nil {
+	if _, err := collect(context.Background(), c, jobs); err != nil {
 		t.Fatal(err)
 	}
 	if len(calls) != len(jobs) {
@@ -190,7 +201,7 @@ func TestLRUEviction(t *testing.T) {
 		t.Fatalf("want ≥6 jobs, got %d", len(jobs))
 	}
 	c := New(Config{Workers: 1, CacheSize: 4})
-	if _, err := c.CompileAll(jobs); err != nil {
+	if _, err := collect(context.Background(), c, jobs); err != nil {
 		t.Fatal(err)
 	}
 	st := c.CacheStats()
@@ -225,7 +236,7 @@ func TestInFlightDeduplication(t *testing.T) {
 		jobs[i] = job
 	}
 	c := New(Config{Workers: 8})
-	outs, err := c.CompileAll(jobs)
+	outs, err := collect(context.Background(), c, jobs)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -245,7 +256,7 @@ func TestCacheDisabled(t *testing.T) {
 	jobs := sampleJobs(t, "tomcatv")[:3]
 	c := New(Config{CacheSize: -1})
 	for run := 0; run < 2; run++ {
-		outs, err := c.CompileAll(jobs)
+		outs, err := collect(context.Background(), c, jobs)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -261,7 +272,7 @@ func TestCacheDisabled(t *testing.T) {
 }
 
 func TestEmptyBatch(t *testing.T) {
-	outs, err := New(Config{}).CompileAll(nil)
+	outs, err := collect(context.Background(), New(Config{}), nil)
 	if err != nil || len(outs) != 0 {
 		t.Fatalf("empty batch: %v, %d outcomes", err, len(outs))
 	}

@@ -220,7 +220,7 @@ func TestRecycledSlotFollowerGetsItsValue(t *testing.T) {
 	loops := distinctLoops(t, 3)
 	job, others := loops[0], loops[1:]
 	store := newGatedStore()
-	if _, err := New(Config{Store: store.memStore}).CompileAll(others); err != nil {
+	if _, err := collect(context.Background(), New(Config{Store: store.memStore}), others); err != nil {
 		t.Fatal(err)
 	}
 	c := New(Config{Store: store, CacheSize: 1})
@@ -298,7 +298,7 @@ func TestResetCacheResetsEveryView(t *testing.T) {
 	reg := telemetry.NewRegistry()
 	c := New(Config{Registry: reg})
 	for run := 0; run < 2; run++ {
-		if _, err := c.CompileAll(jobs); err != nil {
+		if _, err := collect(context.Background(), c, jobs); err != nil {
 			t.Fatal(err)
 		}
 	}
@@ -317,7 +317,7 @@ func TestResetCacheResetsEveryView(t *testing.T) {
 	agree("before reset")
 	c.ResetCache()
 	agree("after reset")
-	if _, err := c.CompileAll(jobs[:1]); err != nil {
+	if _, err := collect(context.Background(), c, jobs[:1]); err != nil {
 		t.Fatal(err)
 	}
 	agree("after reset and one job")
@@ -364,7 +364,7 @@ func TestAnswerVocabulary(t *testing.T) {
 	// A warm store, as a restarted server finds it: an earlier engine
 	// compiled loops[2] and loops[3].
 	store := newGatedStore()
-	if _, err := New(Config{Store: store.memStore}).CompileAll(loops[2:4]); err != nil {
+	if _, err := collect(context.Background(), New(Config{Store: store.memStore}), loops[2:4]); err != nil {
 		t.Fatal(err)
 	}
 	reg, tr := telemetry.NewRegistry(), telemetry.NewTrace()

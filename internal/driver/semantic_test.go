@@ -35,13 +35,13 @@ func permutedJobs(t *testing.T, bench string) (orig, clones []Job) {
 func TestSemanticCacheHit(t *testing.T) {
 	orig, clones := permutedJobs(t, "mgrid")
 	c := New(Config{})
-	outs, err := c.CompileAll(orig)
+	outs, err := collect(context.Background(), c, orig)
 	if err != nil {
 		t.Fatal(err)
 	}
 	base := c.CacheStats()
 
-	couts, err := c.CompileAll(clones)
+	couts, err := collect(context.Background(), c, clones)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -88,13 +88,13 @@ func TestSemanticStoreHit(t *testing.T) {
 	orig, clones := permutedJobs(t, "mgrid")
 	store := newMemStore()
 	c1 := New(Config{Store: store})
-	if _, err := c1.CompileAll(orig); err != nil {
+	if _, err := collect(context.Background(), c1, orig); err != nil {
 		t.Fatal(err)
 	}
 
 	// "Restarted server": cold LRU, warm store, permuted presentations.
 	c2 := New(Config{Store: store})
-	outs, err := c2.CompileAll(clones)
+	outs, err := collect(context.Background(), c2, clones)
 	if err != nil {
 		t.Fatal(err)
 	}

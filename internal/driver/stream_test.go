@@ -10,11 +10,11 @@ import (
 )
 
 // TestStreamYieldsEveryJobOnce: each job index appears exactly once, with
-// the same outcome CompileAll would have produced for it.
+// the same outcome a one-worker engine produces for it.
 func TestStreamYieldsEveryJobOnce(t *testing.T) {
 	jobs := sampleJobs(t, "tomcatv")
 	c := New(Config{Workers: 4})
-	want, err := New(Config{Workers: 1}).CompileAll(jobs)
+	want, err := collect(context.Background(), New(Config{Workers: 1}), jobs)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -141,7 +141,7 @@ func TestStreamConsumerPanicDrainsWorkers(t *testing.T) {
 		time.Sleep(10 * time.Millisecond)
 	}
 	// The engine stays usable.
-	if _, err := c.CompileAll(jobs); err != nil {
+	if _, err := collect(context.Background(), c, jobs); err != nil {
 		t.Fatal(err)
 	}
 }

@@ -33,12 +33,12 @@ func TestEngineMetrics(t *testing.T) {
 	reg := telemetry.NewRegistry()
 	c := New(Config{Workers: 2, Registry: reg})
 
-	outs, err := c.CompileAll(jobs)
+	outs, err := collect(context.Background(), c, jobs)
 	if err != nil {
 		t.Fatal(err)
 	}
 	// Recompile the same batch: every job should now be a cache hit.
-	if _, err := c.CompileAll(jobs); err != nil {
+	if _, err := collect(context.Background(), c, jobs); err != nil {
 		t.Fatal(err)
 	}
 
@@ -118,7 +118,7 @@ func TestEngineTrace(t *testing.T) {
 	jobs := sampleJobs(t, "tomcatv")[:6]
 	tr := telemetry.NewTrace()
 	c := New(Config{Workers: 2, Trace: tr})
-	if _, err := c.CompileAll(jobs); err != nil {
+	if _, err := collect(context.Background(), c, jobs); err != nil {
 		t.Fatal(err)
 	}
 
@@ -153,7 +153,7 @@ func TestJobSpanAnnotations(t *testing.T) {
 	jobs := sampleJobs(t, "tomcatv")[:4]
 	tr := telemetry.NewTrace()
 	c := New(Config{Workers: 2, Trace: tr})
-	if _, err := c.CompileAll(jobs); err != nil {
+	if _, err := collect(context.Background(), c, jobs); err != nil {
 		t.Fatal(err)
 	}
 

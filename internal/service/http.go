@@ -287,7 +287,8 @@ func (s *Server) handleBatchStream(w http.ResponseWriter, r *http.Request) {
 // flushed after the hello and then whenever the handler has written every
 // completion there is and is about to wait for the next, so a result never
 // sits in a buffer while the engine works on another. This is the
-// server-push path behind Client.Stream, which replaces the poll loop.
+// server-push path behind Client.Stream, and the replay a cut stream
+// resumes over.
 //
 // Unless an earlier answer named the ticket, the hello is the only place its
 // id travels: a request that ends before the hello was written leaves a ticket

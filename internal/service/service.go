@@ -530,7 +530,7 @@ func cancelCause(ctx context.Context, err error) error {
 // requests, a dozen program-sized batches and a fleet's sub-batches alike
 // (every ticket holds at least one job, so it bounds the tickets too). The
 // most recently finished ticket is kept whatever its size, so a stream cut
-// at the end of one large batch can still resume over the poll path.
+// at the end of one large batch can still resume over the ticket's stream.
 const jobRetention = 1024
 
 // retire moves the ticket to a terminal state exactly once and updates the

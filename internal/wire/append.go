@@ -224,9 +224,10 @@ func AppendJob(dst []byte, j driver.Job) ([]byte, error) {
 }
 
 // AppendSubmitRequest appends the POST /batch body for jobs: the bytes
-// json.Marshal gives for a SubmitRequest of their encoded forms. On error
-// (an unencodable job, named by its index) nothing has been appended.
-func AppendSubmitRequest(dst []byte, jobs []driver.Job, timeoutMS int64, trace bool) ([]byte, error) {
+// json.Marshal gives for a SubmitRequest of their encoded forms, with neither
+// a timeout nor a trace request. On error (an unencodable job, named by its
+// index) nothing has been appended.
+func AppendSubmitRequest(dst []byte, jobs []driver.Job) ([]byte, error) {
 	mark, size := len(dst), 64
 	for _, j := range jobs {
 		size += loopRoom(ddg.TextSize(j.Graph))
@@ -241,10 +242,7 @@ func AppendSubmitRequest(dst []byte, jobs []driver.Job, timeoutMS int64, trace b
 			return dst[:mark], fmt.Errorf("job %d: %w", i, err)
 		}
 	}
-	dst = append(dst, ']')
-	dst = optInt(dst, "timeout_ms", timeoutMS)
-	dst = optBool(dst, "trace", trace)
-	return append(dst, '}'), nil
+	return append(dst, ']', '}'), nil
 }
 
 // appendResult appends the JSON form of a result compiled under opts; with

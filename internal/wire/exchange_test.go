@@ -9,6 +9,7 @@ import (
 	"io"
 	"net/http"
 	"net/http/httptest"
+	"slices"
 	"strings"
 	"sync/atomic"
 	"testing"
@@ -22,14 +23,16 @@ import (
 // scriptedServer answers POST /batch (or, when ticketOnly, GET
 // /batch/t1/stream after a POST answered with ticket "t1", as a server that
 // predates the streamed answer does) with the given lines, written and
-// flushed one by one — or refuses the POST with status submit, when set.
-// After the last line it holds the connection open until the reader goes away
-// when hold is set — writing bytes without a newline all the while when
-// endless is — and closes it otherwise. It counts the DELETE /jobs/t1 it
-// receives, and fails the test on any other request.
+// flushed one by one — or refuses the POST with status submit, when set, and
+// the GET with the 404 of a forgotten ticket, when forgot is. After the last
+// line it holds the connection open until the reader goes away when hold is
+// set — writing bytes without a newline all the while when endless is — and
+// closes it otherwise. It counts the DELETE /jobs/t1 it receives, and fails
+// the test on any other request.
 type scriptedServer struct {
 	submit     int
 	ticketOnly bool
+	forgot     bool
 	lines      []string
 	hold       bool
 	endless    bool
@@ -61,6 +64,11 @@ func (s *scriptedServer) start(t *testing.T) *httptest.Server {
 	mux.HandleFunc("GET /batch/t1/stream", func(w http.ResponseWriter, r *http.Request) {
 		if !s.ticketOnly {
 			t.Error("the stream was opened by a second request")
+		}
+		if s.forgot {
+			w.WriteHeader(http.StatusNotFound)
+			fmt.Fprintln(w, `{"error":"service: unknown ticket \"t1\""}`)
+			return
 		}
 		s.stream(t, w, r)
 	})
@@ -304,7 +312,7 @@ func (tc endingCase) run(t *testing.T, srv *scriptedServer, jobs []driver.Job) {
 	defer cancel()
 	delivered := make([]bool, len(batch))
 	calls, unproven := 0, 0
-	id, err := ep.Stream(ctx, batch, false, delivered,
+	id, err := ep.Stream(ctx, batch, delivered,
 		func(i int, out driver.Outcome, derr error) bool {
 			calls++
 			if out.Job.Graph != batch[i].Graph {
@@ -340,5 +348,95 @@ func (tc endingCase) run(t *testing.T, srv *scriptedServer, jobs []driver.Job) {
 	}
 	if got := srv.deletes.Load(); got != tc.wantDeletes {
 		t.Fatalf("the server saw %d DELETE /jobs/t1, want %d", got, tc.wantDeletes)
+	}
+}
+
+// TestResumeSkipsTheReplayOnce drives Resume against scripted replays of a
+// ticket whose first stream was cut after job 0: the replay of an outcome the
+// reader holds is skipped once, the rest is delivered once, a frame repeated
+// within the replay is still refused, and every ending short of the done
+// frame — a second cut and a forgotten ticket included — cancels the ticket.
+func TestResumeSkipsTheReplayOnce(t *testing.T) {
+	outs := compileSample(t, "mgrid", 3, machine.MustParse("4c2b2l64r"), pipeline.Options{Replicate: true})
+	jobs := make([]driver.Job, len(outs))
+	frames := make([]string, len(outs))
+	for i, o := range outs {
+		jobs[i] = o.Job
+		frames[i] = string(AppendOutcomeFrame(nil, i, o, false))
+	}
+	hello := `{"type":"hello","schema":3,"id":"t1","total":3}` + "\n"
+	done := `{"type":"done","state":"done"}` + "\n"
+	twice := func(i int) func(error) bool {
+		return func(err error) bool {
+			return err != nil && strings.Contains(err.Error(), fmt.Sprintf("delivered job %d twice", i))
+		}
+	}
+	for _, tc := range []struct {
+		name        string
+		srv         *scriptedServer
+		wantErr     func(error) bool
+		wantYielded []int
+		wantDeletes int32
+	}{
+		{
+			name:        "the replay carries the whole batch",
+			srv:         &scriptedServer{lines: []string{hello, frames[1], frames[0], frames[2], done}},
+			wantErr:     func(err error) bool { return err == nil },
+			wantYielded: []int{1, 2},
+		},
+		{
+			name:        "a replayed outcome repeated",
+			srv:         &scriptedServer{lines: []string{hello, frames[0], frames[1], frames[0], done}},
+			wantErr:     twice(0),
+			wantYielded: []int{1},
+			wantDeletes: 1,
+		},
+		{
+			name:        "a new outcome repeated",
+			srv:         &scriptedServer{lines: []string{hello, frames[0], frames[2], frames[2], done}},
+			wantErr:     twice(2),
+			wantYielded: []int{2},
+			wantDeletes: 1,
+		},
+		{
+			name:        "cut again",
+			srv:         &scriptedServer{lines: []string{hello, frames[0], frames[1]}},
+			wantErr:     func(err error) bool { return errors.Is(err, ErrStreamCut) },
+			wantYielded: []int{1},
+			wantDeletes: 1,
+		},
+		{
+			name: "the ticket is forgotten",
+			srv:  &scriptedServer{forgot: true},
+			wantErr: func(err error) bool {
+				var se *StatusError
+				return err != nil && !errors.As(err, &se) && strings.Contains(err.Error(), "stream answered 404")
+			},
+			wantDeletes: 1,
+		},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			tc.srv.ticketOnly = true // the GET is the only request Resume makes
+			ts := tc.srv.start(t)
+			ep := Endpoint{Base: ts.URL, HC: ts.Client(), Timeout: time.Minute}
+			delivered := []bool{true, false, false}
+			var yielded []int
+			err := ep.Resume(context.Background(), "t1", jobs, delivered, func(i int, out driver.Outcome, derr error) bool {
+				if derr != nil || out.Result == nil || out.Result.Loop != jobs[i].Graph {
+					t.Errorf("job %d: not proven for the submitted graph (%v)", i, derr)
+				}
+				yielded = append(yielded, i)
+				return true
+			})
+			if !tc.wantErr(err) {
+				t.Fatalf("Resume returned %v", err)
+			}
+			if !slices.Equal(yielded, tc.wantYielded) {
+				t.Fatalf("yielded %v, want %v", yielded, tc.wantYielded)
+			}
+			if got := tc.srv.deletes.Load(); got != tc.wantDeletes {
+				t.Fatalf("the server saw %d DELETE /jobs/t1, want %d", got, tc.wantDeletes)
+			}
+		})
 	}
 }

@@ -87,7 +87,7 @@ func TestForeignScheduleCensus(t *testing.T) {
 		remapped++
 	}
 	compile := func(jobs []driver.Job) {
-		outs, err := driver.New(driver.Config{Workers: 1}).CompileAll(jobs)
+		outs, err := collect(driver.New(driver.Config{Workers: 1}), jobs)
 		if err != nil {
 			t.Fatal(err)
 		}

@@ -124,7 +124,7 @@ func FuzzDecodeSubmitRequest(f *testing.F) {
 		jobs[i] = o.Job
 	}
 	for n := 0; n <= len(jobs); n += 3 {
-		body, err := AppendSubmitRequest(nil, jobs[:n], int64(n)*100, n > 0)
+		body, err := referenceSubmit(jobs[:n], int64(n)*100, n > 0)
 		if err != nil {
 			f.Fatal(err)
 		}

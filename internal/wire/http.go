@@ -17,6 +17,7 @@ import (
 	"fmt"
 	"io"
 	"net/http"
+	"slices"
 	"strconv"
 	"sync"
 	"time"
@@ -160,18 +161,14 @@ func (e Endpoint) Stats(ctx context.Context) (ServiceStats, error) {
 	return st, err
 }
 
-// Cancel cancels a ticket (DELETE /jobs/{id}).
-func (e Endpoint) Cancel(ctx context.Context, id string) error {
-	return e.Call(ctx, http.MethodDelete, "/jobs/"+id, nil, nil)
-}
-
-// Disown best-effort cancels a ticket nobody will read to its done frame, so
-// the server stops compiling it. It outlives ctx, which is typically already
-// cancelled, by at most ten seconds.
+// Disown best-effort cancels a ticket nobody will read to its done frame
+// (DELETE /jobs/{id}), so the server stops compiling it. It outlives ctx,
+// which is typically already cancelled, by at most ten seconds.
 func (e Endpoint) Disown(ctx context.Context, id string) {
 	ctx, cancel := context.WithTimeout(context.WithoutCancel(ctx), 10*time.Second)
 	defer cancel()
-	_ = e.Cancel(ctx, id) // the ticket may already be done, or the server gone
+	// The ticket may already be done, or the server gone.
+	_ = e.Call(ctx, http.MethodDelete, "/jobs/"+id, nil, nil)
 }
 
 // Do is the unary exchange: j goes to POST /compile?wait=1 with NoLoop,
@@ -197,34 +194,22 @@ func (e Endpoint) Do(ctx context.Context, j driver.Job) (driver.Outcome, error) 
 	return st.Outcomes[0].DecodeFor(j)
 }
 
-// Submit posts jobs to POST /batch and returns the ticket. timeout bounds the
-// batch's lifetime on the server (0 = the server's policy); trace asks it to
-// record an execution trace.
-func (e Endpoint) Submit(ctx context.Context, jobs []driver.Job, timeout time.Duration, trace bool) (string, error) {
-	body, err := AppendSubmitRequest(nil, jobs, timeout.Milliseconds(), trace)
-	if err != nil {
-		return "", &StatusError{Code: http.StatusBadRequest, Msg: err.Error()} // as in Do
-	}
-	var sub SubmitResponse
-	err = e.Call(ctx, http.MethodPost, "/batch", body, func(r io.Reader) error { return json.NewDecoder(r).Decode(&sub) })
-	return sub.ID, err
-}
-
 // The ways Stream ends short of its done frame that are not failures of the
 // server's answer.
 var (
 	// ErrStreamCut marks a transport failure after an answer named the
-	// ticket: the server keeps compiling it, so the reader may resume it over
-	// the poll path (Client.Stream) or take the undelivered jobs elsewhere
-	// (the cluster). Deliberate server answers (404 for an unknown ticket,
-	// protocol-violation frames, the idle watchdog) are NOT cuts — resuming
-	// those would poll a ticket the server disowned or a stream the reader
-	// cannot trust — nor is a failure before any answer named the ticket.
+	// ticket: the server keeps compiling it, so the reader may read its stream
+	// once more (Resume, as Client.Stream does) or take the undelivered jobs
+	// elsewhere (the cluster). Deliberate server answers (404 for an unknown
+	// ticket, protocol-violation frames, the idle watchdog) are NOT cuts —
+	// resuming those would reopen a ticket the server disowned or a stream the
+	// reader cannot trust — nor is a failure before any answer named the
+	// ticket.
 	ErrStreamCut = errors.New("clusched: stream cut mid-batch")
 	// ErrConsumerStopped reports that yield returned false: "stop reading".
 	ErrConsumerStopped = errors.New("clusched: stream consumer stopped")
 	// ErrFrameTooLong reports a stream line over maxFrameBytes: a peer
-	// withholding the newline, not one to resume or poll.
+	// withholding the newline, not one to resume.
 	ErrFrameTooLong = errors.New("clusched: stream frame too long")
 )
 
@@ -257,38 +242,51 @@ var errIdle = errors.New("idle")
 // Timeout bounds the wait for the hello and every later gap between two
 // frames. A ticket that will not be read to its done frame is cancelled on the
 // server before Stream returns (Disown), whatever ended the read — except a
-// cut, where the reader decides: it may resume the ticket, or Disown it.
-func (e Endpoint) Stream(ctx context.Context, jobs []driver.Job, trace bool, delivered []bool,
+// cut, where the reader decides: it may Resume the ticket, or Disown it.
+func (e Endpoint) Stream(ctx context.Context, jobs []driver.Job, delivered []bool,
 	yield func(int, driver.Outcome, error) bool) (string, error) {
-	body, err := AppendSubmitRequest(nil, jobs, 0, trace)
+	body, err := AppendSubmitRequest(nil, jobs)
 	if err != nil {
 		return "", &StatusError{Code: http.StatusBadRequest, Msg: err.Error()} // as in Do
 	}
+	return e.read(ctx, "", body, jobs, delivered, nil, yield)
+}
+
+// Resume reads the stream of ticket id once more, after Stream returned
+// ErrStreamCut for it: GET /batch/{id}/stream with NoLoop, which replays every
+// outcome the ticket has finished and then follows it to its done frame.
+// jobs, delivered and yield are the cut Stream's. An outcome delivered before
+// the cut is skipped once on the replay; any other outcome frame repeated
+// within the stream is still an error. Resume ends as Stream does, except that
+// there is no second resume: a cut is Disowned like every other ending short
+// of the done frame, and a refused stream (404: the server forgot the ticket)
+// is that ending's error.
+func (e Endpoint) Resume(ctx context.Context, id string, jobs []driver.Job, delivered []bool,
+	yield func(int, driver.Outcome, error) bool) error {
+	_, err := e.read(ctx, id, nil, jobs, delivered, slices.Clone(delivered), yield)
+	if errors.Is(err, ErrStreamCut) {
+		e.Disown(ctx, id)
+	}
+	return err
+}
+
+// read is the one frame loop behind Stream, its ticket-only fallback and
+// Resume: it opens the answer (see exchange.open), reads it with readStream
+// under one idle watchdog and settles the ending. had, when non-nil, marks the
+// outcomes the reader already holds.
+func (e Endpoint) read(ctx context.Context, id string, body []byte, jobs []driver.Job, delivered, had []bool,
+	yield func(int, driver.Outcome, error) bool) (string, error) {
 	// One watchdog bounds every silence of the exchange: a server that wedges
 	// (or a connection that dies without an RST) would otherwise hang the
 	// caller forever. It cancels the exchange, which unblocks whatever waits.
 	xctx, cancel := context.WithCancelCause(ctx)
 	defer cancel(nil)
-	x := exchange{Endpoint: e, ctx: xctx}
+	x := exchange{Endpoint: e, ctx: xctx, id: id, had: had}
 	if e.Timeout > 0 {
 		x.idle = time.AfterFunc(e.Timeout, func() { cancel(errIdle) })
 		defer x.idle.Stop()
 	}
-	resp, err := e.request(xctx, http.MethodPost, "/batch?"+NoLoop, body, NDJSON)
-	if err == nil && resp.StatusCode == http.StatusAccepted {
-		// A server that predates the streamed answer: its stream is one more
-		// request, read by the same loop.
-		var sub SubmitResponse
-		err = json.NewDecoder(resp.Body).Decode(&sub)
-		resp.Body.Close()
-		if x.id = sub.ID; err == nil {
-			resp, err = e.request(xctx, http.MethodGet, "/batch/"+x.id+"/stream?"+NoLoop, nil, "")
-			var se *StatusError
-			if errors.As(err, &se) {
-				err = fmt.Errorf("clusched: stream answered %s", se.answer()) // deliberately untyped: see above
-			}
-		}
-	}
+	resp, err := x.open(body)
 	var reason string
 	if err != nil {
 		err = x.ended(err)
@@ -314,13 +312,41 @@ func (e Endpoint) Stream(ctx context.Context, jobs []driver.Job, trace bool, del
 	return x.id, nil
 }
 
-// exchange is one Stream in flight: its context, which the caller's ending
-// or the watchdog cancels, and the ticket once an answer named it.
+// exchange is one streaming read in flight: its context, which the caller's
+// ending or the watchdog cancels, and the ticket once an answer named it.
 type exchange struct {
 	Endpoint
 	ctx  context.Context
 	idle *time.Timer // nil without a Timeout
 	id   string
+	// had marks the outcomes a resumed reader already holds; each is skipped
+	// once, and cleared, when the replay carries it (nil on a first read).
+	had []bool
+}
+
+// open sends the exchange's request. With a body it posts the batch, whose
+// answer is its stream — or, from a server that predates the streamed answer,
+// the ticket, whose stream is one more request; without one it opens the
+// stream of the ticket the exchange already names.
+func (x *exchange) open(body []byte) (*http.Response, error) {
+	if body != nil {
+		resp, err := x.request(x.ctx, http.MethodPost, "/batch?"+NoLoop, body, NDJSON)
+		if err != nil || resp.StatusCode != http.StatusAccepted {
+			return resp, err
+		}
+		var sub SubmitResponse
+		err = json.NewDecoder(resp.Body).Decode(&sub)
+		resp.Body.Close()
+		if x.id = sub.ID; err != nil {
+			return nil, err
+		}
+	}
+	resp, err := x.request(x.ctx, http.MethodGet, "/batch/"+x.id+"/stream?"+NoLoop, nil, "")
+	var se *StatusError
+	if errors.As(err, &se) {
+		err = fmt.Errorf("clusched: stream answered %s", se.answer()) // deliberately untyped: see Stream
+	}
+	return resp, err
 }
 
 // ended names what ended the exchange when its context did, and otherwise
@@ -416,6 +442,10 @@ func (x *exchange) readStream(body io.Reader, jobs []driver.Job, delivered []boo
 		case FrameOutcome:
 			if f.Index >= len(jobs) {
 				return "", fmt.Errorf("clusched: stream outcome for job %d of a %d-job batch", f.Index, len(jobs))
+			}
+			if x.had != nil && x.had[f.Index] {
+				x.had[f.Index] = false // replayed: the reader has it
+				continue
 			}
 			if delivered[f.Index] {
 				return "", fmt.Errorf("clusched: stream delivered job %d twice", f.Index)

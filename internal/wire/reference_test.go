@@ -4,7 +4,7 @@ package wire
 // which is how every message was written before the append-style encoders
 // of append.go and is still how anything irregular is read. The reference*
 // functions below are the retired call sites kept as they were — the
-// client's SubmitBatch body, the server's outcome frame with its
+// client's POST /batch body, the server's outcome frame with its
 // "encoding outcome" substitution, the server's statusWire — and the tests
 // hold the fast path to them byte for byte (encoders) and value for value
 // (decoders; the fuzzers in fuzz_test.go extend that to arbitrary input).
@@ -135,7 +135,7 @@ func compileOracle(tb testing.TB) []driver.Outcome {
 			}
 		}
 	}
-	outs, err := driver.New(driver.Config{CacheSize: -1}).CompileAll(jobs)
+	outs, err := collect(driver.New(driver.Config{CacheSize: -1}), jobs)
 	if err != nil {
 		// uas cannot schedule every loop on every machine; those failures
 		// are outcomes too, and the codec must carry them.
@@ -196,12 +196,11 @@ func TestEncodersMatchReference(t *testing.T) {
 		for i, o := range batch {
 			jobs[i] = o.Job
 		}
-		timeoutMS, trace := int64(lo%3)*1500, lo%2 == 1
-		want, err := referenceSubmit(jobs, timeoutMS, trace)
+		want, err := referenceSubmit(jobs, 0, false)
 		if err != nil {
 			t.Fatal(err)
 		}
-		if buf, err = AppendSubmitRequest(buf[:0], jobs, timeoutMS, trace); err != nil {
+		if buf, err = AppendSubmitRequest(buf[:0], jobs); err != nil {
 			t.Fatal(err)
 		}
 		diffBytes(t, fmt.Sprintf("submit request at %d", lo), buf, want)
@@ -218,7 +217,7 @@ func TestEncodersMatchReference(t *testing.T) {
 	}
 	// The forms around the hot one: an empty batch, an unfinished ticket.
 	want, _ := referenceSubmit(nil, 0, false)
-	buf, _ = AppendSubmitRequest(buf[:0], nil, 0, false)
+	buf, _ = AppendSubmitRequest(buf[:0], nil)
 	diffBytes(t, "empty submit request", buf, want)
 	queued := JobStatus{ID: "job-1", State: StateQueued, NumJobs: 3, CreatedMS: 5, RetryAfterMS: 500}
 	diffBytes(t, "queued status", AppendJobStatus(buf[:0], &queued, nil, true), referenceStatus(queued, nil, true))
@@ -279,7 +278,7 @@ func TestEncodersMatchReferenceOnHostileStrings(t *testing.T) {
 			t.Fatalf("job named %q: failed encode left %d bytes behind", s, len(got))
 		}
 		wantBatch, werr := referenceSubmit([]driver.Job{base.Job, job}, 0, false)
-		gotBatch, gerr := AppendSubmitRequest(buf[:0], []driver.Job{base.Job, job}, 0, false)
+		gotBatch, gerr := AppendSubmitRequest(buf[:0], []driver.Job{base.Job, job})
 		if (werr == nil) != (gerr == nil) || (werr != nil && werr.Error() != gerr.Error()) {
 			t.Fatalf("batch with job named %q: fast path error %v, reference %v", s, gerr, werr)
 		}
@@ -391,12 +390,13 @@ func TestDecodersMatchReference(t *testing.T) {
 		for i, o := range batch {
 			jobs[i] = o.Job
 		}
-		body, err := AppendSubmitRequest(nil, jobs, 2500, true)
+		// The server still reads the two fields the client no longer sends.
+		body, err := referenceSubmit(jobs, 2500, true)
 		if err != nil {
 			t.Fatal(err)
 		}
 		if s := (scanner{b: body}); !s.submit(new(SubmitRequest)) || !s.end() {
-			t.Fatal("the walk declined a submit request this package wrote")
+			t.Fatal("the walk declined a submit request a curl client could send")
 		}
 		got, want, gerr, werr := decodeBoth(DecodeSubmitRequest, body)
 		if gerr != nil || werr != nil || !reflect.DeepEqual(got, want) {

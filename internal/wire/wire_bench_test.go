@@ -25,7 +25,7 @@ func suiteJobs() []driver.Job {
 // suiteOutcomes compiles suiteJobs.
 func suiteOutcomes(tb testing.TB) []driver.Outcome {
 	tb.Helper()
-	outs, err := driver.New(driver.Config{}).CompileAll(suiteJobs())
+	outs, err := collect(driver.New(driver.Config{}), suiteJobs())
 	if err != nil {
 		tb.Fatal(err)
 	}

@@ -1,6 +1,7 @@
 package wire
 
 import (
+	"context"
 	"encoding/json"
 	"errors"
 	"reflect"
@@ -27,11 +28,21 @@ func compileSample(t testing.TB, bench string, n int, m machine.Config, opts pip
 	for i := 0; i < n; i++ {
 		jobs[i] = driver.Job{Graph: loops[i].Graph, Machine: m, Opts: opts}
 	}
-	outs, err := driver.New(driver.Config{}).CompileAll(jobs)
+	outs, err := collect(driver.New(driver.Config{}), jobs)
 	if err != nil {
 		t.Fatal(err)
 	}
 	return outs
+}
+
+// collect compiles jobs on c and returns their outcomes index-aligned with
+// them, and the batch's aggregate error.
+func collect(c *driver.Compiler, jobs []driver.Job) ([]driver.Outcome, error) {
+	outs := make([]driver.Outcome, len(jobs))
+	for i, out := range c.Stream(context.Background(), jobs) {
+		outs[i] = out
+	}
+	return outs, driver.AggregateError(outs)
 }
 
 // checkResultRoundTrip pushes one result through encode → JSON → decode →

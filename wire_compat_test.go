@@ -57,7 +57,7 @@ func TestClientsDecodeAnEchoingServer(t *testing.T) {
 	cluster := NewCluster([]string{b.URL}, WithNodeInFlight(2), WithHealthInterval(-1))
 	t.Cleanup(cluster.Close)
 	for name, backend := range map[string]Backend{
-		"remote":  fastPoll(NewRemote(a.URL)),
+		"remote":  NewRemote(a.URL),
 		"cluster": cluster,
 	} {
 		outs, err := Collect(context.Background(), backend, jobs)
@@ -75,21 +75,6 @@ func TestClientsDecodeAnEchoingServer(t *testing.T) {
 		res, err := backend.Compile(context.Background(), jobs[0])
 		if err != nil || resultFingerprint(res) != want[0] {
 			t.Fatalf("%s: unary exchange through the parse path: %v", name, err)
-		}
-	}
-	// The poll path, which a cut stream resumes over, parses echoes too.
-	c := fastPoll(NewRemote(a.URL))
-	id, err := c.SubmitBatch(context.Background(), jobs, 0)
-	if err != nil {
-		t.Fatal(err)
-	}
-	st, err := c.waitBatch(context.Background(), id, jobs)
-	if err != nil {
-		t.Fatal(err)
-	}
-	for i, o := range st.Outcomes {
-		if got := resultFingerprint(o.Result); got != want[i] || o.Job.Graph != jobs[i].Graph {
-			t.Fatalf("poll path: job %d diverges", i)
 		}
 	}
 }
