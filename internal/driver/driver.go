@@ -81,10 +81,10 @@ const DefaultCacheSize = 1 << 15
 type Store interface {
 	// Load returns the stored outcome for the job (keyed on JobKey), result
 	// or compilation error (neither is a miss), and whether it was present.
-	// JobKey v4 is canonical under graph isomorphism, so the returned
-	// result's Loop may be a renamed/reordered sibling of j.Graph rather
-	// than j.Graph itself; the Compiler remaps and re-verifies such
-	// results before serving them.
+	// JobKey v4 is canonical under graph isomorphism: a result whose Loop is
+	// a renamed/reordered sibling of j.Graph is remapped onto j.Graph and
+	// re-proven before it is served; one for j.Graph's own presentation is
+	// served as loaded, and its Loop should be j.Graph itself.
 	Load(j Job) (res *pipeline.Result, cerr error, ok bool)
 	// Save records a freshly compiled outcome for the job.
 	Save(j Job, res *pipeline.Result, cerr error)

@@ -233,7 +233,7 @@ func TestDecodeAdoptsTheJobsMachine(t *testing.T) {
 	}
 	for _, m := range append(machine.PaperConfigs(), machine.Unified(64), machine.Unified(32)) {
 		out := compileSample(t, "tomcatv", 1, m, opts)[0]
-		want, err := EncodeMachine(m).Decode()
+		want, err := encodeMachine(m).Decode()
 		if err != nil {
 			t.Fatal(err)
 		}

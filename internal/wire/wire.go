@@ -4,14 +4,17 @@
 // a JSON form with a compact schedule encoding (the issue-time vector at a
 // fixed II — everything else about a schedule is recomputed and
 // re-verified on decode, so a decoded Result is not merely parsed but
-// proven: Result.Decode refuses a headline the search could not have
+// proven: the decoder refuses a headline the search could not have
 // produced, then rebuilds the instance graph from the placement and adopts
 // the times through the scheduler's own validator, sched.Prove).
 //
 // The struct types below, with their tags, are the schema; encoding/json
-// over them is the reference codec, the fallback, and the DiskCache form.
-// The messages that cross the wire once per job have a hand-written fast
-// path held to that reference: append.go encodes, scan.go decodes.
+// over them is the reference codec and the fallback. The messages that
+// cross the wire once per job have a hand-written fast path held to that
+// reference: append.go encodes, scan.go decodes. The outcome frame is also
+// the body of a service.DiskCache entry. EncodeJob, EncodeOutcome,
+// Job.Decode and Outcome.Decode are the struct converters; outside this
+// package only the benchmark's codec probes call them.
 //
 // The package sits above internal/driver (it encodes driver Jobs and
 // Outcomes) and below internal/service (queue server, persistent cache)
@@ -50,7 +53,9 @@ func (e *SchemaError) Error() string {
 	return fmt.Sprintf("wire: schema version %d is newer than supported %d", e.Got, e.Max)
 }
 
-// Options mirrors pipeline.Options with stable JSON names.
+// Options mirrors pipeline.Options field for field, with stable JSON
+// names: the two convert into each other, so a field added to one and not
+// the other does not compile.
 type Options struct {
 	// Strategy names the scheduling strategy (empty = the default, "paper").
 	// Decoding rejects names this build has not registered with a typed
@@ -65,35 +70,10 @@ type Options struct {
 	VerifySchedules        bool   `json:"verify_schedules,omitempty"`
 }
 
-// EncodeOptions converts pipeline options to their wire form.
-func EncodeOptions(o pipeline.Options) Options {
-	return Options{
-		Strategy:               o.Strategy,
-		Replicate:              o.Replicate,
-		LengthReplicate:        o.LengthReplicate,
-		ZeroBusLatency:         o.ZeroBusLatency,
-		UseMacroReplication:    o.UseMacroReplication,
-		MaxII:                  o.MaxII,
-		IgnoreRegisterPressure: o.IgnoreRegisterPressure,
-		VerifySchedules:        o.VerifySchedules,
-	}
-}
-
 // Decode converts the wire options back to pipeline options. It does not
-// validate the strategy; Job.Decode and Result.Decode do, so both request
+// validate the strategy; job and result decoders do, so both request
 // and cache paths reject unknown names with the typed error.
-func (o Options) Decode() pipeline.Options {
-	return pipeline.Options{
-		Strategy:               o.Strategy,
-		Replicate:              o.Replicate,
-		LengthReplicate:        o.LengthReplicate,
-		ZeroBusLatency:         o.ZeroBusLatency,
-		UseMacroReplication:    o.UseMacroReplication,
-		MaxII:                  o.MaxII,
-		IgnoreRegisterPressure: o.IgnoreRegisterPressure,
-		VerifySchedules:        o.VerifySchedules,
-	}
-}
+func (o Options) Decode() pipeline.Options { return pipeline.Options(o) }
 
 // validateStrategy rejects unregistered strategy names with the pipeline's
 // typed error.
@@ -122,8 +102,8 @@ type Machine struct {
 	Hetero [][ddg.NumClasses]int `json:"hetero,omitempty"`
 }
 
-// EncodeMachine converts a machine config to its wire form.
-func EncodeMachine(m machine.Config) Machine {
+// encodeMachine converts a machine config to its wire form.
+func encodeMachine(m machine.Config) Machine {
 	return Machine{
 		Config:         m.Name,
 		Clusters:       m.Clusters,
@@ -178,7 +158,7 @@ func EncodeJob(j driver.Job) (Job, error) {
 	if err != nil {
 		return Job{}, err
 	}
-	return Job{Schema: JobSchemaVersion, Loop: text, Machine: EncodeMachine(j.Machine), Options: EncodeOptions(j.Opts)}, nil
+	return Job{Schema: JobSchemaVersion, Loop: text, Machine: encodeMachine(j.Machine), Options: Options(j.Opts)}, nil
 }
 
 // Decode reconstructs the driver job, validating the schema version, the
@@ -282,52 +262,6 @@ type Result struct {
 	Schedule    *Schedule        `json:"schedule,omitempty"`
 }
 
-// EncodeResult converts a compilation result to its wire form. opts must
-// be the options the result was compiled under (a Result does not carry
-// them; driver Outcomes do, via their Job).
-func EncodeResult(r *pipeline.Result, opts pipeline.Options) (*Result, error) {
-	text, err := ddg.MarshalText(r.Loop)
-	if err != nil {
-		return nil, err
-	}
-	wr := &Result{
-		Loop:        text,
-		Machine:     EncodeMachine(r.Machine),
-		Options:     EncodeOptions(opts),
-		MII:         r.MII,
-		II:          r.II,
-		Length:      r.Length,
-		SC:          r.SC,
-		CommsBefore: r.CommsBeforeReplication,
-		Comms:       r.Comms,
-		Replication: ReplicationStats{
-			ReplicatedInt: r.Replicated[ddg.ClassInt],
-			ReplicatedFP:  r.Replicated[ddg.ClassFP],
-			ReplicatedMem: r.Replicated[ddg.ClassMem],
-			Removed:       r.Removed,
-			Steps:         r.ReplicationSteps,
-		},
-		IIIncreases: IIIncreases{
-			Bus:         r.IIIncreases[pipeline.CauseBus],
-			Recurrences: r.IIIncreases[pipeline.CauseRecurrence],
-			Registers:   r.IIIncreases[pipeline.CauseRegisters],
-		},
-	}
-	if r.Placement != nil {
-		wr.Placement = &Placement{
-			Home:     append([]int(nil), r.Placement.Home...),
-			Replicas: make([]uint32, len(r.Placement.Replicas)),
-		}
-		for i, s := range r.Placement.Replicas {
-			wr.Placement.Replicas[i] = uint32(s)
-		}
-	}
-	if r.Schedule != nil {
-		wr.Schedule = &Schedule{II: r.Schedule.II, Time: append([]int(nil), r.Schedule.Time...)}
-	}
-	return wr, nil
-}
-
 // IIClaimError reports a result whose schedule claims an initiation
 // interval no search could have produced: below 1, or above the ceiling
 // the search itself stops at. It is refused before anything is sized by
@@ -373,22 +307,16 @@ func iiCeiling(g *ddg.Graph, m machine.Config, opts pipeline.Options) int {
 	return maxProvableII
 }
 
-// Decode reconstructs the full compilation result from a wire form that
-// carries its loop. The schedule is not trusted: the decoder refuses a
-// headline that contradicts itself or the search's own bounds, rebuilds
-// the instance graph from the placement and adopts the issue times through
-// sched.Prove, which re-verifies every dependence and resource constraint
-// and recomputes length, stage count and register pressure. A Result that
-// decodes without error is therefore a valid schedule, not just valid JSON.
-func (wr *Result) Decode() (*pipeline.Result, error) {
-	return wr.decode(driver.Job{})
-}
-
-// decode is Decode for a result of job j (the zero Job when the reader
-// holds none): a wire form without its loop is a result for j.Graph itself,
-// which is then adopted as is — the graph the caller submitted, as a local
-// backend would return it — and so is j.Machine when the wire form names
-// it. A loop that is present is parsed and validated.
+// decode reconstructs the result of job j (the zero Job when the reader
+// holds none) and proves it: the decoder refuses a headline that
+// contradicts itself or the search's own bounds, rebuilds the instance
+// graph from the placement and adopts the issue times through sched.Prove,
+// which re-verifies every dependence and resource constraint and
+// recomputes length, stage count, register pressure and communications. A
+// wire form without its loop is a result for j.Graph itself, adopted as is
+// — the graph the caller submitted, as a local backend would return it —
+// and so is j.Machine when the wire form names it; a loop that is present
+// is parsed and validated.
 func (wr *Result) decode(j driver.Job) (*pipeline.Result, error) {
 	g := j.Graph
 	if err := wr.Options.validateStrategy(); err != nil {
@@ -479,6 +407,9 @@ func (wr *Result) decode(j driver.Job) (*pipeline.Result, error) {
 		return nil, fmt.Errorf("wire: schedule for %s recomputes to length %d/%d stages against claimed %d/%d",
 			g.Name, s.Length, s.SC, wr.Length, wr.SC)
 	}
+	if c := s.IG.P.Comms(); c != wr.Comms {
+		return nil, fmt.Errorf("wire: placement for %s recomputes to %d communications against claimed %d", g.Name, c, wr.Comms)
+	}
 	res.Schedule, res.Placement = s, s.IG.P
 	return res, nil
 }
@@ -495,7 +426,9 @@ type Outcome struct {
 	ElapsedMS float64 `json:"elapsed_ms,omitempty"`
 }
 
-// EncodeOutcome converts a driver outcome to its wire form.
+// EncodeOutcome converts a driver outcome to its wire form, the result's
+// loop included. The result's options are the job's: a Result does not
+// carry them.
 func EncodeOutcome(o driver.Outcome) (Outcome, error) {
 	wo := Outcome{CacheHit: o.CacheHit}
 	if o.Elapsed > 0 {
@@ -505,9 +438,45 @@ func EncodeOutcome(o driver.Outcome) (Outcome, error) {
 		wo.Error = o.Err.Error()
 		return wo, nil
 	}
-	wr, err := EncodeResult(o.Result, o.Job.Opts)
+	r := o.Result
+	text, err := ddg.MarshalText(r.Loop)
 	if err != nil {
 		return Outcome{}, err
+	}
+	wr := &Result{
+		Loop:        text,
+		Machine:     encodeMachine(r.Machine),
+		Options:     Options(o.Job.Opts),
+		MII:         r.MII,
+		II:          r.II,
+		Length:      r.Length,
+		SC:          r.SC,
+		CommsBefore: r.CommsBeforeReplication,
+		Comms:       r.Comms,
+		Replication: ReplicationStats{
+			ReplicatedInt: r.Replicated[ddg.ClassInt],
+			ReplicatedFP:  r.Replicated[ddg.ClassFP],
+			ReplicatedMem: r.Replicated[ddg.ClassMem],
+			Removed:       r.Removed,
+			Steps:         r.ReplicationSteps,
+		},
+		IIIncreases: IIIncreases{
+			Bus:         r.IIIncreases[pipeline.CauseBus],
+			Recurrences: r.IIIncreases[pipeline.CauseRecurrence],
+			Registers:   r.IIIncreases[pipeline.CauseRegisters],
+		},
+	}
+	if r.Placement != nil {
+		wr.Placement = &Placement{
+			Home:     append([]int(nil), r.Placement.Home...),
+			Replicas: make([]uint32, len(r.Placement.Replicas)),
+		}
+		for i, s := range r.Placement.Replicas {
+			wr.Placement.Replicas[i] = uint32(s)
+		}
+	}
+	if r.Schedule != nil {
+		wr.Schedule = &Schedule{II: r.Schedule.II, Time: append([]int(nil), r.Schedule.Time...)}
 	}
 	wo.Result = wr
 	return wo, nil
@@ -530,7 +499,7 @@ func (wo Outcome) Decode() (driver.Outcome, error) {
 // DecodeFor reconstructs the outcome of job j, which it returns as the
 // outcome's Job: a result that left its loop out (the reader asked for
 // loop=0) is a result for j.Graph, adopted as is; one that carries its
-// loop is parsed as Decode does.
+// loop is parsed and validated.
 func (wo Outcome) DecodeFor(j driver.Job) (driver.Outcome, error) {
 	elapsed := time.Duration(wo.ElapsedMS * float64(time.Millisecond))
 	if wo.Error != "" {

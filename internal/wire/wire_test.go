@@ -45,13 +45,20 @@ func collect(c *driver.Compiler, jobs []driver.Job) ([]driver.Outcome, error) {
 	return outs, driver.AggregateError(outs)
 }
 
+// encodeResult is the struct form of res compiled under opts, its loop
+// included.
+func encodeResult(res *pipeline.Result, opts pipeline.Options) (*Result, error) {
+	wo, err := EncodeOutcome(driver.Outcome{Job: driver.Job{Opts: opts}, Result: res})
+	return wo.Result, err
+}
+
 // checkResultRoundTrip pushes one result through encode → JSON → decode →
 // re-encode and asserts full fidelity: the re-encoded wire form is
 // structurally identical, and the decoded schedule re-verifies with the
 // same length, stage count and register pressure.
 func checkResultRoundTrip(t *testing.T, res *pipeline.Result, opts pipeline.Options) {
 	t.Helper()
-	wr, err := EncodeResult(res, opts)
+	wr, err := encodeResult(res, opts)
 	if err != nil {
 		t.Fatalf("%s: encode: %v", res.Loop.Name, err)
 	}
@@ -63,7 +70,7 @@ func checkResultRoundTrip(t *testing.T, res *pipeline.Result, opts pipeline.Opti
 	if err := json.Unmarshal(blob, &wr2); err != nil {
 		t.Fatalf("%s: unmarshal: %v", res.Loop.Name, err)
 	}
-	dec, err := wr2.Decode()
+	dec, err := wr2.decode(driver.Job{})
 	if err != nil {
 		t.Fatalf("%s: decode: %v", res.Loop.Name, err)
 	}
@@ -88,7 +95,7 @@ func checkResultRoundTrip(t *testing.T, res *pipeline.Result, opts pipeline.Opti
 	}
 	// Round-trip guarantee: re-encoding the decoded result reproduces the
 	// wire form byte-for-byte.
-	wr3, err := EncodeResult(dec, opts)
+	wr3, err := encodeResult(dec, opts)
 	if err != nil {
 		t.Fatalf("%s: re-encode: %v", res.Loop.Name, err)
 	}
@@ -262,13 +269,13 @@ func TestJobDecodeTypedErrors(t *testing.T) {
 // a wrong answer.
 func TestResultDecodeRejectsUnknownStrategy(t *testing.T) {
 	outs := compileSample(t, "mgrid", 1, machine.MustParse("4c1b2l64r"), pipeline.Options{Replicate: true})
-	wr, err := EncodeResult(outs[0].Result, pipeline.Options{Replicate: true})
+	wr, err := encodeResult(outs[0].Result, pipeline.Options{Replicate: true})
 	if err != nil {
 		t.Fatal(err)
 	}
 	alien := *wr
 	alien.Options.Strategy = "from-the-future"
-	if _, err := alien.Decode(); err == nil {
+	if _, err := alien.decode(driver.Job{}); err == nil {
 		t.Fatal("alien-strategy result decoded cleanly")
 	} else if _, ok := err.(*pipeline.UnknownStrategyError); !ok {
 		t.Fatalf("want *pipeline.UnknownStrategyError, got %T: %v", err, err)
@@ -308,7 +315,7 @@ func TestMachineDecodeFromBareConfig(t *testing.T) {
 // budget, so the structured fields must carry it.
 func TestUnifiedNonDefaultRegsRoundTrip(t *testing.T) {
 	m := machine.Unified(128)
-	m2, err := EncodeMachine(m).Decode()
+	m2, err := encodeMachine(m).Decode()
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -374,7 +381,7 @@ func TestOutcomeElapsedRoundTrip(t *testing.T) {
 // dependence must not decode — the codec re-verifies, it does not trust.
 func TestDecodeRejectsTamperedSchedule(t *testing.T) {
 	outs := compileSample(t, "mgrid", 1, machine.MustParse("4c1b2l64r"), pipeline.Options{Replicate: true})
-	wr, err := EncodeResult(outs[0].Result, pipeline.Options{Replicate: true})
+	wr, err := encodeResult(outs[0].Result, pipeline.Options{Replicate: true})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -384,13 +391,13 @@ func TestDecodeRejectsTamperedSchedule(t *testing.T) {
 	for i := range tampered.Schedule.Time {
 		tampered.Schedule.Time[i] = 0
 	}
-	if _, err := tampered.Decode(); err == nil {
+	if _, err := tampered.decode(driver.Job{}); err == nil {
 		t.Fatal("tampered schedule decoded cleanly")
 	}
 
 	truncated := *wr
 	truncated.Schedule = &Schedule{II: wr.Schedule.II, Time: wr.Schedule.Time[:1]}
-	if _, err := truncated.Decode(); err == nil {
+	if _, err := truncated.decode(driver.Job{}); err == nil {
 		t.Fatal("truncated time vector decoded cleanly")
 	}
 
@@ -400,7 +407,7 @@ func TestDecodeRejectsTamperedSchedule(t *testing.T) {
 		Replicas: append([]uint32(nil), wr.Placement.Replicas...),
 	}
 	misplaced.Placement.Home[0] = 99
-	if _, err := misplaced.Decode(); err == nil {
+	if _, err := misplaced.decode(driver.Job{}); err == nil {
 		t.Fatal("out-of-range home cluster decoded cleanly")
 	}
 
@@ -408,7 +415,7 @@ func TestDecodeRejectsTamperedSchedule(t *testing.T) {
 	for _, ii := range []int{0, -1} {
 		bad := *wr
 		bad.Schedule = &Schedule{II: ii, Time: append([]int(nil), wr.Schedule.Time...)}
-		if _, err := bad.Decode(); err == nil {
+		if _, err := bad.decode(driver.Job{}); err == nil {
 			t.Fatalf("II=%d decoded cleanly", ii)
 		}
 	}
@@ -493,8 +500,9 @@ func TestDecodeRefusesUnboundedII(t *testing.T) {
 }
 
 // TestDecodeRefusesLyingHeadline: "a decoded Result is proven" covers the
-// headline too. On HEAD~ "ii":17,"mii":-3 around a verified II-10 schedule
-// decoded without error.
+// headline too. "ii":17,"mii":-3 around a verified II-10 schedule once
+// decoded without error, and so did a "comms" the proven placement does not
+// recompute to.
 func TestDecodeRefusesLyingHeadline(t *testing.T) {
 	cases := map[string]func(wr *Result){
 		"ii above the schedule's": func(wr *Result) { wr.II = wr.Schedule.II + 7 },
@@ -502,6 +510,7 @@ func TestDecodeRefusesLyingHeadline(t *testing.T) {
 		"negative mii":            func(wr *Result) { wr.MII = -3 },
 		"zero mii":                func(wr *Result) { wr.MII = 0 },
 		"mii above ii":            func(wr *Result) { wr.MII = wr.II + 1 },
+		"comms+1":                 func(wr *Result) { wr.Comms++ },
 	}
 	for name, claim := range cases {
 		line, job := lyingOutcome(t, claim)
