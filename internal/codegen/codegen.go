@@ -44,6 +44,13 @@ type Op struct {
 	Dest []Reg
 	// Srcs are the operand registers, in dependence-edge order.
 	Srcs []Reg
+
+	// inst is the instance the op issues; iter is its iteration as IterTag
+	// spells it: absolute in the prolog, relative to the kernel block's
+	// first iteration in the kernel, counted back from the last one in the
+	// epilog.
+	inst int32
+	iter int
 }
 
 // Bundle is one VLIW instruction: everything issued in one cycle.
@@ -80,9 +87,29 @@ type value struct {
 	cluster int
 }
 
-// Expand builds the software pipeline for a schedule.
+// StageError reports a schedule that issues an instance past its last
+// stage, Time/II ≥ SC, which the expansion has no bundle for. A zero-bus
+// schedule can: a copy of latency 0 issued at cycle Length adds nothing to
+// Length, so SC = ⌈Length/II⌉ does not count its stage.
+type StageError struct {
+	Inst         string // the instance's name
+	Time, II, SC int
+}
+
+func (e *StageError) Error() string {
+	return fmt.Sprintf("codegen: %s issues at cycle %d, in stage %d of a %d-stage schedule at II %d",
+		e.Inst, e.Time, e.Time/e.II, e.SC, e.II)
+}
+
+// Expand builds the software pipeline for a schedule. A schedule that
+// issues past its last stage is refused with a *StageError.
 func Expand(s *sched.Schedule) (*Program, error) {
 	ig := s.IG
+	for i, t := range s.Time {
+		if t/s.II >= s.SC {
+			return nil, &StageError{Inst: ig.Name(int32(i)), Time: t, II: s.II, SC: s.SC}
+		}
+	}
 	p := &Program{II: s.II, SC: s.SC, sched: s, RegsUsed: make([]int, ig.P.K)}
 
 	// 1. Value lifetimes per (instance, cluster).
@@ -188,8 +215,9 @@ func Expand(s *sched.Schedule) (*Program, error) {
 		return Reg{Cluster: v.cluster, Index: base[v] + idx}
 	}
 
-	// 3. Emit one op occurrence.
-	emit := func(i int32, iter int, tag string) Op {
+	// 3. Emit one op occurrence of iteration iter; off is its iteration
+	// as tag spells it.
+	emit := func(i int32, iter, off int, tag string) Op {
 		in := ig.Inst[i]
 		op := Op{
 			Name:    ig.Name(i),
@@ -197,6 +225,8 @@ func Expand(s *sched.Schedule) (*Program, error) {
 			Cluster: in.Cluster,
 			Stage:   s.Time[i] / s.II,
 			IterTag: tag,
+			inst:    i,
+			iter:    off,
 		}
 		for _, eid := range ig.In(i) {
 			e := &ig.Edges[eid]
@@ -237,7 +267,7 @@ func Expand(s *sched.Schedule) (*Program, error) {
 		for k := 0; k < s.SC-1; k++ {
 			t := s.Time[i] + k*s.II
 			if t < steady {
-				prolog[t].Ops = append(prolog[t].Ops, emit(i, k, fmt.Sprintf("%d", k)))
+				prolog[t].Ops = append(prolog[t].Ops, emit(i, k, k, fmt.Sprintf("%d", k)))
 			}
 		}
 	}
@@ -255,9 +285,8 @@ func Expand(s *sched.Schedule) (*Program, error) {
 		slot := s.Time[i] % s.II
 		stage := s.Time[i] / s.II
 		for u := 0; u < Q; u++ {
-			iter := s.SC - 1 + u - stage
-			tag := fmt.Sprintf("n%+d", u-stage)
-			kernel[u*s.II+slot].Ops = append(kernel[u*s.II+slot].Ops, emit(i, iter, tag))
+			d := u - stage
+			kernel[u*s.II+slot].Ops = append(kernel[u*s.II+slot].Ops, emit(i, s.SC-1+d, d, fmt.Sprintf("n%+d", d)))
 		}
 	}
 	p.Kernel = kernel
@@ -282,7 +311,7 @@ func Expand(s *sched.Schedule) (*Program, error) {
 			if j > 0 {
 				tag = fmt.Sprintf("N-1-%d", j)
 			}
-			epilog[t+slot].Ops = append(epilog[t+slot].Ops, emit(i, s.SC-2-j, tag))
+			epilog[t+slot].Ops = append(epilog[t+slot].Ops, emit(i, s.SC-2-j, j, tag))
 		}
 	}
 	p.Epilog = trimEmpty(epilog)

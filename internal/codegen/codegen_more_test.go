@@ -1,11 +1,15 @@
 package codegen
 
 import (
+	"errors"
+	"fmt"
+	"strconv"
 	"testing"
 
 	"clusched/internal/ddg"
 	"clusched/internal/machine"
 	"clusched/internal/pipeline"
+	"clusched/internal/workload"
 )
 
 func TestFitsRegisterFileFlags(t *testing.T) {
@@ -70,6 +74,9 @@ func TestEpilogEmptyForSingleStage(t *testing.T) {
 	}
 }
 
+// TestOrigOfResolvesNames: every emitted op carries the instance its name
+// names — and so the original node Simulate evaluates — and the iteration
+// its tag spells; every instance is emitted.
 func TestOrigOfResolvesNames(t *testing.T) {
 	b := ddg.NewBuilder("names")
 	lbl := b.Node("alpha", ddg.OpIAdd)
@@ -83,11 +90,105 @@ func TestOrigOfResolvesNames(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
+	p, err := Expand(r.Schedule)
+	if err != nil {
+		t.Fatal(err)
+	}
 	ig := r.Schedule.IG
-	for i := int32(0); i < int32(ig.NumInstances()); i++ {
-		want := ig.Inst[i].Orig
-		if got := origOf(ig, ig.Name(i)); got != want {
-			t.Errorf("origOf(%q) = %d, want %d", ig.Name(i), got, want)
+	seen := make([]bool, ig.NumInstances())
+	for _, sec := range []struct {
+		bs  []Bundle
+		tag func(iter int) string
+	}{
+		{p.Prolog, func(k int) string { return strconv.Itoa(k) }},
+		{p.Kernel, func(d int) string { return fmt.Sprintf("n%+d", d) }},
+		{p.Epilog, func(j int) string {
+			if j == 0 {
+				return "N-1"
+			}
+			return fmt.Sprintf("N-1-%d", j)
+		}},
+	} {
+		for _, b := range sec.bs {
+			for _, op := range b.Ops {
+				seen[op.inst] = true
+				if name := ig.Name(op.inst); name != op.Name {
+					t.Errorf("op %s carries instance %d, %s", op.Name, op.inst, name)
+				}
+				if tag := sec.tag(op.iter); tag != op.IterTag {
+					t.Errorf("op %s[%s] carries iteration %d, spelled %s", op.Name, op.IterTag, op.iter, tag)
+				}
+			}
 		}
 	}
+	for i, ok := range seen {
+		if !ok {
+			t.Errorf("instance %s is never emitted", ig.Name(int32(i)))
+		}
+	}
+}
+
+// TestExpandRefusesIssuePastLastStage pins the two suite schedules that
+// issue past their last stage: under zero-latency buses a copy issued at
+// cycle Length lands in stage SC = ⌈Length/II⌉. Expand refuses them with a
+// *StageError instead of indexing past its epilog.
+func TestExpandRefusesIssuePastLastStage(t *testing.T) {
+	for _, tc := range []struct {
+		loop, machine string
+		want          StageError
+	}{
+		{"hydro2d_loop077", "4c1b2l64r", StageError{Inst: "copy(c0_1)", Time: 21, II: 7, SC: 3}},
+		{"apsi_loop020", "4c2b2l64r", StageError{Inst: "copy(c1_1)", Time: 24, II: 6, SC: 4}},
+	} {
+		var g *ddg.Graph
+		for _, l := range workload.SPECfp95() {
+			if l.Graph.Name == tc.loop {
+				g = l.Graph
+			}
+		}
+		r, err := pipeline.Compile(g, machine.MustParse(tc.machine), pipeline.Options{Replicate: true, ZeroBusLatency: true})
+		if err != nil {
+			t.Fatal(err)
+		}
+		_, err = Expand(r.Schedule)
+		var se *StageError
+		if !errors.As(err, &se) || *se != tc.want {
+			t.Errorf("%s on %s: Expand error %v, want %+v", tc.loop, tc.machine, err, tc.want)
+		}
+	}
+}
+
+// TestExpandZeroBusSuite: on every Table 1 machine with zero-latency buses,
+// every suite schedule expands or is refused with a *StageError; none
+// panics.
+func TestExpandZeroBusSuite(t *testing.T) {
+	stride := 1
+	if testing.Short() {
+		stride = 8
+	}
+	loops := workload.SPECfp95()
+	refused := 0
+	for _, m := range machine.PaperConfigs() {
+		for i := 0; i < len(loops); i += stride {
+			g := loops[i].Graph
+			r, err := pipeline.Compile(g, m, pipeline.Options{Replicate: true, ZeroBusLatency: true})
+			if err != nil {
+				continue
+			}
+			func() {
+				defer func() {
+					if p := recover(); p != nil {
+						t.Errorf("%s on %s: Expand panicked: %v", g.Name, m.Name, p)
+					}
+				}()
+				var se *StageError
+				if _, err := Expand(r.Schedule); errors.As(err, &se) {
+					refused++
+				} else if err != nil {
+					t.Errorf("%s on %s: %v", g.Name, m.Name, err)
+				}
+			}()
+		}
+	}
+	t.Logf("%d schedules refused", refused)
 }

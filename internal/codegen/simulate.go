@@ -3,10 +3,7 @@ package codegen
 import (
 	"fmt"
 	"sort"
-	"strconv"
-	"strings"
 
-	"clusched/internal/sched"
 	"clusched/internal/vliwsim"
 )
 
@@ -20,8 +17,9 @@ import (
 //
 // This is an independent implementation of the pipeline semantics: it does
 // not consult the schedule's instance graph for timing, only the emitted
-// bundles and register numbers, so it catches MVE and register-allocation
-// bugs that the schedule-level simulator cannot see.
+// bundles and register numbers (an op's instance only says which node it
+// evaluates), so it catches MVE and register-allocation bugs that the
+// schedule-level simulator cannot see.
 func Simulate(p *Program, iters int) (*vliwsim.Trace, error) {
 	if rem := iters - (p.SC - 1); rem < p.MVE || rem%p.MVE != 0 {
 		return nil, fmt.Errorf("codegen: trip count %d violates preconditioning N = %d + R·%d",
@@ -66,35 +64,32 @@ func Simulate(p *Program, iters int) (*vliwsim.Trace, error) {
 
 	tr := &vliwsim.Trace{}
 	var operands []uint64
-	execBundle := func(b Bundle, cycle int, iterOf func(op Op) (int, bool)) error {
+	execBundle := func(b Bundle, cycle int, iterOf func(op Op) int) error {
 		commit(cycle)
 		for _, op := range b.Ops {
-			iter, ok := iterOf(op)
-			if !ok {
-				continue
-			}
+			iter := iterOf(op)
+			in := ig.Inst[op.inst]
 			operands = operands[:0]
 			for _, r := range op.Srcs {
 				operands = append(operands, regs[r.Cluster][r.Index])
 			}
 			switch {
 			case op.Kind.IsStore():
-				orig := origOf(ig, op.Name)
 				tr.Stores = append(tr.Stores, vliwsim.StoreRecord{
-					Node: orig, Iter: iter, Value: vliwsim.StoreValue(operands)})
+					Node: in.Orig, Iter: iter, Value: vliwsim.StoreValue(operands)})
 			case op.Kind == 0:
 				return fmt.Errorf("codegen: op %s has invalid kind", op.Name)
 			default:
 				var val uint64
-				if strings.HasPrefix(op.Name, "copy(") {
+				lat := op.Kind.Latency()
+				if in.IsCopy {
 					if len(operands) != 1 {
 						return fmt.Errorf("codegen: copy %s has %d operands", op.Name, len(operands))
 					}
-					val = operands[0]
+					val, lat = operands[0], ig.M.BusLatency
 				} else {
-					val = vliwsim.NodeValue(g, origOf(ig, op.Name), iter, operands)
+					val = vliwsim.NodeValue(g, in.Orig, iter, operands)
 				}
-				lat := p.latencyOf(op)
 				for _, d := range op.Dest {
 					pending = append(pending, write{at: cycle + lat, reg: d, val: val, seq: seq})
 					seq++
@@ -116,13 +111,7 @@ func Simulate(p *Program, iters int) (*vliwsim.Trace, error) {
 
 	cycle := 0
 	for _, b := range p.Prolog {
-		if err := execBundle(b, b.Cycle, func(op Op) (int, bool) {
-			k, err := strconv.Atoi(op.IterTag)
-			if err != nil {
-				return 0, false
-			}
-			return k, true
-		}); err != nil {
+		if err := execBundle(b, b.Cycle, func(op Op) int { return op.iter }); err != nil {
 			return nil, err
 		}
 		cycle = b.Cycle
@@ -133,15 +122,7 @@ func Simulate(p *Program, iters int) (*vliwsim.Trace, error) {
 		base := p.SC - 1 + r*p.MVE
 		for _, b := range p.Kernel {
 			t := steady + r*p.MVE*p.II + (b.Cycle - steady)
-			if err := execBundle(b, t, func(op Op) (int, bool) {
-				// Tag "n+d" means iteration base + u - stage where the
-				// offset is encoded in the tag.
-				d, err := strconv.Atoi(strings.TrimPrefix(op.IterTag, "n"))
-				if err != nil {
-					return 0, false
-				}
-				return base + d, true
-			}); err != nil {
+			if err := execBundle(b, t, func(op Op) int { return base + op.iter }); err != nil {
 				return nil, err
 			}
 			cycle = t
@@ -149,18 +130,7 @@ func Simulate(p *Program, iters int) (*vliwsim.Trace, error) {
 	}
 	epilogStart := steady + reps*p.MVE*p.II
 	for _, b := range p.Epilog {
-		if err := execBundle(b, epilogStart+b.Cycle, func(op Op) (int, bool) {
-			tag := strings.TrimPrefix(op.IterTag, "N-1")
-			j := 0
-			if tag != "" {
-				v, err := strconv.Atoi(strings.TrimPrefix(tag, "-"))
-				if err != nil {
-					return 0, false
-				}
-				j = v
-			}
-			return iters - 1 - j, true
-		}); err != nil {
+		if err := execBundle(b, epilogStart+b.Cycle, func(op Op) int { return iters - 1 - op.iter }); err != nil {
 			return nil, err
 		}
 	}
@@ -191,32 +161,6 @@ func (p *Program) VerifyAgainstReference(iters int) error {
 	return nil
 }
 
-// latencyOf returns the producing latency of an emitted op.
-func (p *Program) latencyOf(op Op) int {
-	if strings.HasPrefix(op.Name, "copy(") {
-		return p.sched.IG.M.BusLatency
-	}
-	return op.Kind.Latency()
-}
-
-// origOf resolves an emitted op name back to its original node ID.
-func origOf(ig *sched.IGraph, name string) int {
-	if rest, ok := strings.CutPrefix(name, "copy("); ok {
-		name = strings.TrimSuffix(rest, ")")
-	} else if i := strings.LastIndex(name, "@c"); i >= 0 {
-		name = name[:i]
-	}
-	g := ig.G
-	if id := g.NodeByLabel(name); id >= 0 {
-		return id
-	}
-	// Synthetic "n<ID>" names.
-	if id, err := strconv.Atoi(strings.TrimPrefix(name, "n")); err == nil {
-		return id
-	}
-	return -1
-}
-
 // timedWrite is one preheader/prolog initialization: register reg must
 // hold val when cycle at begins.
 type timedWrite struct {
@@ -241,19 +185,12 @@ func (p *Program) initialWrites() []timedWrite {
 	}
 	earliest := map[key]int{}
 
-	scan := func(bs []Bundle, cycleOf func(b Bundle) int, iterOf func(op Op) (int, bool)) {
+	scan := func(bs []Bundle, base int) {
 		for _, b := range bs {
 			for _, op := range b.Ops {
-				iter, ok := iterOf(op)
-				if !ok {
-					continue
-				}
-				inst := instByName(ig, op.Name)
-				if inst < 0 {
-					continue
-				}
+				iter := base + op.iter
 				srcIdx := 0
-				for _, eid := range ig.In(inst) {
+				for _, eid := range ig.In(op.inst) {
 					e := &ig.Edges[eid]
 					if !e.Data {
 						continue
@@ -268,24 +205,17 @@ func (p *Program) initialWrites() []timedWrite {
 						continue
 					}
 					k := key{reg: r, srcIter: srcIter, orig: ig.Inst[e.Src].Orig}
-					c := cycleOf(b)
-					if old, ok := earliest[k]; !ok || c < old {
-						earliest[k] = c
+					if old, ok := earliest[k]; !ok || b.Cycle < old {
+						earliest[k] = b.Cycle
 					}
 				}
 			}
 		}
 	}
-	scan(p.Prolog, func(b Bundle) int { return b.Cycle }, func(op Op) (int, bool) {
-		k, err := strconv.Atoi(op.IterTag)
-		return k, err == nil
-	})
+	scan(p.Prolog, 0)
 	// Only the first kernel block can read pre-loop values (later blocks'
 	// iterations are all ≥ MVE); its cycles are the emitted ones.
-	scan(p.Kernel, func(b Bundle) int { return b.Cycle }, func(op Op) (int, bool) {
-		d, err := strconv.Atoi(strings.TrimPrefix(op.IterTag, "n"))
-		return p.SC - 1 + d, err == nil
-	})
+	scan(p.Kernel, p.SC-1)
 
 	out := make([]timedWrite, 0, len(earliest))
 	for k, at := range earliest {
@@ -304,14 +234,4 @@ func (p *Program) initialWrites() []timedWrite {
 		out[i].seq = i
 	}
 	return out
-}
-
-// instByName resolves an emitted op name back to its instance index.
-func instByName(ig *sched.IGraph, name string) int32 {
-	for i := int32(0); i < int32(ig.NumInstances()); i++ {
-		if ig.Name(i) == name {
-			return i
-		}
-	}
-	return -1
 }

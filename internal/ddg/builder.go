@@ -5,13 +5,14 @@ import "fmt"
 // Builder constructs a Graph incrementally. Builders are not safe for
 // concurrent use. The zero Builder is not usable; call NewBuilder.
 type Builder struct {
-	g    *Graph
-	errs []error
+	g      *Graph
+	labels map[string]bool // the labels given so far
+	errs   []error
 }
 
 // NewBuilder returns a Builder for a loop with the given name.
 func NewBuilder(name string) *Builder {
-	return &Builder{g: &Graph{Name: name, labelIndex: make(map[string]int)}}
+	return &Builder{g: &Graph{Name: name}, labels: make(map[string]bool)}
 }
 
 // Node adds an operation with a label and returns its ID. The label may be
@@ -19,11 +20,10 @@ func NewBuilder(name string) *Builder {
 func (b *Builder) Node(label string, op OpKind) int {
 	id := len(b.g.Nodes)
 	if label != "" {
-		if _, dup := b.g.labelIndex[label]; dup {
+		if b.labels[label] {
 			b.errs = append(b.errs, fmt.Errorf("duplicate node label %q", label))
-		} else {
-			b.g.labelIndex[label] = id
 		}
+		b.labels[label] = true
 	}
 	b.g.Nodes = append(b.g.Nodes, Node{ID: id, Op: op, Label: label})
 	b.g.out = append(b.g.out, nil)

@@ -97,8 +97,8 @@ func TestQuickTopoOrderSound(t *testing.T) {
 	f := func(seed int64, nRaw uint8) bool {
 		rng := rand.New(rand.NewSource(seed))
 		g := randomValidGraph(rng, 2+int(nRaw%40))
-		order := g.TopoOrderInto(nil, make([]int, g.NumNodes()))
-		if len(order) != g.NumNodes() {
+		order, sorted := g.TopoOrder(&OrderScratch{})
+		if len(order) != g.NumNodes() || sorted != len(order) {
 			return false
 		}
 		pos := make([]int, g.NumNodes())

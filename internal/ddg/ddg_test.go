@@ -60,10 +60,10 @@ func TestBuilderBasics(t *testing.T) {
 	if g.NumNodes() != 3 || g.NumEdges() != 3 {
 		t.Fatalf("got %d nodes %d edges", g.NumNodes(), g.NumEdges())
 	}
-	if g.NodeByLabel("c") != c {
-		t.Errorf("NodeByLabel(c) = %d, want %d", g.NodeByLabel("c"), c)
+	if NodeByLabel(g, "c") != c {
+		t.Errorf("NodeByLabel(c) = %d, want %d", NodeByLabel(g, "c"), c)
 	}
-	if g.NodeByLabel("zz") != -1 {
+	if NodeByLabel(g, "zz") != -1 {
 		t.Error("NodeByLabel(zz) should be -1")
 	}
 	if g.Edges[0].Lat != 2 { // load latency
@@ -139,8 +139,8 @@ func TestTopoOrder(t *testing.T) {
 	b.Edge(n[2], n[5], 0)
 	b.Edge(n[4], n[0], 2) // loop-carried back edge, ignored by topo
 	g := b.MustBuild()
-	order := g.TopoOrderInto(nil, make([]int, 6))
-	if len(order) != 6 {
+	order, sorted := g.TopoOrder(&OrderScratch{})
+	if len(order) != 6 || sorted != 6 {
 		t.Fatalf("topo order has %d nodes", len(order))
 	}
 	pos := make([]int, 6)
@@ -338,4 +338,15 @@ func TestCountClass(t *testing.T) {
 	if c[ClassInt] != 2 || c[ClassFP] != 1 || c[ClassMem] != 2 {
 		t.Errorf("CountClass = %v", c)
 	}
+}
+
+// NodeByLabel returns the first node of g carrying label, or -1: how tests
+// name nodes. A Graph keeps no label index.
+func NodeByLabel(g *Graph, label string) int {
+	for v := range g.Nodes {
+		if label != "" && g.Nodes[v].Label == label {
+			return v
+		}
+	}
+	return -1
 }

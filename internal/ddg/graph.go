@@ -70,12 +70,6 @@ type Graph struct {
 	out [][]int32 // per node, outgoing edge IDs
 	in  [][]int32 // per node, incoming edge IDs
 
-	// labelIndex maps labels to node IDs. A Builder fills it as it goes; a
-	// graph made any other way builds it on the first NodeByLabel, under
-	// labelOnce.
-	labelOnce  sync.Once
-	labelIndex map[string]int
-
 	// Canonical identity, computed lazily by CanonicalForm. Guarded by
 	// canonOnce, which also makes the Graph no-copy (go vet copylocks);
 	// graphs are always handled by pointer.
@@ -96,31 +90,6 @@ func (g *Graph) Out(v int) []int32 { return g.out[v] }
 // In returns the IDs of the edges entering node v. The returned slice must
 // not be modified.
 func (g *Graph) In(v int) []int32 { return g.in[v] }
-
-// NodeByLabel returns the ID of the node with the given label, or -1.
-func (g *Graph) NodeByLabel(label string) int {
-	g.labelOnce.Do(g.indexLabels)
-	if id, ok := g.labelIndex[label]; ok {
-		return id
-	}
-	return -1
-}
-
-// indexLabels builds labelIndex where no Builder has: as there, a label on
-// two nodes names the first.
-func (g *Graph) indexLabels() {
-	if g.labelIndex != nil {
-		return
-	}
-	g.labelIndex = make(map[string]int, len(g.Nodes))
-	for i := range g.Nodes {
-		if l := g.Nodes[i].Label; l != "" {
-			if _, dup := g.labelIndex[l]; !dup {
-				g.labelIndex[l] = i
-			}
-		}
-	}
-}
 
 // NodeName returns the label of node v, or a synthetic "n<ID>" name.
 func (g *Graph) NodeName(v int) string {
@@ -175,28 +144,15 @@ func (g *Graph) String() string {
 // produced by Builder.Build is always valid; Validate exists for graphs
 // decoded from text.
 func (g *Graph) Validate() error {
-	return g.validate(make(map[string]int, len(g.Nodes)), &validateScratch{})
+	return g.validate(make(map[string]int, len(g.Nodes)), &OrderScratch{})
 }
 
-// validateScratch is the working memory of the zero-distance cycle check;
-// the text parser keeps one across the loops of a stream.
-type validateScratch struct {
-	color []int8
-	stack []dfsFrame
-}
-
-// dfsFrame is one level of the cycle check's explicit DFS stack: a node and
-// the index of its next unexplored out-edge.
-type dfsFrame struct {
-	v    int
-	next int
-}
-
-// validate is Validate with the caller's memory. labels is either empty or
-// already maps every label of g to the first node carrying it (the text
-// parser passes the labelIndex it built); a label on two nodes is reported
-// in both cases.
-func (g *Graph) validate(labels map[string]int, scratch *validateScratch) error {
+// validate is Validate with the caller's memory: sc is the cycle check's,
+// which the text parser keeps across the loops of a stream. labels is
+// either empty or already maps every label of g to the first node carrying
+// it (the text parser passes the label index it built); a label on two
+// nodes is reported in both cases.
+func (g *Graph) validate(labels map[string]int, sc *OrderScratch) error {
 	var problems []string
 	for i := range g.Nodes {
 		n := &g.Nodes[i]
@@ -237,8 +193,8 @@ func (g *Graph) validate(labels map[string]int, scratch *validateScratch) error 
 			problems = append(problems, fmt.Sprintf("edge %d: store node %d produces no register value", i, e.Src))
 		}
 	}
-	if err := g.checkZeroDistanceAcyclic(scratch); err != nil {
-		problems = append(problems, err.Error())
+	if v := g.zeroDistanceCycle(sc); v >= 0 {
+		problems = append(problems, fmt.Sprintf("zero-distance cycle through node %d", v))
 	}
 	if len(problems) == 0 {
 		return nil
@@ -246,57 +202,31 @@ func (g *Graph) validate(labels map[string]int, scratch *validateScratch) error 
 	return fmt.Errorf("ddg: invalid graph %s: %s", g.Name, strings.Join(problems, "; "))
 }
 
-// checkZeroDistanceAcyclic verifies that the subgraph of distance-0 edges is
-// acyclic (a cycle with total distance 0 is not executable).
-func (g *Graph) checkZeroDistanceAcyclic(scratch *validateScratch) error {
-	const (
-		white = 0
-		gray  = 1
-		black = 2
-	)
-	n := len(g.Nodes)
-	if cap(scratch.color) < n {
-		scratch.color = make([]int8, n)
-		scratch.stack = make([]dfsFrame, 0, n) // a DFS path visits a node once
+// zeroDistanceCycle returns a node on a cycle of distance-0 edges (a
+// cycle with total distance 0 is not executable), or -1 if there is none.
+func (g *Graph) zeroDistanceCycle(sc *OrderScratch) int {
+	order, sorted := g.TopoOrder(sc)
+	if sorted == len(order) {
+		return -1
 	}
-	color := scratch.color[:n]
-	clear(color)
-	// Iterative DFS to avoid recursion depth limits on long chains.
-	stack := scratch.stack
-	for start := range g.Nodes {
-		if color[start] != white {
-			continue
-		}
-		stack = append(stack[:0], dfsFrame{v: start})
-		color[start] = gray
-		for len(stack) > 0 {
-			f := &stack[len(stack)-1]
-			advanced := false
-			for f.next < len(g.out[f.v]) {
-				e := &g.Edges[g.out[f.v][f.next]]
-				f.next++
-				if e.Dist != 0 {
-					continue
-				}
-				switch color[e.Dst] {
-				case gray:
-					return fmt.Errorf("zero-distance cycle through node %d", e.Dst)
-				case white:
-					color[e.Dst] = gray
-					stack = append(stack, dfsFrame{v: e.Dst})
-					advanced = true
-				}
-				if advanced {
-					break
-				}
-			}
-			if !advanced {
-				color[f.v] = black
-				stack = stack[:len(stack)-1]
+	// A node TopoOrder could not free still has a distance-0 predecessor it
+	// could not free (indeg > 0). Walking such predecessors back from one
+	// of them comes round to a node already passed (indeg −1): that node is
+	// on a cycle.
+	indeg := sc.indeg
+	v := order[sorted]
+	for {
+		indeg[v] = -1
+		for _, e := range g.in[v] {
+			if x := &g.Edges[e]; x.Dist == 0 && indeg[x.Src] != 0 {
+				v = int32(x.Src)
+				break
 			}
 		}
+		if indeg[v] < 0 {
+			return int(v)
+		}
 	}
-	return nil
 }
 
 // Clone returns a deep copy of the graph.

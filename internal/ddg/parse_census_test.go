@@ -126,9 +126,10 @@ func TestParseConcurrently(t *testing.T) {
 	wg.Wait()
 }
 
-// TestNodeByLabelIsBuiltOnce: a parsed graph carries no label index until
-// somebody asks; eight goroutines asking first at once all get the right
-// answers (run under -race), and so does a Clone, which builds its own.
+// TestNodeByLabelIsBuiltOnce: a graph carries no label index — the label
+// lookup is a test helper over Nodes — so a parsed graph is what it was
+// built as: eight goroutines reading it at once find every label on its
+// node (run under -race), and so does a Clone.
 func TestNodeByLabelIsBuiltOnce(t *testing.T) {
 	_, text := pinnedLoop(t)
 	g, err := ddg.ParseOneString(text)
@@ -138,11 +139,11 @@ func TestNodeByLabelIsBuiltOnce(t *testing.T) {
 	clone := g.Clone()
 	check := func(g *ddg.Graph) {
 		for v := range g.Nodes {
-			if got := g.NodeByLabel(g.Nodes[v].Label); got != v {
+			if got := ddg.NodeByLabel(g, g.Nodes[v].Label); got != v {
 				t.Errorf("NodeByLabel(%q) = %d, want %d", g.Nodes[v].Label, got, v)
 			}
 		}
-		if got := g.NodeByLabel("no such label"); got != -1 {
+		if got := ddg.NodeByLabel(g, "no such label"); got != -1 {
 			t.Errorf("NodeByLabel of an unknown label = %d, want -1", got)
 		}
 	}
@@ -157,17 +158,21 @@ func TestNodeByLabelIsBuiltOnce(t *testing.T) {
 	wg.Wait()
 	check(clone)
 
-	// A Builder's graph keeps the first of two nodes sharing a label — it
-	// is refused by Build, but Graph() shows it — and so does its Clone.
+	// A Builder's graph keeps both nodes sharing a label, the first found
+	// first — Graph() shows them — and so does its Clone; Build refuses it.
 	b := ddg.NewBuilder("dup")
 	b.Node("x", ddg.OpLoad)
 	b.Node("", ddg.OpIAdd)
 	b.Node("x", ddg.OpFAdd)
-	for _, g := range []*ddg.Graph{b.Graph(), b.Graph().Clone()} {
-		if got := g.NodeByLabel("x"); got != 0 {
+	graphs := []*ddg.Graph{b.Graph(), b.Graph().Clone()}
+	if _, err := b.Build(); err == nil {
+		t.Error("Build accepted a duplicated label")
+	}
+	for _, g := range graphs {
+		if got := ddg.NodeByLabel(g, "x"); got != 0 {
 			t.Errorf("NodeByLabel of a duplicated label = %d, want the first node", got)
 		}
-		if got := g.NodeByLabel(""); got != -1 {
+		if got := ddg.NodeByLabel(g, ""); got != -1 {
 			t.Errorf("NodeByLabel of the empty label = %d, want -1", got)
 		}
 	}

@@ -291,7 +291,7 @@ type textParser struct {
 	// Per-node out- and in-degrees (interleaved) and Validate's working
 	// memory.
 	degree   []int32
-	validate validateScratch
+	validate OrderScratch
 }
 
 // maxPooledNodes is the loop size past which a parser is dropped instead of

@@ -47,8 +47,8 @@ func diffGraphs(got, want *Graph) error {
 			return fmt.Errorf("%s: node %d adjacency out=%v in=%v, reference out=%v in=%v",
 				want.Name, v, got.Out(v), got.In(v), want.Out(v), want.In(v))
 		}
-		if l := want.Nodes[v].Label; got.NodeByLabel(l) != want.NodeByLabel(l) {
-			return fmt.Errorf("%s: NodeByLabel(%q) = %d, reference %d", want.Name, l, got.NodeByLabel(l), want.NodeByLabel(l))
+		if l := want.Nodes[v].Label; NodeByLabel(got, l) != NodeByLabel(want, l) {
+			return fmt.Errorf("%s: NodeByLabel(%q) = %d, reference %d", want.Name, l, NodeByLabel(got, l), NodeByLabel(want, l))
 		}
 		if got.NodeName(v) != want.NodeName(v) {
 			return fmt.Errorf("%s: NodeName(%d) = %q, reference %q", want.Name, v, got.NodeName(v), want.NodeName(v))

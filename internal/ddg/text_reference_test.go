@@ -218,12 +218,12 @@ func referenceParseText(r io.Reader) ([]*Graph, error) {
 			if len(fields) < 3 {
 				return fail("edge wants <src> <dst>")
 			}
-			src := b.g.labelIndex[fields[1]]
-			dst := b.g.labelIndex[fields[2]]
-			if _, ok := b.g.labelIndex[fields[1]]; !ok {
+			src := NodeByLabel(b.g, fields[1])
+			dst := NodeByLabel(b.g, fields[2])
+			if src < 0 {
 				return fail("unknown node %q", fields[1])
 			}
-			if _, ok := b.g.labelIndex[fields[2]]; !ok {
+			if dst < 0 {
 				return fail("unknown node %q", fields[2])
 			}
 			dist, lat, mem := 0, -1, false

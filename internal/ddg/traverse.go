@@ -1,55 +1,85 @@
 package ddg
 
-// This file provides graph analyses used throughout the scheduler:
-// topological order over intra-iteration edges, strongly connected
-// components (recurrences), and ASAP/ALAP timing with slack, which drives
-// the partitioner's edge weights. Each has one door, which works in
-// caller-owned memory.
+// This file provides the graph walks the scheduler is built on: a
+// topological order over intra-iteration edges, ASAP/ALAP timing with
+// slack (the partitioner's edge weights, the schedulers' priorities, §5.1's
+// critical edges) and strongly connected components (recurrences). Each is
+// one body that serves both the loop and the scheduler's instance graph,
+// and works in caller-owned memory.
 
-// TopoOrderInto returns a topological order of the nodes over distance-0
-// edges, into caller-owned buffers: order (cleared, appended to and
-// returned; it doubles as the BFS queue, which preserves the FIFO visit
-// order) and indeg (overwritten, len ≥ NumNodes). Graphs are validated to
-// have an acyclic distance-0 subgraph, so the order always exists.
-func (g *Graph) TopoOrderInto(order, indeg []int) []int {
-	n := len(g.Nodes)
-	indeg = indeg[:n]
-	for i := range indeg {
-		indeg[i] = 0
-	}
-	for i := range g.Edges {
-		if g.Edges[i].Dist == 0 {
-			indeg[g.Edges[i].Dst]++
+// Arc is an edge as the order and timing walks read it: the node it enters,
+// its latency and its loop-carried distance in iterations.
+type Arc struct{ Head, Lat, Dist int32 }
+
+// Arcs is a graph as the order and timing walks read it, laid out in plain
+// slices so their inner loops make no calls: nodes 0…n−1 with
+// n = len(Off)−1, the arcs leaving node v are Arc[Off[v]:Off[v+1]] in the
+// order they are followed, and Lat[v] is node v's producer latency (read by
+// Times only).
+type Arcs struct {
+	Off []int32
+	Arc []Arc
+	Lat []int32
+}
+
+// OrderScratch is the working memory of Order, and of the loop's view for
+// TopoOrder. The zero value is ready; not safe for concurrent use.
+type OrderScratch struct {
+	indeg, order []int32
+	arcs         Arcs
+}
+
+// Order lists the nodes of a in a topological order of the distance-0
+// arcs, by Kahn's algorithm. Roots are taken in ascending order and the
+// order doubles as the FIFO queue, so the order depends on the numbering
+// alone.
+//
+// The first sorted nodes are the topological order. A node on a distance-0
+// cycle, or downstream of one, is never freed: those nodes follow in
+// ascending order, so the order is total, and sorted < n says the graph
+// has such a cycle — which a valid loop, and so each of its instance
+// graphs, never has. The slice aliases sc and is valid until its next use.
+func Order(a *Arcs, sc *OrderScratch) (order []int32, sorted int) {
+	n := len(a.Off) - 1
+	indeg := grow(sc.indeg, n)
+	clear(indeg)
+	for _, x := range a.Arc[:a.Off[n]] {
+		if x.Dist == 0 {
+			indeg[x.Head]++
 		}
 	}
-	order = order[:0]
-	for v := range g.Nodes {
+	order = grow(sc.order, n)[:0]
+	for v := int32(0); v < int32(n); v++ {
 		if indeg[v] == 0 {
 			order = append(order, v)
 		}
 	}
 	for head := 0; head < len(order); head++ {
 		v := order[head]
-		for _, eid := range g.out[v] {
-			e := &g.Edges[eid]
-			if e.Dist != 0 {
-				continue
-			}
-			indeg[e.Dst]--
-			if indeg[e.Dst] == 0 {
-				order = append(order, e.Dst)
+		for _, x := range a.Arc[a.Off[v]:a.Off[v+1]] {
+			if x.Dist == 0 {
+				if indeg[x.Head]--; indeg[x.Head] == 0 {
+					order = append(order, x.Head)
+				}
 			}
 		}
 	}
-	return order
+	sorted = len(order)
+	for v := int32(0); sorted < n && v < int32(n); v++ {
+		if indeg[v] > 0 {
+			order = append(order, v)
+		}
+	}
+	sc.indeg, sc.order = indeg, order
+	return order, sorted
 }
 
 // Timing holds per-node ASAP/ALAP issue times for one iteration of the loop
 // at a given II, ignoring resource constraints. Loop-carried edges
-// contribute a latency of Lat − Dist·II, clamped at zero-or-negative values
-// so that timing never becomes circular (the graph restricted to positive
-// effective latencies is acyclic for any II ≥ RecMII; for smaller II we
-// still clamp, yielding a lower-bound estimate).
+// contribute a latency of Lat − Dist·II, and only when that is positive, so
+// that timing never becomes circular (the graph restricted to positive
+// effective latencies is acyclic for any II ≥ RecMII; for smaller II the
+// bounded relaxation still stops, yielding a lower-bound estimate).
 type Timing struct {
 	ASAP   []int
 	ALAP   []int
@@ -66,60 +96,39 @@ func (t *Timing) Slack(g *Graph, e *Edge, ii int) int {
 	return t.ALAP[e.Dst] - t.ASAP[e.Src] - eff
 }
 
-// TimingScratch is the working memory of ComputeTimingScratch: a Timing
-// plus the topological-order buffers, recycled across the many timing
-// computations of an II search. The zero value is ready; not safe for
+// TimingScratch is the working memory of Times: a Timing, recycled across
+// the many timing computations of an II search, and the loop's view and
+// order for ComputeTimingScratch. The zero value is ready; not safe for
 // concurrent use.
 type TimingScratch struct {
 	t     Timing
-	order []int
-	indeg []int
+	order OrderScratch
 }
 
-// ComputeTimingScratch returns ASAP/ALAP times at initiation interval ii.
-// The returned Timing aliases the scratch and is valid until its next use.
-func (g *Graph) ComputeTimingScratch(ii int, sc *TimingScratch) *Timing {
-	n := len(g.Nodes)
-	if cap(sc.indeg) < n {
-		sc.indeg = make([]int, n)
-		sc.order = make([]int, 0, n)
-		sc.t.ASAP = make([]int, n)
-		sc.t.ALAP = make([]int, n)
-	}
-	order := g.TopoOrderInto(sc.order, sc.indeg)
-	sc.order = order
+// Times returns the ASAP/ALAP issue times of a at initiation interval ii,
+// walked in order, Order's (total) order of a.
+//
+// ASAP relaxes, node by node in order, every distance-0 arc and every
+// loop-carried arc whose effective latency Lat − Dist·ii is positive, and
+// repeats until a pass changes nothing, at most four passes. Length is the
+// latest ASAP plus its node's latency; ALAP starts every node at Length
+// less its latency and walks the order backwards over the distance-0 arcs.
+// The Timing aliases sc and is valid until its next use.
+func Times(a *Arcs, order []int32, ii int, sc *TimingScratch) *Timing {
+	n := len(order)
 	t := &sc.t
-	t.ASAP = t.ASAP[:n]
-	t.ALAP = t.ALAP[:n]
+	t.ASAP, t.ALAP, t.Length = grow(t.ASAP, n), grow(t.ALAP, n), 0
 	clear(t.ASAP)
-	t.Length = 0
-	// ASAP forward pass over distance-0 edges; loop-carried edges with
-	// positive effective latency are rare at II ≥ RecMII and are folded in
-	// with an iterative relaxation afterwards (bounded passes).
-	for _, v := range order {
-		for _, eid := range g.out[v] {
-			e := &g.Edges[eid]
-			if e.Dist != 0 {
-				continue
-			}
-			if tt := t.ASAP[v] + e.Lat; tt > t.ASAP[e.Dst] {
-				t.ASAP[e.Dst] = tt
-			}
-		}
-	}
-	// Fold loop-carried edges whose effective latency is positive. A few
-	// relaxation passes suffice because such edges are clamped by II.
-	for pass := 0; pass < 3; pass++ {
+	for pass := 0; pass < 4; pass++ {
 		changed := false
 		for _, v := range order {
-			for _, eid := range g.out[v] {
-				e := &g.Edges[eid]
-				eff := e.Lat - e.Dist*ii
-				if e.Dist == 0 || eff <= 0 {
+			for _, x := range a.Arc[a.Off[v]:a.Off[v+1]] {
+				eff := int(x.Lat) - int(x.Dist)*ii
+				if x.Dist != 0 && eff <= 0 {
 					continue
 				}
-				if tt := t.ASAP[v] + eff; tt > t.ASAP[e.Dst] {
-					t.ASAP[e.Dst] = tt
+				if tt := t.ASAP[v] + eff; tt > t.ASAP[x.Head] {
+					t.ASAP[x.Head] = tt
 					changed = true
 				}
 			}
@@ -128,29 +137,50 @@ func (g *Graph) ComputeTimingScratch(ii int, sc *TimingScratch) *Timing {
 			break
 		}
 	}
-	// Schedule length: last issue + producer latency of that op.
-	for v := range g.Nodes {
-		if l := t.ASAP[v] + g.Nodes[v].Op.Latency(); l > t.Length {
-			t.Length = l
-		}
+	for v, l := range a.Lat[:n] {
+		t.Length = max(t.Length, t.ASAP[v]+int(l))
 	}
-	// ALAP backward pass.
-	for v := range g.Nodes {
-		t.ALAP[v] = t.Length - g.Nodes[v].Op.Latency()
+	for v, l := range a.Lat[:n] {
+		t.ALAP[v] = t.Length - int(l)
 	}
-	for i := len(order) - 1; i >= 0; i-- {
+	for i := n - 1; i >= 0; i-- {
 		v := order[i]
-		for _, eid := range g.out[v] {
-			e := &g.Edges[eid]
-			if e.Dist != 0 {
-				continue
-			}
-			if tt := t.ALAP[e.Dst] - e.Lat; tt < t.ALAP[v] {
-				t.ALAP[v] = tt
+		for _, x := range a.Arc[a.Off[v]:a.Off[v+1]] {
+			if x.Dist == 0 {
+				t.ALAP[v] = min(t.ALAP[v], t.ALAP[x.Head]-int(x.Lat))
 			}
 		}
 	}
 	return t
+}
+
+// TopoOrder is Order of the loop: its nodes in a topological order of the
+// distance-0 edges. A graph Validate accepts has one, so sorted is n.
+func (g *Graph) TopoOrder(sc *OrderScratch) (order []int32, sorted int) {
+	return Order(g.arcs(&sc.arcs), sc)
+}
+
+// ComputeTimingScratch is Times of the loop at initiation interval ii, in
+// TopoOrder, with each node's operation latency.
+func (g *Graph) ComputeTimingScratch(ii int, sc *TimingScratch) *Timing {
+	order, _ := g.TopoOrder(&sc.order)
+	return Times(&sc.order.arcs, order, ii, sc)
+}
+
+// arcs lays the loop out in a, as the order and timing walks read it.
+func (g *Graph) arcs(a *Arcs) *Arcs {
+	n := len(g.Nodes)
+	a.Off, a.Arc, a.Lat = grow(a.Off, n+1), a.Arc[:0], grow(a.Lat, n)
+	for v := range g.Nodes {
+		a.Off[v] = int32(len(a.Arc))
+		for _, e := range g.out[v] {
+			x := &g.Edges[e]
+			a.Arc = append(a.Arc, Arc{Head: int32(x.Dst), Lat: int32(x.Lat), Dist: int32(x.Dist)})
+		}
+		a.Lat[v] = int32(g.Nodes[v].Op.Latency())
+	}
+	a.Off[n] = int32(len(a.Arc))
+	return a
 }
 
 // SCCScratch is the working memory of Components. Callers that walk many

@@ -420,8 +420,11 @@ func keysFor(j Job) (cacheKey, semKey) {
 // canonical fingerprint changed (partition refinement picks a different
 // winning labeling than the hash-rank refinement did), so every graph's
 // fingerprint moved and v3 entries must miss rather than sit unreachable
-// under a current-looking key.
-const jobKeyVersion = "v4"
+// under a current-looking key. v5 keeps the format: the loop graph's
+// ASAP/ALAP timing became the scheduler's (every positive-latency edge
+// relaxed in topological order, up to four passes), which moves a few uas
+// schedules, so v4 entries must miss rather than answer with the old ones.
+const jobKeyVersion = "v5"
 
 // JobKey returns the job's content-addressed cache identity as a string:
 // the format version, the canonical graph fingerprint, the canonical

@@ -73,7 +73,7 @@ func (ReplicationPass) Run(ctx *Context) error {
 	var stats replic.Stats
 	var ok bool
 	if ctx.Opts.UseMacroReplication {
-		stats, ok = replic.RunMacro(ctx.Placement, m, ctx.II)
+		stats, ok = replic.RunMacro(ctx.Placement, m, ctx.II, ctx.arena.Repl)
 	} else {
 		stats, ok = replic.RunScratch(ctx.Placement, m, ctx.II, ctx.arena.Repl)
 	}
@@ -95,7 +95,7 @@ func (LengthReplicationPass) Name() string { return "length-replicate" }
 // Run implements Pass.
 func (LengthReplicationPass) Run(ctx *Context) error {
 	if ctx.Opts.Replicate && ctx.Opts.LengthReplicate {
-		replic.LengthReplicate(ctx.Placement, ctx.Machine, ctx.II, 8)
+		replic.LengthReplicate(ctx.Placement, ctx.Machine, ctx.II, 8, ctx.arena.Repl, ctx.arena.Sched)
 	}
 	return nil
 }

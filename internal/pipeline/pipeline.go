@@ -135,9 +135,9 @@ type Arena struct {
 	// returns (park) so an idle arena pins no graph, assignment or schedule.
 	front Context
 	// fixed is the assignment of a chain that computes one per search and
-	// never partitions (moddist); order and indeg are its traversal buffers.
-	fixed        partition.Assignment
-	order, indeg []int
+	// never partitions (moddist); order is its traversal's memory.
+	fixed partition.Assignment
+	order ddg.OrderScratch
 	// timing and counts serve the skip-ahead's checks (skipahead.go).
 	timing ddg.TimingScratch
 	counts [][ddg.NumClasses]int

@@ -111,9 +111,9 @@ func (ModDistPass) Run(ctx *Context) error {
 	m := ctx.Machine
 	if ctx.Assign == nil {
 		ar, n, k := ctx.arena, ctx.Graph.NumNodes(), m.Clusters
-		ar.order, ar.indeg = arena.Grown(ar.order, n), arena.Grown(ar.indeg, n)
 		ar.fixed = partition.Assignment{Cluster: arena.Zeroed(ar.fixed.Cluster, n), K: k}
-		for i, v := range ctx.Graph.TopoOrderInto(ar.order, ar.indeg) {
+		order, _ := ctx.Graph.TopoOrder(&ar.order)
+		for i, v := range order {
 			ar.fixed.Cluster[v] = i % k
 		}
 		ctx.Assign = &ar.fixed

@@ -6,6 +6,7 @@ import (
 	"testing"
 
 	"clusched/internal/corpus"
+	"clusched/internal/ddg"
 	"clusched/internal/machine"
 	"clusched/internal/sched"
 )
@@ -193,5 +194,44 @@ func TestUASDiffersFromPaper(t *testing.T) {
 	}
 	if !differs {
 		t.Error("uas never produced a different (II, comms) point than paper over 30 loops")
+	}
+}
+
+// TestUASTimingMove pins the uas schedules of c1_000147_cyclic, the one loop
+// of the suite and corpus loops 0–999 whose uas schedules moved when the
+// loop graph's timing became the scheduler's. Its recurrence r0 → in0 → r0
+// has a loop-carried edge in0 → r0 whose effective latency stays positive
+// up to II 5, and r0 feeds the store st0 at distance 0. The retired timing
+// raised r0 in its loop-carried passes but never re-relaxed r0 → st0, so
+// uas swept st0 as if it could issue before r0's value existed; the shared
+// timing relaxes every edge each pass, which moves st0 later in uas's
+// order. On 4c1b2l64r that saves an interval (II 6 → 5); on four machines
+// the iteration runs one to six cycles longer at the same II.
+func TestUASTimingMove(t *testing.T) {
+	g := corpus.DefaultSpec().Loop(147)
+	if g.Name != "c1_000147_cyclic" {
+		t.Fatalf("corpus loop 147 is %s", g.Name)
+	}
+	r0, st0 := 0, 4 // node r0 and store st0
+	if g.Nodes[r0].Label != "r0" || g.Nodes[st0].Label != "st0" {
+		t.Fatalf("nodes 0 and 4 are %s and %s", g.NodeName(r0), g.NodeName(st0))
+	}
+	tm := g.ComputeTimingScratch(5, &ddg.TimingScratch{})
+	if tm.ASAP[st0] <= tm.ASAP[r0] {
+		t.Errorf("at II=5 st0 ASAP %d, not after r0's %d", tm.ASAP[st0], tm.ASAP[r0])
+	}
+	// Before: 5/12, 5/13, 6/25, 5/18, 5/17, 5/18.
+	want := map[string][2]int{
+		"2c1b2l64r": {5, 12}, "2c2b4l64r": {5, 19}, "4c1b2l64r": {5, 18},
+		"4c2b4l64r": {5, 19}, "4c2b2l64r": {5, 18}, "4c4b4l64r": {5, 19},
+	}
+	for _, m := range machine.PaperConfigs() {
+		r, err := Compile(g, m, Options{Strategy: "uas", VerifySchedules: true})
+		if err != nil {
+			t.Fatalf("%s: %v", m.Name, err)
+		}
+		if got := [2]int{r.II, r.Length}; got != want[m.Name] {
+			t.Errorf("%s: II/length %v, want %v", m.Name, got, want[m.Name])
+		}
 	}
 }

@@ -11,15 +11,16 @@ import (
 // the latency hurts. Unlike RunScratch, the communication itself may survive
 // (partial replication, Fig. 11); only the critical consumer is redirected
 // to a local copy. Returns the number of replications applied. The
-// placement is mutated in place.
-func LengthReplicate(p *sched.Placement, m machine.Config, ii, maxSteps int) int {
+// placement is mutated in place. The instance graphs and their timing are
+// built in ssc, the pass's scheduler arena, which the schedule pass then
+// rebuilds for the final placement.
+func LengthReplicate(p *sched.Placement, m machine.Config, ii, maxSteps int, sc *Scratch, ssc *sched.Scratch) int {
 	if !m.Clustered() {
 		return 0
 	}
-	sc := NewScratch()
 	steps := 0
 	for ; steps < maxSteps; steps++ {
-		if !lengthStep(p, m, ii, sc) {
+		if !lengthStep(p, m, ii, sc, ssc) {
 			break
 		}
 	}
@@ -28,13 +29,12 @@ func LengthReplicate(p *sched.Placement, m machine.Config, ii, maxSteps int) int
 
 // lengthStep finds one profitable critical-edge replication; returns false
 // when none exists.
-func lengthStep(p *sched.Placement, m machine.Config, ii int, sc *Scratch) bool {
-	ig, err := sched.BuildIGraph(p, m, false)
+func lengthStep(p *sched.Placement, m machine.Config, ii int, sc *Scratch, ssc *sched.Scratch) bool {
+	ig, tm, err := ssc.InstanceTiming(p, m, ii)
 	if err != nil {
 		return false
 	}
-	asap, length := igASAP(ig, ii)
-	alap := igALAP(ig, ii, length)
+	length := tm.Length
 
 	// Candidate edges: copy → consumer with zero slack (on the critical
 	// path of the iteration schedule).
@@ -48,12 +48,14 @@ func lengthStep(p *sched.Placement, m machine.Config, ii int, sc *Scratch) bool 
 		if !src.IsCopy || e.Dist != 0 {
 			continue
 		}
-		if alap[e.Dst]-asap[e.Src]-int(e.Lat) > 0 {
+		if tm.ALAP[e.Dst]-tm.ASAP[e.Src]-int(e.Lat) > 0 {
 			continue // slack absorbs the bus latency
 		}
 		opts = append(opts, option{com: src.Orig, cluster: ig.Inst[e.Dst].Cluster})
 	}
 
+	// Each trial below rebuilds the arena's graph and timing: from here on
+	// only opts and length are read.
 	for _, o := range opts {
 		target := sched.ClusterSet(0).Add(o.cluster)
 		if target.Minus(p.Replicas[o.com]).Empty() {
@@ -69,11 +71,7 @@ func lengthStep(p *sched.Placement, m machine.Config, ii int, sc *Scratch) bool 
 		for i, v := range cand.Subgraph {
 			trial.Replicas[v] = trial.Replicas[v].Union(cand.AddTo[i])
 		}
-		tig, err := sched.BuildIGraph(trial, m, false)
-		if err != nil {
-			continue
-		}
-		if _, newLen := igASAP(tig, ii); newLen < length {
+		if _, ttm, err := ssc.InstanceTiming(trial, m, ii); err == nil && ttm.Length < length {
 			// Commit: note the communication is NOT removed (partial
 			// replication), so no originals are deleted.
 			for i, v := range cand.Subgraph {
@@ -83,62 +81,4 @@ func lengthStep(p *sched.Placement, m machine.Config, ii int, sc *Scratch) bool 
 		}
 	}
 	return false
-}
-
-// igASAP computes resource-unaware earliest issue times over the public
-// instance-graph surface, clamping loop-carried edges at the given II, and
-// the implied schedule length.
-func igASAP(ig *sched.IGraph, ii int) ([]int, int) {
-	n := ig.NumInstances()
-	asap := make([]int, n)
-	for pass := 0; pass < n; pass++ {
-		changed := false
-		for i := range ig.Edges {
-			e := &ig.Edges[i]
-			eff := int(e.Lat) - int(e.Dist)*ii
-			if e.Dist != 0 && eff <= 0 {
-				continue
-			}
-			if t := asap[e.Src] + eff; t > asap[e.Dst] {
-				asap[e.Dst] = t
-				changed = true
-			}
-		}
-		if !changed {
-			break
-		}
-	}
-	length := 0
-	for i := 0; i < n; i++ {
-		if l := asap[i] + ig.Latency(int32(i)); l > length {
-			length = l
-		}
-	}
-	return asap, length
-}
-
-// igALAP computes latest issue times for the given schedule length.
-func igALAP(ig *sched.IGraph, ii, length int) []int {
-	n := ig.NumInstances()
-	alap := make([]int, n)
-	for i := 0; i < n; i++ {
-		alap[i] = length - ig.Latency(int32(i))
-	}
-	for pass := 0; pass < n; pass++ {
-		changed := false
-		for i := range ig.Edges {
-			e := &ig.Edges[i]
-			if e.Dist != 0 {
-				continue
-			}
-			if t := alap[e.Dst] - int(e.Lat); t < alap[e.Src] {
-				alap[e.Src] = t
-				changed = true
-			}
-		}
-		if !changed {
-			break
-		}
-	}
-	return alap
 }

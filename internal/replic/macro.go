@@ -13,9 +13,8 @@ import (
 // candidate whose subgraph overlaps it — in one shot. The paper found this
 // replicates too many unnecessary instructions; the ablation benchmark
 // reproduces that conclusion by comparing added-instruction counts against
-// RunScratch.
-func RunMacro(p *sched.Placement, m machine.Config, ii int) (Stats, bool) {
-	sc := NewScratch()
+// RunScratch. Like RunScratch it works in the pass's arena sc.
+func RunMacro(p *sched.Placement, m machine.Config, ii int, sc *Scratch) (Stats, bool) {
 	var st Stats
 	st.CommsBefore = p.Comms()
 	st.CommsAfter = st.CommsBefore

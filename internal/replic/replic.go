@@ -15,6 +15,7 @@ import (
 
 	"clusched/internal/ddg"
 	"clusched/internal/machine"
+	"clusched/internal/mii"
 	"clusched/internal/sched"
 )
 
@@ -247,17 +248,8 @@ func feasible(p *sched.Placement, m machine.Config, ii int, cand *Candidate, sc 
 		counts[home][p.G.Nodes[r].Op.Class()]--
 	}
 	for c := range counts {
-		for cl, n := range counts[c] {
-			fu := m.FUAt(c, ddg.Class(cl))
-			if fu == 0 {
-				if n > 0 {
-					return false
-				}
-				continue
-			}
-			if (n+fu-1)/fu > ii {
-				return false
-			}
+		if mii.ClusterResIIAt(counts[c], m, c) > ii {
+			return false
 		}
 	}
 	return true

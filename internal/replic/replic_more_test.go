@@ -174,7 +174,31 @@ func TestLengthReplicateNoOpOnUnified(t *testing.T) {
 	g := randomLoop(rand.New(rand.NewSource(1)), 12)
 	m := machine.Unified(64)
 	p := placed(g, m, 4)
-	if steps := LengthReplicate(p, m, 4, 8); steps != 0 {
+	if steps := LengthReplicate(p, m, 4, 8, NewScratch(), sched.NewScratch()); steps != 0 {
 		t.Errorf("length replication on unified machine did %d steps", steps)
+	}
+}
+
+// TestFeasibleRefusesClassWithoutUnits: replicating an operation into a
+// cluster with no unit of its class is refused at any interval.
+func TestFeasibleRefusesClassWithoutUnits(t *testing.T) {
+	b := ddg.NewBuilder("nofp")
+	f := b.Node("f", ddg.OpFMul)
+	a := b.Node("a", ddg.OpIAdd)
+	b.Edge(f, a, 0)
+	g := b.MustBuild()
+	noFP := [ddg.NumClasses]int{1, 1, 1}
+	noFP[ddg.ClassFP] = 0
+	m := machine.Config{Name: "t", Clusters: 2, Buses: 1, BusLatency: 2, Regs: 64,
+		FU: [ddg.NumClasses]int{1, 1, 1}, Hetero: [][ddg.NumClasses]int{{1, 1, 1}, noFP}}
+	p := sched.NewPlacement(g, &partition.Assignment{Cluster: []int{0, 1}, K: 2})
+	for _, ii := range []int{1, 4, 1000} {
+		cands := candidates(p, m, ii, NewScratch())
+		if len(cands) != 1 || cands[0].Com != f {
+			t.Fatalf("II=%d: candidates %v, want the one of f", ii, cands)
+		}
+		if feasible(p, m, ii, cands[0], NewScratch()) {
+			t.Errorf("II=%d: replicating an fmul into a cluster without fp units reported feasible", ii)
+		}
 	}
 }

@@ -208,20 +208,21 @@ func TestLengthReplicateShortensCriticalPath(t *testing.T) {
 	asg := &partition.Assignment{Cluster: []int{0, 0, 0, 1, 1, 2}, K: 4}
 	p := sched.NewPlacement(g, asg)
 
-	ig, err := sched.BuildIGraph(p, m, false)
-	if err != nil {
-		t.Fatal(err)
+	sc, ssc := NewScratch(), sched.NewScratch()
+	length := func() int {
+		t.Helper()
+		_, tm, err := ssc.InstanceTiming(p, m, 4)
+		if err != nil {
+			t.Fatal(err)
+		}
+		return tm.Length
 	}
-	_, before := igASAP(ig, 4)
-	steps := LengthReplicate(p, m, 4, 1)
+	before := length()
+	steps := LengthReplicate(p, m, 4, 1, sc, ssc)
 	if steps != 1 {
 		t.Fatalf("steps = %d, want 1", steps)
 	}
-	ig2, err := sched.BuildIGraph(p, m, false)
-	if err != nil {
-		t.Fatal(err)
-	}
-	_, after := igASAP(ig2, 4)
+	after := length()
 	if after >= before {
 		t.Errorf("length %d -> %d, want shorter", before, after)
 	}
@@ -233,12 +234,8 @@ func TestLengthReplicateShortensCriticalPath(t *testing.T) {
 	}
 	// Further steps may replicate into the remaining consumer cluster and
 	// eventually silence the communication; lengths must keep improving.
-	more := LengthReplicate(p, m, 4, 8)
-	ig3, err := sched.BuildIGraph(p, m, false)
-	if err != nil {
-		t.Fatal(err)
-	}
-	_, final := igASAP(ig3, 4)
+	more := LengthReplicate(p, m, 4, 8, sc, ssc)
+	final := length()
 	if more > 0 && final >= after {
 		t.Errorf("extra steps did not shorten: %d -> %d", after, final)
 	}
@@ -254,7 +251,7 @@ func TestMacroReplicatesAtLeastAsMuch(t *testing.T) {
 		p1 := placed(g, m, ii)
 		p2 := p1.Clone()
 		st1, ok1 := RunScratch(p1, m, ii, NewScratch())
-		st2, ok2 := RunMacro(p2, m, ii)
+		st2, ok2 := RunMacro(p2, m, ii, NewScratch())
 		if !ok1 || !ok2 || st1.Steps == 0 {
 			continue
 		}

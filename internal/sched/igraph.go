@@ -69,26 +69,8 @@ type IGraph struct {
 
 	// scratch marks a graph whose slices live in a Scratch arena: it is
 	// valid only until the arena's next attempt; what is retained is a copy
-	// (see accept, detach).
+	// (see accept).
 	scratch bool
-}
-
-// BuildIGraph expands a placement into an instance graph. When zeroBusLat
-// is true, copies still occupy the bus for the machine's real latency (so
-// the bus-pressure impact on the II is preserved) but contribute zero
-// dependence latency; this is the Fig. 12 upper-bound mode (§5.1).
-//
-// The returned graph owns its memory. Pipeline-internal callers use
-// Scratch.buildIGraph instead, which recycles one arena across attempts;
-// callers that go on to check foreign issue times use Prove.
-func BuildIGraph(p *Placement, m machine.Config, zeroBusLat bool) (*IGraph, error) {
-	sc := scratchPool.Get().(*Scratch)
-	defer scratchPool.Put(sc)
-	ig, err := sc.buildIGraph(p, m, zeroBusLat)
-	if err != nil {
-		return nil, err
-	}
-	return ig.detach(), nil
 }
 
 // igKey is what the arena's instance graph was expanded from, vectors copied.
@@ -108,8 +90,12 @@ func (k *igKey) matches(p *Placement, m machine.Config, zeroBus bool) bool {
 		slices.Equal(k.p.Home, p.Home) && slices.Equal(k.p.Replicas, p.Replicas)
 }
 
-// buildIGraph is BuildIGraph into the arena: the returned graph aliases the
-// scratch buffers and is valid until the arena's next use.
+// buildIGraph expands a placement into the arena's instance graph: the
+// returned graph aliases the scratch buffers and is valid until the arena's
+// next use. When zeroBusLat is true, copies still occupy the bus for the
+// machine's real latency (so the bus-pressure impact on the II is
+// preserved) but contribute zero dependence latency; this is the Fig. 12
+// upper-bound mode (§5.1).
 func (sc *Scratch) buildIGraph(p *Placement, m machine.Config, zeroBusLat bool) (*IGraph, error) {
 	if sc.key.matches(p, m, zeroBusLat) {
 		sc.ig.P, sc.ig.M = p, m
@@ -247,19 +233,6 @@ func (sc *Scratch) buildCSR(ig *IGraph) {
 	sc.inOff[0] = 0
 	ig.outOff, ig.outIdx = sc.outOff, sc.outIdx
 	ig.inOff, ig.inIdx = sc.inOff, sc.inIdx
-}
-
-// detach copies a graph that has no schedule out of its scratch arena so it
-// can outlive it (a scheduled one leaves through accept); a graph that
-// already owns its memory is returned unchanged. The placement is shared,
-// not copied.
-func (ig *IGraph) detach() *IGraph {
-	if !ig.scratch {
-		return ig
-	}
-	out := *ig
-	out.ownTables()
-	return &out
 }
 
 // ownTables replaces the arena's slices with copies at their exact length,

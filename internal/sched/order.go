@@ -4,118 +4,52 @@ import (
 	"slices"
 
 	"clusched/internal/ddg"
+	"clusched/internal/machine"
 )
 
-// igTiming computes resource-unaware ASAP/ALAP times for the instance graph
-// at a given II, clamping loop-carried edges the same way
-// ddg.ComputeTimingScratch does. The slices alias the Scratch arena.
-type igTiming struct {
-	asap, alap []int
-	length     int
-}
-
-func computeIGTiming(ig *IGraph, ii int, sc *Scratch) *igTiming {
-	n := ig.NumInstances()
-	t := &sc.timing
-	sc.asap = zeroed(sc.asap, n)
-	sc.alap = zeroed(sc.alap, n)
-	*t = igTiming{asap: sc.asap, alap: sc.alap}
-	order := igTopo(ig, sc)
-	relax := func() bool {
-		changed := false
-		for _, v := range order {
-			for _, eid := range ig.Out(v) {
-				e := &ig.Edges[eid]
-				eff := int(e.OrderLat) - int(e.Dist)*ii
-				if e.Dist != 0 && eff <= 0 {
-					continue
-				}
-				if tt := t.asap[e.Src] + eff; tt > t.asap[e.Dst] {
-					t.asap[e.Dst] = tt
-					changed = true
-				}
-			}
-		}
-		return changed
-	}
-	for pass := 0; pass < 4; pass++ {
-		if !relax() {
-			break
-		}
-	}
-	for i := range ig.Inst {
-		if l := t.asap[i] + ig.Latency(int32(i)); l > t.length {
-			t.length = l
-		}
-	}
-	for i := range ig.Inst {
-		t.alap[i] = t.length - ig.Latency(int32(i))
-	}
-	for k := len(order) - 1; k >= 0; k-- {
-		v := order[k]
-		for _, eid := range ig.Out(v) {
-			e := &ig.Edges[eid]
-			if e.Dist != 0 {
-				continue
-			}
-			if tt := t.alap[e.Dst] - int(e.OrderLat); tt < t.alap[e.Src] {
-				t.alap[e.Src] = tt
-			}
-		}
-	}
-	return t
-}
-
-// igTopo returns a topological order over distance-0 edges of the instance
-// graph. Instances on zero-distance cycles (impossible for valid inputs)
-// are appended at the end so the function is total. The slice aliases the
-// Scratch arena; the order buffer doubles as the BFS queue.
-func igTopo(ig *IGraph, sc *Scratch) []int32 {
+// igTopo returns the instance graph as ddg's order and timing walks read
+// it, edges at their ordering latency, and its topological order over
+// distance-0 edges (ddg.Order). The arena graph's are kept until it is
+// rebuilt (igKey): neither depends on the II. Both alias the Scratch arena.
+func igTopo(ig *IGraph, sc *Scratch) (*ddg.Arcs, []int32) {
+	a := &sc.arcs
 	if sc.topoOK && ig == &sc.ig {
-		return sc.topoBuf
+		return a, sc.topo
 	}
 	sc.topoOK = ig == &sc.ig
 	n := ig.NumInstances()
-	indeg := zeroed(sc.indeg, n)
-	sc.indeg = indeg
-	for i := range ig.Edges {
-		if ig.Edges[i].Dist == 0 {
-			indeg[ig.Edges[i].Dst]++
-		}
+	a.Off, a.Arc, a.Lat = grown(a.Off, n+1), grown(a.Arc, len(ig.outIdx)), grown(a.Lat, n)
+	copy(a.Off, ig.outOff)
+	for k, e := range ig.outIdx {
+		x := &ig.Edges[e]
+		a.Arc[k] = ddg.Arc{Head: x.Dst, Lat: x.OrderLat, Dist: x.Dist}
 	}
-	order := sc.topoBuf[:0]
-	for v := 0; v < n; v++ {
-		if indeg[v] == 0 {
-			order = append(order, int32(v))
-		}
+	for i := range a.Lat {
+		a.Lat[i] = int32(ig.Latency(int32(i)))
 	}
-	for head := 0; head < len(order); head++ {
-		v := order[head]
-		for _, eid := range ig.Out(v) {
-			e := &ig.Edges[eid]
-			if e.Dist != 0 {
-				continue
-			}
-			indeg[e.Dst]--
-			if indeg[e.Dst] == 0 {
-				order = append(order, e.Dst)
-			}
-		}
+	sc.topo, _ = ddg.Order(a, &sc.order)
+	return a, sc.topo
+}
+
+// computeIGTiming returns the instance graph's resource-unaware ASAP/ALAP
+// times at the given II (ddg.Times over igTopo). The Timing aliases the
+// Scratch arena.
+func computeIGTiming(ig *IGraph, ii int, sc *Scratch) *ddg.Timing {
+	a, order := igTopo(ig, sc)
+	return ddg.Times(a, order, ii, &sc.timing)
+}
+
+// InstanceTiming expands p, at the machine's real bus latency, into the
+// arena's instance graph and returns it with its ASAP/ALAP timing at ii —
+// what the scheduler's priorities are computed from, and what §5.1's length
+// replication reads its critical edges off. Both are valid until the
+// arena's next use.
+func (sc *Scratch) InstanceTiming(p *Placement, m machine.Config, ii int) (*IGraph, *ddg.Timing, error) {
+	ig, err := sc.buildIGraph(p, m, false)
+	if err != nil {
+		return nil, nil, err
 	}
-	if len(order) < n {
-		seen := zeroed(sc.topoSeen, n)
-		sc.topoSeen = seen
-		for _, v := range order {
-			seen[v] = true
-		}
-		for v := 0; v < n; v++ {
-			if !seen[v] {
-				order = append(order, int32(v))
-			}
-		}
-	}
-	sc.topoBuf = order
-	return order
+	return ig, computeIGTiming(ig, ii, sc), nil
 }
 
 // igTopoAll returns an order that is topological over the condensation of
@@ -126,14 +60,14 @@ func igTopo(ig *IGraph, sc *Scratch) []int32 {
 // It is the robust last-resort order: the dist-0 topological order can
 // strand nodes between a predecessor chain and a successor that a
 // loop-carried forward edge dragged to an incompatible anchor.
-func igTopoAll(ig *IGraph, tm *igTiming, sc *Scratch) []int32 {
+func igTopoAll(ig *IGraph, tm *ddg.Timing, sc *Scratch) []int32 {
 	flat, off, _ := igSCCs(ig, sc) // reverse topological order of the condensation
 	order := sc.allOrder[:0]
 	for i := len(off) - 2; i >= 0; i-- {
 		comp := flat[off[i]:off[i+1]]
 		slices.SortFunc(comp, func(a, b int32) int {
-			if tm.asap[a] != tm.asap[b] {
-				return tm.asap[a] - tm.asap[b]
+			if tm.ASAP[a] != tm.ASAP[b] {
+				return tm.ASAP[a] - tm.ASAP[b]
 			}
 			return int(a - b)
 		})
@@ -165,7 +99,7 @@ func igSCCs(ig *IGraph, sc *Scratch) (flat, off []int32, cyclic []bool) {
 // to previously ordered groups; each group is ordered by alternating
 // top-down and bottom-up sweeps so that, outside recurrences, a node is
 // placed while only its predecessors or only its successors are scheduled.
-func priorityOrder(ig *IGraph, ii int, tm *igTiming, sc *Scratch) []int32 {
+func priorityOrder(ig *IGraph, ii int, tm *ddg.Timing, sc *Scratch) []int32 {
 	n := ig.NumInstances()
 	if n == 0 {
 		return nil
@@ -222,7 +156,7 @@ func priorityOrder(ig *IGraph, ii int, tm *igTiming, sc *Scratch) []int32 {
 		minASAPSeed := func() []int32 {
 			var best int32 = -1
 			for v := int32(0); v < int32(n); v++ {
-				if inGroup.Has(v) && !inOrder[v] && (best < 0 || tm.asap[v] < tm.asap[best]) {
+				if inGroup.Has(v) && !inOrder[v] && (best < 0 || tm.ASAP[v] < tm.ASAP[best]) {
 					best = v
 				}
 			}
@@ -269,18 +203,18 @@ func priorityOrder(ig *IGraph, ii int, tm *igTiming, sc *Scratch) []int32 {
 					a, b := ready[i], ready[bi]
 					var better bool
 					if dir == topDown {
-						if tm.alap[a] != tm.alap[b] {
-							better = tm.alap[a] < tm.alap[b]
-						} else if tm.asap[a] != tm.asap[b] {
-							better = tm.asap[a] < tm.asap[b]
+						if tm.ALAP[a] != tm.ALAP[b] {
+							better = tm.ALAP[a] < tm.ALAP[b]
+						} else if tm.ASAP[a] != tm.ASAP[b] {
+							better = tm.ASAP[a] < tm.ASAP[b]
 						} else {
 							better = a < b
 						}
 					} else {
-						if tm.asap[a] != tm.asap[b] {
-							better = tm.asap[a] > tm.asap[b]
-						} else if tm.alap[a] != tm.alap[b] {
-							better = tm.alap[a] > tm.alap[b]
+						if tm.ASAP[a] != tm.ASAP[b] {
+							better = tm.ASAP[a] > tm.ASAP[b]
+						} else if tm.ALAP[a] != tm.ALAP[b] {
+							better = tm.ALAP[a] > tm.ALAP[b]
 						} else {
 							better = a < b
 						}

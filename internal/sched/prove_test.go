@@ -110,9 +110,9 @@ func scheduledSuite(t *testing.T, stride int, visit func(p *Placement, m machine
 }
 
 // TestProveMatchesBuildAndAdopt: on honest schedules of the suite Prove
-// returns what BuildIGraph + Adopt returned — schedule, register pressure,
-// detached graph — and the public Adopt and Verify, which share its
-// internals, agree with their retired selves.
+// returns what referenceBuildIGraph + Adopt returned — schedule, register
+// pressure, detached graph — and the public Adopt and Verify, which share
+// its internals, agree with their retired selves.
 func TestProveMatchesBuildAndAdopt(t *testing.T) {
 	stride := 1
 	if testing.Short() || raceDetector {

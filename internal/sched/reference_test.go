@@ -1,7 +1,7 @@
 package sched
 
 // The retired way to check a foreign schedule, kept verbatim as the oracle
-// Prove, Adopt, Verify and detach are held to: BuildIGraph on a fresh
+// Prove, Adopt and Verify are held to: an instance graph built on a fresh
 // Scratch with a copy per slice out of it, then Adopt — a second fresh
 // Scratch for the register pressure, Verify recounting into freshly made
 // tables. prove_test.go diffs the pooled, copy-once path against it.

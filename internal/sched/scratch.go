@@ -40,15 +40,14 @@ type Scratch struct {
 	key                     igKey
 	sccOK, groupsOK, topoOK bool
 
-	// computeIGTiming
-	timing igTiming
-	asap   []int
-	alap   []int
+	// igTopo: the graph as ddg's walks read it, the walk's memory and its
+	// last order
+	arcs  ddg.Arcs
+	order ddg.OrderScratch
+	topo  []int32
 
-	// igTopo (also used by computeIGTiming)
-	indeg    []int32
-	topoBuf  []int32
-	topoSeen []bool
+	// computeIGTiming, and UASAssignScratch's timing of the loop
+	timing ddg.TimingScratch
 
 	// igSCCs: the walk's memory and its last result, views cut on demand
 	sccs       ddg.SCCScratch
@@ -91,7 +90,6 @@ type Scratch struct {
 	verifyBus []int
 
 	// UASAssignScratch (the uas strategy's greedy sweep)
-	uasTiming  ddg.TimingScratch
 	uasOrder   []int32
 	uasKeys    []uint64
 	uasTime    []int
@@ -107,8 +105,8 @@ type Scratch struct {
 func NewScratch() *Scratch { return &Scratch{} }
 
 // scratchPool lends arenas to the entry points that take none (Prove,
-// Adopt, Verify, BuildIGraph: once per foreign or accepted schedule, not per
-// II attempt). Not an arena.Pool: around its hot scratch, a client's
+// Adopt, Verify: once per foreign or accepted schedule, not per II
+// attempt). Not an arena.Pool: around its hot scratch, a client's
 // concurrent decoders made twice as many.
 var scratchPool = sync.Pool{New: func() any { return new(Scratch) }}
 

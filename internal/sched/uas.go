@@ -40,7 +40,7 @@ func UASAssignScratch(g *ddg.Graph, m machine.Config, ii int, sc *Scratch) (*par
 	}
 	const inf = int(^uint(0) >> 1)
 	K := m.Clusters
-	tm := g.ComputeTimingScratch(ii, &sc.uasTiming)
+	tm := g.ComputeTimingScratch(ii, &sc.timing)
 	order := uasOrder(tm, sc)
 
 	rt := &sc.rt

@@ -61,8 +61,15 @@ func TestUnrollRewritesDistances(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	a0 := u.NodeByLabel("acc_u0")
-	a1 := u.NodeByLabel("acc_u1")
+	a0, a1 := -1, -1
+	for v, n := range u.Nodes {
+		switch n.Label {
+		case "acc_u0":
+			a0 = v
+		case "acc_u1":
+			a1 = v
+		}
+	}
 	if a0 < 0 || a1 < 0 {
 		t.Fatal("renamed accumulators missing")
 	}

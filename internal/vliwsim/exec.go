@@ -92,8 +92,8 @@ type scratch struct {
 	values  []uint64 // run: [instance·total + iter]; evaluate: [iter·nodes + node]
 	done    []bool   // run: the slot's value has been produced
 
-	got, want   []StoreRecord // Measure's executed and reference traces
-	topo, indeg []int
+	got, want []StoreRecord // Measure's executed and reference traces
+	topo      ddg.OrderScratch
 }
 
 var scratchPool arena.Pool[scratch]
@@ -143,14 +143,13 @@ func (sc *scratch) loadGraph(g *ddg.Graph) {
 // its canonical trace into stores (len = sc.perIter · iters).
 func (sc *scratch) evaluate(g *ddg.Graph, iters int, stores []StoreRecord) {
 	n := g.NumNodes()
-	sc.indeg = arena.Grown(sc.indeg, n)
-	sc.topo = g.TopoOrderInto(arena.Grown(sc.topo, n), sc.indeg)
+	topo, _ := g.TopoOrder(&sc.topo)
 	// One flat slab, a row of n values per iteration. Only a window of
 	// maxDist+1 rows is ever read, but loops are small: keep them all.
 	sc.values = arena.Grown(sc.values, n*iters)
 	for k := 0; k < iters; k++ {
 		row := sc.values[k*n : (k+1)*n]
-		for _, v := range sc.topo {
+		for _, v := range topo {
 			u := &sc.units[v]
 			h := u.seed
 			for _, op := range sc.ops[sc.opOff[v]:sc.opOff[v+1]] {
@@ -162,7 +161,7 @@ func (sc *scratch) evaluate(g *ddg.Graph, iters int, stores []StoreRecord) {
 			}
 			switch u.kind {
 			case kindStore:
-				stores[k*sc.perIter+u.rank] = StoreRecord{Node: v, Iter: k, Value: h}
+				stores[k*sc.perIter+u.rank] = StoreRecord{Node: int(v), Iter: k, Value: h}
 				h = 0 // a store produces no value
 			case kindLoad:
 				h = loadValue(h, u.salt, k)

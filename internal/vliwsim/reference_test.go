@@ -45,7 +45,7 @@ func referenceNodeValue(g *ddg.Graph, v, iter int, operands []uint64) uint64 {
 // referenceReference evaluates the source loop directly for the given
 // iteration count and returns its trace.
 func referenceReference(g *ddg.Graph, iters int) *Trace {
-	order := g.TopoOrderInto(nil, make([]int, g.NumNodes()))
+	order, _ := g.TopoOrder(&ddg.OrderScratch{})
 	// values[iter][node]; only a window of maxDist+1 iterations is needed,
 	// but loops are small — keep it simple and store all.
 	values := make([][]uint64, iters)
@@ -53,7 +53,8 @@ func referenceReference(g *ddg.Graph, iters int) *Trace {
 	var operands []uint64
 	for k := 0; k < iters; k++ {
 		values[k] = make([]uint64, g.NumNodes())
-		for _, v := range order {
+		for _, v32 := range order {
+			v := int(v32)
 			operands = operands[:0]
 			for _, eid := range g.In(v) {
 				e := &g.Edges[eid]

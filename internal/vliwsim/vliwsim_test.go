@@ -217,7 +217,7 @@ func TestLengthReplicationPreservesSemantics(t *testing.T) {
 	a := partition.InitialScratch(g, m, 4, partition.NewScratch())
 	p := sched.NewPlacement(g, a)
 	replic.RunScratch(p, m, 4, replic.NewScratch())
-	replic.LengthReplicate(p, m, 4, 4)
+	replic.LengthReplicate(p, m, 4, 4, replic.NewScratch(), sched.NewScratch())
 	for ii := 4; ii < 32; ii++ {
 		s, err := sched.ScheduleLoopScratch(p, m, ii, false, sched.Options{}, sched.NewScratch())
 		if err != nil {

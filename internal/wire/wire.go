@@ -232,7 +232,7 @@ type Placement struct {
 // Schedule is the compact wire form of a modulo schedule: the II and the
 // issue-time vector over the placement's instance enumeration (original
 // instances in node order, then copy instances in node order — the order
-// sched.BuildIGraph materializes). Length, stage count and register
+// the scheduler expands a placement in). Length, stage count and register
 // pressure are recomputed on decode; the times are re-verified against
 // the rebuilt instance graph.
 type Schedule struct {
