@@ -10,9 +10,20 @@ package clusched_test
 import (
 	"testing"
 
+	"clusched"
 	"clusched/internal/ddg"
 	"clusched/internal/experiments"
 )
+
+// suiteEngine is the local engine the benchmarks run the experiments on.
+var suiteEngine = clusched.NewLocal()
+
+// resetSuite points the experiments at suiteEngine with an empty cache, so
+// an iteration measures real work.
+func resetSuite() {
+	experiments.UseBackend(suiteEngine)
+	suiteEngine.ResetCache()
+}
 
 // BenchmarkTable1Machine exercises the static machine model (Table 1).
 func BenchmarkTable1Machine(b *testing.B) {
@@ -27,7 +38,7 @@ func BenchmarkTable1Machine(b *testing.B) {
 // bus 70-90%, recurrences 2-4%, registers the rest).
 func BenchmarkFig1Causes(b *testing.B) {
 	for i := 0; i < b.N; i++ {
-		experiments.ResetCache()
+		resetSuite()
 		rows := experiments.Fig1()
 		for _, r := range rows {
 			if r.Config == "4c1b2l64r" {
@@ -43,7 +54,7 @@ func BenchmarkFig1Causes(b *testing.B) {
 // average on 4c2b4l64r; su2cor up to +70%).
 func BenchmarkFig7IPC(b *testing.B) {
 	for i := 0; i < b.N; i++ {
-		experiments.ResetCache()
+		resetSuite()
 		for _, f := range experiments.Fig7() {
 			if f.Config == "4c2b4l64r" {
 				b.ReportMetric(f.AvgSpeedup(), "avg_speedup_pct_4c2b4l")
@@ -60,7 +71,7 @@ func BenchmarkFig7IPC(b *testing.B) {
 // minimal).
 func BenchmarkFig8Mgrid(b *testing.B) {
 	for i := 0; i < b.N; i++ {
-		experiments.ResetCache()
+		resetSuite()
 		rows := experiments.Fig8()
 		unified := rows[0].Baseline
 		worst := unified
@@ -78,7 +89,7 @@ func BenchmarkFig8Mgrid(b *testing.B) {
 // replication cuts the II by 10-20%).
 func BenchmarkFig9AppluII(b *testing.B) {
 	for i := 0; i < b.N; i++ {
-		experiments.ResetCache()
+		resetSuite()
 		for _, r := range experiments.Fig9() {
 			if r.Config == "4c1b2l64r" {
 				b.ReportMetric(r.IIReductionPct, "ii_reduction_pct_4c1b2l")
@@ -93,7 +104,7 @@ func BenchmarkFig9AppluII(b *testing.B) {
 // configurations, integers dominate).
 func BenchmarkFig10AddedInstructions(b *testing.B) {
 	for i := 0; i < b.N; i++ {
-		experiments.ResetCache()
+		resetSuite()
 		for _, r := range experiments.Fig10() {
 			if r.Config == "4c1b2l64r" {
 				b.ReportMetric(r.TotalPct, "added_pct_4c1b2l")
@@ -107,7 +118,7 @@ func BenchmarkFig10AddedInstructions(b *testing.B) {
 // bound (Fig. 12: ~1% potential on 4-cluster machines).
 func BenchmarkFig12LengthPotential(b *testing.B) {
 	for i := 0; i < b.N; i++ {
-		experiments.ResetCache()
+		resetSuite()
 		for _, r := range experiments.Fig12() {
 			switch r.Config {
 			case "4c1b2l64r":
@@ -123,7 +134,7 @@ func BenchmarkFig12LengthPotential(b *testing.B) {
 // removed at ~2.1 replicated instructions each on 4c1b2l64r).
 func BenchmarkCommStats(b *testing.B) {
 	for i := 0; i < b.N; i++ {
-		experiments.ResetCache()
+		resetSuite()
 		for _, r := range experiments.CommStats() {
 			if r.Config == "4c1b2l64r" {
 				b.ReportMetric(r.RemovedPct, "comms_removed_pct_4c1b2l")
@@ -137,7 +148,7 @@ func BenchmarkCommStats(b *testing.B) {
 // replication adds more instructions than the greedy heuristic).
 func BenchmarkAblationMacro(b *testing.B) {
 	for i := 0; i < b.N; i++ {
-		experiments.ResetCache()
+		resetSuite()
 		for _, r := range experiments.MacroAblation() {
 			if r.Config == "4c1b2l64r" {
 				b.ReportMetric(r.GreedyAddedPct, "greedy_added_pct")
@@ -151,7 +162,7 @@ func BenchmarkAblationMacro(b *testing.B) {
 // (unrolling removes communications but at prohibitive code growth).
 func BenchmarkAblationUnroll(b *testing.B) {
 	for i := 0; i < b.N; i++ {
-		experiments.ResetCache()
+		resetSuite()
 		row, err := experiments.UnrollAblation("4c1b2l64r", 2, 4)
 		if err != nil {
 			b.Fatal(err)

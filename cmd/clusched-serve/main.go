@@ -9,7 +9,6 @@
 //	clusched-serve -addr :8357 -cache-dir /var/cache/clusched
 //	clusched-serve -workers 8 -queue 128 -timeout 5m
 //	clusched-serve -speculate 4        # race candidate IIs inside each compilation
-//	clusched-serve -max-inflight 8     # cap concurrent real compilations engine-wide
 //	clusched-serve -pprof localhost:6060   # expose net/http/pprof
 //	clusched-serve -trace-jobs -slow-compile 250ms   # trace every batch, log slow ones
 //
@@ -71,7 +70,6 @@ func main() {
 	queue := flag.Int("queue", 64, "queued-ticket bound (admission control)")
 	cacheSize := flag.Int("cache-size", 0, "in-memory result-cache entries (default: engine default)")
 	speculate := flag.Int("speculate", 0, "race up to k candidate IIs per compilation (speculative multi-II search; 0/1 = off; results and cache keys are unchanged)")
-	maxInflight := flag.Int("max-inflight", 0, "engine-wide cap on concurrently running real compilations, across all batches (0 = unbounded; distinct from -queue admission control; exposed in /stats as max_inflight)")
 	timeout := flag.Duration("timeout", 0, "default per-ticket deadline (0 = none)")
 	drain := flag.Duration("drain-timeout", time.Minute, "graceful-shutdown bound")
 	pprofAddr := flag.String("pprof", "", "serve net/http/pprof on this address (e.g. localhost:6060; empty = off)")
@@ -108,7 +106,6 @@ func main() {
 		QueueDepth:     *queue,
 		CacheSize:      *cacheSize,
 		Speculation:    *speculate,
-		MaxInFlight:    *maxInflight,
 		DefaultTimeout: *timeout,
 		Logger:         logger,
 		AccessLog:      !*quiet,

@@ -72,7 +72,6 @@ import (
 	"time"
 
 	"clusched"
-	"clusched/internal/driver"
 	"clusched/internal/experiments"
 	"clusched/internal/machine"
 )
@@ -83,7 +82,7 @@ import (
 type jsonReport struct {
 	experiments.FigureSections
 	Strategies []experiments.StrategyBenchRow `json:"strategies,omitempty"`
-	Engine     driver.CacheStats              `json:"engine"`
+	Engine     clusched.CacheStats            `json:"engine"`
 }
 
 // preprocessArgs lets -json appear bare (no file name), meaning "write the
@@ -131,14 +130,13 @@ func run(args []string, stdout, stderr io.Writer) int {
 		return 2
 	}
 
-	// -trace and the -progress cache line describe the in-process engine;
-	// with -remote or -cluster compilation (and its cache) is server-side.
-	local := *remote == "" && *clusterHosts == ""
-	var trace *clusched.Trace
-	if *traceOut != "" && local {
-		trace = clusched.NewTrace()
-	}
-
+	// -trace, -progress and the engine's cache accounting describe the
+	// in-process engine, built for a local run only; with -remote or
+	// -cluster compilation (and its cache) is server-side.
+	var (
+		engine *clusched.Compiler
+		trace  *clusched.Trace
+	)
 	switch {
 	case *clusterHosts != "":
 		if *remote != "" {
@@ -153,6 +151,9 @@ func run(args []string, stdout, stderr io.Writer) int {
 		}
 		if *progress {
 			fmt.Fprintln(stderr, "paperbench: -progress is ignored with -cluster (compilation runs server-side)")
+		}
+		if *speculate > 1 {
+			fmt.Fprintln(stderr, "paperbench: -speculate is ignored with -cluster (the servers' own setting governs their compilations)")
 		}
 		// Same Backend seam as -remote, but the batches fan out across the
 		// fleet with cache-affine routing.
@@ -171,19 +172,22 @@ func run(args []string, stdout, stderr io.Writer) int {
 		if *progress {
 			fmt.Fprintln(stderr, "paperbench: -progress is ignored with -remote (compilation runs server-side)")
 		}
+		if *speculate > 1 {
+			fmt.Fprintln(stderr, "paperbench: -speculate is ignored with -remote (the server's own setting governs its compilations)")
+		}
 		client := clusched.NewRemote(*remote, clusched.WithTimeout(0))
 		if err := client.Health(context.Background()); err != nil {
 			fmt.Fprintf(stderr, "paperbench: service at %s unreachable: %v\n", *remote, err)
 			return 1
 		}
 		experiments.UseBackend(client)
-		if *speculate > 1 {
-			fmt.Fprintln(stderr, "paperbench: -speculate is ignored with -remote (the server's own setting governs its compilations)")
+	default:
+		if *traceOut != "" {
+			trace = clusched.NewTrace()
 		}
-	case *jobs != 0 || *progress || *speculate > 1 || trace != nil:
-		cfg := driver.Config{Workers: *jobs, Speculation: *speculate, Trace: trace}
+		var progressFn clusched.Progress
 		if *progress {
-			cfg.Progress = func(done, total int) {
+			progressFn = func(done, total int) {
 				if done%100 == 0 || done == total {
 					fmt.Fprintf(stderr, "\rcompiling %d/%d loops", done, total)
 					if done == total {
@@ -192,7 +196,9 @@ func run(args []string, stdout, stderr io.Writer) int {
 				}
 			}
 		}
-		experiments.Configure(cfg)
+		engine = clusched.NewLocal(clusched.WithWorkers(*jobs), clusched.WithSpeculation(*speculate),
+			clusched.WithTrace(trace), clusched.WithProgress(progressFn))
+		experiments.UseBackend(engine)
 	}
 
 	var report string
@@ -257,8 +263,8 @@ func run(args []string, stdout, stderr io.Writer) int {
 		report += table
 	}
 
-	if *progress && local {
-		st := experiments.EngineStats()
+	if *progress && engine != nil {
+		st := engine.CacheStats()
 		fmt.Fprintf(stderr, "engine cache: %d hits, %d misses, %d entries\n",
 			st.Hits, st.Misses, st.Entries)
 	}
@@ -266,12 +272,13 @@ func run(args []string, stdout, stderr io.Writer) int {
 	if *jsonOut != "" {
 		// The suite runs behind the report above are memoized in the
 		// engine, so collecting the typed rows re-reads, it does not
-		// recompute.
-		blob, err := json.MarshalIndent(jsonReport{
-			FigureSections: experiments.CollectFigures(*fig),
-			Strategies:     strategyRows,
-			Engine:         experiments.EngineStats(),
-		}, "", "  ")
+		// recompute. A remote engine's cache lives server-side: its
+		// section stays zero.
+		doc := jsonReport{FigureSections: experiments.CollectFigures(*fig), Strategies: strategyRows}
+		if engine != nil {
+			doc.Engine = engine.CacheStats()
+		}
+		blob, err := json.MarshalIndent(doc, "", "  ")
 		if err != nil {
 			fmt.Fprintf(stderr, "paperbench: %v\n", err)
 			return 1

@@ -10,7 +10,7 @@ import (
 	"strings"
 	"testing"
 
-	"clusched/internal/driver"
+	"clusched"
 	"clusched/internal/experiments"
 )
 
@@ -76,12 +76,12 @@ func runJSON(t *testing.T, args ...string) (keys []string, sections map[string]j
 }
 
 // TestFigJSONIsAPureFunctionOfTheCode compiles Fig. 9 twice on fresh
-// engines (-j builds one per run): the figure section must come out byte
+// engines (every local run builds its own): the figure section must come out byte
 // for byte the same. "engine" is left out on purpose — its counts depend
 // on which of two concurrently compiling isomorphic loops fills the
 // semantic tier first.
 func TestFigJSONIsAPureFunctionOfTheCode(t *testing.T) {
-	t.Cleanup(func() { experiments.Configure(driver.Config{}) })
+	t.Cleanup(func() { experiments.UseBackend(clusched.NewLocal()) })
 	keys1, first := runJSON(t, "-fig", "9", "-j", "2")
 	keys2, second := runJSON(t, "-fig", "9", "-j", "2")
 	want := []string{"fig9", "engine"}
@@ -121,13 +121,14 @@ func TestUnknownExperimentExits2(t *testing.T) {
 }
 
 // TestClusterRunIsNotALocalRun: with -cluster the engine lives on the
-// servers, so -trace must write no file and -progress no local cache line.
-// The node is never contacted: Table 1 compiles nothing.
+// servers, so -trace must write no file, -progress no local cache line, and
+// -speculate is reported as ignored, as -remote reports it. The node is
+// never contacted: Table 1 compiles nothing.
 func TestClusterRunIsNotALocalRun(t *testing.T) {
-	t.Cleanup(func() { experiments.Configure(driver.Config{}) })
+	t.Cleanup(func() { experiments.UseBackend(clusched.NewLocal()) })
 	tracePath := filepath.Join(t.TempDir(), "trace.json")
 	var stdout, stderr bytes.Buffer
-	code := run([]string{"-cluster", "http://127.0.0.1:1", "-trace", tracePath, "-progress", "-fig", "table1"}, &stdout, &stderr)
+	code := run([]string{"-cluster", "http://127.0.0.1:1", "-trace", tracePath, "-progress", "-speculate", "4", "-fig", "table1"}, &stdout, &stderr)
 	if code != 0 {
 		t.Fatalf("exit %d\n%s", code, stderr.String())
 	}
@@ -135,8 +136,10 @@ func TestClusterRunIsNotALocalRun(t *testing.T) {
 		t.Errorf("-cluster -trace wrote %s (stat err %v); the flag is documented as ignored", tracePath, err)
 	}
 	msgs := stderr.String()
-	if !strings.Contains(msgs, "-trace is ignored with -cluster") {
-		t.Errorf("no -trace warning in %q", msgs)
+	for _, flag := range []string{"-trace", "-speculate"} {
+		if !strings.Contains(msgs, flag+" is ignored with -cluster") {
+			t.Errorf("no %s warning in %q", flag, msgs)
+		}
 	}
 	for _, localOnly := range []string{"engine cache:", "wrote "} {
 		if strings.Contains(msgs, localOnly) {

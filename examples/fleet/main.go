@@ -7,9 +7,9 @@
 // service the clusched-serve binary runs, so the example is self-contained
 // (go run ./examples/fleet). A real deployment starts real processes:
 //
-//	clusched-serve -addr :8357 -max-inflight 8 &
-//	clusched-serve -addr :8358 -max-inflight 8 &
-//	clusched-serve -addr :8359 -max-inflight 8 &
+//	clusched-serve -addr :8357 &
+//	clusched-serve -addr :8358 &
+//	clusched-serve -addr :8359 &
 //
 // and hands their URLs to clusched.NewCluster — everything below is
 // unchanged. Nothing is sized against the cluster: a node's share of a

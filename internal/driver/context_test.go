@@ -290,8 +290,8 @@ func TestSpeculativeCompileMatchesPlain(t *testing.T) {
 				i, got.II, want.II, got.IIIncreases, want.IIIncreases)
 		}
 	}
-	if n := spec.laneArenas.Load(); n != 0 {
-		t.Fatalf("%d lane arenas still out after the batch", n)
+	if n := len(spec.budget); n != 0 {
+		t.Fatalf("%d budget slots still held after the batch", n)
 	}
 
 	// A different width, same store: every job must be a store hit.
@@ -307,8 +307,9 @@ func TestSpeculativeCompileMatchesPlain(t *testing.T) {
 }
 
 // TestSpeculativeCancellation: cancelling a speculative compilation
-// mid-flight returns promptly with ctx.Err(), leaks no goroutines, drains
-// the lane budget, and returns every lane's arena to the pool.
+// mid-flight returns promptly with ctx.Err(), leaks no goroutines, and
+// gives back every budget slot its lanes took — a lane returns its arena
+// with its slot — and its own.
 func TestSpeculativeCancellation(t *testing.T) {
 	// Probe for a wide loop whose search outlives a 50ms deadline on the
 	// one-bus machine (most 400-node wide loops sweep a long II ladder):
@@ -330,8 +331,8 @@ func TestSpeculativeCancellation(t *testing.T) {
 		t.Fatal("no long-running compilation found in 30 probe seeds")
 	}
 
-	// Workers > specLoad leaves budget headroom, so single-shot Compile
-	// calls really launch extra lanes even on one CPU.
+	// Workers 4 makes a budget of at least four slots, so a single-shot
+	// Compile really launches extra lanes even on one CPU.
 	c := New(Config{Workers: 4, Speculation: 4, CacheSize: -1})
 	baseline := runtime.NumGoroutine()
 
@@ -344,7 +345,7 @@ func TestSpeculativeCancellation(t *testing.T) {
 	}()
 	// Cancel only once the speculative search is actually in flight, so
 	// the abort lands mid-speculation, not before the first pass.
-	for c.specLoad.Load() == 0 && len(done) == 0 {
+	for len(c.budget) == 0 && len(done) == 0 {
 		runtime.Gosched()
 	}
 	cancel()
@@ -360,11 +361,8 @@ func TestSpeculativeCancellation(t *testing.T) {
 	if waited := time.Since(start); waited > 10*time.Second {
 		t.Fatalf("cancellation took %v to take effect", waited)
 	}
-	if n := c.specLoad.Load(); n != 0 {
-		t.Fatalf("lane budget not drained: specLoad=%d", n)
-	}
-	if n := c.laneArenas.Load(); n != 0 {
-		t.Fatalf("%d lane arenas not returned to the pool after cancellation", n)
+	if n := len(c.budget); n != 0 {
+		t.Fatalf("budget not drained after cancellation: %d slots held", n)
 	}
 	// Every lane goroutine must be joined before Compile returns.
 	deadline := time.Now().Add(5 * time.Second)

@@ -93,7 +93,11 @@ type Store interface {
 // Config parameterizes a Compiler. The zero value is ready to use:
 // GOMAXPROCS workers and a DefaultCacheSize-entry cache.
 type Config struct {
-	// Workers bounds concurrent compilations; ≤0 means GOMAXPROCS.
+	// Workers bounds one Stream batch's concurrent jobs; ≤0 means
+	// GOMAXPROCS. Real compilations across every batch and unary call, and
+	// speculative lanes with them, share the engine's compile budget of
+	// max(Workers, GOMAXPROCS) slots: a compilation over budget waits for a
+	// slot, and aborts with ctx.Err() if its context ends first.
 	Workers int
 	// CacheSize bounds the LRU result cache in entries; 0 means
 	// DefaultCacheSize, negative disables caching entirely.
@@ -105,22 +109,14 @@ type Config struct {
 	// on LRU misses and populated after fresh compilations. It is ignored
 	// when caching is disabled (CacheSize < 0).
 	Store Store
-	// MaxInFlight, when > 0, caps concurrent *real* compilations across
-	// every batch and unary call this Compiler serves — distinct from
-	// Workers, which bounds one batch's pool: a server running several
-	// batch runners multiplies Workers, and this is the engine-wide
-	// ceiling under it. Cache hits, store hits and flight joins are never
-	// throttled; a compilation waiting for a slot aborts with ctx.Err()
-	// if its context dies first. ≤0 means unbounded.
-	MaxInFlight int
 	// Speculation, when > 1, races up to that many candidate initiation
 	// intervals concurrently inside each compilation (the pipeline's
-	// speculative multi-II search), bounded by a global budget of
-	// max(Workers, GOMAXPROCS) concurrent compilations-plus-lanes so a
-	// full worker pool never oversubscribes the machine. Speculation is an
-	// execution detail: results are bit-identical to the plain search and
-	// cache identities (JobKey) do not change, so cached and stored
-	// results are shared across speculation widths. ≤ 1 disables it.
+	// speculative multi-II search); an extra lane runs only on a free slot
+	// of the compile budget, so a full worker pool never oversubscribes the
+	// machine. Speculation is an execution detail: results are
+	// bit-identical to the plain search and cache identities (JobKey) do
+	// not change, so cached and stored results are shared across
+	// speculation widths. ≤ 1 disables it.
 	Speculation int
 	// Trace, when non-nil, records every job's execution into it: one span
 	// per job on its worker's track (annotated with cache outcome and
@@ -198,25 +194,19 @@ type Compiler struct {
 	// regrown arena is some 500 allocations).
 	arenas arena.Pool[pipeline.Arena]
 
-	// spec is the per-compilation speculation width (≤1 off). specLoad
-	// counts running speculative compilations plus acquired extra lanes
-	// against specCap, the global concurrency budget; a full batch saturates
-	// the budget with base compilations alone, so speculation only widens
-	// when cores would otherwise idle (a batch tail, a lone hard loop).
-	// laneArenas tracks arenas currently lent to extra lanes — it must be
-	// zero whenever no compilation is in flight.
-	spec       int
-	specCap    int64
-	specLoad   atomic.Int64
-	laneArenas atomic.Int64
-
-	// maxInFlight is the engine-wide real-compilation cap (0 unbounded);
-	// sem is its semaphore and inFlight the live gauge behind
-	// InFlightCompiles — counted even without a cap, so the stats and
-	// metrics surface always has the backpressure signal.
-	maxInFlight int
-	sem         chan struct{}
-	inFlight    atomic.Int64
+	// budget is the engine's one bound on concurrent work: max(Workers,
+	// GOMAXPROCS) slots, each held by a real compilation or an extra
+	// speculative lane. A compilation waits for its slot; a lane runs only
+	// on a free one, so a full batch saturates the budget with
+	// compilations alone and speculation widens only when cores would
+	// otherwise idle (a batch tail, a lone hard loop). Its occupancy is 0
+	// whenever nothing compiles.
+	budget chan struct{}
+	// spec is the per-compilation speculation width (≤1 off).
+	spec int
+	// inFlight counts the real compilations running right now, the gauge
+	// behind InFlightCompiles.
+	inFlight atomic.Int64
 
 	mu sync.Mutex
 	// cache holds one entry per exact key: a compilation in flight, which
@@ -304,8 +294,8 @@ func (c *Compiler) registerMetrics(reg *telemetry.Registry) {
 		"Real (non-cached) compilations running right now.",
 		func() float64 { return float64(c.inFlight.Load()) })
 	reg.NewGaugeFunc("clusched_max_inflight",
-		"Engine-wide cap on concurrent real compilations (0 = unbounded).",
-		func() float64 { return float64(c.maxInFlight) })
+		"The engine's compile budget: slots shared by real compilations and speculative lanes.",
+		func() float64 { return float64(cap(c.budget)) })
 }
 
 // readLedger sums the ledger's non-zero cells by the series each belongs
@@ -331,17 +321,11 @@ func New(cfg Config) *Compiler {
 		w = runtime.GOMAXPROCS(0)
 	}
 	c := &Compiler{workers: w, progress: cfg.Progress, trace: cfg.Trace,
+		budget: make(chan struct{}, max(w, runtime.GOMAXPROCS(0))),
+		spec:   cfg.Speculation,
 		ledger: make(map[string]*[numAnswers]uint64)}
-	if cfg.MaxInFlight > 0 {
-		c.maxInFlight = cfg.MaxInFlight
-		c.sem = make(chan struct{}, cfg.MaxInFlight)
-	}
 	if cfg.Registry != nil {
 		c.registerMetrics(cfg.Registry)
-	}
-	if cfg.Speculation > 1 {
-		c.spec = cfg.Speculation
-		c.specCap = int64(max(w, runtime.GOMAXPROCS(0)))
 	}
 	size := cfg.CacheSize
 	if size == 0 {
@@ -682,30 +666,21 @@ func (c *Compiler) compileTimed(ctx context.Context, j Job, tr *telemetry.Trace,
 	return cacheValue{res: res, err: err}, elapsed
 }
 
-// compile runs one real compilation on a recycled scratch arena. With
-// speculation configured it counts itself against the lane budget (so k
-// speculative compilations cannot each add k-1 lanes on top of a full
-// pool) and lends the search pool arenas through lanePool; the search joins
-// every lane before returning, so the borrowed arenas are always back in
-// the pool here. With speculation off no budget atomics are touched.
+// compile runs one real compilation on a recycled scratch arena, holding
+// a slot of the budget for it. Waiting for the slot is an ordinary
+// cancellation point: an aborted wait is ctx.Err(), which the cache layer
+// refuses to cache, share or save. The search lends extra lanes slots and
+// arenas through lanePool and joins every lane before returning, so both
+// are back here.
 func (c *Compiler) compile(ctx context.Context, j Job, tr *telemetry.Trace, track string) (*pipeline.Result, error) {
-	if c.sem != nil {
-		// The engine-wide in-flight cap. Waiting here is an ordinary
-		// cancellation point: an aborted wait is ctx.Err(), which the
-		// cache layer already refuses to cache or share.
-		select {
-		case c.sem <- struct{}{}:
-			defer func() { <-c.sem }()
-		case <-ctx.Done():
-			return nil, ctx.Err()
-		}
+	select {
+	case c.budget <- struct{}{}:
+		defer func() { <-c.budget }()
+	case <-ctx.Done():
+		return nil, ctx.Err()
 	}
 	c.inFlight.Add(1)
 	defer c.inFlight.Add(-1)
-	if c.spec > 1 {
-		c.specLoad.Add(1)
-		defer c.specLoad.Add(-1)
-	}
 	a := c.arenas.Get()
 	res, err := pipeline.Search(ctx, j.Graph, j.Machine, j.Opts, pipeline.SearchConfig{
 		Arena: a,
@@ -720,30 +695,24 @@ func (c *Compiler) compile(ctx context.Context, j Job, tr *telemetry.Trace, trac
 }
 
 // lanePool is the engine as a pipeline.Pool: an extra speculative lane
-// takes one slot of the global budget and one pooled arena, and gives both
-// back. laneArenas tracks the balance so tests can assert nothing leaks.
+// takes a slot of the budget only if one is free, and one pooled arena,
+// and gives both back.
 type lanePool struct{ c *Compiler }
 
 // Acquire implements pipeline.Pool.
 func (p lanePool) Acquire() (*pipeline.Arena, bool) {
-	c := p.c
-	for {
-		cur := c.specLoad.Load()
-		if cur >= c.specCap {
-			return nil, false
-		}
-		if c.specLoad.CompareAndSwap(cur, cur+1) {
-			c.laneArenas.Add(1)
-			return c.arenas.Get(), true
-		}
+	select {
+	case p.c.budget <- struct{}{}:
+		return p.c.arenas.Get(), true
+	default:
+		return nil, false
 	}
 }
 
 // Release implements pipeline.Pool.
 func (p lanePool) Release(a *pipeline.Arena) {
 	p.c.arenas.Put(a)
-	p.c.laneArenas.Add(-1)
-	p.c.specLoad.Add(-1)
+	<-p.c.budget
 }
 
 // Stream compiles the batch on the worker pool and yields each outcome the
@@ -900,12 +869,12 @@ func (c *Compiler) CacheStats() CacheStats {
 }
 
 // InFlightCompiles reports how many real (non-cached) compilations are
-// running right now — the backpressure signal behind the service's
-// inflight_compiles stat and the cluster balancer.
-func (c *Compiler) InFlightCompiles() int { return int(c.inFlight.Load()) }
-
-// MaxInFlight reports the engine-wide real-compilation cap (0 unbounded).
-func (c *Compiler) MaxInFlight() int { return c.maxInFlight }
+// running right now and the size of the budget they share with speculative
+// lanes — the backpressure signal behind the service's inflight_compiles
+// and max_inflight stats.
+func (c *Compiler) InFlightCompiles() (running, budget int) {
+	return int(c.inFlight.Load()), cap(c.budget)
+}
 
 // LaneStats reports the speculative-lane tallies accumulated across all
 // jobs: extra lanes raced, lanes whose accepted II became a result, and

@@ -24,7 +24,7 @@ func TestFigureSectionsGolden(t *testing.T) {
 	const path = "testdata/figures.golden.json"
 	shared := engine
 	defer func() { engine = shared }()
-	Configure(driver.Config{Workers: 1})
+	UseBackend(driver.New(driver.Config{Workers: 1}))
 
 	got, err := json.MarshalIndent(CollectFigures(""), "", "  ")
 	if err != nil {

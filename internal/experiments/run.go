@@ -95,51 +95,25 @@ type SuiteResult struct {
 // Engine is the compilation backend every suite run goes through: the
 // driver-level shape of the public clusched.Backend contract, satisfied by
 // the in-process *driver.Compiler and by the remote client alike. The
-// experiments only need the streaming batch call plus the unary call; cache
-// accounting is a local-engine extra surfaced through EngineStats when
-// available.
+// experiments only need the streaming batch call plus the unary call.
 type Engine interface {
 	Compile(ctx context.Context, j driver.Job) (*pipeline.Result, error)
 	Stream(ctx context.Context, jobs []driver.Job) iter.Seq2[int, driver.Outcome]
 }
 
-// engine is the shared backend behind every suite run. For the default
-// local engine, its per-loop LRU cache replaces the per-suite memo map this
+// engine is the shared backend behind every suite run. For a local
+// engine, its per-loop LRU cache replaces the per-suite memo map this
 // package used to keep: experiments that share a (config, mode) pair still
 // compile each loop exactly once, and the engine's bounded worker pool
 // replaces the hand-rolled goroutine fan-out.
 var engine Engine = driver.New(driver.Config{})
 
-// Configure swaps the shared engine for a fresh local one (worker count,
-// cache size, progress callback); cmd/paperbench uses it for its -j and
-// -progress flags. Configure discards any cached results and is not meant
+// UseBackend points every suite run at b: a local engine built with the
+// caller's workers, progress callback or trace — whose cache accounting
+// the caller reads from the engine it kept — or the remote client,
+// turning paperbench into a service workload generator. It is not meant
 // to race with in-flight suite runs.
-func Configure(cfg driver.Config) {
-	engine = driver.New(cfg)
-}
-
-// UseBackend points every suite run at an arbitrary backend — typically
-// the remote client, turning paperbench into a service workload generator.
-// Cache accounting (EngineStats, ResetCache) is only live for local
-// engines.
 func UseBackend(b Engine) { engine = b }
-
-// ResetCache drops memoized compilations so benchmarks measure real work
-// (local engines only).
-func ResetCache() {
-	if c, ok := engine.(*driver.Compiler); ok {
-		c.ResetCache()
-	}
-}
-
-// EngineStats reports the shared engine's result-cache effectiveness; zero
-// for remote backends, whose cache lives server-side.
-func EngineStats() driver.CacheStats {
-	if c, ok := engine.(*driver.Compiler); ok {
-		return c.CacheStats()
-	}
-	return driver.CacheStats{}
-}
 
 // compileAll is the deterministic ordered collect over the engine's
 // stream: outcomes[i] belongs to jobs[i] however the work was scheduled.

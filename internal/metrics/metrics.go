@@ -1,11 +1,10 @@
 // Package metrics computes the performance numbers the paper reports (IPC
-// per program, harmonic means, speedups) and renders ASCII tables for the
+// per program, harmonic means) and renders ASCII tables for the
 // experiment reports.
 package metrics
 
 import (
 	"fmt"
-	"math"
 	"strings"
 )
 
@@ -59,30 +58,6 @@ func ArithmeticMean(xs []float64) float64 {
 		sum += x
 	}
 	return sum / float64(len(xs))
-}
-
-// GeometricMean returns the geometric mean of positive values.
-func GeometricMean(xs []float64) float64 {
-	if len(xs) == 0 {
-		return 0
-	}
-	sum := 0.0
-	for _, x := range xs {
-		if x <= 0 {
-			return 0
-		}
-		sum += math.Log(x)
-	}
-	return math.Exp(sum / float64(len(xs)))
-}
-
-// Speedup returns new/old expressed as a ratio of performance (old cycles
-// over new cycles).
-func Speedup(oldCycles, newCycles float64) float64 {
-	if newCycles == 0 {
-		return 0
-	}
-	return oldCycles / newCycles
 }
 
 // Table renders aligned ASCII tables for experiment reports.

@@ -224,15 +224,6 @@ func (c *DiskCache) Close() error {
 	return nil
 }
 
-// Dropped returns how many Saves were discarded because the write queue
-// was full or the cache closed, and how many entries failed to encode,
-// write or read back.
-func (c *DiskCache) Dropped() (dropped, errs uint64) {
-	c.mu.Lock()
-	defer c.mu.Unlock()
-	return c.dropped, c.errs
-}
-
 // Len returns the number of entries on disk in this cache's format (a
 // directory scan; for tests and diagnostics).
 func (c *DiskCache) Len() int {

@@ -438,3 +438,12 @@ func BenchmarkDiskHitSemantic(b *testing.B) {
 		pipeline.RemapResult(res, j.Graph, j.Opts)
 	}
 }
+
+// Dropped returns how many Saves were discarded because the write queue
+// was full or the cache closed, and how many entries failed to encode,
+// write or read back.
+func (c *DiskCache) Dropped() (dropped, errs uint64) {
+	c.mu.Lock()
+	defer c.mu.Unlock()
+	return c.dropped, c.errs
+}

@@ -43,18 +43,13 @@ type Config struct {
 	// Runners is the number of batches processed concurrently; ≤0 means 1.
 	// Each running batch fans out over the shared worker pool, so one
 	// runner already saturates the CPU; more runners trade batch latency
-	// fairness for head-of-line blocking.
+	// fairness for head-of-line blocking. Real compilations beyond the
+	// engine's compile budget of max(Workers, GOMAXPROCS) wait for a slot
+	// (/stats max_inflight).
 	Runners int
 	// QueueDepth bounds the number of queued (not yet running) tickets;
 	// ≤0 means 64. Submits beyond it are rejected with ErrQueueFull.
 	QueueDepth int
-	// MaxInFlight caps concurrent real compilations engine-wide — the
-	// per-node in-flight compile cap behind clusched-serve's
-	// -max-inflight, distinct from queue admission: Runners × Workers can
-	// oversubscribe a box, and this is the hard ceiling under them.
-	// Exposed in /stats (inflight_compiles, max_inflight) and /metrics so
-	// a fleet balancer has a real backpressure signal. ≤0 = unbounded.
-	MaxInFlight int
 	// DefaultTimeout bounds a ticket's lifetime from submission when the
 	// submitter does not set one; 0 means no deadline.
 	DefaultTimeout time.Duration
@@ -297,7 +292,6 @@ func New(cfg Config) *Server {
 			CacheSize:   cfg.CacheSize,
 			Store:       cfg.Store,
 			Speculation: cfg.Speculation,
-			MaxInFlight: cfg.MaxInFlight,
 			Registry:    reg,
 		}),
 		queue:    make(chan *ticket, cfg.QueueDepth),
@@ -696,10 +690,8 @@ func (s *Server) Stats() wire.ServiceStats {
 		Rejected:     m.tickets.With("rejected").Value(),
 		JobsCompiled: m.jobsDone.Value(),
 		Draining:     s.Draining(),
-
-		InFlightCompiles: s.compiler.InFlightCompiles(),
-		MaxInFlight:      s.compiler.MaxInFlight(),
 	}
+	st.InFlightCompiles, st.MaxInFlight = s.compiler.InFlightCompiles()
 	submittedByStrategy := m.jobsSubmitted.Snapshot()
 	if s.cfg.Speculation > 1 {
 		raced, won, wasted := s.compiler.LaneStats()

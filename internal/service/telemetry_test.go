@@ -10,6 +10,7 @@ import (
 	"net/http"
 	"net/http/httptest"
 	"reflect"
+	"runtime"
 	"strings"
 	"testing"
 	"time"
@@ -159,10 +160,15 @@ func TestMetricsEndpointAgreesWithStats(t *testing.T) {
 		`clusched_jobs_submitted_total{strategy="paper"}`: float64(st.Strategies["paper"].JobsSubmitted),
 		"clusched_queue_length":                           float64(st.Queued),
 		"clusched_inflight_batches":                       float64(st.InFlight),
+		"clusched_max_inflight":                           float64(st.MaxInFlight),
 	} {
 		if got := promValue(t, text, series); got != want {
 			t.Errorf("%s = %g, /stats says %g", series, got, want)
 		}
+	}
+	// max_inflight is the engine's compile budget, max(Workers, GOMAXPROCS).
+	if want := runtime.GOMAXPROCS(0); st.MaxInFlight != want {
+		t.Errorf("max_inflight = %d, want the budget %d", st.MaxInFlight, want)
 	}
 	// The engine's ledger, label by label: /metrics, /stats cache.*, the
 	// per-strategy slice of /stats and the script above all agree.

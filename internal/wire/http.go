@@ -581,9 +581,9 @@ type ServiceStats struct {
 	JobsPerSec   float64 `json:"jobs_per_sec"`
 	UptimeSec    float64 `json:"uptime_sec"`
 	// InFlightCompiles is how many real (non-cached) compilations the
-	// engine is running right now; MaxInFlight the engine-wide cap behind
-	// -max-inflight (0 = unbounded). Together they are the backpressure
-	// signal a fleet balancer reads.
+	// engine is running right now; MaxInFlight the engine's compile budget,
+	// the slots those compilations share with speculative lanes. Together
+	// they are the backpressure signal a fleet balancer reads.
 	InFlightCompiles int `json:"inflight_compiles"`
 	MaxInFlight      int `json:"max_inflight,omitempty"`
 	// Cache is the shared engine's cache accounting (in-memory + disk).

@@ -543,3 +543,8 @@ func TestKeyTablesMatchTheSchema(t *testing.T) {
 		}
 	}
 }
+
+// OutcomeFrame builds the frame for one finished job.
+func OutcomeFrame(index int, wo Outcome) Frame {
+	return Frame{Type: FrameOutcome, Index: index, Outcome: &wo}
+}

@@ -80,11 +80,6 @@ func HelloFrame(id string, total int) Frame {
 	return Frame{Type: FrameHello, Schema: StreamSchemaVersion, ID: id, Total: total}
 }
 
-// OutcomeFrame builds the frame for one finished job.
-func OutcomeFrame(index int, wo Outcome) Frame {
-	return Frame{Type: FrameOutcome, Index: index, Outcome: &wo}
-}
-
 // DoneFrame builds the stream-closing frame.
 func DoneFrame(state, errMsg string) Frame {
 	return Frame{Type: FrameDone, State: state, Error: errMsg}
