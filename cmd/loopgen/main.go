@@ -36,7 +36,7 @@ import (
 
 	"clusched/internal/corpus"
 	"clusched/internal/ddg"
-	"clusched/internal/metrics"
+	"clusched/internal/experiments"
 	"clusched/internal/workload"
 )
 
@@ -72,7 +72,7 @@ func main() {
 	}
 
 	if *stats || *bench == "" {
-		t := metrics.NewTable("benchmark", "loops", "avg ops", "avg edges", "int %", "fp %", "mem %", "avg iters", "avg visits")
+		t := experiments.NewTable("benchmark", "loops", "avg ops", "avg edges", "int %", "fp %", "mem %", "avg iters", "avg visits")
 		for _, name := range workload.Benchmarks() {
 			loops := workload.LoopsFor(name)
 			var ops, edges, iters, visits float64

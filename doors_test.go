@@ -18,10 +18,11 @@ import (
 // use is a second door — an allocating twin of the door the compiler runs,
 // most often — and the tests that go through it stop testing the program's.
 // A function counts as used where its package calls it or another package
-// names it through its import; a method counts as used wherever its name
-// is selected, on any receiver, so the check can miss a test-only method
-// whose name another type's method shares. Two methods count as used with
-// no caller here: Unwrap, which the errors package calls, and ResetCache,
+// names it through its import; a struct field, interface method or
+// composite-literal key of the same name is no use of it. A method counts
+// as used wherever its name is selected, on any receiver, so the check can
+// miss a test-only method whose name another type's method shares. Two
+// methods count as used with no caller here: Unwrap, which the errors package calls, and ResetCache,
 // the public clusched.Compiler's door for a caller that measures cold
 // work, such as the root package's benchmarks.
 func TestNoTestOnlyDoors(t *testing.T) {
@@ -95,11 +96,25 @@ func TestNoTestOnlyDoors(t *testing.T) {
 				funcs[d] = true
 			}
 		}
-		skip := map[*ast.Ident]bool{} // declared names and selected ones
+		// Declared names, selected ones, and the names of fields (struct
+		// fields, interface methods, parameters) and composite-literal keys.
+		skip := map[*ast.Ident]bool{}
 		ast.Inspect(f, func(n ast.Node) bool {
 			switch n := n.(type) {
 			case *ast.FuncDecl:
 				skip[n.Name] = true
+			case *ast.Field:
+				for _, name := range n.Names {
+					skip[name] = true
+				}
+			case *ast.CompositeLit:
+				for _, elt := range n.Elts {
+					if kv, ok := elt.(*ast.KeyValueExpr); ok {
+						if key, ok := kv.Key.(*ast.Ident); ok {
+							skip[key] = true
+						}
+					}
+				}
 			case *ast.SelectorExpr:
 				skip[n.Sel] = true
 				selected[n.Sel.Name] = true

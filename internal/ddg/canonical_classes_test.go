@@ -8,7 +8,7 @@ import (
 
 	"clusched/internal/corpus"
 	"clusched/internal/ddg"
-	"clusched/internal/unroll"
+	"clusched/internal/experiments"
 	"clusched/internal/workload"
 )
 
@@ -143,7 +143,7 @@ func TestCanonicalUnrolledLoopsHit(t *testing.T) {
 		step = 41
 	}
 	for i := 0; i < len(loops); i += step {
-		u, err := unroll.Unroll(loops[i].Graph, 4)
+		u, err := experiments.Unroll(loops[i].Graph, 4)
 		if err != nil {
 			t.Fatalf("%s: %v", loops[i].Graph.Name, err)
 		}

@@ -126,11 +126,11 @@ func TestParseConcurrently(t *testing.T) {
 	wg.Wait()
 }
 
-// TestNodeByLabelIsBuiltOnce: a graph carries no label index — the label
-// lookup is a test helper over Nodes — so a parsed graph is what it was
-// built as: eight goroutines reading it at once find every label on its
-// node (run under -race), and so does a Clone.
-func TestNodeByLabelIsBuiltOnce(t *testing.T) {
+// TestLabelIntegrityUnderParseCloneAndConcurrentReads: a parsed graph
+// keeps every label on its node — eight goroutines reading it at once find
+// each one where it was parsed (run under -race), and so does a Clone — and
+// a Builder's graph with a duplicated label shows the first node for it.
+func TestLabelIntegrityUnderParseCloneAndConcurrentReads(t *testing.T) {
 	_, text := pinnedLoop(t)
 	g, err := ddg.ParseOneString(text)
 	if err != nil {

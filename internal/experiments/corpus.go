@@ -12,7 +12,6 @@ import (
 	"clusched/internal/ddg"
 	"clusched/internal/driver"
 	"clusched/internal/machine"
-	"clusched/internal/metrics"
 	"clusched/internal/pipeline"
 )
 
@@ -112,8 +111,8 @@ func MeasureCorpus(cfg CorpusConfig) (*CorpusSection, error) {
 		names = pipeline.StrategyNames()
 	}
 	for _, name := range names {
-		if !pipeline.KnownStrategy(name) {
-			return nil, &pipeline.UnknownStrategyError{Name: name}
+		if _, err := pipeline.LookupStrategy(name); err != nil {
+			return nil, err
 		}
 	}
 	iters := cfg.Iters
@@ -245,7 +244,7 @@ func CorpusReport(sec *CorpusSection) string {
 	var sb strings.Builder
 	fmt.Fprintf(&sb, "Corpus validation on %s: %d loops (seed %d, sizes %d-%d), %d sim iterations\n",
 		sec.Machine, sec.Spec.N, sec.Spec.Seed, sec.Spec.Size.Lo, sec.Spec.Size.Hi, sec.Iters)
-	t := metrics.NewTable("strategy", "loops", "compiled", "failed", "validated", "divergent", "sem hits")
+	t := NewTable("strategy", "loops", "compiled", "failed", "validated", "divergent", "sem hits")
 	for _, r := range sec.Rows {
 		t.AddRow(r.Strategy, r.Loops, r.Compiled, r.CompileFailed, r.Validated, r.Divergent, r.SemanticHits)
 	}

@@ -6,7 +6,6 @@ import (
 
 	"clusched/internal/ddg"
 	"clusched/internal/machine"
-	"clusched/internal/metrics"
 	"clusched/internal/mii"
 	"clusched/internal/partition"
 	"clusched/internal/sched"
@@ -96,7 +95,7 @@ func DesignAblationReport() string {
 	sb.WriteString("Design ablations: slack-weighted partition edges and SMS ordering\n")
 	sb.WriteString("(internal choices of the base framework the paper builds on: [1] weights\n")
 	sb.WriteString("edges by bus-latency impact; [18] orders nodes swing-style)\n\n")
-	t := metrics.NewTable("config", "comms slack/uniform", "inducedII slack/uniform", "achieved II sms/topo", "loops")
+	t := NewTable("config", "comms slack/uniform", "inducedII slack/uniform", "achieved II sms/topo", "loops")
 	for _, cfg := range []string{"4c1b2l64r", "2c1b2l64r"} {
 		r := DesignAblation(cfg, 4)
 		t.AddRow(r.Config,

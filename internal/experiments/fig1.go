@@ -4,7 +4,6 @@ import (
 	"strings"
 
 	"clusched/internal/machine"
-	"clusched/internal/metrics"
 	"clusched/internal/pipeline"
 	"clusched/internal/workload"
 )
@@ -56,7 +55,7 @@ func Fig1Report() string {
 	var sb strings.Builder
 	sb.WriteString("Figure 1: causes for increasing the II beyond the MII (baseline scheduler,\n")
 	sb.WriteString("678 SPECfp95 loops; paper: bus 70-90%, recurrences 2-4%, registers the rest)\n\n")
-	t := metrics.NewTable("config", "bus %", "recurrences %", "registers %", "II increases", "loops > MII")
+	t := NewTable("config", "bus %", "recurrences %", "registers %", "II increases", "loops > MII")
 	for _, r := range Fig1() {
 		t.AddRow(r.Config, r.BusPct, r.RecPct, r.RegPct, r.Increases, r.LoopsAboveMII)
 	}

@@ -5,7 +5,6 @@ import (
 
 	"clusched/internal/ddg"
 	"clusched/internal/machine"
-	"clusched/internal/metrics"
 	"clusched/internal/workload"
 )
 
@@ -59,7 +58,7 @@ func Fig10Report() string {
 	var sb strings.Builder
 	sb.WriteString("Figure 10: percentage of instructions added due to replication\n")
 	sb.WriteString("(paper: below 5% for most configurations, integer ops dominate)\n\n")
-	t := metrics.NewTable("config", "mem %", "int %", "fp %", "total %")
+	t := NewTable("config", "mem %", "int %", "fp %", "total %")
 	for _, r := range Fig10() {
 		t.AddRow(r.Config, r.Pct[ddg.ClassMem], r.Pct[ddg.ClassInt], r.Pct[ddg.ClassFP], r.TotalPct)
 	}

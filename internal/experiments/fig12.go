@@ -4,7 +4,6 @@ import (
 	"strings"
 
 	"clusched/internal/machine"
-	"clusched/internal/metrics"
 )
 
 // Fig12Row is one pair of bars of the paper's Fig. 12: the harmonic-mean
@@ -46,7 +45,7 @@ func Fig12Report() string {
 	sb.WriteString("Figure 12: potential benefit of replicating to reduce the schedule length\n")
 	sb.WriteString("(paper: the zero-bus-latency upper bound is ~1% above replication on 4-cluster\n")
 	sb.WriteString("configurations and near zero on 2-cluster ones)\n\n")
-	t := metrics.NewTable("config", "replication HMEAN", "latency-0 HMEAN", "potential %", "§5.1 length ext HMEAN")
+	t := NewTable("config", "replication HMEAN", "latency-0 HMEAN", "potential %", "§5.1 length ext HMEAN")
 	for _, r := range Fig12() {
 		t.AddRow(r.Config, r.Replication, r.ZeroLat, r.PotentialPct(), r.Length)
 	}

@@ -5,7 +5,6 @@ import (
 	"strings"
 
 	"clusched/internal/machine"
-	"clusched/internal/metrics"
 	"clusched/internal/workload"
 )
 
@@ -35,7 +34,7 @@ func (f *Fig7Config) AvgSpeedup() float64 {
 	for _, b := range workload.Benchmarks() {
 		sp = append(sp, f.Speedup(b))
 	}
-	return metrics.ArithmeticMean(sp)
+	return arithmeticMean(sp)
 }
 
 // Fig7 reproduces the IPC panels for the paper's six configurations.
@@ -61,7 +60,7 @@ func Fig7Report() string {
 	sb.WriteString(" average speedup on 4c2b4l64r is 25%)\n\n")
 	for _, f := range Fig7() {
 		fmt.Fprintf(&sb, "-- %s (avg speedup %.1f%%)\n", f.Config, f.AvgSpeedup())
-		t := metrics.NewTable("program", "baseline IPC", "replication IPC", "speedup %")
+		t := NewTable("program", "baseline IPC", "replication IPC", "speedup %")
 		for _, b := range workload.Benchmarks() {
 			t.AddRow(b, f.Baseline[b], f.Replication[b], f.Speedup(b))
 		}

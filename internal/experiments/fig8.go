@@ -4,7 +4,6 @@ import (
 	"strings"
 
 	"clusched/internal/machine"
-	"clusched/internal/metrics"
 )
 
 // Fig8Row is one bar of the paper's Fig. 8: mgrid IPC on the unified
@@ -44,7 +43,7 @@ func Fig8Report() string {
 	var sb strings.Builder
 	sb.WriteString("Figure 8: IPC for mgrid (paper: clustered IPC is close to the unified\n")
 	sb.WriteString("upper bound even without replication, so the replication benefit is minimal)\n\n")
-	t := metrics.NewTable("config", "baseline IPC", "replication IPC")
+	t := NewTable("config", "baseline IPC", "replication IPC")
 	for _, r := range Fig8() {
 		t.AddRow(r.Config, r.Baseline, r.Replication)
 	}

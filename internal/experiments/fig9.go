@@ -4,7 +4,6 @@ import (
 	"strings"
 
 	"clusched/internal/machine"
-	"clusched/internal/metrics"
 )
 
 // Fig9Row is one bar of the paper's Fig. 9: the relative II reduction that
@@ -37,7 +36,7 @@ func Fig9() []Fig9Row {
 		rIPC := BenchIPC(rLoops)
 		rows = append(rows, Fig9Row{
 			Config:         m.Name,
-			IIReductionPct: metrics.ArithmeticMean(reds),
+			IIReductionPct: arithmeticMean(reds),
 			IPCGainPct:     100 * (rIPC/bIPC - 1),
 		})
 	}
@@ -49,7 +48,7 @@ func Fig9Report() string {
 	var sb strings.Builder
 	sb.WriteString("Figure 9: reduction of the II for applu (paper: replication cuts the II by\n")
 	sb.WriteString("10-20%, but the IPC gain stays small because applu's trip counts are ~4)\n\n")
-	t := metrics.NewTable("config", "II reduction %", "IPC gain %")
+	t := NewTable("config", "II reduction %", "IPC gain %")
 	for _, r := range Fig9() {
 		t.AddRow(r.Config, r.IIReductionPct, r.IPCGainPct)
 	}

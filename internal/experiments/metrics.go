@@ -1,40 +1,40 @@
-// Package metrics computes the performance numbers the paper reports (IPC
-// per program, harmonic means) and renders ASCII tables for the
-// experiment reports.
-package metrics
+package experiments
+
+// The performance numbers the paper reports (IPC per program, harmonic
+// means) and the ASCII tables the experiment reports render them in.
 
 import (
 	"fmt"
 	"strings"
 )
 
-// IPCAccumulator aggregates instructions and cycles across loops. IPC is
+// ipcAccumulator aggregates instructions and cycles across loops. IPC is
 // computed over useful (original) instructions only, so replication can
 // improve IPC only by reducing cycles, never by inflating the instruction
 // count (see DESIGN.md).
-type IPCAccumulator struct {
+type ipcAccumulator struct {
 	Instrs float64
 	Cycles float64
 }
 
 // Add records one loop: useful dynamic instructions and modeled cycles.
-func (a *IPCAccumulator) Add(instrs, cycles float64) {
+func (a *ipcAccumulator) Add(instrs, cycles float64) {
 	a.Instrs += instrs
 	a.Cycles += cycles
 }
 
 // IPC returns instructions per cycle; zero when nothing was recorded.
-func (a *IPCAccumulator) IPC() float64 {
+func (a *ipcAccumulator) IPC() float64 {
 	if a.Cycles == 0 {
 		return 0
 	}
 	return a.Instrs / a.Cycles
 }
 
-// HarmonicMean returns the harmonic mean of the values, the aggregate the
+// harmonicMean returns the harmonic mean of the values, the aggregate the
 // paper uses across programs (HMEAN bars in Fig. 7). Zero or negative
 // values are rejected with a zero result.
-func HarmonicMean(xs []float64) float64 {
+func harmonicMean(xs []float64) float64 {
 	if len(xs) == 0 {
 		return 0
 	}
@@ -48,8 +48,8 @@ func HarmonicMean(xs []float64) float64 {
 	return float64(len(xs)) / sum
 }
 
-// ArithmeticMean returns the plain average.
-func ArithmeticMean(xs []float64) float64 {
+// arithmeticMean returns the plain average.
+func arithmeticMean(xs []float64) float64 {
 	if len(xs) == 0 {
 		return 0
 	}

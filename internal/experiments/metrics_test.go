@@ -1,4 +1,4 @@
-package metrics
+package experiments
 
 import (
 	"math"
@@ -8,7 +8,7 @@ import (
 )
 
 func TestIPCAccumulator(t *testing.T) {
-	var a IPCAccumulator
+	var a ipcAccumulator
 	if a.IPC() != 0 {
 		t.Error("empty accumulator IPC != 0")
 	}
@@ -20,14 +20,14 @@ func TestIPCAccumulator(t *testing.T) {
 }
 
 func TestHarmonicMean(t *testing.T) {
-	if got := HarmonicMean([]float64{2, 2, 2}); got != 2 {
+	if got := harmonicMean([]float64{2, 2, 2}); got != 2 {
 		t.Errorf("HMEAN(2,2,2) = %v", got)
 	}
-	got := HarmonicMean([]float64{1, 2})
+	got := harmonicMean([]float64{1, 2})
 	if math.Abs(got-4.0/3.0) > 1e-12 {
 		t.Errorf("HMEAN(1,2) = %v, want 4/3", got)
 	}
-	if HarmonicMean(nil) != 0 || HarmonicMean([]float64{1, 0}) != 0 {
+	if harmonicMean(nil) != 0 || harmonicMean([]float64{1, 0}) != 0 {
 		t.Error("degenerate inputs should yield 0")
 	}
 }
@@ -42,7 +42,7 @@ func TestMeansOrdering(t *testing.T) {
 		if len(xs) == 0 {
 			return true
 		}
-		h, g, a := HarmonicMean(xs), geometricMean(xs), ArithmeticMean(xs)
+		h, g, a := harmonicMean(xs), geometricMean(xs), arithmeticMean(xs)
 		const eps = 1e-9
 		return h <= g+eps && g <= a+eps
 	}

@@ -4,7 +4,6 @@ import (
 	"strings"
 
 	"clusched/internal/machine"
-	"clusched/internal/metrics"
 )
 
 // RegSweepRow reports the replication speedup for one register budget. The
@@ -40,7 +39,7 @@ func RegSweep() []RegSweepRow {
 func RegSweepReport() string {
 	var sb strings.Builder
 	sb.WriteString("§4 register sweep: 32/64/128 registers (paper: similar results across budgets)\n\n")
-	t := metrics.NewTable("config", "baseline HMEAN", "replication HMEAN", "speedup %")
+	t := NewTable("config", "baseline HMEAN", "replication HMEAN", "speedup %")
 	for _, r := range RegSweep() {
 		t.AddRow(r.Config, r.HBase, r.HRepl, r.SpeedupPct)
 	}

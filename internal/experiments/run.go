@@ -15,7 +15,6 @@ import (
 
 	"clusched/internal/driver"
 	"clusched/internal/machine"
-	"clusched/internal/metrics"
 	"clusched/internal/pipeline"
 	"clusched/internal/workload"
 )
@@ -128,9 +127,16 @@ func compileAll(jobs []driver.Job) []driver.Outcome {
 // RunSuite compiles the whole 678-loop suite for one config and mode on
 // the shared engine: in parallel, with per-loop memoization.
 func RunSuite(m machine.Config, mode Mode) *SuiteResult {
+	sr := runSuite(m, mode.options())
+	sr.Mode = mode
+	return sr
+}
+
+// runSuite is RunSuite under explicit pipeline options, which is how the
+// strategy comparison names its variants.
+func runSuite(m machine.Config, opts pipeline.Options) *SuiteResult {
 	loops := workload.SPECfp95()
 	jobs := make([]driver.Job, len(loops))
-	opts := mode.options()
 	for i, l := range loops {
 		jobs[i] = driver.Job{Graph: l.Graph, Machine: m, Opts: opts}
 	}
@@ -138,7 +144,7 @@ func RunSuite(m machine.Config, mode Mode) *SuiteResult {
 	// repeats what the outcomes already carry.
 	outcomes := compileAll(jobs)
 
-	sr := &SuiteResult{Config: m, Mode: mode, ByBench: map[string][]*LoopResult{}}
+	sr := &SuiteResult{Config: m, ByBench: map[string][]*LoopResult{}}
 	for i, l := range loops {
 		if outcomes[i].Err != nil {
 			sr.Failed = append(sr.Failed, fmt.Sprintf("%s: %v", l.Graph.Name, outcomes[i].Err))
@@ -152,7 +158,7 @@ func RunSuite(m machine.Config, mode Mode) *SuiteResult {
 // BenchIPC computes the IPC of one benchmark: useful dynamic instructions
 // over modeled cycles, aggregated over its loops.
 func BenchIPC(lrs []*LoopResult) float64 {
-	var acc metrics.IPCAccumulator
+	var acc ipcAccumulator
 	for _, lr := range lrs {
 		acc.Add(lr.Loop.DynamicInstrs(), lr.Cycles())
 	}
@@ -169,5 +175,5 @@ func IPCByBench(sr *SuiteResult) (map[string]float64, float64) {
 		out[b] = ipc
 		vals = append(vals, ipc)
 	}
-	return out, metrics.HarmonicMean(vals)
+	return out, harmonicMean(vals)
 }

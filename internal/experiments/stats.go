@@ -5,7 +5,6 @@ import (
 	"strings"
 
 	"clusched/internal/machine"
-	"clusched/internal/metrics"
 	"clusched/internal/workload"
 )
 
@@ -59,7 +58,7 @@ func CommStatsReport() string {
 	sb.WriteString("§4 statistics: communications removed by replication\n")
 	sb.WriteString("(paper: ~36% of communications removed on 4c1b2l64r, ~2.1 replicated\n")
 	sb.WriteString("instructions per removed communication)\n\n")
-	t := metrics.NewTable("config", "comms before", "comms after", "removed %", "instrs/removed comm")
+	t := NewTable("config", "comms before", "comms after", "removed %", "instrs/removed comm")
 	for _, r := range CommStats() {
 		t.AddRow(r.Config, r.CommsBefore, r.CommsAfter, r.RemovedPct, r.InstrsPerComm)
 	}
@@ -124,7 +123,7 @@ func MacroAblationReport() string {
 	var sb strings.Builder
 	sb.WriteString("§5.2 ablation: greedy per-communication replication vs macro-node batches\n")
 	sb.WriteString("(paper: macro-node replication copies too many unnecessary instructions)\n\n")
-	t := metrics.NewTable("config", "greedy HMEAN", "macro HMEAN", "greedy added %", "macro added %")
+	t := NewTable("config", "greedy HMEAN", "macro HMEAN", "greedy added %", "macro added %")
 	for _, r := range MacroAblation() {
 		t.AddRow(r.Config, r.GreedyHMEAN, r.MacroHMEAN, r.GreedyAddedPct, r.MacroAddedPct)
 	}

@@ -4,9 +4,7 @@ import (
 	"fmt"
 	"strings"
 
-	"clusched/internal/driver"
 	"clusched/internal/machine"
-	"clusched/internal/metrics"
 	"clusched/internal/pipeline"
 	"clusched/internal/workload"
 )
@@ -50,28 +48,6 @@ func StrategyOptions(name string) pipeline.Options {
 	return o
 }
 
-// strategySuite compiles the whole suite under one strategy on the shared
-// engine and returns per-bench results plus the failed-loop count per
-// bench.
-func strategySuite(m machine.Config, opts pipeline.Options) (byBench map[string][]*LoopResult, failed map[string]int) {
-	loops := workload.SPECfp95()
-	jobs := make([]driver.Job, len(loops))
-	for i, l := range loops {
-		jobs[i] = driver.Job{Graph: l.Graph, Machine: m, Opts: opts}
-	}
-	outcomes := compileAll(jobs)
-	byBench = map[string][]*LoopResult{}
-	failed = map[string]int{}
-	for i, l := range loops {
-		if outcomes[i].Err != nil {
-			failed[l.Bench]++
-			continue
-		}
-		byBench[l.Bench] = append(byBench[l.Bench], &LoopResult{Loop: l, Result: outcomes[i].Result})
-	}
-	return byBench, failed
-}
-
 // StrategyComparison compiles the full workload under each named strategy
 // on one machine configuration and returns the per-benchmark rows,
 // benchmark-major (all strategies for one bench adjacent), with the
@@ -82,19 +58,18 @@ func StrategyComparison(names []string, m machine.Config) ([]StrategyBenchRow, e
 		return nil, fmt.Errorf("experiments: no strategies requested")
 	}
 	for _, name := range names {
-		if !pipeline.KnownStrategy(name) {
-			return nil, &pipeline.UnknownStrategyError{Name: name}
+		if _, err := pipeline.LookupStrategy(name); err != nil {
+			return nil, err
 		}
 	}
 
-	type suite struct {
-		byBench map[string][]*LoopResult
-		failed  map[string]int
-	}
-	suites := make([]suite, len(names))
+	suites := make([]*SuiteResult, len(names))
 	for i, name := range names {
-		byBench, failed := strategySuite(m, StrategyOptions(name))
-		suites[i] = suite{byBench: byBench, failed: failed}
+		suites[i] = runSuite(m, StrategyOptions(name))
+	}
+	// A loop that did not schedule is missing from its bench's results.
+	failed := func(sr *SuiteResult, bench string) int {
+		return len(workload.LoopsFor(bench)) - len(sr.ByBench[bench])
 	}
 
 	cycles := func(lrs []*LoopResult) float64 {
@@ -109,7 +84,7 @@ func StrategyComparison(names []string, m machine.Config) ([]StrategyBenchRow, e
 	for _, bench := range workload.Benchmarks() {
 		var refCycles float64
 		for i, name := range names {
-			lrs := suites[i].byBench[bench]
+			lrs := suites[i].ByBench[bench]
 			c := cycles(lrs)
 			if i == 0 {
 				refCycles = c
@@ -119,7 +94,7 @@ func StrategyComparison(names []string, m machine.Config) ([]StrategyBenchRow, e
 				Strategy: name,
 				IPC:      BenchIPC(lrs),
 				Cycles:   c,
-				Failed:   suites[i].failed[bench],
+				Failed:   failed(suites[i], bench),
 			}
 			if c > 0 {
 				row.Speedup = refCycles / c
@@ -132,11 +107,11 @@ func StrategyComparison(names []string, m machine.Config) ([]StrategyBenchRow, e
 	for i, name := range names {
 		var ipcs []float64
 		var total float64
-		failed := 0
+		nfailed := 0
 		for _, bench := range workload.Benchmarks() {
-			ipcs = append(ipcs, BenchIPC(suites[i].byBench[bench]))
-			total += cycles(suites[i].byBench[bench])
-			failed += suites[i].failed[bench]
+			ipcs = append(ipcs, BenchIPC(suites[i].ByBench[bench]))
+			total += cycles(suites[i].ByBench[bench])
+			nfailed += failed(suites[i], bench)
 		}
 		if i == 0 {
 			refTotal = total
@@ -144,9 +119,9 @@ func StrategyComparison(names []string, m machine.Config) ([]StrategyBenchRow, e
 		row := StrategyBenchRow{
 			Bench:    StrategyAllBenches,
 			Strategy: name,
-			IPC:      metrics.HarmonicMean(ipcs),
+			IPC:      harmonicMean(ipcs),
 			Cycles:   total,
-			Failed:   failed,
+			Failed:   nfailed,
 		}
 		if total > 0 {
 			row.Speedup = refTotal / total

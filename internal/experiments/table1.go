@@ -6,7 +6,6 @@ import (
 
 	"clusched/internal/ddg"
 	"clusched/internal/machine"
-	"clusched/internal/metrics"
 )
 
 // Table1 renders the machine configuration table of the paper (Table 1):
@@ -14,7 +13,7 @@ import (
 // latencies.
 func Table1() string {
 	var sb strings.Builder
-	res := metrics.NewTable("Resources", "2-cluster", "4-cluster")
+	res := NewTable("Resources", "2-cluster", "4-cluster")
 	c2 := machine.MustParse("2c1b2l64r")
 	c4 := machine.MustParse("4c1b2l64r")
 	res.AddRow("INT/cluster", c2.FU[ddg.ClassInt], c4.FU[ddg.ClassInt])
@@ -24,7 +23,7 @@ func Table1() string {
 	sb.WriteString(res.String())
 	sb.WriteByte('\n')
 
-	lat := metrics.NewTable("Latencies", "INT", "FP")
+	lat := NewTable("Latencies", "INT", "FP")
 	lat.AddRow("MEM", ddg.OpLoad.Latency(), ddg.OpLoad.Latency())
 	lat.AddRow("ARITH", ddg.OpIAdd.Latency(), ddg.OpFAdd.Latency())
 	lat.AddRow("MUL/ABS", ddg.OpIMul.Latency(), ddg.OpFMul.Latency())

@@ -2,14 +2,13 @@ package experiments
 
 import (
 	"context"
+	"fmt"
 	"strings"
 
 	"clusched/internal/ddg"
 	"clusched/internal/driver"
 	"clusched/internal/machine"
-	"clusched/internal/metrics"
 	"clusched/internal/pipeline"
-	"clusched/internal/unroll"
 	"clusched/internal/workload"
 )
 
@@ -56,7 +55,7 @@ func UnrollAblation(cfg string, factor, perBench int) (UnrollRow, error) {
 			n = len(loops)
 		}
 		for _, l := range loops[:n] {
-			ug, err := unroll.Unroll(l.Graph, factor)
+			ug, err := Unroll(l.Graph, factor)
 			if err != nil {
 				return row, err
 			}
@@ -70,7 +69,7 @@ func UnrollAblation(cfg string, factor, perBench int) (UnrollRow, error) {
 	}
 	outcomes := compileAll(jobs) // per-job errors handled below
 
-	var baseAcc, replAcc, unrollAcc metrics.IPCAccumulator
+	var baseAcc, replAcc, unrollAcc ipcAccumulator
 	var origOps, replOps, unrollOps float64
 	var sampled, regOverflows int
 	for i, l := range samples {
@@ -107,7 +106,7 @@ func UnrollAblation(cfg string, factor, perBench int) (UnrollRow, error) {
 			extra += e
 		}
 		replOps += float64(l.Graph.NumNodes() + extra)
-		unrollOps += float64(unroll.CodeSize(l.Graph, factor))
+		unrollOps += float64(l.Graph.NumNodes() * factor)
 	}
 	row.BaselineIPC = baseAcc.IPC()
 	row.ReplIPC = replAcc.IPC()
@@ -126,7 +125,7 @@ func UnrollAblationReport() string {
 	sb.WriteString("§6 ablation: loop unrolling vs instruction replication\n")
 	sb.WriteString("(the paper's related work: unrolling also removes communications and can\n")
 	sb.WriteString("perform well, but its code growth is prohibitive for DSP targets)\n\n")
-	t := metrics.NewTable("config", "factor", "baseline IPC", "replication IPC", "unroll IPC",
+	t := NewTable("config", "factor", "baseline IPC", "replication IPC", "unroll IPC",
 		"repl code +%", "unroll code +%", "unroll reg overflow %")
 	for _, cfg := range []string{"4c1b2l64r", "4c2b4l64r"} {
 		for _, f := range []int{2, 4} {
@@ -141,4 +140,57 @@ func UnrollAblationReport() string {
 	}
 	sb.WriteString(t.String())
 	return sb.String()
+}
+
+// Unroll implements loop unrolling for DDGs — the competing
+// communication-reduction technique the paper's related work discusses
+// (Sánchez & González [22]): unrolling gives the partitioner factor
+// independent copies of the loop body to spread across clusters, which
+// removes most communications but multiplies the code size.
+//
+// It returns the loop body replicated factor times, with loop-carried
+// dependences rewritten: an edge with distance d from copy i lands in copy
+// (i+d) mod factor at distance (i+d)/factor. The unrolled loop executes
+// ceil(N/factor) iterations of the new body; callers must handle trip-count
+// preconditioning themselves (as real compilers do).
+func Unroll(g *ddg.Graph, factor int) (*ddg.Graph, error) {
+	if factor < 1 {
+		return nil, fmt.Errorf("unroll: factor %d", factor)
+	}
+	if factor == 1 {
+		return g.Clone(), nil
+	}
+	b := ddg.NewBuilder(fmt.Sprintf("%s_x%d", g.Name, factor))
+	// ids[copy][node] is the new node ID.
+	ids := make([][]int, factor)
+	for u := 0; u < factor; u++ {
+		ids[u] = make([]int, g.NumNodes())
+		for v := range g.Nodes {
+			label := ""
+			if g.Nodes[v].Label != "" {
+				label = fmt.Sprintf("%s_u%d", g.Nodes[v].Label, u)
+			}
+			ids[u][v] = b.Node(label, g.Nodes[v].Op)
+		}
+	}
+	for i := range g.Edges {
+		e := &g.Edges[i]
+		for u := 0; u < factor; u++ {
+			target := u + e.Dist
+			newDist := target / factor
+			targetCopy := target % factor
+			src := ids[u][e.Src]
+			dst := ids[targetCopy][e.Dst]
+			switch e.Kind {
+			case ddg.EdgeData:
+				b.EdgeLat(src, dst, newDist, e.Lat)
+			default:
+				if src == dst && newDist == 0 {
+					continue
+				}
+				b.MemEdge(src, dst, newDist) // latency 1, as built
+			}
+		}
+	}
+	return b.Build()
 }

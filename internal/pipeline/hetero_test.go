@@ -1,4 +1,4 @@
-package core
+package pipeline
 
 import (
 	"math/rand"
@@ -6,7 +6,6 @@ import (
 
 	"clusched/internal/ddg"
 	"clusched/internal/machine"
-	"clusched/internal/pipeline"
 	"clusched/internal/vliwsim"
 )
 
@@ -46,7 +45,7 @@ func TestHeterogeneousCompilePlacesByCapability(t *testing.T) {
 	}
 	g := b.MustBuild()
 	m := heteroMachine(t)
-	r, err := pipeline.Compile(g, m, pipeline.Options{Replicate: true, VerifySchedules: true})
+	r, err := Compile(g, m, Options{Replicate: true, VerifySchedules: true})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -66,11 +65,11 @@ func TestHeterogeneousRandomLoops(t *testing.T) {
 	m := heteroMachine(t)
 	for trial := 0; trial < 25; trial++ {
 		g := randomLoop(rng, 6+rng.Intn(18))
-		base, err := pipeline.Compile(g, m, pipeline.Options{VerifySchedules: true})
+		base, err := Compile(g, m, Options{VerifySchedules: true})
 		if err != nil {
 			t.Fatalf("trial %d: %v", trial, err)
 		}
-		repl, err := pipeline.Compile(g, m, pipeline.Options{Replicate: true, VerifySchedules: true})
+		repl, err := Compile(g, m, Options{Replicate: true, VerifySchedules: true})
 		if err != nil {
 			t.Fatalf("trial %d: %v", trial, err)
 		}
@@ -94,7 +93,7 @@ func TestHeterogeneousZeroCapabilityClusterNeverUsed(t *testing.T) {
 	rng := rand.New(rand.NewSource(67))
 	for trial := 0; trial < 15; trial++ {
 		g := randomLoop(rng, 6+rng.Intn(16))
-		r, err := pipeline.Compile(g, m, pipeline.Options{Replicate: true, VerifySchedules: true})
+		r, err := Compile(g, m, Options{Replicate: true, VerifySchedules: true})
 		if err != nil {
 			t.Fatalf("trial %d: %v", trial, err)
 		}

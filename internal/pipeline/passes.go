@@ -2,8 +2,8 @@ package pipeline
 
 import (
 	"fmt"
-	"slices"
 
+	"clusched/internal/arena"
 	"clusched/internal/partition"
 	"clusched/internal/replic"
 	"clusched/internal/sched"
@@ -12,8 +12,7 @@ import (
 // paperChain is the standard Fig. 2 pass chain: partition → replicate →
 // length-replicate → schedule → verify. Passes whose options are disabled
 // reduce to no-ops, so the chain has the same shape for every pipeline
-// variant. Like the rivals' chains it is built once and only ever read:
-// the passes are stateless, so every compilation drives the same slice.
+// variant.
 var paperChain = []Pass{
 	PartitionPass{},
 	ReplicationPass{},
@@ -21,10 +20,6 @@ var paperChain = []Pass{
 	SchedulePass{},
 	VerifyPass{},
 }
-
-// Chain returns a copy of the standard Fig. 2 pass chain; callers composing
-// custom chains can splice their own passes in.
-func Chain() []Pass { return slices.Clone(paperChain) }
 
 // PartitionPass assigns every node to a cluster: an initial multilevel
 // partition on the first attempt, a refinement of the previous assignment
@@ -37,16 +32,24 @@ func (PartitionPass) Name() string { return "partition" }
 
 // Run implements Pass.
 func (PartitionPass) Run(ctx *Context) error {
+	partitionStep(ctx)
+	ctx.PartitionConverged = ctx.arena.Part.Converged()
+	ctx.Placement = ctx.arena.Sched.Placement(ctx.Graph, ctx.Assign)
+	ctx.CommsBeforeReplication = ctx.Placement.Comms()
+	return nil
+}
+
+// partitionStep is PartitionPass's assignment step: an initial partition
+// on the first attempt, a refinement of the carried assignment afterwards.
+// The assignment is all a failed attempt of the partitioning chains carries
+// forward, so it is also their strategies' Replay.
+func partitionStep(ctx *Context) {
 	sc := ctx.arena.Part
 	if ctx.Assign == nil {
 		ctx.Assign = partition.InitialScratch(ctx.Graph, ctx.Machine, ctx.II, sc)
 	} else {
 		ctx.Assign = partition.RefineScratch(ctx.Graph, ctx.Machine, ctx.II, ctx.Assign, sc)
 	}
-	ctx.PartitionConverged = sc.Converged()
-	ctx.Placement = ctx.arena.Sched.Placement(ctx.Graph, ctx.Assign)
-	ctx.CommsBeforeReplication = ctx.Placement.Comms()
-	return nil
 }
 
 // ReplicationPass removes excess communications by replicating cheap
@@ -96,6 +99,66 @@ func (LengthReplicationPass) Name() string { return "length-replicate" }
 func (LengthReplicationPass) Run(ctx *Context) error {
 	if ctx.Opts.Replicate && ctx.Opts.LengthReplicate {
 		replic.LengthReplicate(ctx.Placement, ctx.Machine, ctx.II, 8, ctx.arena.Repl, ctx.arena.Sched)
+	}
+	return nil
+}
+
+// UASAssignPass derives the cluster assignment by the greedy unified
+// assign-and-schedule sweep (sched.UASAssignScratch) — the Özer et al.
+// family: no partition pass runs before it, and no replication pass
+// follows it. A sweep that cannot place some node — no cluster has both a
+// free reservation slot in the node's window and bus-budget headroom —
+// fails the attempt with CauseBus.
+type UASAssignPass struct{}
+
+// Name implements Pass.
+func (UASAssignPass) Name() string { return "uas-assign" }
+
+// Run implements Pass.
+func (UASAssignPass) Run(ctx *Context) error {
+	a, ok := sched.UASAssignScratch(ctx.Graph, ctx.Machine, ctx.II, ctx.arena.Sched)
+	if !ok {
+		ctx.Fail(CauseBus)
+		return nil
+	}
+	ctx.Assign = a
+	ctx.Placement = ctx.arena.Sched.Placement(ctx.Graph, a)
+	ctx.CommsBeforeReplication = ctx.Placement.Comms()
+	if m := ctx.Machine; m.Clustered() && ctx.CommsBeforeReplication > m.BusComs(ctx.II) {
+		ctx.Fail(CauseBus)
+	}
+	return nil
+}
+
+// ModDistPass assigns clusters by modulo distribution: the nodes, in
+// topological order, are dealt round-robin onto the clusters. The
+// assignment ignores the dependence structure entirely, so it is the
+// cheapest possible pre-partitioning — and the natural lower bound for how
+// much an assignment algorithm matters. It does not depend on the II;
+// attempts fail with CauseBus until the interval's bus budget covers the
+// (fixed) communication count.
+type ModDistPass struct{}
+
+// Name implements Pass.
+func (ModDistPass) Name() string { return "moddist" }
+
+// Run implements Pass.
+func (ModDistPass) Run(ctx *Context) error {
+	m := ctx.Machine
+	if ctx.Assign == nil {
+		ar, n, k := ctx.arena, ctx.Graph.NumNodes(), m.Clusters
+		ar.fixed = partition.Assignment{Cluster: arena.Zeroed(ar.fixed.Cluster, n), K: k}
+		order, _ := ctx.Graph.TopoOrder(&ar.order)
+		for i, v := range order {
+			ar.fixed.Cluster[v] = i % k
+		}
+		ctx.Assign = &ar.fixed
+	}
+	ctx.Placement = ctx.arena.Sched.Placement(ctx.Graph, ctx.Assign)
+	ctx.CommsBeforeReplication = ctx.Placement.Comms()
+	if m.Clustered() && ctx.CommsBeforeReplication > m.BusComs(ctx.II) {
+		ctx.fixedBusFail = true
+		ctx.Fail(CauseBus)
 	}
 	return nil
 }

@@ -39,8 +39,8 @@ func TestCustomChainObservesEveryAttempt(t *testing.T) {
 	g := commBound(t)
 	m := machine.MustParse("4c1b2l64r")
 	var iis []int
-	chain := append([]Pass{tracePass{&iis}}, Chain()...)
-	res, err := search(t.Context(), g, m, Options{VerifySchedules: true}, chain, nil, true, SearchConfig{})
+	chain := append([]Pass{tracePass{&iis}}, paperStrategy(t).Chain...)
+	res, err := search(t.Context(), g, m, Options{VerifySchedules: true}, Strategy{Chain: chain, SkipAhead: true}, SearchConfig{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -63,6 +63,7 @@ func TestCustomChainObservesEveryAttempt(t *testing.T) {
 
 func TestChainEquivalentToCompile(t *testing.T) {
 	g := commBound(t)
+	bare := Strategy{Chain: paperStrategy(t).Chain, SkipAhead: true} // no Validate, no Replay
 	for _, cfg := range []string{"unified", "2c1b2l64r", "4c1b2l64r", "4c2b2l64r"} {
 		m := machine.MustParse(cfg)
 		for _, opts := range []Options{
@@ -76,7 +77,7 @@ func TestChainEquivalentToCompile(t *testing.T) {
 			if err != nil {
 				t.Fatalf("%s %+v: %v", cfg, opts, err)
 			}
-			b, err := search(t.Context(), g, m, opts, Chain(), nil, true, SearchConfig{})
+			b, err := search(t.Context(), g, m, opts, bare, SearchConfig{})
 			if err != nil {
 				t.Fatalf("%s %+v: %v", cfg, opts, err)
 			}
@@ -88,17 +89,30 @@ func TestChainEquivalentToCompile(t *testing.T) {
 	}
 }
 
+// paperStrategy returns the registered paper strategy.
+func paperStrategy(t *testing.T) Strategy {
+	t.Helper()
+	s, err := LookupStrategy(DefaultStrategy)
+	if err != nil {
+		t.Fatal(err)
+	}
+	return s
+}
+
 func TestPassNamesUnique(t *testing.T) {
-	seen := map[string]bool{}
-	for _, p := range Chain() {
-		n := p.Name()
-		if n == "" {
-			t.Errorf("pass %T has empty name", p)
+	for _, name := range StrategyNames() {
+		s, _ := LookupStrategy(name)
+		seen := map[string]bool{}
+		for _, p := range s.Chain {
+			n := p.Name()
+			if n == "" {
+				t.Errorf("%s: pass %T has empty name", name, p)
+			}
+			if seen[n] {
+				t.Errorf("%s: duplicate pass name %q", name, n)
+			}
+			seen[n] = true
 		}
-		if seen[n] {
-			t.Errorf("duplicate pass name %q", n)
-		}
-		seen[n] = true
 	}
 }
 

@@ -14,7 +14,7 @@ package pipeline
 //     of state, Context.Assign. A lane racing interval y ahead of the
 //     frontier can therefore reconstruct the assignment the sequential
 //     search would have carried into y by replaying only the refinement
-//     steps of the presumed-failed intervals below y (attemptReplayer),
+//     steps of the presumed-failed intervals below y (Strategy.Replay),
 //     without scheduling any of them. With SearchConfig.Lanes > 1 each
 //     round launches up to Lanes−1 such lanes above the frontier's
 //     interval, seeded from a snapshot of the frontier's assignment, and
@@ -55,7 +55,6 @@ import (
 	"clusched/internal/ddg"
 	"clusched/internal/machine"
 	"clusched/internal/mii"
-	"clusched/internal/partition"
 	"clusched/internal/telemetry"
 )
 
@@ -107,30 +106,6 @@ type LaneStats struct {
 	Raced, Won, Wasted atomic.Uint64
 }
 
-// attemptReplayer is the optional strategy capability gating speculation.
-// ReplayFailedAttempt reproduces exactly the cross-attempt state evolution
-// of one failed II attempt — for the paper chain, the partition-refinement
-// step — without running the rest of the chain, so a lane can reconstruct
-// the refinement lineage of the intervals it leapfrogs. Strategies without
-// the capability always search sequentially.
-type attemptReplayer interface {
-	ReplayFailedAttempt(ctx *Context)
-}
-
-// replayPartitionStep is the lineage replay of the partition-based chains
-// (paper, unified): the PartitionPass assignment step alone — initial
-// partition on the first attempt, refinement of the carried assignment
-// afterwards — with the placement and communication bookkeeping omitted
-// (it is per-attempt state the real attempt rebuilds).
-func replayPartitionStep(ctx *Context) {
-	sc := ctx.arena.Part
-	if ctx.Assign == nil {
-		ctx.Assign = partition.InitialScratch(ctx.Graph, ctx.Machine, ctx.II, sc)
-	} else {
-		ctx.Assign = partition.RefineScratch(ctx.Graph, ctx.Machine, ctx.II, ctx.Assign, sc)
-	}
-}
-
 // Search compiles one loop under the strategy opts.Strategy selects: it
 // resolves and validates the strategy, applies its machine rewrite, and
 // drives its pass chain through the II search configured by cfg. The
@@ -141,16 +116,14 @@ func Search(cctx context.Context, g *ddg.Graph, m machine.Config, opts Options, 
 	if err != nil {
 		return nil, err
 	}
-	sa, ok := s.(skipAheadCapable)
-	rep, _ := s.(attemptReplayer)
-	return search(cctx, g, m, opts, s.Chain(), rep, ok && sa.SkipAhead(), cfg)
+	return search(cctx, g, m, opts, s, cfg)
 }
 
-// search drives an explicit pass chain through the II search. Each attempt
-// resets the per-attempt context state and runs the chain; the chain must
-// leave Schedule and Placement set on success. rep == nil disables
-// speculation, skip == false the skip-ahead.
-func search(cctx context.Context, g *ddg.Graph, m machine.Config, opts Options, passes []Pass, rep attemptReplayer, skip bool, cfg SearchConfig) (*Result, error) {
+// search drives s's pass chain through the II search on the machine s
+// compiles for. Each attempt resets the per-attempt context state and runs
+// the chain; the chain must leave Schedule and Placement set on success.
+// s.Replay == nil disables speculation, !s.SkipAhead the skip-ahead.
+func search(cctx context.Context, g *ddg.Graph, m machine.Config, opts Options, s Strategy, cfg SearchConfig) (*Result, error) {
 	if opts.MaxII < 0 {
 		return nil, errors.New("pipeline: MaxII must be ≥ 0")
 	}
@@ -177,11 +150,11 @@ func search(cctx context.Context, g *ddg.Graph, m machine.Config, opts Options, 
 			return nil, err
 		}
 		var lanes *round
-		if width := min(cfg.Lanes-1, maxII-ii); width > 0 && rep != nil {
-			lanes = launch(cctx, front, ii, width, passes, rep, cfg, track)
+		if width := min(cfg.Lanes-1, maxII-ii); width > 0 && s.Replay != nil {
+			lanes = launch(cctx, front, ii, width, s, cfg, track)
 		}
 		front.reset(ii)
-		err := attempt(cctx, front, passes, tr, tid)
+		err := attempt(cctx, front, s.Chain, tr, tid)
 		// Decide in II order. front holds the attempt being decided — the
 		// frontier's own, then each adopted lane's — and at is its track.
 		at := tid
@@ -189,7 +162,7 @@ func search(cctx context.Context, g *ddg.Graph, m machine.Config, opts Options, 
 			cause := front.failCause
 			res.IIIncreases[cause]++
 			ii++
-			if skip {
+			if s.SkipAhead {
 				// Every interval in [ii, next) is proven to fail exactly as
 				// this one did; tally those failures and jump. The tallied
 				// range is capped at maxII, matching the last attempt the
@@ -316,7 +289,7 @@ type round struct {
 // from a snapshot of the frontier taken here, before its attempt at ii
 // runs: each replays the lineage from ii up to its own interval. It is a
 // separate function so the plain search pays for none of its state.
-func launch(cctx context.Context, front *Context, ii, width int, passes []Pass, rep attemptReplayer, cfg SearchConfig, track string) *round {
+func launch(cctx context.Context, front *Context, ii, width int, s Strategy, cfg SearchConfig, track string) *round {
 	r := &round{tr: cfg.Trace, stats: cfg.Stats}
 	seed := front.Assign
 	for j := 1; j <= width; j++ {
@@ -339,7 +312,7 @@ func launch(cctx context.Context, front *Context, ii, width int, passes []Pass, 
 		r.wg.Add(1)
 		go func() {
 			defer r.wg.Done()
-			ln.err = ln.run(lctx, ii, passes, rep, r.tr)
+			ln.err = ln.run(lctx, ii, s, r.tr)
 			// What the attempt left in the arena is released with it. A
 			// lane that never reassigned still holds the seed, which is the
 			// frontier's to keep alive.
@@ -367,14 +340,14 @@ func launch(cctx context.Context, front *Context, ii, width int, passes []Pass, 
 // [from, ln.ii) and then makes the real attempt at ln.ii. Cancellation is
 // checked between lineage steps and between passes, so a cancelled lane
 // stops within one pass.
-func (ln *lane) run(cctx context.Context, from int, passes []Pass, rep attemptReplayer, tr *telemetry.Trace) error {
+func (ln *lane) run(cctx context.Context, from int, s Strategy, tr *telemetry.Trace) error {
 	start := tr.Now()
 	for ii := from; ii < ln.ii; ii++ {
 		if err := cctx.Err(); err != nil {
 			return err
 		}
 		ln.ctx.reset(ii)
-		rep.ReplayFailedAttempt(ln.ctx)
+		s.Replay(ln.ctx)
 	}
 	if tr != nil {
 		tr.Span(ln.tid, "lane", "replay", start,
@@ -382,7 +355,7 @@ func (ln *lane) run(cctx context.Context, from int, passes []Pass, rep attemptRe
 			telemetry.Arg{Key: "to", Val: ln.ii - 1})
 	}
 	ln.ctx.reset(ln.ii)
-	return attempt(cctx, ln.ctx, passes, tr, ln.tid)
+	return attempt(cctx, ln.ctx, s.Chain, tr, ln.tid)
 }
 
 // next returns the lane at interval ii once it has finished, or nil when

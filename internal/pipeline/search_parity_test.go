@@ -150,7 +150,7 @@ func TestSkipAheadSkipsAttempts(t *testing.T) {
 			return []Pass{countingPass{PartitionPass{}, n}, ReplicationPass{}, LengthReplicationPass{}, SchedulePass{}, VerifyPass{}}
 		}
 		var nSkip, nLin int
-		skip, skipErr := search(t.Context(), g, m, Options{}, chain(&nSkip), nil, true, SearchConfig{})
+		skip, skipErr := search(t.Context(), g, m, Options{}, Strategy{Chain: chain(&nSkip), SkipAhead: true}, SearchConfig{})
 		lin, linErr := referenceChain(g, m, Options{}, chain(&nLin))
 		requireSameResult(t, g.Name, skip, lin, skipErr, linErr)
 		if nSkip < nLin {
@@ -173,7 +173,7 @@ func TestModDistSkipAheadSkipsAttempts(t *testing.T) {
 	for i := 0; i < 60; i++ {
 		g := spec.Loop(i)
 		var nSkip, nLin int
-		skip, skipErr := search(t.Context(), g, m, Options{Strategy: "moddist"}, chain(&nSkip), nil, true, SearchConfig{})
+		skip, skipErr := search(t.Context(), g, m, Options{Strategy: "moddist"}, Strategy{Chain: chain(&nSkip), SkipAhead: true}, SearchConfig{})
 		lin, linErr := referenceChain(g, m, Options{Strategy: "moddist"}, chain(&nLin))
 		requireSameResult(t, g.Name, skip, lin, skipErr, linErr)
 		if nSkip < nLin {

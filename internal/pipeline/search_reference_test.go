@@ -17,7 +17,7 @@ func referenceSearch(g *ddg.Graph, m machine.Config, opts Options) (*Result, err
 	if err != nil {
 		return nil, err
 	}
-	return referenceChain(g, m, opts, s.Chain())
+	return referenceChain(g, m, opts, s.Chain)
 }
 
 // referenceChain is referenceSearch over an explicit pass chain.

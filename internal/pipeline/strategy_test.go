@@ -1,6 +1,7 @@
 package pipeline
 
 import (
+	"errors"
 	"math/rand"
 	"strings"
 	"testing"
@@ -25,9 +26,9 @@ func TestStrategyRegistry(t *testing.T) {
 			t.Fatalf("StrategyNames() = %v, want %v", got, want)
 		}
 	}
-	s, ok := LookupStrategy("")
-	if !ok || s.Name() != DefaultStrategy {
-		t.Fatalf("empty strategy resolved to %v, %v; want %q", s, ok, DefaultStrategy)
+	s, err := LookupStrategy("")
+	if err != nil || s.Name != DefaultStrategy {
+		t.Fatalf("empty strategy resolved to %q, %v; want %q", s.Name, err, DefaultStrategy)
 	}
 	if (Options{}).StrategyName() != "paper" || (Options{Strategy: "uas"}).StrategyName() != "uas" {
 		t.Fatal("StrategyName canonicalization broken")
@@ -40,26 +41,20 @@ func TestStrategyRegistry(t *testing.T) {
 }
 
 // TestUnknownStrategyTyped verifies the typed error an unregistered name
-// produces, at the pipeline level.
+// produces, at the pipeline level: from the lookup and from a compile.
 func TestUnknownStrategyTyped(t *testing.T) {
 	g := corpus.Generate(corpus.ShapeParallel, "u", rand.New(rand.NewSource(1)), 12, corpus.DefaultParams())
+	_, lookupErr := LookupStrategy("nope")
 	_, err := Compile(g, machine.MustParse("4c2b2l64r"), Options{Strategy: "nope"})
-	var ue *UnknownStrategyError
-	if err == nil {
-		t.Fatal("unknown strategy compiled")
+	for _, err := range []error{lookupErr, err} {
+		var ue *UnknownStrategyError
+		if err == nil {
+			t.Fatal("unknown strategy resolved")
+		}
+		if !errors.As(err, &ue) || ue.Name != "nope" {
+			t.Fatalf("want *UnknownStrategyError{nope}, got %v", err)
+		}
 	}
-	if !errorsAs(err, &ue) || ue.Name != "nope" {
-		t.Fatalf("want *UnknownStrategyError{nope}, got %v", err)
-	}
-}
-
-// errorsAs is a local alias to keep the import list short.
-func errorsAs(err error, target *(*UnknownStrategyError)) bool {
-	ue, ok := err.(*UnknownStrategyError)
-	if ok {
-		*target = ue
-	}
-	return ok
 }
 
 // TestStrategyValidateRejectsPaperOnlyOptions: strategies without a
@@ -84,6 +79,126 @@ func TestStrategyValidateRejectsPaperOnlyOptions(t *testing.T) {
 			t.Errorf("strategy %q with MaxII=-5: got %v", name, err)
 		}
 	}
+}
+
+// TestStrategyTable pins every row of the strategy table: which strategies
+// skip ahead, which rewrite the machine, that each can replay a failed
+// attempt for the speculative lanes, and which options or machines each
+// refuses — with the error it refuses them by.
+func TestStrategyTable(t *testing.T) {
+	m := machine.MustParse("4c2b2l64r")
+	hetero, err := machine.NewHetero(2, 2, 32, [][3]int{{2, 1, 1}, {0, 2, 1}})
+	if err != nil {
+		t.Fatal(err)
+	}
+	inputs := []struct {
+		name string
+		opts Options
+		m    machine.Config
+	}{
+		{"plain", Options{}, m},
+		{"Replicate", Options{Replicate: true}, m},
+		{"LengthReplicate", Options{LengthReplicate: true}, m},
+		{"UseMacroReplication", Options{UseMacroReplication: true}, m},
+		{"ZeroBusLatency", Options{ZeroBusLatency: true}, m},
+		{"IgnoreRegisterPressure", Options{IgnoreRegisterPressure: true}, m},
+		{"VerifySchedules", Options{VerifySchedules: true}, m},
+		{"MaxII", Options{MaxII: 40}, m},
+		{"hetero", Options{}, hetero},
+	}
+	noRepl := map[string]string{
+		"Replicate":           "Options.Replicate",
+		"LengthReplicate":     "Options.LengthReplicate",
+		"UseMacroReplication": "Options.UseMacroReplication",
+	}
+	rows := []struct {
+		name      string
+		skipAhead bool
+		compileOn string            // the machine m compiles for
+		refuses   map[string]string // input → what its error names
+	}{
+		{"moddist", true, m.Name, noRepl},
+		{"paper", true, m.Name, nil},
+		{"uas", false, m.Name, noRepl},
+		{"unified", false, machine.Unified(m.Regs * m.Clusters).Name, map[string]string{
+			"hetero": "heterogeneous machine " + hetero.String() + " has no unified equivalent"}},
+	}
+	if got := StrategyNames(); len(got) != len(rows) {
+		t.Fatalf("registered %v, the table has %d rows", got, len(rows))
+	}
+	for i, row := range rows {
+		s, err := LookupStrategy(row.name)
+		if err != nil || StrategyNames()[i] != row.name {
+			t.Fatalf("row %d: %q not registered in order: %v", i, row.name, err)
+		}
+		if s.SkipAhead != row.skipAhead {
+			t.Errorf("%s: SkipAhead = %t, want %t", row.name, s.SkipAhead, row.skipAhead)
+		}
+		if s.Replay == nil {
+			t.Errorf("%s: no Replay; its searches would never race lanes", row.name)
+		}
+		for _, in := range inputs {
+			opts := in.opts
+			opts.Strategy = row.name
+			_, eff, err := resolveStrategy(opts, in.m)
+			want, refused := row.refuses[in.name]
+			switch {
+			case refused && err == nil:
+				t.Errorf("%s accepted %s", row.name, in.name)
+			case refused && !strings.Contains(err.Error(), want):
+				t.Errorf("%s refused %s with %q, want it to name %q", row.name, in.name, err, want)
+			case !refused && err != nil:
+				t.Errorf("%s refused %s: %v", row.name, in.name, err)
+			case !refused && in.m.Hetero == nil && eff.Name != row.compileOn:
+				t.Errorf("%s with %s compiles on %s, want %s", row.name, in.name, eff.Name, row.compileOn)
+			}
+		}
+	}
+}
+
+// TestRegisterStrategyLiteral registers a strategy written as a literal —
+// moddist's chain behind a counting pass, no Validate, no Replay — and
+// compiles through Search: it matches the reference search at every lane
+// count, races no lane (it has nothing to replay), and the registry is
+// left as it was.
+func TestRegisterStrategyLiteral(t *testing.T) {
+	const name = "literal-moddist"
+	var runs int
+	RegisterStrategy(Strategy{
+		Name:        name,
+		Description: "moddist, counted",
+		Chain:       []Pass{countingPass{ModDistPass{}, &runs}, SchedulePass{}, VerifyPass{}},
+		SkipAhead:   true,
+	})
+	t.Cleanup(func() {
+		strategyMu.Lock()
+		delete(strategyReg, name)
+		strategyMu.Unlock()
+	})
+	if StrategyDescription(name) != "moddist, counted" {
+		t.Fatalf("registered literal describes itself as %q", StrategyDescription(name))
+	}
+	m := machine.MustParse("4c1b2l64r")
+	for i := 0; i < 8; i++ {
+		g := corpus.DefaultSpec().Loop(i)
+		requireParity(t, g.Name, g, m, Options{Strategy: name}, 1, 2, 4)
+		var stats LaneStats
+		got, err := Search(t.Context(), g, m, Options{Strategy: name}, SearchConfig{Lanes: 4, Stats: &stats})
+		want, wantErr := Compile(g, m, Options{Strategy: "moddist"})
+		requireSameResult(t, g.Name+" vs moddist", got, want, err, wantErr)
+		if n := stats.Raced.Load(); n != 0 {
+			t.Errorf("%s: a strategy without Replay raced %d lanes", g.Name, n)
+		}
+	}
+	if runs == 0 {
+		t.Fatal("Search never ran the literal's chain")
+	}
+	defer func() {
+		if recover() == nil {
+			t.Error("registering a name twice did not panic")
+		}
+	}()
+	RegisterStrategy(Strategy{Name: name})
 }
 
 // strategyOptions returns the natural option set for compiling under a

@@ -75,15 +75,6 @@ type Options struct {
 // and cache paths reject unknown names with the typed error.
 func (o Options) Decode() pipeline.Options { return pipeline.Options(o) }
 
-// validateStrategy rejects unregistered strategy names with the pipeline's
-// typed error.
-func (o Options) validateStrategy() error {
-	if !pipeline.KnownStrategy(o.Strategy) {
-		return &pipeline.UnknownStrategyError{Name: o.Strategy}
-	}
-	return nil
-}
-
 // Machine is the wire form of a machine configuration. Hand-written
 // requests may carry only Config (a wcxbylzr string or "unified");
 // encoded machines additionally carry the structured fields, which win on
@@ -175,7 +166,7 @@ func (wj Job) decode(prev machine.Config) (driver.Job, error) {
 	if wj.Schema > JobSchemaVersion {
 		return driver.Job{}, &SchemaError{Got: wj.Schema, Max: JobSchemaVersion}
 	}
-	if err := wj.Options.validateStrategy(); err != nil {
+	if _, err := pipeline.LookupStrategy(wj.Options.Strategy); err != nil {
 		return driver.Job{}, err
 	}
 	g, err := ddg.ParseOneString(wj.Loop)
@@ -319,7 +310,7 @@ func iiCeiling(g *ddg.Graph, m machine.Config, opts pipeline.Options) int {
 // is parsed and validated.
 func (wr *Result) decode(j driver.Job) (*pipeline.Result, error) {
 	g := j.Graph
-	if err := wr.Options.validateStrategy(); err != nil {
+	if _, err := pipeline.LookupStrategy(wr.Options.Strategy); err != nil {
 		// A cache entry from a build with strategies this one lacks: reads
 		// as a decode failure (persistent caches treat it as a miss).
 		return nil, err
