@@ -43,7 +43,7 @@ type Job struct {
 	Opts    pipeline.Options
 	// Trace, when non-nil, receives the job's execution spans (overriding
 	// the engine-wide Config.Trace). Tracing is an observation detail: it
-	// is no part of the job's cache identity (keysFor, JobKey), so traced
+	// is no part of the job's cache identity (keyFor, JobKey), so traced
 	// and untraced submissions share results.
 	Trace *telemetry.Trace
 }
@@ -81,10 +81,11 @@ const DefaultCacheSize = 1 << 15
 type Store interface {
 	// Load returns the stored outcome for the job (keyed on JobKey), result
 	// or compilation error (neither is a miss), and whether it was present.
-	// JobKey v4 is canonical under graph isomorphism: a result whose Loop is
+	// JobKey is canonical under graph isomorphism: a result whose Loop is
 	// a renamed/reordered sibling of j.Graph is remapped onto j.Graph and
 	// re-proven before it is served; one for j.Graph's own presentation is
-	// served as loaded, and its Loop should be j.Graph itself.
+	// served as loaded when its Loop is j.Graph itself, and remapped like a
+	// sibling's otherwise.
 	Load(j Job) (res *pipeline.Result, cerr error, ok bool)
 	// Save records a freshly compiled outcome for the job.
 	Save(j Job, res *pipeline.Result, cerr error)
@@ -338,8 +339,10 @@ func New(cfg Config) *Compiler {
 	return c
 }
 
-// cacheKey identifies a compilation: graph fingerprint, canonical machine
-// key and the exact option set.
+// cacheKey buckets a compilation: graph fingerprint, canonical machine key
+// and the exact option set. The fingerprint is a hash, not an identity: a
+// cache entry is served only to a job whose graph is ddg.Equal to the
+// entry's.
 type cacheKey struct {
 	graph   uint64
 	machine string
@@ -378,22 +381,21 @@ func machineKey(m machine.Config) string {
 // ShapeHash rather than the canonical fingerprint keeps the unique-loop
 // miss path from paying full canonical labeling just to find an empty
 // bucket; candidates inside a bucket are confirmed isomorphic by
-// CanonicalFingerprint before any remap is attempted.
+// CanonicalFingerprint before any remap is attempted. Only a job whose
+// exact probe missed reads its semKey, so serve hashes the shape then.
 type semKey struct {
 	shape   uint64
 	machine string
 	opts    pipeline.Options
 }
 
-// keysFor returns a job's identity in both in-memory tiers. The strategy is
-// canonicalized so the default ("") and its explicit name share one
-// cache/dedup identity, matching JobKey.
-func keysFor(j Job) (cacheKey, semKey) {
+// keyFor returns a job's exact key, the identity of the first in-memory
+// tier. The strategy is canonicalized so the default ("") and its explicit
+// name share one cache/dedup identity, matching JobKey.
+func keyFor(j Job) cacheKey {
 	opts := j.Opts
 	opts.Strategy = opts.StrategyName()
-	m := machineKey(j.Machine)
-	return cacheKey{graph: j.Graph.Fingerprint(), machine: m, opts: opts},
-		semKey{shape: j.Graph.ShapeHash(), machine: m, opts: opts}
+	return cacheKey{graph: j.Graph.Fingerprint(), machine: machineKey(j.Machine), opts: opts}
 }
 
 // jobKeyVersion stamps the JobKey format. Bump it when the encoding below
@@ -505,9 +507,14 @@ func (c *Compiler) do(ctx context.Context, j Job, track string, enqueued time.Ti
 }
 
 // serve answers one job from the first tier that can, in order: the exact
-// (graph-fingerprint) LRU entry; an identical job's in-flight compilation,
-// joined rather than repeated; the canonical tier; and, as the leader of a
-// flight of its own, the persistent Store and then a real compilation. The
+// LRU entry; an identical job's in-flight compilation, joined rather than
+// repeated; the canonical tier; and, as the leader of a flight of its own,
+// the persistent Store and then a real compilation. The exact tier is a
+// hash bucket plus an equality check: an entry or flight under the job's
+// fingerprint answers only if its graph is ddg.Equal to the job's, and one
+// that is not — a collision — leaves the job to a compilation of its own,
+// which the entry keeps. The shape hash is taken only once the exact probe
+// has missed, outside the lock, and the exact probe is then repeated: the
 // exact and bucket probes share one critical section, so a job never leads
 // a flight for something already cached or already in flight. serve books
 // nothing: it returns the value, which tier answered, and the wall time of
@@ -517,23 +524,28 @@ func (c *Compiler) serve(ctx context.Context, j Job, tr *telemetry.Trace, track 
 		return cacheValue{err: err}, answerNone, 0
 	}
 	if c.cache == nil {
-		val, elapsed := c.compileTimed(ctx, j, tr, track)
-		if ctxErr(val.err) {
-			return val, answerNone, elapsed
-		}
-		return val, answerUncached, elapsed
+		return c.compileAlone(ctx, j, tr, track, answerUncached)
 	}
-	key, sk := keysFor(j) // ShapeHash is O(edges); no canonical labeling yet
-	for semTried := false; ; {
+	key := keyFor(j)
+	var sk semKey
+	for shaped, semTried := false, false; ; {
 		c.mu.Lock()
-		if val, w, ok := c.cache.lookup(key); ok {
+		if val, w, g, ok := c.cache.lookup(key); ok {
 			c.mu.Unlock()
+			if !ddg.Equal(g, j.Graph) {
+				return c.compileAlone(ctx, j, tr, track, answerMiss)
+			}
 			if w == nil {
 				return val, answerLRU, 0
 			}
 			if val, a, retry := join(ctx, w); !retry {
 				return val, a, 0
 			}
+			continue
+		}
+		if !shaped {
+			c.mu.Unlock()
+			sk, shaped = semKey{shape: j.Graph.ShapeHash(), machine: key.machine, opts: key.opts}, true
 			continue
 		}
 		// Probed once per job, outside the lock and outside any flight (a
@@ -548,10 +560,21 @@ func (c *Compiler) serve(ctx context.Context, j Job, tr *telemetry.Trace, track 
 			}
 			continue
 		}
-		slot := c.cache.begin(key)
+		slot := c.cache.begin(key, j.Graph)
 		c.mu.Unlock()
 		return c.lead(ctx, j, sk.shape, slot, tr, track)
 	}
+}
+
+// compileAlone answers the job by a compilation that no cache entry keeps:
+// every job when caching is disabled, booked as answerUncached, and a job
+// whose exact key holds another loop's entry, booked as answerMiss.
+func (c *Compiler) compileAlone(ctx context.Context, j Job, tr *telemetry.Trace, track string, a answer) (cacheValue, answer, time.Duration) {
+	val, elapsed := c.compileTimed(ctx, j, tr, track)
+	if ctxErr(val.err) {
+		return val, answerNone, elapsed
+	}
+	return val, a, elapsed
 }
 
 // join waits for an identical job's flight to land and shares its answer.
@@ -584,7 +607,7 @@ func (c *Compiler) semantic(j Job, key cacheKey, shape uint64, cands []*pipeline
 		if res, err := pipeline.RemapResult(cand, j.Graph, j.Opts); err == nil {
 			val := cacheValue{res: res}
 			c.mu.Lock()
-			c.cache.install(key, val, shape)
+			c.cache.install(key, j.Graph, val, shape)
 			c.mu.Unlock()
 			return val, answerSemantic
 		}
@@ -625,8 +648,12 @@ func (c *Compiler) lead(ctx context.Context, j Job, shape uint64, slot int32, tr
 }
 
 // fromStore asks the persistent Store. A stored result under the canonical
-// JobKey may belong to an isomorphic sibling of this graph: it is remapped
-// and re-verified before it is trusted, and a failed remap is no answer.
+// JobKey is served as loaded only when its Loop is j.Graph itself, as the
+// Store returns it for the job's own presentation. Any other Loop — an
+// isomorphic sibling's, or a parsed copy of this graph from an entry whose
+// header fingerprint this build does not recognise — is remapped onto
+// j.Graph and re-verified before it is trusted, and a failed remap is no
+// answer.
 func (c *Compiler) fromStore(j Job) (cacheValue, answer) {
 	if c.store == nil {
 		return cacheValue{}, answerNone
@@ -635,7 +662,7 @@ func (c *Compiler) fromStore(j Job) (cacheValue, answer) {
 	switch {
 	case !ok || res == nil && cerr == nil:
 		return cacheValue{}, answerNone
-	case cerr != nil || res.Loop.Fingerprint() == j.Graph.Fingerprint():
+	case cerr != nil || res.Loop == j.Graph:
 		return cacheValue{res: res, err: cerr}, answerStore
 	}
 	remapped, err := pipeline.RemapResult(res, j.Graph, j.Opts)

@@ -1,6 +1,9 @@
 package driver
 
-import "clusched/internal/pipeline"
+import (
+	"clusched/internal/ddg"
+	"clusched/internal/pipeline"
+)
 
 // cacheValue is one memoized compilation outcome (result or error).
 type cacheValue struct {
@@ -17,9 +20,12 @@ type waiters struct {
 
 // entry is one exact key's flight while pending, then its value, place in
 // recency order and link in its canonical bucket's chain. Links are slot
-// indices; slot 0, the recency ring's sentinel, ends every chain.
+// indices; slot 0, the recency ring's sentinel, ends every chain. g is the
+// graph the key was made from: the key is a hash of it, so a job is
+// answered by the entry only if its graph is ddg.Equal to g.
 type entry struct {
 	key                 cacheKey
+	g                   *ddg.Graph
 	val                 cacheValue
 	shape               uint64 // with key's machine and options, the semKey
 	prev, next, semNext int32
@@ -47,22 +53,23 @@ func newCache(capacity int) *resultCache {
 		byKey: make(map[cacheKey]int32), buckets: make(map[semKey]int32)}
 }
 
-// lookup finds k: a landed entry's value, which becomes the most recent,
-// or a pending entry's waiters, made for its first follower.
-func (c *resultCache) lookup(k cacheKey) (val cacheValue, w *waiters, ok bool) {
+// lookup finds k and the graph it was made from: a landed entry's value,
+// which becomes the most recent, or a pending entry's waiters, made for its
+// first follower.
+func (c *resultCache) lookup(k cacheKey) (val cacheValue, w *waiters, g *ddg.Graph, ok bool) {
 	i, ok := c.byKey[k]
 	if !ok {
-		return cacheValue{}, nil, false
+		return cacheValue{}, nil, nil, false
 	}
 	if e := &c.slab[i]; e.pending {
 		if e.w == nil {
 			e.w = &waiters{done: make(chan struct{})}
 		}
-		return cacheValue{}, e.w, true
+		return cacheValue{}, e.w, e.g, true
 	}
 	c.unlink(i)
 	c.pushFront(i)
-	return c.slab[i].val, nil, true
+	return c.slab[i].val, nil, c.slab[i].g, true
 }
 
 // candidates appends the results of bucket sk to dst, growing it once at
@@ -81,15 +88,16 @@ func (c *resultCache) candidates(sk semKey, dst []*pipeline.Result) []*pipeline.
 	return dst
 }
 
-// begin makes k pending in a slot its leader owns until land or abandon.
-func (c *resultCache) begin(k cacheKey) int32 {
+// begin makes k, made from g, pending in a slot its leader owns until land
+// or abandon.
+func (c *resultCache) begin(k cacheKey, g *ddg.Graph) int32 {
 	if c.free == 0 {
 		c.free = int32(len(c.slab))
 		c.slab = append(c.slab, entry{})
 	}
 	i := c.free
 	c.free = c.slab[i].next
-	c.slab[i] = entry{key: k, pending: true}
+	c.slab[i] = entry{key: k, g: g, pending: true}
 	c.byKey[k] = i
 	return i
 }
@@ -111,16 +119,17 @@ func (c *resultCache) land(i int32, val cacheValue, shape uint64) *waiters {
 	return w
 }
 
-// install caches val under k as the most recent entry, replacing a landed
-// value. A pending k is left alone: its flight's landing installs its value.
-func (c *resultCache) install(k cacheKey, val cacheValue, shape uint64) {
+// install caches val under k, made from g, as the most recent entry,
+// replacing a landed value. A pending k is left alone: its flight's landing
+// installs its value.
+func (c *resultCache) install(k cacheKey, g *ddg.Graph, val cacheValue, shape uint64) {
 	if i, ok := c.byKey[k]; ok {
 		if c.slab[i].pending {
 			return
 		}
 		c.drop(i)
 	}
-	c.land(c.begin(k), val, shape)
+	c.land(c.begin(k, g), val, shape)
 }
 
 // drop evicts the landed entry in slot i, and takes it out of its bucket's

@@ -84,7 +84,7 @@ func runCacheModel(capacity int, seed int64, steps int) error {
 		case r < 50 && !pending && !cached:
 			op = "lead"
 			want.pending[k] = &flight{done: make(chan struct{})}
-			slots[k] = got.begin(k)
+			slots[k] = got.begin(k, nil)
 		case r < 70:
 			// The engine serves a semantic answer for a pending key without
 			// installing it; resultCache.install leaves such a key alone.
@@ -93,11 +93,11 @@ func runCacheModel(capacity int, seed int64, steps int) error {
 			if !pending {
 				want.cacheAdd(k, retiredValue{res: res}, semKey{shapeOf(k), k.machine, k.opts})
 			}
-			got.install(k, cacheValue{res: res}, shapeOf(k))
+			got.install(k, nil, cacheValue{res: res}, shapeOf(k))
 		default:
 			op = "lookup"
 			wv, hit := want.cache.get(k)
-			gv, w, ok := got.lookup(k)
+			gv, w, _, ok := got.lookup(k)
 			switch {
 			case hit && (!ok || w != nil || gv != cacheValue{wv.res, wv.err}):
 				return fmt.Errorf("step %d: lookup %v = %v, %p, %v; want %v", step, k, gv, w, ok, wv)

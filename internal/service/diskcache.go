@@ -111,8 +111,8 @@ func (c *DiskCache) Load(j driver.Job) (*pipeline.Result, error, bool) {
 // decodeEntry checks an entry's key byte for byte, then its CRC, then walks
 // its frame. An entry for j.Graph's exact presentation is decoded for j: no
 // text is parsed and the result's Loop is j.Graph itself. One stored for an
-// isomorphic sibling is decoded onto the sibling's parsed loop, which the
-// Compiler then remaps. An error entry is served only for the exact graph
+// isomorphic sibling, or under a fingerprint algorithm this build does not
+// run, is decoded onto its parsed loop, which the Compiler then remaps. An error entry is served only for the exact graph
 // it was computed on — its message may quote node names, and there is no
 // schedule to remap — and a sibling reads it as a miss that leaves it be.
 func decodeEntry(blob []byte, key string, j driver.Job) (res *pipeline.Result, cerr error, bad bool) {

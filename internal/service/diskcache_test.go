@@ -17,6 +17,7 @@ import (
 	"clusched/internal/driver"
 	"clusched/internal/machine"
 	"clusched/internal/pipeline"
+	"clusched/internal/sched"
 	"clusched/internal/wire"
 	"clusched/internal/workload"
 )
@@ -249,6 +250,97 @@ func TestDiskCacheParentFormatIsMiss(t *testing.T) {
 	if cache.Len() != 1 {
 		t.Errorf("%d entries in the current form, want the recompiled one", cache.Len())
 	}
+}
+
+// fnvEntry installs testdata/fnv-<kind>.f1 in a fresh directory under j's
+// key and opens a cache there: an entry written for j by the previous
+// fingerprint algorithm (FNV-1a, byte at a time), whose header names a
+// fingerprint this build never computes.
+func fnvEntry(t *testing.T, kind string, j driver.Job) (*DiskCache, string) {
+	t.Helper()
+	blob, err := os.ReadFile(filepath.Join("testdata", "fnv-"+kind+".f1"))
+	if err != nil {
+		t.Fatal(err)
+	}
+	cache, err := OpenDiskCache(t.TempDir())
+	if err != nil {
+		t.Fatal(err)
+	}
+	path := cache.path(driver.JobKey(j))
+	if err := os.WriteFile(path, blob, 0o644); err != nil {
+		t.Fatal(err)
+	}
+	e := readEntry(t, path)
+	if e.key != driver.JobKey(j) {
+		t.Fatalf("the fixture is an entry for %s, not %s: move it along with the JobKey", e.key, driver.JobKey(j))
+	}
+	if e.fp == fmt.Sprintf("%016x", j.Graph.Fingerprint()) {
+		t.Fatalf("the fixture's fingerprint %s is this build's", e.fp)
+	}
+	return cache, path
+}
+
+// TestDiskCacheEntryUnderTheFNVFingerprint: entries written before the
+// fingerprint changed carry the old one in their header. A result entry is
+// answered through the isomorphic-copy path — the stored loop parsed, the
+// schedule remapped onto the job's graph and proven — and booked as a
+// semantic store hit; an error entry is a clean miss, and the next Save
+// replaces it with one under the current fingerprint.
+func TestDiskCacheEntryUnderTheFNVFingerprint(t *testing.T) {
+	j, want := compileOne(t)
+	t.Run("result", func(t *testing.T) {
+		cache, _ := fnvEntry(t, "result", j)
+		defer cache.Close()
+		c := driver.New(driver.Config{Store: cache})
+		res, err := c.Compile(context.Background(), j)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if st := c.CacheStats(); st.SemanticStoreHits != 1 || st.Misses != 0 || st.StoreHits != 0 {
+			t.Fatalf("cache %+v: want one semantic store hit", st)
+		}
+		if res.Loop != j.Graph || res.II != want.II || res.Length != want.Length {
+			t.Fatalf("served II %d length %d on %p, want II %d length %d on the job's graph %p",
+				res.II, res.Length, res.Loop, want.II, want.Length, j.Graph)
+		}
+		if err := sched.Verify(res.Schedule); err != nil {
+			t.Fatal(err)
+		}
+	})
+	t.Run("error", func(t *testing.T) {
+		jf := j
+		jf.Opts.MaxII = 1
+		cache, path := fnvEntry(t, "error", jf)
+		if res, cerr, ok := cache.Load(jf); ok || res != nil || cerr != nil {
+			t.Fatalf("Load = (%v, %v, %v), want a clean miss", res, cerr, ok)
+		}
+		if _, err := os.Stat(path); err != nil {
+			t.Fatalf("the miss removed the entry: %v", err)
+		}
+		c := driver.New(driver.Config{Store: cache})
+		_, cerr := c.Compile(context.Background(), jf)
+		if cerr == nil {
+			t.Fatal("the loop scheduled at MaxII 1; the fixture needs a job that fails")
+		}
+		if st := c.CacheStats(); st.Misses != 1 || st.StoreHits != 0 {
+			t.Fatalf("cache %+v: want one miss", st)
+		}
+		cache.Close()
+		if dropped, errs := cache.Dropped(); dropped != 0 || errs != 0 {
+			t.Errorf("dropped %d, errs %d: want the old entry uncounted and the new one written", dropped, errs)
+		}
+		if e := readEntry(t, path); e.fp != fmt.Sprintf("%016x", jf.Graph.Fingerprint()) || e.frame.Outcome.Error != cerr.Error() {
+			t.Fatalf("entry holds fingerprint %s, error %q: want the Save's", e.fp, e.frame.Outcome.Error)
+		}
+		reopened, err := OpenDiskCache(filepath.Dir(path))
+		if err != nil {
+			t.Fatal(err)
+		}
+		defer reopened.Close()
+		if _, lerr, ok := reopened.Load(jf); !ok || lerr == nil || lerr.Error() != cerr.Error() {
+			t.Fatalf("the replaced entry loads as (%v, %v), want the error", lerr, ok)
+		}
+	})
 }
 
 // TestDiskCacheIgnoresStaleKeyVersion: a directory written by a binary one
