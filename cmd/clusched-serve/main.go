@@ -52,6 +52,7 @@ import (
 	"flag"
 	"fmt"
 	"log/slog"
+	"net"
 	"net/http"
 	"net/http/pprof"
 	"os"
@@ -125,10 +126,14 @@ func main() {
 	srv := service.New(cfg)
 
 	hs := &http.Server{Addr: *addr, Handler: srv.Handler()}
+	ln, err := net.Listen("tcp", *addr)
+	if err != nil {
+		fatal(err)
+	}
 	errc := make(chan error, 1)
 	go func() {
-		fmt.Fprintf(os.Stderr, "clusched-serve: listening on %s\n", *addr)
-		errc <- hs.ListenAndServe()
+		fmt.Fprintf(os.Stderr, "clusched-serve: listening on %s\n", ln.Addr())
+		errc <- hs.Serve(ln)
 	}()
 
 	sigc := make(chan os.Signal, 1)

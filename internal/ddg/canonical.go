@@ -519,8 +519,8 @@ func Permute(g *Graph, name string, nodePerm, edgePerm []int) (*Graph, error) {
 
 // PermuteRandom is Permute with a seeded random node and edge permutation:
 // the deterministic way to manufacture a duplicated-shape corpus (loopgen
-// -permute, the semantic-cache benchmarks and the CI smoke test all use
-// it).
+// -permute, the semantic-cache benchmarks and the smoke tests of
+// `go test -run Smoke ./internal/integration` all use it).
 func PermuteRandom(g *Graph, name string, seed int64) *Graph {
 	rng := rand.New(rand.NewSource(seed))
 	np := rng.Perm(g.NumNodes())

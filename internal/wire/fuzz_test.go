@@ -11,7 +11,9 @@ package wire
 //
 // Seeds: real traffic in both loop forms, the irregular inputs of
 // reference_test.go, and bodies formatted the way Python's json.dumps
-// formats them (.github/stream_check.py posts those).
+// formats them, as a foreign client posts them. The built server read by
+// such a client end to end is `go test -run TestSmokeService
+// ./internal/integration`.
 
 import (
 	"bytes"
