@@ -5,11 +5,7 @@
 // Usage:
 //
 //	paperbench              # run everything, print the full report
-//	paperbench -fig 7       # run one experiment (1, 7, 8, 9, 10, 12)
-//	paperbench -fig table1  # print the configuration table
-//	paperbench -fig stats   # §4 communication statistics
-//	paperbench -fig macro   # §5.2 macro-node ablation
-//	paperbench -fig unroll  # §6 unrolling-vs-replication ablation
+//	paperbench -fig 7       # run one experiment, print its block of the report
 //	paperbench -o report.txt
 //	paperbench -j 4 -progress   # 4 concurrent compilations, progress on stderr
 //	paperbench -speculate 4     # race candidate IIs inside each compilation
@@ -18,6 +14,12 @@
 //	paperbench -strategies paper,unified,uas,moddist   # head-to-head strategy comparison
 //	paperbench -remote http://localhost:8357 -fig 7    # evaluation as service traffic
 //	paperbench -cluster http://h1:8357,http://h2:8357  # evaluation sharded across a fleet
+//
+// The experiments are the rows of one table in internal/experiments
+// (sections.go), in report order: Table 1, the figures, the §4 statistics
+// and register sweep, the §5.2 and §6 ablations and the design ablations.
+// `paperbench -h` lists their -fig names; -fig X prints exactly X's block of
+// the full report.
 //
 // paperbench is the paper tool: it reports what the compiler produces,
 // never how fast. Timing this repository is `go run ./bench` (see
@@ -43,11 +45,10 @@
 // applies to local runs only; with -remote or -cluster, traces are
 // recorded server-side (submit with trace and fetch GET /jobs/{id}/trace).
 //
-// -json writes the typed per-figure rows (the same data the text report
-// renders) and the engine's CacheStats as one JSON document. It composes
-// with -fig: only the selected experiment's section is populated. The
-// suite results are memoized in the engine, so emitting JSON alongside the
-// text report does not recompile anything. Every section but "engine" is a
+// -json writes the typed per-figure rows (the very values the text report
+// is rendered from) and the engine's CacheStats as one JSON document. It
+// composes with -fig: only the selected experiment's section is populated.
+// Unroll and design have no section. Every section but "engine" is a
 // pure function of the code (internal/experiments pins the figure sections
 // against testdata/figures.golden.json); the engine counts move by a few
 // jobs from run to run, because which of two isomorphic loops compiling
@@ -112,7 +113,7 @@ func main() {
 func run(args []string, stdout, stderr io.Writer) int {
 	fs := flag.NewFlagSet("paperbench", flag.ContinueOnError)
 	fs.SetOutput(stderr)
-	fig := fs.String("fig", "", "experiment to run: 1, 7, 8, 9, 10, 12, table1, stats, macro, unroll, regs, design (default: all)")
+	fig := fs.String("fig", "", "experiment to run: "+strings.Join(experiments.Names(), ", ")+" (default: all)")
 	out := fs.String("o", "", "write the report to a file instead of stdout")
 	jsonOut := fs.String("json", "", "also write machine-readable per-figure numbers and engine CacheStats to this file (\"-\" or bare flag: stdout, suppressing the text report)")
 	jobs := fs.Int("j", 0, "concurrent compilations (default: GOMAXPROCS)")
@@ -137,44 +138,40 @@ func run(args []string, stdout, stderr io.Writer) int {
 		engine *clusched.Compiler
 		trace  *clusched.Trace
 	)
+	if *clusterHosts != "" && *remote != "" {
+		fmt.Fprintln(stderr, "paperbench: -cluster and -remote are mutually exclusive")
+		return 2
+	}
+	if *clusterHosts != "" || *remote != "" {
+		for _, f := range []struct {
+			name            string
+			set             bool
+			remote, cluster string // why the flag does not apply
+		}{
+			{"-trace", *traceOut != "", "submit with trace and fetch GET /jobs/{id}/trace instead", "the servers record traces; see GET /jobs/{id}/trace"},
+			{"-j", *jobs != 0, "the server's workers apply", "the servers' workers apply"},
+			{"-progress", *progress, "compilation runs server-side", "compilation runs server-side"},
+			{"-speculate", *speculate > 1, "the server's own setting governs its compilations", "the servers' own setting governs their compilations"},
+		} {
+			switch {
+			case !f.set:
+			case *remote != "":
+				fmt.Fprintf(stderr, "paperbench: %s is ignored with -remote (%s)\n", f.name, f.remote)
+			default:
+				fmt.Fprintf(stderr, "paperbench: %s is ignored with -cluster (%s)\n", f.name, f.cluster)
+			}
+		}
+	}
 	switch {
 	case *clusterHosts != "":
-		if *remote != "" {
-			fmt.Fprintln(stderr, "paperbench: -cluster and -remote are mutually exclusive")
-			return 2
-		}
-		if *traceOut != "" {
-			fmt.Fprintln(stderr, "paperbench: -trace is ignored with -cluster (the servers record traces; see GET /jobs/{id}/trace)")
-		}
-		if *jobs != 0 {
-			fmt.Fprintln(stderr, "paperbench: -j is ignored with -cluster (the servers' workers apply)")
-		}
-		if *progress {
-			fmt.Fprintln(stderr, "paperbench: -progress is ignored with -cluster (compilation runs server-side)")
-		}
-		if *speculate > 1 {
-			fmt.Fprintln(stderr, "paperbench: -speculate is ignored with -cluster (the servers' own setting governs their compilations)")
-		}
 		// Same Backend seam as -remote, but the batches fan out across the
 		// fleet with cache-affine routing.
 		cl := clusched.NewCluster(strings.Split(*clusterHosts, ","))
 		defer cl.Close()
 		experiments.UseBackend(cl)
 	case *remote != "":
-		if *traceOut != "" {
-			fmt.Fprintln(stderr, "paperbench: -trace is ignored with -remote (submit with trace and fetch GET /jobs/{id}/trace instead)")
-		}
 		// The experiments engine is a Backend seam: pointing it at the
 		// remote client reruns the whole evaluation as service traffic.
-		if *jobs != 0 {
-			fmt.Fprintln(stderr, "paperbench: -j is ignored with -remote (the server's workers apply)")
-		}
-		if *progress {
-			fmt.Fprintln(stderr, "paperbench: -progress is ignored with -remote (compilation runs server-side)")
-		}
-		if *speculate > 1 {
-			fmt.Fprintln(stderr, "paperbench: -speculate is ignored with -remote (the server's own setting governs its compilations)")
-		}
 		client := clusched.NewRemote(*remote, clusched.WithTimeout(0))
 		if err := client.Health(context.Background()); err != nil {
 			fmt.Fprintf(stderr, "paperbench: service at %s unreachable: %v\n", *remote, err)
@@ -201,36 +198,9 @@ func run(args []string, stdout, stderr io.Writer) int {
 		experiments.UseBackend(engine)
 	}
 
-	var report string
-	switch *fig {
-	case "":
-		report = experiments.FullReport()
-	case "1":
-		report = experiments.Fig1Report()
-	case "7":
-		report = experiments.Fig7Report()
-	case "8":
-		report = experiments.Fig8Report()
-	case "9":
-		report = experiments.Fig9Report()
-	case "10":
-		report = experiments.Fig10Report()
-	case "12":
-		report = experiments.Fig12Report()
-	case "table1":
-		report = experiments.Table1()
-	case "stats":
-		report = experiments.CommStatsReport()
-	case "macro":
-		report = experiments.MacroAblationReport()
-	case "unroll":
-		report = experiments.UnrollAblationReport()
-	case "regs":
-		report = experiments.RegSweepReport()
-	case "design":
-		report = experiments.DesignAblationReport()
-	default:
-		fmt.Fprintf(stderr, "paperbench: unknown experiment %q\n", *fig)
+	sections, report, err := experiments.CollectFigures(*fig)
+	if err != nil {
+		fmt.Fprintf(stderr, "paperbench: %v\n", err)
 		return 2
 	}
 
@@ -256,11 +226,7 @@ func run(args []string, stdout, stderr io.Writer) int {
 			fmt.Fprintf(stderr, "paperbench: -strategies: %v\n", err)
 			return 2
 		}
-		table := experiments.StrategyComparisonReport(strategyRows, names, m)
-		if report != "" {
-			report += "\n"
-		}
-		report += table
+		report += "\n" + experiments.StrategyComparisonReport(strategyRows, names, m)
 	}
 
 	if *progress && engine != nil {
@@ -270,11 +236,9 @@ func run(args []string, stdout, stderr io.Writer) int {
 	}
 	jsonToStdout := *jsonOut == "-"
 	if *jsonOut != "" {
-		// The suite runs behind the report above are memoized in the
-		// engine, so collecting the typed rows re-reads, it does not
-		// recompute. A remote engine's cache lives server-side: its
-		// section stays zero.
-		doc := jsonReport{FigureSections: experiments.CollectFigures(*fig), Strategies: strategyRows}
+		// A remote engine's cache lives server-side: its section stays
+		// zero.
+		doc := jsonReport{FigureSections: sections, Strategies: strategyRows}
 		if engine != nil {
 			doc.Engine = engine.CacheStats()
 		}

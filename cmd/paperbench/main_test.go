@@ -118,6 +118,39 @@ func TestUnknownExperimentExits2(t *testing.T) {
 	if code := run([]string{"-fig", "bogus"}, &stdout, &stderr); code != 2 {
 		t.Fatalf("exit %d, want 2 (stderr %q)", code, stderr.String())
 	}
+	if want := strings.Join(experiments.Names(), ", "); !strings.Contains(stderr.String(), want) {
+		t.Errorf("stderr %q does not list the experiments (%s)", stderr.String(), want)
+	}
+}
+
+// TestFigPrintsItsBlockOfTheReport: -fig X prints exactly X's block of the
+// full report, as committed in internal/experiments/testdata. unroll is left
+// out: it is most of the full report's run time.
+func TestFigPrintsItsBlockOfTheReport(t *testing.T) {
+	t.Cleanup(func() { experiments.UseBackend(clusched.NewLocal()) })
+	report, err := os.ReadFile("../../internal/experiments/testdata/report.golden.txt")
+	if err != nil {
+		t.Fatal(err)
+	}
+	names := experiments.Names()
+	blocks := strings.Split(strings.TrimSuffix(string(report), "\n"), "\n"+strings.Repeat("=", 78)+"\n\n")
+	if len(blocks) != len(names) {
+		t.Fatalf("report golden has %d blocks for %d experiments", len(blocks), len(names))
+	}
+	for i, name := range names {
+		if name == "unroll" {
+			continue
+		}
+		t.Run(name, func(t *testing.T) {
+			var stdout, stderr bytes.Buffer
+			if code := run([]string{"-fig", name}, &stdout, &stderr); code != 0 {
+				t.Fatalf("exit %d\n%s", code, stderr.String())
+			}
+			if got := stdout.String(); got != blocks[i] {
+				t.Errorf("-fig %s:\n got:\n%s\nwant:\n%s", name, got, blocks[i])
+			}
+		})
+	}
 }
 
 // TestClusterRunIsNotALocalRun: with -cluster the engine lives on the

@@ -241,19 +241,11 @@ func (c *Cluster) healthLoop(interval time.Duration) {
 	}
 }
 
-// probe checks one member and flips its membership accordingly. Members
-// whose node cannot be probed are optimistically readmitted: their next
-// dispatch failure ejects them again, and without a probe there is no
-// other road back in.
+// probe checks one member and flips its membership accordingly.
 func (c *Cluster) probe(m *member, timeout time.Duration) {
-	hc, ok := m.node.(HealthChecker)
-	if !ok {
-		m.up.Store(true)
-		return
-	}
 	ctx, cancel := context.WithTimeout(context.Background(), timeout)
 	defer cancel()
-	err := hc.Health(ctx)
+	err := m.node.Health(ctx)
 	was := m.up.Swap(err == nil)
 	switch {
 	case was && err != nil:
@@ -709,7 +701,7 @@ func (c *Cluster) send(ctx context.Context, l *ledger, m *member, run []int, h *
 	}
 	duplicate := h != nil && m != h.primary
 	last := time.Now()
-	err := doRun(ctx, m.node, jobs, func(k int, out driver.Outcome) bool {
+	err := m.node.Stream(ctx, jobs, func(k int, out driver.Outcome) bool {
 		// The gaps the hedge delay is estimated from, and measured against:
 		// send to first outcome, outcome to outcome.
 		now := time.Now()
@@ -799,8 +791,8 @@ type NodeStats struct {
 	Ejections   uint64 `json:"ejections"`
 	LastError   string `json:"last_error,omitempty"`
 	// Service is the node's own /stats answer (queue depth, cache and
-	// semantic-hit counters, per-strategy traffic); nil when the node
-	// does not expose stats or did not answer (see ServiceError).
+	// semantic-hit counters, per-strategy traffic); nil when the node did
+	// not answer (see ServiceError).
 	Service      *wire.ServiceStats `json:"service,omitempty"`
 	ServiceError string             `json:"service_error,omitempty"`
 }
@@ -844,18 +836,16 @@ func (c *Cluster) FleetStats(ctx context.Context) FleetStats {
 			ns.LastError = e
 		}
 		fs.Nodes[i] = ns
-		if src, ok := m.node.(StatsSource); ok {
-			wg.Add(1)
-			go func(i int, src StatsSource) {
-				defer wg.Done()
-				st, err := src.Stats(ctx)
-				if err != nil {
-					fs.Nodes[i].ServiceError = err.Error()
-					return
-				}
-				fs.Nodes[i].Service = &st
-			}(i, src)
-		}
+		wg.Add(1)
+		go func(i int, node Node) {
+			defer wg.Done()
+			st, err := node.Stats(ctx)
+			if err != nil {
+				fs.Nodes[i].ServiceError = err.Error()
+				return
+			}
+			fs.Nodes[i].Service = &st
+		}(i, m.node)
 	}
 	wg.Wait()
 	for i := range fs.Nodes {

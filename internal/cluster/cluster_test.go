@@ -17,13 +17,26 @@ import (
 	"clusched/internal/machine"
 	"clusched/internal/pipeline"
 	"clusched/internal/telemetry"
+	"clusched/internal/wire"
 	"clusched/internal/workload"
 )
 
-// fakeNode is an in-process Node with scriptable failure modes: a transport
-// error, a permanent StatusError, or blocking until the dispatch context is
-// cancelled (a wedged server, from the cluster's point of view).
+// fakeService is the probe and statistics half of a fake Node: always
+// healthy, with nothing to report.
+type fakeService struct{}
+
+func (fakeService) Health(context.Context) error { return nil }
+
+func (fakeService) Stats(context.Context) (wire.ServiceStats, error) {
+	return wire.ServiceStats{}, nil
+}
+
+// fakeNode is an in-process Node that answers a run job by job, with
+// scriptable failure modes: a transport error, a permanent StatusError, or
+// blocking until the dispatch context is cancelled (a wedged server, from
+// the cluster's point of view).
 type fakeNode struct {
+	fakeService
 	mu    sync.Mutex
 	calls int
 	fail  error
@@ -42,7 +55,22 @@ func (f *fakeNode) callCount() int {
 	return f.calls
 }
 
-func (f *fakeNode) Do(ctx context.Context, j driver.Job) (driver.Outcome, error) {
+// Stream hands the run over one job at a time, in order, stopping at the
+// first transport error.
+func (f *fakeNode) Stream(ctx context.Context, jobs []driver.Job, deliver func(int, driver.Outcome) bool) error {
+	for k, j := range jobs {
+		out, err := f.do(ctx, j)
+		if err != nil {
+			return err
+		}
+		if !deliver(k, out) {
+			return nil
+		}
+	}
+	return nil
+}
+
+func (f *fakeNode) do(ctx context.Context, j driver.Job) (driver.Outcome, error) {
 	f.mu.Lock()
 	f.calls++
 	fail, block := f.fail, f.block
@@ -77,6 +105,48 @@ func (f *fakeHealthNode) Health(context.Context) error {
 		return errors.New("probe: node down")
 	}
 	return nil
+}
+
+// fakeStatsNode answers /stats with a scripted reply.
+type fakeStatsNode struct {
+	fakeNode
+	st  wire.ServiceStats
+	err error
+}
+
+func (f *fakeStatsNode) Stats(context.Context) (wire.ServiceStats, error) { return f.st, f.err }
+
+// TestFleetStatsRollsUpEveryNode: every member's Stats is read, a reply
+// lands in its NodeStats and the fleet sums, and a failed read is recorded
+// against its node without touching the sums.
+func TestFleetStatsRollsUpEveryNode(t *testing.T) {
+	var answering, failing fakeStatsNode
+	answering.st.Queued, answering.st.JobsCompiled = 2, 40
+	answering.st.Cache.SemanticHits, answering.st.Cache.SemanticStoreHits = 3, 1
+	failing.err = errors.New("fake: stats unreachable")
+	c, err := New(Config{Members: []Member{
+		{Name: fleetName(0), Node: &answering},
+		{Name: fleetName(1), Node: &failing},
+		{Name: fleetName(2), Node: &fakeNode{}},
+	}, Hedge: -1, HealthInterval: -1})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer c.Close()
+	fs := c.FleetStats(context.Background())
+	if fs.Queued != 2 || fs.JobsCompiled != 40 || fs.SemanticHits != 3 || fs.SemanticStoreHits != 1 {
+		t.Errorf("fleet sums = queued %d, compiled %d, semantic %d/%d; want 2, 40, 3/1",
+			fs.Queued, fs.JobsCompiled, fs.SemanticHits, fs.SemanticStoreHits)
+	}
+	if n := fs.Nodes[0]; n.Service == nil || n.Service.JobsCompiled != 40 || n.ServiceError != "" {
+		t.Errorf("answering node: service %+v, error %q", n.Service, n.ServiceError)
+	}
+	if n := fs.Nodes[1]; n.Service != nil || n.ServiceError != failing.err.Error() {
+		t.Errorf("failing node: service %+v, error %q; want nil and %q", n.Service, n.ServiceError, failing.err)
+	}
+	if n := fs.Nodes[2]; n.Service == nil || n.ServiceError != "" {
+		t.Errorf("idle node: service %+v, error %q; want its zero stats", n.Service, n.ServiceError)
+	}
 }
 
 // newFakeFleet builds a probe-less, hedge-less cluster over n fakes.
@@ -454,10 +524,11 @@ const (
 	frameUnproven             // this outcome fails its proof: not delivered, the exchange ends in error
 )
 
-// fakeStreamNode is an in-process Streamer, scriptable per exchange and per
-// frame. Outcomes carry the node's id as their II, so a test can tell who
-// answered a job.
+// fakeStreamNode is an in-process Node that takes each run as one exchange,
+// scriptable per exchange and per frame. Outcomes carry the node's id as
+// their II, so a test can tell who answered a job.
 type fakeStreamNode struct {
+	fakeService
 	id int
 
 	mu        sync.Mutex
@@ -472,14 +543,6 @@ var (
 	errFakeCut      = errors.New("fake: stream cut mid-batch")
 	errFakeUnproven = errors.New("fake: outcome fails its proof")
 )
-
-func (f *fakeStreamNode) Do(ctx context.Context, j driver.Job) (out driver.Outcome, err error) {
-	err = f.Stream(ctx, []driver.Job{j}, func(_ int, o driver.Outcome) bool {
-		out = o
-		return true
-	})
-	return out, err
-}
 
 func (f *fakeStreamNode) Stream(ctx context.Context, jobs []driver.Job, deliver func(int, driver.Outcome) bool) (err error) {
 	f.mu.Lock()

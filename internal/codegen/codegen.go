@@ -202,8 +202,7 @@ func Expand(s *sched.Schedule) (*Program, error) {
 		p.RegsUsed[v.cluster] += qOf[v]
 	}
 	p.FitsRegisterFile = true
-	for c, used := range p.RegsUsed {
-		_ = c
+	for _, used := range p.RegsUsed {
 		if used > ig.M.Regs {
 			p.FitsRegisterFile = false
 		}

@@ -39,13 +39,7 @@ func Simulate(p *Program, iters int) (*vliwsim.Trace, error) {
 	// Pending register writes: committed when the producing latency has
 	// elapsed, so late consumers of the previous rotation still read the
 	// old value exactly as the hardware would.
-	type write struct {
-		at  int
-		reg Reg
-		val uint64
-		seq int
-	}
-	var pending []write
+	var pending []timedWrite
 	seq := 0
 	commit := func(now int) {
 		sort.SliceStable(pending, func(i, j int) bool {
@@ -91,7 +85,7 @@ func Simulate(p *Program, iters int) (*vliwsim.Trace, error) {
 					val = vliwsim.NodeValue(g, in.Orig, iter, operands)
 				}
 				for _, d := range op.Dest {
-					pending = append(pending, write{at: cycle + lat, reg: d, val: val, seq: seq})
+					pending = append(pending, timedWrite{at: cycle + lat, reg: d, val: val, seq: seq})
 					seq++
 				}
 			}
@@ -106,15 +100,14 @@ func Simulate(p *Program, iters int) (*vliwsim.Trace, error) {
 	// register can carry several distinct pre-loop versions at different
 	// prolog cycles, so the writes must be timed, not just preloaded.
 	for _, w := range p.initialWrites() {
-		pending = append(pending, write{at: w.at, reg: w.reg, val: w.val, seq: seq - 1000000 + w.seq})
+		w.seq += seq - 1000000
+		pending = append(pending, w)
 	}
 
-	cycle := 0
 	for _, b := range p.Prolog {
 		if err := execBundle(b, b.Cycle, func(op Op) int { return op.iter }); err != nil {
 			return nil, err
 		}
-		cycle = b.Cycle
 	}
 	steady := (p.SC - 1) * p.II
 	reps := (iters - (p.SC - 1)) / p.MVE
@@ -125,7 +118,6 @@ func Simulate(p *Program, iters int) (*vliwsim.Trace, error) {
 			if err := execBundle(b, t, func(op Op) int { return base + op.iter }); err != nil {
 				return nil, err
 			}
-			cycle = t
 		}
 	}
 	epilogStart := steady + reps*p.MVE*p.II
@@ -134,7 +126,6 @@ func Simulate(p *Program, iters int) (*vliwsim.Trace, error) {
 			return nil, err
 		}
 	}
-	_ = cycle
 
 	sort.Slice(tr.Stores, func(i, j int) bool {
 		a, b := tr.Stores[i], tr.Stores[j]
@@ -161,8 +152,9 @@ func (p *Program) VerifyAgainstReference(iters int) error {
 	return nil
 }
 
-// timedWrite is one preheader/prolog initialization: register reg must
-// hold val when cycle at begins.
+// timedWrite is a register write that lands when cycle at begins: a
+// pending result in Simulate, or a preheader/prolog initialization (register
+// reg must hold val by then). seq orders writes that land on the same cycle.
 type timedWrite struct {
 	at  int
 	reg Reg

@@ -2,7 +2,6 @@ package experiments
 
 import (
 	"fmt"
-	"strings"
 
 	"clusched/internal/ddg"
 	"clusched/internal/machine"
@@ -89,12 +88,8 @@ func DesignAblation(cfg string, perBench int) DesignAblationRow {
 	return row
 }
 
-// DesignAblationReport renders both design ablations as text.
-func DesignAblationReport() string {
-	var sb strings.Builder
-	sb.WriteString("Design ablations: slack-weighted partition edges and SMS ordering\n")
-	sb.WriteString("(internal choices of the base framework the paper builds on: [1] weights\n")
-	sb.WriteString("edges by bus-latency impact; [18] orders nodes swing-style)\n\n")
+// designTable runs both design ablations and renders them as a table.
+func designTable() string {
 	t := NewTable("config", "comms slack/uniform", "inducedII slack/uniform", "achieved II sms/topo", "loops")
 	for _, cfg := range []string{"4c1b2l64r", "2c1b2l64r"} {
 		r := DesignAblation(cfg, 4)
@@ -104,8 +99,7 @@ func DesignAblationReport() string {
 			fmtPair(r.SMSII, r.TopoII),
 			r.Loops)
 	}
-	sb.WriteString(t.String())
-	return sb.String()
+	return t.String()
 }
 
 func fmtPair(a, b float64) string {

@@ -6,6 +6,7 @@ import (
 
 	"clusched/internal/ddg"
 	"clusched/internal/machine"
+	"clusched/internal/pipeline"
 	"clusched/internal/workload"
 )
 
@@ -13,9 +14,18 @@ import (
 // (who wins, roughly by how much, where the crossovers are), not absolute
 // numbers: the workload substrate is synthetic (see DESIGN.md).
 
+// variants names the two suite variants most tests compare.
+var variants = []struct {
+	name string
+	opts pipeline.Options
+}{
+	{"baseline", pipeline.Options{}},
+	{"replication", pipeline.Options{Replicate: true}},
+}
+
 func TestSuiteCompilesCompletely(t *testing.T) {
-	for _, mode := range []Mode{Baseline, Replication} {
-		sr := RunSuite(machine.MustParse("4c1b2l64r"), mode)
+	for _, v := range variants {
+		mode, sr := v.name, RunSuite(machine.MustParse("4c1b2l64r"), v.opts)
 		if len(sr.Failed) != 0 {
 			t.Fatalf("%v: %d loops failed: %v", mode, len(sr.Failed), sr.Failed[:min(3, len(sr.Failed))])
 		}
@@ -30,8 +40,8 @@ func TestSuiteCompilesCompletely(t *testing.T) {
 }
 
 func TestReplicationNeverHurtsSuiteWide(t *testing.T) {
-	base := RunSuite(machine.MustParse("4c1b2l64r"), Baseline)
-	repl := RunSuite(machine.MustParse("4c1b2l64r"), Replication)
+	base := RunSuite(machine.MustParse("4c1b2l64r"), pipeline.Options{})
+	repl := RunSuite(machine.MustParse("4c1b2l64r"), pipeline.Options{Replicate: true})
 	for _, b := range workload.Benchmarks() {
 		bl, rl := base.ByBench[b], repl.ByBench[b]
 		for i := range bl {
@@ -200,13 +210,11 @@ func TestMacroAblationShape(t *testing.T) {
 }
 
 func TestReportsRender(t *testing.T) {
-	for name, f := range map[string]func() string{
-		"table1": Table1,
-		"fig1":   Fig1Report,
-		"fig8":   Fig8Report,
-		"fig9":   Fig9Report,
-	} {
-		out := f()
+	for _, name := range []string{"table1", "1", "8", "9"} {
+		_, out, err := CollectFigures(name)
+		if err != nil {
+			t.Fatal(err)
+		}
 		if len(out) < 50 || !strings.Contains(out, "-") {
 			t.Errorf("%s report suspiciously short:\n%s", name, out)
 		}

@@ -1,11 +1,8 @@
 package experiments
 
 import (
-	"strings"
-
 	"clusched/internal/machine"
 	"clusched/internal/pipeline"
-	"clusched/internal/workload"
 )
 
 // Fig1Row is one stacked bar of the paper's Fig. 1: the share of II
@@ -25,7 +22,7 @@ type Fig1Row struct {
 func Fig1() []Fig1Row {
 	var rows []Fig1Row
 	for _, m := range machine.Fig1Configs() {
-		sr := RunSuite(m, Baseline)
+		sr := RunSuite(m, pipeline.Options{})
 		var counts [pipeline.NumCauses]int
 		above := 0
 		for _, lrs := range sr.ByBench {
@@ -48,18 +45,4 @@ func Fig1() []Fig1Row {
 		rows = append(rows, row)
 	}
 	return rows
-}
-
-// Fig1Report renders the experiment as text.
-func Fig1Report() string {
-	var sb strings.Builder
-	sb.WriteString("Figure 1: causes for increasing the II beyond the MII (baseline scheduler,\n")
-	sb.WriteString("678 SPECfp95 loops; paper: bus 70-90%, recurrences 2-4%, registers the rest)\n\n")
-	t := NewTable("config", "bus %", "recurrences %", "registers %", "II increases", "loops > MII")
-	for _, r := range Fig1() {
-		t.AddRow(r.Config, r.BusPct, r.RecPct, r.RegPct, r.Increases, r.LoopsAboveMII)
-	}
-	sb.WriteString(t.String())
-	_ = workload.TotalLoops
-	return sb.String()
 }

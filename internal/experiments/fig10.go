@@ -1,10 +1,9 @@
 package experiments
 
 import (
-	"strings"
-
 	"clusched/internal/ddg"
 	"clusched/internal/machine"
+	"clusched/internal/pipeline"
 	"clusched/internal/workload"
 )
 
@@ -27,7 +26,7 @@ type Fig10Row struct {
 func Fig10() []Fig10Row {
 	var rows []Fig10Row
 	for _, m := range machine.PaperConfigs() {
-		repl := RunSuite(m, Replication)
+		repl := RunSuite(m, pipeline.Options{Replicate: true})
 		var added [ddg.NumClasses]float64
 		var useful float64
 		// Deterministic bench order: float summation order must not depend
@@ -51,17 +50,4 @@ func Fig10() []Fig10Row {
 		rows = append(rows, row)
 	}
 	return rows
-}
-
-// Fig10Report renders the experiment as text.
-func Fig10Report() string {
-	var sb strings.Builder
-	sb.WriteString("Figure 10: percentage of instructions added due to replication\n")
-	sb.WriteString("(paper: below 5% for most configurations, integer ops dominate)\n\n")
-	t := NewTable("config", "mem %", "int %", "fp %", "total %")
-	for _, r := range Fig10() {
-		t.AddRow(r.Config, r.Pct[ddg.ClassMem], r.Pct[ddg.ClassInt], r.Pct[ddg.ClassFP], r.TotalPct)
-	}
-	sb.WriteString(t.String())
-	return sb.String()
 }

@@ -1,9 +1,8 @@
 package experiments
 
 import (
-	"strings"
-
 	"clusched/internal/machine"
+	"clusched/internal/pipeline"
 )
 
 // Fig12Row is one pair of bars of the paper's Fig. 12: the harmonic-mean
@@ -31,24 +30,10 @@ func (r Fig12Row) PotentialPct() float64 {
 func Fig12() []Fig12Row {
 	var rows []Fig12Row
 	for _, m := range machine.PaperConfigs() {
-		_, h := IPCByBench(RunSuite(m, Replication))
-		_, hz := IPCByBench(RunSuite(m, ReplicationZeroLat))
-		_, hl := IPCByBench(RunSuite(m, ReplicationLength))
+		_, h := IPCByBench(RunSuite(m, pipeline.Options{Replicate: true}))
+		_, hz := IPCByBench(RunSuite(m, pipeline.Options{Replicate: true, ZeroBusLatency: true}))
+		_, hl := IPCByBench(RunSuite(m, pipeline.Options{Replicate: true, LengthReplicate: true}))
 		rows = append(rows, Fig12Row{Config: m.Name, Replication: h, ZeroLat: hz, Length: hl})
 	}
 	return rows
-}
-
-// Fig12Report renders the experiment as text.
-func Fig12Report() string {
-	var sb strings.Builder
-	sb.WriteString("Figure 12: potential benefit of replicating to reduce the schedule length\n")
-	sb.WriteString("(paper: the zero-bus-latency upper bound is ~1% above replication on 4-cluster\n")
-	sb.WriteString("configurations and near zero on 2-cluster ones)\n\n")
-	t := NewTable("config", "replication HMEAN", "latency-0 HMEAN", "potential %", "§5.1 length ext HMEAN")
-	for _, r := range Fig12() {
-		t.AddRow(r.Config, r.Replication, r.ZeroLat, r.PotentialPct(), r.Length)
-	}
-	sb.WriteString(t.String())
-	return sb.String()
 }

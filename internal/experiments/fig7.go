@@ -1,10 +1,8 @@
 package experiments
 
 import (
-	"fmt"
-	"strings"
-
 	"clusched/internal/machine"
+	"clusched/internal/pipeline"
 	"clusched/internal/workload"
 )
 
@@ -41,8 +39,8 @@ func (f *Fig7Config) AvgSpeedup() float64 {
 func Fig7() []Fig7Config {
 	var out []Fig7Config
 	for _, m := range machine.PaperConfigs() {
-		base := RunSuite(m, Baseline)
-		repl := RunSuite(m, Replication)
+		base := RunSuite(m, pipeline.Options{})
+		repl := RunSuite(m, pipeline.Options{Replicate: true})
 		bi, bh := IPCByBench(base)
 		ri, rh := IPCByBench(repl)
 		out = append(out, Fig7Config{
@@ -50,23 +48,4 @@ func Fig7() []Fig7Config {
 		})
 	}
 	return out
-}
-
-// Fig7Report renders the experiment as text.
-func Fig7Report() string {
-	var sb strings.Builder
-	sb.WriteString("Figure 7: IPC, baseline vs replication, per configuration and program\n")
-	sb.WriteString("(paper: replication helps everywhere; su2cor/tomcatv/swim largest, mgrid/applu small;\n")
-	sb.WriteString(" average speedup on 4c2b4l64r is 25%)\n\n")
-	for _, f := range Fig7() {
-		fmt.Fprintf(&sb, "-- %s (avg speedup %.1f%%)\n", f.Config, f.AvgSpeedup())
-		t := NewTable("program", "baseline IPC", "replication IPC", "speedup %")
-		for _, b := range workload.Benchmarks() {
-			t.AddRow(b, f.Baseline[b], f.Replication[b], f.Speedup(b))
-		}
-		t.AddRow("HMEAN", f.HBase, f.HRepl, 100*(f.HRepl/f.HBase-1))
-		sb.WriteString(t.String())
-		sb.WriteByte('\n')
-	}
-	return sb.String()
 }

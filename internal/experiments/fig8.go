@@ -1,9 +1,8 @@
 package experiments
 
 import (
-	"strings"
-
 	"clusched/internal/machine"
+	"clusched/internal/pipeline"
 )
 
 // Fig8Row is one bar of the paper's Fig. 8: mgrid IPC on the unified
@@ -27,8 +26,8 @@ func Fig8() []Fig8Row {
 	}
 	var rows []Fig8Row
 	for _, m := range configs {
-		base := RunSuite(m, Baseline)
-		repl := RunSuite(m, Replication)
+		base := RunSuite(m, pipeline.Options{})
+		repl := RunSuite(m, pipeline.Options{Replicate: true})
 		rows = append(rows, Fig8Row{
 			Config:      m.Name,
 			Baseline:    BenchIPC(base.ByBench["mgrid"]),
@@ -36,17 +35,4 @@ func Fig8() []Fig8Row {
 		})
 	}
 	return rows
-}
-
-// Fig8Report renders the experiment as text.
-func Fig8Report() string {
-	var sb strings.Builder
-	sb.WriteString("Figure 8: IPC for mgrid (paper: clustered IPC is close to the unified\n")
-	sb.WriteString("upper bound even without replication, so the replication benefit is minimal)\n\n")
-	t := NewTable("config", "baseline IPC", "replication IPC")
-	for _, r := range Fig8() {
-		t.AddRow(r.Config, r.Baseline, r.Replication)
-	}
-	sb.WriteString(t.String())
-	return sb.String()
 }

@@ -1,9 +1,8 @@
 package experiments
 
 import (
-	"strings"
-
 	"clusched/internal/machine"
+	"clusched/internal/pipeline"
 )
 
 // Fig9Row is one bar of the paper's Fig. 9: the relative II reduction that
@@ -22,8 +21,8 @@ type Fig9Row struct {
 func Fig9() []Fig9Row {
 	var rows []Fig9Row
 	for _, m := range machine.Fig1Configs() {
-		base := RunSuite(m, Baseline)
-		repl := RunSuite(m, Replication)
+		base := RunSuite(m, pipeline.Options{})
+		repl := RunSuite(m, pipeline.Options{Replicate: true})
 		bLoops := base.ByBench["applu"]
 		rLoops := repl.ByBench["applu"]
 		var reds []float64
@@ -41,17 +40,4 @@ func Fig9() []Fig9Row {
 		})
 	}
 	return rows
-}
-
-// Fig9Report renders the experiment as text.
-func Fig9Report() string {
-	var sb strings.Builder
-	sb.WriteString("Figure 9: reduction of the II for applu (paper: replication cuts the II by\n")
-	sb.WriteString("10-20%, but the IPC gain stays small because applu's trip counts are ~4)\n\n")
-	t := NewTable("config", "II reduction %", "IPC gain %")
-	for _, r := range Fig9() {
-		t.AddRow(r.Config, r.IIReductionPct, r.IPCGainPct)
-	}
-	sb.WriteString(t.String())
-	return sb.String()
 }

@@ -2,18 +2,22 @@ package experiments
 
 import (
 	"bytes"
+	"context"
 	"encoding/json"
 	"flag"
+	"iter"
 	"os"
+	"strings"
 	"testing"
 
 	"clusched/internal/driver"
+	"clusched/internal/pipeline"
 )
 
 var update = flag.Bool("update", false, "rewrite testdata/figures.golden.json from this run")
 
 // TestFigureSectionsGolden pins every number the full report is rendered
-// from: the eight figure sections of `paperbench -json`, byte for byte. A
+// from: the nine figure sections of `paperbench -json`, byte for byte. A
 // PR that means to leave the evaluation alone proves it by leaving this
 // file alone; one that means to move a figure reruns with -update and
 // shows the diff. It runs on a one-worker engine so that two isomorphic
@@ -26,7 +30,13 @@ func TestFigureSectionsGolden(t *testing.T) {
 	defer func() { engine = shared }()
 	UseBackend(driver.New(driver.Config{Workers: 1}))
 
-	got, err := json.MarshalIndent(CollectFigures(""), "", "  ")
+	var s FigureSections
+	for _, e := range evaluation {
+		if e.collect != nil {
+			e.collect(&s)
+		}
+	}
+	got, err := json.MarshalIndent(s, "", "  ")
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -51,4 +61,61 @@ func TestFigureSectionsGolden(t *testing.T) {
 		}
 	}
 	t.Fatalf("figure sections differ from %s in length: %d lines, want %d", path, len(gl), len(wl))
+}
+
+// noEngine fails every compilation: a test that must compile nothing runs
+// on it.
+type noEngine struct{ t *testing.T }
+
+func (e noEngine) Compile(context.Context, driver.Job) (*pipeline.Result, error) {
+	e.t.Fatal("compiled a loop")
+	return nil, nil
+}
+
+func (e noEngine) Stream(context.Context, []driver.Job) iter.Seq2[int, driver.Outcome] {
+	e.t.Fatal("compiled a batch")
+	return nil
+}
+
+// TestReportGolden renders every experiment that has a typed section, plus
+// Table 1, from the pinned sections of testdata/figures.golden.json with
+// the table's own renderers, and compares each block with its block of
+// testdata/report.golden.txt, the full `paperbench -o` report (regenerate
+// it with `go run ./cmd/paperbench -o` when a figure moves). It compiles
+// nothing; the two experiments without a section (unroll, design) compute
+// as they render and are left to the paperbench test.
+func TestReportGolden(t *testing.T) {
+	shared := engine
+	defer func() { engine = shared }()
+	UseBackend(noEngine{t})
+
+	blob, err := os.ReadFile("testdata/figures.golden.json")
+	if err != nil {
+		t.Fatal(err)
+	}
+	var s FigureSections
+	if err := json.Unmarshal(blob, &s); err != nil {
+		t.Fatal(err)
+	}
+	report, err := os.ReadFile("testdata/report.golden.txt")
+	if err != nil {
+		t.Fatal(err)
+	}
+	blocks := strings.Split(strings.TrimSuffix(string(report), "\n"), blockSeparator)
+	if len(blocks) != len(evaluation) {
+		t.Fatalf("report golden has %d blocks, the table %d rows", len(blocks), len(evaluation))
+	}
+	rendered := 0
+	for i, e := range evaluation {
+		if e.collect == nil && e.name != "table1" {
+			continue
+		}
+		rendered++
+		if got := e.heading + e.render(&s); got != blocks[i] {
+			t.Errorf("-fig %s: block differs from the report golden:\n got:\n%s\nwant:\n%s", e.name, got, blocks[i])
+		}
+	}
+	if rendered != 10 {
+		t.Errorf("rendered %d blocks, want 10 (Table 1 and the nine sections)", rendered)
+	}
 }

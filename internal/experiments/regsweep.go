@@ -1,9 +1,8 @@
 package experiments
 
 import (
-	"strings"
-
 	"clusched/internal/machine"
+	"clusched/internal/pipeline"
 )
 
 // RegSweepRow reports the replication speedup for one register budget. The
@@ -24,8 +23,8 @@ func RegSweep() []RegSweepRow {
 		"4c1b2l32r", "4c1b2l64r", "4c1b2l128r",
 	} {
 		m := machine.MustParse(cfg)
-		_, hb := IPCByBench(RunSuite(m, Baseline))
-		_, hr := IPCByBench(RunSuite(m, Replication))
+		_, hb := IPCByBench(RunSuite(m, pipeline.Options{}))
+		_, hr := IPCByBench(RunSuite(m, pipeline.Options{Replicate: true}))
 		sp := 0.0
 		if hb > 0 {
 			sp = 100 * (hr/hb - 1)
@@ -33,16 +32,4 @@ func RegSweep() []RegSweepRow {
 		rows = append(rows, RegSweepRow{Config: cfg, HBase: hb, HRepl: hr, SpeedupPct: sp})
 	}
 	return rows
-}
-
-// RegSweepReport renders the study as text.
-func RegSweepReport() string {
-	var sb strings.Builder
-	sb.WriteString("§4 register sweep: 32/64/128 registers (paper: similar results across budgets)\n\n")
-	t := NewTable("config", "baseline HMEAN", "replication HMEAN", "speedup %")
-	for _, r := range RegSweep() {
-		t.AddRow(r.Config, r.HBase, r.HRepl, r.SpeedupPct)
-	}
-	sb.WriteString(t.String())
-	return sb.String()
 }

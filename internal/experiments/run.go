@@ -3,9 +3,11 @@
 // of Fig. 1, the configuration table (Table 1), the IPC comparisons of
 // Fig. 7/8, the II reductions of Fig. 9, the added-instruction counts of
 // Fig. 10, the schedule-length upper bound of Fig. 12, and the §4/§5.2
-// statistics. Each experiment returns a typed result and renders a report
-// table; cmd/paperbench and the root benchmarks drive them. Nothing here
-// times the compiler: that is `go run ./bench`.
+// statistics. Each experiment is one row of the evaluation table
+// (sections.go): a function that computes its typed rows once and a
+// renderer of those rows; cmd/paperbench reads the table and the root
+// benchmarks call the experiments. Nothing here times the compiler: that
+// is `go run ./bench`.
 package experiments
 
 import (
@@ -19,57 +21,6 @@ import (
 	"clusched/internal/workload"
 )
 
-// Mode selects a pipeline variant for a suite run.
-type Mode int
-
-const (
-	// Baseline is the state-of-the-art scheduler without replication.
-	Baseline Mode = iota
-	// Replication is the paper's technique (§3).
-	Replication
-	// ReplicationZeroLat is replication with the Fig. 12 zero-bus-latency
-	// upper bound.
-	ReplicationZeroLat
-	// ReplicationLength adds the §5.1 schedule-length extension.
-	ReplicationLength
-	// ReplicationMacro swaps in the §5.2 macro-node heuristic.
-	ReplicationMacro
-)
-
-// String names the mode.
-func (m Mode) String() string {
-	switch m {
-	case Baseline:
-		return "baseline"
-	case Replication:
-		return "replication"
-	case ReplicationZeroLat:
-		return "replication+lat0"
-	case ReplicationLength:
-		return "replication+length"
-	case ReplicationMacro:
-		return "replication-macro"
-	}
-	return fmt.Sprintf("Mode(%d)", int(m))
-}
-
-// options maps a mode to pipeline options.
-func (m Mode) options() pipeline.Options {
-	switch m {
-	case Baseline:
-		return pipeline.Options{}
-	case Replication:
-		return pipeline.Options{Replicate: true}
-	case ReplicationZeroLat:
-		return pipeline.Options{Replicate: true, ZeroBusLatency: true}
-	case ReplicationLength:
-		return pipeline.Options{Replicate: true, LengthReplicate: true}
-	case ReplicationMacro:
-		return pipeline.Options{Replicate: true, UseMacroReplication: true}
-	}
-	return pipeline.Options{}
-}
-
 // LoopResult pairs one workload loop with its compilation result.
 type LoopResult struct {
 	Loop   *workload.Loop
@@ -82,10 +33,10 @@ func (lr *LoopResult) Cycles() float64 {
 	return lr.Result.Schedule.CyclesFor(lr.Loop.AvgIters) * float64(lr.Loop.Visits)
 }
 
-// SuiteResult is a full-suite compilation under one config and mode.
+// SuiteResult is a full-suite compilation under one config and one set of
+// pipeline options.
 type SuiteResult struct {
 	Config  machine.Config
-	Mode    Mode
 	ByBench map[string][]*LoopResult
 	// Failed lists loops that did not schedule (should stay empty).
 	Failed []string
@@ -101,10 +52,9 @@ type Engine interface {
 }
 
 // engine is the shared backend behind every suite run. For a local
-// engine, its per-loop LRU cache replaces the per-suite memo map this
-// package used to keep: experiments that share a (config, mode) pair still
-// compile each loop exactly once, and the engine's bounded worker pool
-// replaces the hand-rolled goroutine fan-out.
+// engine, its per-loop LRU cache means experiments that share a (config,
+// options) pair compile each loop exactly once, and its bounded worker pool
+// runs the suite in parallel.
 var engine Engine = driver.New(driver.Config{})
 
 // UseBackend points every suite run at b: a local engine built with the
@@ -124,17 +74,12 @@ func compileAll(jobs []driver.Job) []driver.Outcome {
 	return outcomes
 }
 
-// RunSuite compiles the whole 678-loop suite for one config and mode on
-// the shared engine: in parallel, with per-loop memoization.
-func RunSuite(m machine.Config, mode Mode) *SuiteResult {
-	sr := runSuite(m, mode.options())
-	sr.Mode = mode
-	return sr
-}
-
-// runSuite is RunSuite under explicit pipeline options, which is how the
-// strategy comparison names its variants.
-func runSuite(m machine.Config, opts pipeline.Options) *SuiteResult {
+// RunSuite compiles the whole 678-loop suite for one config under opts on
+// the shared engine: in parallel, with per-loop memoization. The options
+// name the variant: the baseline scheduler (zero Options), the paper's
+// replication (§3), its Fig. 12 zero-bus-latency bound, the §5.1 length
+// and §5.2 macro-node extensions, or a §6 rival strategy.
+func RunSuite(m machine.Config, opts pipeline.Options) *SuiteResult {
 	loops := workload.SPECfp95()
 	jobs := make([]driver.Job, len(loops))
 	for i, l := range loops {

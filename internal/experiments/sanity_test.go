@@ -13,13 +13,14 @@ func TestSuiteResultsDeterministic(t *testing.T) {
 	// depend on goroutine interleaving). The global cache is left intact so
 	// sibling tests keep sharing it.
 	m := machine.MustParse("4c2b2l64r")
-	sr := RunSuite(m, Replication)
+	repl := pipeline.Options{Replicate: true}
+	sr := RunSuite(m, repl)
 	for _, bench := range []string{"tomcatv", "applu", "fpppp"} {
 		for i, lr := range sr.ByBench[bench] {
 			if i >= 4 {
 				break
 			}
-			fresh, err := pipeline.Compile(lr.Loop.Graph, m, Replication.options())
+			fresh, err := pipeline.Compile(lr.Loop.Graph, m, repl)
 			if err != nil {
 				t.Fatal(err)
 			}
@@ -35,8 +36,8 @@ func TestIPCNeverExceedsIssueWidth(t *testing.T) {
 	// The model counts useful instructions over modeled cycles; no
 	// benchmark can beat the 12-wide issue limit, and none should be
 	// implausibly slow either.
-	for _, mode := range []Mode{Baseline, Replication} {
-		sr := RunSuite(machine.MustParse("4c2b2l64r"), mode)
+	for _, v := range variants {
+		mode, sr := v.name, RunSuite(machine.MustParse("4c2b2l64r"), v.opts)
 		ipcs, h := IPCByBench(sr)
 		for bench, ipc := range ipcs {
 			if ipc > 12 {
@@ -56,19 +57,11 @@ func TestUnifiedUpperBoundsEveryClusteredConfig(t *testing.T) {
 	// No clustered machine can beat the unified machine with the same total
 	// resources (shorter wires are modeled as equal cycle time; the paper
 	// notes clustering could clock faster, which would only shift scale).
-	_, unified := IPCByBench(RunSuite(machine.Unified(64), Baseline))
+	_, unified := IPCByBench(RunSuite(machine.Unified(64), pipeline.Options{}))
 	for _, m := range machine.PaperConfigs() {
-		_, h := IPCByBench(RunSuite(m, Replication))
+		_, h := IPCByBench(RunSuite(m, pipeline.Options{Replicate: true}))
 		if h > unified*1.001 {
 			t.Errorf("%s replication HMEAN %.2f beats unified %.2f", m.Name, h, unified)
-		}
-	}
-}
-
-func TestModeStrings(t *testing.T) {
-	for mode := Baseline; mode <= ReplicationMacro; mode++ {
-		if mode.String() == "" {
-			t.Errorf("mode %d renders empty", int(mode))
 		}
 	}
 }

@@ -1,10 +1,8 @@
 package experiments
 
 import (
-	"fmt"
-	"strings"
-
 	"clusched/internal/machine"
+	"clusched/internal/pipeline"
 	"clusched/internal/workload"
 )
 
@@ -29,7 +27,7 @@ type CommStatsRow struct {
 func CommStats() []CommStatsRow {
 	var rows []CommStatsRow
 	for _, m := range machine.PaperConfigs() {
-		sr := RunSuite(m, Replication)
+		sr := RunSuite(m, pipeline.Options{Replicate: true})
 		var before, after, replicated int
 		for _, lrs := range sr.ByBench {
 			for _, lr := range lrs {
@@ -52,20 +50,6 @@ func CommStats() []CommStatsRow {
 	return rows
 }
 
-// CommStatsReport renders the statistics as text.
-func CommStatsReport() string {
-	var sb strings.Builder
-	sb.WriteString("§4 statistics: communications removed by replication\n")
-	sb.WriteString("(paper: ~36% of communications removed on 4c1b2l64r, ~2.1 replicated\n")
-	sb.WriteString("instructions per removed communication)\n\n")
-	t := NewTable("config", "comms before", "comms after", "removed %", "instrs/removed comm")
-	for _, r := range CommStats() {
-		t.AddRow(r.Config, r.CommsBefore, r.CommsAfter, r.RemovedPct, r.InstrsPerComm)
-	}
-	sb.WriteString(t.String())
-	return sb.String()
-}
-
 // MacroRow compares the greedy per-communication heuristic (§3.3) against
 // the macro-node batch alternative (§5.2) on one configuration. The paper
 // found macro replication ineffective because it replicates too many
@@ -84,8 +68,8 @@ func MacroAblation() []MacroRow {
 	var rows []MacroRow
 	for _, name := range []string{"4c1b2l64r", "4c2b4l64r"} {
 		m := machine.MustParse(name)
-		greedy := RunSuite(m, Replication)
-		macro := RunSuite(m, ReplicationMacro)
+		greedy := RunSuite(m, pipeline.Options{Replicate: true})
+		macro := RunSuite(m, pipeline.Options{Replicate: true, UseMacroReplication: true})
 		_, gh := IPCByBench(greedy)
 		_, mh := IPCByBench(macro)
 		rows = append(rows, MacroRow{
@@ -116,45 +100,4 @@ func addedPct(sr *SuiteResult) float64 {
 		return 0
 	}
 	return 100 * added / useful
-}
-
-// MacroAblationReport renders the §5.2 comparison as text.
-func MacroAblationReport() string {
-	var sb strings.Builder
-	sb.WriteString("§5.2 ablation: greedy per-communication replication vs macro-node batches\n")
-	sb.WriteString("(paper: macro-node replication copies too many unnecessary instructions)\n\n")
-	t := NewTable("config", "greedy HMEAN", "macro HMEAN", "greedy added %", "macro added %")
-	for _, r := range MacroAblation() {
-		t.AddRow(r.Config, r.GreedyHMEAN, r.MacroHMEAN, r.GreedyAddedPct, r.MacroAddedPct)
-	}
-	sb.WriteString(t.String())
-	return sb.String()
-}
-
-// FullReport runs every experiment and concatenates the reports; this is
-// what cmd/paperbench prints and what EXPERIMENTS.md records.
-func FullReport() string {
-	sections := []string{
-		"Table 1: machine configurations\n\n" + Table1(),
-		Fig1Report(),
-		Fig7Report(),
-		Fig8Report(),
-		Fig9Report(),
-		Fig10Report(),
-		Fig12Report(),
-		CommStatsReport(),
-		MacroAblationReport(),
-		UnrollAblationReport(),
-		RegSweepReport(),
-		DesignAblationReport(),
-	}
-	var sb strings.Builder
-	for i, s := range sections {
-		if i > 0 {
-			sb.WriteString("\n" + strings.Repeat("=", 78) + "\n\n")
-		}
-		sb.WriteString(s)
-	}
-	fmt.Fprintf(&sb, "\n")
-	return sb.String()
 }

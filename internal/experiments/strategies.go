@@ -65,7 +65,7 @@ func StrategyComparison(names []string, m machine.Config) ([]StrategyBenchRow, e
 
 	suites := make([]*SuiteResult, len(names))
 	for i, name := range names {
-		suites[i] = runSuite(m, StrategyOptions(name))
+		suites[i] = RunSuite(m, StrategyOptions(name))
 	}
 	// A loop that did not schedule is missing from its bench's results.
 	failed := func(sr *SuiteResult, bench string) int {

@@ -3,7 +3,6 @@ package experiments
 import (
 	"context"
 	"fmt"
-	"strings"
 
 	"clusched/internal/ddg"
 	"clusched/internal/driver"
@@ -119,12 +118,8 @@ func UnrollAblation(cfg string, factor, perBench int) (UnrollRow, error) {
 	return row, nil
 }
 
-// UnrollAblationReport renders the §6 comparison as text.
-func UnrollAblationReport() string {
-	var sb strings.Builder
-	sb.WriteString("§6 ablation: loop unrolling vs instruction replication\n")
-	sb.WriteString("(the paper's related work: unrolling also removes communications and can\n")
-	sb.WriteString("perform well, but its code growth is prohibitive for DSP targets)\n\n")
+// unrollTable runs the §6 comparison and renders it as a table.
+func unrollTable() string {
 	t := NewTable("config", "factor", "baseline IPC", "replication IPC", "unroll IPC",
 		"repl code +%", "unroll code +%", "unroll reg overflow %")
 	for _, cfg := range []string{"4c1b2l64r", "4c2b4l64r"} {
@@ -138,8 +133,7 @@ func UnrollAblationReport() string {
 				row.ReplCodeGrowthPct, row.UnrollCodeGrowthPct, row.UnrollRegOverflowPct)
 		}
 	}
-	sb.WriteString(t.String())
-	return sb.String()
+	return t.String()
 }
 
 // Unroll implements loop unrolling for DDGs — the competing
