@@ -107,12 +107,12 @@ func (sc optionScope) String() string {
 // WithReplication, WithLengthReplication, WithZeroBusLatency,
 // WithMacroReplication, WithMaxII, WithIgnoreRegisterPressure,
 // WithVerification), local-engine construction (WithWorkers, WithCacheSize,
-// WithProgress, WithSpeculation, WithTrace), remote-client construction
-// (WithHTTPClient, WithTimeout — for NewRemote and NewCluster alike) and the
-// fleet (WithHedge, WithNodeInFlight, WithHealthInterval). Passing an option
-// to a constructor outside its group panics with the option's name and where
-// it belongs: NewLocal(WithReplication(true)) would otherwise silently
-// compile every job without replication, which is far worse than a loud
+// WithProgress, WithTrace), remote-client construction (WithHTTPClient,
+// WithTimeout — for NewRemote and NewCluster alike) and the fleet
+// (WithHedge, WithNodeInFlight, WithHealthInterval). Passing an option to a
+// constructor outside its group panics with the option's name and where it
+// belongs: NewLocal(WithReplication(true)) would otherwise silently compile
+// every job without replication, which is far worse than a loud
 // construction failure.
 type Option struct {
 	name  string
@@ -212,22 +212,21 @@ func WithProgress(fn Progress) Option {
 	return engineOption("WithProgress", func(s *settings) { s.engine.Progress = fn })
 }
 
-// WithSpeculation makes a local backend race up to k candidate initiation
-// intervals concurrently inside each compilation (the speculative multi-II
-// search), bounded globally so a busy worker pool is never oversubscribed.
-// It is an execution detail: results are bit-identical to the plain
-// search and cache identities do not change. k ≤ 1 disables it.
+// Deprecated: WithSpeculation does nothing. Every compilation runs the one
+// sequential II search; the speculative multi-II search this option once
+// configured is gone. It stays a local-engine option only because the
+// benchmark's speculation probe (bench/traced.go) still calls it; ROADMAP
+// item 1 deletes that probe and this option together.
 func WithSpeculation(k int) Option {
-	return engineOption("WithSpeculation", func(s *settings) { s.engine.Speculation = k })
+	return engineOption("WithSpeculation", func(*settings) {})
 }
 
 // WithTrace makes a local backend record every compilation into tr: job
-// spans per worker, cache lookups, passes, II attempts and speculative
-// lanes. Tracing is an observation detail — results and cache identities
-// are unchanged — and a nil tr keeps the engine on the allocation-free
-// untraced path. Export the recording with tr.WriteJSON (Chrome
-// trace-event format). Per-job traces can instead ride on
-// CompileJob.Trace, which takes precedence.
+// spans per worker, cache lookups, passes and II attempts. Tracing is an
+// observation detail — results and cache identities are unchanged — and a
+// nil tr keeps the engine on the allocation-free untraced path. Export
+// the recording with tr.WriteJSON (Chrome trace-event format). Per-job
+// traces can instead ride on CompileJob.Trace, which takes precedence.
 func WithTrace(tr *Trace) Option {
 	return engineOption("WithTrace", func(s *settings) { s.engine.Trace = tr })
 }
@@ -288,8 +287,8 @@ func NewOptions(opts ...Option) Options {
 
 // NewLocal builds the in-process Backend: the concurrent batch engine with
 // a bounded worker pool and a shared result cache. Engine-level options
-// (WithWorkers, WithCacheSize, WithProgress, WithSpeculation, WithTrace)
-// apply; job-level options ride on each CompileJob.
+// (WithWorkers, WithCacheSize, WithProgress, WithTrace) apply; job-level
+// options ride on each CompileJob.
 func NewLocal(opts ...Option) *Compiler {
 	return driver.New(applySettings("NewLocal", scopeEngine, opts).engine)
 }

@@ -65,13 +65,6 @@ func backendCases() []backendCase {
 		{name: "local", make: func(t *testing.T, cfg driver.Config) Backend {
 			return driver.New(cfg)
 		}},
-		{name: "local-spec", make: func(t *testing.T, cfg driver.Config) Backend {
-			// Speculation is an execution detail: the whole conformance
-			// contract must hold unchanged with lanes racing inside every
-			// compilation.
-			cfg.Speculation = 4
-			return driver.New(cfg)
-		}},
 		{name: "remote", make: func(t *testing.T, cfg driver.Config) Backend {
 			t.Helper()
 			s := service.New(service.Config{Workers: cfg.Workers, CacheSize: cfg.CacheSize, Store: cfg.Store})

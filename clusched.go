@@ -168,12 +168,11 @@ type BatchError = driver.BatchError
 type CacheStats = driver.CacheStats
 
 // Trace records a compilation's execution timeline — queue waits, cache
-// lookups, passes, II attempts, speculative lanes — as spans on named
-// tracks. Attach one to a local backend with WithTrace (or to a single
-// CompileJob via its Trace field) and export it with WriteJSON as Chrome
-// trace-event JSON, viewable in chrome://tracing or Perfetto. A nil *Trace
-// disables recording with zero overhead; Trace does not participate in
-// cache identity.
+// lookups, passes, II attempts — as spans on named tracks. Attach one to a
+// local backend with WithTrace (or to a single CompileJob via its Trace
+// field) and export it with WriteJSON as Chrome trace-event JSON, viewable
+// in chrome://tracing or Perfetto. A nil *Trace disables recording with
+// zero overhead; Trace does not participate in cache identity.
 type Trace = telemetry.Trace
 
 // NewTrace starts an empty trace; its epoch (time zero) is the call.

@@ -8,7 +8,6 @@
 //
 //	clusched-serve -addr :8357 -cache-dir /var/cache/clusched
 //	clusched-serve -workers 8 -queue 128 -timeout 5m
-//	clusched-serve -speculate 4        # race candidate IIs inside each compilation
 //	clusched-serve -pprof localhost:6060   # expose net/http/pprof
 //	clusched-serve -trace-jobs -slow-compile 250ms   # trace every batch, log slow ones
 //
@@ -70,7 +69,6 @@ func main() {
 	runners := flag.Int("runners", 1, "batches processed concurrently")
 	queue := flag.Int("queue", 64, "queued-ticket bound (admission control)")
 	cacheSize := flag.Int("cache-size", 0, "in-memory result-cache entries (default: engine default)")
-	speculate := flag.Int("speculate", 0, "race up to k candidate IIs per compilation (speculative multi-II search; 0/1 = off; results and cache keys are unchanged)")
 	timeout := flag.Duration("timeout", 0, "default per-ticket deadline (0 = none)")
 	drain := flag.Duration("drain-timeout", time.Minute, "graceful-shutdown bound")
 	pprofAddr := flag.String("pprof", "", "serve net/http/pprof on this address (e.g. localhost:6060; empty = off)")
@@ -106,7 +104,6 @@ func main() {
 		Runners:        *runners,
 		QueueDepth:     *queue,
 		CacheSize:      *cacheSize,
-		Speculation:    *speculate,
 		DefaultTimeout: *timeout,
 		Logger:         logger,
 		AccessLog:      !*quiet,

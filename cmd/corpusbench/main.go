@@ -3,9 +3,8 @@
 // on the cycle-accurate simulator: store-trace equality against the
 // reference execution, the completion-time model, and measured
 // steady-state cycles/iteration equal to the claimed II. The whole batch
-// runs through the driver at full concurrency, so the worker pool,
-// speculative II search and semantic cache are exercised under
-// validation.
+// runs through the driver at full concurrency, so the worker pool and
+// semantic cache are exercised under validation.
 //
 // The exit status is the contract: 0 only when every accepted schedule is
 // confirmed; any divergence prints a replayable record (corpus seed +
@@ -56,7 +55,6 @@ func run(args []string, stdout, stderr io.Writer) int {
 	pressureFlag := fs.Float64("pressure", -1, "register pressure in [0,1]")
 	iters := fs.Int("iters", 0, "simulated iterations per validation (0 = default)")
 	workers := fs.Int("j", 0, "driver workers (0 = GOMAXPROCS)")
-	speculate := fs.Int("speculate", 2, "speculative II lanes per compilation (<=1 disables)")
 	cloneEvery := fs.Int("clone-every", 16, "follow every k-th loop with an isomorphic clone to exercise the semantic cache (0 disables)")
 	jsonPath := fs.String("json", "", "also write the corpus section as JSON to this file")
 	progress := fs.Bool("progress", false, "print progress to stderr")
@@ -104,12 +102,11 @@ func run(args []string, stdout, stderr io.Writer) int {
 	}
 
 	cfg := experiments.CorpusConfig{
-		Spec:        spec,
-		Machine:     m,
-		Iters:       *iters,
-		Workers:     *workers,
-		Speculation: *speculate,
-		CloneEvery:  *cloneEvery,
+		Spec:       spec,
+		Machine:    m,
+		Iters:      *iters,
+		Workers:    *workers,
+		CloneEvery: *cloneEvery,
 	}
 	if *strategies != "" {
 		for _, s := range strings.Split(*strategies, ",") {

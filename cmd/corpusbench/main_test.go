@@ -36,10 +36,10 @@ func TestBadFlagValuesExit2(t *testing.T) {
 // exit 0, one row per requested strategy, 0 divergent on every row, and no
 // timing columns (bench/ owns those). Besides a corpus small enough for any
 // `go test`, it runs the bounded shootout on a fixed seed: every registered
-// strategy over a 1k-loop corpus at full batch concurrency (speculation and
-// semantic-cache clones on), on the 4-cluster 2-bus default, the 2- and
-// 4-cluster single-bus machines where communication binds hardest, and the
-// 4-bus 4-cycle one where bus latency does. A scheduler change that emits a
+// strategy over a 1k-loop corpus at full batch concurrency (semantic-cache
+// clones on), on the 4-cluster 2-bus default, the 2- and 4-cluster
+// single-bus machines where communication binds hardest, and the 4-bus
+// 4-cycle one where bus latency does. A scheduler change that emits a
 // plausible but unsound schedule fails here even if every unit test passes;
 // corpusbench prints a replayable record of each divergence.
 func TestSmallCorpusConfirms(t *testing.T) {
@@ -50,10 +50,10 @@ func TestSmallCorpusConfirms(t *testing.T) {
 		loops      string // 1 clone follows every 16th loop
 	}{
 		{[]string{"-n", "48", "-seed", "3", "-strategies", "paper,unified", "-config", "2c1b2l64r"}, []string{"paper", "unified"}, "51"},
-		{[]string{"-n", "1000", "-seed", "1", "-clone-every", "16", "-speculate", "2", "-config", "4c2b2l64r"}, all, "1063"},
-		{[]string{"-n", "1000", "-seed", "1", "-clone-every", "16", "-speculate", "2", "-config", "2c1b2l64r"}, all, "1063"},
-		{[]string{"-n", "1000", "-seed", "1", "-clone-every", "16", "-speculate", "2", "-config", "4c1b2l64r"}, all, "1063"},
-		{[]string{"-n", "1000", "-seed", "1", "-clone-every", "16", "-speculate", "2", "-config", "4c4b4l64r"}, all, "1063"},
+		{[]string{"-n", "1000", "-seed", "1", "-clone-every", "16", "-config", "4c2b2l64r"}, all, "1063"},
+		{[]string{"-n", "1000", "-seed", "1", "-clone-every", "16", "-config", "2c1b2l64r"}, all, "1063"},
+		{[]string{"-n", "1000", "-seed", "1", "-clone-every", "16", "-config", "4c1b2l64r"}, all, "1063"},
+		{[]string{"-n", "1000", "-seed", "1", "-clone-every", "16", "-config", "4c4b4l64r"}, all, "1063"},
 	} {
 		t.Run("n="+tc.args[1]+"/"+tc.args[len(tc.args)-1], func(t *testing.T) {
 			var stdout, stderr bytes.Buffer

@@ -8,7 +8,6 @@
 //	paperbench -fig 7       # run one experiment, print its block of the report
 //	paperbench -o report.txt
 //	paperbench -j 4 -progress   # 4 concurrent compilations, progress on stderr
-//	paperbench -speculate 4     # race candidate IIs inside each compilation
 //	paperbench -trace trace.json -fig 7   # record a Chrome trace of the run
 //	paperbench -json figs.json  # machine-readable per-figure numbers + engine stats
 //	paperbench -strategies paper,unified,uas,moddist   # head-to-head strategy comparison
@@ -40,10 +39,10 @@
 // listed.
 //
 // -trace records the whole run — every worker's job spans, cache lookups,
-// passes, II attempts and speculative lanes — into a Chrome trace-event
-// JSON file, viewable in chrome://tracing or https://ui.perfetto.dev. It
-// applies to local runs only; with -remote or -cluster, traces are
-// recorded server-side (submit with trace and fetch GET /jobs/{id}/trace).
+// passes and II attempts — into a Chrome trace-event JSON file, viewable
+// in chrome://tracing or https://ui.perfetto.dev. It applies to local runs
+// only; with -remote or -cluster, traces are recorded server-side (submit
+// with trace and fetch GET /jobs/{id}/trace).
 //
 // -json writes the typed per-figure rows (the very values the text report
 // is rendered from) and the engine's CacheStats as one JSON document. It
@@ -118,7 +117,6 @@ func run(args []string, stdout, stderr io.Writer) int {
 	jsonOut := fs.String("json", "", "also write machine-readable per-figure numbers and engine CacheStats to this file (\"-\" or bare flag: stdout, suppressing the text report)")
 	jobs := fs.Int("j", 0, "concurrent compilations (default: GOMAXPROCS)")
 	progress := fs.Bool("progress", false, "report per-suite compilation progress on stderr")
-	speculate := fs.Int("speculate", 0, "race up to k candidate IIs per compilation (speculative multi-II search; 0/1 = off)")
 	strategies := fs.String("strategies", "", "comma-separated scheduling strategies to compare head-to-head (e.g. paper,unified,uas,moddist)")
 	strategiesConfig := fs.String("strategies-config", "4c2b2l64r", "machine configuration for the -strategies comparison")
 	remote := fs.String("remote", "", "run every suite compilation on a clusched-serve instance at this base URL instead of in-process")
@@ -151,7 +149,6 @@ func run(args []string, stdout, stderr io.Writer) int {
 			{"-trace", *traceOut != "", "submit with trace and fetch GET /jobs/{id}/trace instead", "the servers record traces; see GET /jobs/{id}/trace"},
 			{"-j", *jobs != 0, "the server's workers apply", "the servers' workers apply"},
 			{"-progress", *progress, "compilation runs server-side", "compilation runs server-side"},
-			{"-speculate", *speculate > 1, "the server's own setting governs its compilations", "the servers' own setting governs their compilations"},
 		} {
 			switch {
 			case !f.set:
@@ -193,8 +190,8 @@ func run(args []string, stdout, stderr io.Writer) int {
 				}
 			}
 		}
-		engine = clusched.NewLocal(clusched.WithWorkers(*jobs), clusched.WithSpeculation(*speculate),
-			clusched.WithTrace(trace), clusched.WithProgress(progressFn))
+		engine = clusched.NewLocal(clusched.WithWorkers(*jobs), clusched.WithTrace(trace),
+			clusched.WithProgress(progressFn))
 		experiments.UseBackend(engine)
 	}
 

@@ -155,13 +155,13 @@ func TestFigPrintsItsBlockOfTheReport(t *testing.T) {
 
 // TestClusterRunIsNotALocalRun: with -cluster the engine lives on the
 // servers, so -trace must write no file, -progress no local cache line, and
-// -speculate is reported as ignored, as -remote reports it. The node is
+// both are reported as ignored, as -remote reports them. The node is
 // never contacted: Table 1 compiles nothing.
 func TestClusterRunIsNotALocalRun(t *testing.T) {
 	t.Cleanup(func() { experiments.UseBackend(clusched.NewLocal()) })
 	tracePath := filepath.Join(t.TempDir(), "trace.json")
 	var stdout, stderr bytes.Buffer
-	code := run([]string{"-cluster", "http://127.0.0.1:1", "-trace", tracePath, "-progress", "-speculate", "4", "-fig", "table1"}, &stdout, &stderr)
+	code := run([]string{"-cluster", "http://127.0.0.1:1", "-trace", tracePath, "-progress", "-fig", "table1"}, &stdout, &stderr)
 	if code != 0 {
 		t.Fatalf("exit %d\n%s", code, stderr.String())
 	}
@@ -169,7 +169,7 @@ func TestClusterRunIsNotALocalRun(t *testing.T) {
 		t.Errorf("-cluster -trace wrote %s (stat err %v); the flag is documented as ignored", tracePath, err)
 	}
 	msgs := stderr.String()
-	for _, flag := range []string{"-trace", "-speculate"} {
+	for _, flag := range []string{"-trace", "-progress"} {
 		if !strings.Contains(msgs, flag+" is ignored with -cluster") {
 			t.Errorf("no %s warning in %q", flag, msgs)
 		}

@@ -93,41 +93,3 @@ func TestCancelledBudgetWaitIsNoAnswer(t *testing.T) {
 		t.Fatalf("budget occupancy %d with nothing compiling", n)
 	}
 }
-
-// TestLanesTakeOnlyFreeBudgetSlots: an extra speculative lane runs only on
-// a free slot. With every slot but the compilation's own held, a
-// speculative engine races no lane at all and still compiles the plain
-// search's answer; with the budget free, the same jobs do race lanes.
-func TestLanesTakeOnlyFreeBudgetSlots(t *testing.T) {
-	jobs := sampleJobs(t, "mgrid")
-	plain := New(Config{Workers: 1, CacheSize: -1})
-
-	free := New(Config{Workers: 4, Speculation: 4, CacheSize: -1})
-	full := New(Config{Workers: 4, Speculation: 4, CacheSize: -1})
-	release := fill(full, cap(full.budget)-1)
-	for i, j := range jobs {
-		want, wantErr := plain.Compile(context.Background(), j)
-		got, gotErr := full.Compile(context.Background(), j)
-		if (wantErr == nil) != (gotErr == nil) {
-			t.Fatalf("job %d: plain err=%v, speculative err=%v", i, wantErr, gotErr)
-		}
-		if wantErr == nil && (got.II != want.II || got.Length != want.Length) {
-			t.Fatalf("job %d: II %d length %d, plain search %d and %d", i, got.II, got.Length, want.II, want.Length)
-		}
-		if _, err := free.Compile(context.Background(), j); (err == nil) != (wantErr == nil) {
-			t.Fatalf("job %d: speculative err=%v on a free budget", i, err)
-		}
-	}
-	release()
-	if raced, _, _ := full.LaneStats(); raced != 0 {
-		t.Fatalf("%d lanes raced on a budget with no free slot", raced)
-	}
-	if raced, _, _ := free.LaneStats(); raced == 0 {
-		t.Fatal("no lane raced on a free budget: the test shows nothing")
-	}
-	for _, c := range []*Compiler{free, full} {
-		if n := len(c.budget); n != 0 {
-			t.Fatalf("budget occupancy %d with nothing compiling", n)
-		}
-	}
-}

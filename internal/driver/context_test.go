@@ -265,56 +265,14 @@ func TestJobKeyDistinguishesOptions(t *testing.T) {
 	}
 }
 
-// TestSpeculativeCompileMatchesPlain: a speculative Compiler must produce
-// outcomes identical to a plain one (speculation is an execution detail),
-// and since JobKey is unchanged, a store populated at one speculation
-// width must serve every job to a compiler at another width.
-func TestSpeculativeCompileMatchesPlain(t *testing.T) {
-	jobs := sampleJobs(t, "mgrid")
-	store := newMemStore()
-
-	plain := New(Config{Workers: 1, CacheSize: -1})
-	spec := New(Config{Workers: 4, Speculation: 4, Store: store})
-	for i, j := range jobs {
-		want, wantErr := plain.Compile(context.Background(), j)
-		got, gotErr := spec.Compile(context.Background(), j)
-		if (wantErr == nil) != (gotErr == nil) {
-			t.Fatalf("job %d: plain err=%v, speculative err=%v", i, wantErr, gotErr)
-		}
-		if wantErr != nil {
-			continue
-		}
-		if got.II != want.II || got.Length != want.Length || got.Comms != want.Comms ||
-			got.IIIncreases != want.IIIncreases {
-			t.Fatalf("job %d: speculative result diverges: II %d/%d, increases %v/%v",
-				i, got.II, want.II, got.IIIncreases, want.IIIncreases)
-		}
-	}
-	if n := len(spec.budget); n != 0 {
-		t.Fatalf("%d budget slots still held after the batch", n)
-	}
-
-	// A different width, same store: every job must be a store hit.
-	other := New(Config{Workers: 2, Speculation: 2, Store: store})
-	for _, j := range jobs {
-		if _, err := other.Compile(context.Background(), j); err != nil {
-			t.Fatal(err)
-		}
-	}
-	if st := other.CacheStats(); st.Misses != 0 || st.StoreHits == 0 {
-		t.Fatalf("stored results not shared across speculation widths: %+v", st)
-	}
-}
-
-// TestSpeculativeCancellation: cancelling a speculative compilation
-// mid-flight returns promptly with ctx.Err(), leaks no goroutines, and
-// gives back every budget slot its lanes took — a lane returns its arena
-// with its slot — and its own.
-func TestSpeculativeCancellation(t *testing.T) {
+// TestCompileCancelledMidSearch: cancelling a compilation mid-search
+// returns promptly with ctx.Err(), leaks no goroutines, and gives back its
+// budget slot.
+func TestCompileCancelledMidSearch(t *testing.T) {
 	// Probe for a wide loop whose search outlives a 50ms deadline on the
 	// one-bus machine (most 400-node wide loops sweep a long II ladder):
 	// a compilation that long guarantees the cancel below lands
-	// mid-speculation.
+	// mid-search.
 	var j Job
 	probe := New(Config{CacheSize: -1})
 	for seed := int64(1); seed <= 30 && j.Graph == nil; seed++ {
@@ -331,9 +289,7 @@ func TestSpeculativeCancellation(t *testing.T) {
 		t.Fatal("no long-running compilation found in 30 probe seeds")
 	}
 
-	// Workers 4 makes a budget of at least four slots, so a single-shot
-	// Compile really launches extra lanes even on one CPU.
-	c := New(Config{Workers: 4, Speculation: 4, CacheSize: -1})
+	c := New(Config{CacheSize: -1})
 	baseline := runtime.NumGoroutine()
 
 	ctx, cancel := context.WithCancel(context.Background())
@@ -343,8 +299,8 @@ func TestSpeculativeCancellation(t *testing.T) {
 		_, err := c.Compile(ctx, j)
 		done <- err
 	}()
-	// Cancel only once the speculative search is actually in flight, so
-	// the abort lands mid-speculation, not before the first pass.
+	// Cancel only once the search is actually in flight, so the abort
+	// lands mid-search, not before the first pass.
 	for len(c.budget) == 0 && len(done) == 0 {
 		runtime.Gosched()
 	}
@@ -353,10 +309,10 @@ func TestSpeculativeCancellation(t *testing.T) {
 	select {
 	case err := <-done:
 		if !errors.Is(err, context.Canceled) {
-			t.Fatalf("cancelled speculative compile returned %v, want context.Canceled", err)
+			t.Fatalf("cancelled compile returned %v, want context.Canceled", err)
 		}
 	case <-time.After(30 * time.Second):
-		t.Fatal("cancelled speculative compile did not return promptly")
+		t.Fatal("cancelled compile did not return promptly")
 	}
 	if waited := time.Since(start); waited > 10*time.Second {
 		t.Fatalf("cancellation took %v to take effect", waited)
@@ -364,7 +320,7 @@ func TestSpeculativeCancellation(t *testing.T) {
 	if n := len(c.budget); n != 0 {
 		t.Fatalf("budget not drained after cancellation: %d slots held", n)
 	}
-	// Every lane goroutine must be joined before Compile returns.
+	// Nothing the compilation started may outlive it.
 	deadline := time.Now().Add(5 * time.Second)
 	for runtime.NumGoroutine() > baseline && time.Now().Before(deadline) {
 		time.Sleep(10 * time.Millisecond)

@@ -95,10 +95,10 @@ type Store interface {
 // GOMAXPROCS workers and a DefaultCacheSize-entry cache.
 type Config struct {
 	// Workers bounds one Stream batch's concurrent jobs; ≤0 means
-	// GOMAXPROCS. Real compilations across every batch and unary call, and
-	// speculative lanes with them, share the engine's compile budget of
-	// max(Workers, GOMAXPROCS) slots: a compilation over budget waits for a
-	// slot, and aborts with ctx.Err() if its context ends first.
+	// GOMAXPROCS. Real compilations across every batch and unary call
+	// share the engine's compile budget of max(Workers, GOMAXPROCS) slots:
+	// a compilation over budget waits for a slot, and aborts with ctx.Err()
+	// if its context ends first.
 	Workers int
 	// CacheSize bounds the LRU result cache in entries; 0 means
 	// DefaultCacheSize, negative disables caching entirely.
@@ -110,26 +110,16 @@ type Config struct {
 	// on LRU misses and populated after fresh compilations. It is ignored
 	// when caching is disabled (CacheSize < 0).
 	Store Store
-	// Speculation, when > 1, races up to that many candidate initiation
-	// intervals concurrently inside each compilation (the pipeline's
-	// speculative multi-II search); an extra lane runs only on a free slot
-	// of the compile budget, so a full worker pool never oversubscribes the
-	// machine. Speculation is an execution detail: results are
-	// bit-identical to the plain search and cache identities (JobKey) do
-	// not change, so cached and stored results are shared across
-	// speculation widths. ≤ 1 disables it.
-	Speculation int
 	// Trace, when non-nil, records every job's execution into it: one span
 	// per job on its worker's track (annotated with cache outcome and
-	// queue wait), cache-lookup spans, and the pipeline's per-pass,
-	// per-attempt and speculative-lane spans underneath. Per-job
-	// Job.Trace overrides it. Nil keeps the engine on the untraced fast
-	// path.
+	// queue wait), cache-lookup spans, and the pipeline's per-pass and
+	// per-attempt spans underneath. Per-job Job.Trace overrides it. Nil
+	// keeps the engine on the untraced fast path.
 	Trace *telemetry.Trace
 	// Registry, when non-nil, receives the engine's metric instruments
 	// (compile-latency and II-attempt histograms, cache and per-strategy
-	// counters, speculative-lane tallies). Instrument updates are single
-	// atomic operations; nil skips them entirely.
+	// counters). Instrument updates are single atomic operations; nil
+	// skips them entirely.
 	Registry *telemetry.Registry
 }
 
@@ -184,27 +174,19 @@ type Compiler struct {
 	store    Store // nil when no persistent second level is configured
 
 	// trace is the engine-wide default trace (Config.Trace); metrics the
-	// registered instruments (nil without a Registry). laneStats tallies
-	// speculative-lane outcomes across all jobs.
-	trace     *telemetry.Trace
-	metrics   *engineMetrics
-	laneStats pipeline.LaneStats
+	// registered instruments (nil without a Registry).
+	trace   *telemetry.Trace
+	metrics *engineMetrics
 
-	// arenas lends compilations and speculative lanes their scratch, so a
-	// steady-state compilation allocates almost nothing per II attempt (a
-	// regrown arena is some 500 allocations).
+	// arenas lends compilations their scratch, so a steady-state
+	// compilation allocates almost nothing per II attempt (a regrown arena
+	// is some 500 allocations).
 	arenas arena.Pool[pipeline.Arena]
 
 	// budget is the engine's one bound on concurrent work: max(Workers,
-	// GOMAXPROCS) slots, each held by a real compilation or an extra
-	// speculative lane. A compilation waits for its slot; a lane runs only
-	// on a free one, so a full batch saturates the budget with
-	// compilations alone and speculation widens only when cores would
-	// otherwise idle (a batch tail, a lone hard loop). Its occupancy is 0
-	// whenever nothing compiles.
+	// GOMAXPROCS) slots, each held by a real compilation, which waits for
+	// its slot. Its occupancy is 0 whenever nothing compiles.
 	budget chan struct{}
-	// spec is the per-compilation speculation width (≤1 off).
-	spec int
 	// inFlight counts the real compilations running right now, the gauge
 	// behind InFlightCompiles.
 	inFlight atomic.Int64
@@ -262,7 +244,7 @@ type engineMetrics struct {
 
 // registerMetrics creates the engine's instruments in reg. Everything but
 // the two histograms is read at exposition time from where it already
-// lives: the ledger, the laneStats atomics, the in-flight gauge.
+// lives: the ledger and the in-flight gauge.
 func (c *Compiler) registerMetrics(reg *telemetry.Registry) {
 	c.metrics = &engineMetrics{
 		compileSeconds: reg.NewHistogram("clusched_compile_seconds",
@@ -282,20 +264,11 @@ func (c *Compiler) registerMetrics(reg *telemetry.Registry) {
 		func() map[string]uint64 {
 			return c.readLedger(func(strategy string, _ answer) string { return strategy })
 		})
-	reg.NewCounterFunc("clusched_spec_lanes_raced_total",
-		"Extra speculative II lanes launched.",
-		func() float64 { return float64(c.laneStats.Raced.Load()) })
-	reg.NewCounterFunc("clusched_spec_lanes_won_total",
-		"Speculative lanes whose accepted II became the result.",
-		func() float64 { return float64(c.laneStats.Won.Load()) })
-	reg.NewCounterFunc("clusched_spec_lanes_wasted_total",
-		"Speculative lanes whose work was cancelled or discarded.",
-		func() float64 { return float64(c.laneStats.Wasted.Load()) })
 	reg.NewGaugeFunc("clusched_inflight_compiles",
 		"Real (non-cached) compilations running right now.",
 		func() float64 { return float64(c.inFlight.Load()) })
 	reg.NewGaugeFunc("clusched_max_inflight",
-		"The engine's compile budget: slots shared by real compilations and speculative lanes.",
+		"The engine's compile budget: slots for real compilations.",
 		func() float64 { return float64(cap(c.budget)) })
 }
 
@@ -323,7 +296,6 @@ func New(cfg Config) *Compiler {
 	}
 	c := &Compiler{workers: w, progress: cfg.Progress, trace: cfg.Trace,
 		budget: make(chan struct{}, max(w, runtime.GOMAXPROCS(0))),
-		spec:   cfg.Speculation,
 		ledger: make(map[string]*[numAnswers]uint64)}
 	if cfg.Registry != nil {
 		c.registerMetrics(cfg.Registry)
@@ -696,9 +668,7 @@ func (c *Compiler) compileTimed(ctx context.Context, j Job, tr *telemetry.Trace,
 // compile runs one real compilation on a recycled scratch arena, holding
 // a slot of the budget for it. Waiting for the slot is an ordinary
 // cancellation point: an aborted wait is ctx.Err(), which the cache layer
-// refuses to cache, share or save. The search lends extra lanes slots and
-// arenas through lanePool and joins every lane before returning, so both
-// are back here.
+// refuses to cache, share or save.
 func (c *Compiler) compile(ctx context.Context, j Job, tr *telemetry.Trace, track string) (*pipeline.Result, error) {
 	select {
 	case c.budget <- struct{}{}:
@@ -713,33 +683,9 @@ func (c *Compiler) compile(ctx context.Context, j Job, tr *telemetry.Trace, trac
 		Arena: a,
 		Trace: tr,
 		Track: track,
-		Lanes: c.spec,
-		Pool:  lanePool{c},
-		Stats: &c.laneStats,
 	})
 	c.arenas.Put(a)
 	return res, err
-}
-
-// lanePool is the engine as a pipeline.Pool: an extra speculative lane
-// takes a slot of the budget only if one is free, and one pooled arena,
-// and gives both back.
-type lanePool struct{ c *Compiler }
-
-// Acquire implements pipeline.Pool.
-func (p lanePool) Acquire() (*pipeline.Arena, bool) {
-	select {
-	case p.c.budget <- struct{}{}:
-		return p.c.arenas.Get(), true
-	default:
-		return nil, false
-	}
-}
-
-// Release implements pipeline.Pool.
-func (p lanePool) Release(a *pipeline.Arena) {
-	p.c.arenas.Put(a)
-	<-p.c.budget
 }
 
 // Stream compiles the batch on the worker pool and yields each outcome the
@@ -896,19 +842,11 @@ func (c *Compiler) CacheStats() CacheStats {
 }
 
 // InFlightCompiles reports how many real (non-cached) compilations are
-// running right now and the size of the budget they share with speculative
-// lanes — the backpressure signal behind the service's inflight_compiles
-// and max_inflight stats.
+// running right now and the size of the budget they share — the
+// backpressure signal behind the service's inflight_compiles and
+// max_inflight stats.
 func (c *Compiler) InFlightCompiles() (running, budget int) {
 	return int(c.inFlight.Load()), cap(c.budget)
-}
-
-// LaneStats reports the speculative-lane tallies accumulated across all
-// jobs: extra lanes raced, lanes whose accepted II became a result, and
-// lanes whose work was cancelled or discarded. All zero with speculation
-// off.
-func (c *Compiler) LaneStats() (raced, won, wasted uint64) {
-	return c.laneStats.Raced.Load(), c.laneStats.Won.Load(), c.laneStats.Wasted.Load()
 }
 
 // ResetCache drops every cached result and zeroes the hit/miss counters,

@@ -75,7 +75,6 @@ func TestEngineMetrics(t *testing.T) {
 		"clusched_ii_attempts_count",
 		`clusched_cache_lookups_total{result="hit"}`,
 		`clusched_jobs_total{strategy="paper"}`,
-		"clusched_spec_lanes_raced_total",
 	} {
 		if !strings.Contains(text, series) {
 			t.Errorf("exposition lacks %s", series)

@@ -35,10 +35,9 @@ type CorpusConfig struct {
 	// Iters is the simulated iteration count per validation (0 =
 	// validate.DefaultIters).
 	Iters int
-	// Workers and Speculation configure the per-strategy engine as in
-	// driver.Config; the defaults exercise the full pool.
-	Workers     int
-	Speculation int
+	// Workers configures the per-strategy engine as in driver.Config; the
+	// default exercises the full pool.
+	Workers int
 	// CloneEvery, when > 0, follows every k-th loop with a renamed,
 	// reordered isomorphic clone in a later batch, so the semantic cache's
 	// remap path is exercised — and validated — under load.
@@ -82,7 +81,6 @@ type CorpusSection struct {
 	Machine     string                 `json:"machine"`
 	Iters       int                    `json:"iters"`
 	Workers     int                    `json:"workers"`
-	Speculation int                    `json:"speculation,omitempty"`
 	CloneEvery  int                    `json:"clone_every,omitempty"`
 	Rows        []CorpusRow            `json:"rows"`
 	Divergences []*validate.Divergence `json:"divergences,omitempty"`
@@ -93,10 +91,9 @@ type CorpusSection struct {
 const corpusChunk = 2048
 
 // MeasureCorpus runs the shootout. Each strategy gets a fresh engine
-// (bounded worker pool, optional speculation, both cache tiers live) and
-// streams the corpus through it in bounded chunks; validation fans out
-// over GOMAXPROCS consumers so the simulator never backpressures the
-// compile pool.
+// (bounded worker pool, both cache tiers live) and streams the corpus
+// through it in bounded chunks; validation fans out over GOMAXPROCS
+// consumers so the simulator never backpressures the compile pool.
 func MeasureCorpus(cfg CorpusConfig) (*CorpusSection, error) {
 	spec := cfg.Spec
 	if spec.N <= 0 {
@@ -125,12 +122,11 @@ func MeasureCorpus(cfg CorpusConfig) (*CorpusSection, error) {
 	}
 
 	sec := &CorpusSection{
-		Spec:        spec,
-		Machine:     m.Name,
-		Iters:       iters,
-		Workers:     workers,
-		Speculation: cfg.Speculation,
-		CloneEvery:  cfg.CloneEvery,
+		Spec:       spec,
+		Machine:    m.Name,
+		Iters:      iters,
+		Workers:    workers,
+		CloneEvery: cfg.CloneEvery,
 	}
 	perStrategy := spec.N
 	if cfg.CloneEvery > 0 {
@@ -147,7 +143,7 @@ func MeasureCorpus(cfg CorpusConfig) (*CorpusSection, error) {
 		// schedule is sound end to end.
 		opts.VerifySchedules = true
 		row := CorpusRow{Strategy: name, Loops: perStrategy}
-		eng := driver.New(driver.Config{Workers: cfg.Workers, Speculation: cfg.Speculation})
+		eng := driver.New(driver.Config{Workers: cfg.Workers})
 
 		type task struct {
 			outcome driver.Outcome

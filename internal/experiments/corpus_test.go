@@ -8,8 +8,7 @@ import (
 
 // TestEveryStrategyValidatesMiniCorpus is the property test behind the
 // corpus shootout: every registered strategy, over a 500-loop mini-corpus,
-// through the concurrent driver (speculation and semantic-cache clones
-// on), must produce only schedules the cycle-accurate simulator confirms —
+// through the concurrent driver (semantic-cache clones on), must produce only schedules the cycle-accurate simulator confirms —
 // trace equality with the reference and measured cycles/iteration equal to
 // the claimed II. Runs under -race in CI, so the validation fan-out and
 // the driver pool are exercised together.
@@ -21,9 +20,8 @@ func TestEveryStrategyValidatesMiniCorpus(t *testing.T) {
 	sp.N = 500
 	sp.Seed = 42
 	sec, err := MeasureCorpus(CorpusConfig{
-		Spec:        sp,
-		Speculation: 2,
-		CloneEvery:  16,
+		Spec:       sp,
+		CloneEvery: 16,
 	})
 	if err != nil {
 		t.Fatal(err)

@@ -119,3 +119,48 @@ func TestReportGolden(t *testing.T) {
 		t.Errorf("rendered %d blocks, want 10 (Table 1 and the nine sections)", rendered)
 	}
 }
+
+// TestCollectFiguresJoinsBlocks swaps the evaluation for a two-row
+// stand-in and pins how CollectFigures assembles a report: the full report
+// is the blocks joined by blockSeparator plus one final newline, and one
+// experiment's report is its block alone, with no trailing newline. Each
+// row's section comes back with it. Nothing is compiled.
+func TestCollectFiguresJoinsBlocks(t *testing.T) {
+	shared, table := engine, evaluation
+	defer func() { engine, evaluation = shared, table }()
+	UseBackend(noEngine{t})
+	evaluation = []experiment{{
+		name:    "a",
+		heading: "A heading\n\n",
+		collect: func(s *FigureSections) { s.Fig1 = []Fig1Row{{Config: "a"}} },
+		render:  func(s *FigureSections) string { return "a body, " + s.Fig1[0].Config + "\n" },
+	}, {
+		name:    "b",
+		heading: "B heading\n\n",
+		render:  func(*FigureSections) string { return "b body\n" },
+	}}
+	blockA, blockB := "A heading\n\na body, a\n", "B heading\n\nb body\n"
+
+	s, report, err := CollectFigures("")
+	if err != nil {
+		t.Fatal(err)
+	}
+	if want := blockA + blockSeparator + blockB + "\n"; report != want {
+		t.Errorf("full report:\n got %q\nwant %q", report, want)
+	}
+	if len(s.Fig1) != 1 {
+		t.Errorf("full run returned section %+v, want the first row's", s)
+	}
+	for name, want := range map[string]string{"a": blockA, "b": blockB} {
+		s, report, err := CollectFigures(name)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if report != want {
+			t.Errorf("-fig %s:\n got %q\nwant %q", name, report, want)
+		}
+		if got := len(s.Fig1); got != map[string]int{"a": 1, "b": 0}[name] {
+			t.Errorf("-fig %s returned %d Fig1 rows", name, got)
+		}
+	}
+}

@@ -2,10 +2,8 @@ package pipeline
 
 import (
 	"context"
-	"fmt"
 	"reflect"
 	"runtime"
-	"sync"
 	"testing"
 	"weak"
 
@@ -102,130 +100,102 @@ func TestCompilationCensus(t *testing.T) {
 
 // TestIdleArenaPinsNoGraph compiles a fresh corpus loop through a kept
 // arena, lets go of the loop and its Result, and requires the loop to be
-// collectable: once Search has returned, nothing in its arena — nor in the
-// lane arenas it borrowed and gave back — may keep the job's graph alive,
-// whether the search accepted, ran out of intervals or was cancelled, and
-// whatever the strategy.
+// collectable: once Search has returned, nothing in its arena may keep the
+// job's graph alive, whether the search accepted, ran out of intervals or
+// was cancelled, and whatever the strategy.
 func TestIdleArenaPinsNoGraph(t *testing.T) {
 	m, spec := machine.MustParse("4c1b2l64r"), corpus.DefaultSpec()
-	arena, pool := NewArena(), &recyclingPool{}
+	arena := NewArena()
 	for i, strategy := range StrategyNames() {
-		for _, lanes := range []int{1, 3} {
-			for _, end := range []string{"accepted", "exhausted", "cancelled"} {
-				cfg := SearchConfig{Arena: arena, Lanes: lanes, Pool: pool}
-				opts := Options{Strategy: strategy, Replicate: strategy == "paper"}
-				ref := func() weak.Pointer[ddg.Graph] {
-					// The first loop of the corpus whose search climbs: the
-					// exhausted search then fails after real attempts.
-					g, res := (*ddg.Graph)(nil), (*Result)(nil)
-					for j := i; res == nil || res.II == res.MII; j += 5 {
-						g = spec.Loop(j)
-						res, _ = Search(t.Context(), g, m, opts, cfg)
-					}
-					ctx, cancel := context.WithCancel(t.Context())
-					switch end {
-					case "exhausted":
-						opts.MaxII = res.II - 1
-					case "cancelled":
-						cancel()
-					}
-					if res, err := Search(ctx, g, m, opts, cfg); (err == nil) != (end == "accepted") {
-						t.Fatalf("%s search of %s (%s): result %v, error %v", end, g.Name, strategy, res != nil, err)
-					}
-					cancel()
-					return weak.Make(g)
-				}()
-				runtime.GC()
-				runtime.GC()
-				if ref.Value() != nil {
-					t.Errorf("%s (lanes=%d, %s search): the idle arena still pins the loop's graph", strategy, lanes, end)
+		for _, end := range []string{"accepted", "exhausted", "cancelled"} {
+			cfg := SearchConfig{Arena: arena}
+			opts := Options{Strategy: strategy, Replicate: strategy == "paper"}
+			ref := func() weak.Pointer[ddg.Graph] {
+				// The first loop of the corpus whose search climbs: the
+				// exhausted search then fails after real attempts.
+				g, res := (*ddg.Graph)(nil), (*Result)(nil)
+				for j := i; res == nil || res.II == res.MII; j += 5 {
+					g = spec.Loop(j)
+					res, _ = Search(t.Context(), g, m, opts, cfg)
 				}
+				ctx, cancel := context.WithCancel(t.Context())
+				switch end {
+				case "exhausted":
+					opts.MaxII = res.II - 1
+				case "cancelled":
+					cancel()
+				}
+				if res, err := Search(ctx, g, m, opts, cfg); (err == nil) != (end == "accepted") {
+					t.Fatalf("%s search of %s (%s): result %v, error %v", end, g.Name, strategy, res != nil, err)
+				}
+				cancel()
+				return weak.Make(g)
+			}()
+			runtime.GC()
+			runtime.GC()
+			if ref.Value() != nil {
+				t.Errorf("%s (%s search): the idle arena still pins the loop's graph", strategy, end)
 			}
 		}
 	}
 	runtime.KeepAlive(arena)
-	runtime.KeepAlive(pool)
 }
 
-// recyclingPool lends lane arenas and takes them back for the next search,
-// so a lane's arena is reused the way the driver's pooled ones are.
-type recyclingPool struct {
-	mu   sync.Mutex
-	free []*Arena
-}
-
-func (p *recyclingPool) Acquire() (*Arena, bool) {
-	p.mu.Lock()
-	defer p.mu.Unlock()
-	if n := len(p.free); n > 0 {
-		a := p.free[n-1]
-		p.free = p.free[:n-1]
-		return a, true
-	}
-	return NewArena(), true
-}
-
-func (p *recyclingPool) Release(a *Arena) {
-	p.mu.Lock()
-	defer p.mu.Unlock()
-	p.free = append(p.free, a)
-}
-
-// TestAcceptedResultSurvivesTheArena compiles the suite through one arena
-// (and, with lanes, one recycled set of lane arenas), keeps every Result,
-// and checks each only after 50 later compilations — accepted ones and ones
-// that fail under a search bound below the II the loop needs — have run on
-// the same arenas: it must still equal a fresh-arena compilation field for
-// field, graph tables and placement included, and still verify.
+// TestAcceptedResultSurvivesTheArena compiles the suite through one arena,
+// keeps every Result, and checks each only after 50 later compilations —
+// accepted ones and ones that fail under a search bound below the II the
+// loop needs — have run on the same arena: it must still equal a
+// fresh-arena compilation field for field, graph tables and placement
+// included, and still verify.
 func TestAcceptedResultSurvivesTheArena(t *testing.T) {
 	const gap = 50
 	ctx := context.Background()
 	m := machine.MustParse("4c1b2l64r") // the most search-bound machine: the most failed attempts
 	loops := workload.SPECfp95()
 	optsOf := func(i int) Options { return Options{Replicate: i%2 == 0} }
-	for _, lanes := range []int{1, 2} {
-		t.Run(fmt.Sprintf("lanes=%d", lanes), func(t *testing.T) {
-			cfg := SearchConfig{Arena: NewArena(), Lanes: lanes, Pool: &recyclingPool{}}
-			kept := make([]*Result, len(loops))
-			failed := 0
-			for i := 0; i < len(loops)+gap; i++ {
-				g, opts := loops[i%len(loops)].Graph, optsOf(i%len(loops))
-				res, err := Search(ctx, g, m, opts, cfg)
-				if err != nil {
-					t.Fatalf("%s: %v", g.Name, err)
-				}
-				if i < len(loops) {
-					kept[i] = res
-				}
-				if res.II > res.MII {
-					opts.MaxII = res.II - 1
-					if _, err := Search(ctx, g, m, opts, cfg); err == nil {
-						t.Fatalf("%s compiled below its II", g.Name)
-					}
-					failed++
-				}
-				if i < gap {
-					continue
-				}
-				old := kept[i-gap]
-				fresh, err := Search(ctx, old.Loop, m, optsOf(i-gap), SearchConfig{})
-				if err != nil {
-					t.Fatal(err)
-				}
-				if !reflect.DeepEqual(old, fresh) {
-					t.Fatalf("%s: the kept Result changed under %d later compilations on its arena\n kept  %+v\n fresh %+v",
-						old.Loop.Name, gap, old.Schedule, fresh.Schedule)
-				}
-				if old.Placement != old.Schedule.IG.P {
-					t.Fatalf("%s: Result.Placement is not the schedule's placement", old.Loop.Name)
-				}
-				if err := sched.Verify(old.Schedule); err != nil {
-					t.Fatalf("%s: kept schedule no longer verifies: %v", old.Loop.Name, err)
-				}
+	// One lane: the plain search, the only one the pipeline runs; the
+	// subtest keeps the name it had when the search could race lanes.
+	t.Run("lanes=1", func(t *testing.T) {
+		cfg := SearchConfig{Arena: NewArena()}
+		kept := make([]*Result, len(loops))
+		failed := 0
+		for i := 0; i < len(loops)+gap; i++ {
+			g, opts := loops[i%len(loops)].Graph, optsOf(i%len(loops))
+			res, err := Search(ctx, g, m, opts, cfg)
+			if err != nil {
+				t.Fatalf("%s: %v", g.Name, err)
 			}
-			if failed == 0 {
-				t.Error("no failing compilation ran on the arena")
+			if i < len(loops) {
+				kept[i] = res
 			}
-		})
-	}
+			if res.II > res.MII {
+				opts.MaxII = res.II - 1
+				if _, err := Search(ctx, g, m, opts, cfg); err == nil {
+					t.Fatalf("%s compiled below its II", g.Name)
+				}
+				failed++
+			}
+			if i < gap {
+				continue
+			}
+			old := kept[i-gap]
+			fresh, err := Search(ctx, old.Loop, m, optsOf(i-gap), SearchConfig{})
+			if err != nil {
+				t.Fatal(err)
+			}
+			if !reflect.DeepEqual(old, fresh) {
+				t.Fatalf("%s: the kept Result changed under %d later compilations on its arena\n kept  %+v\n fresh %+v",
+					old.Loop.Name, gap, old.Schedule, fresh.Schedule)
+			}
+			if old.Placement != old.Schedule.IG.P {
+				t.Fatalf("%s: Result.Placement is not the schedule's placement", old.Loop.Name)
+			}
+			if err := sched.Verify(old.Schedule); err != nil {
+				t.Fatalf("%s: kept schedule no longer verifies: %v", old.Loop.Name, err)
+			}
+		}
+		if failed == 0 {
+			t.Error("no failing compilation ran on the arena")
+		}
+	})
 }

@@ -41,8 +41,6 @@ func (PartitionPass) Run(ctx *Context) error {
 
 // partitionStep is PartitionPass's assignment step: an initial partition
 // on the first attempt, a refinement of the carried assignment afterwards.
-// The assignment is all a failed attempt of the partitioning chains carries
-// forward, so it is also their strategies' Replay.
 func partitionStep(ctx *Context) {
 	sc := ctx.arena.Part
 	if ctx.Assign == nil {

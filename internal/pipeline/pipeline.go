@@ -7,10 +7,9 @@
 // (bus, recurrences, or registers — the buckets of Fig. 1) and the driver
 // retries at II+1, refining the previous partition.
 //
-// The II search itself — one loop, optionally racing speculative lanes —
-// is search.go; this file holds the types it drives and the two
-// convenience doors in front of Search. internal/driver builds the
-// concurrent batch-compilation engine on top.
+// The II search itself — one loop — is search.go; this file holds the
+// types it drives and the two convenience doors in front of Search.
+// internal/driver builds the concurrent batch-compilation engine on top.
 package pipeline
 
 import (

@@ -63,7 +63,7 @@ func TestCustomChainObservesEveryAttempt(t *testing.T) {
 
 func TestChainEquivalentToCompile(t *testing.T) {
 	g := commBound(t)
-	bare := Strategy{Chain: paperStrategy(t).Chain, SkipAhead: true} // no Validate, no Replay
+	bare := Strategy{Chain: paperStrategy(t).Chain, SkipAhead: true} // no Validate
 	for _, cfg := range []string{"unified", "2c1b2l64r", "4c1b2l64r", "4c2b2l64r"} {
 		m := machine.MustParse(cfg)
 		for _, opts := range []Options{

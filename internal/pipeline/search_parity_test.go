@@ -15,11 +15,10 @@ import (
 	"clusched/internal/workload"
 )
 
-// The search's accelerations — skip-ahead (skipahead.go), speculative lanes
-// and tracing (search.go) — must be invisible in every observable output:
-// these tests run Search under each execution mode beside the naive
-// referenceSearch and require bit-identical Results — the acceptance bar
-// for all three.
+// The search's acceleration — skip-ahead (skipahead.go) — and its tracing
+// (search.go) must be invisible in every observable output: these tests
+// run Search untraced and traced beside the naive referenceSearch and
+// require bit-identical Results — the acceptance bar for both.
 
 // requireSameResult fails unless both searches produced identical Result
 // fields (or identical failure).
@@ -63,18 +62,15 @@ func requireSameResult(t *testing.T, label string, skip, lin *Result, skipErr, l
 	}
 }
 
-// requireParity compiles one job through Search once per execution mode —
-// each lane count, untraced and traced — and requires every Result
-// bit-identical to referenceSearch's.
-func requireParity(t *testing.T, label string, g *ddg.Graph, m machine.Config, opts Options, laneCounts ...int) {
+// requireParity compiles one job through Search untraced and traced and
+// requires both Results bit-identical to referenceSearch's.
+func requireParity(t *testing.T, label string, g *ddg.Graph, m machine.Config, opts Options) {
 	t.Helper()
 	want, wantErr := referenceSearch(g, m, opts)
-	for _, lanes := range laneCounts {
-		for _, tr := range []*telemetry.Trace{nil, telemetry.NewTrace()} {
-			got, err := Search(t.Context(), g, m, opts, SearchConfig{Lanes: lanes, Trace: tr})
-			mode := fmt.Sprintf("%s (k=%d, traced=%t)", label, lanes, tr != nil)
-			requireSameResult(t, mode, got, want, err, wantErr)
-		}
+	for _, tr := range []*telemetry.Trace{nil, telemetry.NewTrace()} {
+		got, err := Search(t.Context(), g, m, opts, SearchConfig{Trace: tr})
+		mode := fmt.Sprintf("%s (traced=%t)", label, tr != nil)
+		requireSameResult(t, mode, got, want, err, wantErr)
 	}
 }
 
@@ -95,7 +91,7 @@ func TestSkipAheadMatchesLinearOnSuite(t *testing.T) {
 				if opts.Replicate {
 					label += " (replicate)"
 				}
-				requireParity(t, label, l.Graph, m, opts, 1)
+				requireParity(t, label, l.Graph, m, opts)
 			}
 		}
 	}
@@ -120,7 +116,7 @@ func TestSkipAheadMatchesLinearOnRandomLoops(t *testing.T) {
 		g := corpus.Generate(shape, "rnd", rng, size, corpus.DefaultParams())
 		m := configs[rng.Intn(len(configs))]
 		opts := Options{Replicate: rng.Intn(2) == 0}
-		requireParity(t, g.Name+" on "+m.Name, g, m, opts, 1)
+		requireParity(t, g.Name+" on "+m.Name, g, m, opts)
 	}
 }
 
@@ -186,43 +182,12 @@ func TestModDistSkipAheadSkipsAttempts(t *testing.T) {
 	}
 }
 
-// The speculative multi-II search (specsearch.go) is held to the same bar
-// as the skip-ahead: bit-identical Results — II, issue cycles, placement,
-// cause tallies — against the reference linear search, across the suite,
-// the machine configurations, every registered strategy and random loops.
-
-// specLanes is the speculation width the parity suite races; CI runs these
-// tests under -race, so the width also shakes out lane interleavings.
-const specLanes = 4
-
-// TestSpeculativeMatchesLinearOnSuite races every SPECfp95 loop on every
-// paper configuration, with and without replication, against the linear
-// search. Short mode samples one configuration; the full run covers all
-// six.
-func TestSpeculativeMatchesLinearOnSuite(t *testing.T) {
-	configs := machine.PaperConfigs()
-	if testing.Short() {
-		configs = configs[2:3] // 4c1b2l64r: the most search-bound config
-	}
-	loops := workload.SPECfp95()
-	for _, m := range configs {
-		for _, opts := range []Options{{}, {Replicate: true}} {
-			for _, l := range loops {
-				label := l.Graph.Name + " on " + m.Name + " (spec)"
-				if opts.Replicate {
-					label += " (replicate)"
-				}
-				requireParity(t, label, l.Graph, m, opts, 2, specLanes)
-			}
-		}
-	}
-}
-
-// TestSpeculativeMatchesLinearOnStrategies covers every registered
-// strategy: the replay capability differs per strategy (partition-lineage
-// replay for paper/unified, stateless no-ops for uas/moddist), so each
-// needs its own parity evidence.
-func TestSpeculativeMatchesLinearOnStrategies(t *testing.T) {
+// TestSearchMatchesLinearOnStrategies covers every registered strategy on
+// a sample of the suite: each strategy carries different state from one
+// failed attempt into the next (a refined partition for paper/unified, a
+// fresh sweep for uas, a fixed distribution for moddist), so each needs
+// its own parity evidence.
+func TestSearchMatchesLinearOnStrategies(t *testing.T) {
 	configs := []machine.Config{machine.MustParse("4c2b2l64r"), machine.MustParse("4c1b2l64r")}
 	loops := workload.SPECfp95()
 	stride := 5
@@ -234,16 +199,16 @@ func TestSpeculativeMatchesLinearOnStrategies(t *testing.T) {
 		for _, m := range configs {
 			for i := 0; i < len(loops); i += stride {
 				g := loops[i].Graph
-				requireParity(t, g.Name+" on "+m.Name+" ("+strat+")", g, m, opts, 1, 2, specLanes)
+				requireParity(t, g.Name+" on "+m.Name+" ("+strat+")", g, m, opts)
 			}
 		}
 	}
 }
 
-// TestSpeculativeMatchesLinearOnRandomLoops is the property test: random
-// loops of every workload shape, random paper machines, random strategies
-// and random lane counts (including degenerate widths 1 and 2).
-func TestSpeculativeMatchesLinearOnRandomLoops(t *testing.T) {
+// TestSearchMatchesLinearOnRandomStrategies is the property test across
+// strategies: random loops of every workload shape, random paper machines
+// and random strategies.
+func TestSearchMatchesLinearOnRandomStrategies(t *testing.T) {
 	rng := rand.New(rand.NewSource(20260807))
 	configs := machine.PaperConfigs()
 	strategies := StrategyNames()
@@ -263,13 +228,13 @@ func TestSpeculativeMatchesLinearOnRandomLoops(t *testing.T) {
 			opts.Replicate = rng.Intn(2) == 0
 		}
 		label := fmt.Sprintf("%s on %s (%s)", g.Name, m.Name, opts.StrategyName())
-		requireParity(t, label, g, m, opts, 1+rng.Intn(6))
+		requireParity(t, label, g, m, opts)
 	}
 }
 
 // TestSearchMatchesReferenceOnCorpus runs loops of all seven corpus families
-// (corpus.DefaultSpec, the benchmark's corpus) under every strategy, at
-// Lanes 1 and 2, traced and untraced, against referenceSearch: the loops
+// (corpus.DefaultSpec, the benchmark's corpus) under every strategy,
+// traced and untraced, against referenceSearch: the loops
 // whose placement survives many intervals (moddist's, uas's converged
 // sweeps) are where an attempt reuses the last one's instance graph. Among
 // them must be loops on which moddist's skip-ahead jumps eight or more
@@ -295,7 +260,7 @@ func TestSearchMatchesReferenceOnCorpus(t *testing.T) {
 		for _, g := range loops {
 			for _, strategy := range StrategyNames() {
 				opts := Options{Strategy: strategy, Replicate: strategy == "paper"}
-				requireParity(t, fmt.Sprintf("%s on %s (%s)", g.Name, m.Name, strategy), g, m, opts, 1, 2)
+				requireParity(t, fmt.Sprintf("%s on %s (%s)", g.Name, m.Name, strategy), g, m, opts)
 				if strategy != "moddist" {
 					continue
 				}

@@ -10,7 +10,7 @@ import (
 
 // referenceSearch is the oracle the parity tests hold Search to: the Fig. 2
 // driver written the naive way — one attempt per interval on a fresh arena,
-// no skip-ahead, no lanes, no trace, no cancellation. It shares with the
+// no skip-ahead, no trace, no cancellation. It shares with the
 // production search only the strategy resolution and the passes themselves.
 func referenceSearch(g *ddg.Graph, m machine.Config, opts Options) (*Result, error) {
 	s, m, err := resolveStrategy(opts, m)

@@ -43,24 +43,16 @@ type Strategy struct {
 	// argument (skipahead.go) is per chain, so only a chain whose failed
 	// attempts provably evolve as it states may set it.
 	SkipAhead bool
-	// Replay reproduces the state one failed attempt carries into the
-	// next without running the chain, so a speculative lane can rebuild
-	// the lineage of the intervals it leapfrogs; nil searches sequentially.
-	Replay func(ctx *Context)
 }
 
-// strategies is the table RegisterStrategy starts from. paper and unified
-// refine one assignment across attempts, which the PartitionPass step
-// rebuilds; uas re-sweeps its assignment at every interval and moddist's
-// is the same at every interval, so a failed attempt of theirs leaves
-// nothing to replay. Skip-ahead is proven for the partition-refinement
-// fixpoint (paper) and for an assignment fixed for the search (moddist).
+// strategies is the table RegisterStrategy starts from. Skip-ahead is
+// proven for the partition-refinement fixpoint (paper) and for an
+// assignment fixed for the search (moddist).
 var strategies = []Strategy{{
 	Name:        "paper",
 	Description: "multilevel partition + selective replication + modulo scheduling (the paper's algorithm)",
 	Chain:       paperChain,
 	SkipAhead:   true,
-	Replay:      partitionStep,
 }, {
 	// On a single cluster the paper's chain degenerates exactly as needed:
 	// the partition is trivial, replication a structural no-op, and only
@@ -82,20 +74,17 @@ var strategies = []Strategy{{
 		}
 		return machine.Unified(m.Regs * m.Clusters)
 	},
-	Replay: partitionStep,
 }, {
 	Name:        "uas",
 	Description: "greedy unified assign-and-schedule: each node picks its cluster during placement by FU/bus availability (no partition pass)",
 	Chain:       []Pass{UASAssignPass{}, SchedulePass{}, VerifyPass{}},
 	Validate:    noReplicationPass,
-	Replay:      func(*Context) {},
 }, {
 	Name:        "moddist",
 	Description: "round-robin modulo distribution of the topological order onto clusters (naive pre-partitioning baseline)",
 	Chain:       []Pass{ModDistPass{}, SchedulePass{}, VerifyPass{}},
 	Validate:    noReplicationPass,
 	SkipAhead:   true,
-	Replay:      func(*Context) {},
 }}
 
 // noReplicationPass fails options only the paper chain implements: a

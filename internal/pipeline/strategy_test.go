@@ -82,8 +82,7 @@ func TestStrategyValidateRejectsPaperOnlyOptions(t *testing.T) {
 }
 
 // TestStrategyTable pins every row of the strategy table: which strategies
-// skip ahead, which rewrite the machine, that each can replay a failed
-// attempt for the speculative lanes, and which options or machines each
+// skip ahead, which rewrite the machine, and which options or machines each
 // refuses — with the error it refuses them by.
 func TestStrategyTable(t *testing.T) {
 	m := machine.MustParse("4c2b2l64r")
@@ -134,9 +133,6 @@ func TestStrategyTable(t *testing.T) {
 		if s.SkipAhead != row.skipAhead {
 			t.Errorf("%s: SkipAhead = %t, want %t", row.name, s.SkipAhead, row.skipAhead)
 		}
-		if s.Replay == nil {
-			t.Errorf("%s: no Replay; its searches would never race lanes", row.name)
-		}
 		for _, in := range inputs {
 			opts := in.opts
 			opts.Strategy = row.name
@@ -157,10 +153,9 @@ func TestStrategyTable(t *testing.T) {
 }
 
 // TestRegisterStrategyLiteral registers a strategy written as a literal —
-// moddist's chain behind a counting pass, no Validate, no Replay — and
-// compiles through Search: it matches the reference search at every lane
-// count, races no lane (it has nothing to replay), and the registry is
-// left as it was.
+// moddist's chain behind a counting pass, no Validate — and compiles
+// through Search: it matches the reference search and moddist itself, and
+// the registry is left as it was.
 func TestRegisterStrategyLiteral(t *testing.T) {
 	const name = "literal-moddist"
 	var runs int
@@ -181,14 +176,10 @@ func TestRegisterStrategyLiteral(t *testing.T) {
 	m := machine.MustParse("4c1b2l64r")
 	for i := 0; i < 8; i++ {
 		g := corpus.DefaultSpec().Loop(i)
-		requireParity(t, g.Name, g, m, Options{Strategy: name}, 1, 2, 4)
-		var stats LaneStats
-		got, err := Search(t.Context(), g, m, Options{Strategy: name}, SearchConfig{Lanes: 4, Stats: &stats})
+		requireParity(t, g.Name, g, m, Options{Strategy: name})
+		got, err := Search(t.Context(), g, m, Options{Strategy: name}, SearchConfig{})
 		want, wantErr := Compile(g, m, Options{Strategy: "moddist"})
 		requireSameResult(t, g.Name+" vs moddist", got, want, err, wantErr)
-		if n := stats.Raced.Load(); n != 0 {
-			t.Errorf("%s: a strategy without Replay raced %d lanes", g.Name, n)
-		}
 	}
 	if runs == 0 {
 		t.Fatal("Search never ran the literal's chain")

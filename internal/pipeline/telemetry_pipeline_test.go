@@ -4,9 +4,11 @@ import (
 	"bytes"
 	"context"
 	"encoding/json"
+	"math/rand"
 	"strconv"
 	"testing"
 
+	"clusched/internal/corpus"
 	"clusched/internal/ddg"
 	"clusched/internal/machine"
 	"clusched/internal/telemetry"
@@ -82,14 +84,13 @@ func TestTraceRecordsAttemptsAndPasses(t *testing.T) {
 	}
 }
 
-// TestTracingOffAddsZeroAllocs is the zero-overhead-when-off pin. Traced,
-// speculative and plain compilations share one search loop and one attempt
-// body, so the pin is absolute: a warm-arena Search with only Arena set
-// allocates the Result and the accepted schedule's six objects (sched's
-// accept) — on a first-try compilation and on one that fails six attempts
-// on the buses alike, since a failed attempt leaves nothing behind. A lane
-// struct, a cancel context, a WaitGroup or a boxed trace argument leaking
-// onto the plain path fails here by name.
+// TestTracingOffAddsZeroAllocs is the zero-overhead-when-off pin. Traced
+// and plain compilations share one search loop and one attempt body, so
+// the pin is absolute: a warm-arena Search with only Arena set allocates
+// the Result and the accepted schedule's six objects (sched's accept) — on
+// a first-try compilation and on one that fails six attempts on the buses
+// alike, since a failed attempt leaves nothing behind. A boxed trace
+// argument leaking onto the plain path fails here by name.
 func TestTracingOffAddsZeroAllocs(t *testing.T) {
 	m := machine.MustParse("4c1b2l64r")
 	ctx := context.Background()
@@ -112,4 +113,23 @@ func TestTracingOffAddsZeroAllocs(t *testing.T) {
 			t.Errorf("%s: warm-arena Search allocates %.1f objects, want ≤ %.0f", c.name, got, c.want)
 		}
 	}
+}
+
+// hardLoop returns a generated loop whose compilation on m takes several II
+// attempts.
+func hardLoop(t *testing.T, m machine.Config) *ddg.Graph {
+	t.Helper()
+	rng := rand.New(rand.NewSource(11))
+	for trial := 0; trial < 100; trial++ {
+		g := corpus.Generate(corpus.ShapeWide, "hard", rng, 24+rng.Intn(24), corpus.DefaultParams())
+		res, err := referenceSearch(g, m, Options{})
+		if err != nil {
+			continue
+		}
+		if res.II-res.MII >= 3 {
+			return g
+		}
+	}
+	t.Fatal("no multi-attempt loop found in 100 trials")
+	return nil
 }

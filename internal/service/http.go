@@ -5,6 +5,7 @@ import (
 	"encoding/json"
 	"errors"
 	"fmt"
+	"math"
 	"net/http"
 	"net/url"
 	"runtime/debug"
@@ -187,7 +188,14 @@ func (s *Server) handleCompile(w http.ResponseWriter, r *http.Request) {
 		return
 	}
 	query := r.URL.Query()
-	t := s.submitHTTP(w, jobs, SubmitOptions{Trace: query.Get("trace") != ""})
+	var trace bool
+	if v := query.Get("trace"); v != "" {
+		if trace, err = strconv.ParseBool(v); err != nil {
+			writeError(w, http.StatusBadRequest, "bad trace parameter %q", v)
+			return
+		}
+	}
+	t := s.submitHTTP(w, jobs, SubmitOptions{Trace: trace})
 	if t == nil {
 		return
 	}
@@ -207,6 +215,9 @@ func (s *Server) handleCompile(w http.ResponseWriter, r *http.Request) {
 	writeStatus(w, st, 0, wantsLoop(query))
 }
 
+// maxTimeoutMS is the largest timeout_ms a time.Duration holds.
+const maxTimeoutMS = int64(math.MaxInt64 / time.Millisecond)
+
 func (s *Server) handleBatch(w http.ResponseWriter, r *http.Request) {
 	var req wire.SubmitRequest
 	body, err := readBody(w, r)
@@ -220,6 +231,12 @@ func (s *Server) handleBatch(w http.ResponseWriter, r *http.Request) {
 	jobs, err := wire.DecodeJobs(req.Jobs)
 	if err != nil {
 		writeError(w, http.StatusBadRequest, "%v", err)
+		return
+	}
+	// A negative timeout would run the ticket with no deadline at all, and
+	// one past maxTimeoutMS would wrap negative as a Duration.
+	if req.TimeoutMS < 0 || req.TimeoutMS > maxTimeoutMS {
+		writeError(w, http.StatusBadRequest, "bad batch: timeout_ms %d is outside [0, %d]", req.TimeoutMS, maxTimeoutMS)
 		return
 	}
 	t := s.submitHTTP(w, jobs, SubmitOptions{

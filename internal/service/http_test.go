@@ -6,6 +6,7 @@ import (
 	"encoding/json"
 	"errors"
 	"fmt"
+	"math"
 	"net/http"
 	"net/http/httptest"
 	"strings"
@@ -195,6 +196,77 @@ func TestHTTPCompileWait(t *testing.T) {
 	}
 	if st := pollDone(t, ts.URL, sub.ID); st.State != wire.StateDone {
 		t.Fatalf("async compile ended %s", st.State)
+	}
+}
+
+// TestBatchTimeoutOutOfRangeIs400: a timeout_ms below zero would run the
+// ticket with no deadline even on a server with a default one, and one
+// past the largest time.Duration in milliseconds would wrap; both are
+// refused. The bounds themselves are accepted and carry a deadline.
+func TestBatchTimeoutOutOfRangeIs400(t *testing.T) {
+	s := New(Config{DefaultTimeout: time.Minute})
+	defer s.Shutdown(context.Background())
+	ts := httptest.NewServer(s.Handler())
+	defer ts.Close()
+
+	wjs := encodeBatch(t, "mgrid", 1)
+	for _, ms := range []int64{-1, math.MinInt64, maxTimeoutMS + 1, math.MaxInt64} {
+		var er wire.ErrorResponse
+		if code := postJSON(t, ts.URL+"/batch", wire.SubmitRequest{Jobs: wjs, TimeoutMS: ms}, &er); code != http.StatusBadRequest {
+			t.Errorf("timeout_ms %d: %d, want 400", ms, code)
+		} else if !strings.Contains(er.Error, "timeout_ms") {
+			t.Errorf("timeout_ms %d refused with %q", ms, er.Error)
+		}
+	}
+	for _, ms := range []int64{0, 1, maxTimeoutMS} {
+		var sub wire.SubmitResponse
+		if code := postJSON(t, ts.URL+"/batch", wire.SubmitRequest{Jobs: wjs, TimeoutMS: ms}, &sub); code != http.StatusAccepted {
+			t.Fatalf("timeout_ms %d: %d, want 202", ms, code)
+		}
+		if st := pollDone(t, ts.URL, sub.ID); st.DeadlineMS <= 0 {
+			t.Errorf("timeout_ms %d: the ticket has no deadline (deadline_ms %d)", ms, st.DeadlineMS)
+		}
+	}
+}
+
+// TestCompileTraceParameter: POST /compile?trace=v traces the ticket only
+// when v parses as true, and a v that does not parse is a 400.
+func TestCompileTraceParameter(t *testing.T) {
+	s := New(Config{})
+	defer s.Shutdown(context.Background())
+	ts := httptest.NewServer(s.Handler())
+	defer ts.Close()
+
+	wj := encodeBatch(t, "tomcatv", 1)[0]
+	for _, c := range []struct {
+		trace  string // the query's trace value; "" sends none
+		status int    // the GET /jobs/{id}/trace answer
+	}{
+		{"", http.StatusNotFound},
+		{"0", http.StatusNotFound},
+		{"false", http.StatusNotFound},
+		{"1", http.StatusOK},
+		{"true", http.StatusOK},
+	} {
+		url := ts.URL + "/compile?wait=1"
+		if c.trace != "" {
+			url += "&trace=" + c.trace
+		}
+		var st wire.JobStatus
+		if code := postJSON(t, url, wj, &st); code != http.StatusOK {
+			t.Fatalf("POST %s: %d", url, code)
+		}
+		if code := getJSON(t, ts.URL+"/jobs/"+st.ID+"/trace", nil); code != c.status {
+			t.Errorf("trace=%q: GET /jobs/{id}/trace answered %d, want %d", c.trace, code, c.status)
+		}
+	}
+	for _, v := range []string{"yes", "2", "on"} {
+		var er wire.ErrorResponse
+		if code := postJSON(t, ts.URL+"/compile?wait=1&trace="+v, wj, &er); code != http.StatusBadRequest {
+			t.Errorf("trace=%s: %d, want 400", v, code)
+		} else if !strings.Contains(er.Error, "trace") {
+			t.Errorf("trace=%s refused with %q", v, er.Error)
+		}
 	}
 }
 

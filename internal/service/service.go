@@ -56,11 +56,6 @@ type Config struct {
 	// Store is the persistent second-level result cache (see DiskCache);
 	// nil disables persistence.
 	Store driver.Store
-	// Speculation, when > 1, races that many candidate IIs concurrently
-	// inside each compilation (see driver.Config.Speculation). Results
-	// and cache identities are unchanged, so it is safe to flip on a
-	// server whose Store already holds results.
-	Speculation int
 	// TraceJobs records an execution trace for every ticket, as if each
 	// submission had asked for one (SubmitOptions.Trace); traces are
 	// served from GET /jobs/{id}/trace. Off by default — tracing is cheap
@@ -288,11 +283,10 @@ func New(cfg Config) *Server {
 	s := &Server{
 		cfg: cfg,
 		compiler: driver.New(driver.Config{
-			Workers:     cfg.Workers,
-			CacheSize:   cfg.CacheSize,
-			Store:       cfg.Store,
-			Speculation: cfg.Speculation,
-			Registry:    reg,
+			Workers:   cfg.Workers,
+			CacheSize: cfg.CacheSize,
+			Store:     cfg.Store,
+			Registry:  reg,
 		}),
 		queue:    make(chan *ticket, cfg.QueueDepth),
 		start:    time.Now(),
@@ -693,10 +687,6 @@ func (s *Server) Stats() wire.ServiceStats {
 	}
 	st.InFlightCompiles, st.MaxInFlight = s.compiler.InFlightCompiles()
 	submittedByStrategy := m.jobsSubmitted.Snapshot()
-	if s.cfg.Speculation > 1 {
-		raced, won, wasted := s.compiler.LaneStats()
-		st.SpecLanes = &wire.LaneStatsWire{Raced: raced, Won: won, Wasted: wasted}
-	}
 	st.UptimeSec = time.Since(s.start).Seconds()
 	if st.UptimeSec > 0 {
 		st.JobsPerSec = float64(st.JobsCompiled) / st.UptimeSec

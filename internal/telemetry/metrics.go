@@ -67,13 +67,6 @@ func (r *Registry) NewCounter(name, help string) *Counter {
 	return c
 }
 
-// NewCounterFunc registers a counter whose value is read from fn at
-// exposition time — the bridge for counts that already live in an atomic
-// elsewhere (the engine's lane accounting).
-func (r *Registry) NewCounterFunc(name, help string, fn func() float64) {
-	r.register(&family{name: name, help: help, typ: "counter", valueFn: fn})
-}
-
 // NewCounterVec registers a counter family labeled by one key (e.g.
 // strategy, result); children are created on first use via With.
 func (r *Registry) NewCounterVec(name, help, label string) *CounterVec {
@@ -83,8 +76,8 @@ func (r *Registry) NewCounterVec(name, help, label string) *CounterVec {
 }
 
 // NewCounterVecFunc registers a labeled counter family whose children are
-// read from fn at exposition time: NewCounterFunc for counts that live
-// elsewhere one per label value (the engine's job ledger).
+// read from fn at exposition time, for counts that live elsewhere, one per
+// label value (the engine's job ledger).
 func (r *Registry) NewCounterVecFunc(name, help, label string, fn func() map[string]uint64) {
 	r.register(&family{name: name, help: help, typ: "counter", label: label, children: fn})
 }

@@ -26,11 +26,10 @@ import (
 
 // Trace accumulates the timed spans of one compilation, batch or process
 // and renders them as Chrome trace-event JSON. One Trace is shared by
-// every goroutine contributing to the traced work (batch workers,
-// speculative lanes); recording is mutex-serialized, which is fine at
-// span granularity (one span per pass, not per instruction). The zero
-// value is not usable; call NewTrace. A nil *Trace is valid and records
-// nothing.
+// every goroutine contributing to the traced work (batch workers);
+// recording is mutex-serialized, which is fine at span granularity (one
+// span per pass, not per instruction). The zero value is not usable; call
+// NewTrace. A nil *Trace is valid and records nothing.
 type Trace struct {
 	epoch time.Time
 
@@ -89,8 +88,8 @@ func (t *Trace) At(when time.Time) time.Duration {
 // Track returns the track (Chrome tid) with the given name, allocating it
 // on first use. Spans on one track render as one horizontal lane and nest
 // by time containment, so sequential work (a worker's jobs, the attempts
-// of one compilation) shares a track and concurrent work (speculative
-// lanes) gets its own. Returns 0 on a nil trace.
+// of one compilation) shares a track and concurrent work (another
+// worker) gets its own. Returns 0 on a nil trace.
 func (t *Trace) Track(name string) int {
 	if t == nil {
 		return 0

@@ -582,8 +582,8 @@ type ServiceStats struct {
 	UptimeSec    float64 `json:"uptime_sec"`
 	// InFlightCompiles is how many real (non-cached) compilations the
 	// engine is running right now; MaxInFlight the engine's compile budget,
-	// the slots those compilations share with speculative lanes. Together
-	// they are the backpressure signal a fleet balancer reads.
+	// the slots those compilations share. Together they are the
+	// backpressure signal a fleet balancer reads.
 	InFlightCompiles int `json:"inflight_compiles"`
 	MaxInFlight      int `json:"max_inflight,omitempty"`
 	// Cache is the shared engine's cache accounting (in-memory + disk).
@@ -591,21 +591,8 @@ type ServiceStats struct {
 	// Strategies breaks the traffic down by scheduling strategy, keyed on
 	// the canonical strategy name.
 	Strategies map[string]StrategyStats `json:"strategies,omitempty"`
-	// SpecLanes reports the speculative-II lane tallies; present only when
-	// the server runs with speculation enabled.
-	SpecLanes *LaneStatsWire `json:"spec_lanes,omitempty"`
 	// Draining reports a server in graceful shutdown.
 	Draining bool `json:"draining,omitempty"`
-}
-
-// LaneStatsWire is the wire form of the engine's speculative-lane
-// tallies (present in ServiceStats when speculation is configured).
-type LaneStatsWire struct {
-	// Raced counts extra lanes launched; Won those whose accepted II
-	// became a result; Wasted those cancelled or discarded.
-	Raced  uint64 `json:"raced"`
-	Won    uint64 `json:"won"`
-	Wasted uint64 `json:"wasted"`
 }
 
 // HealthResponse is the GET /healthz answer: build identity and uptime,
