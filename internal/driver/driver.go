@@ -700,6 +700,45 @@ func (c *Compiler) compile(ctx context.Context, j Job, tr *telemetry.Trace, trac
 // submission. Progress callbacks fire only for jobs that actually ran.
 // Stopping the iteration early cancels the remaining work.
 func (c *Compiler) Stream(ctx context.Context, jobs []Job) iter.Seq2[int, Outcome] {
+	return c.stream(ctx, jobs, nil)
+}
+
+// Gate is the admission watermark of a batch whose jobs are filled in while
+// it streams: StreamAdmitted hands job i to a worker only once Admit has
+// been called i+1 times, so the first jobs compile while the caller is
+// still decoding the rest. A caller that will not admit every job cancels
+// the stream's context; the jobs it never admitted yield the cancellation,
+// as the unstarted jobs of any cancelled stream do.
+type Gate struct {
+	n atomic.Int64
+	// kick holds one token when jobs were admitted since the feeder last
+	// looked: the feeder waits on it without allocating, however often it
+	// catches up.
+	kick chan struct{}
+}
+
+// NewGate returns a Gate with nothing admitted.
+func NewGate() *Gate { return &Gate{kick: make(chan struct{}, 1)} }
+
+// Admit marks the next job admitted. The caller's writes to that job
+// happen before any worker reads it.
+func (g *Gate) Admit() {
+	g.n.Add(1)
+	select {
+	case g.kick <- struct{}{}:
+	default:
+	}
+}
+
+// StreamAdmitted is (*Compiler).Stream over a batch whose jobs g admits one
+// by one: jobs[i] must be written before the Admit that admits it, and not
+// afterwards.
+func StreamAdmitted(c *Compiler, ctx context.Context, jobs []Job, g *Gate) iter.Seq2[int, Outcome] {
+	return c.stream(ctx, jobs, g)
+}
+
+// stream is Stream behind the admission gate g; nil admits every job.
+func (c *Compiler) stream(ctx context.Context, jobs []Job, g *Gate) iter.Seq2[int, Outcome] {
 	return func(yield func(int, Outcome) bool) {
 		if len(jobs) == 0 {
 			return
@@ -751,6 +790,13 @@ func (c *Compiler) Stream(ctx context.Context, jobs []Job) iter.Seq2[int, Outcom
 			next := 0
 		feed:
 			for ; next < len(jobs); next++ {
+				for g != nil && int64(next) >= g.n.Load() {
+					select {
+					case <-g.kick:
+					case <-sctx.Done():
+						break feed
+					}
+				}
 				select {
 				case idx <- next:
 				case <-sctx.Done():
@@ -760,9 +806,14 @@ func (c *Compiler) Stream(ctx context.Context, jobs []Job) iter.Seq2[int, Outcom
 			close(idx)
 			wg.Wait()
 			// Jobs never handed to a worker are stamped with the
-			// cancellation so the batch is fully accounted for.
+			// cancellation so the batch is fully accounted for; one the
+			// gate never admitted is not read, as it may still be written.
 			for i := next; i < len(jobs); i++ {
-				results <- indexed{i, Outcome{Job: jobs[i], Err: sctx.Err()}}
+				out := Outcome{Err: sctx.Err()}
+				if g == nil || int64(i) < g.n.Load() {
+					out.Job = jobs[i]
+				}
+				results <- indexed{i, out}
 			}
 			close(results)
 		}()

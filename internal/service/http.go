@@ -169,9 +169,24 @@ func readBody(w http.ResponseWriter, r *http.Request) ([]byte, error) {
 // unless the reader asked with loop=0.
 func wantsLoop(q url.Values) bool { return q.Get("loop") != "0" }
 
-// handleCompile accepts one wire.Job. With ?wait=1 it blocks until the
-// compilation finishes and answers with the full wire.JobStatus; without
-// it, it answers 202 with the ticket.
+// boolParam reads an optional boolean query parameter; absent is false.
+func boolParam(q url.Values, name string) (bool, error) {
+	v := q.Get(name)
+	if v == "" {
+		return false, nil
+	}
+	b, err := strconv.ParseBool(v)
+	if err != nil {
+		return false, fmt.Errorf("bad %s parameter %q", name, v)
+	}
+	return b, nil
+}
+
+// handleCompile accepts one wire.Job. With a true wait (wait=1) it blocks
+// until the compilation finishes and answers with the full wire.JobStatus;
+// without one, or with a false one, it answers 202 with the ticket. wait
+// and trace are booleans as strconv.ParseBool reads them; any other value
+// is 400.
 func (s *Server) handleCompile(w http.ResponseWriter, r *http.Request) {
 	var wj wire.Job
 	body, err := readBody(w, r)
@@ -188,18 +203,20 @@ func (s *Server) handleCompile(w http.ResponseWriter, r *http.Request) {
 		return
 	}
 	query := r.URL.Query()
-	var trace bool
-	if v := query.Get("trace"); v != "" {
-		if trace, err = strconv.ParseBool(v); err != nil {
-			writeError(w, http.StatusBadRequest, "bad trace parameter %q", v)
-			return
-		}
+	trace, err := boolParam(query, "trace")
+	var wait bool
+	if err == nil {
+		wait, err = boolParam(query, "wait")
+	}
+	if err != nil {
+		writeError(w, http.StatusBadRequest, "%v", err)
+		return
 	}
 	t := s.submitHTTP(w, jobs, SubmitOptions{Trace: trace})
 	if t == nil {
 		return
 	}
-	if query.Get("wait") == "" {
+	if !wait {
 		writeJSON(w, http.StatusAccepted, wire.SubmitResponse{ID: t.id})
 		return
 	}
@@ -218,31 +235,25 @@ func (s *Server) handleCompile(w http.ResponseWriter, r *http.Request) {
 // maxTimeoutMS is the largest timeout_ms a time.Duration holds.
 const maxTimeoutMS = int64(math.MaxInt64 / time.Millisecond)
 
+// handleBatch admits a batch as a pipeline: once the body's envelope is
+// walked the ticket is queued, and its jobs are decoded and admitted one by
+// one while the engine compiles the ones before. The answer — 202 with the
+// ticket, or the stream's hello — is written after the last job is
+// admitted, so every refusal is the one a decode of the whole body first
+// would give, in that order of precedence: a body or job defect is 400
+// whatever the queue holds, then an out-of-range timeout_ms, an empty
+// batch, a full queue (429) and a draining server (503).
 func (s *Server) handleBatch(w http.ResponseWriter, r *http.Request) {
-	var req wire.SubmitRequest
 	body, err := readBody(w, r)
+	var d *wire.SubmitDecoder
 	if err == nil {
-		err = wire.DecodeSubmitRequest(body, &req)
+		d, err = wire.NewSubmitDecoder(body)
 	}
 	if err != nil {
 		writeError(w, http.StatusBadRequest, "bad batch: %v", err)
 		return
 	}
-	jobs, err := wire.DecodeJobs(req.Jobs)
-	if err != nil {
-		writeError(w, http.StatusBadRequest, "%v", err)
-		return
-	}
-	// A negative timeout would run the ticket with no deadline at all, and
-	// one past maxTimeoutMS would wrap negative as a Duration.
-	if req.TimeoutMS < 0 || req.TimeoutMS > maxTimeoutMS {
-		writeError(w, http.StatusBadRequest, "bad batch: timeout_ms %d is outside [0, %d]", req.TimeoutMS, maxTimeoutMS)
-		return
-	}
-	t := s.submitHTTP(w, jobs, SubmitOptions{
-		Timeout: time.Duration(req.TimeoutMS) * time.Millisecond,
-		Trace:   req.Trace,
-	})
+	t := s.admit(w, r, d)
 	if t == nil {
 		return
 	}
@@ -251,6 +262,67 @@ func (s *Server) handleBatch(w http.ResponseWriter, r *http.Request) {
 		return
 	}
 	s.streamTicket(w, r, t, false)
+}
+
+// admit decodes and admits the jobs of a walked batch body and returns its
+// ticket, or nil when the batch was refused and answered. A batch the queue
+// takes at once is admitted a job at a time behind the ticket's gate; a
+// defect found on the way withdraws the ticket. Any other batch is decoded
+// whole before it is judged.
+func (s *Server) admit(w http.ResponseWriter, r *http.Request, d *wire.SubmitDecoder) *ticket {
+	// A negative timeout would run the ticket with no deadline at all, and
+	// one past maxTimeoutMS would wrap negative as a Duration.
+	inRange := 0 <= d.TimeoutMS && d.TimeoutMS <= maxTimeoutMS
+	opts := SubmitOptions{Timeout: time.Duration(d.TimeoutMS) * time.Millisecond, Trace: d.Trace}
+	var t *ticket
+	if inRange && d.Len > 0 {
+		t, _ = s.enqueue(make([]driver.Job, d.Len), opts, driver.NewGate())
+	}
+	if t == nil {
+		jobs := make([]driver.Job, d.Len)
+		for i := range jobs {
+			var err error
+			if jobs[i], err = d.Next(); err != nil {
+				refuseBatch(w, err)
+				return nil
+			}
+		}
+		if !inRange {
+			writeError(w, http.StatusBadRequest, "bad batch: timeout_ms %d is outside [0, %d]", d.TimeoutMS, maxTimeoutMS)
+			return nil
+		}
+		return s.submitHTTP(w, jobs, opts)
+	}
+	gone := false
+	for i := range t.jobs {
+		if i > 0 && !gone && r.Context().Err() != nil {
+			// Nobody is left to learn the ticket's id: stop its
+			// compilations now. Admission runs on, so the ticket is booked
+			// as any other whose client left before its answer.
+			t.cancel(errCanceled)
+			gone = true
+		}
+		j, err := d.Next()
+		if err != nil {
+			s.withdraw(t)
+			refuseBatch(w, err)
+			return nil
+		}
+		j.Trace = t.trace
+		t.jobs[i] = j
+		t.gate.Admit()
+	}
+	s.accept(t)
+	return t
+}
+
+// refuseBatch answers a batch whose body or job does not decode.
+func refuseBatch(w http.ResponseWriter, err error) {
+	if bad := (*wire.MalformedError)(nil); errors.As(err, &bad) {
+		writeError(w, http.StatusBadRequest, "bad batch: %v", bad)
+		return
+	}
+	writeError(w, http.StatusBadRequest, "%v", err)
 }
 
 // writeStatus answers 200 with a ticket snapshot in its wire form; the

@@ -270,6 +270,53 @@ func TestCompileTraceParameter(t *testing.T) {
 	}
 }
 
+// TestCompileWaitParameter: POST /compile?wait=v blocks for the finished
+// status only when v parses as true; a false v answers 202 with the ticket
+// like no v at all, and a v that does not parse is a 400.
+func TestCompileWaitParameter(t *testing.T) {
+	s := New(Config{})
+	defer s.Shutdown(context.Background())
+	ts := httptest.NewServer(s.Handler())
+	defer ts.Close()
+
+	wj := encodeBatch(t, "tomcatv", 1)[0]
+	for _, c := range []struct {
+		wait string // the query's wait value; "" sends none
+		code int
+	}{
+		{"", http.StatusAccepted},
+		{"0", http.StatusAccepted},
+		{"false", http.StatusAccepted},
+		{"1", http.StatusOK},
+		{"true", http.StatusOK},
+	} {
+		url := ts.URL + "/compile"
+		if c.wait != "" {
+			url += "?wait=" + c.wait
+		}
+		var st wire.JobStatus
+		code := postJSON(t, url, wj, &st)
+		if code != c.code {
+			t.Fatalf("wait=%q: %d, want %d", c.wait, code, c.code)
+		}
+		if code == http.StatusOK && st.State != wire.StateDone {
+			t.Errorf("wait=%q answered a ticket %s", c.wait, st.State)
+		}
+		if code == http.StatusAccepted && (st.ID == "" || st.State != "") {
+			t.Errorf("wait=%q answered %+v, want the ticket alone", c.wait, st)
+		}
+		pollDone(t, ts.URL, st.ID)
+	}
+	for _, v := range []string{"yes", "2", "on"} {
+		var er wire.ErrorResponse
+		if code := postJSON(t, ts.URL+"/compile?wait="+v, wj, &er); code != http.StatusBadRequest {
+			t.Errorf("wait=%s: %d, want 400", v, code)
+		} else if !strings.Contains(er.Error, "wait") {
+			t.Errorf("wait=%s refused with %q", v, er.Error)
+		}
+	}
+}
+
 func TestHTTPErrors(t *testing.T) {
 	s := New(Config{})
 	defer s.Shutdown(context.Background())

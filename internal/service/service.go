@@ -151,6 +151,15 @@ type ticket struct {
 	// trace is the ticket's execution trace (nil for untraced tickets);
 	// its epoch is the submission instant, so the queued span starts at 0.
 	trace *telemetry.Trace
+	// release frees the deadline's timer once the ticket is over.
+	release context.CancelFunc
+	// gate admits the jobs of a batch queued while it is still being
+	// decoded (nil when every job was there at submission). admitted is
+	// closed when that admission is over, and withdrawn, set before, says
+	// it was refused: the ticket is then forgotten, not retired.
+	gate      *driver.Gate
+	admitted  chan struct{}
+	withdrawn bool
 
 	mu       sync.Mutex
 	state    State
@@ -357,6 +366,25 @@ func (s *Server) submit(jobs []driver.Job, opts SubmitOptions) (*ticket, error) 
 	if len(jobs) == 0 {
 		return nil, errors.New("service: empty batch")
 	}
+	t, err := s.enqueue(jobs, opts, nil)
+	if err != nil {
+		s.metrics.tickets.With("rejected").Inc()
+		var full *ErrQueueFull
+		if errors.As(err, &full) {
+			s.logger.Warn("ticket rejected: queue full",
+				"jobs", len(jobs), "retry_after", full.RetryAfter)
+		}
+		return nil, err
+	}
+	s.accept(t)
+	return t, nil
+}
+
+// enqueue queues a ticket for jobs, counting nothing: accept books it once
+// every job is admitted. With a gate, the jobs are filled in and admitted
+// while the ticket waits or runs. It fails with ErrShuttingDown or
+// *ErrQueueFull.
+func (s *Server) enqueue(jobs []driver.Job, opts SubmitOptions, gate *driver.Gate) (*ticket, error) {
 	timeout := opts.Timeout
 	if timeout == 0 {
 		timeout = s.cfg.DefaultTimeout
@@ -365,7 +393,6 @@ func (s *Server) submit(jobs []driver.Job, opts SubmitOptions) (*ticket, error) 
 	s.mu.Lock()
 	if s.draining {
 		s.mu.Unlock()
-		s.metrics.tickets.With("rejected").Inc()
 		return nil, ErrShuttingDown
 	}
 	s.seq++
@@ -375,16 +402,23 @@ func (s *Server) submit(jobs []driver.Job, opts SubmitOptions) (*ticket, error) 
 		created: time.Now(),
 		done:    make(chan struct{}),
 		events:  make([]Event, 0, len(jobs)),
+		release: func() {},
+		gate:    gate,
+	}
+	if gate != nil {
+		t.admitted = make(chan struct{})
 	}
 	if opts.Trace || s.cfg.TraceJobs {
 		t.trace = telemetry.NewTrace()
+		for i := range jobs {
+			jobs[i].Trace = t.trace
+		}
 	}
 	ctx := context.Background()
-	cancelT := context.CancelFunc(func() {})
 	if timeout > 0 {
 		// The deadline spans queueing and execution: a ticket that waits
 		// out its whole budget in the queue is cancelled, not run late.
-		ctx, cancelT = context.WithTimeout(ctx, timeout)
+		ctx, t.release = context.WithTimeout(ctx, timeout)
 		t.deadline = t.created.Add(timeout)
 	}
 	t.ctx, t.cancel = context.WithCancelCause(ctx)
@@ -393,36 +427,57 @@ func (s *Server) submit(jobs []driver.Job, opts SubmitOptions) (*ticket, error) 
 	case s.queue <- t:
 		s.tickets[t.id] = t
 		s.mu.Unlock()
-		s.metrics.tickets.With("submitted").Inc()
-		for i := range jobs {
-			s.metrics.jobsSubmitted.With(jobs[i].Opts.StrategyName()).Inc()
-		}
-		s.logger.Debug("ticket submitted",
-			"ticket", t.id, "jobs", len(jobs), "traced", t.trace != nil)
-		// Watcher: a ticket cancelled or expired while still queued is
-		// retired on the spot instead of waiting for a runner to reach it
-		// (claim/finish arbitrate the race with a runner picking it up).
-		go func() {
-			defer cancelT()
-			select {
-			case <-t.ctx.Done():
-				s.retire(t, StateCanceled, nil, cancelCause(t.ctx, t.ctx.Err()), true)
-				<-t.done // a running batch finishes on its own terms
-			case <-t.done:
-			}
-		}()
 		return t, nil
 	default:
 		s.mu.Unlock()
-		s.metrics.tickets.With("rejected").Inc()
 		t.cancel(nil)
-		cancelT()
-		close(t.done)
-		retry := s.retryAfter()
-		s.logger.Warn("ticket rejected: queue full",
-			"jobs", len(jobs), "retry_after", retry)
-		return nil, &ErrQueueFull{RetryAfter: retry}
+		t.release()
+		return nil, &ErrQueueFull{RetryAfter: s.retryAfter()}
 	}
+}
+
+// accept books a queued ticket whose every job is admitted, and ends its
+// admission.
+func (s *Server) accept(t *ticket) {
+	s.metrics.tickets.With("submitted").Inc()
+	for i := range t.jobs {
+		s.metrics.jobsSubmitted.With(t.jobs[i].Opts.StrategyName()).Inc()
+	}
+	s.logger.Debug("ticket submitted",
+		"ticket", t.id, "jobs", len(t.jobs), "traced", t.trace != nil)
+	// Watcher: a ticket cancelled or expired while still queued is
+	// retired on the spot instead of waiting for a runner to reach it
+	// (claim/finish arbitrate the race with a runner picking it up).
+	go func() {
+		defer t.release()
+		select {
+		case <-t.ctx.Done():
+			s.retire(t, StateCanceled, nil, cancelCause(t.ctx, t.ctx.Err()), true)
+			<-t.done // a running batch finishes on its own terms
+		case <-t.done:
+		}
+	}()
+	if t.admitted != nil {
+		close(t.admitted)
+	}
+}
+
+// withdraw takes back a ticket whose admission was refused. It leaves the
+// server as if it had never been queued: out of the tickets map, counted
+// nowhere, its compilations stopped, and a runner that claimed it retires
+// nothing.
+func (s *Server) withdraw(t *ticket) {
+	s.mu.Lock()
+	delete(s.tickets, t.id)
+	s.mu.Unlock()
+	t.cancel(errCanceled)
+	t.release()
+	t.mu.Lock()
+	t.state = StateCanceled // a runner that has not claimed it never will
+	t.mu.Unlock()
+	close(t.done)
+	t.withdrawn = true
+	close(t.admitted)
 }
 
 // retryAfter estimates when queue capacity frees up: proportional to the
@@ -458,13 +513,10 @@ func (s *Server) serve(t *ticket) {
 		// to now is exactly the ticket's queue wait.
 		t.trace.Span(t.trace.Track("service"), "service", "queued", 0,
 			telemetry.Arg{Key: "ticket", Val: t.id})
-		for i := range t.jobs {
-			t.jobs[i].Trace = t.trace
-		}
 	}
 
 	outcomes := make([]driver.Outcome, len(t.jobs))
-	for i, out := range s.compiler.Stream(t.ctx, t.jobs) {
+	for i, out := range driver.StreamAdmitted(s.compiler, t.ctx, t.jobs, t.gate) {
 		outcomes[i] = out
 		t.publish(i, out)
 		if s.cfg.SlowCompile > 0 && out.Elapsed >= s.cfg.SlowCompile {
@@ -474,6 +526,13 @@ func (s *Server) serve(t *ticket) {
 	err := driver.AggregateError(outcomes)
 
 	s.metrics.inFlight.Add(-1)
+	if t.admitted != nil {
+		// A ticket is retired only once its admission is over, and only
+		// if it was accepted.
+		if <-t.admitted; t.withdrawn {
+			return
+		}
+	}
 	if cerr := t.ctx.Err(); cerr != nil {
 		// Completed outcomes survive; the ticket reports why it stopped.
 		s.retire(t, StateCanceled, outcomes, cancelCause(t.ctx, cerr), false)

@@ -18,6 +18,7 @@ package wire
 import (
 	"bytes"
 	"encoding/json"
+	"errors"
 	"reflect"
 	"testing"
 
@@ -136,9 +137,13 @@ func FuzzDecodeSubmitRequest(f *testing.F) {
 	f.Add([]byte(`{"jobs": [` + pythonJob + `], "trace": true, "timeout_ms": 30000}` + "\n"))
 	f.Add([]byte(`{"jobs":[{"loop":"l","machine":{"config":"4c2b2l64r"},"options":{"Strategy":"uas"}}]}`))
 	f.Add([]byte(`{"jobs":[{"loop":"l","machine":{"config":"unified","clusters":1,"regs_per_cluster":64},"options":{"max_ii":-3}}],"jobs":[]}`))
+	f.Add([]byte(`{"timeout_ms": 5, "jobs": [` + pythonJob + `, {"loop": "\\\"]\\\\", "machine": {"config": "4c2b2l64r"}, "options": {}}]}`))
+	f.Add([]byte(`{"jobs": [` + pythonJob + `, {"loop": "l", "machine": {"config": "4c2b2l64r"}, "options": {"strategy": "nope"}}, ` + pythonJob + `], "trace": tru}`))
+	f.Add([]byte(`{"jobs": [` + pythonJob + `, {"loop": "l", "machine": {"config": "4c2b2l64r"}, "options": {}}, {"lo\u006fp": "l"}]}`))
 	f.Fuzz(func(t *testing.T, data []byte) {
 		checkWalk(t, data, (*scanner).submit, DecodeSubmitRequest, firstValue[SubmitRequest])
 		checkWalk(t, data, (*scanner).job, DecodeJob, firstValue[Job])
+		checkProgressive(t, data)
 		var req SubmitRequest
 		if DecodeSubmitRequest(data, &req) != nil {
 			return
@@ -151,6 +156,43 @@ func FuzzDecodeSubmitRequest(f *testing.F) {
 			}
 		}
 	})
+}
+
+// checkProgressive holds the job-at-a-time decode of a POST /batch body to
+// the whole one, DecodeSubmitRequest then DecodeJobs: the same envelope, the
+// same jobs, and the same first error with the same text — a
+// *MalformedError exactly when DecodeSubmitRequest fails.
+func checkProgressive(t *testing.T, data []byte) {
+	t.Helper()
+	var req SubmitRequest
+	reqErr := DecodeSubmitRequest(data, &req)
+	want, wantErr := []driver.Job(nil), reqErr
+	if reqErr == nil {
+		want, wantErr = DecodeJobs(req.Jobs)
+	}
+	var got []driver.Job
+	d, err := NewSubmitDecoder(data)
+	if err == nil {
+		if reqErr == nil && (d.Len != len(req.Jobs) || d.TimeoutMS != req.TimeoutMS || d.Trace != req.Trace) {
+			t.Fatalf("envelope %d jobs, timeout %d, trace %v; DecodeSubmitRequest %d, %d, %v on\n%q",
+				d.Len, d.TimeoutMS, d.Trace, len(req.Jobs), req.TimeoutMS, req.Trace, data)
+		}
+		got = make([]driver.Job, d.Len)
+		for i := range got {
+			if got[i], err = d.Next(); err != nil {
+				break
+			}
+		}
+	}
+	if (err == nil) != (wantErr == nil) || (err != nil && err.Error() != wantErr.Error()) {
+		t.Fatalf("progressive decode error %v, whole %v, on\n%q", err, wantErr, data)
+	}
+	if malformed := errors.As(err, new(*MalformedError)); malformed != (reqErr != nil) {
+		t.Fatalf("progressive decode error %v is malformed: %v, DecodeSubmitRequest's %v, on\n%q", err, malformed, reqErr, data)
+	}
+	if err == nil && !reflect.DeepEqual(got, want) {
+		t.Fatalf("the progressive and the whole decode disagree on\n%q", data)
+	}
 }
 
 func FuzzDecodeJobStatus(f *testing.F) {

@@ -402,6 +402,14 @@ func TestDecodersMatchReference(t *testing.T) {
 		if gerr != nil || werr != nil || !reflect.DeepEqual(got, want) {
 			t.Fatalf("submit request at %d decodes differently (%v / %v)", lo, gerr, werr)
 		}
+		// Job by job, as the server admits it: every walk accepts.
+		d, err := NewSubmitDecoder(body)
+		for i := 0; err == nil && i < d.Len; i++ {
+			_, err = d.Next()
+		}
+		if err != nil || !d.walked || d.Len != len(batch) {
+			t.Fatalf("submit request at %d: the job-at-a-time walk declined (%v)", lo, err)
+		}
 		st := JobStatus{ID: "job-9", State: StateDone, NumJobs: len(batch), CreatedMS: 1, FinishedMS: 2}
 		answer := AppendJobStatus(nil, &st, batch, lo%2 == 0)
 		if s := (scanner{b: answer}); !s.status(new(JobStatus)) || !s.end() {

@@ -26,8 +26,12 @@ package wire
 import (
 	"bytes"
 	"encoding/json"
+	"fmt"
 	"strconv"
 	"unicode/utf8"
+
+	"clusched/internal/driver"
+	"clusched/internal/machine"
 )
 
 // scanner is the read position of one walk. Its methods report false to
@@ -153,6 +157,60 @@ func (s *scanner) rawString() (raw []byte, escaped, ok bool) {
 		}
 	}
 	return nil, false, false
+}
+
+// skipArray steps over one JSON array without decoding it and counts its
+// elements: the commas at its own depth, strings stepped over whole. It
+// checks nothing else — what it steps over is walked, or refused, later —
+// so on a body encoding/json accepts the count is exact.
+func (s *scanner) skipArray() (n int, ok bool) {
+	if !s.lit('[') {
+		return 0, false
+	}
+	if s.lit(']') {
+		return 0, true
+	}
+	n = 1
+	for depth := 1; s.i < len(s.b); s.i++ {
+		switch s.b[s.i] {
+		case '"':
+			if !s.skipString() {
+				return 0, false
+			}
+		case '[', '{':
+			depth++
+		case ']', '}':
+			if depth--; depth == 0 {
+				s.i++
+				return n, true
+			}
+		case ',':
+			if depth == 1 {
+				n++
+			}
+		}
+	}
+	return 0, false
+}
+
+// skipString moves s.i from a string's opening quote to its closing one: the
+// next quote not escaped by an odd run of backslashes.
+func (s *scanner) skipString() bool {
+	for from := s.i + 1; ; {
+		k := bytes.IndexByte(s.b[from:], '"')
+		if k < 0 {
+			return false
+		}
+		q, esc := from+k, 0
+		for s.b[q-1-esc] == '\\' {
+			esc++
+		}
+		if esc%2 == 0 {
+			s.i = q
+			return true
+		}
+		from = q + 1
+	}
 }
 
 // unescape appends the value of raw, the escaped inside of a JSON string,
@@ -665,6 +723,131 @@ func DecodeSubmitRequest(data []byte, req *SubmitRequest) error {
 	}
 	*req = SubmitRequest{}
 	return json.NewDecoder(bytes.NewReader(data)).Decode(req)
+}
+
+// MalformedError is a request body encoding/json refuses; its text is
+// encoding/json's.
+type MalformedError struct{ Err error }
+
+// Error implements error.
+func (e *MalformedError) Error() string { return e.Err.Error() }
+
+// Unwrap returns encoding/json's error.
+func (e *MalformedError) Unwrap() error { return e.Err }
+
+// SubmitDecoder decodes a POST /batch body one job at a time, so a server
+// can compile the first jobs while it decodes the rest. NewSubmitDecoder
+// walks the envelope — timeout_ms, trace, and the extent and length of the
+// jobs array, stepped over unread — and each Next walks one job and decodes
+// it. Its verdict on every body is DecodeSubmitRequest's followed by
+// DecodeJobs': the same jobs, and the same first error with the same text.
+// A walk that declines hands the whole body to DecodeSubmitRequest, as a
+// walk of the whole body would; the jobs returned before it are equal to
+// encoding/json's by the rule the fuzzers hold.
+type SubmitDecoder struct {
+	// TimeoutMS and Trace are the request's; Len is its number of jobs,
+	// which Next decodes in order.
+	TimeoutMS int64
+	Trace     bool
+	Len       int
+
+	body   []byte
+	s      scanner // at the next job, while walking
+	end    int     // just past the jobs array
+	walked bool    // no walk has declined
+	jobs   []Job   // encoding/json's, once a walk declined
+	wj     Job     // the job last walked; its memory is recycled
+	prev   machine.Config
+	next   int
+}
+
+// NewSubmitDecoder walks the envelope of a POST /batch body. Its error is a
+// *MalformedError.
+func NewSubmitDecoder(body []byte) (*SubmitDecoder, error) {
+	d := &SubmitDecoder{body: body, walked: true}
+	s, start := scanner{b: body}, -1
+	ok := s.object(submitKeys, func(key string) (ok bool) {
+		switch key {
+		case "jobs":
+			start = s.i
+			d.Len, ok = s.skipArray()
+			d.end = s.i
+		case "timeout_ms":
+			ok = s.int64(&d.TimeoutMS)
+		case "trace":
+			ok = s.bool(&d.Trace)
+		}
+		return ok
+	})
+	if !ok || !s.end() {
+		req, err := d.whole()
+		if err != nil {
+			return nil, err
+		}
+		d.TimeoutMS, d.Trace, d.Len = req.TimeoutMS, req.Trace, len(req.Jobs)
+		return d, nil
+	}
+	if start >= 0 {
+		d.s = scanner{b: body, i: start + 1} // past the '['
+	}
+	return d, nil
+}
+
+// Next decodes the next of the Len jobs. Its error is a *MalformedError
+// when the body is not one encoding/json accepts, which takes precedence,
+// and otherwise names the first job that does not decode, as DecodeJobs'
+// does.
+func (d *SubmitDecoder) Next() (driver.Job, error) {
+	i := d.next
+	d.next++
+	wj := &d.wj
+	if !d.walked || !d.walk(i) {
+		if d.walked {
+			if _, err := d.whole(); err != nil {
+				return driver.Job{}, err
+			}
+		}
+		wj = &d.jobs[i]
+	}
+	j, err := wj.decode(d.prev)
+	if err != nil {
+		for k := i + 1; d.walked && k < d.Len; k++ {
+			if !d.walk(k) {
+				if _, err := d.whole(); err != nil {
+					return driver.Job{}, err
+				}
+			}
+		}
+		return driver.Job{}, fmt.Errorf("job %d: %w", i, err)
+	}
+	d.prev = j.Machine
+	return j, nil
+}
+
+// walk walks job i into d.wj with the array's punctuation around it: the
+// comma before every job but the first, the bracket the envelope walk
+// found after the last.
+func (d *SubmitDecoder) walk(i int) bool {
+	s := &d.s
+	if i > 0 && !s.lit(',') {
+		return false
+	}
+	s.ws()
+	if !s.job(&d.wj) {
+		return false
+	}
+	return i < d.Len-1 || (s.lit(']') && s.i == d.end)
+}
+
+// whole decodes the body with DecodeSubmitRequest, whose verdict a walk
+// that declined defers to, and keeps its jobs.
+func (d *SubmitDecoder) whole() (SubmitRequest, error) {
+	var req SubmitRequest
+	if err := DecodeSubmitRequest(d.body, &req); err != nil {
+		return req, &MalformedError{Err: err}
+	}
+	d.walked, d.jobs = false, req.Jobs
+	return req, nil
 }
 
 // DecodeJobStatus decodes a GET /jobs/{id} or POST /compile?wait=1 answer

@@ -195,3 +195,49 @@ func BenchmarkDecodeFrameReference(b *testing.B) {
 		}
 	}
 }
+
+// BenchmarkDecodeSubmit prices a POST /batch body per job: the suite in
+// program-sized bodies of 64 jobs, decoded job by job as the server admits
+// them, and whole (DecodeSubmitRequest, then DecodeJobs), as the server did
+// before it admitted jobs while decoding the rest. One op is one body.
+func BenchmarkDecodeSubmit(b *testing.B) {
+	jobs := suiteJobs()
+	var bodies [][]byte
+	for lo := 0; lo+64 <= len(jobs); lo += 64 {
+		body, err := AppendSubmitRequest(nil, jobs[lo:lo+64])
+		if err != nil {
+			b.Fatal(err)
+		}
+		bodies = append(bodies, body)
+	}
+	for _, c := range []struct {
+		name   string
+		decode func([]byte) error
+	}{
+		{"progressive", func(body []byte) error {
+			d, err := NewSubmitDecoder(body)
+			for i := 0; err == nil && i < d.Len; i++ {
+				_, err = d.Next()
+			}
+			return err
+		}},
+		{"whole", func(body []byte) error {
+			var req SubmitRequest
+			err := DecodeSubmitRequest(body, &req)
+			if err == nil {
+				_, err = DecodeJobs(req.Jobs)
+			}
+			return err
+		}},
+	} {
+		b.Run(c.name, func(b *testing.B) {
+			b.ReportAllocs()
+			for i := 0; i < b.N; i++ {
+				if err := c.decode(bodies[i%len(bodies)]); err != nil {
+					b.Fatal(err)
+				}
+			}
+			b.ReportMetric(float64(b.Elapsed().Nanoseconds())/float64(b.N*64), "ns/job")
+		})
+	}
+}
