@@ -53,8 +53,10 @@ func answer(s *Server, body string) (int, string) {
 // byte. Where a body has two defects the precedence is that order too: a
 // body encoding/json refuses is refused as malformed whatever its jobs
 // hold, then the first job that does not decode, then an out-of-range
-// timeout_ms. A refused batch leaves no ticket and no count behind, and a
-// body that is malformed is 400 on a full queue or a draining server too.
+// timeout_ms. A refused batch leaves no ticket and no ticket count behind
+// (the cache's counters may move: jobs admitted before a defect may have
+// compiled), and a body that is malformed is 400 on a full queue or a
+// draining server too.
 func TestBatchRefusalsAreUnchanged(t *testing.T) {
 	good := refusalBatch(t, nil)
 	_, unknown := pipeline.LookupStrategy("nope") // its text lists the registry
@@ -173,6 +175,42 @@ func TestBatchRefusalsAreUnchanged(t *testing.T) {
 	}
 	if code, body := answer(draining, good); code != http.StatusServiceUnavailable || body != refusal("service: shutting down") {
 		t.Errorf("draining: %d %q", code, body)
+	}
+}
+
+// TestBatchOfCommasReservesNothing: the envelope walk counts a batch's jobs
+// by the commas between them, and a comma costs one byte. A valid job
+// followed by a million commas is refused as encoding/json refuses it,
+// without a ticket and without reserving anything per counted job.
+func TestBatchOfCommasReservesNothing(t *testing.T) {
+	one := string(mustMarshal(t, wire.SubmitRequest{Jobs: encodeBatch(t, "tomcatv", 1)}))
+	end := strings.LastIndex(one, "]")
+	body := one[:end] + strings.Repeat(",", 1<<20) + one[end:]
+	var req wire.SubmitRequest
+	err := wire.DecodeSubmitRequest([]byte(body), &req)
+	if err == nil {
+		t.Fatal("encoding/json accepted a run of commas")
+	}
+
+	s := New(Config{Workers: 1})
+	defer s.Shutdown(context.Background())
+	var before, after runtime.MemStats
+	runtime.GC()
+	runtime.ReadMemStats(&before)
+	code, answered := answer(s, body)
+	runtime.ReadMemStats(&after)
+	if want := refusal("bad batch: " + err.Error()); code != http.StatusBadRequest || answered != want {
+		t.Errorf("%d %q, want 400 %q", code, answered, want)
+	}
+	// Reading the body and encoding/json's pass over it take a few copies
+	// of it; one counted job's reservation alone is over 150 bytes.
+	if got, limit := after.TotalAlloc-before.TotalAlloc, 16*uint64(len(body)); got > limit {
+		t.Errorf("refusing a %d-byte body allocated %d bytes, want at most %d", len(body), got, limit)
+	}
+	s.mu.Lock()
+	defer s.mu.Unlock()
+	if s.seq != 0 {
+		t.Errorf("refused body queued %d tickets", s.seq)
 	}
 }
 

@@ -253,7 +253,7 @@ func (s *Server) handleBatch(w http.ResponseWriter, r *http.Request) {
 		writeError(w, http.StatusBadRequest, "bad batch: %v", err)
 		return
 	}
-	t := s.admit(w, r, d)
+	t := s.admit(w, r, d, len(body))
 	if t == nil {
 		return
 	}
@@ -264,18 +264,19 @@ func (s *Server) handleBatch(w http.ResponseWriter, r *http.Request) {
 	s.streamTicket(w, r, t, false)
 }
 
-// admit decodes and admits the jobs of a walked batch body and returns its
-// ticket, or nil when the batch was refused and answered. A batch the queue
-// takes at once is admitted a job at a time behind the ticket's gate; a
-// defect found on the way withdraws the ticket. Any other batch is decoded
-// whole before it is judged.
-func (s *Server) admit(w http.ResponseWriter, r *http.Request, d *wire.SubmitDecoder) *ticket {
+// admit decodes and admits the jobs of a walked batch body of size bytes
+// and returns its ticket, or nil when the batch was refused and answered. A
+// batch the queue takes at once is admitted a job at a time behind the
+// ticket's gate. Any other batch is decoded whole before it is judged, and
+// so is one with more jobs than its size can hold as jobs that decode:
+// queueing reserves room for every job, which such a batch will not fill.
+func (s *Server) admit(w http.ResponseWriter, r *http.Request, d *wire.SubmitDecoder, size int) *ticket {
 	// A negative timeout would run the ticket with no deadline at all, and
 	// one past maxTimeoutMS would wrap negative as a Duration.
 	inRange := 0 <= d.TimeoutMS && d.TimeoutMS <= maxTimeoutMS
 	opts := SubmitOptions{Timeout: time.Duration(d.TimeoutMS) * time.Millisecond, Trace: d.Trace}
 	var t *ticket
-	if inRange && d.Len > 0 {
+	if inRange && d.Len > 0 && d.Len <= size/wire.MinJobBytes {
 		t, _ = s.enqueue(make([]driver.Job, d.Len), opts, driver.NewGate())
 	}
 	if t == nil {
@@ -293,6 +294,23 @@ func (s *Server) admit(w http.ResponseWriter, r *http.Request, d *wire.SubmitDec
 		}
 		return s.submitHTTP(w, jobs, opts)
 	}
+	if err := s.fill(r, t, d); err != nil {
+		refuseBatch(w, err)
+		return nil
+	}
+	return t
+}
+
+// fill decodes and admits the jobs of a gated ticket, then accepts it. Any
+// other way out — a defect, or a panic — withdraws the ticket, so no runner
+// is left waiting on an admission that nobody will end.
+func (s *Server) fill(r *http.Request, t *ticket, d *wire.SubmitDecoder) error {
+	accepted := false
+	defer func() {
+		if !accepted {
+			s.withdraw(t)
+		}
+	}()
 	gone := false
 	for i := range t.jobs {
 		if i > 0 && !gone && r.Context().Err() != nil {
@@ -304,16 +322,15 @@ func (s *Server) admit(w http.ResponseWriter, r *http.Request, d *wire.SubmitDec
 		}
 		j, err := d.Next()
 		if err != nil {
-			s.withdraw(t)
-			refuseBatch(w, err)
-			return nil
+			return err
 		}
 		j.Trace = t.trace
 		t.jobs[i] = j
 		t.gate.Admit()
 	}
 	s.accept(t)
-	return t
+	accepted = true
+	return nil
 }
 
 // refuseBatch answers a batch whose body or job does not decode.

@@ -746,7 +746,9 @@ func (e *MalformedError) Unwrap() error { return e.Err }
 // encoding/json's by the rule the fuzzers hold.
 type SubmitDecoder struct {
 	// TimeoutMS and Trace are the request's; Len is its number of jobs,
-	// which Next decodes in order.
+	// which Next decodes in order. A caller may reserve room for Len jobs:
+	// Len is encoding/json's count, or a walked count the body can hold
+	// (at most its length over MinJobBytes).
 	TimeoutMS int64
 	Trace     bool
 	Len       int
@@ -761,8 +763,15 @@ type SubmitDecoder struct {
 	next   int
 }
 
+// MinJobBytes is the length of the shortest job that decodes,
+// {"loop":"loop x\nend"}: a body of n bytes holds at most n/MinJobBytes of
+// them.
+const MinJobBytes = len(`{"loop":"loop x\nend"}`)
+
 // NewSubmitDecoder walks the envelope of a POST /batch body. Its error is a
-// *MalformedError.
+// *MalformedError. A count of jobs the body cannot hold — a run of commas
+// costs a byte a job — is left to encoding/json too, which refuses such a
+// body before it reserves anything of the count's size.
 func NewSubmitDecoder(body []byte) (*SubmitDecoder, error) {
 	d := &SubmitDecoder{body: body, walked: true}
 	s, start := scanner{b: body}, -1
@@ -779,7 +788,7 @@ func NewSubmitDecoder(body []byte) (*SubmitDecoder, error) {
 		}
 		return ok
 	})
-	if !ok || !s.end() {
+	if !ok || !s.end() || d.Len > len(body)/MinJobBytes {
 		req, err := d.whole()
 		if err != nil {
 			return nil, err
