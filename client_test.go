@@ -348,3 +348,13 @@ func TestStreamMissingJobsInheritTheBatchError(t *testing.T) {
 		t.Fatal("the client polled a ticket whose stream had ended")
 	}
 }
+
+// TestQueueFullErrorText pins what a 429 refusal prints: tests elsewhere
+// match it with errors.As and never read the text a caller sees.
+func TestQueueFullErrorText(t *testing.T) {
+	err := &QueueFullError{RetryAfter: 1500 * time.Millisecond}
+	const want = "clusched: service queue full, retry after 1.5s"
+	if got := err.Error(); got != want {
+		t.Errorf("got %q, want %q", got, want)
+	}
+}

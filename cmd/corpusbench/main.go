@@ -48,11 +48,7 @@ func run(args []string, stdout, stderr io.Writer) int {
 	seed := fs.Int64("seed", 1, "corpus master seed")
 	config := fs.String("config", "4c2b2l64r", "machine configuration")
 	strategies := fs.String("strategies", "", "comma-separated strategy list (default: the full registry)")
-	sizeFlag := fs.String("size", "", "ops per loop as lo:hi")
-	sccFlag := fs.String("scc", "", "shape mix, e.g. chain=1,tree=1,cyclic=2")
-	latFlag := fs.String("lat", "", "op latency mix, e.g. fadd=3,fmul=2,iadd=4")
-	memFlag := fs.Float64("mem", -1, "memory ordering edges per memory op")
-	pressureFlag := fs.Float64("pressure", -1, "register pressure in [0,1]")
+	specFlags := corpus.NewSpecFlags(fs, "")
 	iters := fs.Int("iters", 0, "simulated iterations per validation (0 = default)")
 	workers := fs.Int("j", 0, "driver workers (0 = GOMAXPROCS)")
 	cloneEvery := fs.Int("clone-every", 16, "follow every k-th loop with an isomorphic clone to exercise the semantic cache (0 disables)")
@@ -79,26 +75,8 @@ func run(args []string, stdout, stderr io.Writer) int {
 	spec := corpus.DefaultSpec()
 	spec.N = *n
 	spec.Seed = *seed
-	if *sizeFlag != "" {
-		if spec.Size, err = corpus.ParseSizeRange(*sizeFlag); err != nil {
-			return fatal(err)
-		}
-	}
-	if *sccFlag != "" {
-		if spec.Shapes, err = corpus.ParseShapeMix(*sccFlag); err != nil {
-			return fatal(err)
-		}
-	}
-	if *latFlag != "" {
-		if spec.Ops, err = corpus.ParseOpMix(*latFlag); err != nil {
-			return fatal(err)
-		}
-	}
-	if *memFlag >= 0 {
-		spec.MemEdges = *memFlag
-	}
-	if *pressureFlag >= 0 {
-		spec.Pressure = *pressureFlag
+	if err := specFlags.Apply(&spec); err != nil {
+		return fatal(err)
 	}
 
 	cfg := experiments.CorpusConfig{

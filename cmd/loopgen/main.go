@@ -48,16 +48,16 @@ func main() {
 	dup := flag.Int("dup", 0, "emit each loop followed by this many distinct isomorphic clones")
 	seed := flag.Int64("seed", 1, "base seed for the clone permutations (or the corpus master seed)")
 	corpusMode := flag.Bool("corpus", false, "generate from a corpus distribution instead of the benchmark suite")
-	sizeFlag := flag.String("size", "", "corpus: ops per loop as lo:hi")
-	sccFlag := flag.String("scc", "", "corpus: shape mix, e.g. chain=1,tree=1,cyclic=2")
-	latFlag := flag.String("lat", "", "corpus: op latency mix, e.g. fadd=3,fmul=2,iadd=4")
-	memFlag := flag.Float64("mem", -1, "corpus: memory ordering edges per memory op")
-	pressureFlag := flag.Float64("pressure", -1, "corpus: register pressure in [0,1]")
+	specFlags := corpus.NewSpecFlags(flag.CommandLine, "corpus: ")
 	flag.Parse()
 
 	if *corpusMode {
-		spec, err := corpusSpec(*n, *seed, *sizeFlag, *sccFlag, *latFlag, *memFlag, *pressureFlag)
-		if err != nil {
+		spec := corpus.DefaultSpec()
+		if *n > 0 {
+			spec.N = *n
+		}
+		spec.Seed = *seed
+		if err := specFlags.Apply(&spec); err != nil {
 			fmt.Fprintf(os.Stderr, "loopgen: %v\n", err)
 			os.Exit(2)
 		}
@@ -128,37 +128,4 @@ func main() {
 			emit(clone, l.Visits, l.AvgIters)
 		}
 	}
-}
-
-// corpusSpec assembles a corpus.Spec from the -corpus flag group; unset
-// flags keep corpus.DefaultSpec's distributions.
-func corpusSpec(n int, seed int64, size, scc, lat string, mem, pressure float64) (corpus.Spec, error) {
-	spec := corpus.DefaultSpec()
-	if n > 0 {
-		spec.N = n
-	}
-	spec.Seed = seed
-	var err error
-	if size != "" {
-		if spec.Size, err = corpus.ParseSizeRange(size); err != nil {
-			return spec, err
-		}
-	}
-	if scc != "" {
-		if spec.Shapes, err = corpus.ParseShapeMix(scc); err != nil {
-			return spec, err
-		}
-	}
-	if lat != "" {
-		if spec.Ops, err = corpus.ParseOpMix(lat); err != nil {
-			return spec, err
-		}
-	}
-	if mem >= 0 {
-		spec.MemEdges = mem
-	}
-	if pressure >= 0 {
-		spec.Pressure = pressure
-	}
-	return spec, nil
 }

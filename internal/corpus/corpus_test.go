@@ -1,6 +1,8 @@
 package corpus_test
 
 import (
+	"flag"
+	"reflect"
 	"strings"
 	"testing"
 
@@ -90,26 +92,42 @@ func TestSpecKnobs(t *testing.T) {
 	}
 }
 
+// TestParseHelpers drives the parsers through the flag group both commands
+// declare: set flags land on the Spec, unset ones keep its values, and a
+// malformed value is refused.
 func TestParseHelpers(t *testing.T) {
-	if r, err := corpus.ParseSizeRange("8:48"); err != nil || r != (corpus.IntRange{Lo: 8, Hi: 48}) {
-		t.Fatalf("ParseSizeRange: %v %v", r, err)
+	apply := func(args ...string) (corpus.Spec, error) {
+		fs := flag.NewFlagSet("test", flag.ContinueOnError)
+		f := corpus.NewSpecFlags(fs, "")
+		if err := fs.Parse(args); err != nil {
+			t.Fatal(err)
+		}
+		spec := corpus.DefaultSpec()
+		return spec, f.Apply(&spec)
 	}
-	if _, err := corpus.ParseSizeRange("48:8"); err == nil {
-		t.Fatal("inverted range accepted")
+	spec, err := apply("-size", "8:48", "-scc", "chain=2,tree,cyclic=0.5", "-lat", "fadd=3,iadd", "-mem", "0", "-pressure", "0.25")
+	if err != nil {
+		t.Fatal(err)
 	}
-	m, err := corpus.ParseShapeMix("chain=2,tree,cyclic=0.5")
-	if err != nil || m[corpus.ShapeChain] != 2 || m[corpus.ShapeTree] != 1 || m[corpus.ShapeCyclic] != 0.5 {
-		t.Fatalf("ParseShapeMix: %v %v", m, err)
+	if spec.Size != (corpus.IntRange{Lo: 8, Hi: 48}) {
+		t.Errorf("-size: %v", spec.Size)
 	}
-	if _, err := corpus.ParseShapeMix("zigzag=1"); err == nil {
-		t.Fatal("unknown shape accepted")
+	if m := spec.Shapes; m[corpus.ShapeChain] != 2 || m[corpus.ShapeTree] != 1 || m[corpus.ShapeCyclic] != 0.5 || m[corpus.ShapeWide] != 0 {
+		t.Errorf("-scc: %v", m)
 	}
-	om, err := corpus.ParseOpMix("fadd=3,iadd")
-	if err != nil || om.FAdd != 3 || om.IAdd != 1 || om.FMul != 0 {
-		t.Fatalf("ParseOpMix: %v %v", om, err)
+	if om := spec.Ops; om.FAdd != 3 || om.IAdd != 1 || om.FMul != 0 {
+		t.Errorf("-lat: %+v", om)
 	}
-	if _, err := corpus.ParseOpMix("bogus=1"); err == nil {
-		t.Fatal("unknown op accepted")
+	if spec.MemEdges != 0 || spec.Pressure != 0.25 {
+		t.Errorf("-mem/-pressure: %v/%v", spec.MemEdges, spec.Pressure)
+	}
+	if unset, err := apply(); err != nil || !reflect.DeepEqual(unset, corpus.DefaultSpec()) {
+		t.Errorf("no flags: %+v, %v; want the Spec unchanged", unset, err)
+	}
+	for _, bad := range [][]string{{"-size", "48:8"}, {"-size", "big"}, {"-scc", "zigzag=1"}, {"-scc", "chain=0"}, {"-lat", "bogus=1"}, {"-lat", "fadd=-1"}} {
+		if _, err := apply(bad...); err == nil {
+			t.Errorf("%v accepted", bad)
+		}
 	}
 }
 

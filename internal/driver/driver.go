@@ -936,8 +936,11 @@ type BatchError struct {
 	Failed []JobError
 }
 
-// Error implements error.
+// Error implements error. A BatchError with no failures renders too.
 func (e *BatchError) Error() string {
+	if len(e.Failed) == 0 {
+		return fmt.Sprintf("driver: 0 of %d compilations failed", e.Total)
+	}
 	if len(e.Failed) == 1 {
 		return fmt.Sprintf("driver: 1 of %d compilations failed: %v", e.Total, &e.Failed[0])
 	}

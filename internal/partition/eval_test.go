@@ -261,10 +261,10 @@ func FuzzRefine(f *testing.F) {
 				continue
 			}
 			a := InitialScratch(g, m, ii, d.sc)
-			want, wantConv := initialReference(g, m, ii, d.ref, d.agg)
-			if !slices.Equal(a.Cluster, want.Cluster) || d.sc.Converged() != wantConv {
-				t.Fatalf("Initial on %s at II %d: got %v converged=%v, reference %v converged=%v",
-					m.Name, ii, a.Cluster, d.sc.Converged(), want.Cluster, wantConv)
+			want := initialReference(g, m, ii, d.ref, d.agg)
+			if !slices.Equal(a.Cluster, want.Cluster) {
+				t.Fatalf("Initial on %s at II %d: got %v, reference %v",
+					m.Name, ii, a.Cluster, want.Cluster)
 			}
 			d.refine(g, m, ii+1, a, slices.Clone(edgeWeights(g, m, ii+1, d.sc)))
 			checkEval(t, g, m, a, uniformWeights(g), ii)

@@ -93,7 +93,6 @@ func Unified(g *ddg.Graph) *Assignment {
 // keeps it longer clones it.
 func InitialScratch(g *ddg.Graph, m machine.Config, ii int, sc *Scratch) *Assignment {
 	if !m.Clustered() {
-		sc.converged = true
 		a := sc.assignment(g.NumNodes(), 1) // Unified, in the arena
 		clear(a.Cluster)
 		return a
@@ -117,7 +116,7 @@ func InitialUniform(g *ddg.Graph, m machine.Config, ii int) *Assignment {
 func initial(g *ddg.Graph, m machine.Config, ii int, w []int, sc *Scratch) *Assignment {
 	ms := coarsen(g, m, ii, w, sc)
 	a := assignMacros(g, m, ii, ms, w, sc)
-	sc.converged = refine(g, m, ii, a, w, sc)
+	refine(g, m, ii, a, w, sc)
 	return a
 }
 
@@ -144,7 +143,7 @@ func RefineScratch(g *ddg.Graph, m machine.Config, ii int, a *Assignment, sc *Sc
 	na := sc.assignment(len(a.Cluster), a.K)
 	copy(na.Cluster, a.Cluster)
 	w := edgeWeights(g, m, ii, sc)
-	sc.converged = refine(g, m, ii, na, w, sc)
+	refine(g, m, ii, na, w, sc)
 	return na
 }
 

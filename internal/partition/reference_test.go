@@ -24,15 +24,12 @@ import (
 // improves the assignment in place by greedy single-node moves
 // (§2.3.1 step 2). A move is accepted when it strictly improves the score
 // (inducedII, communications, weighted cut) lexicographically. Several
-// passes run until a pass makes no move. It reports whether the result is a
-// fixpoint: the final pass moved nothing (false means the pass budget ran
-// out mid-improvement).
-func refineReference(g *ddg.Graph, m machine.Config, ii int, a *Assignment, w []int, sc *Scratch) bool {
+// passes run until a pass makes no move or the pass budget runs out.
+func refineReference(g *ddg.Graph, m machine.Config, ii int, a *Assignment, w []int, sc *Scratch) {
 	const maxPasses = 8
 	st := newRefineState(g, m, a, w, ii, sc)
-	moved := false
 	for pass := 0; pass < maxPasses; pass++ {
-		moved = false
+		moved := false
 		for v := range g.Nodes {
 			cur := a.Cluster[v]
 			before := st.score()
@@ -56,7 +53,6 @@ func refineReference(g *ddg.Graph, m machine.Config, ii int, a *Assignment, w []
 			break
 		}
 	}
-	return !moved
 }
 
 // coarsenReference is coarsen as it stood before the contracted macro
@@ -324,11 +320,12 @@ func assignMacrosReference(g *ddg.Graph, m machine.Config, ii int, ms *macroSet,
 }
 
 // initialReference is InitialScratch over the oracles.
-func initialReference(g *ddg.Graph, m machine.Config, ii int, sc *Scratch, agg map[[2]int]int) (*Assignment, bool) {
+func initialReference(g *ddg.Graph, m machine.Config, ii int, sc *Scratch, agg map[[2]int]int) *Assignment {
 	w := edgeWeights(g, m, ii, sc)
 	ms := coarsenReference(g, m, ii, w, sc, agg)
 	a := assignMacrosReference(g, m, ii, ms, w, sc)
-	return a, refineReference(g, m, ii, a, w, sc)
+	refineReference(g, m, ii, a, w, sc)
+	return a
 }
 
 // combinePairsReference sorts the pair list by endpoints and adds up

@@ -8,13 +8,11 @@ import (
 // refine improves the assignment in place by greedy single-node moves
 // (§2.3.1 step 2). A move is accepted when it strictly improves the score
 // (inducedII, communications, weighted cut) lexicographically. Several
-// passes run until a pass makes no move. It reports whether the result is a
-// fixpoint: the final pass moved nothing (false means the pass budget ran
-// out mid-improvement).
+// passes run until a pass makes no move or the pass budget runs out.
 //
 // Candidate moves are scored read-only (prepare, eval); the state is
 // written only by the move that commits an accepted candidate.
-func refine(g *ddg.Graph, m machine.Config, ii int, a *Assignment, w []int, sc *Scratch) bool {
+func refine(g *ddg.Graph, m machine.Config, ii int, a *Assignment, w []int, sc *Scratch) {
 	const maxPasses = 8
 	st := newRefineState(g, m, a, w, ii, sc)
 	// The state lives in a pooled Scratch: do not pin the job's graph,
@@ -31,7 +29,7 @@ func refine(g *ddg.Graph, m machine.Config, ii int, a *Assignment, w []int, sc *
 				// behind v): v sits on its best cluster and every later
 				// node was already scored against exactly this state and
 				// stayed, so the rest of this pass would move nothing.
-				return true
+				return
 			}
 			home := a.Cluster[v]
 			st.prepare(v)
@@ -51,10 +49,9 @@ func refine(g *ddg.Graph, m machine.Config, ii int, a *Assignment, w []int, sc *
 			}
 		}
 		if !moved {
-			return true
+			return
 		}
 	}
-	return false
 }
 
 // score orders candidate partitions: first by how far any cluster's

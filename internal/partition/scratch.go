@@ -55,18 +55,7 @@ type Scratch struct {
 	// assignment).
 	slots [2]Assignment
 	next  int
-
-	// converged records whether the last InitialScratch/RefineScratch call
-	// on this scratch reached a refinement fixpoint (see Converged).
-	converged bool
 }
-
-// Converged reports whether the most recent InitialScratch/RefineScratch
-// call on this arena ran its refinement to a fixpoint — its final pass made
-// no move — rather than exhausting the pass budget. The II search's
-// skip-ahead rule requires a fixpoint to prove that re-refining the same
-// assignment at a larger II is a no-op.
-func (sc *Scratch) Converged() bool { return sc.converged }
 
 // assignment returns the next of the arena's two assignment slots, sized
 // for n nodes on k clusters with Cluster's contents unspecified. The slots

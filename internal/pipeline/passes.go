@@ -33,7 +33,6 @@ func (PartitionPass) Name() string { return "partition" }
 // Run implements Pass.
 func (PartitionPass) Run(ctx *Context) error {
 	partitionStep(ctx)
-	ctx.PartitionConverged = ctx.arena.Part.Converged()
 	ctx.Placement = ctx.arena.Sched.Placement(ctx.Graph, ctx.Assign)
 	ctx.CommsBeforeReplication = ctx.Placement.Comms()
 	return nil
@@ -67,7 +66,6 @@ func (ReplicationPass) Run(ctx *Context) error {
 		return nil
 	}
 	if !ctx.Opts.Replicate {
-		ctx.BusCheckFailed = true
 		ctx.Fail(CauseBus)
 		return nil
 	}
@@ -134,7 +132,9 @@ func (UASAssignPass) Run(ctx *Context) error {
 // cheapest possible pre-partitioning — and the natural lower bound for how
 // much an assignment algorithm matters. It does not depend on the II;
 // attempts fail with CauseBus until the interval's bus budget covers the
-// (fixed) communication count.
+// (fixed) communication count C. The assignment, and so C, is the same at
+// every interval of the search, so a failed bus precheck fails again at
+// every II below MinBusII(C): the pass names that interval as NextII.
 type ModDistPass struct{}
 
 // Name implements Pass.
@@ -155,7 +155,7 @@ func (ModDistPass) Run(ctx *Context) error {
 	ctx.Placement = ctx.arena.Sched.Placement(ctx.Graph, ctx.Assign)
 	ctx.CommsBeforeReplication = ctx.Placement.Comms()
 	if m.Clustered() && ctx.CommsBeforeReplication > m.BusComs(ctx.II) {
-		ctx.fixedBusFail = true
+		ctx.NextII = m.MinBusII(ctx.CommsBeforeReplication)
 		ctx.Fail(CauseBus)
 	}
 	return nil

@@ -137,9 +137,6 @@ type Arena struct {
 	// never partitions (moddist); order is its traversal's memory.
 	fixed partition.Assignment
 	order ddg.OrderScratch
-	// timing and counts serve the skip-ahead's checks (skipahead.go).
-	timing ddg.TimingScratch
-	counts [][ddg.NumClasses]int
 }
 
 // NewArena returns an empty arena; buffers grow on first use.
@@ -204,23 +201,17 @@ type Context struct {
 	// Schedule is set by the scheduling pass on success.
 	Schedule *sched.Schedule
 
-	// BusCheckFailed records that the attempt failed the §3.1 bus-capacity
-	// precheck (comms > BusComs(II)) with replication disabled — the
-	// failure shape the II skip-ahead can bound (see skipahead.go).
-	BusCheckFailed bool
-	// PartitionConverged records whether this attempt's partition
-	// refinement reached a fixpoint (skip-ahead condition 1).
-	PartitionConverged bool
-	// fixedBusFail: a bus-precheck failure under moddist's fixed assignment.
-	fixedBusFail bool
+	// NextII is set by a pass that fails the attempt and can prove that
+	// every interval below NextII fails exactly as this one did: same
+	// cause, same state carried into the next attempt. The search tallies
+	// those intervals under this attempt's cause and resumes at NextII
+	// (skip-ahead). Zero, or anything up to II+1, is the plain II+1.
+	NextII int
 
 	// arena holds the scratch allocators shared by all attempts of this
 	// compilation (and, under the driver, by all jobs of a worker); the
 	// search fills every member before the first pass runs.
 	arena *Arena
-	// wStableII caches skipahead.go's weight-stability threshold for the
-	// whole II search (0 = not yet computed).
-	wStableII int
 
 	failCause Cause
 	failed    bool
@@ -228,7 +219,7 @@ type Context struct {
 
 // Fail abandons the current II attempt with the given cause. The driver
 // tallies the cause in Result.IIIncreases, skips the remaining passes and
-// retries the chain at II+1.
+// retries the chain at II+1 (or at NextII).
 func (c *Context) Fail(cause Cause) { c.failed, c.failCause = true, cause }
 
 // Failed reports whether the current attempt has been abandoned, and why.
@@ -241,9 +232,7 @@ func (c *Context) reset(ii int) {
 	c.CommsBeforeReplication = 0
 	c.ReplStats = replic.Stats{}
 	c.Schedule = nil
-	c.BusCheckFailed = false
-	c.PartitionConverged = false
-	c.fixedBusFail = false
+	c.NextII = 0
 	c.failed = false
 }
 

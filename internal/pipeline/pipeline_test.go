@@ -40,7 +40,7 @@ func TestCustomChainObservesEveryAttempt(t *testing.T) {
 	m := machine.MustParse("4c1b2l64r")
 	var iis []int
 	chain := append([]Pass{tracePass{&iis}}, paperStrategy(t).Chain...)
-	res, err := search(t.Context(), g, m, Options{VerifySchedules: true}, Strategy{Chain: chain, SkipAhead: true}, SearchConfig{})
+	res, err := search(t.Context(), g, m, Options{VerifySchedules: true}, Strategy{Chain: chain}, SearchConfig{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -63,7 +63,7 @@ func TestCustomChainObservesEveryAttempt(t *testing.T) {
 
 func TestChainEquivalentToCompile(t *testing.T) {
 	g := commBound(t)
-	bare := Strategy{Chain: paperStrategy(t).Chain, SkipAhead: true} // no Validate
+	bare := Strategy{Chain: paperStrategy(t).Chain} // no Validate
 	for _, cfg := range []string{"unified", "2c1b2l64r", "4c1b2l64r", "4c2b2l64r"} {
 		m := machine.MustParse(cfg)
 		for _, opts := range []Options{

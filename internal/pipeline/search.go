@@ -5,12 +5,12 @@ package pipeline
 // lives for the whole compilation; a failed attempt is tallied by cause and
 // the next attempt refines the partition the last one left in
 // Context.Assign. One acceleration rides on that loop, and it may not
-// change any observable output: skip-ahead (skipahead.go) — after a
-// failure whose successors are provably identical failures, the search
-// tallies them and jumps. Results are bit-identical to the naive
-// one-attempt-per-interval search — search_parity_test.go pins this
-// against referenceSearch across suites, configs, strategies, traced and
-// untraced.
+// change any observable output: skip-ahead — when the pass that failed an
+// attempt proves the intervals up to Context.NextII fail the same way
+// (moddist's fixed assignment), the search tallies them and jumps.
+// Results are bit-identical to the naive one-attempt-per-interval search —
+// search_parity_test.go pins this against referenceSearch across suites,
+// configs, strategies, traced and untraced.
 //
 // Tracing is an execution detail: it changes neither Options nor any
 // cache identity (driver.JobKey).
@@ -57,7 +57,6 @@ func Search(cctx context.Context, g *ddg.Graph, m machine.Config, opts Options, 
 // search drives s's pass chain through the II search on the machine s
 // compiles for. Each attempt resets the per-attempt context state and runs
 // the chain; the chain must leave Schedule and Placement set on success.
-// !s.SkipAhead disables the skip-ahead.
 func search(cctx context.Context, g *ddg.Graph, m machine.Config, opts Options, s Strategy, cfg SearchConfig) (*Result, error) {
 	if opts.MaxII < 0 {
 		return nil, errors.New("pipeline: MaxII must be ≥ 0")
@@ -92,21 +91,19 @@ func search(cctx context.Context, g *ddg.Graph, m machine.Config, opts Options, 
 			cause := front.failCause
 			res.IIIncreases[cause]++
 			ii++
-			if s.SkipAhead {
-				// Every interval in [ii, next) is proven to fail exactly as
-				// this one did; tally those failures and jump. The tallied
-				// range is capped at maxII, matching the last attempt the
-				// one-by-one search makes before it gives up.
-				if next := front.skipTarget(); next > ii {
-					skipped := min(next, maxII+1) - ii
-					res.IIIncreases[cause] += skipped
-					if tr != nil {
-						tr.Instant(tid, "search", "skip-ahead",
-							telemetry.Arg{Key: "from", Val: ii},
-							telemetry.Arg{Key: "to", Val: ii + skipped})
-					}
-					ii += skipped
+			// The failing pass proved every interval in [ii, NextII) fails
+			// exactly as this one did; tally those failures and jump. The
+			// tallied range is capped at maxII, matching the last attempt
+			// the one-by-one search makes before it gives up.
+			if next := front.NextII; next > ii {
+				skipped := min(next, maxII+1) - ii
+				res.IIIncreases[cause] += skipped
+				if tr != nil {
+					tr.Instant(tid, "search", "skip-ahead",
+						telemetry.Arg{Key: "from", Val: ii},
+						telemetry.Arg{Key: "to", Val: ii + skipped})
 				}
+				ii += skipped
 			}
 			continue
 		}

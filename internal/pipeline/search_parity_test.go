@@ -15,10 +15,11 @@ import (
 	"clusched/internal/workload"
 )
 
-// The search's acceleration — skip-ahead (skipahead.go) — and its tracing
-// (search.go) must be invisible in every observable output: these tests
-// run Search untraced and traced beside the naive referenceSearch and
-// require bit-identical Results — the acceptance bar for both.
+// The search's acceleration — moddist's skip-ahead (Context.NextII) — and
+// its tracing (search.go) must be invisible in every observable output:
+// these tests run Search untraced and traced beside the naive
+// referenceSearch and require bit-identical Results — the acceptance bar
+// for both.
 
 // requireSameResult fails unless both searches produced identical Result
 // fields (or identical failure).
@@ -133,35 +134,10 @@ func (p countingPass) Run(ctx *Context) error {
 	return p.inner.Run(ctx)
 }
 
-// TestSkipAheadSkipsAttempts verifies the jump fires on a bus-bound
-// compilation: the production search must run strictly fewer partition
-// passes than the linear search while producing the same result.
-func TestSkipAheadSkipsAttempts(t *testing.T) {
-	m := machine.MustParse("4c1b2l64r")
-	rng := rand.New(rand.NewSource(7))
-	fired := false
-	for trial := 0; trial < 50 && !fired; trial++ {
-		g := corpus.Generate(corpus.ShapeWide, "wide", rng, 24+rng.Intn(24), corpus.DefaultParams())
-		chain := func(n *int) []Pass {
-			return []Pass{countingPass{PartitionPass{}, n}, ReplicationPass{}, LengthReplicationPass{}, SchedulePass{}, VerifyPass{}}
-		}
-		var nSkip, nLin int
-		skip, skipErr := search(t.Context(), g, m, Options{}, Strategy{Chain: chain(&nSkip), SkipAhead: true}, SearchConfig{})
-		lin, linErr := referenceChain(g, m, Options{}, chain(&nLin))
-		requireSameResult(t, g.Name, skip, lin, skipErr, linErr)
-		if nSkip < nLin {
-			fired = true
-		}
-	}
-	if !fired {
-		t.Fatal("skip-ahead never skipped an attempt on 50 bus-bound loops")
-	}
-}
-
-// TestModDistSkipAheadSkipsAttempts is TestSkipAheadSkipsAttempts for the
-// moddist chain, whose jump needs no refinement fixpoint: on the corpus's
-// bus-bound loops the production search must run fewer moddist passes than
-// the linear one — at least eight fewer on some loop — with the same result.
+// TestModDistSkipAheadSkipsAttempts verifies moddist's jump fires: on the
+// corpus's bus-bound loops the production search must run fewer moddist
+// passes than the linear one — at least eight fewer on some loop — with
+// the same result.
 func TestModDistSkipAheadSkipsAttempts(t *testing.T) {
 	m, spec := machine.MustParse("4c1b2l64r"), corpus.DefaultSpec()
 	chain := func(n *int) []Pass { return []Pass{countingPass{ModDistPass{}, n}, SchedulePass{}, VerifyPass{}} }
@@ -169,7 +145,7 @@ func TestModDistSkipAheadSkipsAttempts(t *testing.T) {
 	for i := 0; i < 60; i++ {
 		g := spec.Loop(i)
 		var nSkip, nLin int
-		skip, skipErr := search(t.Context(), g, m, Options{Strategy: "moddist"}, Strategy{Chain: chain(&nSkip), SkipAhead: true}, SearchConfig{})
+		skip, skipErr := search(t.Context(), g, m, Options{Strategy: "moddist"}, Strategy{Chain: chain(&nSkip)}, SearchConfig{})
 		lin, linErr := referenceChain(g, m, Options{Strategy: "moddist"}, chain(&nLin))
 		requireSameResult(t, g.Name, skip, lin, skipErr, linErr)
 		if nSkip < nLin {

@@ -39,20 +39,13 @@ type Strategy struct {
 	// EffectiveMachine, when set, rewrites the machine the strategy
 	// compiles for; the Result's Machine field reports the rewritten one.
 	EffectiveMachine func(m machine.Config) machine.Config
-	// SkipAhead opts the chain into the II skip-ahead. Its soundness
-	// argument (skipahead.go) is per chain, so only a chain whose failed
-	// attempts provably evolve as it states may set it.
-	SkipAhead bool
 }
 
-// strategies is the table RegisterStrategy starts from. Skip-ahead is
-// proven for the partition-refinement fixpoint (paper) and for an
-// assignment fixed for the search (moddist).
+// strategies is the table RegisterStrategy starts from.
 var strategies = []Strategy{{
 	Name:        "paper",
 	Description: "multilevel partition + selective replication + modulo scheduling (the paper's algorithm)",
 	Chain:       paperChain,
-	SkipAhead:   true,
 }, {
 	// On a single cluster the paper's chain degenerates exactly as needed:
 	// the partition is trivial, replication a structural no-op, and only
@@ -84,7 +77,6 @@ var strategies = []Strategy{{
 	Description: "round-robin modulo distribution of the topological order onto clusters (naive pre-partitioning baseline)",
 	Chain:       []Pass{ModDistPass{}, SchedulePass{}, VerifyPass{}},
 	Validate:    noReplicationPass,
-	SkipAhead:   true,
 }}
 
 // noReplicationPass fails options only the paper chain implements: a

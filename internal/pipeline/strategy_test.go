@@ -112,26 +112,22 @@ func TestStrategyTable(t *testing.T) {
 	}
 	rows := []struct {
 		name      string
-		skipAhead bool
 		compileOn string            // the machine m compiles for
 		refuses   map[string]string // input → what its error names
 	}{
-		{"moddist", true, m.Name, noRepl},
-		{"paper", true, m.Name, nil},
-		{"uas", false, m.Name, noRepl},
-		{"unified", false, machine.Unified(m.Regs * m.Clusters).Name, map[string]string{
+		{"moddist", m.Name, noRepl},
+		{"paper", m.Name, nil},
+		{"uas", m.Name, noRepl},
+		{"unified", machine.Unified(m.Regs * m.Clusters).Name, map[string]string{
 			"hetero": "heterogeneous machine " + hetero.String() + " has no unified equivalent"}},
 	}
 	if got := StrategyNames(); len(got) != len(rows) {
 		t.Fatalf("registered %v, the table has %d rows", got, len(rows))
 	}
 	for i, row := range rows {
-		s, err := LookupStrategy(row.name)
+		_, err := LookupStrategy(row.name)
 		if err != nil || StrategyNames()[i] != row.name {
 			t.Fatalf("row %d: %q not registered in order: %v", i, row.name, err)
-		}
-		if s.SkipAhead != row.skipAhead {
-			t.Errorf("%s: SkipAhead = %t, want %t", row.name, s.SkipAhead, row.skipAhead)
 		}
 		for _, in := range inputs {
 			opts := in.opts
@@ -163,7 +159,6 @@ func TestRegisterStrategyLiteral(t *testing.T) {
 		Name:        name,
 		Description: "moddist, counted",
 		Chain:       []Pass{countingPass{ModDistPass{}, &runs}, SchedulePass{}, VerifyPass{}},
-		SkipAhead:   true,
 	})
 	t.Cleanup(func() {
 		strategyMu.Lock()
