@@ -30,8 +30,10 @@
 package main
 
 import (
+	"errors"
 	"flag"
 	"fmt"
+	"io"
 	"os"
 
 	"clusched/internal/corpus"
@@ -41,15 +43,33 @@ import (
 )
 
 func main() {
-	bench := flag.String("bench", "", "benchmark to dump (default: summary of all)")
-	n := flag.Int("n", 0, "dump at most n loops (0 = all)")
-	stats := flag.Bool("stats", false, "print structural statistics instead of DDGs")
-	permute := flag.Bool("permute", false, "emit a renamed/reordered isomorphic clone of each loop instead of the original")
-	dup := flag.Int("dup", 0, "emit each loop followed by this many distinct isomorphic clones")
-	seed := flag.Int64("seed", 1, "base seed for the clone permutations (or the corpus master seed)")
-	corpusMode := flag.Bool("corpus", false, "generate from a corpus distribution instead of the benchmark suite")
-	specFlags := corpus.NewSpecFlags(flag.CommandLine, "corpus: ")
-	flag.Parse()
+	os.Exit(run(os.Args[1:], os.Stdout, os.Stderr))
+}
+
+// run is the whole tool behind a testable seam: loops and tables go to
+// stdout, diagnostics to stderr, and the return value is the exit code (2
+// for a bad flag, 1 when writing the output fails).
+func run(args []string, stdout, stderr io.Writer) int {
+	fs := flag.NewFlagSet("loopgen", flag.ContinueOnError)
+	fs.SetOutput(stderr)
+	bench := fs.String("bench", "", "benchmark to dump (default: summary of all)")
+	n := fs.Int("n", 0, "dump at most n loops (0 = all)")
+	stats := fs.Bool("stats", false, "print structural statistics instead of DDGs")
+	permute := fs.Bool("permute", false, "emit a renamed/reordered isomorphic clone of each loop instead of the original")
+	dup := fs.Int("dup", 0, "emit each loop followed by this many distinct isomorphic clones")
+	seed := fs.Int64("seed", 1, "base seed for the clone permutations (or the corpus master seed)")
+	corpusMode := fs.Bool("corpus", false, "generate from a corpus distribution instead of the benchmark suite")
+	specFlags := corpus.NewSpecFlags(fs, "corpus: ")
+	if err := fs.Parse(args); err != nil {
+		if errors.Is(err, flag.ErrHelp) {
+			return 0
+		}
+		return 2
+	}
+	fail := func(code int, err error) int {
+		fmt.Fprintf(stderr, "loopgen: %v\n", err)
+		return code
+	}
 
 	if *corpusMode {
 		spec := corpus.DefaultSpec()
@@ -58,17 +78,15 @@ func main() {
 		}
 		spec.Seed = *seed
 		if err := specFlags.Apply(&spec); err != nil {
-			fmt.Fprintf(os.Stderr, "loopgen: %v\n", err)
-			os.Exit(2)
+			return fail(2, err)
 		}
 		for i, g := range spec.Loops() {
-			fmt.Printf("# %s: index=%d loop_seed=%d\n", g.Name, i, spec.LoopSeed(i))
-			if err := ddg.WriteText(os.Stdout, g); err != nil {
-				fmt.Fprintf(os.Stderr, "loopgen: %v\n", err)
-				os.Exit(1)
+			fmt.Fprintf(stdout, "# %s: index=%d loop_seed=%d\n", g.Name, i, spec.LoopSeed(i))
+			if err := ddg.WriteText(stdout, g); err != nil {
+				return fail(1, err)
 			}
 		}
-		return
+		return 0
 	}
 
 	if *stats || *bench == "" {
@@ -92,29 +110,27 @@ func main() {
 				100*classes[ddg.ClassInt]/ops, 100*classes[ddg.ClassFP]/ops, 100*classes[ddg.ClassMem]/ops,
 				iters/nl, visits/nl)
 		}
-		fmt.Print(t.String())
-		fmt.Printf("total loops: %d\n", len(workload.SPECfp95()))
-		return
+		fmt.Fprint(stdout, t.String())
+		fmt.Fprintf(stdout, "total loops: %d\n", len(workload.SPECfp95()))
+		return 0
 	}
 
 	loops := workload.LoopsFor(*bench)
 	if loops == nil {
-		fmt.Fprintf(os.Stderr, "loopgen: unknown benchmark %q\n", *bench)
-		os.Exit(2)
+		return fail(2, fmt.Errorf("unknown benchmark %q", *bench))
 	}
-	emit := func(g *ddg.Graph, visits int64, iters float64) {
-		fmt.Printf("# %s: visits=%d avg_iters=%.1f\n", g.Name, visits, iters)
-		if err := ddg.WriteText(os.Stdout, g); err != nil {
-			fmt.Fprintf(os.Stderr, "loopgen: %v\n", err)
-			os.Exit(1)
-		}
+	emit := func(g *ddg.Graph, visits int64, iters float64) error {
+		fmt.Fprintf(stdout, "# %s: visits=%d avg_iters=%.1f\n", g.Name, visits, iters)
+		return ddg.WriteText(stdout, g)
 	}
 	for i, l := range loops {
 		if *n > 0 && i >= *n {
 			break
 		}
 		if !*permute {
-			emit(l.Graph, l.Visits, l.AvgIters)
+			if err := emit(l.Graph, l.Visits, l.AvgIters); err != nil {
+				return fail(1, err)
+			}
 		}
 		clones := *dup
 		if *permute && clones == 0 {
@@ -125,7 +141,10 @@ func main() {
 			// Distinct seed per (loop, clone): same loop, different
 			// presentation each time, reproducible across runs.
 			clone := ddg.PermuteRandom(l.Graph, name, *seed+int64(i)*1000003+int64(k)*8191)
-			emit(clone, l.Visits, l.AvgIters)
+			if err := emit(clone, l.Visits, l.AvgIters); err != nil {
+				return fail(1, err)
+			}
 		}
 	}
+	return 0
 }

@@ -83,6 +83,7 @@ func (b *Builder) Build() (*Graph, error) {
 		return nil, err
 	}
 	g := b.g
+	g.permRoom = make([]int32, len(g.Nodes))
 	b.g = nil
 	return g, nil
 }

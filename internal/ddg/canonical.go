@@ -59,9 +59,10 @@ func (g *Graph) CanonicalFingerprint() uint64 { return g.CanonicalForm().Sum }
 // ShapeHash is a cheap isomorphism-invariant digest: node/edge counts plus
 // commutative sums over opcode and edge (srcOp, dstOp, kind, dist, lat)
 // tuples. Isomorphic graphs always agree; non-isomorphic graphs rarely
-// collide but may. The engine uses it to gate the expensive canonical
-// lookup — an O(m) filter that keeps canonicalization entirely off the
-// miss path of never-before-seen shapes.
+// collide but may. The engine uses it to gate the canonical lookup: an
+// O(m) filter that finds a never-before-seen shape's bucket empty without
+// a labeling (the compilation that follows labels the loop anyway, for its
+// canonical presentation).
 func (g *Graph) ShapeHash() uint64 {
 	h := mix64(uint64(len(g.Nodes))<<32 | uint64(uint32(len(g.Edges))))
 	for i := range g.Nodes {
@@ -180,7 +181,13 @@ func canonicalize(g *Graph) Canonical {
 		st.best, st.enc = st.enc, st.best
 		perm = root.cell
 	}
-	c := Canonical{Sum: encSum(st.best), Perm: slices.Clone(perm), Complete: !st.aborted}
+	out := g.permRoom
+	if cap(out) < n {
+		out = make([]int32, n)
+	}
+	out = out[:n:n]
+	copy(out, perm)
+	c := Canonical{Sum: encSum(st.best), Perm: out, Complete: !st.aborted}
 	st.g = nil // the pool must not keep the graph alive
 	canonPool.Put(st)
 	return c

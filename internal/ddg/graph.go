@@ -72,10 +72,28 @@ type Graph struct {
 
 	// Canonical identity, computed lazily by CanonicalForm. Guarded by
 	// canonOnce, which also makes the Graph no-copy (go vet copylocks);
-	// graphs are always handled by pointer.
+	// graphs are always handled by pointer. permRoom is where the labeling
+	// writes its Perm: reserved when the graph is built, parsed or cloned,
+	// so labeling a graph allocates nothing.
 	canonOnce sync.Once
 	canon     Canonical
+	permRoom  []int32
+
+	// presented marks a Presentation's graph (see Presented), and epoch
+	// numbers the loops it has held (see Epoch).
+	presented bool
+	epoch     uint64
 }
+
+// Presented reports whether g is a Presentation's graph: a loop already in
+// its topological-canonical numbering.
+func (g *Graph) Presented() bool { return g.presented }
+
+// Epoch tells apart the loops one graph object has held: 0 for a graph
+// that was built, parsed or cloned (it never changes), and a number no
+// other loop had for each loop a Presentation renumbers into its graph. A
+// cache keyed on a graph pointer compares the epoch too.
+func (g *Graph) Epoch() uint64 { return g.epoch }
 
 // NumNodes returns the number of operations in the graph.
 func (g *Graph) NumNodes() int { return len(g.Nodes) }
@@ -229,18 +247,19 @@ func (g *Graph) zeroDistanceCycle(sc *OrderScratch) int {
 	}
 }
 
-// Clone returns a deep copy of the graph.
+// Clone returns a deep copy of the graph, its adjacency in one array
+// like a parsed graph's.
 func (g *Graph) Clone() *Graph {
 	ng := &Graph{
 		Name:  g.Name,
 		Nodes: append([]Node(nil), g.Nodes...),
 		Edges: append([]Edge(nil), g.Edges...),
-		out:   make([][]int32, len(g.out)),
-		in:    make([][]int32, len(g.in)),
 	}
-	for i := range g.out {
-		ng.out[i] = append([]int32(nil), g.out[i]...)
-		ng.in[i] = append([]int32(nil), g.in[i]...)
+	n := len(g.Nodes)
+	degree := make([]int32, 2*n)
+	for v := range n {
+		degree[2*v], degree[2*v+1] = int32(len(g.out[v])), int32(len(g.in[v]))
 	}
+	ng.buildAdjacency(degree)
 	return ng
 }

@@ -479,15 +479,22 @@ func (p *textParser) directive(fields []string, rest string) error {
 }
 
 // buildAdjacency fills g.out and g.in from g.Edges, in edge-ID order like
-// Builder. degree holds each node's out- and in-degree, interleaved. The
-// per-node lists are sub-slices of one backing array, each with its
-// capacity clipped to its length so that an append to one can never write
-// into its neighbour.
+// Builder, and reserves the labeling's room (permRoom) at the end of the
+// edge-id array. degree holds each node's out- and in-degree, interleaved.
 func (g *Graph) buildAdjacency(degree []int32) {
+	n, m := len(g.Nodes), len(g.Edges)
+	ids := make([]int32, 2*m+n)
+	g.permRoom = ids[2*m:]
+	g.adjacencyInto(degree, make([][]int32, 2*n), ids[:2*m])
+}
+
+// adjacencyInto is buildAdjacency into caller-owned memory: lists holds 2n
+// slice headers and ids 2m edge ids. The per-node lists are sub-slices of
+// ids, each with its capacity clipped to its length so that an append to
+// one can never write into its neighbour.
+func (g *Graph) adjacencyInto(degree []int32, lists [][]int32, ids []int32) {
 	n := len(g.Nodes)
-	lists := make([][]int32, 2*n)
-	g.out, g.in = lists[:n:n], lists[n:]
-	ids := make([]int32, 2*len(g.Edges))
+	g.out, g.in = lists[:n:n], lists[n:2*n:2*n]
 	for v := 0; v < n; v++ {
 		outDeg, inDeg := degree[2*v], degree[2*v+1]
 		g.out[v], g.in[v], ids = ids[:0:outDeg], ids[outDeg:outDeg:outDeg+inDeg], ids[outDeg+inDeg:]

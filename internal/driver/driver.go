@@ -350,9 +350,11 @@ func machineKey(m machine.Config) string {
 
 // semKey identifies a bucket of the canonical cache tier: same loop shape
 // (a cheap isomorphism-invariant digest), same machine, same options.
-// ShapeHash rather than the canonical fingerprint keeps the unique-loop
+// ShapeHash rather than the canonical fingerprint kept the unique-loop
 // miss path from paying full canonical labeling just to find an empty
-// bucket; candidates inside a bucket are confirmed isomorphic by
+// bucket; since the compilation itself labels every loop (its canonical
+// presentation), one canonical-key map could replace the buckets (ROADMAP
+// 14(b)). Candidates inside a bucket are confirmed isomorphic by
 // CanonicalFingerprint before any remap is attempted. Only a job whose
 // exact probe missed reads its semKey, so serve hashes the shape then.
 type semKey struct {
@@ -382,7 +384,10 @@ func keyFor(j Job) cacheKey {
 // ASAP/ALAP timing became the scheduler's (every positive-latency edge
 // relaxed in topological order, up to four passes), which moves a few uas
 // schedules, so v4 entries must miss rather than answer with the old ones.
-const jobKeyVersion = "v5"
+// v6 keeps the format: every loop is compiled in its topological-canonical
+// presentation (ddg.Presentation), which moves about a third of the
+// schedules, so v5 entries must miss rather than answer with the old ones.
+const jobKeyVersion = "v6"
 
 // JobKey returns the job's content-addressed cache identity as a string:
 // the format version, the canonical graph fingerprint, the canonical

@@ -20,15 +20,15 @@ var update = flag.Bool("update", false, "rewrite testdata/figures.golden.json fr
 // from: the nine figure sections of `paperbench -json`, byte for byte. A
 // PR that means to leave the evaluation alone proves it by leaving this
 // file alone; one that means to move a figure reruns with -update and
-// shows the diff. It runs on a one-worker engine so that two isomorphic
-// loops of the suite can never race to fill the semantic cache tier: the
-// sections have come out the same at every worker count so far, but the
-// golden should not depend on that.
+// shows the diff. It runs on a four-worker engine: whichever of two
+// isomorphic suite loops fills the semantic cache tier first, the other's
+// answer is the same, because every loop compiles in its canonical
+// presentation.
 func TestFigureSectionsGolden(t *testing.T) {
 	const path = "testdata/figures.golden.json"
 	shared := engine
 	defer func() { engine = shared }()
-	UseBackend(driver.New(driver.Config{Workers: 1}))
+	UseBackend(driver.New(driver.Config{Workers: 4}))
 
 	var s FigureSections
 	for _, e := range evaluation {

@@ -23,24 +23,19 @@ import (
 // completes only by failing those jobs over once the SIGKILL resets the
 // hung connections.
 //
-// The corpus is isomorph-free (swim, su2cor and fpppp hold no isomorphic
-// pairs; hydro2d, mgrid, applu, turb3d, apsi and wave5 do). Failover turns
-// a would-be canonical remap into a fresh compilation on a survivor, and a
-// fresh compile of another presentation may land on another II, so the
-// report is comparable with a local one only when every outcome is a
-// function of its own graph. The survivors' semantic counters guard that.
+// mgrid holds isomorphic pairs: failover turns a would-be canonical remap
+// into a fresh compilation on a survivor, and which loop of a pair fills
+// which node's cache is a race. The report still equals the local one,
+// because every loop compiles in its canonical presentation: a remap and a
+// fresh compilation of an isomorph are the same schedule.
 func TestSmokeFleetNodeKilledMidBatch(t *testing.T) {
 	f := startFleet(t)
 	bigFile, _ := loops(t, "big.ddg",
-		[]string{"-bench", "swim"}, []string{"-bench", "su2cor"}, []string{"-bench", "fpppp"})
+		[]string{"-bench", "swim"}, []string{"-bench", "su2cor"}, []string{"-bench", "fpppp"}, []string{"-bench", "mgrid"})
 	// Exact duplicates inside the corpus are served cached locally too.
 	local := uncached(run(t, "replisched", "-config", "4c2b2l64r", bigFile))
 
 	victim, survivors := f[1], fleet{f[0], f[2]}
-	pre := make([]cacheStats, len(survivors))
-	for i, n := range survivors {
-		pre[i] = n.stats().Cache
-	}
 	if err := victim.cmd.Process.Signal(syscall.SIGSTOP); err != nil {
 		t.Fatal(err)
 	}
@@ -67,15 +62,6 @@ func TestSmokeFleetNodeKilledMidBatch(t *testing.T) {
 	}
 	if got := uncached(stdout.String()); got != local {
 		t.Fatalf("fleet report after a SIGKILL differs from local:\n--- local\n%s--- fleet\n%s", local, got)
-	}
-	// The isomorph-free precondition: no job of the batch was answered by
-	// a semantic remap on a survivor.
-	for i, n := range survivors {
-		post := n.stats().Cache
-		if post.SemanticHits != pre[i].SemanticHits || post.SemanticStoreHits != pre[i].SemanticStoreHits {
-			t.Errorf("node %s: semantic counters moved during the kill batch (%+v -> %+v): corpus is not isomorph-free",
-				n.addr, pre[i], post)
-		}
 	}
 	for _, n := range survivors {
 		n.stop()

@@ -130,9 +130,12 @@ type Arena struct {
 	Repl  *replic.Scratch
 	MII   *mii.Scratch
 
-	// front is the search's frontier Context, cleared when the search
-	// returns (park) so an idle arena pins no graph, assignment or schedule.
-	front Context
+	// present is the loop's canonical presentation, the graph the search
+	// runs on; front is the search's frontier Context. Both let go of the
+	// job when the search returns (park), so an idle arena pins no graph,
+	// assignment or schedule.
+	present ddg.Presentation
+	front   Context
 	// fixed is the assignment of a chain that computes one per search and
 	// never partitions (moddist); order is its traversal's memory.
 	fixed partition.Assignment
@@ -168,6 +171,7 @@ var idleLoop ddg.Graph
 
 // park lets go of the last search's loop, keeping the buffers (see Placement).
 func (a *Arena) park() {
+	a.present.Release()
 	a.front = Context{}
 	a.Sched.Placement(&idleLoop, &partition.Assignment{})
 }

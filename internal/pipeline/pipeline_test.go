@@ -61,8 +61,11 @@ func TestCustomChainObservesEveryAttempt(t *testing.T) {
 	}
 }
 
+// TestChainEquivalentToCompile runs the paper chain explicitly on the
+// loop's canonical presentation, the graph Compile's search runs on.
 func TestChainEquivalentToCompile(t *testing.T) {
 	g := commBound(t)
+	cg := new(ddg.Presentation).Of(g)
 	bare := Strategy{Chain: paperStrategy(t).Chain} // no Validate
 	for _, cfg := range []string{"unified", "2c1b2l64r", "4c1b2l64r", "4c2b2l64r"} {
 		m := machine.MustParse(cfg)
@@ -77,7 +80,7 @@ func TestChainEquivalentToCompile(t *testing.T) {
 			if err != nil {
 				t.Fatalf("%s %+v: %v", cfg, opts, err)
 			}
-			b, err := search(t.Context(), g, m, opts, bare, SearchConfig{})
+			b, err := search(t.Context(), cg, m, opts, bare, SearchConfig{})
 			if err != nil {
 				t.Fatalf("%s %+v: %v", cfg, opts, err)
 			}

@@ -16,12 +16,11 @@ func remapMachine() machine.Config { return machine.MustParse("4c2b2l64r") }
 // TestRemapResultAcrossSuite compiles every SPECfp95 loop, remaps the
 // result onto a permuted clone, and checks the transplanted schedule
 // re-verifies with headline numbers identical to the cached compilation.
-// A fresh compilation of the clone is NOT asserted equal: the pipeline's
-// heuristics break ties by node numbering, so the same abstract loop
-// presented in a different order can legitimately land on a different II
-// (either direction) — the remap contract is bit-identity with the cached
-// result through the isomorphism, proven by re-verification, not equality
-// with one particular presentation's heuristic path.
+// A fresh compilation of the clone has them too, because Search compiles
+// every loop in its canonical presentation; where the loop's labeling is
+// Complete the clone's presentation is the loop's, so the fresh schedule
+// is the remapped one: the same placement and issue times, instance by
+// instance.
 func TestRemapResultAcrossSuite(t *testing.T) {
 	m := remapMachine()
 	opts := Options{Replicate: true}
@@ -29,7 +28,7 @@ func TestRemapResultAcrossSuite(t *testing.T) {
 	if testing.Short() {
 		loops = loops[:40]
 	}
-	remapped := 0
+	remapped, complete := 0, 0
 	for i, l := range loops {
 		res, err := Compile(l.Graph, m, opts)
 		if err != nil {
@@ -57,9 +56,29 @@ func TestRemapResultAcrossSuite(t *testing.T) {
 		if err := sched.Verify(got.Schedule); err != nil {
 			t.Errorf("%s: remapped schedule fails verification: %v", l.Graph.Name, err)
 		}
+		fresh, err := Compile(clone, m, opts)
+		if err != nil {
+			t.Fatalf("%s: the clone does not compile: %v", l.Graph.Name, err)
+		}
+		if fresh.II != got.II || fresh.Length != got.Length || fresh.SC != got.SC || fresh.MII != got.MII ||
+			fresh.Comms != got.Comms || fresh.CommsBeforeReplication != got.CommsBeforeReplication ||
+			fresh.Replicated != got.Replicated || fresh.Removed != got.Removed || fresh.IIIncreases != got.IIIncreases {
+			t.Errorf("%s: a fresh compilation of the clone differs from the remap: II %d/%d length %d/%d comms %d/%d",
+				l.Graph.Name, fresh.II, got.II, fresh.Length, got.Length, fresh.Comms, got.Comms)
+		}
+		if !l.Graph.CanonicalForm().Complete {
+			continue
+		}
+		complete++
+		if !reflect.DeepEqual(fresh.Schedule.Time, got.Schedule.Time) ||
+			!reflect.DeepEqual(fresh.Placement.Replicas, got.Placement.Replicas) ||
+			!reflect.DeepEqual(fresh.Placement.Home, got.Placement.Home) {
+			t.Errorf("%s: a fresh compilation of the clone is not the remapped schedule:\n fresh %v\n remap %v",
+				l.Graph.Name, fresh.Schedule.Time, got.Schedule.Time)
+		}
 	}
-	if remapped == 0 {
-		t.Fatal("no loop exercised the remap path")
+	if remapped == 0 || complete == 0 {
+		t.Fatalf("%d loops exercised the remap path, %d of them with a complete labeling", remapped, complete)
 	}
 }
 

@@ -12,6 +12,11 @@ package pipeline
 // search_parity_test.go pins this against referenceSearch across suites,
 // configs, strategies, traced and untraced.
 //
+// The loop the search runs on is the job's canonical presentation, not the
+// job's own graph: Search relabels it on the way in and relabels the
+// accepted schedule on the way out, so the II is a function of the loop,
+// not of its numbering (invariance_test.go).
+//
 // Tracing is an execution detail: it changes neither Options nor any
 // cache identity (driver.JobKey).
 
@@ -44,6 +49,10 @@ type SearchConfig struct {
 // Search compiles one loop under the strategy opts.Strategy selects: it
 // resolves and validates the strategy, applies its machine rewrite, and
 // drives its pass chain through the II search configured by cfg. The
+// search runs on the loop's topological-canonical presentation
+// (ddg.Presentation, built in the arena), so isomorphic loops compile to
+// the same schedule whatever their numbering; the accepted schedule is
+// then relabeled onto g (sched.Scratch.Relabel) and the Result is g's. The
 // context is checked before every attempt and between passes; an abandoned
 // compilation returns ctx.Err() unwrapped and no partial Result.
 func Search(cctx context.Context, g *ddg.Graph, m machine.Config, opts Options, cfg SearchConfig) (*Result, error) {
@@ -51,12 +60,24 @@ func Search(cctx context.Context, g *ddg.Graph, m machine.Config, opts Options, 
 	if err != nil {
 		return nil, err
 	}
-	return search(cctx, g, m, opts, s, cfg)
+	arena := cfg.Arena.filled()
+	cfg.Arena = arena
+	defer arena.park()
+	res, err := search(cctx, arena.present.Of(g), m, opts, s, cfg)
+	if err != nil {
+		return nil, err
+	}
+	if err := arena.Sched.Relabel(res.Schedule, g, arena.present.Perm); err != nil {
+		return nil, fmt.Errorf("pipeline: internal error: relabeling %s's schedule: %w", g.Name, err)
+	}
+	res.Loop = g
+	return res, nil
 }
 
 // search drives s's pass chain through the II search on the machine s
-// compiles for. Each attempt resets the per-attempt context state and runs
-// the chain; the chain must leave Schedule and Placement set on success.
+// compiles for, on g as given. Each attempt resets the per-attempt context
+// state and runs the chain; the chain must leave Schedule and Placement set
+// on success. The arena is the caller's to park.
 func search(cctx context.Context, g *ddg.Graph, m machine.Config, opts Options, s Strategy, cfg SearchConfig) (*Result, error) {
 	if opts.MaxII < 0 {
 		return nil, errors.New("pipeline: MaxII must be ≥ 0")
@@ -78,7 +99,6 @@ func search(cctx context.Context, g *ddg.Graph, m machine.Config, opts Options, 
 
 	front := &arena.front
 	*front = Context{Graph: g, Machine: m, Opts: opts, MII: res.MII, arena: arena}
-	defer arena.park()
 	for ii := res.MII; ii <= maxII; {
 		if err := cctx.Err(); err != nil {
 			return nil, err

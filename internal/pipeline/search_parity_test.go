@@ -11,19 +11,39 @@ import (
 	"clusched/internal/corpus"
 	"clusched/internal/ddg"
 	"clusched/internal/machine"
+	"clusched/internal/sched"
 	"clusched/internal/telemetry"
 	"clusched/internal/workload"
 )
 
 // The search's acceleration — moddist's skip-ahead (Context.NextII) — and
 // its tracing (search.go) must be invisible in every observable output:
-// these tests run Search untraced and traced beside the naive
-// referenceSearch and require bit-identical Results — the acceptance bar
-// for both.
+// these tests run the inner search untraced and traced beside the naive
+// referenceSearch, both on the loop's canonical presentation (the graph
+// Search hands the inner search), and require bit-identical Results — the
+// acceptance bar for both. Search on the loop as given must then agree in
+// every headline number.
 
 // requireSameResult fails unless both searches produced identical Result
 // fields (or identical failure).
 func requireSameResult(t *testing.T, label string, skip, lin *Result, skipErr, linErr error) {
+	t.Helper()
+	if !requireSameHeadline(t, label, skip, lin, skipErr, linErr) {
+		return
+	}
+	if a, b := fmt.Sprint(skip.Schedule.Time), fmt.Sprint(lin.Schedule.Time); a != b {
+		t.Fatalf("%s: issue-cycle mismatch:\n  got:  %s\n  want: %s", label, a, b)
+	}
+	if a, b := fmt.Sprint(skip.Placement.Home, skip.Placement.Replicas),
+		fmt.Sprint(lin.Placement.Home, lin.Placement.Replicas); a != b {
+		t.Fatalf("%s: placement mismatch:\n  got:  %s\n  want: %s", label, a, b)
+	}
+}
+
+// requireSameHeadline fails unless both searches failed alike or agree on
+// MII, II, length, stage count, cause tallies, communications and
+// replication; it reports whether both produced a Result.
+func requireSameHeadline(t *testing.T, label string, skip, lin *Result, skipErr, linErr error) bool {
 	t.Helper()
 	if (skipErr == nil) != (linErr == nil) {
 		t.Fatalf("%s: skip err=%v, linear err=%v", label, skipErr, linErr)
@@ -32,7 +52,7 @@ func requireSameResult(t *testing.T, label string, skip, lin *Result, skipErr, l
 		if skipErr.Error() != linErr.Error() {
 			t.Fatalf("%s: differing errors:\n  skip:   %v\n  linear: %v", label, skipErr, linErr)
 		}
-		return
+		return false
 	}
 	if skip.MII != lin.MII || skip.II != lin.II {
 		t.Fatalf("%s: II mismatch: skip MII=%d II=%d, linear MII=%d II=%d",
@@ -54,24 +74,34 @@ func requireSameResult(t *testing.T, label string, skip, lin *Result, skipErr, l
 		t.Fatalf("%s: replication mismatch: skip %v/%d/%d, linear %v/%d/%d",
 			label, skip.Replicated, skip.Removed, skip.ReplicationSteps, lin.Replicated, lin.Removed, lin.ReplicationSteps)
 	}
-	if a, b := fmt.Sprint(skip.Schedule.Time), fmt.Sprint(lin.Schedule.Time); a != b {
-		t.Fatalf("%s: issue-cycle mismatch:\n  got:  %s\n  want: %s", label, a, b)
-	}
-	if a, b := fmt.Sprint(skip.Placement.Home, skip.Placement.Replicas),
-		fmt.Sprint(lin.Placement.Home, lin.Placement.Replicas); a != b {
-		t.Fatalf("%s: placement mismatch:\n  got:  %s\n  want: %s", label, a, b)
-	}
+	return true
 }
 
-// requireParity compiles one job through Search untraced and traced and
-// requires both Results bit-identical to referenceSearch's.
+// requireParity compiles one job's canonical presentation through the inner
+// search untraced and traced and requires both Results bit-identical to
+// referenceSearch's on the same graph; Search on the job's own graph must
+// then have the same headline numbers, a schedule of that graph, and one
+// that verifies.
 func requireParity(t *testing.T, label string, g *ddg.Graph, m machine.Config, opts Options) {
 	t.Helper()
-	want, wantErr := referenceSearch(g, m, opts)
-	for _, tr := range []*telemetry.Trace{nil, telemetry.NewTrace()} {
-		got, err := Search(t.Context(), g, m, opts, SearchConfig{Trace: tr})
-		mode := fmt.Sprintf("%s (traced=%t)", label, tr != nil)
-		requireSameResult(t, mode, got, want, err, wantErr)
+	cg := new(ddg.Presentation).Of(g)
+	want, wantErr := referenceSearch(cg, m, opts)
+	if s, em, err := resolveStrategy(opts, m); err == nil {
+		for _, tr := range []*telemetry.Trace{nil, telemetry.NewTrace()} {
+			got, err := search(t.Context(), cg, em, opts, s, SearchConfig{Trace: tr})
+			mode := fmt.Sprintf("%s (traced=%t)", label, tr != nil)
+			requireSameResult(t, mode, got, want, err, wantErr)
+		}
+	}
+	got, err := Search(t.Context(), g, m, opts, SearchConfig{})
+	if !requireSameHeadline(t, label+" (as given)", got, want, err, wantErr) {
+		return
+	}
+	if got.Loop != g || got.Schedule.IG.G != g || got.Placement != got.Schedule.IG.P {
+		t.Fatalf("%s: the Result is not a schedule of the job's own graph", label)
+	}
+	if err := sched.Verify(got.Schedule); err != nil {
+		t.Fatalf("%s: the relabeled schedule does not verify: %v", label, err)
 	}
 }
 

@@ -288,8 +288,24 @@ type Stats struct {
 // resolved; the placement is mutated in place. When it returns false the
 // caller must increase the II (and should discard the placement). The
 // pipeline reuses one scratch arena across the II attempts of a
-// compilation.
+// compilation. The heuristic breaks ties by node id, so a placement of a
+// loop that is not presented (ddg.Graph's Presented) is replicated on its
+// loop's canonical presentation and the instances carried back: any
+// numbering of a placement is replicated alike.
 func RunScratch(p *sched.Placement, m machine.Config, ii int, sc *Scratch) (Stats, bool) {
+	if p.G.Presented() {
+		return run(p, m, ii, sc)
+	}
+	cp := p.Present(&sc.present, &sc.presented)
+	st, ok := run(cp, m, ii, sc)
+	for v, pv := range sc.present.Perm {
+		p.Replicas[v] = cp.Replicas[pv]
+	}
+	return st, ok
+}
+
+// run is RunScratch on p's loop as it is numbered.
+func run(p *sched.Placement, m machine.Config, ii int, sc *Scratch) (Stats, bool) {
 	var st Stats
 	st.CommsBefore = p.Comms()
 	st.CommsAfter = st.CommsBefore

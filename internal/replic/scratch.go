@@ -30,6 +30,11 @@ type Scratch struct {
 
 	// weigh / feasible
 	counts [][ddg.NumClasses]int
+
+	// RunScratch on a loop that is not presented: the loop's canonical
+	// presentation and the placement carried onto it
+	present   ddg.Presentation
+	presented sched.Placement
 }
 
 // NewScratch returns an empty arena; buffers grow on first use.

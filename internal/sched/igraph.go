@@ -76,15 +76,17 @@ type IGraph struct {
 // igKey is what the arena's instance graph was expanded from, vectors copied.
 // Equal inputs rebuild nothing — neither the graph nor what igSCCs,
 // buildGroups and igTopo derived from it — for the II search retries
-// intervals on unchanged placements. The key holds its (immutable) loop.
+// intervals on unchanged placements. The key holds its loop, and the loop's
+// epoch: a presentation's graph object holds a new loop each time.
 type igKey struct {
 	p       Placement      // G == nil: no key
+	epoch   uint64         // p.G's Epoch
 	m       machine.Config // Hetero is a copy
 	zeroBus bool
 }
 
 func (k *igKey) matches(p *Placement, m machine.Config, zeroBus bool) bool {
-	return k.p.G != nil && k.p.G == p.G && k.p.K == p.K && k.zeroBus == zeroBus &&
+	return k.p.G != nil && k.p.G == p.G && k.epoch == p.G.Epoch() && k.p.K == p.K && k.zeroBus == zeroBus &&
 		k.m.Name == m.Name && k.m.Clusters == m.Clusters && k.m.Buses == m.Buses && k.m.BusLatency == m.BusLatency &&
 		k.m.Regs == m.Regs && k.m.FU == m.FU && slices.Equal(k.m.Hetero, m.Hetero) &&
 		slices.Equal(k.p.Home, p.Home) && slices.Equal(k.p.Replicas, p.Replicas)
@@ -101,10 +103,16 @@ func (sc *Scratch) buildIGraph(p *Placement, m machine.Config, zeroBusLat bool) 
 		sc.ig.P, sc.ig.M = p, m
 		return &sc.ig, nil
 	}
-	sc.key.p.G, sc.sccOK, sc.groupsOK, sc.topoOK = nil, false, false, false
 	if err := p.Validate(); err != nil {
 		return nil, err
 	}
+	return sc.expand(p, m, zeroBusLat)
+}
+
+// expand is buildIGraph of a placement known to be valid, built whatever
+// the key says.
+func (sc *Scratch) expand(p *Placement, m machine.Config, zeroBusLat bool) (*IGraph, error) {
+	sc.key.p.G, sc.sccOK, sc.groupsOK, sc.topoOK = nil, false, false, false
 	g := p.G
 	n := g.NumNodes()
 	ig := &sc.ig
@@ -195,7 +203,7 @@ func (sc *Scratch) buildIGraph(p *Placement, m machine.Config, zeroBusLat bool) 
 	sc.buildCSR(ig)
 	k, hetero := &sc.key, sc.key.m.Hetero[:0] // the key's own buffers
 	*k = igKey{p: Placement{G: g, K: p.K, Home: append(k.p.Home[:0], p.Home...), Replicas: append(k.p.Replicas[:0], p.Replicas...)},
-		m: m, zeroBus: zeroBusLat}
+		epoch: g.Epoch(), m: m, zeroBus: zeroBusLat}
 	k.m.Hetero = append(hetero, m.Hetero...)
 	return ig, nil
 }

@@ -115,6 +115,20 @@ func (sc *Scratch) placement(g *ddg.Graph, k int) *Placement {
 	return p
 }
 
+// Present carries p onto its loop's topological-canonical presentation,
+// which it builds in pr: node v's home and instances become node
+// pr.Perm[v]'s. The placement is written into into, an arena slot, and is
+// valid until pr or into is used again.
+func (p *Placement) Present(pr *ddg.Presentation, into *Placement) *Placement {
+	cg := pr.Of(p.G)
+	n := len(pr.Perm)
+	*into = Placement{G: cg, K: p.K, Home: grown(into.Home, n), Replicas: grown(into.Replicas, n), scratch: true}
+	for v, pv := range pr.Perm {
+		into.Home[pv], into.Replicas[pv] = p.Home[v], p.Replicas[v]
+	}
+	return into
+}
+
 // fill sets every node's home and sole instance from the assignment.
 func (p *Placement) fill(a *partition.Assignment) {
 	copy(p.Home, a.Cluster)

@@ -380,6 +380,14 @@ func randomPlacedLoop(rng *rand.Rand, m machine.Config, n int) (*ddg.Graph, *Pla
 	return g, NewPlacement(g, a)
 }
 
+// presentedPlacement is p carried onto its loop's canonical presentation,
+// owning its memory like NewPlacement's: the placement the pipeline's
+// search hands the scheduler, which schedules it as numbered.
+func presentedPlacement(p *Placement) *Placement {
+	cp := p.Present(new(ddg.Presentation), new(Placement))
+	return &Placement{G: cp.G, K: cp.K, Home: cp.Home, Replicas: cp.Replicas}
+}
+
 func TestRandomSchedulesVerify(t *testing.T) {
 	rng := rand.New(rand.NewSource(42))
 	configs := []machine.Config{

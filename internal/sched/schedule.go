@@ -398,38 +398,114 @@ func Prove(g *ddg.Graph, m machine.Config, zeroBusLat bool, ii int, opts Options
 	return adopt(ig, ii, t, opts, sc)
 }
 
+// Relabel moves s, a schedule accepted for a loop, onto g, the same loop
+// under another numbering: node v of g is node perm[v] of s's loop. The
+// placement goes through perm, g's instance graph is built once in sc,
+// each of its instances takes the issue time of its counterpart (same
+// node, same cluster, or the node's copy), and the result is written over
+// s's own memory — every vector keeps its length, so nothing is allocated.
+// Length, stage count and MaxLive do not depend on the numbering and are
+// kept. Afterwards s schedules g, exactly as adopting the carried times for
+// the carried placement would. s must own its placement, as every accepted
+// schedule of an arena placement does; a numbering that is not an
+// isomorphism is refused before s is touched.
+func (sc *Scratch) Relabel(s *Schedule, g *ddg.Graph, perm []int32) error {
+	from := s.IG
+	k := from.P.K
+	p := sc.placement(g, k)
+	for v, pv := range perm {
+		if g.Nodes[v].Op != from.G.Nodes[pv].Op {
+			return fmt.Errorf("sched: relabel: node %d is not node %d's operation", v, pv)
+		}
+		p.Home[v], p.Replicas[v] = from.P.Home[pv], from.P.Replicas[pv]
+	}
+	// The placement is an isomorphic image of one the search validated.
+	ig, err := sc.expand(p, from.M, from.commLat != from.busSlots)
+	if err != nil {
+		return err
+	}
+	if len(ig.Inst) != len(from.Inst) || len(ig.Edges) != len(from.Edges) {
+		return fmt.Errorf("sched: relabel: %d instances and %d edges, want %d and %d",
+			len(ig.Inst), len(ig.Edges), len(from.Inst), len(from.Edges))
+	}
+	times := grown(sc.time, len(ig.Inst))
+	sc.time = times
+	for i, in := range ig.Inst {
+		ci := from.CopyIdx[perm[in.Orig]]
+		if !in.IsCopy {
+			ci = from.InstanceAt(int(perm[in.Orig]), in.Cluster)
+		}
+		times[i] = s.Time[ci]
+	}
+	copy(s.Time, times)
+	copy(from.P.Home, p.Home)
+	copy(from.P.Replicas, p.Replicas)
+	from.P.G, from.G = g, g
+	copy(from.Inst, ig.Inst)
+	copy(from.Edges, ig.Edges)
+	for _, t := range [...]struct{ dst, src []int32 }{
+		{from.CopyIdx, ig.CopyIdx}, {from.instIdx, ig.instIdx}, {from.outOff, ig.outOff},
+		{from.inOff, ig.inOff}, {from.outIdx, ig.outIdx}, {from.inIdx, ig.inIdx},
+	} {
+		copy(t.dst, t.src)
+	}
+	return nil
+}
+
 // ScheduleLoopScratch builds the instance graph for a placement and
 // schedules it, over a shared scratch arena: the pipeline's II search passes
 // the same Scratch to every attempt, so the instance graph, reservation
 // table and every ordering buffer are recycled instead of reallocated per
-// II. In zero-bus-latency mode, if the relaxed problem happens to defeat
-// the greedy scheduler at this II, the real-latency schedule (whose times
-// always satisfy the relaxed constraints) is adopted instead, so the
-// upper-bound mode never does worse than the real machine.
+// II. The scheduler breaks ties by instance order, which follows node
+// numbering, so a placement of a loop that is not presented (ddg.Graph's
+// Presented) is scheduled on its loop's canonical presentation and the
+// schedule relabeled back: any numbering of a placement gets the same
+// schedule up to that numbering, the one the pipeline's search accepted.
+//
+// In zero-bus-latency mode the real-latency schedule is made too, on a
+// second arena, and its times (which always satisfy the relaxed
+// constraints) are adopted when the relaxed problem defeats the greedy
+// scheduler at this II or schedules it longer: the upper-bound mode never
+// does worse than the real machine on the same placement.
 func ScheduleLoopScratch(p *Placement, m machine.Config, ii int, zeroBusLat bool, opts Options, sc *Scratch) (*Schedule, error) {
+	if p.G.Presented() {
+		return scheduleLoop(p, m, ii, zeroBusLat, opts, sc)
+	}
+	s, err := scheduleLoop(p.Present(&sc.present, &sc.presented), m, ii, zeroBusLat, opts, sc)
+	if err != nil {
+		return nil, err
+	}
+	if err := sc.Relabel(s, p.G, sc.present.Perm); err != nil {
+		return nil, err
+	}
+	return s, nil
+}
+
+// scheduleLoop is ScheduleLoopScratch on p's loop as it is numbered.
+func scheduleLoop(p *Placement, m machine.Config, ii int, zeroBusLat bool, opts Options, sc *Scratch) (*Schedule, error) {
 	ig, err := sc.buildIGraph(p, m, zeroBusLat)
 	if err != nil {
 		return nil, err
 	}
 	s, serr := RunScratch(ig, ii, opts, sc)
-	if serr == nil || !zeroBusLat {
+	if !zeroBusLat {
 		return s, serr
 	}
-	// Fallback for the Fig. 12 upper-bound mode: schedule under real
-	// latencies on a second arena, so the relaxed graph stays in this one,
-	// and adopt those times for it.
+	// Schedule under real latencies on a second arena, so the relaxed
+	// graph stays in this one, and adopt those times for it when they
+	// beat the relaxed schedule.
 	real := scratchPool.Get().(*Scratch)
 	defer scratchPool.Put(real)
 	realIG, err := real.buildIGraph(p, m, false)
 	if err != nil {
-		return nil, serr
+		return s, serr
 	}
 	rs, rerr := RunScratch(realIG, ii, opts, real)
-	if rerr != nil {
-		return nil, serr
+	if rerr != nil || (serr == nil && rs.Length >= s.Length) {
+		return s, serr
 	}
 	if as, aerr := adopt(ig, ii, rs.Time, opts, sc); aerr == nil {
-		return as, nil
+		return as, nil // no longer than rs, so shorter than s
 	}
-	return nil, serr
+	return s, serr
 }

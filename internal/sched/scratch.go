@@ -25,6 +25,11 @@ type Scratch struct {
 	// Placement (its Home and Replicas are the recycled buffers)
 	place Placement
 
+	// ScheduleLoopScratch on a loop that is not presented: the loop's
+	// canonical presentation and the placement carried onto it
+	present   ddg.Presentation
+	presented Placement
+
 	// buildIGraph
 	ig      IGraph
 	inst    []Instance

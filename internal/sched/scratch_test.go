@@ -16,6 +16,7 @@ func warmAttempt(t testing.TB) (*Placement, machine.Config, *Scratch, int) {
 	rng := rand.New(rand.NewSource(42))
 	m := machine.MustParse("4c2b2l64r")
 	_, p := randomPlacedLoop(rng, m, 40)
+	p = presentedPlacement(p)
 	sc := NewScratch()
 	ii := 1
 	for ; ii < 64; ii++ {
