@@ -132,11 +132,9 @@ func TestOrigOfResolvesNames(t *testing.T) {
 // TestExpandRefusesIssuePastLastStage pins a schedule that issues past its
 // last stage: under zero-latency buses a copy issued at cycle Length lands
 // in stage SC = ⌈Length/II⌉. Expand refuses it with a *StageError instead
-// of indexing past its epilog. Since the pipeline compiles every loop in its
-// canonical presentation no suite schedule does this (hydro2d_loop077 on
-// 4c1b2l64r and apsi_loop020 on 4c2b2l64r did before), and none of the
-// first 3 000 corpus loops on any Table 1 machine, so the schedule is made
-// by hand and proven: x → a in cluster 0, a's value carried to b in
+// of indexing past its epilog. No suite schedule does this, and none of
+// the first 3 000 corpus loops' on any Table 1 machine, so the schedule is
+// made by hand and proven: x → a in cluster 0, a's value carried to b in
 // cluster 1 one iteration later, the copy the last thing the iteration
 // issues (cycle 2 = Length at II 2).
 func TestExpandRefusesIssuePastLastStage(t *testing.T) {

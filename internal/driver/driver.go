@@ -353,8 +353,8 @@ func machineKey(m machine.Config) string {
 // ShapeHash rather than the canonical fingerprint kept the unique-loop
 // miss path from paying full canonical labeling just to find an empty
 // bucket; since the compilation itself labels every loop (its canonical
-// presentation), one canonical-key map could replace the buckets (ROADMAP
-// 14(b)). Candidates inside a bucket are confirmed isomorphic by
+// presentation), one canonical-key map could replace the buckets.
+// Candidates inside a bucket are confirmed isomorphic by
 // CanonicalFingerprint before any remap is attempted. Only a job whose
 // exact probe missed reads its semKey, so serve hashes the shape then.
 type semKey struct {

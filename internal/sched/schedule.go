@@ -121,39 +121,51 @@ type Options struct {
 // returns lives in sc too, valid until the arena's next attempt like
 // everything else the attempt built.
 func RunScratch(ig *IGraph, ii int, opts Options, sc *Scratch) (*Schedule, error) {
+	length, maxLive, err := run(ig, ii, opts, sc)
+	if err != nil {
+		return nil, err
+	}
+	return accept(ig, ii, length, sc.time, maxLive), nil
+}
+
+// run is RunScratch without the acceptance: the schedule found is sc.time,
+// with the length and register pressure returned, all valid until the
+// arena's next attempt.
+func run(ig *IGraph, ii int, opts Options, sc *Scratch) (length int, maxLive []int, err error) {
 	// The first order's failure is the one reported; the fallback orders
 	// fail into the other slot.
 	first, fallback := &sc.errs[0], &sc.errs[1]
 	if ii <= 0 {
 		*first = Error{Kind: FailWindow, Inst: -1, II: ii}
-		return nil, first
+		return 0, nil, first
 	}
 	tm := computeIGTiming(ig, ii, sc)
 	if opts.ForceTopoOrder {
-		if s := runWithOrder(ig, ii, igTopoAll(ig, tm, sc), tm, opts, sc, first); s != nil {
-			return s, nil
+		if length, maxLive, ok := runWithOrder(ig, ii, igTopoAll(ig, tm, sc), tm, opts, sc, first); ok {
+			return length, maxLive, nil
 		}
-		return nil, first
+		return 0, nil, first
 	}
-	if s := runWithOrder(ig, ii, priorityOrder(ig, ii, tm, sc), tm, opts, sc, first); s != nil {
-		return s, nil
+	if length, maxLive, ok := runWithOrder(ig, ii, priorityOrder(ig, ii, tm, sc), tm, opts, sc, first); ok {
+		return length, maxLive, nil
 	}
 	if first.Kind == FailRegisters {
-		return nil, first // a register failure is definitive for this II
+		return 0, nil, first // a register failure is definitive for this II
 	}
 	_, order := igTopo(ig, sc)
-	if s := runWithOrder(ig, ii, order, tm, opts, sc, fallback); s != nil {
-		return s, nil
+	if length, maxLive, ok := runWithOrder(ig, ii, order, tm, opts, sc, fallback); ok {
+		return length, maxLive, nil
 	}
-	if s := runWithOrder(ig, ii, igTopoAll(ig, tm, sc), tm, opts, sc, fallback); s != nil {
-		return s, nil
+	if length, maxLive, ok := runWithOrder(ig, ii, igTopoAll(ig, tm, sc), tm, opts, sc, fallback); ok {
+		return length, maxLive, nil
 	}
-	return nil, first
+	return 0, nil, first
 }
 
-// runWithOrder places the instances in the given order; on failure it
-// returns nil and says why in *fail.
-func runWithOrder(ig *IGraph, ii int, order []int32, tm *ddg.Timing, opts Options, sc *Scratch, fail *Error) *Schedule {
+// runWithOrder places the instances in the given order, into sc.time, and
+// returns the schedule's length and register pressure; on failure it
+// returns false and says why in *fail.
+func runWithOrder(ig *IGraph, ii int, order []int32, tm *ddg.Timing, opts Options, sc *Scratch, fail *Error) (int, []int, bool) {
 	const inf = int(^uint(0) >> 1)
 	rt := &sc.rt
 	rt.reset(ig.M, ig.P.K, ii)
@@ -196,7 +208,7 @@ func runWithOrder(ig *IGraph, ii int, order []int32, tm *ddg.Timing, opts Option
 			if estart > lstart {
 				*fail = Error{Kind: FailWindow, Inst: v, IsCopy: inst.IsCopy,
 					II: ii, EStart: estart, LStart: lstart}
-				return nil
+				return 0, nil, false
 			}
 			end := lstart
 			if e2 := estart + ii - 1; e2 < end {
@@ -228,7 +240,7 @@ func runWithOrder(ig *IGraph, ii int, order []int32, tm *ddg.Timing, opts Option
 		}
 		if !found {
 			*fail = Error{Kind: FailResource, Inst: v, IsCopy: inst.IsCopy, II: ii}
-			return nil
+			return 0, nil, false
 		}
 		rt.place(inst, op, foundAt)
 		time[v] = foundAt
@@ -266,11 +278,11 @@ func runWithOrder(ig *IGraph, ii int, order []int32, tm *ddg.Timing, opts Option
 			if live > ig.M.Regs {
 				*fail = Error{Kind: FailRegisters, Inst: -1,
 					II: ii, Cluster: c, Live: live, Regs: ig.M.Regs}
-				return nil
+				return 0, nil, false
 			}
 		}
 	}
-	return accept(ig, ii, length, time, maxLive)
+	return length, maxLive, true
 }
 
 // accept is the one place a Schedule is built for retention and the one
@@ -481,31 +493,34 @@ func ScheduleLoopScratch(p *Placement, m machine.Config, ii int, zeroBusLat bool
 	return s, nil
 }
 
-// scheduleLoop is ScheduleLoopScratch on p's loop as it is numbered.
+// scheduleLoop is ScheduleLoopScratch on p's loop as it is numbered. Only
+// the schedule it returns is accepted.
 func scheduleLoop(p *Placement, m machine.Config, ii int, zeroBusLat bool, opts Options, sc *Scratch) (*Schedule, error) {
 	ig, err := sc.buildIGraph(p, m, zeroBusLat)
 	if err != nil {
 		return nil, err
 	}
-	s, serr := RunScratch(ig, ii, opts, sc)
-	if !zeroBusLat {
-		return s, serr
+	length, maxLive, serr := run(ig, ii, opts, sc)
+	if zeroBusLat {
+		// Schedule under real latencies on a second arena, so the relaxed
+		// graph stays in this one, and adopt those times for it when they
+		// beat the relaxed schedule: the adopted schedule is no longer
+		// than theirs.
+		real := scratchPool.Get().(*Scratch)
+		defer scratchPool.Put(real)
+		if realIG, err := real.buildIGraph(p, m, false); err == nil {
+			if rlen, _, rerr := run(realIG, ii, opts, real); rerr == nil && (serr != nil || rlen < length) {
+				if as, aerr := adopt(ig, ii, real.time, opts, sc); aerr == nil {
+					return as, nil
+				}
+				if serr == nil {
+					maxLive = computeMaxLive(ig, ii, sc.time, sc) // adopt counted into the same table
+				}
+			}
+		}
 	}
-	// Schedule under real latencies on a second arena, so the relaxed
-	// graph stays in this one, and adopt those times for it when they
-	// beat the relaxed schedule.
-	real := scratchPool.Get().(*Scratch)
-	defer scratchPool.Put(real)
-	realIG, err := real.buildIGraph(p, m, false)
-	if err != nil {
-		return s, serr
+	if serr != nil {
+		return nil, serr
 	}
-	rs, rerr := RunScratch(realIG, ii, opts, real)
-	if rerr != nil || (serr == nil && rs.Length >= s.Length) {
-		return s, serr
-	}
-	if as, aerr := adopt(ig, ii, rs.Time, opts, sc); aerr == nil {
-		return as, nil // no longer than rs, so shorter than s
-	}
-	return s, serr
+	return accept(ig, ii, length, sc.time, maxLive), nil
 }
