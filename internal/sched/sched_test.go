@@ -380,6 +380,16 @@ func randomPlacedLoop(rng *rand.Rand, m machine.Config, n int) (*ddg.Graph, *Pla
 	return g, NewPlacement(g, a)
 }
 
+// RunScratch is run with the schedule found accepted: the door the tests
+// schedule a hand-built instance graph through.
+func RunScratch(ig *IGraph, ii int, opts Options, sc *Scratch) (*Schedule, error) {
+	length, maxLive, err := run(ig, ii, opts, sc)
+	if err != nil {
+		return nil, err
+	}
+	return accept(ig, ii, length, sc.time, maxLive), nil
+}
+
 // presentedPlacement is p carried onto its loop's canonical presentation,
 // owning its memory like NewPlacement's: the placement the pipeline's
 // search hands the scheduler, which schedules it as numbered.

@@ -109,28 +109,18 @@ type Options struct {
 	ForceTopoOrder bool
 }
 
-// RunScratch schedules the instance graph at the given II: first with the
+// run schedules the instance graph at the given II: first with the
 // SMS-style priority order, and if that fails, once more with a plain
 // topological order (which at sufficiently large II always places every
 // node). On failure the error of the first attempt is returned, as it
 // carries the more meaningful cause.
 //
 // Temporaries are resized in place inside sc instead of reallocated, and
-// only an accepted schedule is copied out of the arena. Callers running many
-// attempts (the II search) share one Scratch across them. A *Error it
-// returns lives in sc too, valid until the arena's next attempt like
-// everything else the attempt built.
-func RunScratch(ig *IGraph, ii int, opts Options, sc *Scratch) (*Schedule, error) {
-	length, maxLive, err := run(ig, ii, opts, sc)
-	if err != nil {
-		return nil, err
-	}
-	return accept(ig, ii, length, sc.time, maxLive), nil
-}
-
-// run is RunScratch without the acceptance: the schedule found is sc.time,
-// with the length and register pressure returned, all valid until the
-// arena's next attempt.
+// nothing is copied out: the schedule found is sc.time, with its length
+// and register pressure returned, and the caller accepts it (accept) or
+// not. Callers running many attempts (the II search) share one Scratch
+// across them. Everything it returns lives in sc, a *Error included, valid
+// until the arena's next attempt like everything else the attempt built.
 func run(ig *IGraph, ii int, opts Options, sc *Scratch) (length int, maxLive []int, err error) {
 	// The first order's failure is the one reported; the fallback orders
 	// fail into the other slot.

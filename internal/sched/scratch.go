@@ -80,7 +80,7 @@ type Scratch struct {
 	seedMark  marks
 	ready     []int32
 
-	// runWithOrder; errs are RunScratch's two failure slots
+	// runWithOrder; errs are run's two failure slots
 	rt     mrt
 	time   []int
 	placed []bool
