@@ -20,14 +20,16 @@ var presentations atomic.Uint64
 // dependences, as they do in the loops the heuristics were tuned on.
 //
 // The relabeled graph and every buffer are the Presentation's own and are
-// overwritten by the next Of; the zero value is ready. Not safe for
-// concurrent use.
+// overwritten by the next Of of another loop; the zero value is ready. Not
+// safe for concurrent use.
 type Presentation struct {
 	// Perm maps a node of the loop last presented to its node in the
 	// presentation.
 	Perm []int32
 
 	g     Graph
+	src   *Graph // the loop last presented, and its epoch
+	epoch uint64
 	inv   []int32 // canonical position → node of the source loop
 	old   []int32 // node of the presentation → node of the source loop
 	indeg []int32
@@ -39,8 +41,13 @@ type Presentation struct {
 
 // Of renumbers g into the presentation and returns it. The graph it returns
 // carries g's name, no labels and no memory of g's; it is the same object
-// on every call, valid until the next Of.
+// on every call, valid until the next Of. Presenting the loop last
+// presented again renumbers nothing: the graph, its Epoch and Perm stay.
 func (p *Presentation) Of(g *Graph) *Graph {
+	if g == p.src && g.epoch == p.epoch {
+		return &p.g
+	}
+	p.src, p.epoch = g, g.epoch
 	n, m := len(g.Nodes), len(g.Edges)
 	canon := g.CanonicalForm().Perm
 	p.inv = grow(p.inv, n)
@@ -146,5 +153,5 @@ func (p *Presentation) pop() int32 {
 	return least
 }
 
-// Release lets go of the last presented loop's name; the buffers stay.
-func (p *Presentation) Release() { p.g.Name = "" }
+// Release lets go of the last presented loop and its name; the buffers stay.
+func (p *Presentation) Release() { p.src, p.g.Name = nil, "" }

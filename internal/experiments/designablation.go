@@ -32,12 +32,16 @@ type DesignAblationRow struct {
 }
 
 // DesignAblation measures both choices on a deterministic workload sample.
+// Each loop is measured in its canonical presentation, the numbering the
+// pipeline's search compiles, so partitioning, refinement and scheduling
+// all see one numbering.
 func DesignAblation(cfg string, perBench int) DesignAblationRow {
 	m := machine.MustParse(cfg)
 	row := DesignAblationRow{Config: cfg}
 	var slackComs, uniComs, slackInd, uniInd, smsII, topoII float64
 
 	psc, ssc, msc := partition.NewScratch(), sched.NewScratch(), mii.NewScratch()
+	var present ddg.Presentation
 	achievedII := func(g *ddg.Graph, lo int, opts sched.Options) int {
 		assign := partition.InitialScratch(g, m, lo, psc)
 		for ii := lo; ii <= lo+16*g.NumNodes()+256; ii++ {
@@ -62,7 +66,7 @@ func DesignAblation(cfg string, perBench int) DesignAblationRow {
 			n = len(loops)
 		}
 		for _, l := range loops[:n] {
-			g := l.Graph
+			g := present.Of(l.Graph)
 			lo := mii.MIIScratch(g, m, msc)
 
 			slack := partition.InitialScratch(g, m, lo, psc) // read before achievedII reuses psc

@@ -228,24 +228,25 @@ func requireSameRun(t *testing.T, label string, got, want *IGraph, ii int, sc, f
 // arena last expanded — the II search climbing on a converged partition — at
 // no allocation, and checks that it did reuse the graph.
 func TestReusedAttemptSteadyStateAllocs(t *testing.T) {
-	p, m, sc, ii := warmAttempt(t)
-	if ii < 3 {
-		t.Skip("the warmup loop has fewer than two failing intervals")
-	}
-	if _, err := ScheduleLoopScratch(p, m, 1, false, Options{}, sc); err == nil {
-		t.Skip("II=1 unexpectedly feasible for the warmup loop")
-	}
-	if _, err := sc.buildIGraph(p, m, false); err != nil || !sc.groupsOK {
-		t.Fatalf("a build of the placement just scheduled did not reuse its graph (err %v)", err)
-	}
-	next := 1
-	avg := testing.AllocsPerRun(50, func() {
-		next = next%(ii-1) + 1 // a failing interval below ii, a different one each run
-		if _, err := ScheduleLoopScratch(p, m, next, false, Options{}, sc); err == nil {
-			t.Fatalf("attempt at II=%d unexpectedly succeeded", next)
+	eachNumbering(t, func(t *testing.T, p *Placement, m machine.Config, sc *Scratch, ii int) {
+		if ii < 3 {
+			t.Skip("the warmup loop has fewer than two failing intervals")
+		}
+		if _, err := ScheduleLoopScratch(p, m, 1, false, Options{}, sc); err == nil {
+			t.Skip("II=1 unexpectedly feasible for the warmup loop")
+		}
+		if _, err := arenaIGraph(sc, p, m); err != nil || !sc.groupsOK {
+			t.Fatalf("a build of the placement just scheduled did not reuse its graph (err %v)", err)
+		}
+		next := 1
+		avg := testing.AllocsPerRun(50, func() {
+			next = next%(ii-1) + 1 // a failing interval below ii, a different one each run
+			if _, err := ScheduleLoopScratch(p, m, next, false, Options{}, sc); err == nil {
+				t.Fatalf("attempt at II=%d unexpectedly succeeded", next)
+			}
+		})
+		if avg != 0 {
+			t.Errorf("reused attempt allocates %.1f objects in steady state, want 0", avg)
 		}
 	})
-	if avg != 0 {
-		t.Errorf("reused attempt allocates %.1f objects in steady state, want 0", avg)
-	}
 }

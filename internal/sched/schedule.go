@@ -320,7 +320,7 @@ func accept(ig *IGraph, ii, length int, times, maxLive []int) *Schedule {
 // edge latencies). The times are validated against ig's constraints; length,
 // stage count and register pressure are recomputed.
 func Adopt(ig *IGraph, ii int, times []int, opts Options) (*Schedule, error) {
-	sc := scratchPool.Get().(*Scratch)
+	sc := scratchPool.Get()
 	defer scratchPool.Put(sc)
 	return adopt(ig, ii, times, opts, sc)
 }
@@ -330,14 +330,24 @@ func Adopt(ig *IGraph, ii int, times []int, opts Options) (*Schedule, error) {
 // and only a schedule that passed all of them is copied out. Its callers
 // are the pooled doors, so a refusal is a heap *Error the caller may keep.
 func adopt(ig *IGraph, ii int, times []int, opts Options, sc *Scratch) (*Schedule, error) {
+	length, maxLive, err := admit(ig, ii, times, opts, sc)
+	if err != nil {
+		return nil, err
+	}
+	return accept(ig, ii, length, times, maxLive), nil
+}
+
+// admit is adopt without the acceptance: it runs every check and returns
+// the times' length and register pressure, the latter in sc.
+func admit(ig *IGraph, ii int, times []int, opts Options, sc *Scratch) (int, []int, error) {
 	if len(times) != ig.NumInstances() {
-		return nil, &Error{Kind: FailWindow, Inst: -1, II: ii, Detail: "time vector size mismatch"}
+		return 0, nil, &Error{Kind: FailWindow, Inst: -1, II: ii, Detail: "time vector size mismatch"}
 	}
 	s := Schedule{IG: ig, II: ii, Time: times}
 	if ii <= 0 {
 		// The stage count and the pressure table below divide by and size
 		// with the II; let verify word the refusal.
-		return nil, &Error{Kind: FailWindow, Inst: -1, II: ii, Detail: verify(&s, sc).Error()}
+		return 0, nil, &Error{Kind: FailWindow, Inst: -1, II: ii, Detail: verify(&s, sc).Error()}
 	}
 	for i := range ig.Inst {
 		if l := times[i] + ig.Latency(int32(i)); l > s.Length {
@@ -350,17 +360,17 @@ func adopt(ig *IGraph, ii int, times []int, opts Options, sc *Scratch) (*Schedul
 	s.SC = (s.Length + ii - 1) / ii
 	s.MaxLive = computeMaxLive(ig, ii, times, sc)
 	if err := verify(&s, sc); err != nil {
-		return nil, &Error{Kind: FailWindow, Inst: -1, II: ii, Detail: err.Error()}
+		return 0, nil, &Error{Kind: FailWindow, Inst: -1, II: ii, Detail: err.Error()}
 	}
 	if !opts.SkipRegisterCheck {
 		for c, live := range s.MaxLive {
 			if live > ig.M.Regs {
-				return nil, &Error{Kind: FailRegisters, Inst: -1,
+				return 0, nil, &Error{Kind: FailRegisters, Inst: -1,
 					II: ii, Cluster: c, Live: live, Regs: ig.M.Regs}
 			}
 		}
 	}
-	return accept(ig, ii, s.Length, times, s.MaxLive), nil
+	return s.Length, s.MaxLive, nil
 }
 
 // Prove is the one door for a schedule this process did not search for — a
@@ -381,7 +391,7 @@ func adopt(ig *IGraph, ii int, times []int, opts Options, sc *Scratch) (*Schedul
 func Prove(g *ddg.Graph, m machine.Config, zeroBusLat bool, ii int, opts Options,
 	place func(home []int, replicas []ClusterSet) error,
 	times func(ig *IGraph, buf []int) ([]int, error)) (*Schedule, error) {
-	sc := scratchPool.Get().(*Scratch)
+	sc := scratchPool.Get()
 	defer scratchPool.Put(sc)
 	p := sc.placement(g, m.Clusters)
 	clear(p.Replicas) // a node place leaves out has no instance, which Validate refuses
@@ -432,13 +442,7 @@ func (sc *Scratch) Relabel(s *Schedule, g *ddg.Graph, perm []int32) error {
 	}
 	times := grown(sc.time, len(ig.Inst))
 	sc.time = times
-	for i, in := range ig.Inst {
-		ci := from.CopyIdx[perm[in.Orig]]
-		if !in.IsCopy {
-			ci = from.InstanceAt(int(perm[in.Orig]), in.Cluster)
-		}
-		times[i] = s.Time[ci]
-	}
+	carryTimes(ig, from, perm, s.Time, times)
 	copy(s.Time, times)
 	copy(from.P.Home, p.Home)
 	copy(from.P.Replicas, p.Replicas)
@@ -454,6 +458,19 @@ func (sc *Scratch) Relabel(s *Schedule, g *ddg.Graph, perm []int32) error {
 	return nil
 }
 
+// carryTimes gives each instance of to the issue time fromTimes gives its
+// counterpart in from, whose loop numbers node v of to's loop perm[v]: the
+// same node on the same cluster, or the node's copy.
+func carryTimes(to, from *IGraph, perm []int32, fromTimes, times []int) {
+	for i, in := range to.Inst {
+		ci := from.CopyIdx[perm[in.Orig]]
+		if !in.IsCopy {
+			ci = from.InstanceAt(int(perm[in.Orig]), in.Cluster)
+		}
+		times[i] = fromTimes[ci]
+	}
+}
+
 // ScheduleLoopScratch builds the instance graph for a placement and
 // schedules it, over a shared scratch arena: the pipeline's II search passes
 // the same Scratch to every attempt, so the instance graph, reservation
@@ -461,8 +478,11 @@ func (sc *Scratch) Relabel(s *Schedule, g *ddg.Graph, perm []int32) error {
 // II. The scheduler breaks ties by instance order, which follows node
 // numbering, so a placement of a loop that is not presented (ddg.Graph's
 // Presented) is scheduled on its loop's canonical presentation and the
-// schedule relabeled back: any numbering of a placement gets the same
-// schedule up to that numbering, the one the pipeline's search accepted.
+// times carried back onto p's own instance graph: any numbering of a
+// placement gets the same schedule up to that numbering, the one the
+// pipeline's search accepted. The presentation, the presented instance
+// graph and p's own are all kept in the arena, so an attempt on an
+// unchanged placement rebuilds nothing either way.
 //
 // In zero-bus-latency mode the real-latency schedule is made too, on a
 // second arena, and its times (which always satisfy the relaxed
@@ -471,24 +491,36 @@ func (sc *Scratch) Relabel(s *Schedule, g *ddg.Graph, perm []int32) error {
 // does worse than the real machine on the same placement.
 func ScheduleLoopScratch(p *Placement, m machine.Config, ii int, zeroBusLat bool, opts Options, sc *Scratch) (*Schedule, error) {
 	if p.G.Presented() {
-		return scheduleLoop(p, m, ii, zeroBusLat, opts, sc)
+		ig, length, maxLive, err := scheduleLoop(p, m, ii, zeroBusLat, opts, sc)
+		if err != nil {
+			return nil, err
+		}
+		return accept(ig, ii, length, sc.time, maxLive), nil
 	}
-	s, err := scheduleLoop(p.Present(&sc.present, &sc.presented), m, ii, zeroBusLat, opts, sc)
+	from, length, maxLive, err := scheduleLoop(p.Present(&sc.present, &sc.presented), m, ii, zeroBusLat, opts, sc)
 	if err != nil {
 		return nil, err
 	}
-	if err := sc.Relabel(s, p.G, sc.present.Perm); err != nil {
+	if sc.back == nil {
+		sc.back = NewScratch()
+	}
+	back := sc.back
+	ig, err := back.buildIGraph(p, m, zeroBusLat)
+	if err != nil {
 		return nil, err
 	}
-	return s, nil
+	back.time = grown(back.time, len(ig.Inst))
+	carryTimes(ig, from, sc.present.Perm, sc.time, back.time)
+	return accept(ig, ii, length, back.time, maxLive), nil
 }
 
-// scheduleLoop is ScheduleLoopScratch on p's loop as it is numbered. Only
-// the schedule it returns is accepted.
-func scheduleLoop(p *Placement, m machine.Config, ii int, zeroBusLat bool, opts Options, sc *Scratch) (*Schedule, error) {
+// scheduleLoop schedules p's loop as it is numbered and accepts nothing:
+// the schedule found is sc.time on the instance graph it returns, with its
+// length and register pressure, valid until sc's next attempt.
+func scheduleLoop(p *Placement, m machine.Config, ii int, zeroBusLat bool, opts Options, sc *Scratch) (*IGraph, int, []int, error) {
 	ig, err := sc.buildIGraph(p, m, zeroBusLat)
 	if err != nil {
-		return nil, err
+		return nil, 0, nil, err
 	}
 	length, maxLive, serr := run(ig, ii, opts, sc)
 	if zeroBusLat {
@@ -496,21 +528,22 @@ func scheduleLoop(p *Placement, m machine.Config, ii int, zeroBusLat bool, opts 
 		// graph stays in this one, and adopt those times for it when they
 		// beat the relaxed schedule: the adopted schedule is no longer
 		// than theirs.
-		real := scratchPool.Get().(*Scratch)
+		real := scratchPool.Get()
 		defer scratchPool.Put(real)
 		if realIG, err := real.buildIGraph(p, m, false); err == nil {
 			if rlen, _, rerr := run(realIG, ii, opts, real); rerr == nil && (serr != nil || rlen < length) {
-				if as, aerr := adopt(ig, ii, real.time, opts, sc); aerr == nil {
-					return as, nil
+				if alen, alive, aerr := admit(ig, ii, real.time, opts, sc); aerr == nil {
+					sc.time = append(sc.time[:0], real.time...)
+					return ig, alen, alive, nil
 				}
 				if serr == nil {
-					maxLive = computeMaxLive(ig, ii, sc.time, sc) // adopt counted into the same table
+					maxLive = computeMaxLive(ig, ii, sc.time, sc) // admit counted into the same table
 				}
 			}
 		}
 	}
 	if serr != nil {
-		return nil, serr
+		return nil, 0, nil, serr
 	}
-	return accept(ig, ii, length, sc.time, maxLive), nil
+	return ig, length, maxLive, nil
 }

@@ -1,8 +1,6 @@
 package sched
 
 import (
-	"sync"
-
 	"clusched/internal/arena"
 	"clusched/internal/ddg"
 	"clusched/internal/partition"
@@ -26,9 +24,11 @@ type Scratch struct {
 	place Placement
 
 	// ScheduleLoopScratch on a loop that is not presented: the loop's
-	// canonical presentation and the placement carried onto it
+	// canonical presentation, the placement carried onto it, and the arena
+	// the loop's own instance graph is built in for the accepted schedule
 	present   ddg.Presentation
 	presented Placement
+	back      *Scratch
 
 	// buildIGraph
 	ig      IGraph
@@ -111,9 +111,10 @@ func NewScratch() *Scratch { return &Scratch{} }
 
 // scratchPool lends arenas to the entry points that take none (Prove,
 // Adopt, Verify: once per foreign or accepted schedule, not per II
-// attempt). Not an arena.Pool: around its hot scratch, a client's
-// concurrent decoders made twice as many.
-var scratchPool = sync.Pool{New: func() any { return new(Scratch) }}
+// attempt). Its hot slot keeps a lone caller's arena: behind a plain
+// sync.Pool a caller that moved to another P found the per-P slot empty
+// and grew a new arena, some 50 objects, at moments no input decides.
+var scratchPool arena.Pool[Scratch]
 
 // grown and zeroed are the package-local shorthands for the shared arena
 // primitives.

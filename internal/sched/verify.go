@@ -10,7 +10,7 @@ import (
 // resource limit; it is the ground truth used by the test suite and is
 // cheap enough to run inside pipelines when paranoia is warranted.
 func Verify(s *Schedule) error {
-	sc := scratchPool.Get().(*Scratch)
+	sc := scratchPool.Get()
 	defer scratchPool.Put(sc)
 	return verify(s, sc)
 }
