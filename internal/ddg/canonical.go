@@ -59,10 +59,9 @@ func (g *Graph) CanonicalFingerprint() uint64 { return g.CanonicalForm().Sum }
 // ShapeHash is a cheap isomorphism-invariant digest: node/edge counts plus
 // commutative sums over opcode and edge (srcOp, dstOp, kind, dist, lat)
 // tuples. Isomorphic graphs always agree; non-isomorphic graphs rarely
-// collide but may. The engine uses it to gate the canonical lookup: an
-// O(m) filter that finds a never-before-seen shape's bucket empty without
-// a labeling (the compilation that follows labels the loop anyway, for its
-// canonical presentation).
+// collide but may. Nothing in the engine keys on it — its canonical tier
+// keys on CanonicalFingerprint, which every compilation computes anyway —
+// and its one caller is bench's ddg.shapehash_us probe.
 func (g *Graph) ShapeHash() uint64 {
 	h := mix64(uint64(len(g.Nodes))<<32 | uint64(uint32(len(g.Edges))))
 	for i := range g.Nodes {

@@ -311,10 +311,10 @@ func New(cfg Config) *Compiler {
 	return c
 }
 
-// cacheKey buckets a compilation: graph fingerprint, canonical machine key
-// and the exact option set. The fingerprint is a hash, not an identity: a
-// cache entry is served only to a job whose graph is ddg.Equal to the
-// entry's.
+// cacheKey identifies a compilation in the exact tier: graph fingerprint,
+// canonical machine key and the exact option set. The fingerprint is a
+// hash, not an identity: a cache entry is served only to a job whose graph
+// is ddg.Equal to the entry's.
 type cacheKey struct {
 	graph   uint64
 	machine string
@@ -348,17 +348,13 @@ func machineKey(m machine.Config) string {
 	return sb.String()
 }
 
-// semKey identifies a bucket of the canonical cache tier: same loop shape
-// (a cheap isomorphism-invariant digest), same machine, same options.
-// ShapeHash rather than the canonical fingerprint kept the unique-loop
-// miss path from paying full canonical labeling just to find an empty
-// bucket; since the compilation itself labels every loop (its canonical
-// presentation), one canonical-key map could replace the buckets.
-// Candidates inside a bucket are confirmed isomorphic by
-// CanonicalFingerprint before any remap is attempted. Only a job whose
-// exact probe missed reads its semKey, so serve hashes the shape then.
-type semKey struct {
-	shape   uint64
+// classKey names an isomorphism class of the canonical tier: the loop's
+// canonical fingerprint, with the machine and options of its exact key.
+// Every loop compiles in its canonical presentation, so every member of a
+// class holds a remap of one schedule, and one result answers for the
+// class (pipeline.RemapResult refuses a fingerprint collision).
+type classKey struct {
+	canon   uint64
 	machine string
 	opts    pipeline.Options
 }
@@ -490,12 +486,11 @@ func (c *Compiler) do(ctx context.Context, j Job, track string, enqueued time.Ti
 // hash bucket plus an equality check: an entry or flight under the job's
 // fingerprint answers only if its graph is ddg.Equal to the job's, and one
 // that is not — a collision — leaves the job to a compilation of its own,
-// which the entry keeps. The shape hash is taken only once the exact probe
-// has missed, outside the lock, and the exact probe is then repeated: the
-// exact and bucket probes share one critical section, so a job never leads
-// a flight for something already cached or already in flight. serve books
-// nothing: it returns the value, which tier answered, and the wall time of
-// the compilation if there was one.
+// which the entry keeps. The canonical tier is asked once, after the exact
+// probe has missed and outside the lock, and the exact probe is then
+// repeated, so a job never leads a flight for something already cached or
+// already in flight. serve books nothing: it returns the value, which tier
+// answered, and the wall time of the compilation if there was one.
 func (c *Compiler) serve(ctx context.Context, j Job, tr *telemetry.Trace, track string) (cacheValue, answer, time.Duration) {
 	if err := ctx.Err(); err != nil {
 		return cacheValue{err: err}, answerNone, 0
@@ -504,8 +499,7 @@ func (c *Compiler) serve(ctx context.Context, j Job, tr *telemetry.Trace, track 
 		return c.compileAlone(ctx, j, tr, track, answerUncached)
 	}
 	key := keyFor(j)
-	var sk semKey
-	for shaped, semTried := false, false; ; {
+	for semTried := false; ; {
 		c.mu.Lock()
 		if val, w, g, ok := c.cache.lookup(key); ok {
 			c.mu.Unlock()
@@ -520,26 +514,21 @@ func (c *Compiler) serve(ctx context.Context, j Job, tr *telemetry.Trace, track 
 			}
 			continue
 		}
-		if !shaped {
-			c.mu.Unlock()
-			sk, shaped = semKey{shape: j.Graph.ShapeHash(), machine: key.machine, opts: key.opts}, true
-			continue
-		}
-		// Probed once per job, outside the lock and outside any flight (a
-		// semantic hit is the common answer for a fresh clone, and needs
-		// no flight): a failed probe retries the exact probe — the entry
-		// may have landed meanwhile — and then leads.
-		if cands := c.cache.candidates(sk, make([]*pipeline.Result, 0, 8)); len(cands) > 0 && !semTried {
+		// Outside any flight: a semantic hit is the common answer for a
+		// fresh clone, and needs none. A job the tier cannot answer retries
+		// the exact probe — the entry may have landed meanwhile — and then
+		// leads.
+		if !semTried {
 			c.mu.Unlock()
 			semTried = true
-			if val, a := c.semantic(j, key, sk.shape, cands); a != answerNone {
+			if val, a := c.semantic(j, key); a != answerNone {
 				return val, a, 0
 			}
 			continue
 		}
 		slot := c.cache.begin(key, j.Graph)
 		c.mu.Unlock()
-		return c.lead(ctx, j, sk.shape, slot, tr, track)
+		return c.lead(ctx, j, slot, tr, track)
 	}
 }
 
@@ -570,26 +559,27 @@ func join(ctx context.Context, w *waiters) (val cacheValue, a answer, retry bool
 	return w.val, answerFlight, false
 }
 
-// semantic is the canonical tier: cands are the cached results of the job's
-// shape, machine and options, immutable once cached. The first that is
-// canonically isomorphic to the job's graph and whose schedule survives the
-// transplant (pipeline.RemapResult: never trusted, only proven) answers,
-// and is installed under the job's own exact key.
-func (c *Compiler) semantic(j Job, key cacheKey, shape uint64, cands []*pipeline.Result) (cacheValue, answer) {
-	want := j.Graph.CanonicalFingerprint()
-	for _, cand := range cands {
-		if cand.Loop.CanonicalFingerprint() != want {
-			continue
-		}
-		if res, err := pipeline.RemapResult(cand, j.Graph, j.Opts); err == nil {
-			val := cacheValue{res: res}
-			c.mu.Lock()
-			c.cache.install(key, j.Graph, val, shape)
-			c.mu.Unlock()
-			return val, answerSemantic
-		}
+// semantic is the canonical tier: it labels the job's loop and, if its
+// class is resident, answers with the class's result transplanted onto the
+// job's graph (pipeline.RemapResult: never trusted, only proven), which it
+// installs under the job's own exact key.
+func (c *Compiler) semantic(j Job, key cacheKey) (cacheValue, answer) {
+	canon := j.Graph.CanonicalFingerprint()
+	c.mu.Lock()
+	cl, ok := c.cache.classes[classKey{canon, key.machine, key.opts}]
+	c.mu.Unlock()
+	if !ok {
+		return cacheValue{}, answerNone
 	}
-	return cacheValue{}, answerNone
+	res, err := pipeline.RemapResult(cl.res, j.Graph, j.Opts)
+	if err != nil {
+		return cacheValue{}, answerNone
+	}
+	val := cacheValue{res: res}
+	c.mu.Lock()
+	c.cache.install(key, j.Graph, val, canon)
+	c.mu.Unlock()
+	return val, answerSemantic
 }
 
 // lead answers the job as the leader of the flight pending in slot: from
@@ -598,7 +588,7 @@ func (c *Compiler) semantic(j Job, key cacheKey, shape uint64, cands []*pipeline
 // full II sweep, the most expensive outcome there is — the followers are
 // woken, and a fresh compilation is offered to the Store. A cancelled
 // compilation is nobody's answer: it is neither cached nor saved.
-func (c *Compiler) lead(ctx context.Context, j Job, shape uint64, slot int32, tr *telemetry.Trace, track string) (cacheValue, answer, time.Duration) {
+func (c *Compiler) lead(ctx context.Context, j Job, slot int32, tr *telemetry.Trace, track string) (cacheValue, answer, time.Duration) {
 	val, a := c.fromStore(j)
 	var elapsed time.Duration
 	if a == answerNone {
@@ -606,10 +596,11 @@ func (c *Compiler) lead(ctx context.Context, j Job, shape uint64, slot int32, tr
 			a = answerMiss
 		}
 	}
+	canon := j.Graph.CanonicalFingerprint() // labeled by semantic already
 	c.mu.Lock()
 	var w *waiters
 	if a != answerNone {
-		w = c.cache.land(slot, val, shape)
+		w = c.cache.land(slot, val, canon)
 	} else {
 		w = c.cache.abandon(slot)
 	}

@@ -89,7 +89,7 @@ func TestExactKeyCollisionIsAMiss(t *testing.T) {
 			if tc.pending {
 				c.cache.begin(key, other.Graph)
 			} else {
-				c.cache.install(key, other.Graph, tc.planted, other.Graph.ShapeHash())
+				c.cache.install(key, other.Graph, tc.planted, other.Graph.CanonicalFingerprint())
 			}
 			c.mu.Unlock()
 

@@ -18,39 +18,51 @@ type waiters struct {
 	val  cacheValue
 }
 
-// entry is one exact key's flight while pending, then its value, place in
-// recency order and link in its canonical bucket's chain. Links are slot
-// indices; slot 0, the recency ring's sentinel, ends every chain. g is the
-// graph the key was made from: the key is a hash of it, so a job is
-// answered by the entry only if its graph is ddg.Equal to g.
+// entry is one exact key's flight while pending, then its value and place
+// in recency order. Links are slot indices; slot 0 is the recency ring's
+// sentinel. g is the graph the key was made from: the key is a hash of it,
+// so a job is answered by the entry only if its graph is ddg.Equal to g.
 type entry struct {
-	key                 cacheKey
-	g                   *ddg.Graph
-	val                 cacheValue
-	shape               uint64 // with key's machine and options, the semKey
-	prev, next, semNext int32
-	w                   *waiters // pending only: nil until a follower comes
-	pending             bool
+	key        cacheKey
+	g          *ddg.Graph
+	val        cacheValue
+	canon      uint64 // with key's machine and options, the classKey
+	prev, next int32
+	w          *waiters // pending only: nil until a follower comes
+	pending    bool
 }
 
-func (e *entry) semKey() semKey { return semKey{e.shape, e.key.machine, e.key.opts} }
+// member returns the key of the entry's class, and whether the entry is a
+// member of it: only a successful result is.
+func (e *entry) member() (classKey, bool) {
+	return classKey{e.canon, e.key.machine, e.key.opts}, e.val.err == nil && e.val.res != nil
+}
+
+// class is one isomorphism class of the canonical tier: res is the newest
+// successful result landed in it, n the number of landed entries holding
+// one of its results. The class answers while n > 0, so res may outlive the
+// entry it landed in; every member is a remap of the same schedule.
+type class struct {
+	res *pipeline.Result
+	n   int32
+}
 
 // resultCache is both in-memory tiers: a slab of entries grown by append
-// with a free list, a map from exact key to slot, and one from canonical
-// bucket to its chain of landed successful results. A pending entry is in
-// no order, so it is never evicted. The Compiler serializes access.
+// with a free list, a map from exact key to slot, and one from class key to
+// its class. A pending entry is in no order, so it is never evicted. The
+// Compiler serializes access.
 type resultCache struct {
 	cap, n  int // n counts landed entries
 	slab    []entry
 	free    int32
 	byKey   map[cacheKey]int32
-	buckets map[semKey]int32
+	classes map[classKey]class
 }
 
 // newCache sizes nothing: capacity bounds the population, it predicts none.
 func newCache(capacity int) *resultCache {
 	return &resultCache{cap: capacity, slab: make([]entry, 1),
-		byKey: make(map[cacheKey]int32), buckets: make(map[semKey]int32)}
+		byKey: make(map[cacheKey]int32), classes: make(map[classKey]class)}
 }
 
 // lookup finds k and the graph it was made from: a landed entry's value,
@@ -72,22 +84,6 @@ func (c *resultCache) lookup(k cacheKey) (val cacheValue, w *waiters, g *ddg.Gra
 	return c.slab[i].val, nil, c.slab[i].g, true
 }
 
-// candidates appends the results of bucket sk to dst, growing it once at
-// most.
-func (c *resultCache) candidates(sk semKey, dst []*pipeline.Result) []*pipeline.Result {
-	head, n := c.buckets[sk], 0
-	for i := head; i != 0; i = c.slab[i].semNext {
-		n++
-	}
-	if n > cap(dst)-len(dst) {
-		dst = append(make([]*pipeline.Result, 0, len(dst)+n), dst...)
-	}
-	for i := head; i != 0; i = c.slab[i].semNext {
-		dst = append(dst, c.slab[i].val.res)
-	}
-	return dst
-}
-
 // begin makes k, made from g, pending in a slot its leader owns until land
 // or abandon.
 func (c *resultCache) begin(k cacheKey, g *ddg.Graph) int32 {
@@ -102,15 +98,15 @@ func (c *resultCache) begin(k cacheKey, g *ddg.Graph) int32 {
 	return i
 }
 
-// land makes slot i the most recent entry, chains a successful result into
-// its bucket, evicts past capacity, and returns the flight's waiters.
-func (c *resultCache) land(i int32, val cacheValue, shape uint64) *waiters {
+// land makes slot i the most recent entry, makes a successful result the
+// newest of its class, evicts past capacity, and returns the flight's
+// waiters.
+func (c *resultCache) land(i int32, val cacheValue, canon uint64) *waiters {
 	e := &c.slab[i]
 	w := e.w
-	e.val, e.shape, e.w, e.pending = val, shape, nil, false
-	if val.err == nil && val.res != nil {
-		sk := e.semKey()
-		e.semNext, c.buckets[sk] = c.buckets[sk], i
+	e.val, e.canon, e.w, e.pending = val, canon, nil, false
+	if ck, ok := e.member(); ok {
+		c.classes[ck] = class{res: val.res, n: c.classes[ck].n + 1}
 	}
 	c.pushFront(i)
 	for c.n++; c.n > c.cap; {
@@ -122,32 +118,27 @@ func (c *resultCache) land(i int32, val cacheValue, shape uint64) *waiters {
 // install caches val under k, made from g, as the most recent entry,
 // replacing a landed value. A pending k is left alone: its flight's landing
 // installs its value.
-func (c *resultCache) install(k cacheKey, g *ddg.Graph, val cacheValue, shape uint64) {
+func (c *resultCache) install(k cacheKey, g *ddg.Graph, val cacheValue, canon uint64) {
 	if i, ok := c.byKey[k]; ok {
 		if c.slab[i].pending {
 			return
 		}
 		c.drop(i)
 	}
-	c.land(c.begin(k, g), val, shape)
+	c.land(c.begin(k, g), val, canon)
 }
 
-// drop evicts the landed entry in slot i, and takes it out of its bucket's
-// chain if it is in one.
+// drop evicts the landed entry in slot i, and counts it out of its class,
+// which goes with its last member.
 func (c *resultCache) drop(i int32) {
 	c.unlink(i)
-	e, sk := &c.slab[i], c.slab[i].semKey()
-	switch p := c.buckets[sk]; {
-	case e.val.err != nil || e.val.res == nil:
-	case p != i:
-		for c.slab[p].semNext != i {
-			p = c.slab[p].semNext
+	if ck, ok := c.slab[i].member(); ok {
+		if cl := c.classes[ck]; cl.n > 1 {
+			cl.n--
+			c.classes[ck] = cl
+		} else {
+			delete(c.classes, ck)
 		}
-		c.slab[p].semNext = e.semNext
-	case e.semNext != 0:
-		c.buckets[sk] = e.semNext
-	default:
-		delete(c.buckets, sk)
 	}
 	c.abandon(i)
 	c.n--

@@ -3,9 +3,11 @@ package driver
 // The result cache as it was before resultCache: a container/list LRU with
 // an eviction hook, a map of flights, and the canonical index as a map of
 // result slices. Kept verbatim as the oracle of TestCacheMatchesRetiredCache
-// but for two names: the value type is retiredValue (cacheValue is
-// resultCache's), and the Compiler's two index methods are methods of
-// retiredCache, which holds the three maps the Compiler held.
+// but for three names: the value type is retiredValue (cacheValue is
+// resultCache's), the Compiler's two index methods are methods of
+// retiredCache, which holds the three maps the Compiler held, and the
+// index's key is classKey, resultCache's class key (the retired key had the
+// same three fields, a shape digest in place of the canonical fingerprint).
 
 import (
 	"container/list"
@@ -19,7 +21,7 @@ import (
 type retiredValue struct {
 	res     *pipeline.Result
 	err     error
-	sk      semKey
+	sk      classKey
 	indexed bool
 }
 
@@ -96,20 +98,20 @@ type retiredCache struct {
 	// job's and serves it remapped through the isomorphism (re-verified by
 	// pipeline.RemapResult). Kept in lockstep with the LRU via the eviction
 	// hook.
-	semIdx map[semKey][]*pipeline.Result
+	semIdx map[classKey][]*pipeline.Result
 }
 
 func newRetiredCache(size int) *retiredCache {
 	c := &retiredCache{}
 	c.cache = newLRU(size, c.unindex)
 	c.pending = make(map[cacheKey]*flight)
-	c.semIdx = make(map[semKey][]*pipeline.Result)
+	c.semIdx = make(map[classKey][]*pipeline.Result)
 	return c
 }
 
 // cacheAdd inserts an outcome into the LRU and, for successful results,
 // into the canonical index. Callers hold c.mu.
-func (c *retiredCache) cacheAdd(key cacheKey, val retiredValue, sk semKey) {
+func (c *retiredCache) cacheAdd(key cacheKey, val retiredValue, sk classKey) {
 	if val.err == nil && val.res != nil {
 		val.sk = sk
 		val.indexed = true
@@ -144,5 +146,5 @@ func (c *retiredCache) unindex(v retiredValue) {
 // flights kept.
 func (c *retiredCache) reset() {
 	c.cache = newLRU(c.cache.cap, c.unindex)
-	c.semIdx = make(map[semKey][]*pipeline.Result)
+	c.semIdx = make(map[classKey][]*pipeline.Result)
 }

@@ -4,7 +4,6 @@ import (
 	"errors"
 	"fmt"
 	"math/rand"
-	"reflect"
 	"slices"
 	"testing"
 
@@ -16,9 +15,10 @@ import (
 // does to its cache: exact lookups, flights begun, landed and cancelled,
 // followers joining them, semantic installs over landed and absent keys,
 // and resets. After every step both must hold the same recency order, the
-// same values, the same bucket membership (as sets: a chain's order is not
-// the slice's), the same pending keys and the same Entries; and a flight's
-// landing or cancellation must hand back the waiters its followers hold.
+// same values, the same pending keys and the same Entries; every class must
+// count the members of the retired cache's bucket of the same key and hold
+// the newest result landed in it; and a flight's landing or cancellation
+// must hand back the waiters its followers hold.
 func TestCacheMatchesRetiredCache(t *testing.T) {
 	for _, capacity := range []int{1, 2, 7, DefaultCacheSize} {
 		t.Run(fmt.Sprintf("cap=%d", capacity), func(t *testing.T) {
@@ -33,17 +33,20 @@ func TestCacheMatchesRetiredCache(t *testing.T) {
 
 func runCacheModel(capacity int, seed int64, steps int) error {
 	rng := rand.New(rand.NewSource(seed))
-	// Sixteen keys over two option sets and five shapes, so buckets hold
-	// several keys and some keys share a shape but not a bucket.
+	// Sixteen keys over two option sets and five canonical fingerprints, so
+	// classes hold several keys and some keys share a fingerprint but not a
+	// class.
 	keys := make([]cacheKey, 16)
 	for i := range keys {
 		keys[i] = cacheKey{graph: uint64(i), machine: "m", opts: pipeline.Options{Strategy: []string{"paper", "uas"}[i%2]}}
 	}
-	shapeOf := func(k cacheKey) uint64 { return k.graph % 5 }
+	canonOf := func(k cacheKey) uint64 { return k.graph % 5 }
+	classOf := func(k cacheKey) classKey { return classKey{canonOf(k), k.machine, k.opts} }
 	failed := errors.New("unschedulable")
 	got, want := newCache(capacity), newRetiredCache(capacity)
-	slots := map[cacheKey]int32{}        // pending keys' slots
-	followers := map[cacheKey]*waiters{} // what a pending key's followers wait on
+	slots := map[cacheKey]int32{}             // pending keys' slots
+	followers := map[cacheKey]*waiters{}      // what a pending key's followers wait on
+	newest := map[classKey]*pipeline.Result{} // the last result landed in each class
 	retire := func(k cacheKey, w *waiters) error {
 		if w != followers[k] {
 			return fmt.Errorf("flight of %v hands back waiters %p, its followers hold %p", k, w, followers[k])
@@ -71,9 +74,12 @@ func runCacheModel(capacity int, seed int64, steps int) error {
 			}
 			f := want.pending[k]
 			f.val = retiredValue{res: v.res, err: v.err}
-			want.cacheAdd(k, f.val, semKey{shapeOf(k), k.machine, k.opts})
+			want.cacheAdd(k, f.val, classOf(k))
 			close(f.done)
-			if err := retire(k, got.land(slots[k], v, shapeOf(k))); err != nil {
+			if v.err == nil {
+				newest[classOf(k)] = v.res
+			}
+			if err := retire(k, got.land(slots[k], v, canonOf(k))); err != nil {
 				return err
 			}
 		case r < 30 && pending:
@@ -91,9 +97,10 @@ func runCacheModel(capacity int, seed int64, steps int) error {
 			op = "install"
 			res := &pipeline.Result{}
 			if !pending {
-				want.cacheAdd(k, retiredValue{res: res}, semKey{shapeOf(k), k.machine, k.opts})
+				want.cacheAdd(k, retiredValue{res: res}, classOf(k))
+				newest[classOf(k)] = res
 			}
-			got.install(k, nil, cacheValue{res: res}, shapeOf(k))
+			got.install(k, nil, cacheValue{res: res}, canonOf(k))
 		default:
 			op = "lookup"
 			wv, hit := want.cache.get(k)
@@ -110,15 +117,16 @@ func runCacheModel(capacity int, seed int64, steps int) error {
 				followers[k] = w
 			}
 		}
-		if err := sameCache(got, want); err != nil {
+		if err := sameCache(got, want, newest); err != nil {
 			return fmt.Errorf("step %d (%s %v): %v", step, op, k, err)
 		}
 	}
 	return nil
 }
 
-// sameCache compares everything the two caches hold.
-func sameCache(got *resultCache, want *retiredCache) error {
+// sameCache compares everything the two caches hold. newest is the last
+// result the model landed in each class.
+func sameCache(got *resultCache, want *retiredCache, newest map[classKey]*pipeline.Result) error {
 	var order, back, wantOrder []cacheKey
 	for i := got.slab[0].next; i != 0; i = got.slab[i].next {
 		order = append(order, got.slab[i].key)
@@ -163,24 +171,13 @@ func sameCache(got *resultCache, want *retiredCache) error {
 	if free+len(got.byKey)+1 != len(got.slab) {
 		return fmt.Errorf("%d free slots and %d keys in a slab of %d and its sentinel", free, len(got.byKey), len(got.slab)-1)
 	}
-	buckets, chained, indexed := map[semKey]map[*pipeline.Result]bool{}, 0, 0
-	for sk, i := range got.buckets {
-		buckets[sk] = map[*pipeline.Result]bool{}
-		for ; i != 0; i = got.slab[i].semNext {
-			buckets[sk][got.slab[i].val.res] = true
-			chained++
-		}
+	if len(got.classes) != len(want.semIdx) {
+		return fmt.Errorf("%d classes, want %d", len(got.classes), len(want.semIdx))
 	}
-	wantBuckets := map[semKey]map[*pipeline.Result]bool{}
-	for sk, b := range want.semIdx {
-		wantBuckets[sk] = map[*pipeline.Result]bool{}
-		for _, r := range b {
-			wantBuckets[sk][r] = true
-			indexed++
+	for ck, b := range want.semIdx {
+		if cl := got.classes[ck]; int(cl.n) != len(b) || cl.res != newest[ck] {
+			return fmt.Errorf("class %v counts %d members and holds %p, want %d and %p", ck, cl.n, cl.res, len(b), newest[ck])
 		}
-	}
-	if chained != indexed || !reflect.DeepEqual(buckets, wantBuckets) {
-		return fmt.Errorf("buckets %v (%d chained), want %v (%d indexed)", buckets, chained, wantBuckets, indexed)
 	}
 	return nil
 }

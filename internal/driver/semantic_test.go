@@ -2,8 +2,10 @@ package driver
 
 import (
 	"context"
+	"fmt"
 	"strings"
 	"testing"
+	"time"
 
 	"clusched/internal/ddg"
 	"clusched/internal/machine"
@@ -82,7 +84,7 @@ func TestSemanticCacheHit(t *testing.T) {
 }
 
 // TestSemanticStoreHit: a fresh Compiler sharing the persistent store
-// serves a permuted clone from the store — the v4 JobKey is canonical, so
+// serves a permuted clone from the store — the JobKey is canonical, so
 // the entry written for the original is found, remapped and re-verified.
 func TestSemanticStoreHit(t *testing.T) {
 	orig, clones := permutedJobs(t, "mgrid")
@@ -148,6 +150,116 @@ func TestSemanticEvictionUnindexes(t *testing.T) {
 	}
 	if st.Misses != 4 {
 		t.Fatalf("misses = %d, want 4 (the clone must recompile)", st.Misses)
+	}
+}
+
+// TestSemanticClassOutlivesItsNewestMember: a class answers while any of
+// its members is resident, with the newest result landed in it, even once
+// that result's own entry is gone. Clone A's semantic hit lands the class's
+// newest result; the original, kept hot by an exact hit, outlives A in a
+// two-entry LRU; clone B is still a semantic hit.
+func TestSemanticClassOutlivesItsNewestMember(t *testing.T) {
+	ctx, loops := context.Background(), distinctLoops(t, 2)
+	j, other := loops[0], loops[1]
+	a, b := j, j
+	a.Graph = ddg.PermuteRandom(j.Graph, "newest#perm", 3)
+	b.Graph = ddg.PermuteRandom(j.Graph, "later#perm", 5)
+
+	c := New(Config{CacheSize: 2})
+	for _, job := range []Job{j, a, j, other} {
+		if _, err := c.Compile(ctx, job); err != nil {
+			t.Fatal(err)
+		}
+	}
+	ck := classKey{j.Graph.CanonicalFingerprint(), keyFor(j).machine, keyFor(j).opts}
+	c.mu.Lock()
+	_, resident := c.cache.byKey[keyFor(a)]
+	cl := c.cache.classes[ck]
+	c.mu.Unlock()
+	if resident || cl.n != 1 || cl.res == nil || cl.res.Loop != a.Graph {
+		t.Fatalf("clone A resident %v; class of %d members holds a result for %v, want A evicted and the class of 1 holding A's",
+			resident, cl.n, cl.res)
+	}
+	res, err := c.Compile(ctx, b)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if st := c.CacheStats(); st.SemanticHits != 2 || st.Misses != 2 || st.Hits != 1 {
+		t.Fatalf("clone B not served by the class: %+v", st)
+	}
+	if res.Loop != b.Graph || res.II != cl.res.II || res.Length != cl.res.Length {
+		t.Fatalf("clone B answered II %d length %d for %s, want A's II %d length %d remapped onto B",
+			res.II, res.Length, res.Loop.Name, cl.res.II, cl.res.Length)
+	}
+}
+
+// TestClassKeyCollisionIsAMiss: a result under a job's class key whose
+// loop is not isomorphic to the job's — a canonical fingerprint collision,
+// planted here — answers nothing. The job gets its own compilation, booked
+// as the one miss it is, which becomes the newest result of the class.
+func TestClassKeyCollisionIsAMiss(t *testing.T) {
+	jobs := distinctLoops(t, 2)
+	j, other := jobs[0], jobs[1]
+	want, err := pipeline.Compile(j.Graph, j.Machine, j.Opts)
+	if err != nil {
+		t.Fatal(err)
+	}
+	otherRes, err := pipeline.Compile(other.Graph, other.Machine, other.Opts)
+	if err != nil {
+		t.Fatal(err)
+	}
+	c := New(Config{})
+	planted := keyFor(j)
+	planted.graph = other.Graph.Fingerprint()
+	canon := j.Graph.CanonicalFingerprint()
+	c.mu.Lock()
+	c.cache.install(planted, other.Graph, cacheValue{res: otherRes}, canon)
+	c.mu.Unlock()
+
+	out := c.do(context.Background(), j, "compile", time.Now())
+	if out.Err != nil || out.Result == nil || out.CacheHit {
+		t.Fatalf("job answered %+v, want its own compilation", out)
+	}
+	if out.Result.Loop != j.Graph || out.Result.II != want.II || out.Result.Length != want.Length {
+		t.Fatalf("job answered II %d length %d for %s, want its own II %d length %d",
+			out.Result.II, out.Result.Length, out.Result.Loop.Name, want.II, want.Length)
+	}
+	if got := *c.ledger[j.Opts.StrategyName()]; len(c.ledger) != 1 || got != [numAnswers]uint64{answerMiss: 1} {
+		t.Fatalf("ledger %v, want exactly one miss", got)
+	}
+	c.mu.Lock()
+	defer c.mu.Unlock()
+	if cl := c.cache.classes[classKey{canon, planted.machine, planted.opts}]; cl.n != 2 || cl.res != out.Result {
+		t.Fatalf("the class counts %d members and holds %p, want 2 and the job's result %p", cl.n, cl.res, out.Result)
+	}
+}
+
+// BenchmarkSemanticHit is the canonical tier end to end: Compile of a
+// presentation of a loop whose class has 41 members, in a 41-entry cache,
+// so each hit's install evicts the class's oldest member. 64 clones take
+// turns, each evicted long before its next; their labelings are made
+// beforehand, as the census makes them. One op is one semantic hit.
+func BenchmarkSemanticHit(b *testing.B) {
+	ctx, j := context.Background(), exactHitJobs()[0]
+	clones := make([]Job, 64)
+	for k := range clones {
+		clones[k] = j
+		clones[k].Graph = ddg.PermuteRandom(j.Graph, fmt.Sprintf("%s#s%d", j.Graph.Name, k), int64(k)+1)
+		clones[k].Graph.CanonicalFingerprint()
+	}
+	c := New(Config{CacheSize: 41})
+	c.Compile(ctx, j)
+	for _, cl := range clones[:40] {
+		c.Compile(ctx, cl)
+	}
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		c.Compile(ctx, clones[(40+i)%len(clones)])
+	}
+	b.StopTimer()
+	if st := c.CacheStats(); st.SemanticHits != uint64(40+b.N) || st.Entries != 41 {
+		b.Fatalf("%d of %d lookups were semantic hits, %d entries", st.SemanticHits, 40+b.N, st.Entries)
 	}
 }
 
