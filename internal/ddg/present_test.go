@@ -75,3 +75,34 @@ func TestPresentationOfTheSameLoopRenumbersNothing(t *testing.T) {
 		t.Error("Release kept the loop: name or epoch survived")
 	}
 }
+
+// TestTimingScratchFollowsTheLoop: one TimingScratch asked about loops by
+// turns — two built graphs, and a presentation's graph object holding each
+// of them by turns — times each loop as a fresh scratch does. The order it
+// keeps is the asked loop's, whatever graph object holds it.
+func TestTimingScratchFollowsTheLoop(t *testing.T) {
+	rng := rand.New(rand.NewSource(7))
+	g, h := randomValidGraph(rng, 30), randomValidGraph(rng, 24)
+	var p Presentation
+	loops := []func() *Graph{
+		func() *Graph { return g },
+		func() *Graph { return p.Of(g) },
+		func() *Graph { return h },
+		func() *Graph { return p.Of(h) },
+		func() *Graph { return p.Of(h) },
+		func() *Graph { return p.Of(g) },
+	}
+	var kept TimingScratch
+	for round := range 3 {
+		for i, loop := range loops {
+			for _, ii := range []int{1, 3, 8} {
+				q := loop()
+				got := q.ComputeTimingScratch(ii, &kept)
+				want := q.ComputeTimingScratch(ii, new(TimingScratch))
+				if !slices.Equal(got.ASAP, want.ASAP) || !slices.Equal(got.ALAP, want.ALAP) || got.Length != want.Length {
+					t.Fatalf("round %d, loop %d at II=%d: timing %+v, want %+v", round, i, ii, *got, *want)
+				}
+			}
+		}
+	}
+}

@@ -98,11 +98,16 @@ func (t *Timing) Slack(g *Graph, e *Edge, ii int) int {
 
 // TimingScratch is the working memory of Times: a Timing, recycled across
 // the many timing computations of an II search, and the loop's view and
-// order for ComputeTimingScratch. The zero value is ready; not safe for
-// concurrent use.
+// order for ComputeTimingScratch, kept while the loop stays the same. The
+// zero value is ready; not safe for concurrent use.
 type TimingScratch struct {
 	t     Timing
 	order OrderScratch
+	// the loop order was laid out from (a presentation's graph object
+	// holds a new loop each Epoch), and its order
+	g     *Graph
+	epoch uint64
+	topo  []int32
 }
 
 // Times returns the ASAP/ALAP issue times of a at initiation interval ii,
@@ -161,10 +166,16 @@ func (g *Graph) TopoOrder(sc *OrderScratch) (order []int32, sorted int) {
 }
 
 // ComputeTimingScratch is Times of the loop at initiation interval ii, in
-// TopoOrder, with each node's operation latency.
+// TopoOrder, with each node's operation latency. The loop's view and order
+// do not depend on the II: sc keeps them across the calls of one II search,
+// as long as it is asked about the same loop (the same graph at the same
+// Epoch; graphs are immutable).
 func (g *Graph) ComputeTimingScratch(ii int, sc *TimingScratch) *Timing {
-	order, _ := g.TopoOrder(&sc.order)
-	return Times(&sc.order.arcs, order, ii, sc)
+	if sc.g != g || sc.epoch != g.epoch {
+		sc.topo, _ = g.TopoOrder(&sc.order)
+		sc.g, sc.epoch = g, g.epoch
+	}
+	return Times(&sc.order.arcs, sc.topo, ii, sc)
 }
 
 // arcs lays the loop out in a, as the order and timing walks read it.

@@ -75,9 +75,10 @@ type IGraph struct {
 
 // igKey is what the arena's instance graph was expanded from, vectors copied.
 // Equal inputs rebuild nothing — neither the graph nor what igSCCs,
-// buildGroups and igTopo derived from it — for the II search retries
-// intervals on unchanged placements. The key holds its loop, and the loop's
-// epoch: a presentation's graph object holds a new loop each time.
+// buildGroups, igTopo and belowRecurrence derived from it — for the II
+// search retries intervals on unchanged placements. The key holds its loop,
+// and the loop's epoch: a presentation's graph object holds a new loop each
+// time.
 type igKey struct {
 	p       Placement      // G == nil: no key
 	epoch   uint64         // p.G's Epoch
@@ -112,7 +113,7 @@ func (sc *Scratch) buildIGraph(p *Placement, m machine.Config, zeroBusLat bool) 
 // expand is buildIGraph of a placement known to be valid, built whatever
 // the key says.
 func (sc *Scratch) expand(p *Placement, m machine.Config, zeroBusLat bool) (*IGraph, error) {
-	sc.key.p.G, sc.sccOK, sc.groupsOK, sc.topoOK = nil, false, false, false
+	sc.key.p.G, sc.sccOK, sc.groupsOK, sc.topoOK, sc.recOK = nil, false, false, false, false
 	g := p.G
 	n := g.NumNodes()
 	ig := &sc.ig

@@ -194,37 +194,12 @@ func priorityOrder(ig *IGraph, ii int, tm *ddg.Timing, sc *Scratch) []int32 {
 					ready = minASAPSeed()
 				}
 			}
-			for len(ready) > 0 {
-				// Pick the most critical candidate: top-down favors small
-				// ALAP (high height), bottom-up favors large ASAP (high
-				// depth). Deterministic tie-breaks.
-				bi := 0
-				for i := 1; i < len(ready); i++ {
-					a, b := ready[i], ready[bi]
-					var better bool
-					if dir == topDown {
-						if tm.ALAP[a] != tm.ALAP[b] {
-							better = tm.ALAP[a] < tm.ALAP[b]
-						} else if tm.ASAP[a] != tm.ASAP[b] {
-							better = tm.ASAP[a] < tm.ASAP[b]
-						} else {
-							better = a < b
-						}
-					} else {
-						if tm.ASAP[a] != tm.ASAP[b] {
-							better = tm.ASAP[a] > tm.ASAP[b]
-						} else if tm.ALAP[a] != tm.ALAP[b] {
-							better = tm.ALAP[a] > tm.ALAP[b]
-						} else {
-							better = a < b
-						}
-					}
-					if better {
-						bi = i
-					}
-				}
-				v := ready[bi]
-				ready = append(ready[:bi], ready[bi+1:]...)
+			// Pick the most critical candidate: top-down favors small ALAP
+			// (high height), bottom-up favors large ASAP (high depth).
+			h := readyHeap{items: ready, tm: tm, bottomUp: dir == bottomUp, queued: &sc.seedMark}
+			h.init(n)
+			for len(h.items) > 0 {
+				v := h.pop()
 				if inOrder[v] {
 					continue
 				}
@@ -236,23 +211,113 @@ func priorityOrder(ig *IGraph, ii int, tm *ddg.Timing, sc *Scratch) []int32 {
 					for _, eid := range ig.Out(v) {
 						w := ig.Edges[eid].Dst
 						if inGroup.Has(w) && !inOrder[w] {
-							ready = append(ready, w)
+							h.push(w)
 						}
 					}
 				} else {
 					for _, eid := range ig.In(v) {
 						w := ig.Edges[eid].Src
 						if inGroup.Has(w) && !inOrder[w] {
-							ready = append(ready, w)
+							h.push(w)
 						}
 					}
 				}
 			}
+			ready = h.items
 			sc.ready = ready[:0]
 		}
 	}
 	sc.priOrder = order
 	return order
+}
+
+// readyHeap is priorityOrder's ready set: a binary heap whose root is the
+// most critical candidate — top-down the smallest ALAP, then the smallest
+// ASAP; bottom-up the largest ASAP, then the largest ALAP; the lowest
+// instance last — so each pick is the one a scan of the whole set makes.
+// It holds an instance once however often it is pushed: a list with
+// repeats yields the same picks, its repeats skipped later as ordered.
+type readyHeap struct {
+	items    []int32
+	tm       *ddg.Timing
+	bottomUp bool
+	queued   *marks // the instances ever pushed
+}
+
+// before reports whether a is picked before b.
+func (h *readyHeap) before(a, b int32) bool {
+	asap, alap := h.tm.ASAP, h.tm.ALAP
+	if h.bottomUp {
+		if asap[a] != asap[b] {
+			return asap[a] > asap[b]
+		}
+		if alap[a] != alap[b] {
+			return alap[a] > alap[b]
+		}
+		return a < b
+	}
+	if alap[a] != alap[b] {
+		return alap[a] < alap[b]
+	}
+	if asap[a] != asap[b] {
+		return asap[a] < asap[b]
+	}
+	return a < b
+}
+
+// init heaps items, distinct instances of n.
+func (h *readyHeap) init(n int) {
+	h.queued.Reset(n)
+	for _, v := range h.items {
+		h.queued.Set(v)
+	}
+	for i := len(h.items)/2 - 1; i >= 0; i-- {
+		h.down(i)
+	}
+}
+
+func (h *readyHeap) push(v int32) {
+	if h.queued.Has(v) {
+		return
+	}
+	h.queued.Set(v)
+	h.items = append(h.items, v)
+	it := h.items
+	for i := len(it) - 1; i > 0; {
+		p := (i - 1) / 2
+		if !h.before(it[i], it[p]) {
+			break
+		}
+		it[i], it[p] = it[p], it[i]
+		i = p
+	}
+}
+
+func (h *readyHeap) pop() int32 {
+	it := h.items
+	v, last := it[0], len(it)-1
+	it[0] = it[last]
+	h.items = it[:last]
+	h.down(0)
+	return v
+}
+
+func (h *readyHeap) down(i int) {
+	it := h.items
+	for {
+		c := 2*i + 1
+		if c >= len(it) {
+			return
+		}
+		if r := c + 1; r < len(it) && h.before(it[r], it[c]) {
+			c = r
+		}
+		if !h.before(it[c], it[i]) {
+			return
+		}
+		it[i], it[c] = it[c], it[i]
+		i = c
+	}
 }
 
 // recComp is one recurrence component considered for a priority group.

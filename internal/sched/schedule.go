@@ -112,8 +112,10 @@ type Options struct {
 // run schedules the instance graph at the given II: first with the
 // SMS-style priority order, and if that fails, once more with a plain
 // topological order (which at sufficiently large II always places every
-// node). On failure the error of the first attempt is returned, as it
-// carries the more meaningful cause.
+// node) and with the condensation-topological one. On failure the error of
+// the first attempt is returned, as it carries the more meaningful cause.
+// Below the graph's recurrence bound no order can place every instance, so
+// there the fallbacks are not tried.
 //
 // Temporaries are resized in place inside sc instead of reallocated, and
 // nothing is copied out: the schedule found is sc.time, with its length
@@ -141,6 +143,9 @@ func run(ig *IGraph, ii int, opts Options, sc *Scratch) (length int, maxLive []i
 	}
 	if first.Kind == FailRegisters {
 		return 0, nil, first // a register failure is definitive for this II
+	}
+	if belowRecurrence(ig, ii, sc) {
+		return 0, nil, first
 	}
 	_, order := igTopo(ig, sc)
 	if length, maxLive, ok := runWithOrder(ig, ii, order, tm, opts, sc, fallback); ok {
@@ -200,33 +205,14 @@ func runWithOrder(ig *IGraph, ii int, order []int32, tm *ddg.Timing, opts Option
 					II: ii, EStart: estart, LStart: lstart}
 				return 0, nil, false
 			}
-			end := lstart
-			if e2 := estart + ii - 1; e2 < end {
-				end = e2
-			}
-			for t := estart; t <= end; t++ {
-				if rt.canPlace(inst, op, t) {
-					found, foundAt = true, t
-					break
-				}
-			}
+			foundAt, found = rt.earliest(inst, op, estart, min(lstart-estart+1, ii))
 		case hasSucc:
-			for t := lstart; t > lstart-ii; t-- {
-				if rt.canPlace(inst, op, t) {
-					found, foundAt = true, t
-					break
-				}
-			}
+			foundAt, found = rt.latest(inst, op, lstart, ii)
 		default: // preds only, or no scheduled neighbors
 			if !hasPred {
 				estart = tm.ASAP[v]
 			}
-			for t := estart; t < estart+ii; t++ {
-				if rt.canPlace(inst, op, t) {
-					found, foundAt = true, t
-					break
-				}
-			}
+			foundAt, found = rt.earliest(inst, op, estart, ii)
 		}
 		if !found {
 			*fail = Error{Kind: FailResource, Inst: v, IsCopy: inst.IsCopy, II: ii}

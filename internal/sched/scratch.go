@@ -41,9 +41,10 @@ type Scratch struct {
 	outIdx  []int32
 	inIdx   []int32
 
-	// what ig was built from; the bits mark igSCCs'/buildGroups'/igTopo's as ig's
-	key                     igKey
-	sccOK, groupsOK, topoOK bool
+	// what ig was built from; the bits mark igSCCs'/buildGroups'/igTopo's
+	// and belowRecurrence's as ig's
+	key                            igKey
+	sccOK, groupsOK, topoOK, recOK bool
 
 	// igTopo: the graph as ddg's walks read it, the walk's memory and its
 	// last order
@@ -63,6 +64,13 @@ type Scratch struct {
 	// igTopoAll
 	allOrder []int32
 
+	// belowRecurrence: recLo ≤ ig's recurrence bound ≤ recHi, and the
+	// cycle walk's memory
+	recLo, recHi int
+	recIn        marks
+	recDist      []int64
+	recWalk      []int32 // the raising edges, then the walk stamps
+
 	// buildGroups / priorityOrder
 	recs      []recComp
 	groupFlat []int32
@@ -77,7 +85,7 @@ type Scratch struct {
 	priOrder  []int32
 	inOrder   []bool
 	inGroup   marks
-	seedMark  marks
+	seedMark  marks // the seeds, then the ready heap's queued set
 	ready     []int32
 
 	// runWithOrder; errs are run's two failure slots
@@ -104,6 +112,7 @@ type Scratch struct {
 	uasComm    []bool
 	uasLoad    []int
 	uasMark    marks
+	uasNear    []int // a node's placed neighbours, per cluster: four rows of K
 }
 
 // NewScratch returns an empty arena; buffers grow on first use.

@@ -59,10 +59,67 @@ func UASAssignScratch(g *ddg.Graph, m machine.Config, ii int, sc *Scratch) (*par
 	busBudget := m.BusComs(ii)
 	comms := 0
 
+	near := grown(sc.uasNear, 4*K)
+	sc.uasNear = near
+	predMax, succMin, prodIn, consIn := near[:K], near[K:2*K], near[2*K:3*K], near[3*K:]
+
 	for _, vv := range order {
 		v := int(vv)
 		op := g.Nodes[v].Op
 		cl := op.Class()
+		// The node's placed neighbours, read once for every cluster. A
+		// dependence bound holds wherever the node goes for a memory edge;
+		// for a data edge it is kept per cluster of the neighbour, and
+		// grows by the bus latency in every other cluster, so a cluster's
+		// bound is its own maximum (minimum) or the best of the others'
+		// plus (less) the latency. A producer is counted once, in its
+		// cluster (the marks dedupe multi-edges); a consumer edge in the
+		// consumer's.
+		for c := range K {
+			predMax[c], succMin[c], prodIn[c], consIn[c] = -inf, inf, 0, 0
+		}
+		memPred, memSucc := -inf, inf
+		hasPred, hasSucc := false, false
+		prods, conss := 0, 0
+		sc.uasMark.Reset(n)
+		for _, eid := range g.In(v) {
+			e := &g.Edges[eid]
+			u := e.Src
+			if u == v || !placed[u] {
+				continue
+			}
+			hasPred = true
+			t := time[u] + e.Lat - ii*e.Dist
+			if e.Kind != ddg.EdgeData {
+				memPred = max(memPred, t)
+				continue
+			}
+			predMax[cluster[u]] = max(predMax[cluster[u]], t)
+			if !comm[u] && !g.Nodes[u].Op.IsStore() && !sc.uasMark.Has(int32(u)) {
+				sc.uasMark.Set(int32(u))
+				prodIn[cluster[u]]++
+				prods++
+			}
+		}
+		for _, eid := range g.Out(v) {
+			e := &g.Edges[eid]
+			w := e.Dst
+			if w == v || !placed[w] {
+				continue
+			}
+			hasSucc = true
+			t := time[w] - e.Lat + ii*e.Dist
+			if e.Kind != ddg.EdgeData {
+				memSucc = min(memSucc, t)
+				continue
+			}
+			succMin[cluster[w]] = min(succMin[cluster[w]], t)
+			consIn[cluster[w]]++
+			conss++
+		}
+		pred1, pred1At, pred2 := bestTwo(predMax, false)
+		succ1, succ1At, succ2 := bestTwo(succMin, true)
+
 		bestC, bestT, bestComms := -1, 0, 0
 		for c := 0; c < K; c++ {
 			if m.FUAt(c, cl) == 0 {
@@ -70,71 +127,36 @@ func UASAssignScratch(g *ddg.Graph, m machine.Config, ii int, sc *Scratch) (*par
 			}
 			// Dependence window against already-placed neighbors; a data
 			// edge that would cross clusters pays the bus latency.
-			estart, lstart := -inf, inf
-			hasPred, hasSucc := false, false
-			for _, eid := range g.In(v) {
-				e := &g.Edges[eid]
-				if e.Src == v || !placed[e.Src] {
-					continue
-				}
-				lat := e.Lat
-				if e.Kind == ddg.EdgeData && cluster[e.Src] != c {
-					lat += m.BusLatency
-				}
-				hasPred = true
-				if t := time[e.Src] + lat - ii*e.Dist; t > estart {
-					estart = t
-				}
+			estart, far := max(memPred, predMax[c]), pred1
+			if c == pred1At {
+				far = pred2
 			}
-			for _, eid := range g.Out(v) {
-				e := &g.Edges[eid]
-				if e.Dst == v || !placed[e.Dst] {
-					continue
-				}
-				lat := e.Lat
-				if e.Kind == ddg.EdgeData && cluster[e.Dst] != c {
-					lat += m.BusLatency
-				}
-				hasSucc = true
-				if t := time[e.Dst] - lat + ii*e.Dist; t < lstart {
-					lstart = t
-				}
+			if far != -inf {
+				estart = max(estart, far+m.BusLatency)
 			}
-			inst := Instance{Orig: v, Cluster: c}
-			found := false
-			foundAt := 0
+			lstart, far := min(memSucc, succMin[c]), succ1
+			if c == succ1At {
+				far = succ2
+			}
+			if far != inf {
+				lstart = min(lstart, far-m.BusLatency)
+			}
+			row := c*ddg.NumClasses + int(cl)
+			var found bool
+			var foundAt int
 			switch {
 			case hasPred && hasSucc:
 				if estart > lstart {
 					continue // window closed in this cluster
 				}
-				end := lstart
-				if e2 := estart + ii - 1; e2 < end {
-					end = e2
-				}
-				for t := estart; t <= end; t++ {
-					if rt.canPlace(inst, op, t) {
-						found, foundAt = true, t
-						break
-					}
-				}
+				foundAt, found = rt.firstFree(row, estart, min(lstart-estart+1, ii))
 			case hasSucc:
-				for t := lstart; t > lstart-ii; t-- {
-					if rt.canPlace(inst, op, t) {
-						found, foundAt = true, t
-						break
-					}
-				}
+				foundAt, found = rt.lastFree(row, lstart, ii)
 			default:
 				if !hasPred {
 					estart = tm.ASAP[v]
 				}
-				for t := estart; t < estart+ii; t++ {
-					if rt.canPlace(inst, op, t) {
-						found, foundAt = true, t
-						break
-					}
-				}
+				foundAt, found = rt.firstFree(row, estart, ii)
 			}
 			if !found {
 				continue
@@ -142,28 +164,10 @@ func UASAssignScratch(g *ddg.Graph, m machine.Config, ii int, sc *Scratch) (*par
 			// Communications this choice adds: producers placed elsewhere
 			// whose value is not yet on a bus, plus v itself if a placed
 			// consumer sits in another cluster. Buses broadcast, so each
-			// value is charged once (the marks dedupe multi-edges).
-			delta := 0
-			sc.uasMark.Reset(n)
-			for _, eid := range g.In(v) {
-				e := &g.Edges[eid]
-				u := e.Src
-				if u == v || !placed[u] || e.Kind != ddg.EdgeData {
-					continue
-				}
-				if cluster[u] != c && !comm[u] && !g.Nodes[u].Op.IsStore() && !sc.uasMark.Has(int32(u)) {
-					sc.uasMark.Set(int32(u))
-					delta++
-				}
-			}
-			if !op.IsStore() {
-				for _, eid := range g.Out(v) {
-					e := &g.Edges[eid]
-					if e.Dst != v && placed[e.Dst] && e.Kind == ddg.EdgeData && cluster[e.Dst] != c {
-						delta++
-						break
-					}
-				}
+			// value is charged once.
+			delta := prods - prodIn[c]
+			if !op.IsStore() && conss > consIn[c] {
+				delta++
 			}
 			if comms+delta > busBudget {
 				continue // this cluster would overrun the bus budget
@@ -208,6 +212,28 @@ func UASAssignScratch(g *ddg.Graph, m machine.Config, ii int, sc *Scratch) (*par
 }
 
 const uasIDBits, uasTimeBits = 20, 22 // a uasOrder key: ALAP‖ASAP‖id
+
+// bestTwo returns the greatest of vals — the least, if least is set — the
+// first index it is at, and the best of the values at the other indices.
+// vals holds two values at least.
+func bestTwo(vals []int, least bool) (best, at, next int) {
+	sign := 1
+	if least {
+		sign = -1
+	}
+	best, at, next = vals[0], 0, vals[1]
+	if sign*next > sign*best {
+		best, at, next = next, 1, best
+	}
+	for i := 2; i < len(vals); i++ {
+		if x := vals[i]; sign*x > sign*best {
+			best, at, next = x, i, best
+		} else if sign*x > sign*next {
+			next = x
+		}
+	}
+	return best, at, next
+}
 
 // uasOrder is the sweep's placement order: most time-constrained first
 // (smallest ALAP, then smallest ASAP, then id) — the greedy analogue of

@@ -8,6 +8,8 @@ import (
 
 	"clusched/internal/corpus"
 	"clusched/internal/ddg"
+	"clusched/internal/machine"
+	"clusched/internal/partition"
 	"clusched/internal/workload"
 )
 
@@ -87,4 +89,232 @@ func TestUASOrderMatchesReference(t *testing.T) {
 	if packed == 0 || refused == 0 {
 		t.Errorf("%d orders took the packed path and %d the comparator: both must run", packed, refused)
 	}
+}
+
+// referenceUASAssignScratch is UASAssignScratch's retired body, kept
+// verbatim as its oracle (renamed, nothing else touched): every cluster
+// re-reads the node's placed neighbours for its dependence window and its
+// communication count, and scans its window one cycle at a time through
+// canPlace.
+func referenceUASAssignScratch(g *ddg.Graph, m machine.Config, ii int, sc *Scratch) (*partition.Assignment, bool) {
+	n := g.NumNodes()
+	if !m.Clustered() {
+		sc.uasCluster = zeroed(sc.uasCluster, n)
+		sc.uasAssign = partition.Assignment{Cluster: sc.uasCluster, K: 1}
+		return &sc.uasAssign, true
+	}
+	if ii <= 0 {
+		return nil, false
+	}
+	const inf = int(^uint(0) >> 1)
+	K := m.Clusters
+	tm := g.ComputeTimingScratch(ii, &sc.timing)
+	order := uasOrder(tm, sc)
+
+	rt := &sc.rt
+	rt.reset(m, K, ii)
+	time := zeroed(sc.uasTime, n)
+	sc.uasTime = time
+	cluster := zeroed(sc.uasCluster, n)
+	sc.uasCluster = cluster
+	placed := zeroed(sc.uasPlaced, n)
+	sc.uasPlaced = placed
+	comm := zeroed(sc.uasComm, n)
+	sc.uasComm = comm
+	load := zeroed(sc.uasLoad, K)
+	sc.uasLoad = load
+
+	busBudget := m.BusComs(ii)
+	comms := 0
+
+	for _, vv := range order {
+		v := int(vv)
+		op := g.Nodes[v].Op
+		cl := op.Class()
+		bestC, bestT, bestComms := -1, 0, 0
+		for c := 0; c < K; c++ {
+			if m.FUAt(c, cl) == 0 {
+				continue
+			}
+			// Dependence window against already-placed neighbors; a data
+			// edge that would cross clusters pays the bus latency.
+			estart, lstart := -inf, inf
+			hasPred, hasSucc := false, false
+			for _, eid := range g.In(v) {
+				e := &g.Edges[eid]
+				if e.Src == v || !placed[e.Src] {
+					continue
+				}
+				lat := e.Lat
+				if e.Kind == ddg.EdgeData && cluster[e.Src] != c {
+					lat += m.BusLatency
+				}
+				hasPred = true
+				if t := time[e.Src] + lat - ii*e.Dist; t > estart {
+					estart = t
+				}
+			}
+			for _, eid := range g.Out(v) {
+				e := &g.Edges[eid]
+				if e.Dst == v || !placed[e.Dst] {
+					continue
+				}
+				lat := e.Lat
+				if e.Kind == ddg.EdgeData && cluster[e.Dst] != c {
+					lat += m.BusLatency
+				}
+				hasSucc = true
+				if t := time[e.Dst] - lat + ii*e.Dist; t < lstart {
+					lstart = t
+				}
+			}
+			inst := Instance{Orig: v, Cluster: c}
+			found := false
+			foundAt := 0
+			switch {
+			case hasPred && hasSucc:
+				if estart > lstart {
+					continue // window closed in this cluster
+				}
+				end := lstart
+				if e2 := estart + ii - 1; e2 < end {
+					end = e2
+				}
+				for t := estart; t <= end; t++ {
+					if rt.canPlace(inst, op, t) {
+						found, foundAt = true, t
+						break
+					}
+				}
+			case hasSucc:
+				for t := lstart; t > lstart-ii; t-- {
+					if rt.canPlace(inst, op, t) {
+						found, foundAt = true, t
+						break
+					}
+				}
+			default:
+				if !hasPred {
+					estart = tm.ASAP[v]
+				}
+				for t := estart; t < estart+ii; t++ {
+					if rt.canPlace(inst, op, t) {
+						found, foundAt = true, t
+						break
+					}
+				}
+			}
+			if !found {
+				continue
+			}
+			// Communications this choice adds: producers placed elsewhere
+			// whose value is not yet on a bus, plus v itself if a placed
+			// consumer sits in another cluster. Buses broadcast, so each
+			// value is charged once (the marks dedupe multi-edges).
+			delta := 0
+			sc.uasMark.Reset(n)
+			for _, eid := range g.In(v) {
+				e := &g.Edges[eid]
+				u := e.Src
+				if u == v || !placed[u] || e.Kind != ddg.EdgeData {
+					continue
+				}
+				if cluster[u] != c && !comm[u] && !g.Nodes[u].Op.IsStore() && !sc.uasMark.Has(int32(u)) {
+					sc.uasMark.Set(int32(u))
+					delta++
+				}
+			}
+			if !op.IsStore() {
+				for _, eid := range g.Out(v) {
+					e := &g.Edges[eid]
+					if e.Dst != v && placed[e.Dst] && e.Kind == ddg.EdgeData && cluster[e.Dst] != c {
+						delta++
+						break
+					}
+				}
+			}
+			if comms+delta > busBudget {
+				continue // this cluster would overrun the bus budget
+			}
+			better := bestC < 0 ||
+				delta < bestComms ||
+				(delta == bestComms && foundAt < bestT) ||
+				(delta == bestComms && foundAt == bestT && load[c] < load[bestC])
+			if better {
+				bestC, bestT, bestComms = c, foundAt, delta
+			}
+		}
+		if bestC < 0 {
+			return nil, false // no cluster offers a legal slot at this II
+		}
+		rt.place(Instance{Orig: v, Cluster: bestC}, op, bestT)
+		time[v] = bestT
+		cluster[v] = bestC
+		placed[v] = true
+		load[bestC]++
+		comms += bestComms
+		// Mirror the charged communications in the per-value flags.
+		for _, eid := range g.In(v) {
+			e := &g.Edges[eid]
+			u := e.Src
+			if u != v && placed[u] && e.Kind == ddg.EdgeData && cluster[u] != bestC && !g.Nodes[u].Op.IsStore() {
+				comm[u] = true
+			}
+		}
+		if !g.Nodes[v].Op.IsStore() {
+			for _, eid := range g.Out(v) {
+				e := &g.Edges[eid]
+				if e.Dst != v && placed[e.Dst] && e.Kind == ddg.EdgeData && cluster[e.Dst] != bestC {
+					comm[v] = true
+					break
+				}
+			}
+		}
+	}
+	sc.uasAssign = partition.Assignment{Cluster: cluster, K: K}
+	return &sc.uasAssign, true
+}
+
+// TestUASAssignMatchesReference holds the sweep to its retired body —
+// cluster, ok and every placed time — on the suite and corpus loops, on
+// the Table 1 machines and one whose clusters lack classes of units, at
+// every interval from 1 until the sweep succeeds and a few past it, each
+// side on an arena kept across all its sweeps.
+func TestUASAssignMatchesReference(t *testing.T) {
+	hetero, err := machine.NewHetero(1, 2, 32, [][ddg.NumClasses]int{{2, 0, 1}, {1, 2, 1}, {0, 2, 2}})
+	if err != nil {
+		t.Fatal(err)
+	}
+	var loops []*ddg.Graph
+	for _, l := range workload.SPECfp95() {
+		loops = append(loops, l.Graph)
+	}
+	spec := corpus.DefaultSpec()
+	for i := range 200 {
+		loops = append(loops, spec.Loop(i))
+	}
+	stride := 1
+	if testing.Short() || raceDetector {
+		stride = 17
+	}
+	now, then := NewScratch(), NewScratch()
+	sweeps := 0
+	for _, m := range append(machine.PaperConfigs(), hetero) {
+		for i := 0; i < len(loops); i += stride {
+			g := loops[i]
+			for ii, left := 1, 4; ii < 256 && left > 0; ii++ {
+				a, ok := UASAssignScratch(g, m, ii, now)
+				refA, refOK := referenceUASAssignScratch(g, m, ii, then)
+				sweeps++
+				if ok != refOK || ok && (!slices.Equal(a.Cluster, refA.Cluster) || !slices.Equal(now.uasTime, then.uasTime)) {
+					t.Fatalf("%s on %s at II=%d: ok %v, clusters %v, times %v\nwant %v, %v, %v", g.Name, m.Name, ii,
+						ok, a, now.uasTime, refOK, refA, then.uasTime)
+				}
+				if ok {
+					left--
+				}
+			}
+		}
+	}
+	t.Logf("%d sweeps", sweeps)
 }
