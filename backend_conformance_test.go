@@ -190,11 +190,22 @@ func referenceOutcomes(t *testing.T, jobs []CompileJob) []string {
 }
 
 // TestBackendConformanceIdenticalResults: the same job list must produce
-// bit-identical Results through every Backend.
+// bit-identical Results through every Backend, and through a cache-off
+// server, which compiles every job it decodes from a loop its handler
+// labeled (driver.Compiler.Prepare).
 func TestBackendConformanceIdenticalResults(t *testing.T) {
 	jobs := conformanceJobs(t)
 	want := referenceOutcomes(t, jobs)
-	for _, bc := range backendCases() {
+	cases := backendCases()
+	for _, bc := range cases {
+		if bc.name == "remote" {
+			cases = append(cases, backendCase{name: "remote-cache-off", make: func(t *testing.T, cfg driver.Config) Backend {
+				cfg.CacheSize = -1
+				return bc.make(t, cfg)
+			}})
+		}
+	}
+	for _, bc := range cases {
 		t.Run(bc.name, func(t *testing.T) {
 			b := bc.make(t, driver.Config{})
 			outs, err := Collect(context.Background(), b, jobs)

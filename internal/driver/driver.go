@@ -190,6 +190,8 @@ type Compiler struct {
 	// inFlight counts the real compilations running right now, the gauge
 	// behind InFlightCompiles.
 	inFlight atomic.Int64
+	// idle counts the Stream workers waiting for a job right now (Prepare).
+	idle atomic.Int64
 
 	mu sync.Mutex
 	// cache holds one entry per exact key: a compilation in flight, which
@@ -383,7 +385,10 @@ func keyFor(j Job) cacheKey {
 // v6 keeps the format: every loop is compiled in its topological-canonical
 // presentation (ddg.Presentation), which moves about a third of the
 // schedules, so v5 entries must miss rather than answer with the old ones.
-const jobKeyVersion = "v6"
+// v7 keeps the format: moddist deals each operation only onto clusters with
+// a unit of its class, which moves moddist results on machines whose
+// clusters lack a class of unit, so v6 entries must miss.
+const jobKeyVersion = "v7"
 
 // JobKey returns the job's content-addressed cache identity as a string:
 // the format version, the canonical graph fingerprint, the canonical
@@ -398,7 +403,8 @@ const jobKeyVersion = "v6"
 // graphs, so a store entry written for one presentation of a loop is found
 // by every other; the Compiler detects the mismatch (Result.Loop vs
 // j.Graph) and remaps. Canonical labeling runs once per graph (memoized),
-// never on the II-attempt path.
+// never on the II-attempt path; for a job the service decodes while the
+// compile worker is busy, it runs on the decoding goroutine (Prepare).
 func JobKey(j Job) string {
 	o := j.Opts
 	b := func(v bool) byte {
@@ -420,6 +426,30 @@ func JobKey(j Job) string {
 func (c *Compiler) Compile(ctx context.Context, j Job) (*pipeline.Result, error) {
 	out := c.do(ctx, j, "compile", time.Now())
 	return out.Result, out.Err
+}
+
+// Prepare labels the job's loop (ddg.Graph.CanonicalForm, memoized) for a
+// decoder about to hand the job to a Stream, so that the labeling runs on
+// the decoding goroutine while the workers compile the jobs before it. It
+// leaves the loop alone when a worker is waiting for a job — that worker
+// takes the job at once and labels it while the decoder moves on — and when
+// the exact tier holds the job's key, since an exact hit never reads the
+// labeling. Prepare changes no result and is safe to run concurrently with
+// the job's own serve.
+func (c *Compiler) Prepare(j Job) {
+	if c.idle.Load() > 0 {
+		return
+	}
+	if c.cache != nil {
+		key := keyFor(j)
+		c.mu.Lock()
+		_, held := c.cache.byKey[key]
+		c.mu.Unlock()
+		if held {
+			return
+		}
+	}
+	j.Graph.CanonicalForm()
 }
 
 // ctxErr reports whether err is a context cancellation or deadline error —
@@ -770,7 +800,13 @@ func (c *Compiler) stream(ctx context.Context, jobs []Job, g *Gate) iter.Seq2[in
 			wg.Add(1)
 			go func(track string) {
 				defer wg.Done()
-				for i := range idx {
+				for {
+					c.idle.Add(1)
+					i, ok := <-idx
+					c.idle.Add(-1)
+					if !ok {
+						return
+					}
 					out := c.do(sctx, jobs[i], track, enqueued)
 					if c.progress != nil && !ctxErr(out.Err) {
 						progMu.Lock()

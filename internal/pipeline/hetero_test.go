@@ -6,7 +6,9 @@ import (
 
 	"clusched/internal/ddg"
 	"clusched/internal/machine"
+	"clusched/internal/sched"
 	"clusched/internal/vliwsim"
+	"clusched/internal/workload"
 )
 
 // heteroMachine builds the asymmetric 2-cluster machine used by the
@@ -103,6 +105,55 @@ func TestHeterogeneousZeroCapabilityClusterNeverUsed(t *testing.T) {
 		}
 		if counts[1][ddg.ClassInt] != 0 {
 			t.Errorf("trial %d: %d int instances on the int-less cluster", trial, counts[1][ddg.ClassInt])
+		}
+	}
+}
+
+// TestModDistDealsOntoCapableClusters: on a machine whose clusters each
+// lack a class of units, moddist deals every operation onto a cluster with
+// a unit of its class, so every suite loop that paper schedules schedules
+// under moddist too, and its schedule verifies.
+func TestModDistDealsOntoCapableClusters(t *testing.T) {
+	m, err := machine.NewHetero(1, 2, 32, [][ddg.NumClasses]int{{2, 0, 1}, {1, 2, 1}, {0, 2, 2}})
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, l := range workload.SPECfp95() {
+		g := l.Graph
+		if _, err := Compile(g, m, Options{}); err != nil {
+			continue
+		}
+		r, err := Compile(g, m, Options{Strategy: "moddist"})
+		if err != nil {
+			t.Errorf("%s: paper schedules it, moddist does not: %v", g.Name, err)
+			continue
+		}
+		if err := sched.Verify(r.Schedule); err != nil {
+			t.Errorf("%s: %v", g.Name, err)
+		}
+		for v, c := range r.Placement.Home {
+			if cl := g.Nodes[v].Op.Class(); m.FUAt(c, cl) == 0 {
+				t.Errorf("%s: node %d (%v) dealt onto cluster %d, which has no %v unit", g.Name, v, g.Nodes[v].Op, c, cl)
+			}
+		}
+	}
+}
+
+// TestModDistOnAClassNoClusterHas: a machine built by hand may lack a class
+// of units altogether (machine.NewHetero refuses one). moddist deals that
+// class onto every cluster instead of dividing by an empty list of them;
+// no interval schedules it (mii.ResMII bounds it at 1<<20).
+func TestModDistOnAClassNoClusterHas(t *testing.T) {
+	m := machine.MustParse("2c1b2l64r")
+	m.FU[ddg.ClassFP] = 0
+	g := workload.SPECfp95()[0].Graph
+	ctx := &Context{Graph: g, Machine: m, II: 8, arena: NewArena()}
+	if err := (ModDistPass{}).Run(ctx); err != nil {
+		t.Fatal(err)
+	}
+	for v, c := range ctx.Assign.Cluster {
+		if c < 0 || c >= m.Clusters {
+			t.Fatalf("node %d dealt onto cluster %d of %d", v, c, m.Clusters)
 		}
 	}
 }

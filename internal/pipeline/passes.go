@@ -4,6 +4,7 @@ import (
 	"fmt"
 
 	"clusched/internal/arena"
+	"clusched/internal/ddg"
 	"clusched/internal/partition"
 	"clusched/internal/replic"
 	"clusched/internal/sched"
@@ -127,7 +128,10 @@ func (UASAssignPass) Run(ctx *Context) error {
 }
 
 // ModDistPass assigns clusters by modulo distribution: the nodes, in
-// topological order, are dealt round-robin onto the clusters. The
+// topological order, are dealt round-robin onto the clusters — the i-th
+// node onto capable[i % len(capable)], where capable lists the clusters
+// with a unit of the node's class (every cluster of a homogeneous machine,
+// so there the i-th node goes to cluster i % k). The
 // assignment ignores the dependence structure entirely, so it is the
 // cheapest possible pre-partitioning — and the natural lower bound for how
 // much an assignment algorithm matters. It does not depend on the II;
@@ -146,9 +150,21 @@ func (ModDistPass) Run(ctx *Context) error {
 	if ctx.Assign == nil {
 		ar, n, k := ctx.arena, ctx.Graph.NumNodes(), m.Clusters
 		ar.fixed = partition.Assignment{Cluster: arena.Zeroed(ar.fixed.Cluster, n), K: k}
+		// capable[cl] lists the clusters with a unit of class cl; a class
+		// no cluster has is dealt onto every cluster, and fails to place.
+		for cl := range ar.capable {
+			none := m.TotalFU(ddg.Class(cl)) == 0
+			ar.capable[cl] = ar.capable[cl][:0]
+			for c := range k {
+				if none || m.FUAt(c, ddg.Class(cl)) > 0 {
+					ar.capable[cl] = append(ar.capable[cl], c)
+				}
+			}
+		}
 		order, _ := ctx.Graph.TopoOrder(&ar.order)
 		for i, v := range order {
-			ar.fixed.Cluster[v] = i % k
+			capable := ar.capable[ctx.Graph.Nodes[v].Op.Class()]
+			ar.fixed.Cluster[v] = capable[i%len(capable)]
 		}
 		ctx.Assign = &ar.fixed
 	}

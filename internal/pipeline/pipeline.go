@@ -137,9 +137,11 @@ type Arena struct {
 	present ddg.Presentation
 	front   Context
 	// fixed is the assignment of a chain that computes one per search and
-	// never partitions (moddist); order is its traversal's memory.
-	fixed partition.Assignment
-	order ddg.OrderScratch
+	// never partitions (moddist); order is its traversal's memory, and
+	// capable its clusters per class of unit.
+	fixed   partition.Assignment
+	order   ddg.OrderScratch
+	capable [ddg.NumClasses][]int
 }
 
 // NewArena returns an empty arena; buffers grow on first use.

@@ -187,7 +187,7 @@ func TestSearchMatchesRetiredSchedulerOnAHeterogeneousMachine(t *testing.T) {
 			for i := 0; i < len(loops); i += stride {
 				g := loops[i].Graph
 				opts := strategyOptions(name, false)
-				opts.MaxII = mii.MII(g, m) + 64 // a class a round robin put where it has no unit never schedules
+				opts.MaxII = mii.MII(g, m) + 64 // bounds each climb: a loop that never schedules stops early
 				o.check(t, g, m, name, opts)
 			}
 		}

@@ -7,6 +7,7 @@ import (
 	"fmt"
 	"net/http"
 	"net/http/httptest"
+	"reflect"
 	"runtime"
 	"strings"
 	"sync"
@@ -358,6 +359,46 @@ func TestAdmissionOverlapsTheEngine(t *testing.T) {
 				}
 			}
 		})
+	}
+}
+
+// TestAdmissionLabelsEachJob: a batch's loops are labeled as they are
+// admitted while the compile worker is busy, not by the worker. The
+// handler decodes job 1 only once job 0's compilation has begun, and the
+// worker is held inside job 0 until the whole batch is admitted: every
+// other job's graph — parsed by the handler, never touched by the worker —
+// already holds its labeling in the memo CanonicalForm fills (its Perm is
+// set).
+func TestAdmissionLabelsEachJob(t *testing.T) {
+	const n = 6
+	s := New(Config{Workers: 1, CacheSize: -1})
+	defer s.Shutdown(context.Background())
+	began, admitted := make(chan struct{}), make(chan struct{})
+	var once sync.Once
+	body, first := probedBatch(t, n)
+	setProbe(t, func(loop string) {
+		if loop == first {
+			once.Do(func() {
+				close(began)
+				<-admitted
+			})
+		}
+	})
+	ctx := &clientCtx{Context: context.Background(), hold: began}
+	rec := httptest.NewRecorder()
+	s.Handler().ServeHTTP(rec, httptest.NewRequestWithContext(ctx, http.MethodPost, "/batch", bytes.NewReader(body)))
+	if rec.Code != http.StatusAccepted {
+		t.Fatalf("POST /batch: %d %s", rec.Code, rec.Body)
+	}
+	tk := onlyTicket(t, s)
+	for i, j := range tk.jobs[1:] {
+		if reflect.ValueOf(j.Graph).Elem().FieldByName("canon").FieldByName("Perm").IsNil() {
+			t.Errorf("job %d (%s): its labeling was left to the worker", i+1, j.Graph.Name)
+		}
+	}
+	close(admitted)
+	if st := waitDone(t, s, tk.id); st.State != StateDone || st.Err != nil {
+		t.Fatalf("ticket ended %v (%v)", st.State, st.Err)
 	}
 }
 

@@ -292,7 +292,15 @@ func (s *Server) admit(w http.ResponseWriter, r *http.Request, d *wire.SubmitDec
 			writeError(w, http.StatusBadRequest, "bad batch: timeout_ms %d is outside [0, %d]", d.TimeoutMS, maxTimeoutMS)
 			return nil
 		}
-		return s.submitHTTP(w, jobs, opts)
+		// Labeled once queued, not before: a batch that comes this way is
+		// most often refused.
+		t = s.submitHTTP(w, jobs, opts)
+		if t != nil {
+			for _, j := range jobs {
+				s.compiler.Prepare(j)
+			}
+		}
+		return t
 	}
 	if err := s.fill(r, t, d); err != nil {
 		refuseBatch(w, err)
@@ -301,9 +309,11 @@ func (s *Server) admit(w http.ResponseWriter, r *http.Request, d *wire.SubmitDec
 	return t
 }
 
-// fill decodes and admits the jobs of a gated ticket, then accepts it. Any
-// other way out — a defect, or a panic — withdraws the ticket, so no runner
-// is left waiting on an admission that nobody will end.
+// fill decodes and admits the jobs of a gated ticket, then accepts it. Each
+// job goes through Compiler.Prepare before it is admitted, which labels its
+// loop here while the worker compiles the jobs before it. Any other way out
+// — a defect, or a panic — withdraws the ticket, so no runner is left
+// waiting on an admission that nobody will end.
 func (s *Server) fill(r *http.Request, t *ticket, d *wire.SubmitDecoder) error {
 	accepted := false
 	defer func() {
@@ -324,6 +334,7 @@ func (s *Server) fill(r *http.Request, t *ticket, d *wire.SubmitDecoder) error {
 		if err != nil {
 			return err
 		}
+		s.compiler.Prepare(j)
 		j.Trace = t.trace
 		t.jobs[i] = j
 		t.gate.Admit()
