@@ -190,8 +190,6 @@ type Compiler struct {
 	// inFlight counts the real compilations running right now, the gauge
 	// behind InFlightCompiles.
 	inFlight atomic.Int64
-	// idle counts the Stream workers waiting for a job right now (Prepare).
-	idle atomic.Int64
 
 	mu sync.Mutex
 	// cache holds one entry per exact key: a compilation in flight, which
@@ -403,8 +401,8 @@ const jobKeyVersion = "v7"
 // graphs, so a store entry written for one presentation of a loop is found
 // by every other; the Compiler detects the mismatch (Result.Loop vs
 // j.Graph) and remaps. Canonical labeling runs once per graph (memoized),
-// never on the II-attempt path; for a job the service decodes while the
-// compile worker is busy, it runs on the decoding goroutine (Prepare).
+// never on the II-attempt path; for a job the service streams in, it runs
+// on the goroutine that decodes the job (Prepare).
 func JobKey(j Job) string {
 	o := j.Opts
 	b := func(v bool) byte {
@@ -431,15 +429,10 @@ func (c *Compiler) Compile(ctx context.Context, j Job) (*pipeline.Result, error)
 // Prepare labels the job's loop (ddg.Graph.CanonicalForm, memoized) for a
 // decoder about to hand the job to a Stream, so that the labeling runs on
 // the decoding goroutine while the workers compile the jobs before it. It
-// leaves the loop alone when a worker is waiting for a job — that worker
-// takes the job at once and labels it while the decoder moves on — and when
-// the exact tier holds the job's key, since an exact hit never reads the
-// labeling. Prepare changes no result and is safe to run concurrently with
-// the job's own serve.
+// leaves the loop alone when the exact tier holds the job's key, since an
+// exact hit never reads the labeling. Prepare changes no result and is safe
+// to run concurrently with the job's own serve.
 func (c *Compiler) Prepare(j Job) {
-	if c.idle.Load() > 0 {
-		return
-	}
 	if c.cache != nil {
 		key := keyFor(j)
 		c.mu.Lock()
@@ -800,13 +793,7 @@ func (c *Compiler) stream(ctx context.Context, jobs []Job, g *Gate) iter.Seq2[in
 			wg.Add(1)
 			go func(track string) {
 				defer wg.Done()
-				for {
-					c.idle.Add(1)
-					i, ok := <-idx
-					c.idle.Add(-1)
-					if !ok {
-						return
-					}
+				for i := range idx {
 					out := c.do(sctx, jobs[i], track, enqueued)
 					if c.progress != nil && !ctxErr(out.Err) {
 						progMu.Lock()

@@ -4,7 +4,6 @@ import (
 	"context"
 	"fmt"
 	"reflect"
-	"runtime"
 	"sync"
 	"testing"
 
@@ -51,34 +50,6 @@ func TestPrepareLabelsWhatTheEngineWillRead(t *testing.T) {
 				t.Errorf("%s, %s: labeled after Prepare = %v, want %v", tc.name, j.Graph.Name, got, tc.want)
 			}
 		}
-	}
-}
-
-// TestPrepareLeavesAJobToAnIdleWorker: while a Stream worker waits for a
-// job, Prepare leaves the loop alone — the worker takes the job the moment
-// it is admitted and labels it while the decoder moves on — and the job
-// compiles as any other.
-func TestPrepareLeavesAJobToAnIdleWorker(t *testing.T) {
-	c := New(Config{Workers: 1, CacheSize: -1})
-	jobs := sampleJobs(t, "tomcatv")[:1]
-	jobs[0].Graph = jobs[0].Graph.Clone()
-	g := NewGate()
-	outs := make(chan Outcome, 1)
-	go func() {
-		for _, out := range StreamAdmitted(c, context.Background(), jobs, g) {
-			outs <- out
-		}
-	}()
-	for c.idle.Load() == 0 {
-		runtime.Gosched()
-	}
-	c.Prepare(jobs[0])
-	if labeled(jobs[0].Graph) {
-		t.Error("Prepare labeled a job a waiting worker would take at once")
-	}
-	g.Admit()
-	if out := <-outs; out.Err != nil || out.Result == nil {
-		t.Fatalf("the job ended %+v", out)
 	}
 }
 

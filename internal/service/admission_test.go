@@ -362,8 +362,8 @@ func TestAdmissionOverlapsTheEngine(t *testing.T) {
 	}
 }
 
-// TestAdmissionLabelsEachJob: a batch's loops are labeled as they are
-// admitted while the compile worker is busy, not by the worker. The
+// TestAdmissionLabelsEachJob: a batch's loops are labeled by the handler
+// as it admits them, not by the compile worker. The
 // handler decodes job 1 only once job 0's compilation has begun, and the
 // worker is held inside job 0 until the whole batch is admitted: every
 // other job's graph — parsed by the handler, never touched by the worker —

@@ -292,15 +292,7 @@ func (s *Server) admit(w http.ResponseWriter, r *http.Request, d *wire.SubmitDec
 			writeError(w, http.StatusBadRequest, "bad batch: timeout_ms %d is outside [0, %d]", d.TimeoutMS, maxTimeoutMS)
 			return nil
 		}
-		// Labeled once queued, not before: a batch that comes this way is
-		// most often refused.
-		t = s.submitHTTP(w, jobs, opts)
-		if t != nil {
-			for _, j := range jobs {
-				s.compiler.Prepare(j)
-			}
-		}
-		return t
+		return s.submitHTTP(w, jobs, opts)
 	}
 	if err := s.fill(r, t, d); err != nil {
 		refuseBatch(w, err)
