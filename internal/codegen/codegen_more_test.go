@@ -153,19 +153,9 @@ func TestExpandRefusesIssuePastLastStage(t *testing.T) {
 		}
 		return nil
 	}
-	times := func(ig *sched.IGraph, buf []int) ([]int, error) {
-		for i, in := range ig.Inst {
-			switch {
-			case in.IsCopy:
-				buf[i] = 2
-			case in.Orig == a:
-				buf[i] = 1
-			default:
-				buf[i] = 0
-			}
-		}
-		return buf, nil
-	}
+	// One instance per node in node order, then a's copy: x and b at 0, a
+	// at 1, the copy at 2.
+	times := []int{0, 1, 0, 2}
 	s, err := sched.Prove(g, m, true, 2, sched.Options{}, place, times)
 	if err != nil {
 		t.Fatal(err)

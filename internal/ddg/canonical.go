@@ -20,7 +20,8 @@ type Canonical struct {
 	// Sum is the 64-bit hash of the canonical encoding. The encoding
 	// determines the graph up to isomorphism, so a Sum collision between
 	// non-isomorphic graphs is a hash collision (2^-64); any consumer that
-	// acts on Sum equality must re-verify (the engine's remap path does).
+	// acts on Sum equality must check the isomorphism (RemapResult's edge
+	// check in internal/pipeline matches every edge under the Perms).
 	Sum uint64
 	// Perm maps node ID → canonical position: Perm[v] is where node v lands
 	// in the canonical ordering. It is a bijection over [0, NumNodes).

@@ -100,7 +100,7 @@ func TestMissFillCensus(t *testing.T) {
 }
 
 // TestSemanticHitCensus: a semantic hit costs what its RemapResult costs
-// (the Result and six objects of the proof) and nothing more, however many
+// (the Result and the six objects of the mover's accept) and nothing more, however many
 // members its class has: the class holds one result, and the remapped one
 // is installed in a slot of the slab. The clones' canonical labelings are
 // made before they are counted: a labeling is the job's, not the tier's.

@@ -82,8 +82,8 @@ type Store interface {
 	// Load returns the stored outcome for the job (keyed on JobKey), result
 	// or compilation error (neither is a miss), and whether it was present.
 	// JobKey is canonical under graph isomorphism: a result whose Loop is
-	// a renamed/reordered sibling of j.Graph is remapped onto j.Graph and
-	// re-proven before it is served; one for j.Graph's own presentation is
+	// a renamed/reordered sibling of j.Graph is remapped onto j.Graph
+	// before it is served; one for j.Graph's own presentation is
 	// served as loaded when its Loop is j.Graph itself, and remapped like a
 	// sibling's otherwise.
 	Load(j Job) (res *pipeline.Result, cerr error, ok bool)
@@ -142,7 +142,7 @@ type CacheStats struct {
 	StoreHits uint64
 	// SemanticHits counts lookups whose exact fingerprint missed but whose
 	// canonical form matched a cached result for an isomorphic loop, served
-	// by remapping that result through the isomorphism and re-verifying it.
+	// by remapping that result through the isomorphism, once its edges match.
 	// SemanticStoreHits counts the same outcome against the persistent
 	// Store. Neither is included in the exact counters.
 	SemanticHits, SemanticStoreHits uint64
@@ -352,7 +352,7 @@ func machineKey(m machine.Config) string {
 // canonical fingerprint, with the machine and options of its exact key.
 // Every loop compiles in its canonical presentation, so every member of a
 // class holds a remap of one schedule, and one result answers for the
-// class (pipeline.RemapResult refuses a fingerprint collision).
+// class (pipeline.RemapResult's edge check refuses a Sum collision).
 type classKey struct {
 	canon   uint64
 	machine string
@@ -583,9 +583,9 @@ func join(ctx context.Context, w *waiters) (val cacheValue, a answer, retry bool
 }
 
 // semantic is the canonical tier: it labels the job's loop and, if its
-// class is resident, answers with the class's result transplanted onto the
-// job's graph (pipeline.RemapResult: never trusted, only proven), which it
-// installs under the job's own exact key.
+// class is resident, answers with the class's result relabeled onto the
+// job's graph (pipeline.RemapResult: an edge match, then the compile's own
+// mover), which it installs under the job's own exact key.
 func (c *Compiler) semantic(j Job, key cacheKey) (cacheValue, answer) {
 	canon := j.Graph.CanonicalFingerprint()
 	c.mu.Lock()
@@ -643,8 +643,8 @@ func (c *Compiler) lead(ctx context.Context, j Job, slot int32, tr *telemetry.Tr
 // Store returns it for the job's own presentation. Any other Loop — an
 // isomorphic sibling's, or a parsed copy of this graph from an entry whose
 // header fingerprint this build does not recognise — is remapped onto
-// j.Graph and re-verified before it is trusted, and a failed remap is no
-// answer.
+// j.Graph, and a failed remap is no answer. A disk entry was proven once,
+// as it was decoded (wire's sched.Prove), and is not proven again.
 func (c *Compiler) fromStore(j Job) (cacheValue, answer) {
 	if c.store == nil {
 		return cacheValue{}, answerNone

@@ -85,7 +85,7 @@ func TestSemanticCacheHit(t *testing.T) {
 
 // TestSemanticStoreHit: a fresh Compiler sharing the persistent store
 // serves a permuted clone from the store — the JobKey is canonical, so
-// the entry written for the original is found, remapped and re-verified.
+// the entry written for the original is found and remapped.
 func TestSemanticStoreHit(t *testing.T) {
 	orig, clones := permutedJobs(t, "mgrid")
 	store := newMemStore()

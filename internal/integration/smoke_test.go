@@ -585,8 +585,8 @@ func TestSmokeService(t *testing.T) {
 
 	// Renamed, reordered isomorphic clones share no exact fingerprint with
 	// anything compiled, so serving them cached after one more restart
-	// proves the disk store answered by canonical identity: decode, remap
-	// through the isomorphism, re-verify.
+	// proves the disk store answered by canonical identity: decode (and
+	// prove), then remap through the isomorphism.
 	clonesFile, clonesText := loops(t, "clones.ddg", []string{"-bench", "tomcatv", "-n", "2", "-permute"})
 	if clonesText == loopsText {
 		t.Fatal("permuted corpus identical to the original; test defeated")

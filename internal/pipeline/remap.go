@@ -1,120 +1,103 @@
 package pipeline
 
 import (
-	"errors"
 	"fmt"
 
 	"clusched/internal/arena"
 	"clusched/internal/ddg"
-	"clusched/internal/sched"
 )
 
-// remapPerms recycles the three node-permutation vectors of one RemapResult
-// (invDst, sigma, invSigma) as one slab: they are dead once the call
-// returns.
-var remapPerms arena.Pool[[]int32]
+// remapSlab recycles one RemapResult's working vectors as one slab: the
+// inverse labeling, the permutation and the chain heads, a node each, and
+// the chain links, an edge each.
+var remapSlab arena.Pool[[]int32]
 
-// RemapResult transplants a cached compilation onto an isomorphic graph:
-// it composes the two canonical permutations into a node isomorphism,
-// carries the cached placement and issue times across it, and re-proves
-// the transplanted schedule with sched.Prove — the same dependence,
-// resource and register checks the wire decode path runs, so a remapped
-// result is never trusted, only proven (a failed proof returns an error
-// and the caller falls back to a fresh compilation). The target graph must
-// have the same canonical fingerprint as cached.Loop.
+// RemapResult transplants a cached compilation onto an isomorphic graph: it
+// composes the two canonical labelings into perm (node v of g is node
+// perm[v] of cached.Loop), checks that perm is an isomorphism, and moves
+// the schedule with the mover every compilation's map-back uses
+// (sched.Schedule.Relabeled). An isomorphic image has the same instances,
+// resource use, length, stage count and register pressure, so nothing is
+// re-proven: the check is what stands between a canonical-Sum collision,
+// or a wrong perm, and a wrong schedule. opts are the job's, which the
+// caller's key makes the cached compilation's; the move reads none.
 func RemapResult(cached *Result, g *ddg.Graph, opts Options) (*Result, error) {
 	src := cached.Loop
 	if cached.Schedule == nil || cached.Placement == nil {
 		return nil, fmt.Errorf("pipeline: remap: cached result has no schedule")
 	}
-	n := g.NumNodes()
-	if src.NumNodes() != n || src.NumEdges() != g.NumEdges() {
+	n, e := g.NumNodes(), g.NumEdges()
+	if src.NumNodes() != n || src.NumEdges() != e {
 		return nil, fmt.Errorf("pipeline: remap: graph size mismatch")
 	}
 	cSrc, cDst := src.CanonicalForm(), g.CanonicalForm()
 	if cSrc.Sum != cDst.Sum {
 		return nil, fmt.Errorf("pipeline: remap: canonical fingerprints differ")
 	}
-
-	// sigma maps cached node → target node through the shared canonical
-	// ordering: a node and its image occupy the same canonical position.
-	slab := remapPerms.Get()
-	defer remapPerms.Put(slab)
-	*slab = arena.Grown(*slab, 3*n)
-	invDst, sigma, invSigma := (*slab)[:n], (*slab)[n:2*n], (*slab)[2*n:]
+	slab := remapSlab.Get()
+	defer remapSlab.Put(slab)
+	*slab = arena.Grown(*slab, 3*n+e)
+	inv, perm, head, next := (*slab)[:n], (*slab)[n:2*n], (*slab)[2*n:3*n], (*slab)[3*n:]
+	for v, c := range cSrc.Perm {
+		inv[c] = int32(v)
+	}
 	for v, c := range cDst.Perm {
-		invDst[c] = int32(v)
+		perm[v] = inv[c]
 	}
-	for v := 0; v < n; v++ {
-		sigma[v] = invDst[cSrc.Perm[v]]
-		if g.Nodes[sigma[v]].Op != src.Nodes[v].Op {
-			// Only reachable through a canonical-sum hash collision.
-			return nil, fmt.Errorf("pipeline: remap: opcode mismatch under permutation")
-		}
+	if !isomorphic(g, src, perm, head, next) {
+		return nil, fmt.Errorf("pipeline: remap: %s is not an isomorph of %s under their canonical labelings", g.Name, src.Name)
 	}
-
-	cp := cached.Placement
-	place := func(home []int, replicas []sched.ClusterSet) error {
-		for v := 0; v < n; v++ {
-			home[sigma[v]] = cp.Home[v]
-			replicas[sigma[v]] = cp.Replicas[v]
-		}
-		return nil
-	}
-
-	cig := cached.Schedule.IG
-	for v := 0; v < n; v++ {
-		invSigma[sigma[v]] = int32(v)
-	}
-	// Pull each target instance's issue time from its cached counterpart:
-	// same original node (through sigma) in the same cluster, or the
-	// node's copy instance.
-	var layoutErr error
-	layout := func(ig *sched.IGraph, times []int) ([]int, error) {
-		if ig.NumInstances() != cig.NumInstances() {
-			layoutErr = fmt.Errorf("pipeline: remap: instance count mismatch")
-			return nil, layoutErr
-		}
-		for i, inst := range ig.Inst {
-			v := int(invSigma[inst.Orig])
-			var ci int32
-			if inst.IsCopy {
-				ci = cig.CopyIdx[v]
-			} else {
-				ci = cig.InstanceAt(v, inst.Cluster)
-			}
-			if ci < 0 {
-				layoutErr = fmt.Errorf("pipeline: remap: instance %d has no cached counterpart", i)
-				return nil, layoutErr
-			}
-			times[i] = cached.Schedule.Time[ci]
-		}
-		return times, nil
-	}
-	s, err := sched.Prove(g, cached.Machine, opts.ZeroBusLatency, cached.Schedule.II,
-		sched.Options{SkipRegisterCheck: opts.IgnoreRegisterPressure}, place, layout)
+	s, err := cached.Schedule.Relabeled(g, perm)
 	if err != nil {
-		var unproven *sched.Error // declared here: errors.As moves it to the heap
-		switch {
-		case layoutErr != nil:
-			return nil, layoutErr
-		case errors.As(err, &unproven):
-			return nil, fmt.Errorf("pipeline: remapped schedule does not verify: %w", err)
-		default:
-			return nil, fmt.Errorf("pipeline: remap: %w", err)
+		return nil, fmt.Errorf("pipeline: remap: %w", err)
+	}
+	out := *cached
+	out.Loop, out.Schedule, out.Placement = g, s, s.IG.P
+	return &out, nil
+}
+
+// isomorphic reports whether the bijection perm maps g onto h, whose edge
+// count is g's: every node onto one of the same operation, and every edge
+// onto a distinct edge of h between the images of its ends, of the same
+// kind, distance and latency (a multiset match: parallel edges count). It
+// is one pass: each node of h chains its out-edges by destination in head
+// and next, and an edge of g takes the first match off its chain.
+func isomorphic(g, h *ddg.Graph, perm, head, next []int32) bool {
+	for i := range head {
+		head[i] = -1
+	}
+	for v := range g.Nodes {
+		u := int(perm[v])
+		if g.Nodes[v].Op != h.Nodes[u].Op {
+			return false
+		}
+		out := h.Out(u)
+		for _, id := range out {
+			d := h.Edges[id].Dst
+			next[id], head[d] = head[d], id
+		}
+		matched := true
+		for _, id := range g.Out(v) {
+			e := &g.Edges[id]
+			at := &head[perm[e.Dst]]
+			for *at >= 0 {
+				if f := &h.Edges[*at]; f.Kind == e.Kind && f.Dist == e.Dist && f.Lat == e.Lat {
+					break
+				}
+				at = &next[*at]
+			}
+			if *at < 0 {
+				matched = false
+				break
+			}
+			*at = next[*at]
+		}
+		for _, id := range out {
+			head[h.Edges[id].Dst] = -1
+		}
+		if !matched {
+			return false
 		}
 	}
-	if s.Length != cached.Length || s.SC != cached.SC {
-		return nil, fmt.Errorf("pipeline: remap: length/SC changed (%d/%d vs %d/%d)",
-			s.Length, s.SC, cached.Length, cached.SC)
-	}
-	if c := s.IG.P.Comms(); c != cached.Comms {
-		return nil, fmt.Errorf("pipeline: remap: comm count changed (%d vs %d)", c, cached.Comms)
-	}
-
-	out := *cached
-	out.Loop = g
-	out.Schedule = s
-	out.Placement = s.IG.P
-	return &out, nil
+	return true
 }

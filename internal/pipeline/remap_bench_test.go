@@ -9,8 +9,8 @@ import (
 
 // BenchmarkRemapResult is the semantic cache tier's hit path: one op per
 // schedulable loop of the 678-loop suite, its cached compilation
-// transplanted onto a renamed, reordered clone and re-proved by
-// sched.Adopt. The canonical forms of both graphs are computed before the
+// transplanted onto a renamed, reordered clone: the edge match and the
+// relabel mover. The canonical forms of both graphs are computed before the
 // clock starts, as they are when the driver looks the clone up.
 func BenchmarkRemapResult(b *testing.B) {
 	m := remapMachine()

@@ -4,6 +4,7 @@ import (
 	"fmt"
 	"os"
 	"path/filepath"
+	"reflect"
 	"strconv"
 	"strings"
 	"testing"
@@ -18,7 +19,8 @@ import (
 // presentations must get one canonical identity (Sum and Complete), their
 // Perms must compose to an isomorphism, and a compilation of the first must
 // transplant onto the second with the same II, length, stage count and
-// communications and pass sched.Verify there. A loop that does not compile
+// communications, pass sched.Verify there and be deep-equal to the
+// retired remap's (remap_reference_test.go). A loop that does not compile
 // is an error value and nothing to remap; a panic anywhere is a finding.
 //
 // An incomplete labeling is allowed by contract to miss on a graph whose
@@ -70,6 +72,9 @@ func FuzzCanonicalRemap(f *testing.F) {
 			got, err := RemapResult(res, clone, opts)
 			if err != nil {
 				t.Fatalf("a compiled loop does not remap onto its relabeling: %v\n%s", err, text)
+			}
+			if want, err := referenceRemapResult(res, clone, opts); err != nil || !reflect.DeepEqual(got, want) {
+				t.Fatalf("the remap is not the retired one's (%v)\n%s", err, text)
 			}
 			if got.II != res.II || got.Length != res.Length || got.SC != res.SC || got.Comms != res.Comms {
 				t.Fatalf("remap changed the headline: II %d→%d length %d→%d SC %d→%d comms %d→%d\n%s",

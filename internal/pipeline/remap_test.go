@@ -184,10 +184,10 @@ func TestRemapRejectsNonIsomorphic(t *testing.T) {
 
 // TestRemapAllocs pins what a semantic hit's transplant costs the allocator
 // once both canonical forms are memoized and the pools are warm: the Result
-// and the proof's one copy out of the arena (sched's
-// TestProveSteadyStateAllocs: 6, the placement inside) — what a compilation
-// costs. The three permutation vectors come from a pooled slab and the
-// permuted placement is written straight into the proof's arena.
+// and the mover's one copy out of its arena (sched's accept: 6, the
+// placement inside) — what a compilation costs. The permutation and the
+// edge match's chains come from a pooled slab, and the permuted placement
+// is written straight into the mover's arena.
 func TestRemapAllocs(t *testing.T) {
 	if raceDetector {
 		t.Skip("allocation counts do not repeat under -race")
@@ -216,6 +216,6 @@ func TestRemapAllocs(t *testing.T) {
 	}
 	remap()
 	if avg := testing.AllocsPerRun(100, remap); avg != censusObjects {
-		t.Errorf("a warm RemapResult allocates %.1f objects, want %d (the Result and 6 in sched.Prove)", avg, censusObjects)
+		t.Errorf("a warm RemapResult allocates %.1f objects, want %d (the Result and 6 in sched's accept)", avg, censusObjects)
 	}
 }

@@ -21,11 +21,6 @@ func referenceProve(p *Placement, m machine.Config, zeroBusLat bool, ii int, tim
 	return referenceAdopt(ig, ii, times, opts)
 }
 
-// given hands Prove a time vector the caller already holds.
-func given(times []int) func(*IGraph, []int) ([]int, error) {
-	return func(*IGraph, []int) ([]int, error) { return times, nil }
-}
-
 // placed hands Prove a placement the caller already holds.
 func placed(p *Placement) func([]int, []ClusterSet) error {
 	return func(home []int, replicas []ClusterSet) error {
@@ -75,7 +70,7 @@ func sameSchedule(a, b *Schedule) error {
 // diffProve runs Prove and the reference on one input and compares
 // schedule or error text.
 func diffProve(p *Placement, m machine.Config, zero bool, ii int, times []int, opts Options) error {
-	got, gerr := Prove(p.G, m, zero, ii, opts, placed(p), given(times))
+	got, gerr := Prove(p.G, m, zero, ii, opts, placed(p), times)
 	want, werr := referenceProve(p, m, zero, ii, times, opts)
 	switch {
 	case (gerr == nil) != (werr == nil):
@@ -145,7 +140,7 @@ func TestProveMatchesBuildAndAdopt(t *testing.T) {
 
 func mustProve(t *testing.T, p *Placement, m machine.Config, s *Schedule) *Schedule {
 	t.Helper()
-	got, err := Prove(p.G, m, false, s.II, Options{}, placed(p), given(s.Time))
+	got, err := Prove(p.G, m, false, s.II, Options{}, placed(p), s.Time)
 	if err != nil {
 		t.Fatalf("%s on %s: an honest schedule does not prove: %v", p.G.Name, m.Name, err)
 	}
@@ -166,7 +161,7 @@ func TestProveMatchesReferenceOnCorruptedTimes(t *testing.T) {
 					t.Fatalf("%s on %s: %v", p.G.Name, m.Name, err)
 				}
 			}
-			if _, err := Prove(p.G, m, false, ii, Options{}, placed(p), given(times)); err != nil {
+			if _, err := Prove(p.G, m, false, ii, Options{}, placed(p), times); err != nil {
 				refused++
 			}
 			// The pooled arena saw a failure: the honest schedule must
@@ -212,7 +207,7 @@ func TestProveRefusesNonPositiveII(t *testing.T) {
 		t.Fatal(err)
 	}
 	for _, bad := range []int{0, -1, -1 << 62} {
-		_, err := Prove(p.G, m, false, bad, Options{}, placed(p), given(s.Time))
+		_, err := Prove(p.G, m, false, bad, Options{}, placed(p), s.Time)
 		se, ok := err.(*Error)
 		if !ok || se.Kind != FailWindow || se.Detail != fmt.Sprintf("sched: verify: non-positive II %d", bad) {
 			t.Errorf("II=%d: want a window *Error quoting verify, got %T: %v", bad, err, err)
@@ -223,10 +218,10 @@ func TestProveRefusesNonPositiveII(t *testing.T) {
 	}
 }
 
-// TestProvePassesTheCallersErrorThrough: what either callback refuses comes
-// back as it is, the placement it is offered has a slot per node — and one
-// left unfilled is a node without instances, not the last proof's — and the
-// time buffer has a slot per instance of the graph it is shown.
+// TestProvePassesTheCallersErrorThrough: what the placement callback
+// refuses comes back as it is, the placement it is offered has a slot per
+// node, and one left unfilled is a node without instances, not the last
+// proof's.
 func TestProvePassesTheCallersErrorThrough(t *testing.T) {
 	p, m, _, ii := warmAttempt(t)
 	s, err := ScheduleLoopScratch(p, m, ii, false, Options{}, NewScratch())
@@ -239,29 +234,13 @@ func TestProvePassesTheCallersErrorThrough(t *testing.T) {
 			t.Errorf("callback offered %d/%d slots for %d nodes", len(home), len(replicas), p.G.NumNodes())
 		}
 		return mine
-	}, given(s.Time)); err != mine {
+	}, s.Time); err != mine {
 		t.Fatalf("placement callback error came back as %v", err)
 	}
 	mustProve(t, p, m, s) // leaves p in the pooled arena's slot
-	_, err = Prove(p.G, m, false, ii, Options{}, func([]int, []ClusterSet) error { return nil }, given(s.Time))
+	_, err = Prove(p.G, m, false, ii, Options{}, func([]int, []ClusterSet) error { return nil }, s.Time)
 	if err == nil || err.Error() != "sched: node 0 has no instances" {
 		t.Fatalf("an unfilled placement: %v", err)
-	}
-	if _, err := Prove(p.G, m, false, ii, Options{}, placed(p), func(*IGraph, []int) ([]int, error) { return nil, mine }); err != mine {
-		t.Fatalf("callback error came back as %v", err)
-	}
-	got, err := Prove(p.G, m, false, ii, Options{}, placed(p), func(ig *IGraph, buf []int) ([]int, error) {
-		if len(buf) != ig.NumInstances() || !ig.scratch {
-			t.Errorf("callback offered %d slots for %d instances (scratch graph: %v)", len(buf), ig.NumInstances(), ig.scratch)
-		}
-		copy(buf, s.Time)
-		return buf, nil
-	})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if err := sameSchedule(got, s); err != nil {
-		t.Fatal(err)
 	}
 }
 
@@ -283,7 +262,7 @@ func TestProveConcurrently(t *testing.T) {
 			for round := 0; round < 3; round++ {
 				for i := g; i < len(work); i += 2 {
 					w := work[i]
-					got, err := Prove(w.p.G, w.m, false, w.s.II, Options{}, placed(w.p), given(w.s.Time))
+					got, err := Prove(w.p.G, w.m, false, w.s.II, Options{}, placed(w.p), w.s.Time)
 					if err != nil {
 						t.Errorf("%s on %s: %v", w.p.G.Name, w.m.Name, err)
 						return
@@ -292,7 +271,7 @@ func TestProveConcurrently(t *testing.T) {
 						t.Errorf("%s on %s: %v", w.p.G.Name, w.m.Name, err)
 						return
 					}
-					if _, err := Prove(w.p.G, w.m, false, w.s.II+1, Options{}, placed(w.p), given(w.s.Time[:1])); err == nil {
+					if _, err := Prove(w.p.G, w.m, false, w.s.II+1, Options{}, placed(w.p), w.s.Time[:1]); err == nil {
 						t.Errorf("a truncated vector proved")
 						return
 					}
@@ -317,7 +296,7 @@ func TestProveSteadyStateAllocs(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	place, times := placed(p), given(s.Time)
+	place, times := placed(p), s.Time
 	prove := func() {
 		if _, err := Prove(p.G, m, false, ii, Options{}, place, times); err != nil {
 			t.Fatal(err)
@@ -328,7 +307,7 @@ func TestProveSteadyStateAllocs(t *testing.T) {
 		t.Errorf("a warm Prove allocates %.1f objects, want 6", avg)
 	}
 	refuse := func() {
-		if _, err := Prove(p.G, m, false, ii, Options{}, place, given(s.Time[:1])); err == nil {
+		if _, err := Prove(p.G, m, false, ii, Options{}, place, s.Time[:1]); err == nil {
 			t.Fatal("truncated vector proved")
 		}
 	}

@@ -359,24 +359,20 @@ func admit(ig *IGraph, ii int, times []int, opts Options, sc *Scratch) (int, []i
 	return s.Length, s.MaxLive, nil
 }
 
-// Prove is the one door for a schedule this process did not search for — a
-// wire or disk-cache payload, a cached result transplanted onto an
-// isomorphic loop: the instance graph built and the times adopted on a
-// pooled arena, with the foreign placement and times written straight into
-// it. place fills the
-// arena's placement of g on m's clusters — a home and an instance set per
-// node, in range — and the placement is expanded; times is then asked for
-// the issue-time vector — it sees the instance graph, valid only during the
-// call, and may fill and return buf (one slot per instance) or return a
-// vector it already holds — and every check Adopt runs is run. Only a
-// schedule that passed is copied out of the arena, once, at exact size, its
-// placement (Schedule.IG.P) inside the same object.
+// Prove is the one door for a schedule from outside the process — a wire
+// payload, or a disk-cache entry as it is decoded: the instance graph
+// built and the times adopted on a pooled arena, with the foreign placement
+// written straight into it. place fills the arena's placement of g on m's
+// clusters — a home and an instance set per node, in range — and the
+// placement is expanded; times, one issue time per instance of the graph
+// it expands to, is then put through every check Adopt runs. Only a
+// schedule that passed is copied out of the arena, once, at exact size,
+// its placement (Schedule.IG.P) inside the same object.
 //
-// The error is place's or times' own, the placement's when the instance
-// graph cannot be built, or a *Error when the times do not hold.
+// The error is place's own, the placement's when the instance graph cannot
+// be built, or a *Error when the times do not hold.
 func Prove(g *ddg.Graph, m machine.Config, zeroBusLat bool, ii int, opts Options,
-	place func(home []int, replicas []ClusterSet) error,
-	times func(ig *IGraph, buf []int) ([]int, error)) (*Schedule, error) {
+	place func(home []int, replicas []ClusterSet) error, times []int) (*Schedule, error) {
 	sc := scratchPool.Get()
 	defer scratchPool.Put(sc)
 	p := sc.placement(g, m.Clusters)
@@ -388,50 +384,23 @@ func Prove(g *ddg.Graph, m machine.Config, zeroBusLat bool, ii int, opts Options
 	if err != nil {
 		return nil, err
 	}
-	sc.time = grown(sc.time, ig.NumInstances())
-	t, err := times(ig, sc.time)
-	if err != nil {
-		return nil, err
-	}
-	return adopt(ig, ii, t, opts, sc)
+	return adopt(ig, ii, times, opts, sc)
 }
 
 // Relabel moves s, a schedule accepted for a loop, onto g, the same loop
-// under another numbering: node v of g is node perm[v] of s's loop. The
-// placement goes through perm, g's instance graph is built once in sc,
-// each of its instances takes the issue time of its counterpart (same
-// node, same cluster, or the node's copy), and the result is written over
-// s's own memory — every vector keeps its length, so nothing is allocated.
-// Length, stage count and MaxLive do not depend on the numbering and are
-// kept. Afterwards s schedules g, exactly as adopting the carried times for
-// the carried placement would. s must own its placement, as every accepted
-// schedule of an arena placement does; a numbering that is not an
-// isomorphism is refused before s is touched.
+// under another numbering (carry), and writes the result over s's own
+// memory: every vector keeps its length, so nothing is allocated. s must
+// own its placement, as every accepted schedule of an arena placement
+// does; a refused move leaves s as it was.
 func (sc *Scratch) Relabel(s *Schedule, g *ddg.Graph, perm []int32) error {
-	from := s.IG
-	k := from.P.K
-	p := sc.placement(g, k)
-	for v, pv := range perm {
-		if g.Nodes[v].Op != from.G.Nodes[pv].Op {
-			return fmt.Errorf("sched: relabel: node %d is not node %d's operation", v, pv)
-		}
-		p.Home[v], p.Replicas[v] = from.P.Home[pv], from.P.Replicas[pv]
-	}
-	// The placement is an isomorphic image of one the search validated.
-	ig, err := sc.expand(p, from.M, from.commLat != from.busSlots)
+	ig, err := sc.carry(s.IG, s.Time, g, perm)
 	if err != nil {
 		return err
 	}
-	if len(ig.Inst) != len(from.Inst) || len(ig.Edges) != len(from.Edges) {
-		return fmt.Errorf("sched: relabel: %d instances and %d edges, want %d and %d",
-			len(ig.Inst), len(ig.Edges), len(from.Inst), len(from.Edges))
-	}
-	times := grown(sc.time, len(ig.Inst))
-	sc.time = times
-	carryTimes(ig, from, perm, s.Time, times)
-	copy(s.Time, times)
-	copy(from.P.Home, p.Home)
-	copy(from.P.Replicas, p.Replicas)
+	from := s.IG
+	copy(s.Time, sc.time)
+	copy(from.P.Home, ig.P.Home)
+	copy(from.P.Replicas, ig.P.Replicas)
 	from.P.G, from.G = g, g
 	copy(from.Inst, ig.Inst)
 	copy(from.Edges, ig.Edges)
@@ -444,17 +413,53 @@ func (sc *Scratch) Relabel(s *Schedule, g *ddg.Graph, perm []int32) error {
 	return nil
 }
 
-// carryTimes gives each instance of to the issue time fromTimes gives its
-// counterpart in from, whose loop numbers node v of to's loop perm[v]: the
-// same node on the same cluster, or the node's copy.
-func carryTimes(to, from *IGraph, perm []int32, fromTimes, times []int) {
-	for i, in := range to.Inst {
+// Relabeled is Relabel into a schedule of its own, accepted out of a pooled
+// arena once; s is left as it is.
+func (s *Schedule) Relabeled(g *ddg.Graph, perm []int32) (*Schedule, error) {
+	sc := scratchPool.Get()
+	defer scratchPool.Put(sc)
+	ig, err := sc.carry(s.IG, s.Time, g, perm)
+	if err != nil {
+		return nil, err
+	}
+	return accept(ig, s.II, s.Length, sc.time, s.MaxLive), nil
+}
+
+// carry is the one move of a schedule between numberings: node v of g is
+// node perm[v] of from's loop. It builds in sc g's instance graph under
+// from's placement carried through perm, and gives each instance the time
+// fromTimes gives its counterpart (the same node on the same cluster, or
+// the node's copy) in sc.time; length, stage count and MaxLive do not
+// depend on the numbering. It checks only that perm keeps every node's
+// operation and the instance and edge counts: a ddg.Presentation's Perm is
+// an isomorphism by construction, and pipeline.RemapResult matches every
+// edge before it calls.
+func (sc *Scratch) carry(from *IGraph, fromTimes []int, g *ddg.Graph, perm []int32) (*IGraph, error) {
+	p := sc.placement(g, from.P.K)
+	for v, pv := range perm {
+		if g.Nodes[v].Op != from.G.Nodes[pv].Op {
+			return nil, fmt.Errorf("sched: relabel: node %d is not node %d's operation", v, pv)
+		}
+		p.Home[v], p.Replicas[v] = from.P.Home[pv], from.P.Replicas[pv]
+	}
+	// The placement is an isomorphic image of one the search validated.
+	ig, err := sc.expand(p, from.M, from.commLat != from.busSlots)
+	if err != nil {
+		return nil, err
+	}
+	if len(ig.Inst) != len(from.Inst) || len(ig.Edges) != len(from.Edges) {
+		return nil, fmt.Errorf("sched: relabel: %d instances and %d edges, want %d and %d",
+			len(ig.Inst), len(ig.Edges), len(from.Inst), len(from.Edges))
+	}
+	sc.time = grown(sc.time, len(ig.Inst))
+	for i, in := range ig.Inst {
 		ci := from.CopyIdx[perm[in.Orig]]
 		if !in.IsCopy {
 			ci = from.InstanceAt(int(perm[in.Orig]), in.Cluster)
 		}
-		times[i] = fromTimes[ci]
+		sc.time[i] = fromTimes[ci]
 	}
+	return ig, nil
 }
 
 // ScheduleLoopScratch builds the instance graph for a placement and
@@ -464,11 +469,9 @@ func carryTimes(to, from *IGraph, perm []int32, fromTimes, times []int) {
 // II. The scheduler breaks ties by instance order, which follows node
 // numbering, so a placement of a loop that is not presented (ddg.Graph's
 // Presented) is scheduled on its loop's canonical presentation and the
-// times carried back onto p's own instance graph: any numbering of a
-// placement gets the same schedule up to that numbering, the one the
-// pipeline's search accepted. The presentation, the presented instance
-// graph and p's own are all kept in the arena, so an attempt on an
-// unchanged placement rebuilds nothing either way.
+// schedule carried back onto p's loop (carry, in a second arena): any
+// numbering of a placement gets the same schedule up to that numbering,
+// the one the pipeline's search accepted.
 //
 // In zero-bus-latency mode the real-latency schedule is made too, on a
 // second arena, and its times (which always satisfy the relaxed
@@ -490,14 +493,12 @@ func ScheduleLoopScratch(p *Placement, m machine.Config, ii int, zeroBusLat bool
 	if sc.back == nil {
 		sc.back = NewScratch()
 	}
-	back := sc.back
-	ig, err := back.buildIGraph(p, m, zeroBusLat)
+	ig, err := sc.back.carry(from, sc.time, p.G, sc.present.Perm)
 	if err != nil {
 		return nil, err
 	}
-	back.time = grown(back.time, len(ig.Inst))
-	carryTimes(ig, from, sc.present.Perm, sc.time, back.time)
-	return accept(ig, ii, length, back.time, maxLive), nil
+	ig.P = p // the carried placement equals p: share p, as a build of p would
+	return accept(ig, ii, length, sc.back.time, maxLive), nil
 }
 
 // scheduleLoop schedules p's loop as it is numbered and accepts nothing:

@@ -309,3 +309,16 @@ func TestRunMatchesReference(t *testing.T) {
 	}
 	t.Logf("%d attempts, %d failed", attempts, failures)
 }
+
+// carryTimes gives each instance of to the issue time fromTimes gives its
+// counterpart in from, whose loop numbers node v of to's loop perm[v]: the
+// same node on the same cluster, or the node's copy.
+func carryTimes(to, from *IGraph, perm []int32, fromTimes, times []int) {
+	for i, in := range to.Inst {
+		ci := from.CopyIdx[perm[in.Orig]]
+		if !in.IsCopy {
+			ci = from.InstanceAt(int(perm[in.Orig]), in.Cluster)
+		}
+		times[i] = fromTimes[ci]
+	}
+}

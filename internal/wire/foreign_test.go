@@ -18,8 +18,8 @@ import (
 // stream, a cached result transplanted onto an isomorphic loop — becomes a
 // Result under the arena's lifetime rule: the foreign placement and times
 // are range-checked and written straight into sched.Prove's pooled arena,
-// and what passed leaves once. The census pins the first half, survival
-// the second.
+// the transplanted ones carried into the relabel mover's, and what passed
+// leaves once. The census pins the first half, survival the second.
 
 // foreignObjects is what either door allocates on warm pools: the Result
 // and the six objects of sched's accept (pipeline's censusObjects — a
@@ -74,7 +74,7 @@ func TestForeignScheduleCensus(t *testing.T) {
 
 		clone := ddg.PermuteRandom(g, g.Name+"#p", int64(decoded))
 		if _, err := pipeline.RemapResult(out.Result, clone, opts); err != nil {
-			return // a transplant may not prove (DESIGN.md "Semantic caching"); nothing to count
+			return // an incomplete labeling may miss its relabeling (DESIGN.md "Semantic caching"); nothing to count
 		}
 		remap := func() {
 			if _, err := pipeline.RemapResult(out.Result, clone, opts); err != nil {
@@ -139,9 +139,9 @@ func copyOwned(r *pipeline.Result) ownedCopy {
 // TestForeignResultSurvivesTheArena is pipeline's
 // TestAcceptedResultSurvivesTheArena for the two doors that search for
 // nothing: every decoded and every remapped Result of the suite is kept and
-// checked only after 50 later proofs — of other loops, and refused ones —
-// have gone through sched.Prove's pooled arena: it must still hold what it
-// held when it was made, placement included, and still verify.
+// checked only after 50 later proofs and remaps — of other loops, and
+// refused ones — have gone through the pooled arenas: it must still hold
+// what it held when it was made, placement included, and still verify.
 func TestForeignResultSurvivesTheArena(t *testing.T) {
 	const gap = 50
 	outs := suiteOutcomes(t)
@@ -174,7 +174,7 @@ func TestForeignResultSurvivesTheArena(t *testing.T) {
 			g := outs[i].Job.Graph
 			res, err := pipeline.RemapResult(outs[i].Result, ddg.PermuteRandom(g, g.Name+"#p", int64(i)), outs[i].Job.Opts)
 			if err != nil {
-				return nil // not every transplant proves
+				return nil // an incomplete labeling may miss its relabeling
 			}
 			return res
 		}},

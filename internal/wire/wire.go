@@ -385,8 +385,7 @@ func (wr *Result) decode(j driver.Job) (*pipeline.Result, error) {
 				replicas[v] = sched.ClusterSet(set)
 			}
 			return nil
-		},
-		func(*sched.IGraph, []int) ([]int, error) { return wr.Schedule.Time, nil })
+		}, wr.Schedule.Time)
 	if err != nil {
 		var unproven *sched.Error
 		if errors.As(err, &unproven) {
