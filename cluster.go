@@ -12,14 +12,13 @@ import (
 // canonical-fingerprint component of its cache identity — so isomorphic
 // clones of a loop always land on the same node and hit that node's
 // semantic cache tier — with health-checked membership, per-node in-flight
-// windows, work stealing, hedged dispatch for stragglers and transport-
-// aware failover. Construct it with NewCluster; see FleetStats for the
+// windows, hedged dispatch for stragglers and transport-aware failover. Construct it with NewCluster; see FleetStats for the
 // fleet-wide /stats rollup and Registry for the per-node Prometheus
 // instruments.
 type Cluster = cluster.Cluster
 
 // FleetStats is the fleet-wide statistics rollup (Cluster.FleetStats):
-// per-node dispatch/steal/hedge/ejection counters plus each node's own
+// per-node dispatch/hedge/ejection counters plus each node's own
 // service stats, with the fleet sums a capacity dashboard wants first.
 type FleetStats = cluster.FleetStats
 

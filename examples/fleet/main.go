@@ -77,14 +77,14 @@ func main() {
 	fs := cl.FleetStats(sctx)
 	fmt.Printf("round 2: %d isomorphic clones, %d served by semantic cache tiers\n\n",
 		len(clones), fs.SemanticHits+fs.SemanticStoreHits)
-	fmt.Printf("%-28s %8s %8s %8s %9s\n", "node", "jobs", "steals", "compiled", "sem.hits")
+	fmt.Printf("%-28s %8s %8s %9s\n", "node", "jobs", "compiled", "sem.hits")
 	for _, ns := range fs.Nodes {
 		compiled, sem := uint64(0), uint64(0)
 		if ns.Service != nil {
 			compiled = ns.Service.JobsCompiled
 			sem = ns.Service.Cache.SemanticHits + ns.Service.Cache.SemanticStoreHits
 		}
-		fmt.Printf("%-28s %8d %8d %8d %9d\n", ns.Name, ns.Jobs, ns.Steals, compiled, sem)
+		fmt.Printf("%-28s %8d %8d %9d\n", ns.Name, ns.Jobs, compiled, sem)
 	}
 	if got, want := fs.SemanticHits+fs.SemanticStoreHits, uint64(len(clones)); got < want {
 		log.Fatalf("affinity broken: only %d of %d clones hit a semantic tier", got, want)

@@ -10,8 +10,8 @@
 // costs a frame, not an HTTP exchange; a single job is a run of one. Around
 // that core sit the fleet mechanics, all of which move runs: health-checked
 // membership (periodic probes with jitter, eject on dispatch failure,
-// readmit on recovery), per-node windows of concurrent exchanges with work
-// stealing when a node drains or falls behind, hedged dispatch for
+// readmit on recovery), per-node windows of concurrent exchanges, each
+// member serving only the queue routing gave it, hedged dispatch for
 // stragglers (the undelivered suffix of a run gone silent is duplicated on
 // a peer after a latency-percentile delay; the first answer per job wins,
 // the loser is cancelled — results are content-addressed and deterministic,
@@ -54,8 +54,7 @@ type Config struct {
 	// Members is the fleet; at least one is required.
 	Members []Member
 	// NodeInFlight bounds concurrent exchanges per member — runs in flight,
-	// each one ticket on the node, whatever its length — and is the backlog
-	// a queue must exceed before an idle peer may steal from it; ≤0 means
+	// each one ticket on the node, whatever its length; ≤0 means
 	// DefaultNodeInFlight.
 	NodeInFlight int
 	// Hedge controls straggler hedging: 0 (default) adapts the hedge delay
@@ -70,8 +69,8 @@ type Config struct {
 	// Registry receives the cluster's per-node instruments; nil creates a
 	// private registry (exposed via Registry()).
 	Registry *telemetry.Registry
-	// Logger receives membership transitions and hedge/steal diagnostics;
-	// nil discards them.
+	// Logger receives membership transitions and failover diagnostics; nil
+	// discards them.
 	Logger *slog.Logger
 }
 
@@ -108,7 +107,7 @@ type member struct {
 
 	// The member's event counts: its children of the registry's per-node
 	// families, resolved once in New. FleetStats reads the same cells.
-	jobs, steals, hedgesFired, hedgesWon, ejections, failovers *telemetry.Counter
+	jobs, hedgesFired, hedgesWon, ejections, failovers *telemetry.Counter
 }
 
 func (m *member) healthy() bool { return m.up.Load() }
@@ -167,8 +166,6 @@ func New(cfg Config) (*Cluster, error) {
 	reg := c.registry
 	jobs := reg.NewCounterVec("clusched_cluster_jobs_total",
 		"Jobs dispatched and answered, by node.", "node")
-	steals := reg.NewCounterVec("clusched_cluster_steals_total",
-		"Jobs stolen from another node's queue, by the thief node.", "node")
 	hedgesFired := reg.NewCounterVec("clusched_cluster_hedges_fired_total",
 		"Hedged duplicate dispatches fired against a slow primary, by primary node.", "node")
 	hedgesWon := reg.NewCounterVec("clusched_cluster_hedges_won_total",
@@ -178,8 +175,7 @@ func New(cfg Config) (*Cluster, error) {
 	failovers := reg.NewCounterVec("clusched_cluster_failovers_total",
 		"Jobs rerouted to another member after a transport failure, by failed node.", "node")
 	for _, mm := range cfg.Members {
-		m := &member{name: mm.Name, node: mm.Node,
-			jobs: jobs.With(mm.Name), steals: steals.With(mm.Name),
+		m := &member{name: mm.Name, node: mm.Node, jobs: jobs.With(mm.Name),
 			hedgesFired: hedgesFired.With(mm.Name), hedgesWon: hedgesWon.With(mm.Name),
 			ejections: ejections.With(mm.Name), failovers: failovers.With(mm.Name)}
 		m.up.Store(true)
@@ -210,8 +206,8 @@ func New(cfg Config) (*Cluster, error) {
 	return c, nil
 }
 
-// Registry exposes the cluster's metric registry (per-node dispatch, steal,
-// hedge and ejection counters, plus membership gauges).
+// Registry exposes the cluster's metric registry (per-node dispatch, hedge,
+// ejection and failover counters, plus membership gauges).
 func (c *Cluster) Registry() *telemetry.Registry { return c.registry }
 
 // Close stops the membership loop. In-flight Streams finish on their own.
@@ -326,14 +322,11 @@ func (c *Cluster) route(jobs []driver.Job) (map[*member][]int, int) {
 // NodeInFlight workers; a worker claims from the head of its member's queue
 // a run of at most the batch's even share, so what reaches a node is a
 // sub-batch its whole worker pool serves, and what bounded-load routing put
-// above the even share stays queued — the home's next run, unless an idle
-// peer steals it first (the tail of the longest backlog past the in-flight
-// floor: the jobs their home would reach last, the cheapest affinity to
-// sacrifice). Every job yields exactly once, tagged with its index, the
-// moment its outcome arrives; cancelling ctx mid-stream stamps the remaining
-// jobs with the cancellation; stopping the iteration early abandons the
-// remaining work. Either way every ticket still open on a node is cancelled
-// there before Stream returns.
+// above the even share is the home's next run. Every job yields exactly
+// once, tagged with its index, the moment its outcome arrives; cancelling
+// ctx mid-stream stamps the remaining jobs with the cancellation; stopping
+// the iteration early abandons the remaining work. Either way every ticket
+// still open on a node is cancelled there before Stream returns.
 func (c *Cluster) Stream(ctx context.Context, jobs []driver.Job) iter.Seq2[int, driver.Outcome] {
 	return func(yield func(int, driver.Outcome) bool) {
 		if len(jobs) == 0 {
@@ -361,41 +354,25 @@ func (c *Cluster) Stream(ctx context.Context, jobs []driver.Job) iter.Seq2[int, 
 		})
 
 		queues, healthy := c.route(jobs)
-		b := &batchState{
-			queues:     queues,
-			order:      c.members,
-			share:      (len(jobs) + healthy - 1) / healthy,
-			stealFloor: c.nodeInFlight,
-		}
-		// Every worker's first run is claimed here, home queues before any
-		// steal, so no idle member raids a queue its home has not reached
-		// yet. Queues never refill (failover happens inside dispatch), so a
-		// worker with nothing to claim now never will have and is not
-		// started.
-		type start struct {
-			m   *member
-			run []int
-		}
-		starts := make([]start, 0, len(c.members)*c.nodeInFlight)
+		b := &batchState{queues: queues, share: (len(jobs) + healthy - 1) / healthy}
+		// Each worker's first run is claimed before it starts. Queues never
+		// refill (failover happens inside dispatch), so a worker with
+		// nothing to claim now never will have and is not started.
+		var wg sync.WaitGroup
 		for _, m := range c.members {
 			for w := 0; w < c.nodeInFlight; w++ {
-				starts = append(starts, start{m, b.next(m, false)})
-			}
-		}
-		var wg sync.WaitGroup
-		for _, s := range starts {
-			if s.run == nil {
-				if s.run = b.next(s.m, true); s.run == nil {
-					continue
+				run := b.next(m)
+				if run == nil {
+					break
 				}
+				wg.Add(1)
+				go func() {
+					defer wg.Done()
+					for ; run != nil; run = b.next(m) {
+						c.dispatch(sctx, l, m, run)
+					}
+				}()
 			}
-			wg.Add(1)
-			go func(m *member, run []int) {
-				defer wg.Done()
-				for ; run != nil; run = b.next(m, true) {
-					c.dispatch(sctx, l, m, run)
-				}
-			}(s.m, s.run)
 		}
 		go func() {
 			wg.Wait()
@@ -462,58 +439,32 @@ func (l *ledger) fail(run []int, err error) {
 	}
 }
 
-// batchState is the mutable routing state of one Stream call: per-member
-// queues plus the steal scan.
+// batchState is the mutable routing state of one Stream call: the
+// per-member queues, each claimed only by its own member's workers.
 type batchState struct {
 	mu     sync.Mutex
 	queues map[*member][]int
-	order  []*member
 	// share is the batch's even share, ⌈jobs / healthy members⌉ — the number
 	// route's bound is built from — and the most a member claims from its
-	// own queue in one run. Whole queues would leave nothing to steal,
-	// halves keep the most backlog but double the exchanges; the even share
-	// leaves exactly what routing put above it (≤ 25% + 1).
+	// own queue in one run. Route's bound is at most twice the even share
+	// (TestRouteBoundIsAtMostTwiceTheEvenShare), so a member's queue leaves
+	// as one or two runs, the second being what routing put above the even
+	// share (≤ 25% + 1).
 	share int
-	// stealFloor is the backlog a victim must exceed before an idle member
-	// may steal from it: a queue no longer than the in-flight window is
-	// already fully dispatchable by its home node, so stealing it would
-	// trade cache affinity for nothing. Only genuine backlogs — a slow or
-	// dead node falling behind its shard — are rebalanced.
-	stealFloor int
 }
 
 // next claims the member's next run: the head of its own queue, at most the
-// even share, or — when steal is set and that queue is empty — the tail of
-// the longest other backlog past the steal floor, half of what exceeds the
-// floor, every stolen job counted to the thief. It returns nil when there is
-// nothing to claim; with steal set that means no claimable work remains
-// anywhere — sub-floor remainders drain at their home node.
-func (b *batchState) next(m *member, steal bool) []int {
+// even share. It returns nil when that queue is empty.
+func (b *batchState) next(m *member) []int {
 	b.mu.Lock()
 	defer b.mu.Unlock()
-	if q := b.queues[m]; len(q) > 0 {
-		n := min(len(q), b.share)
-		b.queues[m] = q[n:]
-		return q[:n:n]
-	}
-	if !steal {
+	q := b.queues[m]
+	n := min(len(q), b.share)
+	if n == 0 {
 		return nil
 	}
-	var victim *member
-	best := b.stealFloor
-	for _, o := range b.order {
-		if o != m && len(b.queues[o]) > best {
-			victim, best = o, len(b.queues[o])
-		}
-	}
-	if victim == nil {
-		return nil
-	}
-	q := b.queues[victim]
-	cut := len(q) - (len(q)-b.stealFloor+1)/2
-	b.queues[victim] = q[:cut:cut]
-	m.steals.Add(uint64(len(q) - cut))
-	return q[cut:]
+	b.queues[m] = q[n:]
+	return q[:n:n]
 }
 
 // dispatch serves one run to a final outcome for each of its jobs: try the
@@ -780,10 +731,8 @@ type NodeStats struct {
 	// against the node, each carrying one run.
 	InFlight int64 `json:"in_flight"`
 	// Jobs counts the jobs this node answered — one per delivered outcome,
-	// whichever run carried it; Steals the jobs it took over from another
-	// member's queue.
-	Jobs   uint64 `json:"jobs"`
-	Steals uint64 `json:"steals"`
+	// whichever run carried it.
+	Jobs uint64 `json:"jobs"`
 	// HedgesFired/HedgesWon count the runs hedged against this node as the
 	// slow primary, and how many of those duplicates answered a job first.
 	HedgesFired uint64 `json:"hedges_fired"`
@@ -802,7 +751,9 @@ type NodeStats struct {
 type FleetStats struct {
 	Nodes   []NodeStats `json:"nodes"`
 	Healthy int         `json:"healthy"`
-	// Jobs/Steals/HedgesFired/HedgesWon sum the cluster-side counters.
+	// Jobs/HedgesFired/HedgesWon sum the cluster-side counters. Steals is
+	// always 0: the fleet does not steal work, and the field stays only for
+	// readers of the rollup that still report it.
 	Jobs        uint64 `json:"jobs"`
 	Steals      uint64 `json:"steals"`
 	HedgesFired uint64 `json:"hedges_fired"`
@@ -827,7 +778,6 @@ func (c *Cluster) FleetStats(ctx context.Context) FleetStats {
 			Healthy:     m.healthy(),
 			InFlight:    m.inflight.Load(),
 			Jobs:        m.jobs.Value(),
-			Steals:      m.steals.Value(),
 			HedgesFired: m.hedgesFired.Value(),
 			HedgesWon:   m.hedgesWon.Value(),
 			Ejections:   m.ejections.Value(),
@@ -854,7 +804,6 @@ func (c *Cluster) FleetStats(ctx context.Context) FleetStats {
 			fs.Healthy++
 		}
 		fs.Jobs += ns.Jobs
-		fs.Steals += ns.Steals
 		fs.HedgesFired += ns.HedgesFired
 		fs.HedgesWon += ns.HedgesWon
 		if ns.Service != nil {

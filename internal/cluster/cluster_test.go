@@ -16,7 +16,6 @@ import (
 	"clusched/internal/driver"
 	"clusched/internal/machine"
 	"clusched/internal/pipeline"
-	"clusched/internal/telemetry"
 	"clusched/internal/wire"
 	"clusched/internal/workload"
 )
@@ -375,72 +374,66 @@ func TestHedgeDuplicatesSlowPrimary(t *testing.T) {
 	assertFleetAgreesWithRegistry(t, c)
 }
 
-// TestStealTakesTailOfLongestQueue pins the claiming policy in runs: a
-// member claims from the head of its own queue at most the even share; an
-// idle member steals from the *tail* of the longest backlog (the jobs their
-// home would reach last — the cheapest affinity to trade) half of what
-// exceeds the steal floor, every stolen job is attributed to the thief, and
-// backlogs at or under the floor are never touched — their home node already
-// has them in flight, so stealing them would only sacrifice cache affinity.
-func TestStealTakesTailOfLongestQueue(t *testing.T) {
-	a, bm, cm := &member{name: "a"}, &member{name: "b"}, &member{name: "c", steals: new(telemetry.Counter)}
-	b := &batchState{
-		queues:     map[*member][]int{a: {0, 1, 2, 3, 4, 5, 6}, bm: {7, 8, 9}, cm: nil},
-		order:      []*member{a, bm, cm},
-		share:      4,
-		stealFloor: 2,
-	}
-	claim := func(m *member, wantStolen bool, want ...int) {
-		t.Helper()
-		before := cm.steals.Value()
-		run := b.next(m, true)
-		stolen := cm.steals.Value() > before
-		if !slices.Equal(run, want) || stolen != wantStolen {
-			t.Fatalf("member %s claimed %v (stolen=%v), want %v (stolen=%v)", m.name, run, stolen, want, wantStolen)
+// TestNextClaimsTheHeadOfItsOwnQueue pins the claiming policy in runs: a
+// member claims from the head of its own queue at most the even share, and
+// a member whose queue is empty claims nothing, however long another is.
+func TestNextClaimsTheHeadOfItsOwnQueue(t *testing.T) {
+	a, idle := &member{name: "a"}, &member{name: "idle"}
+	b := &batchState{queues: map[*member][]int{a: {0, 1, 2, 3, 4, 5, 6}, idle: nil}, share: 4}
+	for k, c := range []struct {
+		m    *member
+		want []int
+	}{
+		{idle, nil},
+		{a, []int{0, 1, 2, 3}},
+		{idle, nil},
+		{a, []int{4, 5, 6}},
+		{a, nil},
+	} {
+		if run := b.next(c.m); !slices.Equal(run, c.want) {
+			t.Fatalf("claim %d: member %s claimed %v, want %v", k, c.m.name, run, c.want)
 		}
 	}
-	// Without leave to steal, a member with an empty queue claims nothing.
-	if run := b.next(cm, false); run != nil {
-		t.Fatalf("stole %v without leave to steal", run)
-	}
-	// The owner's run is the head of its queue, capped at the even share.
-	claim(a, false, 0, 1, 2, 3)
-	// Both backlogs are 3 long; the first of the longest is a's, and the
-	// thief takes the tail half of what exceeds the floor, rounded up.
-	claim(cm, true, 6)
-	if cm.steals.Value() != 1 {
-		t.Fatal("steal not attributed to the thief")
-	}
-	// Now b's backlog is the longest: one job over the floor.
-	claim(cm, true, 9)
-	if cm.steals.Value() != 2 {
-		t.Fatal("stolen jobs not counted one by one")
-	}
-	// Every remaining queue is at the floor: no more stealing, the idle
-	// member goes home.
-	if run := b.next(cm, true); run != nil {
-		t.Fatalf("stole %v from a sub-floor backlog", run)
-	}
-	claim(a, false, 4, 5)
-	claim(bm, false, 7, 8)
-	// Drained: next reports no work without blocking.
-	if run := b.next(a, true); run != nil {
-		t.Fatalf("next reported %v on a drained batch", run)
-	}
+}
 
-	// A long backlog loses half of its excess in one steal, as one run.
-	b = &batchState{
-		queues:     map[*member][]int{a: {0, 1, 2, 3, 4, 5, 6, 7, 8, 9}},
-		order:      []*member{a, cm},
-		share:      4,
-		stealFloor: 1,
+// TestRouteBoundIsAtMostTwiceTheEvenShare pins the arithmetic that lets a
+// member's workers claim its whole queue in two runs: for every batch of up
+// to 512 jobs over up to 8 healthy members, no member's routed queue is
+// longer than twice the even share — not even when every job hashes to one
+// member and bounded-load routing fills queue after queue to its bound.
+func TestRouteBoundIsAtMostTwiceTheEvenShare(t *testing.T) {
+	const maxJobs, maxMembers = 512, 8
+	c, _ := newStreamFleet(t, maxMembers, -1, 1)
+	one := testJobs(t, 1)[0]
+	jobs := make([]driver.Job, maxJobs)
+	for i := range jobs {
+		jobs[i] = one
 	}
-	claim(cm, true, 5, 6, 7, 8, 9)
-	if cm.steals.Value() != 7 {
-		t.Fatalf("thief credited with %d stolen jobs, want 7", cm.steals.Value())
+	for h := 1; h <= maxMembers; h++ {
+		for i, m := range c.members {
+			m.up.Store(i < h)
+		}
+		for n := 1; n <= maxJobs; n++ {
+			queues, healthy := c.route(jobs[:n])
+			if healthy != h {
+				t.Fatalf("n=%d: route counted %d healthy members, want %d", n, healthy, h)
+			}
+			share := (n + h - 1) / h
+			total := 0
+			for m, q := range queues {
+				total += len(q)
+				if !m.healthy() {
+					t.Fatalf("n=%d h=%d: route queued %d jobs on unhealthy %s", n, h, len(q), m.name)
+				}
+				if len(q) > 2*share {
+					t.Fatalf("n=%d h=%d: %s holds %d jobs, more than twice the even share %d", n, h, m.name, len(q), share)
+				}
+			}
+			if total != n {
+				t.Fatalf("n=%d h=%d: route queued %d jobs", n, h, total)
+			}
+		}
 	}
-	claim(cm, true, 3, 4)
-	claim(a, false, 0, 1, 2)
 }
 
 // TestStreamYieldsEveryJobExactlyOnce runs the fleet Stream over fakes: all
@@ -672,7 +665,7 @@ func assertFleetAgreesWithRegistry(t *testing.T, c *Cluster) {
 	}
 	for _, ns := range c.FleetStats(context.Background()).Nodes {
 		for family, want := range map[string]uint64{
-			"jobs": ns.Jobs, "steals": ns.Steals, "hedges_fired": ns.HedgesFired,
+			"jobs": ns.Jobs, "hedges_fired": ns.HedgesFired,
 			"hedges_won": ns.HedgesWon, "ejections": ns.Ejections,
 		} {
 			line := fmt.Sprintf("clusched_cluster_%s_total{node=%q} %d\n", family, ns.Name, want)
@@ -897,68 +890,78 @@ func TestStreamEarlyBreakCancelsEveryOpenTicket(t *testing.T) {
 	waitFor(t, "the call's goroutines to exit", func() bool { return runtime.NumGoroutine() <= before })
 }
 
-// TestStreamClaimsTheEvenShareAndStealsTheBacklog drives the whole claiming
-// policy through Stream: every job of the batch hashes to one member, so
-// bounded-load routing gives it 1.25× the even share + 1 and spills the rest;
-// its worker sends the even share as one run and leaves the excess queued;
-// the idle peer, done with its own run, steals from the tail of that backlog
-// down to the floor; the home's next run is what is left.
-func TestStreamClaimsTheEvenShareAndStealsTheBacklog(t *testing.T) {
-	c, fakes := newStreamFleet(t, 2, -1, 1)
-	jobs := testJobs(t, 12)
-	for i := range jobs {
-		jobs[i].Graph = jobs[0].Graph // one shape: one home
-	}
-	home := c.routeOne(jobs[0])
-	hi := memberIndex(t, c, home)
-	peer := c.members[1-hi]
-	// The home's first exchange stalls before its first frame until the peer
-	// has run dry; the test then lets everything through.
-	release := make(chan struct{})
-	fakes[hi].frame = func(exchange, frame int) frameAction {
-		if exchange == 0 && frame == 0 {
-			<-release
-		}
-		return frameDeliver
-	}
-	go func() {
-		// share = 6, bound = 8: the home holds 8 (6 in flight, 2 queued), the
-		// peer 4. Floor 1: the peer steals one job, then none.
-		waitFor(t, "the peer to finish its run and its steal", func() bool {
-			_, _, finished := fakes[1-hi].snapshot()
-			return finished == 2
+// TestStreamClaimsTheEvenShare drives the claiming policy through Stream:
+// every job of the batch hashes to one member, so bounded-load routing gives
+// it 1.25× the even share + 1 and spills the rest to the peer. The home
+// sends the even share as one run and what is above it as the next; the
+// peer, idle once its own queue is done, takes nothing from the home's.
+// With one exchange in flight per member the home's second run waits for
+// its first; with two, every run is out before the first exchange answers.
+func TestStreamClaimsTheEvenShare(t *testing.T) {
+	for _, inFlight := range []int{1, 2} {
+		t.Run(fmt.Sprintf("NodeInFlight=%d", inFlight), func(t *testing.T) {
+			c, fakes := newStreamFleet(t, 2, -1, inFlight)
+			jobs := testJobs(t, 12)
+			for i := range jobs {
+				jobs[i].Graph = jobs[0].Graph // one shape: one home
+			}
+			home := c.routeOne(jobs[0])
+			hi := memberIndex(t, c, home)
+			peer := c.members[1-hi]
+			// share = 6, bound = 8: the home holds 8, the peer 4. No
+			// exchange answers until the peer's run has returned and, with
+			// two in flight, the home's second run is out too.
+			opened := func() bool {
+				runs, _, _ := fakes[hi].snapshot()
+				_, _, finished := fakes[1-hi].snapshot()
+				return finished == 1 && len(runs) == inFlight
+			}
+			release := make(chan struct{})
+			fakes[hi].frame = func(_, frame int) frameAction {
+				if frame == 0 {
+					<-release
+				}
+				return frameDeliver
+			}
+			outs := make(chan int)
+			go func() {
+				n := 0
+				for _, out := range c.Stream(context.Background(), jobs) {
+					if out.Err == nil {
+						n++
+					}
+				}
+				outs <- n
+			}()
+			waitFor(t, "the peer's run to return and the home's runs to open", opened)
+			close(release)
+			if n := <-outs; n != len(jobs) {
+				t.Fatalf("stream delivered %d of %d jobs without error", n, len(jobs))
+			}
+			sizes := func(f *fakeStreamNode) []int {
+				runs, _, _ := f.snapshot()
+				s := make([]int, len(runs))
+				for i, r := range runs {
+					s[i] = len(r)
+				}
+				return s
+			}
+			got := sizes(fakes[hi])
+			if inFlight > 1 {
+				// Both runs are out at once; their exchanges open in
+				// either order.
+				slices.SortFunc(got, func(a, b int) int { return b - a })
+			}
+			if !slices.Equal(got, []int{6, 2}) {
+				t.Fatalf("the home's runs were %v jobs long, want [6 2]: the even share, then the rest of its queue", got)
+			}
+			if got := sizes(fakes[1-hi]); !slices.Equal(got, []int{4}) {
+				t.Fatalf("the peer's runs were %v jobs long, want [4]: its own queue and nothing more", got)
+			}
+			assertFleetAgreesWithRegistry(t, c)
+			if home.jobs.Value() != 8 || peer.jobs.Value() != 4 {
+				t.Fatalf("jobs answered: home %d, peer %d; want 8 and 4", home.jobs.Value(), peer.jobs.Value())
+			}
 		})
-		close(release)
-	}()
-	n := 0
-	for _, out := range c.Stream(context.Background(), jobs) {
-		if out.Err != nil {
-			t.Fatal(out.Err)
-		}
-		n++
-	}
-	if n != len(jobs) {
-		t.Fatalf("stream delivered %d of %d jobs", n, len(jobs))
-	}
-	sizes := func(f *fakeStreamNode) []int {
-		runs, _, _ := f.snapshot()
-		s := make([]int, len(runs))
-		for i, r := range runs {
-			s[i] = len(r)
-		}
-		return s
-	}
-	if got := sizes(fakes[hi]); !slices.Equal(got, []int{6, 1}) {
-		t.Fatalf("the home's runs were %v jobs long, want [6 1]: the even share, then what the thief left", got)
-	}
-	if got := sizes(fakes[1-hi]); !slices.Equal(got, []int{4, 1}) {
-		t.Fatalf("the peer's runs were %v jobs long, want [4 1]: its own queue, then one stolen job", got)
-	}
-	if peer.steals.Value() != 1 || home.steals.Value() != 0 {
-		t.Fatalf("steals: peer %d, home %d; want 1 and 0", peer.steals.Value(), home.steals.Value())
-	}
-	assertFleetAgreesWithRegistry(t, c)
-	if home.jobs.Value()+peer.jobs.Value() != uint64(len(jobs)) {
-		t.Fatalf("jobs answered: %d + %d, want %d in all", home.jobs.Value(), peer.jobs.Value(), len(jobs))
 	}
 }

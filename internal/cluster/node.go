@@ -12,8 +12,8 @@ import (
 )
 
 // Node is one compilation server as the cluster sees it: a dispatch target
-// that also answers a probe and reports its statistics. Routing, failover,
-// hedging and stealing are the cluster's business, not the node's. HTTPNode
+// that also answers a probe and reports its statistics. Routing, failover
+// and hedging are the cluster's business, not the node's. HTTPNode
 // (a clusched-serve instance) satisfies it, as does any in-process fake a
 // test cares to write.
 type Node interface {
@@ -59,8 +59,8 @@ func retryable(err error) bool {
 
 // HTTPNode is one clusched-serve instance as a fleet member: a wire.Endpoint
 // — Do, Health and Stats are the endpoint's own — plus the fleet's policy for
-// a run (Stream). In-flight windows, stealing, hedging and failover move
-// whole runs, and a node's worker pool serves each as a sub-batch.
+// a run (Stream). In-flight windows, hedging and failover move whole runs,
+// and a node's worker pool serves each as a sub-batch.
 type HTTPNode struct{ wire.Endpoint }
 
 // Health and Stats are promoted from the endpoint, as is Do, which Stream

@@ -719,143 +719,132 @@ func (c *Compiler) compile(ctx context.Context, j Job, tr *telemetry.Trace, trac
 // submission. Progress callbacks fire only for jobs that actually ran.
 // Stopping the iteration early cancels the remaining work.
 func (c *Compiler) Stream(ctx context.Context, jobs []Job) iter.Seq2[int, Outcome] {
-	return c.stream(ctx, jobs, nil)
-}
-
-// Gate is the admission watermark of a batch whose jobs are filled in while
-// it streams: StreamAdmitted hands job i to a worker only once Admit has
-// been called i+1 times, so the first jobs compile while the caller is
-// still decoding the rest. A caller that will not admit every job cancels
-// the stream's context; the jobs it never admitted yield the cancellation,
-// as the unstarted jobs of any cancelled stream do.
-type Gate struct {
-	n atomic.Int64
-	// kick holds one token when jobs were admitted since the feeder last
-	// looked: the feeder waits on it without allocating, however often it
-	// catches up.
-	kick chan struct{}
-}
-
-// NewGate returns a Gate with nothing admitted.
-func NewGate() *Gate { return &Gate{kick: make(chan struct{}, 1)} }
-
-// Admit marks the next job admitted. The caller's writes to that job
-// happen before any worker reads it.
-func (g *Gate) Admit() {
-	g.n.Add(1)
-	select {
-	case g.kick <- struct{}{}:
-	default:
+	return func(yield func(int, Outcome) bool) {
+		g := NewGate(len(jobs))
+		for range jobs {
+			g.Admit()
+		}
+		g.Close()
+		c.stream(ctx, jobs, g, yield)
 	}
 }
 
-// StreamAdmitted is (*Compiler).Stream over a batch whose jobs g admits one
-// by one: jobs[i] must be written before the Admit that admits it, and not
-// afterwards.
-func StreamAdmitted(c *Compiler, ctx context.Context, jobs []Job, g *Gate) iter.Seq2[int, Outcome] {
-	return c.stream(ctx, jobs, g)
+// Gate is the admission queue of a batch whose jobs are filled in while it
+// streams: the stream's workers take job i off it once Admit has been
+// called i+1 times, so the first jobs compile while the caller is still
+// decoding the rest, and the stream ends only once the gate is closed. A
+// caller that will not admit every job cancels the stream's context before
+// Close; the jobs it never admitted yield the cancellation, as the unserved
+// jobs of any cancelled stream do.
+type Gate struct {
+	admitted chan int
+	// n counts the admitted jobs. Only the admitter writes it; the stream
+	// reads it once every worker has seen the gate closed.
+	n int
 }
 
-// stream is Stream behind the admission gate g; nil admits every job.
-func (c *Compiler) stream(ctx context.Context, jobs []Job, g *Gate) iter.Seq2[int, Outcome] {
-	return func(yield func(int, Outcome) bool) {
-		if len(jobs) == 0 {
-			return
-		}
-		sctx, cancel := context.WithCancel(ctx)
-		defer cancel()
-		workers := c.workers
-		if workers > len(jobs) {
-			workers = len(jobs)
-		}
-		type indexed struct {
-			i   int
-			out Outcome
-		}
-		var (
-			wg  sync.WaitGroup
-			idx = make(chan int)
-			// results is unbuffered on purpose: a worker hands its outcome
-			// to the consumer before taking more work, so the first yield
-			// happens while the rest of the batch is still compiling (the
-			// streaming guarantee the conformance suite pins) instead of
-			// the pool racing ahead of a slow consumer.
-			results = make(chan indexed)
-			progMu  sync.Mutex
-			done    int
-		)
-		// Every job of the batch is enqueued now; a job's queue wait is
-		// the gap until a worker picks it up. Each worker owns one trace
-		// track: its jobs are sequential, so they share a lane in the
-		// viewer, while concurrent workers render side by side.
-		enqueued := time.Now()
-		for w := 0; w < workers; w++ {
-			wg.Add(1)
-			go func(track string) {
-				defer wg.Done()
-				for i := range idx {
-					out := c.do(sctx, jobs[i], track, enqueued)
+// NewGate returns a Gate with nothing admitted for a batch of n jobs.
+func NewGate(n int) *Gate { return &Gate{admitted: make(chan int, n)} }
+
+// Admit admits the next job; it may be called once per job of the batch.
+// The caller's writes to that job happen before any worker reads it.
+func (g *Gate) Admit() {
+	g.admitted <- g.n
+	g.n++
+}
+
+// Close ends admission.
+func (g *Gate) Close() { close(g.admitted) }
+
+// StreamAdmitted is (*Compiler).Stream over a batch whose jobs g admits one
+// by one: jobs[i] must be written before the Admit that admits it, and not
+// afterwards. The iteration runs once, as it empties g.
+func StreamAdmitted(c *Compiler, ctx context.Context, jobs []Job, g *Gate) iter.Seq2[int, Outcome] {
+	return func(yield func(int, Outcome) bool) { c.stream(ctx, jobs, g, yield) }
+}
+
+// stream yields the outcome of every job of the batch g admits.
+func (c *Compiler) stream(ctx context.Context, jobs []Job, g *Gate, yield func(int, Outcome) bool) {
+	if len(jobs) == 0 {
+		return
+	}
+	sctx, cancel := context.WithCancel(ctx)
+	defer cancel()
+	workers := min(c.workers, len(jobs))
+	type indexed struct {
+		i   int
+		out Outcome
+	}
+	var (
+		// results is unbuffered on purpose: a worker hands its outcome to
+		// the consumer before taking more work, so the first yield happens
+		// while the rest of the batch is still compiling (the streaming
+		// guarantee the conformance suite pins) instead of the pool racing
+		// ahead of a slow consumer. A worker that finds the gate closed
+		// sends index -1 and exits.
+		results = make(chan indexed)
+		progMu  sync.Mutex
+		done    int
+	)
+	// Every job of the batch is enqueued now; a job's queue wait is the gap
+	// until a worker picks it up. Each worker owns one trace track: its
+	// jobs are sequential, so they share a lane in the viewer, while
+	// concurrent workers render side by side.
+	enqueued := time.Now()
+	for w := 0; w < workers; w++ {
+		go func(track string) {
+			for i := range g.admitted {
+				out := Outcome{Job: jobs[i], Err: sctx.Err()}
+				if out.Err == nil {
+					out = c.do(sctx, jobs[i], track, enqueued)
 					if c.progress != nil && !ctxErr(out.Err) {
 						progMu.Lock()
 						done++
 						c.progress(done, len(jobs))
 						progMu.Unlock()
 					}
-					results <- indexed{i, out}
-				}
-			}(fmt.Sprintf("worker-%02d", w))
-		}
-		go func() {
-			next := 0
-		feed:
-			for ; next < len(jobs); next++ {
-				for g != nil && int64(next) >= g.n.Load() {
-					select {
-					case <-g.kick:
-					case <-sctx.Done():
-						break feed
-					}
-				}
-				select {
-				case idx <- next:
-				case <-sctx.Done():
-					break feed
-				}
-			}
-			close(idx)
-			wg.Wait()
-			// Jobs never handed to a worker are stamped with the
-			// cancellation so the batch is fully accounted for; one the
-			// gate never admitted is not read, as it may still be written.
-			for i := next; i < len(jobs); i++ {
-				out := Outcome{Err: sctx.Err()}
-				if g == nil || int64(i) < g.n.Load() {
-					out.Job = jobs[i]
 				}
 				results <- indexed{i, out}
 			}
-			close(results)
-		}()
-		// The drain runs on every early exit from the range below — yield
-		// returning false, a consumer panic, or runtime.Goexit — so workers
-		// blocked on the unbuffered send and the feeder always wind down
-		// (the deferred cancel aborts their in-flight compilations first).
-		drained := false
-		defer func() {
-			cancel()
-			if !drained {
-				go func() {
-					for range results {
+			results <- indexed{i: -1}
+		}(fmt.Sprintf("worker-%02d", w))
+	}
+	// The drain runs on every early exit from the loop below — yield
+	// returning false, a consumer panic, or runtime.Goexit — so workers
+	// blocked on the unbuffered send always wind down (the cancel aborts
+	// their in-flight compilations first, and stamps what the gate still
+	// admits).
+	live := workers
+	defer func() {
+		cancel()
+		if live > 0 {
+			go func() {
+				for live > 0 {
+					if (<-results).i < 0 {
+						live--
 					}
-				}()
-			}
-		}()
-		for r := range results {
-			if !yield(r.i, r.out) {
+				}
+			}()
+		}
+	}()
+	for live > 0 {
+		r := <-results
+		if r.i < 0 {
+			live--
+		} else if !yield(r.i, r.out) {
+			return
+		}
+	}
+	// Every worker has seen the gate closed, so g.n is final: each job the
+	// gate never admitted yields the cancellation, and is not read, as it
+	// may still be written.
+	if g.n < len(jobs) {
+		cancel()
+		for i := g.n; i < len(jobs); i++ {
+			if !yield(i, Outcome{Err: sctx.Err()}) {
 				return
 			}
 		}
-		drained = true
 	}
 }
 

@@ -19,9 +19,9 @@ import (
 // share is wedged in flight, unanswered in its accept backlog, when it
 // dies. That makes the coverage deterministic rather than a race against
 // batch throughput: the batch cannot drain while the victim holds its
-// in-flight window (the survivors steal the rest of its backlog), and it
-// completes only by failing those jobs over once the SIGKILL resets the
-// hung connections.
+// runs in flight (at the default window of four exchanges its whole queue
+// goes out at once), and it completes only by failing those jobs over once
+// the SIGKILL resets the hung connections.
 //
 // mgrid holds isomorphic pairs: failover turns a would-be canonical remap
 // into a fresh compilation on a survivor, and which loop of a pair fills

@@ -277,7 +277,7 @@ func (s *Server) admit(w http.ResponseWriter, r *http.Request, d *wire.SubmitDec
 	opts := SubmitOptions{Timeout: time.Duration(d.TimeoutMS) * time.Millisecond, Trace: d.Trace}
 	var t *ticket
 	if inRange && d.Len > 0 && d.Len <= size/wire.MinJobBytes {
-		t, _ = s.enqueue(make([]driver.Job, d.Len), opts, driver.NewGate())
+		t, _ = s.enqueue(make([]driver.Job, d.Len), opts)
 	}
 	if t == nil {
 		jobs := make([]driver.Job, d.Len)

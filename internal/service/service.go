@@ -153,12 +153,11 @@ type ticket struct {
 	trace *telemetry.Trace
 	// release frees the deadline's timer once the ticket is over.
 	release context.CancelFunc
-	// gate admits the jobs of a batch queued while it is still being
-	// decoded (nil when every job was there at submission). admitted is
-	// closed when that admission is over, and withdrawn, set before, says
-	// it was refused: the ticket is then forgotten, not retired.
+	// gate admits the ticket's jobs to the engine, each once it is filled
+	// in, and is closed when admission is over. withdrawn, set before,
+	// says admission was refused: the ticket is then forgotten, not
+	// retired.
 	gate      *driver.Gate
-	admitted  chan struct{}
 	withdrawn bool
 
 	mu       sync.Mutex
@@ -366,7 +365,7 @@ func (s *Server) submit(jobs []driver.Job, opts SubmitOptions) (*ticket, error) 
 	if len(jobs) == 0 {
 		return nil, errors.New("service: empty batch")
 	}
-	t, err := s.enqueue(jobs, opts, nil)
+	t, err := s.enqueue(jobs, opts)
 	if err != nil {
 		s.metrics.tickets.With("rejected").Inc()
 		var full *ErrQueueFull
@@ -376,15 +375,18 @@ func (s *Server) submit(jobs []driver.Job, opts SubmitOptions) (*ticket, error) 
 		}
 		return nil, err
 	}
+	for range jobs {
+		t.gate.Admit()
+	}
 	s.accept(t)
 	return t, nil
 }
 
-// enqueue queues a ticket for jobs, counting nothing: accept books it once
-// every job is admitted. With a gate, the jobs are filled in and admitted
-// while the ticket waits or runs. It fails with ErrShuttingDown or
-// *ErrQueueFull.
-func (s *Server) enqueue(jobs []driver.Job, opts SubmitOptions, gate *driver.Gate) (*ticket, error) {
+// enqueue queues a ticket for jobs with none admitted, counting nothing:
+// accept books it once every job is admitted. The jobs may be filled in and
+// admitted while the ticket waits or runs. It fails with ErrShuttingDown
+// or *ErrQueueFull.
+func (s *Server) enqueue(jobs []driver.Job, opts SubmitOptions) (*ticket, error) {
 	timeout := opts.Timeout
 	if timeout == 0 {
 		timeout = s.cfg.DefaultTimeout
@@ -403,10 +405,7 @@ func (s *Server) enqueue(jobs []driver.Job, opts SubmitOptions, gate *driver.Gat
 		done:    make(chan struct{}),
 		events:  make([]Event, 0, len(jobs)),
 		release: func() {},
-		gate:    gate,
-	}
-	if gate != nil {
-		t.admitted = make(chan struct{})
+		gate:    driver.NewGate(len(jobs)),
 	}
 	if opts.Trace || s.cfg.TraceJobs {
 		t.trace = telemetry.NewTrace()
@@ -457,9 +456,7 @@ func (s *Server) accept(t *ticket) {
 		case <-t.done:
 		}
 	}()
-	if t.admitted != nil {
-		close(t.admitted)
-	}
+	t.gate.Close()
 }
 
 // withdraw takes back a ticket whose admission was refused. It leaves the
@@ -477,7 +474,7 @@ func (s *Server) withdraw(t *ticket) {
 	t.mu.Unlock()
 	close(t.done)
 	t.withdrawn = true
-	close(t.admitted)
+	t.gate.Close()
 }
 
 // retryAfter estimates when queue capacity frees up: proportional to the
@@ -516,6 +513,8 @@ func (s *Server) serve(t *ticket) {
 	}
 
 	outcomes := make([]driver.Outcome, len(t.jobs))
+	// The stream ends only once the gate is closed, after accept or
+	// withdraw is done with the ticket.
 	for i, out := range driver.StreamAdmitted(s.compiler, t.ctx, t.jobs, t.gate) {
 		outcomes[i] = out
 		t.publish(i, out)
@@ -526,12 +525,8 @@ func (s *Server) serve(t *ticket) {
 	err := driver.AggregateError(outcomes)
 
 	s.metrics.inFlight.Add(-1)
-	if t.admitted != nil {
-		// A ticket is retired only once its admission is over, and only
-		// if it was accepted.
-		if <-t.admitted; t.withdrawn {
-			return
-		}
+	if t.withdrawn {
+		return // a ticket is retired only if it was accepted
 	}
 	if cerr := t.ctx.Err(); cerr != nil {
 		// Completed outcomes survive; the ticket reports why it stopped.

@@ -14,7 +14,7 @@ import (
 // every job is one) and net/http's share included, the way the
 // remote-stream workload of bench/ counts them; a batch is one exchange, the
 // POST answered with its stream. At the parent of the commit that added this
-// test the same measurement read 146.7; it reads 23.1 now, run after run, of
+// test the same measurement read 146.7; it reads 22.6 now, run after run, of
 // which the compile is 7, the server's parse 5 and the client's decode 7
 // (docs/reports/pr28.md has the census, docs/reports/pr29.md the exchange).
 func TestStreamAllocs(t *testing.T) {
@@ -67,8 +67,9 @@ func TestStreamAllocs(t *testing.T) {
 // costs on TestStreamAllocs' path plus its part of the per-run overhead,
 // ≈ 210 allocations a run. At the parent of the commit that added this test,
 // where every job was its own POST /compile?wait=1, the same measurement read
-// 234.6; it reads 31 to 35 now, with how the two nodes' runs happen to be cut:
-// three runs a batch read ≈ 32, four ≈ 34.5 (docs/reports/pr29.md).
+// 234.6; it reads ≈ 31 now: a node's share of a batch leaves as one run, or
+// two when routing put it above the even share (docs/reports/pr29.md,
+// docs/reports/pr53.md).
 func TestClusterStreamAllocs(t *testing.T) {
 	if raceDetector {
 		t.Skip("allocation counts do not repeat under -race")
