@@ -100,7 +100,8 @@ func UnifiedMachine(regs int) Machine { return machine.Unified(regs) }
 
 // HeteroMachine builds a clustered machine with per-cluster functional-unit
 // counts, indexed [cluster][class] with classes ordered int, fp, mem — the
-// heterogeneous extension the paper's §2.1 mentions.
+// heterogeneous extension the paper's §2.1 mentions. It takes 2 to 32
+// clusters.
 func HeteroMachine(buses, busLat, regsPerCluster int, fu [][3]int) (Machine, error) {
 	return machine.NewHetero(buses, busLat, regsPerCluster, fu)
 }

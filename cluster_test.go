@@ -372,34 +372,59 @@ func TestClusterUnprovableOutcomeIsCompiledElsewhere(t *testing.T) {
 	}
 }
 
-// firstLoadGate is a Store that holds the first Load of one loop — whichever
-// node makes it — until released; every later Load passes. Routing depends on
-// the nodes' random ports, so the gate sits on every node and closes on the
-// one the ring happens to pick.
+// firstLoadGate is a Store that holds the first Load of one loop until
+// released; every later Load passes. Routing depends on the nodes' random
+// ports, so the gate sits on every node, each seeing it as its own
+// gatedNode. It holds on whichever node loads the loop first, unless holdOn
+// has named one node (or none).
 type firstLoadGate struct {
 	loop          string
+	on            atomic.Int32 // the node whose Load is held: anyNode, noNode or an index
+	last          atomic.Int32 // the node that loaded the loop last
 	taken         atomic.Bool
 	reached, open chan struct{}
 	once          sync.Once
 }
+
+const (
+	anyNode = -1
+	noNode  = -2
+)
+
+// gatedNode is node i's view of the gate.
+type gatedNode struct {
+	*firstLoadGate
+	i int32
+}
+
+// holdOn makes the gate hold only on node i (or, for noNode, nowhere).
+func (g *firstLoadGate) holdOn(i int32) { g.on.Store(i) }
 
 // release opens the gate; a test's cleanup calls it too, so that a failed
 // test does not leave a server that cannot drain.
 func (g *firstLoadGate) release() { g.once.Do(func() { close(g.open) }) }
 
 func newFirstLoadGate(loop string) *firstLoadGate {
-	return &firstLoadGate{loop: loop, reached: make(chan struct{}), open: make(chan struct{})}
+	g := &firstLoadGate{loop: loop, reached: make(chan struct{}), open: make(chan struct{})}
+	g.on.Store(anyNode)
+	g.last.Store(noNode)
+	return g
 }
 
-func (g *firstLoadGate) Load(j CompileJob) (*Result, error, bool) {
-	if j.Graph.Name == g.loop && g.taken.CompareAndSwap(false, true) {
+func (n gatedNode) Load(j CompileJob) (*Result, error, bool) {
+	g := n.firstLoadGate
+	if j.Graph.Name != g.loop {
+		return nil, nil, false
+	}
+	g.last.Store(n.i)
+	if on := g.on.Load(); (on == anyNode || on == n.i) && g.taken.CompareAndSwap(false, true) {
 		close(g.reached)
 		<-g.open
 	}
 	return nil, nil, false
 }
 
-func (g *firstLoadGate) Save(CompileJob, *Result, error) {}
+func (gatedNode) Save(CompileJob, *Result, error) {}
 
 // hellos is the fleet's transport in gatedFleet: it counts the answers that
 // turn out to be batch streams once the client has read their first line, the
@@ -432,12 +457,12 @@ func (b *helloBody) Read(p []byte) (int, error) {
 // gatedFleet starts two one-worker nodes behind one firstLoadGate and a
 // cluster over them with one exchange per node. reading counts the NDJSON
 // streams whose hello the cluster has read.
-func gatedFleet(t *testing.T, gate *firstLoadGate, opts ...Option) (servers []*service.Server, cl *Cluster, reading *atomic.Int32) {
+func gatedFleet(t *testing.T, gate *firstLoadGate, opts ...Option) (servers []*service.Server, urls []string, cl *Cluster, reading *atomic.Int32) {
 	t.Helper()
 	servers = make([]*service.Server, 2)
-	urls := make([]string, 2)
+	urls = make([]string, 2)
 	for i := range servers {
-		s := service.New(service.Config{Workers: 1, Store: gate})
+		s := service.New(service.Config{Workers: 1, Store: gatedNode{gate, int32(i)}})
 		ts := httptest.NewServer(s.Handler())
 		t.Cleanup(func() {
 			ts.Close()
@@ -449,7 +474,7 @@ func gatedFleet(t *testing.T, gate *firstLoadGate, opts ...Option) (servers []*s
 	cl = NewCluster(urls, append([]Option{WithNodeInFlight(1), WithHealthInterval(-1), WithHTTPClient(&http.Client{Transport: h})}, opts...)...)
 	t.Cleanup(cl.Close)
 	t.Cleanup(gate.release)
-	return servers, cl, &h.read
+	return servers, urls, cl, &h.read
 }
 
 // waitCanceled waits for one of the servers to report a cancelled ticket.
@@ -477,12 +502,30 @@ func TestClusterHedgeCancelsTheLosersTicket(t *testing.T) {
 	jobs := conformanceJobs(t)
 	want := referenceOutcomes(t, jobs)
 	// The batch's first loop (two jobs, one per machine) heads its home's
-	// first run: that ticket goes silent before its first outcome.
+	// first run: that ticket goes silent before its first outcome. Only the
+	// home holds it, or a hedge whose duplicate loads the loop first, on a
+	// box too busy to start the primary within the hedge delay, would be
+	// the one held.
 	gate := newFirstLoadGate(jobs[0].Graph.Name)
-	servers, cl, _ := gatedFleet(t, gate, WithHedge(20*time.Millisecond))
+	gate.holdOn(noNode)
+	servers, urls, cl, _ := gatedFleet(t, gate, WithHedge(20*time.Millisecond))
 
 	ctx, cancel := context.WithTimeout(context.Background(), 2*time.Minute)
 	defer cancel()
+	// Routing is a function of the node URLs and the loop's canonical
+	// fingerprint: an unhedged cluster over the same nodes compiles the
+	// loop on its home. A machine the batch does not use keeps every tier
+	// of the home's cache cold for the batch's jobs.
+	find := NewCluster(urls, WithHedge(-1), WithHealthInterval(-1))
+	probe := jobs[0]
+	probe.Machine = MustParseMachine("4c1b2l64r")
+	_, err := find.Compile(ctx, probe)
+	find.Close()
+	if err != nil {
+		t.Fatal(err)
+	}
+	gate.holdOn(gate.last.Load())
+
 	outs, err := Collect(ctx, cl, jobs)
 	if err != nil {
 		t.Fatal(err)
@@ -509,7 +552,7 @@ func TestClusterHedgeCancelsTheLosersTicket(t *testing.T) {
 func TestClusterEarlyBreakCancelsRemoteTickets(t *testing.T) {
 	jobs := conformanceJobs(t)
 	gate := newFirstLoadGate(jobs[0].Graph.Name)
-	servers, cl, reading := gatedFleet(t, gate, WithHedge(-1))
+	servers, _, cl, reading := gatedFleet(t, gate, WithHedge(-1))
 	for range cl.Stream(context.Background(), jobs) {
 		// The first outcome is the other node's. The batch's first loop heads
 		// its home's first run, so that ticket will be held at the gate

@@ -128,7 +128,7 @@ func Expand(s *sched.Schedule) (*Program, error) {
 				if !e.Data {
 					continue
 				}
-				v := value{inst: i, cluster: ig.Inst[e.Dst].Cluster}
+				v := value{inst: i, cluster: int(ig.Inst[e.Dst].Cluster)}
 				if _, ok := defs[v]; !ok {
 					defs[v] = def
 					lastUse[v] = def
@@ -139,7 +139,7 @@ func Expand(s *sched.Schedule) (*Program, error) {
 			}
 			continue
 		}
-		v := value{inst: i, cluster: in.Cluster}
+		v := value{inst: i, cluster: int(in.Cluster)}
 		defs[v] = def
 		lastUse[v] = def
 		for _, eid := range ig.Out(i) {
@@ -221,7 +221,7 @@ func Expand(s *sched.Schedule) (*Program, error) {
 		op := Op{
 			Name:    ig.Name(i),
 			Kind:    in.Op(ig.G),
-			Cluster: in.Cluster,
+			Cluster: int(in.Cluster),
 			Stage:   s.Time[i] / s.II,
 			IterTag: tag,
 			inst:    i,
@@ -233,7 +233,7 @@ func Expand(s *sched.Schedule) (*Program, error) {
 				continue
 			}
 			srcIter := iter - int(e.Dist)
-			cluster := in.Cluster
+			cluster := int(in.Cluster)
 			if in.IsCopy {
 				cluster = ig.P.Home[in.Orig] // copies read in the home cluster
 			}
@@ -243,14 +243,14 @@ func Expand(s *sched.Schedule) (*Program, error) {
 			seen := map[int]bool{}
 			for _, eid := range ig.Out(i) {
 				e := &ig.Edges[eid]
-				if e.Data && !seen[ig.Inst[e.Dst].Cluster] {
-					seen[ig.Inst[e.Dst].Cluster] = true
-					op.Dest = append(op.Dest, regFor(value{inst: i, cluster: ig.Inst[e.Dst].Cluster}, iter))
+				if e.Data && !seen[int(ig.Inst[e.Dst].Cluster)] {
+					seen[int(ig.Inst[e.Dst].Cluster)] = true
+					op.Dest = append(op.Dest, regFor(value{inst: i, cluster: int(ig.Inst[e.Dst].Cluster)}, iter))
 				}
 			}
 			sort.Slice(op.Dest, func(a, b int) bool { return op.Dest[a].Cluster < op.Dest[b].Cluster })
 		} else if !ig.G.Nodes[in.Orig].Op.IsStore() {
-			op.Dest = []Reg{regFor(value{inst: i, cluster: in.Cluster}, iter)}
+			op.Dest = []Reg{regFor(value{inst: i, cluster: int(in.Cluster)}, iter)}
 		}
 		return op
 	}
@@ -327,7 +327,7 @@ func clusterOfRead(ig *sched.IGraph, src int32, readerCluster int) int {
 	if ig.Inst[src].IsCopy {
 		return readerCluster // the copy materialized a register here
 	}
-	return ig.Inst[src].Cluster
+	return int(ig.Inst[src].Cluster)
 }
 
 func trimEmpty(bs []Bundle) []Bundle {

@@ -70,7 +70,7 @@ func Simulate(p *Program, iters int) (*vliwsim.Trace, error) {
 			switch {
 			case op.Kind.IsStore():
 				tr.Stores = append(tr.Stores, vliwsim.StoreRecord{
-					Node: in.Orig, Iter: iter, Value: vliwsim.StoreValue(operands)})
+					Node: int(in.Orig), Iter: iter, Value: vliwsim.StoreValue(operands)})
 			case op.Kind == 0:
 				return fmt.Errorf("codegen: op %s has invalid kind", op.Name)
 			default:
@@ -82,7 +82,7 @@ func Simulate(p *Program, iters int) (*vliwsim.Trace, error) {
 					}
 					val, lat = operands[0], ig.M.BusLatency
 				} else {
-					val = vliwsim.NodeValue(g, in.Orig, iter, operands)
+					val = vliwsim.NodeValue(g, int(in.Orig), iter, operands)
 				}
 				for _, d := range op.Dest {
 					pending = append(pending, timedWrite{at: cycle + lat, reg: d, val: val, seq: seq})
@@ -196,7 +196,7 @@ func (p *Program) initialWrites() []timedWrite {
 					if srcIter >= 0 {
 						continue
 					}
-					k := key{reg: r, srcIter: srcIter, orig: ig.Inst[e.Src].Orig}
+					k := key{reg: r, srcIter: srcIter, orig: int(ig.Inst[e.Src].Orig)}
 					if old, ok := earliest[k]; !ok || b.Cycle < old {
 						earliest[k] = b.Cycle
 					}

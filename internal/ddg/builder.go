@@ -6,6 +6,8 @@ import "fmt"
 // concurrent use. The zero Builder is not usable; call NewBuilder.
 type Builder struct {
 	g      *Graph
+	degree []int32         // per node, out- and in-degree, interleaved
+	stale  bool            // g's adjacency misses a node or an edge added since
 	labels map[string]bool // the labels given so far
 	errs   []error
 }
@@ -26,8 +28,8 @@ func (b *Builder) Node(label string, op OpKind) int {
 		b.labels[label] = true
 	}
 	b.g.Nodes = append(b.g.Nodes, Node{ID: id, Op: op, Label: label})
-	b.g.out = append(b.g.out, nil)
-	b.g.in = append(b.g.in, nil)
+	b.degree = append(b.degree, 0, 0)
+	b.stale = true
 	return id
 }
 
@@ -65,27 +67,46 @@ func (b *Builder) addEdge(src, dst, dist int, kind EdgeKind, lat int) {
 	}
 	id := len(b.g.Edges)
 	b.g.Edges = append(b.g.Edges, Edge{ID: id, Src: src, Dst: dst, Dist: dist, Kind: kind, Lat: lat})
-	b.g.out[src] = append(b.g.out[src], int32(id))
-	b.g.in[dst] = append(b.g.in[dst], int32(id))
+	b.degree[2*src]++
+	b.degree[2*dst+1]++
+	b.stale = true
 }
 
 // Graph exposes the graph under construction for read-only inspection
-// (node counts, adjacency); it has not been validated yet.
-func (b *Builder) Graph() *Graph { return b.g }
+// (node counts, adjacency); it has not been validated yet. Its adjacency
+// is rebuilt when a node or an edge was added since the last call.
+func (b *Builder) Graph() *Graph {
+	if b.stale {
+		b.g.buildAdjacency(b.degree)
+		b.stale = false
+	}
+	return b.g
+}
 
-// Build validates and returns the graph. The Builder must not be used
+// Build validates and returns the graph, laid out as a parsed or cloned
+// one: Nodes and Edges at their exact length, and the adjacency and the
+// labeling's room in one edge-id array. The Builder must not be used
 // afterwards.
 func (b *Builder) Build() (*Graph, error) {
 	if len(b.errs) > 0 {
 		return nil, fmt.Errorf("ddg: builder for %s: %w", b.g.Name, b.errs[0])
 	}
-	if err := b.g.Validate(); err != nil {
+	g := b.Graph()
+	g.Nodes, g.Edges = exact(g.Nodes), exact(g.Edges)
+	if err := g.Validate(); err != nil {
 		return nil, err
 	}
-	g := b.g
-	g.permRoom = make([]int32, len(g.Nodes))
 	b.g = nil
 	return g, nil
+}
+
+// exact returns s in an array of its own length: the Builder's appends
+// leave up to as much room again.
+func exact[T any](s []T) []T {
+	if cap(s) == len(s) {
+		return s
+	}
+	return append(make([]T, 0, len(s)), s...)
 }
 
 // MustBuild is Build but panics on error; for tests and generators whose

@@ -478,9 +478,10 @@ func (p *textParser) directive(fields []string, rest string) error {
 	return nil
 }
 
-// buildAdjacency fills g.out and g.in from g.Edges, in edge-ID order like
-// Builder, and reserves the labeling's room (permRoom) at the end of the
-// edge-id array. degree holds each node's out- and in-degree, interleaved.
+// buildAdjacency fills g.out and g.in from g.Edges, in edge-ID order, and
+// reserves the labeling's room (permRoom) at the end of the edge-id array:
+// the one layout of a built, parsed or cloned graph. degree holds each
+// node's out- and in-degree, interleaved.
 func (g *Graph) buildAdjacency(degree []int32) {
 	n, m := len(g.Nodes), len(g.Edges)
 	ids := make([]int32, 2*m+n)

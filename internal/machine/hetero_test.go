@@ -1,6 +1,7 @@
 package machine
 
 import (
+	"strings"
 	"testing"
 
 	"clusched/internal/ddg"
@@ -56,5 +57,26 @@ func TestHomogeneousFUAtMatchesFU(t *testing.T) {
 	}
 	if m.TotalFU(ddg.ClassFP) != 4 {
 		t.Errorf("TotalFU = %d, want 4", m.TotalFU(ddg.ClassFP))
+	}
+}
+
+// TestNewHeteroRefusesMoreThanMaxClusters: the scheduler keeps a node's
+// clusters in a 32-bit set, so 32 clusters build and 33 are refused with
+// the limit named.
+func TestNewHeteroRefusesMoreThanMaxClusters(t *testing.T) {
+	fu := func(k int) [][ddg.NumClasses]int {
+		rows := make([][ddg.NumClasses]int, k)
+		for i := range rows {
+			rows[i] = [ddg.NumClasses]int{1, 1, 1}
+		}
+		return rows
+	}
+	m, err := NewHetero(1, 2, 32, fu(MaxClusters))
+	if err != nil || m.Clusters != MaxClusters {
+		t.Fatalf("NewHetero of %d clusters = %d clusters, %v", MaxClusters, m.Clusters, err)
+	}
+	_, err = NewHetero(1, 2, 32, fu(MaxClusters+1))
+	if err == nil || !strings.Contains(err.Error(), "at most 32") {
+		t.Fatalf("NewHetero of %d clusters: %v, want a refusal naming the limit", MaxClusters+1, err)
 	}
 }

@@ -56,11 +56,19 @@ func (cfg Config) TotalFU(cl ddg.Class) int {
 	return total
 }
 
+// MaxClusters is the most clusters a machine may have: the scheduler keeps
+// a node's set of clusters in the bits of one uint32.
+const MaxClusters = 32
+
 // NewHetero builds a clustered machine with per-cluster functional-unit
-// counts. Every class must be executable somewhere.
+// counts, 2 to MaxClusters clusters. Every class must be executable
+// somewhere.
 func NewHetero(buses, busLat, regsPerCluster int, fu [][ddg.NumClasses]int) (Config, error) {
 	if len(fu) < 2 {
 		return Config{}, fmt.Errorf("machine: heterogeneous config needs at least 2 clusters")
+	}
+	if len(fu) > MaxClusters {
+		return Config{}, fmt.Errorf("machine: heterogeneous config has %d clusters, at most %d are supported", len(fu), MaxClusters)
 	}
 	if buses <= 0 || busLat <= 0 {
 		return Config{}, fmt.Errorf("machine: clustered config needs buses and positive bus latency")

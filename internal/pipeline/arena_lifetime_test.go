@@ -5,6 +5,7 @@ import (
 	"reflect"
 	"runtime"
 	"testing"
+	"unsafe"
 	"weak"
 
 	"clusched/internal/corpus"
@@ -95,6 +96,54 @@ func TestCompilationCensus(t *testing.T) {
 		if compiled-before < 250 {
 			t.Errorf("%s compiled only %d of 300 corpus loops", strategy, compiled-before)
 		}
+	}
+}
+
+// retainedBytesBound caps what an accepted schedule keeps reachable, in
+// bytes, averaged over the suite on 4c2b2l64r with replication. It read
+// 3 895 with 24-byte instances and reads 3 356 with 8-byte ones.
+const retainedBytesBound = 3500
+
+// TestRetainedScheduleBytes pins what the engine keeps per cached
+// schedule: the live heap a suite's worth of accepted schedules adds, after
+// a collection, divided by their number. The loops and a warm arena are in
+// place before the first reading, so only what accept copies out counts.
+func TestRetainedScheduleBytes(t *testing.T) {
+	if raceDetector {
+		t.Skip("heap readings do not repeat under -race")
+	}
+	if n := unsafe.Sizeof(sched.Instance{}); n != 8 {
+		t.Errorf("sched.Instance is %d bytes, want 8", n)
+	}
+	if n := 8 * unsafe.Sizeof(sched.ClusterSet(0)); n < machine.MaxClusters {
+		t.Errorf("a ClusterSet holds %d clusters, want machine.MaxClusters (%d)", n, machine.MaxClusters)
+	}
+	defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(1))
+	m, loops, arena := machine.MustParse("4c2b2l64r"), workload.SPECfp95(), NewArena()
+	kept := make([]*sched.Schedule, 0, len(loops))
+	compile := func() {
+		kept = kept[:0]
+		for _, l := range loops {
+			res, err := CompileContextArena(context.Background(), l.Graph, m, Options{Replicate: true}, arena)
+			if err != nil {
+				t.Fatalf("%s: %v", l.Graph.Name, err)
+			}
+			kept = append(kept, res.Schedule)
+		}
+	}
+	compile() // labels every loop and grows the arena to the largest
+	clear(kept)
+	var before, after runtime.MemStats
+	runtime.GC()
+	runtime.ReadMemStats(&before)
+	compile()
+	runtime.GC()
+	runtime.ReadMemStats(&after)
+	per := float64(int64(after.HeapAlloc)-int64(before.HeapAlloc)) / float64(len(kept))
+	runtime.KeepAlive(kept)
+	t.Logf("%d accepted schedules keep %.0f bytes each", len(kept), per)
+	if per > retainedBytesBound {
+		t.Errorf("an accepted schedule keeps %.0f bytes, want at most %d", per, retainedBytesBound)
 	}
 }
 

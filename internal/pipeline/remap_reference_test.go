@@ -115,7 +115,7 @@ func referenceRemapResult(cached *Result, g *ddg.Graph, opts Options) (*Result, 
 			if inst.IsCopy {
 				ci = cig.CopyIdx[v]
 			} else {
-				ci = cig.InstanceAt(v, inst.Cluster)
+				ci = cig.InstanceAt(v, int(inst.Cluster))
 			}
 			if ci < 0 {
 				layoutErr = fmt.Errorf("pipeline: remap: instance %d has no cached counterpart", i)

@@ -51,7 +51,7 @@ func lengthStep(p *sched.Placement, m machine.Config, ii int, sc *Scratch, ssc *
 		if tm.ALAP[e.Dst]-tm.ASAP[e.Src]-int(e.Lat) > 0 {
 			continue // slack absorbs the bus latency
 		}
-		opts = append(opts, option{com: src.Orig, cluster: ig.Inst[e.Dst].Cluster})
+		opts = append(opts, option{com: int(src.Orig), cluster: int(ig.Inst[e.Dst].Cluster)})
 	}
 
 	// Each trial below rebuilds the arena's graph and timing: from here on

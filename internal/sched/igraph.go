@@ -10,14 +10,16 @@ import (
 
 // Instance is one schedulable operation: an original node placed in a
 // cluster, a replica of it in another cluster, or a copy operation carrying
-// a communicated value over a bus.
+// a communicated value over a bus. It is 8 bytes: every retained schedule
+// keeps one per instance.
 type Instance struct {
 	// Orig is the original DDG node: the executed operation, or for copies
 	// the node whose value is transported.
-	Orig int
-	// Cluster is the executing cluster. For copies it is the home cluster
-	// of the value (the bus reads there and broadcasts everywhere).
-	Cluster int
+	Orig int32
+	// Cluster is the executing cluster, below machine.MaxClusters. For
+	// copies it is the home cluster of the value (the bus reads there and
+	// broadcasts everywhere).
+	Cluster int16
 	// IsCopy marks bus copy operations.
 	IsCopy bool
 }
@@ -137,7 +139,7 @@ func (sc *Scratch) expand(p *Placement, m machine.Config, zeroBusLat bool) (*IGr
 		for rs := p.Replicas[v]; rs != 0; rs = rs.DropLowest() {
 			c := rs.Lowest()
 			ig.instIdx[v*p.K+c] = int32(len(sc.inst))
-			sc.inst = append(sc.inst, Instance{Orig: v, Cluster: c})
+			sc.inst = append(sc.inst, Instance{Orig: int32(v), Cluster: int16(c)})
 		}
 	}
 	// Copy instances for communicated values, each fed by the home instance.
@@ -146,7 +148,7 @@ func (sc *Scratch) expand(p *Placement, m machine.Config, zeroBusLat bool) (*IGr
 			continue
 		}
 		ig.CopyIdx[v] = int32(len(sc.inst))
-		sc.inst = append(sc.inst, Instance{Orig: v, Cluster: p.Home[v], IsCopy: true})
+		sc.inst = append(sc.inst, Instance{Orig: int32(v), Cluster: int16(p.Home[v]), IsCopy: true})
 	}
 
 	sc.edges = sc.edges[:0]
@@ -292,7 +294,7 @@ func (ig *IGraph) In(i int32) []int32 { return ig.inIdx[ig.inOff[i]:ig.inOff[i+1
 func (ig *IGraph) Name(i int32) string {
 	in := ig.Inst[i]
 	if in.IsCopy {
-		return fmt.Sprintf("copy(%s)", ig.G.NodeName(in.Orig))
+		return fmt.Sprintf("copy(%s)", ig.G.NodeName(int(in.Orig)))
 	}
-	return fmt.Sprintf("%s@c%d", ig.G.NodeName(in.Orig), in.Cluster)
+	return fmt.Sprintf("%s@c%d", ig.G.NodeName(int(in.Orig)), in.Cluster)
 }

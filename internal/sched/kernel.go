@@ -19,7 +19,7 @@ func (s *Schedule) FormatKernel() string {
 		in := ig.Inst[i]
 		slot := s.Time[i] % s.II
 		stage := s.Time[i] / s.II
-		col := in.Cluster
+		col := int(in.Cluster)
 		if in.IsCopy {
 			col = k
 		}

@@ -85,8 +85,9 @@ func (t *mrt) place(in Instance, op ddg.OpKind, time int) {
 		return
 	}
 	cl := op.Class()
-	row, s := in.Cluster*ddg.NumClasses+int(cl), t.slot(time)
-	if t.fu[row*t.ii+s]++; int(t.fu[row*t.ii+s]) >= t.m.FUAt(in.Cluster, cl) {
+	c := int(in.Cluster)
+	row, s := c*ddg.NumClasses+int(cl), t.slot(time)
+	if t.fu[row*t.ii+s]++; int(t.fu[row*t.ii+s]) >= t.m.FUAt(c, cl) {
 		t.full[row*t.words+s>>6] |= 1 << (s & 63)
 	}
 }
@@ -96,7 +97,7 @@ func (t *mrt) place(in Instance, op ddg.OpKind, time int) {
 // instance reads its row's free slots a word at a time.
 func (t *mrt) earliest(in Instance, op ddg.OpKind, from, n int) (int, bool) {
 	if !in.IsCopy {
-		return t.firstFree(in.Cluster*ddg.NumClasses+int(op.Class()), from, n)
+		return t.firstFree(int(in.Cluster)*ddg.NumClasses+int(op.Class()), from, n)
 	}
 	for time := from; time < from+n; time++ {
 		if t.busFree(time) {
@@ -110,7 +111,7 @@ func (t *mrt) earliest(in Instance, op ddg.OpKind, from, n int) (int, bool) {
 // instance can issue; see earliest.
 func (t *mrt) latest(in Instance, op ddg.OpKind, from, n int) (int, bool) {
 	if !in.IsCopy {
-		return t.lastFree(in.Cluster*ddg.NumClasses+int(op.Class()), from, n)
+		return t.lastFree(int(in.Cluster)*ddg.NumClasses+int(op.Class()), from, n)
 	}
 	for time := from; time > from-n; time-- {
 		if t.busFree(time) {

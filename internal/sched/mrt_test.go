@@ -29,7 +29,7 @@ func TestFreeSlotScansMatchLinearScan(t *testing.T) {
 			for _, density := range []float64{0, 0.3, 1, 4} {
 				rt.reset(m, k, ii)
 				for range int(density * float64(ii*k*4)) {
-					in := Instance{Cluster: rng.Intn(k), IsCopy: rng.Intn(4) == 0}
+					in := Instance{Cluster: int16(rng.Intn(k)), IsCopy: rng.Intn(4) == 0}
 					op := ops[rng.Intn(len(ops))]
 					if in.IsCopy {
 						op = ddg.OpCopy
@@ -40,7 +40,7 @@ func TestFreeSlotScansMatchLinearScan(t *testing.T) {
 				}
 				for c := 0; c < k; c++ {
 					for _, op := range append(ops, ddg.OpCopy) {
-						in := Instance{Cluster: c, IsCopy: op == ddg.OpCopy}
+						in := Instance{Cluster: int16(c), IsCopy: op == ddg.OpCopy}
 						for range 24 {
 							from := rng.Intn(8*ii+8) - 4*ii - 4
 							for _, n := range []int{1, 1 + rng.Intn(ii), ii} {

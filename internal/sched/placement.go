@@ -15,8 +15,8 @@ import (
 	"clusched/internal/partition"
 )
 
-// ClusterSet is a bitmask of cluster indices (machines have at most 32
-// clusters; the paper's have at most 4).
+// ClusterSet is a bitmask of cluster indices (machines have at most
+// machine.MaxClusters clusters; the paper's have at most 4).
 type ClusterSet uint32
 
 // Has reports whether cluster c is in the set.

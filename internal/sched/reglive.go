@@ -1,5 +1,7 @@
 package sched
 
+import "clusched/internal/machine"
+
 // computeMaxLive estimates per-cluster register pressure of a modulo
 // schedule: every register value's lifetime (definition to last use,
 // including loop-carried uses II·dist cycles later and copy reads) is
@@ -16,9 +18,9 @@ func computeMaxLive(ig *IGraph, ii int, time []int, sc *Scratch) []int {
 
 	// lastUse[c] tracks the last data read of the current value in cluster
 	// c; have is the bitmask of clusters with any read. Machines have at
-	// most 32 clusters (ClusterSet), so a fixed array avoids a per-instance
-	// map.
-	var lastUse [32]int
+	// most machine.MaxClusters clusters, so a fixed array avoids a
+	// per-instance map.
+	var lastUse [machine.MaxClusters]int
 	var have uint32
 
 	for i := range ig.Inst {
@@ -59,11 +61,11 @@ func computeMaxLive(ig *IGraph, ii int, time []int, sc *Scratch) []int {
 		// which read here). A value produced but never read here (e.g. all
 		// its consumers are fed by a copy chain elsewhere) is held for one
 		// cycle.
-		last := def
-		if have&(1<<uint(in.Cluster)) != 0 && lastUse[in.Cluster] > last {
-			last = lastUse[in.Cluster]
+		last, c := def, int(in.Cluster)
+		if have&(1<<uint(c)) != 0 && lastUse[c] > last {
+			last = lastUse[c]
 		}
-		addLiveInterval(pressure[in.Cluster*ii:(in.Cluster+1)*ii], ii, def, last)
+		addLiveInterval(pressure[c*ii:(c+1)*ii], ii, def, last)
 	}
 
 	maxLive := zeroed(sc.maxLive, k)

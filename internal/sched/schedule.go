@@ -455,7 +455,7 @@ func (sc *Scratch) carry(from *IGraph, fromTimes []int, g *ddg.Graph, perm []int
 	for i, in := range ig.Inst {
 		ci := from.CopyIdx[perm[in.Orig]]
 		if !in.IsCopy {
-			ci = from.InstanceAt(int(perm[in.Orig]), in.Cluster)
+			ci = from.InstanceAt(int(perm[in.Orig]), int(in.Cluster))
 		}
 		sc.time[i] = fromTimes[ci]
 	}

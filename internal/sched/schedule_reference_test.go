@@ -30,7 +30,8 @@ func (t *mrt) canPlace(in Instance, op ddg.OpKind, time int) bool {
 		return t.busFree(time)
 	}
 	cl := op.Class()
-	return int(t.fu[(in.Cluster*ddg.NumClasses+int(cl))*t.ii+t.slot(time)]) < t.m.FUAt(in.Cluster, cl)
+	c := int(in.Cluster)
+	return int(t.fu[(c*ddg.NumClasses+int(cl))*t.ii+t.slot(time)]) < t.m.FUAt(c, cl)
 }
 
 func referenceRun(ig *IGraph, ii int, opts Options, sc *Scratch) (length int, maxLive []int, err error) {
@@ -317,7 +318,7 @@ func carryTimes(to, from *IGraph, perm []int32, fromTimes, times []int) {
 	for i, in := range to.Inst {
 		ci := from.CopyIdx[perm[in.Orig]]
 		if !in.IsCopy {
-			ci = from.InstanceAt(int(perm[in.Orig]), in.Cluster)
+			ci = from.InstanceAt(int(perm[in.Orig]), int(in.Cluster))
 		}
 		times[i] = fromTimes[ci]
 	}

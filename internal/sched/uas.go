@@ -183,7 +183,7 @@ func UASAssignScratch(g *ddg.Graph, m machine.Config, ii int, sc *Scratch) (*par
 		if bestC < 0 {
 			return nil, false // no cluster offers a legal slot at this II
 		}
-		rt.place(Instance{Orig: v, Cluster: bestC}, op, bestT)
+		rt.place(Instance{Orig: int32(v), Cluster: int16(bestC)}, op, bestT)
 		time[v] = bestT
 		cluster[v] = bestC
 		placed[v] = true

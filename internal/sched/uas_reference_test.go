@@ -168,7 +168,7 @@ func referenceUASAssignScratch(g *ddg.Graph, m machine.Config, ii int, sc *Scrat
 					lstart = t
 				}
 			}
-			inst := Instance{Orig: v, Cluster: c}
+			inst := Instance{Orig: int32(v), Cluster: int16(c)}
 			found := false
 			foundAt := 0
 			switch {
@@ -247,7 +247,7 @@ func referenceUASAssignScratch(g *ddg.Graph, m machine.Config, ii int, sc *Scrat
 		if bestC < 0 {
 			return nil, false // no cluster offers a legal slot at this II
 		}
-		rt.place(Instance{Orig: v, Cluster: bestC}, op, bestT)
+		rt.place(Instance{Orig: int32(v), Cluster: int16(bestC)}, op, bestT)
 		time[v] = bestT
 		cluster[v] = bestC
 		placed[v] = true

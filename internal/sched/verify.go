@@ -59,7 +59,7 @@ func verify(s *Schedule, sc *Scratch) error {
 			continue
 		}
 		cl := ig.G.Nodes[in.Orig].Op.Class()
-		fu[in.Cluster*row+int(cl)*ii+t%ii]++
+		fu[int(in.Cluster)*row+int(cl)*ii+t%ii]++
 	}
 	for c := 0; c < k; c++ {
 		for cl := 0; cl < ddg.NumClasses; cl++ {

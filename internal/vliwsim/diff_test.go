@@ -266,7 +266,7 @@ func mutations(s *sched.Schedule, rng *rand.Rand) map[string]*sched.Schedule {
 	}
 	for _, o := range []int{-1, s.IG.G.NumNodes()} {
 		c = mutant(s)
-		c.IG.Inst[rng.Intn(n)].Orig = o
+		c.IG.Inst[rng.Intn(n)].Orig = int32(o)
 		out[fmt.Sprintf("Orig=%d", o)] = c
 	}
 	if ne := len(s.IG.Edges); ne > 0 {

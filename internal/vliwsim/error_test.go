@@ -41,7 +41,7 @@ func TestExecuteRejectsMalformedSchedules(t *testing.T) {
 		name   string
 		mutate func(s *sched.Schedule)
 	}{
-		{"orig out of range", func(s *sched.Schedule) { s.IG.Inst[0].Orig = s.IG.G.NumNodes() + 3 }},
+		{"orig out of range", func(s *sched.Schedule) { s.IG.Inst[0].Orig = int32(s.IG.G.NumNodes() + 3) }},
 		{"negative orig", func(s *sched.Schedule) { s.IG.Inst[0].Orig = -1 }},
 		{"short time table", func(s *sched.Schedule) { s.Time = s.Time[:1] }},
 		{"zero II", func(s *sched.Schedule) { s.II = 0 }},

@@ -186,10 +186,10 @@ func (sc *scratch) loadSchedule(s *sched.Schedule) {
 		in := ig.Inst[i]
 		u := &sc.units[i]
 		*u = unit{time: s.Time[i], lat: ig.Latency(int32(i))}
-		if in.IsCopy {
-			u.orig, u.init, u.kind = in.Orig, initSeed(in.Orig), kindCopy
+		if orig := int(in.Orig); in.IsCopy {
+			u.orig, u.init, u.kind = orig, initSeed(orig), kindCopy
 		} else {
-			u.setOp(g.Nodes[in.Orig].Op, in.Orig)
+			u.setOp(g.Nodes[orig].Op, orig)
 		}
 		if u.kind == kindStore {
 			ranked = append(ranked, int32(i))

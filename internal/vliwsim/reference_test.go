@@ -134,7 +134,7 @@ func referenceExecute(s *sched.Schedule, iters int) (*Trace, int, error) {
 			}
 			srcIter := ev.iter - int(e.Dist)
 			if srcIter < 0 {
-				operands = append(operands, referenceInitialValue(ig.Inst[e.Src].Orig, srcIter))
+				operands = append(operands, referenceInitialValue(int(ig.Inst[e.Src].Orig), srcIter))
 				continue
 			}
 			// The producer must have completed: issue(src) + lat <= issue.
@@ -159,7 +159,7 @@ func referenceExecute(s *sched.Schedule, iters int) (*Trace, int, error) {
 		case inst.IsCopy:
 			// A copy transports its single operand unchanged.
 			if len(operands) != 1 {
-				return nil, 0, fmt.Errorf("vliwsim: copy of %s has %d operands", g.NodeName(inst.Orig), len(operands))
+				return nil, 0, fmt.Errorf("vliwsim: copy of %s has %d operands", g.NodeName(int(inst.Orig)), len(operands))
 			}
 			values[slot(ev.inst, ev.iter)] = operands[0]
 		case g.Nodes[inst.Orig].Op.IsStore():
@@ -167,9 +167,9 @@ func referenceExecute(s *sched.Schedule, iters int) (*Trace, int, error) {
 			for _, x := range operands {
 				h = mix(h, x)
 			}
-			tr.Stores = append(tr.Stores, StoreRecord{Node: inst.Orig, Iter: ev.iter, Value: h})
+			tr.Stores = append(tr.Stores, StoreRecord{Node: int(inst.Orig), Iter: ev.iter, Value: h})
 		default:
-			values[slot(ev.inst, ev.iter)] = referenceNodeValue(g, inst.Orig, ev.iter, operands)
+			values[slot(ev.inst, ev.iter)] = referenceNodeValue(g, int(inst.Orig), ev.iter, operands)
 		}
 		computed[slot(ev.inst, ev.iter)] = true
 		if done := issue + ig.Latency(ev.inst); done > lastDone {

@@ -114,7 +114,7 @@ func validate(s *sched.Schedule) error {
 	}
 	nodes := ig.G.NumNodes()
 	for i := 0; i < n; i++ {
-		if o := ig.Inst[i].Orig; o < 0 || o >= nodes {
+		if o := int(ig.Inst[i].Orig); o < 0 || o >= nodes {
 			return &ScheduleError{Inst: i, Detail: fmt.Sprintf("references node %d of a %d-node graph", o, nodes)}
 		}
 	}
