@@ -261,8 +261,7 @@ func WithHedge(d time.Duration) Option {
 
 // WithNodeInFlight bounds a fleet backend's concurrent exchanges per node —
 // runs in flight, each a sub-batch the node's worker pool serves as one
-// ticket (≤0 = the cluster default). A node runs one ticket at a time unless
-// started with -runners; further runs of the window queue there.
+// ticket (≤0 = the cluster default).
 func WithNodeInFlight(n int) Option {
 	return clusterOption("WithNodeInFlight", func(s *settings) { s.cluster.nodeInFlight = n })
 }

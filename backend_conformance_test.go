@@ -18,6 +18,7 @@ import (
 	"context"
 	"fmt"
 	"net/http/httptest"
+	"slices"
 	"strings"
 	"testing"
 	"time"
@@ -84,10 +85,6 @@ func backendCases() []backendCase {
 }
 
 // conformanceNodeInFlight is the cluster case's per-node exchange window.
-// It is deliberately small: the servers run with Runners = window + 2, so
-// a run stalled at a job in a gated Store (plus its possible hedge
-// duplicate) can never starve a node of runners, and the cancel test's
-// "some jobs must still fail" invariant holds.
 const conformanceNodeInFlight = 2
 
 // newConformanceFleet starts n in-process service instances sharing the
@@ -98,15 +95,7 @@ func newConformanceFleet(t *testing.T, cfg driver.Config, n int) ([]*httptest.Se
 	tss := make([]*httptest.Server, n)
 	urls := make([]string, n)
 	for i := range n {
-		s := service.New(service.Config{
-			Workers:   cfg.Workers,
-			CacheSize: cfg.CacheSize,
-			Store:     cfg.Store,
-			// Only the tests' Store gates need this: a run held open at a
-			// gated job occupies a runner, and the runs behind it (its
-			// hedge duplicate, a failed-over suffix) must not queue there.
-			Runners: conformanceNodeInFlight + 2,
-		})
+		s := service.New(service.Config{Workers: cfg.Workers, CacheSize: cfg.CacheSize, Store: cfg.Store})
 		ts := httptest.NewServer(s.Handler())
 		t.Cleanup(func() {
 			ts.Close()
@@ -248,16 +237,17 @@ func TestBackendConformanceIdenticalResults(t *testing.T) {
 	}
 }
 
-// uniqueGatedJob returns a job whose loop appears nowhere in jobs, so a
-// gate keyed on its name holds exactly that one job.
+// uniqueGatedJob returns a job whose loop is isomorphic to none in jobs, so
+// a gate keyed on its name holds exactly that one job: no cache tier can
+// answer it from another.
 func uniqueGatedJob(t *testing.T, jobs []CompileJob) CompileJob {
 	t.Helper()
-	inSet := map[string]bool{}
+	inSet := map[uint64]bool{}
 	for _, j := range jobs {
-		inSet[j.Graph.Name] = true
+		inSet[j.Graph.CanonicalFingerprint()] = true
 	}
 	for _, l := range BenchmarkLoops("hydro2d") {
-		if !inSet[l.Graph.Name] {
+		if !inSet[l.Graph.CanonicalFingerprint()] {
 			return CompileJob{Graph: l.Graph, Machine: MustParseMachine("4c2b2l64r")}
 		}
 	}
@@ -337,21 +327,27 @@ func TestBackendConformanceEarlyStop(t *testing.T) {
 // yield every job exactly once, with finished outcomes identical to an
 // uncancelled run and everything else carrying an error — never a torn or
 // missing outcome. A gated job pinned at index 3 holds the batch open so
-// the cancellation deterministically lands mid-stream.
+// the cancellation deterministically lands mid-stream, and a second one,
+// last, stays gated until the stream has ended, so some job is still
+// pending when it does: on a fleet the other members' runs go on finishing,
+// and outcomes that arrive after the cancel are still delivered.
 func TestBackendConformanceCancelCleanPrefix(t *testing.T) {
 	for _, bc := range backendCases() {
 		t.Run(bc.name, func(t *testing.T) {
 			base := conformanceJobs(t)
 			gated := uniqueGatedJob(t, base)
-			// Three fast jobs, then the gate, then the rest: with one
-			// worker, exactly three outcomes finish before the stream
-			// stalls at the gate.
+			held := uniqueGatedJob(t, append(slices.Clip(base), gated))
+			// Three fast jobs, then the gate, then the rest, then the held
+			// job: with one worker, exactly three outcomes finish before
+			// the stream stalls at the gate.
 			jobs := append([]CompileJob{}, base[:3]...)
 			jobs = append(jobs, gated)
 			jobs = append(jobs, base[3:]...)
+			jobs = append(jobs, held)
 			want := referenceOutcomes(t, jobs[:3])
-			gate := newGateStore(gated.Graph.Name)
+			gate := newGateStore(gated.Graph.Name, held.Graph.Name)
 			b := bc.make(t, driver.Config{Workers: 1, Store: gate})
+			defer gate.release(held.Graph.Name) // runs before the backend's cleanup
 
 			ctx, cancel := context.WithCancel(context.Background())
 			defer cancel()

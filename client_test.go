@@ -122,8 +122,8 @@ func TestClientErrors(t *testing.T) {
 
 // TestClientQueueFullTyped: a batch the server's admission control turns
 // away reaches every job of the stream as a *QueueFullError carrying the
-// server's hint. One runner held at a gated job and a queue of one fill
-// deterministically, so the third batch is the one refused.
+// server's hint. A batch held at a gated job fills a queue of one
+// deterministically, so the second batch is the one refused.
 func TestClientQueueFullTyped(t *testing.T) {
 	loops := BenchmarkLoops("fpppp")
 	m := MustParseMachine("4c2b2l64r")
@@ -132,29 +132,25 @@ func TestClientQueueFullTyped(t *testing.T) {
 	}
 	gated := loops[0].Graph.Name
 	gate := newGateStore(gated)
-	c, s := startService(t, service.Config{Runners: 1, QueueDepth: 1, Workers: 1, Store: gate})
+	c, s := startService(t, service.Config{QueueDepth: 1, Workers: 1, Store: gate})
 	var wg sync.WaitGroup
 	t.Cleanup(wg.Wait)
-	t.Cleanup(func() { gate.release(gated) }) // runs first: lets the held batches finish
+	t.Cleanup(func() { gate.release(gated) }) // runs first: lets the held batch finish
 	ctx := context.Background()
-	admit := func(jobs []CompileJob, until func(wire.ServiceStats) bool) {
-		wg.Add(1)
-		go func() {
-			defer wg.Done()
-			for range c.Stream(ctx, jobs) {
-			}
-		}()
-		for deadline := time.Now().Add(10 * time.Second); !until(s.Stats()); time.Sleep(time.Millisecond) {
-			if time.Now().After(deadline) {
-				t.Fatalf("the batch was never admitted: %+v", s.Stats())
-			}
+	wg.Add(1)
+	go func() {
+		defer wg.Done()
+		for range c.Stream(ctx, batch(0)) {
+		}
+	}()
+	for deadline := time.Now().Add(10 * time.Second); s.Stats().InFlight != 1; time.Sleep(time.Millisecond) {
+		if time.Now().After(deadline) {
+			t.Fatalf("the batch was never admitted: %+v", s.Stats())
 		}
 	}
-	admit(batch(0), func(st wire.ServiceStats) bool { return st.InFlight == 1 }) // held at the gate
-	admit(batch(1), func(st wire.ServiceStats) bool { return st.Queued == 1 })   // fills the queue
 
 	refused := 0
-	for i, out := range c.Stream(ctx, batch(2)) {
+	for i, out := range c.Stream(ctx, batch(1)) {
 		var full *QueueFullError
 		if !errors.As(out.Err, &full) || full.RetryAfter <= 0 {
 			t.Fatalf("job %d: want a *QueueFullError with a retry hint, got %v", i, out.Err)

@@ -20,7 +20,7 @@
 //	GET    /jobs/{id}/trace    Chrome trace-event JSON for traced tickets
 //	DELETE /jobs/{id}          cancel
 //	GET    /strategies         registered scheduling strategies (options.strategy values)
-//	GET    /stats              queue depth, in-flight, throughput, cache hit rate, per-strategy counts
+//	GET    /stats              admission bound, in-flight, throughput, cache hit rate, per-strategy counts
 //	GET    /metrics            the same accounting as Prometheus text exposition
 //	GET    /healthz            200 with build info while serving, 503 while draining
 //
@@ -66,8 +66,7 @@ func main() {
 	addr := flag.String("addr", ":8357", "listen address")
 	cacheDir := flag.String("cache-dir", "", "persistent result-cache directory (empty = in-memory only)")
 	workers := flag.Int("workers", 0, "concurrent compilations per batch (default: GOMAXPROCS)")
-	runners := flag.Int("runners", 1, "batches processed concurrently")
-	queue := flag.Int("queue", 64, "queued-ticket bound (admission control)")
+	queue := flag.Int("queue", 64, "unfinished-ticket bound (admission control)")
 	cacheSize := flag.Int("cache-size", 0, "in-memory result-cache entries (default: engine default)")
 	timeout := flag.Duration("timeout", 0, "default per-ticket deadline (0 = none)")
 	drain := flag.Duration("drain-timeout", time.Minute, "graceful-shutdown bound")
@@ -101,7 +100,6 @@ func main() {
 
 	cfg := service.Config{
 		Workers:        *workers,
-		Runners:        *runners,
 		QueueDepth:     *queue,
 		CacheSize:      *cacheSize,
 		DefaultTimeout: *timeout,

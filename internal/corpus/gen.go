@@ -181,10 +181,9 @@ func genCyclic(name string, rng *rand.Rand, size int, sp Spec) *ddg.Graph {
 // forward by node id (keeping distance 0 acyclic); backward pairs carry
 // distance 1.
 func sprinkleMem(b *ddg.Builder, rng *rand.Rand, sp Spec) {
-	g := b.Graph()
 	var mems, stores []int
-	for i := range g.Nodes {
-		switch g.Nodes[i].Op {
+	for i := range b.NumNodes() {
+		switch b.Op(i) {
 		case ddg.OpLoad:
 			mems = append(mems, i)
 		case ddg.OpStore:

@@ -129,18 +129,24 @@ func genBroadcast(name string, rng *rand.Rand, size int, pr Params) *ddg.Graph {
 	if perChain < 3 {
 		perChain = 3
 	}
+	// The backbone reads every address value but the last, and the
+	// induction update reads the first; lastRead says a chain read the last.
+	lastRead := nAddr == 1
 	pickAddr := func(c int) int {
+		var k int
 		if !pr.Locality {
-			return addr[rng.Intn(nAddr)]
+			k = rng.Intn(nAddr)
+		} else {
+			// Chains prefer a two-value window anchored by their index.
+			k = (c%nAddr + rng.Intn(2)) % nAddr
 		}
-		// Chains prefer a two-value window anchored by their index.
-		base := c % nAddr
-		return addr[(base+rng.Intn(2))%nAddr]
+		lastRead = lastRead || k == nAddr-1
+		return addr[k]
 	}
 	// prevLoad/prevHead let adjacent chains occasionally share a load or an
 	// early fp value — the source of the (small) memory and fp replication
 	// components in the paper's Fig. 10.
-	prevLoad, prevHead := -1, -1
+	prevLoad, prevHead, lastStore := -1, -1, -1
 	for c := 0; c < nChains && budget > 0; c++ {
 		n := perChain
 		if n > budget {
@@ -176,14 +182,12 @@ func genBroadcast(name string, rng *rand.Rand, size int, pr Params) *ddg.Graph {
 		st := b.Node(fmt.Sprintf("st%d", c), ddg.OpStore)
 		b.Edge(prev, st, 0)
 		b.Edge(pickAddr(c), st, 0) // store address
-		prevLoad = ld
+		prevLoad, lastStore = ld, st
 	}
 	// No address value may be dead (a real compiler would have deleted it);
-	// route stragglers into the last store as extra address inputs.
-	for _, a := range addr {
-		if len(b.Graph().DataSuccs(a, nil)) == 0 {
-			b.Edge(a, b.Graph().NumNodes()-1, 0)
-		}
+	// route the last into the last store as an extra address input.
+	if !lastRead {
+		b.Edge(addr[nAddr-1], lastStore, 0)
 	}
 	return b.MustBuild()
 }

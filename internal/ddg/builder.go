@@ -7,7 +7,6 @@ import "fmt"
 type Builder struct {
 	g      *Graph
 	degree []int32         // per node, out- and in-degree, interleaved
-	stale  bool            // g's adjacency misses a node or an edge added since
 	labels map[string]bool // the labels given so far
 	errs   []error
 }
@@ -29,7 +28,6 @@ func (b *Builder) Node(label string, op OpKind) int {
 	}
 	b.g.Nodes = append(b.g.Nodes, Node{ID: id, Op: op, Label: label})
 	b.degree = append(b.degree, 0, 0)
-	b.stale = true
 	return id
 }
 
@@ -69,17 +67,19 @@ func (b *Builder) addEdge(src, dst, dist int, kind EdgeKind, lat int) {
 	b.g.Edges = append(b.g.Edges, Edge{ID: id, Src: src, Dst: dst, Dist: dist, Kind: kind, Lat: lat})
 	b.degree[2*src]++
 	b.degree[2*dst+1]++
-	b.stale = true
 }
 
+// NumNodes returns the number of nodes added so far.
+func (b *Builder) NumNodes() int { return len(b.g.Nodes) }
+
+// Op returns the operation of node id.
+func (b *Builder) Op(id int) OpKind { return b.g.Nodes[id].Op }
+
 // Graph exposes the graph under construction for read-only inspection
-// (node counts, adjacency); it has not been validated yet. Its adjacency
-// is rebuilt when a node or an edge was added since the last call.
+// (node counts, adjacency); it has not been validated yet. Each call lays
+// its adjacency out anew.
 func (b *Builder) Graph() *Graph {
-	if b.stale {
-		b.g.buildAdjacency(b.degree)
-		b.stale = false
-	}
+	b.g.buildAdjacency(b.degree)
 	return b.g
 }
 

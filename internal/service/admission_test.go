@@ -143,14 +143,9 @@ func TestBatchRefusalsAreUnchanged(t *testing.T) {
 	// counted nowhere; a well-formed one is refused as before, and counted.
 	malformed := refusalBatch(t, func(j []wire.Job) { j[2].Loop = badLoop })
 	gate := make(chan struct{})
-	full := New(Config{Runners: 1, QueueDepth: 1, Workers: 1, Store: &gateStore{gate: gate}})
+	full := New(Config{QueueDepth: 1, Store: &gateStore{gate: gate}})
 	defer full.Shutdown(context.Background())
 	defer close(gate)
-	running, err := full.Submit(testJobs(t, "mgrid", 1), SubmitOptions{})
-	if err != nil {
-		t.Fatal(err)
-	}
-	until(t, "the first ticket to run", func() bool { st, _ := full.Job(running); return st.State == StateRunning })
 	if _, err := full.Submit(testJobs(t, "mgrid", 1), SubmitOptions{}); err != nil {
 		t.Fatal(err)
 	}
@@ -404,8 +399,8 @@ func TestAdmissionLabelsEachJob(t *testing.T) {
 
 // TestClientGoneMidAdmissionCancelsItsTicket: a client that goes away
 // while its batch is being admitted — after the first job's compilation
-// began — leaves a cancelled ticket, an idle engine and a free runner:
-// nothing waits on the admission of jobs nobody will read.
+// began — leaves a cancelled ticket, an idle engine and no goroutine of
+// its own: nothing waits on the admission of jobs nobody will read.
 func TestClientGoneMidAdmissionCancelsItsTicket(t *testing.T) {
 	const n = 6
 	for _, workers := range []int{1, 2, 4} {
@@ -438,8 +433,8 @@ func TestClientGoneMidAdmissionCancelsItsTicket(t *testing.T) {
 			if st := s.Stats(); st.InFlight != 0 || st.Submitted != 1 || st.Canceled != 1 {
 				t.Errorf("/stats after the ticket ended: %+v", st)
 			}
-			// Shutdown waits for the runner: it returns only if nothing is
-			// left waiting on the batch's admission.
+			// Shutdown waits for the ticket's goroutine: it returns only if
+			// nothing is left waiting on the batch's admission.
 			if err := s.Shutdown(context.Background()); err != nil {
 				t.Fatal(err)
 			}

@@ -39,8 +39,9 @@ import (
 // /jobs/{id} and /compile?wait=1) take loop=0: a reader that still holds the
 // jobs it submitted asks the server not to echo each loop's text back inside
 // its result (an absent result.loop means "the job's"). Refusals are JSON
-// answers, a streamed POST /batch's too: queue-full rejections answer 429
-// with a Retry-After header and a wire.ErrorResponse carrying the same hint.
+// answers, a streamed POST /batch's too: a submit beyond QueueDepth
+// unfinished tickets answers 429 with a Retry-After header and a
+// wire.ErrorResponse carrying the same hint.
 // Jobs naming an unregistered strategy are rejected at decode time (400).
 //
 // Every request gets an ID (X-Request-ID response header, echoed from the
@@ -236,13 +237,13 @@ func (s *Server) handleCompile(w http.ResponseWriter, r *http.Request) {
 const maxTimeoutMS = int64(math.MaxInt64 / time.Millisecond)
 
 // handleBatch admits a batch as a pipeline: once the body's envelope is
-// walked the ticket is queued, and its jobs are decoded and admitted one by
+// walked the ticket starts, and its jobs are decoded and admitted one by
 // one while the engine compiles the ones before. The answer — 202 with the
 // ticket, or the stream's hello — is written after the last job is
 // admitted, so every refusal is the one a decode of the whole body first
 // would give, in that order of precedence: a body or job defect is 400
 // whatever the queue holds, then an out-of-range timeout_ms, an empty
-// batch, a full queue (429) and a draining server (503).
+// batch, a full server (429) and a draining one (503).
 func (s *Server) handleBatch(w http.ResponseWriter, r *http.Request) {
 	body, err := readBody(w, r)
 	var d *wire.SubmitDecoder
@@ -266,10 +267,10 @@ func (s *Server) handleBatch(w http.ResponseWriter, r *http.Request) {
 
 // admit decodes and admits the jobs of a walked batch body of size bytes
 // and returns its ticket, or nil when the batch was refused and answered. A
-// batch the queue takes at once is admitted a job at a time behind the
+// batch the server takes at once is admitted a job at a time behind the
 // ticket's gate. Any other batch is decoded whole before it is judged, and
-// so is one with more jobs than its size can hold as jobs that decode:
-// queueing reserves room for every job, which such a batch will not fill.
+// so is one with more jobs than its size can hold as jobs that decode: a
+// ticket reserves room for every job, which such a batch will not fill.
 func (s *Server) admit(w http.ResponseWriter, r *http.Request, d *wire.SubmitDecoder, size int) *ticket {
 	// A negative timeout would run the ticket with no deadline at all, and
 	// one past maxTimeoutMS would wrap negative as a Duration.
@@ -304,7 +305,7 @@ func (s *Server) admit(w http.ResponseWriter, r *http.Request, d *wire.SubmitDec
 // fill decodes and admits the jobs of a gated ticket, then accepts it. Each
 // job goes through Compiler.Prepare before it is admitted, which labels its
 // loop here while the worker compiles the jobs before it. Any other way out
-// — a defect, or a panic — withdraws the ticket, so no runner is left
+// — a defect, or a panic — withdraws the ticket, so its stream is not left
 // waiting on an admission that nobody will end.
 func (s *Server) fill(r *http.Request, t *ticket, d *wire.SubmitDecoder) error {
 	accepted := false
@@ -463,25 +464,18 @@ func (s *Server) handleJobGet(w http.ResponseWriter, r *http.Request) {
 	}
 	var hint time.Duration
 	if st.State == StateQueued || st.State == StateRunning {
-		// Tell pollers when to come back: the server knows its backlog
-		// better than any client-side ladder. The same hint rides the
+		// Tell pollers when to come back: an unfinished ticket is running
+		// (or about to), so on a short leash. The same hint rides the
 		// Retry-After header (whole seconds, rounded up) for proxies and
 		// generic HTTP tooling.
-		hint = s.pollHint(st)
+		hint = pollHint
 		w.Header().Set("Retry-After", strconv.Itoa(int((hint+time.Second-1)/time.Second)))
 	}
 	writeStatus(w, st, hint, wantsLoop(r.URL.Query()))
 }
 
-// pollHint estimates when an unfinished ticket is worth polling again:
-// queued tickets by the backlog-proportional admission estimate, running
-// tickets on a short leash.
-func (s *Server) pollHint(st Status) time.Duration {
-	if st.State == StateQueued {
-		return s.retryAfter()
-	}
-	return 100 * time.Millisecond
-}
+// pollHint is when an unfinished ticket is worth polling again.
+const pollHint = 100 * time.Millisecond
 
 func (s *Server) handleJobCancel(w http.ResponseWriter, r *http.Request) {
 	if !s.Cancel(r.PathValue("id")) {

@@ -10,6 +10,7 @@ import (
 	"net/http"
 	"net/http/httptest"
 	"strings"
+	"sync"
 	"testing"
 	"time"
 
@@ -370,30 +371,20 @@ func TestHTTPErrors(t *testing.T) {
 	}
 }
 
+// TestHTTPQueueFull: with QueueDepth tickets unfinished — one, held at the
+// gate — a batch is refused 429 with the retry hint in the header and the
+// body.
 func TestHTTPQueueFull(t *testing.T) {
 	gate := make(chan struct{})
-	s := New(Config{Runners: 1, QueueDepth: 1, Workers: 1, Store: &gateStore{gate: gate}})
+	s := New(Config{QueueDepth: 1, Store: &gateStore{gate: gate}})
 	defer s.Shutdown(context.Background())
 	defer close(gate)
 	ts := httptest.NewServer(s.Handler())
 	defer ts.Close()
 
 	wjs := encodeBatch(t, "mgrid", 1)
-	var sub wire.SubmitResponse
-	if code := postJSON(t, ts.URL+"/batch", wire.SubmitRequest{Jobs: wjs}, &sub); code != http.StatusAccepted {
-		t.Fatalf("first batch: %d", code)
-	}
-	// Wait for the runner to hold it, then fill the queue.
-	for {
-		var st wire.JobStatus
-		getJSON(t, ts.URL+"/jobs/"+sub.ID, &st)
-		if st.State == wire.StateRunning {
-			break
-		}
-		time.Sleep(time.Millisecond)
-	}
 	if code := postJSON(t, ts.URL+"/batch", wire.SubmitRequest{Jobs: wjs}, nil); code != http.StatusAccepted {
-		t.Fatalf("queued batch: %d", code)
+		t.Fatalf("first batch: %d", code)
 	}
 	// Whether or not the batch asked to be answered with its stream.
 	for _, accept := range []string{"", wire.NDJSON} {
@@ -551,12 +542,13 @@ func mustMarshal(t *testing.T, v any) []byte {
 	return blob
 }
 
-// TestHTTPCancel exercises DELETE /jobs/{id} on a queued ticket.
+// TestHTTPCancel exercises DELETE /jobs/{id} on a ticket held at the gate.
 func TestHTTPCancel(t *testing.T) {
 	gate := make(chan struct{})
-	s := New(Config{Runners: 1, QueueDepth: 4, Workers: 1, Store: &gateStore{gate: gate}})
+	release := sync.OnceFunc(func() { close(gate) })
+	s := New(Config{QueueDepth: 4, Workers: 1, Store: &gateStore{gate: gate}})
 	defer s.Shutdown(context.Background())
-	defer close(gate)
+	defer release()
 	ts := httptest.NewServer(s.Handler())
 	defer ts.Close()
 
@@ -578,8 +570,57 @@ func TestHTTPCancel(t *testing.T) {
 	if resp.StatusCode != http.StatusNoContent {
 		t.Fatalf("cancel answered %d", resp.StatusCode)
 	}
+	release()
 	if st := pollDone(t, ts.URL, sub.ID); st.State != wire.StateCanceled {
 		t.Fatalf("cancelled ticket ended %s", st.State)
+	}
+}
+
+// TestUnaryAnsweredBesideAHeldBatch: a ticket runs when it is admitted, so
+// on a server with no concurrency setting a unary POST /compile?wait=1 is
+// answered while a batch sits held at a gated Store job: the compile budget
+// is the only bound on work, and the held job takes none of it.
+func TestUnaryAnsweredBesideAHeldBatch(t *testing.T) {
+	batch := testJobs(t, "tomcatv", 2)
+	held := batch[1].Graph.Name
+	gate := newLoopGateStore(held)
+	release := sync.OnceFunc(func() { gate.release(held) })
+	s := New(Config{Store: gate})
+	defer s.Shutdown(context.Background())
+	defer release()
+	ts := httptest.NewServer(s.Handler())
+	defer ts.Close()
+
+	id, err := s.Submit(batch, SubmitOptions{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	<-gate.first
+	ctx, cancel := context.WithTimeout(context.Background(), 30*time.Second)
+	defer cancel()
+	body := mustMarshal(t, encodeBatch(t, "swim", 1)[0])
+	req, err := http.NewRequestWithContext(ctx, http.MethodPost, ts.URL+"/compile?wait=1&loop=0", bytes.NewReader(body))
+	if err != nil {
+		t.Fatal(err)
+	}
+	resp, err := http.DefaultClient.Do(req)
+	if err != nil {
+		t.Fatalf("unary request beside a held batch: %v", err)
+	}
+	defer resp.Body.Close()
+	var st wire.JobStatus
+	if err := json.NewDecoder(resp.Body).Decode(&st); err != nil {
+		t.Fatal(err)
+	}
+	if resp.StatusCode != http.StatusOK || st.State != wire.StateDone || len(st.Outcomes) != 1 || st.Outcomes[0].Result == nil {
+		t.Fatalf("unary request: %d %+v, want its job answered", resp.StatusCode, st)
+	}
+	if bst, _ := s.Job(id); bst.State != StateRunning {
+		t.Fatalf("held batch is %v, want still running", bst.State)
+	}
+	release()
+	if st := waitDone(t, s, id); st.State != StateDone || st.Err != nil {
+		t.Fatalf("held batch ended %v (%v)", st.State, st.Err)
 	}
 }
 
@@ -603,7 +644,7 @@ func TestAbandonedWaitCancelsItsTicket(t *testing.T) {
 	job := testJobs(t, "tomcatv", 1)[0]
 	body := mustMarshal(t, encodeBatch(t, "tomcatv", 1)[0])
 	gate := newLoopGateStore(job.Graph.Name)
-	s := New(Config{Runners: 2, Store: gate})
+	s := New(Config{Store: gate})
 	defer s.Shutdown(context.Background())
 	ts := httptest.NewServer(s.Handler())
 	defer ts.Close()

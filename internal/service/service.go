@@ -1,8 +1,9 @@
 // Package service turns the batch-compilation engine into a long-lived
 // compilation server: compilation-as-a-service. A Server wraps one shared
 // driver.Compiler behind an asynchronous ticket API — Submit returns
-// immediately with a ticket, a bounded queue applies admission control
-// (reject-with-retry-after when full), each ticket carries a deadline and
+// immediately with a ticket, whose batch starts streaming through the
+// engine at once; admission control bounds the unfinished tickets
+// (reject-with-retry-after beyond it), each ticket carries a deadline and
 // can be cancelled, and Shutdown drains gracefully. A persistent on-disk
 // result cache (DiskCache, plugged in under the engine's in-memory LRU via
 // driver.Store) lets a restarted server answer warm traffic without
@@ -23,7 +24,9 @@ import (
 	"fmt"
 	"iter"
 	"log/slog"
+	"slices"
 	"sync"
+	"sync/atomic"
 	"time"
 
 	"clusched/internal/driver"
@@ -32,23 +35,19 @@ import (
 )
 
 // Config parameterizes a Server. The zero value is usable: GOMAXPROCS
-// compile workers, one batch runner, a 64-ticket queue, no deadline
-// policy and no persistence.
+// compile workers, 64 unfinished tickets, no deadline policy and no
+// persistence.
 type Config struct {
 	// Workers bounds concurrent compilations inside a batch (driver
 	// worker pool); ≤0 means GOMAXPROCS.
 	Workers int
 	// CacheSize bounds the engine's in-memory LRU (0 = driver default).
 	CacheSize int
-	// Runners is the number of batches processed concurrently; ≤0 means 1.
-	// Each running batch fans out over the shared worker pool, so one
-	// runner already saturates the CPU; more runners trade batch latency
-	// fairness for head-of-line blocking. Real compilations beyond the
-	// engine's compile budget of max(Workers, GOMAXPROCS) wait for a slot
-	// (/stats max_inflight).
-	Runners int
-	// QueueDepth bounds the number of queued (not yet running) tickets;
-	// ≤0 means 64. Submits beyond it are rejected with ErrQueueFull.
+	// QueueDepth bounds the tickets admitted and not yet finished; ≤0
+	// means 64. Submits beyond it are rejected with ErrQueueFull. Every
+	// admitted ticket runs at once: real compilations beyond the engine's
+	// compile budget of max(Workers, GOMAXPROCS) wait for a slot (/stats
+	// max_inflight), the one bound on work.
 	QueueDepth int
 	// DefaultTimeout bounds a ticket's lifetime from submission when the
 	// submitter does not set one; 0 means no deadline.
@@ -75,7 +74,7 @@ type Config struct {
 // ErrShuttingDown rejects submissions during graceful drain.
 var ErrShuttingDown = errors.New("service: shutting down")
 
-// ErrQueueFull rejects submissions when the queue is at QueueDepth.
+// ErrQueueFull rejects submissions when QueueDepth tickets are unfinished.
 type ErrQueueFull struct {
 	// RetryAfter is the server's estimate of when capacity frees up.
 	RetryAfter time.Duration
@@ -124,9 +123,9 @@ type Status struct {
 	// Deadline is the ticket's absolute lifetime bound (zero when the
 	// ticket has none); pollers can cap their waiting against it.
 	Deadline time.Time
-	// Outcomes is set once the ticket finished (Done, or Canceled after
-	// it started running — completed outcomes survive cancellation),
-	// index-aligned with the submitted jobs.
+	// Outcomes is set once the ticket finished (Done or Canceled —
+	// completed outcomes survive cancellation), index-aligned with the
+	// submitted jobs.
 	Outcomes []driver.Outcome
 	// Err is the aggregate batch error (nil when every job succeeded);
 	// for canceled tickets it reports the cancellation.
@@ -151,7 +150,7 @@ type ticket struct {
 	// trace is the ticket's execution trace (nil for untraced tickets);
 	// its epoch is the submission instant, so the queued span starts at 0.
 	trace *telemetry.Trace
-	// release frees the deadline's timer once the ticket is over.
+	// release frees the deadline's timer; serve calls it when it ends.
 	release context.CancelFunc
 	// gate admits the ticket's jobs to the engine, each once it is filled
 	// in, and is closed when admission is over. withdrawn, set before,
@@ -164,22 +163,25 @@ type ticket struct {
 	state    State
 	started  time.Time
 	finished time.Time
-	outcomes []driver.Outcome
 	err      error
 	done     chan struct{} // closed when the ticket reaches Done/Canceled
-	// events is the append-only completion log behind Watch: one entry per
-	// finished job, in completion order. update, made when a watcher has
-	// caught up and needs something to block on, is closed and dropped by
-	// the next append, so watchers wait for "something new" without polling
-	// and an unwatched ticket pays nothing.
-	events []Event
-	update chan struct{}
+	// outcomes holds each finished job's outcome at the job's index, and
+	// order is the append-only completion log behind Watch: the finished
+	// indices, in completion order. update, made when a watcher has caught
+	// up and needs something to block on, is closed and dropped by the next
+	// append, so watchers wait for "something new" without polling and an
+	// unwatched ticket pays nothing.
+	outcomes []driver.Outcome
+	order    []int
+	update   chan struct{}
 }
 
-// publish appends one completion event and wakes every watcher.
+// publish stores one finished job's outcome, logs its index and wakes
+// every watcher.
 func (t *ticket) publish(i int, out driver.Outcome) {
 	t.mu.Lock()
-	t.events = append(t.events, Event{Index: i, Outcome: out})
+	t.outcomes[i] = out
+	t.order = append(t.order, i)
 	if t.update != nil {
 		close(t.update)
 		t.update = nil
@@ -194,8 +196,11 @@ func (t *ticket) publish(i int, out driver.Outcome) {
 func (t *ticket) backlog(pos int, buf []Event) (pending []Event, terminal bool, update <-chan struct{}) {
 	t.mu.Lock()
 	defer t.mu.Unlock()
-	pending = append(buf[:0], t.events[pos:]...)
-	terminal = t.state == StateDone || t.state == StateCanceled
+	pending = slices.Grow(buf[:0], len(t.order)-pos)
+	for _, i := range t.order[pos:] {
+		pending = append(pending, Event{Index: i, Outcome: t.outcomes[i]})
+	}
+	terminal = t.terminal()
 	if len(pending) == 0 && !terminal {
 		if t.update == nil {
 			t.update = make(chan struct{})
@@ -205,10 +210,13 @@ func (t *ticket) backlog(pos int, buf []Event) (pending []Event, terminal bool, 
 	return pending, terminal, update
 }
 
+// terminal reports whether the ticket is Done or Canceled; t.mu is held.
+func (t *ticket) terminal() bool { return t.state == StateDone || t.state == StateCanceled }
+
 func (t *ticket) snapshot() Status {
 	t.mu.Lock()
 	defer t.mu.Unlock()
-	return Status{
+	st := Status{
 		ID:       t.id,
 		State:    t.state,
 		NumJobs:  len(t.jobs),
@@ -216,29 +224,18 @@ func (t *ticket) snapshot() Status {
 		Started:  t.started,
 		Finished: t.finished,
 		Deadline: t.deadline,
-		Outcomes: t.outcomes,
 		Err:      t.err,
 	}
-}
-
-// claim atomically moves the ticket from Queued to Running; it fails when
-// the watcher retired the ticket first.
-func (t *ticket) claim() bool {
-	t.mu.Lock()
-	defer t.mu.Unlock()
-	if t.state != StateQueued {
-		return false
+	if t.terminal() {
+		st.Outcomes = t.outcomes
 	}
-	t.state = StateRunning
-	t.started = time.Now()
-	return true
+	return st
 }
 
 // Server is the async compilation service.
 type Server struct {
 	cfg      Config
 	compiler *driver.Compiler
-	queue    chan *ticket
 	start    time.Time
 	logger   *slog.Logger
 
@@ -247,7 +244,12 @@ type Server struct {
 	// two views can never disagree.
 	registry *telemetry.Registry
 	metrics  serviceMetrics
+	// queued counts the tickets whose goroutine has not started yet.
+	queued atomic.Int64
 
+	// tickets holds the unfinished tickets and the finished ones still
+	// retained, which doneOrder lists: the unfinished count is the
+	// difference (live).
 	mu        sync.Mutex
 	tickets   map[string]*ticket
 	doneOrder []string // finished ticket IDs in retirement order, for pruning
@@ -255,7 +257,8 @@ type Server struct {
 	seq       uint64
 	draining  bool
 
-	runnerWG sync.WaitGroup
+	// serving counts the ticket goroutines; Shutdown waits for them.
+	serving sync.WaitGroup
 }
 
 // serviceMetrics is the service's own instrument set (the engine
@@ -275,11 +278,8 @@ type serviceMetrics struct {
 	httpRequests *telemetry.CounterVec
 }
 
-// New starts a Server: the runners come up immediately and wait for work.
+// New starts a Server.
 func New(cfg Config) *Server {
-	if cfg.Runners <= 0 {
-		cfg.Runners = 1
-	}
 	if cfg.QueueDepth <= 0 {
 		cfg.QueueDepth = 64
 	}
@@ -296,7 +296,6 @@ func New(cfg Config) *Server {
 			Store:     cfg.Store,
 			Registry:  reg,
 		}),
-		queue:    make(chan *ticket, cfg.QueueDepth),
 		start:    time.Now(),
 		logger:   logger,
 		registry: reg,
@@ -316,17 +315,13 @@ func New(cfg Config) *Server {
 	}
 	reg.NewGaugeFunc("clusched_queue_length",
 		"Tickets waiting in the admission queue.",
-		func() float64 { return float64(len(s.queue)) })
+		func() float64 { return float64(s.queued.Load()) })
 	reg.NewGaugeFunc("clusched_queue_capacity",
 		"Admission-queue bound (Config.QueueDepth).",
 		func() float64 { return float64(cfg.QueueDepth) })
 	reg.NewGaugeFunc("clusched_uptime_seconds",
 		"Seconds since the server started.",
 		func() float64 { return time.Since(s.start).Seconds() })
-	for i := 0; i < cfg.Runners; i++ {
-		s.runnerWG.Add(1)
-		go s.run()
-	}
 	return s
 }
 
@@ -348,8 +343,8 @@ type SubmitOptions struct {
 	Trace bool
 }
 
-// Submit enqueues a batch and returns its ticket ID immediately. It
-// rejects with *ErrQueueFull when the queue is at capacity and with
+// Submit starts a batch and returns its ticket ID immediately. It
+// rejects with *ErrQueueFull when QueueDepth tickets are unfinished and with
 // ErrShuttingDown during drain. The jobs slice is retained; callers must
 // not mutate it afterwards.
 func (s *Server) Submit(jobs []driver.Job, opts SubmitOptions) (string, error) {
@@ -382,10 +377,10 @@ func (s *Server) submit(jobs []driver.Job, opts SubmitOptions) (*ticket, error) 
 	return t, nil
 }
 
-// enqueue queues a ticket for jobs with none admitted, counting nothing:
-// accept books it once every job is admitted. The jobs may be filled in and
-// admitted while the ticket waits or runs. It fails with ErrShuttingDown
-// or *ErrQueueFull.
+// enqueue registers a ticket for jobs with none admitted and starts its
+// goroutine, counting nothing: accept books it once every job is admitted.
+// The jobs may be filled in and admitted while the ticket runs. It fails
+// with ErrShuttingDown or *ErrQueueFull.
 func (s *Server) enqueue(jobs []driver.Job, opts SubmitOptions) (*ticket, error) {
 	timeout := opts.Timeout
 	if timeout == 0 {
@@ -393,19 +388,23 @@ func (s *Server) enqueue(jobs []driver.Job, opts SubmitOptions) (*ticket, error)
 	}
 
 	s.mu.Lock()
+	defer s.mu.Unlock()
 	if s.draining {
-		s.mu.Unlock()
 		return nil, ErrShuttingDown
+	}
+	if live := s.live(); live >= s.cfg.QueueDepth {
+		return nil, &ErrQueueFull{RetryAfter: retryAfter(live)}
 	}
 	s.seq++
 	t := &ticket{
-		id:      fmt.Sprintf("job-%d", s.seq),
-		jobs:    jobs,
-		created: time.Now(),
-		done:    make(chan struct{}),
-		events:  make([]Event, 0, len(jobs)),
-		release: func() {},
-		gate:    driver.NewGate(len(jobs)),
+		id:       fmt.Sprintf("job-%d", s.seq),
+		jobs:     jobs,
+		created:  time.Now(),
+		done:     make(chan struct{}),
+		outcomes: make([]driver.Outcome, len(jobs)),
+		order:    make([]int, 0, len(jobs)),
+		release:  func() {},
+		gate:     driver.NewGate(len(jobs)),
 	}
 	if opts.Trace || s.cfg.TraceJobs {
 		t.trace = telemetry.NewTrace()
@@ -415,27 +414,21 @@ func (s *Server) enqueue(jobs []driver.Job, opts SubmitOptions) (*ticket, error)
 	}
 	ctx := context.Background()
 	if timeout > 0 {
-		// The deadline spans queueing and execution: a ticket that waits
-		// out its whole budget in the queue is cancelled, not run late.
 		ctx, t.release = context.WithTimeout(ctx, timeout)
 		t.deadline = t.created.Add(timeout)
 	}
 	t.ctx, t.cancel = context.WithCancelCause(ctx)
-
-	select {
-	case s.queue <- t:
-		s.tickets[t.id] = t
-		s.mu.Unlock()
-		return t, nil
-	default:
-		s.mu.Unlock()
-		t.cancel(nil)
-		t.release()
-		return nil, &ErrQueueFull{RetryAfter: s.retryAfter()}
-	}
+	s.tickets[t.id] = t
+	s.queued.Add(1)
+	s.serving.Add(1)
+	go s.serve(t)
+	return t, nil
 }
 
-// accept books a queued ticket whose every job is admitted, and ends its
+// live counts the tickets admitted and not yet finished; s.mu is held.
+func (s *Server) live() int { return len(s.tickets) - len(s.doneOrder) }
+
+// accept books a ticket whose every job is admitted, and ends its
 // admission.
 func (s *Server) accept(t *ticket) {
 	s.metrics.tickets.With("submitted").Inc()
@@ -444,96 +437,69 @@ func (s *Server) accept(t *ticket) {
 	}
 	s.logger.Debug("ticket submitted",
 		"ticket", t.id, "jobs", len(t.jobs), "traced", t.trace != nil)
-	// Watcher: a ticket cancelled or expired while still queued is
-	// retired on the spot instead of waiting for a runner to reach it
-	// (claim/finish arbitrate the race with a runner picking it up).
-	go func() {
-		defer t.release()
-		select {
-		case <-t.ctx.Done():
-			s.retire(t, StateCanceled, nil, cancelCause(t.ctx, t.ctx.Err()), true)
-			<-t.done // a running batch finishes on its own terms
-		case <-t.done:
-		}
-	}()
 	t.gate.Close()
 }
 
 // withdraw takes back a ticket whose admission was refused. It leaves the
-// server as if it had never been queued: out of the tickets map, counted
-// nowhere, its compilations stopped, and a runner that claimed it retires
-// nothing.
+// server as if it had never been admitted: out of the tickets map, counted
+// nowhere, its compilations stopped, and its goroutine retires nothing.
 func (s *Server) withdraw(t *ticket) {
 	s.mu.Lock()
 	delete(s.tickets, t.id)
 	s.mu.Unlock()
 	t.cancel(errCanceled)
-	t.release()
-	t.mu.Lock()
-	t.state = StateCanceled // a runner that has not claimed it never will
-	t.mu.Unlock()
-	close(t.done)
 	t.withdrawn = true
 	t.gate.Close()
 }
 
-// retryAfter estimates when queue capacity frees up: proportional to the
-// backlog, floored at a polling-friendly interval.
-func (s *Server) retryAfter() time.Duration {
-	backlog := len(s.queue)
-	d := time.Duration(backlog) * 250 * time.Millisecond / time.Duration(s.cfg.Runners)
-	if d < 500*time.Millisecond {
-		d = 500 * time.Millisecond
-	}
-	return d
+// retryAfter estimates when capacity frees up: proportional to the live
+// tickets, floored at a polling-friendly interval.
+func retryAfter(live int) time.Duration {
+	return max(time.Duration(live)*250*time.Millisecond, 500*time.Millisecond)
 }
 
-// run is one batch runner: it drains the queue until Shutdown closes it.
-func (s *Server) run() {
-	defer s.runnerWG.Done()
-	for t := range s.queue {
-		s.serve(t)
-	}
-}
-
-// serve executes one ticket: the batch runs through the engine's stream,
-// so every finished job is published to watchers (the NDJSON endpoint, the
-// client's Stream) the moment it completes, not when the batch ends.
+// serve is a ticket's goroutine: the batch runs through the engine's
+// stream, so every finished job is published to watchers (the NDJSON
+// endpoint, the client's Stream) the moment it completes, not when the
+// batch ends. The stream ends only once the gate is closed, after accept or
+// withdraw is done with the ticket.
 func (s *Server) serve(t *ticket) {
-	if !t.claim() {
-		// Cancelled or expired while queued; the watcher retired it.
-		return
-	}
+	defer s.serving.Done()
+	defer t.release()
+	s.queued.Add(-1)
 	s.metrics.inFlight.Add(1)
+	t.mu.Lock()
+	t.state = StateRunning
+	t.started = time.Now()
+	t.mu.Unlock()
 	if t.trace != nil {
 		// The trace's epoch is the submission instant, so a span from 0
-		// to now is exactly the ticket's queue wait.
+		// to now is exactly the ticket's wait to start.
 		t.trace.Span(t.trace.Track("service"), "service", "queued", 0,
 			telemetry.Arg{Key: "ticket", Val: t.id})
 	}
 
-	outcomes := make([]driver.Outcome, len(t.jobs))
-	// The stream ends only once the gate is closed, after accept or
-	// withdraw is done with the ticket.
 	for i, out := range driver.StreamAdmitted(s.compiler, t.ctx, t.jobs, t.gate) {
-		outcomes[i] = out
 		t.publish(i, out)
 		if s.cfg.SlowCompile > 0 && out.Elapsed >= s.cfg.SlowCompile {
 			s.logSlow(t, out)
 		}
 	}
-	err := driver.AggregateError(outcomes)
 
 	s.metrics.inFlight.Add(-1)
-	if t.withdrawn {
-		return // a ticket is retired only if it was accepted
-	}
-	if cerr := t.ctx.Err(); cerr != nil {
+	switch cerr := t.ctx.Err(); {
+	case t.withdrawn:
+		// Booked nowhere; it ends only for whoever looked it up meanwhile.
+		t.mu.Lock()
+		t.state = StateCanceled
+		close(t.done)
+		t.mu.Unlock()
+	case cerr != nil:
 		// Completed outcomes survive; the ticket reports why it stopped.
-		s.retire(t, StateCanceled, outcomes, cancelCause(t.ctx, cerr), false)
-		return
+		s.retire(t, StateCanceled, cancelCause(t.ctx, cerr))
+	default:
+		s.retire(t, StateDone, driver.AggregateError(t.outcomes))
 	}
-	s.retire(t, StateDone, outcomes, err, false)
 }
 
 // logSlow emits the threshold-gated slow-compilation warning, with the
@@ -575,34 +541,25 @@ func cancelCause(ctx context.Context, err error) error {
 // at the end of one large batch can still resume over the ticket's stream.
 const jobRetention = 1024
 
-// retire moves the ticket to a terminal state exactly once and updates the
-// lifecycle counters and the retention list. With requireQueued it only
-// retires tickets that never started running — the cancellation watcher
-// uses it so it can never clobber a running batch's outcomes. Closing done
-// comes last and t.mu is held throughout: whoever learns the ticket is over,
-// by done or by snapshot, finds it counted, logged and the tickets it
+// retire moves the ticket to its terminal state, once its stream has
+// ended, and updates the lifecycle counters and the retention list. Closing
+// done comes last and t.mu is held throughout: whoever learns the ticket is
+// over, by done or by snapshot, finds it counted, logged and the tickets it
 // displaced already pruned.
-func (s *Server) retire(t *ticket, state State, outcomes []driver.Outcome, err error, requireQueued bool) {
+func (s *Server) retire(t *ticket, state State, err error) {
 	t.mu.Lock()
 	defer t.mu.Unlock()
-	if t.state == StateDone || t.state == StateCanceled {
-		return
-	}
-	if requireQueued && t.state != StateQueued {
-		return
-	}
 	t.state = state
-	t.outcomes = outcomes
 	t.err = err
 	t.finished = time.Now()
 	switch state {
 	case StateDone:
 		s.metrics.tickets.With("completed").Inc()
-		s.metrics.jobsDone.Add(uint64(len(outcomes)))
-		s.logger.Info("ticket done", "ticket", t.id, "jobs", len(outcomes))
+		s.metrics.jobsDone.Add(uint64(len(t.outcomes)))
+		s.logger.Info("ticket done", "ticket", t.id, "jobs", len(t.outcomes))
 	case StateCanceled:
 		s.metrics.tickets.With("canceled").Inc()
-		for _, o := range outcomes {
+		for _, o := range t.outcomes {
 			if o.Result != nil || (o.Err != nil && !errors.Is(o.Err, context.Canceled) && !errors.Is(o.Err, context.DeadlineExceeded)) {
 				s.metrics.jobsDone.Inc()
 			}
@@ -624,9 +581,7 @@ func (s *Server) retire(t *ticket, state State, outcomes []driver.Outcome, err e
 
 // Job returns a snapshot of the ticket, if it exists.
 func (s *Server) Job(id string) (Status, bool) {
-	s.mu.Lock()
-	t, ok := s.tickets[id]
-	s.mu.Unlock()
+	t, ok := s.lookup(id)
 	if !ok {
 		return Status{}, false
 	}
@@ -635,9 +590,7 @@ func (s *Server) Job(id string) (Status, bool) {
 
 // Wait blocks until the ticket reaches a terminal state or ctx is done.
 func (s *Server) Wait(ctx context.Context, id string) (Status, error) {
-	s.mu.Lock()
-	t, ok := s.tickets[id]
-	s.mu.Unlock()
+	t, ok := s.lookup(id)
 	if !ok {
 		return Status{}, fmt.Errorf("service: unknown ticket %q", id)
 	}
@@ -663,8 +616,8 @@ func (s *Server) lookup(id string) (*ticket, bool) {
 // whether the ticket exists. Events already logged are replayed first (a
 // late watcher misses nothing), then live completions are yielded as the
 // engine produces them. Iteration ends when the ticket reaches a terminal
-// state — every job of a batch that started running has been yielded by
-// then, cancelled jobs included — or when ctx is done.
+// state — every job of the batch has been yielded by then, cancelled jobs
+// included — or when ctx is done.
 func (s *Server) Watch(ctx context.Context, id string) (iter.Seq[Event], bool) {
 	t, ok := s.lookup(id)
 	if !ok {
@@ -709,13 +662,11 @@ func (t *ticket) watch(ctx context.Context, caughtUp func()) iter.Seq[Event] {
 	}
 }
 
-// Cancel cancels a ticket. Queued tickets are retired on the spot;
-// running tickets stop at the engine's next cancellation point and keep
-// their completed outcomes. Cancel reports whether the ticket exists.
+// Cancel cancels a ticket: its jobs stop at the engine's next
+// cancellation point, and it keeps their completed outcomes. Cancel reports
+// whether the ticket exists.
 func (s *Server) Cancel(id string) bool {
-	s.mu.Lock()
-	t, ok := s.tickets[id]
-	s.mu.Unlock()
+	t, ok := s.lookup(id)
 	if !ok {
 		return false
 	}
@@ -729,7 +680,7 @@ func (s *Server) Cancel(id string) bool {
 func (s *Server) Stats() wire.ServiceStats {
 	m := &s.metrics
 	st := wire.ServiceStats{
-		Queued:       len(s.queue),
+		Queued:       int(s.queued.Load()),
 		InFlight:     int(m.inFlight.Value()),
 		QueueDepth:   s.cfg.QueueDepth,
 		Submitted:    m.tickets.With("submitted").Value(),
@@ -796,26 +747,21 @@ func (s *Server) Draining() bool {
 }
 
 // Shutdown drains the server gracefully: no new submissions are accepted,
-// queued and running tickets finish, then Shutdown returns. If ctx
-// expires first, every outstanding ticket is cancelled and Shutdown
-// returns ctx.Err() once the runners stop. Shutdown is idempotent; only
-// the first call closes the queue.
+// the unfinished tickets finish, then Shutdown returns. If ctx expires
+// first, every outstanding ticket is cancelled and Shutdown returns
+// ctx.Err() once their goroutines end. Shutdown is idempotent.
 func (s *Server) Shutdown(ctx context.Context) error {
 	s.mu.Lock()
-	already := s.draining
 	s.draining = true
 	var pending []*ticket
 	for _, t := range s.tickets {
 		pending = append(pending, t)
 	}
-	if !already {
-		close(s.queue)
-	}
 	s.mu.Unlock()
 
 	done := make(chan struct{})
 	go func() {
-		s.runnerWG.Wait()
+		s.serving.Wait()
 		close(done)
 	}()
 	select {

@@ -80,9 +80,10 @@ func TestSubmitPollWait(t *testing.T) {
 	}
 }
 
-// gateStore blocks every Load until the gate closes: it holds a runner
+// gateStore blocks every Load until the gate closes: it holds a ticket
 // mid-batch deterministically (the store is consulted on each LRU miss,
-// inside the compile worker). Saves are discarded.
+// inside the compile worker, before the compile budget). Saves are
+// discarded.
 type gateStore struct{ gate chan struct{} }
 
 func (g *gateStore) Load(driver.Job) (*pipeline.Result, error, bool) {
@@ -92,28 +93,20 @@ func (g *gateStore) Load(driver.Job) (*pipeline.Result, error, bool) {
 
 func (g *gateStore) Save(driver.Job, *pipeline.Result, error) {}
 
+// TestAdmissionControl: QueueDepth bounds the unfinished tickets. With one
+// ticket held at the gate and a depth of one, the next submit is refused
+// with a retry hint and counted; once the ticket finishes, its place is
+// free again.
 func TestAdmissionControl(t *testing.T) {
-	// One runner, depth 1: the first submit occupies the runner (held at
-	// the gate), the second sits in the queue, the third must be rejected.
 	gate := make(chan struct{})
-	s := New(Config{Runners: 1, QueueDepth: 1, Workers: 1, Store: &gateStore{gate: gate}})
+	release := sync.OnceFunc(func() { close(gate) })
+	s := New(Config{QueueDepth: 1, Store: &gateStore{gate: gate}})
 	defer s.Shutdown(context.Background())
-	defer close(gate) // runs before Shutdown: lets the held batch finish
+	defer release() // runs before Shutdown: lets the held batch finish
 
 	id1, err := s.Submit(testJobs(t, "fpppp", 2), SubmitOptions{})
 	if err != nil {
 		t.Fatal(err)
-	}
-	// Wait until the first ticket actually runs so the queue slot is free.
-	for {
-		st, _ := s.Job(id1)
-		if st.State != StateQueued {
-			break
-		}
-		time.Sleep(time.Millisecond)
-	}
-	if _, err := s.Submit(testJobs(t, "mgrid", 2), SubmitOptions{}); err != nil {
-		t.Fatalf("queue-depth submit rejected: %v", err)
 	}
 	_, err = s.Submit(testJobs(t, "mgrid", 2), SubmitOptions{})
 	var full *ErrQueueFull
@@ -126,12 +119,20 @@ func TestAdmissionControl(t *testing.T) {
 	if s.Stats().Rejected != 1 {
 		t.Fatalf("rejected counter = %d", s.Stats().Rejected)
 	}
+	release()
+	waitDone(t, s, id1)
+	if _, err := s.Submit(testJobs(t, "mgrid", 2), SubmitOptions{}); err != nil {
+		t.Fatalf("submit after the held ticket finished: %v", err)
+	}
 }
 
+// TestCancelQueuedTicket: a ticket cancelled while its jobs are held ends
+// Canceled with the request as its cause, and a ticket held beside it
+// finishes untouched.
 func TestCancelQueuedTicket(t *testing.T) {
 	gate := make(chan struct{})
 	release := sync.OnceFunc(func() { close(gate) })
-	s := New(Config{Runners: 1, QueueDepth: 4, Workers: 1, Store: &gateStore{gate: gate}})
+	s := New(Config{QueueDepth: 4, Workers: 1, Store: &gateStore{gate: gate}})
 	defer s.Shutdown(context.Background())
 	defer release()
 
@@ -144,8 +145,9 @@ func TestCancelQueuedTicket(t *testing.T) {
 		t.Fatal(err)
 	}
 	if !s.Cancel(id2) {
-		t.Fatal("cancel of a queued ticket failed")
+		t.Fatal("cancel of a held ticket failed")
 	}
+	release()
 	st := waitDone(t, s, id2)
 	if st.State != StateCanceled {
 		t.Fatalf("state = %v, want canceled", st.State)
@@ -153,8 +155,6 @@ func TestCancelQueuedTicket(t *testing.T) {
 	if st.Err == nil || !errors.Is(st.Err, errCanceled) {
 		t.Fatalf("cancellation cause missing: %v", st.Err)
 	}
-	// The first ticket is unaffected: release the gate and let it finish.
-	release()
 	if st := waitDone(t, s, id1); st.State != StateDone {
 		t.Fatalf("bystander ticket ended %v (%v)", st.State, st.Err)
 	}
@@ -163,20 +163,20 @@ func TestCancelQueuedTicket(t *testing.T) {
 	}
 }
 
+// TestDeadlineExpiresQueuedTicket: a ticket whose deadline passes while its
+// jobs are held ends Canceled with the deadline as its cause.
 func TestDeadlineExpiresQueuedTicket(t *testing.T) {
 	gate := make(chan struct{})
-	s := New(Config{Runners: 1, QueueDepth: 4, Workers: 1, Store: &gateStore{gate: gate}})
+	s := New(Config{QueueDepth: 4, Workers: 1, Store: &gateStore{gate: gate}})
 	defer s.Shutdown(context.Background())
-	defer close(gate)
 
-	// Occupy the runner, then submit with a deadline too short to ever run.
-	if _, err := s.Submit(testJobs(t, "fpppp", 2), SubmitOptions{}); err != nil {
-		t.Fatal(err)
-	}
 	id, err := s.Submit(testJobs(t, "mgrid", 4), SubmitOptions{Timeout: time.Millisecond})
 	if err != nil {
 		t.Fatal(err)
 	}
+	tk, _ := s.lookup(id)
+	<-tk.ctx.Done()
+	close(gate)
 	st := waitDone(t, s, id)
 	if st.State != StateCanceled {
 		t.Fatalf("state = %v, want canceled", st.State)
@@ -187,7 +187,7 @@ func TestDeadlineExpiresQueuedTicket(t *testing.T) {
 }
 
 func TestGracefulDrain(t *testing.T) {
-	s := New(Config{Runners: 1, Workers: 2})
+	s := New(Config{Workers: 2})
 	jobs := testJobs(t, "mgrid", 6)
 	id, err := s.Submit(jobs, SubmitOptions{})
 	if err != nil {
@@ -198,7 +198,7 @@ func TestGracefulDrain(t *testing.T) {
 	if err := s.Shutdown(ctx); err != nil {
 		t.Fatalf("drain: %v", err)
 	}
-	// The queued ticket finished during the drain.
+	// The ticket finished during the drain.
 	st, ok := s.Job(id)
 	if !ok || st.State != StateDone {
 		t.Fatalf("ticket after drain: %+v ok=%v", st, ok)
@@ -214,10 +214,10 @@ func TestGracefulDrain(t *testing.T) {
 
 func TestShutdownDeadlineCancelsInFlight(t *testing.T) {
 	// The batch is held at the gate, so the graceful drain cannot finish;
-	// the deadline path must cancel the ticket and still wait for the
-	// runner to exit.
+	// the deadline path must cancel the ticket and still wait for its
+	// goroutine to end.
 	gate := make(chan struct{})
-	s := New(Config{Runners: 1, Workers: 1, Store: &gateStore{gate: gate}})
+	s := New(Config{Workers: 1, Store: &gateStore{gate: gate}})
 	id, err := s.Submit(testJobs(t, "wave5", 8), SubmitOptions{})
 	if err != nil {
 		t.Fatal(err)

@@ -413,7 +413,7 @@ func TestStreamWritesAFramePerWriteAndFlushesPerBacklog(t *testing.T) {
 	for {
 		tk, _ := s.lookup(id)
 		tk.mu.Lock()
-		n := len(tk.events)
+		n := len(tk.order)
 		tk.mu.Unlock()
 		if n == len(jobs)-1 {
 			break

@@ -78,7 +78,7 @@ func TestMetricsEndpointAgreesWithStats(t *testing.T) {
 	defer cache.Close()
 
 	gate := newLoopGateStore(loops[1].Graph.Name)
-	s := New(Config{Runners: 2, Store: heldStore{cache, gate}})
+	s := New(Config{Store: heldStore{cache, gate}})
 	defer s.Shutdown(context.Background())
 	ts := httptest.NewServer(s.Handler())
 	defer ts.Close()

@@ -53,7 +53,7 @@ func echoingServer(t *testing.T, cfg service.Config) *httptest.Server {
 func TestClientsDecodeAnEchoingServer(t *testing.T) {
 	jobs := conformanceJobs(t)
 	want := referenceOutcomes(t, jobs)
-	a, b := echoingServer(t, service.Config{}), echoingServer(t, service.Config{Runners: 4})
+	a, b := echoingServer(t, service.Config{}), echoingServer(t, service.Config{})
 	cluster := NewCluster([]string{b.URL}, WithNodeInFlight(2), WithHealthInterval(-1))
 	t.Cleanup(cluster.Close)
 	for name, backend := range map[string]Backend{
