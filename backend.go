@@ -35,8 +35,12 @@ type Backend interface {
 	// order follows completion, not submission. Every job yields exactly
 	// once: cancelling ctx mid-stream leaves the finished outcomes intact
 	// and stamps every remaining job's outcome with the cancellation.
-	// Stopping the iteration early abandons the remaining work. For
-	// deterministic index-ordered results, collect with Collect.
+	// After cancel returns a backend yields at most W more successes,
+	// outcomes finished on their way to the caller: W is the worker count
+	// for the local engine (each worker may hold one), and 0 for the remote
+	// client and the fleet, which stamp an outcome that reaches them after
+	// the cancel. Stopping the iteration early abandons the remaining
+	// work. For deterministic index-ordered results, collect with Collect.
 	Stream(ctx context.Context, jobs []CompileJob) iter.Seq2[int, CompileOutcome]
 }
 

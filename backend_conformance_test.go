@@ -12,14 +12,20 @@ package clusched
 //     not just slow it down);
 //   - cancelling mid-stream leaves a clean prefix: every job yields
 //     exactly once, finished outcomes are identical to an uncancelled
-//     run, everything else carries the cancellation.
+//     run, everything else carries the cancellation;
+//   - once cancel returns, at most W more successes: the worker count
+//     locally, none remotely or from a fleet.
 
 import (
+	"bytes"
 	"context"
 	"fmt"
+	"io"
+	"net/http"
 	"net/http/httptest"
 	"slices"
 	"strings"
+	"sync"
 	"testing"
 	"time"
 
@@ -55,18 +61,19 @@ func (g *gateStore) Load(j CompileJob) (*Result, error, bool) {
 func (g *gateStore) Save(CompileJob, *Result, error) {}
 
 // backendCase builds one Backend implementation over a given engine
-// config; the store gate and worker bound ride the config into both.
+// config; the store gate and worker bound ride the config into both, and
+// the client options (WithHTTPClient) into the remote ones.
 type backendCase struct {
 	name string
-	make func(t *testing.T, cfg driver.Config) Backend
+	make func(t *testing.T, cfg driver.Config, opts ...Option) Backend
 }
 
 func backendCases() []backendCase {
 	return []backendCase{
-		{name: "local", make: func(t *testing.T, cfg driver.Config) Backend {
+		{name: "local", make: func(t *testing.T, cfg driver.Config, _ ...Option) Backend {
 			return driver.New(cfg)
 		}},
-		{name: "remote", make: func(t *testing.T, cfg driver.Config) Backend {
+		{name: "remote", make: func(t *testing.T, cfg driver.Config, opts ...Option) Backend {
 			t.Helper()
 			s := service.New(service.Config{Workers: cfg.Workers, CacheSize: cfg.CacheSize, Store: cfg.Store})
 			ts := httptest.NewServer(s.Handler())
@@ -74,11 +81,11 @@ func backendCases() []backendCase {
 				ts.Close()
 				s.Shutdown(context.Background())
 			})
-			return NewRemote(ts.URL)
+			return NewRemote(ts.URL, opts...)
 		}},
-		{name: "cluster", make: func(t *testing.T, cfg driver.Config) Backend {
+		{name: "cluster", make: func(t *testing.T, cfg driver.Config, opts ...Option) Backend {
 			t.Helper()
-			_, cl := newConformanceFleet(t, cfg, 3)
+			_, cl := newConformanceFleet(t, cfg, 3, opts...)
 			return cl
 		}},
 	}
@@ -90,7 +97,7 @@ const conformanceNodeInFlight = 2
 // newConformanceFleet starts n in-process service instances sharing the
 // engine config (so store gates apply fleet-wide) and returns them with a
 // Cluster backend over all of them.
-func newConformanceFleet(t *testing.T, cfg driver.Config, n int) ([]*httptest.Server, *Cluster) {
+func newConformanceFleet(t *testing.T, cfg driver.Config, n int, opts ...Option) ([]*httptest.Server, *Cluster) {
 	t.Helper()
 	tss := make([]*httptest.Server, n)
 	urls := make([]string, n)
@@ -103,9 +110,9 @@ func newConformanceFleet(t *testing.T, cfg driver.Config, n int) ([]*httptest.Se
 		})
 		tss[i], urls[i] = ts, ts.URL
 	}
-	cl := NewCluster(urls,
+	cl := NewCluster(urls, append([]Option{
 		WithNodeInFlight(conformanceNodeInFlight),
-		WithHealthInterval(50*time.Millisecond))
+		WithHealthInterval(50 * time.Millisecond)}, opts...)...)
 	t.Cleanup(cl.Close)
 	return tss, cl
 }
@@ -188,9 +195,9 @@ func TestBackendConformanceIdenticalResults(t *testing.T) {
 	cases := backendCases()
 	for _, bc := range cases {
 		if bc.name == "remote" {
-			cases = append(cases, backendCase{name: "remote-cache-off", make: func(t *testing.T, cfg driver.Config) Backend {
+			cases = append(cases, backendCase{name: "remote-cache-off", make: func(t *testing.T, cfg driver.Config, opts ...Option) Backend {
 				cfg.CacheSize = -1
-				return bc.make(t, cfg)
+				return bc.make(t, cfg, opts...)
 			}})
 		}
 	}
@@ -330,7 +337,7 @@ func TestBackendConformanceEarlyStop(t *testing.T) {
 // the cancellation deterministically lands mid-stream, and a second one,
 // last, stays gated until the stream has ended, so some job is still
 // pending when it does: on a fleet the other members' runs go on finishing,
-// and outcomes that arrive after the cancel are still delivered.
+// and outcomes that arrive after the cancel carry it.
 func TestBackendConformanceCancelCleanPrefix(t *testing.T) {
 	for _, bc := range backendCases() {
 		t.Run(bc.name, func(t *testing.T) {
@@ -386,6 +393,169 @@ func TestBackendConformanceCancelCleanPrefix(t *testing.T) {
 			}
 			if failed == 0 {
 				t.Fatal("cancellation mid-stream produced no failed outcomes")
+			}
+		})
+	}
+}
+
+// heldFrames is an http.RoundTripper that can hold compile answers in the
+// connection: each streamed or unary answer is pumped into memory as it
+// arrives and handed to its reader a line at a time — until the transport
+// is armed. From then on nothing reaches a reader until it is released,
+// while the pumps read on. Outcomes the server finished before a cancel
+// then reach the reader after it: the deterministic form of frames still
+// in flight on the wire.
+type heldFrames struct {
+	tr              *http.Transport
+	mu              sync.Mutex
+	changed         *sync.Cond
+	armed, released bool
+	bodies          []*heldBody
+}
+
+// heldBody is one answer's body behind a heldFrames.
+type heldBody struct {
+	h     *heldFrames
+	under io.ReadCloser
+	unary bool   // a POST /compile answer: one outcome, counted once whole
+	buf   []byte // read from the connection, not yet by the reader
+	err   error  // the connection's last word
+}
+
+func newHeldFrames(t *testing.T) *heldFrames {
+	h := &heldFrames{tr: http.DefaultTransport.(*http.Transport).Clone()}
+	h.changed = sync.NewCond(&h.mu)
+	t.Cleanup(h.tr.CloseIdleConnections)
+	return h
+}
+
+func (h *heldFrames) RoundTrip(req *http.Request) (*http.Response, error) {
+	resp, err := h.tr.RoundTrip(req)
+	path := req.URL.Path
+	if err != nil || req.Method == http.MethodDelete || path != "/compile" && !strings.HasPrefix(path, "/batch") {
+		return resp, err
+	}
+	b := &heldBody{h: h, under: resp.Body, unary: path == "/compile"}
+	h.mu.Lock()
+	h.bodies = append(h.bodies, b)
+	h.mu.Unlock()
+	go b.pump()
+	resp.Body = b
+	return resp, nil
+}
+
+func (b *heldBody) pump() {
+	chunk := make([]byte, 4096)
+	for {
+		n, err := b.under.Read(chunk)
+		b.h.mu.Lock()
+		b.buf, b.err = append(b.buf, chunk[:n]...), err
+		b.h.changed.Broadcast()
+		b.h.mu.Unlock()
+		if err != nil {
+			return
+		}
+	}
+}
+
+func (b *heldBody) Read(p []byte) (int, error) {
+	h := b.h
+	h.mu.Lock()
+	defer h.mu.Unlock()
+	for len(b.buf) == 0 && b.err == nil || h.armed && !h.released {
+		h.changed.Wait()
+	}
+	if len(b.buf) == 0 {
+		return 0, b.err
+	}
+	line := b.buf
+	if i := bytes.IndexByte(line, '\n'); i >= 0 {
+		line = line[:i+1]
+	}
+	n := copy(p, line)
+	b.buf = b.buf[n:]
+	return n, nil
+}
+
+func (b *heldBody) Close() error { return b.under.Close() }
+
+// arm stops handing anything to the readers; release hands it all on.
+func (h *heldFrames) arm() { h.set(&h.armed) }
+
+func (h *heldFrames) release() { h.set(&h.released) }
+
+func (h *heldFrames) set(flag *bool) {
+	h.mu.Lock()
+	*flag = true
+	h.changed.Broadcast()
+	h.mu.Unlock()
+}
+
+// await waits until the pumps hold k finished outcomes no reader has been
+// handed, and reports whether they did within a minute.
+func (h *heldFrames) await(k int) bool {
+	for deadline := time.Now().Add(time.Minute); time.Now().Before(deadline); time.Sleep(time.Millisecond) {
+		h.mu.Lock()
+		held := 0
+		for _, b := range h.bodies {
+			if b.unary {
+				if b.err == io.EOF && len(b.buf) > 0 {
+					held++
+				}
+				continue
+			}
+			held += bytes.Count(b.buf[:bytes.LastIndexByte(b.buf, '\n')+1], []byte(`"type":"outcome"`))
+		}
+		h.mu.Unlock()
+		if held >= k {
+			return true
+		}
+	}
+	return false
+}
+
+// TestBackendConformanceNoSuccessAfterCancel: once cancel returns, a
+// Stream yields at most W more successes (Backend.Stream): the worker
+// count locally, none remotely or from a fleet. The remote transports hold
+// two finished outcomes in the connection across the cancel (heldFrames),
+// so a backend that yields what it reads after a cancel fails every time.
+func TestBackendConformanceNoSuccessAfterCancel(t *testing.T) {
+	const workers, held = 1, 2
+	for _, bc := range backendCases() {
+		t.Run(bc.name, func(t *testing.T) {
+			jobs := conformanceJobs(t)
+			h := newHeldFrames(t)
+			b := bc.make(t, driver.Config{Workers: workers}, WithHTTPClient(&http.Client{Transport: h}))
+			defer h.release() // before the servers' cleanup: nothing stays held
+			w := 0
+			if bc.name == "local" {
+				w = workers
+			}
+			ctx, cancel := context.WithCancel(context.Background())
+			defer cancel()
+			yielded, after := 0, 0
+			for _, out := range b.Stream(ctx, jobs) {
+				yielded++
+				if ctx.Err() != nil {
+					if out.Err == nil {
+						after++
+					}
+					continue
+				}
+				if bc.name != "local" {
+					h.arm()
+					if !h.await(held) {
+						t.Fatalf("the connections never held %d finished outcomes", held)
+					}
+				}
+				cancel()
+				h.release()
+			}
+			if yielded != len(jobs) {
+				t.Fatalf("%d of %d jobs yielded", yielded, len(jobs))
+			}
+			if after > w {
+				t.Fatalf("%d successes after cancel returned, want at most %d", after, w)
 			}
 		})
 	}

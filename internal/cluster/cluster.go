@@ -324,7 +324,8 @@ func (c *Cluster) route(jobs []driver.Job) (map[*member][]int, int) {
 // sub-batch its whole worker pool serves, and what bounded-load routing put
 // above the even share is the home's next run. Every job yields exactly
 // once, tagged with its index, the moment its outcome arrives; cancelling
-// ctx mid-stream stamps the remaining jobs with the cancellation; stopping
+// ctx mid-stream stamps the remaining jobs with the cancellation, an outcome
+// finished before the cancel but not yet yielded among them; stopping
 // the iteration early abandons the remaining work. Either way every ticket
 // still open on a node is cancelled there before Stream returns.
 func (c *Cluster) Stream(ctx context.Context, jobs []driver.Job) iter.Seq2[int, driver.Outcome] {
@@ -392,6 +393,11 @@ func (c *Cluster) Stream(ctx context.Context, jobs []driver.Job) iter.Seq2[int, 
 			}
 		}()
 		for r := range results {
+			if r.out.Err == nil && ctx.Err() != nil {
+				// Handed over after the cancel: booked as cancelled, like
+				// every job no exchange had delivered by then.
+				r.out = driver.Outcome{Job: r.out.Job, Err: ctx.Err()}
+			}
 			if !yield(r.i, r.out) {
 				return
 			}

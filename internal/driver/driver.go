@@ -385,8 +385,11 @@ func keyFor(j Job) cacheKey {
 // schedules, so v5 entries must miss rather than answer with the old ones.
 // v7 keeps the format: moddist deals each operation only onto clusters with
 // a unit of its class, which moves moddist results on machines whose
-// clusters lack a class of unit, so v6 entries must miss.
-const jobKeyVersion = "v7"
+// clusters lack a class of unit, so v6 entries must miss. v8 keeps the
+// format: an attempt below its placement's recurrence bound is tallied as
+// a recurrence failure, which moves a few IIIncreases, so v7 entries must
+// miss.
+const jobKeyVersion = "v8"
 
 // JobKey returns the job's content-addressed cache identity as a string:
 // the format version, the canonical graph fingerprint, the canonical

@@ -42,15 +42,15 @@ func TestJobKeyGolden(t *testing.T) {
 	}{
 		{
 			pipeline.Options{},
-			fmt.Sprintf("v7|c=%016x|m=4c2b2l64r|strat=paper|rep=0|lrep=0|lat0=0|macro=0|maxii=0|noreg=0|ver=0", g.CanonicalFingerprint()),
+			fmt.Sprintf("v8|c=%016x|m=4c2b2l64r|strat=paper|rep=0|lrep=0|lat0=0|macro=0|maxii=0|noreg=0|ver=0", g.CanonicalFingerprint()),
 		},
 		{
 			pipeline.Options{Replicate: true, LengthReplicate: true, MaxII: 17, VerifySchedules: true},
-			fmt.Sprintf("v7|c=%016x|m=4c2b2l64r|strat=paper|rep=1|lrep=1|lat0=0|macro=0|maxii=17|noreg=0|ver=1", g.CanonicalFingerprint()),
+			fmt.Sprintf("v8|c=%016x|m=4c2b2l64r|strat=paper|rep=1|lrep=1|lat0=0|macro=0|maxii=17|noreg=0|ver=1", g.CanonicalFingerprint()),
 		},
 		{
 			pipeline.Options{Strategy: "uas"},
-			fmt.Sprintf("v7|c=%016x|m=4c2b2l64r|strat=uas|rep=0|lrep=0|lat0=0|macro=0|maxii=0|noreg=0|ver=0", g.CanonicalFingerprint()),
+			fmt.Sprintf("v8|c=%016x|m=4c2b2l64r|strat=uas|rep=0|lrep=0|lat0=0|macro=0|maxii=0|noreg=0|ver=0", g.CanonicalFingerprint()),
 		},
 	}
 	for _, tc := range cases {
@@ -162,7 +162,7 @@ func TestJobKeyDistinguishesStrategy(t *testing.T) {
 		t.Fatalf("default-strategy key %s differs from explicit paper key %s", def, keys["paper"])
 	}
 	for _, k := range keys {
-		if !strings.HasPrefix(k, "v7|") {
+		if !strings.HasPrefix(k, "v8|") {
 			t.Fatalf("key %s lacks the version prefix", k)
 		}
 	}

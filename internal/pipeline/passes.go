@@ -138,7 +138,9 @@ func (UASAssignPass) Run(ctx *Context) error {
 // attempts fail with CauseBus until the interval's bus budget covers the
 // (fixed) communication count C. The assignment, and so C, is the same at
 // every interval of the search, so a failed bus precheck fails again at
-// every II below MinBusII(C): the pass names that interval as NextII.
+// every II below MinBusII(C): the pass names that interval as NextII. So
+// is the placement, which the pass marks FixedPlacement: a schedule
+// refused below its recurrence bound jumps there too (SchedulePass).
 type ModDistPass struct{}
 
 // Name implements Pass.
@@ -169,6 +171,7 @@ func (ModDistPass) Run(ctx *Context) error {
 		ctx.Assign = &ar.fixed
 	}
 	ctx.Placement = ctx.arena.Sched.Placement(ctx.Graph, ctx.Assign)
+	ctx.FixedPlacement = true
 	ctx.CommsBeforeReplication = ctx.Placement.Comms()
 	if m.Clustered() && ctx.CommsBeforeReplication > m.BusComs(ctx.II) {
 		ctx.NextII = m.MinBusII(ctx.CommsBeforeReplication)
@@ -179,7 +182,9 @@ func (ModDistPass) Run(ctx *Context) error {
 
 // SchedulePass modulo-schedules the placed loop at the current II. On
 // failure the attempt fails with the Fig. 1 cause bucket of the scheduler
-// error.
+// error. A refusal below the placement's recurrence bound fails every
+// interval up to the bound while the placement stays put: on a
+// FixedPlacement the pass names the bound as NextII.
 type SchedulePass struct{}
 
 // Name implements Pass.
@@ -190,6 +195,9 @@ func (SchedulePass) Run(ctx *Context) error {
 	s, err := sched.ScheduleLoopScratch(ctx.Placement, ctx.Machine, ctx.II, ctx.Opts.ZeroBusLatency,
 		sched.Options{SkipRegisterCheck: ctx.Opts.IgnoreRegisterPressure}, ctx.arena.Sched)
 	if err != nil {
+		if e, ok := err.(*sched.Error); ok && ctx.FixedPlacement {
+			ctx.NextII = e.Bound
+		}
 		ctx.Fail(ClassifyFailure(err))
 		return nil
 	}
@@ -217,7 +225,8 @@ func (VerifyPass) Run(ctx *Context) error {
 }
 
 // ClassifyFailure maps scheduler failures to Fig. 1 cause buckets: window
-// failures are recurrence-driven; register failures are their own bucket;
+// failures, an interval below the placement's recurrence bound among them,
+// are recurrence-driven; register failures are their own bucket;
 // every resource failure lands in the bus bucket, whether or not the
 // unplaceable instance was a bus copy. Copy failures are literal bus
 // pressure; residual contention on ordinary ops traces back to

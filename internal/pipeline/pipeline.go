@@ -213,6 +213,12 @@ type Context struct {
 	// those intervals under this attempt's cause and resumes at NextII
 	// (skip-ahead). Zero, or anything up to II+1, is the plain II+1.
 	NextII int
+	// FixedPlacement is set by a pass whose placement is the same at every
+	// interval of the search (moddist's): a schedule refused below that
+	// placement's recurrence bound is then refused at every interval up to
+	// it, and SchedulePass names the bound as NextII. A pass that changes
+	// the placement after it must clear it.
+	FixedPlacement bool
 
 	// arena holds the scratch allocators shared by all attempts of this
 	// compilation (and, under the driver, by all jobs of a worker); the
@@ -239,6 +245,7 @@ func (c *Context) reset(ii int) {
 	c.ReplStats = replic.Stats{}
 	c.Schedule = nil
 	c.NextII = 0
+	c.FixedPlacement = false
 	c.failed = false
 }
 
@@ -266,9 +273,14 @@ func CompileContextArena(ctx context.Context, g *ddg.Graph, m machine.Config, op
 	return Search(ctx, g, m, opts, SearchConfig{Arena: arena})
 }
 
-// MaxII returns the automatic II search bound for a loop on a machine: any
-// loop fits once the II covers all communications, the longest latency
-// chain and the whole resource footprint.
+// MaxII returns the automatic II search bound for a loop on a machine: a
+// cap on the climb that covers every communication, the longest latency
+// chain and the whole resource footprint, not a proof that the loop fits
+// below it — a loop whose register pressure no placement spreads fails at
+// every interval. The search stops short of the cap only on a proof that
+// the intervals left fail, a moddist jump past it: to its bus count's
+// interval (Machine.MinBusII) or its placement's recurrence bound
+// (math.MaxInt for a cycle of distance 0).
 func MaxII(g *ddg.Graph, m machine.Config, lower int) int {
 	return lower + m.MinBusII(g.NumNodes()) + 16*g.NumNodes() + 256
 }

@@ -7,7 +7,9 @@ package pipeline
 // Context.Assign. One acceleration rides on that loop, and it may not
 // change any observable output: skip-ahead — when the pass that failed an
 // attempt proves the intervals up to Context.NextII fail the same way
-// (moddist's fixed assignment), the search tallies them and jumps.
+// (moddist's fixed assignment: its bus count, and its placement's
+// recurrence bound), the search tallies them and jumps. A proven bound
+// past the search's cap ends the search at once.
 // Results are bit-identical to the naive one-attempt-per-interval search —
 // search_parity_test.go pins this against referenceSearch across suites,
 // configs, strategies, traced and untraced.
@@ -114,7 +116,8 @@ func search(cctx context.Context, g *ddg.Graph, m machine.Config, opts Options, 
 			// The failing pass proved every interval in [ii, NextII) fails
 			// exactly as this one did; tally those failures and jump. The
 			// tallied range is capped at maxII, matching the last attempt
-			// the one-by-one search makes before it gives up.
+			// the one-by-one search makes before it gives up, so a bound
+			// past it (math.MaxInt included) ends the search here.
 			if next := front.NextII; next > ii {
 				skipped := min(next, maxII+1) - ii
 				res.IIIncreases[cause] += skipped

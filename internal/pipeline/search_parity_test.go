@@ -283,3 +283,28 @@ func TestSearchMatchesReferenceOnCorpus(t *testing.T) {
 		t.Error("no loop on which moddist skips eight or more intervals")
 	}
 }
+
+// TestModDistJumpsToTheRecurrenceBound verifies moddist's recurrence jump
+// fires: its placement never changes, so a schedule refused below the
+// placement's recurrence bound is refused at every interval up to it, and
+// the production search must run fewer scheduling passes than the linear
+// one — at least eight fewer on some corpus loop — with the same result.
+func TestModDistJumpsToTheRecurrenceBound(t *testing.T) {
+	m, spec := machine.MustParse("4c2b2l64r"), corpus.DefaultSpec()
+	chain := func(n *int) []Pass { return []Pass{ModDistPass{}, countingPass{SchedulePass{}, n}, VerifyPass{}} }
+	fired, most := 0, 0
+	for i := 0; i < 60; i++ {
+		g := spec.Loop(i)
+		var nSkip, nLin int
+		skip, skipErr := search(t.Context(), g, m, Options{Strategy: "moddist"}, Strategy{Chain: chain(&nSkip)}, SearchConfig{})
+		lin, linErr := referenceChain(g, m, Options{Strategy: "moddist"}, chain(&nLin))
+		requireSameResult(t, g.Name, skip, lin, skipErr, linErr)
+		if nSkip < nLin {
+			fired++
+			most = max(most, nLin-nSkip)
+		}
+	}
+	if fired == 0 || most < 8 {
+		t.Fatalf("moddist's recurrence jump skipped scheduling passes on %d of 60 loops, at most %d on one; want some, and ≥ 8 on one", fired, most)
+	}
+}

@@ -22,20 +22,43 @@ import (
 	"clusched/internal/workload"
 )
 
-// retiredSchedule is pipeline.SchedulePass on the retired scheduler.
+// retiredSchedule is pipeline.SchedulePass on the retired scheduler, under
+// one rule the retired scheduler did not know: a failure below the
+// placement's recurrence bound is a recurrence failure, whatever the
+// priority order ran into. It takes no jump: the retired search climbs
+// every interval.
 type retiredSchedule struct{ sc *sched.Scratch }
 
 func (retiredSchedule) Name() string { return "schedule" }
+
+// reclassified lists the attempts the rule moved into the recurrence
+// bucket since the last test read it.
+var reclassified []string
 
 func (p retiredSchedule) Run(ctx *pipeline.Context) error {
 	s, err := sched.ReferenceScheduleLoopScratch(ctx.Placement, ctx.Machine, ctx.II, ctx.Opts.ZeroBusLatency,
 		sched.Options{SkipRegisterCheck: ctx.Opts.IgnoreRegisterPressure}, p.sc)
 	if err != nil {
-		ctx.Fail(pipeline.ClassifyFailure(err))
+		cause := pipeline.ClassifyFailure(err)
+		if cause != pipeline.CauseRecurrence && sched.BelowRecurrence(ctx.Placement, ctx.Machine, ctx.II, ctx.Opts.ZeroBusLatency) {
+			reclassified = append(reclassified, fmt.Sprintf("%s on %s (%s, zero bus %v) at II=%d: %s → %s",
+				ctx.Graph.Name, ctx.Machine.Name, ctx.Opts.StrategyName(), ctx.Opts.ZeroBusLatency, ctx.II, cause, pipeline.CauseRecurrence))
+			cause = pipeline.CauseRecurrence
+		}
+		ctx.Fail(cause)
 		return nil
 	}
 	ctx.Schedule = s
 	return nil
+}
+
+// logReclassified logs and forgets the attempts the rule moved.
+func logReclassified(t *testing.T) {
+	for _, a := range reclassified {
+		t.Logf("below the recurrence bound: %s", a)
+	}
+	t.Logf("%d attempts reclassified", len(reclassified))
+	reclassified = nil
 }
 
 // retiredUAS is pipeline.UASAssignPass on the retired sweep.
@@ -152,6 +175,7 @@ func TestSearchMatchesRetiredSchedulerOnTheSuite(t *testing.T) {
 	}
 	loops := workload.SPECfp95()
 	o := newOracle()
+	defer logReclassified(t)
 	failed := 0
 	for _, m := range machine.PaperConfigs() {
 		for _, name := range strategies {
@@ -175,6 +199,7 @@ func TestSearchMatchesRetiredSchedulerOnAHeterogeneousMachine(t *testing.T) {
 	}
 	loops := workload.SPECfp95()
 	o := newOracle()
+	defer logReclassified(t)
 	for _, fu := range [][][ddg.NumClasses]int{
 		{{3, 1, 2}, {1, 3, 2}},
 		{{2, 0, 1}, {1, 2, 1}, {0, 2, 2}},
@@ -207,6 +232,7 @@ func TestSearchMatchesRetiredSchedulerOnTheCorpus(t *testing.T) {
 	spec.Seed = 20031203
 	screen := pipeline.NewArena()
 	o := newOracle()
+	defer logReclassified(t)
 	failed := 0
 	for i, kept := 0, 0; kept < n; i++ {
 		g := spec.Loop(i)

@@ -3,8 +3,9 @@ package sched
 import "math"
 
 // belowRecurrence reports whether ii is below the instance graph's
-// recurrence bound: the least interval at which every cycle of distinct
-// instances fits its latencies into its distances' worth of intervals.
+// recurrence bound, and if it is, the bound: the least interval at which
+// every cycle of distinct instances fits its latencies into its distances'
+// worth of intervals (math.MaxInt when a cycle has distance 0).
 // runWithOrder meets every edge between two placed instances (a self-edge
 // it does not read), so below that bound no order places every instance.
 //
@@ -13,24 +14,29 @@ import "math"
 // the graph's cycles admit bounds it from above, and one they refuse is
 // answered with the exact bound. A search that climbs the ladder on an
 // unchanged placement walks the graph once.
-func belowRecurrence(ig *IGraph, ii int, sc *Scratch) bool {
-	lo, hi := 1, math.MaxInt // lo ≤ bound ≤ hi
-	own := ig == &sc.ig
-	if own && sc.recOK {
-		lo, hi = sc.recLo, sc.recHi
-	}
+func belowRecurrence(ig *IGraph, ii int, sc *Scratch) (int, bool) {
+	lo, hi := sc.knownRecurrence(ig) // lo ≤ bound ≤ hi
 	if ii < lo || ii >= hi {
-		return ii < lo
+		return lo, ii < lo
 	}
 	if bound, refused := recurrenceBound(ig, ii, sc); refused {
 		lo, hi = bound, bound
 	} else {
 		hi = ii
 	}
-	if own {
+	if ig == &sc.ig {
 		sc.recLo, sc.recHi, sc.recOK = lo, hi, true
 	}
-	return ii < lo
+	return lo, ii < lo
+}
+
+// knownRecurrence returns what the arena knows of ig's recurrence bound
+// without walking it: lo ≤ bound ≤ hi, where lo is 1 or the exact bound.
+func (sc *Scratch) knownRecurrence(ig *IGraph) (lo, hi int) {
+	if ig == &sc.ig && sc.recOK {
+		return sc.recLo, sc.recHi
+	}
+	return 1, math.MaxInt
 }
 
 // recurrenceBound returns the recurrence bound of ig if some cycle refuses

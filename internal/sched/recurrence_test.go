@@ -2,11 +2,13 @@ package sched
 
 import (
 	"math/rand"
+	"slices"
 	"testing"
 
 	"clusched/internal/corpus"
 	"clusched/internal/ddg"
 	"clusched/internal/machine"
+	"clusched/internal/mii"
 	"clusched/internal/partition"
 	"clusched/internal/workload"
 )
@@ -34,7 +36,8 @@ func admits(ig *IGraph, ii int) bool {
 	return false
 }
 
-// TestBelowRecurrenceIsExact holds belowRecurrence to admits on the
+// TestBelowRecurrenceIsExact holds belowRecurrence, and the bound it
+// names below it, to admits on the
 // instance graphs of the suite and of corpus loops, on 2- and 4-cluster
 // machines, real and zero bus latency, at every interval up to past the
 // bound: asked up the ladder and down it on arenas that keep what they
@@ -78,8 +81,9 @@ func TestBelowRecurrenceIsExact(t *testing.T) {
 					if err != nil {
 						t.Fatal(err)
 					}
-					if got := belowRecurrence(ig, ii, sc); got != want[ii] {
-						t.Fatalf("%s on %s (zero bus %v), asked %s: belowRecurrence(II=%d) = %v, want %v", g.Name, m.Name, zeroBus, how, ii, got, want[ii])
+					bound, got := belowRecurrence(ig, ii, sc)
+					if got != want[ii] || got && bound != top {
+						t.Fatalf("%s on %s (zero bus %v), asked %s: belowRecurrence(II=%d) = %d, %v, want %d, %v", g.Name, m.Name, zeroBus, how, ii, bound, got, top, want[ii])
 					}
 				}
 				for ii := 1; ii < len(want); ii++ {
@@ -97,4 +101,65 @@ func TestBelowRecurrenceIsExact(t *testing.T) {
 		t.Error("no interval below a recurrence bound was asked")
 	}
 	t.Logf("%d intervals below the bound", refused)
+}
+
+// TestRunRefusesBelowTheRecurrenceBound: a two-node recurrence split over
+// two clusters, whose copies lift its instance graph's recurrence bound
+// above the loop's MII. Below the bound run fails with the bound, a window
+// failure, and once the arena knows the bound it refuses without placing
+// an instance; at the bound and above it schedules as the retired attempt
+// does.
+func TestRunRefusesBelowTheRecurrenceBound(t *testing.T) {
+	b := ddg.NewBuilder("split")
+	u := b.Node("u", ddg.OpIAdd)
+	v := b.Node("v", ddg.OpIAdd)
+	b.Edge(u, v, 0)
+	b.Edge(v, u, 1)
+	g := b.MustBuild()
+	m := machine.MustParse("2c1b2l64r")
+	p := placementOn(g, m, []int{0, 1})
+	sc := NewScratch()
+	ig, err := sc.buildIGraph(p, m, false)
+	if err != nil {
+		t.Fatal(err)
+	}
+	bound := 1
+	for !admits(ig, bound) {
+		bound++
+	}
+	lo := mii.MII(g, m)
+	if bound <= lo {
+		t.Fatalf("recurrence bound %d, want above the MII %d", bound, lo)
+	}
+	refused := func(ii int, placing bool) {
+		t.Helper()
+		const sentinel = -7
+		sc.time = grown(sc.time, ig.NumInstances())
+		for i := range sc.time {
+			sc.time[i] = sentinel
+		}
+		_, _, err := run(ig, ii, Options{}, sc)
+		want := Error{Kind: FailWindow, Inst: -1, II: ii, Bound: bound}
+		if e, ok := err.(*Error); !ok || *e != want {
+			t.Fatalf("II=%d: error %v, want %+v", ii, err, want)
+		}
+		if untouched := slices.IndexFunc(sc.time, func(x int) bool { return x != sentinel }) < 0; untouched == placing {
+			t.Fatalf("II=%d: placed instances %v, want %v", ii, !untouched, placing)
+		}
+		if _, _, err := referenceRun(ig, ii, Options{}, NewScratch()); err == nil {
+			t.Fatalf("II=%d: the retired attempt schedules below the bound", ii)
+		}
+	}
+	refused(bound-1, true) // the priority order fails, and the walk finds the bound
+	for ii := lo; ii < bound; ii++ {
+		refused(ii, false)
+	}
+	for ii := bound; ii < bound+3; ii++ {
+		length, live, err := run(ig, ii, Options{}, sc)
+		ref := NewScratch()
+		refLength, refLive, refErr := referenceRun(ig, ii, Options{}, ref)
+		if err != nil || refErr != nil || length != refLength || !slices.Equal(live, refLive) || !slices.Equal(sc.time, ref.time) {
+			t.Fatalf("II=%d: %d %v %v %v, want %d %v %v %v", ii, length, live, sc.time, err, refLength, refLive, ref.time, refErr)
+		}
+	}
 }

@@ -15,7 +15,8 @@ const (
 	// FailNone means success.
 	FailNone FailKind = iota
 	// FailWindow means a node's dependence window closed: its scheduled
-	// predecessors and successors left no legal slot. This is the
+	// predecessors and successors left no legal slot, or the II is below
+	// the instance graph's recurrence bound (Error.Bound). This is the
 	// recurrence-driven failure mode.
 	FailWindow
 	// FailResource means every slot in the node's window was occupied
@@ -55,6 +56,10 @@ type Error struct {
 	II int
 	// EStart and LStart bound the closed window of a FailWindow.
 	EStart, LStart int
+	// Bound, when not 0, is the recurrence bound of the instance graph a
+	// FailWindow refused the II below: every interval under it fails on
+	// this placement (math.MaxInt: at every interval).
+	Bound int
 	// Cluster, Live and Regs describe a FailRegisters overflow.
 	Cluster, Live, Regs int
 	// Detail optionally carries extra context from cold paths (Adopt).
@@ -68,6 +73,9 @@ func (e *Error) Error() string {
 	}
 	switch e.Kind {
 	case FailWindow:
+		if e.Bound != 0 {
+			return fmt.Sprintf("sched: window: II=%d is below the recurrence bound %d", e.II, e.Bound)
+		}
 		if e.Inst < 0 {
 			return fmt.Sprintf("sched: window: infeasible at II=%d", e.II)
 		}
@@ -115,7 +123,9 @@ type Options struct {
 // node) and with the condensation-topological one. On failure the error of
 // the first attempt is returned, as it carries the more meaningful cause.
 // Below the graph's recurrence bound no order can place every instance, so
-// there the fallbacks are not tried.
+// there the fallbacks are not tried and the failure is the bound's: a
+// FailWindow carrying it. An interval below a bound the arena already
+// knows for its graph (igKey) is refused without placing anything.
 //
 // Temporaries are resized in place inside sc instead of reallocated, and
 // nothing is copied out: the schedule found is sc.time, with its length
@@ -131,20 +141,26 @@ func run(ig *IGraph, ii int, opts Options, sc *Scratch) (length int, maxLive []i
 		*first = Error{Kind: FailWindow, Inst: -1, II: ii}
 		return 0, nil, first
 	}
-	tm := computeIGTiming(ig, ii, sc)
 	if opts.ForceTopoOrder {
+		tm := computeIGTiming(ig, ii, sc)
 		if length, maxLive, ok := runWithOrder(ig, ii, igTopoAll(ig, tm, sc), tm, opts, sc, first); ok {
 			return length, maxLive, nil
 		}
 		return 0, nil, first
 	}
+	if bound, _ := sc.knownRecurrence(ig); ii < bound {
+		*first = Error{Kind: FailWindow, Inst: -1, II: ii, Bound: bound}
+		return 0, nil, first
+	}
+	tm := computeIGTiming(ig, ii, sc)
 	if length, maxLive, ok := runWithOrder(ig, ii, priorityOrder(ig, ii, tm, sc), tm, opts, sc, first); ok {
 		return length, maxLive, nil
 	}
 	if first.Kind == FailRegisters {
 		return 0, nil, first // a register failure is definitive for this II
 	}
-	if belowRecurrence(ig, ii, sc) {
+	if bound, below := belowRecurrence(ig, ii, sc); below {
+		*first = Error{Kind: FailWindow, Inst: -1, II: ii, Bound: bound}
 		return 0, nil, first
 	}
 	_, order := igTopo(ig, sc)

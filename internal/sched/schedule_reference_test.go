@@ -247,7 +247,9 @@ func referenceScheduleLoop(p *Placement, m machine.Config, ii int, zeroBusLat bo
 // and the unified one, real and zero bus latency, plain, without the
 // register check and in forced topological order, up the II ladder from 1
 // to past the first interval that schedules, each side on an arena kept
-// across all its attempts.
+// across all its attempts. One rule the retired attempt did not know is
+// applied to its failures: outside forced topological order, an interval
+// below the instance graph's recurrence bound fails with the bound.
 func TestRunMatchesReference(t *testing.T) {
 	hetero, err := machine.NewHetero(1, 2, 32, [][ddg.NumClasses]int{{2, 0, 1}, {1, 2, 1}, {0, 2, 2}})
 	if err != nil {
@@ -270,7 +272,7 @@ func TestRunMatchesReference(t *testing.T) {
 		}
 	}
 	now, then := NewScratch(), NewScratch()
-	attempts, failures := 0, 0
+	attempts, failures, reclassified := 0, 0, 0
 	for _, m := range machines {
 		for _, g := range loops {
 			p := NewPlacement(g, partition.InitialScratch(g, m, 4, partition.NewScratch()))
@@ -294,8 +296,17 @@ func TestRunMatchesReference(t *testing.T) {
 							t.Fatalf("%s: error %v, want %v", label, err, refErr)
 						case err != nil:
 							failures++
-							if *err.(*Error) != *refErr.(*Error) {
-								t.Fatalf("%s: error %+v, want %+v", label, *err.(*Error), *refErr.(*Error))
+							want := *refErr.(*Error)
+							if bound, below := belowRecurrence(refIG, ii, NewScratch()); below && !opts.ForceTopoOrder {
+								// Below the bound the failure is the bound's, whatever
+								// the priority order ran into.
+								if want.Kind != FailWindow {
+									reclassified++
+								}
+								want = Error{Kind: FailWindow, Inst: -1, II: ii, Bound: bound}
+							}
+							if *err.(*Error) != want {
+								t.Fatalf("%s: error %+v, want %+v", label, *err.(*Error), want)
 							}
 						default:
 							left--
@@ -308,7 +319,7 @@ func TestRunMatchesReference(t *testing.T) {
 			}
 		}
 	}
-	t.Logf("%d attempts, %d failed", attempts, failures)
+	t.Logf("%d attempts, %d failed, %d of them reclassified as below the recurrence bound", attempts, failures, reclassified)
 }
 
 // carryTimes gives each instance of to the issue time fromTimes gives its

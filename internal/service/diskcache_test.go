@@ -206,7 +206,7 @@ func TestDiskCacheDamagedEntryIsMiss(t *testing.T) {
 // parentFormatEntry is an entry as the previous format wrote it, verbatim:
 // one JSON object under <sha256 of the key>.json, the loop echoed in the
 // result. It holds the first testJobs("mgrid", 1) job.
-const parentFormatEntry = `{"key":"v7|c=9232bb66c32bcbde|m=4c1b2l64r|strat=paper|rep=1|lrep=0|lat0=0|macro=0|maxii=0|noreg=0|ver=0","result":{"loop":"loop mgrid_loop000\nnode a0 iadd\nnode ld0 load\nnode f0_0 fmul\nnode f0_1 fadd\nnode f0_2 fdiv\nnode f0_3 fadd\nnode st0 store\nnode a1 iadd\nnode ld1 load\nnode f1_0 fmul\nnode f1_1 fadd\nnode f1_2 fmul\nnode f1_3 fadd\nnode st1 store\nnode a2 iadd\nnode ld2 load\nnode f2_0 fmul\nnode f2_1 fdiv\nnode f2_2 fdiv\nnode f2_3 fmul\nnode st2 store\nnode a3 iadd\nnode ld3 load\nnode f3_0 fadd\nnode f3_1 fmul\nnode f3_2 fdiv\nnode f3_3 fadd\nnode st3 store\nedge a0 a0 dist 1\nedge a0 ld0\nedge ld0 f0_0\nedge f0_0 f0_1\nedge f0_1 f0_2\nedge f0_2 f0_3\nedge f0_3 st0\nedge a0 st0\nedge a1 a1 dist 1\nedge a1 ld1\nedge ld1 f1_0\nedge f1_0 f1_1\nedge f1_1 f1_2\nedge f1_2 f1_3\nedge f1_3 st1\nedge a1 st1\nedge a2 a2 dist 1\nedge a2 ld2\nedge ld2 f2_0\nedge f2_0 f2_1\nedge f2_1 f2_2\nedge f2_2 f2_3\nedge f2_3 st2\nedge a2 st2\nedge a3 a3 dist 1\nedge a3 ld3\nedge ld3 f3_0\nedge f3_0 f3_1\nedge f3_1 f3_2\nedge f3_2 f3_3\nedge f3_3 st3\nedge a3 st3\nend\n","machine":{"config":"4c1b2l64r","clusters":4,"buses":1,"bus_latency":2,"regs_per_cluster":16},"options":{"replicate":true},"mii":4,"ii":4,"length":54,"sc":14,"comms_before_replication":0,"comms":0,"replication":{},"ii_increases":{},"placement":{"home":[0,0,0,0,0,0,0,1,1,1,1,1,1,1,2,2,2,2,2,2,2,3,3,3,3,3,3,3],"replicas":[1,1,1,1,1,1,1,2,2,2,2,2,2,2,4,4,4,4,4,4,4,8,8,8,8,8,8,8]},"schedule":{"ii":4,"time":[0,1,3,9,12,30,34,0,1,3,9,12,18,22,0,1,3,9,28,46,52,0,1,3,6,12,33,36]}}}`
+const parentFormatEntry = `{"key":"v8|c=9232bb66c32bcbde|m=4c1b2l64r|strat=paper|rep=1|lrep=0|lat0=0|macro=0|maxii=0|noreg=0|ver=0","result":{"loop":"loop mgrid_loop000\nnode a0 iadd\nnode ld0 load\nnode f0_0 fmul\nnode f0_1 fadd\nnode f0_2 fdiv\nnode f0_3 fadd\nnode st0 store\nnode a1 iadd\nnode ld1 load\nnode f1_0 fmul\nnode f1_1 fadd\nnode f1_2 fmul\nnode f1_3 fadd\nnode st1 store\nnode a2 iadd\nnode ld2 load\nnode f2_0 fmul\nnode f2_1 fdiv\nnode f2_2 fdiv\nnode f2_3 fmul\nnode st2 store\nnode a3 iadd\nnode ld3 load\nnode f3_0 fadd\nnode f3_1 fmul\nnode f3_2 fdiv\nnode f3_3 fadd\nnode st3 store\nedge a0 a0 dist 1\nedge a0 ld0\nedge ld0 f0_0\nedge f0_0 f0_1\nedge f0_1 f0_2\nedge f0_2 f0_3\nedge f0_3 st0\nedge a0 st0\nedge a1 a1 dist 1\nedge a1 ld1\nedge ld1 f1_0\nedge f1_0 f1_1\nedge f1_1 f1_2\nedge f1_2 f1_3\nedge f1_3 st1\nedge a1 st1\nedge a2 a2 dist 1\nedge a2 ld2\nedge ld2 f2_0\nedge f2_0 f2_1\nedge f2_1 f2_2\nedge f2_2 f2_3\nedge f2_3 st2\nedge a2 st2\nedge a3 a3 dist 1\nedge a3 ld3\nedge ld3 f3_0\nedge f3_0 f3_1\nedge f3_1 f3_2\nedge f3_2 f3_3\nedge f3_3 st3\nedge a3 st3\nend\n","machine":{"config":"4c1b2l64r","clusters":4,"buses":1,"bus_latency":2,"regs_per_cluster":16},"options":{"replicate":true},"mii":4,"ii":4,"length":54,"sc":14,"comms_before_replication":0,"comms":0,"replication":{},"ii_increases":{},"placement":{"home":[0,0,0,0,0,0,0,1,1,1,1,1,1,1,2,2,2,2,2,2,2,3,3,3,3,3,3,3],"replicas":[1,1,1,1,1,1,1,2,2,2,2,2,2,2,4,4,4,4,4,4,4,8,8,8,8,8,8,8]},"schedule":{"ii":4,"time":[0,1,3,9,12,30,34,0,1,3,9,12,18,22,0,1,3,9,28,46,52,0,1,3,6,12,33,36]}}}`
 
 // TestDiskCacheParentFormatIsMiss: a directory written in the previous
 // format is never read. A job whose entry exists only in that form is
@@ -355,11 +355,11 @@ func TestDiskCacheIgnoresStaleKeyVersion(t *testing.T) {
 
 	// Re-key the entry the way the previous version would have written it.
 	key := driver.JobKey(j)
-	stale, ok := strings.CutPrefix(key, "v7|")
+	stale, ok := strings.CutPrefix(key, "v8|")
 	if !ok {
-		t.Fatalf("JobKey %q is not v7: move this test along with the version", key)
+		t.Fatalf("JobKey %q is not v8: move this test along with the version", key)
 	}
-	stale = "v6|" + stale
+	stale = "v7|" + stale
 	e := readEntry(t, path)
 	e.key = stale
 	blob := e.seal(t)
@@ -371,7 +371,7 @@ func TestDiskCacheIgnoresStaleKeyVersion(t *testing.T) {
 	}
 
 	if res, cerr, ok := cache.Load(j); ok || res != nil || cerr != nil {
-		t.Fatalf("Load = (%v, %v, %v) on a directory holding only a v6 entry, want a clean miss", res, cerr, ok)
+		t.Fatalf("Load = (%v, %v, %v) on a directory holding only a v7 entry, want a clean miss", res, cerr, ok)
 	}
 	if dropped, errs := cache.Dropped(); dropped != 0 || errs != 0 {
 		t.Errorf("the stale entry was counted: dropped %d, errs %d", dropped, errs)
