@@ -107,7 +107,7 @@ func (c *Client) Do(ctx context.Context, job CompileJob) (CompileOutcome, error)
 // compiling the ticket and replays what it finished); a second cut, like a
 // stream the server refuses, is an error. Breaking out of the iteration,
 // cancelling ctx, or any ending short of the done frame cancels the ticket on
-// the server.
+// the server; a success read after ctx is cancelled yields the cancellation.
 func (c *Client) Stream(ctx context.Context, jobs []CompileJob) iter.Seq2[int, CompileOutcome] {
 	return func(yield func(int, CompileOutcome) bool) {
 		if len(jobs) == 0 {
@@ -118,6 +118,11 @@ func (c *Client) Stream(ctx context.Context, jobs []CompileJob) iter.Seq2[int, C
 			if derr != nil {
 				// An outcome that fails its proof is that job's error.
 				out.Err = derr
+			}
+			if out.Err == nil && ctx.Err() != nil {
+				// Read after the cancel: booked as cancelled, like every job
+				// the stream had not delivered by then.
+				out = CompileOutcome{Job: out.Job, Err: ctx.Err()}
 			}
 			return yield(i, out)
 		}

@@ -164,27 +164,38 @@ func (p countingPass) Run(ctx *Context) error {
 	return p.inner.Run(ctx)
 }
 
-// TestModDistSkipAheadSkipsAttempts verifies moddist's jump fires: on the
-// corpus's bus-bound loops the production search must run fewer moddist
-// passes than the linear one — at least eight fewer on some loop — with
-// the same result.
+// TestModDistSkipAheadSkipsAttempts verifies moddist's two jumps fire:
+// the bus jump on the corpus's bus-bound loops on a one-bus machine, and
+// the recurrence jump on a two-bus one, where its unchanging placement is
+// refused at every interval below its recurrence bound. The production
+// search must run fewer of the counted passes than the linear one — at
+// least eight fewer on some loop — with the same result.
 func TestModDistSkipAheadSkipsAttempts(t *testing.T) {
-	m, spec := machine.MustParse("4c1b2l64r"), corpus.DefaultSpec()
-	chain := func(n *int) []Pass { return []Pass{countingPass{ModDistPass{}, n}, SchedulePass{}, VerifyPass{}} }
-	fired, most := 0, 0
-	for i := 0; i < 60; i++ {
-		g := spec.Loop(i)
-		var nSkip, nLin int
-		skip, skipErr := search(t.Context(), g, m, Options{Strategy: "moddist"}, Strategy{Chain: chain(&nSkip)}, SearchConfig{})
-		lin, linErr := referenceChain(g, m, Options{Strategy: "moddist"}, chain(&nLin))
-		requireSameResult(t, g.Name, skip, lin, skipErr, linErr)
-		if nSkip < nLin {
-			fired++
-			most = max(most, nLin-nSkip)
-		}
-	}
-	if fired == 0 || most < 8 {
-		t.Fatalf("moddist skip-ahead skipped attempts on %d of 60 loops, at most %d on one; want some, and ≥ 8 on one", fired, most)
+	for _, tc := range []struct {
+		name, machine string
+		chain         func(n *int) []Pass
+	}{
+		{"bus", "4c1b2l64r", func(n *int) []Pass { return []Pass{countingPass{ModDistPass{}, n}, SchedulePass{}, VerifyPass{}} }},
+		{"recurrence", "4c2b2l64r", func(n *int) []Pass { return []Pass{ModDistPass{}, countingPass{SchedulePass{}, n}, VerifyPass{}} }},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			m, spec := machine.MustParse(tc.machine), corpus.DefaultSpec()
+			fired, most := 0, 0
+			for i := 0; i < 60; i++ {
+				g := spec.Loop(i)
+				var nSkip, nLin int
+				skip, skipErr := search(t.Context(), g, m, Options{Strategy: "moddist"}, Strategy{Chain: tc.chain(&nSkip)}, SearchConfig{})
+				lin, linErr := referenceChain(g, m, Options{Strategy: "moddist"}, tc.chain(&nLin))
+				requireSameResult(t, g.Name, skip, lin, skipErr, linErr)
+				if nSkip < nLin {
+					fired++
+					most = max(most, nLin-nSkip)
+				}
+			}
+			if fired == 0 || most < 8 {
+				t.Fatalf("moddist's %s jump skipped passes on %d of 60 loops, at most %d on one; want some, and ≥ 8 on one", tc.name, fired, most)
+			}
+		})
 	}
 }
 
@@ -281,30 +292,5 @@ func TestSearchMatchesReferenceOnCorpus(t *testing.T) {
 	}
 	if longJumps == 0 {
 		t.Error("no loop on which moddist skips eight or more intervals")
-	}
-}
-
-// TestModDistJumpsToTheRecurrenceBound verifies moddist's recurrence jump
-// fires: its placement never changes, so a schedule refused below the
-// placement's recurrence bound is refused at every interval up to it, and
-// the production search must run fewer scheduling passes than the linear
-// one — at least eight fewer on some corpus loop — with the same result.
-func TestModDistJumpsToTheRecurrenceBound(t *testing.T) {
-	m, spec := machine.MustParse("4c2b2l64r"), corpus.DefaultSpec()
-	chain := func(n *int) []Pass { return []Pass{ModDistPass{}, countingPass{SchedulePass{}, n}, VerifyPass{}} }
-	fired, most := 0, 0
-	for i := 0; i < 60; i++ {
-		g := spec.Loop(i)
-		var nSkip, nLin int
-		skip, skipErr := search(t.Context(), g, m, Options{Strategy: "moddist"}, Strategy{Chain: chain(&nSkip)}, SearchConfig{})
-		lin, linErr := referenceChain(g, m, Options{Strategy: "moddist"}, chain(&nLin))
-		requireSameResult(t, g.Name, skip, lin, skipErr, linErr)
-		if nSkip < nLin {
-			fired++
-			most = max(most, nLin-nSkip)
-		}
-	}
-	if fired == 0 || most < 8 {
-		t.Fatalf("moddist's recurrence jump skipped scheduling passes on %d of 60 loops, at most %d on one; want some, and ≥ 8 on one", fired, most)
 	}
 }

@@ -239,10 +239,6 @@ var errIdle = errors.New("idle")
 // server accepted the ticket and has since forgotten it (restart, retention),
 // which says nothing about the request, so the run is worth taking elsewhere.
 //
-// Once ctx is done nothing more is yielded, not even a frame already in
-// the connection: Stream returns ctx's error, the verdict on every job it
-// has not delivered.
-//
 // Timeout bounds the wait for the hello and every later gap between two
 // frames. A ticket that will not be read to its done frame is cancelled on the
 // server before Stream returns (Disown), whatever ended the read — except a
@@ -389,8 +385,7 @@ func nextLine(r *bufio.Reader, long *[]byte) ([]byte, error) {
 // readStream reads a batch stream's frames from body and yields its outcomes
 // until the done frame, whose error text it returns; the hello names the
 // ticket when no answer has yet. A non-nil error means the read ended short
-// of the done frame; see Stream. The exchange's context is checked before
-// each frame is looked at, so nothing is yielded once it has ended.
+// of the done frame; see Stream.
 func (x *exchange) readStream(body io.Reader, jobs []driver.Job, delivered []bool,
 	yield func(int, driver.Outcome, error) bool) (string, error) {
 	// One frame per line, every line decoded into the same Frame: its
@@ -415,12 +410,9 @@ func (x *exchange) readStream(body io.Reader, jobs []driver.Job, delivered []boo
 			err = DecodeFrame(line, &f)
 		}
 		switch {
-		case x.ctx.Err() != nil:
-			// An ended exchange yields nothing more, whatever it read: a
-			// frame that arrives after a cancel is the caller's to stamp
-			// with the cancellation, like every job not yet delivered.
-			return "", x.ended(err)
 		case err == nil:
+		case x.ctx.Err() != nil:
+			return "", x.ended(err)
 		case errors.Is(err, ErrFrameTooLong):
 			return "", fmt.Errorf("%w: ticket %s: a line over %d bytes", err, x.id, maxFrameBytes)
 		case x.id == "":
